@@ -20,22 +20,25 @@ class optional_build_ext(build_ext):
             print(f"warning: skipping {ext.name}: {exc}")
 
 
-extensions = [
-    Extension(
-        "ckplab._kernel",
-        ["src/ckplab/_kernel.pyx"],
-        language="c++",
-        include_dirs=[numpy.get_include()],
-        extra_compile_args=["-O3", "-std=c++14"],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-    )
-]
-
 try:
     from Cython.Build import cythonize
-    ext_modules = cythonize(extensions, compiler_directives={"language_level": "3"})
 except ImportError:
-    print("warning: Cython not available, building without the accelerated kernel")
-    ext_modules = []
+    # the C++ that Cython generates from _kernel.pyx is checked in, so the
+    # kernel builds without Cython (and without a network to fetch it)
+    cythonize = None
+
+kernel = Extension(
+    "ckplab._kernel",
+    ["src/ckplab/_kernel.pyx" if cythonize else "src/ckplab/_kernel.cpp"],
+    language="c++",
+    include_dirs=[numpy.get_include()],
+    extra_compile_args=["-O3", "-std=c++14"],
+    define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
+)
+
+if cythonize:
+    ext_modules = cythonize([kernel], compiler_directives={"language_level": "3"})
+else:
+    ext_modules = [kernel]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -22,6 +22,13 @@ allow it.  ``mc_drift`` estimates the same quantity by sampling.  Every
 enumeration leaf recomputes the potential through two independent code
 paths and any disagreement aborts the computation, so a reported drift
 is its own cross-check.
+
+The :class:`MinDistance` routes compute their own distances and their
+own sums, but the terms ``a(deg) * c**dist`` they add up depend on the
+pair ``(deg, dist)`` alone.  ``exact_drift`` therefore builds one
+:class:`TermTable` per call, filled on first use, and hands it to every
+evaluation; in rational mode integral terms are plain ints and each
+route converts its sum to a Fraction once.
 """
 
 from __future__ import annotations
@@ -59,6 +66,16 @@ class AdversaryNotEnumerable(RuntimeError):
 
 class NonpositiveWeight(ValueError):
     """A leaf weight denominator came out zero or negative."""
+
+
+class PotentialOverflow(ArithmeticError):
+    """A float :class:`MinDistance` term ``c**dist`` left the float range."""
+
+
+def _overflow(c, depth: int) -> PotentialOverflow:
+    return PotentialOverflow(
+        f"a PT False node at distance {depth} from its minimal false node "
+        f"overflows the float MinDistance term with base c={c}")
 
 
 # -- potential kinds -------------------------------------------------------
@@ -99,6 +116,40 @@ class PotentialReport:
     pt_false_count: int
 
 
+class TermTable(dict):
+    """``(deg_pt, dist) -> a(deg_pt) * c**dist`` for one
+    :class:`MinDistance`, computed on first lookup.
+
+    Exact tables hold ints where the term is integral and Fractions
+    otherwise; float tables hold the float the same expression gives.
+    A table lives as long as the call that built it.
+    """
+
+    __slots__ = ("attach", "c", "exact")
+
+    def __init__(self, kind: MinDistance, exact: bool):
+        super().__init__()
+        self.attach = kind.attach
+        self.c = kind.c
+        self.exact = exact
+
+    def __missing__(self, key):
+        deg, dist = key
+        if self.exact:
+            term = self.attach.evaluate_exact(deg) * Fraction(self.c) ** dist
+            if term.denominator == 1:
+                term = term.numerator
+        else:
+            try:
+                term = self.attach.evaluate(deg) * float(self.c) ** dist
+            except OverflowError:
+                term = math.inf
+            if term == math.inf:
+                raise _overflow(self.c, dist)
+        self[key] = term
+        return term
+
+
 def _pt_false_ids(state) -> list[int]:
     return [v for v in range(len(state.labels))
             if state.labels[v] != PF and state.is_false[v]]
@@ -123,40 +174,42 @@ def _false_leaves(state, simple_mode: bool) -> list[int]:
             if state.is_false[v]]
 
 
-def potential(state, kind, exact: bool = False) -> PotentialReport:
+def potential(state, kind, exact: bool = False, *,
+              terms: TermTable | None = None) -> PotentialReport:
     """Evaluate ``kind`` on ``state``.
 
     For :class:`MinDistance` the report carries the per-anchor
     decomposition, computed through an independent distance routine
     (canonical upward BFS per node, against the downward relaxation pass
-    used for the total); the two are required to agree.
+    used for the total); the two are required to agree.  ``terms`` is a
+    :class:`TermTable` for ``kind`` and ``exact`` to share across
+    evaluations; without one the call builds its own.
     """
     false_ids = _pt_false_ids(state)
     if isinstance(kind, MinDistance):
-        attach = kind.attach
-        c = Fraction(kind.c) if exact else float(kind.c)
+        if terms is None:
+            terms = TermTable(kind, exact)
+        deg = state.deg_pt
+        zero = 0 if exact else 0.0
         dist = pt_false_distances(state)
-        total = Fraction(0) if exact else 0.0
+        total = zero
         for v in false_ids:
-            w = (attach.evaluate_exact(state.deg_pt[v]) if exact
-                 else attach.evaluate(state.deg_pt[v]))
-            total += w * c ** dist[v]
+            total += terms[deg[v], dist[v]]
         per_component: dict = {}
         for v in false_ids:
             anchor, depth, _ = anchor_bfs(state, v)
             if anchor is None:
                 raise AuditViolation(
                     f"PT False node {v} reaches no minimal false node")
-            w = (attach.evaluate_exact(state.deg_pt[v]) if exact
-                 else attach.evaluate(state.deg_pt[v]))
-            term = w * c ** depth
-            per_component[anchor] = per_component.get(
-                anchor, Fraction(0) if exact else 0.0) + term
-        again = sum(per_component.values(), Fraction(0) if exact else 0.0)
+            per_component[anchor] = (per_component.get(anchor, zero)
+                                     + terms[deg[v], depth])
+        again = sum(per_component.values(), zero)
         if exact:
             if again != total:
                 raise AuditViolation(
                     f"component decomposition sums to {again}, total {total}")
+            total = Fraction(total)
+            per_component = {a: Fraction(x) for a, x in per_component.items()}
         elif not _close(again, total):
             raise AuditViolation(
                 f"component decomposition sums to {again!r}, total {total!r}")
@@ -205,19 +258,17 @@ def _close(x, y, rel: float = 1e-9) -> bool:
                                                  abs(float(y)))
 
 
-def _independent_total(state, kind, exact: bool):
+def _independent_total(state, kind, exact: bool, terms: TermTable | None):
     """Second opinion on the potential value, sharing as little code as
-    possible with :func:`potential`."""
+    possible with :func:`potential`: only the :class:`TermTable`, whose
+    terms depend on nothing but the degree and distance looked up."""
     if isinstance(kind, MinDistance):
         dist = pt_false_distances_by_spread(state)
-        attach = kind.attach
-        c = Fraction(kind.c) if exact else float(kind.c)
-        total = Fraction(0) if exact else 0.0
+        deg = state.deg_pt
+        total = 0 if exact else 0.0
         for v, d in sorted(dist.items()):
-            w = (attach.evaluate_exact(state.deg_pt[v]) if exact
-                 else attach.evaluate(state.deg_pt[v]))
-            total += w * c ** d
-        return total
+            total += terms[deg[v], d]
+        return Fraction(total) if exact else total
     n = len(state.labels)
     minimal = 0
     for v in range(n):
@@ -271,9 +322,9 @@ def _independent_total(state, kind, exact: bool):
     raise TypeError(f"unknown potential kind {kind!r}")
 
 
-def _checked_total(state, kind, exact: bool):
-    report = potential(state, kind, exact=exact)
-    alt = _independent_total(state, kind, exact)
+def _checked_total(state, kind, exact: bool, terms: TermTable | None):
+    report = potential(state, kind, exact=exact, terms=terms)
+    alt = _independent_total(state, kind, exact, terms)
     if exact:
         if report.total != alt:
             raise AuditViolation(
@@ -402,7 +453,9 @@ def exact_drift(state, features, kind, adversary=None, *,
         return Fraction(x) if exact_mode else float(x)
 
     one = Fraction(1) if exact_mode else 1.0
-    phi_before = _checked_total(state, kind, exact_mode)
+    terms = (TermTable(kind, exact_mode) if isinstance(kind, MinDistance)
+             else None)
+    phi_before = _checked_total(state, kind, exact_mode, terms)
     acc = _Sum(exact_mode)
     mass = _Sum(exact_mode)
     leaf_count = 0
@@ -415,7 +468,7 @@ def exact_drift(state, features, kind, adversary=None, *,
                 f"outcome tree exceeded {leaf_cap} leaves")
         mass.add(prob)
         if after is not None:
-            acc.add(prob * (_checked_total(after, kind, exact_mode)
+            acc.add(prob * (_checked_total(after, kind, exact_mode, terms)
                             - phi_before))
 
     q = features.adversary_rate
@@ -551,8 +604,14 @@ def _phi_value(state, kind) -> float:
         dist = pt_false_distances(state)
         attach = kind.attach
         c = float(kind.c)
-        return sum(attach.evaluate(state.deg_pt[v]) * c ** d
-                   for v, d in dist.items())
+        try:
+            total = sum(attach.evaluate(state.deg_pt[v]) * c ** d
+                        for v, d in dist.items())
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise _overflow(kind.c, max(dist.values()))
+        return total
     return float(potential(state, kind, exact=False).total)
 
 

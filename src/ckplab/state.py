@@ -308,21 +308,26 @@ def anchor_bfs(state: CkpState, v: int):
     Returns ``(anchor, depth, chain)`` where ``chain`` is the discovery path
     v -> ... -> anchor, or ``(None, None, None)`` when nothing is reachable.
     """
-    seen = {v}
-    prev = {v: None}
+    labels = state.labels
+    pf_parent_edges = state.pf_parent_edges
+    parents = state.parents
+    prev = {v: None}             # doubles as the enqueued set
     queue = deque([(v, 0)])
     while queue:
         u, d = queue.popleft()
-        if state.is_minimal_false(u):
+        lab = labels[u]
+        # CkpState.is_minimal_false, inlined
+        if lab == CF or (lab == CT and pf_parent_edges[u] > 0):
             chain = [u]
-            while prev[chain[-1]] is not None:
-                chain.append(prev[chain[-1]])
+            w = prev[u]
+            while w is not None:
+                chain.append(w)
+                w = prev[w]
             chain.reverse()
             return u, d, chain
-        for w in state.parents[u]:
-            if w in seen or state.labels[w] == PF:
+        for w in parents[u]:
+            if w in prev or labels[w] == PF:
                 continue
-            seen.add(w)
             prev[w] = u
             queue.append((w, d + 1))
     return None, None, None

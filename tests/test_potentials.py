@@ -11,17 +11,19 @@ from fractions import Fraction
 
 import pytest
 
+from ckplab import potentials
 from ckplab.attachment import ParentCountLaw, TableAttachment, preferential, \
     uniform
-from ckplab.evolution import Features, PyEngine, RandomPt, Scripted, \
-    init_chain
+from ckplab.evolution import AuditViolation, Features, PyEngine, RandomPt, \
+    Scripted, init_chain
 from ckplab.potentials import (
     AdversaryNotEnumerable, BranchBudgetExceeded, DriftResult, MinDistance,
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
-    NonpositiveWeight, exact_drift, mc_drift, potential,
+    NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
 from ckplab.rand import SimChooser, make_generator
-from ckplab.state import CT, CF, CkpState, pt_false_distances_by_spread
+from ckplab.state import CT, CF, CkpState, anchor_bfs, \
+    pt_false_distances_by_spread
 
 PREF = preferential()
 
@@ -53,6 +55,9 @@ def test_min_distance_chain_term_by_term():
     rep = potential(chain, MinDistance(PREF, 3), exact=True)
     assert rep.total == 17
     assert rep.per_component == {0: 17}
+    # integral terms are summed as ints; the report still holds Fractions
+    assert type(rep.total) is Fraction
+    assert type(rep.per_component[0]) is Fraction
     # term-by-term against the independent spread distances
     spread = pt_false_distances_by_spread(chain)
     recomputed = sum(PREF.evaluate_exact(chain.deg_pt[v]) * Fraction(3) ** d
@@ -254,6 +259,29 @@ def test_drift_float_mode_reports_a_sign_band():
     assert abs(r.value + 0.5) < 1e-9
 
 
+def pinned_drift_features() -> Features:
+    law = ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 4),
+                          3: Fraction(1, 4)})
+    return Features(PREF, law, Fraction(1, 2), 3, "bfs",
+                    detection_rate=Fraction(4, 5))
+
+
+def test_drift_pinned_on_a_five_node_chain():
+    # the value this enumerator has always returned on this input; the
+    # float run goes through the float side of the term table
+    chain = init_chain(5, 1, CF)
+    r = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3))
+    assert r.exact
+    assert type(r.value) is Fraction
+    assert r.value == Fraction(18443, 1620)
+    assert r.leaf_count == 451
+    approx = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3),
+                         exact=False)
+    assert not approx.exact
+    assert approx.leaf_count == 451
+    assert abs(approx.value - 18443 / 1620) <= 1e-9
+
+
 def test_drift_float_and_rational_modes_agree_on_sampled_states():
     for st in sampled_states("exhaustive-bfs", 17, steps=25)[:6]:
         f = feats("exhaustive-bfs", Fraction(9, 10), k=4)
@@ -262,6 +290,35 @@ def test_drift_float_and_rational_modes_agree_on_sampled_states():
         assert exact.exact and not approx.exact
         assert abs(float(exact.value) - approx.value) <= 1e-9 * max(
             1.0, abs(approx.value))
+
+
+# -- exact drift: the routes stay independent -----------------------------
+
+# On the 5-node chain node 5 exists only in the enumerated outcomes, so
+# a route that misplaces it can only be caught by the per-leaf checks.
+GROWN = 5
+
+
+def test_drift_catches_a_spread_route_that_disagrees(monkeypatch):
+    def shifted(state):
+        dist = pt_false_distances_by_spread(state)
+        if GROWN in dist:
+            dist[GROWN] += 1
+        return dist
+    monkeypatch.setattr(potentials, "pt_false_distances_by_spread", shifted)
+    with pytest.raises(AuditViolation, match="potential routes disagree"):
+        exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
+                    MinDistance(PREF, 3))
+
+
+def test_drift_catches_a_decomposition_that_disagrees(monkeypatch):
+    def deeper(state, v):
+        anchor, depth, chain = anchor_bfs(state, v)
+        return anchor, depth + (v == GROWN), chain
+    monkeypatch.setattr(potentials, "anchor_bfs", deeper)
+    with pytest.raises(AuditViolation, match="component decomposition"):
+        exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
+                    MinDistance(PREF, 3))
 
 
 # -- exact drift: adversaries and caps -------------------------------------
@@ -328,6 +385,17 @@ def test_mc_drift_seed_repeatability():
     c = mc_drift(single_cf(), feats("bfs", 0.5), MinDistance(PREF, 3),
                  2000, make_generator(42))
     assert (c.mean, c.se) == (a.mean, a.se)
+
+
+def test_float_min_distance_overflow_is_named():
+    # 3.0**699 leaves the float range: the deepest node of the chain
+    # is named with the base instead of a bare OverflowError
+    deep = init_chain(700, 1, CF)
+    with pytest.raises(PotentialOverflow, match=r"distance 699 .* c=3"):
+        mc_drift(deep, feats("bfs", 0.5), MinDistance(PREF, 3), 10, 1)
+    with pytest.raises(PotentialOverflow, match=r"c=3"):
+        potential(deep, MinDistance(PREF, 3))
+    assert potential(deep, MinDistance(PREF, 3), exact=True).total > 0
 
 
 def test_mc_drift_validates_the_sample_count():
