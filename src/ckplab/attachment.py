@@ -348,9 +348,6 @@ class WeightIndex:
             pos = j
         return pos
 
-    def recompute_total(self) -> float:
-        return sum(self.weights[:self.size])
-
 
 def weight_index_for(state, attach) -> WeightIndex:
     """Fresh index over all current nodes; PF nodes get weight 0."""
@@ -386,22 +383,6 @@ def parent_distribution(state, attach, exact: bool = False) -> dict:
     if total == 0:
         raise AllWeightsZero("all PT attachment weights are zero")
     return {v: w / total for v, w in weights.items() if w != 0}
-
-
-def sample_parents(state, attach, m: int, chooser, windex=None) -> list:
-    """Draw m parent ids with replacement, proportional to a(deg_pt).
-
-    Builds a throwaway index when none is supplied; the engine passes its
-    maintained one so the draw sequence is identical either way.
-    """
-    from .state import PF
-    if windex is None:
-        windex = weight_index_for(state, attach)
-    if windex.positive == 0:
-        if all(lab == PF for lab in state.labels):
-            raise AllPF("state has no PT nodes")
-        raise AllWeightsZero("all PT attachment weights are zero")
-    return [chooser.weighted_index(windex) for _ in range(m)]
 
 
 def sample_combination(law: ParentCountLaw, chooser) -> int:

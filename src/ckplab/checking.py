@@ -1,8 +1,9 @@
-"""The five local checking mechanisms.
+"""The five local checking mechanisms, behind one entry point.
 
-All of them are read-only: they look at the state through a chooser (so
-the same code serves simulation and exact branch enumeration) and report
-what they would mark; the engine applies the marking.  Shared rules:
+:func:`run_check` is the only way in.  Every mechanism is read-only: it
+looks at the state through a chooser (so the same code serves simulation
+and exact branch enumeration) and reports what it would mark; the engine
+applies the marking.  Shared rules:
 
 * A checker sees public labels only.  A CF node reveals its error with
   probability ``p_e`` per encounter; a node with a PF parent edge is
@@ -11,10 +12,22 @@ what they would mark; the engine applies the marking.  Shared rules:
 * Marking is sound by construction: everything marked sits on or below a
   recognized bad node, hence is hidden-False whenever the state is.
 
-The two whole-check mechanisms (``stringy``, ``bfs``) expect the caller
-to have flipped the overall probability-p coin already.  The three
-per-parent mechanisms flip one coin per parent edge themselves, repeats
-included: a parent drawn twice is worth two chances.
+The two whole-check mechanisms flip the probability-p coin once:
+``stringy`` then walks one random upward path of at most k steps, and
+``bfs`` searches the radius-k ball above the new node up to the first
+find.  The three per-edge mechanisms flip one coin per parent edge,
+repeats included (a parent drawn twice is worth two chances); each
+performed edge examines the new node, then searches the radius-(k-1)
+ball above that parent.  They differ only in when they stop:
+
+* ``exhaustive-bfs`` returns at the first find, on any edge;
+* ``parentwise-bfs`` stops the current edge at its first find and moves
+  on to the next, so a self-catch skips that edge's search;
+* ``complete`` never stops: it sweeps the whole ball of every performed
+  edge and marks every find.
+
+The compiled kernel's ``run_check`` has the same shape and draws the same
+decisions in the same order.
 """
 
 from __future__ import annotations
@@ -104,47 +117,19 @@ def _bfs_path(prev, found: int) -> set:
     return path
 
 
-def check_bfs(state, v: int, k: int, p_e, chooser,
-              path_only: bool = False) -> CheckOutcome:
-    """Breadth-first search upward from v to depth k, stopping at the
-    first node recognized as minimal false.
-
-    Canonical order: FIFO queue seeded with v, parents pushed in edge
-    insertion order, each node enqueued once, recognition happens when a
-    node is popped.  The find is marked together with every visited node
-    below it (or, with ``path_only``, just the discovery path: the weaker
-    reading kept for sensitivity runs).
-    """
-    seen = {v}
-    depth = {v: 0}
-    prev = {v: None}
-    order: list = []
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        if _flagged(state, u, p_e, chooser):
-            if path_only:
-                marked = _bfs_path(prev, u)
-            else:
-                marked = _descendants_within(state, order, u)
-            return CheckOutcome([True], [u], marked, order)
-        if depth[u] < k:
-            for w in state.parents[u]:
-                if w in seen or state.labels[w] == PF:
-                    continue
-                seen.add(w)
-                depth[w] = depth[u] + 1
-                prev[w] = u
-                queue.append(w)
-    return CheckOutcome([True], [], set(), order)
-
-
 def _ball_first(state, start: int, cap: int, p_e, chooser, path_only: bool):
-    """BFS from ``start`` to depth ``cap``, stopping at the first
-    recognized node.  Returns (found, marked, order)."""
+    """BFS upward from ``start`` to depth ``cap``, stopping at the first
+    node recognized as minimal false.
+
+    Canonical order: FIFO queue seeded with ``start``, parents pushed in
+    edge insertion order, each node enqueued once, recognition happens
+    when a node is popped.  The find is marked together with every
+    visited node below it (or, with ``path_only``, just the discovery
+    path: the weaker reading kept for sensitivity runs).  Returns
+    (founds, marked, order) with at most one find.
+    """
     if cap < 0 or state.labels[start] == PF:
-        return None, set(), []
+        return [], set(), []
     seen = {start}
     depth = {start: 0}
     prev = {start: None}
@@ -155,8 +140,8 @@ def _ball_first(state, start: int, cap: int, p_e, chooser, path_only: bool):
         order.append(u)
         if _flagged(state, u, p_e, chooser):
             if path_only:
-                return u, _bfs_path(prev, u), order
-            return u, _descendants_within(state, order, u), order
+                return [u], _bfs_path(prev, u), order
+            return [u], _descendants_within(state, order, u), order
         if depth[u] < cap:
             for w in state.parents[u]:
                 if w in seen or state.labels[w] == PF:
@@ -165,7 +150,7 @@ def _ball_first(state, start: int, cap: int, p_e, chooser, path_only: bool):
                 depth[w] = depth[u] + 1
                 prev[w] = u
                 queue.append(w)
-    return None, set(), order
+    return [], set(), order
 
 
 def _ball_all(state, start: int, cap: int, p_e, chooser):
@@ -199,110 +184,53 @@ def _ball_all(state, start: int, cap: int, p_e, chooser):
     return founds, marked, order
 
 
-def check_exhaustive_bfs(state, v: int, parent_edges, k: int, p, p_e,
-                         chooser, path_only: bool = False) -> CheckOutcome:
-    """Per parent edge, with probability p: examine the new node itself,
-    then search upward from that parent to depth k-1.  The whole
-    procedure stops at the first find, which is marked with its visited
-    descendants and the new node."""
-    out = CheckOutcome()
-    for u in parent_edges:
-        go = chooser.maybe(p)
-        out.performed.append(go)
-        if not go:
-            continue
-        out.visited.append(v)
-        if state.labels[v] == CF and chooser.maybe(p_e):
-            out.found = [v]
-            out.marked = {v}
-            return out
-        found, marked, order = _ball_first(state, u, k - 1, p_e, chooser,
-                                           path_only)
-        out.visited.extend(order)
-        if found is not None:
-            out.found = [found]
-            out.marked = marked | {v}
-            return out
-    return out
-
-
-def check_parentwise_bfs(state, v: int, parent_edges, k: int, p, p_e,
-                         chooser, path_only: bool = False) -> CheckOutcome:
-    """Like the exhaustive variant, but a find only closes its own parent
-    edge; the next edge restarts fresh, so up to one find per edge."""
-    out = CheckOutcome()
-    for u in parent_edges:
-        go = chooser.maybe(p)
-        out.performed.append(go)
-        if not go:
-            continue
-        out.visited.append(v)
-        if state.labels[v] == CF and chooser.maybe(p_e):
-            if v not in out.found:
-                out.found.append(v)
-            out.marked.add(v)
-            continue
-        found, marked, order = _ball_first(state, u, k - 1, p_e, chooser,
-                                           path_only)
-        out.visited.extend(order)
-        if found is not None:
-            if found not in out.found:
-                out.found.append(found)
-            out.marked |= marked | {v}
-    return out
-
-
-def check_complete(state, v: int, parent_edges, k: int, p, p_e,
-                   chooser) -> CheckOutcome:
-    """Per parent edge, with probability p, sweep the whole radius-(k-1)
-    ball above that parent and mark every minimal false node recognized,
-    with its visited descendants.  Nothing stops early; catching the new
-    node itself does not cancel the sweep."""
-    out = CheckOutcome()
-    for u in parent_edges:
-        go = chooser.maybe(p)
-        out.performed.append(go)
-        if not go:
-            continue
-        out.visited.append(v)
-        if state.labels[v] == CF and chooser.maybe(p_e):
-            if v not in out.found:
-                out.found.append(v)
-            out.marked.add(v)
-        founds, marked, order = _ball_all(state, u, k - 1, p_e, chooser)
-        out.visited.extend(order)
-        if founds:
-            for f in founds:
-                if f not in out.found:
-                    out.found.append(f)
-            out.marked |= marked | {v}
-    return out
-
-
 MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs", "complete")
 
-WHOLE_CHECK = {"stringy", "bfs"}
 PER_EDGE = {"exhaustive-bfs", "parentwise-bfs", "complete"}
 
 
 def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
               chooser, path_only: bool = False) -> CheckOutcome:
-    """Uniform entry point.  For whole-check mechanisms the p coin is
-    flipped here; per-edge mechanisms flip their own."""
-    if mechanism == "stringy":
+    """Check the new node ``v`` with ``mechanism``; decisions are drawn in
+    the same order as the compiled kernel's ``run_check``."""
+    if mechanism in ("stringy", "bfs"):
         if not chooser.maybe(p):
-            return CheckOutcome([False], [], set(), [])
-        return check_stringy(state, v, k, p_e, chooser)
-    if mechanism == "bfs":
-        if not chooser.maybe(p):
-            return CheckOutcome([False], [], set(), [])
-        return check_bfs(state, v, k, p_e, chooser, path_only)
-    if mechanism == "exhaustive-bfs":
-        return check_exhaustive_bfs(state, v, parent_edges, k, p, p_e,
-                                    chooser, path_only)
-    if mechanism == "parentwise-bfs":
-        return check_parentwise_bfs(state, v, parent_edges, k, p, p_e,
-                                    chooser, path_only)
-    if mechanism == "complete":
-        return check_complete(state, v, parent_edges, k, p, p_e, chooser)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+            return CheckOutcome([False])
+        if mechanism == "stringy":
+            return check_stringy(state, v, k, p_e, chooser)
+        founds, marked, order = _ball_first(state, v, k, p_e, chooser,
+                                            path_only)
+        return CheckOutcome([True], founds, marked, order)
+    if mechanism not in PER_EDGE:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    out = CheckOutcome()
+    for u in parent_edges:
+        go = chooser.maybe(p)
+        out.performed.append(go)
+        if not go:
+            continue
+        out.visited.append(v)
+        if state.labels[v] == CF and chooser.maybe(p_e):
+            _record(out, [v], {v})
+            if mechanism == "exhaustive-bfs":
+                return out
+            if mechanism == "parentwise-bfs":
+                continue
+        if mechanism == "complete":
+            founds, marked, order = _ball_all(state, u, k - 1, p_e, chooser)
+        else:
+            founds, marked, order = _ball_first(state, u, k - 1, p_e,
+                                                chooser, path_only)
+        out.visited.extend(order)
+        if founds:
+            _record(out, founds, marked | {v})
+            if mechanism == "exhaustive-bfs":
+                return out
+    return out
+
+
+def _record(out: CheckOutcome, founds, marked) -> None:
+    for f in founds:
+        if f not in out.found:
+            out.found.append(f)
+    out.marked |= marked

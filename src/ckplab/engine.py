@@ -5,11 +5,9 @@ compiled kernel when one is importable and the requested variant fits
 its scope (no adversary, no step tracing), and falls back to the pure
 Python engine otherwise.  Both backends replay the same decision
 stream, so for any fixed seed they produce the same trajectory; the
-result only differs in its ``backend`` tag.
-
-Setting the environment variable ``CKP_PURE_PYTHON=1`` forces the pure
-engine, which is useful for timing comparisons and for ruling the
-kernel out when debugging.
+result only differs in its ``backend`` tag.  ``backend="python"`` forces
+the pure engine, which is useful for timing comparisons and for ruling
+the kernel out when debugging.
 
 Audit levels mean the same thing on both backends: "cheap" runs the
 O(1) per-step invariant checks inside the run, "full" adds deep
@@ -21,8 +19,6 @@ via ``audit_every``, which the kernel ignores).
 """
 
 from __future__ import annotations
-
-import os
 
 from .attachment import weight_index_for
 from .evolution import AuditViolation, Features, TrialResult, \
@@ -54,20 +50,16 @@ def _want_compiled(backend: str, features: Features, adversary, trace) -> bool:
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "python":
         return False
-    forced_off = os.environ.get("CKP_PURE_PYTHON", "") not in ("", "0")
     if backend == "compiled":
         if not kernel_available():
             raise RuntimeError("compiled backend requested but the kernel "
                                "extension is not importable")
-        if forced_off:
-            raise RuntimeError("compiled backend requested but "
-                               "CKP_PURE_PYTHON is set")
         if not compiled_supports(features, adversary, trace):
             raise RuntimeError("compiled backend requested for a variant "
                                "it does not cover (adversary or tracing)")
         return True
-    return (kernel_available() and not forced_off
-            and compiled_supports(features, adversary, trace))
+    return kernel_available() and compiled_supports(features, adversary,
+                                                    trace)
 
 
 def run_trial(features: Features, init_state: CkpState, horizon: int,

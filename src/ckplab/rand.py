@@ -110,11 +110,7 @@ class PathChooser:
         self.weight = Fraction(1) if exact else 1.0
 
     def _cast(self, p):
-        if self.exact:
-            if isinstance(p, float):
-                return Fraction(p)
-            return Fraction(p)
-        return float(p)
+        return Fraction(p) if self.exact else float(p)
 
     def _take(self, options):
         if self.cursor >= len(self.path):

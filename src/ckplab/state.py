@@ -174,9 +174,6 @@ class CkpState:
 
     # -- predicates -------------------------------------------------------
 
-    def is_pt(self, v: int) -> bool:
-        return self.labels[v] != PF
-
     def is_minimal_false(self, v: int) -> bool:
         """CF nodes, plus CT nodes with at least one PF parent edge (roots).
 

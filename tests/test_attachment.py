@@ -10,7 +10,7 @@ from ckplab.attachment import (
     Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
     AllPF, AllWeightsZero, ExactUnavailable,
     preferential, uniform, is_nondecreasing,
-    parent_distribution, sample_parents, sample_combination,
+    parent_distribution, sample_combination,
     weight_index_for, parse_attachment, parse_parent_count_law, parse_number,
 )
 from ckplab.rand import SimChooser, derive_seed
@@ -130,22 +130,25 @@ def test_parent_distribution_error_cases():
         parent_distribution(s2, TableAttachment((0,), 0))
 
 
+def draw_parents(windex, m, chooser):
+    """m parents with replacement, drawn the way the engine draws them."""
+    return [chooser.weighted_index(windex) for _ in range(m)]
+
+
 def test_sample_parents_trivial_and_deterministic():
-    s = chain_state([CF])
-    picks = sample_parents(s, preferential(), 3, SimChooser(7))
-    assert picks == [0, 0, 0]
-    s2 = chain_state([CF, CT, CT])
-    a = sample_parents(s2, preferential(), 5, SimChooser(11))
-    b = sample_parents(s2, preferential(), 5, SimChooser(11))
+    idx = weight_index_for(chain_state([CF]), preferential())
+    assert draw_parents(idx, 3, SimChooser(7)) == [0, 0, 0]
+    idx2 = weight_index_for(chain_state([CF, CT, CT]), preferential())
+    a = draw_parents(idx2, 5, SimChooser(11))
+    b = draw_parents(idx2, 5, SimChooser(11))
     assert a == b
 
 
 def test_sample_parents_frequency_matches_distribution():
-    s = chain_state([CF, CT])
+    idx = weight_index_for(chain_state([CF, CT]), preferential())
     chooser = SimChooser(123)
     n = 100_000
-    hits = sum(1 for _ in range(n)
-               if sample_parents(s, preferential(), 1, chooser)[0] == 0)
+    hits = sum(1 for pick in draw_parents(idx, n, chooser) if pick == 0)
     assert abs(hits / n - 2 / 3) < 0.01
 
 
@@ -214,7 +217,7 @@ def test_weight_index_random_ops_agree_with_list(ops):
                 assert got == want
     assert idx.total == pytest.approx(sum(mirror))
     assert idx.positive == sum(1 for w in mirror if w > 0)
-    assert idx.recompute_total() == pytest.approx(sum(mirror))
+    assert sum(idx.weights[:idx.size]) == pytest.approx(sum(mirror))
 
 
 @given(st.lists(st.floats(0, 100), min_size=1, max_size=40),

@@ -6,10 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckplab.checking import (
-    CheckOutcome, check_stringy, check_bfs, check_exhaustive_bfs,
-    check_parentwise_bfs, check_complete, run_check, MECHANISMS,
-)
+from ckplab.checking import MECHANISMS, run_check
 from ckplab.rand import ScriptChooser, SimChooser
 from ckplab.state import CT, CF, PF, CkpState
 
@@ -38,10 +35,13 @@ def pt_ball(state, v, k):
 
 
 # -- stringy ---------------------------------------------------------------
+# whole checks run with p = 1, which draws no coin
+
 
 def test_stringy_finds_cf_on_unique_path():
     s = chain([CF, CT, CT])
-    out = check_stringy(s, 2, k=2, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("stringy", s, 2, s.parents[2], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
     assert out.visited == [2, 1, 0]
@@ -49,7 +49,8 @@ def test_stringy_finds_cf_on_unique_path():
 
 def test_stringy_depth_limit():
     s = chain([CF, CT, CT, CT])
-    out = check_stringy(s, 3, k=2, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [] and out.marked == set()
 
 
@@ -60,8 +61,8 @@ def test_stringy_diamond_both_branches_reach_the_error():
     s.add_node([0], CT, birth=2)
     s.add_node([1, 2], CT, birth=3)
     for branch in (0, 1):
-        out = check_stringy(s, 3, k=2, p_e=1,
-                            chooser=ScriptChooser([branch]))
+        out = run_check("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
+                        chooser=ScriptChooser([branch]))
         assert out.found == [0]
         assert out.marked == {3, branch + 1, 0}
 
@@ -69,7 +70,8 @@ def test_stringy_diamond_both_branches_reach_the_error():
 def test_stringy_pf_edge_marks_walked_path_only():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
-    out = check_stringy(s, 2, k=5, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("stringy", s, 2, s.parents[2], k=5, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [1]            # the walked top node, a root
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -77,11 +79,12 @@ def test_stringy_pf_edge_marks_walked_path_only():
 
 def test_stringy_self_check_and_walkthrough():
     s = chain([CF, CF])
-    out = check_stringy(s, 1, k=1, p_e=0.5, chooser=ScriptChooser([True]))
+    out = run_check("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
+                    chooser=ScriptChooser([True]))
     assert out.found == [1] and out.marked == {1}
     # detection fails on v, then fails on the parent: walk passes through
-    out = check_stringy(s, 1, k=1, p_e=0.5,
-                        chooser=ScriptChooser([False, False]))
+    out = run_check("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
+                    chooser=ScriptChooser([False, False]))
     assert out.found == [] and out.marked == set()
     assert out.visited == [1, 0]
 
@@ -90,7 +93,8 @@ def test_stringy_self_check_and_walkthrough():
 
 def test_bfs_finds_nearest_and_marks_descendants():
     s = chain([CF, CT, CT])
-    out = check_bfs(s, 2, k=2, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -98,7 +102,8 @@ def test_bfs_finds_nearest_and_marks_descendants():
 def test_bfs_recognizes_roots_without_visiting_pf():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
-    out = check_bfs(s, 2, k=1, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("bfs", s, 2, s.parents[2], k=1, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [1]
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -106,7 +111,8 @@ def test_bfs_recognizes_roots_without_visiting_pf():
 
 def test_bfs_clean_neighborhood_finds_nothing():
     s = chain([CT, CT, CT])
-    out = check_bfs(s, 2, k=2, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [] and out.marked == set()
     assert out.visited == [2, 1, 0]
 
@@ -119,17 +125,19 @@ def test_bfs_marks_all_visited_descendants_not_just_the_path():
     s.add_node([0], CT, birth=1)
     s.add_node([0], CT, birth=2)
     s.add_node([1, 2], CT, birth=3)
-    out = check_bfs(s, 3, k=2, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2, 3}
-    path = check_bfs(s, 3, k=2, p_e=1, chooser=ScriptChooser([]),
-                     path_only=True)
+    path = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
+                     chooser=ScriptChooser([]), path_only=True)
     assert path.marked == {0, 1, 3}    # first-edge discovery chain
 
 
 def test_bfs_depth_cap_blocks_distant_error():
     s = chain([CF, CT, CT, CT])
-    out = check_bfs(s, 3, k=2, p_e=1, chooser=ScriptChooser([]))
+    out = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == []
     assert set(out.visited) == {3, 2, 1}
 
@@ -141,8 +149,8 @@ def test_exhaustive_self_catch_stops_everything():
     s.add_root(CT)
     s.add_node([0], CT, birth=1)
     s.add_node([0, 1], CF, birth=2)
-    out = check_exhaustive_bfs(s, 2, [0, 1], k=3, p=0.5, p_e=0.5,
-                               chooser=ScriptChooser([True, True]))
+    out = run_check("exhaustive-bfs", s, 2, [0, 1], k=3, p=0.5, p_e=0.5,
+                    chooser=ScriptChooser([True, True]))
     assert out.found == [2]
     assert out.marked == {2}
     assert out.performed == [True]     # second edge never reached
@@ -151,8 +159,8 @@ def test_exhaustive_self_catch_stops_everything():
 def test_exhaustive_finds_cf_parent():
     s = chain([CF, CT])
     s.add_node([0], CT, birth=2)
-    out = check_exhaustive_bfs(s, 2, [0], k=1, p=1, p_e=1,
-                               chooser=ScriptChooser([]))
+    out = run_check("exhaustive-bfs", s, 2, [0], k=1, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 2}
 
@@ -166,8 +174,8 @@ def test_exhaustive_coin_per_edge_in_order():
     s.add_node([0], CT, birth=1)        # 2 = u1
     s.add_node([1], CT, birth=2)        # 3 = u2
     s.add_node([2, 3], CT, birth=3)     # 4 = v
-    out = check_exhaustive_bfs(s, 4, [2, 3], k=2, p=0.5, p_e=1,
-                               chooser=ScriptChooser([False, True]))
+    out = run_check("exhaustive-bfs", s, 4, [2, 3], k=2, p=0.5, p_e=1,
+                    chooser=ScriptChooser([False, True]))
     assert out.performed == [False, True]
     assert out.found == [1]
     assert out.marked == {1, 3, 4}
@@ -181,25 +189,25 @@ def test_parentwise_collects_one_find_per_edge():
     s.add_node([0], CT, birth=1)       # 2
     s.add_node([1], CT, birth=2)       # 3
     s.add_node([2, 3], CT, birth=3)    # 4 = v
-    out = check_parentwise_bfs(s, 4, [2, 3], k=2, p=1, p_e=1,
-                               chooser=ScriptChooser([]))
+    out = run_check("parentwise-bfs", s, 4, [2, 3], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3, 4}
 
 
 def test_parentwise_single_parent_equals_exhaustive():
     s = chain([CF, CT, CT])
-    a = check_exhaustive_bfs(s, 2, [1], k=3, p=1, p_e=1,
-                             chooser=ScriptChooser([]))
-    b = check_parentwise_bfs(s, 2, [1], k=3, p=1, p_e=1,
-                             chooser=ScriptChooser([]))
+    a = run_check("exhaustive-bfs", s, 2, [1], k=3, p=1, p_e=1,
+                  chooser=ScriptChooser([]))
+    b = run_check("parentwise-bfs", s, 2, [1], k=3, p=1, p_e=1,
+                  chooser=ScriptChooser([]))
     assert (a.found, a.marked, a.visited) == (b.found, b.marked, b.visited)
 
 
 def test_complete_marks_error_with_descendants():
     s = chain([CF, CT, CT])
-    out = check_complete(s, 2, [1], k=2, p=1, p_e=1,
-                         chooser=ScriptChooser([]))
+    out = run_check("complete", s, 2, [1], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -210,16 +218,16 @@ def test_complete_finds_several_side_by_side():
     s.add_root(CF)
     s.add_node([0, 1], CT, birth=1)    # 2
     s.add_node([2], CT, birth=2)       # 3 = v
-    out = check_complete(s, 3, [2], k=2, p=1, p_e=1,
-                         chooser=ScriptChooser([]))
+    out = run_check("complete", s, 3, [2], k=2, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3}
 
 
 def test_complete_does_not_expand_past_a_recognized_node():
     s = chain([CF, CF, CT, CT])        # 0 hides strictly behind 1
-    out = check_complete(s, 3, [2], k=3, p=1, p_e=1,
-                         chooser=ScriptChooser([]))
+    out = run_check("complete", s, 3, [2], k=3, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [1]
     assert 0 not in out.visited
 
@@ -227,10 +235,52 @@ def test_complete_does_not_expand_past_a_recognized_node():
 def test_complete_self_catch_does_not_cancel_the_sweep():
     s = chain([CF, CT])
     s.add_node([1], CF, birth=2)       # v is itself CF, error 2 hops up
-    out = check_complete(s, 2, [1], k=3, p=1, p_e=1,
-                         chooser=ScriptChooser([]))
+    out = run_check("complete", s, 2, [1], k=3, p=1, p_e=1,
+                    chooser=ScriptChooser([]))
     assert out.found == [2, 0]
     assert out.marked == {0, 1, 2}
+
+
+# Every coin below is a detection coin (p = 1 draws none); each script
+# lists them in the order the mechanism meets the CF nodes: v on each
+# performed edge, then 0 above parent 2 or 1 above parent 3.
+STOP_POLICY_CASES = [
+    # v caught on the first edge
+    ("exhaustive-bfs", [True],
+     [True], [4], {4}, [4]),
+    ("parentwise-bfs", [True, False, True],
+     [True, True], [4, 1], {1, 3, 4}, [4, 4, 3, 1]),
+    ("complete", [True, True, False, True],
+     [True, True], [4, 0, 1], {0, 1, 2, 3, 4}, [4, 2, 0, 4, 3, 1]),
+    # v missed on the first edge, 0 found above parent 2
+    ("exhaustive-bfs", [False, True],
+     [True], [0], {0, 2, 4}, [4, 2, 0]),
+    ("parentwise-bfs", [False, True, False, True],
+     [True, True], [0, 1], {0, 1, 2, 3, 4}, [4, 2, 0, 4, 3, 1]),
+    ("complete", [False, True, False, True],
+     [True, True], [0, 1], {0, 1, 2, 3, 4}, [4, 2, 0, 4, 3, 1]),
+]
+
+
+@pytest.mark.parametrize("mechanism,script,performed,found,marked,visited",
+                         STOP_POLICY_CASES)
+def test_per_edge_stop_policies(mechanism, script, performed, found, marked,
+                                visited):
+    # a CF new node whose two parents sit under distinct CF ancestors
+    s = CkpState()
+    s.add_root(CF)                     # 0
+    s.add_root(CF)                     # 1
+    s.add_node([0], CT, birth=1)       # 2
+    s.add_node([1], CT, birth=2)       # 3
+    s.add_node([2, 3], CF, birth=3)    # 4 = v
+    chooser = ScriptChooser(script)
+    out = run_check(mechanism, s, 4, [2, 3], k=2, p=1, p_e=0.5,
+                    chooser=chooser)
+    assert out.performed == performed
+    assert out.found == found
+    assert out.marked == marked
+    assert out.visited == visited
+    assert chooser.exhausted()
 
 
 def test_run_check_whole_check_coin():
@@ -300,10 +350,9 @@ def test_soundness_radius_and_connectivity(svp, mechanism, k, seed):
 def test_dominance_chain_under_forced_coins(svp, k):
     s, v, parents = svp
     # p = 1 and p_e = 1 consume no randomness: outcomes are deterministic
-    ex = check_exhaustive_bfs(s, v, parents, k, 1, 1, ScriptChooser([]))
-    pw = check_parentwise_bfs(s, v, parents, k, 1, 1, ScriptChooser([]))
-    co = check_complete(s, v, parents, k, 1, 1, ScriptChooser([]))
-    st_out = check_stringy(s, v, k, 1, SimChooser(9))
+    ex, pw, co = (run_check(mech, s, v, parents, k, 1, 1, ScriptChooser([]))
+                  for mech in ("exhaustive-bfs", "parentwise-bfs", "complete"))
+    st_out = run_check("stringy", s, v, parents, k, 1, 1, SimChooser(9))
     assert ex.marked <= pw.marked
     assert pw.marked <= co.marked
     assert st_out.marked <= pt_ball(s, v, k)

@@ -129,18 +129,6 @@ def test_auto_falls_back_when_tracing():
 
 
 @needs_kernel
-def test_env_var_forces_pure_python(monkeypatch):
-    feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
-    init = init_chain(5, 1, CF)
-    monkeypatch.setenv("CKP_PURE_PYTHON", "1")
-    assert run_trial(feats, init, 50, seed=1).backend == "python"
-    with pytest.raises(RuntimeError):
-        run_trial(feats, init, 50, seed=1, backend="compiled")
-    monkeypatch.setenv("CKP_PURE_PYTHON", "0")
-    assert run_trial(feats, init, 50, seed=1).backend == "compiled"
-
-
-@needs_kernel
 def test_compiled_backend_refuses_uncovered_variants():
     feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
     adversarial = Features(
