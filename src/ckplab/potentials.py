@@ -29,11 +29,23 @@ pair ``(deg, dist)`` alone.  ``exact_drift`` therefore builds one
 :class:`TermTable` per call, filled on first use, and hands it to every
 evaluation; in rational mode integral terms are plain ints and each
 route converts its sum to a Fraction once.
+
+``mc_drift`` scores a sampled :class:`MinDistance` step locally.  One
+step changes the term of few nodes: the new node joins the sum, its
+parents and the parents of the marked set change degree, the marked
+set leaves the sum, and marking moves the distance of some PT False
+descendants of the marked set.  The sampler computes the distances and
+a float :class:`TermTable` once per call and sums ``new term - old
+term`` over those nodes alone, never copying the state or applying the
+marking.  With integer-valued terms (integral attachment weights and
+base, sums below 2**53) every sum is exact, so the estimate is the one a
+full recompute per sample gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +58,7 @@ from .attachment import AllPF, AllWeightsZero, parent_distribution, \
     sample_combination, weight_index_for
 from .evolution import AuditViolation, RandomPt
 from .rand import NeedBranch, PathChooser, SimChooser, make_generator
-from .state import CT, CF, PF, pt_false_distances, \
+from .state import CT, CF, PF, StateError, pt_false_distances, \
     pt_false_distances_by_spread, anchor_bfs
 
 SIGN_BAND = 1e-12
@@ -623,6 +635,15 @@ def mc_drift(state, features, kind, samples: int, rng,
     engine's decision stream exactly (adversary coin, parent count,
     weighted parent picks, label coin, check), so its law is the
     process's own.
+
+    Each sample adds its node to one private copy of ``state``, runs the
+    check there without applying the marking, scores the step and pops
+    the node again.  A :class:`MinDistance` step is scored by
+    :func:`_min_distance_delta` from the nodes it touches: the new node,
+    its parents, the marked set and the parents of the marked set, and
+    the PT False nodes whose distance the marking moves; a sample costs
+    the size of that neighbourhood, not of the state.  Other potentials
+    are recomputed over a copy with the marking applied.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -631,17 +652,32 @@ def mc_drift(state, features, kind, samples: int, rng,
     base = state.copy()
     windex = weight_index_for(base, features.attach)
     phi_before = _phi_value(base, kind)
+    local = isinstance(kind, MinDistance)
+    if local:
+        dist = pt_false_distances(base)
+        terms = TermTable(kind, exact=False)
+
+    def step_delta(v, parents, marked) -> float:
+        if local:
+            return _min_distance_delta(base, dist, terms, v, parents, marked)
+        if marked:
+            after = base.copy()
+            after.mark_pf(marked)
+            return _phi_value(after, kind) - phi_before
+        return _phi_value(base, kind) - phi_before
+
     q = features.adversary_rate
     if q > 0 and adversary is None:
         adversary = RandomPt()
+    all_pf = all(lab == PF for lab in base.labels)
     feats = features
     birth = _next_birth(base)
     mean = 0.0
     m2 = 0.0
     for i in range(1, samples + 1):
         if chooser.maybe(q):
-            delta = _adversary_sample(base, feats, chooser, adversary,
-                                      kind, phi_before, birth)
+            delta = 0.0 if all_pf else _adversary_sample(
+                base, feats, chooser, adversary, birth, step_delta)
         elif windex.positive == 0:
             delta = 0.0
         else:
@@ -653,12 +689,7 @@ def mc_drift(state, features, kind, samples: int, rng,
                 feats.mechanism, base, v, parents, feats.check_depth,
                 feats.check_rate, feats.detection_rate, chooser,
                 feats.path_only_marking)
-            if outcome.marked:
-                after = base.copy()
-                after.mark_pf(outcome.marked)
-                delta = _phi_value(after, kind) - phi_before
-            else:
-                delta = _phi_value(base, kind) - phi_before
+            delta = step_delta(v, parents, outcome.marked)
             base.pop_last_node()
         d1 = delta - mean
         mean += d1 / i
@@ -668,16 +699,86 @@ def mc_drift(state, features, kind, samples: int, rng,
     return DriftEstimate(mean, se, samples)
 
 
-def _adversary_sample(base, features, chooser, adversary, kind,
-                      phi_before, birth) -> float:
-    if all(lab == PF for lab in base.labels):
-        return 0.0
+def _adversary_sample(base, features, chooser, adversary, birth,
+                      step_delta) -> float:
     # scripted movers advance an internal cursor; every sample replays
     # the same single step, so each gets a fresh copy
     move = copy.deepcopy(adversary).move(base, features, chooser)
     if move is None:
         return 0.0
     parents, label = move
-    after = base.copy()
-    after.add_node(list(parents), label, birth=birth, adversarial=True)
-    return _phi_value(after, kind) - phi_before
+    parents = list(parents)
+    v = base.add_node(parents, label, birth=birth, adversarial=True)
+    delta = step_delta(v, parents, ())
+    base.pop_last_node()
+    return delta
+
+
+def _min_distance_delta(state, dist, terms, v, parents, marked) -> float:
+    """The change of a :class:`MinDistance` potential over one step,
+    summed over the nodes whose term the step can change.
+
+    ``state`` holds the step's new node ``v``, attached by the edge list
+    ``parents``, but not the marking ``marked``; ``dist`` is
+    :func:`pt_false_distances` of the state without ``v`` and ``terms``
+    a float :class:`TermTable`.  The touched nodes are ``v``, which
+    joins the sum; its parents and the parents of ``marked``, whose
+    degree moves; ``marked``, which leaves the sum; and the PT False
+    nodes whose distance moves.  Those are found by re-applying the
+    :func:`pt_false_distances` recurrence from ``v`` and from the
+    children of ``marked``, in increasing id order (ids are a
+    topological order), with ``marked`` treated as PF; a node whose
+    distance stays put does not pass the change on.  The state is read,
+    never changed.
+    """
+    labels = state.labels
+    is_false = state.is_false
+    up = state.parents
+    down = state.children
+    born: dict = {}           # edges v adds to each of its parents
+    for u in parents:
+        born[u] = born.get(u, 0) + 1
+    lost: dict = {}           # edges the marking takes from each parent
+    queued = {v}
+    for w in marked:
+        for u in up[w]:
+            lost[u] = lost.get(u, 0) + 1
+        queued.update(down[w])
+    heap = [w for w in queued
+            if w not in marked and labels[w] != PF and is_false[w]]
+    heapq.heapify(heap)
+    moved: dict = {}          # the distances the step changes
+    while heap:
+        w = heapq.heappop(heap)
+        if (labels[w] == CF or state.pf_parent_edges[w] > 0
+                or any(u in marked for u in up[w])):
+            d = 0
+        else:
+            best = None
+            for u in up[w]:
+                du = moved[u] if u in moved else dist.get(u)
+                if du is not None and (best is None or du < best):
+                    best = du
+            if best is None:
+                raise StateError(f"node {w} is PT False, not minimal, with "
+                                 f"no PT False parent after the step")
+            d = best + 1
+        if d == dist.get(w):
+            continue
+        moved[w] = d
+        for c in down[w]:
+            if c not in queued and c not in marked and labels[c] != PF:
+                queued.add(c)
+                heapq.heappush(heap, c)
+    touched = set(moved)
+    touched.update(born, lost, marked)
+    deg = state.deg_pt
+    delta = 0.0
+    for w in touched:
+        if labels[w] == PF or not is_false[w]:
+            continue
+        old = 0.0 if w == v else terms[deg[w] - born.get(w, 0), dist[w]]
+        new = 0.0 if w in marked else terms[
+            deg[w] - lost.get(w, 0), moved[w] if w in moved else dist[w]]
+        delta += new - old
+    return delta

@@ -7,25 +7,31 @@ in rational mode, and its internal dual-route potential checks turn any
 bookkeeping slip into a loud failure rather than a wrong number.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from ckplab import potentials
-from ckplab.attachment import ParentCountLaw, TableAttachment, preferential, \
-    uniform
-from ckplab.evolution import AuditViolation, Features, PyEngine, RandomPt, \
-    Scripted, init_chain
+from ckplab import checking, potentials
+from ckplab.attachment import Affine, ParentCountLaw, TableAttachment, \
+    preferential, sample_combination, uniform, weight_index_for
+from ckplab.evolution import AuditViolation, DeepAttach, Features, PyEngine, \
+    RandomPt, Scripted, init_chain
 from ckplab.potentials import (
     AdversaryNotEnumerable, BranchBudgetExceeded, DriftResult, MinDistance,
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
     NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
 from ckplab.rand import SimChooser, make_generator
-from ckplab.state import CT, CF, CkpState, anchor_bfs, \
-    pt_false_distances_by_spread
+from ckplab.state import CT, CF, CkpState, anchor_bfs, dump_state, \
+    pt_false_distances, pt_false_distances_by_spread
 
 PREF = preferential()
+LAW = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
+MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs",
+              "complete")
+# integer-valued terms (exact float sums), then fractional ones
+KINDS = (MinDistance(PREF, 3), MinDistance(Affine(0.5, 1.3), 2.5))
 
 
 def single_cf() -> CkpState:
@@ -403,14 +409,123 @@ def test_mc_drift_validates_the_sample_count():
         mc_drift(single_cf(), feats("bfs", 0.5), MinDistance(PREF, 3), 0, 1)
 
 
+def snapshot(st: CkpState) -> tuple:
+    return (dump_state(st), [list(c) for c in st.children], list(st.deg_pt),
+            list(st.deg_ct), list(st.pf_parent_edges), st.pf_total)
+
+
 def test_mc_drift_leaves_the_input_state_alone():
     st = init_chain(4, 1, CF)
-    before = (list(st.labels), [list(p) for p in st.parents],
-              list(st.deg_pt))
+    before = snapshot(st)
     mc_drift(st, feats("exhaustive-bfs", 0.7), MinimalFalseLeavesSimple(),
              400, 3)
-    assert (list(st.labels), [list(p) for p in st.parents],
-            list(st.deg_pt)) == before
+    assert snapshot(st) == before
+    # the local MinDistance route, on a state with PF nodes, with checks
+    # that mark and with adversarial steps
+    f = Features(PREF, LAW, check_rate=0.6, check_depth=3, mechanism="bfs",
+                 error_rate=0.1, adversary_rate=0.2, adversary_budget=2)
+    eng = PyEngine(f, init_chain(3, 1, CT), SimChooser(4), RandomPt())
+    for _ in range(150):
+        eng.step()
+    grown = eng.state
+    assert grown.pf_total > 0
+    before = snapshot(grown)
+    mc_drift(grown, f, MinDistance(PREF, 3), 400, 3)
+    assert snapshot(grown) == before
+
+
+# -- the local MinDistance delta ------------------------------------------
+
+def test_min_distance_delta_matches_the_full_recompute():
+    """Every sampled step, scored from the nodes it touches, against the
+    potential recomputed over a copy with the marking applied."""
+    steps = marking = moved = 0
+    for mech, kind, eps, seed in itertools.product(MECHANISMS, KINDS,
+                                                   (0, 0.1), range(3)):
+        # grown under light checking, so it stays alive, then stepped
+        # under heavier checking, so it marks
+        f = Features(kind.attach, LAW, check_rate=0.1, check_depth=3,
+                     mechanism=mech, error_rate=eps, detection_rate=0.8)
+        root = CF if eps == 0 or seed == 2 else CT
+        eng = PyEngine(f, init_chain(3, 1, root), SimChooser(seed))
+        for _ in range(40):
+            eng.step()
+        st = eng.state
+        dist = pt_false_distances(st)
+        terms = potentials.TermTable(kind, exact=False)
+        phi_before = potentials._phi_value(st, kind)
+        windex = weight_index_for(st, kind.attach)
+        assert windex.positive > 0
+        chooser = SimChooser(100 + seed)
+        for i in range(30):
+            m = sample_combination(LAW, chooser)
+            parents = [chooser.weighted_index(windex) for _ in range(m)]
+            label = CF if chooser.maybe(eps) else CT
+            v = st.add_node(parents, label, birth=0)
+            if i % 3:
+                marked = checking.run_check(mech, st, v, parents, 3, 0.6,
+                                            0.8, chooser).marked
+            else:                   # an unchecked, adversarial-like step
+                marked = set()
+            got = potentials._min_distance_delta(st, dist, terms, v,
+                                                 parents, marked)
+            after = st.copy()
+            after.mark_pf(marked)
+            phi_after = potentials._phi_value(after, kind)
+            want = phi_after - phi_before
+            if kind.c == 3:         # integer-valued terms: exact sums
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-9 * max(1.0, phi_before,
+                                                     phi_after)
+            st.pop_last_node()
+            steps += 1
+            marking += bool(marked)
+            new = pt_false_distances(after)
+            moved += any(new[w] != d for w, d in dist.items() if w in new)
+    assert steps == 1800
+    # the steps reach both halves of the delta: leaving marked nodes and
+    # moved distances
+    assert marking >= 400 and moved >= 300, (marking, moved)
+
+
+# (mean, se) of mc_drift on 2000-node states grown with each mechanism,
+# as this sampler has always returned them.  The terms are integer-valued
+# floats, so every sum is exact and any scoring route must reproduce
+# these bit for bit.
+MC_PINNED = {
+    "stringy": (9.995000000000003, 2.969185932246521),
+    "bfs": (0.09750000000000002, 0.21768889616557036),
+    "exhaustive-bfs": (0.1374999999999999, 0.21055240479013118),
+    "parentwise-bfs": (0.25750000000000023, 0.4301343083072512),
+    "complete": (0.2899999999999997, 0.16090985038174233),
+}
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+def test_mc_drift_pinned_on_grown_states(mech):
+    f = Features(PREF, LAW, check_rate=0.5, check_depth=3, mechanism=mech,
+                 error_rate=0.1, adversary_rate=0.1, adversary_budget=2,
+                 detection_rate=0.8)
+    eng = PyEngine(f, init_chain(5, 1, CT), SimChooser(2000), RandomPt())
+    while len(eng.state.labels) < 2000:
+        eng.step()
+    est = mc_drift(eng.state, f, MinDistance(PREF, 3), 400, 7)
+    assert (est.mean, est.se) == MC_PINNED[mech]
+
+
+def test_mc_drift_adversarial_samples_match_the_oracle():
+    # DeepAttach hangs both edges on the deepest node of the chain; the
+    # enumeration gives 183/4
+    f = Features(PREF, ParentCountLaw.const(1), check_rate=Fraction(1, 2),
+                 check_depth=2, mechanism="bfs",
+                 adversary_rate=Fraction(1, 4), adversary_budget=2)
+    chain = init_chain(4, 1, CF)
+    exact = exact_drift(chain, f, MinDistance(PREF, 3), adversary=DeepAttach())
+    assert exact.value == Fraction(183, 4)
+    est = mc_drift(chain, f, MinDistance(PREF, 3), 20_000, 5,
+                   adversary=DeepAttach())
+    assert abs(est.mean - float(exact.value)) <= 5 * est.se
 
 
 # -- agreement with engine bookkeeping -------------------------------------
