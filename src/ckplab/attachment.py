@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 
 class AllPF(RuntimeError):
     """No PT node exists; the process is over."""
@@ -251,6 +253,13 @@ class WeightIndex:
     drift lands a draw on a zero-weight slot.  The accelerated engine
     carries a field-for-field copy of this structure, and trajectories are
     compared across the two, so every operation here is the reference.
+
+    A whole index is laid out at once by :meth:`_build`, for a fresh
+    index (:func:`weight_index_for`) and on regrowth: no per-node Python
+    work, and the same floats, bit for bit, as one :meth:`append` per
+    weight.  That equality is what keeps the kernel, which re-appends on
+    regrowth, and every draw unchanged; see :meth:`_build` for why no
+    ``sum`` may enter it.
     """
 
     __slots__ = ("size", "capacity", "tree", "weights", "total", "positive")
@@ -267,16 +276,46 @@ class WeightIndex:
         cap = self.capacity
         while cap < need:
             cap *= 2
-        old_n = self.size
-        old_weights = self.weights[:old_n]
-        self.capacity = cap
-        self.tree = [0.0] * (cap + 1)
-        self.weights = [0.0] * cap
-        self.size = 0
-        self.total = 0.0
-        self.positive = 0
-        for w in old_weights:
-            self.append(w)
+        self._build(self.weights[:self.size], cap)
+
+    def _build(self, weights, capacity: int) -> None:
+        """Lay out ``weights`` at ``capacity``, bit for bit as appending
+        them one at a time in id order would.
+
+        Appends add each nonzero weight into the slots above it in id
+        order, so slot ``tree[j]``, whose lowest set bit is ``L``, holds
+        the left fold ``((0.0 + w[j-L]) + ...) + w[j-1]``; the zeros they
+        skip would add nothing.  Each tree level folds its blocks with
+        ``np.add.accumulate``, which adds in sequence, and the total is
+        the sequential fold of all weights.  No reduction may stand in
+        for these folds: ``np.sum`` and ``np.add.reduce`` add pairwise,
+        ``math.fsum`` rounds once from the exact sum, and the built-in
+        ``sum`` compensates float sums from Python 3.12 on, and each
+        would change the bits the kernel and every draw depend on.
+        """
+        w = np.asarray(weights, dtype=float) + 0.0   # -0.0 is skipped as 0.0
+        n = len(w)
+        top = 1
+        while top * 2 <= capacity:
+            top *= 2
+        padded = np.zeros(2 * top)
+        padded[:n] = w
+        tree = np.zeros(capacity + 1)
+        span = 1
+        while span <= capacity:
+            # slots span, 3*span, 5*span, ... up to capacity; the ones
+            # whose block starts at or past n stay 0.0
+            rows = min(-(-n // (2 * span)), (capacity // span + 1) // 2)
+            blocks = padded[:2 * span * rows].reshape(rows, 2 * span)
+            tree[span::2 * span][:rows] = np.add.accumulate(
+                blocks[:, :span], axis=1)[:, -1]
+            span *= 2
+        self.size = n
+        self.capacity = capacity
+        self.tree = tree.tolist()
+        self.weights = w.tolist() + [0.0] * (capacity - n)
+        self.total = float(np.add.accumulate(w)[-1]) if n else 0.0
+        self.positive = int(np.count_nonzero(w > 0))
 
     def append(self, weight: float) -> int:
         if self.size >= self.capacity:
@@ -350,14 +389,23 @@ class WeightIndex:
 
 
 def weight_index_for(state, attach) -> WeightIndex:
-    """Fresh index over all current nodes; PF nodes get weight 0."""
+    """Fresh index over all current nodes; PF nodes get weight 0.
+
+    ``attach.evaluate`` runs once per degree, the table the kernel's
+    ``aval`` keeps, and :meth:`WeightIndex._build` lays the weights out
+    with a few numpy passes per tree level instead of one ``append`` per
+    node.  The index is bit for bit the one those appends would build.
+    """
     from .state import PF
-    idx = WeightIndex(capacity=max(1024, len(state.labels)))
-    for v in range(len(state.labels)):
-        if state.labels[v] == PF:
-            idx.append(0.0)
-        else:
-            idx.append(attach.evaluate(state.deg_pt[v]))
+    n = len(state.labels)
+    live = np.asarray(state.labels, dtype=np.int64) != PF
+    deg = np.asarray(state.deg_pt, dtype=np.int64)[live]
+    table = np.array([attach.evaluate(d)
+                      for d in range(int(deg.max(initial=-1)) + 1)])
+    weights = np.zeros(n)
+    weights[live] = table[deg]
+    idx = WeightIndex(capacity=max(1024, n))
+    idx._build(weights, idx.capacity)
     return idx
 
 

@@ -611,9 +611,12 @@ class DriftEstimate:
     samples: int
 
 
-def _phi_value(state, kind) -> float:
+def _phi_value(state, kind, dist=None) -> float:
+    """The float potential; a :class:`MinDistance` sum reuses ``dist``,
+    the state's :func:`pt_false_distances`, when the caller has it."""
     if isinstance(kind, MinDistance):
-        dist = pt_false_distances(state)
+        if dist is None:
+            dist = pt_false_distances(state)
         attach = kind.attach
         c = float(kind.c)
         try:
@@ -651,10 +654,13 @@ def mc_drift(state, features, kind, samples: int, rng,
     chooser = SimChooser(gen)
     base = state.copy()
     windex = weight_index_for(base, features.attach)
-    phi_before = _phi_value(base, kind)
     local = isinstance(kind, MinDistance)
+    dist = pt_false_distances(base) if local else None
+    # one distance pass: for MinDistance, phi_before only raises
+    # PotentialOverflow on a state too deep for float terms, and the
+    # samples are scored from dist and the term table
+    phi_before = _phi_value(base, kind, dist)
     if local:
-        dist = pt_false_distances(base)
         terms = TermTable(kind, exact=False)
 
     def step_delta(v, parents, marked) -> float:

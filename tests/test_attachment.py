@@ -1,10 +1,12 @@
 """Weight families, parent-count law, the Fenwick index and the config
 grammar."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ckplab.attachment import (
     Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
@@ -13,8 +15,9 @@ from ckplab.attachment import (
     parent_distribution, sample_combination,
     weight_index_for, parse_attachment, parse_parent_count_law, parse_number,
 )
+from ckplab.evolution import Features, PyEngine, init_chain
 from ckplab.rand import SimChooser, derive_seed
-from ckplab.state import CT, CF, CkpState
+from ckplab.state import CT, CF, PF, CkpState
 
 
 def chain_state(labels):
@@ -242,6 +245,105 @@ def test_select_lands_on_positive_weight_despite_tiny_values(weights, u):
     assert idx.weights[0] == 0.0
     assert idx.weights[1] == 2.0      # one PT child edge remains
     assert idx.positive == 2
+
+
+# -- the level-by-level build ----------------------------------------------
+
+def appended(weights, capacity: int) -> WeightIndex:
+    """The build by definition: one append per weight, in id order."""
+    idx = WeightIndex(capacity)
+    for w in weights:
+        idx.append(w)
+    return idx
+
+
+def regrown_by_reappending(idx: WeightIndex, need: int) -> WeightIndex:
+    """Regrowth as one re-append per live weight into a fresh index of
+    the doubled capacity: the loop :meth:`WeightIndex._build` replaced."""
+    cap = idx.capacity
+    while cap < need:
+        cap *= 2
+    return appended(idx.weights[:idx.size], cap)
+
+
+def fields(idx: WeightIndex) -> tuple:
+    """Every field, with each float spelled out in its bits (so 0.0 and
+    -0.0 differ)."""
+    def bits(xs):
+        return [float(x).hex() for x in xs]
+    return (idx.size, idx.capacity, bits(idx.tree), bits(idx.weights),
+            float(idx.total).hex(), idx.positive)
+
+
+def built(weights, capacity: int) -> WeightIndex:
+    idx = WeightIndex(capacity)
+    idx._build(weights, capacity)
+    return idx
+
+
+# zeros, subnormals, and magnitudes far enough apart that a float sum
+# depends on the order of its additions
+WEIGHTS = st.one_of(st.just(0.0), st.just(-0.0),
+                    st.sampled_from([5e-324, 2.5e-310, 1e-16, 0.1, 1.3]),
+                    st.floats(0, 1e300, allow_subnormal=True))
+
+
+@given(st.lists(WEIGHTS, max_size=80), st.integers(0, 70))
+@example([], 0)
+@example([], 5)
+@example([0.7], 0)
+@example([0.1] * 64, 0)
+@settings(max_examples=300, deadline=None)
+def test_build_matches_one_append_per_weight(weights, spare):
+    capacity = max(1, len(weights) + spare)
+    assert fields(built(weights, capacity)) == fields(appended(weights,
+                                                               capacity))
+
+
+@pytest.mark.parametrize("capacity", [101, 128, 1024])
+def test_build_keeps_the_left_fold_where_other_sums_differ(capacity):
+    # 1e-16 is under half an ulp of 1.0, so the left fold never moves
+    # from 1.0, while pairwise and exactly rounded sums do
+    weights = [1.0] + [1e-16] * 100
+    assert float(np.sum(weights)) != 1.0
+    assert math.fsum(weights) != 1.0
+    idx = built(weights, capacity)
+    assert idx.total == 1.0
+    assert idx.tree[64] == 1.0
+    assert fields(idx) == fields(appended(weights, capacity))
+
+
+@given(st.lists(WEIGHTS, min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(0, 39), WEIGHTS), max_size=40),
+       st.floats(0, 100))
+@settings(max_examples=200, deadline=None)
+def test_regrowth_matches_the_reappend_loop(weights, history, extra):
+    # a full index, reweighted by set_weight, grown by one more append
+    idx = appended(weights, len(weights))
+    for i, w in history:
+        idx.set_weight(i % len(weights), w)
+    want = regrown_by_reappending(idx, idx.size + 1)
+    want.append(extra)
+    idx.append(extra)
+    assert idx.capacity == 2 * len(weights)
+    assert fields(idx) == fields(want)
+
+
+def test_weight_index_for_matches_one_append_per_node():
+    attach = Affine(0.5, 1.3)
+    f = Features(attach, ParentCountLaw({1: 0.5, 2: 0.5}), check_rate=0.5,
+                 check_depth=3, mechanism="bfs", error_rate=0.2,
+                 detection_rate=0.8)
+    eng = PyEngine(f, init_chain(3, 1, CT), SimChooser(4))
+    while len(eng.state.labels) < 1500:
+        eng.step()
+    grown = eng.state
+    assert grown.pf_total > 0
+    weights = [0.0 if lab == PF else attach.evaluate(d)
+               for lab, d in zip(grown.labels, grown.deg_pt)]
+    idx = weight_index_for(grown, attach)
+    assert idx.capacity == 1500
+    assert fields(idx) == fields(appended(weights, 1500))
 
 
 def test_parse_round_trips():

@@ -5,7 +5,7 @@ the right backend."""
 import pytest
 
 from ckplab.attachment import (
-    ParentCountLaw, TableAttachment, preferential, uniform,
+    Affine, ParentCountLaw, TableAttachment, preferential, uniform,
 )
 from ckplab.engine import (
     compiled_supports, deep_audit_compiled, kernel_available, run_trial,
@@ -14,7 +14,7 @@ from ckplab.evolution import (
     AuditViolation, Features, PyEngine, init_chain, run_python_trial,
 )
 from ckplab.rand import SimChooser
-from ckplab.state import CF, dump_state
+from ckplab.state import CF, CT, dump_state
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
                                   reason="compiled kernel not built")
@@ -81,6 +81,36 @@ def test_trajectories_bit_identical(mech, eps, attach_name, p, k):
     assert book["stopped"] == eng.stopped
     assert book["step_index"] == eng.step_index
     assert book["pf_child_len"] == eng.pf_child_len
+
+
+@needs_kernel
+def test_trajectories_bit_identical_across_regrowths():
+    """Non-dyadic weights make every Fenwick sum inexact: the Python
+    engine rebuilds its index level by level on regrowth, the kernel
+    re-appends, and the two must still agree bit for bit."""
+    from ckplab._kernel import KernelEngine
+
+    feats = Features(attach=Affine(0.1, 0.7), parent_count=LAW_MIX,
+                     check_rate=0.3, check_depth=3, mechanism="bfs",
+                     error_rate=0.05, detection_rate=0.8)
+    init = init_chain(5, 1, CT)
+    seed = 4242
+    steps = 2200
+
+    eng = PyEngine(feats, init, SimChooser(seed))
+    for _ in range(steps):
+        assert not eng.step().stopped
+    assert eng.windex.capacity >= 4096     # two regrowths, from 1024
+
+    ker = KernelEngine(feats, init, seed)
+    ker.run(steps)
+
+    assert dump_state(ker.export_state()) == dump_state(eng.state)
+    book = ker.export_bookkeeping()
+    windex = eng.windex
+    assert book["weights"] == [float(w) for w in windex.weights[:windex.size]]
+    assert book["weight_total"] == windex.total
+    assert book["weight_positive"] == windex.positive
 
 
 @needs_kernel

@@ -514,6 +514,36 @@ def test_mc_drift_pinned_on_grown_states(mech):
     assert (est.mean, est.se) == MC_PINNED[mech]
 
 
+# The same runs under Affine(0.5, 1.3), as the append-by-append index
+# build gave them: fractional weights, so the Fenwick index holds inexact
+# float sums (the 2000-node states have crossed a regrowth).  These guard
+# the draws end to end; a one-ulp change in the index rarely moves a
+# draw, so the build's own bit-for-bit tests in test_attachment.py are
+# what guard its float folds.
+AFFINE = Affine(0.5, 1.3)
+MC_PINNED_AFFINE = {
+    "stringy": (0.46173437500000003, 0.11644382031035486),
+    "bfs": (0.13812499999999997, 0.05536248988849882),
+    "exhaustive-bfs": (0.11143750000000005, 0.05233471705529247),
+    "parentwise-bfs": (0.10831250000000005, 0.04236954664989547),
+    "complete": (0.08350000000000002, 0.043156680365273425),
+}
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+def test_mc_drift_pinned_under_fractional_weights(mech):
+    f = Features(AFFINE, LAW, check_rate=0.5, check_depth=3, mechanism=mech,
+                 error_rate=0.1, adversary_rate=0.1, adversary_budget=2,
+                 detection_rate=0.8)
+    eng = PyEngine(f, init_chain(5, 1, CT), SimChooser(2000), RandomPt())
+    while len(eng.state.labels) < 2000:
+        eng.step()
+    assert eng.windex.capacity == 2048
+    assert not eng.windex.total.is_integer()
+    est = mc_drift(eng.state, f, MinDistance(AFFINE, 2.5), 400, 7)
+    assert (est.mean, est.se) == MC_PINNED_AFFINE[mech]
+
+
 def test_mc_drift_adversarial_samples_match_the_oracle():
     # DeepAttach hangs both edges on the deepest node of the chain; the
     # enumeration gives 183/4
