@@ -20,25 +20,15 @@ class optional_build_ext(build_ext):
             print(f"warning: skipping {ext.name}: {exc}")
 
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    # the C++ that Cython generates from _kernel.pyx is checked in, so the
-    # kernel builds without Cython (and without a network to fetch it)
-    cythonize = None
-
+# the kernel is hand-written C++ against the CPython and numpy headers,
+# so it builds with the C++ compiler alone
 kernel = Extension(
     "ckplab._kernel",
-    ["src/ckplab/_kernel.pyx" if cythonize else "src/ckplab/_kernel.cpp"],
+    ["src/ckplab/_kernel.cpp"],
     language="c++",
     include_dirs=[numpy.get_include()],
     extra_compile_args=["-O3", "-std=c++14"],
     define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
 )
 
-if cythonize:
-    ext_modules = cythonize([kernel], compiler_directives={"language_level": "3"})
-else:
-    ext_modules = [kernel]
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[kernel], cmdclass={"build_ext": optional_build_ext})

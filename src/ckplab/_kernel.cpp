@@ -1,24035 +1,1199 @@
-/* Generated by Cython 3.2.8 */
+// Compiled trial loop for ckplab: a draw-for-draw mirror of the pure engine.
+//
+// Python surface (module ckplab._kernel):
+//
+//   KernelEngine(features, init_state, seed, audit_cheap=False)
+//       .counts()                        -> dict, as PyEngine.counts()
+//       .run(horizon, checkpoint_steps=()) -> summary dict for run_trial
+//       .export_state()                  -> CkpState
+//       .export_bookkeeping()            -> the engine's incremental columns
+//   KERNEL_READY = True
+//
+// Scope: the non-adversarial regime.  A feature set with a nonzero
+// adversary rate is refused with ValueError; adversaries stay Python.
+//
+// Decision-stream contract.  For a given seed this engine consumes the
+// same uniforms, in the same order, as evolution.PyEngine driven by
+// rand.SimChooser, so both produce the same trajectory bit for bit:
+//
+//   * Uniforms come from the PCG64 ``bitgen_t`` behind
+//     ``numpy.random.PCG64(seed).capsule``, one ``next_double`` per draw,
+//     which is what ``Generator.random()`` returns.
+//   * SimChooser's skip rules hold: a coin with p <= 0 or p >= 1, a
+//     uniform index over one alternative and a parent-count law with one
+//     support point consume nothing; a weighted parent pick always
+//     consumes one uniform.
+//   * Attachment weights are ``float(attach.evaluate(d))``, called back
+//     into Python once per degree d and kept in the per-degree table
+//     ``aval``, so both backends add the same floats.  Anything
+//     ``evaluate`` raises propagates.
+//   * The Fenwick weight index is attachment.WeightIndex field for
+//     field: same capacity schedule, same update order (weights refreshed
+//     for sorted unique parents), same select and fallback scan.  A
+//     fresh layout, at construction and on regrowth, folds each tree
+//     slot's block left to right from 0.0, bit for bit as
+//     WeightIndex._build and as one append per weight would.
+//   * run_check has the shape of checking.run_check: the whole-check
+//     mechanisms flip one coin, then walk (stringy) or search one ball
+//     (bfs); the per-edge mechanisms run one loop over the parent edges
+//     with three stop policies (exhaustive-bfs returns at the first
+//     find, parentwise-bfs moves to the next edge after a self-catch,
+//     complete never stops and sweeps whole balls).  There is one ball
+//     walk: FIFO, parents in edge insertion order, each node enqueued
+//     once, recognition on pop, PF nodes never entered.
+//   * Marks are applied in sorted order, as PyEngine._apply_marks and
+//     CkpState.mark_pf do; AllWeightsZero, AuditViolation and StateError
+//     are raised by name with the Python engine's messages.
+//
+// Layout.  Node ids and edge ids are dense int32.
+//
+//   * Node: one 32-byte record per node with everything the ball walk
+//     and the per-step bookkeeping read together: the CSR offset and
+//     count of its parent edges, the PF-parent count, the walk's seen
+//     stamp and depth, PT/CT degrees, label, hidden truth and the two
+//     membership bits.
+//   * Parents are immutable once a node exists, so they are CSR: one
+//     edge array, indexed from each node's offset, in insertion order.
+//   * Children are append-only intrusive lists over edge ids (head and
+//     tail per node, next per edge, plus the edge's child), which keeps
+//     the insertion order export_state reports.
+//   * A step draws its parents into one buffer sized to the largest
+//     parent count, sorts it in place after the edges are stored, and
+//     allocates nothing else.
+//
+// Errors raised inside the engine set the Python exception and unwind
+// to the method boundary as a C++ exception; the engine is not
+// expected to be usable after one.
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "define_macros": [
-            [
-                "NPY_NO_DEPRECATED_API",
-                "NPY_1_7_API_VERSION"
-            ]
-        ],
-        "depends": [
-            "/usr/local/lib/python3.10/dist-packages/numpy/_core/include/numpy/arrayobject.h",
-            "/usr/local/lib/python3.10/dist-packages/numpy/_core/include/numpy/arrayscalars.h",
-            "/usr/local/lib/python3.10/dist-packages/numpy/_core/include/numpy/ndarrayobject.h",
-            "/usr/local/lib/python3.10/dist-packages/numpy/_core/include/numpy/ndarraytypes.h",
-            "/usr/local/lib/python3.10/dist-packages/numpy/_core/include/numpy/random/bitgen.h",
-            "/usr/local/lib/python3.10/dist-packages/numpy/_core/include/numpy/ufuncobject.h"
-        ],
-        "extra_compile_args": [
-            "-O3",
-            "-std=c++14"
-        ],
-        "include_dirs": [
-            "/usr/local/lib/python3.10/dist-packages/numpy/_core/include"
-        ],
-        "language": "c++",
-        "name": "ckplab._kernel",
-        "sources": [
-            "src/ckplab/_kernel.pyx"
-        ]
-    },
-    "module_name": "ckplab._kernel"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
+#include <Python.h>
 
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
+#include <numpy/random/bitgen.h>
 
-/* CppInitCode */
-#ifndef __cplusplus
-  #error "Cython files generated with the C++ option must be compiled with a C++ compiler."
-#endif
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #else
-    #define CYTHON_INLINE inline
-  #endif
-#endif
-template<typename T>
-void __Pyx_call_destructor(T& x) {
-    x.~T();
-}
-template<typename T>
-class __Pyx_FakeReference {
-  public:
-    __Pyx_FakeReference() : ptr(NULL) { }
-    __Pyx_FakeReference(const T& ref) : ptr(const_cast<T*>(&ref)) { }
-    T *operator->() { return ptr; }
-    T *operator&() { return ptr; }
-    operator T&() { return *ptr; }
-    template<typename U> bool operator ==(const U& other) const { return *ptr == other; }
-    template<typename U> bool operator !=(const U& other) const { return *ptr != other; }
-    template<typename U> bool operator==(const __Pyx_FakeReference<U>& other) const { return *ptr == *other.ptr; }
-    template<typename U> bool operator!=(const __Pyx_FakeReference<U>& other) const { return *ptr != *other.ptr; }
-  private:
-    T *ptr;
-};
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-    #define __PYX_EXTERN_C extern "C++"
-#endif
-
-#define __PYX_HAVE__ckplab___kernel
-#define __PYX_HAVE_API__ckplab___kernel
-/* Early includes */
-#include "ios"
-#include "new"
-#include "stdexcept"
-#include "typeinfo"
-#include <vector>
-#include <utility>
-
-    #if __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600)
-    // move should be defined for these versions of MSVC, but __cplusplus isn't set usefully
-    #include <type_traits>
-
-    namespace cython_std {
-    template <typename T> typename std::remove_reference<T>::type&& move(T& t) noexcept { return std::move(t); }
-    template <typename T> typename std::remove_reference<T>::type&& move(T&& t) noexcept { return std::move(t); }
-    }
-
-    #endif
-    
 #include <algorithm>
-#include <string.h>
-#include <stdio.h>
-
-    /* Using NumPy API declarations from "numpy/__init__.cython-30.pxd" */
-    
-#include "numpy/arrayobject.h"
-#include "numpy/ndarrayobject.h"
-#include "numpy/ndarraytypes.h"
-#include "numpy/arrayscalars.h"
-#include "numpy/ufuncobject.h"
-#include <stdint.h>
-#include "numpy/random/bitgen.h"
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* Header.proto */
-#if !defined(CYTHON_CCOMPLEX)
-  #if defined(__cplusplus)
-    #define CYTHON_CCOMPLEX 1
-  #elif (defined(_Complex_I) && !defined(_MSC_VER)) || ((defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L) && !defined(__STDC_NO_COMPLEX__) && !defined(_MSC_VER))
-    #define CYTHON_CCOMPLEX 1
-  #else
-    #define CYTHON_CCOMPLEX 0
-  #endif
-#endif
-#if CYTHON_CCOMPLEX
-  #ifdef __cplusplus
-    #include <complex>
-  #else
-    #include <complex.h>
-  #endif
-#endif
-#if CYTHON_CCOMPLEX && !defined(__cplusplus) && defined(__sun__) && defined(__GNUC__)
-  #undef _Complex_I
-  #define _Complex_I 1.0fj
-#endif
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/ckplab/_kernel.pyx",
-  "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd",
-  "<stringsource>",
-  "cpython/type.pxd",
-  "numpy/random/bit_generator.pxd",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":787
- * # in Cython to enable them only on the right systems.
- * 
- * ctypedef npy_int8       int8_t             # <<<<<<<<<<<<<<
- * ctypedef npy_int16      int16_t
- * ctypedef npy_int32      int32_t
-*/
-typedef npy_int8 __pyx_t_5numpy_int8_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":788
- * 
- * ctypedef npy_int8       int8_t
- * ctypedef npy_int16      int16_t             # <<<<<<<<<<<<<<
- * ctypedef npy_int32      int32_t
- * ctypedef npy_int64      int64_t
-*/
-typedef npy_int16 __pyx_t_5numpy_int16_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":789
- * ctypedef npy_int8       int8_t
- * ctypedef npy_int16      int16_t
- * ctypedef npy_int32      int32_t             # <<<<<<<<<<<<<<
- * ctypedef npy_int64      int64_t
- * #ctypedef npy_int96      int96_t
-*/
-typedef npy_int32 __pyx_t_5numpy_int32_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":790
- * ctypedef npy_int16      int16_t
- * ctypedef npy_int32      int32_t
- * ctypedef npy_int64      int64_t             # <<<<<<<<<<<<<<
- * #ctypedef npy_int96      int96_t
- * #ctypedef npy_int128     int128_t
-*/
-typedef npy_int64 __pyx_t_5numpy_int64_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":794
- * #ctypedef npy_int128     int128_t
- * 
- * ctypedef npy_uint8      uint8_t             # <<<<<<<<<<<<<<
- * ctypedef npy_uint16     uint16_t
- * ctypedef npy_uint32     uint32_t
-*/
-typedef npy_uint8 __pyx_t_5numpy_uint8_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":795
- * 
- * ctypedef npy_uint8      uint8_t
- * ctypedef npy_uint16     uint16_t             # <<<<<<<<<<<<<<
- * ctypedef npy_uint32     uint32_t
- * ctypedef npy_uint64     uint64_t
-*/
-typedef npy_uint16 __pyx_t_5numpy_uint16_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":796
- * ctypedef npy_uint8      uint8_t
- * ctypedef npy_uint16     uint16_t
- * ctypedef npy_uint32     uint32_t             # <<<<<<<<<<<<<<
- * ctypedef npy_uint64     uint64_t
- * #ctypedef npy_uint96     uint96_t
-*/
-typedef npy_uint32 __pyx_t_5numpy_uint32_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":797
- * ctypedef npy_uint16     uint16_t
- * ctypedef npy_uint32     uint32_t
- * ctypedef npy_uint64     uint64_t             # <<<<<<<<<<<<<<
- * #ctypedef npy_uint96     uint96_t
- * #ctypedef npy_uint128    uint128_t
-*/
-typedef npy_uint64 __pyx_t_5numpy_uint64_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":801
- * #ctypedef npy_uint128    uint128_t
- * 
- * ctypedef npy_float32    float32_t             # <<<<<<<<<<<<<<
- * ctypedef npy_float64    float64_t
- * #ctypedef npy_float80    float80_t
-*/
-typedef npy_float32 __pyx_t_5numpy_float32_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":802
- * 
- * ctypedef npy_float32    float32_t
- * ctypedef npy_float64    float64_t             # <<<<<<<<<<<<<<
- * #ctypedef npy_float80    float80_t
- * #ctypedef npy_float128   float128_t
-*/
-typedef npy_float64 __pyx_t_5numpy_float64_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":809
- * ctypedef double complex complex128_t
- * 
- * ctypedef npy_longlong   longlong_t             # <<<<<<<<<<<<<<
- * ctypedef npy_ulonglong  ulonglong_t
- * 
-*/
-typedef npy_longlong __pyx_t_5numpy_longlong_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":810
- * 
- * ctypedef npy_longlong   longlong_t
- * ctypedef npy_ulonglong  ulonglong_t             # <<<<<<<<<<<<<<
- * 
- * ctypedef npy_intp       intp_t
-*/
-typedef npy_ulonglong __pyx_t_5numpy_ulonglong_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":812
- * ctypedef npy_ulonglong  ulonglong_t
- * 
- * ctypedef npy_intp       intp_t             # <<<<<<<<<<<<<<
- * ctypedef npy_uintp      uintp_t
- * 
-*/
-typedef npy_intp __pyx_t_5numpy_intp_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":813
- * 
- * ctypedef npy_intp       intp_t
- * ctypedef npy_uintp      uintp_t             # <<<<<<<<<<<<<<
- * 
- * ctypedef npy_double     float_t
-*/
-typedef npy_uintp __pyx_t_5numpy_uintp_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":815
- * ctypedef npy_uintp      uintp_t
- * 
- * ctypedef npy_double     float_t             # <<<<<<<<<<<<<<
- * ctypedef npy_double     double_t
- * ctypedef npy_longdouble longdouble_t
-*/
-typedef npy_double __pyx_t_5numpy_float_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":816
- * 
- * ctypedef npy_double     float_t
- * ctypedef npy_double     double_t             # <<<<<<<<<<<<<<
- * ctypedef npy_longdouble longdouble_t
- * 
-*/
-typedef npy_double __pyx_t_5numpy_double_t;
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":817
- * ctypedef npy_double     float_t
- * ctypedef npy_double     double_t
- * ctypedef npy_longdouble longdouble_t             # <<<<<<<<<<<<<<
- * 
- * ctypedef float complex       cfloat_t
-*/
-typedef npy_longdouble __pyx_t_5numpy_longdouble_t;
-/* #### Code section: complex_type_declarations ### */
-/* Declarations.proto */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-  #ifdef __cplusplus
-    typedef ::std::complex< float > __pyx_t_float_complex;
-  #else
-    typedef float _Complex __pyx_t_float_complex;
-  #endif
-#else
-    typedef struct { float real, imag; } __pyx_t_float_complex;
-#endif
-static CYTHON_INLINE __pyx_t_float_complex __pyx_t_float_complex_from_parts(float, float);
-
-/* Declarations.proto */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-  #ifdef __cplusplus
-    typedef ::std::complex< double > __pyx_t_double_complex;
-  #else
-    typedef double _Complex __pyx_t_double_complex;
-  #endif
-#else
-    typedef struct { double real, imag; } __pyx_t_double_complex;
-#endif
-static CYTHON_INLINE __pyx_t_double_complex __pyx_t_double_complex_from_parts(double, double);
-
-/* Declarations.proto */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-  #ifdef __cplusplus
-    typedef ::std::complex< long double > __pyx_t_long_double_complex;
-  #else
-    typedef long double _Complex __pyx_t_long_double_complex;
-  #endif
-#else
-    typedef struct { long double real, imag; } __pyx_t_long_double_complex;
-#endif
-static CYTHON_INLINE __pyx_t_long_double_complex __pyx_t_long_double_complex_from_parts(long double, long double);
-
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator;
-struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence;
-struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence;
-struct __pyx_obj_6ckplab_7_kernel_KernelEngine;
-
-/* "numpy/random/bit_generator.pxd":14
- *     ctypedef bitgen bitgen_t
- * 
- * cdef class BitGenerator():             # <<<<<<<<<<<<<<
- *     cdef readonly object _seed_seq
- *     cdef readonly object lock
-*/
-struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator {
-  PyObject_HEAD
-  PyObject *_seed_seq;
-  PyObject *lock;
-  bitgen_t _bitgen;
-  PyObject *_ctypes;
-  PyObject *_cffi;
-  PyObject *capsule;
-};
-
-
-/* "numpy/random/bit_generator.pxd":23
- * 
- * 
- * cdef class SeedSequence():             # <<<<<<<<<<<<<<
- *     cdef readonly object entropy
- *     cdef readonly tuple spawn_key
-*/
-struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_5numpy_6random_13bit_generator_SeedSequence *__pyx_vtab;
-  PyObject *entropy;
-  PyObject *spawn_key;
-  Py_ssize_t pool_size;
-  PyObject *pool;
-  uint32_t n_children_spawned;
-};
-
-
-/* "numpy/random/bit_generator.pxd":34
- *     cdef get_assembled_entropy(self)
- * 
- * cdef class SeedlessSequence():             # <<<<<<<<<<<<<<
- *     pass
-*/
-struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence {
-  PyObject_HEAD
-};
-
-
-/* "ckplab/_kernel.pyx":48
- * 
- * 
- * cdef class KernelEngine:             # <<<<<<<<<<<<<<
- *     """One trajectory's worth of mutable state, all in C++ containers."""
- * 
-*/
-struct __pyx_obj_6ckplab_7_kernel_KernelEngine {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *__pyx_vtab;
-  bitgen_t *rng;
-  PyObject *_bitgen_keepalive;
-  PyObject *attach;
-  double check_rate;
-  double error_rate;
-  double detection_rate;
-  int check_depth;
-  int mech;
-  int path_only;
-  int simple;
-  int m_max;
-  std::vector<int>  law_support;
-  std::vector<double>  law_cum;
-  std::vector<double>  atab;
-  std::vector<int>  labels;
-  std::vector<int>  isfalse;
-  std::vector<int>  birth;
-  std::vector<int>  advers;
-  std::vector<std::vector<int> >  parents;
-  std::vector<std::vector<int> >  children;
-  std::vector<int>  deg_pt;
-  std::vector<int>  deg_ct;
-  std::vector<int>  pf_parent;
-  int pf_total;
-  int wsize;
-  int wcap;
-  int wpositive;
-  double wtotal;
-  std::vector<double>  tree;
-  std::vector<double>  weights;
-  int stopped;
-  int step_index;
-  int pt_false;
-  int pf_count;
-  int f_count;
-  int l_count;
-  long zero_since;
-  std::vector<int>  f_mem;
-  std::vector<int>  l_mem;
-  std::vector<int>  pf_child_len;
-  std::vector<int>  seen_at;
-  std::vector<int>  depth_of;
-  std::vector<int>  prev_of;
-  std::vector<int>  closed_at;
-  std::vector<int>  marked_at;
-  int seen_stamp;
-  int closed_stamp;
-  int marked_stamp;
-  std::vector<int>  queue_buf;
-  std::vector<int>  order_buf;
-  std::vector<int>  ball_marked;
-  std::vector<int>  step_marked;
-  std::vector<int>  founds_buf;
-  std::vector<int>  touch_buf;
-  std::vector<int>  affect_buf;
-  std::vector<int>  walk_buf;
-  int audit_on;
-  int track_delta;
-  int last_potential;
-  int fixed_floor;
-};
-
-
-
-/* "numpy/random/bit_generator.pxd":23
- * 
- * 
- * cdef class SeedSequence():             # <<<<<<<<<<<<<<
- *     cdef readonly object entropy
- *     cdef readonly tuple spawn_key
-*/
-
-struct __pyx_vtabstruct_5numpy_6random_13bit_generator_SeedSequence {
-  PyObject *(*mix_entropy)(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence *, PyArrayObject *, PyArrayObject *);
-  PyObject *(*get_assembled_entropy)(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence *);
-};
-static struct __pyx_vtabstruct_5numpy_6random_13bit_generator_SeedSequence *__pyx_vtabptr_5numpy_6random_13bit_generator_SeedSequence;
-
-
-/* "ckplab/_kernel.pyx":48
- * 
- * 
- * cdef class KernelEngine:             # <<<<<<<<<<<<<<
- *     """One trajectory's worth of mutable state, all in C++ containers."""
- * 
-*/
-
-struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine {
-  double (*draw)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *);
-  int (*maybe)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, double);
-  int (*uniform_index)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  int (*pmf_index)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *);
-  double (*aval)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  void (*w_grow)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  int (*w_append)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, double);
-  void (*w_set)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, double);
-  void (*w_add)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, double);
-  int (*w_select)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, double);
-  int (*is_minimal_false)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  int (*is_leaf)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  void (*refresh_membership)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  int (*add_node)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, std::vector<int>  &, int);
-  void (*apply_marks)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *);
-  int (*flagged)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  void (*mark_node)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  void (*close_descendants)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  void (*mark_prev_path)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  void (*check_stringy)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-  int (*ball_first)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, int);
-  int (*ball_all)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, int);
-  void (*run_check)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, std::vector<int>  &);
-  int (*step_c)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *);
-  void (*cheap_audit)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *);
-};
-static struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *__pyx_vtabptr_6ckplab_7_kernel_KernelEngine;
-static CYTHON_INLINE double __pyx_f_6ckplab_7_kernel_12KernelEngine_draw(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *);
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, double);
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_uniform_index(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_pmf_index(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *);
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_is_minimal_false(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_is_leaf(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_flagged(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int);
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* PyThreadStateGet.proto (used by SaveResetException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* PyErrExceptionMatches.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* PyImportError_Check.proto */
-#define __Pyx_PyExc_ImportError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ImportError)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyLongCompare.proto */
-static CYTHON_INLINE int __Pyx_PyLong_BoolNeObjC(PyObject *op1, PyObject *op2, long intval, long inplace);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* ObjectGetItem.proto */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key);
-#else
-#define __Pyx_PyObject_GetItem(obj, key)  PyObject_GetItem(obj, key)
-#endif
-
-/* FloatExceptionCheck.proto */
-#define __PYX_CHECK_FLOAT_EXCEPTION(value, error_value)\
-    ((error_value) == (error_value) ?\
-     (value) == (error_value) :\
-     (value) != (value))
-
-/* pybytes_as_double.proto (used by pyobject_as_double) */
-static double __Pyx_SlowPyString_AsDouble(PyObject *obj);
-static double __Pyx__PyBytes_AsDouble(PyObject *obj, const char* start, Py_ssize_t length);
-static CYTHON_INLINE double __Pyx_PyBytes_AsDouble(PyObject *obj) {
-    char* as_c_string;
-    Py_ssize_t size;
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    as_c_string = PyBytes_AS_STRING(obj);
-    size = PyBytes_GET_SIZE(obj);
-#else
-    if (PyBytes_AsStringAndSize(obj, &as_c_string, &size) < 0) {
-        return (double)-1;
-    }
-#endif
-    return __Pyx__PyBytes_AsDouble(obj, as_c_string, size);
-}
-static CYTHON_INLINE double __Pyx_PyByteArray_AsDouble(PyObject *obj) {
-    char* as_c_string;
-    Py_ssize_t size;
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    as_c_string = PyByteArray_AS_STRING(obj);
-    size = PyByteArray_GET_SIZE(obj);
-#else
-    as_c_string = PyByteArray_AsString(obj);
-    if (as_c_string == NULL) {
-        return (double)-1;
-    }
-    size = PyByteArray_Size(obj);
-#endif
-    return __Pyx__PyBytes_AsDouble(obj, as_c_string, size);
-}
-
-/* pyunicode_as_double.proto (used by pyobject_as_double) */
-#if !CYTHON_COMPILING_IN_PYPY && CYTHON_ASSUME_SAFE_MACROS
-static const char* __Pyx__PyUnicode_AsDouble_Copy(const void* data, const int kind, char* buffer, Py_ssize_t start, Py_ssize_t end) {
-    int last_was_punctuation;
-    Py_ssize_t i;
-    last_was_punctuation = 1;
-    for (i=start; i <= end; i++) {
-        Py_UCS4 chr = PyUnicode_READ(kind, data, i);
-        int is_punctuation = (chr == '_') | (chr == '.');
-        *buffer = (char)chr;
-        buffer += (chr != '_');
-        if (unlikely(chr > 127)) goto parse_failure;
-        if (unlikely(last_was_punctuation & is_punctuation)) goto parse_failure;
-        last_was_punctuation = is_punctuation;
-    }
-    if (unlikely(last_was_punctuation)) goto parse_failure;
-    *buffer = '\0';
-    return buffer;
-parse_failure:
-    return NULL;
-}
-static double __Pyx__PyUnicode_AsDouble_inf_nan(const void* data, int kind, Py_ssize_t start, Py_ssize_t length) {
-    int matches = 1;
-    Py_UCS4 chr;
-    Py_UCS4 sign = PyUnicode_READ(kind, data, start);
-    int is_signed = (sign == '-') | (sign == '+');
-    start += is_signed;
-    length -= is_signed;
-    switch (PyUnicode_READ(kind, data, start)) {
-        #ifdef Py_NAN
-        case 'n':
-        case 'N':
-            if (unlikely(length != 3)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+1);
-            matches &= (chr == 'a') | (chr == 'A');
-            chr = PyUnicode_READ(kind, data, start+2);
-            matches &= (chr == 'n') | (chr == 'N');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_NAN : Py_NAN;
-        #endif
-        case 'i':
-        case 'I':
-            if (unlikely(length < 3)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+1);
-            matches &= (chr == 'n') | (chr == 'N');
-            chr = PyUnicode_READ(kind, data, start+2);
-            matches &= (chr == 'f') | (chr == 'F');
-            if (likely(length == 3 && matches))
-                return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-            if (unlikely(length != 8)) goto parse_failure;
-            chr = PyUnicode_READ(kind, data, start+3);
-            matches &= (chr == 'i') | (chr == 'I');
-            chr = PyUnicode_READ(kind, data, start+4);
-            matches &= (chr == 'n') | (chr == 'N');
-            chr = PyUnicode_READ(kind, data, start+5);
-            matches &= (chr == 'i') | (chr == 'I');
-            chr = PyUnicode_READ(kind, data, start+6);
-            matches &= (chr == 't') | (chr == 'T');
-            chr = PyUnicode_READ(kind, data, start+7);
-            matches &= (chr == 'y') | (chr == 'Y');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-        case '.': case '0': case '1': case '2': case '3': case '4': case '5': case '6': case '7': case '8': case '9':
-            break;
-        default:
-            goto parse_failure;
-    }
-    return 0.0;
-parse_failure:
-    return -1.0;
-}
-static double __Pyx_PyUnicode_AsDouble_WithSpaces(PyObject *obj) {
-    double value;
-    const char *last;
-    char *end;
-    Py_ssize_t start, length = PyUnicode_GET_LENGTH(obj);
-    const int kind = PyUnicode_KIND(obj);
-    const void* data = PyUnicode_DATA(obj);
-    start = 0;
-    while (Py_UNICODE_ISSPACE(PyUnicode_READ(kind, data, start)))
-        start++;
-    while (start < length - 1 && Py_UNICODE_ISSPACE(PyUnicode_READ(kind, data, length - 1)))
-        length--;
-    length -= start;
-    if (unlikely(length <= 0)) goto fallback;
-    value = __Pyx__PyUnicode_AsDouble_inf_nan(data, kind, start, length);
-    if (unlikely(value == -1.0)) goto fallback;
-    if (value != 0.0) return value;
-    if (length < 40) {
-        char number[40];
-        last = __Pyx__PyUnicode_AsDouble_Copy(data, kind, number, start, start + length);
-        if (unlikely(!last)) goto fallback;
-        value = PyOS_string_to_double(number, &end, NULL);
-    } else {
-        char *number = (char*) PyMem_Malloc((length + 1) * sizeof(char));
-        if (unlikely(!number)) goto fallback;
-        last = __Pyx__PyUnicode_AsDouble_Copy(data, kind, number, start, start + length);
-        if (unlikely(!last)) {
-            PyMem_Free(number);
-            goto fallback;
-        }
-        value = PyOS_string_to_double(number, &end, NULL);
-        PyMem_Free(number);
-    }
-    if (likely(end == last) || (value == (double)-1 && PyErr_Occurred())) {
-        return value;
-    }
-fallback:
-    return __Pyx_SlowPyString_AsDouble(obj);
-}
-#endif
-static CYTHON_INLINE double __Pyx_PyUnicode_AsDouble(PyObject *obj) {
-#if !CYTHON_COMPILING_IN_PYPY && CYTHON_ASSUME_SAFE_MACROS
-    if (unlikely(__Pyx_PyUnicode_READY(obj) == -1))
-        return (double)-1;
-    if (likely(PyUnicode_IS_ASCII(obj))) {
-        const char *s;
-        Py_ssize_t length;
-        s = PyUnicode_AsUTF8AndSize(obj, &length);
-        return __Pyx__PyBytes_AsDouble(obj, s, length);
-    }
-    return __Pyx_PyUnicode_AsDouble_WithSpaces(obj);
-#else
-    return __Pyx_SlowPyString_AsDouble(obj);
-#endif
-}
-
-/* pyobject_as_double.proto */
-static double __Pyx__PyObject_AsDouble(PyObject* obj);
-#if CYTHON_COMPILING_IN_PYPY
-#define __Pyx_PyObject_AsDouble(obj)\
-(likely(PyFloat_CheckExact(obj)) ? PyFloat_AS_DOUBLE(obj) :\
- likely(PyLong_CheckExact(obj)) ?\
- PyFloat_AsDouble(obj) : __Pyx__PyObject_AsDouble(obj))
-#else
-#define __Pyx_PyObject_AsDouble(obj)\
-((likely(PyFloat_CheckExact(obj))) ?  __Pyx_PyFloat_AS_DOUBLE(obj) :\
- likely(PyLong_CheckExact(obj)) ?\
- PyLong_AsDouble(obj) : __Pyx__PyObject_AsDouble(obj))
-#endif
-
-/* PyObjectFastCallMethod.proto */
-#if CYTHON_VECTORCALL && PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyObject_FastCallMethod(name, args, nargsf) PyObject_VectorcallMethod(name, args, nargsf, NULL)
-#else
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf);
-#endif
-
-/* BuildPyUnicode.proto (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char);
-
-/* COrdinalToPyUnicode.proto (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value);
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t width, char padding_char);
-
-/* GCCDiagnostics.proto (used by CIntToPyUnicode) */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* IncludeStdlibH.proto (used by CIntToPyUnicode) */
-#include <stdlib.h>
-
-/* CIntToPyUnicode.proto */
-#define __Pyx_PyUnicode_From_int(value, width, padding_char, format_char) (\
-    ((format_char) == ('c')) ?\
-        __Pyx_uchar___Pyx_PyUnicode_From_int(value, width, padding_char) :\
-        __Pyx____Pyx_PyUnicode_From_int(value, width, padding_char, format_char)\
-    )
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char);
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char);
-
-/* JoinPyUnicode.export */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char);
-
-/* PyObjectFormatSimple.proto */
-#if CYTHON_COMPILING_IN_PYPY
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#elif CYTHON_USE_TYPE_SLOTS
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        likely(PyLong_CheckExact(s)) ? PyLong_Type.tp_repr(s) :\
-        likely(PyFloat_CheckExact(s)) ? PyFloat_Type.tp_repr(s) :\
-        PyObject_Format(s, f))
-#else
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#endif
-
-/* RejectKeywords.export */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* PyObjectCall2Args.proto (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod1) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod1.proto (used by pop_index) */
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg);
-
-/* pop_index.proto */
-static PyObject* __Pyx__PyObject_PopNewIndex(PyObject* L, PyObject* py_ix);
-static PyObject* __Pyx__PyObject_PopIndex(PyObject* L, PyObject* py_ix);
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-static PyObject* __Pyx__PyList_PopIndex(PyObject* L, PyObject* py_ix, Py_ssize_t ix);
-#define __Pyx_PyObject_PopIndex(L, py_ix, ix, is_signed, type, to_py_func) (\
-    (likely(PyList_CheckExact(L) && __Pyx_fits_Py_ssize_t(ix, type, is_signed))) ?\
-        __Pyx__PyList_PopIndex(L, py_ix, ix) : (\
-        (unlikely((py_ix) == Py_None)) ? __Pyx__PyObject_PopNewIndex(L, to_py_func(ix)) :\
-            __Pyx__PyObject_PopIndex(L, py_ix)))
-#define __Pyx_PyList_PopIndex(L, py_ix, ix, is_signed, type, to_py_func) (\
-    __Pyx_fits_Py_ssize_t(ix, type, is_signed) ?\
-        __Pyx__PyList_PopIndex(L, py_ix, ix) : (\
-        (unlikely((py_ix) == Py_None)) ? __Pyx__PyObject_PopNewIndex(L, to_py_func(ix)) :\
-            __Pyx__PyObject_PopIndex(L, py_ix)))
-#else
-#define __Pyx_PyList_PopIndex(L, py_ix, ix, is_signed, type, to_py_func)\
-    __Pyx_PyObject_PopIndex(L, py_ix, ix, is_signed, type, to_py_func)
-#define __Pyx_PyObject_PopIndex(L, py_ix, ix, is_signed, type, to_py_func) (\
-    (unlikely((py_ix) == Py_None)) ? __Pyx__PyObject_PopNewIndex(L, to_py_func(ix)) :\
-        __Pyx__PyObject_PopIndex(L, py_ix))
-#endif
-
-/* append.proto */
-static CYTHON_INLINE int __Pyx_PyObject_Append(PyObject* L, PyObject* x);
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* PyObjectDelAttr.proto (used by PyObjectSetAttrStr) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-#define __Pyx_PyObject_DelAttr(o, n) PyObject_SetAttr(o, n, NULL)
-#else
-#define __Pyx_PyObject_DelAttr(o, n) PyObject_DelAttr(o, n)
-#endif
-
-/* PyObjectSetAttrStr.proto */
-#if CYTHON_USE_TYPE_SLOTS
-#define __Pyx_PyObject_DelAttrStr(o,n) __Pyx_PyObject_SetAttrStr(o, n, NULL)
-static CYTHON_INLINE int __Pyx_PyObject_SetAttrStr(PyObject* obj, PyObject* attr_name, PyObject* value);
-#else
-#define __Pyx_PyObject_DelAttrStr(o,n)   __Pyx_PyObject_DelAttr(o,n)
-#define __Pyx_PyObject_SetAttrStr(o,n,v) PyObject_SetAttr(o,n,v)
-#endif
-
-/* PyTypeError_Check.proto */
-#define __Pyx_PyExc_TypeError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_TypeError)
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* DefaultPlacementNew.proto */
+#include <climits>
+#include <cstdint>
+#include <initializer_list>
 #include <new>
-template<typename T>
-void __Pyx_default_placement_construct(T* x) {
-    new (static_cast<void*>(x)) T();
-}
-
-/* CallTypeTraverse.proto */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* SetVTable.proto */
-static int __Pyx_SetVtable(PyTypeObject* typeptr , void* vtable);
-
-/* GetVTable.proto (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type);
-
-/* MergeVTables.proto */
-static int __Pyx_MergeVtables(PyTypeObject *type);
-
-/* DelItemOnTypeDict.proto (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k);
-#define __Pyx_DelItemOnTypeDict(tp, k) __Pyx__DelItemOnTypeDict((PyTypeObject*)tp, k)
-
-/* SetupReduce.proto */
-static int __Pyx_setup_reduce(PyObject* type_obj);
-
-/* TypeImport.proto */
-#ifndef __PYX_HAVE_RT_ImportType_proto_3_2_8
-#define __PYX_HAVE_RT_ImportType_proto_3_2_8
-#if defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L
-#include <stdalign.h>
-#endif
-#if (defined (__STDC_VERSION__) && __STDC_VERSION__ >= 201112L) || __cplusplus >= 201103L
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) alignof(s)
-#else
-#define __PYX_GET_STRUCT_ALIGNMENT_3_2_8(s) sizeof(void*)
-#endif
-enum __Pyx_ImportType_CheckSize_3_2_8 {
-   __Pyx_ImportType_CheckSize_Error_3_2_8 = 0,
-   __Pyx_ImportType_CheckSize_Warn_3_2_8 = 1,
-   __Pyx_ImportType_CheckSize_Ignore_3_2_8 = 2
-};
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject* module, const char *module_name, const char *class_name, size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size);
-#endif
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* ImportFrom.proto */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* CppExceptionConversion.proto */
-#ifndef __Pyx_CppExn2PyErr
-#include <new>
-#include <typeinfo>
 #include <stdexcept>
-#include <ios>
-static void __Pyx_CppExn2PyErr() {
-  try {
-    if (PyErr_Occurred())
-      ; // let the latest Python exn pass through and ignore the current one
-    else
-      throw;
-  } catch (const std::bad_alloc& exn) {
-    PyErr_SetString(PyExc_MemoryError, exn.what());
-  } catch (const std::bad_cast& exn) {
-    PyErr_SetString(PyExc_TypeError, exn.what());
-  } catch (const std::bad_typeid& exn) {
-    PyErr_SetString(PyExc_TypeError, exn.what());
-  } catch (const std::domain_error& exn) {
-    PyErr_SetString(PyExc_ValueError, exn.what());
-  } catch (const std::invalid_argument& exn) {
-    PyErr_SetString(PyExc_ValueError, exn.what());
-  } catch (const std::ios_base::failure& exn) {
-    PyErr_SetString(PyExc_IOError, exn.what());
-  } catch (const std::out_of_range& exn) {
-    PyErr_SetString(PyExc_IndexError, exn.what());
-  } catch (const std::overflow_error& exn) {
-    PyErr_SetString(PyExc_OverflowError, exn.what());
-  } catch (const std::range_error& exn) {
-    PyErr_SetString(PyExc_ArithmeticError, exn.what());
-  } catch (const std::underflow_error& exn) {
-    PyErr_SetString(PyExc_ArithmeticError, exn.what());
-  } catch (const std::exception& exn) {
-    PyErr_SetString(PyExc_RuntimeError, exn.what());
-  }
-  catch (...)
-  {
-    PyErr_SetString(PyExc_RuntimeError, "Unknown exception");
-  }
-}
-#endif
+#include <vector>
 
-/* RealImag.proto */
-#if CYTHON_CCOMPLEX
-  #ifdef __cplusplus
-    #define __Pyx_CREAL(z) ((z).real())
-    #define __Pyx_CIMAG(z) ((z).imag())
-  #else
-    #define __Pyx_CREAL(z) (__real__(z))
-    #define __Pyx_CIMAG(z) (__imag__(z))
-  #endif
-#else
-    #define __Pyx_CREAL(z) ((z).real)
-    #define __Pyx_CIMAG(z) ((z).imag)
-#endif
-#if defined(__cplusplus) && CYTHON_CCOMPLEX\
-        && (defined(_WIN32) || defined(__clang__) || (defined(__GNUC__) && (__GNUC__ >= 5 || __GNUC__ == 4 && __GNUC_MINOR__ >= 4 )) || __cplusplus >= 201103)
-    #define __Pyx_SET_CREAL(z,x) ((z).real(x))
-    #define __Pyx_SET_CIMAG(z,y) ((z).imag(y))
-#else
-    #define __Pyx_SET_CREAL(z,x) __Pyx_CREAL(z) = (x)
-    #define __Pyx_SET_CIMAG(z,y) __Pyx_CIMAG(z) = (y)
-#endif
-
-/* Arithmetic.proto */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-    #define __Pyx_c_eq_float(a, b)   ((a)==(b))
-    #define __Pyx_c_sum_float(a, b)  ((a)+(b))
-    #define __Pyx_c_diff_float(a, b) ((a)-(b))
-    #define __Pyx_c_prod_float(a, b) ((a)*(b))
-    #define __Pyx_c_quot_float(a, b) ((a)/(b))
-    #define __Pyx_c_neg_float(a)     (-(a))
-  #ifdef __cplusplus
-    #define __Pyx_c_is_zero_float(z) ((z)==(float)0)
-    #define __Pyx_c_conj_float(z)    (::std::conj(z))
-    #if 1
-        #define __Pyx_c_abs_float(z)     (::std::abs(z))
-        #define __Pyx_c_pow_float(a, b)  (::std::pow(a, b))
-    #endif
-  #else
-    #define __Pyx_c_is_zero_float(z) ((z)==0)
-    #define __Pyx_c_conj_float(z)    (conjf(z))
-    #if 1
-        #define __Pyx_c_abs_float(z)     (cabsf(z))
-        #define __Pyx_c_pow_float(a, b)  (cpowf(a, b))
-    #endif
- #endif
-#else
-    static CYTHON_INLINE int __Pyx_c_eq_float(__pyx_t_float_complex, __pyx_t_float_complex);
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_sum_float(__pyx_t_float_complex, __pyx_t_float_complex);
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_diff_float(__pyx_t_float_complex, __pyx_t_float_complex);
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_prod_float(__pyx_t_float_complex, __pyx_t_float_complex);
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_quot_float(__pyx_t_float_complex, __pyx_t_float_complex);
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_neg_float(__pyx_t_float_complex);
-    static CYTHON_INLINE int __Pyx_c_is_zero_float(__pyx_t_float_complex);
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_conj_float(__pyx_t_float_complex);
-    #if 1
-        static CYTHON_INLINE float __Pyx_c_abs_float(__pyx_t_float_complex);
-        static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_pow_float(__pyx_t_float_complex, __pyx_t_float_complex);
-    #endif
-#endif
-
-/* Arithmetic.proto */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-    #define __Pyx_c_eq_double(a, b)   ((a)==(b))
-    #define __Pyx_c_sum_double(a, b)  ((a)+(b))
-    #define __Pyx_c_diff_double(a, b) ((a)-(b))
-    #define __Pyx_c_prod_double(a, b) ((a)*(b))
-    #define __Pyx_c_quot_double(a, b) ((a)/(b))
-    #define __Pyx_c_neg_double(a)     (-(a))
-  #ifdef __cplusplus
-    #define __Pyx_c_is_zero_double(z) ((z)==(double)0)
-    #define __Pyx_c_conj_double(z)    (::std::conj(z))
-    #if 1
-        #define __Pyx_c_abs_double(z)     (::std::abs(z))
-        #define __Pyx_c_pow_double(a, b)  (::std::pow(a, b))
-    #endif
-  #else
-    #define __Pyx_c_is_zero_double(z) ((z)==0)
-    #define __Pyx_c_conj_double(z)    (conj(z))
-    #if 1
-        #define __Pyx_c_abs_double(z)     (cabs(z))
-        #define __Pyx_c_pow_double(a, b)  (cpow(a, b))
-    #endif
- #endif
-#else
-    static CYTHON_INLINE int __Pyx_c_eq_double(__pyx_t_double_complex, __pyx_t_double_complex);
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_sum_double(__pyx_t_double_complex, __pyx_t_double_complex);
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_diff_double(__pyx_t_double_complex, __pyx_t_double_complex);
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_prod_double(__pyx_t_double_complex, __pyx_t_double_complex);
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_quot_double(__pyx_t_double_complex, __pyx_t_double_complex);
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_neg_double(__pyx_t_double_complex);
-    static CYTHON_INLINE int __Pyx_c_is_zero_double(__pyx_t_double_complex);
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_conj_double(__pyx_t_double_complex);
-    #if 1
-        static CYTHON_INLINE double __Pyx_c_abs_double(__pyx_t_double_complex);
-        static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_pow_double(__pyx_t_double_complex, __pyx_t_double_complex);
-    #endif
-#endif
-
-/* Arithmetic.proto */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-    #define __Pyx_c_eq_long__double(a, b)   ((a)==(b))
-    #define __Pyx_c_sum_long__double(a, b)  ((a)+(b))
-    #define __Pyx_c_diff_long__double(a, b) ((a)-(b))
-    #define __Pyx_c_prod_long__double(a, b) ((a)*(b))
-    #define __Pyx_c_quot_long__double(a, b) ((a)/(b))
-    #define __Pyx_c_neg_long__double(a)     (-(a))
-  #ifdef __cplusplus
-    #define __Pyx_c_is_zero_long__double(z) ((z)==(long double)0)
-    #define __Pyx_c_conj_long__double(z)    (::std::conj(z))
-    #if 1
-        #define __Pyx_c_abs_long__double(z)     (::std::abs(z))
-        #define __Pyx_c_pow_long__double(a, b)  (::std::pow(a, b))
-    #endif
-  #else
-    #define __Pyx_c_is_zero_long__double(z) ((z)==0)
-    #define __Pyx_c_conj_long__double(z)    (conjl(z))
-    #if 1
-        #define __Pyx_c_abs_long__double(z)     (cabsl(z))
-        #define __Pyx_c_pow_long__double(a, b)  (cpowl(a, b))
-    #endif
- #endif
-#else
-    static CYTHON_INLINE int __Pyx_c_eq_long__double(__pyx_t_long_double_complex, __pyx_t_long_double_complex);
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_sum_long__double(__pyx_t_long_double_complex, __pyx_t_long_double_complex);
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_diff_long__double(__pyx_t_long_double_complex, __pyx_t_long_double_complex);
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_prod_long__double(__pyx_t_long_double_complex, __pyx_t_long_double_complex);
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_quot_long__double(__pyx_t_long_double_complex, __pyx_t_long_double_complex);
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_neg_long__double(__pyx_t_long_double_complex);
-    static CYTHON_INLINE int __Pyx_c_is_zero_long__double(__pyx_t_long_double_complex);
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_conj_long__double(__pyx_t_long_double_complex);
-    #if 1
-        static CYTHON_INLINE long double __Pyx_c_abs_long__double(__pyx_t_long_double_complex);
-        static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_pow_long__double(__pyx_t_long_double_complex, __pyx_t_long_double_complex);
-    #endif
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_5dtype_8itemsize_itemsize(PyArray_Descr *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_5dtype_9alignment_alignment(PyArray_Descr *__pyx_v_self); /* proto*/
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_5dtype_6fields_fields(PyArray_Descr *__pyx_v_self); /* proto*/
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_5dtype_5names_names(PyArray_Descr *__pyx_v_self); /* proto*/
-static CYTHON_INLINE PyArray_ArrayDescr *__pyx_f_5numpy_5dtype_8subarray_subarray(PyArray_Descr *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_uint64 __pyx_f_5numpy_5dtype_5flags_flags(PyArray_Descr *__pyx_v_self); /* proto*/
-static CYTHON_INLINE int __pyx_f_5numpy_9broadcast_7numiter_numiter(PyArrayMultiIterObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_9broadcast_4size_size(PyArrayMultiIterObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_9broadcast_5index_index(PyArrayMultiIterObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE int __pyx_f_5numpy_9broadcast_2nd_nd(PyArrayMultiIterObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_intp *__pyx_f_5numpy_9broadcast_10dimensions_dimensions(PyArrayMultiIterObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE void **__pyx_f_5numpy_9broadcast_5iters_iters(PyArrayMultiIterObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_7ndarray_4base_base(PyArrayObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE PyArray_Descr *__pyx_f_5numpy_7ndarray_5descr_descr(PyArrayObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE int __pyx_f_5numpy_7ndarray_4ndim_ndim(PyArrayObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_intp *__pyx_f_5numpy_7ndarray_5shape_shape(PyArrayObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_intp *__pyx_f_5numpy_7ndarray_7strides_strides(PyArrayObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_7ndarray_4size_size(PyArrayObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE char *__pyx_f_5numpy_7ndarray_4data_data(PyArrayObject *__pyx_v_self); /* proto*/
-static CYTHON_INLINE double __pyx_f_6ckplab_7_kernel_12KernelEngine_draw(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto*/
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, double __pyx_v_p); /* proto*/
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_uniform_index(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_n); /* proto*/
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_pmf_index(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto*/
-static double __pyx_f_6ckplab_7_kernel_12KernelEngine_aval(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_d); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_w_grow(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_need); /* proto*/
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_w_append(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, double __pyx_v_weight); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_w_set(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_i, double __pyx_v_weight); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_w_add(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_i, double __pyx_v_delta); /* proto*/
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_w_select(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, double __pyx_v_x); /* proto*/
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_is_minimal_false(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v); /* proto*/
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_is_leaf(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_refresh_membership(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v); /* proto*/
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_add_node(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, std::vector<int>  &__pyx_v_parent_ids, int __pyx_v_label); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_apply_marks(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto*/
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_flagged(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_u); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_mark_node(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_w); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_close_descendants(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_found); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_mark_prev_path(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_found); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_check_stringy(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v); /* proto*/
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_ball_first(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_start, int __pyx_v_cap); /* proto*/
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_ball_all(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_start, int __pyx_v_cap); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_run_check(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v, std::vector<int>  &__pyx_v_parent_edges); /* proto*/
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_step_c(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto*/
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_cheap_audit(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto*/
-
-/* Module declarations from "libcpp.vector" */
-
-/* Module declarations from "libcpp" */
-
-/* Module declarations from "libcpp.utility" */
-
-/* Module declarations from "libcpp.algorithm" */
-
-/* Module declarations from "cpython.pycapsule" */
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdio" */
-
-/* Module declarations from "__builtin__" */
-
-/* Module declarations from "cpython.type" */
-
-/* Module declarations from "cpython" */
-
-/* Module declarations from "cpython.object" */
-
-/* Module declarations from "cpython.ref" */
-
-/* Module declarations from "numpy" */
-
-/* Module declarations from "numpy" */
-
-/* Module declarations from "libc.stdint" */
-
-/* Module declarations from "numpy.random.bit_generator" */
-
-/* Module declarations from "numpy.random" */
-
-/* Module declarations from "ckplab._kernel" */
-static int __pyx_v_6ckplab_7_kernel_CT;
-static int __pyx_v_6ckplab_7_kernel_CF;
-static int __pyx_v_6ckplab_7_kernel_PF;
-static int __pyx_v_6ckplab_7_kernel_M_STRINGY;
-static int __pyx_v_6ckplab_7_kernel_M_BFS;
-static int __pyx_v_6ckplab_7_kernel_M_EXHAUSTIVE;
-static int __pyx_v_6ckplab_7_kernel_M_PARENTWISE;
-static int __pyx_v_6ckplab_7_kernel_M_COMPLETE;
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "ckplab._kernel"
-extern int __pyx_module_is_main_ckplab___kernel;
-int __pyx_module_is_main_ckplab___kernel = 0;
-
-/* Implementation of "ckplab._kernel" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_BitGenerator[] = "BitGenerator";
-static const char __pyx_k_Accelerated_trial_loop_a_draw_fo[] = "Accelerated trial loop: a draw-for-draw mirror of the pure engine.\n\nRestricted to the non-adversarial regime (the adversaries stay Python\nobjects).  Everything order-sensitive is copied from the reference\nimplementation line by line: the Fenwick tree including its growth\nschedule, the chooser's skip rules for degenerate decisions, traversal\norder inside every mechanism, and the sorted application of marks.\nAttachment weights are produced by calling the Python attachment object\nand caching per degree, so both backends share the exact float values.\nTrajectory equality against the pure engine is asserted in the tests.\n";
-/* #### Code section: decls ### */
-static int __pyx_pf_6ckplab_7_kernel_12KernelEngine___init__(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, PyObject *__pyx_v_features, PyObject *__pyx_v_init_state, PyObject *__pyx_v_seed, PyObject *__pyx_v_audit_cheap); /* proto */
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_2counts(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_4run(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_horizon, PyObject *__pyx_v_checkpoint_steps); /* proto */
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_6export_state(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_8export_bookkeeping(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_10__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_12__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_tp_new_6ckplab_7_kernel_KernelEngine(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyTypeObject *__pyx_ptype_7cpython_4type_type;
-  PyTypeObject *__pyx_ptype_5numpy_dtype;
-  PyTypeObject *__pyx_ptype_5numpy_flatiter;
-  PyTypeObject *__pyx_ptype_5numpy_broadcast;
-  PyTypeObject *__pyx_ptype_5numpy_ndarray;
-  PyTypeObject *__pyx_ptype_5numpy_generic;
-  PyTypeObject *__pyx_ptype_5numpy_number;
-  PyTypeObject *__pyx_ptype_5numpy_integer;
-  PyTypeObject *__pyx_ptype_5numpy_signedinteger;
-  PyTypeObject *__pyx_ptype_5numpy_unsignedinteger;
-  PyTypeObject *__pyx_ptype_5numpy_inexact;
-  PyTypeObject *__pyx_ptype_5numpy_floating;
-  PyTypeObject *__pyx_ptype_5numpy_complexfloating;
-  PyTypeObject *__pyx_ptype_5numpy_flexible;
-  PyTypeObject *__pyx_ptype_5numpy_character;
-  PyTypeObject *__pyx_ptype_5numpy_ufunc;
-  PyTypeObject *__pyx_ptype_5numpy_6random_13bit_generator_BitGenerator;
-  PyTypeObject *__pyx_ptype_5numpy_6random_13bit_generator_SeedSequence;
-  PyTypeObject *__pyx_ptype_5numpy_6random_13bit_generator_SeedlessSequence;
-  PyObject *__pyx_type_6ckplab_7_kernel_KernelEngine;
-  PyTypeObject *__pyx_ptype_6ckplab_7_kernel_KernelEngine;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[6];
-  PyObject *__pyx_string_tab[156];
-  PyObject *__pyx_number_tab[1];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
 namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
 
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_PF __pyx_string_tab[1]
-#define __pyx_kp_u__3 __pyx_string_tab[2]
-#define __pyx_kp_u_check_tried_to_mark_True_node __pyx_string_tab[3]
-#define __pyx_kp_u_ckplab __pyx_string_tab[4]
-#define __pyx_kp_u_ckplab_attachment __pyx_string_tab[5]
-#define __pyx_kp_u_ckplab_evolution __pyx_string_tab[6]
-#define __pyx_kp_u_ckplab_state __pyx_string_tab[7]
-#define __pyx_kp_u_disable __pyx_string_tab[8]
-#define __pyx_kp_u_enable __pyx_string_tab[9]
-#define __pyx_kp_u_exhaustive_bfs __pyx_string_tab[10]
-#define __pyx_kp_u_gc __pyx_string_tab[11]
-#define __pyx_kp_u_in_one_step_cap __pyx_string_tab[12]
-#define __pyx_kp_u_is_already_PF __pyx_string_tab[13]
-#define __pyx_kp_u_is_not_PF __pyx_string_tab[14]
-#define __pyx_kp_u_isenabled __pyx_string_tab[15]
-#define __pyx_kp_u_marked_node __pyx_string_tab[16]
-#define __pyx_kp_u_no_positive_attachment_weight_to __pyx_string_tab[17]
-#define __pyx_kp_u_node __pyx_string_tab[18]
-#define __pyx_kp_u_numpy__core_multiarray_failed_to __pyx_string_tab[19]
-#define __pyx_kp_u_numpy__core_umath_failed_to_impo __pyx_string_tab[20]
-#define __pyx_kp_u_parentwise_bfs __pyx_string_tab[21]
-#define __pyx_kp_u_refusing_to_mark_hidden_True_nod __pyx_string_tab[22]
-#define __pyx_kp_u_self_rng_cannot_be_converted_to __pyx_string_tab[23]
-#define __pyx_kp_u_src_ckplab__kernel_pyx __pyx_string_tab[24]
-#define __pyx_kp_u_stringsource __pyx_string_tab[25]
-#define __pyx_kp_u_survival_potential_fell_by __pyx_string_tab[26]
-#define __pyx_kp_u_the_compiled_engine_has_no_adver __pyx_string_tab[27]
-#define __pyx_n_u_AllWeightsZero __pyx_string_tab[28]
-#define __pyx_n_u_AuditViolation __pyx_string_tab[29]
-#define __pyx_n_u_CF __pyx_string_tab[30]
-#define __pyx_n_u_CT __pyx_string_tab[31]
-#define __pyx_n_u_CkpState __pyx_string_tab[32]
-#define __pyx_n_u_KERNEL_READY __pyx_string_tab[33]
-#define __pyx_n_u_KernelEngine __pyx_string_tab[34]
-#define __pyx_n_u_KernelEngine___reduce_cython __pyx_string_tab[35]
-#define __pyx_n_u_KernelEngine___setstate_cython __pyx_string_tab[36]
-#define __pyx_n_u_KernelEngine_counts __pyx_string_tab[37]
-#define __pyx_n_u_KernelEngine_export_bookkeeping __pyx_string_tab[38]
-#define __pyx_n_u_KernelEngine_export_state __pyx_string_tab[39]
-#define __pyx_n_u_KernelEngine_run __pyx_string_tab[40]
-#define __pyx_n_u_MECHANISM_CODES __pyx_string_tab[41]
-#define __pyx_n_u_PCG64 __pyx_string_tab[42]
-#define __pyx_n_u_PF_2 __pyx_string_tab[43]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[44]
-#define __pyx_n_u_StateError __pyx_string_tab[45]
-#define __pyx_n_u__2 __pyx_string_tab[46]
-#define __pyx_n_u_adversarial __pyx_string_tab[47]
-#define __pyx_n_u_adversary_budget __pyx_string_tab[48]
-#define __pyx_n_u_adversary_rate __pyx_string_tab[49]
-#define __pyx_n_u_annotate __pyx_string_tab[50]
-#define __pyx_n_u_append __pyx_string_tab[51]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[52]
-#define __pyx_n_u_attach __pyx_string_tab[53]
-#define __pyx_n_u_attachment __pyx_string_tab[54]
-#define __pyx_n_u_audit_cheap __pyx_string_tab[55]
-#define __pyx_n_u_bfs __pyx_string_tab[56]
-#define __pyx_n_u_birth __pyx_string_tab[57]
-#define __pyx_n_u_capsule __pyx_string_tab[58]
-#define __pyx_n_u_check_depth __pyx_string_tab[59]
-#define __pyx_n_u_check_rate __pyx_string_tab[60]
-#define __pyx_n_u_checkpoint_steps __pyx_string_tab[61]
-#define __pyx_n_u_checkpoints __pyx_string_tab[62]
-#define __pyx_n_u_children __pyx_string_tab[63]
-#define __pyx_n_u_ckplab__kernel __pyx_string_tab[64]
-#define __pyx_n_u_class_getitem __pyx_string_tab[65]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[66]
-#define __pyx_n_u_complete __pyx_string_tab[67]
-#define __pyx_n_u_counts __pyx_string_tab[68]
-#define __pyx_n_u_cum __pyx_string_tab[69]
-#define __pyx_n_u_deg_ct __pyx_string_tab[70]
-#define __pyx_n_u_deg_pt __pyx_string_tab[71]
-#define __pyx_n_u_detection_rate __pyx_string_tab[72]
-#define __pyx_n_u_eliminated __pyx_string_tab[73]
-#define __pyx_n_u_eliminated_at __pyx_string_tab[74]
-#define __pyx_n_u_error_rate __pyx_string_tab[75]
-#define __pyx_n_u_evaluate __pyx_string_tab[76]
-#define __pyx_n_u_evolution __pyx_string_tab[77]
-#define __pyx_n_u_export_bookkeeping __pyx_string_tab[78]
-#define __pyx_n_u_export_state __pyx_string_tab[79]
-#define __pyx_n_u_f_count __pyx_string_tab[80]
-#define __pyx_n_u_f_mem __pyx_string_tab[81]
-#define __pyx_n_u_features __pyx_string_tab[82]
-#define __pyx_n_u_final_counts __pyx_string_tab[83]
-#define __pyx_n_u_func __pyx_string_tab[84]
-#define __pyx_n_u_getstate __pyx_string_tab[85]
-#define __pyx_n_u_horizon __pyx_string_tab[86]
-#define __pyx_n_u_init_state __pyx_string_tab[87]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[88]
-#define __pyx_n_u_is_false __pyx_string_tab[89]
-#define __pyx_n_u_items __pyx_string_tab[90]
-#define __pyx_n_u_j __pyx_string_tab[91]
-#define __pyx_n_u_l_count __pyx_string_tab[92]
-#define __pyx_n_u_l_mem __pyx_string_tab[93]
-#define __pyx_n_u_labels __pyx_string_tab[94]
-#define __pyx_n_u_leaves __pyx_string_tab[95]
-#define __pyx_n_u_main __pyx_string_tab[96]
-#define __pyx_n_u_max __pyx_string_tab[97]
-#define __pyx_n_u_mechanism __pyx_string_tab[98]
-#define __pyx_n_u_minimal_false __pyx_string_tab[99]
-#define __pyx_n_u_module __pyx_string_tab[100]
-#define __pyx_n_u_n __pyx_string_tab[101]
-#define __pyx_n_u_name __pyx_string_tab[102]
-#define __pyx_n_u_nodes __pyx_string_tab[103]
-#define __pyx_n_u_numpy_random __pyx_string_tab[104]
-#define __pyx_n_u_parent_count __pyx_string_tab[105]
-#define __pyx_n_u_parents __pyx_string_tab[106]
-#define __pyx_n_u_path_only_marking __pyx_string_tab[107]
-#define __pyx_n_u_pending __pyx_string_tab[108]
-#define __pyx_n_u_pf __pyx_string_tab[109]
-#define __pyx_n_u_pf_child_len __pyx_string_tab[110]
-#define __pyx_n_u_pf_count __pyx_string_tab[111]
-#define __pyx_n_u_pf_exists __pyx_string_tab[112]
-#define __pyx_n_u_pf_parent_edges __pyx_string_tab[113]
-#define __pyx_n_u_pf_total __pyx_string_tab[114]
-#define __pyx_n_u_pop __pyx_string_tab[115]
-#define __pyx_n_u_pt __pyx_string_tab[116]
-#define __pyx_n_u_pt_false __pyx_string_tab[117]
-#define __pyx_n_u_pyx_state __pyx_string_tab[118]
-#define __pyx_n_u_pyx_vtable __pyx_string_tab[119]
-#define __pyx_n_u_qualname __pyx_string_tab[120]
-#define __pyx_n_u_reduce __pyx_string_tab[121]
-#define __pyx_n_u_reduce_cython __pyx_string_tab[122]
-#define __pyx_n_u_reduce_ex __pyx_string_tab[123]
-#define __pyx_n_u_run __pyx_string_tab[124]
-#define __pyx_n_u_seed __pyx_string_tab[125]
-#define __pyx_n_u_self __pyx_string_tab[126]
-#define __pyx_n_u_set_name __pyx_string_tab[127]
-#define __pyx_n_u_setdefault __pyx_string_tab[128]
-#define __pyx_n_u_setstate __pyx_string_tab[129]
-#define __pyx_n_u_setstate_cython __pyx_string_tab[130]
-#define __pyx_n_u_simple __pyx_string_tab[131]
-#define __pyx_n_u_st __pyx_string_tab[132]
-#define __pyx_n_u_state __pyx_string_tab[133]
-#define __pyx_n_u_state_mod __pyx_string_tab[134]
-#define __pyx_n_u_step __pyx_string_tab[135]
-#define __pyx_n_u_step_index __pyx_string_tab[136]
-#define __pyx_n_u_stopped __pyx_string_tab[137]
-#define __pyx_n_u_stopped_at __pyx_string_tab[138]
-#define __pyx_n_u_stopped_now __pyx_string_tab[139]
-#define __pyx_n_u_stringy __pyx_string_tab[140]
-#define __pyx_n_u_support __pyx_string_tab[141]
-#define __pyx_n_u_survived_at_horizon __pyx_string_tab[142]
-#define __pyx_n_u_t __pyx_string_tab[143]
-#define __pyx_n_u_test __pyx_string_tab[144]
-#define __pyx_n_u_v __pyx_string_tab[145]
-#define __pyx_n_u_values __pyx_string_tab[146]
-#define __pyx_n_u_weight_positive __pyx_string_tab[147]
-#define __pyx_n_u_weight_total __pyx_string_tab[148]
-#define __pyx_n_u_weights __pyx_string_tab[149]
-#define __pyx_n_u_zero_since __pyx_string_tab[150]
-#define __pyx_kp_b_iso88591_0_AQ_a_hd_S_wb_t1D_G1_E_as_A_gQ __pyx_string_tab[151]
-#define __pyx_kp_b_iso88591_A_V4we1_Q_4_4q_Q_q_HAS_E_at1_D_t __pyx_string_tab[152]
-#define __pyx_kp_b_iso88591_A_V4we1_Q_Bd_A_a_T_d __pyx_string_tab[153]
-#define __pyx_kp_b_iso88591_A_V4we1_XQ_E_aq_gWAT_iwat1D_fG1D __pyx_string_tab[154]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[155]
-#define __pyx_int_0 __pyx_number_tab[0]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_dtype);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_flatiter);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_broadcast);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_ndarray);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_generic);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_number);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_integer);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_signedinteger);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_unsignedinteger);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_inexact);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_floating);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_complexfloating);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_flexible);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_character);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_ufunc);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_6random_13bit_generator_BitGenerator);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_6random_13bit_generator_SeedSequence);
-  Py_CLEAR(clear_module_state->__pyx_ptype_5numpy_6random_13bit_generator_SeedlessSequence);
-  Py_CLEAR(clear_module_state->__pyx_ptype_6ckplab_7_kernel_KernelEngine);
-  Py_CLEAR(clear_module_state->__pyx_type_6ckplab_7_kernel_KernelEngine);
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<6; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<156; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_7cpython_4type_type);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_dtype);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_flatiter);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_broadcast);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_ndarray);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_generic);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_number);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_integer);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_signedinteger);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_unsignedinteger);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_inexact);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_floating);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_complexfloating);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_flexible);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_character);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_ufunc);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_6random_13bit_generator_BitGenerator);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_6random_13bit_generator_SeedSequence);
-  Py_VISIT(traverse_module_state->__pyx_ptype_5numpy_6random_13bit_generator_SeedlessSequence);
-  Py_VISIT(traverse_module_state->__pyx_ptype_6ckplab_7_kernel_KernelEngine);
-  Py_VISIT(traverse_module_state->__pyx_type_6ckplab_7_kernel_KernelEngine);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<6; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<156; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":286
- *         cdef int type_num
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp itemsize(self) noexcept nogil:
- *             return PyDataType_ELSIZE(self)
-*/
-
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_5dtype_8itemsize_itemsize(PyArray_Descr *__pyx_v_self) {
-  npy_intp __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":288
- *         @property
- *         cdef inline npy_intp itemsize(self) noexcept nogil:
- *             return PyDataType_ELSIZE(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyDataType_ELSIZE(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":286
- *         cdef int type_num
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp itemsize(self) noexcept nogil:
- *             return PyDataType_ELSIZE(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":290
- *             return PyDataType_ELSIZE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp alignment(self) noexcept nogil:
- *             return PyDataType_ALIGNMENT(self)
-*/
-
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_5dtype_9alignment_alignment(PyArray_Descr *__pyx_v_self) {
-  npy_intp __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":292
- *         @property
- *         cdef inline npy_intp alignment(self) noexcept nogil:
- *             return PyDataType_ALIGNMENT(self)             # <<<<<<<<<<<<<<
- * 
- *         # Use fields/names with care as they may be NULL.  You must check
-*/
-  __pyx_r = PyDataType_ALIGNMENT(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":290
- *             return PyDataType_ELSIZE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp alignment(self) noexcept nogil:
- *             return PyDataType_ALIGNMENT(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":296
- *         # Use fields/names with care as they may be NULL.  You must check
- *         # for this using PyDataType_HASFIELDS.
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline object fields(self):
- *             return <object>PyDataType_FIELDS(self)
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_5dtype_6fields_fields(PyArray_Descr *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1;
-  __Pyx_RefNannySetupContext("fields", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":298
- *         @property
- *         cdef inline object fields(self):
- *             return <object>PyDataType_FIELDS(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = PyDataType_FIELDS(__pyx_v_self);
-  __Pyx_INCREF(((PyObject *)__pyx_t_1));
-  __pyx_r = ((PyObject *)__pyx_t_1);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":296
- *         # Use fields/names with care as they may be NULL.  You must check
- *         # for this using PyDataType_HASFIELDS.
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline object fields(self):
- *             return <object>PyDataType_FIELDS(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":300
- *             return <object>PyDataType_FIELDS(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline tuple names(self):
- *             return <tuple>PyDataType_NAMES(self)
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_5dtype_5names_names(PyArray_Descr *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1;
-  __Pyx_RefNannySetupContext("names", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":302
- *         @property
- *         cdef inline tuple names(self):
- *             return <tuple>PyDataType_NAMES(self)             # <<<<<<<<<<<<<<
- * 
- *         # Use PyDataType_HASSUBARRAY to test whether this field is
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = PyDataType_NAMES(__pyx_v_self);
-  __Pyx_INCREF(((PyObject*)__pyx_t_1));
-  __pyx_r = ((PyObject*)__pyx_t_1);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":300
- *             return <object>PyDataType_FIELDS(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline tuple names(self):
- *             return <tuple>PyDataType_NAMES(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":307
- *         # valid (the pointer can be NULL). Most users should access
- *         # this field via the inline helper method PyDataType_SHAPE.
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline PyArray_ArrayDescr* subarray(self) noexcept nogil:
- *             return PyDataType_SUBARRAY(self)
-*/
-
-static CYTHON_INLINE PyArray_ArrayDescr *__pyx_f_5numpy_5dtype_8subarray_subarray(PyArray_Descr *__pyx_v_self) {
-  PyArray_ArrayDescr *__pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":309
- *         @property
- *         cdef inline PyArray_ArrayDescr* subarray(self) noexcept nogil:
- *             return PyDataType_SUBARRAY(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyDataType_SUBARRAY(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":307
- *         # valid (the pointer can be NULL). Most users should access
- *         # this field via the inline helper method PyDataType_SHAPE.
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline PyArray_ArrayDescr* subarray(self) noexcept nogil:
- *             return PyDataType_SUBARRAY(self)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":311
- *             return PyDataType_SUBARRAY(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_uint64 flags(self) noexcept nogil:
- *             """The data types flags."""
-*/
-
-static CYTHON_INLINE npy_uint64 __pyx_f_5numpy_5dtype_5flags_flags(PyArray_Descr *__pyx_v_self) {
-  npy_uint64 __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":314
- *         cdef inline npy_uint64 flags(self) noexcept nogil:
- *             """The data types flags."""
- *             return PyDataType_FLAGS(self)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = PyDataType_FLAGS(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":311
- *             return PyDataType_SUBARRAY(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_uint64 flags(self) noexcept nogil:
- *             """The data types flags."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":323
- *     ctypedef class numpy.broadcast [object PyArrayMultiIterObject, check_size ignore]:
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline int numiter(self) noexcept nogil:
- *             """The number of arrays that need to be broadcast to the same shape."""
-*/
-
-static CYTHON_INLINE int __pyx_f_5numpy_9broadcast_7numiter_numiter(PyArrayMultiIterObject *__pyx_v_self) {
-  int __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":326
- *         cdef inline int numiter(self) noexcept nogil:
- *             """The number of arrays that need to be broadcast to the same shape."""
- *             return PyArray_MultiIter_NUMITER(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_MultiIter_NUMITER(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":323
- *     ctypedef class numpy.broadcast [object PyArrayMultiIterObject, check_size ignore]:
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline int numiter(self) noexcept nogil:
- *             """The number of arrays that need to be broadcast to the same shape."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":328
- *             return PyArray_MultiIter_NUMITER(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp size(self) noexcept nogil:
- *             """The total broadcasted size."""
-*/
-
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_9broadcast_4size_size(PyArrayMultiIterObject *__pyx_v_self) {
-  npy_intp __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":331
- *         cdef inline npy_intp size(self) noexcept nogil:
- *             """The total broadcasted size."""
- *             return PyArray_MultiIter_SIZE(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_MultiIter_SIZE(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":328
- *             return PyArray_MultiIter_NUMITER(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp size(self) noexcept nogil:
- *             """The total broadcasted size."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":333
- *             return PyArray_MultiIter_SIZE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp index(self) noexcept nogil:
- *             """The current (1-d) index into the broadcasted result."""
-*/
-
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_9broadcast_5index_index(PyArrayMultiIterObject *__pyx_v_self) {
-  npy_intp __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":336
- *         cdef inline npy_intp index(self) noexcept nogil:
- *             """The current (1-d) index into the broadcasted result."""
- *             return PyArray_MultiIter_INDEX(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_MultiIter_INDEX(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":333
- *             return PyArray_MultiIter_SIZE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp index(self) noexcept nogil:
- *             """The current (1-d) index into the broadcasted result."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":338
- *             return PyArray_MultiIter_INDEX(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline int nd(self) noexcept nogil:
- *             """The number of dimensions in the broadcasted result."""
-*/
-
-static CYTHON_INLINE int __pyx_f_5numpy_9broadcast_2nd_nd(PyArrayMultiIterObject *__pyx_v_self) {
-  int __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":341
- *         cdef inline int nd(self) noexcept nogil:
- *             """The number of dimensions in the broadcasted result."""
- *             return PyArray_MultiIter_NDIM(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_MultiIter_NDIM(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":338
- *             return PyArray_MultiIter_INDEX(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline int nd(self) noexcept nogil:
- *             """The number of dimensions in the broadcasted result."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":343
- *             return PyArray_MultiIter_NDIM(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp* dimensions(self) noexcept nogil:
- *             """The shape of the broadcasted result."""
-*/
-
-static CYTHON_INLINE npy_intp *__pyx_f_5numpy_9broadcast_10dimensions_dimensions(PyArrayMultiIterObject *__pyx_v_self) {
-  npy_intp *__pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":346
- *         cdef inline npy_intp* dimensions(self) noexcept nogil:
- *             """The shape of the broadcasted result."""
- *             return PyArray_MultiIter_DIMS(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_MultiIter_DIMS(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":343
- *             return PyArray_MultiIter_NDIM(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp* dimensions(self) noexcept nogil:
- *             """The shape of the broadcasted result."""
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":348
- *             return PyArray_MultiIter_DIMS(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline void** iters(self) noexcept nogil:
- *             """An array of iterator objects that holds the iterators for the arrays to be broadcast together.
-*/
-
-static CYTHON_INLINE void **__pyx_f_5numpy_9broadcast_5iters_iters(PyArrayMultiIterObject *__pyx_v_self) {
-  void **__pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":352
- *             """An array of iterator objects that holds the iterators for the arrays to be broadcast together.
- *             On return, the iterators are adjusted for broadcasting."""
- *             return PyArray_MultiIter_ITERS(self)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = PyArray_MultiIter_ITERS(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":348
- *             return PyArray_MultiIter_DIMS(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline void** iters(self) noexcept nogil:
- *             """An array of iterator objects that holds the iterators for the arrays to be broadcast together.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":366
- *         # Instead, we use properties that map to the corresponding C-API functions.
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline PyObject* base(self) noexcept nogil:
- *             """Returns a borrowed reference to the object owning the data/memory.
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_7ndarray_4base_base(PyArrayObject *__pyx_v_self) {
-  PyObject *__pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":370
- *             """Returns a borrowed reference to the object owning the data/memory.
- *             """
- *             return PyArray_BASE(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_BASE(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":366
- *         # Instead, we use properties that map to the corresponding C-API functions.
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline PyObject* base(self) noexcept nogil:
- *             """Returns a borrowed reference to the object owning the data/memory.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":372
- *             return PyArray_BASE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline dtype descr(self):
- *             """Returns an owned reference to the dtype of the array.
-*/
-
-static CYTHON_INLINE PyArray_Descr *__pyx_f_5numpy_7ndarray_5descr_descr(PyArrayObject *__pyx_v_self) {
-  PyArray_Descr *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyArray_Descr *__pyx_t_1;
-  __Pyx_RefNannySetupContext("descr", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":376
- *             """Returns an owned reference to the dtype of the array.
- *             """
- *             return <dtype>PyArray_DESCR(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __Pyx_XDECREF((PyObject *)__pyx_r);
-  __pyx_t_1 = PyArray_DESCR(__pyx_v_self);
-  __Pyx_INCREF((PyObject *)((PyArray_Descr *)__pyx_t_1));
-  __pyx_r = ((PyArray_Descr *)__pyx_t_1);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":372
- *             return PyArray_BASE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline dtype descr(self):
- *             """Returns an owned reference to the dtype of the array.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF((PyObject *)__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":378
- *             return <dtype>PyArray_DESCR(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline int ndim(self) noexcept nogil:
- *             """Returns the number of dimensions in the array.
-*/
-
-static CYTHON_INLINE int __pyx_f_5numpy_7ndarray_4ndim_ndim(PyArrayObject *__pyx_v_self) {
-  int __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":382
- *             """Returns the number of dimensions in the array.
- *             """
- *             return PyArray_NDIM(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_NDIM(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":378
- *             return <dtype>PyArray_DESCR(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline int ndim(self) noexcept nogil:
- *             """Returns the number of dimensions in the array.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":384
- *             return PyArray_NDIM(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp *shape(self) noexcept nogil:
- *             """Returns a pointer to the dimensions/shape of the array.
-*/
-
-static CYTHON_INLINE npy_intp *__pyx_f_5numpy_7ndarray_5shape_shape(PyArrayObject *__pyx_v_self) {
-  npy_intp *__pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":390
- *             Can return NULL for 0-dimensional arrays.
- *             """
- *             return PyArray_DIMS(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_DIMS(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":384
- *             return PyArray_NDIM(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp *shape(self) noexcept nogil:
- *             """Returns a pointer to the dimensions/shape of the array.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":392
- *             return PyArray_DIMS(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp *strides(self) noexcept nogil:
- *             """Returns a pointer to the strides of the array.
-*/
-
-static CYTHON_INLINE npy_intp *__pyx_f_5numpy_7ndarray_7strides_strides(PyArrayObject *__pyx_v_self) {
-  npy_intp *__pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":397
- *             The number of elements matches the number of dimensions of the array (ndim).
- *             """
- *             return PyArray_STRIDES(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_STRIDES(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":392
- *             return PyArray_DIMS(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp *strides(self) noexcept nogil:
- *             """Returns a pointer to the strides of the array.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":399
- *             return PyArray_STRIDES(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp size(self) noexcept nogil:
- *             """Returns the total size (in number of elements) of the array.
-*/
-
-static CYTHON_INLINE npy_intp __pyx_f_5numpy_7ndarray_4size_size(PyArrayObject *__pyx_v_self) {
-  npy_intp __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":403
- *             """Returns the total size (in number of elements) of the array.
- *             """
- *             return PyArray_SIZE(self)             # <<<<<<<<<<<<<<
- * 
- *         @property
-*/
-  __pyx_r = PyArray_SIZE(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":399
- *             return PyArray_STRIDES(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline npy_intp size(self) noexcept nogil:
- *             """Returns the total size (in number of elements) of the array.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":405
- *             return PyArray_SIZE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline char* data(self) noexcept nogil:
- *             """The pointer to the data buffer as a char*.
-*/
-
-static CYTHON_INLINE char *__pyx_f_5numpy_7ndarray_4data_data(PyArrayObject *__pyx_v_self) {
-  char *__pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":412
- *             of `PyArray_DATA()` instead, which returns a 'void*'.
- *             """
- *             return PyArray_BYTES(self)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = PyArray_BYTES(__pyx_v_self);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":405
- *             return PyArray_SIZE(self)
- * 
- *         @property             # <<<<<<<<<<<<<<
- *         cdef inline char* data(self) noexcept nogil:
- *             """The pointer to the data buffer as a char*.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":824
- * ctypedef long double complex clongdouble_t
- * 
- * cdef inline object PyArray_MultiIterNew1(a):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(1, <void*>a)
- * 
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_PyArray_MultiIterNew1(PyObject *__pyx_v_a) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("PyArray_MultiIterNew1", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":825
- * 
- * cdef inline object PyArray_MultiIterNew1(a):
- *     return PyArray_MultiIterNew(1, <void*>a)             # <<<<<<<<<<<<<<
- * 
- * cdef inline object PyArray_MultiIterNew2(a, b):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = PyArray_MultiIterNew(1, ((void *)__pyx_v_a)); if (unlikely(!__pyx_t_1)) __PYX_ERR(1, 825, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":824
- * ctypedef long double complex clongdouble_t
- * 
- * cdef inline object PyArray_MultiIterNew1(a):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(1, <void*>a)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("numpy.PyArray_MultiIterNew1", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":827
- *     return PyArray_MultiIterNew(1, <void*>a)
- * 
- * cdef inline object PyArray_MultiIterNew2(a, b):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(2, <void*>a, <void*>b)
- * 
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_PyArray_MultiIterNew2(PyObject *__pyx_v_a, PyObject *__pyx_v_b) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("PyArray_MultiIterNew2", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":828
- * 
- * cdef inline object PyArray_MultiIterNew2(a, b):
- *     return PyArray_MultiIterNew(2, <void*>a, <void*>b)             # <<<<<<<<<<<<<<
- * 
- * cdef inline object PyArray_MultiIterNew3(a, b, c):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = PyArray_MultiIterNew(2, ((void *)__pyx_v_a), ((void *)__pyx_v_b)); if (unlikely(!__pyx_t_1)) __PYX_ERR(1, 828, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":827
- *     return PyArray_MultiIterNew(1, <void*>a)
- * 
- * cdef inline object PyArray_MultiIterNew2(a, b):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(2, <void*>a, <void*>b)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("numpy.PyArray_MultiIterNew2", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":830
- *     return PyArray_MultiIterNew(2, <void*>a, <void*>b)
- * 
- * cdef inline object PyArray_MultiIterNew3(a, b, c):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(3, <void*>a, <void*>b, <void*> c)
- * 
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_PyArray_MultiIterNew3(PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_c) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("PyArray_MultiIterNew3", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":831
- * 
- * cdef inline object PyArray_MultiIterNew3(a, b, c):
- *     return PyArray_MultiIterNew(3, <void*>a, <void*>b, <void*> c)             # <<<<<<<<<<<<<<
- * 
- * cdef inline object PyArray_MultiIterNew4(a, b, c, d):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = PyArray_MultiIterNew(3, ((void *)__pyx_v_a), ((void *)__pyx_v_b), ((void *)__pyx_v_c)); if (unlikely(!__pyx_t_1)) __PYX_ERR(1, 831, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":830
- *     return PyArray_MultiIterNew(2, <void*>a, <void*>b)
- * 
- * cdef inline object PyArray_MultiIterNew3(a, b, c):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(3, <void*>a, <void*>b, <void*> c)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("numpy.PyArray_MultiIterNew3", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":833
- *     return PyArray_MultiIterNew(3, <void*>a, <void*>b, <void*> c)
- * 
- * cdef inline object PyArray_MultiIterNew4(a, b, c, d):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(4, <void*>a, <void*>b, <void*>c, <void*> d)
- * 
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_PyArray_MultiIterNew4(PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_c, PyObject *__pyx_v_d) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("PyArray_MultiIterNew4", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":834
- * 
- * cdef inline object PyArray_MultiIterNew4(a, b, c, d):
- *     return PyArray_MultiIterNew(4, <void*>a, <void*>b, <void*>c, <void*> d)             # <<<<<<<<<<<<<<
- * 
- * cdef inline object PyArray_MultiIterNew5(a, b, c, d, e):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = PyArray_MultiIterNew(4, ((void *)__pyx_v_a), ((void *)__pyx_v_b), ((void *)__pyx_v_c), ((void *)__pyx_v_d)); if (unlikely(!__pyx_t_1)) __PYX_ERR(1, 834, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":833
- *     return PyArray_MultiIterNew(3, <void*>a, <void*>b, <void*> c)
- * 
- * cdef inline object PyArray_MultiIterNew4(a, b, c, d):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(4, <void*>a, <void*>b, <void*>c, <void*> d)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("numpy.PyArray_MultiIterNew4", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":836
- *     return PyArray_MultiIterNew(4, <void*>a, <void*>b, <void*>c, <void*> d)
- * 
- * cdef inline object PyArray_MultiIterNew5(a, b, c, d, e):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(5, <void*>a, <void*>b, <void*>c, <void*> d, <void*> e)
- * 
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_PyArray_MultiIterNew5(PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_c, PyObject *__pyx_v_d, PyObject *__pyx_v_e) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("PyArray_MultiIterNew5", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":837
- * 
- * cdef inline object PyArray_MultiIterNew5(a, b, c, d, e):
- *     return PyArray_MultiIterNew(5, <void*>a, <void*>b, <void*>c, <void*> d, <void*> e)             # <<<<<<<<<<<<<<
- * 
- * cdef inline tuple PyDataType_SHAPE(dtype d):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = PyArray_MultiIterNew(5, ((void *)__pyx_v_a), ((void *)__pyx_v_b), ((void *)__pyx_v_c), ((void *)__pyx_v_d), ((void *)__pyx_v_e)); if (unlikely(!__pyx_t_1)) __PYX_ERR(1, 837, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":836
- *     return PyArray_MultiIterNew(4, <void*>a, <void*>b, <void*>c, <void*> d)
- * 
- * cdef inline object PyArray_MultiIterNew5(a, b, c, d, e):             # <<<<<<<<<<<<<<
- *     return PyArray_MultiIterNew(5, <void*>a, <void*>b, <void*>c, <void*> d, <void*> e)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_AddTraceback("numpy.PyArray_MultiIterNew5", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":839
- *     return PyArray_MultiIterNew(5, <void*>a, <void*>b, <void*>c, <void*> d, <void*> e)
- * 
- * cdef inline tuple PyDataType_SHAPE(dtype d):             # <<<<<<<<<<<<<<
- *     if PyDataType_HASSUBARRAY(d):
- *         return <tuple>d.subarray.shape
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_PyDataType_SHAPE(PyArray_Descr *__pyx_v_d) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2;
-  __Pyx_RefNannySetupContext("PyDataType_SHAPE", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":840
- * 
- * cdef inline tuple PyDataType_SHAPE(dtype d):
- *     if PyDataType_HASSUBARRAY(d):             # <<<<<<<<<<<<<<
- *         return <tuple>d.subarray.shape
- *     else:
-*/
-  __pyx_t_1 = PyDataType_HASSUBARRAY(__pyx_v_d);
-  if (__pyx_t_1) {
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":841
- * cdef inline tuple PyDataType_SHAPE(dtype d):
- *     if PyDataType_HASSUBARRAY(d):
- *         return <tuple>d.subarray.shape             # <<<<<<<<<<<<<<
- *     else:
- *         return ()
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_2 = __pyx_f_5numpy_5dtype_8subarray_subarray(__pyx_v_d)->shape;
-    __Pyx_INCREF(((PyObject*)__pyx_t_2));
-    __pyx_r = ((PyObject*)__pyx_t_2);
-    goto __pyx_L0;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":840
- * 
- * cdef inline tuple PyDataType_SHAPE(dtype d):
- *     if PyDataType_HASSUBARRAY(d):             # <<<<<<<<<<<<<<
- *         return <tuple>d.subarray.shape
- *     else:
-*/
+const int8_t CT = 0;
+const int8_t CF = 1;
+const int8_t PF = 2;
+
+enum Mechanism { STRINGY, BFS, EXHAUSTIVE, PARENTWISE, COMPLETE };
+
+const char *const MECHANISM_NAMES[] = {
+    "stringy", "bfs", "exhaustive-bfs", "parentwise-bfs", "complete"};
+
+// Python objects the module resolves once, at import.
+PyObject *AllWeightsZero = nullptr;   // ckplab.attachment
+PyObject *AuditViolation = nullptr;   // ckplab.evolution
+PyObject *StateError = nullptr;       // ckplab.state
+PyObject *CkpStateType = nullptr;     // ckplab.state.CkpState
+PyObject *PCG64Type = nullptr;        // numpy.random.PCG64
+
+// Thrown once a Python exception is set.
+struct PyError {};
+
+[[noreturn]] void fail() { throw PyError(); }
+
+// One owned reference.
+class Ref {
+ public:
+  explicit Ref(PyObject *obj = nullptr) : obj_(obj) {}
+  ~Ref() { Py_XDECREF(obj_); }
+  Ref(const Ref &) = delete;
+  Ref &operator=(const Ref &) = delete;
+  PyObject *get() const { return obj_; }
+  void reset(PyObject *obj) {
+    Py_XDECREF(obj_);
+    obj_ = obj;
+  }
+  PyObject *release() {
+    PyObject *obj = obj_;
+    obj_ = nullptr;
+    return obj;
   }
 
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":843
- *         return <tuple>d.subarray.shape
- *     else:
- *         return ()             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  /*else*/ {
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_empty_tuple);
-    __pyx_r = __pyx_mstate_global->__pyx_empty_tuple;
-    goto __pyx_L0;
+ private:
+  PyObject *obj_;
+};
+
+PyObject *check(PyObject *obj) {
+  if (obj == nullptr) fail();
+  return obj;
+}
+
+PyObject *attr(PyObject *obj, const char *name) {
+  return check(PyObject_GetAttrString(obj, name));
+}
+
+long long as_long(PyObject *obj) {
+  long long x = PyLong_AsLongLong(obj);
+  if (x == -1 && PyErr_Occurred()) fail();
+  return x;
+}
+
+double as_double(PyObject *obj) {
+  double x = PyFloat_AsDouble(obj);
+  if (x == -1.0 && PyErr_Occurred()) fail();
+  return x;
+}
+
+bool truth(PyObject *obj) {
+  int t = PyObject_IsTrue(obj);
+  if (t < 0) fail();
+  return t != 0;
+}
+
+// A list or tuple view of any sequence, with its length.
+struct Seq {
+  Ref seq;
+  Py_ssize_t size;
+  PyObject **items;
+  Seq(PyObject *obj, const char *what)
+      : seq(check(PySequence_Fast(obj, what))),
+        size(PySequence_Fast_GET_SIZE(seq.get())),
+        items(PySequence_Fast_ITEMS(seq.get())) {}
+};
+
+// Per-node fields read together by the ball walk and the bookkeeping.
+struct Node {
+  int32_t first;      // CSR offset of the first parent edge
+  int32_t npar;       // parent edges, repeats included
+  int32_t pf_parent;  // parent edges leading to a PF node
+  uint32_t seen;      // ball-walk stamp
+  int32_t depth;      // ball-walk depth, valid while seen is current
+  int32_t deg_pt;     // child edges whose child is CT or CF
+  int32_t deg_ct;     // child edges whose child is CT
+  int8_t label;
+  int8_t is_false;
+  int8_t f_mem;       // minimal false
+  int8_t l_mem;       // CT non-root leaf, in the mode's sense
+};
+static_assert(sizeof(Node) == 32, "Node should fill half a cache line");
+
+class Engine {
+ public:
+  Engine(PyObject *features, PyObject *init_state, PyObject *seed,
+         bool audit_cheap);
+
+  bool step();
+  PyObject *counts() const;
+  PyObject *run(int horizon, PyObject *checkpoint_steps);
+  PyObject *export_state() const;
+  PyObject *export_bookkeeping() const;
+
+ private:
+  // randomness, mirroring SimChooser
+  double draw() { return rng_->next_double(rng_->state); }
+  bool maybe(double p) {
+    if (p <= 0) return false;
+    if (p >= 1) return true;
+    return draw() < p;
   }
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":839
- *     return PyArray_MultiIterNew(5, <void*>a, <void*>b, <void*>c, <void*> d, <void*> e)
- * 
- * cdef inline tuple PyDataType_SHAPE(dtype d):             # <<<<<<<<<<<<<<
- *     if PyDataType_HASSUBARRAY(d):
- *         return <tuple>d.subarray.shape
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1035
- *     int _import_umath() except -1
- * 
- * cdef inline void set_array_base(ndarray arr, object base) except *:             # <<<<<<<<<<<<<<
- *     Py_INCREF(base) # important to do this before stealing the reference below!
- *     PyArray_SetBaseObject(arr, base)
-*/
-
-static CYTHON_INLINE void __pyx_f_5numpy_set_array_base(PyArrayObject *__pyx_v_arr, PyObject *__pyx_v_base) {
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1036
- * 
- * cdef inline void set_array_base(ndarray arr, object base) except *:
- *     Py_INCREF(base) # important to do this before stealing the reference below!             # <<<<<<<<<<<<<<
- *     PyArray_SetBaseObject(arr, base)
- * 
-*/
-  Py_INCREF(__pyx_v_base);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1037
- * cdef inline void set_array_base(ndarray arr, object base) except *:
- *     Py_INCREF(base) # important to do this before stealing the reference below!
- *     PyArray_SetBaseObject(arr, base)             # <<<<<<<<<<<<<<
- * 
- * cdef inline object get_array_base(ndarray arr):
-*/
-  __pyx_t_1 = PyArray_SetBaseObject(__pyx_v_arr, __pyx_v_base); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(1, 1037, __pyx_L1_error)
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1035
- *     int _import_umath() except -1
- * 
- * cdef inline void set_array_base(ndarray arr, object base) except *:             # <<<<<<<<<<<<<<
- *     Py_INCREF(base) # important to do this before stealing the reference below!
- *     PyArray_SetBaseObject(arr, base)
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("numpy.set_array_base", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1039
- *     PyArray_SetBaseObject(arr, base)
- * 
- * cdef inline object get_array_base(ndarray arr):             # <<<<<<<<<<<<<<
- *     base = PyArray_BASE(arr)
- *     if base is NULL:
-*/
-
-static CYTHON_INLINE PyObject *__pyx_f_5numpy_get_array_base(PyArrayObject *__pyx_v_arr) {
-  PyObject *__pyx_v_base;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  __Pyx_RefNannySetupContext("get_array_base", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1040
- * 
- * cdef inline object get_array_base(ndarray arr):
- *     base = PyArray_BASE(arr)             # <<<<<<<<<<<<<<
- *     if base is NULL:
- *         return None
-*/
-  __pyx_v_base = PyArray_BASE(__pyx_v_arr);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1041
- * cdef inline object get_array_base(ndarray arr):
- *     base = PyArray_BASE(arr)
- *     if base is NULL:             # <<<<<<<<<<<<<<
- *         return None
- *     return <object>base
-*/
-  __pyx_t_1 = (__pyx_v_base == NULL);
-  if (__pyx_t_1) {
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1042
- *     base = PyArray_BASE(arr)
- *     if base is NULL:
- *         return None             # <<<<<<<<<<<<<<
- *     return <object>base
- * 
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-    goto __pyx_L0;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1041
- * cdef inline object get_array_base(ndarray arr):
- *     base = PyArray_BASE(arr)
- *     if base is NULL:             # <<<<<<<<<<<<<<
- *         return None
- *     return <object>base
-*/
+  int uniform_index(int n) {
+    if (n == 1) return 0;
+    int i = static_cast<int>(draw() * n);
+    return i >= n ? n - 1 : i;
   }
+  int pmf_index();
 
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1043
- *     if base is NULL:
- *         return None
- *     return <object>base             # <<<<<<<<<<<<<<
- * 
- * # Versions of the import_* functions which are more suitable for
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(((PyObject *)__pyx_v_base));
-  __pyx_r = ((PyObject *)__pyx_v_base);
-  goto __pyx_L0;
+  double aval(int32_t d);
 
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1039
- *     PyArray_SetBaseObject(arr, base)
- * 
- * cdef inline object get_array_base(ndarray arr):             # <<<<<<<<<<<<<<
- *     base = PyArray_BASE(arr)
- *     if base is NULL:
-*/
+  // weight index, mirroring WeightIndex
+  void w_build(int32_t cap);
+  void w_append(double weight);
+  void w_set(int32_t i, double weight);
+  void w_add(int32_t i, double delta) {
+    for (int64_t j = static_cast<int64_t>(i) + 1; j <= wcap_; j += j & -j)
+      tree_[j] += delta;
+  }
+  int32_t w_select(double x);
 
-  /* function exit code */
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
+  // membership
+  static bool is_minimal_false(const Node &n) {
+    return n.label == CF || (n.label == CT && n.pf_parent > 0);
+  }
+  bool is_leaf(int32_t v) const {
+    const Node &n = nodes_[v];
+    if (n.label != CT || n.pf_parent > 0) return false;
+    return simple_ ? child_head_[v] < 0 : n.deg_ct == 0;
+  }
+  void refresh(int32_t v);
 
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1047
- * # Versions of the import_* functions which are more suitable for
- * # Cython code.
- * cdef inline int import_array() except -1:             # <<<<<<<<<<<<<<
- *     try:
- *         __pyx_import_array()
-*/
+  // growth and marking
+  void link_child(int32_t u, int32_t e);
+  int32_t add_node(int m, int8_t label);
+  void apply_marks();
+  int32_t child_count(int32_t w) const;
 
-static CYTHON_INLINE int __pyx_f_5numpy_import_array(void) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("import_array", 0);
+  // checking
+  uint32_t next_seen();
+  static uint32_t next_stamp(uint32_t &stamp, std::vector<uint32_t> &at);
+  bool flagged(const Node &n) {
+    bool hit = n.label == CF && maybe(detection_rate_);
+    return hit || n.pf_parent > 0;
+  }
+  void mark(int32_t w) {
+    if (marked_at_[w] != marked_stamp_) {
+      marked_at_[w] = marked_stamp_;
+      step_marked_.push_back(w);
+    }
+  }
+  void mark_closure(int32_t found, size_t visited);
+  int ball(int32_t start, int cap, bool sweep);
+  void check_stringy(int32_t v);
+  void run_check(int32_t v);
+  void cheap_audit();
 
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1048
- * # Cython code.
- * cdef inline int import_array() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         __pyx_import_array()
- *     except Exception:
-*/
+  // randomness: the PCG64 object owns the bitgen
+  Ref bitgen_owner_;
+  bitgen_t *rng_;
+  // features
+  Ref attach_;
+  double check_rate_, error_rate_, detection_rate_;
+  int check_depth_;
+  Mechanism mech_;
+  bool simple_;
+  int m_max_;
+  std::vector<int> law_support_;
+  std::vector<double> law_cum_;
+  std::vector<double> atab_;   // attachment weight by degree
+  // graph
+  std::vector<Node> nodes_;
+  std::vector<int32_t> edge_parent_;   // CSR, in insertion order
+  std::vector<int32_t> edge_child_;
+  std::vector<int32_t> edge_next_;     // next child edge of the same parent
+  std::vector<int32_t> child_head_, child_tail_;
+  std::vector<int32_t> birth_;
+  std::vector<uint8_t> advers_;
+  std::vector<int32_t> pf_child_len_;  // -1 while the node is PT
+  long long pf_total_;
+  // weight index
+  int32_t wsize_, wcap_, wmask_;
+  long long wpositive_;
+  double wtotal_;
+  std::vector<double> tree_, weights_;
+  // engine counters
+  bool stopped_;
+  long long step_index_, zero_since_;   // zero_since_ -1: nonzero now
+  long long pt_false_, pf_count_, f_count_, l_count_;
+  // scratch, reused every step
+  std::vector<int32_t> pbuf_;           // this step's parents
+  std::vector<int32_t> queue_;          // ball walk: popped prefix = order
+  std::vector<int32_t> finds_, walk_, step_marked_, touched_;
+  std::vector<uint32_t> closed_at_, marked_at_;
+  uint32_t seen_stamp_, closed_stamp_, marked_stamp_;
+  // cheap audit
+  bool audit_on_, track_delta_;
+  long long last_potential_;
+  int fixed_floor_;
+};
+
+Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
+               bool audit_cheap)
+    : bitgen_owner_(nullptr), rng_(nullptr), attach_(nullptr) {
   {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    __Pyx_ExceptionSave(&__pyx_t_1, &__pyx_t_2, &__pyx_t_3);
-    __Pyx_XGOTREF(__pyx_t_1);
-    __Pyx_XGOTREF(__pyx_t_2);
-    __Pyx_XGOTREF(__pyx_t_3);
-    /*try:*/ {
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1049
- * cdef inline int import_array() except -1:
- *     try:
- *         __pyx_import_array()             # <<<<<<<<<<<<<<
- *     except Exception:
- *         raise ImportError("numpy._core.multiarray failed to import")
-*/
-      __pyx_t_4 = _import_array(); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(1, 1049, __pyx_L3_error)
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1048
- * # Cython code.
- * cdef inline int import_array() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         __pyx_import_array()
- *     except Exception:
-*/
+    Ref rate(attr(features, "adversary_rate"));
+    Ref zero(check(PyLong_FromLong(0)));
+    int nonzero = PyObject_RichCompareBool(rate.get(), zero.get(), Py_NE);
+    if (nonzero < 0) fail();
+    if (nonzero) {
+      PyErr_SetString(PyExc_ValueError,
+                      "the compiled engine has no adversary support");
+      fail();
     }
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    goto __pyx_L8_try_end;
-    __pyx_L3_error:;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1050
- *     try:
- *         __pyx_import_array()
- *     except Exception:             # <<<<<<<<<<<<<<
- *         raise ImportError("numpy._core.multiarray failed to import")
- * 
-*/
-    __pyx_t_4 = __Pyx_PyErr_ExceptionMatches(((PyObject *)(((PyTypeObject*)PyExc_Exception))));
-    if (__pyx_t_4) {
-      __Pyx_AddTraceback("numpy.import_array", __pyx_clineno, __pyx_lineno, __pyx_filename);
-      if (__Pyx_GetException(&__pyx_t_5, &__pyx_t_6, &__pyx_t_7) < 0) __PYX_ERR(1, 1050, __pyx_L5_except_error)
-      __Pyx_XGOTREF(__pyx_t_5);
-      __Pyx_XGOTREF(__pyx_t_6);
-      __Pyx_XGOTREF(__pyx_t_7);
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1051
- *         __pyx_import_array()
- *     except Exception:
- *         raise ImportError("numpy._core.multiarray failed to import")             # <<<<<<<<<<<<<<
- * 
- * cdef inline int import_umath() except -1:
-*/
-      __pyx_t_9 = NULL;
-      __pyx_t_10 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_numpy__core_multiarray_failed_to};
-        __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ImportError)), __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_8)) __PYX_ERR(1, 1051, __pyx_L5_except_error)
-        __Pyx_GOTREF(__pyx_t_8);
-      }
-      __Pyx_Raise(__pyx_t_8, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __PYX_ERR(1, 1051, __pyx_L5_except_error)
-    }
-    goto __pyx_L5_except_error;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1048
- * # Cython code.
- * cdef inline int import_array() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         __pyx_import_array()
- *     except Exception:
-*/
-    __pyx_L5_except_error:;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __Pyx_XGIVEREF(__pyx_t_2);
-    __Pyx_XGIVEREF(__pyx_t_3);
-    __Pyx_ExceptionReset(__pyx_t_1, __pyx_t_2, __pyx_t_3);
-    goto __pyx_L1_error;
-    __pyx_L8_try_end:;
   }
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1047
- * # Versions of the import_* functions which are more suitable for
- * # Cython code.
- * cdef inline int import_array() except -1:             # <<<<<<<<<<<<<<
- *     try:
- *         __pyx_import_array()
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("numpy.import_array", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1053
- *         raise ImportError("numpy._core.multiarray failed to import")
- * 
- * cdef inline int import_umath() except -1:             # <<<<<<<<<<<<<<
- *     try:
- *         _import_umath()
-*/
-
-static CYTHON_INLINE int __pyx_f_5numpy_import_umath(void) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("import_umath", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1054
- * 
- * cdef inline int import_umath() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         _import_umath()
- *     except Exception:
-*/
+  bitgen_owner_.reset(check(PyObject_CallOneArg(PCG64Type, seed)));
   {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    __Pyx_ExceptionSave(&__pyx_t_1, &__pyx_t_2, &__pyx_t_3);
-    __Pyx_XGOTREF(__pyx_t_1);
-    __Pyx_XGOTREF(__pyx_t_2);
-    __Pyx_XGOTREF(__pyx_t_3);
-    /*try:*/ {
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1055
- * cdef inline int import_umath() except -1:
- *     try:
- *         _import_umath()             # <<<<<<<<<<<<<<
- *     except Exception:
- *         raise ImportError("numpy._core.umath failed to import")
-*/
-      __pyx_t_4 = _import_umath(); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(1, 1055, __pyx_L3_error)
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1054
- * 
- * cdef inline int import_umath() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         _import_umath()
- *     except Exception:
-*/
-    }
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    goto __pyx_L8_try_end;
-    __pyx_L3_error:;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1056
- *     try:
- *         _import_umath()
- *     except Exception:             # <<<<<<<<<<<<<<
- *         raise ImportError("numpy._core.umath failed to import")
- * 
-*/
-    __pyx_t_4 = __Pyx_PyErr_ExceptionMatches(((PyObject *)(((PyTypeObject*)PyExc_Exception))));
-    if (__pyx_t_4) {
-      __Pyx_AddTraceback("numpy.import_umath", __pyx_clineno, __pyx_lineno, __pyx_filename);
-      if (__Pyx_GetException(&__pyx_t_5, &__pyx_t_6, &__pyx_t_7) < 0) __PYX_ERR(1, 1056, __pyx_L5_except_error)
-      __Pyx_XGOTREF(__pyx_t_5);
-      __Pyx_XGOTREF(__pyx_t_6);
-      __Pyx_XGOTREF(__pyx_t_7);
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1057
- *         _import_umath()
- *     except Exception:
- *         raise ImportError("numpy._core.umath failed to import")             # <<<<<<<<<<<<<<
- * 
- * cdef inline int import_ufunc() except -1:
-*/
-      __pyx_t_9 = NULL;
-      __pyx_t_10 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_numpy__core_umath_failed_to_impo};
-        __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ImportError)), __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_8)) __PYX_ERR(1, 1057, __pyx_L5_except_error)
-        __Pyx_GOTREF(__pyx_t_8);
-      }
-      __Pyx_Raise(__pyx_t_8, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __PYX_ERR(1, 1057, __pyx_L5_except_error)
-    }
-    goto __pyx_L5_except_error;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1054
- * 
- * cdef inline int import_umath() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         _import_umath()
- *     except Exception:
-*/
-    __pyx_L5_except_error:;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __Pyx_XGIVEREF(__pyx_t_2);
-    __Pyx_XGIVEREF(__pyx_t_3);
-    __Pyx_ExceptionReset(__pyx_t_1, __pyx_t_2, __pyx_t_3);
-    goto __pyx_L1_error;
-    __pyx_L8_try_end:;
+    Ref capsule(attr(bitgen_owner_.get(), "capsule"));
+    rng_ = static_cast<bitgen_t *>(
+        PyCapsule_GetPointer(capsule.get(), "BitGenerator"));
+    if (rng_ == nullptr) fail();
   }
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1053
- *         raise ImportError("numpy._core.multiarray failed to import")
- * 
- * cdef inline int import_umath() except -1:             # <<<<<<<<<<<<<<
- *     try:
- *         _import_umath()
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("numpy.import_umath", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1059
- *         raise ImportError("numpy._core.umath failed to import")
- * 
- * cdef inline int import_ufunc() except -1:             # <<<<<<<<<<<<<<
- *     try:
- *         _import_umath()
-*/
-
-static CYTHON_INLINE int __pyx_f_5numpy_import_ufunc(void) {
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("import_ufunc", 0);
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1060
- * 
- * cdef inline int import_ufunc() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         _import_umath()
- *     except Exception:
-*/
+  attach_.reset(attr(features, "attach"));
+  check_rate_ = as_double(Ref(attr(features, "check_rate")).get());
+  error_rate_ = as_double(Ref(attr(features, "error_rate")).get());
+  detection_rate_ = as_double(Ref(attr(features, "detection_rate")).get());
+  check_depth_ = static_cast<int>(
+      as_long(Ref(attr(features, "check_depth")).get()));
+  simple_ = truth(Ref(attr(features, "simple")).get());
   {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    __Pyx_ExceptionSave(&__pyx_t_1, &__pyx_t_2, &__pyx_t_3);
-    __Pyx_XGOTREF(__pyx_t_1);
-    __Pyx_XGOTREF(__pyx_t_2);
-    __Pyx_XGOTREF(__pyx_t_3);
-    /*try:*/ {
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1061
- * cdef inline int import_ufunc() except -1:
- *     try:
- *         _import_umath()             # <<<<<<<<<<<<<<
- *     except Exception:
- *         raise ImportError("numpy._core.umath failed to import")
-*/
-      __pyx_t_4 = _import_umath(); if (unlikely(__pyx_t_4 == ((int)-1))) __PYX_ERR(1, 1061, __pyx_L3_error)
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1060
- * 
- * cdef inline int import_ufunc() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         _import_umath()
- *     except Exception:
-*/
+    Ref name(attr(features, "mechanism"));
+    int code = 0;
+    while (code < 5 && (!PyUnicode_Check(name.get()) ||
+                        PyUnicode_CompareWithASCIIString(
+                            name.get(), MECHANISM_NAMES[code]) != 0))
+      ++code;
+    if (code == 5) {
+      PyErr_Format(PyExc_ValueError, "unknown mechanism %R", name.get());
+      fail();
     }
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    goto __pyx_L8_try_end;
-    __pyx_L3_error:;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1062
- *     try:
- *         _import_umath()
- *     except Exception:             # <<<<<<<<<<<<<<
- *         raise ImportError("numpy._core.umath failed to import")
- * 
-*/
-    __pyx_t_4 = __Pyx_PyErr_ExceptionMatches(((PyObject *)(((PyTypeObject*)PyExc_Exception))));
-    if (__pyx_t_4) {
-      __Pyx_AddTraceback("numpy.import_ufunc", __pyx_clineno, __pyx_lineno, __pyx_filename);
-      if (__Pyx_GetException(&__pyx_t_5, &__pyx_t_6, &__pyx_t_7) < 0) __PYX_ERR(1, 1062, __pyx_L5_except_error)
-      __Pyx_XGOTREF(__pyx_t_5);
-      __Pyx_XGOTREF(__pyx_t_6);
-      __Pyx_XGOTREF(__pyx_t_7);
-
-      /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1063
- *         _import_umath()
- *     except Exception:
- *         raise ImportError("numpy._core.umath failed to import")             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      __pyx_t_9 = NULL;
-      __pyx_t_10 = 1;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_mstate_global->__pyx_kp_u_numpy__core_umath_failed_to_impo};
-        __pyx_t_8 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ImportError)), __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_8)) __PYX_ERR(1, 1063, __pyx_L5_except_error)
-        __Pyx_GOTREF(__pyx_t_8);
-      }
-      __Pyx_Raise(__pyx_t_8, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __PYX_ERR(1, 1063, __pyx_L5_except_error)
-    }
-    goto __pyx_L5_except_error;
-
-    /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1060
- * 
- * cdef inline int import_ufunc() except -1:
- *     try:             # <<<<<<<<<<<<<<
- *         _import_umath()
- *     except Exception:
-*/
-    __pyx_L5_except_error:;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __Pyx_XGIVEREF(__pyx_t_2);
-    __Pyx_XGIVEREF(__pyx_t_3);
-    __Pyx_ExceptionReset(__pyx_t_1, __pyx_t_2, __pyx_t_3);
-    goto __pyx_L1_error;
-    __pyx_L8_try_end:;
+    mech_ = static_cast<Mechanism>(code);
   }
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1059
- *         raise ImportError("numpy._core.umath failed to import")
- * 
- * cdef inline int import_ufunc() except -1:             # <<<<<<<<<<<<<<
- *     try:
- *         _import_umath()
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("numpy.import_ufunc", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1066
- * 
- * 
- * cdef inline bint is_timedelta64_object(object obj) noexcept:             # <<<<<<<<<<<<<<
- *     """
- *     Cython equivalent of `isinstance(obj, np.timedelta64)`
-*/
-
-static CYTHON_INLINE int __pyx_f_5numpy_is_timedelta64_object(PyObject *__pyx_v_obj) {
-  int __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1078
- *     bool
- *     """
- *     return PyObject_TypeCheck(obj, &PyTimedeltaArrType_Type)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = PyObject_TypeCheck(__pyx_v_obj, (&PyTimedeltaArrType_Type));
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1066
- * 
- * 
- * cdef inline bint is_timedelta64_object(object obj) noexcept:             # <<<<<<<<<<<<<<
- *     """
- *     Cython equivalent of `isinstance(obj, np.timedelta64)`
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1081
- * 
- * 
- * cdef inline bint is_datetime64_object(object obj) noexcept:             # <<<<<<<<<<<<<<
- *     """
- *     Cython equivalent of `isinstance(obj, np.datetime64)`
-*/
-
-static CYTHON_INLINE int __pyx_f_5numpy_is_datetime64_object(PyObject *__pyx_v_obj) {
-  int __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1093
- *     bool
- *     """
- *     return PyObject_TypeCheck(obj, &PyDatetimeArrType_Type)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = PyObject_TypeCheck(__pyx_v_obj, (&PyDatetimeArrType_Type));
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1081
- * 
- * 
- * cdef inline bint is_datetime64_object(object obj) noexcept:             # <<<<<<<<<<<<<<
- *     """
- *     Cython equivalent of `isinstance(obj, np.datetime64)`
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1096
- * 
- * 
- * cdef inline npy_datetime get_datetime64_value(object obj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """
- *     returns the int64 value underlying scalar numpy datetime64 object
-*/
-
-static CYTHON_INLINE npy_datetime __pyx_f_5numpy_get_datetime64_value(PyObject *__pyx_v_obj) {
-  npy_datetime __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1103
- *     also needed.  That can be found using `get_datetime64_unit`.
- *     """
- *     return (<PyDatetimeScalarObject*>obj).obval             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((PyDatetimeScalarObject *)__pyx_v_obj)->obval;
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1096
- * 
- * 
- * cdef inline npy_datetime get_datetime64_value(object obj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """
- *     returns the int64 value underlying scalar numpy datetime64 object
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1106
- * 
- * 
- * cdef inline npy_timedelta get_timedelta64_value(object obj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """
- *     returns the int64 value underlying scalar numpy timedelta64 object
-*/
-
-static CYTHON_INLINE npy_timedelta __pyx_f_5numpy_get_timedelta64_value(PyObject *__pyx_v_obj) {
-  npy_timedelta __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1110
- *     returns the int64 value underlying scalar numpy timedelta64 object
- *     """
- *     return (<PyTimedeltaScalarObject*>obj).obval             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((PyTimedeltaScalarObject *)__pyx_v_obj)->obval;
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1106
- * 
- * 
- * cdef inline npy_timedelta get_timedelta64_value(object obj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """
- *     returns the int64 value underlying scalar numpy timedelta64 object
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1113
- * 
- * 
- * cdef inline NPY_DATETIMEUNIT get_datetime64_unit(object obj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """
- *     returns the unit part of the dtype for a numpy datetime64 object.
-*/
-
-static CYTHON_INLINE NPY_DATETIMEUNIT __pyx_f_5numpy_get_datetime64_unit(PyObject *__pyx_v_obj) {
-  NPY_DATETIMEUNIT __pyx_r;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1117
- *     returns the unit part of the dtype for a numpy datetime64 object.
- *     """
- *     return <NPY_DATETIMEUNIT>(<PyDatetimeScalarObject*>obj).obmeta.base             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((NPY_DATETIMEUNIT)((PyDatetimeScalarObject *)__pyx_v_obj)->obmeta.base);
-  goto __pyx_L0;
-
-  /* "../../usr/local/lib/python3.10/dist-packages/numpy/__init__.cython-30.pxd":1113
- * 
- * 
- * cdef inline NPY_DATETIMEUNIT get_datetime64_unit(object obj) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """
- *     returns the unit part of the dtype for a numpy datetime64 object.
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":96
- *     cdef int audit_on, track_delta, last_potential, fixed_floor
- * 
- *     def __init__(self, features, init_state, seed, audit_cheap=False):             # <<<<<<<<<<<<<<
- *         if features.adversary_rate != 0:
- *             raise ValueError("the compiled engine has no adversary support")
-*/
-
-/* Python wrapper */
-static int __pyx_pw_6ckplab_7_kernel_12KernelEngine_1__init__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_6ckplab_7_kernel_12KernelEngine_1__init__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  PyObject *__pyx_v_features = 0;
-  PyObject *__pyx_v_init_state = 0;
-  PyObject *__pyx_v_seed = 0;
-  PyObject *__pyx_v_audit_cheap = 0;
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__init__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
   {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_features,&__pyx_mstate_global->__pyx_n_u_init_state,&__pyx_mstate_global->__pyx_n_u_seed,&__pyx_mstate_global->__pyx_n_u_audit_cheap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 96, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_VARARGS(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 96, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 96, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 96, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 96, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__init__", 0) < (0)) __PYX_ERR(0, 96, __pyx_L3_error)
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)Py_False));
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__init__", 0, 3, 4, i); __PYX_ERR(0, 96, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_VARARGS(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 96, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_VARARGS(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 96, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_VARARGS(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 96, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_VARARGS(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 96, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)Py_False));
-    }
-    __pyx_v_features = values[0];
-    __pyx_v_init_state = values[1];
-    __pyx_v_seed = values[2];
-    __pyx_v_audit_cheap = values[3];
+    Ref law(attr(features, "parent_count"));
+    Seq support(Ref(attr(law.get(), "support")).get(), "law.support");
+    Seq cum(Ref(attr(law.get(), "cum")).get(), "law.cum");
+    for (Py_ssize_t i = 0; i < support.size; ++i)
+      law_support_.push_back(static_cast<int>(as_long(support.items[i])));
+    for (Py_ssize_t i = 0; i < cum.size; ++i)
+      law_cum_.push_back(as_double(cum.items[i]));
+    m_max_ = static_cast<int>(as_long(Ref(attr(law.get(), "max")).get()));
+    pbuf_.assign(m_max_, 0);
   }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__init__", 0, 3, 4, __pyx_nargs); __PYX_ERR(0, 96, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6ckplab_7_kernel_12KernelEngine___init__(((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)__pyx_v_self), __pyx_v_features, __pyx_v_init_state, __pyx_v_seed, __pyx_v_audit_cheap);
 
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
+  // the state: per-node columns, CSR parents, children rebuilt from them
+  Seq labels(Ref(attr(init_state, "labels")).get(), "labels");
+  Seq is_false(Ref(attr(init_state, "is_false")).get(), "is_false");
+  Seq birth(Ref(attr(init_state, "birth")).get(), "birth");
+  Seq advers(Ref(attr(init_state, "adversarial")).get(), "adversarial");
+  Seq parents(Ref(attr(init_state, "parents")).get(), "parents");
+  Seq deg_pt(Ref(attr(init_state, "deg_pt")).get(), "deg_pt");
+  Seq deg_ct(Ref(attr(init_state, "deg_ct")).get(), "deg_ct");
+  Seq pf_parent(Ref(attr(init_state, "pf_parent_edges")).get(),
+                "pf_parent_edges");
+  const Py_ssize_t n = labels.size;
+  if (n >= INT32_MAX) {
+    PyErr_SetString(PyExc_OverflowError, "too many nodes for the kernel");
+    fail();
   }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+  for (const Seq *column : {&is_false, &birth, &advers, &parents, &deg_pt,
+                            &deg_ct, &pf_parent})
+    if (column->size != n) {
+      PyErr_SetString(StateError, "state columns differ in length");
+      fail();
+    }
+  nodes_.resize(n);
+  child_head_.assign(n, -1);
+  child_tail_.assign(n, -1);
+  for (Py_ssize_t v = 0; v < n; ++v) {
+    Node &node = nodes_[v];
+    node.label = static_cast<int8_t>(as_long(labels.items[v]));
+    node.is_false = truth(is_false.items[v]);
+    node.deg_pt = static_cast<int32_t>(as_long(deg_pt.items[v]));
+    node.deg_ct = static_cast<int32_t>(as_long(deg_ct.items[v]));
+    node.pf_parent = static_cast<int32_t>(as_long(pf_parent.items[v]));
+    birth_.push_back(static_cast<int32_t>(as_long(birth.items[v])));
+    advers_.push_back(truth(advers.items[v]));
+    Seq ps(parents.items[v], "parents[v]");
+    if (edge_parent_.size() + static_cast<size_t>(ps.size) >= INT32_MAX) {
+      PyErr_SetString(PyExc_OverflowError, "too many edges for the kernel");
+      fail();
+    }
+    node.first = static_cast<int32_t>(edge_parent_.size());
+    node.npar = static_cast<int32_t>(ps.size);
+    for (Py_ssize_t j = 0; j < ps.size; ++j) {
+      long long u = as_long(ps.items[j]);
+      if (u < 0 || u >= n) {
+        PyErr_Format(StateError, "parent id %lld out of range", u);
+        fail();
+      }
+      int32_t e = static_cast<int32_t>(edge_parent_.size());
+      edge_parent_.push_back(static_cast<int32_t>(u));
+      edge_child_.push_back(static_cast<int32_t>(v));
+      edge_next_.push_back(-1);
+      link_child(static_cast<int32_t>(u), e);
+    }
+  }
+  pf_total_ = as_long(Ref(attr(init_state, "pf_total")).get());
+
+  // the weight index, laid out as weight_index_for does: capacity
+  // max(1024, n), PF nodes at 0.0, the table filled to the largest PT
+  // degree
+  wcap_ = static_cast<int32_t>(std::max<Py_ssize_t>(1024, n));
+  wsize_ = static_cast<int32_t>(n);
+  weights_.assign(wcap_, 0.0);
+  int32_t top = -1;
+  for (const Node &node : nodes_)
+    if (node.label != PF) top = std::max(top, node.deg_pt);
+  if (top >= 0) aval(top);
+  for (Py_ssize_t v = 0; v < n; ++v)
+    if (nodes_[v].label != PF) weights_[v] = atab_[nodes_[v].deg_pt];
+  w_build(wcap_);
+
+  stopped_ = false;
+  step_index_ = 0;
+  pt_false_ = f_count_ = l_count_ = 0;
+  for (Py_ssize_t v = 0; v < n; ++v) {
+    Node &node = nodes_[v];
+    if (node.label != PF && node.is_false) ++pt_false_;
+    node.f_mem = is_minimal_false(node);
+    node.l_mem = is_leaf(static_cast<int32_t>(v));
+    f_count_ += node.f_mem;
+    l_count_ += node.l_mem;
+    pf_child_len_.push_back(node.label == PF
+                                ? child_count(static_cast<int32_t>(v))
+                                : -1);
+  }
+  pf_count_ = pf_total_;
+  zero_since_ = pt_false_ == 0 ? 0 : -1;
+
+  closed_at_.assign(n, 0);
+  marked_at_.assign(n, 0);
+  seen_stamp_ = closed_stamp_ = marked_stamp_ = 0;
+
+  audit_on_ = audit_cheap;
+  track_delta_ = detection_rate_ == 1;
+  last_potential_ = f_count_ + l_count_;
+  if (mech_ == STRINGY)
+    fixed_floor_ = m_max_ == 1 ? 2 : check_depth_ + 1 + m_max_;
+  else if (mech_ == BFS || mech_ == EXHAUSTIVE)
+    fixed_floor_ = 1 + m_max_;
+  else if (mech_ == PARENTWISE)
+    fixed_floor_ = 2 * m_max_;
+  else
+    fixed_floor_ = 0;
+  long long budget = as_long(Ref(attr(features, "adversary_budget")).get());
+  if (budget > fixed_floor_) fixed_floor_ = static_cast<int>(budget);
 }
 
-static int __pyx_pf_6ckplab_7_kernel_12KernelEngine___init__(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, PyObject *__pyx_v_features, PyObject *__pyx_v_init_state, PyObject *__pyx_v_seed, PyObject *__pyx_v_audit_cheap) {
-  PyObject *__pyx_v_bg = NULL;
-  PyObject *__pyx_v_law = NULL;
-  PyObject *__pyx_v_m = NULL;
-  PyObject *__pyx_v_c = NULL;
-  int __pyx_v_n;
-  int __pyx_v_v;
-  int __pyx_v_u;
-  int __pyx_v_flag;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  void *__pyx_t_6;
-  double __pyx_t_7;
-  int __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  PyObject *(*__pyx_t_10)(PyObject *);
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  std::vector<int>  __pyx_t_14;
-  long __pyx_t_15;
-  long __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__init__", 0);
+int Engine::pmf_index() {
+  int n = static_cast<int>(law_cum_.size());
+  if (n == 1) return 0;
+  double x = draw();
+  for (int i = 0; i < n; ++i)
+    if (x < law_cum_[i]) return i;
+  return n - 1;
+}
 
-  /* "ckplab/_kernel.pyx":97
- * 
- *     def __init__(self, features, init_state, seed, audit_cheap=False):
- *         if features.adversary_rate != 0:             # <<<<<<<<<<<<<<
- *             raise ValueError("the compiled engine has no adversary support")
- *         bg = PCG64(seed)
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_adversary_rate); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 97, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = (__Pyx_PyLong_BoolNeObjC(__pyx_t_1, __pyx_mstate_global->__pyx_int_0, 0, 0)); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 97, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "ckplab/_kernel.pyx":98
- *     def __init__(self, features, init_state, seed, audit_cheap=False):
- *         if features.adversary_rate != 0:
- *             raise ValueError("the compiled engine has no adversary support")             # <<<<<<<<<<<<<<
- *         bg = PCG64(seed)
- *         self._bitgen_keepalive = bg
-*/
-    __pyx_t_3 = NULL;
-    __pyx_t_4 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_the_compiled_engine_has_no_adver};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 98, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 98, __pyx_L1_error)
-
-    /* "ckplab/_kernel.pyx":97
- * 
- *     def __init__(self, features, init_state, seed, audit_cheap=False):
- *         if features.adversary_rate != 0:             # <<<<<<<<<<<<<<
- *             raise ValueError("the compiled engine has no adversary support")
- *         bg = PCG64(seed)
-*/
+double Engine::aval(int32_t d) {
+  if (d < 0) {
+    PyErr_Format(StateError, "negative PT degree %d", d);
+    fail();
   }
-
-  /* "ckplab/_kernel.pyx":99
- *         if features.adversary_rate != 0:
- *             raise ValueError("the compiled engine has no adversary support")
- *         bg = PCG64(seed)             # <<<<<<<<<<<<<<
- *         self._bitgen_keepalive = bg
- *         self.rng = <bitgen_t *> PyCapsule_GetPointer(bg.capsule,
-*/
-  __pyx_t_3 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_PCG64); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 99, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_4 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_5))) {
-    __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_5);
-    assert(__pyx_t_3);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-    __Pyx_INCREF(__pyx_t_3);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-    __pyx_t_4 = 0;
+  while (static_cast<size_t>(d) >= atab_.size()) {
+    Ref w(check(PyObject_CallMethod(attach_.get(), "evaluate", "n",
+                                    static_cast<Py_ssize_t>(atab_.size()))));
+    Ref f(check(PyNumber_Float(w.get())));
+    atab_.push_back(PyFloat_AS_DOUBLE(f.get()));
   }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_v_seed};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 99, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
+  return atab_[d];
+}
+
+// -- weight index -----------------------------------------------------------
+
+// Lay out weights_[0, wsize_) at capacity ``cap``.  Slot j with lowest set
+// bit L holds the left fold ((0.0 + w[j-L]) + ...) + w[j-1], which is what
+// appending the weights one at a time leaves there (the zeros appends
+// skip add nothing); slot j - L/2 holds the first half of that fold, so
+// each slot continues it.  The total is the left fold of all weights.
+void Engine::w_build(int32_t cap) {
+  weights_.resize(cap, 0.0);
+  for (int32_t i = 0; i < wsize_; ++i) weights_[i] += 0.0;   // -0.0 -> 0.0
+  tree_.assign(static_cast<size_t>(cap) + 1, 0.0);
+  for (int64_t j = 1; j <= cap; ++j) {
+    int64_t low = j & -j;
+    if (j - low >= wsize_) continue;
+    double acc = low == 1 ? 0.0 : tree_[j - low / 2];
+    int64_t end = std::min<int64_t>(j, wsize_);
+    for (int64_t i = low == 1 ? j - 1 : j - low / 2; i < end; ++i)
+      acc += weights_[i];
+    tree_[j] = acc;
   }
-  __pyx_v_bg = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "ckplab/_kernel.pyx":100
- *             raise ValueError("the compiled engine has no adversary support")
- *         bg = PCG64(seed)
- *         self._bitgen_keepalive = bg             # <<<<<<<<<<<<<<
- *         self.rng = <bitgen_t *> PyCapsule_GetPointer(bg.capsule,
- *                                                      "BitGenerator")
-*/
-  __Pyx_INCREF(__pyx_v_bg);
-  __Pyx_GIVEREF(__pyx_v_bg);
-  __Pyx_GOTREF(__pyx_v_self->_bitgen_keepalive);
-  __Pyx_DECREF(__pyx_v_self->_bitgen_keepalive);
-  __pyx_v_self->_bitgen_keepalive = __pyx_v_bg;
-
-  /* "ckplab/_kernel.pyx":101
- *         bg = PCG64(seed)
- *         self._bitgen_keepalive = bg
- *         self.rng = <bitgen_t *> PyCapsule_GetPointer(bg.capsule,             # <<<<<<<<<<<<<<
- *                                                      "BitGenerator")
- *         self.attach = features.attach
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_bg, __pyx_mstate_global->__pyx_n_u_capsule); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 101, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_6 = PyCapsule_GetPointer(__pyx_t_1, __pyx_k_BitGenerator); if (unlikely(__pyx_t_6 == ((void *)NULL) && PyErr_Occurred())) __PYX_ERR(0, 101, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->rng = ((bitgen_t *)__pyx_t_6);
-
-  /* "ckplab/_kernel.pyx":103
- *         self.rng = <bitgen_t *> PyCapsule_GetPointer(bg.capsule,
- *                                                      "BitGenerator")
- *         self.attach = features.attach             # <<<<<<<<<<<<<<
- *         self.check_rate = features.check_rate
- *         self.error_rate = features.error_rate
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_attach); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 103, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_GIVEREF(__pyx_t_1);
-  __Pyx_GOTREF(__pyx_v_self->attach);
-  __Pyx_DECREF(__pyx_v_self->attach);
-  __pyx_v_self->attach = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "ckplab/_kernel.pyx":104
- *                                                      "BitGenerator")
- *         self.attach = features.attach
- *         self.check_rate = features.check_rate             # <<<<<<<<<<<<<<
- *         self.error_rate = features.error_rate
- *         self.detection_rate = features.detection_rate
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_check_rate); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 104, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_7 = __Pyx_PyFloat_AsDouble(__pyx_t_1); if (unlikely((__pyx_t_7 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 104, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->check_rate = __pyx_t_7;
-
-  /* "ckplab/_kernel.pyx":105
- *         self.attach = features.attach
- *         self.check_rate = features.check_rate
- *         self.error_rate = features.error_rate             # <<<<<<<<<<<<<<
- *         self.detection_rate = features.detection_rate
- *         self.check_depth = features.check_depth
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_error_rate); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 105, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_7 = __Pyx_PyFloat_AsDouble(__pyx_t_1); if (unlikely((__pyx_t_7 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 105, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->error_rate = __pyx_t_7;
-
-  /* "ckplab/_kernel.pyx":106
- *         self.check_rate = features.check_rate
- *         self.error_rate = features.error_rate
- *         self.detection_rate = features.detection_rate             # <<<<<<<<<<<<<<
- *         self.check_depth = features.check_depth
- *         self.path_only = 1 if features.path_only_marking else 0
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_detection_rate); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 106, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_7 = __Pyx_PyFloat_AsDouble(__pyx_t_1); if (unlikely((__pyx_t_7 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 106, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->detection_rate = __pyx_t_7;
-
-  /* "ckplab/_kernel.pyx":107
- *         self.error_rate = features.error_rate
- *         self.detection_rate = features.detection_rate
- *         self.check_depth = features.check_depth             # <<<<<<<<<<<<<<
- *         self.path_only = 1 if features.path_only_marking else 0
- *         self.simple = 1 if features.simple else 0
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_check_depth); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 107, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 107, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_self->check_depth = __pyx_t_8;
-
-  /* "ckplab/_kernel.pyx":108
- *         self.detection_rate = features.detection_rate
- *         self.check_depth = features.check_depth
- *         self.path_only = 1 if features.path_only_marking else 0             # <<<<<<<<<<<<<<
- *         self.simple = 1 if features.simple else 0
- *         self.mech = MECHANISM_CODES[features.mechanism]
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_path_only_marking); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 108, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 108, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (__pyx_t_2) {
-    __pyx_t_8 = 1;
-  } else {
-    __pyx_t_8 = 0;
+  wcap_ = cap;
+  wmask_ = 1;
+  while (static_cast<int64_t>(wmask_) * 2 <= cap) wmask_ *= 2;
+  wtotal_ = 0.0;
+  wpositive_ = 0;
+  for (int32_t i = 0; i < wsize_; ++i) {
+    wtotal_ += weights_[i];
+    if (weights_[i] > 0) ++wpositive_;
   }
-  __pyx_v_self->path_only = __pyx_t_8;
+}
 
-  /* "ckplab/_kernel.pyx":109
- *         self.check_depth = features.check_depth
- *         self.path_only = 1 if features.path_only_marking else 0
- *         self.simple = 1 if features.simple else 0             # <<<<<<<<<<<<<<
- *         self.mech = MECHANISM_CODES[features.mechanism]
- *         law = features.parent_count
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_simple); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 109, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 109, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (__pyx_t_2) {
-    __pyx_t_8 = 1;
-  } else {
-    __pyx_t_8 = 0;
+void Engine::w_append(double weight) {
+  if (wsize_ >= wcap_) {
+    int64_t cap = wcap_;
+    while (cap < static_cast<int64_t>(wsize_) + 1) cap *= 2;
+    if (cap >= INT32_MAX) {
+      PyErr_SetString(PyExc_OverflowError, "weight index too large");
+      fail();
+    }
+    w_build(static_cast<int32_t>(cap));
   }
-  __pyx_v_self->simple = __pyx_t_8;
-
-  /* "ckplab/_kernel.pyx":110
- *         self.path_only = 1 if features.path_only_marking else 0
- *         self.simple = 1 if features.simple else 0
- *         self.mech = MECHANISM_CODES[features.mechanism]             # <<<<<<<<<<<<<<
- *         law = features.parent_count
- *         for m in law.support:
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_MECHANISM_CODES); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 110, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_mechanism); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 110, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_3 = __Pyx_PyObject_GetItem(__pyx_t_1, __pyx_t_5); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 110, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 110, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->mech = __pyx_t_8;
-
-  /* "ckplab/_kernel.pyx":111
- *         self.simple = 1 if features.simple else 0
- *         self.mech = MECHANISM_CODES[features.mechanism]
- *         law = features.parent_count             # <<<<<<<<<<<<<<
- *         for m in law.support:
- *             self.law_support.push_back(m)
-*/
-  __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_parent_count); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 111, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_v_law = __pyx_t_3;
-  __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":112
- *         self.mech = MECHANISM_CODES[features.mechanism]
- *         law = features.parent_count
- *         for m in law.support:             # <<<<<<<<<<<<<<
- *             self.law_support.push_back(m)
- *         for c in law.cum:
-*/
-  __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_law, __pyx_mstate_global->__pyx_n_u_support); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 112, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (likely(PyList_CheckExact(__pyx_t_3)) || PyTuple_CheckExact(__pyx_t_3)) {
-    __pyx_t_5 = __pyx_t_3; __Pyx_INCREF(__pyx_t_5);
-    __pyx_t_9 = 0;
-    __pyx_t_10 = NULL;
-  } else {
-    __pyx_t_9 = -1; __pyx_t_5 = PyObject_GetIter(__pyx_t_3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 112, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_5); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 112, __pyx_L1_error)
+  int32_t i = wsize_++;
+  if (weight != 0.0) {
+    w_add(i, weight);
+    weights_[i] = weight;
+    wtotal_ += weight;
+    if (weight > 0) ++wpositive_;
   }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  for (;;) {
-    if (likely(!__pyx_t_10)) {
-      if (likely(PyList_CheckExact(__pyx_t_5))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_5);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 112, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_5, __pyx_t_9, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_9;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_5);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 112, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_3 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_5, __pyx_t_9));
-        #else
-        __pyx_t_3 = __Pyx_PySequence_ITEM(__pyx_t_5, __pyx_t_9);
-        #endif
-        ++__pyx_t_9;
-      }
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 112, __pyx_L1_error)
-    } else {
-      __pyx_t_3 = __pyx_t_10(__pyx_t_5);
-      if (unlikely(!__pyx_t_3)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 112, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_XDECREF_SET(__pyx_v_m, __pyx_t_3);
-    __pyx_t_3 = 0;
+}
 
-    /* "ckplab/_kernel.pyx":113
- *         law = features.parent_count
- *         for m in law.support:
- *             self.law_support.push_back(m)             # <<<<<<<<<<<<<<
- *         for c in law.cum:
- *             self.law_cum.push_back(c)
-*/
-    __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_v_m); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 113, __pyx_L1_error)
-    try {
-      __pyx_v_self->law_support.push_back(__pyx_t_8);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 113, __pyx_L1_error)
-    }
+void Engine::w_set(int32_t i, double weight) {
+  double old = weights_[i];
+  if (weight == old) return;
+  double delta = weight - old;
+  w_add(i, delta);
+  weights_[i] = weight;
+  wtotal_ += delta;
+  if ((old > 0) != (weight > 0)) wpositive_ += weight > 0 ? 1 : -1;
+}
 
-    /* "ckplab/_kernel.pyx":112
- *         self.mech = MECHANISM_CODES[features.mechanism]
- *         law = features.parent_count
- *         for m in law.support:             # <<<<<<<<<<<<<<
- *             self.law_support.push_back(m)
- *         for c in law.cum:
-*/
+int32_t Engine::w_select(double x) {
+  int64_t pos = 0;
+  double rem = x;
+  for (int64_t mask = wmask_; mask; mask >>= 1) {
+    int64_t nxt = pos + mask;
+    if (nxt <= wcap_ && tree_[nxt] <= rem) {
+      pos = nxt;
+      rem -= tree_[nxt];
+    }
   }
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-
-  /* "ckplab/_kernel.pyx":114
- *         for m in law.support:
- *             self.law_support.push_back(m)
- *         for c in law.cum:             # <<<<<<<<<<<<<<
- *             self.law_cum.push_back(c)
- *         self.m_max = law.max
-*/
-  __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_v_law, __pyx_mstate_global->__pyx_n_u_cum); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 114, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  if (likely(PyList_CheckExact(__pyx_t_5)) || PyTuple_CheckExact(__pyx_t_5)) {
-    __pyx_t_3 = __pyx_t_5; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_9 = 0;
-    __pyx_t_10 = NULL;
-  } else {
-    __pyx_t_9 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_t_5); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 114, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 114, __pyx_L1_error)
+  if (pos >= wsize_) pos = wsize_ - 1;
+  // float drift or trailing zero weights can strand the draw: walk to the
+  // nearest positive slot, up first, as WeightIndex.select does
+  if (weights_[pos] <= 0) {
+    int64_t j = pos + 1;
+    while (j < wsize_ && weights_[j] <= 0) ++j;
+    if (j >= wsize_) {
+      j = pos - 1;
+      while (j >= 0 && weights_[j] <= 0) --j;
+    }
+    if (j < 0) {
+      PyErr_SetString(AllWeightsZero,
+                      "no positive attachment weight to select");
+      fail();
+    }
+    pos = j;
   }
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  for (;;) {
-    if (likely(!__pyx_t_10)) {
-      if (likely(PyList_CheckExact(__pyx_t_3))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 114, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_9, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_9;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 114, __pyx_L1_error)
-          #endif
-          if (__pyx_t_9 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_9));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_9);
-        #endif
-        ++__pyx_t_9;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 114, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_10(__pyx_t_3);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 114, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_c, __pyx_t_5);
-    __pyx_t_5 = 0;
+  return static_cast<int32_t>(pos);
+}
 
-    /* "ckplab/_kernel.pyx":115
- *             self.law_support.push_back(m)
- *         for c in law.cum:
- *             self.law_cum.push_back(c)             # <<<<<<<<<<<<<<
- *         self.m_max = law.max
- * 
-*/
-    __pyx_t_7 = __Pyx_PyFloat_AsDouble(__pyx_v_c); if (unlikely((__pyx_t_7 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 115, __pyx_L1_error)
-    try {
-      __pyx_v_self->law_cum.push_back(__pyx_t_7);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 115, __pyx_L1_error)
-    }
+// -- growth and marking -----------------------------------------------------
 
-    /* "ckplab/_kernel.pyx":114
- *         for m in law.support:
- *             self.law_support.push_back(m)
- *         for c in law.cum:             # <<<<<<<<<<<<<<
- *             self.law_cum.push_back(c)
- *         self.m_max = law.max
-*/
+void Engine::refresh(int32_t v) {
+  Node &n = nodes_[v];
+  int8_t f_now = is_minimal_false(n);
+  int8_t l_now = is_leaf(v);
+  if (f_now != n.f_mem) {
+    n.f_mem = f_now;
+    f_count_ += f_now ? 1 : -1;
   }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
+  if (l_now != n.l_mem) {
+    n.l_mem = l_now;
+    l_count_ += l_now ? 1 : -1;
+  }
+}
 
-  /* "ckplab/_kernel.pyx":116
- *         for c in law.cum:
- *             self.law_cum.push_back(c)
- *         self.m_max = law.max             # <<<<<<<<<<<<<<
- * 
- *         cdef int n = len(init_state.labels)
-*/
-  __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_law, __pyx_mstate_global->__pyx_n_u_max); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 116, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 116, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_self->m_max = __pyx_t_8;
+void Engine::link_child(int32_t u, int32_t e) {
+  if (child_tail_[u] < 0)
+    child_head_[u] = e;
+  else
+    edge_next_[child_tail_[u]] = e;
+  child_tail_[u] = e;
+}
 
-  /* "ckplab/_kernel.pyx":118
- *         self.m_max = law.max
- * 
- *         cdef int n = len(init_state.labels)             # <<<<<<<<<<<<<<
- *         cdef int v, u
- *         # conditional expressions must land in a typed local before they
-*/
-  __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_labels); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_9 = PyObject_Length(__pyx_t_3); if (unlikely(__pyx_t_9 == ((Py_ssize_t)-1))) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_v_n = __pyx_t_9;
+int32_t Engine::child_count(int32_t w) const {
+  int32_t count = 0;
+  for (int32_t e = child_head_[w]; e >= 0; e = edge_next_[e]) ++count;
+  return count;
+}
 
-  /* "ckplab/_kernel.pyx":124
- *         # makes the generated C++ bind a reference to a dead temporary
- *         cdef int flag
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             self.labels.push_back(init_state.labels[v])
- *             flag = 1 if init_state.is_false[v] else 0
-*/
-  __pyx_t_8 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_8;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_v = __pyx_t_12;
+// Append the node whose parents are pbuf_[0, m), then update every index
+// PyEngine._add_node updates, in the same order.
+int32_t Engine::add_node(int m, int8_t label) {
+  if (nodes_.size() >= INT32_MAX - 1 ||
+      edge_parent_.size() + m >= INT32_MAX) {
+    PyErr_SetString(PyExc_OverflowError, "too many nodes for the kernel");
+    fail();
+  }
+  const int32_t v = static_cast<int32_t>(nodes_.size());
+  Node node = Node();
+  node.first = static_cast<int32_t>(edge_parent_.size());
+  node.npar = m;
+  node.label = label;
+  node.is_false = label == CF;
+  for (int i = 0; i < m && !node.is_false; ++i)
+    node.is_false = nodes_[pbuf_[i]].is_false;
+  nodes_.push_back(node);
+  birth_.push_back(static_cast<int32_t>(step_index_));
+  advers_.push_back(0);
+  child_head_.push_back(-1);
+  child_tail_.push_back(-1);
+  pf_child_len_.push_back(-1);
+  closed_at_.push_back(0);
+  marked_at_.push_back(0);
+  for (int i = 0; i < m; ++i) {
+    int32_t u = pbuf_[i];
+    int32_t e = static_cast<int32_t>(edge_parent_.size());
+    edge_parent_.push_back(u);
+    edge_child_.push_back(v);
+    edge_next_.push_back(-1);
+    link_child(u, e);
+    ++nodes_[u].deg_pt;
+    if (label == CT) ++nodes_[u].deg_ct;
+  }
+  w_append(aval(0));
+  // the edges are stored: sort the buffer for the refreshes, which go
+  // over the distinct parents in id order
+  int32_t *p = pbuf_.data();
+  std::sort(p, p + m);
+  int distinct = static_cast<int>(std::unique(p, p + m) - p);
+  for (int i = 0; i < distinct; ++i) w_set(p[i], aval(nodes_[p[i]].deg_pt));
+  Node &nv = nodes_[v];
+  nv.f_mem = is_minimal_false(nv);
+  nv.l_mem = is_leaf(v);
+  f_count_ += nv.f_mem;
+  l_count_ += nv.l_mem;
+  if (nv.is_false) ++pt_false_;
+  for (int i = 0; i < distinct; ++i) refresh(p[i]);
+  return v;
+}
 
-    /* "ckplab/_kernel.pyx":125
- *         cdef int flag
- *         for v in range(n):
- *             self.labels.push_back(init_state.labels[v])             # <<<<<<<<<<<<<<
- *             flag = 1 if init_state.is_false[v] else 0
- *             self.isfalse.push_back(flag)
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_labels); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 125, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 125, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 125, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    try {
-      __pyx_v_self->labels.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 125, __pyx_L1_error)
+// Flag step_marked_ PF: PyEngine._apply_marks around CkpState.mark_pf.
+void Engine::apply_marks() {
+  std::sort(step_marked_.begin(), step_marked_.end());
+  for (int32_t w : step_marked_)
+    if (!nodes_[w].is_false) {
+      PyErr_Format(AuditViolation, "check tried to mark True node %d", w);
+      fail();
     }
+  for (int32_t w : step_marked_) {
+    if (nodes_[w].label == PF) {
+      PyErr_Format(StateError, "node %d is already PF", w);
+      fail();
+    }
+    if (!nodes_[w].is_false) {
+      PyErr_Format(StateError, "refusing to mark hidden-True node %d PF", w);
+      fail();
+    }
+  }
+  touched_.clear();
+  for (int32_t w : step_marked_) {
+    Node &nw = nodes_[w];
+    bool was_ct = nw.label == CT;
+    nw.label = PF;
+    for (int32_t e = nw.first; e < nw.first + nw.npar; ++e) {
+      Node &nu = nodes_[edge_parent_[e]];
+      --nu.deg_pt;
+      if (was_ct) --nu.deg_ct;
+      touched_.push_back(edge_parent_[e]);
+    }
+    for (int32_t e = child_head_[w]; e >= 0; e = edge_next_[e])
+      ++nodes_[edge_child_[e]].pf_parent;
+  }
+  const long long k = static_cast<long long>(step_marked_.size());
+  pf_total_ += k;
+  for (int32_t w : step_marked_) {
+    w_set(w, 0.0);
+    pf_child_len_[w] = child_count(w);
+  }
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+  for (int32_t u : touched_)
+    if (nodes_[u].label != PF) w_set(u, aval(nodes_[u].deg_pt));
+  pt_false_ -= k;
+  pf_count_ += k;
+  for (int32_t w : step_marked_) {
+    Node &nw = nodes_[w];
+    if (nw.f_mem) {
+      nw.f_mem = 0;
+      --f_count_;
+    }
+    if (nw.l_mem) {
+      nw.l_mem = 0;
+      --l_count_;
+    }
+  }
+  // the neighbours of the marked set; a refresh changes nothing twice, and
+  // nothing on a marked node
+  for (int32_t w : step_marked_) {
+    for (int32_t e = child_head_[w]; e >= 0; e = edge_next_[e])
+      refresh(edge_child_[e]);
+    const Node &nw = nodes_[w];
+    for (int32_t e = nw.first; e < nw.first + nw.npar; ++e)
+      refresh(edge_parent_[e]);
+  }
+}
 
-    /* "ckplab/_kernel.pyx":126
- *         for v in range(n):
- *             self.labels.push_back(init_state.labels[v])
- *             flag = 1 if init_state.is_false[v] else 0             # <<<<<<<<<<<<<<
- *             self.isfalse.push_back(flag)
- *             self.birth.push_back(init_state.birth[v])
-*/
-    __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_is_false); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 126, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_t_5, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 126, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 126, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (__pyx_t_2) {
-      __pyx_t_13 = 1;
-    } else {
-      __pyx_t_13 = 0;
-    }
-    __pyx_v_flag = __pyx_t_13;
+// -- checking ---------------------------------------------------------------
 
-    /* "ckplab/_kernel.pyx":127
- *             self.labels.push_back(init_state.labels[v])
- *             flag = 1 if init_state.is_false[v] else 0
- *             self.isfalse.push_back(flag)             # <<<<<<<<<<<<<<
- *             self.birth.push_back(init_state.birth[v])
- *             flag = 1 if init_state.adversarial[v] else 0
-*/
-    try {
-      __pyx_v_self->isfalse.push_back(__pyx_v_flag);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 127, __pyx_L1_error)
-    }
+uint32_t Engine::next_seen() {
+  if (++seen_stamp_ == 0) {
+    for (Node &n : nodes_) n.seen = 0;
+    seen_stamp_ = 1;
+  }
+  return seen_stamp_;
+}
 
-    /* "ckplab/_kernel.pyx":128
- *             flag = 1 if init_state.is_false[v] else 0
- *             self.isfalse.push_back(flag)
- *             self.birth.push_back(init_state.birth[v])             # <<<<<<<<<<<<<<
- *             flag = 1 if init_state.adversarial[v] else 0
- *             self.advers.push_back(flag)
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_birth); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 128, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 128, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 128, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    try {
-      __pyx_v_self->birth.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 128, __pyx_L1_error)
-    }
+uint32_t Engine::next_stamp(uint32_t &stamp, std::vector<uint32_t> &at) {
+  if (++stamp == 0) {
+    std::fill(at.begin(), at.end(), 0u);
+    stamp = 1;
+  }
+  return stamp;
+}
 
-    /* "ckplab/_kernel.pyx":129
- *             self.isfalse.push_back(flag)
- *             self.birth.push_back(init_state.birth[v])
- *             flag = 1 if init_state.adversarial[v] else 0             # <<<<<<<<<<<<<<
- *             self.advers.push_back(flag)
- *             self.parents.push_back(vector[int]())
-*/
-    __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_adversarial); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 129, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_t_5, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 129, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 129, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (__pyx_t_2) {
-      __pyx_t_13 = 1;
-    } else {
-      __pyx_t_13 = 0;
-    }
-    __pyx_v_flag = __pyx_t_13;
-
-    /* "ckplab/_kernel.pyx":130
- *             self.birth.push_back(init_state.birth[v])
- *             flag = 1 if init_state.adversarial[v] else 0
- *             self.advers.push_back(flag)             # <<<<<<<<<<<<<<
- *             self.parents.push_back(vector[int]())
- *             for u in init_state.parents[v]:
-*/
-    try {
-      __pyx_v_self->advers.push_back(__pyx_v_flag);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 130, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":131
- *             flag = 1 if init_state.adversarial[v] else 0
- *             self.advers.push_back(flag)
- *             self.parents.push_back(vector[int]())             # <<<<<<<<<<<<<<
- *             for u in init_state.parents[v]:
- *                 self.parents[v].push_back(u)
-*/
-    try {
-      __pyx_t_14 = std::vector<int> ();
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 131, __pyx_L1_error)
-    }
-    try {
-      __pyx_v_self->parents.push_back(__pyx_t_14);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 131, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":132
- *             self.advers.push_back(flag)
- *             self.parents.push_back(vector[int]())
- *             for u in init_state.parents[v]:             # <<<<<<<<<<<<<<
- *                 self.parents[v].push_back(u)
- *             self.children.push_back(vector[int]())
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_parents); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 132, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 132, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (likely(PyList_CheckExact(__pyx_t_5)) || PyTuple_CheckExact(__pyx_t_5)) {
-      __pyx_t_3 = __pyx_t_5; __Pyx_INCREF(__pyx_t_3);
-      __pyx_t_9 = 0;
-      __pyx_t_10 = NULL;
-    } else {
-      __pyx_t_9 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_t_5); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 132, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 132, __pyx_L1_error)
-    }
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    for (;;) {
-      if (likely(!__pyx_t_10)) {
-        if (likely(PyList_CheckExact(__pyx_t_3))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 132, __pyx_L1_error)
-            #endif
-            if (__pyx_t_9 >= __pyx_temp) break;
-          }
-          __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_9, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_9;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 132, __pyx_L1_error)
-            #endif
-            if (__pyx_t_9 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_9));
-          #else
-          __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_9);
-          #endif
-          ++__pyx_t_9;
-        }
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 132, __pyx_L1_error)
-      } else {
-        __pyx_t_5 = __pyx_t_10(__pyx_t_3);
-        if (unlikely(!__pyx_t_5)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 132, __pyx_L1_error)
-            PyErr_Clear();
-          }
+// Mark ``found`` and every node among the first ``visited`` of the walk's
+// queue that lies below it through edges whose upper end is already in
+// the closure: checking._descendants_within.
+void Engine::mark_closure(int32_t found, size_t visited) {
+  const uint32_t cs = next_stamp(closed_stamp_, closed_at_);
+  closed_at_[found] = cs;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (size_t i = 0; i < visited; ++i) {
+      int32_t x = queue_[i];
+      if (closed_at_[x] == cs) continue;
+      const Node &nx = nodes_[x];
+      for (int32_t e = nx.first; e < nx.first + nx.npar; ++e)
+        if (closed_at_[edge_parent_[e]] == cs) {
+          closed_at_[x] = cs;
+          grew = true;
           break;
         }
+    }
+  }
+  mark(found);
+  for (size_t i = 0; i < visited; ++i)
+    if (closed_at_[queue_[i]] == cs) mark(queue_[i]);
+}
+
+// The ball walk: BFS upward from ``start`` to depth ``cap``.  Without
+// ``sweep`` it stops at the first recognized node (checking._ball_first);
+// with it, it sweeps the whole ball without expanding through recognized
+// nodes (checking._ball_all).  Every find is marked with the visited
+// nodes below it.  Returns the number of finds.
+int Engine::ball(int32_t start, int cap, bool sweep) {
+  if (cap < 0 || nodes_[start].label == PF) return 0;
+  const uint32_t ss = next_seen();
+  queue_.clear();
+  finds_.clear();
+  nodes_[start].seen = ss;
+  nodes_[start].depth = 0;
+  queue_.push_back(start);
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const int32_t u = queue_[head];
+    const Node &nu = nodes_[u];
+    if (flagged(nu)) {
+      if (!sweep) {
+        mark_closure(u, head + 1);
+        return 1;
       }
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 132, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_v_u = __pyx_t_13;
-
-      /* "ckplab/_kernel.pyx":133
- *             self.parents.push_back(vector[int]())
- *             for u in init_state.parents[v]:
- *                 self.parents[v].push_back(u)             # <<<<<<<<<<<<<<
- *             self.children.push_back(vector[int]())
- *             for u in init_state.children[v]:
-*/
-      try {
-        (__pyx_v_self->parents[__pyx_v_v]).push_back(__pyx_v_u);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 133, __pyx_L1_error)
-      }
-
-      /* "ckplab/_kernel.pyx":132
- *             self.advers.push_back(flag)
- *             self.parents.push_back(vector[int]())
- *             for u in init_state.parents[v]:             # <<<<<<<<<<<<<<
- *                 self.parents[v].push_back(u)
- *             self.children.push_back(vector[int]())
-*/
-    }
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-    /* "ckplab/_kernel.pyx":134
- *             for u in init_state.parents[v]:
- *                 self.parents[v].push_back(u)
- *             self.children.push_back(vector[int]())             # <<<<<<<<<<<<<<
- *             for u in init_state.children[v]:
- *                 self.children[v].push_back(u)
-*/
-    try {
-      __pyx_t_14 = std::vector<int> ();
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 134, __pyx_L1_error)
-    }
-    try {
-      __pyx_v_self->children.push_back(__pyx_t_14);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 134, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":135
- *                 self.parents[v].push_back(u)
- *             self.children.push_back(vector[int]())
- *             for u in init_state.children[v]:             # <<<<<<<<<<<<<<
- *                 self.children[v].push_back(u)
- *             self.deg_pt.push_back(init_state.deg_pt[v])
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_children); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 135, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 135, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (likely(PyList_CheckExact(__pyx_t_5)) || PyTuple_CheckExact(__pyx_t_5)) {
-      __pyx_t_3 = __pyx_t_5; __Pyx_INCREF(__pyx_t_3);
-      __pyx_t_9 = 0;
-      __pyx_t_10 = NULL;
-    } else {
-      __pyx_t_9 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_t_5); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 135, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_10 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 135, __pyx_L1_error)
-    }
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    for (;;) {
-      if (likely(!__pyx_t_10)) {
-        if (likely(PyList_CheckExact(__pyx_t_3))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 135, __pyx_L1_error)
-            #endif
-            if (__pyx_t_9 >= __pyx_temp) break;
-          }
-          __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_9, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_9;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 135, __pyx_L1_error)
-            #endif
-            if (__pyx_t_9 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_9));
-          #else
-          __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_9);
-          #endif
-          ++__pyx_t_9;
-        }
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 135, __pyx_L1_error)
-      } else {
-        __pyx_t_5 = __pyx_t_10(__pyx_t_3);
-        if (unlikely(!__pyx_t_5)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 135, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 135, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_v_u = __pyx_t_13;
-
-      /* "ckplab/_kernel.pyx":136
- *             self.children.push_back(vector[int]())
- *             for u in init_state.children[v]:
- *                 self.children[v].push_back(u)             # <<<<<<<<<<<<<<
- *             self.deg_pt.push_back(init_state.deg_pt[v])
- *             self.deg_ct.push_back(init_state.deg_ct[v])
-*/
-      try {
-        (__pyx_v_self->children[__pyx_v_v]).push_back(__pyx_v_u);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 136, __pyx_L1_error)
-      }
-
-      /* "ckplab/_kernel.pyx":135
- *                 self.parents[v].push_back(u)
- *             self.children.push_back(vector[int]())
- *             for u in init_state.children[v]:             # <<<<<<<<<<<<<<
- *                 self.children[v].push_back(u)
- *             self.deg_pt.push_back(init_state.deg_pt[v])
-*/
-    }
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-    /* "ckplab/_kernel.pyx":137
- *             for u in init_state.children[v]:
- *                 self.children[v].push_back(u)
- *             self.deg_pt.push_back(init_state.deg_pt[v])             # <<<<<<<<<<<<<<
- *             self.deg_ct.push_back(init_state.deg_ct[v])
- *             self.pf_parent.push_back(init_state.pf_parent_edges[v])
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_deg_pt); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 137, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 137, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 137, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    try {
-      __pyx_v_self->deg_pt.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 137, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":138
- *                 self.children[v].push_back(u)
- *             self.deg_pt.push_back(init_state.deg_pt[v])
- *             self.deg_ct.push_back(init_state.deg_ct[v])             # <<<<<<<<<<<<<<
- *             self.pf_parent.push_back(init_state.pf_parent_edges[v])
- *         self.pf_total = init_state.pf_total
-*/
-    __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_deg_ct); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 138, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_t_5, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 138, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 138, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    try {
-      __pyx_v_self->deg_ct.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 138, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":139
- *             self.deg_pt.push_back(init_state.deg_pt[v])
- *             self.deg_ct.push_back(init_state.deg_ct[v])
- *             self.pf_parent.push_back(init_state.pf_parent_edges[v])             # <<<<<<<<<<<<<<
- *         self.pf_total = init_state.pf_total
- * 
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_pf_parent_edges); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 139, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_5 = __Pyx_GetItemInt(__pyx_t_3, __pyx_v_v, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 139, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_13 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_13 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 139, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    try {
-      __pyx_v_self->pf_parent.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 139, __pyx_L1_error)
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":140
- *             self.deg_ct.push_back(init_state.deg_ct[v])
- *             self.pf_parent.push_back(init_state.pf_parent_edges[v])
- *         self.pf_total = init_state.pf_total             # <<<<<<<<<<<<<<
- * 
- *         # the weight index construction mirrors weight_index_for: initial
-*/
-  __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_v_init_state, __pyx_mstate_global->__pyx_n_u_pf_total); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 140, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_t_5); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 140, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __pyx_v_self->pf_total = __pyx_t_8;
-
-  /* "ckplab/_kernel.pyx":144
- *         # the weight index construction mirrors weight_index_for: initial
- *         # capacity max(1024, n), one append per node in id order
- *         self.wsize = 0             # <<<<<<<<<<<<<<
- *         self.wcap = max(1024, n)
- *         self.wtotal = 0.0
-*/
-  __pyx_v_self->wsize = 0;
-
-  /* "ckplab/_kernel.pyx":145
- *         # capacity max(1024, n), one append per node in id order
- *         self.wsize = 0
- *         self.wcap = max(1024, n)             # <<<<<<<<<<<<<<
- *         self.wtotal = 0.0
- *         self.wpositive = 0
-*/
-  __pyx_t_8 = __pyx_v_n;
-  __pyx_t_15 = 0x400;
-  __pyx_t_2 = (__pyx_t_8 > __pyx_t_15);
-  if (__pyx_t_2) {
-    __pyx_t_16 = __pyx_t_8;
-  } else {
-    __pyx_t_16 = __pyx_t_15;
-  }
-  __pyx_v_self->wcap = __pyx_t_16;
-
-  /* "ckplab/_kernel.pyx":146
- *         self.wsize = 0
- *         self.wcap = max(1024, n)
- *         self.wtotal = 0.0             # <<<<<<<<<<<<<<
- *         self.wpositive = 0
- *         self.tree.assign(self.wcap + 1, 0.0)
-*/
-  __pyx_v_self->wtotal = 0.0;
-
-  /* "ckplab/_kernel.pyx":147
- *         self.wcap = max(1024, n)
- *         self.wtotal = 0.0
- *         self.wpositive = 0             # <<<<<<<<<<<<<<
- *         self.tree.assign(self.wcap + 1, 0.0)
- *         self.weights.assign(self.wcap, 0.0)
-*/
-  __pyx_v_self->wpositive = 0;
-
-  /* "ckplab/_kernel.pyx":148
- *         self.wtotal = 0.0
- *         self.wpositive = 0
- *         self.tree.assign(self.wcap + 1, 0.0)             # <<<<<<<<<<<<<<
- *         self.weights.assign(self.wcap, 0.0)
- *         for v in range(n):
-*/
-  __pyx_v_self->tree.assign((__pyx_v_self->wcap + 1), 0.0); 
-
-  /* "ckplab/_kernel.pyx":149
- *         self.wpositive = 0
- *         self.tree.assign(self.wcap + 1, 0.0)
- *         self.weights.assign(self.wcap, 0.0)             # <<<<<<<<<<<<<<
- *         for v in range(n):
- *             if self.labels[v] == PF:
-*/
-  __pyx_v_self->weights.assign(__pyx_v_self->wcap, 0.0); 
-
-  /* "ckplab/_kernel.pyx":150
- *         self.tree.assign(self.wcap + 1, 0.0)
- *         self.weights.assign(self.wcap, 0.0)
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             if self.labels[v] == PF:
- *                 self.w_append(0.0)
-*/
-  __pyx_t_8 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_8;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_v = __pyx_t_12;
-
-    /* "ckplab/_kernel.pyx":151
- *         self.weights.assign(self.wcap, 0.0)
- *         for v in range(n):
- *             if self.labels[v] == PF:             # <<<<<<<<<<<<<<
- *                 self.w_append(0.0)
- *             else:
-*/
-    __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_v]) == __pyx_v_6ckplab_7_kernel_PF);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":152
- *         for v in range(n):
- *             if self.labels[v] == PF:
- *                 self.w_append(0.0)             # <<<<<<<<<<<<<<
- *             else:
- *                 self.w_append(self.aval(self.deg_pt[v]))
-*/
-      __pyx_t_13 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_append(__pyx_v_self, 0.0); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 152, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":151
- *         self.weights.assign(self.wcap, 0.0)
- *         for v in range(n):
- *             if self.labels[v] == PF:             # <<<<<<<<<<<<<<
- *                 self.w_append(0.0)
- *             else:
-*/
-      goto __pyx_L20;
-    }
-
-    /* "ckplab/_kernel.pyx":154
- *                 self.w_append(0.0)
- *             else:
- *                 self.w_append(self.aval(self.deg_pt[v]))             # <<<<<<<<<<<<<<
- * 
- *         self.stopped = 0
-*/
-    /*else*/ {
-      __pyx_t_7 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->aval(__pyx_v_self, (__pyx_v_self->deg_pt[__pyx_v_v])); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_7, ((double)(-1.0))) && PyErr_Occurred())) __PYX_ERR(0, 154, __pyx_L1_error)
-      __pyx_t_13 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_append(__pyx_v_self, __pyx_t_7); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 154, __pyx_L1_error)
-    }
-    __pyx_L20:;
-  }
-
-  /* "ckplab/_kernel.pyx":156
- *                 self.w_append(self.aval(self.deg_pt[v]))
- * 
- *         self.stopped = 0             # <<<<<<<<<<<<<<
- *         self.step_index = 0
- *         self.pt_false = 0
-*/
-  __pyx_v_self->stopped = 0;
-
-  /* "ckplab/_kernel.pyx":157
- * 
- *         self.stopped = 0
- *         self.step_index = 0             # <<<<<<<<<<<<<<
- *         self.pt_false = 0
- *         self.f_count = 0
-*/
-  __pyx_v_self->step_index = 0;
-
-  /* "ckplab/_kernel.pyx":158
- *         self.stopped = 0
- *         self.step_index = 0
- *         self.pt_false = 0             # <<<<<<<<<<<<<<
- *         self.f_count = 0
- *         self.l_count = 0
-*/
-  __pyx_v_self->pt_false = 0;
-
-  /* "ckplab/_kernel.pyx":159
- *         self.step_index = 0
- *         self.pt_false = 0
- *         self.f_count = 0             # <<<<<<<<<<<<<<
- *         self.l_count = 0
- *         for v in range(n):
-*/
-  __pyx_v_self->f_count = 0;
-
-  /* "ckplab/_kernel.pyx":160
- *         self.pt_false = 0
- *         self.f_count = 0
- *         self.l_count = 0             # <<<<<<<<<<<<<<
- *         for v in range(n):
- *             if self.labels[v] != PF and self.isfalse[v]:
-*/
-  __pyx_v_self->l_count = 0;
-
-  /* "ckplab/_kernel.pyx":161
- *         self.f_count = 0
- *         self.l_count = 0
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             if self.labels[v] != PF and self.isfalse[v]:
- *                 self.pt_false += 1
-*/
-  __pyx_t_8 = __pyx_v_n;
-  __pyx_t_11 = __pyx_t_8;
-  for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-    __pyx_v_v = __pyx_t_12;
-
-    /* "ckplab/_kernel.pyx":162
- *         self.l_count = 0
- *         for v in range(n):
- *             if self.labels[v] != PF and self.isfalse[v]:             # <<<<<<<<<<<<<<
- *                 self.pt_false += 1
- *             self.f_mem.push_back(self.is_minimal_false(v))
-*/
-    __pyx_t_17 = ((__pyx_v_self->labels[__pyx_v_v]) != __pyx_v_6ckplab_7_kernel_PF);
-    if (__pyx_t_17) {
-    } else {
-      __pyx_t_2 = __pyx_t_17;
-      goto __pyx_L24_bool_binop_done;
-    }
-    __pyx_t_17 = ((__pyx_v_self->isfalse[__pyx_v_v]) != 0);
-    __pyx_t_2 = __pyx_t_17;
-    __pyx_L24_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":163
- *         for v in range(n):
- *             if self.labels[v] != PF and self.isfalse[v]:
- *                 self.pt_false += 1             # <<<<<<<<<<<<<<
- *             self.f_mem.push_back(self.is_minimal_false(v))
- *             self.l_mem.push_back(self.is_leaf(v))
-*/
-      __pyx_v_self->pt_false = (__pyx_v_self->pt_false + 1);
-
-      /* "ckplab/_kernel.pyx":162
- *         self.l_count = 0
- *         for v in range(n):
- *             if self.labels[v] != PF and self.isfalse[v]:             # <<<<<<<<<<<<<<
- *                 self.pt_false += 1
- *             self.f_mem.push_back(self.is_minimal_false(v))
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":164
- *             if self.labels[v] != PF and self.isfalse[v]:
- *                 self.pt_false += 1
- *             self.f_mem.push_back(self.is_minimal_false(v))             # <<<<<<<<<<<<<<
- *             self.l_mem.push_back(self.is_leaf(v))
- *             self.f_count += self.f_mem[v]
-*/
-    __pyx_t_13 = __pyx_f_6ckplab_7_kernel_12KernelEngine_is_minimal_false(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L1_error)
-    try {
-      __pyx_v_self->f_mem.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 164, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":165
- *                 self.pt_false += 1
- *             self.f_mem.push_back(self.is_minimal_false(v))
- *             self.l_mem.push_back(self.is_leaf(v))             # <<<<<<<<<<<<<<
- *             self.f_count += self.f_mem[v]
- *             self.l_count += self.l_mem[v]
-*/
-    __pyx_t_13 = __pyx_f_6ckplab_7_kernel_12KernelEngine_is_leaf(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 165, __pyx_L1_error)
-    try {
-      __pyx_v_self->l_mem.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 165, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":166
- *             self.f_mem.push_back(self.is_minimal_false(v))
- *             self.l_mem.push_back(self.is_leaf(v))
- *             self.f_count += self.f_mem[v]             # <<<<<<<<<<<<<<
- *             self.l_count += self.l_mem[v]
- *             self.pf_child_len.push_back(
-*/
-    __pyx_v_self->f_count = (__pyx_v_self->f_count + (__pyx_v_self->f_mem[__pyx_v_v]));
-
-    /* "ckplab/_kernel.pyx":167
- *             self.l_mem.push_back(self.is_leaf(v))
- *             self.f_count += self.f_mem[v]
- *             self.l_count += self.l_mem[v]             # <<<<<<<<<<<<<<
- *             self.pf_child_len.push_back(
- *                 <int> self.children[v].size() if self.labels[v] == PF else -1)
-*/
-    __pyx_v_self->l_count = (__pyx_v_self->l_count + (__pyx_v_self->l_mem[__pyx_v_v]));
-
-    /* "ckplab/_kernel.pyx":169
- *             self.l_count += self.l_mem[v]
- *             self.pf_child_len.push_back(
- *                 <int> self.children[v].size() if self.labels[v] == PF else -1)             # <<<<<<<<<<<<<<
- *         self.pf_count = self.pf_total
- *         self.zero_since = 0 if self.pt_false == 0 else -1
-*/
-    __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_v]) == __pyx_v_6ckplab_7_kernel_PF);
-    if (__pyx_t_2) {
-      __pyx_t_13 = ((int)(__pyx_v_self->children[__pyx_v_v]).size());
-    } else {
-      __pyx_t_13 = -1;
-    }
-
-    /* "ckplab/_kernel.pyx":168
- *             self.f_count += self.f_mem[v]
- *             self.l_count += self.l_mem[v]
- *             self.pf_child_len.push_back(             # <<<<<<<<<<<<<<
- *                 <int> self.children[v].size() if self.labels[v] == PF else -1)
- *         self.pf_count = self.pf_total
-*/
-    try {
-      __pyx_v_self->pf_child_len.push_back(__pyx_t_13);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 168, __pyx_L1_error)
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":170
- *             self.pf_child_len.push_back(
- *                 <int> self.children[v].size() if self.labels[v] == PF else -1)
- *         self.pf_count = self.pf_total             # <<<<<<<<<<<<<<
- *         self.zero_since = 0 if self.pt_false == 0 else -1
- * 
-*/
-  __pyx_t_8 = __pyx_v_self->pf_total;
-  __pyx_v_self->pf_count = __pyx_t_8;
-
-  /* "ckplab/_kernel.pyx":171
- *                 <int> self.children[v].size() if self.labels[v] == PF else -1)
- *         self.pf_count = self.pf_total
- *         self.zero_since = 0 if self.pt_false == 0 else -1             # <<<<<<<<<<<<<<
- * 
- *         self.seen_at.assign(n, 0)
-*/
-  __pyx_t_2 = (__pyx_v_self->pt_false == 0);
-  if (__pyx_t_2) {
-    __pyx_t_16 = 0;
-  } else {
-    __pyx_t_16 = -1L;
-  }
-  __pyx_v_self->zero_since = __pyx_t_16;
-
-  /* "ckplab/_kernel.pyx":173
- *         self.zero_since = 0 if self.pt_false == 0 else -1
- * 
- *         self.seen_at.assign(n, 0)             # <<<<<<<<<<<<<<
- *         self.depth_of.assign(n, 0)
- *         self.prev_of.assign(n, 0)
-*/
-  __pyx_v_self->seen_at.assign(__pyx_v_n, 0); 
-
-  /* "ckplab/_kernel.pyx":174
- * 
- *         self.seen_at.assign(n, 0)
- *         self.depth_of.assign(n, 0)             # <<<<<<<<<<<<<<
- *         self.prev_of.assign(n, 0)
- *         self.closed_at.assign(n, 0)
-*/
-  __pyx_v_self->depth_of.assign(__pyx_v_n, 0); 
-
-  /* "ckplab/_kernel.pyx":175
- *         self.seen_at.assign(n, 0)
- *         self.depth_of.assign(n, 0)
- *         self.prev_of.assign(n, 0)             # <<<<<<<<<<<<<<
- *         self.closed_at.assign(n, 0)
- *         self.marked_at.assign(n, 0)
-*/
-  __pyx_v_self->prev_of.assign(__pyx_v_n, 0); 
-
-  /* "ckplab/_kernel.pyx":176
- *         self.depth_of.assign(n, 0)
- *         self.prev_of.assign(n, 0)
- *         self.closed_at.assign(n, 0)             # <<<<<<<<<<<<<<
- *         self.marked_at.assign(n, 0)
- *         self.seen_stamp = 0
-*/
-  __pyx_v_self->closed_at.assign(__pyx_v_n, 0); 
-
-  /* "ckplab/_kernel.pyx":177
- *         self.prev_of.assign(n, 0)
- *         self.closed_at.assign(n, 0)
- *         self.marked_at.assign(n, 0)             # <<<<<<<<<<<<<<
- *         self.seen_stamp = 0
- *         self.closed_stamp = 0
-*/
-  __pyx_v_self->marked_at.assign(__pyx_v_n, 0); 
-
-  /* "ckplab/_kernel.pyx":178
- *         self.closed_at.assign(n, 0)
- *         self.marked_at.assign(n, 0)
- *         self.seen_stamp = 0             # <<<<<<<<<<<<<<
- *         self.closed_stamp = 0
- *         self.marked_stamp = 0
-*/
-  __pyx_v_self->seen_stamp = 0;
-
-  /* "ckplab/_kernel.pyx":179
- *         self.marked_at.assign(n, 0)
- *         self.seen_stamp = 0
- *         self.closed_stamp = 0             # <<<<<<<<<<<<<<
- *         self.marked_stamp = 0
- * 
-*/
-  __pyx_v_self->closed_stamp = 0;
-
-  /* "ckplab/_kernel.pyx":180
- *         self.seen_stamp = 0
- *         self.closed_stamp = 0
- *         self.marked_stamp = 0             # <<<<<<<<<<<<<<
- * 
- *         self.audit_on = 1 if audit_cheap else 0
-*/
-  __pyx_v_self->marked_stamp = 0;
-
-  /* "ckplab/_kernel.pyx":182
- *         self.marked_stamp = 0
- * 
- *         self.audit_on = 1 if audit_cheap else 0             # <<<<<<<<<<<<<<
- *         self.track_delta = 1 if self.detection_rate == 1 else 0
- *         self.last_potential = self.f_count + self.l_count
-*/
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_v_audit_cheap); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 182, __pyx_L1_error)
-  if (__pyx_t_2) {
-    __pyx_t_8 = 1;
-  } else {
-    __pyx_t_8 = 0;
-  }
-  __pyx_v_self->audit_on = __pyx_t_8;
-
-  /* "ckplab/_kernel.pyx":183
- * 
- *         self.audit_on = 1 if audit_cheap else 0
- *         self.track_delta = 1 if self.detection_rate == 1 else 0             # <<<<<<<<<<<<<<
- *         self.last_potential = self.f_count + self.l_count
- *         if self.mech == M_STRINGY:
-*/
-  __pyx_t_2 = (__pyx_v_self->detection_rate == 1.0);
-  if (__pyx_t_2) {
-    __pyx_t_8 = 1;
-  } else {
-    __pyx_t_8 = 0;
-  }
-  __pyx_v_self->track_delta = __pyx_t_8;
-
-  /* "ckplab/_kernel.pyx":184
- *         self.audit_on = 1 if audit_cheap else 0
- *         self.track_delta = 1 if self.detection_rate == 1 else 0
- *         self.last_potential = self.f_count + self.l_count             # <<<<<<<<<<<<<<
- *         if self.mech == M_STRINGY:
- *             self.fixed_floor = 2 if self.m_max == 1 \
-*/
-  __pyx_v_self->last_potential = (__pyx_v_self->f_count + __pyx_v_self->l_count);
-
-  /* "ckplab/_kernel.pyx":185
- *         self.track_delta = 1 if self.detection_rate == 1 else 0
- *         self.last_potential = self.f_count + self.l_count
- *         if self.mech == M_STRINGY:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = 2 if self.m_max == 1 \
- *                 else self.check_depth + 1 + self.m_max
-*/
-  __pyx_t_2 = (__pyx_v_self->mech == __pyx_v_6ckplab_7_kernel_M_STRINGY);
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":186
- *         self.last_potential = self.f_count + self.l_count
- *         if self.mech == M_STRINGY:
- *             self.fixed_floor = 2 if self.m_max == 1 \             # <<<<<<<<<<<<<<
- *                 else self.check_depth + 1 + self.m_max
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:
-*/
-    __pyx_t_2 = (__pyx_v_self->m_max == 1);
-    if (__pyx_t_2) {
-      __pyx_t_16 = 2;
-    } else {
-
-      /* "ckplab/_kernel.pyx":187
- *         if self.mech == M_STRINGY:
- *             self.fixed_floor = 2 if self.m_max == 1 \
- *                 else self.check_depth + 1 + self.m_max             # <<<<<<<<<<<<<<
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:
- *             self.fixed_floor = 1 + self.m_max
-*/
-      __pyx_t_16 = ((__pyx_v_self->check_depth + 1) + __pyx_v_self->m_max);
-    }
-
-    /* "ckplab/_kernel.pyx":186
- *         self.last_potential = self.f_count + self.l_count
- *         if self.mech == M_STRINGY:
- *             self.fixed_floor = 2 if self.m_max == 1 \             # <<<<<<<<<<<<<<
- *                 else self.check_depth + 1 + self.m_max
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:
-*/
-    __pyx_v_self->fixed_floor = __pyx_t_16;
-
-    /* "ckplab/_kernel.pyx":185
- *         self.track_delta = 1 if self.detection_rate == 1 else 0
- *         self.last_potential = self.f_count + self.l_count
- *         if self.mech == M_STRINGY:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = 2 if self.m_max == 1 \
- *                 else self.check_depth + 1 + self.m_max
-*/
-    goto __pyx_L26;
-  }
-
-  /* "ckplab/_kernel.pyx":188
- *             self.fixed_floor = 2 if self.m_max == 1 \
- *                 else self.check_depth + 1 + self.m_max
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = 1 + self.m_max
- *         elif self.mech == M_PARENTWISE:
-*/
-  __pyx_t_17 = (__pyx_v_self->mech == __pyx_v_6ckplab_7_kernel_M_BFS);
-  if (!__pyx_t_17) {
-  } else {
-    __pyx_t_2 = __pyx_t_17;
-    goto __pyx_L27_bool_binop_done;
-  }
-  __pyx_t_17 = (__pyx_v_self->mech == __pyx_v_6ckplab_7_kernel_M_EXHAUSTIVE);
-  __pyx_t_2 = __pyx_t_17;
-  __pyx_L27_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":189
- *                 else self.check_depth + 1 + self.m_max
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:
- *             self.fixed_floor = 1 + self.m_max             # <<<<<<<<<<<<<<
- *         elif self.mech == M_PARENTWISE:
- *             self.fixed_floor = 2 * self.m_max
-*/
-    __pyx_v_self->fixed_floor = (1 + __pyx_v_self->m_max);
-
-    /* "ckplab/_kernel.pyx":188
- *             self.fixed_floor = 2 if self.m_max == 1 \
- *                 else self.check_depth + 1 + self.m_max
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = 1 + self.m_max
- *         elif self.mech == M_PARENTWISE:
-*/
-    goto __pyx_L26;
-  }
-
-  /* "ckplab/_kernel.pyx":190
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:
- *             self.fixed_floor = 1 + self.m_max
- *         elif self.mech == M_PARENTWISE:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = 2 * self.m_max
- *         else:
-*/
-  __pyx_t_2 = (__pyx_v_self->mech == __pyx_v_6ckplab_7_kernel_M_PARENTWISE);
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":191
- *             self.fixed_floor = 1 + self.m_max
- *         elif self.mech == M_PARENTWISE:
- *             self.fixed_floor = 2 * self.m_max             # <<<<<<<<<<<<<<
- *         else:
- *             self.fixed_floor = 0
-*/
-    __pyx_v_self->fixed_floor = (2 * __pyx_v_self->m_max);
-
-    /* "ckplab/_kernel.pyx":190
- *         elif self.mech == M_BFS or self.mech == M_EXHAUSTIVE:
- *             self.fixed_floor = 1 + self.m_max
- *         elif self.mech == M_PARENTWISE:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = 2 * self.m_max
- *         else:
-*/
-    goto __pyx_L26;
-  }
-
-  /* "ckplab/_kernel.pyx":193
- *             self.fixed_floor = 2 * self.m_max
- *         else:
- *             self.fixed_floor = 0             # <<<<<<<<<<<<<<
- *         if features.adversary_budget > self.fixed_floor:
- *             self.fixed_floor = features.adversary_budget
-*/
-  /*else*/ {
-    __pyx_v_self->fixed_floor = 0;
-  }
-  __pyx_L26:;
-
-  /* "ckplab/_kernel.pyx":194
- *         else:
- *             self.fixed_floor = 0
- *         if features.adversary_budget > self.fixed_floor:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = features.adversary_budget
- * 
-*/
-  __pyx_t_5 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_adversary_budget); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 194, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->fixed_floor); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 194, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_1 = PyObject_RichCompare(__pyx_t_5, __pyx_t_3, Py_GT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 194, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 194, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":195
- *             self.fixed_floor = 0
- *         if features.adversary_budget > self.fixed_floor:
- *             self.fixed_floor = features.adversary_budget             # <<<<<<<<<<<<<<
- * 
- *     # -- randomness, mirroring SimChooser ---------------------------------
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_features, __pyx_mstate_global->__pyx_n_u_adversary_budget); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 195, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 195, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_v_self->fixed_floor = __pyx_t_8;
-
-    /* "ckplab/_kernel.pyx":194
- *         else:
- *             self.fixed_floor = 0
- *         if features.adversary_budget > self.fixed_floor:             # <<<<<<<<<<<<<<
- *             self.fixed_floor = features.adversary_budget
- * 
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":96
- *     cdef int audit_on, track_delta, last_potential, fixed_floor
- * 
- *     def __init__(self, features, init_state, seed, audit_cheap=False):             # <<<<<<<<<<<<<<
- *         if features.adversary_rate != 0:
- *             raise ValueError("the compiled engine has no adversary support")
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.__init__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_bg);
-  __Pyx_XDECREF(__pyx_v_law);
-  __Pyx_XDECREF(__pyx_v_m);
-  __Pyx_XDECREF(__pyx_v_c);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":199
- *     # -- randomness, mirroring SimChooser ---------------------------------
- * 
- *     cdef inline double draw(self):             # <<<<<<<<<<<<<<
- *         return self.rng.next_double(self.rng.state)
- * 
-*/
-
-static CYTHON_INLINE double __pyx_f_6ckplab_7_kernel_12KernelEngine_draw(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  double __pyx_r;
-
-  /* "ckplab/_kernel.pyx":200
- * 
- *     cdef inline double draw(self):
- *         return self.rng.next_double(self.rng.state)             # <<<<<<<<<<<<<<
- * 
- *     cdef inline int maybe(self, double p):
-*/
-  __pyx_r = __pyx_v_self->rng->next_double(__pyx_v_self->rng->state);
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":199
- *     # -- randomness, mirroring SimChooser ---------------------------------
- * 
- *     cdef inline double draw(self):             # <<<<<<<<<<<<<<
- *         return self.rng.next_double(self.rng.state)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":202
- *         return self.rng.next_double(self.rng.state)
- * 
- *     cdef inline int maybe(self, double p):             # <<<<<<<<<<<<<<
- *         if p <= 0:
- *             return 0
-*/
-
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, double __pyx_v_p) {
-  int __pyx_r;
-  int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":203
- * 
- *     cdef inline int maybe(self, double p):
- *         if p <= 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         if p >= 1:
-*/
-  __pyx_t_1 = (__pyx_v_p <= 0.0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":204
- *     cdef inline int maybe(self, double p):
- *         if p <= 0:
- *             return 0             # <<<<<<<<<<<<<<
- *         if p >= 1:
- *             return 1
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":203
- * 
- *     cdef inline int maybe(self, double p):
- *         if p <= 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         if p >= 1:
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":205
- *         if p <= 0:
- *             return 0
- *         if p >= 1:             # <<<<<<<<<<<<<<
- *             return 1
- *         return self.draw() < p
-*/
-  __pyx_t_1 = (__pyx_v_p >= 1.0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":206
- *             return 0
- *         if p >= 1:
- *             return 1             # <<<<<<<<<<<<<<
- *         return self.draw() < p
- * 
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":205
- *         if p <= 0:
- *             return 0
- *         if p >= 1:             # <<<<<<<<<<<<<<
- *             return 1
- *         return self.draw() < p
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":207
- *         if p >= 1:
- *             return 1
- *         return self.draw() < p             # <<<<<<<<<<<<<<
- * 
- *     cdef inline int uniform_index(self, int n):
-*/
-  __pyx_t_2 = __pyx_f_6ckplab_7_kernel_12KernelEngine_draw(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 207, __pyx_L1_error)
-  __pyx_r = (__pyx_t_2 < __pyx_v_p);
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":202
- *         return self.rng.next_double(self.rng.state)
- * 
- *     cdef inline int maybe(self, double p):             # <<<<<<<<<<<<<<
- *         if p <= 0:
- *             return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.maybe", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":209
- *         return self.draw() < p
- * 
- *     cdef inline int uniform_index(self, int n):             # <<<<<<<<<<<<<<
- *         if n == 1:
- *             return 0
-*/
-
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_uniform_index(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_n) {
-  int __pyx_v_i;
-  int __pyx_r;
-  int __pyx_t_1;
-  double __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":210
- * 
- *     cdef inline int uniform_index(self, int n):
- *         if n == 1:             # <<<<<<<<<<<<<<
- *             return 0
- *         cdef int i = <int> (self.draw() * n)
-*/
-  __pyx_t_1 = (__pyx_v_n == 1);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":211
- *     cdef inline int uniform_index(self, int n):
- *         if n == 1:
- *             return 0             # <<<<<<<<<<<<<<
- *         cdef int i = <int> (self.draw() * n)
- *         return n - 1 if i >= n else i
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":210
- * 
- *     cdef inline int uniform_index(self, int n):
- *         if n == 1:             # <<<<<<<<<<<<<<
- *             return 0
- *         cdef int i = <int> (self.draw() * n)
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":212
- *         if n == 1:
- *             return 0
- *         cdef int i = <int> (self.draw() * n)             # <<<<<<<<<<<<<<
- *         return n - 1 if i >= n else i
- * 
-*/
-  __pyx_t_2 = __pyx_f_6ckplab_7_kernel_12KernelEngine_draw(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 212, __pyx_L1_error)
-  __pyx_v_i = ((int)(__pyx_t_2 * __pyx_v_n));
-
-  /* "ckplab/_kernel.pyx":213
- *             return 0
- *         cdef int i = <int> (self.draw() * n)
- *         return n - 1 if i >= n else i             # <<<<<<<<<<<<<<
- * 
- *     cdef inline int pmf_index(self):
-*/
-  __pyx_t_1 = (__pyx_v_i >= __pyx_v_n);
-  if (__pyx_t_1) {
-    __pyx_t_3 = (__pyx_v_n - 1);
-  } else {
-    __pyx_t_3 = __pyx_v_i;
-  }
-  __pyx_r = __pyx_t_3;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":209
- *         return self.draw() < p
- * 
- *     cdef inline int uniform_index(self, int n):             # <<<<<<<<<<<<<<
- *         if n == 1:
- *             return 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.uniform_index", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":215
- *         return n - 1 if i >= n else i
- * 
- *     cdef inline int pmf_index(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.law_cum.size()
- *         if n == 1:
-*/
-
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_pmf_index(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  int __pyx_v_n;
-  double __pyx_v_x;
-  int __pyx_v_i;
-  int __pyx_r;
-  int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":216
- * 
- *     cdef inline int pmf_index(self):
- *         cdef int n = <int> self.law_cum.size()             # <<<<<<<<<<<<<<
- *         if n == 1:
- *             return 0
-*/
-  __pyx_v_n = ((int)__pyx_v_self->law_cum.size());
-
-  /* "ckplab/_kernel.pyx":217
- *     cdef inline int pmf_index(self):
- *         cdef int n = <int> self.law_cum.size()
- *         if n == 1:             # <<<<<<<<<<<<<<
- *             return 0
- *         cdef double x = self.draw()
-*/
-  __pyx_t_1 = (__pyx_v_n == 1);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":218
- *         cdef int n = <int> self.law_cum.size()
- *         if n == 1:
- *             return 0             # <<<<<<<<<<<<<<
- *         cdef double x = self.draw()
- *         cdef int i
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":217
- *     cdef inline int pmf_index(self):
- *         cdef int n = <int> self.law_cum.size()
- *         if n == 1:             # <<<<<<<<<<<<<<
- *             return 0
- *         cdef double x = self.draw()
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":219
- *         if n == 1:
- *             return 0
- *         cdef double x = self.draw()             # <<<<<<<<<<<<<<
- *         cdef int i
- *         for i in range(n):
-*/
-  __pyx_t_2 = __pyx_f_6ckplab_7_kernel_12KernelEngine_draw(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 219, __pyx_L1_error)
-  __pyx_v_x = __pyx_t_2;
-
-  /* "ckplab/_kernel.pyx":221
- *         cdef double x = self.draw()
- *         cdef int i
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             if x < self.law_cum[i]:
- *                 return i
-*/
-  __pyx_t_3 = __pyx_v_n;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "ckplab/_kernel.pyx":222
- *         cdef int i
- *         for i in range(n):
- *             if x < self.law_cum[i]:             # <<<<<<<<<<<<<<
- *                 return i
- *         return n - 1
-*/
-    __pyx_t_1 = (__pyx_v_x < (__pyx_v_self->law_cum[__pyx_v_i]));
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":223
- *         for i in range(n):
- *             if x < self.law_cum[i]:
- *                 return i             # <<<<<<<<<<<<<<
- *         return n - 1
- * 
-*/
-      __pyx_r = __pyx_v_i;
-      goto __pyx_L0;
-
-      /* "ckplab/_kernel.pyx":222
- *         cdef int i
- *         for i in range(n):
- *             if x < self.law_cum[i]:             # <<<<<<<<<<<<<<
- *                 return i
- *         return n - 1
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":224
- *             if x < self.law_cum[i]:
- *                 return i
- *         return n - 1             # <<<<<<<<<<<<<<
- * 
- *     # -- attachment values -------------------------------------------------
-*/
-  __pyx_r = (__pyx_v_n - 1);
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":215
- *         return n - 1 if i >= n else i
- * 
- *     cdef inline int pmf_index(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.law_cum.size()
- *         if n == 1:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.pmf_index", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":228
- *     # -- attachment values -------------------------------------------------
- * 
- *     cdef double aval(self, int d) except? -1.0:             # <<<<<<<<<<<<<<
- *         while d >= <int> self.atab.size():
- *             self.atab.push_back(
-*/
-
-static double __pyx_f_6ckplab_7_kernel_12KernelEngine_aval(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_d) {
-  double __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  double __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("aval", 0);
-
-  /* "ckplab/_kernel.pyx":229
- * 
- *     cdef double aval(self, int d) except? -1.0:
- *         while d >= <int> self.atab.size():             # <<<<<<<<<<<<<<
- *             self.atab.push_back(
- *                 float(self.attach.evaluate(<int> self.atab.size())))
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_d >= ((int)__pyx_v_self->atab.size()));
-    if (!__pyx_t_1) break;
-
-    /* "ckplab/_kernel.pyx":231
- *         while d >= <int> self.atab.size():
- *             self.atab.push_back(
- *                 float(self.attach.evaluate(<int> self.atab.size())))             # <<<<<<<<<<<<<<
- *         return self.atab[d]
- * 
-*/
-    __pyx_t_3 = __pyx_v_self->attach;
-    __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_4 = __Pyx_PyLong_From_int(((int)__pyx_v_self->atab.size())); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 231, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = 0;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_t_4};
-      __pyx_t_2 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_evaluate, __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 231, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __pyx_t_6 = __Pyx_PyObject_AsDouble(__pyx_t_2); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_6, ((double)((double)-1))) && PyErr_Occurred())) __PYX_ERR(0, 231, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "ckplab/_kernel.pyx":230
- *     cdef double aval(self, int d) except? -1.0:
- *         while d >= <int> self.atab.size():
- *             self.atab.push_back(             # <<<<<<<<<<<<<<
- *                 float(self.attach.evaluate(<int> self.atab.size())))
- *         return self.atab[d]
-*/
-    try {
-      __pyx_v_self->atab.push_back(__pyx_t_6);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 230, __pyx_L1_error)
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":232
- *             self.atab.push_back(
- *                 float(self.attach.evaluate(<int> self.atab.size())))
- *         return self.atab[d]             # <<<<<<<<<<<<<<
- * 
- *     # -- weight index, mirroring WeightIndex -------------------------------
-*/
-  __pyx_r = (__pyx_v_self->atab[__pyx_v_d]);
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":228
- *     # -- attachment values -------------------------------------------------
- * 
- *     cdef double aval(self, int d) except? -1.0:             # <<<<<<<<<<<<<<
- *         while d >= <int> self.atab.size():
- *             self.atab.push_back(
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.aval", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = (-1.0);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":236
- *     # -- weight index, mirroring WeightIndex -------------------------------
- * 
- *     cdef void w_grow(self, int need) except *:             # <<<<<<<<<<<<<<
- *         cdef int cap = self.wcap
- *         while cap < need:
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_w_grow(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_need) {
-  int __pyx_v_cap;
-  std::vector<double>  __pyx_v_old;
-  int __pyx_v_i;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":237
- * 
- *     cdef void w_grow(self, int need) except *:
- *         cdef int cap = self.wcap             # <<<<<<<<<<<<<<
- *         while cap < need:
- *             cap *= 2
-*/
-  __pyx_t_1 = __pyx_v_self->wcap;
-  __pyx_v_cap = __pyx_t_1;
-
-  /* "ckplab/_kernel.pyx":238
- *     cdef void w_grow(self, int need) except *:
- *         cdef int cap = self.wcap
- *         while cap < need:             # <<<<<<<<<<<<<<
- *             cap *= 2
- *         cdef vector[double] old
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_cap < __pyx_v_need);
-    if (!__pyx_t_2) break;
-
-    /* "ckplab/_kernel.pyx":239
- *         cdef int cap = self.wcap
- *         while cap < need:
- *             cap *= 2             # <<<<<<<<<<<<<<
- *         cdef vector[double] old
- *         cdef int i
-*/
-    __pyx_v_cap = (__pyx_v_cap * 2);
-  }
-
-  /* "ckplab/_kernel.pyx":242
- *         cdef vector[double] old
- *         cdef int i
- *         for i in range(self.wsize):             # <<<<<<<<<<<<<<
- *             old.push_back(self.weights[i])
- *         self.wcap = cap
-*/
-  __pyx_t_1 = __pyx_v_self->wsize;
-  __pyx_t_3 = __pyx_t_1;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "ckplab/_kernel.pyx":243
- *         cdef int i
- *         for i in range(self.wsize):
- *             old.push_back(self.weights[i])             # <<<<<<<<<<<<<<
- *         self.wcap = cap
- *         self.tree.assign(cap + 1, 0.0)
-*/
-    try {
-      __pyx_v_old.push_back((__pyx_v_self->weights[__pyx_v_i]));
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 243, __pyx_L1_error)
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":244
- *         for i in range(self.wsize):
- *             old.push_back(self.weights[i])
- *         self.wcap = cap             # <<<<<<<<<<<<<<
- *         self.tree.assign(cap + 1, 0.0)
- *         self.weights.assign(cap, 0.0)
-*/
-  __pyx_v_self->wcap = __pyx_v_cap;
-
-  /* "ckplab/_kernel.pyx":245
- *             old.push_back(self.weights[i])
- *         self.wcap = cap
- *         self.tree.assign(cap + 1, 0.0)             # <<<<<<<<<<<<<<
- *         self.weights.assign(cap, 0.0)
- *         self.wsize = 0
-*/
-  __pyx_v_self->tree.assign((__pyx_v_cap + 1), 0.0); 
-
-  /* "ckplab/_kernel.pyx":246
- *         self.wcap = cap
- *         self.tree.assign(cap + 1, 0.0)
- *         self.weights.assign(cap, 0.0)             # <<<<<<<<<<<<<<
- *         self.wsize = 0
- *         self.wtotal = 0.0
-*/
-  __pyx_v_self->weights.assign(__pyx_v_cap, 0.0); 
-
-  /* "ckplab/_kernel.pyx":247
- *         self.tree.assign(cap + 1, 0.0)
- *         self.weights.assign(cap, 0.0)
- *         self.wsize = 0             # <<<<<<<<<<<<<<
- *         self.wtotal = 0.0
- *         self.wpositive = 0
-*/
-  __pyx_v_self->wsize = 0;
-
-  /* "ckplab/_kernel.pyx":248
- *         self.weights.assign(cap, 0.0)
- *         self.wsize = 0
- *         self.wtotal = 0.0             # <<<<<<<<<<<<<<
- *         self.wpositive = 0
- *         for i in range(<int> old.size()):
-*/
-  __pyx_v_self->wtotal = 0.0;
-
-  /* "ckplab/_kernel.pyx":249
- *         self.wsize = 0
- *         self.wtotal = 0.0
- *         self.wpositive = 0             # <<<<<<<<<<<<<<
- *         for i in range(<int> old.size()):
- *             self.w_append(old[i])
-*/
-  __pyx_v_self->wpositive = 0;
-
-  /* "ckplab/_kernel.pyx":250
- *         self.wtotal = 0.0
- *         self.wpositive = 0
- *         for i in range(<int> old.size()):             # <<<<<<<<<<<<<<
- *             self.w_append(old[i])
- * 
-*/
-  __pyx_t_1 = ((int)__pyx_v_old.size());
-  __pyx_t_3 = __pyx_t_1;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "ckplab/_kernel.pyx":251
- *         self.wpositive = 0
- *         for i in range(<int> old.size()):
- *             self.w_append(old[i])             # <<<<<<<<<<<<<<
- * 
- *     cdef int w_append(self, double weight) except -1:
-*/
-    __pyx_t_5 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_append(__pyx_v_self, (__pyx_v_old[__pyx_v_i])); if (unlikely(__pyx_t_5 == ((int)-1))) __PYX_ERR(0, 251, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":236
- *     # -- weight index, mirroring WeightIndex -------------------------------
- * 
- *     cdef void w_grow(self, int need) except *:             # <<<<<<<<<<<<<<
- *         cdef int cap = self.wcap
- *         while cap < need:
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.w_grow", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":253
- *             self.w_append(old[i])
- * 
- *     cdef int w_append(self, double weight) except -1:             # <<<<<<<<<<<<<<
- *         if self.wsize >= self.wcap:
- *             self.w_grow(self.wsize + 1)
-*/
-
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_w_append(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, double __pyx_v_weight) {
-  int __pyx_v_i;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":254
- * 
- *     cdef int w_append(self, double weight) except -1:
- *         if self.wsize >= self.wcap:             # <<<<<<<<<<<<<<
- *             self.w_grow(self.wsize + 1)
- *         cdef int i = self.wsize
-*/
-  __pyx_t_1 = (__pyx_v_self->wsize >= __pyx_v_self->wcap);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":255
- *     cdef int w_append(self, double weight) except -1:
- *         if self.wsize >= self.wcap:
- *             self.w_grow(self.wsize + 1)             # <<<<<<<<<<<<<<
- *         cdef int i = self.wsize
- *         self.wsize += 1
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_grow(__pyx_v_self, (__pyx_v_self->wsize + 1)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 255, __pyx_L1_error)
-
-    /* "ckplab/_kernel.pyx":254
- * 
- *     cdef int w_append(self, double weight) except -1:
- *         if self.wsize >= self.wcap:             # <<<<<<<<<<<<<<
- *             self.w_grow(self.wsize + 1)
- *         cdef int i = self.wsize
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":256
- *         if self.wsize >= self.wcap:
- *             self.w_grow(self.wsize + 1)
- *         cdef int i = self.wsize             # <<<<<<<<<<<<<<
- *         self.wsize += 1
- *         if weight != 0.0:
-*/
-  __pyx_t_2 = __pyx_v_self->wsize;
-  __pyx_v_i = __pyx_t_2;
-
-  /* "ckplab/_kernel.pyx":257
- *             self.w_grow(self.wsize + 1)
- *         cdef int i = self.wsize
- *         self.wsize += 1             # <<<<<<<<<<<<<<
- *         if weight != 0.0:
- *             self.w_add(i, weight)
-*/
-  __pyx_v_self->wsize = (__pyx_v_self->wsize + 1);
-
-  /* "ckplab/_kernel.pyx":258
- *         cdef int i = self.wsize
- *         self.wsize += 1
- *         if weight != 0.0:             # <<<<<<<<<<<<<<
- *             self.w_add(i, weight)
- *             self.weights[i] = weight
-*/
-  __pyx_t_1 = (__pyx_v_weight != 0.0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":259
- *         self.wsize += 1
- *         if weight != 0.0:
- *             self.w_add(i, weight)             # <<<<<<<<<<<<<<
- *             self.weights[i] = weight
- *             self.wtotal += weight
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_add(__pyx_v_self, __pyx_v_i, __pyx_v_weight); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 259, __pyx_L1_error)
-
-    /* "ckplab/_kernel.pyx":260
- *         if weight != 0.0:
- *             self.w_add(i, weight)
- *             self.weights[i] = weight             # <<<<<<<<<<<<<<
- *             self.wtotal += weight
- *             if weight > 0:
-*/
-    (__pyx_v_self->weights[__pyx_v_i]) = __pyx_v_weight;
-
-    /* "ckplab/_kernel.pyx":261
- *             self.w_add(i, weight)
- *             self.weights[i] = weight
- *             self.wtotal += weight             # <<<<<<<<<<<<<<
- *             if weight > 0:
- *                 self.wpositive += 1
-*/
-    __pyx_v_self->wtotal = (__pyx_v_self->wtotal + __pyx_v_weight);
-
-    /* "ckplab/_kernel.pyx":262
- *             self.weights[i] = weight
- *             self.wtotal += weight
- *             if weight > 0:             # <<<<<<<<<<<<<<
- *                 self.wpositive += 1
- *         return i
-*/
-    __pyx_t_1 = (__pyx_v_weight > 0.0);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":263
- *             self.wtotal += weight
- *             if weight > 0:
- *                 self.wpositive += 1             # <<<<<<<<<<<<<<
- *         return i
- * 
-*/
-      __pyx_v_self->wpositive = (__pyx_v_self->wpositive + 1);
-
-      /* "ckplab/_kernel.pyx":262
- *             self.weights[i] = weight
- *             self.wtotal += weight
- *             if weight > 0:             # <<<<<<<<<<<<<<
- *                 self.wpositive += 1
- *         return i
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":258
- *         cdef int i = self.wsize
- *         self.wsize += 1
- *         if weight != 0.0:             # <<<<<<<<<<<<<<
- *             self.w_add(i, weight)
- *             self.weights[i] = weight
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":264
- *             if weight > 0:
- *                 self.wpositive += 1
- *         return i             # <<<<<<<<<<<<<<
- * 
- *     cdef void w_set(self, int i, double weight):
-*/
-  __pyx_r = __pyx_v_i;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":253
- *             self.w_append(old[i])
- * 
- *     cdef int w_append(self, double weight) except -1:             # <<<<<<<<<<<<<<
- *         if self.wsize >= self.wcap:
- *             self.w_grow(self.wsize + 1)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.w_append", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":266
- *         return i
- * 
- *     cdef void w_set(self, int i, double weight):             # <<<<<<<<<<<<<<
- *         cdef double old = self.weights[i]
- *         if weight == old:
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_w_set(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_i, double __pyx_v_weight) {
-  double __pyx_v_old;
-  double __pyx_v_delta;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":267
- * 
- *     cdef void w_set(self, int i, double weight):
- *         cdef double old = self.weights[i]             # <<<<<<<<<<<<<<
- *         if weight == old:
- *             return
-*/
-  __pyx_v_old = (__pyx_v_self->weights[__pyx_v_i]);
-
-  /* "ckplab/_kernel.pyx":268
- *     cdef void w_set(self, int i, double weight):
- *         cdef double old = self.weights[i]
- *         if weight == old:             # <<<<<<<<<<<<<<
- *             return
- *         cdef double delta = weight - old
-*/
-  __pyx_t_1 = (__pyx_v_weight == __pyx_v_old);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":269
- *         cdef double old = self.weights[i]
- *         if weight == old:
- *             return             # <<<<<<<<<<<<<<
- *         cdef double delta = weight - old
- *         self.w_add(i, delta)
-*/
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":268
- *     cdef void w_set(self, int i, double weight):
- *         cdef double old = self.weights[i]
- *         if weight == old:             # <<<<<<<<<<<<<<
- *             return
- *         cdef double delta = weight - old
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":270
- *         if weight == old:
- *             return
- *         cdef double delta = weight - old             # <<<<<<<<<<<<<<
- *         self.w_add(i, delta)
- *         self.weights[i] = weight
-*/
-  __pyx_v_delta = (__pyx_v_weight - __pyx_v_old);
-
-  /* "ckplab/_kernel.pyx":271
- *             return
- *         cdef double delta = weight - old
- *         self.w_add(i, delta)             # <<<<<<<<<<<<<<
- *         self.weights[i] = weight
- *         self.wtotal += delta
-*/
-  ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_add(__pyx_v_self, __pyx_v_i, __pyx_v_delta); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 271, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":272
- *         cdef double delta = weight - old
- *         self.w_add(i, delta)
- *         self.weights[i] = weight             # <<<<<<<<<<<<<<
- *         self.wtotal += delta
- *         if (old > 0) != (weight > 0):
-*/
-  (__pyx_v_self->weights[__pyx_v_i]) = __pyx_v_weight;
-
-  /* "ckplab/_kernel.pyx":273
- *         self.w_add(i, delta)
- *         self.weights[i] = weight
- *         self.wtotal += delta             # <<<<<<<<<<<<<<
- *         if (old > 0) != (weight > 0):
- *             self.wpositive += 1 if weight > 0 else -1
-*/
-  __pyx_v_self->wtotal = (__pyx_v_self->wtotal + __pyx_v_delta);
-
-  /* "ckplab/_kernel.pyx":274
- *         self.weights[i] = weight
- *         self.wtotal += delta
- *         if (old > 0) != (weight > 0):             # <<<<<<<<<<<<<<
- *             self.wpositive += 1 if weight > 0 else -1
- * 
-*/
-  __pyx_t_1 = ((__pyx_v_old > 0.0) != (__pyx_v_weight > 0.0));
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":275
- *         self.wtotal += delta
- *         if (old > 0) != (weight > 0):
- *             self.wpositive += 1 if weight > 0 else -1             # <<<<<<<<<<<<<<
- * 
- *     cdef void w_add(self, int i, double delta):
-*/
-    __pyx_t_1 = (__pyx_v_weight > 0.0);
-    if (__pyx_t_1) {
-      __pyx_t_2 = 1;
-    } else {
-      __pyx_t_2 = -1L;
-    }
-    __pyx_v_self->wpositive = (__pyx_v_self->wpositive + __pyx_t_2);
-
-    /* "ckplab/_kernel.pyx":274
- *         self.weights[i] = weight
- *         self.wtotal += delta
- *         if (old > 0) != (weight > 0):             # <<<<<<<<<<<<<<
- *             self.wpositive += 1 if weight > 0 else -1
- * 
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":266
- *         return i
- * 
- *     cdef void w_set(self, int i, double weight):             # <<<<<<<<<<<<<<
- *         cdef double old = self.weights[i]
- *         if weight == old:
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.w_set", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":277
- *             self.wpositive += 1 if weight > 0 else -1
- * 
- *     cdef void w_add(self, int i, double delta):             # <<<<<<<<<<<<<<
- *         cdef int j = i + 1
- *         while j <= self.wcap:
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_w_add(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_i, double __pyx_v_delta) {
-  int __pyx_v_j;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "ckplab/_kernel.pyx":278
- * 
- *     cdef void w_add(self, int i, double delta):
- *         cdef int j = i + 1             # <<<<<<<<<<<<<<
- *         while j <= self.wcap:
- *             self.tree[j] += delta
-*/
-  __pyx_v_j = (__pyx_v_i + 1);
-
-  /* "ckplab/_kernel.pyx":279
- *     cdef void w_add(self, int i, double delta):
- *         cdef int j = i + 1
- *         while j <= self.wcap:             # <<<<<<<<<<<<<<
- *             self.tree[j] += delta
- *             j += j & (-j)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_j <= __pyx_v_self->wcap);
-    if (!__pyx_t_1) break;
-
-    /* "ckplab/_kernel.pyx":280
- *         cdef int j = i + 1
- *         while j <= self.wcap:
- *             self.tree[j] += delta             # <<<<<<<<<<<<<<
- *             j += j & (-j)
- * 
-*/
-    __pyx_t_2 = __pyx_v_j;
-    (__pyx_v_self->tree[__pyx_t_2]) = ((__pyx_v_self->tree[__pyx_t_2]) + __pyx_v_delta);
-
-    /* "ckplab/_kernel.pyx":281
- *         while j <= self.wcap:
- *             self.tree[j] += delta
- *             j += j & (-j)             # <<<<<<<<<<<<<<
- * 
- *     cdef int w_select(self, double x) except -1:
-*/
-    __pyx_v_j = (__pyx_v_j + (__pyx_v_j & (-__pyx_v_j)));
-  }
-
-  /* "ckplab/_kernel.pyx":277
- *             self.wpositive += 1 if weight > 0 else -1
- * 
- *     cdef void w_add(self, int i, double delta):             # <<<<<<<<<<<<<<
- *         cdef int j = i + 1
- *         while j <= self.wcap:
-*/
-
-  /* function exit code */
-}
-
-/* "ckplab/_kernel.pyx":283
- *             j += j & (-j)
- * 
- *     cdef int w_select(self, double x) except -1:             # <<<<<<<<<<<<<<
- *         cdef int pos = 0
- *         cdef int mask = 1
-*/
-
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_w_select(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, double __pyx_v_x) {
-  int __pyx_v_pos;
-  int __pyx_v_mask;
-  double __pyx_v_rem;
-  int __pyx_v_nxt;
-  int __pyx_v_j;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("w_select", 0);
-
-  /* "ckplab/_kernel.pyx":284
- * 
- *     cdef int w_select(self, double x) except -1:
- *         cdef int pos = 0             # <<<<<<<<<<<<<<
- *         cdef int mask = 1
- *         while mask * 2 <= self.wcap:
-*/
-  __pyx_v_pos = 0;
-
-  /* "ckplab/_kernel.pyx":285
- *     cdef int w_select(self, double x) except -1:
- *         cdef int pos = 0
- *         cdef int mask = 1             # <<<<<<<<<<<<<<
- *         while mask * 2 <= self.wcap:
- *             mask *= 2
-*/
-  __pyx_v_mask = 1;
-
-  /* "ckplab/_kernel.pyx":286
- *         cdef int pos = 0
- *         cdef int mask = 1
- *         while mask * 2 <= self.wcap:             # <<<<<<<<<<<<<<
- *             mask *= 2
- *         cdef double rem = x
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_mask * 2) <= __pyx_v_self->wcap);
-    if (!__pyx_t_1) break;
-
-    /* "ckplab/_kernel.pyx":287
- *         cdef int mask = 1
- *         while mask * 2 <= self.wcap:
- *             mask *= 2             # <<<<<<<<<<<<<<
- *         cdef double rem = x
- *         cdef int nxt
-*/
-    __pyx_v_mask = (__pyx_v_mask * 2);
-  }
-
-  /* "ckplab/_kernel.pyx":288
- *         while mask * 2 <= self.wcap:
- *             mask *= 2
- *         cdef double rem = x             # <<<<<<<<<<<<<<
- *         cdef int nxt
- *         while mask:
-*/
-  __pyx_v_rem = __pyx_v_x;
-
-  /* "ckplab/_kernel.pyx":290
- *         cdef double rem = x
- *         cdef int nxt
- *         while mask:             # <<<<<<<<<<<<<<
- *             nxt = pos + mask
- *             if nxt <= self.wcap and self.tree[nxt] <= rem:
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_mask != 0);
-    if (!__pyx_t_1) break;
-
-    /* "ckplab/_kernel.pyx":291
- *         cdef int nxt
- *         while mask:
- *             nxt = pos + mask             # <<<<<<<<<<<<<<
- *             if nxt <= self.wcap and self.tree[nxt] <= rem:
- *                 pos = nxt
-*/
-    __pyx_v_nxt = (__pyx_v_pos + __pyx_v_mask);
-
-    /* "ckplab/_kernel.pyx":292
- *         while mask:
- *             nxt = pos + mask
- *             if nxt <= self.wcap and self.tree[nxt] <= rem:             # <<<<<<<<<<<<<<
- *                 pos = nxt
- *                 rem -= self.tree[nxt]
-*/
-    __pyx_t_2 = (__pyx_v_nxt <= __pyx_v_self->wcap);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L8_bool_binop_done;
-    }
-    __pyx_t_2 = ((__pyx_v_self->tree[__pyx_v_nxt]) <= __pyx_v_rem);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L8_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":293
- *             nxt = pos + mask
- *             if nxt <= self.wcap and self.tree[nxt] <= rem:
- *                 pos = nxt             # <<<<<<<<<<<<<<
- *                 rem -= self.tree[nxt]
- *             mask >>= 1
-*/
-      __pyx_v_pos = __pyx_v_nxt;
-
-      /* "ckplab/_kernel.pyx":294
- *             if nxt <= self.wcap and self.tree[nxt] <= rem:
- *                 pos = nxt
- *                 rem -= self.tree[nxt]             # <<<<<<<<<<<<<<
- *             mask >>= 1
- *         if pos >= self.wsize:
-*/
-      __pyx_v_rem = (__pyx_v_rem - (__pyx_v_self->tree[__pyx_v_nxt]));
-
-      /* "ckplab/_kernel.pyx":292
- *         while mask:
- *             nxt = pos + mask
- *             if nxt <= self.wcap and self.tree[nxt] <= rem:             # <<<<<<<<<<<<<<
- *                 pos = nxt
- *                 rem -= self.tree[nxt]
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":295
- *                 pos = nxt
- *                 rem -= self.tree[nxt]
- *             mask >>= 1             # <<<<<<<<<<<<<<
- *         if pos >= self.wsize:
- *             pos = self.wsize - 1
-*/
-    __pyx_v_mask = (__pyx_v_mask >> 1);
-  }
-
-  /* "ckplab/_kernel.pyx":296
- *                 rem -= self.tree[nxt]
- *             mask >>= 1
- *         if pos >= self.wsize:             # <<<<<<<<<<<<<<
- *             pos = self.wsize - 1
- *         cdef int j
-*/
-  __pyx_t_1 = (__pyx_v_pos >= __pyx_v_self->wsize);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":297
- *             mask >>= 1
- *         if pos >= self.wsize:
- *             pos = self.wsize - 1             # <<<<<<<<<<<<<<
- *         cdef int j
- *         if self.weights[pos] <= 0:
-*/
-    __pyx_v_pos = (__pyx_v_self->wsize - 1);
-
-    /* "ckplab/_kernel.pyx":296
- *                 rem -= self.tree[nxt]
- *             mask >>= 1
- *         if pos >= self.wsize:             # <<<<<<<<<<<<<<
- *             pos = self.wsize - 1
- *         cdef int j
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":299
- *             pos = self.wsize - 1
- *         cdef int j
- *         if self.weights[pos] <= 0:             # <<<<<<<<<<<<<<
- *             j = pos + 1
- *             while j < self.wsize and self.weights[j] <= 0:
-*/
-  __pyx_t_1 = ((__pyx_v_self->weights[__pyx_v_pos]) <= 0.0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":300
- *         cdef int j
- *         if self.weights[pos] <= 0:
- *             j = pos + 1             # <<<<<<<<<<<<<<
- *             while j < self.wsize and self.weights[j] <= 0:
- *                 j += 1
-*/
-    __pyx_v_j = (__pyx_v_pos + 1);
-
-    /* "ckplab/_kernel.pyx":301
- *         if self.weights[pos] <= 0:
- *             j = pos + 1
- *             while j < self.wsize and self.weights[j] <= 0:             # <<<<<<<<<<<<<<
- *                 j += 1
- *             if j >= self.wsize:
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_j < __pyx_v_self->wsize);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L14_bool_binop_done;
-      }
-      __pyx_t_2 = ((__pyx_v_self->weights[__pyx_v_j]) <= 0.0);
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L14_bool_binop_done:;
-      if (!__pyx_t_1) break;
-
-      /* "ckplab/_kernel.pyx":302
- *             j = pos + 1
- *             while j < self.wsize and self.weights[j] <= 0:
- *                 j += 1             # <<<<<<<<<<<<<<
- *             if j >= self.wsize:
- *                 j = pos - 1
-*/
-      __pyx_v_j = (__pyx_v_j + 1);
-    }
-
-    /* "ckplab/_kernel.pyx":303
- *             while j < self.wsize and self.weights[j] <= 0:
- *                 j += 1
- *             if j >= self.wsize:             # <<<<<<<<<<<<<<
- *                 j = pos - 1
- *                 while j >= 0 and self.weights[j] <= 0:
-*/
-    __pyx_t_1 = (__pyx_v_j >= __pyx_v_self->wsize);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":304
- *                 j += 1
- *             if j >= self.wsize:
- *                 j = pos - 1             # <<<<<<<<<<<<<<
- *                 while j >= 0 and self.weights[j] <= 0:
- *                     j -= 1
-*/
-      __pyx_v_j = (__pyx_v_pos - 1);
-
-      /* "ckplab/_kernel.pyx":305
- *             if j >= self.wsize:
- *                 j = pos - 1
- *                 while j >= 0 and self.weights[j] <= 0:             # <<<<<<<<<<<<<<
- *                     j -= 1
- *             if j < 0:
-*/
-      while (1) {
-        __pyx_t_2 = (__pyx_v_j >= 0);
-        if (__pyx_t_2) {
-        } else {
-          __pyx_t_1 = __pyx_t_2;
-          goto __pyx_L19_bool_binop_done;
-        }
-        __pyx_t_2 = ((__pyx_v_self->weights[__pyx_v_j]) <= 0.0);
-        __pyx_t_1 = __pyx_t_2;
-        __pyx_L19_bool_binop_done:;
-        if (!__pyx_t_1) break;
-
-        /* "ckplab/_kernel.pyx":306
- *                 j = pos - 1
- *                 while j >= 0 and self.weights[j] <= 0:
- *                     j -= 1             # <<<<<<<<<<<<<<
- *             if j < 0:
- *                 raise AllWeightsZero(
-*/
-        __pyx_v_j = (__pyx_v_j - 1);
-      }
-
-      /* "ckplab/_kernel.pyx":303
- *             while j < self.wsize and self.weights[j] <= 0:
- *                 j += 1
- *             if j >= self.wsize:             # <<<<<<<<<<<<<<
- *                 j = pos - 1
- *                 while j >= 0 and self.weights[j] <= 0:
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":307
- *                 while j >= 0 and self.weights[j] <= 0:
- *                     j -= 1
- *             if j < 0:             # <<<<<<<<<<<<<<
- *                 raise AllWeightsZero(
- *                     "no positive attachment weight to select")
-*/
-    __pyx_t_1 = (__pyx_v_j < 0);
-    if (unlikely(__pyx_t_1)) {
-
-      /* "ckplab/_kernel.pyx":308
- *                     j -= 1
- *             if j < 0:
- *                 raise AllWeightsZero(             # <<<<<<<<<<<<<<
- *                     "no positive attachment weight to select")
- *             pos = j
-*/
-      __pyx_t_4 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_AllWeightsZero); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 308, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_6 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_5))) {
-        __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-        assert(__pyx_t_4);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-        __Pyx_INCREF(__pyx_t_4);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-        __pyx_t_6 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_no_positive_attachment_weight_to};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 308, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 308, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":307
- *                 while j >= 0 and self.weights[j] <= 0:
- *                     j -= 1
- *             if j < 0:             # <<<<<<<<<<<<<<
- *                 raise AllWeightsZero(
- *                     "no positive attachment weight to select")
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":310
- *                 raise AllWeightsZero(
- *                     "no positive attachment weight to select")
- *             pos = j             # <<<<<<<<<<<<<<
- *         return pos
- * 
-*/
-    __pyx_v_pos = __pyx_v_j;
-
-    /* "ckplab/_kernel.pyx":299
- *             pos = self.wsize - 1
- *         cdef int j
- *         if self.weights[pos] <= 0:             # <<<<<<<<<<<<<<
- *             j = pos + 1
- *             while j < self.wsize and self.weights[j] <= 0:
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":311
- *                     "no positive attachment weight to select")
- *             pos = j
- *         return pos             # <<<<<<<<<<<<<<
- * 
- *     # -- membership predicates --------------------------------------------
-*/
-  __pyx_r = __pyx_v_pos;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":283
- *             j += j & (-j)
- * 
- *     cdef int w_select(self, double x) except -1:             # <<<<<<<<<<<<<<
- *         cdef int pos = 0
- *         cdef int mask = 1
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.w_select", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":315
- *     # -- membership predicates --------------------------------------------
- * 
- *     cdef inline int is_minimal_false(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int lab = self.labels[v]
- *         if lab == CF:
-*/
-
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_is_minimal_false(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_v_lab;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "ckplab/_kernel.pyx":316
- * 
- *     cdef inline int is_minimal_false(self, int v):
- *         cdef int lab = self.labels[v]             # <<<<<<<<<<<<<<
- *         if lab == CF:
- *             return 1
-*/
-  __pyx_v_lab = (__pyx_v_self->labels[__pyx_v_v]);
-
-  /* "ckplab/_kernel.pyx":317
- *     cdef inline int is_minimal_false(self, int v):
- *         cdef int lab = self.labels[v]
- *         if lab == CF:             # <<<<<<<<<<<<<<
- *             return 1
- *         return 1 if (lab == CT and self.pf_parent[v] > 0) else 0
-*/
-  __pyx_t_1 = (__pyx_v_lab == __pyx_v_6ckplab_7_kernel_CF);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":318
- *         cdef int lab = self.labels[v]
- *         if lab == CF:
- *             return 1             # <<<<<<<<<<<<<<
- *         return 1 if (lab == CT and self.pf_parent[v] > 0) else 0
- * 
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":317
- *     cdef inline int is_minimal_false(self, int v):
- *         cdef int lab = self.labels[v]
- *         if lab == CF:             # <<<<<<<<<<<<<<
- *             return 1
- *         return 1 if (lab == CT and self.pf_parent[v] > 0) else 0
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":319
- *         if lab == CF:
- *             return 1
- *         return 1 if (lab == CT and self.pf_parent[v] > 0) else 0             # <<<<<<<<<<<<<<
- * 
- *     cdef inline int is_leaf(self, int v):
-*/
-  __pyx_t_3 = (__pyx_v_lab == __pyx_v_6ckplab_7_kernel_CT);
-  if (__pyx_t_3) {
-  } else {
-    __pyx_t_1 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = ((__pyx_v_self->pf_parent[__pyx_v_v]) > 0);
-  __pyx_t_1 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-    __pyx_t_2 = 1;
-  } else {
-    __pyx_t_2 = 0;
-  }
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":315
- *     # -- membership predicates --------------------------------------------
- * 
- *     cdef inline int is_minimal_false(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int lab = self.labels[v]
- *         if lab == CF:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":321
- *         return 1 if (lab == CT and self.pf_parent[v] > 0) else 0
- * 
- *     cdef inline int is_leaf(self, int v):             # <<<<<<<<<<<<<<
- *         if self.labels[v] != CT or self.pf_parent[v] > 0:
- *             return 0
-*/
-
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_is_leaf(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "ckplab/_kernel.pyx":322
- * 
- *     cdef inline int is_leaf(self, int v):
- *         if self.labels[v] != CT or self.pf_parent[v] > 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         if self.simple:
-*/
-  __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_v]) != __pyx_v_6ckplab_7_kernel_CT);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_self->pf_parent[__pyx_v_v]) > 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":323
- *     cdef inline int is_leaf(self, int v):
- *         if self.labels[v] != CT or self.pf_parent[v] > 0:
- *             return 0             # <<<<<<<<<<<<<<
- *         if self.simple:
- *             return 1 if self.children[v].size() == 0 else 0
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":322
- * 
- *     cdef inline int is_leaf(self, int v):
- *         if self.labels[v] != CT or self.pf_parent[v] > 0:             # <<<<<<<<<<<<<<
- *             return 0
- *         if self.simple:
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":324
- *         if self.labels[v] != CT or self.pf_parent[v] > 0:
- *             return 0
- *         if self.simple:             # <<<<<<<<<<<<<<
- *             return 1 if self.children[v].size() == 0 else 0
- *         return 1 if self.deg_ct[v] == 0 else 0
-*/
-  __pyx_t_1 = (__pyx_v_self->simple != 0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":325
- *             return 0
- *         if self.simple:
- *             return 1 if self.children[v].size() == 0 else 0             # <<<<<<<<<<<<<<
- *         return 1 if self.deg_ct[v] == 0 else 0
- * 
-*/
-    __pyx_t_1 = ((__pyx_v_self->children[__pyx_v_v]).size() == 0);
-    if (__pyx_t_1) {
-      __pyx_t_3 = 1;
-    } else {
-      __pyx_t_3 = 0;
-    }
-    __pyx_r = __pyx_t_3;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":324
- *         if self.labels[v] != CT or self.pf_parent[v] > 0:
- *             return 0
- *         if self.simple:             # <<<<<<<<<<<<<<
- *             return 1 if self.children[v].size() == 0 else 0
- *         return 1 if self.deg_ct[v] == 0 else 0
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":326
- *         if self.simple:
- *             return 1 if self.children[v].size() == 0 else 0
- *         return 1 if self.deg_ct[v] == 0 else 0             # <<<<<<<<<<<<<<
- * 
- *     cdef void refresh_membership(self, int v):
-*/
-  __pyx_t_1 = ((__pyx_v_self->deg_ct[__pyx_v_v]) == 0);
-  if (__pyx_t_1) {
-    __pyx_t_3 = 1;
-  } else {
-    __pyx_t_3 = 0;
-  }
-  __pyx_r = __pyx_t_3;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":321
- *         return 1 if (lab == CT and self.pf_parent[v] > 0) else 0
- * 
- *     cdef inline int is_leaf(self, int v):             # <<<<<<<<<<<<<<
- *         if self.labels[v] != CT or self.pf_parent[v] > 0:
- *             return 0
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":328
- *         return 1 if self.deg_ct[v] == 0 else 0
- * 
- *     cdef void refresh_membership(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int f_now = self.is_minimal_false(v)
- *         cdef int l_now = self.is_leaf(v)
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_refresh_membership(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_v_f_now;
-  int __pyx_v_l_now;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":329
- * 
- *     cdef void refresh_membership(self, int v):
- *         cdef int f_now = self.is_minimal_false(v)             # <<<<<<<<<<<<<<
- *         cdef int l_now = self.is_leaf(v)
- *         if f_now != self.f_mem[v]:
-*/
-  __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_is_minimal_false(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 329, __pyx_L1_error)
-  __pyx_v_f_now = __pyx_t_1;
-
-  /* "ckplab/_kernel.pyx":330
- *     cdef void refresh_membership(self, int v):
- *         cdef int f_now = self.is_minimal_false(v)
- *         cdef int l_now = self.is_leaf(v)             # <<<<<<<<<<<<<<
- *         if f_now != self.f_mem[v]:
- *             self.f_mem[v] = f_now
-*/
-  __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_is_leaf(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 330, __pyx_L1_error)
-  __pyx_v_l_now = __pyx_t_1;
-
-  /* "ckplab/_kernel.pyx":331
- *         cdef int f_now = self.is_minimal_false(v)
- *         cdef int l_now = self.is_leaf(v)
- *         if f_now != self.f_mem[v]:             # <<<<<<<<<<<<<<
- *             self.f_mem[v] = f_now
- *             self.f_count += 1 if f_now else -1
-*/
-  __pyx_t_2 = (__pyx_v_f_now != (__pyx_v_self->f_mem[__pyx_v_v]));
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":332
- *         cdef int l_now = self.is_leaf(v)
- *         if f_now != self.f_mem[v]:
- *             self.f_mem[v] = f_now             # <<<<<<<<<<<<<<
- *             self.f_count += 1 if f_now else -1
- *         if l_now != self.l_mem[v]:
-*/
-    (__pyx_v_self->f_mem[__pyx_v_v]) = __pyx_v_f_now;
-
-    /* "ckplab/_kernel.pyx":333
- *         if f_now != self.f_mem[v]:
- *             self.f_mem[v] = f_now
- *             self.f_count += 1 if f_now else -1             # <<<<<<<<<<<<<<
- *         if l_now != self.l_mem[v]:
- *             self.l_mem[v] = l_now
-*/
-    __pyx_t_2 = (__pyx_v_f_now != 0);
-    if (__pyx_t_2) {
-      __pyx_t_3 = 1;
-    } else {
-      __pyx_t_3 = -1L;
-    }
-    __pyx_v_self->f_count = (__pyx_v_self->f_count + __pyx_t_3);
-
-    /* "ckplab/_kernel.pyx":331
- *         cdef int f_now = self.is_minimal_false(v)
- *         cdef int l_now = self.is_leaf(v)
- *         if f_now != self.f_mem[v]:             # <<<<<<<<<<<<<<
- *             self.f_mem[v] = f_now
- *             self.f_count += 1 if f_now else -1
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":334
- *             self.f_mem[v] = f_now
- *             self.f_count += 1 if f_now else -1
- *         if l_now != self.l_mem[v]:             # <<<<<<<<<<<<<<
- *             self.l_mem[v] = l_now
- *             self.l_count += 1 if l_now else -1
-*/
-  __pyx_t_2 = (__pyx_v_l_now != (__pyx_v_self->l_mem[__pyx_v_v]));
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":335
- *             self.f_count += 1 if f_now else -1
- *         if l_now != self.l_mem[v]:
- *             self.l_mem[v] = l_now             # <<<<<<<<<<<<<<
- *             self.l_count += 1 if l_now else -1
- * 
-*/
-    (__pyx_v_self->l_mem[__pyx_v_v]) = __pyx_v_l_now;
-
-    /* "ckplab/_kernel.pyx":336
- *         if l_now != self.l_mem[v]:
- *             self.l_mem[v] = l_now
- *             self.l_count += 1 if l_now else -1             # <<<<<<<<<<<<<<
- * 
- *     # -- growth ------------------------------------------------------------
-*/
-    __pyx_t_2 = (__pyx_v_l_now != 0);
-    if (__pyx_t_2) {
-      __pyx_t_3 = 1;
-    } else {
-      __pyx_t_3 = -1L;
-    }
-    __pyx_v_self->l_count = (__pyx_v_self->l_count + __pyx_t_3);
-
-    /* "ckplab/_kernel.pyx":334
- *             self.f_mem[v] = f_now
- *             self.f_count += 1 if f_now else -1
- *         if l_now != self.l_mem[v]:             # <<<<<<<<<<<<<<
- *             self.l_mem[v] = l_now
- *             self.l_count += 1 if l_now else -1
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":328
- *         return 1 if self.deg_ct[v] == 0 else 0
- * 
- *     cdef void refresh_membership(self, int v):             # <<<<<<<<<<<<<<
- *         cdef int f_now = self.is_minimal_false(v)
- *         cdef int l_now = self.is_leaf(v)
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.refresh_membership", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":340
- *     # -- growth ------------------------------------------------------------
- * 
- *     cdef int add_node(self, vector[int]& parent_ids, int label) except -1:             # <<<<<<<<<<<<<<
- *         """Append one node (non-adversarial) and update every index the
- *         pure engine updates, in the same order."""
-*/
-
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_add_node(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, std::vector<int>  &__pyx_v_parent_ids, int __pyx_v_label) {
-  int __pyx_v_v;
-  int __pyx_v_false;
-  size_t __pyx_v_idx;
-  int __pyx_v_u;
-  int __pyx_v_last;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  std::vector<int> ::size_type __pyx_t_3;
-  std::vector<int> ::size_type __pyx_t_4;
-  size_t __pyx_t_5;
-  std::vector<int>  __pyx_t_6;
-  double __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":343
- *         """Append one node (non-adversarial) and update every index the
- *         pure engine updates, in the same order."""
- *         cdef int v = <int> self.labels.size()             # <<<<<<<<<<<<<<
- *         cdef int false = 1 if label == CF else 0
- *         cdef size_t idx
-*/
-  __pyx_v_v = ((int)__pyx_v_self->labels.size());
-
-  /* "ckplab/_kernel.pyx":344
- *         pure engine updates, in the same order."""
- *         cdef int v = <int> self.labels.size()
- *         cdef int false = 1 if label == CF else 0             # <<<<<<<<<<<<<<
- *         cdef size_t idx
- *         cdef int u
-*/
-  __pyx_t_2 = (__pyx_v_label == __pyx_v_6ckplab_7_kernel_CF);
-  if (__pyx_t_2) {
-    __pyx_t_1 = 1;
-  } else {
-    __pyx_t_1 = 0;
-  }
-  __pyx_v_false = __pyx_t_1;
-
-  /* "ckplab/_kernel.pyx":347
- *         cdef size_t idx
- *         cdef int u
- *         if not false:             # <<<<<<<<<<<<<<
- *             for idx in range(parent_ids.size()):
- *                 if self.isfalse[parent_ids[idx]]:
-*/
-  __pyx_t_2 = (!(__pyx_v_false != 0));
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":348
- *         cdef int u
- *         if not false:
- *             for idx in range(parent_ids.size()):             # <<<<<<<<<<<<<<
- *                 if self.isfalse[parent_ids[idx]]:
- *                     false = 1
-*/
-    __pyx_t_3 = __pyx_v_parent_ids.size();
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_idx = __pyx_t_5;
-
-      /* "ckplab/_kernel.pyx":349
- *         if not false:
- *             for idx in range(parent_ids.size()):
- *                 if self.isfalse[parent_ids[idx]]:             # <<<<<<<<<<<<<<
- *                     false = 1
- *                     break
-*/
-      __pyx_t_2 = ((__pyx_v_self->isfalse[(__pyx_v_parent_ids[__pyx_v_idx])]) != 0);
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":350
- *             for idx in range(parent_ids.size()):
- *                 if self.isfalse[parent_ids[idx]]:
- *                     false = 1             # <<<<<<<<<<<<<<
- *                     break
- *         self.labels.push_back(label)
-*/
-        __pyx_v_false = 1;
-
-        /* "ckplab/_kernel.pyx":351
- *                 if self.isfalse[parent_ids[idx]]:
- *                     false = 1
- *                     break             # <<<<<<<<<<<<<<
- *         self.labels.push_back(label)
- *         self.isfalse.push_back(false)
-*/
-        goto __pyx_L5_break;
-
-        /* "ckplab/_kernel.pyx":349
- *         if not false:
- *             for idx in range(parent_ids.size()):
- *                 if self.isfalse[parent_ids[idx]]:             # <<<<<<<<<<<<<<
- *                     false = 1
- *                     break
-*/
-      }
-    }
-    __pyx_L5_break:;
-
-    /* "ckplab/_kernel.pyx":347
- *         cdef size_t idx
- *         cdef int u
- *         if not false:             # <<<<<<<<<<<<<<
- *             for idx in range(parent_ids.size()):
- *                 if self.isfalse[parent_ids[idx]]:
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":352
- *                     false = 1
- *                     break
- *         self.labels.push_back(label)             # <<<<<<<<<<<<<<
- *         self.isfalse.push_back(false)
- *         self.birth.push_back(self.step_index)
-*/
-  try {
-    __pyx_v_self->labels.push_back(__pyx_v_label);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 352, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":353
- *                     break
- *         self.labels.push_back(label)
- *         self.isfalse.push_back(false)             # <<<<<<<<<<<<<<
- *         self.birth.push_back(self.step_index)
- *         self.advers.push_back(0)
-*/
-  try {
-    __pyx_v_self->isfalse.push_back(__pyx_v_false);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 353, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":354
- *         self.labels.push_back(label)
- *         self.isfalse.push_back(false)
- *         self.birth.push_back(self.step_index)             # <<<<<<<<<<<<<<
- *         self.advers.push_back(0)
- *         self.parents.push_back(parent_ids)
-*/
-  try {
-    __pyx_v_self->birth.push_back(__pyx_v_self->step_index);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 354, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":355
- *         self.isfalse.push_back(false)
- *         self.birth.push_back(self.step_index)
- *         self.advers.push_back(0)             # <<<<<<<<<<<<<<
- *         self.parents.push_back(parent_ids)
- *         self.children.push_back(vector[int]())
-*/
-  try {
-    __pyx_v_self->advers.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 355, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":356
- *         self.birth.push_back(self.step_index)
- *         self.advers.push_back(0)
- *         self.parents.push_back(parent_ids)             # <<<<<<<<<<<<<<
- *         self.children.push_back(vector[int]())
- *         self.deg_pt.push_back(0)
-*/
-  try {
-    __pyx_v_self->parents.push_back(__pyx_v_parent_ids);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 356, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":357
- *         self.advers.push_back(0)
- *         self.parents.push_back(parent_ids)
- *         self.children.push_back(vector[int]())             # <<<<<<<<<<<<<<
- *         self.deg_pt.push_back(0)
- *         self.deg_ct.push_back(0)
-*/
-  try {
-    __pyx_t_6 = std::vector<int> ();
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 357, __pyx_L1_error)
-  }
-  try {
-    __pyx_v_self->children.push_back(__pyx_t_6);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 357, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":358
- *         self.parents.push_back(parent_ids)
- *         self.children.push_back(vector[int]())
- *         self.deg_pt.push_back(0)             # <<<<<<<<<<<<<<
- *         self.deg_ct.push_back(0)
- *         self.pf_parent.push_back(0)
-*/
-  try {
-    __pyx_v_self->deg_pt.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 358, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":359
- *         self.children.push_back(vector[int]())
- *         self.deg_pt.push_back(0)
- *         self.deg_ct.push_back(0)             # <<<<<<<<<<<<<<
- *         self.pf_parent.push_back(0)
- *         for idx in range(parent_ids.size()):
-*/
-  try {
-    __pyx_v_self->deg_ct.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 359, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":360
- *         self.deg_pt.push_back(0)
- *         self.deg_ct.push_back(0)
- *         self.pf_parent.push_back(0)             # <<<<<<<<<<<<<<
- *         for idx in range(parent_ids.size()):
- *             u = parent_ids[idx]
-*/
-  try {
-    __pyx_v_self->pf_parent.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 360, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":361
- *         self.deg_ct.push_back(0)
- *         self.pf_parent.push_back(0)
- *         for idx in range(parent_ids.size()):             # <<<<<<<<<<<<<<
- *             u = parent_ids[idx]
- *             self.children[u].push_back(v)
-*/
-  __pyx_t_3 = __pyx_v_parent_ids.size();
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_idx = __pyx_t_5;
-
-    /* "ckplab/_kernel.pyx":362
- *         self.pf_parent.push_back(0)
- *         for idx in range(parent_ids.size()):
- *             u = parent_ids[idx]             # <<<<<<<<<<<<<<
- *             self.children[u].push_back(v)
- *             self.deg_pt[u] += 1
-*/
-    __pyx_v_u = (__pyx_v_parent_ids[__pyx_v_idx]);
-
-    /* "ckplab/_kernel.pyx":363
- *         for idx in range(parent_ids.size()):
- *             u = parent_ids[idx]
- *             self.children[u].push_back(v)             # <<<<<<<<<<<<<<
- *             self.deg_pt[u] += 1
- *             if label == CT:
-*/
-    try {
-      (__pyx_v_self->children[__pyx_v_u]).push_back(__pyx_v_v);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 363, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":364
- *             u = parent_ids[idx]
- *             self.children[u].push_back(v)
- *             self.deg_pt[u] += 1             # <<<<<<<<<<<<<<
- *             if label == CT:
- *                 self.deg_ct[u] += 1
-*/
-    __pyx_t_1 = __pyx_v_u;
-    (__pyx_v_self->deg_pt[__pyx_t_1]) = ((__pyx_v_self->deg_pt[__pyx_t_1]) + 1);
-
-    /* "ckplab/_kernel.pyx":365
- *             self.children[u].push_back(v)
- *             self.deg_pt[u] += 1
- *             if label == CT:             # <<<<<<<<<<<<<<
- *                 self.deg_ct[u] += 1
- *         # engine-level bookkeeping
-*/
-    __pyx_t_2 = (__pyx_v_label == __pyx_v_6ckplab_7_kernel_CT);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":366
- *             self.deg_pt[u] += 1
- *             if label == CT:
- *                 self.deg_ct[u] += 1             # <<<<<<<<<<<<<<
- *         # engine-level bookkeeping
- *         self.w_append(self.aval(0))
-*/
-      __pyx_t_1 = __pyx_v_u;
-      (__pyx_v_self->deg_ct[__pyx_t_1]) = ((__pyx_v_self->deg_ct[__pyx_t_1]) + 1);
-
-      /* "ckplab/_kernel.pyx":365
- *             self.children[u].push_back(v)
- *             self.deg_pt[u] += 1
- *             if label == CT:             # <<<<<<<<<<<<<<
- *                 self.deg_ct[u] += 1
- *         # engine-level bookkeeping
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":368
- *                 self.deg_ct[u] += 1
- *         # engine-level bookkeeping
- *         self.w_append(self.aval(0))             # <<<<<<<<<<<<<<
- *         self.touch_buf = parent_ids
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
-*/
-  __pyx_t_7 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->aval(__pyx_v_self, 0); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_7, ((double)(-1.0))) && PyErr_Occurred())) __PYX_ERR(0, 368, __pyx_L1_error)
-  __pyx_t_1 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_append(__pyx_v_self, __pyx_t_7); if (unlikely(__pyx_t_1 == ((int)-1))) __PYX_ERR(0, 368, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":369
- *         # engine-level bookkeeping
- *         self.w_append(self.aval(0))
- *         self.touch_buf = parent_ids             # <<<<<<<<<<<<<<
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
- *         cdef int last = -1
-*/
-  __pyx_v_self->touch_buf = __pyx_v_parent_ids;
-
-  /* "ckplab/_kernel.pyx":370
- *         self.w_append(self.aval(0))
- *         self.touch_buf = parent_ids
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())             # <<<<<<<<<<<<<<
- *         cdef int last = -1
- *         for idx in range(self.touch_buf.size()):
-*/
-  try {
-    std::sort<std::vector<int> ::iterator>(__pyx_v_self->touch_buf.begin(), __pyx_v_self->touch_buf.end());
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 370, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":371
- *         self.touch_buf = parent_ids
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
- *         cdef int last = -1             # <<<<<<<<<<<<<<
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]
-*/
-  __pyx_v_last = -1;
-
-  /* "ckplab/_kernel.pyx":372
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
- *         cdef int last = -1
- *         for idx in range(self.touch_buf.size()):             # <<<<<<<<<<<<<<
- *             u = self.touch_buf[idx]
- *             if u == last:
-*/
-  __pyx_t_3 = __pyx_v_self->touch_buf.size();
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_idx = __pyx_t_5;
-
-    /* "ckplab/_kernel.pyx":373
- *         cdef int last = -1
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]             # <<<<<<<<<<<<<<
- *             if u == last:
- *                 continue
-*/
-    __pyx_v_u = (__pyx_v_self->touch_buf[__pyx_v_idx]);
-
-    /* "ckplab/_kernel.pyx":374
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    __pyx_t_2 = (__pyx_v_u == __pyx_v_last);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":375
- *             u = self.touch_buf[idx]
- *             if u == last:
- *                 continue             # <<<<<<<<<<<<<<
- *             last = u
- *             self.w_set(u, self.aval(self.deg_pt[u]))
-*/
-      goto __pyx_L10_continue;
-
-      /* "ckplab/_kernel.pyx":374
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":376
- *             if u == last:
- *                 continue
- *             last = u             # <<<<<<<<<<<<<<
- *             self.w_set(u, self.aval(self.deg_pt[u]))
- *         self.f_mem.push_back(self.is_minimal_false(v))
-*/
-    __pyx_v_last = __pyx_v_u;
-
-    /* "ckplab/_kernel.pyx":377
- *                 continue
- *             last = u
- *             self.w_set(u, self.aval(self.deg_pt[u]))             # <<<<<<<<<<<<<<
- *         self.f_mem.push_back(self.is_minimal_false(v))
- *         self.l_mem.push_back(self.is_leaf(v))
-*/
-    __pyx_t_7 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->aval(__pyx_v_self, (__pyx_v_self->deg_pt[__pyx_v_u])); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_7, ((double)(-1.0))) && PyErr_Occurred())) __PYX_ERR(0, 377, __pyx_L1_error)
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_set(__pyx_v_self, __pyx_v_u, __pyx_t_7); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 377, __pyx_L1_error)
-    __pyx_L10_continue:;
-  }
-
-  /* "ckplab/_kernel.pyx":378
- *             last = u
- *             self.w_set(u, self.aval(self.deg_pt[u]))
- *         self.f_mem.push_back(self.is_minimal_false(v))             # <<<<<<<<<<<<<<
- *         self.l_mem.push_back(self.is_leaf(v))
- *         self.f_count += self.f_mem[v]
-*/
-  __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_is_minimal_false(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 378, __pyx_L1_error)
-  try {
-    __pyx_v_self->f_mem.push_back(__pyx_t_1);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 378, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":379
- *             self.w_set(u, self.aval(self.deg_pt[u]))
- *         self.f_mem.push_back(self.is_minimal_false(v))
- *         self.l_mem.push_back(self.is_leaf(v))             # <<<<<<<<<<<<<<
- *         self.f_count += self.f_mem[v]
- *         self.l_count += self.l_mem[v]
-*/
-  __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_is_leaf(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 379, __pyx_L1_error)
-  try {
-    __pyx_v_self->l_mem.push_back(__pyx_t_1);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 379, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":380
- *         self.f_mem.push_back(self.is_minimal_false(v))
- *         self.l_mem.push_back(self.is_leaf(v))
- *         self.f_count += self.f_mem[v]             # <<<<<<<<<<<<<<
- *         self.l_count += self.l_mem[v]
- *         if false:
-*/
-  __pyx_v_self->f_count = (__pyx_v_self->f_count + (__pyx_v_self->f_mem[__pyx_v_v]));
-
-  /* "ckplab/_kernel.pyx":381
- *         self.l_mem.push_back(self.is_leaf(v))
- *         self.f_count += self.f_mem[v]
- *         self.l_count += self.l_mem[v]             # <<<<<<<<<<<<<<
- *         if false:
- *             self.pt_false += 1
-*/
-  __pyx_v_self->l_count = (__pyx_v_self->l_count + (__pyx_v_self->l_mem[__pyx_v_v]));
-
-  /* "ckplab/_kernel.pyx":382
- *         self.f_count += self.f_mem[v]
- *         self.l_count += self.l_mem[v]
- *         if false:             # <<<<<<<<<<<<<<
- *             self.pt_false += 1
- *         self.pf_child_len.push_back(-1)
-*/
-  __pyx_t_2 = (__pyx_v_false != 0);
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":383
- *         self.l_count += self.l_mem[v]
- *         if false:
- *             self.pt_false += 1             # <<<<<<<<<<<<<<
- *         self.pf_child_len.push_back(-1)
- *         last = -1
-*/
-    __pyx_v_self->pt_false = (__pyx_v_self->pt_false + 1);
-
-    /* "ckplab/_kernel.pyx":382
- *         self.f_count += self.f_mem[v]
- *         self.l_count += self.l_mem[v]
- *         if false:             # <<<<<<<<<<<<<<
- *             self.pt_false += 1
- *         self.pf_child_len.push_back(-1)
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":384
- *         if false:
- *             self.pt_false += 1
- *         self.pf_child_len.push_back(-1)             # <<<<<<<<<<<<<<
- *         last = -1
- *         for idx in range(self.touch_buf.size()):
-*/
-  try {
-    __pyx_v_self->pf_child_len.push_back(-1);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 384, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":385
- *             self.pt_false += 1
- *         self.pf_child_len.push_back(-1)
- *         last = -1             # <<<<<<<<<<<<<<
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]
-*/
-  __pyx_v_last = -1;
-
-  /* "ckplab/_kernel.pyx":386
- *         self.pf_child_len.push_back(-1)
- *         last = -1
- *         for idx in range(self.touch_buf.size()):             # <<<<<<<<<<<<<<
- *             u = self.touch_buf[idx]
- *             if u == last:
-*/
-  __pyx_t_3 = __pyx_v_self->touch_buf.size();
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_idx = __pyx_t_5;
-
-    /* "ckplab/_kernel.pyx":387
- *         last = -1
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]             # <<<<<<<<<<<<<<
- *             if u == last:
- *                 continue
-*/
-    __pyx_v_u = (__pyx_v_self->touch_buf[__pyx_v_idx]);
-
-    /* "ckplab/_kernel.pyx":388
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    __pyx_t_2 = (__pyx_v_u == __pyx_v_last);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":389
- *             u = self.touch_buf[idx]
- *             if u == last:
- *                 continue             # <<<<<<<<<<<<<<
- *             last = u
- *             self.refresh_membership(u)
-*/
-      goto __pyx_L14_continue;
-
-      /* "ckplab/_kernel.pyx":388
- *         for idx in range(self.touch_buf.size()):
- *             u = self.touch_buf[idx]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":390
- *             if u == last:
- *                 continue
- *             last = u             # <<<<<<<<<<<<<<
- *             self.refresh_membership(u)
- *         # grow the stamp arrays alongside
-*/
-    __pyx_v_last = __pyx_v_u;
-
-    /* "ckplab/_kernel.pyx":391
- *                 continue
- *             last = u
- *             self.refresh_membership(u)             # <<<<<<<<<<<<<<
- *         # grow the stamp arrays alongside
- *         self.seen_at.push_back(0)
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->refresh_membership(__pyx_v_self, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 391, __pyx_L1_error)
-    __pyx_L14_continue:;
-  }
-
-  /* "ckplab/_kernel.pyx":393
- *             self.refresh_membership(u)
- *         # grow the stamp arrays alongside
- *         self.seen_at.push_back(0)             # <<<<<<<<<<<<<<
- *         self.depth_of.push_back(0)
- *         self.prev_of.push_back(0)
-*/
-  try {
-    __pyx_v_self->seen_at.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 393, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":394
- *         # grow the stamp arrays alongside
- *         self.seen_at.push_back(0)
- *         self.depth_of.push_back(0)             # <<<<<<<<<<<<<<
- *         self.prev_of.push_back(0)
- *         self.closed_at.push_back(0)
-*/
-  try {
-    __pyx_v_self->depth_of.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 394, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":395
- *         self.seen_at.push_back(0)
- *         self.depth_of.push_back(0)
- *         self.prev_of.push_back(0)             # <<<<<<<<<<<<<<
- *         self.closed_at.push_back(0)
- *         self.marked_at.push_back(0)
-*/
-  try {
-    __pyx_v_self->prev_of.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 395, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":396
- *         self.depth_of.push_back(0)
- *         self.prev_of.push_back(0)
- *         self.closed_at.push_back(0)             # <<<<<<<<<<<<<<
- *         self.marked_at.push_back(0)
- *         return v
-*/
-  try {
-    __pyx_v_self->closed_at.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 396, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":397
- *         self.prev_of.push_back(0)
- *         self.closed_at.push_back(0)
- *         self.marked_at.push_back(0)             # <<<<<<<<<<<<<<
- *         return v
- * 
-*/
-  try {
-    __pyx_v_self->marked_at.push_back(0);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 397, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":398
- *         self.closed_at.push_back(0)
- *         self.marked_at.push_back(0)
- *         return v             # <<<<<<<<<<<<<<
- * 
- *     cdef void apply_marks(self) except *:
-*/
-  __pyx_r = __pyx_v_v;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":340
- *     # -- growth ------------------------------------------------------------
- * 
- *     cdef int add_node(self, vector[int]& parent_ids, int label) except -1:             # <<<<<<<<<<<<<<
- *         """Append one node (non-adversarial) and update every index the
- *         pure engine updates, in the same order."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.add_node", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":400
- *         return v
- * 
- *     cdef void apply_marks(self) except *:             # <<<<<<<<<<<<<<
- *         """Mark everything in step_marked PF; mirrors _apply_marks plus
- *         CkpState.mark_pf with the same sorted iteration."""
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_apply_marks(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  size_t __pyx_v_i;
-  size_t __pyx_v_j;
-  int __pyx_v_w;
-  int __pyx_v_u;
-  int __pyx_v_was_ct;
-  int __pyx_v_last;
-  __Pyx_RefNannyDeclarations
-  std::vector<int> ::size_type __pyx_t_1;
-  std::vector<int> ::size_type __pyx_t_2;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  PyObject *__pyx_t_11[3];
-  std::vector<int> ::size_type __pyx_t_12;
-  std::vector<int> ::size_type __pyx_t_13;
-  int __pyx_t_14;
-  double __pyx_t_15;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("apply_marks", 0);
-
-  /* "ckplab/_kernel.pyx":403
- *         """Mark everything in step_marked PF; mirrors _apply_marks plus
- *         CkpState.mark_pf with the same sorted iteration."""
- *         cpp_sort(self.step_marked.begin(), self.step_marked.end())             # <<<<<<<<<<<<<<
- *         cdef size_t i, j
- *         cdef int w, u, was_ct
-*/
-  try {
-    std::sort<std::vector<int> ::iterator>(__pyx_v_self->step_marked.begin(), __pyx_v_self->step_marked.end());
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 403, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":406
- *         cdef size_t i, j
- *         cdef int w, u, was_ct
- *         for i in range(self.step_marked.size()):             # <<<<<<<<<<<<<<
- *             w = self.step_marked[i]
- *             if not self.isfalse[w]:
-*/
-  __pyx_t_1 = __pyx_v_self->step_marked.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "ckplab/_kernel.pyx":407
- *         cdef int w, u, was_ct
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]             # <<<<<<<<<<<<<<
- *             if not self.isfalse[w]:
- *                 raise AuditViolation(
-*/
-    __pyx_v_w = (__pyx_v_self->step_marked[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":408
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             if not self.isfalse[w]:             # <<<<<<<<<<<<<<
- *                 raise AuditViolation(
- *                     f"check tried to mark True node {w}")
-*/
-    __pyx_t_4 = (!((__pyx_v_self->isfalse[__pyx_v_w]) != 0));
-    if (unlikely(__pyx_t_4)) {
-
-      /* "ckplab/_kernel.pyx":409
- *             w = self.step_marked[i]
- *             if not self.isfalse[w]:
- *                 raise AuditViolation(             # <<<<<<<<<<<<<<
- *                     f"check tried to mark True node {w}")
- *         for i in range(self.step_marked.size()):
-*/
-      __pyx_t_6 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_7, __pyx_mstate_global->__pyx_n_u_AuditViolation); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 409, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-
-      /* "ckplab/_kernel.pyx":410
- *             if not self.isfalse[w]:
- *                 raise AuditViolation(
- *                     f"check tried to mark True node {w}")             # <<<<<<<<<<<<<<
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
-*/
-      __pyx_t_8 = __Pyx_PyUnicode_From_int(__pyx_v_w, 0, ' ', 'd'); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 410, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_9 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_check_tried_to_mark_True_node, __pyx_t_8); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 410, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __pyx_t_10 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_7))) {
-        __pyx_t_6 = PyMethod_GET_SELF(__pyx_t_7);
-        assert(__pyx_t_6);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_7);
-        __Pyx_INCREF(__pyx_t_6);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_7, __pyx__function);
-        __pyx_t_10 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_t_9};
-        __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_7, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 409, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-      }
-      __Pyx_Raise(__pyx_t_5, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __PYX_ERR(0, 409, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":408
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             if not self.isfalse[w]:             # <<<<<<<<<<<<<<
- *                 raise AuditViolation(
- *                     f"check tried to mark True node {w}")
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":411
- *                 raise AuditViolation(
- *                     f"check tried to mark True node {w}")
- *         for i in range(self.step_marked.size()):             # <<<<<<<<<<<<<<
- *             w = self.step_marked[i]
- *             if self.labels[w] == PF:
-*/
-  __pyx_t_1 = __pyx_v_self->step_marked.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "ckplab/_kernel.pyx":412
- *                     f"check tried to mark True node {w}")
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]             # <<<<<<<<<<<<<<
- *             if self.labels[w] == PF:
- *                 raise StateError(f"node {w} is already PF")
-*/
-    __pyx_v_w = (__pyx_v_self->step_marked[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":413
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             if self.labels[w] == PF:             # <<<<<<<<<<<<<<
- *                 raise StateError(f"node {w} is already PF")
- *             if not self.isfalse[w]:
-*/
-    __pyx_t_4 = ((__pyx_v_self->labels[__pyx_v_w]) == __pyx_v_6ckplab_7_kernel_PF);
-    if (unlikely(__pyx_t_4)) {
-
-      /* "ckplab/_kernel.pyx":414
- *             w = self.step_marked[i]
- *             if self.labels[w] == PF:
- *                 raise StateError(f"node {w} is already PF")             # <<<<<<<<<<<<<<
- *             if not self.isfalse[w]:
- *                 raise StateError(f"refusing to mark hidden-True node {w} PF")
-*/
-      __pyx_t_7 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_StateError); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 414, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_6 = __Pyx_PyUnicode_From_int(__pyx_v_w, 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 414, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_11[0] = __pyx_mstate_global->__pyx_kp_u_node;
-      __pyx_t_11[1] = __pyx_t_6;
-      __pyx_t_11[2] = __pyx_mstate_global->__pyx_kp_u_is_already_PF;
-      __pyx_t_8 = __Pyx_PyUnicode_Join(__pyx_t_11, 3, 5 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 14, 127);
-      if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 414, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __pyx_t_10 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_9))) {
-        __pyx_t_7 = PyMethod_GET_SELF(__pyx_t_9);
-        assert(__pyx_t_7);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-        __Pyx_INCREF(__pyx_t_7);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-        __pyx_t_10 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_t_8};
-        __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 414, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-      }
-      __Pyx_Raise(__pyx_t_5, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __PYX_ERR(0, 414, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":413
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             if self.labels[w] == PF:             # <<<<<<<<<<<<<<
- *                 raise StateError(f"node {w} is already PF")
- *             if not self.isfalse[w]:
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":415
- *             if self.labels[w] == PF:
- *                 raise StateError(f"node {w} is already PF")
- *             if not self.isfalse[w]:             # <<<<<<<<<<<<<<
- *                 raise StateError(f"refusing to mark hidden-True node {w} PF")
- *         # state mutation, collecting degree-touched parents
-*/
-    __pyx_t_4 = (!((__pyx_v_self->isfalse[__pyx_v_w]) != 0));
-    if (unlikely(__pyx_t_4)) {
-
-      /* "ckplab/_kernel.pyx":416
- *                 raise StateError(f"node {w} is already PF")
- *             if not self.isfalse[w]:
- *                 raise StateError(f"refusing to mark hidden-True node {w} PF")             # <<<<<<<<<<<<<<
- *         # state mutation, collecting degree-touched parents
- *         self.touch_buf.clear()
-*/
-      __pyx_t_9 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_StateError); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 416, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_w, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 416, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_11[0] = __pyx_mstate_global->__pyx_kp_u_refusing_to_mark_hidden_True_nod;
-      __pyx_t_11[1] = __pyx_t_7;
-      __pyx_t_11[2] = __pyx_mstate_global->__pyx_kp_u_PF;
-      __pyx_t_6 = __Pyx_PyUnicode_Join(__pyx_t_11, 3, 34 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 3, 127);
-      if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 416, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __pyx_t_10 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_8))) {
-        __pyx_t_9 = PyMethod_GET_SELF(__pyx_t_8);
-        assert(__pyx_t_9);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_8);
-        __Pyx_INCREF(__pyx_t_9);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_8, __pyx__function);
-        __pyx_t_10 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_9, __pyx_t_6};
-        __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_8, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 416, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-      }
-      __Pyx_Raise(__pyx_t_5, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __PYX_ERR(0, 416, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":415
- *             if self.labels[w] == PF:
- *                 raise StateError(f"node {w} is already PF")
- *             if not self.isfalse[w]:             # <<<<<<<<<<<<<<
- *                 raise StateError(f"refusing to mark hidden-True node {w} PF")
- *         # state mutation, collecting degree-touched parents
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":418
- *                 raise StateError(f"refusing to mark hidden-True node {w} PF")
- *         # state mutation, collecting degree-touched parents
- *         self.touch_buf.clear()             # <<<<<<<<<<<<<<
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
-*/
-  __pyx_v_self->touch_buf.clear();
-
-  /* "ckplab/_kernel.pyx":419
- *         # state mutation, collecting degree-touched parents
- *         self.touch_buf.clear()
- *         for i in range(self.step_marked.size()):             # <<<<<<<<<<<<<<
- *             w = self.step_marked[i]
- *             was_ct = self.labels[w] == CT
-*/
-  __pyx_t_1 = __pyx_v_self->step_marked.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "ckplab/_kernel.pyx":420
- *         self.touch_buf.clear()
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]             # <<<<<<<<<<<<<<
- *             was_ct = self.labels[w] == CT
- *             self.labels[w] = PF
-*/
-    __pyx_v_w = (__pyx_v_self->step_marked[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":421
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             was_ct = self.labels[w] == CT             # <<<<<<<<<<<<<<
- *             self.labels[w] = PF
- *             for j in range(self.parents[w].size()):
-*/
-    __pyx_v_was_ct = ((__pyx_v_self->labels[__pyx_v_w]) == __pyx_v_6ckplab_7_kernel_CT);
-
-    /* "ckplab/_kernel.pyx":422
- *             w = self.step_marked[i]
- *             was_ct = self.labels[w] == CT
- *             self.labels[w] = PF             # <<<<<<<<<<<<<<
- *             for j in range(self.parents[w].size()):
- *                 u = self.parents[w][j]
-*/
-    (__pyx_v_self->labels[__pyx_v_w]) = __pyx_v_6ckplab_7_kernel_PF;
-
-    /* "ckplab/_kernel.pyx":423
- *             was_ct = self.labels[w] == CT
- *             self.labels[w] = PF
- *             for j in range(self.parents[w].size()):             # <<<<<<<<<<<<<<
- *                 u = self.parents[w][j]
- *                 self.deg_pt[u] -= 1
-*/
-    __pyx_t_12 = (__pyx_v_self->parents[__pyx_v_w]).size();
-    __pyx_t_13 = __pyx_t_12;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_13; __pyx_t_10+=1) {
-      __pyx_v_j = __pyx_t_10;
-
-      /* "ckplab/_kernel.pyx":424
- *             self.labels[w] = PF
- *             for j in range(self.parents[w].size()):
- *                 u = self.parents[w][j]             # <<<<<<<<<<<<<<
- *                 self.deg_pt[u] -= 1
- *                 if was_ct:
-*/
-      __pyx_v_u = ((__pyx_v_self->parents[__pyx_v_w])[__pyx_v_j]);
-
-      /* "ckplab/_kernel.pyx":425
- *             for j in range(self.parents[w].size()):
- *                 u = self.parents[w][j]
- *                 self.deg_pt[u] -= 1             # <<<<<<<<<<<<<<
- *                 if was_ct:
- *                     self.deg_ct[u] -= 1
-*/
-      __pyx_t_14 = __pyx_v_u;
-      (__pyx_v_self->deg_pt[__pyx_t_14]) = ((__pyx_v_self->deg_pt[__pyx_t_14]) - 1);
-
-      /* "ckplab/_kernel.pyx":426
- *                 u = self.parents[w][j]
- *                 self.deg_pt[u] -= 1
- *                 if was_ct:             # <<<<<<<<<<<<<<
- *                     self.deg_ct[u] -= 1
- *                 self.touch_buf.push_back(u)
-*/
-      __pyx_t_4 = (__pyx_v_was_ct != 0);
-      if (__pyx_t_4) {
-
-        /* "ckplab/_kernel.pyx":427
- *                 self.deg_pt[u] -= 1
- *                 if was_ct:
- *                     self.deg_ct[u] -= 1             # <<<<<<<<<<<<<<
- *                 self.touch_buf.push_back(u)
- *             for j in range(self.children[w].size()):
-*/
-        __pyx_t_14 = __pyx_v_u;
-        (__pyx_v_self->deg_ct[__pyx_t_14]) = ((__pyx_v_self->deg_ct[__pyx_t_14]) - 1);
-
-        /* "ckplab/_kernel.pyx":426
- *                 u = self.parents[w][j]
- *                 self.deg_pt[u] -= 1
- *                 if was_ct:             # <<<<<<<<<<<<<<
- *                     self.deg_ct[u] -= 1
- *                 self.touch_buf.push_back(u)
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":428
- *                 if was_ct:
- *                     self.deg_ct[u] -= 1
- *                 self.touch_buf.push_back(u)             # <<<<<<<<<<<<<<
- *             for j in range(self.children[w].size()):
- *                 self.pf_parent[self.children[w][j]] += 1
-*/
-      try {
-        __pyx_v_self->touch_buf.push_back(__pyx_v_u);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 428, __pyx_L1_error)
-      }
-    }
-
-    /* "ckplab/_kernel.pyx":429
- *                     self.deg_ct[u] -= 1
- *                 self.touch_buf.push_back(u)
- *             for j in range(self.children[w].size()):             # <<<<<<<<<<<<<<
- *                 self.pf_parent[self.children[w][j]] += 1
- *         self.pf_total += <int> self.step_marked.size()
-*/
-    __pyx_t_12 = (__pyx_v_self->children[__pyx_v_w]).size();
-    __pyx_t_13 = __pyx_t_12;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_13; __pyx_t_10+=1) {
-      __pyx_v_j = __pyx_t_10;
-
-      /* "ckplab/_kernel.pyx":430
- *                 self.touch_buf.push_back(u)
- *             for j in range(self.children[w].size()):
- *                 self.pf_parent[self.children[w][j]] += 1             # <<<<<<<<<<<<<<
- *         self.pf_total += <int> self.step_marked.size()
- *         # weight zeroing for marked, then refreshed parents, sorted
-*/
-      __pyx_t_14 = ((__pyx_v_self->children[__pyx_v_w])[__pyx_v_j]);
-      (__pyx_v_self->pf_parent[__pyx_t_14]) = ((__pyx_v_self->pf_parent[__pyx_t_14]) + 1);
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":431
- *             for j in range(self.children[w].size()):
- *                 self.pf_parent[self.children[w][j]] += 1
- *         self.pf_total += <int> self.step_marked.size()             # <<<<<<<<<<<<<<
- *         # weight zeroing for marked, then refreshed parents, sorted
- *         self.affect_buf.clear()
-*/
-  __pyx_v_self->pf_total = (__pyx_v_self->pf_total + ((int)__pyx_v_self->step_marked.size()));
-
-  /* "ckplab/_kernel.pyx":433
- *         self.pf_total += <int> self.step_marked.size()
- *         # weight zeroing for marked, then refreshed parents, sorted
- *         self.affect_buf.clear()             # <<<<<<<<<<<<<<
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
-*/
-  __pyx_v_self->affect_buf.clear();
-
-  /* "ckplab/_kernel.pyx":434
- *         # weight zeroing for marked, then refreshed parents, sorted
- *         self.affect_buf.clear()
- *         for i in range(self.step_marked.size()):             # <<<<<<<<<<<<<<
- *             w = self.step_marked[i]
- *             self.w_set(w, 0.0)
-*/
-  __pyx_t_1 = __pyx_v_self->step_marked.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "ckplab/_kernel.pyx":435
- *         self.affect_buf.clear()
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]             # <<<<<<<<<<<<<<
- *             self.w_set(w, 0.0)
- *             self.pf_child_len[w] = <int> self.children[w].size()
-*/
-    __pyx_v_w = (__pyx_v_self->step_marked[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":436
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             self.w_set(w, 0.0)             # <<<<<<<<<<<<<<
- *             self.pf_child_len[w] = <int> self.children[w].size()
- *             for j in range(self.children[w].size()):
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_set(__pyx_v_self, __pyx_v_w, 0.0); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 436, __pyx_L1_error)
-
-    /* "ckplab/_kernel.pyx":437
- *             w = self.step_marked[i]
- *             self.w_set(w, 0.0)
- *             self.pf_child_len[w] = <int> self.children[w].size()             # <<<<<<<<<<<<<<
- *             for j in range(self.children[w].size()):
- *                 self.affect_buf.push_back(self.children[w][j])
-*/
-    (__pyx_v_self->pf_child_len[__pyx_v_w]) = ((int)(__pyx_v_self->children[__pyx_v_w]).size());
-
-    /* "ckplab/_kernel.pyx":438
- *             self.w_set(w, 0.0)
- *             self.pf_child_len[w] = <int> self.children[w].size()
- *             for j in range(self.children[w].size()):             # <<<<<<<<<<<<<<
- *                 self.affect_buf.push_back(self.children[w][j])
- *             for j in range(self.parents[w].size()):
-*/
-    __pyx_t_12 = (__pyx_v_self->children[__pyx_v_w]).size();
-    __pyx_t_13 = __pyx_t_12;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_13; __pyx_t_10+=1) {
-      __pyx_v_j = __pyx_t_10;
-
-      /* "ckplab/_kernel.pyx":439
- *             self.pf_child_len[w] = <int> self.children[w].size()
- *             for j in range(self.children[w].size()):
- *                 self.affect_buf.push_back(self.children[w][j])             # <<<<<<<<<<<<<<
- *             for j in range(self.parents[w].size()):
- *                 self.affect_buf.push_back(self.parents[w][j])
-*/
-      try {
-        __pyx_v_self->affect_buf.push_back(((__pyx_v_self->children[__pyx_v_w])[__pyx_v_j]));
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 439, __pyx_L1_error)
-      }
-    }
-
-    /* "ckplab/_kernel.pyx":440
- *             for j in range(self.children[w].size()):
- *                 self.affect_buf.push_back(self.children[w][j])
- *             for j in range(self.parents[w].size()):             # <<<<<<<<<<<<<<
- *                 self.affect_buf.push_back(self.parents[w][j])
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
-*/
-    __pyx_t_12 = (__pyx_v_self->parents[__pyx_v_w]).size();
-    __pyx_t_13 = __pyx_t_12;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_13; __pyx_t_10+=1) {
-      __pyx_v_j = __pyx_t_10;
-
-      /* "ckplab/_kernel.pyx":441
- *                 self.affect_buf.push_back(self.children[w][j])
- *             for j in range(self.parents[w].size()):
- *                 self.affect_buf.push_back(self.parents[w][j])             # <<<<<<<<<<<<<<
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
- *         cdef int last = -1
-*/
-      try {
-        __pyx_v_self->affect_buf.push_back(((__pyx_v_self->parents[__pyx_v_w])[__pyx_v_j]));
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 441, __pyx_L1_error)
-      }
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":442
- *             for j in range(self.parents[w].size()):
- *                 self.affect_buf.push_back(self.parents[w][j])
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())             # <<<<<<<<<<<<<<
- *         cdef int last = -1
- *         for i in range(self.touch_buf.size()):
-*/
-  try {
-    std::sort<std::vector<int> ::iterator>(__pyx_v_self->touch_buf.begin(), __pyx_v_self->touch_buf.end());
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 442, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":443
- *                 self.affect_buf.push_back(self.parents[w][j])
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
- *         cdef int last = -1             # <<<<<<<<<<<<<<
- *         for i in range(self.touch_buf.size()):
- *             u = self.touch_buf[i]
-*/
-  __pyx_v_last = -1;
-
-  /* "ckplab/_kernel.pyx":444
- *         cpp_sort(self.touch_buf.begin(), self.touch_buf.end())
- *         cdef int last = -1
- *         for i in range(self.touch_buf.size()):             # <<<<<<<<<<<<<<
- *             u = self.touch_buf[i]
- *             if u == last:
-*/
-  __pyx_t_1 = __pyx_v_self->touch_buf.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "ckplab/_kernel.pyx":445
- *         cdef int last = -1
- *         for i in range(self.touch_buf.size()):
- *             u = self.touch_buf[i]             # <<<<<<<<<<<<<<
- *             if u == last:
- *                 continue
-*/
-    __pyx_v_u = (__pyx_v_self->touch_buf[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":446
- *         for i in range(self.touch_buf.size()):
- *             u = self.touch_buf[i]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    __pyx_t_4 = (__pyx_v_u == __pyx_v_last);
-    if (__pyx_t_4) {
-
-      /* "ckplab/_kernel.pyx":447
- *             u = self.touch_buf[i]
- *             if u == last:
- *                 continue             # <<<<<<<<<<<<<<
- *             last = u
- *             if self.labels[u] != PF:
-*/
-      goto __pyx_L23_continue;
-
-      /* "ckplab/_kernel.pyx":446
- *         for i in range(self.touch_buf.size()):
- *             u = self.touch_buf[i]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":448
- *             if u == last:
- *                 continue
- *             last = u             # <<<<<<<<<<<<<<
- *             if self.labels[u] != PF:
- *                 self.w_set(u, self.aval(self.deg_pt[u]))
-*/
-    __pyx_v_last = __pyx_v_u;
-
-    /* "ckplab/_kernel.pyx":449
- *                 continue
- *             last = u
- *             if self.labels[u] != PF:             # <<<<<<<<<<<<<<
- *                 self.w_set(u, self.aval(self.deg_pt[u]))
- *         self.pt_false -= <int> self.step_marked.size()
-*/
-    __pyx_t_4 = ((__pyx_v_self->labels[__pyx_v_u]) != __pyx_v_6ckplab_7_kernel_PF);
-    if (__pyx_t_4) {
-
-      /* "ckplab/_kernel.pyx":450
- *             last = u
- *             if self.labels[u] != PF:
- *                 self.w_set(u, self.aval(self.deg_pt[u]))             # <<<<<<<<<<<<<<
- *         self.pt_false -= <int> self.step_marked.size()
- *         self.pf_count += <int> self.step_marked.size()
-*/
-      __pyx_t_15 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->aval(__pyx_v_self, (__pyx_v_self->deg_pt[__pyx_v_u])); if (unlikely(__PYX_CHECK_FLOAT_EXCEPTION(__pyx_t_15, ((double)(-1.0))) && PyErr_Occurred())) __PYX_ERR(0, 450, __pyx_L1_error)
-      ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_set(__pyx_v_self, __pyx_v_u, __pyx_t_15); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 450, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":449
- *                 continue
- *             last = u
- *             if self.labels[u] != PF:             # <<<<<<<<<<<<<<
- *                 self.w_set(u, self.aval(self.deg_pt[u]))
- *         self.pt_false -= <int> self.step_marked.size()
-*/
-    }
-    __pyx_L23_continue:;
-  }
-
-  /* "ckplab/_kernel.pyx":451
- *             if self.labels[u] != PF:
- *                 self.w_set(u, self.aval(self.deg_pt[u]))
- *         self.pt_false -= <int> self.step_marked.size()             # <<<<<<<<<<<<<<
- *         self.pf_count += <int> self.step_marked.size()
- *         for i in range(self.step_marked.size()):
-*/
-  __pyx_v_self->pt_false = (__pyx_v_self->pt_false - ((int)__pyx_v_self->step_marked.size()));
-
-  /* "ckplab/_kernel.pyx":452
- *                 self.w_set(u, self.aval(self.deg_pt[u]))
- *         self.pt_false -= <int> self.step_marked.size()
- *         self.pf_count += <int> self.step_marked.size()             # <<<<<<<<<<<<<<
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
-*/
-  __pyx_v_self->pf_count = (__pyx_v_self->pf_count + ((int)__pyx_v_self->step_marked.size()));
-
-  /* "ckplab/_kernel.pyx":453
- *         self.pt_false -= <int> self.step_marked.size()
- *         self.pf_count += <int> self.step_marked.size()
- *         for i in range(self.step_marked.size()):             # <<<<<<<<<<<<<<
- *             w = self.step_marked[i]
- *             if self.f_mem[w]:
-*/
-  __pyx_t_1 = __pyx_v_self->step_marked.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "ckplab/_kernel.pyx":454
- *         self.pf_count += <int> self.step_marked.size()
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]             # <<<<<<<<<<<<<<
- *             if self.f_mem[w]:
- *                 self.f_mem[w] = 0
-*/
-    __pyx_v_w = (__pyx_v_self->step_marked[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":455
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             if self.f_mem[w]:             # <<<<<<<<<<<<<<
- *                 self.f_mem[w] = 0
- *                 self.f_count -= 1
-*/
-    __pyx_t_4 = ((__pyx_v_self->f_mem[__pyx_v_w]) != 0);
-    if (__pyx_t_4) {
-
-      /* "ckplab/_kernel.pyx":456
- *             w = self.step_marked[i]
- *             if self.f_mem[w]:
- *                 self.f_mem[w] = 0             # <<<<<<<<<<<<<<
- *                 self.f_count -= 1
- *             if self.l_mem[w]:
-*/
-      (__pyx_v_self->f_mem[__pyx_v_w]) = 0;
-
-      /* "ckplab/_kernel.pyx":457
- *             if self.f_mem[w]:
- *                 self.f_mem[w] = 0
- *                 self.f_count -= 1             # <<<<<<<<<<<<<<
- *             if self.l_mem[w]:
- *                 self.l_mem[w] = 0
-*/
-      __pyx_v_self->f_count = (__pyx_v_self->f_count - 1);
-
-      /* "ckplab/_kernel.pyx":455
- *         for i in range(self.step_marked.size()):
- *             w = self.step_marked[i]
- *             if self.f_mem[w]:             # <<<<<<<<<<<<<<
- *                 self.f_mem[w] = 0
- *                 self.f_count -= 1
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":458
- *                 self.f_mem[w] = 0
- *                 self.f_count -= 1
- *             if self.l_mem[w]:             # <<<<<<<<<<<<<<
- *                 self.l_mem[w] = 0
- *                 self.l_count -= 1
-*/
-    __pyx_t_4 = ((__pyx_v_self->l_mem[__pyx_v_w]) != 0);
-    if (__pyx_t_4) {
-
-      /* "ckplab/_kernel.pyx":459
- *                 self.f_count -= 1
- *             if self.l_mem[w]:
- *                 self.l_mem[w] = 0             # <<<<<<<<<<<<<<
- *                 self.l_count -= 1
- *         cpp_sort(self.affect_buf.begin(), self.affect_buf.end())
-*/
-      (__pyx_v_self->l_mem[__pyx_v_w]) = 0;
-
-      /* "ckplab/_kernel.pyx":460
- *             if self.l_mem[w]:
- *                 self.l_mem[w] = 0
- *                 self.l_count -= 1             # <<<<<<<<<<<<<<
- *         cpp_sort(self.affect_buf.begin(), self.affect_buf.end())
- *         last = -1
-*/
-      __pyx_v_self->l_count = (__pyx_v_self->l_count - 1);
-
-      /* "ckplab/_kernel.pyx":458
- *                 self.f_mem[w] = 0
- *                 self.f_count -= 1
- *             if self.l_mem[w]:             # <<<<<<<<<<<<<<
- *                 self.l_mem[w] = 0
- *                 self.l_count -= 1
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":461
- *                 self.l_mem[w] = 0
- *                 self.l_count -= 1
- *         cpp_sort(self.affect_buf.begin(), self.affect_buf.end())             # <<<<<<<<<<<<<<
- *         last = -1
- *         for i in range(self.affect_buf.size()):
-*/
-  try {
-    std::sort<std::vector<int> ::iterator>(__pyx_v_self->affect_buf.begin(), __pyx_v_self->affect_buf.end());
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 461, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":462
- *                 self.l_count -= 1
- *         cpp_sort(self.affect_buf.begin(), self.affect_buf.end())
- *         last = -1             # <<<<<<<<<<<<<<
- *         for i in range(self.affect_buf.size()):
- *             u = self.affect_buf[i]
-*/
-  __pyx_v_last = -1;
-
-  /* "ckplab/_kernel.pyx":463
- *         cpp_sort(self.affect_buf.begin(), self.affect_buf.end())
- *         last = -1
- *         for i in range(self.affect_buf.size()):             # <<<<<<<<<<<<<<
- *             u = self.affect_buf[i]
- *             if u == last:
-*/
-  __pyx_t_1 = __pyx_v_self->affect_buf.size();
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "ckplab/_kernel.pyx":464
- *         last = -1
- *         for i in range(self.affect_buf.size()):
- *             u = self.affect_buf[i]             # <<<<<<<<<<<<<<
- *             if u == last:
- *                 continue
-*/
-    __pyx_v_u = (__pyx_v_self->affect_buf[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":465
- *         for i in range(self.affect_buf.size()):
- *             u = self.affect_buf[i]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    __pyx_t_4 = (__pyx_v_u == __pyx_v_last);
-    if (__pyx_t_4) {
-
-      /* "ckplab/_kernel.pyx":466
- *             u = self.affect_buf[i]
- *             if u == last:
- *                 continue             # <<<<<<<<<<<<<<
- *             last = u
- *             if self.marked_at[u] == self.marked_stamp:
-*/
-      goto __pyx_L31_continue;
-
-      /* "ckplab/_kernel.pyx":465
- *         for i in range(self.affect_buf.size()):
- *             u = self.affect_buf[i]
- *             if u == last:             # <<<<<<<<<<<<<<
- *                 continue
- *             last = u
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":467
- *             if u == last:
- *                 continue
- *             last = u             # <<<<<<<<<<<<<<
- *             if self.marked_at[u] == self.marked_stamp:
- *                 continue
-*/
-    __pyx_v_last = __pyx_v_u;
-
-    /* "ckplab/_kernel.pyx":468
- *                 continue
- *             last = u
- *             if self.marked_at[u] == self.marked_stamp:             # <<<<<<<<<<<<<<
- *                 continue
- *             self.refresh_membership(u)
-*/
-    __pyx_t_4 = ((__pyx_v_self->marked_at[__pyx_v_u]) == __pyx_v_self->marked_stamp);
-    if (__pyx_t_4) {
-
-      /* "ckplab/_kernel.pyx":469
- *             last = u
- *             if self.marked_at[u] == self.marked_stamp:
- *                 continue             # <<<<<<<<<<<<<<
- *             self.refresh_membership(u)
- * 
-*/
-      goto __pyx_L31_continue;
-
-      /* "ckplab/_kernel.pyx":468
- *                 continue
- *             last = u
- *             if self.marked_at[u] == self.marked_stamp:             # <<<<<<<<<<<<<<
- *                 continue
- *             self.refresh_membership(u)
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":470
- *             if self.marked_at[u] == self.marked_stamp:
- *                 continue
- *             self.refresh_membership(u)             # <<<<<<<<<<<<<<
- * 
- *     # -- checking mechanisms ----------------------------------------------
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->refresh_membership(__pyx_v_self, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 470, __pyx_L1_error)
-    __pyx_L31_continue:;
-  }
-
-  /* "ckplab/_kernel.pyx":400
- *         return v
- * 
- *     cdef void apply_marks(self) except *:             # <<<<<<<<<<<<<<
- *         """Mark everything in step_marked PF; mirrors _apply_marks plus
- *         CkpState.mark_pf with the same sorted iteration."""
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.apply_marks", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "ckplab/_kernel.pyx":474
- *     # -- checking mechanisms ----------------------------------------------
- * 
- *     cdef inline int flagged(self, int u):             # <<<<<<<<<<<<<<
- *         cdef int hit = 0
- *         if self.labels[u] == CF:
-*/
-
-static CYTHON_INLINE int __pyx_f_6ckplab_7_kernel_12KernelEngine_flagged(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_u) {
-  int __pyx_v_hit;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":475
- * 
- *     cdef inline int flagged(self, int u):
- *         cdef int hit = 0             # <<<<<<<<<<<<<<
- *         if self.labels[u] == CF:
- *             hit = self.maybe(self.detection_rate)
-*/
-  __pyx_v_hit = 0;
-
-  /* "ckplab/_kernel.pyx":476
- *     cdef inline int flagged(self, int u):
- *         cdef int hit = 0
- *         if self.labels[u] == CF:             # <<<<<<<<<<<<<<
- *             hit = self.maybe(self.detection_rate)
- *         return hit or self.pf_parent[u] > 0
-*/
-  __pyx_t_1 = ((__pyx_v_self->labels[__pyx_v_u]) == __pyx_v_6ckplab_7_kernel_CF);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":477
- *         cdef int hit = 0
- *         if self.labels[u] == CF:
- *             hit = self.maybe(self.detection_rate)             # <<<<<<<<<<<<<<
- *         return hit or self.pf_parent[u] > 0
- * 
-*/
-    __pyx_t_2 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->detection_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 477, __pyx_L1_error)
-    __pyx_v_hit = __pyx_t_2;
-
-    /* "ckplab/_kernel.pyx":476
- *     cdef inline int flagged(self, int u):
- *         cdef int hit = 0
- *         if self.labels[u] == CF:             # <<<<<<<<<<<<<<
- *             hit = self.maybe(self.detection_rate)
- *         return hit or self.pf_parent[u] > 0
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":478
- *         if self.labels[u] == CF:
- *             hit = self.maybe(self.detection_rate)
- *         return hit or self.pf_parent[u] > 0             # <<<<<<<<<<<<<<
- * 
- *     cdef void mark_node(self, int w):
-*/
-  if (!__pyx_v_hit) {
-  } else {
-    __pyx_t_2 = __pyx_v_hit;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_1 = ((__pyx_v_self->pf_parent[__pyx_v_u]) > 0);
-  __pyx_t_2 = __pyx_t_1;
-  __pyx_L4_bool_binop_done:;
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":474
- *     # -- checking mechanisms ----------------------------------------------
- * 
- *     cdef inline int flagged(self, int u):             # <<<<<<<<<<<<<<
- *         cdef int hit = 0
- *         if self.labels[u] == CF:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.flagged", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":480
- *         return hit or self.pf_parent[u] > 0
- * 
- *     cdef void mark_node(self, int w):             # <<<<<<<<<<<<<<
- *         if self.marked_at[w] != self.marked_stamp:
- *             self.marked_at[w] = self.marked_stamp
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_mark_node(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_w) {
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":481
- * 
- *     cdef void mark_node(self, int w):
- *         if self.marked_at[w] != self.marked_stamp:             # <<<<<<<<<<<<<<
- *             self.marked_at[w] = self.marked_stamp
- *             self.step_marked.push_back(w)
-*/
-  __pyx_t_1 = ((__pyx_v_self->marked_at[__pyx_v_w]) != __pyx_v_self->marked_stamp);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":482
- *     cdef void mark_node(self, int w):
- *         if self.marked_at[w] != self.marked_stamp:
- *             self.marked_at[w] = self.marked_stamp             # <<<<<<<<<<<<<<
- *             self.step_marked.push_back(w)
- * 
-*/
-    __pyx_t_2 = __pyx_v_self->marked_stamp;
-    (__pyx_v_self->marked_at[__pyx_v_w]) = __pyx_t_2;
-
-    /* "ckplab/_kernel.pyx":483
- *         if self.marked_at[w] != self.marked_stamp:
- *             self.marked_at[w] = self.marked_stamp
- *             self.step_marked.push_back(w)             # <<<<<<<<<<<<<<
- * 
- *     cdef void close_descendants(self, int found):
-*/
-    try {
-      __pyx_v_self->step_marked.push_back(__pyx_v_w);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 483, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":481
- * 
- *     cdef void mark_node(self, int w):
- *         if self.marked_at[w] != self.marked_stamp:             # <<<<<<<<<<<<<<
- *             self.marked_at[w] = self.marked_stamp
- *             self.step_marked.push_back(w)
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":480
- *         return hit or self.pf_parent[u] > 0
- * 
- *     cdef void mark_node(self, int w):             # <<<<<<<<<<<<<<
- *         if self.marked_at[w] != self.marked_stamp:
- *             self.marked_at[w] = self.marked_stamp
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.mark_node", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":485
- *             self.step_marked.push_back(w)
- * 
- *     cdef void close_descendants(self, int found):             # <<<<<<<<<<<<<<
- *         """Stamp ``found`` plus every order_buf node below it (closure
- *         over edges inside the stamped set), then mark the stamped part of
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_close_descendants(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_found) {
-  int __pyx_v_cs;
-  int __pyx_v_grew;
-  size_t __pyx_v_i;
-  size_t __pyx_v_j;
-  int __pyx_v_x;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  std::vector<int> ::size_type __pyx_t_3;
-  std::vector<int> ::size_type __pyx_t_4;
-  size_t __pyx_t_5;
-  std::vector<int> ::size_type __pyx_t_6;
-  std::vector<int> ::size_type __pyx_t_7;
-  size_t __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":489
- *         over edges inside the stamped set), then mark the stamped part of
- *         order_buf.  Mirrors _descendants_within."""
- *         self.closed_stamp += 1             # <<<<<<<<<<<<<<
- *         cdef int cs = self.closed_stamp
- *         self.closed_at[found] = cs
-*/
-  __pyx_v_self->closed_stamp = (__pyx_v_self->closed_stamp + 1);
-
-  /* "ckplab/_kernel.pyx":490
- *         order_buf.  Mirrors _descendants_within."""
- *         self.closed_stamp += 1
- *         cdef int cs = self.closed_stamp             # <<<<<<<<<<<<<<
- *         self.closed_at[found] = cs
- *         cdef int grew = 1
-*/
-  __pyx_t_1 = __pyx_v_self->closed_stamp;
-  __pyx_v_cs = __pyx_t_1;
-
-  /* "ckplab/_kernel.pyx":491
- *         self.closed_stamp += 1
- *         cdef int cs = self.closed_stamp
- *         self.closed_at[found] = cs             # <<<<<<<<<<<<<<
- *         cdef int grew = 1
- *         cdef size_t i, j
-*/
-  (__pyx_v_self->closed_at[__pyx_v_found]) = __pyx_v_cs;
-
-  /* "ckplab/_kernel.pyx":492
- *         cdef int cs = self.closed_stamp
- *         self.closed_at[found] = cs
- *         cdef int grew = 1             # <<<<<<<<<<<<<<
- *         cdef size_t i, j
- *         cdef int x
-*/
-  __pyx_v_grew = 1;
-
-  /* "ckplab/_kernel.pyx":495
- *         cdef size_t i, j
- *         cdef int x
- *         while grew:             # <<<<<<<<<<<<<<
- *             grew = 0
- *             for i in range(self.order_buf.size()):
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_grew != 0);
-    if (!__pyx_t_2) break;
-
-    /* "ckplab/_kernel.pyx":496
- *         cdef int x
- *         while grew:
- *             grew = 0             # <<<<<<<<<<<<<<
- *             for i in range(self.order_buf.size()):
- *                 x = self.order_buf[i]
-*/
-    __pyx_v_grew = 0;
-
-    /* "ckplab/_kernel.pyx":497
- *         while grew:
- *             grew = 0
- *             for i in range(self.order_buf.size()):             # <<<<<<<<<<<<<<
- *                 x = self.order_buf[i]
- *                 if self.closed_at[x] == cs:
-*/
-    __pyx_t_3 = __pyx_v_self->order_buf.size();
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "ckplab/_kernel.pyx":498
- *             grew = 0
- *             for i in range(self.order_buf.size()):
- *                 x = self.order_buf[i]             # <<<<<<<<<<<<<<
- *                 if self.closed_at[x] == cs:
- *                     continue
-*/
-      __pyx_v_x = (__pyx_v_self->order_buf[__pyx_v_i]);
-
-      /* "ckplab/_kernel.pyx":499
- *             for i in range(self.order_buf.size()):
- *                 x = self.order_buf[i]
- *                 if self.closed_at[x] == cs:             # <<<<<<<<<<<<<<
- *                     continue
- *                 for j in range(self.parents[x].size()):
-*/
-      __pyx_t_2 = ((__pyx_v_self->closed_at[__pyx_v_x]) == __pyx_v_cs);
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":500
- *                 x = self.order_buf[i]
- *                 if self.closed_at[x] == cs:
- *                     continue             # <<<<<<<<<<<<<<
- *                 for j in range(self.parents[x].size()):
- *                     if self.closed_at[self.parents[x][j]] == cs:
-*/
-        goto __pyx_L5_continue;
-
-        /* "ckplab/_kernel.pyx":499
- *             for i in range(self.order_buf.size()):
- *                 x = self.order_buf[i]
- *                 if self.closed_at[x] == cs:             # <<<<<<<<<<<<<<
- *                     continue
- *                 for j in range(self.parents[x].size()):
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":501
- *                 if self.closed_at[x] == cs:
- *                     continue
- *                 for j in range(self.parents[x].size()):             # <<<<<<<<<<<<<<
- *                     if self.closed_at[self.parents[x][j]] == cs:
- *                         self.closed_at[x] = cs
-*/
-      __pyx_t_6 = (__pyx_v_self->parents[__pyx_v_x]).size();
-      __pyx_t_7 = __pyx_t_6;
-      for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-        __pyx_v_j = __pyx_t_8;
-
-        /* "ckplab/_kernel.pyx":502
- *                     continue
- *                 for j in range(self.parents[x].size()):
- *                     if self.closed_at[self.parents[x][j]] == cs:             # <<<<<<<<<<<<<<
- *                         self.closed_at[x] = cs
- *                         grew = 1
-*/
-        __pyx_t_2 = ((__pyx_v_self->closed_at[((__pyx_v_self->parents[__pyx_v_x])[__pyx_v_j])]) == __pyx_v_cs);
-        if (__pyx_t_2) {
-
-          /* "ckplab/_kernel.pyx":503
- *                 for j in range(self.parents[x].size()):
- *                     if self.closed_at[self.parents[x][j]] == cs:
- *                         self.closed_at[x] = cs             # <<<<<<<<<<<<<<
- *                         grew = 1
- *                         break
-*/
-          (__pyx_v_self->closed_at[__pyx_v_x]) = __pyx_v_cs;
-
-          /* "ckplab/_kernel.pyx":504
- *                     if self.closed_at[self.parents[x][j]] == cs:
- *                         self.closed_at[x] = cs
- *                         grew = 1             # <<<<<<<<<<<<<<
- *                         break
- *         self.mark_node(found)
-*/
-          __pyx_v_grew = 1;
-
-          /* "ckplab/_kernel.pyx":505
- *                         self.closed_at[x] = cs
- *                         grew = 1
- *                         break             # <<<<<<<<<<<<<<
- *         self.mark_node(found)
- *         for i in range(self.order_buf.size()):
-*/
-          goto __pyx_L9_break;
-
-          /* "ckplab/_kernel.pyx":502
- *                     continue
- *                 for j in range(self.parents[x].size()):
- *                     if self.closed_at[self.parents[x][j]] == cs:             # <<<<<<<<<<<<<<
- *                         self.closed_at[x] = cs
- *                         grew = 1
-*/
-        }
-      }
-      __pyx_L9_break:;
-      __pyx_L5_continue:;
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":506
- *                         grew = 1
- *                         break
- *         self.mark_node(found)             # <<<<<<<<<<<<<<
- *         for i in range(self.order_buf.size()):
- *             x = self.order_buf[i]
-*/
-  ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_found); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 506, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":507
- *                         break
- *         self.mark_node(found)
- *         for i in range(self.order_buf.size()):             # <<<<<<<<<<<<<<
- *             x = self.order_buf[i]
- *             if self.closed_at[x] == cs:
-*/
-  __pyx_t_3 = __pyx_v_self->order_buf.size();
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "ckplab/_kernel.pyx":508
- *         self.mark_node(found)
- *         for i in range(self.order_buf.size()):
- *             x = self.order_buf[i]             # <<<<<<<<<<<<<<
- *             if self.closed_at[x] == cs:
- *                 self.mark_node(x)
-*/
-    __pyx_v_x = (__pyx_v_self->order_buf[__pyx_v_i]);
-
-    /* "ckplab/_kernel.pyx":509
- *         for i in range(self.order_buf.size()):
- *             x = self.order_buf[i]
- *             if self.closed_at[x] == cs:             # <<<<<<<<<<<<<<
- *                 self.mark_node(x)
- * 
-*/
-    __pyx_t_2 = ((__pyx_v_self->closed_at[__pyx_v_x]) == __pyx_v_cs);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":510
- *             x = self.order_buf[i]
- *             if self.closed_at[x] == cs:
- *                 self.mark_node(x)             # <<<<<<<<<<<<<<
- * 
- *     cdef void mark_prev_path(self, int found):
-*/
-      ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_x); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 510, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":509
- *         for i in range(self.order_buf.size()):
- *             x = self.order_buf[i]
- *             if self.closed_at[x] == cs:             # <<<<<<<<<<<<<<
- *                 self.mark_node(x)
- * 
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":485
- *             self.step_marked.push_back(w)
- * 
- *     cdef void close_descendants(self, int found):             # <<<<<<<<<<<<<<
- *         """Stamp ``found`` plus every order_buf node below it (closure
- *         over edges inside the stamped set), then mark the stamped part of
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.close_descendants", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":512
- *                 self.mark_node(x)
- * 
- *     cdef void mark_prev_path(self, int found):             # <<<<<<<<<<<<<<
- *         cdef int node = found
- *         self.mark_node(node)
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_mark_prev_path(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_found) {
-  int __pyx_v_node;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":513
- * 
- *     cdef void mark_prev_path(self, int found):
- *         cdef int node = found             # <<<<<<<<<<<<<<
- *         self.mark_node(node)
- *         while self.prev_of[node] != -1:
-*/
-  __pyx_v_node = __pyx_v_found;
-
-  /* "ckplab/_kernel.pyx":514
- *     cdef void mark_prev_path(self, int found):
- *         cdef int node = found
- *         self.mark_node(node)             # <<<<<<<<<<<<<<
- *         while self.prev_of[node] != -1:
- *             node = self.prev_of[node]
-*/
-  ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_node); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 514, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":515
- *         cdef int node = found
- *         self.mark_node(node)
- *         while self.prev_of[node] != -1:             # <<<<<<<<<<<<<<
- *             node = self.prev_of[node]
- *             self.mark_node(node)
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_self->prev_of[__pyx_v_node]) != -1L);
-    if (!__pyx_t_1) break;
-
-    /* "ckplab/_kernel.pyx":516
- *         self.mark_node(node)
- *         while self.prev_of[node] != -1:
- *             node = self.prev_of[node]             # <<<<<<<<<<<<<<
- *             self.mark_node(node)
- * 
-*/
-    __pyx_v_node = (__pyx_v_self->prev_of[__pyx_v_node]);
-
-    /* "ckplab/_kernel.pyx":517
- *         while self.prev_of[node] != -1:
- *             node = self.prev_of[node]
- *             self.mark_node(node)             # <<<<<<<<<<<<<<
- * 
- *     cdef void check_stringy(self, int v) except *:
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_node); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 517, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":512
- *                 self.mark_node(x)
- * 
- *     cdef void mark_prev_path(self, int found):             # <<<<<<<<<<<<<<
- *         cdef int node = found
- *         self.mark_node(node)
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.mark_prev_path", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":519
- *             self.mark_node(node)
- * 
- *     cdef void check_stringy(self, int v) except *:             # <<<<<<<<<<<<<<
- *         cdef int current = v
- *         cdef int steps, target, nedges
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_check_stringy(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v) {
-  int __pyx_v_current;
-  CYTHON_UNUSED int __pyx_v_steps;
-  int __pyx_v_target;
-  int __pyx_v_nedges;
-  size_t __pyx_v_i;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  std::vector<int> ::size_type __pyx_t_7;
-  std::vector<int> ::size_type __pyx_t_8;
-  size_t __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":520
- * 
- *     cdef void check_stringy(self, int v) except *:
- *         cdef int current = v             # <<<<<<<<<<<<<<
- *         cdef int steps, target, nedges
- *         self.walk_buf.clear()
-*/
-  __pyx_v_current = __pyx_v_v;
-
-  /* "ckplab/_kernel.pyx":522
- *         cdef int current = v
- *         cdef int steps, target, nedges
- *         self.walk_buf.clear()             # <<<<<<<<<<<<<<
- *         self.walk_buf.push_back(v)
- *         if self.labels[v] == CF and self.maybe(self.detection_rate):
-*/
-  __pyx_v_self->walk_buf.clear();
-
-  /* "ckplab/_kernel.pyx":523
- *         cdef int steps, target, nedges
- *         self.walk_buf.clear()
- *         self.walk_buf.push_back(v)             # <<<<<<<<<<<<<<
- *         if self.labels[v] == CF and self.maybe(self.detection_rate):
- *             self.mark_node(v)
-*/
-  try {
-    __pyx_v_self->walk_buf.push_back(__pyx_v_v);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 523, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":524
- *         self.walk_buf.clear()
- *         self.walk_buf.push_back(v)
- *         if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *             self.mark_node(v)
- *             return
-*/
-  __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_v]) == __pyx_v_6ckplab_7_kernel_CF);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->detection_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 524, __pyx_L1_error)
-  __pyx_t_2 = (__pyx_t_3 != 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":525
- *         self.walk_buf.push_back(v)
- *         if self.labels[v] == CF and self.maybe(self.detection_rate):
- *             self.mark_node(v)             # <<<<<<<<<<<<<<
- *             return
- *         cdef size_t i
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 525, __pyx_L1_error)
-
-    /* "ckplab/_kernel.pyx":526
- *         if self.labels[v] == CF and self.maybe(self.detection_rate):
- *             self.mark_node(v)
- *             return             # <<<<<<<<<<<<<<
- *         cdef size_t i
- *         for steps in range(self.check_depth):
-*/
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":524
- *         self.walk_buf.clear()
- *         self.walk_buf.push_back(v)
- *         if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *             self.mark_node(v)
- *             return
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":528
- *             return
- *         cdef size_t i
- *         for steps in range(self.check_depth):             # <<<<<<<<<<<<<<
- *             nedges = <int> self.parents[current].size()
- *             if nedges == 0:
-*/
-  __pyx_t_3 = __pyx_v_self->check_depth;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_steps = __pyx_t_5;
-
-    /* "ckplab/_kernel.pyx":529
- *         cdef size_t i
- *         for steps in range(self.check_depth):
- *             nedges = <int> self.parents[current].size()             # <<<<<<<<<<<<<<
- *             if nedges == 0:
- *                 break
-*/
-    __pyx_v_nedges = ((int)(__pyx_v_self->parents[__pyx_v_current]).size());
-
-    /* "ckplab/_kernel.pyx":530
- *         for steps in range(self.check_depth):
- *             nedges = <int> self.parents[current].size()
- *             if nedges == 0:             # <<<<<<<<<<<<<<
- *                 break
- *             target = self.parents[current][self.uniform_index(nedges)]
-*/
-    __pyx_t_1 = (__pyx_v_nedges == 0);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":531
- *             nedges = <int> self.parents[current].size()
- *             if nedges == 0:
- *                 break             # <<<<<<<<<<<<<<
- *             target = self.parents[current][self.uniform_index(nedges)]
- *             if self.labels[target] == PF:
-*/
-      goto __pyx_L7_break;
-
-      /* "ckplab/_kernel.pyx":530
- *         for steps in range(self.check_depth):
- *             nedges = <int> self.parents[current].size()
- *             if nedges == 0:             # <<<<<<<<<<<<<<
- *                 break
- *             target = self.parents[current][self.uniform_index(nedges)]
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":532
- *             if nedges == 0:
- *                 break
- *             target = self.parents[current][self.uniform_index(nedges)]             # <<<<<<<<<<<<<<
- *             if self.labels[target] == PF:
- *                 for i in range(self.walk_buf.size()):
-*/
-    __pyx_t_6 = __pyx_f_6ckplab_7_kernel_12KernelEngine_uniform_index(__pyx_v_self, __pyx_v_nedges); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 532, __pyx_L1_error)
-    __pyx_v_target = ((__pyx_v_self->parents[__pyx_v_current])[__pyx_t_6]);
-
-    /* "ckplab/_kernel.pyx":533
- *                 break
- *             target = self.parents[current][self.uniform_index(nedges)]
- *             if self.labels[target] == PF:             # <<<<<<<<<<<<<<
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])
-*/
-    __pyx_t_1 = ((__pyx_v_self->labels[__pyx_v_target]) == __pyx_v_6ckplab_7_kernel_PF);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":534
- *             target = self.parents[current][self.uniform_index(nedges)]
- *             if self.labels[target] == PF:
- *                 for i in range(self.walk_buf.size()):             # <<<<<<<<<<<<<<
- *                     self.mark_node(self.walk_buf[i])
- *                 return
-*/
-      __pyx_t_7 = __pyx_v_self->walk_buf.size();
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_i = __pyx_t_9;
-
-        /* "ckplab/_kernel.pyx":535
- *             if self.labels[target] == PF:
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])             # <<<<<<<<<<<<<<
- *                 return
- *             self.walk_buf.push_back(target)
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, (__pyx_v_self->walk_buf[__pyx_v_i])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 535, __pyx_L1_error)
-      }
-
-      /* "ckplab/_kernel.pyx":536
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])
- *                 return             # <<<<<<<<<<<<<<
- *             self.walk_buf.push_back(target)
- *             current = target
-*/
-      goto __pyx_L0;
-
-      /* "ckplab/_kernel.pyx":533
- *                 break
- *             target = self.parents[current][self.uniform_index(nedges)]
- *             if self.labels[target] == PF:             # <<<<<<<<<<<<<<
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":537
- *                     self.mark_node(self.walk_buf[i])
- *                 return
- *             self.walk_buf.push_back(target)             # <<<<<<<<<<<<<<
- *             current = target
- *             if self.labels[target] == CF and self.maybe(self.detection_rate):
-*/
-    try {
-      __pyx_v_self->walk_buf.push_back(__pyx_v_target);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 537, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":538
- *                 return
- *             self.walk_buf.push_back(target)
- *             current = target             # <<<<<<<<<<<<<<
- *             if self.labels[target] == CF and self.maybe(self.detection_rate):
- *                 for i in range(self.walk_buf.size()):
-*/
-    __pyx_v_current = __pyx_v_target;
-
-    /* "ckplab/_kernel.pyx":539
- *             self.walk_buf.push_back(target)
- *             current = target
- *             if self.labels[target] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])
-*/
-    __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_target]) == __pyx_v_6ckplab_7_kernel_CF);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L13_bool_binop_done;
-    }
-    __pyx_t_6 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->detection_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 539, __pyx_L1_error)
-    __pyx_t_2 = (__pyx_t_6 != 0);
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L13_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":540
- *             current = target
- *             if self.labels[target] == CF and self.maybe(self.detection_rate):
- *                 for i in range(self.walk_buf.size()):             # <<<<<<<<<<<<<<
- *                     self.mark_node(self.walk_buf[i])
- *                 return
-*/
-      __pyx_t_7 = __pyx_v_self->walk_buf.size();
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_i = __pyx_t_9;
-
-        /* "ckplab/_kernel.pyx":541
- *             if self.labels[target] == CF and self.maybe(self.detection_rate):
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])             # <<<<<<<<<<<<<<
- *                 return
- * 
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, (__pyx_v_self->walk_buf[__pyx_v_i])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 541, __pyx_L1_error)
-      }
-
-      /* "ckplab/_kernel.pyx":542
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])
- *                 return             # <<<<<<<<<<<<<<
- * 
- *     cdef int ball_first(self, int start, int cap) except? -2:
-*/
-      goto __pyx_L0;
-
-      /* "ckplab/_kernel.pyx":539
- *             self.walk_buf.push_back(target)
- *             current = target
- *             if self.labels[target] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                 for i in range(self.walk_buf.size()):
- *                     self.mark_node(self.walk_buf[i])
-*/
-    }
-  }
-  __pyx_L7_break:;
-
-  /* "ckplab/_kernel.pyx":519
- *             self.mark_node(node)
- * 
- *     cdef void check_stringy(self, int v) except *:             # <<<<<<<<<<<<<<
- *         cdef int current = v
- *         cdef int steps, target, nedges
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.check_stringy", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":544
- *                 return
- * 
- *     cdef int ball_first(self, int start, int cap) except? -2:             # <<<<<<<<<<<<<<
- *         """BFS from ``start`` to depth ``cap`` stopping at the first
- *         recognized node; on a find, marks it (with visited descendants or
-*/
-
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_ball_first(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_start, int __pyx_v_cap) {
-  int __pyx_v_ss;
-  size_t __pyx_v_head;
-  size_t __pyx_v_j;
-  int __pyx_v_u;
-  int __pyx_v_w;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  std::vector<int> ::size_type __pyx_t_4;
-  std::vector<int> ::size_type __pyx_t_5;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":548
- *         recognized node; on a find, marks it (with visited descendants or
- *         the discovery path).  Returns the find or -1."""
- *         if cap < 0 or self.labels[start] == PF:             # <<<<<<<<<<<<<<
- *             return -1
- *         self.seen_stamp += 1
-*/
-  __pyx_t_2 = (__pyx_v_cap < 0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_start]) == __pyx_v_6ckplab_7_kernel_PF);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":549
- *         the discovery path).  Returns the find or -1."""
- *         if cap < 0 or self.labels[start] == PF:
- *             return -1             # <<<<<<<<<<<<<<
- *         self.seen_stamp += 1
- *         cdef int ss = self.seen_stamp
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":548
- *         recognized node; on a find, marks it (with visited descendants or
- *         the discovery path).  Returns the find or -1."""
- *         if cap < 0 or self.labels[start] == PF:             # <<<<<<<<<<<<<<
- *             return -1
- *         self.seen_stamp += 1
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":550
- *         if cap < 0 or self.labels[start] == PF:
- *             return -1
- *         self.seen_stamp += 1             # <<<<<<<<<<<<<<
- *         cdef int ss = self.seen_stamp
- *         self.order_buf.clear()
-*/
-  __pyx_v_self->seen_stamp = (__pyx_v_self->seen_stamp + 1);
-
-  /* "ckplab/_kernel.pyx":551
- *             return -1
- *         self.seen_stamp += 1
- *         cdef int ss = self.seen_stamp             # <<<<<<<<<<<<<<
- *         self.order_buf.clear()
- *         self.queue_buf.clear()
-*/
-  __pyx_t_3 = __pyx_v_self->seen_stamp;
-  __pyx_v_ss = __pyx_t_3;
-
-  /* "ckplab/_kernel.pyx":552
- *         self.seen_stamp += 1
- *         cdef int ss = self.seen_stamp
- *         self.order_buf.clear()             # <<<<<<<<<<<<<<
- *         self.queue_buf.clear()
- *         self.seen_at[start] = ss
-*/
-  __pyx_v_self->order_buf.clear();
-
-  /* "ckplab/_kernel.pyx":553
- *         cdef int ss = self.seen_stamp
- *         self.order_buf.clear()
- *         self.queue_buf.clear()             # <<<<<<<<<<<<<<
- *         self.seen_at[start] = ss
- *         self.depth_of[start] = 0
-*/
-  __pyx_v_self->queue_buf.clear();
-
-  /* "ckplab/_kernel.pyx":554
- *         self.order_buf.clear()
- *         self.queue_buf.clear()
- *         self.seen_at[start] = ss             # <<<<<<<<<<<<<<
- *         self.depth_of[start] = 0
- *         self.prev_of[start] = -1
-*/
-  (__pyx_v_self->seen_at[__pyx_v_start]) = __pyx_v_ss;
-
-  /* "ckplab/_kernel.pyx":555
- *         self.queue_buf.clear()
- *         self.seen_at[start] = ss
- *         self.depth_of[start] = 0             # <<<<<<<<<<<<<<
- *         self.prev_of[start] = -1
- *         self.queue_buf.push_back(start)
-*/
-  (__pyx_v_self->depth_of[__pyx_v_start]) = 0;
-
-  /* "ckplab/_kernel.pyx":556
- *         self.seen_at[start] = ss
- *         self.depth_of[start] = 0
- *         self.prev_of[start] = -1             # <<<<<<<<<<<<<<
- *         self.queue_buf.push_back(start)
- *         cdef size_t head = 0, j
-*/
-  (__pyx_v_self->prev_of[__pyx_v_start]) = -1;
-
-  /* "ckplab/_kernel.pyx":557
- *         self.depth_of[start] = 0
- *         self.prev_of[start] = -1
- *         self.queue_buf.push_back(start)             # <<<<<<<<<<<<<<
- *         cdef size_t head = 0, j
- *         cdef int u, w
-*/
-  try {
-    __pyx_v_self->queue_buf.push_back(__pyx_v_start);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 557, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":558
- *         self.prev_of[start] = -1
- *         self.queue_buf.push_back(start)
- *         cdef size_t head = 0, j             # <<<<<<<<<<<<<<
- *         cdef int u, w
- *         while head < self.queue_buf.size():
-*/
-  __pyx_v_head = 0;
-
-  /* "ckplab/_kernel.pyx":560
- *         cdef size_t head = 0, j
- *         cdef int u, w
- *         while head < self.queue_buf.size():             # <<<<<<<<<<<<<<
- *             u = self.queue_buf[head]
- *             head += 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_head < __pyx_v_self->queue_buf.size());
-    if (!__pyx_t_1) break;
-
-    /* "ckplab/_kernel.pyx":561
- *         cdef int u, w
- *         while head < self.queue_buf.size():
- *             u = self.queue_buf[head]             # <<<<<<<<<<<<<<
- *             head += 1
- *             self.order_buf.push_back(u)
-*/
-    __pyx_v_u = (__pyx_v_self->queue_buf[__pyx_v_head]);
-
-    /* "ckplab/_kernel.pyx":562
- *         while head < self.queue_buf.size():
- *             u = self.queue_buf[head]
- *             head += 1             # <<<<<<<<<<<<<<
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):
-*/
-    __pyx_v_head = (__pyx_v_head + 1);
-
-    /* "ckplab/_kernel.pyx":563
- *             u = self.queue_buf[head]
- *             head += 1
- *             self.order_buf.push_back(u)             # <<<<<<<<<<<<<<
- *             if self.flagged(u):
- *                 if self.path_only:
-*/
-    try {
-      __pyx_v_self->order_buf.push_back(__pyx_v_u);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 563, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":564
- *             head += 1
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):             # <<<<<<<<<<<<<<
- *                 if self.path_only:
- *                     self.mark_prev_path(u)
-*/
-    __pyx_t_3 = __pyx_f_6ckplab_7_kernel_12KernelEngine_flagged(__pyx_v_self, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 564, __pyx_L1_error)
-    __pyx_t_1 = (__pyx_t_3 != 0);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":565
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):
- *                 if self.path_only:             # <<<<<<<<<<<<<<
- *                     self.mark_prev_path(u)
- *                 else:
-*/
-      __pyx_t_1 = (__pyx_v_self->path_only != 0);
-      if (__pyx_t_1) {
-
-        /* "ckplab/_kernel.pyx":566
- *             if self.flagged(u):
- *                 if self.path_only:
- *                     self.mark_prev_path(u)             # <<<<<<<<<<<<<<
- *                 else:
- *                     self.close_descendants(u)
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_prev_path(__pyx_v_self, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 566, __pyx_L1_error)
-
-        /* "ckplab/_kernel.pyx":565
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):
- *                 if self.path_only:             # <<<<<<<<<<<<<<
- *                     self.mark_prev_path(u)
- *                 else:
-*/
-        goto __pyx_L9;
-      }
-
-      /* "ckplab/_kernel.pyx":568
- *                     self.mark_prev_path(u)
- *                 else:
- *                     self.close_descendants(u)             # <<<<<<<<<<<<<<
- *                 return u
- *             if self.depth_of[u] < cap:
-*/
-      /*else*/ {
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->close_descendants(__pyx_v_self, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 568, __pyx_L1_error)
-      }
-      __pyx_L9:;
-
-      /* "ckplab/_kernel.pyx":569
- *                 else:
- *                     self.close_descendants(u)
- *                 return u             # <<<<<<<<<<<<<<
- *             if self.depth_of[u] < cap:
- *                 for j in range(self.parents[u].size()):
-*/
-      __pyx_r = __pyx_v_u;
-      goto __pyx_L0;
-
-      /* "ckplab/_kernel.pyx":564
- *             head += 1
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):             # <<<<<<<<<<<<<<
- *                 if self.path_only:
- *                     self.mark_prev_path(u)
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":570
- *                     self.close_descendants(u)
- *                 return u
- *             if self.depth_of[u] < cap:             # <<<<<<<<<<<<<<
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
-*/
-    __pyx_t_1 = ((__pyx_v_self->depth_of[__pyx_v_u]) < __pyx_v_cap);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":571
- *                 return u
- *             if self.depth_of[u] < cap:
- *                 for j in range(self.parents[u].size()):             # <<<<<<<<<<<<<<
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
-*/
-      __pyx_t_4 = (__pyx_v_self->parents[__pyx_v_u]).size();
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_j = __pyx_t_6;
-
-        /* "ckplab/_kernel.pyx":572
- *             if self.depth_of[u] < cap:
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]             # <<<<<<<<<<<<<<
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
- *                         continue
-*/
-        __pyx_v_w = ((__pyx_v_self->parents[__pyx_v_u])[__pyx_v_j]);
-
-        /* "ckplab/_kernel.pyx":573
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:             # <<<<<<<<<<<<<<
- *                         continue
- *                     self.seen_at[w] = ss
-*/
-        __pyx_t_2 = ((__pyx_v_self->seen_at[__pyx_v_w]) == __pyx_v_ss);
-        if (!__pyx_t_2) {
-        } else {
-          __pyx_t_1 = __pyx_t_2;
-          goto __pyx_L14_bool_binop_done;
-        }
-        __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_w]) == __pyx_v_6ckplab_7_kernel_PF);
-        __pyx_t_1 = __pyx_t_2;
-        __pyx_L14_bool_binop_done:;
-        if (__pyx_t_1) {
-
-          /* "ckplab/_kernel.pyx":574
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
- *                         continue             # <<<<<<<<<<<<<<
- *                     self.seen_at[w] = ss
- *                     self.depth_of[w] = self.depth_of[u] + 1
-*/
-          goto __pyx_L11_continue;
-
-          /* "ckplab/_kernel.pyx":573
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:             # <<<<<<<<<<<<<<
- *                         continue
- *                     self.seen_at[w] = ss
-*/
-        }
-
-        /* "ckplab/_kernel.pyx":575
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
- *                         continue
- *                     self.seen_at[w] = ss             # <<<<<<<<<<<<<<
- *                     self.depth_of[w] = self.depth_of[u] + 1
- *                     self.prev_of[w] = u
-*/
-        (__pyx_v_self->seen_at[__pyx_v_w]) = __pyx_v_ss;
-
-        /* "ckplab/_kernel.pyx":576
- *                         continue
- *                     self.seen_at[w] = ss
- *                     self.depth_of[w] = self.depth_of[u] + 1             # <<<<<<<<<<<<<<
- *                     self.prev_of[w] = u
- *                     self.queue_buf.push_back(w)
-*/
-        (__pyx_v_self->depth_of[__pyx_v_w]) = ((__pyx_v_self->depth_of[__pyx_v_u]) + 1);
-
-        /* "ckplab/_kernel.pyx":577
- *                     self.seen_at[w] = ss
- *                     self.depth_of[w] = self.depth_of[u] + 1
- *                     self.prev_of[w] = u             # <<<<<<<<<<<<<<
- *                     self.queue_buf.push_back(w)
- *         return -1
-*/
-        (__pyx_v_self->prev_of[__pyx_v_w]) = __pyx_v_u;
-
-        /* "ckplab/_kernel.pyx":578
- *                     self.depth_of[w] = self.depth_of[u] + 1
- *                     self.prev_of[w] = u
- *                     self.queue_buf.push_back(w)             # <<<<<<<<<<<<<<
- *         return -1
- * 
-*/
-        try {
-          __pyx_v_self->queue_buf.push_back(__pyx_v_w);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 578, __pyx_L1_error)
-        }
-        __pyx_L11_continue:;
-      }
-
-      /* "ckplab/_kernel.pyx":570
- *                     self.close_descendants(u)
- *                 return u
- *             if self.depth_of[u] < cap:             # <<<<<<<<<<<<<<
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":579
- *                     self.prev_of[w] = u
- *                     self.queue_buf.push_back(w)
- *         return -1             # <<<<<<<<<<<<<<
- * 
- *     cdef int ball_all(self, int start, int cap) except? -2:
-*/
-  __pyx_r = -1;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":544
- *                 return
- * 
- *     cdef int ball_first(self, int start, int cap) except? -2:             # <<<<<<<<<<<<<<
- *         """BFS from ``start`` to depth ``cap`` stopping at the first
- *         recognized node; on a find, marks it (with visited descendants or
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.ball_first", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":581
- *         return -1
- * 
- *     cdef int ball_all(self, int start, int cap) except? -2:             # <<<<<<<<<<<<<<
- *         """Sweep the whole radius-``cap`` ball, not expanding through
- *         recognized nodes; marks every find with its visited descendants.
-*/
-
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_ball_all(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_start, int __pyx_v_cap) {
-  int __pyx_v_ss;
-  size_t __pyx_v_head;
-  size_t __pyx_v_j;
-  int __pyx_v_u;
-  int __pyx_v_w;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  std::vector<int> ::size_type __pyx_t_4;
-  std::vector<int> ::size_type __pyx_t_5;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":585
- *         recognized nodes; marks every find with its visited descendants.
- *         Returns the number of finds."""
- *         if cap < 0 or self.labels[start] == PF:             # <<<<<<<<<<<<<<
- *             return 0
- *         self.seen_stamp += 1
-*/
-  __pyx_t_2 = (__pyx_v_cap < 0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_start]) == __pyx_v_6ckplab_7_kernel_PF);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":586
- *         Returns the number of finds."""
- *         if cap < 0 or self.labels[start] == PF:
- *             return 0             # <<<<<<<<<<<<<<
- *         self.seen_stamp += 1
- *         cdef int ss = self.seen_stamp
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":585
- *         recognized nodes; marks every find with its visited descendants.
- *         Returns the number of finds."""
- *         if cap < 0 or self.labels[start] == PF:             # <<<<<<<<<<<<<<
- *             return 0
- *         self.seen_stamp += 1
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":587
- *         if cap < 0 or self.labels[start] == PF:
- *             return 0
- *         self.seen_stamp += 1             # <<<<<<<<<<<<<<
- *         cdef int ss = self.seen_stamp
- *         self.order_buf.clear()
-*/
-  __pyx_v_self->seen_stamp = (__pyx_v_self->seen_stamp + 1);
-
-  /* "ckplab/_kernel.pyx":588
- *             return 0
- *         self.seen_stamp += 1
- *         cdef int ss = self.seen_stamp             # <<<<<<<<<<<<<<
- *         self.order_buf.clear()
- *         self.queue_buf.clear()
-*/
-  __pyx_t_3 = __pyx_v_self->seen_stamp;
-  __pyx_v_ss = __pyx_t_3;
-
-  /* "ckplab/_kernel.pyx":589
- *         self.seen_stamp += 1
- *         cdef int ss = self.seen_stamp
- *         self.order_buf.clear()             # <<<<<<<<<<<<<<
- *         self.queue_buf.clear()
- *         self.founds_buf.clear()
-*/
-  __pyx_v_self->order_buf.clear();
-
-  /* "ckplab/_kernel.pyx":590
- *         cdef int ss = self.seen_stamp
- *         self.order_buf.clear()
- *         self.queue_buf.clear()             # <<<<<<<<<<<<<<
- *         self.founds_buf.clear()
- *         self.seen_at[start] = ss
-*/
-  __pyx_v_self->queue_buf.clear();
-
-  /* "ckplab/_kernel.pyx":591
- *         self.order_buf.clear()
- *         self.queue_buf.clear()
- *         self.founds_buf.clear()             # <<<<<<<<<<<<<<
- *         self.seen_at[start] = ss
- *         self.depth_of[start] = 0
-*/
-  __pyx_v_self->founds_buf.clear();
-
-  /* "ckplab/_kernel.pyx":592
- *         self.queue_buf.clear()
- *         self.founds_buf.clear()
- *         self.seen_at[start] = ss             # <<<<<<<<<<<<<<
- *         self.depth_of[start] = 0
- *         self.queue_buf.push_back(start)
-*/
-  (__pyx_v_self->seen_at[__pyx_v_start]) = __pyx_v_ss;
-
-  /* "ckplab/_kernel.pyx":593
- *         self.founds_buf.clear()
- *         self.seen_at[start] = ss
- *         self.depth_of[start] = 0             # <<<<<<<<<<<<<<
- *         self.queue_buf.push_back(start)
- *         cdef size_t head = 0, j
-*/
-  (__pyx_v_self->depth_of[__pyx_v_start]) = 0;
-
-  /* "ckplab/_kernel.pyx":594
- *         self.seen_at[start] = ss
- *         self.depth_of[start] = 0
- *         self.queue_buf.push_back(start)             # <<<<<<<<<<<<<<
- *         cdef size_t head = 0, j
- *         cdef int u, w
-*/
-  try {
-    __pyx_v_self->queue_buf.push_back(__pyx_v_start);
-  } catch(...) {
-    __Pyx_CppExn2PyErr();
-    __PYX_ERR(0, 594, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":595
- *         self.depth_of[start] = 0
- *         self.queue_buf.push_back(start)
- *         cdef size_t head = 0, j             # <<<<<<<<<<<<<<
- *         cdef int u, w
- *         while head < self.queue_buf.size():
-*/
-  __pyx_v_head = 0;
-
-  /* "ckplab/_kernel.pyx":597
- *         cdef size_t head = 0, j
- *         cdef int u, w
- *         while head < self.queue_buf.size():             # <<<<<<<<<<<<<<
- *             u = self.queue_buf[head]
- *             head += 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_head < __pyx_v_self->queue_buf.size());
-    if (!__pyx_t_1) break;
-
-    /* "ckplab/_kernel.pyx":598
- *         cdef int u, w
- *         while head < self.queue_buf.size():
- *             u = self.queue_buf[head]             # <<<<<<<<<<<<<<
- *             head += 1
- *             self.order_buf.push_back(u)
-*/
-    __pyx_v_u = (__pyx_v_self->queue_buf[__pyx_v_head]);
-
-    /* "ckplab/_kernel.pyx":599
- *         while head < self.queue_buf.size():
- *             u = self.queue_buf[head]
- *             head += 1             # <<<<<<<<<<<<<<
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):
-*/
-    __pyx_v_head = (__pyx_v_head + 1);
-
-    /* "ckplab/_kernel.pyx":600
- *             u = self.queue_buf[head]
- *             head += 1
- *             self.order_buf.push_back(u)             # <<<<<<<<<<<<<<
- *             if self.flagged(u):
- *                 self.founds_buf.push_back(u)
-*/
-    try {
-      __pyx_v_self->order_buf.push_back(__pyx_v_u);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 600, __pyx_L1_error)
-    }
-
-    /* "ckplab/_kernel.pyx":601
- *             head += 1
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):             # <<<<<<<<<<<<<<
- *                 self.founds_buf.push_back(u)
- *                 continue
-*/
-    __pyx_t_3 = __pyx_f_6ckplab_7_kernel_12KernelEngine_flagged(__pyx_v_self, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 601, __pyx_L1_error)
-    __pyx_t_1 = (__pyx_t_3 != 0);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":602
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):
- *                 self.founds_buf.push_back(u)             # <<<<<<<<<<<<<<
- *                 continue
- *             if self.depth_of[u] < cap:
-*/
-      try {
-        __pyx_v_self->founds_buf.push_back(__pyx_v_u);
-      } catch(...) {
-        __Pyx_CppExn2PyErr();
-        __PYX_ERR(0, 602, __pyx_L1_error)
-      }
-
-      /* "ckplab/_kernel.pyx":603
- *             if self.flagged(u):
- *                 self.founds_buf.push_back(u)
- *                 continue             # <<<<<<<<<<<<<<
- *             if self.depth_of[u] < cap:
- *                 for j in range(self.parents[u].size()):
-*/
-      goto __pyx_L6_continue;
-
-      /* "ckplab/_kernel.pyx":601
- *             head += 1
- *             self.order_buf.push_back(u)
- *             if self.flagged(u):             # <<<<<<<<<<<<<<
- *                 self.founds_buf.push_back(u)
- *                 continue
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":604
- *                 self.founds_buf.push_back(u)
- *                 continue
- *             if self.depth_of[u] < cap:             # <<<<<<<<<<<<<<
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
-*/
-    __pyx_t_1 = ((__pyx_v_self->depth_of[__pyx_v_u]) < __pyx_v_cap);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":605
- *                 continue
- *             if self.depth_of[u] < cap:
- *                 for j in range(self.parents[u].size()):             # <<<<<<<<<<<<<<
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
-*/
-      __pyx_t_4 = (__pyx_v_self->parents[__pyx_v_u]).size();
-      __pyx_t_5 = __pyx_t_4;
-      for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-        __pyx_v_j = __pyx_t_6;
-
-        /* "ckplab/_kernel.pyx":606
- *             if self.depth_of[u] < cap:
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]             # <<<<<<<<<<<<<<
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
- *                         continue
-*/
-        __pyx_v_w = ((__pyx_v_self->parents[__pyx_v_u])[__pyx_v_j]);
-
-        /* "ckplab/_kernel.pyx":607
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:             # <<<<<<<<<<<<<<
- *                         continue
- *                     self.seen_at[w] = ss
-*/
-        __pyx_t_2 = ((__pyx_v_self->seen_at[__pyx_v_w]) == __pyx_v_ss);
-        if (!__pyx_t_2) {
-        } else {
-          __pyx_t_1 = __pyx_t_2;
-          goto __pyx_L13_bool_binop_done;
-        }
-        __pyx_t_2 = ((__pyx_v_self->labels[__pyx_v_w]) == __pyx_v_6ckplab_7_kernel_PF);
-        __pyx_t_1 = __pyx_t_2;
-        __pyx_L13_bool_binop_done:;
-        if (__pyx_t_1) {
-
-          /* "ckplab/_kernel.pyx":608
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
- *                         continue             # <<<<<<<<<<<<<<
- *                     self.seen_at[w] = ss
- *                     self.depth_of[w] = self.depth_of[u] + 1
-*/
-          goto __pyx_L10_continue;
-
-          /* "ckplab/_kernel.pyx":607
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:             # <<<<<<<<<<<<<<
- *                         continue
- *                     self.seen_at[w] = ss
-*/
-        }
-
-        /* "ckplab/_kernel.pyx":609
- *                     if self.seen_at[w] == ss or self.labels[w] == PF:
- *                         continue
- *                     self.seen_at[w] = ss             # <<<<<<<<<<<<<<
- *                     self.depth_of[w] = self.depth_of[u] + 1
- *                     self.queue_buf.push_back(w)
-*/
-        (__pyx_v_self->seen_at[__pyx_v_w]) = __pyx_v_ss;
-
-        /* "ckplab/_kernel.pyx":610
- *                         continue
- *                     self.seen_at[w] = ss
- *                     self.depth_of[w] = self.depth_of[u] + 1             # <<<<<<<<<<<<<<
- *                     self.queue_buf.push_back(w)
- *         for j in range(self.founds_buf.size()):
-*/
-        (__pyx_v_self->depth_of[__pyx_v_w]) = ((__pyx_v_self->depth_of[__pyx_v_u]) + 1);
-
-        /* "ckplab/_kernel.pyx":611
- *                     self.seen_at[w] = ss
- *                     self.depth_of[w] = self.depth_of[u] + 1
- *                     self.queue_buf.push_back(w)             # <<<<<<<<<<<<<<
- *         for j in range(self.founds_buf.size()):
- *             self.close_descendants(self.founds_buf[j])
-*/
-        try {
-          __pyx_v_self->queue_buf.push_back(__pyx_v_w);
-        } catch(...) {
-          __Pyx_CppExn2PyErr();
-          __PYX_ERR(0, 611, __pyx_L1_error)
-        }
-        __pyx_L10_continue:;
-      }
-
-      /* "ckplab/_kernel.pyx":604
- *                 self.founds_buf.push_back(u)
- *                 continue
- *             if self.depth_of[u] < cap:             # <<<<<<<<<<<<<<
- *                 for j in range(self.parents[u].size()):
- *                     w = self.parents[u][j]
-*/
-    }
-    __pyx_L6_continue:;
-  }
-
-  /* "ckplab/_kernel.pyx":612
- *                     self.depth_of[w] = self.depth_of[u] + 1
- *                     self.queue_buf.push_back(w)
- *         for j in range(self.founds_buf.size()):             # <<<<<<<<<<<<<<
- *             self.close_descendants(self.founds_buf[j])
- *         return <int> self.founds_buf.size()
-*/
-  __pyx_t_4 = __pyx_v_self->founds_buf.size();
-  __pyx_t_5 = __pyx_t_4;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-    __pyx_v_j = __pyx_t_6;
-
-    /* "ckplab/_kernel.pyx":613
- *                     self.queue_buf.push_back(w)
- *         for j in range(self.founds_buf.size()):
- *             self.close_descendants(self.founds_buf[j])             # <<<<<<<<<<<<<<
- *         return <int> self.founds_buf.size()
- * 
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->close_descendants(__pyx_v_self, (__pyx_v_self->founds_buf[__pyx_v_j])); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 613, __pyx_L1_error)
-  }
-
-  /* "ckplab/_kernel.pyx":614
- *         for j in range(self.founds_buf.size()):
- *             self.close_descendants(self.founds_buf[j])
- *         return <int> self.founds_buf.size()             # <<<<<<<<<<<<<<
- * 
- *     cdef void run_check(self, int v, vector[int]& parent_edges) except *:
-*/
-  __pyx_r = ((int)__pyx_v_self->founds_buf.size());
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":581
- *         return -1
- * 
- *     cdef int ball_all(self, int start, int cap) except? -2:             # <<<<<<<<<<<<<<
- *         """Sweep the whole radius-``cap`` ball, not expanding through
- *         recognized nodes; marks every find with its visited descendants.
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.ball_all", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -2;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":616
- *         return <int> self.founds_buf.size()
- * 
- *     cdef void run_check(self, int v, vector[int]& parent_edges) except *:             # <<<<<<<<<<<<<<
- *         """Fill step_marked for this step's check.  Decision stream is
- *         identical to checking.run_check with the same features."""
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_run_check(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_v, std::vector<int>  &__pyx_v_parent_edges) {
-  int __pyx_v_mech;
-  size_t __pyx_v_e;
-  int __pyx_v_u;
-  int __pyx_v_found;
-  int __pyx_v_nfound;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  std::vector<int> ::size_type __pyx_t_4;
-  std::vector<int> ::size_type __pyx_t_5;
-  size_t __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":619
- *         """Fill step_marked for this step's check.  Decision stream is
- *         identical to checking.run_check with the same features."""
- *         self.marked_stamp += 1             # <<<<<<<<<<<<<<
- *         self.step_marked.clear()
- *         cdef int mech = self.mech
-*/
-  __pyx_v_self->marked_stamp = (__pyx_v_self->marked_stamp + 1);
-
-  /* "ckplab/_kernel.pyx":620
- *         identical to checking.run_check with the same features."""
- *         self.marked_stamp += 1
- *         self.step_marked.clear()             # <<<<<<<<<<<<<<
- *         cdef int mech = self.mech
- *         cdef size_t e
-*/
-  __pyx_v_self->step_marked.clear();
-
-  /* "ckplab/_kernel.pyx":621
- *         self.marked_stamp += 1
- *         self.step_marked.clear()
- *         cdef int mech = self.mech             # <<<<<<<<<<<<<<
- *         cdef size_t e
- *         cdef int u, found, nfound
-*/
-  __pyx_t_1 = __pyx_v_self->mech;
-  __pyx_v_mech = __pyx_t_1;
-
-  /* "ckplab/_kernel.pyx":624
- *         cdef size_t e
- *         cdef int u, found, nfound
- *         if mech == M_STRINGY or mech == M_BFS:             # <<<<<<<<<<<<<<
- *             if not self.maybe(self.check_rate):
- *                 return
-*/
-  __pyx_t_3 = (__pyx_v_mech == __pyx_v_6ckplab_7_kernel_M_STRINGY);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_mech == __pyx_v_6ckplab_7_kernel_M_BFS);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "ckplab/_kernel.pyx":625
- *         cdef int u, found, nfound
- *         if mech == M_STRINGY or mech == M_BFS:
- *             if not self.maybe(self.check_rate):             # <<<<<<<<<<<<<<
- *                 return
- *             if mech == M_STRINGY:
-*/
-    __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->check_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 625, __pyx_L1_error)
-    __pyx_t_2 = (!(__pyx_t_1 != 0));
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":626
- *         if mech == M_STRINGY or mech == M_BFS:
- *             if not self.maybe(self.check_rate):
- *                 return             # <<<<<<<<<<<<<<
- *             if mech == M_STRINGY:
- *                 self.check_stringy(v)
-*/
-      goto __pyx_L0;
-
-      /* "ckplab/_kernel.pyx":625
- *         cdef int u, found, nfound
- *         if mech == M_STRINGY or mech == M_BFS:
- *             if not self.maybe(self.check_rate):             # <<<<<<<<<<<<<<
- *                 return
- *             if mech == M_STRINGY:
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":627
- *             if not self.maybe(self.check_rate):
- *                 return
- *             if mech == M_STRINGY:             # <<<<<<<<<<<<<<
- *                 self.check_stringy(v)
- *             else:
-*/
-    __pyx_t_2 = (__pyx_v_mech == __pyx_v_6ckplab_7_kernel_M_STRINGY);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":628
- *                 return
- *             if mech == M_STRINGY:
- *                 self.check_stringy(v)             # <<<<<<<<<<<<<<
- *             else:
- *                 self.ball_first(v, self.check_depth)
-*/
-      ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->check_stringy(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 628, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":627
- *             if not self.maybe(self.check_rate):
- *                 return
- *             if mech == M_STRINGY:             # <<<<<<<<<<<<<<
- *                 self.check_stringy(v)
- *             else:
-*/
-      goto __pyx_L7;
-    }
-
-    /* "ckplab/_kernel.pyx":630
- *                 self.check_stringy(v)
- *             else:
- *                 self.ball_first(v, self.check_depth)             # <<<<<<<<<<<<<<
- *             return
- *         for e in range(parent_edges.size()):
-*/
-    /*else*/ {
-      __pyx_t_1 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->ball_first(__pyx_v_self, __pyx_v_v, __pyx_v_self->check_depth); if (unlikely(__pyx_t_1 == ((int)-2) && PyErr_Occurred())) __PYX_ERR(0, 630, __pyx_L1_error)
-    }
-    __pyx_L7:;
-
-    /* "ckplab/_kernel.pyx":631
- *             else:
- *                 self.ball_first(v, self.check_depth)
- *             return             # <<<<<<<<<<<<<<
- *         for e in range(parent_edges.size()):
- *             u = parent_edges[e]
-*/
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":624
- *         cdef size_t e
- *         cdef int u, found, nfound
- *         if mech == M_STRINGY or mech == M_BFS:             # <<<<<<<<<<<<<<
- *             if not self.maybe(self.check_rate):
- *                 return
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":632
- *                 self.ball_first(v, self.check_depth)
- *             return
- *         for e in range(parent_edges.size()):             # <<<<<<<<<<<<<<
- *             u = parent_edges[e]
- *             if not self.maybe(self.check_rate):
-*/
-  __pyx_t_4 = __pyx_v_parent_edges.size();
-  __pyx_t_5 = __pyx_t_4;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-    __pyx_v_e = __pyx_t_6;
-
-    /* "ckplab/_kernel.pyx":633
- *             return
- *         for e in range(parent_edges.size()):
- *             u = parent_edges[e]             # <<<<<<<<<<<<<<
- *             if not self.maybe(self.check_rate):
- *                 continue
-*/
-    __pyx_v_u = (__pyx_v_parent_edges[__pyx_v_e]);
-
-    /* "ckplab/_kernel.pyx":634
- *         for e in range(parent_edges.size()):
- *             u = parent_edges[e]
- *             if not self.maybe(self.check_rate):             # <<<<<<<<<<<<<<
- *                 continue
- *             if mech == M_EXHAUSTIVE:
-*/
-    __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->check_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 634, __pyx_L1_error)
-    __pyx_t_2 = (!(__pyx_t_1 != 0));
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":635
- *             u = parent_edges[e]
- *             if not self.maybe(self.check_rate):
- *                 continue             # <<<<<<<<<<<<<<
- *             if mech == M_EXHAUSTIVE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
-*/
-      goto __pyx_L8_continue;
-
-      /* "ckplab/_kernel.pyx":634
- *         for e in range(parent_edges.size()):
- *             u = parent_edges[e]
- *             if not self.maybe(self.check_rate):             # <<<<<<<<<<<<<<
- *                 continue
- *             if mech == M_EXHAUSTIVE:
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":636
- *             if not self.maybe(self.check_rate):
- *                 continue
- *             if mech == M_EXHAUSTIVE:             # <<<<<<<<<<<<<<
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)
-*/
-    __pyx_t_2 = (__pyx_v_mech == __pyx_v_6ckplab_7_kernel_M_EXHAUSTIVE);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":637
- *                 continue
- *             if mech == M_EXHAUSTIVE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                     return
-*/
-      __pyx_t_3 = ((__pyx_v_self->labels[__pyx_v_v]) == __pyx_v_6ckplab_7_kernel_CF);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_2 = __pyx_t_3;
-        goto __pyx_L13_bool_binop_done;
-      }
-      __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->detection_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 637, __pyx_L1_error)
-      __pyx_t_3 = (__pyx_t_1 != 0);
-      __pyx_t_2 = __pyx_t_3;
-      __pyx_L13_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":638
- *             if mech == M_EXHAUSTIVE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)             # <<<<<<<<<<<<<<
- *                     return
- *                 found = self.ball_first(u, self.check_depth - 1)
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 638, __pyx_L1_error)
-
-        /* "ckplab/_kernel.pyx":639
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)
- *                     return             # <<<<<<<<<<<<<<
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:
-*/
-        goto __pyx_L0;
-
-        /* "ckplab/_kernel.pyx":637
- *                 continue
- *             if mech == M_EXHAUSTIVE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                     return
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":640
- *                     self.mark_node(v)
- *                     return
- *                 found = self.ball_first(u, self.check_depth - 1)             # <<<<<<<<<<<<<<
- *                 if found != -1:
- *                     self.mark_node(v)
-*/
-      __pyx_t_1 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->ball_first(__pyx_v_self, __pyx_v_u, (__pyx_v_self->check_depth - 1)); if (unlikely(__pyx_t_1 == ((int)-2) && PyErr_Occurred())) __PYX_ERR(0, 640, __pyx_L1_error)
-      __pyx_v_found = __pyx_t_1;
-
-      /* "ckplab/_kernel.pyx":641
- *                     return
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                     return
-*/
-      __pyx_t_2 = (__pyx_v_found != -1L);
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":642
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:
- *                     self.mark_node(v)             # <<<<<<<<<<<<<<
- *                     return
- *             elif mech == M_PARENTWISE:
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 642, __pyx_L1_error)
-
-        /* "ckplab/_kernel.pyx":643
- *                 if found != -1:
- *                     self.mark_node(v)
- *                     return             # <<<<<<<<<<<<<<
- *             elif mech == M_PARENTWISE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
-*/
-        goto __pyx_L0;
-
-        /* "ckplab/_kernel.pyx":641
- *                     return
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                     return
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":636
- *             if not self.maybe(self.check_rate):
- *                 continue
- *             if mech == M_EXHAUSTIVE:             # <<<<<<<<<<<<<<
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)
-*/
-      goto __pyx_L11;
-    }
-
-    /* "ckplab/_kernel.pyx":644
- *                     self.mark_node(v)
- *                     return
- *             elif mech == M_PARENTWISE:             # <<<<<<<<<<<<<<
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)
-*/
-    __pyx_t_2 = (__pyx_v_mech == __pyx_v_6ckplab_7_kernel_M_PARENTWISE);
-    if (__pyx_t_2) {
-
-      /* "ckplab/_kernel.pyx":645
- *                     return
- *             elif mech == M_PARENTWISE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                     continue
-*/
-      __pyx_t_3 = ((__pyx_v_self->labels[__pyx_v_v]) == __pyx_v_6ckplab_7_kernel_CF);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_2 = __pyx_t_3;
-        goto __pyx_L17_bool_binop_done;
-      }
-      __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->detection_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 645, __pyx_L1_error)
-      __pyx_t_3 = (__pyx_t_1 != 0);
-      __pyx_t_2 = __pyx_t_3;
-      __pyx_L17_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":646
- *             elif mech == M_PARENTWISE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)             # <<<<<<<<<<<<<<
- *                     continue
- *                 found = self.ball_first(u, self.check_depth - 1)
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 646, __pyx_L1_error)
-
-        /* "ckplab/_kernel.pyx":647
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)
- *                     continue             # <<<<<<<<<<<<<<
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:
-*/
-        goto __pyx_L8_continue;
-
-        /* "ckplab/_kernel.pyx":645
- *                     return
- *             elif mech == M_PARENTWISE:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                     continue
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":648
- *                     self.mark_node(v)
- *                     continue
- *                 found = self.ball_first(u, self.check_depth - 1)             # <<<<<<<<<<<<<<
- *                 if found != -1:
- *                     self.mark_node(v)
-*/
-      __pyx_t_1 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->ball_first(__pyx_v_self, __pyx_v_u, (__pyx_v_self->check_depth - 1)); if (unlikely(__pyx_t_1 == ((int)-2) && PyErr_Occurred())) __PYX_ERR(0, 648, __pyx_L1_error)
-      __pyx_v_found = __pyx_t_1;
-
-      /* "ckplab/_kernel.pyx":649
- *                     continue
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *             else:
-*/
-      __pyx_t_2 = (__pyx_v_found != -1L);
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":650
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:
- *                     self.mark_node(v)             # <<<<<<<<<<<<<<
- *             else:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 650, __pyx_L1_error)
-
-        /* "ckplab/_kernel.pyx":649
- *                     continue
- *                 found = self.ball_first(u, self.check_depth - 1)
- *                 if found != -1:             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *             else:
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":644
- *                     self.mark_node(v)
- *                     return
- *             elif mech == M_PARENTWISE:             # <<<<<<<<<<<<<<
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)
-*/
-      goto __pyx_L11;
-    }
-
-    /* "ckplab/_kernel.pyx":652
- *                     self.mark_node(v)
- *             else:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                 nfound = self.ball_all(u, self.check_depth - 1)
-*/
-    /*else*/ {
-      __pyx_t_3 = ((__pyx_v_self->labels[__pyx_v_v]) == __pyx_v_6ckplab_7_kernel_CF);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_2 = __pyx_t_3;
-        goto __pyx_L21_bool_binop_done;
-      }
-      __pyx_t_1 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->detection_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 652, __pyx_L1_error)
-      __pyx_t_3 = (__pyx_t_1 != 0);
-      __pyx_t_2 = __pyx_t_3;
-      __pyx_L21_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":653
- *             else:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)             # <<<<<<<<<<<<<<
- *                 nfound = self.ball_all(u, self.check_depth - 1)
- *                 if nfound > 0:
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 653, __pyx_L1_error)
-
-        /* "ckplab/_kernel.pyx":652
- *                     self.mark_node(v)
- *             else:
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- *                 nfound = self.ball_all(u, self.check_depth - 1)
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":654
- *                 if self.labels[v] == CF and self.maybe(self.detection_rate):
- *                     self.mark_node(v)
- *                 nfound = self.ball_all(u, self.check_depth - 1)             # <<<<<<<<<<<<<<
- *                 if nfound > 0:
- *                     self.mark_node(v)
-*/
-      __pyx_t_1 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->ball_all(__pyx_v_self, __pyx_v_u, (__pyx_v_self->check_depth - 1)); if (unlikely(__pyx_t_1 == ((int)-2) && PyErr_Occurred())) __PYX_ERR(0, 654, __pyx_L1_error)
-      __pyx_v_nfound = __pyx_t_1;
-
-      /* "ckplab/_kernel.pyx":655
- *                     self.mark_node(v)
- *                 nfound = self.ball_all(u, self.check_depth - 1)
- *                 if nfound > 0:             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- * 
-*/
-      __pyx_t_2 = (__pyx_v_nfound > 0);
-      if (__pyx_t_2) {
-
-        /* "ckplab/_kernel.pyx":656
- *                 nfound = self.ball_all(u, self.check_depth - 1)
- *                 if nfound > 0:
- *                     self.mark_node(v)             # <<<<<<<<<<<<<<
- * 
- *     # -- dynamics ----------------------------------------------------------
-*/
-        ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->mark_node(__pyx_v_self, __pyx_v_v); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 656, __pyx_L1_error)
-
-        /* "ckplab/_kernel.pyx":655
- *                     self.mark_node(v)
- *                 nfound = self.ball_all(u, self.check_depth - 1)
- *                 if nfound > 0:             # <<<<<<<<<<<<<<
- *                     self.mark_node(v)
- * 
-*/
-      }
-    }
-    __pyx_L11:;
-    __pyx_L8_continue:;
-  }
-
-  /* "ckplab/_kernel.pyx":616
- *         return <int> self.founds_buf.size()
- * 
- *     cdef void run_check(self, int v, vector[int]& parent_edges) except *:             # <<<<<<<<<<<<<<
- *         """Fill step_marked for this step's check.  Decision stream is
- *         identical to checking.run_check with the same features."""
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.run_check", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "ckplab/_kernel.pyx":660
- *     # -- dynamics ----------------------------------------------------------
- * 
- *     cdef int step_c(self) except -1:             # <<<<<<<<<<<<<<
- *         """One growth attempt.  Returns 1 when the process stopped."""
- *         if self.stopped:
-*/
-
-static int __pyx_f_6ckplab_7_kernel_12KernelEngine_step_c(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  int __pyx_v_m;
-  std::vector<int>  __pyx_v_parent_ids;
-  CYTHON_UNUSED int __pyx_v_i;
-  int __pyx_v_label;
-  int __pyx_v_v;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  double __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "ckplab/_kernel.pyx":662
- *     cdef int step_c(self) except -1:
- *         """One growth attempt.  Returns 1 when the process stopped."""
- *         if self.stopped:             # <<<<<<<<<<<<<<
- *             return 1
- *         self.step_index += 1
-*/
-  __pyx_t_1 = (__pyx_v_self->stopped != 0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":663
- *         """One growth attempt.  Returns 1 when the process stopped."""
- *         if self.stopped:
- *             return 1             # <<<<<<<<<<<<<<
- *         self.step_index += 1
- *         if self.wpositive == 0:
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":662
- *     cdef int step_c(self) except -1:
- *         """One growth attempt.  Returns 1 when the process stopped."""
- *         if self.stopped:             # <<<<<<<<<<<<<<
- *             return 1
- *         self.step_index += 1
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":664
- *         if self.stopped:
- *             return 1
- *         self.step_index += 1             # <<<<<<<<<<<<<<
- *         if self.wpositive == 0:
- *             self.stopped = 1
-*/
-  __pyx_v_self->step_index = (__pyx_v_self->step_index + 1);
-
-  /* "ckplab/_kernel.pyx":665
- *             return 1
- *         self.step_index += 1
- *         if self.wpositive == 0:             # <<<<<<<<<<<<<<
- *             self.stopped = 1
- *             return 1
-*/
-  __pyx_t_1 = (__pyx_v_self->wpositive == 0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":666
- *         self.step_index += 1
- *         if self.wpositive == 0:
- *             self.stopped = 1             # <<<<<<<<<<<<<<
- *             return 1
- *         cdef int m = self.law_support[self.pmf_index()]
-*/
-    __pyx_v_self->stopped = 1;
-
-    /* "ckplab/_kernel.pyx":667
- *         if self.wpositive == 0:
- *             self.stopped = 1
- *             return 1             # <<<<<<<<<<<<<<
- *         cdef int m = self.law_support[self.pmf_index()]
- *         cdef vector[int] parent_ids
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "ckplab/_kernel.pyx":665
- *             return 1
- *         self.step_index += 1
- *         if self.wpositive == 0:             # <<<<<<<<<<<<<<
- *             self.stopped = 1
- *             return 1
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":668
- *             self.stopped = 1
- *             return 1
- *         cdef int m = self.law_support[self.pmf_index()]             # <<<<<<<<<<<<<<
- *         cdef vector[int] parent_ids
- *         cdef int i
-*/
-  __pyx_t_2 = __pyx_f_6ckplab_7_kernel_12KernelEngine_pmf_index(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 668, __pyx_L1_error)
-  __pyx_v_m = (__pyx_v_self->law_support[__pyx_t_2]);
-
-  /* "ckplab/_kernel.pyx":671
- *         cdef vector[int] parent_ids
- *         cdef int i
- *         for i in range(m):             # <<<<<<<<<<<<<<
- *             parent_ids.push_back(self.w_select(self.draw() * self.wtotal))
- *         cdef int label = CF if self.maybe(self.error_rate) else CT
-*/
-  __pyx_t_2 = __pyx_v_m;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "ckplab/_kernel.pyx":672
- *         cdef int i
- *         for i in range(m):
- *             parent_ids.push_back(self.w_select(self.draw() * self.wtotal))             # <<<<<<<<<<<<<<
- *         cdef int label = CF if self.maybe(self.error_rate) else CT
- *         cdef int v = self.add_node(parent_ids, label)
-*/
-    __pyx_t_5 = __pyx_f_6ckplab_7_kernel_12KernelEngine_draw(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 672, __pyx_L1_error)
-    __pyx_t_6 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->w_select(__pyx_v_self, (__pyx_t_5 * __pyx_v_self->wtotal)); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 672, __pyx_L1_error)
-    try {
-      __pyx_v_parent_ids.push_back(__pyx_t_6);
-    } catch(...) {
-      __Pyx_CppExn2PyErr();
-      __PYX_ERR(0, 672, __pyx_L1_error)
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":673
- *         for i in range(m):
- *             parent_ids.push_back(self.w_select(self.draw() * self.wtotal))
- *         cdef int label = CF if self.maybe(self.error_rate) else CT             # <<<<<<<<<<<<<<
- *         cdef int v = self.add_node(parent_ids, label)
- *         self.run_check(v, parent_ids)
-*/
-  __pyx_t_3 = __pyx_f_6ckplab_7_kernel_12KernelEngine_maybe(__pyx_v_self, __pyx_v_self->error_rate); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 673, __pyx_L1_error)
-  __pyx_t_1 = (__pyx_t_3 != 0);
-  if (__pyx_t_1) {
-    __pyx_t_2 = __pyx_v_6ckplab_7_kernel_CF;
-  } else {
-    __pyx_t_2 = __pyx_v_6ckplab_7_kernel_CT;
-  }
-  __pyx_v_label = __pyx_t_2;
-
-  /* "ckplab/_kernel.pyx":674
- *             parent_ids.push_back(self.w_select(self.draw() * self.wtotal))
- *         cdef int label = CF if self.maybe(self.error_rate) else CT
- *         cdef int v = self.add_node(parent_ids, label)             # <<<<<<<<<<<<<<
- *         self.run_check(v, parent_ids)
- *         if self.step_marked.size() > 0:
-*/
-  __pyx_t_2 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->add_node(__pyx_v_self, __pyx_v_parent_ids, __pyx_v_label); if (unlikely(__pyx_t_2 == ((int)-1))) __PYX_ERR(0, 674, __pyx_L1_error)
-  __pyx_v_v = __pyx_t_2;
-
-  /* "ckplab/_kernel.pyx":675
- *         cdef int label = CF if self.maybe(self.error_rate) else CT
- *         cdef int v = self.add_node(parent_ids, label)
- *         self.run_check(v, parent_ids)             # <<<<<<<<<<<<<<
- *         if self.step_marked.size() > 0:
- *             self.apply_marks()
-*/
-  ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->run_check(__pyx_v_self, __pyx_v_v, __pyx_v_parent_ids); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 675, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":676
- *         cdef int v = self.add_node(parent_ids, label)
- *         self.run_check(v, parent_ids)
- *         if self.step_marked.size() > 0:             # <<<<<<<<<<<<<<
- *             self.apply_marks()
- *         if self.pt_false == 0:
-*/
-  __pyx_t_1 = (__pyx_v_self->step_marked.size() > 0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":677
- *         self.run_check(v, parent_ids)
- *         if self.step_marked.size() > 0:
- *             self.apply_marks()             # <<<<<<<<<<<<<<
- *         if self.pt_false == 0:
- *             if self.zero_since == -1:
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->apply_marks(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 677, __pyx_L1_error)
-
-    /* "ckplab/_kernel.pyx":676
- *         cdef int v = self.add_node(parent_ids, label)
- *         self.run_check(v, parent_ids)
- *         if self.step_marked.size() > 0:             # <<<<<<<<<<<<<<
- *             self.apply_marks()
- *         if self.pt_false == 0:
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":678
- *         if self.step_marked.size() > 0:
- *             self.apply_marks()
- *         if self.pt_false == 0:             # <<<<<<<<<<<<<<
- *             if self.zero_since == -1:
- *                 self.zero_since = self.step_index
-*/
-  __pyx_t_1 = (__pyx_v_self->pt_false == 0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":679
- *             self.apply_marks()
- *         if self.pt_false == 0:
- *             if self.zero_since == -1:             # <<<<<<<<<<<<<<
- *                 self.zero_since = self.step_index
- *         else:
-*/
-    __pyx_t_1 = (__pyx_v_self->zero_since == -1L);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":680
- *         if self.pt_false == 0:
- *             if self.zero_since == -1:
- *                 self.zero_since = self.step_index             # <<<<<<<<<<<<<<
- *         else:
- *             self.zero_since = -1
-*/
-      __pyx_t_2 = __pyx_v_self->step_index;
-      __pyx_v_self->zero_since = __pyx_t_2;
-
-      /* "ckplab/_kernel.pyx":679
- *             self.apply_marks()
- *         if self.pt_false == 0:
- *             if self.zero_since == -1:             # <<<<<<<<<<<<<<
- *                 self.zero_since = self.step_index
- *         else:
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":678
- *         if self.step_marked.size() > 0:
- *             self.apply_marks()
- *         if self.pt_false == 0:             # <<<<<<<<<<<<<<
- *             if self.zero_since == -1:
- *                 self.zero_since = self.step_index
-*/
-    goto __pyx_L8;
-  }
-
-  /* "ckplab/_kernel.pyx":682
- *                 self.zero_since = self.step_index
- *         else:
- *             self.zero_since = -1             # <<<<<<<<<<<<<<
- *         if self.audit_on:
- *             self.cheap_audit()
-*/
-  /*else*/ {
-    __pyx_v_self->zero_since = -1L;
-  }
-  __pyx_L8:;
-
-  /* "ckplab/_kernel.pyx":683
- *         else:
- *             self.zero_since = -1
- *         if self.audit_on:             # <<<<<<<<<<<<<<
- *             self.cheap_audit()
- *         return 0
-*/
-  __pyx_t_1 = (__pyx_v_self->audit_on != 0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":684
- *             self.zero_since = -1
- *         if self.audit_on:
- *             self.cheap_audit()             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-    ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->cheap_audit(__pyx_v_self); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 684, __pyx_L1_error)
-
-    /* "ckplab/_kernel.pyx":683
- *         else:
- *             self.zero_since = -1
- *         if self.audit_on:             # <<<<<<<<<<<<<<
- *             self.cheap_audit()
- *         return 0
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":685
- *         if self.audit_on:
- *             self.cheap_audit()
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     cdef void cheap_audit(self) except *:
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":660
- *     # -- dynamics ----------------------------------------------------------
- * 
- *     cdef int step_c(self) except -1:             # <<<<<<<<<<<<<<
- *         """One growth attempt.  Returns 1 when the process stopped."""
- *         if self.stopped:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.step_c", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":687
- *         return 0
- * 
- *     cdef void cheap_audit(self) except *:             # <<<<<<<<<<<<<<
- *         cdef int now, floor
- *         if self.track_delta:
-*/
-
-static void __pyx_f_6ckplab_7_kernel_12KernelEngine_cheap_audit(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  int __pyx_v_now;
-  int __pyx_v_floor;
-  size_t __pyx_v_i;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8[4];
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  std::vector<int> ::size_type __pyx_t_11;
-  std::vector<int> ::size_type __pyx_t_12;
-  PyObject *__pyx_t_13[3];
-  size_t __pyx_t_14;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("cheap_audit", 0);
-
-  /* "ckplab/_kernel.pyx":689
- *     cdef void cheap_audit(self) except *:
- *         cdef int now, floor
- *         if self.track_delta:             # <<<<<<<<<<<<<<
- *             now = self.f_count + self.l_count
- *             floor = self.fixed_floor
-*/
-  __pyx_t_1 = (__pyx_v_self->track_delta != 0);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":690
- *         cdef int now, floor
- *         if self.track_delta:
- *             now = self.f_count + self.l_count             # <<<<<<<<<<<<<<
- *             floor = self.fixed_floor
- *             if self.mech == M_COMPLETE:
-*/
-    __pyx_v_now = (__pyx_v_self->f_count + __pyx_v_self->l_count);
-
-    /* "ckplab/_kernel.pyx":691
- *         if self.track_delta:
- *             now = self.f_count + self.l_count
- *             floor = self.fixed_floor             # <<<<<<<<<<<<<<
- *             if self.mech == M_COMPLETE:
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:
-*/
-    __pyx_t_2 = __pyx_v_self->fixed_floor;
-    __pyx_v_floor = __pyx_t_2;
-
-    /* "ckplab/_kernel.pyx":692
- *             now = self.f_count + self.l_count
- *             floor = self.fixed_floor
- *             if self.mech == M_COMPLETE:             # <<<<<<<<<<<<<<
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:
- *                     floor = <int> self.step_marked.size() + self.m_max + 1
-*/
-    __pyx_t_1 = (__pyx_v_self->mech == __pyx_v_6ckplab_7_kernel_M_COMPLETE);
-    if (__pyx_t_1) {
-
-      /* "ckplab/_kernel.pyx":693
- *             floor = self.fixed_floor
- *             if self.mech == M_COMPLETE:
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:             # <<<<<<<<<<<<<<
- *                     floor = <int> self.step_marked.size() + self.m_max + 1
- *             if now - self.last_potential < -floor:
-*/
-      __pyx_t_1 = (((((int)__pyx_v_self->step_marked.size()) + __pyx_v_self->m_max) + 1) > __pyx_v_floor);
-      if (__pyx_t_1) {
-
-        /* "ckplab/_kernel.pyx":694
- *             if self.mech == M_COMPLETE:
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:
- *                     floor = <int> self.step_marked.size() + self.m_max + 1             # <<<<<<<<<<<<<<
- *             if now - self.last_potential < -floor:
- *                 raise AuditViolation(
-*/
-        __pyx_v_floor = ((((int)__pyx_v_self->step_marked.size()) + __pyx_v_self->m_max) + 1);
-
-        /* "ckplab/_kernel.pyx":693
- *             floor = self.fixed_floor
- *             if self.mech == M_COMPLETE:
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:             # <<<<<<<<<<<<<<
- *                     floor = <int> self.step_marked.size() + self.m_max + 1
- *             if now - self.last_potential < -floor:
-*/
-      }
-
-      /* "ckplab/_kernel.pyx":692
- *             now = self.f_count + self.l_count
- *             floor = self.fixed_floor
- *             if self.mech == M_COMPLETE:             # <<<<<<<<<<<<<<
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:
- *                     floor = <int> self.step_marked.size() + self.m_max + 1
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":695
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:
- *                     floor = <int> self.step_marked.size() + self.m_max + 1
- *             if now - self.last_potential < -floor:             # <<<<<<<<<<<<<<
- *                 raise AuditViolation(
- *                     f"survival potential fell by "
-*/
-    __pyx_t_1 = ((__pyx_v_now - __pyx_v_self->last_potential) < (-__pyx_v_floor));
-    if (unlikely(__pyx_t_1)) {
-
-      /* "ckplab/_kernel.pyx":696
- *                     floor = <int> self.step_marked.size() + self.m_max + 1
- *             if now - self.last_potential < -floor:
- *                 raise AuditViolation(             # <<<<<<<<<<<<<<
- *                     f"survival potential fell by "
- *                     f"{self.last_potential - now} in one step, cap {floor}")
-*/
-      __pyx_t_4 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_5, __pyx_mstate_global->__pyx_n_u_AuditViolation); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 696, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-
-      /* "ckplab/_kernel.pyx":698
- *                 raise AuditViolation(
- *                     f"survival potential fell by "
- *                     f"{self.last_potential - now} in one step, cap {floor}")             # <<<<<<<<<<<<<<
- *             self.last_potential = now
- *         cdef size_t i
-*/
-      __pyx_t_6 = __Pyx_PyUnicode_From_int((__pyx_v_self->last_potential - __pyx_v_now), 0, ' ', 'd'); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 698, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_7 = __Pyx_PyUnicode_From_int(__pyx_v_floor, 0, ' ', 'd'); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 698, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_8[0] = __pyx_mstate_global->__pyx_kp_u_survival_potential_fell_by;
-      __pyx_t_8[1] = __pyx_t_6;
-      __pyx_t_8[2] = __pyx_mstate_global->__pyx_kp_u_in_one_step_cap;
-      __pyx_t_8[3] = __pyx_t_7;
-
-      /* "ckplab/_kernel.pyx":697
- *             if now - self.last_potential < -floor:
- *                 raise AuditViolation(
- *                     f"survival potential fell by "             # <<<<<<<<<<<<<<
- *                     f"{self.last_potential - now} in one step, cap {floor}")
- *             self.last_potential = now
-*/
-      __pyx_t_9 = __Pyx_PyUnicode_Join(__pyx_t_8, 4, 27 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_6) + 18 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7), 127);
-      if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 697, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __pyx_t_10 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_5))) {
-        __pyx_t_4 = PyMethod_GET_SELF(__pyx_t_5);
-        assert(__pyx_t_4);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_5);
-        __Pyx_INCREF(__pyx_t_4);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_5, __pyx__function);
-        __pyx_t_10 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_9};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_5, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 696, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 696, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":695
- *                 if <int> self.step_marked.size() + self.m_max + 1 > floor:
- *                     floor = <int> self.step_marked.size() + self.m_max + 1
- *             if now - self.last_potential < -floor:             # <<<<<<<<<<<<<<
- *                 raise AuditViolation(
- *                     f"survival potential fell by "
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":699
- *                     f"survival potential fell by "
- *                     f"{self.last_potential - now} in one step, cap {floor}")
- *             self.last_potential = now             # <<<<<<<<<<<<<<
- *         cdef size_t i
- *         for i in range(self.step_marked.size()):
-*/
-    __pyx_v_self->last_potential = __pyx_v_now;
-
-    /* "ckplab/_kernel.pyx":689
- *     cdef void cheap_audit(self) except *:
- *         cdef int now, floor
- *         if self.track_delta:             # <<<<<<<<<<<<<<
- *             now = self.f_count + self.l_count
- *             floor = self.fixed_floor
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":701
- *             self.last_potential = now
- *         cdef size_t i
- *         for i in range(self.step_marked.size()):             # <<<<<<<<<<<<<<
- *             if self.labels[self.step_marked[i]] != PF:
- *                 raise AuditViolation(
-*/
-  __pyx_t_11 = __pyx_v_self->step_marked.size();
-  __pyx_t_12 = __pyx_t_11;
-  for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_12; __pyx_t_10+=1) {
-    __pyx_v_i = __pyx_t_10;
-
-    /* "ckplab/_kernel.pyx":702
- *         cdef size_t i
- *         for i in range(self.step_marked.size()):
- *             if self.labels[self.step_marked[i]] != PF:             # <<<<<<<<<<<<<<
- *                 raise AuditViolation(
- *                     f"marked node {self.step_marked[i]} is not PF")
-*/
-    __pyx_t_1 = ((__pyx_v_self->labels[(__pyx_v_self->step_marked[__pyx_v_i])]) != __pyx_v_6ckplab_7_kernel_PF);
-    if (unlikely(__pyx_t_1)) {
-
-      /* "ckplab/_kernel.pyx":703
- *         for i in range(self.step_marked.size()):
- *             if self.labels[self.step_marked[i]] != PF:
- *                 raise AuditViolation(             # <<<<<<<<<<<<<<
- *                     f"marked node {self.step_marked[i]} is not PF")
- * 
-*/
-      __pyx_t_5 = NULL;
-      __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_AuditViolation); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 703, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-
-      /* "ckplab/_kernel.pyx":704
- *             if self.labels[self.step_marked[i]] != PF:
- *                 raise AuditViolation(
- *                     f"marked node {self.step_marked[i]} is not PF")             # <<<<<<<<<<<<<<
- * 
- *     # -- python-facing API -------------------------------------------------
-*/
-      __pyx_t_4 = __Pyx_PyLong_From_int((__pyx_v_self->step_marked[__pyx_v_i])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 704, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_7 = __Pyx_PyObject_FormatSimple(__pyx_t_4, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 704, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __pyx_t_13[0] = __pyx_mstate_global->__pyx_kp_u_marked_node;
-      __pyx_t_13[1] = __pyx_t_7;
-      __pyx_t_13[2] = __pyx_mstate_global->__pyx_kp_u_is_not_PF;
-      __pyx_t_4 = __Pyx_PyUnicode_Join(__pyx_t_13, 3, 12 + __Pyx_PyUnicode_GET_LENGTH(__pyx_t_7) + 10, 127 | __Pyx_PyUnicode_MAX_CHAR_VALUE(__pyx_t_7));
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 704, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __pyx_t_14 = 1;
-      #if CYTHON_UNPACK_METHODS
-      if (unlikely(PyMethod_Check(__pyx_t_9))) {
-        __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_9);
-        assert(__pyx_t_5);
-        PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-        __Pyx_INCREF(__pyx_t_5);
-        __Pyx_INCREF(__pyx__function);
-        __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-        __pyx_t_14 = 0;
-      }
-      #endif
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_t_4};
-        __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 703, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_3);
-      }
-      __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __PYX_ERR(0, 703, __pyx_L1_error)
-
-      /* "ckplab/_kernel.pyx":702
- *         cdef size_t i
- *         for i in range(self.step_marked.size()):
- *             if self.labels[self.step_marked[i]] != PF:             # <<<<<<<<<<<<<<
- *                 raise AuditViolation(
- *                     f"marked node {self.step_marked[i]} is not PF")
-*/
-    }
-  }
-
-  /* "ckplab/_kernel.pyx":687
- *         return 0
- * 
- *     cdef void cheap_audit(self) except *:             # <<<<<<<<<<<<<<
- *         cdef int now, floor
- *         if self.track_delta:
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.cheap_audit", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "ckplab/_kernel.pyx":708
- *     # -- python-facing API -------------------------------------------------
- * 
- *     def counts(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.labels.size()
- *         return {
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_3counts(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_6ckplab_7_kernel_12KernelEngine_3counts = {"counts", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_3counts, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_3counts(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("counts (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("counts", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("counts", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_6ckplab_7_kernel_12KernelEngine_2counts(((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_2counts(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  int __pyx_v_n;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("counts", 0);
-
-  /* "ckplab/_kernel.pyx":709
- * 
- *     def counts(self):
- *         cdef int n = <int> self.labels.size()             # <<<<<<<<<<<<<<
- *         return {
- *             "nodes": n,
-*/
-  __pyx_v_n = ((int)__pyx_v_self->labels.size());
-
-  /* "ckplab/_kernel.pyx":710
- *     def counts(self):
- *         cdef int n = <int> self.labels.size()
- *         return {             # <<<<<<<<<<<<<<
- *             "nodes": n,
- *             "pt": n - self.pf_count,
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "ckplab/_kernel.pyx":711
- *         cdef int n = <int> self.labels.size()
- *         return {
- *             "nodes": n,             # <<<<<<<<<<<<<<
- *             "pt": n - self.pf_count,
- *             "pt_false": self.pt_false,
-*/
-  __pyx_t_1 = __Pyx_PyDict_NewPresized(6); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_n); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_nodes, __pyx_t_2) < (0)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":712
- *         return {
- *             "nodes": n,
- *             "pt": n - self.pf_count,             # <<<<<<<<<<<<<<
- *             "pt_false": self.pt_false,
- *             "pf": self.pf_count,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int((__pyx_v_n - __pyx_v_self->pf_count)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 712, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_pt, __pyx_t_2) < (0)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":713
- *             "nodes": n,
- *             "pt": n - self.pf_count,
- *             "pt_false": self.pt_false,             # <<<<<<<<<<<<<<
- *             "pf": self.pf_count,
- *             "minimal_false": self.f_count,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_self->pt_false); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 713, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_pt_false, __pyx_t_2) < (0)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":714
- *             "pt": n - self.pf_count,
- *             "pt_false": self.pt_false,
- *             "pf": self.pf_count,             # <<<<<<<<<<<<<<
- *             "minimal_false": self.f_count,
- *             "leaves": self.l_count,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_self->pf_count); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 714, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_pf, __pyx_t_2) < (0)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":715
- *             "pt_false": self.pt_false,
- *             "pf": self.pf_count,
- *             "minimal_false": self.f_count,             # <<<<<<<<<<<<<<
- *             "leaves": self.l_count,
- *         }
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_self->f_count); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 715, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_minimal_false, __pyx_t_2) < (0)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":716
- *             "pf": self.pf_count,
- *             "minimal_false": self.f_count,
- *             "leaves": self.l_count,             # <<<<<<<<<<<<<<
- *         }
- * 
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_self->l_count); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 716, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_leaves, __pyx_t_2) < (0)) __PYX_ERR(0, 711, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":708
- *     # -- python-facing API -------------------------------------------------
- * 
- *     def counts(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.labels.size()
- *         return {
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.counts", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":719
- *         }
- * 
- *     def run(self, int horizon, checkpoint_steps=()):             # <<<<<<<<<<<<<<
- *         """Run up to ``horizon`` steps with the pure engine's early-exit
- *         rule; returns the summary dict run_python_trial would produce."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_5run(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6ckplab_7_kernel_12KernelEngine_4run, "Run up to ``horizon`` steps with the pure engine's early-exit\n        rule; returns the summary dict run_python_trial would produce.");
-static PyMethodDef __pyx_mdef_6ckplab_7_kernel_12KernelEngine_5run = {"run", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_5run, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6ckplab_7_kernel_12KernelEngine_4run};
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_5run(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_horizon;
-  PyObject *__pyx_v_checkpoint_steps = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("run (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_horizon,&__pyx_mstate_global->__pyx_n_u_checkpoint_steps,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 719, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 719, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 719, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "run", 0) < (0)) __PYX_ERR(0, 719, __pyx_L3_error)
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)__pyx_mstate_global->__pyx_empty_tuple));
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("run", 0, 1, 2, i); __PYX_ERR(0, 719, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 719, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 719, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)__pyx_mstate_global->__pyx_empty_tuple));
-    }
-    __pyx_v_horizon = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_horizon == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 719, __pyx_L3_error)
-    __pyx_v_checkpoint_steps = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("run", 0, 1, 2, __pyx_nargs); __PYX_ERR(0, 719, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.run", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6ckplab_7_kernel_12KernelEngine_4run(((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)__pyx_v_self), __pyx_v_horizon, __pyx_v_checkpoint_steps);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_4run(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, int __pyx_v_horizon, PyObject *__pyx_v_checkpoint_steps) {
-  PyObject *__pyx_v_pending = NULL;
-  PyObject *__pyx_v_checkpoints = NULL;
-  int __pyx_v_t;
-  int __pyx_v_stopped_now;
-  PyObject *__pyx_v_step = NULL;
-  PyObject *__pyx_v_eliminated = NULL;
-  PyObject *__pyx_v_stopped_at = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_t_7;
-  long __pyx_t_8;
-  long __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  Py_ssize_t __pyx_t_12;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("run", 0);
-
-  /* "ckplab/_kernel.pyx":722
- *         """Run up to ``horizon`` steps with the pure engine's early-exit
- *         rule; returns the summary dict run_python_trial would produce."""
- *         pending = sorted(set(checkpoint_steps))             # <<<<<<<<<<<<<<
- *         checkpoints = []
- *         while pending and pending[0] <= 0:
-*/
-  __pyx_t_1 = PySet_New(__pyx_v_checkpoint_steps); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 722, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = PySequence_List(__pyx_t_1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 722, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (unlikely((PyList_Sort(__pyx_t_2) < 0))) __PYX_ERR(0, 722, __pyx_L1_error)
-  __pyx_v_pending = __pyx_t_2;
-  __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":723
- *         rule; returns the summary dict run_python_trial would produce."""
- *         pending = sorted(set(checkpoint_steps))
- *         checkpoints = []             # <<<<<<<<<<<<<<
- *         while pending and pending[0] <= 0:
- *             checkpoints.append((pending.pop(0), self.counts()))
-*/
-  __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 723, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_checkpoints = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":724
- *         pending = sorted(set(checkpoint_steps))
- *         checkpoints = []
- *         while pending and pending[0] <= 0:             # <<<<<<<<<<<<<<
- *             checkpoints.append((pending.pop(0), self.counts()))
- *         cdef int t
-*/
-  while (1) {
-    {
-      Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_v_pending);
-      if (unlikely(((!CYTHON_ASSUME_SAFE_SIZE) && __pyx_temp < 0))) __PYX_ERR(0, 724, __pyx_L1_error)
-      __pyx_t_4 = (__pyx_temp != 0);
-    }
-
-    if (__pyx_t_4) {
-    } else {
-      __pyx_t_3 = __pyx_t_4;
-      goto __pyx_L5_bool_binop_done;
-    }
-    __pyx_t_2 = PyObject_RichCompare(__Pyx_PyList_GET_ITEM(__pyx_v_pending, 0), __pyx_mstate_global->__pyx_int_0, Py_LE); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 724, __pyx_L1_error)
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 724, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_t_3 = __pyx_t_4;
-    __pyx_L5_bool_binop_done:;
-    if (!__pyx_t_3) break;
-
-    /* "ckplab/_kernel.pyx":725
- *         checkpoints = []
- *         while pending and pending[0] <= 0:
- *             checkpoints.append((pending.pop(0), self.counts()))             # <<<<<<<<<<<<<<
- *         cdef int t
- *         cdef int stopped_now
-*/
-    __pyx_t_2 = __Pyx_PyList_PopIndex(__pyx_v_pending, __pyx_mstate_global->__pyx_int_0, 0, 1, Py_ssize_t, PyLong_FromSsize_t); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 725, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_5 = ((PyObject *)__pyx_v_self);
-    __Pyx_INCREF(__pyx_t_5);
-    __pyx_t_6 = 0;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, NULL};
-      __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_counts, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 725, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __pyx_t_5 = PyTuple_New(2); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 725, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_GIVEREF(__pyx_t_2);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 725, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_1);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 725, __pyx_L1_error);
-    __pyx_t_2 = 0;
-    __pyx_t_1 = 0;
-    __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_checkpoints, __pyx_t_5); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 725, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  }
-
-  /* "ckplab/_kernel.pyx":728
- *         cdef int t
- *         cdef int stopped_now
- *         for t in range(1, horizon + 1):             # <<<<<<<<<<<<<<
- *             stopped_now = self.step_c()
- *             while pending and pending[0] <= t:
-*/
-  __pyx_t_8 = (__pyx_v_horizon + 1);
-  __pyx_t_9 = __pyx_t_8;
-  for (__pyx_t_10 = 1; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-    __pyx_v_t = __pyx_t_10;
-
-    /* "ckplab/_kernel.pyx":729
- *         cdef int stopped_now
- *         for t in range(1, horizon + 1):
- *             stopped_now = self.step_c()             # <<<<<<<<<<<<<<
- *             while pending and pending[0] <= t:
- *                 checkpoints.append((pending.pop(0), self.counts()))
-*/
-    __pyx_t_11 = ((struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine *)__pyx_v_self->__pyx_vtab)->step_c(__pyx_v_self); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 729, __pyx_L1_error)
-    __pyx_v_stopped_now = __pyx_t_11;
-
-    /* "ckplab/_kernel.pyx":730
- *         for t in range(1, horizon + 1):
- *             stopped_now = self.step_c()
- *             while pending and pending[0] <= t:             # <<<<<<<<<<<<<<
- *                 checkpoints.append((pending.pop(0), self.counts()))
- *             if stopped_now:
-*/
-    while (1) {
-      {
-        Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_v_pending);
-        if (unlikely(((!CYTHON_ASSUME_SAFE_SIZE) && __pyx_temp < 0))) __PYX_ERR(0, 730, __pyx_L1_error)
-        __pyx_t_4 = (__pyx_temp != 0);
-      }
-
-      if (__pyx_t_4) {
-      } else {
-        __pyx_t_3 = __pyx_t_4;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_5 = __Pyx_PyLong_From_int(__pyx_v_t); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 730, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_1 = PyObject_RichCompare(__Pyx_PyList_GET_ITEM(__pyx_v_pending, 0), __pyx_t_5, Py_LE); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 730, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 730, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __pyx_t_3 = __pyx_t_4;
-      __pyx_L11_bool_binop_done:;
-      if (!__pyx_t_3) break;
-
-      /* "ckplab/_kernel.pyx":731
- *             stopped_now = self.step_c()
- *             while pending and pending[0] <= t:
- *                 checkpoints.append((pending.pop(0), self.counts()))             # <<<<<<<<<<<<<<
- *             if stopped_now:
- *                 break
-*/
-      __pyx_t_1 = __Pyx_PyList_PopIndex(__pyx_v_pending, __pyx_mstate_global->__pyx_int_0, 0, 1, Py_ssize_t, PyLong_FromSsize_t); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 731, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_2 = ((PyObject *)__pyx_v_self);
-      __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_6 = 0;
-      {
-        PyObject *__pyx_callargs[2] = {__pyx_t_2, NULL};
-        __pyx_t_5 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_counts, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-        __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 731, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-      }
-      __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 731, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __Pyx_GIVEREF(__pyx_t_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 731, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_5);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 731, __pyx_L1_error);
-      __pyx_t_1 = 0;
-      __pyx_t_5 = 0;
-      __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_checkpoints, __pyx_t_2); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 731, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    }
-
-    /* "ckplab/_kernel.pyx":732
- *             while pending and pending[0] <= t:
- *                 checkpoints.append((pending.pop(0), self.counts()))
- *             if stopped_now:             # <<<<<<<<<<<<<<
- *                 break
- *             if self.pt_false == 0 and self.simple:
-*/
-    __pyx_t_3 = (__pyx_v_stopped_now != 0);
-    if (__pyx_t_3) {
-
-      /* "ckplab/_kernel.pyx":733
- *                 checkpoints.append((pending.pop(0), self.counts()))
- *             if stopped_now:
- *                 break             # <<<<<<<<<<<<<<
- *             if self.pt_false == 0 and self.simple:
- *                 break
-*/
-      goto __pyx_L8_break;
-
-      /* "ckplab/_kernel.pyx":732
- *             while pending and pending[0] <= t:
- *                 checkpoints.append((pending.pop(0), self.counts()))
- *             if stopped_now:             # <<<<<<<<<<<<<<
- *                 break
- *             if self.pt_false == 0 and self.simple:
-*/
-    }
-
-    /* "ckplab/_kernel.pyx":734
- *             if stopped_now:
- *                 break
- *             if self.pt_false == 0 and self.simple:             # <<<<<<<<<<<<<<
- *                 break
- *         for step in pending:
-*/
-    __pyx_t_4 = (__pyx_v_self->pt_false == 0);
-    if (__pyx_t_4) {
-    } else {
-      __pyx_t_3 = __pyx_t_4;
-      goto __pyx_L15_bool_binop_done;
-    }
-    __pyx_t_4 = (__pyx_v_self->simple != 0);
-    __pyx_t_3 = __pyx_t_4;
-    __pyx_L15_bool_binop_done:;
-    if (__pyx_t_3) {
-
-      /* "ckplab/_kernel.pyx":735
- *                 break
- *             if self.pt_false == 0 and self.simple:
- *                 break             # <<<<<<<<<<<<<<
- *         for step in pending:
- *             checkpoints.append((step, self.counts()))
-*/
-      goto __pyx_L8_break;
-
-      /* "ckplab/_kernel.pyx":734
- *             if stopped_now:
- *                 break
- *             if self.pt_false == 0 and self.simple:             # <<<<<<<<<<<<<<
- *                 break
- *         for step in pending:
-*/
-    }
-  }
-  __pyx_L8_break:;
-
-  /* "ckplab/_kernel.pyx":736
- *             if self.pt_false == 0 and self.simple:
- *                 break
- *         for step in pending:             # <<<<<<<<<<<<<<
- *             checkpoints.append((step, self.counts()))
- *         eliminated = None
-*/
-  __pyx_t_2 = __pyx_v_pending; __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_12 = 0;
-  for (;;) {
-    {
-      Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-      #if !CYTHON_ASSUME_SAFE_SIZE
-      if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 736, __pyx_L1_error)
-      #endif
-      if (__pyx_t_12 >= __pyx_temp) break;
-    }
-    __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_12, __Pyx_ReferenceSharing_OwnStrongReference);
-    ++__pyx_t_12;
-    if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 736, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_step, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "ckplab/_kernel.pyx":737
- *                 break
- *         for step in pending:
- *             checkpoints.append((step, self.counts()))             # <<<<<<<<<<<<<<
- *         eliminated = None
- *         if self.pt_false == 0:
-*/
-    __pyx_t_1 = ((PyObject *)__pyx_v_self);
-    __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_6 = 0;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_1, NULL};
-      __pyx_t_5 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_counts, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 737, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-    }
-    __pyx_t_1 = PyTuple_New(2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 737, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __Pyx_INCREF(__pyx_v_step);
-    __Pyx_GIVEREF(__pyx_v_step);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_v_step) != (0)) __PYX_ERR(0, 737, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_5);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 737, __pyx_L1_error);
-    __pyx_t_5 = 0;
-    __pyx_t_7 = __Pyx_PyList_Append(__pyx_v_checkpoints, __pyx_t_1); if (unlikely(__pyx_t_7 == ((int)-1))) __PYX_ERR(0, 737, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-    /* "ckplab/_kernel.pyx":736
- *             if self.pt_false == 0 and self.simple:
- *                 break
- *         for step in pending:             # <<<<<<<<<<<<<<
- *             checkpoints.append((step, self.counts()))
- *         eliminated = None
-*/
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":738
- *         for step in pending:
- *             checkpoints.append((step, self.counts()))
- *         eliminated = None             # <<<<<<<<<<<<<<
- *         if self.pt_false == 0:
- *             eliminated = self.zero_since
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_eliminated = Py_None;
-
-  /* "ckplab/_kernel.pyx":739
- *             checkpoints.append((step, self.counts()))
- *         eliminated = None
- *         if self.pt_false == 0:             # <<<<<<<<<<<<<<
- *             eliminated = self.zero_since
- *         stopped_at = None
-*/
-  __pyx_t_3 = (__pyx_v_self->pt_false == 0);
-  if (__pyx_t_3) {
-
-    /* "ckplab/_kernel.pyx":740
- *         eliminated = None
- *         if self.pt_false == 0:
- *             eliminated = self.zero_since             # <<<<<<<<<<<<<<
- *         stopped_at = None
- *         if self.stopped:
-*/
-    __pyx_t_2 = __Pyx_PyLong_From_long(__pyx_v_self->zero_since); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 740, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF_SET(__pyx_v_eliminated, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "ckplab/_kernel.pyx":739
- *             checkpoints.append((step, self.counts()))
- *         eliminated = None
- *         if self.pt_false == 0:             # <<<<<<<<<<<<<<
- *             eliminated = self.zero_since
- *         stopped_at = None
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":741
- *         if self.pt_false == 0:
- *             eliminated = self.zero_since
- *         stopped_at = None             # <<<<<<<<<<<<<<
- *         if self.stopped:
- *             stopped_at = self.step_index
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_stopped_at = Py_None;
-
-  /* "ckplab/_kernel.pyx":742
- *             eliminated = self.zero_since
- *         stopped_at = None
- *         if self.stopped:             # <<<<<<<<<<<<<<
- *             stopped_at = self.step_index
- *         return {
-*/
-  __pyx_t_3 = (__pyx_v_self->stopped != 0);
-  if (__pyx_t_3) {
-
-    /* "ckplab/_kernel.pyx":743
- *         stopped_at = None
- *         if self.stopped:
- *             stopped_at = self.step_index             # <<<<<<<<<<<<<<
- *         return {
- *             "survived_at_horizon": self.pt_false > 0,
-*/
-    __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_self->step_index); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 743, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF_SET(__pyx_v_stopped_at, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "ckplab/_kernel.pyx":742
- *             eliminated = self.zero_since
- *         stopped_at = None
- *         if self.stopped:             # <<<<<<<<<<<<<<
- *             stopped_at = self.step_index
- *         return {
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":744
- *         if self.stopped:
- *             stopped_at = self.step_index
- *         return {             # <<<<<<<<<<<<<<
- *             "survived_at_horizon": self.pt_false > 0,
- *             "eliminated_at": eliminated,
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "ckplab/_kernel.pyx":745
- *             stopped_at = self.step_index
- *         return {
- *             "survived_at_horizon": self.pt_false > 0,             # <<<<<<<<<<<<<<
- *             "eliminated_at": eliminated,
- *             "stopped_at": stopped_at,
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(6); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 745, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_1 = __Pyx_PyBool_FromLong((__pyx_v_self->pt_false > 0)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 745, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_survived_at_horizon, __pyx_t_1) < (0)) __PYX_ERR(0, 745, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "ckplab/_kernel.pyx":746
- *         return {
- *             "survived_at_horizon": self.pt_false > 0,
- *             "eliminated_at": eliminated,             # <<<<<<<<<<<<<<
- *             "stopped_at": stopped_at,
- *             "pf_exists": self.pf_count > 0,
-*/
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_eliminated_at, __pyx_v_eliminated) < (0)) __PYX_ERR(0, 745, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":747
- *             "survived_at_horizon": self.pt_false > 0,
- *             "eliminated_at": eliminated,
- *             "stopped_at": stopped_at,             # <<<<<<<<<<<<<<
- *             "pf_exists": self.pf_count > 0,
- *             "final_counts": self.counts(),
-*/
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_stopped_at, __pyx_v_stopped_at) < (0)) __PYX_ERR(0, 745, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":748
- *             "eliminated_at": eliminated,
- *             "stopped_at": stopped_at,
- *             "pf_exists": self.pf_count > 0,             # <<<<<<<<<<<<<<
- *             "final_counts": self.counts(),
- *             "checkpoints": checkpoints,
-*/
-  __pyx_t_1 = __Pyx_PyBool_FromLong((__pyx_v_self->pf_count > 0)); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 748, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_pf_exists, __pyx_t_1) < (0)) __PYX_ERR(0, 745, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "ckplab/_kernel.pyx":749
- *             "stopped_at": stopped_at,
- *             "pf_exists": self.pf_count > 0,
- *             "final_counts": self.counts(),             # <<<<<<<<<<<<<<
- *             "checkpoints": checkpoints,
- *         }
-*/
-  __pyx_t_5 = ((PyObject *)__pyx_v_self);
-  __Pyx_INCREF(__pyx_t_5);
-  __pyx_t_6 = 0;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_5, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCallMethod((PyObject*)__pyx_mstate_global->__pyx_n_u_counts, __pyx_callargs+__pyx_t_6, (1-__pyx_t_6) | (1*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 749, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_final_counts, __pyx_t_1) < (0)) __PYX_ERR(0, 745, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-  /* "ckplab/_kernel.pyx":750
- *             "pf_exists": self.pf_count > 0,
- *             "final_counts": self.counts(),
- *             "checkpoints": checkpoints,             # <<<<<<<<<<<<<<
- *         }
- * 
-*/
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_checkpoints, __pyx_v_checkpoints) < (0)) __PYX_ERR(0, 745, __pyx_L1_error)
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":719
- *         }
- * 
- *     def run(self, int horizon, checkpoint_steps=()):             # <<<<<<<<<<<<<<
- *         """Run up to ``horizon`` steps with the pure engine's early-exit
- *         rule; returns the summary dict run_python_trial would produce."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.run", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pending);
-  __Pyx_XDECREF(__pyx_v_checkpoints);
-  __Pyx_XDECREF(__pyx_v_step);
-  __Pyx_XDECREF(__pyx_v_eliminated);
-  __Pyx_XDECREF(__pyx_v_stopped_at);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":753
- *         }
- * 
- *     def export_state(self):             # <<<<<<<<<<<<<<
- *         """Rebuild a CkpState plus the engine-side bookkeeping, for deep
- *         audits and parity checks."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_7export_state(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6ckplab_7_kernel_12KernelEngine_6export_state, "Rebuild a CkpState plus the engine-side bookkeeping, for deep\n        audits and parity checks.");
-static PyMethodDef __pyx_mdef_6ckplab_7_kernel_12KernelEngine_7export_state = {"export_state", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_7export_state, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6ckplab_7_kernel_12KernelEngine_6export_state};
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_7export_state(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("export_state (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("export_state", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("export_state", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_6ckplab_7_kernel_12KernelEngine_6export_state(((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_6export_state(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  int __pyx_v_n;
-  int __pyx_v_v;
-  PyObject *__pyx_v_st = NULL;
-  size_t __pyx_7genexpr__pyx_v_j;
-  size_t __pyx_8genexpr1__pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  std::vector<int> ::size_type __pyx_t_9;
-  std::vector<int> ::size_type __pyx_t_10;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("export_state", 0);
-
-  /* "ckplab/_kernel.pyx":756
- *         """Rebuild a CkpState plus the engine-side bookkeeping, for deep
- *         audits and parity checks."""
- *         cdef int n = <int> self.labels.size()             # <<<<<<<<<<<<<<
- *         cdef int v
- *         cdef size_t j
-*/
-  __pyx_v_n = ((int)__pyx_v_self->labels.size());
-
-  /* "ckplab/_kernel.pyx":759
- *         cdef int v
- *         cdef size_t j
- *         st = CkpState()             # <<<<<<<<<<<<<<
- *         for v in range(n):
- *             st.labels.append(self.labels[v])
-*/
-  __pyx_t_2 = NULL;
-  __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_CkpState); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 759, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = 1;
-  #if CYTHON_UNPACK_METHODS
-  if (unlikely(PyMethod_Check(__pyx_t_3))) {
-    __pyx_t_2 = PyMethod_GET_SELF(__pyx_t_3);
-    assert(__pyx_t_2);
-    PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-    __Pyx_INCREF(__pyx_t_2);
-    __Pyx_INCREF(__pyx__function);
-    __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-    __pyx_t_4 = 0;
-  }
-  #endif
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_2, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_4, (1-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 759, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-  }
-  __pyx_v_st = __pyx_t_1;
-  __pyx_t_1 = 0;
-
-  /* "ckplab/_kernel.pyx":760
- *         cdef size_t j
- *         st = CkpState()
- *         for v in range(n):             # <<<<<<<<<<<<<<
- *             st.labels.append(self.labels[v])
- *             st.is_false.append(bool(self.isfalse[v]))
-*/
-  __pyx_t_5 = __pyx_v_n;
-  __pyx_t_6 = __pyx_t_5;
-  for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-    __pyx_v_v = __pyx_t_7;
-
-    /* "ckplab/_kernel.pyx":761
- *         st = CkpState()
- *         for v in range(n):
- *             st.labels.append(self.labels[v])             # <<<<<<<<<<<<<<
- *             st.is_false.append(bool(self.isfalse[v]))
- *             st.birth.append(self.birth[v])
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_labels); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 761, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = __Pyx_PyLong_From_int((__pyx_v_self->labels[__pyx_v_v])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 761, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_1, __pyx_t_3); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 761, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-    /* "ckplab/_kernel.pyx":762
- *         for v in range(n):
- *             st.labels.append(self.labels[v])
- *             st.is_false.append(bool(self.isfalse[v]))             # <<<<<<<<<<<<<<
- *             st.birth.append(self.birth[v])
- *             st.adversarial.append(bool(self.advers[v]))
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_is_false); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 762, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_1 = __Pyx_PyBool_FromLong((!(!((__pyx_v_self->isfalse[__pyx_v_v]) != 0)))); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 762, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_3, __pyx_t_1); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 762, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-    /* "ckplab/_kernel.pyx":763
- *             st.labels.append(self.labels[v])
- *             st.is_false.append(bool(self.isfalse[v]))
- *             st.birth.append(self.birth[v])             # <<<<<<<<<<<<<<
- *             st.adversarial.append(bool(self.advers[v]))
- *             st.parents.append(
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_birth); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 763, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = __Pyx_PyLong_From_int((__pyx_v_self->birth[__pyx_v_v])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 763, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_1, __pyx_t_3); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 763, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-    /* "ckplab/_kernel.pyx":764
- *             st.is_false.append(bool(self.isfalse[v]))
- *             st.birth.append(self.birth[v])
- *             st.adversarial.append(bool(self.advers[v]))             # <<<<<<<<<<<<<<
- *             st.parents.append(
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_adversarial); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 764, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_1 = __Pyx_PyBool_FromLong((!(!((__pyx_v_self->advers[__pyx_v_v]) != 0)))); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 764, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_3, __pyx_t_1); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 764, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-    /* "ckplab/_kernel.pyx":765
- *             st.birth.append(self.birth[v])
- *             st.adversarial.append(bool(self.advers[v]))
- *             st.parents.append(             # <<<<<<<<<<<<<<
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])
- *             st.children.append(
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_parents); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 765, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    { /* enter inner scope */
-
-      /* "ckplab/_kernel.pyx":766
- *             st.adversarial.append(bool(self.advers[v]))
- *             st.parents.append(
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])             # <<<<<<<<<<<<<<
- *             st.children.append(
- *                 [self.children[v][j]
-*/
-      __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 766, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_9 = (__pyx_v_self->parents[__pyx_v_v]).size();
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_10; __pyx_t_4+=1) {
-        __pyx_7genexpr__pyx_v_j = __pyx_t_4;
-        __pyx_t_2 = __Pyx_PyLong_From_int(((__pyx_v_self->parents[__pyx_v_v])[__pyx_7genexpr__pyx_v_j])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 766, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_2);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_3, (PyObject*)__pyx_t_2))) __PYX_ERR(0, 766, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      }
-    } /* exit inner scope */
-
-    /* "ckplab/_kernel.pyx":765
- *             st.birth.append(self.birth[v])
- *             st.adversarial.append(bool(self.advers[v]))
- *             st.parents.append(             # <<<<<<<<<<<<<<
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])
- *             st.children.append(
-*/
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_1, __pyx_t_3); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 765, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-    /* "ckplab/_kernel.pyx":767
- *             st.parents.append(
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])
- *             st.children.append(             # <<<<<<<<<<<<<<
- *                 [self.children[v][j]
- *                  for j in range(self.children[v].size())])
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_children); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 767, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    { /* enter inner scope */
-
-      /* "ckplab/_kernel.pyx":768
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])
- *             st.children.append(
- *                 [self.children[v][j]             # <<<<<<<<<<<<<<
- *                  for j in range(self.children[v].size())])
- *             st.deg_pt.append(self.deg_pt[v])
-*/
-      __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 768, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-
-      /* "ckplab/_kernel.pyx":769
- *             st.children.append(
- *                 [self.children[v][j]
- *                  for j in range(self.children[v].size())])             # <<<<<<<<<<<<<<
- *             st.deg_pt.append(self.deg_pt[v])
- *             st.deg_ct.append(self.deg_ct[v])
-*/
-      __pyx_t_9 = (__pyx_v_self->children[__pyx_v_v]).size();
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_10; __pyx_t_4+=1) {
-        __pyx_8genexpr1__pyx_v_j = __pyx_t_4;
-
-        /* "ckplab/_kernel.pyx":768
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])
- *             st.children.append(
- *                 [self.children[v][j]             # <<<<<<<<<<<<<<
- *                  for j in range(self.children[v].size())])
- *             st.deg_pt.append(self.deg_pt[v])
-*/
-        __pyx_t_2 = __Pyx_PyLong_From_int(((__pyx_v_self->children[__pyx_v_v])[__pyx_8genexpr1__pyx_v_j])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 768, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_2);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_2))) __PYX_ERR(0, 768, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      }
-    } /* exit inner scope */
-
-    /* "ckplab/_kernel.pyx":767
- *             st.parents.append(
- *                 [self.parents[v][j] for j in range(self.parents[v].size())])
- *             st.children.append(             # <<<<<<<<<<<<<<
- *                 [self.children[v][j]
- *                  for j in range(self.children[v].size())])
-*/
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_3, __pyx_t_1); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 767, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-    /* "ckplab/_kernel.pyx":770
- *                 [self.children[v][j]
- *                  for j in range(self.children[v].size())])
- *             st.deg_pt.append(self.deg_pt[v])             # <<<<<<<<<<<<<<
- *             st.deg_ct.append(self.deg_ct[v])
- *             st.pf_parent_edges.append(self.pf_parent[v])
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_deg_pt); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 770, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = __Pyx_PyLong_From_int((__pyx_v_self->deg_pt[__pyx_v_v])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 770, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_1, __pyx_t_3); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 770, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-    /* "ckplab/_kernel.pyx":771
- *                  for j in range(self.children[v].size())])
- *             st.deg_pt.append(self.deg_pt[v])
- *             st.deg_ct.append(self.deg_ct[v])             # <<<<<<<<<<<<<<
- *             st.pf_parent_edges.append(self.pf_parent[v])
- *         st.pf_total = self.pf_total
-*/
-    __pyx_t_3 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_deg_ct); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 771, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_1 = __Pyx_PyLong_From_int((__pyx_v_self->deg_ct[__pyx_v_v])); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 771, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_3, __pyx_t_1); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 771, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-    /* "ckplab/_kernel.pyx":772
- *             st.deg_pt.append(self.deg_pt[v])
- *             st.deg_ct.append(self.deg_ct[v])
- *             st.pf_parent_edges.append(self.pf_parent[v])             # <<<<<<<<<<<<<<
- *         st.pf_total = self.pf_total
- *         return st
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_pf_parent_edges); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 772, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = __Pyx_PyLong_From_int((__pyx_v_self->pf_parent[__pyx_v_v])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 772, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_8 = __Pyx_PyObject_Append(__pyx_t_1, __pyx_t_3); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 772, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  }
-
-  /* "ckplab/_kernel.pyx":773
- *             st.deg_ct.append(self.deg_ct[v])
- *             st.pf_parent_edges.append(self.pf_parent[v])
- *         st.pf_total = self.pf_total             # <<<<<<<<<<<<<<
- *         return st
- * 
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->pf_total); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 773, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (__Pyx_PyObject_SetAttrStr(__pyx_v_st, __pyx_mstate_global->__pyx_n_u_pf_total, __pyx_t_3) < (0)) __PYX_ERR(0, 773, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":774
- *             st.pf_parent_edges.append(self.pf_parent[v])
- *         st.pf_total = self.pf_total
- *         return st             # <<<<<<<<<<<<<<
- * 
- *     def export_bookkeeping(self):
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_st);
-  __pyx_r = __pyx_v_st;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":753
- *         }
- * 
- *     def export_state(self):             # <<<<<<<<<<<<<<
- *         """Rebuild a CkpState plus the engine-side bookkeeping, for deep
- *         audits and parity checks."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.export_state", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_st);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "ckplab/_kernel.pyx":776
- *         return st
- * 
- *     def export_bookkeeping(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.labels.size()
- *         cdef int v
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_9export_bookkeeping(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_6ckplab_7_kernel_12KernelEngine_9export_bookkeeping = {"export_bookkeeping", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_9export_bookkeeping, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_9export_bookkeeping(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("export_bookkeeping (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("export_bookkeeping", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("export_bookkeeping", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_6ckplab_7_kernel_12KernelEngine_8export_bookkeeping(((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_8export_bookkeeping(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  int __pyx_v_n;
-  PyObject *__pyx_v_zero_since = NULL;
-  int __pyx_8genexpr2__pyx_v_v;
-  int __pyx_8genexpr3__pyx_v_v;
-  int __pyx_8genexpr4__pyx_v_v;
-  int __pyx_8genexpr5__pyx_v_v;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("export_bookkeeping", 0);
-
-  /* "ckplab/_kernel.pyx":777
- * 
- *     def export_bookkeeping(self):
- *         cdef int n = <int> self.labels.size()             # <<<<<<<<<<<<<<
- *         cdef int v
- *         zero_since = None
-*/
-  __pyx_v_n = ((int)__pyx_v_self->labels.size());
-
-  /* "ckplab/_kernel.pyx":779
- *         cdef int n = <int> self.labels.size()
- *         cdef int v
- *         zero_since = None             # <<<<<<<<<<<<<<
- *         if self.zero_since != -1:
- *             zero_since = self.zero_since
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_zero_since = Py_None;
-
-  /* "ckplab/_kernel.pyx":780
- *         cdef int v
- *         zero_since = None
- *         if self.zero_since != -1:             # <<<<<<<<<<<<<<
- *             zero_since = self.zero_since
- *         return {
-*/
-  __pyx_t_1 = (__pyx_v_self->zero_since != -1L);
-  if (__pyx_t_1) {
-
-    /* "ckplab/_kernel.pyx":781
- *         zero_since = None
- *         if self.zero_since != -1:
- *             zero_since = self.zero_since             # <<<<<<<<<<<<<<
- *         return {
- *             "weights": [self.weights[v] for v in range(self.wsize)],
-*/
-    __pyx_t_2 = __Pyx_PyLong_From_long(__pyx_v_self->zero_since); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 781, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __Pyx_DECREF_SET(__pyx_v_zero_since, __pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "ckplab/_kernel.pyx":780
- *         cdef int v
- *         zero_since = None
- *         if self.zero_since != -1:             # <<<<<<<<<<<<<<
- *             zero_since = self.zero_since
- *         return {
-*/
-  }
-
-  /* "ckplab/_kernel.pyx":782
- *         if self.zero_since != -1:
- *             zero_since = self.zero_since
- *         return {             # <<<<<<<<<<<<<<
- *             "weights": [self.weights[v] for v in range(self.wsize)],
- *             "weight_total": self.wtotal,
-*/
-  __Pyx_XDECREF(__pyx_r);
-
-  /* "ckplab/_kernel.pyx":783
- *             zero_since = self.zero_since
- *         return {
- *             "weights": [self.weights[v] for v in range(self.wsize)],             # <<<<<<<<<<<<<<
- *             "weight_total": self.wtotal,
- *             "weight_positive": self.wpositive,
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(13); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  { /* enter inner scope */
-    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 783, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = __pyx_v_self->wsize;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_8genexpr2__pyx_v_v = __pyx_t_6;
-      __pyx_t_7 = PyFloat_FromDouble((__pyx_v_self->weights[__pyx_8genexpr2__pyx_v_v])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 783, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_3, (PyObject*)__pyx_t_7))) __PYX_ERR(0, 783, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    }
-  } /* exit inner scope */
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_weights, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":784
- *         return {
- *             "weights": [self.weights[v] for v in range(self.wsize)],
- *             "weight_total": self.wtotal,             # <<<<<<<<<<<<<<
- *             "weight_positive": self.wpositive,
- *             "pt_false": self.pt_false,
-*/
-  __pyx_t_3 = PyFloat_FromDouble(__pyx_v_self->wtotal); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 784, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_weight_total, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":785
- *             "weights": [self.weights[v] for v in range(self.wsize)],
- *             "weight_total": self.wtotal,
- *             "weight_positive": self.wpositive,             # <<<<<<<<<<<<<<
- *             "pt_false": self.pt_false,
- *             "pf_count": self.pf_count,
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->wpositive); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 785, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_weight_positive, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":786
- *             "weight_total": self.wtotal,
- *             "weight_positive": self.wpositive,
- *             "pt_false": self.pt_false,             # <<<<<<<<<<<<<<
- *             "pf_count": self.pf_count,
- *             "f_count": self.f_count,
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->pt_false); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 786, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_pt_false, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":787
- *             "weight_positive": self.wpositive,
- *             "pt_false": self.pt_false,
- *             "pf_count": self.pf_count,             # <<<<<<<<<<<<<<
- *             "f_count": self.f_count,
- *             "l_count": self.l_count,
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->pf_count); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 787, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_pf_count, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":788
- *             "pt_false": self.pt_false,
- *             "pf_count": self.pf_count,
- *             "f_count": self.f_count,             # <<<<<<<<<<<<<<
- *             "l_count": self.l_count,
- *             "f_mem": [self.f_mem[v] for v in range(n)],
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->f_count); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 788, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_f_count, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":789
- *             "pf_count": self.pf_count,
- *             "f_count": self.f_count,
- *             "l_count": self.l_count,             # <<<<<<<<<<<<<<
- *             "f_mem": [self.f_mem[v] for v in range(n)],
- *             "l_mem": [self.l_mem[v] for v in range(n)],
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->l_count); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 789, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_l_count, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  { /* enter inner scope */
-
-    /* "ckplab/_kernel.pyx":790
- *             "f_count": self.f_count,
- *             "l_count": self.l_count,
- *             "f_mem": [self.f_mem[v] for v in range(n)],             # <<<<<<<<<<<<<<
- *             "l_mem": [self.l_mem[v] for v in range(n)],
- *             "zero_since": zero_since,
-*/
-    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 790, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_8genexpr3__pyx_v_v = __pyx_t_6;
-      __pyx_t_7 = __Pyx_PyLong_From_int((__pyx_v_self->f_mem[__pyx_8genexpr3__pyx_v_v])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 790, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_3, (PyObject*)__pyx_t_7))) __PYX_ERR(0, 790, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    }
-  } /* exit inner scope */
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_f_mem, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  { /* enter inner scope */
-
-    /* "ckplab/_kernel.pyx":791
- *             "l_count": self.l_count,
- *             "f_mem": [self.f_mem[v] for v in range(n)],
- *             "l_mem": [self.l_mem[v] for v in range(n)],             # <<<<<<<<<<<<<<
- *             "zero_since": zero_since,
- *             "stopped": bool(self.stopped),
-*/
-    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 791, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_8genexpr4__pyx_v_v = __pyx_t_6;
-      __pyx_t_7 = __Pyx_PyLong_From_int((__pyx_v_self->l_mem[__pyx_8genexpr4__pyx_v_v])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 791, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_3, (PyObject*)__pyx_t_7))) __PYX_ERR(0, 791, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    }
-  } /* exit inner scope */
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_l_mem, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":792
- *             "f_mem": [self.f_mem[v] for v in range(n)],
- *             "l_mem": [self.l_mem[v] for v in range(n)],
- *             "zero_since": zero_since,             # <<<<<<<<<<<<<<
- *             "stopped": bool(self.stopped),
- *             "step_index": self.step_index,
-*/
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_zero_since, __pyx_v_zero_since) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":793
- *             "l_mem": [self.l_mem[v] for v in range(n)],
- *             "zero_since": zero_since,
- *             "stopped": bool(self.stopped),             # <<<<<<<<<<<<<<
- *             "step_index": self.step_index,
- *             "pf_child_len": {v: self.pf_child_len[v] for v in range(n)
-*/
-  __pyx_t_3 = __Pyx_PyBool_FromLong((!(!(__pyx_v_self->stopped != 0)))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 793, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_stopped, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "ckplab/_kernel.pyx":794
- *             "zero_since": zero_since,
- *             "stopped": bool(self.stopped),
- *             "step_index": self.step_index,             # <<<<<<<<<<<<<<
- *             "pf_child_len": {v: self.pf_child_len[v] for v in range(n)
- *                              if self.pf_child_len[v] >= 0},
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_self->step_index); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 794, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_step_index, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  { /* enter inner scope */
-
-    /* "ckplab/_kernel.pyx":795
- *             "stopped": bool(self.stopped),
- *             "step_index": self.step_index,
- *             "pf_child_len": {v: self.pf_child_len[v] for v in range(n)             # <<<<<<<<<<<<<<
- *                              if self.pf_child_len[v] >= 0},
- *         }
-*/
-    __pyx_t_3 = PyDict_New(); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 795, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_8genexpr5__pyx_v_v = __pyx_t_6;
-
-      /* "ckplab/_kernel.pyx":796
- *             "step_index": self.step_index,
- *             "pf_child_len": {v: self.pf_child_len[v] for v in range(n)
- *                              if self.pf_child_len[v] >= 0},             # <<<<<<<<<<<<<<
- *         }
-*/
-      __pyx_t_1 = ((__pyx_v_self->pf_child_len[__pyx_8genexpr5__pyx_v_v]) >= 0);
-      if (__pyx_t_1) {
-
-        /* "ckplab/_kernel.pyx":795
- *             "stopped": bool(self.stopped),
- *             "step_index": self.step_index,
- *             "pf_child_len": {v: self.pf_child_len[v] for v in range(n)             # <<<<<<<<<<<<<<
- *                              if self.pf_child_len[v] >= 0},
- *         }
-*/
-        __pyx_t_7 = __Pyx_PyLong_From_int(__pyx_8genexpr5__pyx_v_v); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 795, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __pyx_t_8 = __Pyx_PyLong_From_int((__pyx_v_self->pf_child_len[__pyx_8genexpr5__pyx_v_v])); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 795, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        if (unlikely(PyDict_SetItem(__pyx_t_3, (PyObject*)__pyx_t_7, (PyObject*)__pyx_t_8))) __PYX_ERR(0, 795, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-
-        /* "ckplab/_kernel.pyx":796
- *             "step_index": self.step_index,
- *             "pf_child_len": {v: self.pf_child_len[v] for v in range(n)
- *                              if self.pf_child_len[v] >= 0},             # <<<<<<<<<<<<<<
- *         }
-*/
-      }
-    }
-  } /* exit inner scope */
-  if (PyDict_SetItem(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_pf_child_len, __pyx_t_3) < (0)) __PYX_ERR(0, 783, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "ckplab/_kernel.pyx":776
- *         return st
- * 
- *     def export_bookkeeping(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.labels.size()
- *         cdef int v
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.export_bookkeeping", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_zero_since);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_11__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_6ckplab_7_kernel_12KernelEngine_11__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_11__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_11__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_6ckplab_7_kernel_12KernelEngine_10__reduce_cython__(((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_10__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_self_rng_cannot_be_converted_to, 0, 0);
-  __PYX_ERR(2, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_13__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_6ckplab_7_kernel_12KernelEngine_13__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_13__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_6ckplab_7_kernel_12KernelEngine_13__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(2, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(2, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(2, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(2, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(2, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(2, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6ckplab_7_kernel_12KernelEngine_12__setstate_cython__(((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6ckplab_7_kernel_12KernelEngine_12__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_6ckplab_7_kernel_KernelEngine *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_self_rng_cannot_be_converted_to, 0, 0);
-  __PYX_ERR(2, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("ckplab._kernel.KernelEngine.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-static struct __pyx_vtabstruct_6ckplab_7_kernel_KernelEngine __pyx_vtable_6ckplab_7_kernel_KernelEngine;
-
-static PyObject *__pyx_tp_new_6ckplab_7_kernel_KernelEngine(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  struct __pyx_obj_6ckplab_7_kernel_KernelEngine *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)o);
-  p->__pyx_vtab = __pyx_vtabptr_6ckplab_7_kernel_KernelEngine;
-  __Pyx_default_placement_construct(&(p->law_support));
-  __Pyx_default_placement_construct(&(p->law_cum));
-  __Pyx_default_placement_construct(&(p->atab));
-  __Pyx_default_placement_construct(&(p->labels));
-  __Pyx_default_placement_construct(&(p->isfalse));
-  __Pyx_default_placement_construct(&(p->birth));
-  __Pyx_default_placement_construct(&(p->advers));
-  __Pyx_default_placement_construct(&(p->parents));
-  __Pyx_default_placement_construct(&(p->children));
-  __Pyx_default_placement_construct(&(p->deg_pt));
-  __Pyx_default_placement_construct(&(p->deg_ct));
-  __Pyx_default_placement_construct(&(p->pf_parent));
-  __Pyx_default_placement_construct(&(p->tree));
-  __Pyx_default_placement_construct(&(p->weights));
-  __Pyx_default_placement_construct(&(p->f_mem));
-  __Pyx_default_placement_construct(&(p->l_mem));
-  __Pyx_default_placement_construct(&(p->pf_child_len));
-  __Pyx_default_placement_construct(&(p->seen_at));
-  __Pyx_default_placement_construct(&(p->depth_of));
-  __Pyx_default_placement_construct(&(p->prev_of));
-  __Pyx_default_placement_construct(&(p->closed_at));
-  __Pyx_default_placement_construct(&(p->marked_at));
-  __Pyx_default_placement_construct(&(p->queue_buf));
-  __Pyx_default_placement_construct(&(p->order_buf));
-  __Pyx_default_placement_construct(&(p->ball_marked));
-  __Pyx_default_placement_construct(&(p->step_marked));
-  __Pyx_default_placement_construct(&(p->founds_buf));
-  __Pyx_default_placement_construct(&(p->touch_buf));
-  __Pyx_default_placement_construct(&(p->affect_buf));
-  __Pyx_default_placement_construct(&(p->walk_buf));
-  p->_bitgen_keepalive = Py_None; Py_INCREF(Py_None);
-  p->attach = Py_None; Py_INCREF(Py_None);
-  return o;
-}
-
-static void __pyx_tp_dealloc_6ckplab_7_kernel_KernelEngine(PyObject *o) {
-  struct __pyx_obj_6ckplab_7_kernel_KernelEngine *p = (struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_6ckplab_7_kernel_KernelEngine) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  __Pyx_call_destructor(p->law_support);
-  __Pyx_call_destructor(p->law_cum);
-  __Pyx_call_destructor(p->atab);
-  __Pyx_call_destructor(p->labels);
-  __Pyx_call_destructor(p->isfalse);
-  __Pyx_call_destructor(p->birth);
-  __Pyx_call_destructor(p->advers);
-  __Pyx_call_destructor(p->parents);
-  __Pyx_call_destructor(p->children);
-  __Pyx_call_destructor(p->deg_pt);
-  __Pyx_call_destructor(p->deg_ct);
-  __Pyx_call_destructor(p->pf_parent);
-  __Pyx_call_destructor(p->tree);
-  __Pyx_call_destructor(p->weights);
-  __Pyx_call_destructor(p->f_mem);
-  __Pyx_call_destructor(p->l_mem);
-  __Pyx_call_destructor(p->pf_child_len);
-  __Pyx_call_destructor(p->seen_at);
-  __Pyx_call_destructor(p->depth_of);
-  __Pyx_call_destructor(p->prev_of);
-  __Pyx_call_destructor(p->closed_at);
-  __Pyx_call_destructor(p->marked_at);
-  __Pyx_call_destructor(p->queue_buf);
-  __Pyx_call_destructor(p->order_buf);
-  __Pyx_call_destructor(p->ball_marked);
-  __Pyx_call_destructor(p->step_marked);
-  __Pyx_call_destructor(p->founds_buf);
-  __Pyx_call_destructor(p->touch_buf);
-  __Pyx_call_destructor(p->affect_buf);
-  __Pyx_call_destructor(p->walk_buf);
-  Py_CLEAR(p->_bitgen_keepalive);
-  Py_CLEAR(p->attach);
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static int __pyx_tp_traverse_6ckplab_7_kernel_KernelEngine(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_6ckplab_7_kernel_KernelEngine *p = (struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->_bitgen_keepalive) {
-    e = (*v)(p->_bitgen_keepalive, a); if (e) return e;
-  }
-  if (p->attach) {
-    e = (*v)(p->attach, a); if (e) return e;
-  }
-  return 0;
-}
-
-static int __pyx_tp_clear_6ckplab_7_kernel_KernelEngine(PyObject *o) {
-  PyObject* tmp;
-  struct __pyx_obj_6ckplab_7_kernel_KernelEngine *p = (struct __pyx_obj_6ckplab_7_kernel_KernelEngine *)o;
-  tmp = ((PyObject*)p->_bitgen_keepalive);
-  p->_bitgen_keepalive = Py_None; Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  tmp = ((PyObject*)p->attach);
-  p->attach = Py_None; Py_INCREF(Py_None);
-  Py_XDECREF(tmp);
-  return 0;
-}
-
-static PyMethodDef __pyx_methods_6ckplab_7_kernel_KernelEngine[] = {
-  {"counts", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_3counts, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"run", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_5run, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6ckplab_7_kernel_12KernelEngine_4run},
-  {"export_state", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_7export_state, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6ckplab_7_kernel_12KernelEngine_6export_state},
-  {"export_bookkeeping", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_9export_bookkeeping, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_11__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6ckplab_7_kernel_12KernelEngine_13__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_6ckplab_7_kernel_KernelEngine_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_6ckplab_7_kernel_KernelEngine},
-  {Py_tp_doc, (void *)PyDoc_STR("One trajectory's worth of mutable state, all in C++ containers.")},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_6ckplab_7_kernel_KernelEngine},
-  {Py_tp_clear, (void *)__pyx_tp_clear_6ckplab_7_kernel_KernelEngine},
-  {Py_tp_methods, (void *)__pyx_methods_6ckplab_7_kernel_KernelEngine},
-  {Py_tp_init, (void *)__pyx_pw_6ckplab_7_kernel_12KernelEngine_1__init__},
-  {Py_tp_new, (void *)__pyx_tp_new_6ckplab_7_kernel_KernelEngine},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_6ckplab_7_kernel_KernelEngine_spec = {
-  "ckplab._kernel.KernelEngine",
-  sizeof(struct __pyx_obj_6ckplab_7_kernel_KernelEngine),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_6ckplab_7_kernel_KernelEngine_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_6ckplab_7_kernel_KernelEngine = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "ckplab._kernel.""KernelEngine", /*tp_name*/
-  sizeof(struct __pyx_obj_6ckplab_7_kernel_KernelEngine), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_6ckplab_7_kernel_KernelEngine, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  PyDoc_STR("One trajectory's worth of mutable state, all in C++ containers."), /*tp_doc*/
-  __pyx_tp_traverse_6ckplab_7_kernel_KernelEngine, /*tp_traverse*/
-  __pyx_tp_clear_6ckplab_7_kernel_KernelEngine, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_6ckplab_7_kernel_KernelEngine, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  __pyx_pw_6ckplab_7_kernel_12KernelEngine_1__init__, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_6ckplab_7_kernel_KernelEngine, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __pyx_vtabptr_6ckplab_7_kernel_KernelEngine = &__pyx_vtable_6ckplab_7_kernel_KernelEngine;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.draw = (double (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *))__pyx_f_6ckplab_7_kernel_12KernelEngine_draw;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.maybe = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, double))__pyx_f_6ckplab_7_kernel_12KernelEngine_maybe;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.uniform_index = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_uniform_index;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.pmf_index = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *))__pyx_f_6ckplab_7_kernel_12KernelEngine_pmf_index;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.aval = (double (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_aval;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.w_grow = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_w_grow;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.w_append = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, double))__pyx_f_6ckplab_7_kernel_12KernelEngine_w_append;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.w_set = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, double))__pyx_f_6ckplab_7_kernel_12KernelEngine_w_set;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.w_add = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, double))__pyx_f_6ckplab_7_kernel_12KernelEngine_w_add;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.w_select = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, double))__pyx_f_6ckplab_7_kernel_12KernelEngine_w_select;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.is_minimal_false = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_is_minimal_false;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.is_leaf = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_is_leaf;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.refresh_membership = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_refresh_membership;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.add_node = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, std::vector<int>  &, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_add_node;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.apply_marks = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *))__pyx_f_6ckplab_7_kernel_12KernelEngine_apply_marks;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.flagged = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_flagged;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.mark_node = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_mark_node;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.close_descendants = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_close_descendants;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.mark_prev_path = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_mark_prev_path;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.check_stringy = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_check_stringy;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.ball_first = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_ball_first;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.ball_all = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, int))__pyx_f_6ckplab_7_kernel_12KernelEngine_ball_all;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.run_check = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *, int, std::vector<int>  &))__pyx_f_6ckplab_7_kernel_12KernelEngine_run_check;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.step_c = (int (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *))__pyx_f_6ckplab_7_kernel_12KernelEngine_step_c;
-  __pyx_vtable_6ckplab_7_kernel_KernelEngine.cheap_audit = (void (*)(struct __pyx_obj_6ckplab_7_kernel_KernelEngine *))__pyx_f_6ckplab_7_kernel_12KernelEngine_cheap_audit;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_6ckplab_7_kernel_KernelEngine_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_6ckplab_7_kernel_KernelEngine_spec, __pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine = &__pyx_type_6ckplab_7_kernel_KernelEngine;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine->tp_dictoffset && __pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine, __pyx_vtabptr_6ckplab_7_kernel_KernelEngine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_KernelEngine, (PyObject *) __pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_6ckplab_7_kernel_KernelEngine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __pyx_t_1 = PyImport_ImportModule(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_t_1)) __PYX_ERR(3, 9, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_7cpython_4type_type = __Pyx_ImportType_3_2_8(__pyx_t_1, __Pyx_BUILTIN_MODULE_NAME, "type",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyTypeObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  0, 0,
-  #else
-  sizeof(PyHeapTypeObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyHeapTypeObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_7cpython_4type_type) __PYX_ERR(3, 9, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule("numpy"); if (unlikely(!__pyx_t_1)) __PYX_ERR(1, 272, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_5numpy_dtype = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "dtype",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyArray_Descr), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArray_Descr),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyArray_Descr), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArray_Descr),
-  #else
-  sizeof(PyArray_Descr), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArray_Descr),
-  #endif
-  __Pyx_ImportType_CheckSize_Ignore_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_dtype) __PYX_ERR(1, 272, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_flatiter = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "flatiter",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyArrayIterObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayIterObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyArrayIterObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayIterObject),
-  #else
-  sizeof(PyArrayIterObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayIterObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Ignore_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_flatiter) __PYX_ERR(1, 317, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_broadcast = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "broadcast",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyArrayMultiIterObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayMultiIterObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyArrayMultiIterObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayMultiIterObject),
-  #else
-  sizeof(PyArrayMultiIterObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayMultiIterObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Ignore_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_broadcast) __PYX_ERR(1, 321, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_ndarray = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "ndarray",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyArrayObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyArrayObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayObject),
-  #else
-  sizeof(PyArrayObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyArrayObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Ignore_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_ndarray) __PYX_ERR(1, 360, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_generic = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "generic",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_generic) __PYX_ERR(1, 873, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_number = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "number",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_number) __PYX_ERR(1, 875, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_integer = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "integer",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_integer) __PYX_ERR(1, 877, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_signedinteger = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "signedinteger",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_signedinteger) __PYX_ERR(1, 879, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_unsignedinteger = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "unsignedinteger",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_unsignedinteger) __PYX_ERR(1, 881, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_inexact = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "inexact",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_inexact) __PYX_ERR(1, 883, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_floating = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "floating",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_floating) __PYX_ERR(1, 885, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_complexfloating = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "complexfloating",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_complexfloating) __PYX_ERR(1, 887, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_flexible = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "flexible",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_flexible) __PYX_ERR(1, 889, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_character = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "character",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #else
-  sizeof(PyObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_character) __PYX_ERR(1, 891, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_ufunc = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy", "ufunc",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(PyUFuncObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyUFuncObject),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(PyUFuncObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyUFuncObject),
-  #else
-  sizeof(PyUFuncObject), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(PyUFuncObject),
-  #endif
-  __Pyx_ImportType_CheckSize_Ignore_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_ufunc) __PYX_ERR(1, 955, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyImport_ImportModule("numpy.random.bit_generator"); if (unlikely(!__pyx_t_1)) __PYX_ERR(4, 14, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_mstate->__pyx_ptype_5numpy_6random_13bit_generator_BitGenerator = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy.random.bit_generator", "BitGenerator",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator),
-  #else
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_BitGenerator),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_6random_13bit_generator_BitGenerator) __PYX_ERR(4, 14, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_6random_13bit_generator_SeedSequence = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy.random.bit_generator", "SeedSequence",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence),
-  #else
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_SeedSequence),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_6random_13bit_generator_SeedSequence) __PYX_ERR(4, 23, __pyx_L1_error)
-  __pyx_vtabptr_5numpy_6random_13bit_generator_SeedSequence = (struct __pyx_vtabstruct_5numpy_6random_13bit_generator_SeedSequence*)__Pyx_GetVtable(__pyx_mstate->__pyx_ptype_5numpy_6random_13bit_generator_SeedSequence); if (unlikely(!__pyx_vtabptr_5numpy_6random_13bit_generator_SeedSequence)) __PYX_ERR(4, 23, __pyx_L1_error)
-  __pyx_mstate->__pyx_ptype_5numpy_6random_13bit_generator_SeedlessSequence = __Pyx_ImportType_3_2_8(__pyx_t_1, "numpy.random.bit_generator", "SeedlessSequence",
-  #if defined(PYPY_VERSION_NUM) && PYPY_VERSION_NUM < 0x050B0000
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence),
-  #elif CYTHON_COMPILING_IN_LIMITED_API
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence),
-  #else
-  sizeof(struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence), __PYX_GET_STRUCT_ALIGNMENT_3_2_8(struct __pyx_obj_5numpy_6random_13bit_generator_SeedlessSequence),
-  #endif
-  __Pyx_ImportType_CheckSize_Warn_3_2_8); if (!__pyx_mstate->__pyx_ptype_5numpy_6random_13bit_generator_SeedlessSequence) __PYX_ERR(4, 34, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__kernel(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__kernel},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_kernel",
-      __pyx_k_Accelerated_trial_loop_a_draw_fo, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__kernel(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__kernel(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__kernel(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_kernel' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_kernel" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__kernel", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_ckplab___kernel) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "ckplab._kernel")) {
-      if (unlikely((PyDict_SetItemString(modules, "ckplab._kernel", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (unlikely((__Pyx_modinit_type_import_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "ckplab/_kernel.pyx":20
- * 
- * from numpy.random cimport bitgen_t
- * from numpy.random import PCG64             # <<<<<<<<<<<<<<
- * 
- * from .attachment import AllWeightsZero
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_PCG64};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_numpy_random, __pyx_imported_names, 1, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 20, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_PCG64};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 20, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 20, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":22
- * from numpy.random import PCG64
- * 
- * from .attachment import AllWeightsZero             # <<<<<<<<<<<<<<
- * from .evolution import AuditViolation
- * from .state import CkpState, StateError
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_AllWeightsZero};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_attachment, __pyx_imported_names, 1, __pyx_mstate_global->__pyx_kp_u_ckplab_attachment, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 22, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_AllWeightsZero};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 22, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 22, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":23
- * 
- * from .attachment import AllWeightsZero
- * from .evolution import AuditViolation             # <<<<<<<<<<<<<<
- * from .state import CkpState, StateError
- * from . import state as state_mod
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_AuditViolation};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_evolution, __pyx_imported_names, 1, __pyx_mstate_global->__pyx_kp_u_ckplab_evolution, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 23, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_AuditViolation};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 23, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 23, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":24
- * from .attachment import AllWeightsZero
- * from .evolution import AuditViolation
- * from .state import CkpState, StateError             # <<<<<<<<<<<<<<
- * from . import state as state_mod
- * 
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_CkpState,__pyx_mstate_global->__pyx_n_u_StateError};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_state, __pyx_imported_names, 2, __pyx_mstate_global->__pyx_kp_u_ckplab_state, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 24, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_CkpState,__pyx_mstate_global->__pyx_n_u_StateError};
-    for (__pyx_t_3=0; __pyx_t_3 < 2; __pyx_t_3++) {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 24, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_imported_names[__pyx_t_3], __pyx_t_4) < (0)) __PYX_ERR(0, 24, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":25
- * from .evolution import AuditViolation
- * from .state import CkpState, StateError
- * from . import state as state_mod             # <<<<<<<<<<<<<<
- * 
- * KERNEL_READY = True
-*/
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_state};
-    __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u__2, __pyx_imported_names, 1, __pyx_mstate_global->__pyx_kp_u_ckplab, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 25, __pyx_L1_error)
-  }
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  {
-    PyObject* const __pyx_imported_names[] = {__pyx_mstate_global->__pyx_n_u_state};
-    __pyx_t_3 = 0; {
-      __pyx_t_4 = __Pyx_ImportFrom(__pyx_t_2, __pyx_imported_names[__pyx_t_3]); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 25, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      switch (__pyx_t_3) {
-        case 0:
-        if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_state_mod, __pyx_t_4) < (0)) __PYX_ERR(0, 25, __pyx_L1_error)
-        break;
-        default:;
-      }
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":27
- * from . import state as state_mod
- * 
- * KERNEL_READY = True             # <<<<<<<<<<<<<<
- * 
- * cdef int CT = state_mod.CT
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_KERNEL_READY, Py_True) < (0)) __PYX_ERR(0, 27, __pyx_L1_error)
-
-  /* "ckplab/_kernel.pyx":29
- * KERNEL_READY = True
- * 
- * cdef int CT = state_mod.CT             # <<<<<<<<<<<<<<
- * cdef int CF = state_mod.CF
- * cdef int PF = state_mod.PF
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_state_mod); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 29, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_CT); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 29, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 29, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_v_6ckplab_7_kernel_CT = __pyx_t_5;
-
-  /* "ckplab/_kernel.pyx":30
- * 
- * cdef int CT = state_mod.CT
- * cdef int CF = state_mod.CF             # <<<<<<<<<<<<<<
- * cdef int PF = state_mod.PF
- * 
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_state_mod); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 30, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_2 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_CF); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 30, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_2); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 30, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_6ckplab_7_kernel_CF = __pyx_t_5;
-
-  /* "ckplab/_kernel.pyx":31
- * cdef int CT = state_mod.CT
- * cdef int CF = state_mod.CF
- * cdef int PF = state_mod.PF             # <<<<<<<<<<<<<<
- * 
- * cdef int M_STRINGY = 0
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_state_mod); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 31, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_2, __pyx_mstate_global->__pyx_n_u_PF_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 31, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 31, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_v_6ckplab_7_kernel_PF = __pyx_t_5;
-
-  /* "ckplab/_kernel.pyx":33
- * cdef int PF = state_mod.PF
- * 
- * cdef int M_STRINGY = 0             # <<<<<<<<<<<<<<
- * cdef int M_BFS = 1
- * cdef int M_EXHAUSTIVE = 2
-*/
-  __pyx_v_6ckplab_7_kernel_M_STRINGY = 0;
-
-  /* "ckplab/_kernel.pyx":34
- * 
- * cdef int M_STRINGY = 0
- * cdef int M_BFS = 1             # <<<<<<<<<<<<<<
- * cdef int M_EXHAUSTIVE = 2
- * cdef int M_PARENTWISE = 3
-*/
-  __pyx_v_6ckplab_7_kernel_M_BFS = 1;
-
-  /* "ckplab/_kernel.pyx":35
- * cdef int M_STRINGY = 0
- * cdef int M_BFS = 1
- * cdef int M_EXHAUSTIVE = 2             # <<<<<<<<<<<<<<
- * cdef int M_PARENTWISE = 3
- * cdef int M_COMPLETE = 4
-*/
-  __pyx_v_6ckplab_7_kernel_M_EXHAUSTIVE = 2;
-
-  /* "ckplab/_kernel.pyx":36
- * cdef int M_BFS = 1
- * cdef int M_EXHAUSTIVE = 2
- * cdef int M_PARENTWISE = 3             # <<<<<<<<<<<<<<
- * cdef int M_COMPLETE = 4
- * 
-*/
-  __pyx_v_6ckplab_7_kernel_M_PARENTWISE = 3;
-
-  /* "ckplab/_kernel.pyx":37
- * cdef int M_EXHAUSTIVE = 2
- * cdef int M_PARENTWISE = 3
- * cdef int M_COMPLETE = 4             # <<<<<<<<<<<<<<
- * 
- * MECHANISM_CODES = {
-*/
-  __pyx_v_6ckplab_7_kernel_M_COMPLETE = 4;
-
-  /* "ckplab/_kernel.pyx":40
- * 
- * MECHANISM_CODES = {
- *     "stringy": M_STRINGY,             # <<<<<<<<<<<<<<
- *     "bfs": M_BFS,
- *     "exhaustive-bfs": M_EXHAUSTIVE,
-*/
-  __pyx_t_4 = __Pyx_PyDict_NewPresized(5); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_6ckplab_7_kernel_M_STRINGY); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_stringy, __pyx_t_2) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":41
- * MECHANISM_CODES = {
- *     "stringy": M_STRINGY,
- *     "bfs": M_BFS,             # <<<<<<<<<<<<<<
- *     "exhaustive-bfs": M_EXHAUSTIVE,
- *     "parentwise-bfs": M_PARENTWISE,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_6ckplab_7_kernel_M_BFS); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 41, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_bfs, __pyx_t_2) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":42
- *     "stringy": M_STRINGY,
- *     "bfs": M_BFS,
- *     "exhaustive-bfs": M_EXHAUSTIVE,             # <<<<<<<<<<<<<<
- *     "parentwise-bfs": M_PARENTWISE,
- *     "complete": M_COMPLETE,
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_6ckplab_7_kernel_M_EXHAUSTIVE); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 42, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_exhaustive_bfs, __pyx_t_2) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":43
- *     "bfs": M_BFS,
- *     "exhaustive-bfs": M_EXHAUSTIVE,
- *     "parentwise-bfs": M_PARENTWISE,             # <<<<<<<<<<<<<<
- *     "complete": M_COMPLETE,
- * }
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_6ckplab_7_kernel_M_PARENTWISE); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 43, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_parentwise_bfs, __pyx_t_2) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "ckplab/_kernel.pyx":44
- *     "exhaustive-bfs": M_EXHAUSTIVE,
- *     "parentwise-bfs": M_PARENTWISE,
- *     "complete": M_COMPLETE,             # <<<<<<<<<<<<<<
- * }
- * 
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_6ckplab_7_kernel_M_COMPLETE); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 44, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_complete, __pyx_t_2) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_MECHANISM_CODES, __pyx_t_4) < (0)) __PYX_ERR(0, 39, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "ckplab/_kernel.pyx":708
- *     # -- python-facing API -------------------------------------------------
- * 
- *     def counts(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.labels.size()
- *         return {
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6ckplab_7_kernel_12KernelEngine_3counts, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_KernelEngine_counts, NULL, __pyx_mstate_global->__pyx_n_u_ckplab__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 708, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_6ckplab_7_kernel_KernelEngine, __pyx_mstate_global->__pyx_n_u_counts, __pyx_t_4) < (0)) __PYX_ERR(0, 708, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "ckplab/_kernel.pyx":719
- *         }
- * 
- *     def run(self, int horizon, checkpoint_steps=()):             # <<<<<<<<<<<<<<
- *         """Run up to ``horizon`` steps with the pure engine's early-exit
- *         rule; returns the summary dict run_python_trial would produce."""
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6ckplab_7_kernel_12KernelEngine_5run, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_KernelEngine_run, NULL, __pyx_mstate_global->__pyx_n_u_ckplab__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 719, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_4, __pyx_mstate_global->__pyx_tuple[0]);
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_6ckplab_7_kernel_KernelEngine, __pyx_mstate_global->__pyx_n_u_run, __pyx_t_4) < (0)) __PYX_ERR(0, 719, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "ckplab/_kernel.pyx":753
- *         }
- * 
- *     def export_state(self):             # <<<<<<<<<<<<<<
- *         """Rebuild a CkpState plus the engine-side bookkeeping, for deep
- *         audits and parity checks."""
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6ckplab_7_kernel_12KernelEngine_7export_state, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_KernelEngine_export_state, NULL, __pyx_mstate_global->__pyx_n_u_ckplab__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 753, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_6ckplab_7_kernel_KernelEngine, __pyx_mstate_global->__pyx_n_u_export_state, __pyx_t_4) < (0)) __PYX_ERR(0, 753, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "ckplab/_kernel.pyx":776
- *         return st
- * 
- *     def export_bookkeeping(self):             # <<<<<<<<<<<<<<
- *         cdef int n = <int> self.labels.size()
- *         cdef int v
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6ckplab_7_kernel_12KernelEngine_9export_bookkeeping, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_KernelEngine_export_bookkeeping, NULL, __pyx_mstate_global->__pyx_n_u_ckplab__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 776, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  if (__Pyx_SetItemOnTypeDict(__pyx_mstate_global->__pyx_ptype_6ckplab_7_kernel_KernelEngine, __pyx_mstate_global->__pyx_n_u_export_bookkeeping, __pyx_t_4) < (0)) __PYX_ERR(0, 776, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6ckplab_7_kernel_12KernelEngine_11__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_KernelEngine___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_ckplab__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_4)) __PYX_ERR(2, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_4) < (0)) __PYX_ERR(2, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "self.rng cannot be converted to a Python object for pickling"
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6ckplab_7_kernel_12KernelEngine_13__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_KernelEngine___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_ckplab__kernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_4)) __PYX_ERR(2, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_4) < (0)) __PYX_ERR(2, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "ckplab/_kernel.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True, initializedcheck=False             # <<<<<<<<<<<<<<
- * # distutils: language = c++
- * """Accelerated trial loop: a draw-for-draw mirror of the pure engine.
-*/
-  __pyx_t_4 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_4) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init ckplab._kernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init ckplab._kernel");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "ckplab/_kernel.pyx":719
- *         }
- * 
- *     def run(self, int horizon, checkpoint_steps=()):             # <<<<<<<<<<<<<<
- *         """Run up to ``horizon`` steps with the pure engine's early-exit
- *         rule; returns the summary dict run_python_trial would produce."""
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(1, __pyx_mstate_global->__pyx_empty_tuple); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 719, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 9; } index[] = {{1},{3},{1},{30},{7},{17},{16},{12},{7},{6},{14},{2},{18},{14},{10},{9},{12},{39},{5},{39},{34},{14},{34},{60},{22},{14},{27},{44},{14},{14},{2},{2},{8},{12},{12},{30},{32},{19},{31},{25},{16},{15},{5},{2},{20},{10},{0},{11},{16},{14},{12},{6},{18},{6},{10},{11},{3},{5},{7},{11},{10},{16},{11},{8},{14},{17},{18},{8},{6},{3},{6},{6},{14},{10},{13},{10},{8},{9},{18},{12},{7},{5},{8},{12},{8},{12},{7},{10},{13},{8},{5},{1},{7},{5},{6},{6},{8},{3},{9},{13},{10},{1},{8},{5},{12},{12},{7},{17},{7},{2},{12},{8},{9},{15},{8},{3},{2},{8},{11},{14},{12},{10},{17},{13},{3},{4},{4},{12},{10},{12},{19},{6},{2},{5},{9},{4},{10},{7},{10},{11},{7},{7},{19},{1},{8},{1},{6},{15},{12},{7},{10},{268},{217},{62},{268},{9}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1539 bytes) */
-const char* const cstring = "BZh91AY&SY\\\326\225\033\000\000\242\177\377\367\377\377\377\377\337\345\225\277\357\377\360\277\377\377\364@@@@@@@@@\000@@@\000@\000P\005\236\016\331\222\224\241E\001\201\203$*j4y\2511\352aM\372\220\3622\246\001\2424\036\246L#!\264M\030G\240COQ\346\220#d\236\236\241\300\000\000\r\000\000\0004\000\320\000\r\000\0004\000\000\000\r4\021&\247\210H~\242z\232~\250\033S@i\241\240\032\000\000\000\000\000\000\000\001\300\000\000\r\000\000\0004\000\320\000\r\000\0004\000\000\000\tB\010d\010\312=\010\324\315F\232\231\251\243C@4\000\000\000\000\032\000\332\214\217MOB@>!9\177\336D\356'/#8r\377\335\336\355\000\364\214EE\357\203\202\252\020N\372\244l\014\0232\203\321\004\024\306\265\310\034\250*\217\023p\232X2\222FsA\037h\364\177|p@\245\027[\017(\272o\212%H\250\345@\222\244\324\335_\357\233\257\311\330\343\355\234\237\304;\\~\243\323\263?\3524BR8\372\377C\213\"MY\177\303\222\023W\226\024\005\326X\276v\366\260P\337\335\336SJ\300t\021\302\360\250E\354\335\375\305\302\363\364S1\332L\034\312\230\277\266\347\223\213:\264\301f\003\205\311u\306]Oc\nH\t<\274n\332\177\345\227y<\272\253o \252\255\000\303\302\201\222on\256\247W\223\234\345\233\037\206\270\003\2009y\025\210\254W|\231\315\027w\342\272\004\227*R\3449&\025\030\235N'v\364i\343\244\332\312V\303\252~j\365\\\351}F,`\360a\231\356!f\377e\270\272\221(*\266\276\304\001\365\330\225\262jT\322\273\213\246\234\302kR\236\026\343Q4\235\006\023\251\255\034\245\237\212\230\272\202S\177N[T\360\242\221\242\2121\231\270\220\274\331\020\253\257\244\r\030X\206\225\004\254f\037M5J\243M3d\274e\276\223\327\002\212\354\337:&|\360\224k\313'{\255D\2043\255N\017\035\243\027\337#\036Ni9\334\324UBP:\204\226\032.Z\331\264\005\366\205\254\224]\267Ma5DZ\306b\366z\312t\276W\317+\252\314\367J\275f\263\200\347\271\312\272A'R\340\315\027\3618\030RT&m\326[\003\013Z\005\350\261i\371\264\315na$\350\272\226\312y;~\202\242\033\312\311B\202\253\312Y\2110d\344\rK(\342\025\351XnU\007\321\014\354\314+T\320T\026\3644\211Zk\236\034\351:b\215\013\331\r\265^u\303\226\354\316""\300I\335Y]I0\242Y\027Q)\254\241\001\375\026\031J\243QS\\\r\246-z\302\350B\241\206\360\2334T\356\247*\341R\240*>xmU\200\260\214ei\271m/\024\245\205\")M\335dE\346\357C\021/\252\235\220+\325{\325\320s\225K7\226Y2\272k\0324ui\303\272\252M\252E\362-\025\243\332\330\014e$\245\237\205\024N\370\216\204\\\200\240I\246\273\300KK\355^'#\010\345A\220\221\264\205#\264\256n\257\003\363\240\303\372%\333f6\243\354\331\221\007\\\005\026\217\221\277\225\321Z\254\3410\346\230j\314]\205|\036\034\364<j\243\234\330\341V\363Id\034\\\013\201h\331\207\370\252\006:\013\000e\351\270\263!2u\025s\213\270/Y\275\036\227HxS{y3\021\252\030\230\270\341\tW\244\333uJ\264\246N5\2454\231+\223\002\261\004\213\311\030\335\331\\\243B\205pmp\242\016\204H\261\251X\240\032P\025\231\221\375dF\021\360fb\360\320\262\\\006\246kB\224\250\345T\031X\215\026\305\251PU\242d^\205\306E\004w\014t\030\275AJ\227\245z\303QjOe\304\t\n<B\342\"\263\221/\210\3743\356.\026\310\2462\r\226J1\037\232\251\023\021A\031t\342\001\302\312\263jY\224\026\220\325\311\247Bbq\2173\036=\306sil\332$\306\370\265g0\323\226x\033WEHob\024,\222\221\203\024\t\2511\343\335\261A\310.\373'\\\242\311\024\246l\324\271kI1j\330\016\327\242$3\232\327Q\203\356\014e'\027\340j\2254k\260f\2533\245\001TV\305\235m\356\272\325\206\357s\247l\352\227G\226\250Z\333\330\234\376\206\2157\333\014\241\252$\034_]\222\214V.\341\264#a\346\223\031P(\037eu\240\216&\310\225\224\322\016\311jR4\341\202\020\277\"\213\030\262\312\326\210NBA+ \365\255\320\200\374\312\rP,\351\203!\r\230\246\361\274y=\354\373\241\322\342\235\204!k\371\373\373W\245;\027R%\"\356\260\372\236L\323\267\255\222\320\235\016\231\023I\246\267J\312\362\014\223t\212\212V\240\314\274\\\251x'Er\221\312\014\226\004\205 e\370kQ\273\226\242\2528\016\307\n|\201\034Z\310\020o\014\321\306^\251g\027\257\224\216\324\002\264\363X,/\245*\334\2523\305|P\205\340\202(\213\317k0\014\221e\020ZN\325\234\274~\211\374\210#\333,\351\352\372\237\321]&\"-\354C\356\255B5\255\0139v`G\320+\374\226\351Q\026\224{\006\237\020\333\207\342""\245\261\023\333\377\033\370\345\017\253\0325\013p\013\224\351\3214U@\276dbv7\r\024\2543>\345dV\026yhh\023\216\rL\3233h\322T\331\2639\356\027|V\343\206\366\016\241\013\276\275xi\237 \332>\364\215\321\003\260\215w\345\274\356T\374.\367\336\017\036S\357g*\243X\3713\257\246\263Z\025NB\310\250$\263\227\037\2672h\0242\264\302\263N\036(\212\n\305\023j'B\231\241\237\374]\311\024\341BAsZTl";
-    PyObject *data = __Pyx_DecompressString(cstring, 1539, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1431 bytes) */
-const char* const cstring = "x\332uT\315s\323F\024\257\231\000\201\272)\001BJ)\255\002\2410-\204z&Sf:\235v\324\304|\014\205&$|^v\326\322\223\275XZ\311\273+\307\316\364\300\321G\035u\324QG\035}\314\237\300\321\307\376\t\375\023\372v\245\330\001R\317X\373\366\355\356{\277\367{\037k\326\326\375\337\235\0168]K\t\006\256\245B+\240\242k\355\212\030,\036\272`9\335\310\247\255\265j\241JQ\247\023\000W\225\002\372\241\037+\026\362j/\025U\3402I[>\0007\337A\207\306R\261>\334iy\262\355X\214[!\007K*\210n[\016\215,\213I\213\372\002\250;D<z\307C\205\022\223\245\005WCBp\006\017\017\255(\224L\333\263fh\254=`\355\216\322\370%\370\340\250\362n\034D\3035\342\204\002\326\202\330W\214\nA\207\226G\231_\306\312\202(\024\352\350\2658\240\252\363\311\215\210\nt\262\207\200t\014\002\274X2\336\236\262\325a\256\013\374\316\2144\304\340\255\t\274\341P\256ci!\217!\357\203P\245Ujm\rU'D\"Zo\021\254\345\205\302\212\230\323\365\321\252\024\316\335\222\314\273\244\013\202\203\277\026\r\007\277JL\020\036\206\261p\3407\031\213>\353S\037\251P\010\214\241\344\201\357[\255\241\245:\332W\020\231\000\200\267\031R\335\241\232R\213\272\210@R1\264d\034\351\260l\337\177ix\223o@\204v\3542\365\202\205>\325\371\334\270\277\261\273\321\215vt>\0377\237=m\376I\2365\355\315\327\217\r\244\2461|T^#D\200\033;@\034\023\032!\037\235JP\2468\216?w\302\230+\371\201\n\006\032#i\205a\267\013\020a\364\307\035\033\233\037\034\210\230?in<\264\237>\332yB6\376\332l\356lm<\370y}\353>![\303\001\3767\231\243\310S\030\250g\340\231\370\232B\204\342\220\035$sJ\024i\305n\033\324l/t\000\304$\265\224\242\010\270K\345\220;,\304 D\210\315\300A\226\2259\253O\252\271%\330i4\302\002j1\241:X\3712\306R\325\335G\\\210PcD\355\302HQ\310\270\216\017\"9\333\243\310|\027\253\261\352\267\252D\010q|*%A\260LA\240\267\010\2030N\224\240\016\264\250\323\325E\341\003\3326L;q\340B\2338J\177#\374\342\201N\273q\017>\013\030\327\215<\223\010~4M\345\005\254\275\330\254U\367\177\232\253\243\351\361\210q\352\221\000\002\017\250\212\005H\017\315\372\245^\022\342\305\334!\370k\037\026\t\351\204\202""\355\207\234qV\031!L\222)\301({\324\227\240\203\225o+;\276\266\217\244\200/}\240}@\273\001E\n\360;\010\220S\312\231\0140\034\026\240g\363\034\217B\027\223@\010\336\3424\320\002\366\257,'\202\240\334E\322L\357\227\036JYF8#H\310\375!\321\355\217\301\352\"\320\213\027a\250:A\304\007\036Ua\343\n\003&\361\231G*c\200U\245\267\n\313\310\217\302(R\221:D\204\315^\005l\304\276\322#Ps\323\213\251_b\234\266\032\371\244\351\246\n\030\240\030s\t\340\352id\372\257\n\021%\027<\212\003\361HW\222c:T2]2\262\324\226G\310\227\251H\374cu\2710\220\n\341\243\217r\301*9\224x\270W\316\254a5m\312\241e\356\034f\027\001h\303\204\364uA\201,\24789\034\360\325\326\260T\312r\037\007\025\342\342\016\274\237\373\251\250\375{\352\2633\227\323Zz!\265\323\355\311\374\245\204N\346\027F\235\304Mof\213\331\365l'\257M\352\313\311^\332\312Ng*o\344\233\305\\\361`\334\320\357\276\0305\223\245\204&2\275\225]\313\354I\375\353t5mg\333\223\372\371\344V)fN~!\267'\347\256\244\367\360\312\203|=\357\341\373\315\361\351qoR\377r\324\233\234[\324\253J~Iw\262\023\331j\346\346+Z7_\037=L\354C\317\247P}\263@\355R\202\030?\037\255\217\3665\340I\375rzQ\243\236\252{S\325\231I\375z\266\236\355\027\347\213\306\244~\025U\210n\245<~\223\211\034\335~\223nbL\370\344J\332xgk+/\322\365t/\203\274\361\317\314\344\337\250\373\300\354r\322K\347\322\207\231\215\334\314\345\315b\251\240\205\0327J{H\326w\251\312p\367\025^\262\247\313r\242\322\306tA\343H\360\367Y-\273\220m\346'\363\347\305J\361\377j\203\333\274,\035h\226\251vg#gs\331\223b\261\270^\354\216\227\306p\3208\260'W\255\251rg\\\373(0\023\201\216\rSt-\371\003\335\255L1\236OV1\373\310\325n\206\354\\\322g\357l\235\347K\263\367z\2730z\245\311\251W\331Gr\026F\355\344%\302\331\315\226\363\232\246va\3040qT3\201\221\314\027\265\302(\275\344\201\t\342TF3\363\3147U\266\212[\225\337+\243\325\305\327F\252\317-&\027\223W\3516\246\377(\037\353\305`\334;8qp\343\2407uS\336}\215\376\004Z[\231,.%\317\323\033i\017yx\224o\347\255\342d\261},\310\217\025\357\027\2765E\353\346?\0246\276\231?;\272m(\232\307R""}W\233\314\235\035\375\230l\377\007l\270\363\310";
-    PyObject *data = __Pyx_DecompressString(cstring, 1431, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (2548 bytes) */
-const char* const bytes = ". PF?check tried to mark True node ckplab.ckplab.attachmentckplab.evolutionckplab.statedisableenableexhaustive-bfsgc in one step, cap  is already PF is not PFisenabledmarked node no positive attachment weight to selectnode numpy._core.multiarray failed to importnumpy._core.umath failed to importparentwise-bfsrefusing to mark hidden-True node self.rng cannot be converted to a Python object for picklingsrc/ckplab/_kernel.pyx<stringsource>survival potential fell by the compiled engine has no adversary supportAllWeightsZeroAuditViolationCFCTCkpStateKERNEL_READYKernelEngineKernelEngine.__reduce_cython__KernelEngine.__setstate_cython__KernelEngine.countsKernelEngine.export_bookkeepingKernelEngine.export_stateKernelEngine.runMECHANISM_CODESPCG64PF__Pyx_PyDict_NextRefStateErroradversarialadversary_budgetadversary_rate__annotate__appendasyncio.coroutinesattachattachmentaudit_cheapbfsbirthcapsulecheck_depthcheck_ratecheckpoint_stepscheckpointschildrenckplab._kernel__class_getitem__cline_in_tracebackcompletecountscumdeg_ctdeg_ptdetection_rateeliminatedeliminated_aterror_rateevaluateevolutionexport_bookkeepingexport_statef_countf_memfeaturesfinal_counts__func____getstate__horizoninit_state_is_coroutineis_falseitemsjl_countl_memlabelsleaves__main__maxmechanismminimal_false__module__n__name__nodesnumpy.randomparent_countparentspath_only_markingpendingpfpf_child_lenpf_countpf_existspf_parent_edgespf_totalpopptpt_false__pyx_state__pyx_vtable____qualname____reduce____reduce_cython____reduce_ex__runseedself__set_name__setdefault__setstate____setstate_cython__simpleststatestate_modstepstep_indexstoppedstopped_atstopped_nowstringysupportsurvived_at_horizont__test__vvaluesweight_positiveweight_totalweightszero_since\320\0040\260\001\360\006\000\t\031\230\001\230\023\230A\230Q\330\010\026\220a\330\010\016\210h\220d\230'\240\021\240#\240S\250\001\330\014\027\220w\230b\240\007\240t\2501\250D\260\004\260G\2701\360\006\000\t\r\210E\220\025\220a\220s\230(\240\"\240A\330\014\032\230$\230g\240Q""\330\014\022\220(\230$\230g\240Q\240c\250\023\250A\330\020\033\2307\240\"\240G\2504\250q\260\004\260D\270\007\270q\330\014\017\210q\330\020\021\330\014\017\210t\220:\230S\240\002\240$\240d\250!\330\020\021\330\010\014\210H\220A\330\014\027\220w\230b\240\006\240d\250'\260\021\330\010\025\220Q\330\010\013\2104\210z\230\023\230A\330\014\031\230\024\230Q\330\010\025\220Q\330\010\013\2104\210q\330\014\031\230\024\230Q\330\010\t\330\014#\2404\240z\260\022\2601\330\014\035\230Q\330\014\032\230!\330\014\031\230\024\230Z\240r\250\021\330\014\034\230D\240\007\240q\330\014\033\2301\200A\330\010\025\220V\2304\230w\240e\2501\340\010\025\220Q\330\010\013\2104\210|\2304\230q\330\014\031\230\024\230Q\330\010\t\330\014\027\220q\230\004\230H\240A\240S\250\004\250E\260\025\260a\260t\2701\330\014\034\230D\240\001\330\014\037\230t\2401\330\014\030\230\004\230A\330\014\030\230\004\230A\330\014\027\220t\2301\330\014\027\220t\2301\330\014\025\220Q\220d\230&\240\001\240\023\240D\250\005\250U\260!\2601\330\014\025\220Q\220d\230&\240\001\240\023\240D\250\005\250U\260!\2601\330\014\032\230!\330\014\027\220t\2301\230D\240\001\330\014\032\230$\230a\330\014\034\230A\230S\240\004\240M\260\021\260#\260T\270\025\270e\3001\300A\330\035 \240\004\240M\260\021\260#\260S\270\001\200A\330\010\025\220V\2304\230w\240e\2501\330\010\t\330\014\025\220Q\330\014\022\220\"\220B\220d\230!\330\014\030\230\004\230A\330\014\022\220$\220a\330\014\035\230T\240\021\330\014\026\220d\230!\200A\360\006\000\t\026\220V\2304\230w\240e\2501\360\006\000\t\016\210X\220Q\330\010\014\210E\220\025\220a\220q\330\014\016\210g\220W\230A\230T\240\027\250\001\250\021\330\014\016\210i\220w\230a\230t\2401\240D\250\010\260\001\260\021\330\014\016\210f\220G\2301\230D\240\006\240a\240q\330\014\016\210l\230'\240\021\240$\240a\240t\2507\260!\2601\330\014\016\210h\220g\230Q\330\020\021\220\024\220X\230Q\230b\240\001\240\023\240D\250\005\250U\260!\2604\260x\270q\300\002\300%\300q\330\014\016\210i\220w\230a\330\020\021\220\024\220Y\230a\230r\240""\021\240!\330\021\025\220U\230%\230q\240\004\240I\250Q\250b\260\005\260Q\330\014\016\210g\220W\230A\230T\240\027\250\001\250\021\330\014\016\210g\220W\230A\230T\240\027\250\001\250\021\330\014\016\320\016\036\230g\240Q\240d\250*\260A\260Q\330\010\n\210,\220d\230!\330\010\017\210q\200\001\330\004\n\210+\220Q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 151; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 28) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 151; i < 156; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 156; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 151;
-      for (Py_ssize_t i=0; i<5; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0};
-    for (int i = 0; i < 1; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 2;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 4;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 708};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_n};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_ckplab__kernel_pyx, __pyx_mstate->__pyx_n_u_counts, __pyx_mstate->__pyx_kp_b_iso88591_A_V4we1_Q_Bd_A_a_T_d, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 10, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 719};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_horizon, __pyx_mstate->__pyx_n_u_checkpoint_steps, __pyx_mstate->__pyx_n_u_pending, __pyx_mstate->__pyx_n_u_checkpoints, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_stopped_now, __pyx_mstate->__pyx_n_u_step, __pyx_mstate->__pyx_n_u_eliminated, __pyx_mstate->__pyx_n_u_stopped_at};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_ckplab__kernel_pyx, __pyx_mstate->__pyx_n_u_run, __pyx_mstate->__pyx_kp_b_iso88591_0_AQ_a_hd_S_wb_t1D_G1_E_as_A_gQ, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 7, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 753};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_st, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_j};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_ckplab__kernel_pyx, __pyx_mstate->__pyx_n_u_export_state, __pyx_mstate->__pyx_kp_b_iso88591_A_V4we1_XQ_E_aq_gWAT_iwat1D_fG1D, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 8, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 776};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_zero_since, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_v};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_ckplab__kernel_pyx, __pyx_mstate->__pyx_n_u_export_bookkeeping, __pyx_mstate->__pyx_kp_b_iso88591_A_V4we1_Q_4_4q_Q_q_HAS_E_at1_D_t, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* PyErrExceptionMatches */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
+      finds_.push_back(u);
+      continue;
+    }
+    if (nu.depth >= cap) continue;
+    const int32_t *e = edge_parent_.data() + nu.first;
+    const int32_t *end = e + nu.npar;
+    for (; e != end; ++e) {
+      Node &nw = nodes_[*e];
+      if (nw.seen == ss || nw.label == PF) continue;
+      nw.seen = ss;
+      nw.depth = nu.depth + 1;
+      queue_.push_back(*e);
+    }
+  }
+  for (int32_t f : finds_) mark_closure(f, queue_.size());
+  return static_cast<int>(finds_.size());
+}
+
+// checking.check_stringy
+void Engine::check_stringy(int32_t v) {
+  walk_.clear();
+  walk_.push_back(v);
+  if (nodes_[v].label == CF && maybe(detection_rate_)) {
+    mark(v);
     return;
+  }
+  int32_t current = v;
+  for (int s = 0; s < check_depth_; ++s) {
+    const Node &nc = nodes_[current];
+    if (nc.npar == 0) break;
+    int32_t target = edge_parent_[nc.first + uniform_index(nc.npar)];
+    if (nodes_[target].label == PF) {
+      for (int32_t w : walk_) mark(w);
+      return;
+    }
+    walk_.push_back(target);
+    current = target;
+    if (nodes_[target].label == CF && maybe(detection_rate_)) {
+      for (int32_t w : walk_) mark(w);
+      return;
+    }
+  }
 }
 
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
+// Fill step_marked_ for the new node ``v``: checking.run_check.
+void Engine::run_check(int32_t v) {
+  next_stamp(marked_stamp_, marked_at_);
+  step_marked_.clear();
+  if (mech_ == STRINGY || mech_ == BFS) {
+    if (!maybe(check_rate_)) return;
+    if (mech_ == STRINGY)
+      check_stringy(v);
     else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
+      ball(v, check_depth_, false);
+    return;
+  }
+  const int32_t first = nodes_[v].first, npar = nodes_[v].npar;
+  for (int32_t e = first; e < first + npar; ++e) {
+    if (!maybe(check_rate_)) continue;
+    if (nodes_[v].label == CF && maybe(detection_rate_)) {
+      mark(v);
+      if (mech_ == EXHAUSTIVE) return;
+      if (mech_ == PARENTWISE) continue;
+    }
+    if (ball(edge_parent_[e], check_depth_ - 1, mech_ == COMPLETE) > 0) {
+      mark(v);
+      if (mech_ == EXHAUSTIVE) return;
+    }
+  }
 }
 
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
+void Engine::cheap_audit() {
+  if (track_delta_) {
+    long long now = f_count_ + l_count_;
+    long long floor = fixed_floor_;
+    long long marked = static_cast<long long>(step_marked_.size());
+    if (mech_ == COMPLETE && marked + m_max_ + 1 > floor)
+      floor = marked + m_max_ + 1;
+    if (now - last_potential_ < -floor) {
+      PyErr_Format(AuditViolation,
+                   "survival potential fell by %lld in one step, cap %lld",
+                   last_potential_ - now, floor);
+      fail();
     }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyLongCompare */
-static CYTHON_INLINE int __Pyx_PyLong_BoolNeObjC(PyObject *op1, PyObject *op2, long intval, long inplace) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(inplace);
-    if (op1 == op2) {
-        return 0;
-    }
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        int unequal;
-        unsigned long uintval;
-        Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-        const digit* digits = __Pyx_PyLong_Digits(op1);
-        if (intval == 0) {
-            return (__Pyx_PyLong_IsZero(op1) != 1);
-        } else if (intval < 0) {
-            if (__Pyx_PyLong_IsNonNeg(op1))
-                return 1;
-            intval = -intval;
-        } else {
-            if (__Pyx_PyLong_IsNeg(op1))
-                return 1;
-        }
-        uintval = (unsigned long) intval;
-#if PyLong_SHIFT * 4 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 4)) {
-            unequal = (size != 5) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[4] != ((uintval >> (4 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 3 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 3)) {
-            unequal = (size != 4) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 2 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 2)) {
-            unequal = (size != 3) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 1 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 1)) {
-            unequal = (size != 2) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-            unequal = (size != 1) || (((unsigned long) digits[0]) != (uintval & (unsigned long) PyLong_MASK));
-        return (unequal != 0);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        const long b = intval;
-        double a = __Pyx_PyFloat_AS_DOUBLE(op1);
-        return ((double)a != (double)b);
-    }
-    return __Pyx_PyObject_IsTrueAndDecref(
-        PyObject_RichCompare(op1, op2, Py_NE));
-}
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* ObjectGetItem */
-#if CYTHON_USE_TYPE_SLOTS
-static PyObject *__Pyx_PyObject_GetIndex(PyObject *obj, PyObject *index) {
-    PyObject *runerr = NULL;
-    Py_ssize_t key_value;
-    key_value = __Pyx_PyIndex_AsSsize_t(index);
-    if (likely(key_value != -1 || !(runerr = PyErr_Occurred()))) {
-        return __Pyx_GetItemInt_Fast(obj, key_value, 0, 1, 1, 1);
-    }
-    if (PyErr_GivenExceptionMatches(runerr, PyExc_OverflowError)) {
-        __Pyx_TypeName index_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(index));
-        PyErr_Clear();
-        PyErr_Format(PyExc_IndexError,
-            "cannot fit '" __Pyx_FMT_TYPENAME "' into an index-sized integer", index_type_name);
-        __Pyx_DECREF_TypeName(index_type_name);
-    }
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem_Slow(PyObject *obj, PyObject *key) {
-    __Pyx_TypeName obj_type_name;
-    if (likely(PyType_Check(obj))) {
-        PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(obj, __pyx_mstate_global->__pyx_n_u_class_getitem);
-        if (!meth) {
-            PyErr_Clear();
-        } else {
-            PyObject *result = __Pyx_PyObject_CallOneArg(meth, key);
-            Py_DECREF(meth);
-            return result;
-        }
-    }
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "'" __Pyx_FMT_TYPENAME "' object is not subscriptable", obj_type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key) {
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyMappingMethods *mm = tp->tp_as_mapping;
-    PySequenceMethods *sm = tp->tp_as_sequence;
-    if (likely(mm && mm->mp_subscript)) {
-        return mm->mp_subscript(obj, key);
-    }
-    if (likely(sm && sm->sq_item)) {
-        return __Pyx_PyObject_GetIndex(obj, key);
-    }
-    return __Pyx_PyObject_GetItem_Slow(obj, key);
-}
-#endif
-
-/* pybytes_as_double (used by pyobject_as_double) */
-static double __Pyx_SlowPyString_AsDouble(PyObject *obj) {
-    PyObject *float_value = PyFloat_FromString(obj);
-    if (likely(float_value)) {
-        double value = __Pyx_PyFloat_AS_DOUBLE(float_value);
-        Py_DECREF(float_value);
-        return value;
-    }
-    return (double)-1;
-}
-static const char* __Pyx__PyBytes_AsDouble_Copy(const char* start, char* buffer, Py_ssize_t length) {
-    int last_was_punctuation = 1;
-    int parse_error_found = 0;
-    Py_ssize_t i;
-    for (i=0; i < length; i++) {
-        char chr = start[i];
-        int is_punctuation = (chr == '_') | (chr == '.') | (chr == 'e') | (chr == 'E');
-        *buffer = chr;
-        buffer += (chr != '_');
-        parse_error_found |= last_was_punctuation & is_punctuation;
-        last_was_punctuation = is_punctuation;
-    }
-    parse_error_found |= last_was_punctuation;
-    *buffer = '\0';
-    return unlikely(parse_error_found) ? NULL : buffer;
-}
-static double __Pyx__PyBytes_AsDouble_inf_nan(const char* start, Py_ssize_t length) {
-    int matches = 1;
-    char sign = start[0];
-    int is_signed = (sign == '+') | (sign == '-');
-    start += is_signed;
-    length -= is_signed;
-    switch (start[0]) {
-        #ifdef Py_NAN
-        case 'n':
-        case 'N':
-            if (unlikely(length != 3)) goto parse_failure;
-            matches &= (start[1] == 'a' || start[1] == 'A');
-            matches &= (start[2] == 'n' || start[2] == 'N');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_NAN : Py_NAN;
-        #endif
-        case 'i':
-        case 'I':
-            if (unlikely(length < 3)) goto parse_failure;
-            matches &= (start[1] == 'n' || start[1] == 'N');
-            matches &= (start[2] == 'f' || start[2] == 'F');
-            if (likely(length == 3 && matches))
-                return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-            if (unlikely(length != 8)) goto parse_failure;
-            matches &= (start[3] == 'i' || start[3] == 'I');
-            matches &= (start[4] == 'n' || start[4] == 'N');
-            matches &= (start[5] == 'i' || start[5] == 'I');
-            matches &= (start[6] == 't' || start[6] == 'T');
-            matches &= (start[7] == 'y' || start[7] == 'Y');
-            if (unlikely(!matches)) goto parse_failure;
-            return (sign == '-') ? -Py_HUGE_VAL : Py_HUGE_VAL;
-        case '.': case '0': case '1': case '2': case '3': case '4': case '5': case '6': case '7': case '8': case '9':
-            break;
-        default:
-            goto parse_failure;
-    }
-    return 0.0;
-parse_failure:
-    return -1.0;
-}
-static CYTHON_INLINE int __Pyx__PyBytes_AsDouble_IsSpace(char ch) {
-    return (ch == 0x20) | !((ch < 0x9) | (ch > 0xd));
-}
-CYTHON_UNUSED static double __Pyx__PyBytes_AsDouble(PyObject *obj, const char* start, Py_ssize_t length) {
-    double value;
-    Py_ssize_t i, digits;
-    const char *last = start + length;
-    char *end;
-    while (__Pyx__PyBytes_AsDouble_IsSpace(*start))
-        start++;
-    while (start < last - 1 && __Pyx__PyBytes_AsDouble_IsSpace(last[-1]))
-        last--;
-    length = last - start;
-    if (unlikely(length <= 0)) goto fallback;
-    value = __Pyx__PyBytes_AsDouble_inf_nan(start, length);
-    if (unlikely(value == -1.0)) goto fallback;
-    if (value != 0.0) return value;
-    digits = 0;
-    for (i=0; i < length; digits += start[i++] != '_');
-    if (likely(digits == length)) {
-        value = PyOS_string_to_double(start, &end, NULL);
-    } else if (digits < 40) {
-        char number[40];
-        last = __Pyx__PyBytes_AsDouble_Copy(start, number, length);
-        if (unlikely(!last)) goto fallback;
-        value = PyOS_string_to_double(number, &end, NULL);
-    } else {
-        char *number = (char*) PyMem_Malloc((digits + 1) * sizeof(char));
-        if (unlikely(!number)) goto fallback;
-        last = __Pyx__PyBytes_AsDouble_Copy(start, number, length);
-        if (unlikely(!last)) {
-            PyMem_Free(number);
-            goto fallback;
-        }
-        value = PyOS_string_to_double(number, &end, NULL);
-        PyMem_Free(number);
-    }
-    if (likely(end == last) || (value == (double)-1 && PyErr_Occurred())) {
-        return value;
-    }
-fallback:
-    return __Pyx_SlowPyString_AsDouble(obj);
-}
-
-/* pyobject_as_double */
-static double __Pyx__PyObject_AsDouble(PyObject* obj) {
-    if (PyUnicode_CheckExact(obj)) {
-        return __Pyx_PyUnicode_AsDouble(obj);
-    } else if (PyBytes_CheckExact(obj)) {
-        return __Pyx_PyBytes_AsDouble(obj);
-    } else if (PyByteArray_CheckExact(obj)) {
-        return __Pyx_PyByteArray_AsDouble(obj);
-    } else {
-        PyObject* float_value;
-#if !CYTHON_USE_TYPE_SLOTS
-        float_value = PyNumber_Float(obj);  if ((0)) goto bad;
-        (void)__Pyx_PyObject_CallOneArg;
-#else
-        PyNumberMethods *nb = Py_TYPE(obj)->tp_as_number;
-        if (likely(nb) && likely(nb->nb_float)) {
-            float_value = nb->nb_float(obj);
-            if (likely(float_value) && unlikely(!PyFloat_Check(float_value))) {
-                __Pyx_TypeName float_value_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(float_value));
-                PyErr_Format(PyExc_TypeError,
-                    "__float__ returned non-float (type " __Pyx_FMT_TYPENAME ")",
-                    float_value_type_name);
-                __Pyx_DECREF_TypeName(float_value_type_name);
-                Py_DECREF(float_value);
-                goto bad;
-            }
-        } else {
-            float_value = __Pyx_PyObject_CallOneArg((PyObject*)&PyFloat_Type, obj);
-        }
-#endif
-        if (likely(float_value)) {
-            double value = __Pyx_PyFloat_AS_DOUBLE(float_value);
-            Py_DECREF(float_value);
-            return value;
-        }
-    }
-bad:
-    return (double)-1;
-}
-
-/* PyObjectFastCallMethod */
-#if !CYTHON_VECTORCALL || PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_PyObject_FastCallMethod(PyObject *name, PyObject *const *args, size_t nargsf) {
-    PyObject *result;
-    PyObject *attr = PyObject_GetAttr(args[0], name);
-    if (unlikely(!attr))
-        return NULL;
-    result = __Pyx_PyObject_FastCall(attr, args+1, nargsf - 1);
-    Py_DECREF(attr);
-    return result;
-}
-#endif
-
-/* CIntToDigits (used by CIntToPyUnicode) */
-static const char DIGIT_PAIRS_10[2*10*10+1] = {
-    "00010203040506070809"
-    "10111213141516171819"
-    "20212223242526272829"
-    "30313233343536373839"
-    "40414243444546474849"
-    "50515253545556575859"
-    "60616263646566676869"
-    "70717273747576777879"
-    "80818283848586878889"
-    "90919293949596979899"
-};
-static const char DIGIT_PAIRS_8[2*8*8+1] = {
-    "0001020304050607"
-    "1011121314151617"
-    "2021222324252627"
-    "3031323334353637"
-    "4041424344454647"
-    "5051525354555657"
-    "6061626364656667"
-    "7071727374757677"
-};
-static const char DIGITS_HEX[2*16+1] = {
-    "0123456789abcdef"
-    "0123456789ABCDEF"
-};
-
-/* BuildPyUnicode (used by COrdinalToPyUnicode) */
-static PyObject* __Pyx_PyUnicode_BuildFromAscii(Py_ssize_t ulength, const char* chars, int clength,
-                                                int prepend_sign, char padding_char) {
-    PyObject *uval;
-    Py_ssize_t uoffset = ulength - clength;
-#if CYTHON_USE_UNICODE_INTERNALS
-    Py_ssize_t i;
-    void *udata;
-    uval = PyUnicode_New(ulength, 127);
-    if (unlikely(!uval)) return NULL;
-    udata = PyUnicode_DATA(uval);
-    if (uoffset > 0) {
-        i = 0;
-        if (prepend_sign) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, 0, '-');
-            i++;
-        }
-        for (; i < uoffset; i++) {
-            __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, i, padding_char);
-        }
-    }
-    for (i=0; i < clength; i++) {
-        __Pyx_PyUnicode_WRITE(PyUnicode_1BYTE_KIND, udata, uoffset+i, chars[i]);
-    }
-#else
-    {
-        PyObject *sign = NULL, *padding = NULL;
-        uval = NULL;
-        if (uoffset > 0) {
-            prepend_sign = !!prepend_sign;
-            if (uoffset > prepend_sign) {
-                padding = PyUnicode_FromOrdinal(padding_char);
-                if (likely(padding) && uoffset > prepend_sign + 1) {
-                    PyObject *tmp = PySequence_Repeat(padding, uoffset - prepend_sign);
-                    Py_DECREF(padding);
-                    padding = tmp;
-                }
-                if (unlikely(!padding)) goto done_or_error;
-            }
-            if (prepend_sign) {
-                sign = PyUnicode_FromOrdinal('-');
-                if (unlikely(!sign)) goto done_or_error;
-            }
-        }
-        uval = PyUnicode_DecodeASCII(chars, clength, NULL);
-        if (likely(uval) && padding) {
-            PyObject *tmp = PyUnicode_Concat(padding, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-        if (likely(uval) && sign) {
-            PyObject *tmp = PyUnicode_Concat(sign, uval);
-            Py_DECREF(uval);
-            uval = tmp;
-        }
-done_or_error:
-        Py_XDECREF(padding);
-        Py_XDECREF(sign);
-    }
-#endif
-    return uval;
-}
-
-/* COrdinalToPyUnicode (used by CIntToPyUnicode) */
-static CYTHON_INLINE int __Pyx_CheckUnicodeValue(int value) {
-    return value <= 1114111;
-}
-static PyObject* __Pyx_PyUnicode_FromOrdinal_Padded(int value, Py_ssize_t ulength, char padding_char) {
-    Py_ssize_t padding_length = ulength - 1;
-    if (likely((padding_length <= 250) && (value < 0xD800 || value > 0xDFFF))) {
-        char chars[256];
-        if (value <= 255) {
-            memset(chars, padding_char, (size_t) padding_length);
-            chars[ulength-1] = (char) value;
-            return PyUnicode_DecodeLatin1(chars, ulength, NULL);
-        }
-        char *cpos = chars + sizeof(chars);
-        if (value < 0x800) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xc0 | (value & 0x1f));
-        } else if (value < 0x10000) {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xe0 | (value & 0x0f));
-        } else {
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0x80 | (value & 0x3f));
-            value >>= 6;
-            *--cpos = (char) (0xf0 | (value & 0x07));
-        }
-        cpos -= padding_length;
-        memset(cpos, padding_char, (size_t) padding_length);
-        return PyUnicode_DecodeUTF8(cpos, chars + sizeof(chars) - cpos, NULL);
-    }
-    if (value <= 127 && CYTHON_USE_UNICODE_INTERNALS) {
-        const char chars[1] = {(char) value};
-        return __Pyx_PyUnicode_BuildFromAscii(ulength, chars, 1, 0, padding_char);
-    }
-    {
-        PyObject *uchar, *padding_uchar, *padding, *result;
-        padding_uchar = PyUnicode_FromOrdinal(padding_char);
-        if (unlikely(!padding_uchar)) return NULL;
-        padding = PySequence_Repeat(padding_uchar, padding_length);
-        Py_DECREF(padding_uchar);
-        if (unlikely(!padding)) return NULL;
-        uchar = PyUnicode_FromOrdinal(value);
-        if (unlikely(!uchar)) {
-            Py_DECREF(padding);
-            return NULL;
-        }
-        result = PyUnicode_Concat(padding, uchar);
-        Py_DECREF(padding);
-        Py_DECREF(uchar);
-        return result;
+    last_potential_ = now;
+  }
+  for (int32_t w : step_marked_)
+    if (nodes_[w].label != PF) {
+      PyErr_Format(AuditViolation, "marked node %d is not PF", w);
+      fail();
     }
 }
 
-/* CIntToPyUnicode */
-static CYTHON_INLINE PyObject* __Pyx_uchar___Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!(is_unsigned || value == 0 || value > 0) ||
-                    !(sizeof(value) <= 2 || value & ~ (int) 0x01fffff || __Pyx_CheckUnicodeValue((int) value)))) {
-        PyErr_SetString(PyExc_OverflowError, "%c arg not in range(0x110000)");
-        return NULL;
-    }
-    if (width <= 1) {
-        return PyUnicode_FromOrdinal((int) value);
-    }
-    return __Pyx_PyUnicode_FromOrdinal_Padded((int) value, width, padding_char);
-}
-static CYTHON_INLINE PyObject* __Pyx____Pyx_PyUnicode_From_int(int value, Py_ssize_t width, char padding_char, char format_char) {
-    char digits[sizeof(int)*3+2];
-    char *dpos, *end = digits + sizeof(int)*3+2;
-    const char *hex_digits = DIGITS_HEX;
-    Py_ssize_t length, ulength;
-    int prepend_sign, last_one_off;
-    int remaining;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (format_char == 'X') {
-        hex_digits += 16;
-        format_char = 'x';
-    }
-    remaining = value;
-    last_one_off = 0;
-    dpos = end;
-    do {
-        int digit_pos;
-        switch (format_char) {
-        case 'o':
-            digit_pos = abs((int)(remaining % (8*8)));
-            remaining = (int) (remaining / (8*8));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_8 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 8);
-            break;
-        case 'd':
-            digit_pos = abs((int)(remaining % (10*10)));
-            remaining = (int) (remaining / (10*10));
-            dpos -= 2;
-            memcpy(dpos, DIGIT_PAIRS_10 + digit_pos * 2, 2);
-            last_one_off = (digit_pos < 10);
-            break;
-        case 'x':
-            *(--dpos) = hex_digits[abs((int)(remaining % 16))];
-            remaining = (int) (remaining / 16);
-            break;
-        default:
-            assert(0);
-            break;
-        }
-    } while (unlikely(remaining != 0));
-    assert(!last_one_off || *dpos == '0');
-    dpos += last_one_off;
-    length = end - dpos;
-    ulength = length;
-    prepend_sign = 0;
-    if (!is_unsigned && value <= neg_one) {
-        if (padding_char == ' ' || width <= length + 1) {
-            *(--dpos) = '-';
-            ++length;
-        } else {
-            prepend_sign = 1;
-        }
-        ++ulength;
-    }
-    if (width > ulength) {
-        ulength = width;
-    }
-    if (ulength == 1) {
-        return PyUnicode_FromOrdinal(*dpos);
-    }
-    return __Pyx_PyUnicode_BuildFromAscii(ulength, dpos, (int) length, prepend_sign, padding_char);
-}
+// -- dynamics ---------------------------------------------------------------
 
-/* JoinPyUnicode */
-static PyObject* __Pyx_PyUnicode_Join(PyObject** values, Py_ssize_t value_count, Py_ssize_t result_ulength,
-                                      Py_UCS4 max_char) {
-#if CYTHON_USE_UNICODE_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    PyObject *result_uval;
-    int result_ukind, kind_shift;
-    Py_ssize_t i, char_pos;
-    void *result_udata;
-    if (max_char > 1114111) max_char = 1114111;
-    result_uval = PyUnicode_New(result_ulength, max_char);
-    if (unlikely(!result_uval)) return NULL;
-    result_ukind = (max_char <= 255) ? PyUnicode_1BYTE_KIND : (max_char <= 65535) ? PyUnicode_2BYTE_KIND : PyUnicode_4BYTE_KIND;
-    kind_shift = (result_ukind == PyUnicode_4BYTE_KIND) ? 2 : result_ukind - 1;
-    result_udata = PyUnicode_DATA(result_uval);
-    assert(kind_shift == 2 || kind_shift == 1 || kind_shift == 0);
-    if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - result_ulength < 0))
-        goto overflow;
-    char_pos = 0;
-    for (i=0; i < value_count; i++) {
-        int ukind;
-        Py_ssize_t ulength;
-        void *udata;
-        PyObject *uval = values[i];
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (__Pyx_PyUnicode_READY(uval) == (-1))
-            goto bad;
-        #endif
-        ulength = __Pyx_PyUnicode_GET_LENGTH(uval);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(ulength < 0)) goto bad;
-        #endif
-        if (unlikely(!ulength))
-            continue;
-        if (unlikely((PY_SSIZE_T_MAX >> kind_shift) - ulength < char_pos))
-            goto overflow;
-        ukind = __Pyx_PyUnicode_KIND(uval);
-        udata = __Pyx_PyUnicode_DATA(uval);
-        if (ukind == result_ukind) {
-            memcpy((char *)result_udata + (char_pos << kind_shift), udata, (size_t) (ulength << kind_shift));
-        } else {
-            #if PY_VERSION_HEX >= 0x030d0000
-            if (unlikely(PyUnicode_CopyCharacters(result_uval, char_pos, uval, 0, ulength) < 0)) goto bad;
-            #elif CYTHON_COMPILING_IN_CPYTHON || defined(_PyUnicode_FastCopyCharacters)
-            _PyUnicode_FastCopyCharacters(result_uval, char_pos, uval, 0, ulength);
-            #else
-            Py_ssize_t j;
-            for (j=0; j < ulength; j++) {
-                Py_UCS4 uchar = __Pyx_PyUnicode_READ(ukind, udata, j);
-                __Pyx_PyUnicode_WRITE(result_ukind, result_udata, char_pos+j, uchar);
-            }
-            #endif
-        }
-        char_pos += ulength;
-    }
-    return result_uval;
-overflow:
-    PyErr_SetString(PyExc_OverflowError, "join() result is too long for a Python string");
-bad:
-    Py_DECREF(result_uval);
-    return NULL;
-#else
-    Py_ssize_t i;
-    PyObject *result = NULL;
-    PyObject *value_tuple = PyTuple_New(value_count);
-    if (unlikely(!value_tuple)) return NULL;
-    CYTHON_UNUSED_VAR(max_char);
-    CYTHON_UNUSED_VAR(result_ulength);
-    for (i=0; i<value_count; i++) {
-        Py_INCREF(values[i]);
-        if (__Pyx_PyTuple_SET_ITEM(value_tuple, i, values[i]) != (0)) goto bad;
-    }
-    result = PyUnicode_Join(__pyx_mstate_global->__pyx_empty_unicode, value_tuple);
-bad:
-    Py_DECREF(value_tuple);
-    return result;
-#endif
-}
-
-/* RejectKeywords */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds) {
-    PyObject *key = NULL;
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds))) {
-        key = __Pyx_PySequence_ITEM(kwds, 0);
-    } else {
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *pos = NULL;
-#else
-        Py_ssize_t pos = 0;
-#endif
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-        if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return;
-#endif
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_XDECREF(pos);
-#endif
-    }
-    if (likely(key)) {
-        PyErr_Format(PyExc_TypeError,
-            "%s() got an unexpected keyword argument '%U'",
-            function_name, key);
-        Py_DECREF(key);
-    }
-}
-
-/* PyObjectCall2Args (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod1) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod1 (used by pop_index) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static PyObject* __Pyx__PyObject_CallMethod1(PyObject* method, PyObject* arg) {
-    PyObject *result = __Pyx_PyObject_CallOneArg(method, arg);
-    Py_DECREF(method);
-    return result;
-}
-#endif
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[2] = {obj, arg};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_Call2Args;
-    return PyObject_VectorcallMethod(method_name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_Call2Args(method, obj, arg);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) return NULL;
-    return __Pyx__PyObject_CallMethod1(method, arg);
-#endif
-}
-
-/* pop_index */
-static PyObject* __Pyx__PyObject_PopNewIndex(PyObject* L, PyObject* py_ix) {
-    PyObject *r;
-    if (unlikely(!py_ix)) return NULL;
-    r = __Pyx__PyObject_PopIndex(L, py_ix);
-    Py_DECREF(py_ix);
-    return r;
-}
-static PyObject* __Pyx__PyObject_PopIndex(PyObject* L, PyObject* py_ix) {
-    return __Pyx_PyObject_CallMethod1(L, __pyx_mstate_global->__pyx_n_u_pop, py_ix);
-}
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-static PyObject* __Pyx__PyList_PopIndex(PyObject* L, PyObject* py_ix, Py_ssize_t ix) {
-    Py_ssize_t size = PyList_GET_SIZE(L);
-    if (likely(size > (((PyListObject*)L)->allocated >> 1))) {
-        Py_ssize_t cix = ix;
-        if (cix < 0) {
-            cix += size;
-        }
-        if (likely(__Pyx_is_valid_index(cix, size))) {
-            PyObject* v = PyList_GET_ITEM(L, cix);
-            __Pyx_SET_SIZE(L, Py_SIZE(L) - 1);
-            size -= 1;
-            memmove(&PyList_GET_ITEM(L, cix), &PyList_GET_ITEM(L, cix+1), (size_t)(size-cix)*sizeof(PyObject*));
-            return v;
-        }
-    }
-    if (py_ix == Py_None) {
-        return __Pyx__PyObject_PopNewIndex(L, PyLong_FromSsize_t(ix));
-    } else {
-        return __Pyx__PyObject_PopIndex(L, py_ix);
-    }
-}
-#endif
-
-/* append */
-static CYTHON_INLINE int __Pyx_PyObject_Append(PyObject* L, PyObject* x) {
-    if (likely(PyList_CheckExact(L))) {
-        if (unlikely(__Pyx_PyList_Append(L, x) < 0)) return -1;
-    } else {
-        PyObject* retval = __Pyx_PyObject_CallMethod1(L, __pyx_mstate_global->__pyx_n_u_append, x);
-        if (unlikely(!retval))
-            return -1;
-        Py_DECREF(retval);
-    }
-    return 0;
-}
-
-/* PyObjectSetAttrStr */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE int __Pyx_PyObject_SetAttrStr(PyObject* obj, PyObject* attr_name, PyObject* value) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_setattro))
-        return tp->tp_setattro(obj, attr_name, value);
-    return PyObject_SetAttr(obj, attr_name, value);
-}
-#endif
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* CallTypeTraverse */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* SetVTable */
-static int __Pyx_SetVtable(PyTypeObject *type, void *vtable) {
-    PyObject *ob = PyCapsule_New(vtable, 0, 0);
-    if (unlikely(!ob))
-        goto bad;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(PyObject_SetAttr((PyObject *) type, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#else
-    if (unlikely(PyDict_SetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#endif
-        goto bad;
-    Py_DECREF(ob);
-    return 0;
-bad:
-    Py_XDECREF(ob);
-    return -1;
-}
-
-/* GetVTable (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type) {
-    void* ptr;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *ob = PyObject_GetAttr((PyObject *)type, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#else
-    PyObject *ob = PyObject_GetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#endif
-    if (!ob)
-        goto bad;
-    ptr = PyCapsule_GetPointer(ob, 0);
-    if (!ptr && !PyErr_Occurred())
-        PyErr_SetString(PyExc_RuntimeError, "invalid vtable found for imported type");
-    Py_DECREF(ob);
-    return ptr;
-bad:
-    Py_XDECREF(ob);
-    return NULL;
-}
-
-/* MergeVTables */
-static int __Pyx_MergeVtables(PyTypeObject *type) {
-    int i=0;
-    Py_ssize_t size;
-    void** base_vtables;
-    __Pyx_TypeName tp_base_name = NULL;
-    __Pyx_TypeName base_name = NULL;
-    void* unknown = (void*)-1;
-    PyObject* bases = __Pyx_PyType_GetSlot(type, tp_bases, PyObject*);
-    int base_depth = 0;
-    {
-        PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        while (base) {
-            base_depth += 1;
-            base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-        }
-    }
-    base_vtables = (void**) PyMem_Malloc(sizeof(void*) * (size_t)(base_depth + 1));
-    base_vtables[0] = unknown;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    size = PyTuple_Size(bases);
-    if (size < 0) goto other_failure;
-#else
-    size = PyTuple_GET_SIZE(bases);
-#endif
-    for (i = 1; i < size; i++) {
-        PyObject *basei;
-        void* base_vtable;
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#else
-        basei = PyTuple_GET_ITEM(bases, i);
-#endif
-        base_vtable = __Pyx_GetVtable((PyTypeObject*)basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-        if (base_vtable != NULL) {
-            int j;
-            PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-            for (j = 0; j < base_depth; j++) {
-                if (base_vtables[j] == unknown) {
-                    base_vtables[j] = __Pyx_GetVtable(base);
-                    base_vtables[j + 1] = unknown;
-                }
-                if (base_vtables[j] == base_vtable) {
-                    break;
-                } else if (base_vtables[j] == NULL) {
-                    goto bad;
-                }
-                base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-            }
-        }
-    }
-    PyErr_Clear();
-    PyMem_Free(base_vtables);
-    return 0;
-bad:
-    {
-        PyTypeObject* basei = NULL;
-        PyTypeObject* tp_base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        tp_base_name = __Pyx_PyType_GetFullyQualifiedName(tp_base);
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = (PyTypeObject*)PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = (PyTypeObject*)PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#else
-        basei = (PyTypeObject*)PyTuple_GET_ITEM(bases, i);
-#endif
-        base_name = __Pyx_PyType_GetFullyQualifiedName(basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-    }
-    PyErr_Format(PyExc_TypeError,
-        "multiple bases have vtable conflict: '" __Pyx_FMT_TYPENAME "' and '" __Pyx_FMT_TYPENAME "'", tp_base_name, base_name);
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-really_bad: // bad has failed!
-#endif
-    __Pyx_DECREF_TypeName(tp_base_name);
-    __Pyx_DECREF_TypeName(base_name);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-other_failure:
-#endif
-    PyMem_Free(base_vtables);
-    return -1;
-}
-
-/* DelItemOnTypeDict (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_DelItem(tp_dict, k);
-    if (likely(!result)) PyType_Modified(tp);
-    return result;
-}
-
-/* SetupReduce */
-static int __Pyx_setup_reduce_is_named(PyObject* meth, PyObject* name) {
-  int ret;
-  PyObject *name_attr;
-  name_attr = __Pyx_PyObject_GetAttrStrNoError(meth, __pyx_mstate_global->__pyx_n_u_name);
-  if (likely(name_attr)) {
-      ret = PyObject_RichCompareBool(name_attr, name, Py_EQ);
+// One growth attempt, PyEngine.step; returns true once the process stopped.
+bool Engine::step() {
+  if (stopped_) return true;
+  ++step_index_;
+  if (wpositive_ == 0) {
+    stopped_ = true;
+    return true;
+  }
+  const int m = law_support_[pmf_index()];
+  for (int i = 0; i < m; ++i) pbuf_[i] = w_select(draw() * wtotal_);
+  const int8_t label = maybe(error_rate_) ? CF : CT;
+  const int32_t v = add_node(m, label);
+  run_check(v);
+  if (!step_marked_.empty()) apply_marks();
+  if (pt_false_ == 0) {
+    if (zero_since_ == -1) zero_since_ = step_index_;
   } else {
-      ret = -1;
+    zero_since_ = -1;
   }
-  if (unlikely(ret < 0)) {
-      PyErr_Clear();
-      ret = 0;
+  if (audit_on_) cheap_audit();
+  return false;
+}
+
+// -- Python-facing views ----------------------------------------------------
+
+PyObject *Engine::counts() const {
+  long long n = static_cast<long long>(nodes_.size());
+  return check(Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L}", "nodes", n, "pt",
+                             n - pf_count_, "pt_false", pt_false_, "pf",
+                             pf_count_, "minimal_false", f_count_, "leaves",
+                             l_count_));
+}
+
+PyObject *optional(long long x) {
+  if (x < 0) Py_RETURN_NONE;
+  return check(PyLong_FromLongLong(x));
+}
+
+// run_python_trial's loop and early exit; ``horizon`` steps at most.
+PyObject *Engine::run(int horizon, PyObject *checkpoint_steps) {
+  Ref unique(check(PySet_New(checkpoint_steps)));
+  Ref pending(check(PySequence_List(unique.get())));
+  if (PyList_Sort(pending.get()) < 0) fail();
+  const Py_ssize_t total = PyList_GET_SIZE(pending.get());
+  std::vector<long long> at(total);
+  for (Py_ssize_t i = 0; i < total; ++i) {
+    int overflow = 0;
+    at[i] = PyLong_AsLongLongAndOverflow(PyList_GET_ITEM(pending.get(), i),
+                                         &overflow);
+    if (at[i] == -1 && PyErr_Occurred()) fail();
+    if (overflow) at[i] = overflow > 0 ? LLONG_MAX : LLONG_MIN;
   }
-  Py_XDECREF(name_attr);
-  return ret;
-}
-static int __Pyx_setup_reduce(PyObject* type_obj) {
-    int ret = 0;
-    PyObject *object_reduce = NULL;
-    PyObject *object_getstate = NULL;
-    PyObject *object_reduce_ex = NULL;
-    PyObject *reduce = NULL;
-    PyObject *reduce_ex = NULL;
-    PyObject *reduce_cython = NULL;
-    PyObject *setstate = NULL;
-    PyObject *setstate_cython = NULL;
-    PyObject *getstate = NULL;
-#if CYTHON_USE_PYTYPE_LOOKUP
-    getstate = _PyType_Lookup((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-    getstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-    if (!getstate && PyErr_Occurred()) {
-        goto __PYX_BAD;
-    }
-#endif
-    if (getstate) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_getstate = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-        object_getstate = __Pyx_PyObject_GetAttrStrNoError((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-        if (!object_getstate && PyErr_Occurred()) {
-            goto __PYX_BAD;
-        }
-#endif
-        if (object_getstate != getstate) {
-            goto __PYX_GOOD;
-        }
-    }
-#if CYTHON_USE_PYTYPE_LOOKUP
-    object_reduce_ex = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#else
-    object_reduce_ex = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#endif
-    reduce_ex = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (unlikely(!reduce_ex)) goto __PYX_BAD;
-    if (reduce_ex == object_reduce_ex) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_reduce = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#else
-        object_reduce = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#endif
-        reduce = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce); if (unlikely(!reduce)) goto __PYX_BAD;
-        if (reduce == object_reduce || __Pyx_setup_reduce_is_named(reduce, __pyx_mstate_global->__pyx_n_u_reduce_cython)) {
-            reduce_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython);
-            if (likely(reduce_cython)) {
-                ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce, reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-            } else if (reduce == object_reduce || PyErr_Occurred()) {
-                goto __PYX_BAD;
-            }
-            setstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate);
-            if (!setstate) PyErr_Clear();
-            if (!setstate || __Pyx_setup_reduce_is_named(setstate, __pyx_mstate_global->__pyx_n_u_setstate_cython)) {
-                setstate_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython);
-                if (likely(setstate_cython)) {
-                    ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate, setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                    ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                } else if (!setstate || PyErr_Occurred()) {
-                    goto __PYX_BAD;
-                }
-            }
-            PyType_Modified((PyTypeObject*)type_obj);
-        }
-    }
-    goto __PYX_GOOD;
-__PYX_BAD:
-    if (!PyErr_Occurred()) {
-        __Pyx_TypeName type_obj_name =
-            __Pyx_PyType_GetFullyQualifiedName((PyTypeObject*)type_obj);
-        PyErr_Format(PyExc_RuntimeError,
-            "Unable to initialize pickling for " __Pyx_FMT_TYPENAME, type_obj_name);
-        __Pyx_DECREF_TypeName(type_obj_name);
-    }
-    ret = -1;
-__PYX_GOOD:
-#if !CYTHON_USE_PYTYPE_LOOKUP
-    Py_XDECREF(object_reduce);
-    Py_XDECREF(object_reduce_ex);
-    Py_XDECREF(object_getstate);
-    Py_XDECREF(getstate);
-#endif
-    Py_XDECREF(reduce);
-    Py_XDECREF(reduce_ex);
-    Py_XDECREF(reduce_cython);
-    Py_XDECREF(setstate);
-    Py_XDECREF(setstate_cython);
-    return ret;
+  Ref checkpoints(check(PyList_New(0)));
+  Py_ssize_t next = 0;
+  auto record = [&]() {
+    Ref now(counts());
+    Ref entry(check(
+        PyTuple_Pack(2, PyList_GET_ITEM(pending.get(), next), now.get())));
+    if (PyList_Append(checkpoints.get(), entry.get()) < 0) fail();
+    ++next;
+  };
+  while (next < total && at[next] <= 0) record();
+  for (long long t = 1; t <= horizon; ++t) {
+    bool stopped_now = step();
+    while (next < total && at[next] <= t) record();
+    if (stopped_now) break;
+    if (pt_false_ == 0 && simple_) break;
+  }
+  while (next < total) record();
+  Ref eliminated(optional(pt_false_ == 0 ? zero_since_ : -1));
+  Ref stopped_at(optional(stopped_ ? step_index_ : -1));
+  Ref final_counts(counts());
+  return check(Py_BuildValue(
+      "{s:O,s:O,s:O,s:O,s:O,s:O}", "survived_at_horizon",
+      pt_false_ > 0 ? Py_True : Py_False, "eliminated_at", eliminated.get(),
+      "stopped_at", stopped_at.get(), "pf_exists",
+      pf_count_ > 0 ? Py_True : Py_False, "final_counts", final_counts.get(),
+      "checkpoints", checkpoints.get()));
 }
 
-/* TypeImport */
-#ifndef __PYX_HAVE_RT_ImportType_3_2_8
-#define __PYX_HAVE_RT_ImportType_3_2_8
-static PyTypeObject *__Pyx_ImportType_3_2_8(PyObject *module, const char *module_name, const char *class_name,
-    size_t size, size_t alignment, enum __Pyx_ImportType_CheckSize_3_2_8 check_size)
-{
-    PyObject *result = 0;
-    Py_ssize_t basicsize;
-    Py_ssize_t itemsize;
-#if defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API)
-    PyObject *py_basicsize;
-    PyObject *py_itemsize;
-#endif
-    result = PyObject_GetAttrString(module, class_name);
-    if (!result)
-        goto bad;
-    if (!PyType_Check(result)) {
-        PyErr_Format(PyExc_TypeError,
-            "%.200s.%.200s is not a type object",
-            module_name, class_name);
-        goto bad;
-    }
-#if !( defined(Py_LIMITED_API) || (defined(CYTHON_COMPILING_IN_LIMITED_API) && CYTHON_COMPILING_IN_LIMITED_API) )
-    basicsize = ((PyTypeObject *)result)->tp_basicsize;
-    itemsize = ((PyTypeObject *)result)->tp_itemsize;
-#else
-    if (size == 0) {
-        return (PyTypeObject *)result;
-    }
-    py_basicsize = PyObject_GetAttrString(result, "__basicsize__");
-    if (!py_basicsize)
-        goto bad;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = 0;
-    if (basicsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-    py_itemsize = PyObject_GetAttrString(result, "__itemsize__");
-    if (!py_itemsize)
-        goto bad;
-    itemsize = PyLong_AsSsize_t(py_itemsize);
-    Py_DECREF(py_itemsize);
-    py_itemsize = 0;
-    if (itemsize == (Py_ssize_t)-1 && PyErr_Occurred())
-        goto bad;
-#endif
-    if (itemsize) {
-        if (size % alignment) {
-            alignment = size % alignment;
-        }
-        if (itemsize < (Py_ssize_t)alignment)
-            itemsize = (Py_ssize_t)alignment;
-    }
-    if ((size_t)(basicsize + itemsize) < size) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd from PyObject",
-            module_name, class_name, size, basicsize+itemsize);
-        goto bad;
-    }
-    if (check_size == __Pyx_ImportType_CheckSize_Error_3_2_8 &&
-            ((size_t)basicsize > size || (size_t)(basicsize + itemsize) < size)) {
-        PyErr_Format(PyExc_ValueError,
-            "%.200s.%.200s size changed, may indicate binary incompatibility. "
-            "Expected %zd from C header, got %zd-%zd from PyObject",
-            module_name, class_name, size, basicsize, basicsize+itemsize);
-        goto bad;
-    }
-    else if (check_size == __Pyx_ImportType_CheckSize_Warn_3_2_8 && (size_t)basicsize > size) {
-        if (PyErr_WarnFormat(NULL, 0,
-                "%.200s.%.200s size changed, may indicate binary incompatibility. "
-                "Expected %zd from C header, got %zd from PyObject",
-                module_name, class_name, size, basicsize) < 0) {
-            goto bad;
-        }
-    }
-    return (PyTypeObject *)result;
-bad:
-    Py_XDECREF(result);
-    return NULL;
+// A list of n items made by ``make(i)``.
+template <typename Make>
+PyObject *list_of(size_t n, Make make) {
+  Ref list(check(PyList_New(static_cast<Py_ssize_t>(n))));
+  for (size_t i = 0; i < n; ++i)
+    PyList_SET_ITEM(list.get(), static_cast<Py_ssize_t>(i), check(make(i)));
+  return list.release();
 }
-#endif
 
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
+PyObject *new_bool(bool b) { return Py_NewRef(b ? Py_True : Py_False); }
 
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
+// Rebuild a CkpState, for deep audits and parity checks.
+PyObject *Engine::export_state() const {
+  const size_t n = nodes_.size();
+  Ref st(check(PyObject_CallNoArgs(CkpStateType)));
+  auto set = [&](const char *name, PyObject *value) {
+    Ref owned(value);
+    if (PyObject_SetAttrString(st.get(), name, owned.get()) < 0) fail();
+  };
+  set("labels", list_of(n, [&](size_t v) {
+        return PyLong_FromLong(nodes_[v].label);
+      }));
+  set("is_false",
+      list_of(n, [&](size_t v) { return new_bool(nodes_[v].is_false); }));
+  set("birth",
+      list_of(n, [&](size_t v) { return PyLong_FromLong(birth_[v]); }));
+  set("adversarial",
+      list_of(n, [&](size_t v) { return new_bool(advers_[v]); }));
+  set("parents", list_of(n, [&](size_t v) {
+        const Node &nv = nodes_[v];
+        return list_of(nv.npar, [&](size_t j) {
+          return PyLong_FromLong(edge_parent_[nv.first + j]);
+        });
+      }));
+  set("children", list_of(n, [&](size_t v) {
+        Ref list(check(PyList_New(0)));
+        for (int32_t e = child_head_[v]; e >= 0; e = edge_next_[e]) {
+          Ref c(check(PyLong_FromLong(edge_child_[e])));
+          if (PyList_Append(list.get(), c.get()) < 0) fail();
         }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
+        return list.release();
+      }));
+  set("deg_pt",
+      list_of(n, [&](size_t v) { return PyLong_FromLong(nodes_[v].deg_pt); }));
+  set("deg_ct",
+      list_of(n, [&](size_t v) { return PyLong_FromLong(nodes_[v].deg_ct); }));
+  set("pf_parent_edges", list_of(n, [&](size_t v) {
+        return PyLong_FromLong(nodes_[v].pf_parent);
+      }));
+  set("pf_total", check(PyLong_FromLongLong(pf_total_)));
+  return st.release();
 }
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
+
+// The engine-side bookkeeping, named as PyEngine names it; ``tree`` is
+// the Fenwick array, all capacity + 1 slots.
+PyObject *Engine::export_bookkeeping() const {
+  const size_t n = nodes_.size();
+  Ref pf_child_len(check(PyDict_New()));
+  for (size_t v = 0; v < n; ++v) {
+    if (pf_child_len_[v] < 0) continue;
+    Ref key(check(PyLong_FromSize_t(v)));
+    Ref value(check(PyLong_FromLong(pf_child_len_[v])));
+    if (PyDict_SetItem(pf_child_len.get(), key.get(), value.get()) < 0)
+      fail();
+  }
+  Ref weights(list_of(static_cast<size_t>(wsize_), [&](size_t i) {
+    return PyFloat_FromDouble(weights_[i]);
+  }));
+  Ref tree(list_of(tree_.size(), [&](size_t i) {
+    return PyFloat_FromDouble(tree_[i]);
+  }));
+  Ref f_mem(list_of(
+      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].f_mem); }));
+  Ref l_mem(list_of(
+      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].l_mem); }));
+  Ref zero_since(optional(zero_since_));
+  return check(Py_BuildValue(
+      "{s:O,s:d,s:L,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O,s:L,s:O,s:O}", "weights",
+      weights.get(), "weight_total", wtotal_, "weight_positive", wpositive_,
+      "pt_false", pt_false_, "pf_count", pf_count_, "f_count", f_count_,
+      "l_count", l_count_, "f_mem", f_mem.get(), "l_mem", l_mem.get(),
+      "zero_since", zero_since.get(), "stopped",
+      stopped_ ? Py_True : Py_False, "step_index", step_index_,
+      "pf_child_len", pf_child_len.get(), "tree", tree.get()));
+}
+
+// -- the KernelEngine type ----------------------------------------------------
+
+struct KernelObject {
+  PyObject_HEAD
+  Engine *engine;
+};
+
+// Run ``body`` on the engine, turning C++ unwinding into a Python error.
+template <typename Body>
+PyObject *guarded(PyObject *self, Body body) {
+  Engine *engine = reinterpret_cast<KernelObject *>(self)->engine;
+  if (engine == nullptr) {
+    PyErr_SetString(PyExc_RuntimeError, "KernelEngine is not initialised");
+    return nullptr;
+  }
+  try {
+    return body(*engine);
+  } catch (const PyError &) {
+    return nullptr;
+  } catch (const std::bad_alloc &) {
+    return PyErr_NoMemory();
+  } catch (const std::length_error &) {
+    return PyErr_NoMemory();
+  }
+}
+
+int kernel_init(PyObject *self, PyObject *args, PyObject *kwds) {
+  static const char *kwlist[] = {"features", "init_state", "seed",
+                                 "audit_cheap", nullptr};
+  PyObject *features, *init_state, *seed, *audit_cheap = Py_False;
+  if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO|O:KernelEngine",
+                                   const_cast<char **>(kwlist), &features,
+                                   &init_state, &seed, &audit_cheap))
     return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
+  KernelObject *k = reinterpret_cast<KernelObject *>(self);
+  try {
+    Engine *engine =
+        new Engine(features, init_state, seed, truth(audit_cheap));
+    delete k->engine;
+    k->engine = engine;
     return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* ImportFrom */
-static PyObject* __Pyx_ImportFrom(PyObject* module, PyObject* name) {
-    PyObject* value = __Pyx_PyObject_GetAttrStr(module, name);
-    if (unlikely(!value) && PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        const char* module_name_str = 0;
-        PyObject* module_name = 0;
-        PyObject* module_dot = 0;
-        PyObject* full_name = 0;
-        PyErr_Clear();
-        module_name_str = PyModule_GetName(module);
-        if (unlikely(!module_name_str)) { goto modbad; }
-        module_name = PyUnicode_FromString(module_name_str);
-        if (unlikely(!module_name)) { goto modbad; }
-        module_dot = PyUnicode_Concat(module_name, __pyx_mstate_global->__pyx_kp_u_);
-        if (unlikely(!module_dot)) { goto modbad; }
-        full_name = PyUnicode_Concat(module_dot, name);
-        if (unlikely(!full_name)) { goto modbad; }
-        #if (CYTHON_COMPILING_IN_PYPY && PYPY_VERSION_NUM  < 0x07030400) ||\
-                CYTHON_COMPILING_IN_GRAAL
-        {
-            PyObject *modules = PyImport_GetModuleDict();
-            if (unlikely(!modules))
-                goto modbad;
-            value = PyObject_GetItem(modules, full_name);
-        }
-        #else
-        value = PyImport_GetModule(full_name);
-        #endif
-      modbad:
-        Py_XDECREF(full_name);
-        Py_XDECREF(module_dot);
-        Py_XDECREF(module_name);
-    }
-    if (unlikely(!value)) {
-        PyErr_Format(PyExc_ImportError, "cannot import name %S", name);
-    }
-    return value;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
+  } catch (const PyError &) {
     return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* Declarations */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-  #ifdef __cplusplus
-    static CYTHON_INLINE __pyx_t_float_complex __pyx_t_float_complex_from_parts(float x, float y) {
-      return ::std::complex< float >(x, y);
-    }
-  #else
-    static CYTHON_INLINE __pyx_t_float_complex __pyx_t_float_complex_from_parts(float x, float y) {
-      return x + y*(__pyx_t_float_complex)_Complex_I;
-    }
-  #endif
-#else
-    static CYTHON_INLINE __pyx_t_float_complex __pyx_t_float_complex_from_parts(float x, float y) {
-      __pyx_t_float_complex z;
-      z.real = x;
-      z.imag = y;
-      return z;
-    }
-#endif
-
-/* Arithmetic */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-#else
-    static CYTHON_INLINE int __Pyx_c_eq_float(__pyx_t_float_complex a, __pyx_t_float_complex b) {
-       return (a.real == b.real) && (a.imag == b.imag);
-    }
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_sum_float(__pyx_t_float_complex a, __pyx_t_float_complex b) {
-        __pyx_t_float_complex z;
-        z.real = a.real + b.real;
-        z.imag = a.imag + b.imag;
-        return z;
-    }
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_diff_float(__pyx_t_float_complex a, __pyx_t_float_complex b) {
-        __pyx_t_float_complex z;
-        z.real = a.real - b.real;
-        z.imag = a.imag - b.imag;
-        return z;
-    }
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_prod_float(__pyx_t_float_complex a, __pyx_t_float_complex b) {
-        __pyx_t_float_complex z;
-        z.real = a.real * b.real - a.imag * b.imag;
-        z.imag = a.real * b.imag + a.imag * b.real;
-        return z;
-    }
-    #if 1
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_quot_float(__pyx_t_float_complex a, __pyx_t_float_complex b) {
-        if (b.imag == 0) {
-            return __pyx_t_float_complex_from_parts(a.real / b.real, a.imag / b.real);
-        } else if (fabsf(b.real) >= fabsf(b.imag)) {
-            if (b.real == 0 && b.imag == 0) {
-                return __pyx_t_float_complex_from_parts(a.real / b.real, a.imag / b.imag);
-            } else {
-                float r = b.imag / b.real;
-                float s = (float)(1.0) / (b.real + b.imag * r);
-                return __pyx_t_float_complex_from_parts(
-                    (a.real + a.imag * r) * s, (a.imag - a.real * r) * s);
-            }
-        } else {
-            float r = b.real / b.imag;
-            float s = (float)(1.0) / (b.imag + b.real * r);
-            return __pyx_t_float_complex_from_parts(
-                (a.real * r + a.imag) * s, (a.imag * r - a.real) * s);
-        }
-    }
-    #else
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_quot_float(__pyx_t_float_complex a, __pyx_t_float_complex b) {
-        if (b.imag == 0) {
-            return __pyx_t_float_complex_from_parts(a.real / b.real, a.imag / b.real);
-        } else {
-            float denom = b.real * b.real + b.imag * b.imag;
-            return __pyx_t_float_complex_from_parts(
-                (a.real * b.real + a.imag * b.imag) / denom,
-                (a.imag * b.real - a.real * b.imag) / denom);
-        }
-    }
-    #endif
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_neg_float(__pyx_t_float_complex a) {
-        __pyx_t_float_complex z;
-        z.real = -a.real;
-        z.imag = -a.imag;
-        return z;
-    }
-    static CYTHON_INLINE int __Pyx_c_is_zero_float(__pyx_t_float_complex a) {
-       return (a.real == 0) && (a.imag == 0);
-    }
-    static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_conj_float(__pyx_t_float_complex a) {
-        __pyx_t_float_complex z;
-        z.real =  a.real;
-        z.imag = -a.imag;
-        return z;
-    }
-    #if 1
-        static CYTHON_INLINE float __Pyx_c_abs_float(__pyx_t_float_complex z) {
-          #if !defined(HAVE_HYPOT) || defined(_MSC_VER)
-            return sqrtf(z.real*z.real + z.imag*z.imag);
-          #else
-            return hypotf(z.real, z.imag);
-          #endif
-        }
-        static CYTHON_INLINE __pyx_t_float_complex __Pyx_c_pow_float(__pyx_t_float_complex a, __pyx_t_float_complex b) {
-            __pyx_t_float_complex z;
-            float r, lnr, theta, z_r, z_theta;
-            if (b.imag == 0 && b.real == (int)b.real) {
-                if (b.real < 0) {
-                    float denom = a.real * a.real + a.imag * a.imag;
-                    a.real = a.real / denom;
-                    a.imag = -a.imag / denom;
-                    b.real = -b.real;
-                }
-                switch ((int)b.real) {
-                    case 0:
-                        z.real = 1;
-                        z.imag = 0;
-                        return z;
-                    case 1:
-                        return a;
-                    case 2:
-                        return __Pyx_c_prod_float(a, a);
-                    case 3:
-                        z = __Pyx_c_prod_float(a, a);
-                        return __Pyx_c_prod_float(z, a);
-                    case 4:
-                        z = __Pyx_c_prod_float(a, a);
-                        return __Pyx_c_prod_float(z, z);
-                }
-            }
-            if (a.imag == 0) {
-                if (a.real == 0) {
-                    return a;
-                } else if ((b.imag == 0) && (a.real >= 0)) {
-                    z.real = powf(a.real, b.real);
-                    z.imag = 0;
-                    return z;
-                } else if (a.real > 0) {
-                    r = a.real;
-                    theta = 0;
-                } else {
-                    r = -a.real;
-                    theta = atan2f(0.0, -1.0);
-                }
-            } else {
-                r = __Pyx_c_abs_float(a);
-                theta = atan2f(a.imag, a.real);
-            }
-            lnr = logf(r);
-            z_r = expf(lnr * b.real - theta * b.imag);
-            z_theta = theta * b.real + lnr * b.imag;
-            z.real = z_r * cosf(z_theta);
-            z.imag = z_r * sinf(z_theta);
-            return z;
-        }
-    #endif
-#endif
-
-/* Declarations */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-  #ifdef __cplusplus
-    static CYTHON_INLINE __pyx_t_double_complex __pyx_t_double_complex_from_parts(double x, double y) {
-      return ::std::complex< double >(x, y);
-    }
-  #else
-    static CYTHON_INLINE __pyx_t_double_complex __pyx_t_double_complex_from_parts(double x, double y) {
-      return x + y*(__pyx_t_double_complex)_Complex_I;
-    }
-  #endif
-#else
-    static CYTHON_INLINE __pyx_t_double_complex __pyx_t_double_complex_from_parts(double x, double y) {
-      __pyx_t_double_complex z;
-      z.real = x;
-      z.imag = y;
-      return z;
-    }
-#endif
-
-/* Arithmetic */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-#else
-    static CYTHON_INLINE int __Pyx_c_eq_double(__pyx_t_double_complex a, __pyx_t_double_complex b) {
-       return (a.real == b.real) && (a.imag == b.imag);
-    }
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_sum_double(__pyx_t_double_complex a, __pyx_t_double_complex b) {
-        __pyx_t_double_complex z;
-        z.real = a.real + b.real;
-        z.imag = a.imag + b.imag;
-        return z;
-    }
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_diff_double(__pyx_t_double_complex a, __pyx_t_double_complex b) {
-        __pyx_t_double_complex z;
-        z.real = a.real - b.real;
-        z.imag = a.imag - b.imag;
-        return z;
-    }
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_prod_double(__pyx_t_double_complex a, __pyx_t_double_complex b) {
-        __pyx_t_double_complex z;
-        z.real = a.real * b.real - a.imag * b.imag;
-        z.imag = a.real * b.imag + a.imag * b.real;
-        return z;
-    }
-    #if 1
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_quot_double(__pyx_t_double_complex a, __pyx_t_double_complex b) {
-        if (b.imag == 0) {
-            return __pyx_t_double_complex_from_parts(a.real / b.real, a.imag / b.real);
-        } else if (fabs(b.real) >= fabs(b.imag)) {
-            if (b.real == 0 && b.imag == 0) {
-                return __pyx_t_double_complex_from_parts(a.real / b.real, a.imag / b.imag);
-            } else {
-                double r = b.imag / b.real;
-                double s = (double)(1.0) / (b.real + b.imag * r);
-                return __pyx_t_double_complex_from_parts(
-                    (a.real + a.imag * r) * s, (a.imag - a.real * r) * s);
-            }
-        } else {
-            double r = b.real / b.imag;
-            double s = (double)(1.0) / (b.imag + b.real * r);
-            return __pyx_t_double_complex_from_parts(
-                (a.real * r + a.imag) * s, (a.imag * r - a.real) * s);
-        }
-    }
-    #else
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_quot_double(__pyx_t_double_complex a, __pyx_t_double_complex b) {
-        if (b.imag == 0) {
-            return __pyx_t_double_complex_from_parts(a.real / b.real, a.imag / b.real);
-        } else {
-            double denom = b.real * b.real + b.imag * b.imag;
-            return __pyx_t_double_complex_from_parts(
-                (a.real * b.real + a.imag * b.imag) / denom,
-                (a.imag * b.real - a.real * b.imag) / denom);
-        }
-    }
-    #endif
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_neg_double(__pyx_t_double_complex a) {
-        __pyx_t_double_complex z;
-        z.real = -a.real;
-        z.imag = -a.imag;
-        return z;
-    }
-    static CYTHON_INLINE int __Pyx_c_is_zero_double(__pyx_t_double_complex a) {
-       return (a.real == 0) && (a.imag == 0);
-    }
-    static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_conj_double(__pyx_t_double_complex a) {
-        __pyx_t_double_complex z;
-        z.real =  a.real;
-        z.imag = -a.imag;
-        return z;
-    }
-    #if 1
-        static CYTHON_INLINE double __Pyx_c_abs_double(__pyx_t_double_complex z) {
-          #if !defined(HAVE_HYPOT) || defined(_MSC_VER)
-            return sqrt(z.real*z.real + z.imag*z.imag);
-          #else
-            return hypot(z.real, z.imag);
-          #endif
-        }
-        static CYTHON_INLINE __pyx_t_double_complex __Pyx_c_pow_double(__pyx_t_double_complex a, __pyx_t_double_complex b) {
-            __pyx_t_double_complex z;
-            double r, lnr, theta, z_r, z_theta;
-            if (b.imag == 0 && b.real == (int)b.real) {
-                if (b.real < 0) {
-                    double denom = a.real * a.real + a.imag * a.imag;
-                    a.real = a.real / denom;
-                    a.imag = -a.imag / denom;
-                    b.real = -b.real;
-                }
-                switch ((int)b.real) {
-                    case 0:
-                        z.real = 1;
-                        z.imag = 0;
-                        return z;
-                    case 1:
-                        return a;
-                    case 2:
-                        return __Pyx_c_prod_double(a, a);
-                    case 3:
-                        z = __Pyx_c_prod_double(a, a);
-                        return __Pyx_c_prod_double(z, a);
-                    case 4:
-                        z = __Pyx_c_prod_double(a, a);
-                        return __Pyx_c_prod_double(z, z);
-                }
-            }
-            if (a.imag == 0) {
-                if (a.real == 0) {
-                    return a;
-                } else if ((b.imag == 0) && (a.real >= 0)) {
-                    z.real = pow(a.real, b.real);
-                    z.imag = 0;
-                    return z;
-                } else if (a.real > 0) {
-                    r = a.real;
-                    theta = 0;
-                } else {
-                    r = -a.real;
-                    theta = atan2(0.0, -1.0);
-                }
-            } else {
-                r = __Pyx_c_abs_double(a);
-                theta = atan2(a.imag, a.real);
-            }
-            lnr = log(r);
-            z_r = exp(lnr * b.real - theta * b.imag);
-            z_theta = theta * b.real + lnr * b.imag;
-            z.real = z_r * cos(z_theta);
-            z.imag = z_r * sin(z_theta);
-            return z;
-        }
-    #endif
-#endif
-
-/* Declarations */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-  #ifdef __cplusplus
-    static CYTHON_INLINE __pyx_t_long_double_complex __pyx_t_long_double_complex_from_parts(long double x, long double y) {
-      return ::std::complex< long double >(x, y);
-    }
-  #else
-    static CYTHON_INLINE __pyx_t_long_double_complex __pyx_t_long_double_complex_from_parts(long double x, long double y) {
-      return x + y*(__pyx_t_long_double_complex)_Complex_I;
-    }
-  #endif
-#else
-    static CYTHON_INLINE __pyx_t_long_double_complex __pyx_t_long_double_complex_from_parts(long double x, long double y) {
-      __pyx_t_long_double_complex z;
-      z.real = x;
-      z.imag = y;
-      return z;
-    }
-#endif
-
-/* Arithmetic */
-#if CYTHON_CCOMPLEX && (1) && (!0 || __cplusplus)
-#else
-    static CYTHON_INLINE int __Pyx_c_eq_long__double(__pyx_t_long_double_complex a, __pyx_t_long_double_complex b) {
-       return (a.real == b.real) && (a.imag == b.imag);
-    }
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_sum_long__double(__pyx_t_long_double_complex a, __pyx_t_long_double_complex b) {
-        __pyx_t_long_double_complex z;
-        z.real = a.real + b.real;
-        z.imag = a.imag + b.imag;
-        return z;
-    }
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_diff_long__double(__pyx_t_long_double_complex a, __pyx_t_long_double_complex b) {
-        __pyx_t_long_double_complex z;
-        z.real = a.real - b.real;
-        z.imag = a.imag - b.imag;
-        return z;
-    }
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_prod_long__double(__pyx_t_long_double_complex a, __pyx_t_long_double_complex b) {
-        __pyx_t_long_double_complex z;
-        z.real = a.real * b.real - a.imag * b.imag;
-        z.imag = a.real * b.imag + a.imag * b.real;
-        return z;
-    }
-    #if 1
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_quot_long__double(__pyx_t_long_double_complex a, __pyx_t_long_double_complex b) {
-        if (b.imag == 0) {
-            return __pyx_t_long_double_complex_from_parts(a.real / b.real, a.imag / b.real);
-        } else if (fabsl(b.real) >= fabsl(b.imag)) {
-            if (b.real == 0 && b.imag == 0) {
-                return __pyx_t_long_double_complex_from_parts(a.real / b.real, a.imag / b.imag);
-            } else {
-                long double r = b.imag / b.real;
-                long double s = (long double)(1.0) / (b.real + b.imag * r);
-                return __pyx_t_long_double_complex_from_parts(
-                    (a.real + a.imag * r) * s, (a.imag - a.real * r) * s);
-            }
-        } else {
-            long double r = b.real / b.imag;
-            long double s = (long double)(1.0) / (b.imag + b.real * r);
-            return __pyx_t_long_double_complex_from_parts(
-                (a.real * r + a.imag) * s, (a.imag * r - a.real) * s);
-        }
-    }
-    #else
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_quot_long__double(__pyx_t_long_double_complex a, __pyx_t_long_double_complex b) {
-        if (b.imag == 0) {
-            return __pyx_t_long_double_complex_from_parts(a.real / b.real, a.imag / b.real);
-        } else {
-            long double denom = b.real * b.real + b.imag * b.imag;
-            return __pyx_t_long_double_complex_from_parts(
-                (a.real * b.real + a.imag * b.imag) / denom,
-                (a.imag * b.real - a.real * b.imag) / denom);
-        }
-    }
-    #endif
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_neg_long__double(__pyx_t_long_double_complex a) {
-        __pyx_t_long_double_complex z;
-        z.real = -a.real;
-        z.imag = -a.imag;
-        return z;
-    }
-    static CYTHON_INLINE int __Pyx_c_is_zero_long__double(__pyx_t_long_double_complex a) {
-       return (a.real == 0) && (a.imag == 0);
-    }
-    static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_conj_long__double(__pyx_t_long_double_complex a) {
-        __pyx_t_long_double_complex z;
-        z.real =  a.real;
-        z.imag = -a.imag;
-        return z;
-    }
-    #if 1
-        static CYTHON_INLINE long double __Pyx_c_abs_long__double(__pyx_t_long_double_complex z) {
-          #if !defined(HAVE_HYPOT) || defined(_MSC_VER)
-            return sqrtl(z.real*z.real + z.imag*z.imag);
-          #else
-            return hypotl(z.real, z.imag);
-          #endif
-        }
-        static CYTHON_INLINE __pyx_t_long_double_complex __Pyx_c_pow_long__double(__pyx_t_long_double_complex a, __pyx_t_long_double_complex b) {
-            __pyx_t_long_double_complex z;
-            long double r, lnr, theta, z_r, z_theta;
-            if (b.imag == 0 && b.real == (int)b.real) {
-                if (b.real < 0) {
-                    long double denom = a.real * a.real + a.imag * a.imag;
-                    a.real = a.real / denom;
-                    a.imag = -a.imag / denom;
-                    b.real = -b.real;
-                }
-                switch ((int)b.real) {
-                    case 0:
-                        z.real = 1;
-                        z.imag = 0;
-                        return z;
-                    case 1:
-                        return a;
-                    case 2:
-                        return __Pyx_c_prod_long__double(a, a);
-                    case 3:
-                        z = __Pyx_c_prod_long__double(a, a);
-                        return __Pyx_c_prod_long__double(z, a);
-                    case 4:
-                        z = __Pyx_c_prod_long__double(a, a);
-                        return __Pyx_c_prod_long__double(z, z);
-                }
-            }
-            if (a.imag == 0) {
-                if (a.real == 0) {
-                    return a;
-                } else if ((b.imag == 0) && (a.real >= 0)) {
-                    z.real = powl(a.real, b.real);
-                    z.imag = 0;
-                    return z;
-                } else if (a.real > 0) {
-                    r = a.real;
-                    theta = 0;
-                } else {
-                    r = -a.real;
-                    theta = atan2l(0.0, -1.0);
-                }
-            } else {
-                r = __Pyx_c_abs_long__double(a);
-                theta = atan2l(a.imag, a.real);
-            }
-            lnr = logl(r);
-            z_r = expl(lnr * b.real - theta * b.imag);
-            z_theta = theta * b.real + lnr * b.imag;
-            z.real = z_r * cosl(z_theta);
-            z.imag = z_r * sinl(z_theta);
-            return z;
-        }
-    #endif
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const size_t neg_one = (size_t) -1, const_zero = (size_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        size_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (size_t) -1;
-        val = __Pyx_PyLong_As_size_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 2 * PyLong_SHIFT)) {
-                            return (size_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 3 * PyLong_SHIFT)) {
-                            return (size_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 4 * PyLong_SHIFT)) {
-                            return (size_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (size_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(size_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(size_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) ((((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(size_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        size_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (size_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (size_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (size_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (size_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(size_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((size_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(size_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((size_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((size_t) 1) << (sizeof(size_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (size_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to size_t");
-    return (size_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to size_t");
-    return (size_t) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u__3);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
+  } catch (const std::bad_alloc &) {
+    PyErr_NoMemory();
+    return -1;
+  } catch (const std::length_error &) {
+    PyErr_NoMemory();
+    return -1;
   }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
 }
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
+void kernel_dealloc(PyObject *self) {
+  PyTypeObject *type = Py_TYPE(self);
+  delete reinterpret_cast<KernelObject *>(self)->engine;
+  type->tp_free(self);
+  Py_DECREF(type);
+}
+
+PyObject *kernel_counts(PyObject *self, PyObject *) {
+  return guarded(self, [](Engine &e) { return e.counts(); });
+}
+
+PyObject *kernel_run(PyObject *self, PyObject *args, PyObject *kwds) {
+  static const char *kwlist[] = {"horizon", "checkpoint_steps", nullptr};
+  int horizon;
+  PyObject *checkpoint_steps = nullptr;
+  if (!PyArg_ParseTupleAndKeywords(args, kwds, "i|O:run",
+                                   const_cast<char **>(kwlist), &horizon,
+                                   &checkpoint_steps))
+    return nullptr;
+  return guarded(self, [&](Engine &e) {
+    if (checkpoint_steps != nullptr) return e.run(horizon, checkpoint_steps);
+    Ref none(check(PyTuple_New(0)));
+    return e.run(horizon, none.get());
+  });
+}
+
+PyObject *kernel_export_state(PyObject *self, PyObject *) {
+  return guarded(self, [](Engine &e) { return e.export_state(); });
+}
+
+PyObject *kernel_export_bookkeeping(PyObject *self, PyObject *) {
+  return guarded(self, [](Engine &e) { return e.export_bookkeeping(); });
+}
+
+PyMethodDef kernel_methods[] = {
+    {"counts", kernel_counts, METH_NOARGS,
+     "Node, PT, PT False, PF, minimal false and leaf counts."},
+    {"run", reinterpret_cast<PyCFunction>(reinterpret_cast<void (*)(void)>(
+                kernel_run)),
+     METH_VARARGS | METH_KEYWORDS,
+     "run(horizon, checkpoint_steps=()): up to horizon steps with the pure "
+     "engine's early exit; returns the summary run_python_trial would "
+     "produce."},
+    {"export_state", kernel_export_state, METH_NOARGS,
+     "The current state as a CkpState."},
+    {"export_bookkeeping", kernel_export_bookkeeping, METH_NOARGS,
+     "The incremental bookkeeping: weight index, counters, membership."},
+    {nullptr, nullptr, 0, nullptr}};
+
+PyType_Slot kernel_slots[] = {
+    {Py_tp_doc,
+     const_cast<char *>(
+         "KernelEngine(features, init_state, seed, audit_cheap=False)\n\n"
+         "One trajectory of the non-adversarial process, replaying the "
+         "pure engine's decision stream.")},
+    {Py_tp_new, reinterpret_cast<void *>(PyType_GenericNew)},
+    {Py_tp_init, reinterpret_cast<void *>(kernel_init)},
+    {Py_tp_dealloc, reinterpret_cast<void *>(kernel_dealloc)},
+    {Py_tp_methods, kernel_methods},
+    {0, nullptr}};
+
+PyType_Spec kernel_spec = {"ckplab._kernel.KernelEngine",
+                           sizeof(KernelObject), 0, Py_TPFLAGS_DEFAULT,
+                           kernel_slots};
+
+PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    "_kernel",
+    "Compiled trial loop: a draw-for-draw mirror of the pure engine.",
+    -1,
+    nullptr,
+    nullptr,
+    nullptr,
+    nullptr,
+    nullptr};
+
+PyObject *import_attr(const char *module, const char *name) {
+  PyObject *mod = PyImport_ImportModule(module);
+  if (mod == nullptr) return nullptr;
+  PyObject *value = PyObject_GetAttrString(mod, name);
+  Py_DECREF(mod);
+  return value;
+}
+
+}  // namespace
+
+PyMODINIT_FUNC PyInit__kernel(void) {
+  if (!(AllWeightsZero = import_attr("ckplab.attachment", "AllWeightsZero")) ||
+      !(AuditViolation = import_attr("ckplab.evolution", "AuditViolation")) ||
+      !(StateError = import_attr("ckplab.state", "StateError")) ||
+      !(CkpStateType = import_attr("ckplab.state", "CkpState")) ||
+      !(PCG64Type = import_attr("numpy.random", "PCG64")))
+    return nullptr;
+  PyObject *module = PyModule_Create(&kernel_module);
+  if (module == nullptr) return nullptr;
+  PyObject *type = PyType_FromSpec(&kernel_spec);
+  int failed = type == nullptr ||
+               PyModule_AddObjectRef(module, "KernelEngine", type) < 0 ||
+               PyModule_AddObjectRef(module, "KERNEL_READY", Py_True) < 0;
+  Py_XDECREF(type);
+  if (failed) {
     Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
+    return nullptr;
   }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
+  return module;
 }
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
-}
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

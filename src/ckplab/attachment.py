@@ -257,9 +257,9 @@ class WeightIndex:
     A whole index is laid out at once by :meth:`_build`, for a fresh
     index (:func:`weight_index_for`) and on regrowth: no per-node Python
     work, and the same floats, bit for bit, as one :meth:`append` per
-    weight.  That equality is what keeps the kernel, which re-appends on
-    regrowth, and every draw unchanged; see :meth:`_build` for why no
-    ``sum`` may enter it.
+    weight.  The kernel lays its index out by the same left folds, so
+    that equality is what keeps the two backends, and every draw,
+    unchanged; see :meth:`_build` for why no ``sum`` may enter it.
     """
 
     __slots__ = ("size", "capacity", "tree", "weights", "total", "positive")

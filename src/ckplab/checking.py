@@ -108,39 +108,26 @@ def check_stringy(state, v: int, k: int, p_e, chooser) -> CheckOutcome:
     return CheckOutcome([True], [], set(), walked)
 
 
-def _bfs_path(prev, found: int) -> set:
-    path = {found}
-    node = found
-    while prev[node] is not None:
-        node = prev[node]
-        path.add(node)
-    return path
-
-
-def _ball_first(state, start: int, cap: int, p_e, chooser, path_only: bool):
+def _ball_first(state, start: int, cap: int, p_e, chooser):
     """BFS upward from ``start`` to depth ``cap``, stopping at the first
     node recognized as minimal false.
 
     Canonical order: FIFO queue seeded with ``start``, parents pushed in
     edge insertion order, each node enqueued once, recognition happens
     when a node is popped.  The find is marked together with every
-    visited node below it (or, with ``path_only``, just the discovery
-    path: the weaker reading kept for sensitivity runs).  Returns
-    (founds, marked, order) with at most one find.
+    visited node below it.  Returns (founds, marked, order) with at most
+    one find.
     """
     if cap < 0 or state.labels[start] == PF:
         return [], set(), []
     seen = {start}
     depth = {start: 0}
-    prev = {start: None}
     order: list = []
     queue = deque([start])
     while queue:
         u = queue.popleft()
         order.append(u)
         if _flagged(state, u, p_e, chooser):
-            if path_only:
-                return [u], _bfs_path(prev, u), order
             return [u], _descendants_within(state, order, u), order
         if depth[u] < cap:
             for w in state.parents[u]:
@@ -148,7 +135,6 @@ def _ball_first(state, start: int, cap: int, p_e, chooser, path_only: bool):
                     continue
                 seen.add(w)
                 depth[w] = depth[u] + 1
-                prev[w] = u
                 queue.append(w)
     return [], set(), order
 
@@ -190,7 +176,7 @@ PER_EDGE = {"exhaustive-bfs", "parentwise-bfs", "complete"}
 
 
 def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
-              chooser, path_only: bool = False) -> CheckOutcome:
+              chooser) -> CheckOutcome:
     """Check the new node ``v`` with ``mechanism``; decisions are drawn in
     the same order as the compiled kernel's ``run_check``."""
     if mechanism in ("stringy", "bfs"):
@@ -198,8 +184,7 @@ def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
             return CheckOutcome([False])
         if mechanism == "stringy":
             return check_stringy(state, v, k, p_e, chooser)
-        founds, marked, order = _ball_first(state, v, k, p_e, chooser,
-                                            path_only)
+        founds, marked, order = _ball_first(state, v, k, p_e, chooser)
         return CheckOutcome([True], founds, marked, order)
     if mechanism not in PER_EDGE:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -220,7 +205,7 @@ def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
             founds, marked, order = _ball_all(state, u, k - 1, p_e, chooser)
         else:
             founds, marked, order = _ball_first(state, u, k - 1, p_e,
-                                                chooser, path_only)
+                                                chooser)
         out.visited.extend(order)
         if founds:
             _record(out, founds, marked | {v})

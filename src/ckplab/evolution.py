@@ -40,7 +40,6 @@ class Features:
     adversary_rate: float = 0.0  # chance a step is adversarial
     adversary_budget: int = 0    # max parent edges an adversarial node gets
     detection_rate: float = 1.0  # chance an examined CF node reveals itself
-    path_only_marking: bool = False
 
     def __post_init__(self):
         if self.mechanism not in checking.MECHANISMS:
@@ -313,8 +312,7 @@ class PyEngine:
         v = self._add_node(parents, label, adversarial=False)
         outcome = checking.run_check(
             feats.mechanism, self.state, v, parents, feats.check_depth,
-            feats.check_rate, feats.detection_rate, chooser,
-            feats.path_only_marking)
+            feats.check_rate, feats.detection_rate, chooser)
         if outcome.marked:
             self._apply_marks(outcome.marked)
         self._track_zero()

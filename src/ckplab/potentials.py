@@ -588,8 +588,7 @@ def _enumerate_checks(child, v, parents, features, branch_w, exact_mode,
             outcome = checking.run_check(
                 features.mechanism, child, v, parents,
                 features.check_depth, features.check_rate,
-                features.detection_rate, chooser,
-                features.path_only_marking)
+                features.detection_rate, chooser)
         except NeedBranch as nb:
             for option, _prob in nb.options:
                 stack.append(path + (option,))
@@ -611,18 +610,21 @@ class DriftEstimate:
     samples: int
 
 
-def _phi_value(state, kind, dist=None) -> float:
-    """The float potential; a :class:`MinDistance` sum reuses ``dist``,
-    the state's :func:`pt_false_distances`, when the caller has it."""
+def _phi_value(state, kind, dist=None, terms=None) -> float:
+    """The float potential.  A :class:`MinDistance` sum reuses ``dist``,
+    the state's :func:`pt_false_distances`, and ``terms``, a float
+    :class:`TermTable` for ``kind``, when the caller has them; it adds
+    ``a(deg) * c**dist`` in id order, and an overflow anywhere names the
+    deepest node."""
     if isinstance(kind, MinDistance):
         if dist is None:
             dist = pt_false_distances(state)
-        attach = kind.attach
-        c = float(kind.c)
+        if terms is None:
+            terms = TermTable(kind, exact=False)
+        deg = state.deg_pt
         try:
-            total = sum(attach.evaluate(state.deg_pt[v]) * c ** d
-                        for v, d in dist.items())
-        except OverflowError:
+            total = sum(terms[deg[v], d] for v, d in dist.items())
+        except PotentialOverflow:
             total = math.inf
         if total == math.inf:
             raise _overflow(kind.c, max(dist.values()))
@@ -639,9 +641,10 @@ def mc_drift(state, features, kind, samples: int, rng,
     weighted parent picks, label coin, check), so its law is the
     process's own.
 
-    Each sample adds its node to one private copy of ``state``, runs the
-    check there without applying the marking, scores the step and pops
-    the node again.  A :class:`MinDistance` step is scored by
+    Each sample adds its node to ``state`` itself, runs the check there
+    without applying the marking, scores the step and pops the node
+    again; the state is restored on the way out, whatever is raised.  A
+    :class:`MinDistance` step is scored by
     :func:`_min_distance_delta` from the nodes it touches: the new node,
     its parents, the marked set and the parents of the marked set, and
     the PT False nodes whose distance the marking moves; a sample costs
@@ -652,54 +655,57 @@ def mc_drift(state, features, kind, samples: int, rng,
         raise ValueError("need at least one sample")
     gen = rng if isinstance(rng, np.random.Generator) else make_generator(rng)
     chooser = SimChooser(gen)
-    base = state.copy()
-    windex = weight_index_for(base, features.attach)
+    windex = weight_index_for(state, features.attach)
     local = isinstance(kind, MinDistance)
-    dist = pt_false_distances(base) if local else None
-    # one distance pass: for MinDistance, phi_before only raises
-    # PotentialOverflow on a state too deep for float terms, and the
-    # samples are scored from dist and the term table
-    phi_before = _phi_value(base, kind, dist)
-    if local:
-        terms = TermTable(kind, exact=False)
+    dist = pt_false_distances(state) if local else None
+    terms = TermTable(kind, exact=False) if local else None
+    # one distance pass and one term table: for MinDistance, phi_before
+    # only raises PotentialOverflow on a state too deep for float terms,
+    # and the samples are scored from dist and the table
+    phi_before = _phi_value(state, kind, dist, terms)
 
     def step_delta(v, parents, marked) -> float:
         if local:
-            return _min_distance_delta(base, dist, terms, v, parents, marked)
+            return _min_distance_delta(state, dist, terms, v, parents, marked)
         if marked:
-            after = base.copy()
+            after = state.copy()
             after.mark_pf(marked)
             return _phi_value(after, kind) - phi_before
-        return _phi_value(base, kind) - phi_before
+        return _phi_value(state, kind) - phi_before
 
     q = features.adversary_rate
     if q > 0 and adversary is None:
         adversary = RandomPt()
-    all_pf = all(lab == PF for lab in base.labels)
+    all_pf = all(lab == PF for lab in state.labels)
     feats = features
-    birth = _next_birth(base)
+    birth = _next_birth(state)
+    n = len(state.labels)
     mean = 0.0
     m2 = 0.0
-    for i in range(1, samples + 1):
-        if chooser.maybe(q):
-            delta = 0.0 if all_pf else _adversary_sample(
-                base, feats, chooser, adversary, birth, step_delta)
-        elif windex.positive == 0:
-            delta = 0.0
-        else:
-            m = sample_combination(feats.parent_count, chooser)
-            parents = [chooser.weighted_index(windex) for _ in range(m)]
-            label = CF if chooser.maybe(feats.error_rate) else CT
-            v = base.add_node(parents, label, birth=birth)
-            outcome = checking.run_check(
-                feats.mechanism, base, v, parents, feats.check_depth,
-                feats.check_rate, feats.detection_rate, chooser,
-                feats.path_only_marking)
-            delta = step_delta(v, parents, outcome.marked)
-            base.pop_last_node()
-        d1 = delta - mean
-        mean += d1 / i
-        m2 += d1 * (delta - mean)
+    try:
+        for i in range(1, samples + 1):
+            if chooser.maybe(q):
+                delta = 0.0 if all_pf else _adversary_sample(
+                    state, feats, chooser, adversary, birth, step_delta)
+            elif windex.positive == 0:
+                delta = 0.0
+            else:
+                m = sample_combination(feats.parent_count, chooser)
+                parents = [chooser.weighted_index(windex) for _ in range(m)]
+                label = CF if chooser.maybe(feats.error_rate) else CT
+                v = state.add_node(parents, label, birth=birth)
+                outcome = checking.run_check(
+                    feats.mechanism, state, v, parents, feats.check_depth,
+                    feats.check_rate, feats.detection_rate, chooser)
+                delta = step_delta(v, parents, outcome.marked)
+                state.pop_last_node()
+            d1 = delta - mean
+            mean += d1 / i
+            m2 += d1 * (delta - mean)
+    finally:
+        # a sample that raised left its node on the caller's state
+        while len(state.labels) > n:
+            state.pop_last_node()
     var = m2 / (samples - 1) if samples > 1 else 0.0
     se = math.sqrt(max(var, 0.0) / samples)
     return DriftEstimate(mean, se, samples)

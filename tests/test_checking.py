@@ -129,9 +129,6 @@ def test_bfs_marks_all_visited_descendants_not_just_the_path():
                     chooser=ScriptChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2, 3}
-    path = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                     chooser=ScriptChooser([]), path_only=True)
-    assert path.marked == {0, 1, 3}    # first-edge discovery chain
 
 
 def test_bfs_depth_cap_blocks_distant_error():

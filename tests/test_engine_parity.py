@@ -81,13 +81,19 @@ def test_trajectories_bit_identical(mech, eps, attach_name, p, k):
     assert book["stopped"] == eng.stopped
     assert book["step_index"] == eng.step_index
     assert book["pf_child_len"] == eng.pf_child_len
+    assert hex_floats(book["tree"]) == hex_floats(windex.tree)
+
+
+def hex_floats(values) -> list:
+    return [float(x).hex() for x in values]
 
 
 @needs_kernel
 def test_trajectories_bit_identical_across_regrowths():
-    """Non-dyadic weights make every Fenwick sum inexact: the Python
-    engine rebuilds its index level by level on regrowth, the kernel
-    re-appends, and the two must still agree bit for bit."""
+    """Non-dyadic weights make every Fenwick sum inexact: both engines
+    rebuild their index on regrowth, the Python one with numpy folds per
+    tree level and the kernel with sequential folds per slot, and the
+    two must still agree bit for bit."""
     from ckplab._kernel import KernelEngine
 
     feats = Features(attach=Affine(0.1, 0.7), parent_count=LAW_MIX,
@@ -111,6 +117,84 @@ def test_trajectories_bit_identical_across_regrowths():
     assert book["weights"] == [float(w) for w in windex.weights[:windex.size]]
     assert book["weight_total"] == windex.total
     assert book["weight_positive"] == windex.positive
+    # the draws alone miss a one-ulp slip in a Fenwick fold
+    assert hex_floats(book["tree"]) == hex_floats(windex.tree)
+
+
+@needs_kernel
+@pytest.mark.parametrize("mech", ["stringy", "bfs", "exhaustive-bfs",
+                                  "parentwise-bfs", "complete"])
+def test_repeated_parents_keep_edge_and_child_order(mech):
+    """Three parent edges per node on a two-node start: the same parent
+    is drawn twice or three times in most early steps, and marking
+    removes repeated edges from the degrees."""
+    from ckplab._kernel import KernelEngine
+
+    feats = Features(attach=preferential(),
+                     parent_count=ParentCountLaw.const(3), check_rate=0.4,
+                     check_depth=3, mechanism=mech, error_rate=0.1,
+                     detection_rate=0.8)
+    init = init_chain(2, 1, CT)
+    seed = 31
+    eng = PyEngine(feats, init, SimChooser(seed))
+    for _ in range(300):
+        eng.step()
+    assert eng.pf_count > 0
+    assert any(len(set(ps)) < len(ps) for ps in eng.state.parents)
+
+    ker = KernelEngine(feats, init, seed)
+    ker.run(300)
+    exported = ker.export_state()
+    assert dump_state(exported) == dump_state(eng.state)
+    assert exported.children == eng.state.children
+    assert exported.deg_pt == eng.state.deg_pt
+    assert exported.deg_ct == eng.state.deg_ct
+    assert exported.pf_parent_edges == eng.state.pf_parent_edges
+    book = ker.export_bookkeeping()
+    assert book["f_mem"] == [int(x) for x in eng.f_mem]
+    assert book["l_mem"] == [int(x) for x in eng.l_mem]
+    assert book["pf_child_len"] == eng.pf_child_len
+    assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
+
+
+class DegreeCapReached(Exception):
+    pass
+
+
+class DegreeCapped:
+    """Preferential weights up to a degree cap; evaluating at or past
+    the cap raises."""
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def evaluate(self, d):
+        if d >= self.cap:
+            raise DegreeCapReached(d)
+        return 1.0 + d
+
+
+@needs_kernel
+@pytest.mark.parametrize("mech", ["bfs", "complete"])
+def test_attachment_errors_propagate_at_the_same_step(mech):
+    from ckplab._kernel import KernelEngine
+
+    feats = Features(attach=DegreeCapped(6), parent_count=LAW_MIX,
+                     check_rate=0.3, check_depth=3, mechanism=mech,
+                     error_rate=0.1, detection_rate=0.8)
+    init = init_chain(4, 1, CT)
+    seed = 12
+    eng = PyEngine(feats, init, SimChooser(seed))
+    with pytest.raises(DegreeCapReached):
+        for _ in range(10_000):
+            eng.step()
+    assert eng.step_index > 1
+
+    ker = KernelEngine(feats, init, seed)
+    with pytest.raises(DegreeCapReached):
+        for _ in range(10_000):
+            ker.run(1)
+    assert ker.export_bookkeeping()["step_index"] == eng.step_index
 
 
 @needs_kernel
@@ -239,3 +323,19 @@ def test_checkpoints_past_early_exit_report_frozen_counts():
     ck = run_trial(feats, init, 400, seed=3, backend="compiled", **kwargs)
     assert py.checkpoints == [(10**6, py.final_counts)]
     assert ck.checkpoints == py.checkpoints
+
+
+@needs_kernel
+def test_kernel_rejects_malformed_states():
+    from ckplab._kernel import KernelEngine
+    from ckplab.state import StateError
+
+    feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
+    short = init_chain(5, 1, CF)
+    short.deg_ct.pop()
+    with pytest.raises(StateError, match="differ in length"):
+        KernelEngine(feats, short, 1)
+    dangling = init_chain(5, 1, CF)
+    dangling.parents[3] = [7]
+    with pytest.raises(StateError, match="parent id 7"):
+        KernelEngine(feats, dangling, 1)

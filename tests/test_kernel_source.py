@@ -1,50 +1,29 @@
-"""The checked-in ``_kernel.cpp`` was generated from the current
-``_kernel.pyx``.
+"""``_kernel.cpp`` compiles warning-free as C++14.
 
-Cython embeds a few lines of the ``.pyx`` around every statement it
-translates, in a comment headed ``/* "ckplab/_kernel.pyx":N`` with the
-line N tagged ``# <<<<<<<<<<<<<<``.  Every such block must match the
-``.pyx`` as it is now; an edit to the ``.pyx`` that was not followed by
-regenerating the ``.cpp`` fails here.
+The kernel is hand-written C++, so the compiler is its lint: the source
+must pass ``g++ -fsyntax-only -std=c++14 -Wall -Wextra -Werror``.  The
+Python and numpy headers go in with ``-isystem``, so only warnings in the
+kernel itself count.  Skipped without g++.
 """
 
-import re
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
-PKG = Path(__file__).resolve().parent.parent / "src" / "ckplab"
-HEADER = re.compile(r'^\s*/\* "ckplab/_kernel\.pyx":(\d+)$')
-MARKER = "             # <<<<<<<<<<<<<<"
+import numpy
+import pytest
+
+KERNEL_CPP = (Path(__file__).resolve().parent.parent / "src" / "ckplab"
+              / "_kernel.cpp")
 
 
-def embedded_blocks(cpp_lines):
-    """Yield (line number N, embedded lines) per source block."""
-    lines = iter(cpp_lines)
-    for line in lines:
-        head = HEADER.match(line)
-        if not head:
-            continue
-        body = []
-        for inner in lines:
-            if inner == "*/":
-                break
-            assert inner.startswith(" * "), inner
-            body.append(inner[3:])
-        yield int(head.group(1)), body
-
-
-def test_cpp_source_blocks_match_pyx():
-    pyx = (PKG / "_kernel.pyx").read_text().splitlines()
-    cpp = (PKG / "_kernel.cpp").read_text().splitlines()
-    blocks = list(embedded_blocks(cpp))
-    assert blocks, "no embedded _kernel.pyx blocks in _kernel.cpp"
-    stale = []
-    for n, body in blocks:
-        tagged = [i for i, text in enumerate(body) if text.endswith(MARKER)]
-        assert len(tagged) == 1, f"block for line {n} has {len(tagged)} tags"
-        at = tagged[0]
-        body[at] = body[at][:-len(MARKER)]
-        first = n - 1 - at
-        if first < 0 or body != pyx[first:first + len(body)]:
-            stale.append(n)
-    assert not stale, (f"_kernel.cpp is stale at _kernel.pyx lines {stale}; "
-                       "regenerate it with Cython")
+@pytest.mark.skipif(shutil.which("g++") is None, reason="g++ not on PATH")
+def test_kernel_compiles_without_warnings():
+    proc = subprocess.run(
+        ["g++", "-fsyntax-only", "-std=c++14", "-Wall", "-Wextra", "-Werror",
+         "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION",
+         "-isystem", sysconfig.get_paths()["include"],
+         "-isystem", numpy.get_include(), str(KERNEL_CPP)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -414,7 +414,7 @@ def snapshot(st: CkpState) -> tuple:
             list(st.deg_ct), list(st.pf_parent_edges), st.pf_total)
 
 
-def test_mc_drift_leaves_the_input_state_alone():
+def test_mc_drift_leaves_the_input_state_alone(monkeypatch):
     st = init_chain(4, 1, CF)
     before = snapshot(st)
     mc_drift(st, feats("exhaustive-bfs", 0.7), MinimalFalseLeavesSimple(),
@@ -432,6 +432,25 @@ def test_mc_drift_leaves_the_input_state_alone():
     before = snapshot(grown)
     mc_drift(grown, f, MinDistance(PREF, 3), 400, 3)
     assert snapshot(grown) == before
+    # samples run on the caller's state: a check that raises after the
+    # sample's node was added must still leave the state as it was
+    real_run_check = checking.run_check
+    calls = []
+
+    def failing_run_check(mechanism, state, v, *args):
+        calls.append(v)
+        assert v == len(state.labels) - 1      # the sample's node is in
+        if len(calls) == 7:
+            raise RuntimeError("check failed mid-sample")
+        return real_run_check(mechanism, state, v, *args)
+
+    monkeypatch.setattr(checking, "run_check", failing_run_check)
+    for kind in (MinDistance(PREF, 3), MinimalFalseLeavesSimple()):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="mid-sample"):
+            mc_drift(grown, f, kind, 50, 5)
+        assert len(calls) == 7
+        assert snapshot(grown) == before
 
 
 # -- the local MinDistance delta ------------------------------------------
