@@ -6,8 +6,15 @@
 //       .counts()                        -> dict, as PyEngine.counts()
 //       .run(horizon, checkpoint_steps=()) -> summary dict for run_trial
 //       .export_state()                  -> CkpState
-//       .export_bookkeeping()            -> the engine's incremental columns
+//       .export_bookkeeping()            -> dict, see below
 //   KERNEL_READY = True
+//
+// export_bookkeeping() returns the record PyEngine.export_bookkeeping()
+// returns, same keys and equal values: the weights, their total, positive
+// count and Fenwick tree, the PT False, minimal-false and leaf counts and
+// flags, the zero-run marker, the stop flag and step index, and the
+// frozen PF child counts.  audits.full_audit reads that record with
+// export_state(), so one audit checks both engines.
 //
 // Scope: the non-adversarial regime.  A feature set with a nonzero
 // adversary rate is refused with ValueError; adversaries stay Python.
@@ -92,6 +99,7 @@ const char *const MECHANISM_NAMES[] = {
 // Python objects the module resolves once, at import.
 PyObject *AllWeightsZero = nullptr;   // ckplab.attachment
 PyObject *AuditViolation = nullptr;   // ckplab.evolution
+PyObject *SurvivalFloor = nullptr;    // ckplab.evolution, the audit's cap
 PyObject *StateError = nullptr;       // ckplab.state
 PyObject *CkpStateType = nullptr;     // ckplab.state.CkpState
 PyObject *PCG64Type = nullptr;        // numpy.random.PCG64
@@ -282,7 +290,7 @@ class Engine {
   // engine counters
   bool stopped_;
   long long step_index_, zero_since_;   // zero_since_ -1: nonzero now
-  long long pt_false_, pf_count_, f_count_, l_count_;
+  long long pt_false_, f_count_, l_count_;
   // scratch, reused every step
   std::vector<int32_t> pbuf_;           // this step's parents
   std::vector<int32_t> queue_;          // ball walk: popped prefix = order
@@ -291,8 +299,7 @@ class Engine {
   uint32_t seen_stamp_, closed_stamp_, marked_stamp_;
   // cheap audit
   bool audit_on_, track_delta_;
-  long long last_potential_;
-  int fixed_floor_;
+  long long last_potential_, fixed_floor_;
 };
 
 Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
@@ -431,7 +438,6 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
                                 ? child_count(static_cast<int32_t>(v))
                                 : -1);
   }
-  pf_count_ = pf_total_;
   zero_since_ = pt_false_ == 0 ? 0 : -1;
 
   closed_at_.assign(n, 0);
@@ -441,16 +447,8 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   audit_on_ = audit_cheap;
   track_delta_ = detection_rate_ == 1;
   last_potential_ = f_count_ + l_count_;
-  if (mech_ == STRINGY)
-    fixed_floor_ = m_max_ == 1 ? 2 : check_depth_ + 1 + m_max_;
-  else if (mech_ == BFS || mech_ == EXHAUSTIVE)
-    fixed_floor_ = 1 + m_max_;
-  else if (mech_ == PARENTWISE)
-    fixed_floor_ = 2 * m_max_;
-  else
-    fixed_floor_ = 0;
-  long long budget = as_long(Ref(attr(features, "adversary_budget")).get());
-  if (budget > fixed_floor_) fixed_floor_ = static_cast<int>(budget);
+  fixed_floor_ =
+      as_long(Ref(check(PyObject_CallOneArg(SurvivalFloor, features))).get());
 }
 
 int Engine::pmf_index() {
@@ -655,16 +653,11 @@ void Engine::apply_marks() {
       PyErr_Format(AuditViolation, "check tried to mark True node %d", w);
       fail();
     }
-  for (int32_t w : step_marked_) {
+  for (int32_t w : step_marked_)
     if (nodes_[w].label == PF) {
       PyErr_Format(StateError, "node %d is already PF", w);
       fail();
     }
-    if (!nodes_[w].is_false) {
-      PyErr_Format(StateError, "refusing to mark hidden-True node %d PF", w);
-      fail();
-    }
-  }
   touched_.clear();
   for (int32_t w : step_marked_) {
     Node &nw = nodes_[w];
@@ -691,7 +684,6 @@ void Engine::apply_marks() {
   for (int32_t u : touched_)
     if (nodes_[u].label != PF) w_set(u, aval(nodes_[u].deg_pt));
   pt_false_ -= k;
-  pf_count_ += k;
   for (int32_t w : step_marked_) {
     Node &nw = nodes_[w];
     if (nw.f_mem) {
@@ -757,11 +749,11 @@ void Engine::mark_closure(int32_t found, size_t visited) {
     if (closed_at_[queue_[i]] == cs) mark(queue_[i]);
 }
 
-// The ball walk: BFS upward from ``start`` to depth ``cap``.  Without
-// ``sweep`` it stops at the first recognized node (checking._ball_first);
-// with it, it sweeps the whole ball without expanding through recognized
-// nodes (checking._ball_all).  Every find is marked with the visited
-// nodes below it.  Returns the number of finds.
+// The ball walk, checking._ball: BFS upward from ``start`` to depth
+// ``cap``.  Without ``sweep`` it stops at the first recognized node; with
+// it, it sweeps the whole ball without expanding through recognized
+// nodes.  Every find is marked with the visited nodes below it.  Returns
+// the number of finds.
 int Engine::ball(int32_t start, int cap, bool sweep) {
   if (cap < 0 || nodes_[start].label == PF) return 0;
   const uint32_t ss = next_seen();
@@ -849,6 +841,8 @@ void Engine::run_check(int32_t v) {
   }
 }
 
+// CheapAudit.after_step: the fixed cap is survival_potential_floor's, and
+// complete's per-step rule is _step_delta_floor's.
 void Engine::cheap_audit() {
   if (track_delta_) {
     long long now = f_count_ + l_count_;
@@ -901,8 +895,8 @@ bool Engine::step() {
 PyObject *Engine::counts() const {
   long long n = static_cast<long long>(nodes_.size());
   return check(Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L}", "nodes", n, "pt",
-                             n - pf_count_, "pt_false", pt_false_, "pf",
-                             pf_count_, "minimal_false", f_count_, "leaves",
+                             n - pf_total_, "pt_false", pt_false_, "pf",
+                             pf_total_, "minimal_false", f_count_, "leaves",
                              l_count_));
 }
 
@@ -949,7 +943,7 @@ PyObject *Engine::run(int horizon, PyObject *checkpoint_steps) {
       "{s:O,s:O,s:O,s:O,s:O,s:O}", "survived_at_horizon",
       pt_false_ > 0 ? Py_True : Py_False, "eliminated_at", eliminated.get(),
       "stopped_at", stopped_at.get(), "pf_exists",
-      pf_count_ > 0 ? Py_True : Py_False, "final_counts", final_counts.get(),
+      pf_total_ > 0 ? Py_True : Py_False, "final_counts", final_counts.get(),
       "checkpoints", checkpoints.get()));
 }
 
@@ -1006,8 +1000,8 @@ PyObject *Engine::export_state() const {
   return st.release();
 }
 
-// The engine-side bookkeeping, named as PyEngine names it; ``tree`` is
-// the Fenwick array, all capacity + 1 slots.
+// PyEngine.export_bookkeeping's record; ``tree`` is the Fenwick array,
+// all capacity + 1 slots.
 PyObject *Engine::export_bookkeeping() const {
   const size_t n = nodes_.size();
   Ref pf_child_len(check(PyDict_New()));
@@ -1030,10 +1024,10 @@ PyObject *Engine::export_bookkeeping() const {
       n, [&](size_t v) { return PyLong_FromLong(nodes_[v].l_mem); }));
   Ref zero_since(optional(zero_since_));
   return check(Py_BuildValue(
-      "{s:O,s:d,s:L,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O,s:L,s:O,s:O}", "weights",
+      "{s:O,s:d,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O,s:L,s:O,s:O}", "weights",
       weights.get(), "weight_total", wtotal_, "weight_positive", wpositive_,
-      "pt_false", pt_false_, "pf_count", pf_count_, "f_count", f_count_,
-      "l_count", l_count_, "f_mem", f_mem.get(), "l_mem", l_mem.get(),
+      "pt_false", pt_false_, "f_count", f_count_, "l_count", l_count_,
+      "f_mem", f_mem.get(), "l_mem", l_mem.get(),
       "zero_since", zero_since.get(), "stopped",
       stopped_ ? Py_True : Py_False, "step_index", step_index_,
       "pf_child_len", pf_child_len.get(), "tree", tree.get()));
@@ -1137,7 +1131,7 @@ PyMethodDef kernel_methods[] = {
     {"export_state", kernel_export_state, METH_NOARGS,
      "The current state as a CkpState."},
     {"export_bookkeeping", kernel_export_bookkeeping, METH_NOARGS,
-     "The incremental bookkeeping: weight index, counters, membership."},
+     "The incremental bookkeeping, as PyEngine.export_bookkeeping()."},
     {nullptr, nullptr, 0, nullptr}};
 
 PyType_Slot kernel_slots[] = {
@@ -1180,6 +1174,8 @@ PyObject *import_attr(const char *module, const char *name) {
 PyMODINIT_FUNC PyInit__kernel(void) {
   if (!(AllWeightsZero = import_attr("ckplab.attachment", "AllWeightsZero")) ||
       !(AuditViolation = import_attr("ckplab.evolution", "AuditViolation")) ||
+      !(SurvivalFloor =
+            import_attr("ckplab.evolution", "survival_potential_floor")) ||
       !(StateError = import_attr("ckplab.state", "StateError")) ||
       !(CkpStateType = import_attr("ckplab.state", "CkpState")) ||
       !(PCG64Type = import_attr("numpy.random", "PCG64")))

@@ -1,20 +1,24 @@
-"""Deep recomputation audits for a running engine.
+"""Deep recomputation audits over an exported state and bookkeeping.
 
-Everything the engine maintains incrementally (degrees, attachment
-weights, membership counts, the zero-run marker) is recomputed here from
-the raw node lists and compared.  These checks are deliberately written
-against first principles rather than through the engine's own helpers,
-so a bookkeeping bug cannot hide by being applied consistently on both
-sides.
+Both engines export the same two things: the state (a ``CkpState``) and
+one bookkeeping record, ``export_bookkeeping()``, holding everything
+they maintain incrementally (attachment weights and their Fenwick tree,
+membership counts and flags, the zero-run marker, the frozen PF child
+counts).  Each audit reads ``(state, features, book)``, recomputes from
+the raw node lists and compares, so one audit serves both backends.
+These checks are deliberately written against first principles rather
+than through the engine's own helpers, so a bookkeeping bug cannot hide
+by being applied consistently on both sides.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from .state import CT, PF, bfs_component_partition, pt_false_distances
 from .attachment import is_nondecreasing
-from .evolution import AuditViolation, verify_pf_frozen
+from .evolution import AuditViolation
 from . import state as state_mod
 
 DISTANCE_BASE = 3.0  # growth factor of the audit's distance-weighted sum
@@ -52,62 +56,77 @@ def audit_edges(st) -> None:
                 f"recount {pf_edges}")
 
 
-def audit_weights(engine) -> None:
+def audit_weights(st, features, book) -> None:
     """The weight index must hold a(PT degree) for live nodes, zero for
-    the PF ones, with a consistent running total and positive count."""
-    st = engine.state
-    attach = engine.features.attach
-    windex = engine.windex
-    if windex.size != len(st.labels):
+    the PF ones, with a consistent running total and positive count.
+    Each Fenwick slot ``tree[j]`` must hold the sum of its block
+    ``weights[j - (j & -j):j]`` within the total's drift bound, and a
+    slot whose block starts at or past the last node is exactly 0.0."""
+    attach = features.attach
+    weights = book["weights"]
+    n = len(st.labels)
+    if len(weights) != n:
         raise AuditViolation(
-            f"weight index tracks {windex.size} nodes, state has "
-            f"{len(st.labels)}")
+            f"weight index tracks {len(weights)} nodes, state has {n}")
     total = 0.0
     positive = 0
-    for v in range(len(st.labels)):
+    for v in range(n):
         want = 0.0 if st.labels[v] == PF else attach.evaluate(st.deg_pt[v])
-        got = windex.weights[v]
+        got = weights[v]
         if got != want:
             raise AuditViolation(
                 f"node {v}: indexed weight {got}, expected {want}")
         total += want
         positive += want > 0
-    if abs(windex.total - total) > 1e-9 * max(1.0, total):
+    bound = 1e-9 * max(1.0, total)
+    if not abs(book["weight_total"] - total) <= bound:    # NaN fails too
         raise AuditViolation(
-            f"weight total drifted: maintained {windex.total}, "
+            f"weight total drifted: maintained {book['weight_total']}, "
             f"recomputed {total}")
-    if windex.positive != positive:
+    if book["weight_positive"] != positive:
         raise AuditViolation(
-            f"positive-weight count {windex.positive}, recount {positive}")
+            f"positive-weight count {book['weight_positive']}, "
+            f"recount {positive}")
+    tree = book["tree"]
+    if len(tree) <= n:
+        raise AuditViolation(
+            f"Fenwick tree has {len(tree) - 1} slots for {n} nodes")
+    for j in range(1, len(tree)):
+        start = j - (j & -j)
+        block = math.fsum(weights[start:j])
+        # no weight was ever added into a block past the last node
+        slack = bound if start < n else 0.0
+        if not abs(tree[j] - block) <= slack:
+            raise AuditViolation(
+                f"Fenwick slot {j} holds {tree[j]}, its block sums to "
+                f"{block}")
 
 
-def audit_counts(engine) -> None:
+def audit_counts(st, features, book) -> None:
     """Every incrementally maintained counter and membership flag must
     match a from-scratch pass over the state."""
-    st = engine.state
-    simple = engine.features.simple
+    simple = features.simple
     n = len(st.labels)
     pt_false = sum(1 for v in range(n)
                    if st.labels[v] != PF and st.is_false[v])
     pf = sum(1 for lab in st.labels if lab == PF)
-    if engine.pt_false != pt_false:
+    if book["pt_false"] != pt_false:
         raise AuditViolation(
-            f"PT False count {engine.pt_false}, recount {pt_false}")
-    if engine.pf_count != pf:
-        raise AuditViolation(f"PF count {engine.pf_count}, recount {pf}")
+            f"PT False count {book['pt_false']}, recount {pt_false}")
     if st.pf_total != pf:
         raise AuditViolation(f"state PF counter {st.pf_total}, recount {pf}")
+    f_mem, l_mem = book["f_mem"], book["l_mem"]
     for v in range(n):
-        if engine.f_mem[v] != st.is_minimal_false(v):
+        if f_mem[v] != st.is_minimal_false(v):
             raise AuditViolation(f"minimal-false flag stale on node {v}")
-        if engine.l_mem[v] != st.is_ct_nonroot_leaf(v, simple):
+        if l_mem[v] != st.is_ct_nonroot_leaf(v, simple):
             raise AuditViolation(f"leaf flag stale on node {v}")
-    if engine.f_count != sum(engine.f_mem):
+    if book["f_count"] != sum(f_mem):
         raise AuditViolation("minimal-false count out of step with flags")
-    if engine.l_count != sum(engine.l_mem):
+    if book["l_count"] != sum(l_mem):
         raise AuditViolation("leaf count out of step with flags")
-    zero = engine.pt_false == 0
-    if zero != (engine.zero_since is not None):
+    zero = book["pt_false"] == 0
+    if zero != (book["zero_since"] is not None):
         raise AuditViolation("zero-run marker disagrees with PT False count")
 
 
@@ -141,30 +160,36 @@ def audit_partition(st) -> None:
                         f"{a} -> {b}")
 
 
-def audit_distance_sum(engine) -> None:
+def audit_distance_sum(st, features, book) -> None:
     """With a nondecreasing attachment of weight at least one at degree
     zero, the distance-weighted sum over PT False nodes dominates their
     plain count (every term is at least one)."""
-    attach = engine.features.attach
+    attach = features.attach
     if attach.evaluate(0) < 1 or not is_nondecreasing(attach):
         return
-    st = engine.state
     total = 0.0
     for v, d in pt_false_distances(st).items():
         total += attach.evaluate(st.deg_pt[v]) * DISTANCE_BASE ** d
-    if total < engine.pt_false - 1e-9:
+    if total < book["pt_false"] - 1e-9:
         raise AuditViolation(
             f"distance-weighted sum {total} fell below the PT False "
-            f"count {engine.pt_false}")
+            f"count {book['pt_false']}")
 
 
-def full_audit(engine) -> None:
-    """Run every deep audit against the engine's current state."""
-    st = engine.state
+def verify_pf_frozen(st, features, book) -> None:
+    """A PF node keeps the children it had when it was marked."""
+    for v, n_children in book["pf_child_len"].items():
+        if len(st.children[v]) != n_children:
+            raise AuditViolation(f"PF node {v} gained children")
+
+
+def full_audit(st, features, book) -> None:
+    """Run every deep audit against an exported state and its engine's
+    bookkeeping record."""
     audit_edges(st)
     state_mod.verify_truth_closure(st)
-    audit_weights(engine)
-    audit_counts(engine)
+    audit_weights(st, features, book)
+    audit_counts(st, features, book)
     audit_partition(st)
-    audit_distance_sum(engine)
-    verify_pf_frozen(engine)
+    audit_distance_sum(st, features, book)
+    verify_pf_frozen(st, features, book)

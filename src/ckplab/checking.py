@@ -108,42 +108,18 @@ def check_stringy(state, v: int, k: int, p_e, chooser) -> CheckOutcome:
     return CheckOutcome([True], [], set(), walked)
 
 
-def _ball_first(state, start: int, cap: int, p_e, chooser):
-    """BFS upward from ``start`` to depth ``cap``, stopping at the first
-    node recognized as minimal false.
+def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
+    """BFS upward from ``start`` to depth ``cap``, recognizing minimal
+    false nodes.
 
     Canonical order: FIFO queue seeded with ``start``, parents pushed in
     edge insertion order, each node enqueued once, recognition happens
-    when a node is popped.  The find is marked together with every
-    visited node below it.  Returns (founds, marked, order) with at most
-    one find.
+    when a node is popped.  Without ``sweep`` the walk stops at the first
+    find; with it, it exhausts the ball, and recognized nodes are not
+    expanded through, so anything hiding strictly behind one stays hidden
+    from this sweep.  Every find is marked together with every visited
+    node below it.  Returns (founds, marked, order).
     """
-    if cap < 0 or state.labels[start] == PF:
-        return [], set(), []
-    seen = {start}
-    depth = {start: 0}
-    order: list = []
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        if _flagged(state, u, p_e, chooser):
-            return [u], _descendants_within(state, order, u), order
-        if depth[u] < cap:
-            for w in state.parents[u]:
-                if w in seen or state.labels[w] == PF:
-                    continue
-                seen.add(w)
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return [], set(), order
-
-
-def _ball_all(state, start: int, cap: int, p_e, chooser):
-    """Exhaust the radius-``cap`` ball above ``start``, recognizing every
-    reachable minimal false node.  Recognized nodes are not expanded
-    through, so anything hiding strictly behind one stays hidden from
-    this sweep.  Returns (founds, marked, order)."""
     if cap < 0 or state.labels[start] == PF:
         return [], set(), []
     seen = {start}
@@ -156,6 +132,8 @@ def _ball_all(state, start: int, cap: int, p_e, chooser):
         order.append(u)
         if _flagged(state, u, p_e, chooser):
             founds.append(u)
+            if not sweep:
+                break
             continue
         if depth[u] < cap:
             for w in state.parents[u]:
@@ -184,7 +162,7 @@ def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
             return CheckOutcome([False])
         if mechanism == "stringy":
             return check_stringy(state, v, k, p_e, chooser)
-        founds, marked, order = _ball_first(state, v, k, p_e, chooser)
+        founds, marked, order = _ball(state, v, k, p_e, chooser, False)
         return CheckOutcome([True], founds, marked, order)
     if mechanism not in PER_EDGE:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -201,11 +179,8 @@ def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
                 return out
             if mechanism == "parentwise-bfs":
                 continue
-        if mechanism == "complete":
-            founds, marked, order = _ball_all(state, u, k - 1, p_e, chooser)
-        else:
-            founds, marked, order = _ball_first(state, u, k - 1, p_e,
-                                                chooser)
+        founds, marked, order = _ball(state, u, k - 1, p_e, chooser,
+                                      mechanism == "complete")
         out.visited.extend(order)
         if founds:
             _record(out, founds, marked | {v})

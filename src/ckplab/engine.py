@@ -12,16 +12,17 @@ the kernel out when debugging.
 Audit levels mean the same thing on both backends: "cheap" runs the
 O(1) per-step invariant checks inside the run, "full" adds deep
 recomputation audits.  The kernel has the cheap checks built in; for
-"full" it is audited once at the end of the run, by exporting the
-final state plus all incremental bookkeeping and recomputing both from
-scratch (the python backend additionally supports mid-run deep audits
+"full" it is audited once at the end of the run.  Either engine exports
+its state and one bookkeeping record of the same shape, and
+``audits.full_audit`` reads the two, so both backends pass through the
+same audit (the python backend additionally supports mid-run deep audits
 via ``audit_every``, which the kernel ignores).
 """
 
 from __future__ import annotations
 
-from .attachment import weight_index_for
-from .evolution import AuditViolation, Features, TrialResult, \
+from . import audits
+from .evolution import Features, TrialResult, check_trial_args, \
     run_python_trial
 from .state import CkpState
 
@@ -72,10 +73,7 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
     "auto", "python", "compiled".  "compiled" raises when the kernel
     cannot serve the request; "auto" silently falls back.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if audit not in ("none", "cheap", "full"):
-        raise ValueError(f"unknown audit level {audit!r}")
+    check_trial_args(horizon, audit)
     if not _want_compiled(backend, features, adversary, trace):
         return run_python_trial(
             features, init_state, horizon, seed, adversary=adversary,
@@ -87,59 +85,12 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
     summary = ke.run(horizon, checkpoint_steps)
     if audit == "full":
         deep_audit_compiled(ke, features)
-    return TrialResult(
-        seed=seed,
-        horizon=horizon,
-        survived_at_horizon=summary["survived_at_horizon"],
-        eliminated_at=summary["eliminated_at"],
-        stopped_at=summary["stopped_at"],
-        pf_exists=summary["pf_exists"],
-        final_counts=summary["final_counts"],
-        checkpoints=summary["checkpoints"],
-        backend="compiled",
-    )
-
-
-class _Shadow:
-    """Engine-shaped view of a kernel's exported state and bookkeeping,
-    so the deep audits can interrogate the kernel's own numbers."""
-
-    def __init__(self, features: Features, exported: CkpState, book: dict):
-        self.features = features
-        self.state = exported
-        self.windex = weight_index_for(exported, features.attach)
-        self.pt_false = book["pt_false"]
-        self.pf_count = book["pf_count"]
-        self.f_count = book["f_count"]
-        self.l_count = book["l_count"]
-        self.f_mem = book["f_mem"]
-        self.l_mem = book["l_mem"]
-        self.zero_since = book["zero_since"]
-        self.pf_child_len = book["pf_child_len"]
+    return TrialResult(seed=seed, horizon=horizon, backend="compiled",
+                       **summary)
 
 
 def deep_audit_compiled(ke, features: Features) -> None:
-    """Recompute everything the kernel maintains incrementally and
-    compare, exactly where the arithmetic is replayed in the same order
-    and with drift tolerance on the running weight total."""
-    from .audits import full_audit
-
-    exported = ke.export_state()
-    book = ke.export_bookkeeping()
-    shadow = _Shadow(features, exported, book)
-
-    fresh = shadow.windex
-    if book["weights"] != fresh.weights[:fresh.size]:
-        raise AuditViolation("kernel attachment weights differ from a "
-                             "from-scratch rebuild")
-    if book["weight_positive"] != fresh.positive:
-        raise AuditViolation(
-            f"kernel counts {book['weight_positive']} positive weights, "
-            f"rebuild has {fresh.positive}")
-    drift = abs(book["weight_total"] - fresh.total)
-    if drift > 1e-9 * max(1.0, fresh.total):
-        raise AuditViolation(
-            f"kernel weight total {book['weight_total']} drifted from "
-            f"rebuilt total {fresh.total}")
-
-    full_audit(shadow)
+    """Audit the kernel's own numbers: its exported state and bookkeeping
+    record, recomputed from scratch by the audit the python engine
+    passes through."""
+    audits.full_audit(ke.export_state(), features, ke.export_bookkeeping())

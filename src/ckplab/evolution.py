@@ -196,7 +196,8 @@ class PyEngine:
 
     ``f_mem`` marks minimal false nodes, ``l_mem`` the CT non-root leaves
     in the mode-appropriate sense, so per-step checkpoint counts and the
-    survival potential delta are O(1).
+    survival potential delta are O(1).  :meth:`export_bookkeeping` hands
+    all of it to the deep audits in the record the kernel exports.
     """
 
     def __init__(self, features: Features, init_state: CkpState, chooser,
@@ -211,7 +212,6 @@ class PyEngine:
         st = self.state
         self.pt_false = sum(1 for v in range(len(st.labels))
                             if st.labels[v] != PF and st.is_false[v])
-        self.pf_count = st.pf_total
         simple = features.simple
         self.f_mem = [st.is_minimal_false(v) for v in range(len(st.labels))]
         self.l_mem = [st.is_ct_nonroot_leaf(v, simple)
@@ -227,13 +227,35 @@ class PyEngine:
 
     def counts(self) -> dict:
         n = len(self.state.labels)
+        pf = self.state.pf_total
         return {
             "nodes": n,
-            "pt": n - self.pf_count,
+            "pt": n - pf,
             "pt_false": self.pt_false,
-            "pf": self.pf_count,
+            "pf": pf,
             "minimal_false": self.f_count,
             "leaves": self.l_count,
+        }
+
+    def export_bookkeeping(self) -> dict:
+        """Everything the engine maintains incrementally, as one record:
+        the same keys and values as the kernel's ``export_bookkeeping``.
+        ``tree`` is the Fenwick array, all capacity + 1 slots."""
+        windex = self.windex
+        return {
+            "weights": [float(w) for w in windex.weights[:windex.size]],
+            "weight_total": float(windex.total),
+            "weight_positive": windex.positive,
+            "tree": [float(x) for x in windex.tree],
+            "pt_false": self.pt_false,
+            "f_count": self.f_count,
+            "l_count": self.l_count,
+            "f_mem": [int(x) for x in self.f_mem],
+            "l_mem": [int(x) for x in self.l_mem],
+            "zero_since": self.zero_since,
+            "stopped": self.stopped,
+            "step_index": self.step_index,
+            "pf_child_len": dict(self.pf_child_len),
         }
 
     def _refresh_membership(self, nodes) -> None:
@@ -283,7 +305,6 @@ class PyEngine:
         for u, d in touched.items():
             self.windex.set_weight(u, attach.evaluate(d))
         self.pt_false -= len(marked)
-        self.pf_count += len(marked)
         for w in marked:
             if self.f_mem[w]:
                 self.f_mem[w] = False
@@ -344,7 +365,7 @@ class PyEngine:
 
 # -- per-step cheap audit ----------------------------------------------------
 
-def survival_potential_floor(features: Features) -> float:
+def survival_potential_floor(features: Features) -> int:
     """Largest per-step decrease of |minimal false| + |leaves| that the
     mechanism allows, as a positive number.
 
@@ -409,14 +430,15 @@ class CheapAudit:
                     raise AuditViolation(f"marked node {w} is not PF")
 
 
-def verify_pf_frozen(engine: PyEngine) -> None:
-    st = engine.state
-    for v, n_children in engine.pf_child_len.items():
-        if len(st.children[v]) != n_children:
-            raise AuditViolation(f"PF node {v} gained children")
-
-
 # -- full trajectory --------------------------------------------------------
+
+def check_trial_args(horizon: int, audit: str) -> None:
+    """Reject a horizon or audit level that no backend can run."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if audit not in ("none", "cheap", "full"):
+        raise ValueError(f"unknown audit level {audit!r}")
+
 
 def run_python_trial(features: Features, init_state: CkpState, horizon: int,
                      seed: int, adversary=None, checkpoint_steps=(),
@@ -431,8 +453,7 @@ def run_python_trial(features: Features, init_state: CkpState, horizon: int,
     recomputation audits every ``audit_every`` steps).  ``trace`` is an
     optional writable for one JSON line per step.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    check_trial_args(horizon, audit)
     if adversary is None and features.adversary_rate > 0:
         adversary = RandomPt()
     engine = PyEngine(features, init_state, SimChooser(seed), adversary)
@@ -448,7 +469,7 @@ def run_python_trial(features: Features, init_state: CkpState, horizon: int,
             cheap.after_step(record)
         if deep and audit_every and t % audit_every == 0:
             from .audits import full_audit
-            full_audit(engine)
+            full_audit(engine.state, features, engine.export_bookkeeping())
         if trace is not None:
             trace.write(_trace_line(t, record, engine) + "\n")
         while pending and pending[0] <= t:
@@ -461,8 +482,7 @@ def run_python_trial(features: Features, init_state: CkpState, horizon: int,
         checkpoints.append((step, engine.counts()))
     if deep:
         from .audits import full_audit
-        full_audit(engine)
-        verify_pf_frozen(engine)
+        full_audit(engine.state, features, engine.export_bookkeeping())
     eliminated = engine.zero_since if engine.pt_false == 0 else None
     return TrialResult(
         seed=seed,
@@ -470,7 +490,7 @@ def run_python_trial(features: Features, init_state: CkpState, horizon: int,
         survived_at_horizon=engine.pt_false > 0,
         eliminated_at=eliminated,
         stopped_at=engine.step_index if engine.stopped else None,
-        pf_exists=engine.pf_count > 0,
+        pf_exists=engine.state.pf_total > 0,
         final_counts=engine.counts(),
         checkpoints=checkpoints,
         backend="python",

@@ -211,20 +211,6 @@ class CkpState:
         return [v for v in range(len(self.labels))
                 if self.is_ct_nonroot_leaf(v, simple_mode)]
 
-    def counts(self, simple_mode: bool) -> dict[str, int]:
-        n = len(self.labels)
-        pf = self.pf_total
-        pt_false = sum(1 for v in range(n)
-                       if self.labels[v] != PF and self.is_false[v])
-        return {
-            "nodes": n,
-            "pt": n - pf,
-            "pt_false": pt_false,
-            "pf": pf,
-            "minimal_false": len(self.minimal_false_set()),
-            "leaves": len(self.ct_nonroot_leaves(simple_mode)),
-        }
-
     def copy(self) -> "CkpState":
         dup = CkpState.__new__(CkpState)
         dup.labels = self.labels.copy()

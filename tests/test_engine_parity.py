@@ -2,11 +2,14 @@
 decision stream draw for draw, and the dispatcher routes requests to
 the right backend."""
 
+import math
+
 import pytest
 
 from ckplab.attachment import (
     Affine, ParentCountLaw, TableAttachment, preferential, uniform,
 )
+from ckplab.audits import full_audit
 from ckplab.engine import (
     compiled_supports, deep_audit_compiled, kernel_available, run_trial,
 )
@@ -67,21 +70,8 @@ def test_trajectories_bit_identical(mech, eps, attach_name, p, k):
 
     assert dump_state(ker.export_state()) == dump_state(eng.state)
     book = ker.export_bookkeeping()
-    windex = eng.windex
-    assert book["weights"] == [float(w) for w in windex.weights[:windex.size]]
-    assert book["weight_total"] == windex.total
-    assert book["weight_positive"] == windex.positive
-    assert book["pt_false"] == eng.pt_false
-    assert book["pf_count"] == eng.pf_count
-    assert book["f_count"] == eng.f_count
-    assert book["l_count"] == eng.l_count
-    assert book["f_mem"] == [int(x) for x in eng.f_mem]
-    assert book["l_mem"] == [int(x) for x in eng.l_mem]
-    assert book["zero_since"] == eng.zero_since
-    assert book["stopped"] == eng.stopped
-    assert book["step_index"] == eng.step_index
-    assert book["pf_child_len"] == eng.pf_child_len
-    assert hex_floats(book["tree"]) == hex_floats(windex.tree)
+    assert book == eng.export_bookkeeping()
+    assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
 
 
 def hex_floats(values) -> list:
@@ -113,12 +103,9 @@ def test_trajectories_bit_identical_across_regrowths():
 
     assert dump_state(ker.export_state()) == dump_state(eng.state)
     book = ker.export_bookkeeping()
-    windex = eng.windex
-    assert book["weights"] == [float(w) for w in windex.weights[:windex.size]]
-    assert book["weight_total"] == windex.total
-    assert book["weight_positive"] == windex.positive
+    assert book == eng.export_bookkeeping()
     # the draws alone miss a one-ulp slip in a Fenwick fold
-    assert hex_floats(book["tree"]) == hex_floats(windex.tree)
+    assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
 
 
 @needs_kernel
@@ -139,7 +126,7 @@ def test_repeated_parents_keep_edge_and_child_order(mech):
     eng = PyEngine(feats, init, SimChooser(seed))
     for _ in range(300):
         eng.step()
-    assert eng.pf_count > 0
+    assert eng.state.pf_total > 0
     assert any(len(set(ps)) < len(ps) for ps in eng.state.parents)
 
     ker = KernelEngine(feats, init, seed)
@@ -151,9 +138,7 @@ def test_repeated_parents_keep_edge_and_child_order(mech):
     assert exported.deg_ct == eng.state.deg_ct
     assert exported.pf_parent_edges == eng.state.pf_parent_edges
     book = ker.export_bookkeeping()
-    assert book["f_mem"] == [int(x) for x in eng.f_mem]
-    assert book["l_mem"] == [int(x) for x in eng.l_mem]
-    assert book["pf_child_len"] == eng.pf_child_len
+    assert book == eng.export_bookkeeping()
     assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
 
 
@@ -299,6 +284,29 @@ def test_deep_audit_catches_doctored_bookkeeping():
 
     with pytest.raises(AuditViolation):
         deep_audit_compiled(DoctoredWeights(), feats)
+
+
+@needs_kernel
+@pytest.mark.parametrize("key,slot,delta", [
+    ("weights", 3, 1), ("weight_total", None, 1),
+    ("weight_total", None, math.nan), ("weight_positive", None, 1),
+    ("tree", 1, 1),     # slot 1 holds weights[0]
+    ("tree", -2, 1),    # a slot whose block starts past the last node
+])
+def test_full_audit_checks_the_kernels_weight_index(key, slot, delta):
+    from ckplab._kernel import KernelEngine
+
+    feats = case_features("bfs", 0.25, "preferential", 0.4, 3)
+    ker = KernelEngine(feats, init_chain(12, 2, CF), 99)
+    ker.run(200)
+    state, book = ker.export_state(), ker.export_bookkeeping()
+    full_audit(state, feats, book)
+    if slot is None:
+        book[key] += delta
+    else:
+        book[key][slot] += delta
+    with pytest.raises(AuditViolation):
+        full_audit(state, feats, book)
 
 
 @needs_kernel

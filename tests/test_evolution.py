@@ -7,11 +7,11 @@ import json
 import pytest
 
 from ckplab.attachment import ParentCountLaw, TableAttachment, preferential
-from ckplab.audits import full_audit
+from ckplab.audits import full_audit, verify_pf_frozen
 from ckplab.evolution import (
     AuditViolation, DeepAttach, Features, LeafAttach, PyEngine, RandomPt,
     Scripted, init_chain, make_adversary, run_python_trial,
-    survival_potential_floor, verify_pf_frozen,
+    survival_potential_floor,
 )
 from ckplab.rand import SimChooser
 from ckplab.state import CT, CF, PF, StateError
@@ -73,7 +73,7 @@ def test_two_node_elimination_trace():
     assert rec.node == 1 and rec.parents == [0]
     assert rec.outcome.found == [0]
     assert engine.state.labels == [PF, PF]
-    assert engine.pt_false == 0 and engine.pf_count == 2
+    assert engine.pt_false == 0 and engine.state.pf_total == 2
     rec2 = engine.step()
     assert rec2.branch == "stopped" and rec2.stopped
     assert engine.stopped and engine.step_index == 2
@@ -199,7 +199,7 @@ def test_adversarial_insertions_are_legal(kind):
                 assert engine.state.adversarial[rec.node]
             elif rec.branch == "grow":
                 assert not engine.state.adversarial[rec.node]
-        verify_pf_frozen(engine)
+        verify_pf_frozen(engine.state, feats, engine.export_bookkeeping())
     assert adversarial_steps > 100
 
 
@@ -320,6 +320,12 @@ def test_run_rejects_bad_horizon():
                          seed=0)
 
 
+def test_run_rejects_unknown_audit_level():
+    with pytest.raises(ValueError, match="paranoid"):
+        run_python_trial(simple_features(), init_chain(1, 1, CF), horizon=10,
+                         seed=0, audit="paranoid")
+
+
 # -- audits ----------------------------------------------------------------
 
 MLAWS = [ParentCountLaw.const(1), ParentCountLaw({1: 0.5, 2: 0.5}),
@@ -352,24 +358,24 @@ def test_full_audit_catches_corrupted_counters():
     engine = PyEngine(feats, init_chain(5, 1, CF), SimChooser(3))
     for _ in range(40):
         engine.step()
-    full_audit(engine)
+    full_audit(engine.state, feats, engine.export_bookkeeping())
     engine.f_count += 1
     with pytest.raises(AuditViolation):
-        full_audit(engine)
+        full_audit(engine.state, feats, engine.export_bookkeeping())
     engine.f_count -= 1
     engine.windex.set_weight(0, 99.0)
     with pytest.raises(AuditViolation):
-        full_audit(engine)
+        full_audit(engine.state, feats, engine.export_bookkeeping())
 
 
 def test_pf_freeze_audit_catches_growth():
     feats = simple_features(check_rate=1.0, check_depth=1)
     engine = PyEngine(feats, init_chain(1, 1, CF), SimChooser(7))
     engine.step()
-    verify_pf_frozen(engine)
+    verify_pf_frozen(engine.state, feats, engine.export_bookkeeping())
     engine.pf_child_len[0] -= 1
     with pytest.raises(AuditViolation):
-        verify_pf_frozen(engine)
+        verify_pf_frozen(engine.state, feats, engine.export_bookkeeping())
 
 
 def test_survival_potential_floor_values():
