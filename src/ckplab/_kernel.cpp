@@ -1,4 +1,6 @@
-// Compiled trial loop for ckplab: a draw-for-draw mirror of the pure engine.
+// Compiled trial loop for ckplab: a draw-for-draw mirror of the pure engine,
+// PyEngine.step, whose decisions up to the check are the ones
+// evolution.draw_move makes, in its order.
 //
 // Python surface (module ckplab._kernel):
 //

@@ -20,6 +20,7 @@ from those.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ def _to_fraction(x) -> Fraction:
     # the rational oracle needs: no doubt left about what was computed.
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, numbers.Rational):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
@@ -53,12 +54,21 @@ def _to_fraction(x) -> Fraction:
     raise ExactUnavailable(f"cannot take {type(x).__name__} exactly")
 
 
+def _require_finite(name: str, x) -> None:
+    # NaN fails every comparison, so a range check alone lets it through;
+    # an infinite parameter would feed inf or NaN weights to the index
+    if x != x or x == math.inf or x == -math.inf:
+        raise ValueError(f"{name} must be finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Affine:
     base: object
     slope: object
 
     def __post_init__(self):
+        _require_finite("affine base", self.base)
+        _require_finite("affine slope", self.slope)
         if self.base < 0 or self.slope < 0:
             raise ValueError("affine attachment weights must stay nonnegative")
 
@@ -85,6 +95,8 @@ class PowerShifted:
     exponent: object
 
     def __post_init__(self):
+        _require_finite("power base", self.base)
+        _require_finite("power exponent", self.exponent)
         if self.base < 0:
             raise ValueError("power attachment needs a nonnegative base")
         if self.exponent < 0:
@@ -129,6 +141,9 @@ class TableAttachment:
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("table attachment needs at least one entry")
+        for i, v in enumerate(values):
+            _require_finite(f"table value {i}", v)
+        _require_finite("table tail slope", self.tail_slope)
         if any(v < 0 for v in values) or self.tail_slope < 0:
             raise ValueError("table attachment weights must stay nonnegative")
 
@@ -190,6 +205,11 @@ class ParentCountLaw:
         for m in support:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"parent counts must be integers >= 1, got {m!r}")
+        for m, p in zip(support, probs):
+            if not isinstance(p, (numbers.Rational, float)):
+                raise ValueError(f"parent-count probability of {m} must be "
+                                 f"an int, float or Fraction, got {p!r}")
+            _require_finite(f"parent-count probability of {m}", p)
         if any(p < 0 for p in probs):
             raise ValueError("negative probability in parent-count pmf")
         total = sum(float(p) for p in probs)
@@ -271,6 +291,11 @@ class WeightIndex:
         self.weights = [0.0] * self.capacity
         self.total = 0.0
         self.positive = 0
+
+    def __bool__(self) -> bool:
+        """True while some weight is positive: while a weighted pick has
+        a node to land on."""
+        return self.positive > 0
 
     def _grow(self, need: int) -> None:
         cap = self.capacity
@@ -434,7 +459,7 @@ def parent_distribution(state, attach, exact: bool = False) -> dict:
 
 
 def sample_combination(law: ParentCountLaw, chooser) -> int:
-    return law.support[chooser.pmf_index(law.cum)]
+    return law.support[chooser.pmf_index(law)]
 
 
 # -- config grammar --------------------------------------------------------

@@ -11,9 +11,14 @@ otherwise one round of grow-label-check:
 4. the configured mechanism checks the new node and its surroundings,
    and everything it recognizes is flagged PF atomically.
 
-The decision stream (one uniform per coin or pick, degenerate decisions
-free) is part of the engine contract: the accelerated backend replays it
-draw for draw, and trajectory equality across backends is tested.
+:func:`draw_move` is the one Python transcription of the decisions
+before the check (steps 1 to 3 and the adversarial branch).
+:meth:`PyEngine.step` plays it live, ``potentials.mc_drift`` samples it
+and ``potentials.exact_drift`` enumerates it by replay, so the three
+follow one law by construction.  The decision stream (one uniform per
+coin or pick, degenerate decisions free) is part of the engine contract:
+the accelerated backend replays it draw for draw, and trajectory
+equality across backends is tested.
 """
 
 from __future__ import annotations
@@ -156,6 +161,49 @@ def make_adversary(kind: str):
         return ADVERSARIES[kind]()
     except KeyError:
         raise ValueError(f"unknown adversary {kind!r}") from None
+
+
+# -- one step's decisions --------------------------------------------------
+
+def draw_move(state, features, chooser, pool, adversary):
+    """Make one step's decisions up to the check, in stream order.
+
+    Returns ``(branch, parents, label)``; ``branch`` is the
+    :class:`StepRecord` branch:
+
+    * the adversary coin (probability q) decides first.  On an
+      adversarial step the process is ``"stopped"`` if every node is PF;
+      otherwise ``adversary.move`` picks the parents and the label
+      (``"adversary"``, no check follows) or passes (``None``,
+      ``"adversary-noop"``);
+    * on a growth step the process is ``"stopped"`` if ``pool`` holds no
+      positive weight; otherwise the parent count, then that many
+      weighted picks from ``pool`` with replacement, then the label coin
+      (probability epsilon of CF) give a ``"grow"`` move, which the
+      caller adds and checks with :func:`checking.run_check`.
+
+    ``pool`` is what ``chooser.weighted_index`` draws from: the engine's
+    :class:`WeightIndex` for a :class:`SimChooser`, the selection pmf
+    for a :class:`PathChooser`; it is falsy when no weight is positive.
+    ``parents`` and ``label`` are ``None`` on the branches that add no
+    node.  The state is read, never changed.
+    """
+    if chooser.maybe(features.adversary_rate):
+        if adversary is None:
+            raise ValueError("adversarial step drawn but no adversary is set")
+        if state.pf_total == len(state.labels):
+            return "stopped", None, None
+        move = adversary.move(state, features, chooser)
+        if move is None:
+            return "adversary-noop", None, None
+        parents, label = move
+        return "adversary", list(parents), label
+    if not pool:
+        return "stopped", None, None
+    m = sample_combination(features.parent_count, chooser)
+    parents = [chooser.weighted_index(pool) for _ in range(m)]
+    label = CF if chooser.maybe(features.error_rate) else CT
+    return "grow", parents, label
 
 
 # -- step and trajectory records -------------------------------------------
@@ -320,40 +368,25 @@ class PyEngine:
         if self.stopped:
             return StepRecord("stopped", stopped=True)
         feats = self.features
-        chooser = self.chooser
         self.step_index += 1
-        if chooser.maybe(feats.adversary_rate):
-            return self._adversarial_step()
-        if self.windex.positive == 0:
+        branch, parents, label = draw_move(self.state, feats, self.chooser,
+                                           self.windex, self.adversary)
+        if branch == "stopped":
             self.stopped = True
             return StepRecord("stopped", stopped=True)
-        m = sample_combination(feats.parent_count, chooser)
-        parents = [chooser.weighted_index(self.windex) for _ in range(m)]
-        label = CF if chooser.maybe(feats.error_rate) else CT
-        v = self._add_node(parents, label, adversarial=False)
-        outcome = checking.run_check(
-            feats.mechanism, self.state, v, parents, feats.check_depth,
-            feats.check_rate, feats.detection_rate, chooser)
-        if outcome.marked:
-            self._apply_marks(outcome.marked)
-        self._track_zero()
-        return StepRecord("grow", v, label, parents, outcome)
-
-    def _adversarial_step(self) -> StepRecord:
-        adversary = self.adversary
-        if adversary is None:
-            raise ValueError("adversarial step drawn but no adversary is set")
-        if all(lab == PF for lab in self.state.labels):
-            self.stopped = True
-            return StepRecord("stopped", stopped=True)
-        move = adversary.move(self.state, self.features, self.chooser)
-        if move is None:
+        if branch == "adversary-noop":
             self._track_zero()
-            return StepRecord("adversary-noop")
-        parents, label = move
-        v = self._add_node(parents, label, adversarial=True)
+            return StepRecord(branch)
+        v = self._add_node(parents, label, adversarial=branch == "adversary")
+        outcome = None
+        if branch == "grow":
+            outcome = checking.run_check(
+                feats.mechanism, self.state, v, parents, feats.check_depth,
+                feats.check_rate, feats.detection_rate, self.chooser)
+            if outcome.marked:
+                self._apply_marks(outcome.marked)
         self._track_zero()
-        return StepRecord("adversary", v, label, list(parents), None)
+        return StepRecord(branch, v, label, parents, outcome)
 
     def _track_zero(self) -> None:
         if self.pt_false == 0:

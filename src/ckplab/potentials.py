@@ -16,12 +16,16 @@ carries:
   descendant closure of one originating error node, with leaves weighted
   ``a(0)/a(deg(v))``.
 
-``exact_drift`` enumerates every outcome of a single growth step and
-returns the expected potential change, exactly rational when the inputs
-allow it.  ``mc_drift`` estimates the same quantity by sampling.  Every
-enumeration leaf recomputes the potential through two independent code
-paths and any disagreement aborts the computation, so a reported drift
-is its own cross-check.
+``exact_drift`` enumerates every outcome of a single step and returns
+the expected potential change, exactly rational when the inputs allow
+it.  ``mc_drift`` estimates the same quantity by sampling.  Both make
+the step's decisions through :func:`evolution.draw_move`, as the
+engine's step does: ``exact_drift`` under a replaying
+:class:`PathChooser`, ``mc_drift`` under a live :class:`SimChooser`, so
+the two oracles and the engine share one description of the step.
+Every enumeration leaf recomputes the potential through two independent
+code paths and any disagreement aborts the computation, so a reported
+drift is its own cross-check.
 
 The :class:`MinDistance` routes compute their own distances and their
 own sums, but the terms ``a(deg) * c**dist`` they add up depend on the
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import copy
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,8 +58,8 @@ import numpy as np
 
 from . import checking
 from .attachment import AllPF, AllWeightsZero, parent_distribution, \
-    sample_combination, weight_index_for
-from .evolution import AuditViolation, RandomPt
+    weight_index_for
+from .evolution import AuditViolation, RandomPt, draw_move
 from .rand import NeedBranch, PathChooser, SimChooser, make_generator
 from .state import CT, CF, PF, StateError, pt_false_distances, \
     pt_false_distances_by_spread, anchor_bfs
@@ -69,11 +72,6 @@ DEFAULT_LEAF_CAP = 10_000_000
 
 class BranchBudgetExceeded(RuntimeError):
     """The outcome tree outgrew the configured enumeration caps."""
-
-
-class AdversaryNotEnumerable(RuntimeError):
-    """Exact drift needs every adversarial move to be determined by the
-    state; a randomized adversary has no finite outcome list to sum."""
 
 
 class NonpositiveWeight(ValueError):
@@ -409,34 +407,41 @@ def _auto_exact(features) -> bool:
     return _attachment_rational(features.attach)
 
 
-class _RandomMove(Exception):
-    pass
+class _Fresh:
+    """Hands every move to a fresh copy of ``adversary``, ``RandomPt``
+    when it is None, as in the engine.  Each sample, and each replay,
+    plays the same single step, so a stateful mover (a
+    :class:`Scripted` cursor) must start over every time, and the
+    caller's adversary is never advanced."""
+
+    __slots__ = ("adversary",)
+
+    def __init__(self, adversary):
+        self.adversary = RandomPt() if adversary is None else adversary
+
+    def move(self, state, features, chooser):
+        return copy.deepcopy(self.adversary).move(state, features, chooser)
 
 
-class _RefuseRandom:
-    """Chooser handed to an adversary while probing whether its move is
-    state-determined.  Degenerate decisions resolve as everywhere else;
-    anything that would consume randomness aborts the probe."""
+def _outcomes(decide, exact: bool):
+    """Every outcome of ``decide(chooser)``, with the product of the
+    probabilities of the branches that lead to it.
 
-    def maybe(self, p) -> bool:
-        if p <= 0:
-            return False
-        if p >= 1:
-            return True
-        raise _RandomMove
-
-    def uniform_index(self, n: int) -> int:
-        if n == 1:
-            return 0
-        raise _RandomMove
-
-    def pmf_index(self, cum) -> int:
-        if len(cum) == 1:
-            return 0
-        raise _RandomMove
-
-    def weighted_index(self, windex) -> int:
-        raise _RandomMove
+    ``decide`` is replayed under a :class:`PathChooser` from the empty
+    path; at each open decision the path forks once per option.  The
+    outcomes come lazily, so the caller may change what ``decide`` reads
+    between two of them as long as it restores it before the next.
+    """
+    stack = [((), Fraction(1) if exact else 1.0)]
+    while stack:
+        path, prob = stack.pop()
+        try:
+            result = decide(PathChooser(path, exact))
+        except NeedBranch as nb:
+            for option, p in nb.options:
+                stack.append((path + (option,), prob * p))
+            continue
+        yield result, prob
 
 
 def exact_drift(state, features, kind, adversary=None, *,
@@ -445,12 +450,17 @@ def exact_drift(state, features, kind, adversary=None, *,
                 exact: bool | None = None) -> DriftResult:
     """Expected one-step potential change, by complete enumeration.
 
-    Branches over the adversarial coin, the parent count, every ordered
-    parent tuple, the label coin, and every probabilistic decision the
-    checking mechanism makes, replayed through a :class:`PathChooser`.
-    The leaf probabilities must sum to one and each leaf's potential is
+    Two passes of one replay enumerator, :func:`_outcomes`.  The first
+    enumerates :func:`evolution.draw_move`: the adversary coin, the
+    adversary's move (``RandomPt`` when q > 0 and none is given, as in
+    the engine; a randomized move is enumerated like any other
+    decision), the parent count, every ordered parent tuple and the
+    label coin.  Each move's node is added once, to a copy of
+    ``state``, and the second pass enumerates every decision
+    :func:`checking.run_check` makes on that child.  The leaf
+    probabilities must sum to one and each leaf's potential is
     recomputed two ways; either failing raises instead of returning a
-    number.
+    number.  Neither ``state`` nor ``adversary`` is changed.
 
     ``exact=None`` switches to rational arithmetic automatically when
     every feature parameter is an int or Fraction.
@@ -460,11 +470,13 @@ def exact_drift(state, features, kind, adversary=None, *,
         raise BranchBudgetExceeded(
             f"{len(pt_nodes)} PT nodes exceed the enumeration cap {pt_cap}")
     exact_mode = _auto_exact(features) if exact is None else bool(exact)
+    if exact_mode and sum(p for _, p in
+                          features.parent_count.items_exact()) != 1:
+        raise ValueError(
+            "parent-count masses do not sum to one exactly; "
+            "use Fraction probabilities for exact drift")
+    adversary = _Fresh(adversary)
 
-    def cast(x):
-        return Fraction(x) if exact_mode else float(x)
-
-    one = Fraction(1) if exact_mode else 1.0
     terms = (TermTable(kind, exact_mode) if isinstance(kind, MinDistance)
              else None)
     phi_before = _checked_total(state, kind, exact_mode, terms)
@@ -483,66 +495,39 @@ def exact_drift(state, features, kind, adversary=None, *,
             acc.add(prob * (_checked_total(after, kind, exact_mode, terms)
                             - phi_before))
 
-    q = features.adversary_rate
-    qw = cast(q) if q > 0 else (one - one)
-    if q > 0:
-        if adversary is None:
-            raise AdversaryNotEnumerable(
-                "adversarial steps default to a randomized adversary; "
-                "pass a state-determined one to enumerate them")
-        if all(lab == PF for lab in state.labels):
-            leaf(qw)
-        else:
-            probe = copy.deepcopy(adversary)
-            try:
-                move = probe.move(state.copy(), features, _RefuseRandom())
-            except _RandomMove:
-                raise AdversaryNotEnumerable(
-                    f"{type(adversary).__name__} draws randomness inside "
-                    f"its move; exact drift cannot sum its outcomes"
-                ) from None
-            if move is None:
-                leaf(qw)
-            else:
-                parents, label = move
-                after = state.copy()
-                after.add_node(list(parents), label,
-                               birth=_next_birth(state), adversarial=True)
-                leaf(qw, after)
-
-    grow_w = one - qw
     try:
-        pmf = parent_distribution(state, features.attach, exact=exact_mode)
+        pool = parent_distribution(state, features.attach, exact=exact_mode)
     except (AllPF, AllWeightsZero):
-        leaf(grow_w)
-    else:
-        if exact_mode:
-            law_items = features.parent_count.items_exact()
-            if sum(p for _, p in law_items) != 1:
-                raise ValueError(
-                    "parent-count masses do not sum to one exactly; "
-                    "use Fraction probabilities for exact drift")
+        pool = {}
+    work = state.copy()
+    birth = _next_birth(state)
+
+    def move(chooser):
+        return draw_move(work, features, chooser, pool, adversary)
+
+    for (branch, parents, label), p_move in _outcomes(move, exact_mode):
+        if parents is None:
+            leaf(p_move)
+            continue
+        v = work.add_node(parents, label, birth=birth,
+                          adversarial=branch == "adversary")
+        if branch == "adversary":
+            leaf(p_move, work)
         else:
-            law_items = [(m, float(p)) for m, p in
-                         zip(features.parent_count.support,
-                             features.parent_count.probs)]
-        eps = features.error_rate
-        if eps > 0:
-            label_options = [(CT, one - cast(eps)), (CF, cast(eps))]
-        else:
-            label_options = [(CT, one)]
-        parent_ids = sorted(pmf)
-        birth = _next_birth(state)
-        for m, m_mass in law_items:
-            for tup in itertools.product(parent_ids, repeat=m):
-                tw = grow_w * m_mass
-                for u in tup:
-                    tw = tw * pmf[u]
-                for label, lw in label_options:
-                    child = state.copy()
-                    v = child.add_node(list(tup), label, birth=birth)
-                    _enumerate_checks(child, v, list(tup), features,
-                                      tw * lw, exact_mode, leaf)
+            def check(chooser):
+                return checking.run_check(
+                    features.mechanism, work, v, parents,
+                    features.check_depth, features.check_rate,
+                    features.detection_rate, chooser)
+
+            for outcome, p_check in _outcomes(check, exact_mode):
+                if outcome.marked:
+                    after = work.copy()
+                    after.mark_pf(outcome.marked)
+                else:
+                    after = work
+                leaf(p_move * p_check, after)
+        work.pop_last_node()
 
     total_mass = mass.total
     if exact_mode:
@@ -573,32 +558,6 @@ def exact_drift(state, features, kind, adversary=None, *,
 
 def _next_birth(state) -> int:
     return max(state.birth, default=-1) + 1
-
-
-def _enumerate_checks(child, v, parents, features, branch_w, exact_mode,
-                      leaf) -> None:
-    """Fork the check over every coin vector and path pick: replay with a
-    prescribed prefix, and on the first open decision push one extended
-    prefix per option."""
-    stack = [()]
-    while stack:
-        path = stack.pop()
-        chooser = PathChooser(path, exact=exact_mode)
-        try:
-            outcome = checking.run_check(
-                features.mechanism, child, v, parents,
-                features.check_depth, features.check_rate,
-                features.detection_rate, chooser)
-        except NeedBranch as nb:
-            for option, _prob in nb.options:
-                stack.append(path + (option,))
-            continue
-        if outcome.marked:
-            after = child.copy()
-            after.mark_pf(outcome.marked)
-        else:
-            after = child
-        leaf(branch_w * chooser.weight, after)
 
 
 # -- Monte Carlo drift -----------------------------------------------------
@@ -636,10 +595,12 @@ def mc_drift(state, features, kind, samples: int, rng,
              adversary=None) -> DriftEstimate:
     """Estimate the one-step drift by simulating single steps.
 
-    ``rng`` is a seed or a numpy Generator.  The sampler follows the
-    engine's decision stream exactly (adversary coin, parent count,
-    weighted parent picks, label coin, check), so its law is the
-    process's own.
+    ``rng`` is a seed or a numpy Generator.  Each sample is one
+    :func:`evolution.draw_move` under a :class:`SimChooser`, then
+    :func:`checking.run_check` on a growth step, so its law is the
+    engine's own.  Without an ``adversary`` the adversarial steps play
+    ``RandomPt``, as in the engine; every adversarial sample plays a
+    fresh copy of it.
 
     Each sample adds its node to ``state`` itself, runs the check there
     without applying the marking, scores the step and pops the node
@@ -673,10 +634,7 @@ def mc_drift(state, features, kind, samples: int, rng,
             return _phi_value(after, kind) - phi_before
         return _phi_value(state, kind) - phi_before
 
-    q = features.adversary_rate
-    if q > 0 and adversary is None:
-        adversary = RandomPt()
-    all_pf = all(lab == PF for lab in state.labels)
+    adversary = _Fresh(adversary)
     feats = features
     birth = _next_birth(state)
     n = len(state.labels)
@@ -684,20 +642,21 @@ def mc_drift(state, features, kind, samples: int, rng,
     m2 = 0.0
     try:
         for i in range(1, samples + 1):
-            if chooser.maybe(q):
-                delta = 0.0 if all_pf else _adversary_sample(
-                    state, feats, chooser, adversary, birth, step_delta)
-            elif windex.positive == 0:
+            branch, parents, label = draw_move(state, feats, chooser, windex,
+                                               adversary)
+            if parents is None:
                 delta = 0.0
             else:
-                m = sample_combination(feats.parent_count, chooser)
-                parents = [chooser.weighted_index(windex) for _ in range(m)]
-                label = CF if chooser.maybe(feats.error_rate) else CT
-                v = state.add_node(parents, label, birth=birth)
-                outcome = checking.run_check(
-                    feats.mechanism, state, v, parents, feats.check_depth,
-                    feats.check_rate, feats.detection_rate, chooser)
-                delta = step_delta(v, parents, outcome.marked)
+                v = state.add_node(parents, label, birth=birth,
+                                   adversarial=branch == "adversary")
+                if branch == "adversary":
+                    marked = ()
+                else:
+                    marked = checking.run_check(
+                        feats.mechanism, state, v, parents,
+                        feats.check_depth, feats.check_rate,
+                        feats.detection_rate, chooser).marked
+                delta = step_delta(v, parents, marked)
                 state.pop_last_node()
             d1 = delta - mean
             mean += d1 / i
@@ -709,21 +668,6 @@ def mc_drift(state, features, kind, samples: int, rng,
     var = m2 / (samples - 1) if samples > 1 else 0.0
     se = math.sqrt(max(var, 0.0) / samples)
     return DriftEstimate(mean, se, samples)
-
-
-def _adversary_sample(base, features, chooser, adversary, birth,
-                      step_delta) -> float:
-    # scripted movers advance an internal cursor; every sample replays
-    # the same single step, so each gets a fresh copy
-    move = copy.deepcopy(adversary).move(base, features, chooser)
-    if move is None:
-        return 0.0
-    parents, label = move
-    parents = list(parents)
-    v = base.add_node(parents, label, birth=birth, adversarial=True)
-    delta = step_delta(v, parents, ())
-    base.pop_last_node()
-    return delta
 
 
 def _min_distance_delta(state, dist, terms, v, parents, marked) -> float:

@@ -1,18 +1,25 @@
 """Randomness plumbing: seed derivation and the chooser abstraction.
 
 Checking mechanisms and the growth step never touch an rng directly; they
-ask a chooser for decisions.  Three implementations share the interface:
+ask a chooser for decisions.  Two implementations share the interface:
 
-* :class:`SimChooser` draws from a PCG64 stream (the live simulation).
+* :class:`SimChooser` draws from a PCG64 stream (the live simulation and
+  the Monte Carlo drift).
 * :class:`PathChooser` replays a prescribed decision path and raises
-  :class:`NeedBranch` at the first open decision, which is how the drift
-  oracle enumerates every probabilistic branch of a check exactly.
-* :class:`ScriptChooser` feeds hand-picked outcomes to tests.
+  :class:`NeedBranch` at the first open decision.  Tests script code
+  paths with it, and the drift oracle enumerates every probabilistic
+  branch of a step exactly by forking the path and replaying.
 
-All degenerate decisions (probability 0 or 1, a single alternative) are
-resolved without consuming randomness, by every implementation, so a
-decision path means the same thing everywhere and the accelerated engine
-can reproduce the stream draw-for-draw.
+The two draw from different pools for a weighted parent pick: the live
+chooser from the engine's :class:`attachment.WeightIndex`, the replaying
+one from the exact selection pmf.
+
+Degenerate coins, uniform indices and parent-count laws (probability 0
+or 1, a single alternative) are resolved without a decision by both, so
+a decision path means the same thing everywhere and the accelerated
+engine can reproduce the stream draw-for-draw.  A live weighted pick
+always consumes a uniform, as the kernel's does; a replayed pick from a
+one-entry pmf is no decision.
 """
 
 from __future__ import annotations
@@ -62,8 +69,10 @@ class SimChooser:
         i = int(self.gen.random() * n)
         return n - 1 if i >= n else i
 
-    def pmf_index(self, cum) -> int:
-        """Index into a cumulative probability table (last entry 1.0)."""
+    def pmf_index(self, law) -> int:
+        """Index into the support of a :class:`ParentCountLaw`, read off
+        its cumulative table ``law.cum`` (last entry 1.0)."""
+        cum = law.cum
         if len(cum) == 1:
             return 0
         u = self.gen.random()
@@ -93,33 +102,34 @@ class NeedBranch(Exception):
 
 
 class PathChooser:
-    """Replays a prescribed decision list for exhaustive enumeration.
+    """Replays a prescribed decision list.
 
-    Probabilities attached to a branch are Fractions when ``exact`` is set
-    (inputs must then be Fractions or ints), floats otherwise.  The
-    running product of chosen-branch probabilities is maintained in
-    ``weight``.
+    Each decision takes the path's next outcome and checks it against
+    the decision's options; an outcome that is not among them raises
+    ``ValueError``, and a decision past the end of the path raises
+    :class:`NeedBranch` with the options and their probabilities,
+    Fractions when ``exact`` is set and floats otherwise.  Tests feed it
+    hand-picked outcomes and assert :meth:`exhausted`; the drift oracle
+    forks the path at each :class:`NeedBranch` and replays.
     """
 
-    __slots__ = ("path", "cursor", "weight", "exact")
+    __slots__ = ("path", "cursor", "exact")
 
     def __init__(self, path=(), exact: bool = False):
         self.path = list(path)
         self.cursor = 0
         self.exact = exact
-        self.weight = Fraction(1) if exact else 1.0
 
-    def _cast(self, p):
-        return Fraction(p) if self.exact else float(p)
+    def exhausted(self) -> bool:
+        return self.cursor == len(self.path)
 
     def _take(self, options):
         if self.cursor >= len(self.path):
             raise NeedBranch(options)
         value = self.path[self.cursor]
         self.cursor += 1
-        for outcome, prob in options:
+        for outcome, _prob in options:
             if outcome == value:
-                self.weight *= prob
                 return outcome
         raise ValueError(f"prescribed outcome {value!r} not among options")
 
@@ -128,7 +138,7 @@ class PathChooser:
             return False
         if p >= 1:
             return True
-        q = self._cast(p)
+        q = Fraction(p) if self.exact else float(p)
         return self._take([(True, q), (False, 1 - q)])
 
     def uniform_index(self, n: int) -> int:
@@ -137,41 +147,20 @@ class PathChooser:
         share = Fraction(1, n) if self.exact else 1.0 / n
         return self._take([(i, share) for i in range(n)])
 
-
-class ScriptChooser:
-    """Chooser fed by a fixed outcome list, for forcing code paths in tests.
-
-    Decisions beyond the script raise; tests can assert the script was
-    fully consumed.
-    """
-
-    __slots__ = ("script", "cursor")
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.cursor = 0
-
-    def _next(self, kind):
-        if self.cursor >= len(self.script):
-            raise AssertionError(f"script exhausted at {kind} decision")
-        value = self.script[self.cursor]
-        self.cursor += 1
-        return value
-
-    def exhausted(self) -> bool:
-        return self.cursor == len(self.script)
-
-    def maybe(self, p) -> bool:
-        if p <= 0:
-            return False
-        if p >= 1:
-            return True
-        return bool(self._next("maybe"))
-
-    def uniform_index(self, n: int) -> int:
-        if n == 1:
+    def pmf_index(self, law) -> int:
+        """Index into the support of a :class:`ParentCountLaw`."""
+        if len(law.support) == 1:
             return 0
-        i = int(self._next("uniform_index"))
-        if not 0 <= i < n:
-            raise AssertionError(f"scripted index {i} out of range 0..{n - 1}")
-        return i
+        if self.exact:
+            masses = [p for _, p in law.items_exact()]
+        else:
+            masses = [float(p) for p in law.probs]
+        return self._take(list(enumerate(masses)))
+
+    def weighted_index(self, pmf) -> int:
+        """One pick from ``pmf``, a {node id: probability} dict of the
+        positive-weight nodes, as :func:`attachment.parent_distribution`
+        returns it in the chooser's arithmetic."""
+        if len(pmf) == 1:
+            return next(iter(pmf))
+        return self._take(list(pmf.items()))

@@ -87,20 +87,6 @@ def _growth_range(attach):
     return _frac(lo), (None if math.isinf(hi) else _frac(hi))
 
 
-def _law_mean(law) -> Fraction:
-    try:
-        return law.mean_exact()
-    except ExactUnavailable:
-        return _frac(law.mean())
-
-
-def _law_mean_reciprocal(law) -> Fraction:
-    try:
-        return law.mean_reciprocal_exact()
-    except ExactUnavailable:
-        return _frac(law.mean_reciprocal())
-
-
 def _survival_check_rate(features) -> Fraction:
     """Per-step rate at which checking can remove tracked-component nodes.
 
@@ -113,7 +99,7 @@ def _survival_check_rate(features) -> Fraction:
     """
     p = _frac(features.check_rate)
     if features.mechanism in PER_EDGE:
-        return p * _law_mean(features.parent_count)
+        return p * features.parent_count.mean_exact()
     return p
 
 
@@ -177,7 +163,7 @@ def _survival_threshold_claim(features):
         return None
     p_eff = _survival_check_rate(features)
     if features.simple:
-        growth_ratio = _law_mean(law) / (law.min + 1)
+        growth_ratio = law.mean_exact() / (law.min + 1)
         if growth_ratio >= 1:
             return None
         budget = (1 - growth_ratio) / 2
@@ -189,7 +175,7 @@ def _survival_threshold_claim(features):
         return None
     if hi is None:
         return None
-    growth_ratio = (2 * _law_mean(law) + law.min - 1) / (2 * (law.min + 1))
+    growth_ratio = (2 * law.mean_exact() + law.min - 1) / (2 * (law.min + 1))
     if growth_ratio > 1:
         return None
     eps = _frac(features.error_rate)
@@ -240,7 +226,7 @@ def _elimination_threshold_claim(features):
     if features.simple:
         if k < 2:
             return None
-        base_mass = b + 3 * a0 * _law_mean_reciprocal(law)
+        base_mass = b + 3 * a0 * law.mean_reciprocal_exact()
         depth_weight = ((k - 1) * a1 + a0) * Fraction(2, 3)
         threshold = max(base_mass / (base_mass + Fraction(2, 3)),
                         base_mass / depth_weight)

@@ -67,6 +67,55 @@ def test_negative_weights_rejected():
         TableAttachment((1, 2), -1)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: Affine(NAN, 1), "affine base"),
+    (lambda: Affine(1, INF), "affine slope"),
+    (lambda: Affine(-INF, 1), "affine base"),
+])
+def test_affine_rejects_non_finite_parameters(build, name):
+    # NaN passes the nonnegativity test, and would reach the weight index
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: PowerShifted(NAN, 1), "power base"),
+    (lambda: PowerShifted(1, INF), "power exponent"),
+    (lambda: PowerShifted(1, NAN), "power exponent"),
+])
+def test_power_rejects_non_finite_parameters(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: TableAttachment((1.0, NAN), 1), "table value 1"),
+    (lambda: TableAttachment((INF,), 1), "table value 0"),
+    (lambda: TableAttachment((1, 2), NAN), "table tail slope"),
+])
+def test_table_rejects_non_finite_parameters(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+def test_parent_count_law_rejects_non_finite_probabilities():
+    # {1: .5, 2: nan} used to pass the sum test (NaN compares False) and
+    # sample as {1: .5, 2: .5}
+    with pytest.raises(ValueError, match="probability of 2"):
+        ParentCountLaw({1: 0.5, 2: NAN})
+    with pytest.raises(ValueError, match="probability of 1"):
+        ParentCountLaw({1: INF, 2: 0.5})
+    with pytest.raises(ValueError, match="probability of 1"):
+        ParentCountLaw({1: "1"})
+    # every law it accepts has an exact mean, numpy integers included
+    law = ParentCountLaw({1: np.int64(0), 2: Fraction(1, 4), 3: 0.75})
+    assert law.mean_exact() == Fraction(11, 4)
+    assert law.mean_reciprocal_exact() == Fraction(3, 8)
+
+
 @pytest.mark.parametrize("fam", [
     Affine(1, 1), Affine(1, 0), Affine(2, 3),
     PowerShifted(1, 3), PowerShifted(2, 1), PowerShifted(1, 0.5),

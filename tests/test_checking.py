@@ -1,13 +1,16 @@
 """Checking mechanism semantics: walks, search order, stop rules, marking
-scope, soundness and the dominance chain."""
+scope, soundness and the dominance chain; and the replay chooser the
+scripted cases run under."""
 
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ckplab.attachment import ParentCountLaw
 from ckplab.checking import MECHANISMS, run_check
-from ckplab.rand import ScriptChooser, SimChooser
+from ckplab.rand import NeedBranch, PathChooser, SimChooser
 from ckplab.state import CT, CF, PF, CkpState
 
 
@@ -34,6 +37,36 @@ def pt_ball(state, v, k):
     return seen
 
 
+# -- the replay chooser ----------------------------------------------------
+
+def test_path_chooser_fails_loudly_off_its_path():
+    s = chain([CF, CT])
+    chooser = PathChooser([])
+    with pytest.raises(NeedBranch) as nb:
+        run_check("bfs", s, 1, [0], k=2, p=0.25, p_e=1, chooser=chooser)
+    assert nb.value.options == [(True, 0.25), (False, 0.75)]
+    with pytest.raises(ValueError, match="not among options"):
+        PathChooser([3]).uniform_index(3)
+    with pytest.raises(ValueError, match="not among options"):
+        PathChooser([2]).weighted_index({0: 0.5, 1: 0.5})
+
+
+def test_path_chooser_offers_exact_masses():
+    law = ParentCountLaw({1: 0.5, 3: 0.5})
+    with pytest.raises(NeedBranch) as nb:
+        PathChooser([], exact=True).pmf_index(law)
+    assert nb.value.options == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
+    assert type(nb.value.options[0][1]) is Fraction
+    with pytest.raises(NeedBranch) as nb:
+        PathChooser([], exact=True).uniform_index(3)
+    assert nb.value.options == [(i, Fraction(1, 3)) for i in range(3)]
+    # single alternatives take no place on the path
+    chooser = PathChooser([])
+    assert chooser.pmf_index(ParentCountLaw.const(2)) == 0
+    assert chooser.weighted_index({4: 1.0}) == 4
+    assert chooser.exhausted()
+
+
 # -- stringy ---------------------------------------------------------------
 # whole checks run with p = 1, which draws no coin
 
@@ -41,7 +74,7 @@ def pt_ball(state, v, k):
 def test_stringy_finds_cf_on_unique_path():
     s = chain([CF, CT, CT])
     out = run_check("stringy", s, 2, s.parents[2], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
     assert out.visited == [2, 1, 0]
@@ -50,7 +83,7 @@ def test_stringy_finds_cf_on_unique_path():
 def test_stringy_depth_limit():
     s = chain([CF, CT, CT, CT])
     out = run_check("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [] and out.marked == set()
 
 
@@ -62,7 +95,7 @@ def test_stringy_diamond_both_branches_reach_the_error():
     s.add_node([1, 2], CT, birth=3)
     for branch in (0, 1):
         out = run_check("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                        chooser=ScriptChooser([branch]))
+                        chooser=PathChooser([branch]))
         assert out.found == [0]
         assert out.marked == {3, branch + 1, 0}
 
@@ -71,7 +104,7 @@ def test_stringy_pf_edge_marks_walked_path_only():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
     out = run_check("stringy", s, 2, s.parents[2], k=5, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [1]            # the walked top node, a root
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -80,11 +113,11 @@ def test_stringy_pf_edge_marks_walked_path_only():
 def test_stringy_self_check_and_walkthrough():
     s = chain([CF, CF])
     out = run_check("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
-                    chooser=ScriptChooser([True]))
+                    chooser=PathChooser([True]))
     assert out.found == [1] and out.marked == {1}
     # detection fails on v, then fails on the parent: walk passes through
     out = run_check("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
-                    chooser=ScriptChooser([False, False]))
+                    chooser=PathChooser([False, False]))
     assert out.found == [] and out.marked == set()
     assert out.visited == [1, 0]
 
@@ -94,7 +127,7 @@ def test_stringy_self_check_and_walkthrough():
 def test_bfs_finds_nearest_and_marks_descendants():
     s = chain([CF, CT, CT])
     out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -103,7 +136,7 @@ def test_bfs_recognizes_roots_without_visiting_pf():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
     out = run_check("bfs", s, 2, s.parents[2], k=1, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [1]
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -112,7 +145,7 @@ def test_bfs_recognizes_roots_without_visiting_pf():
 def test_bfs_clean_neighborhood_finds_nothing():
     s = chain([CT, CT, CT])
     out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [] and out.marked == set()
     assert out.visited == [2, 1, 0]
 
@@ -126,7 +159,7 @@ def test_bfs_marks_all_visited_descendants_not_just_the_path():
     s.add_node([0], CT, birth=2)
     s.add_node([1, 2], CT, birth=3)
     out = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2, 3}
 
@@ -134,7 +167,7 @@ def test_bfs_marks_all_visited_descendants_not_just_the_path():
 def test_bfs_depth_cap_blocks_distant_error():
     s = chain([CF, CT, CT, CT])
     out = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == []
     assert set(out.visited) == {3, 2, 1}
 
@@ -147,7 +180,7 @@ def test_exhaustive_self_catch_stops_everything():
     s.add_node([0], CT, birth=1)
     s.add_node([0, 1], CF, birth=2)
     out = run_check("exhaustive-bfs", s, 2, [0, 1], k=3, p=0.5, p_e=0.5,
-                    chooser=ScriptChooser([True, True]))
+                    chooser=PathChooser([True, True]))
     assert out.found == [2]
     assert out.marked == {2}
     assert out.performed == [True]     # second edge never reached
@@ -157,7 +190,7 @@ def test_exhaustive_finds_cf_parent():
     s = chain([CF, CT])
     s.add_node([0], CT, birth=2)
     out = run_check("exhaustive-bfs", s, 2, [0], k=1, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 2}
 
@@ -172,7 +205,7 @@ def test_exhaustive_coin_per_edge_in_order():
     s.add_node([1], CT, birth=2)        # 3 = u2
     s.add_node([2, 3], CT, birth=3)     # 4 = v
     out = run_check("exhaustive-bfs", s, 4, [2, 3], k=2, p=0.5, p_e=1,
-                    chooser=ScriptChooser([False, True]))
+                    chooser=PathChooser([False, True]))
     assert out.performed == [False, True]
     assert out.found == [1]
     assert out.marked == {1, 3, 4}
@@ -187,7 +220,7 @@ def test_parentwise_collects_one_find_per_edge():
     s.add_node([1], CT, birth=2)       # 3
     s.add_node([2, 3], CT, birth=3)    # 4 = v
     out = run_check("parentwise-bfs", s, 4, [2, 3], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3, 4}
 
@@ -195,16 +228,16 @@ def test_parentwise_collects_one_find_per_edge():
 def test_parentwise_single_parent_equals_exhaustive():
     s = chain([CF, CT, CT])
     a = run_check("exhaustive-bfs", s, 2, [1], k=3, p=1, p_e=1,
-                  chooser=ScriptChooser([]))
+                  chooser=PathChooser([]))
     b = run_check("parentwise-bfs", s, 2, [1], k=3, p=1, p_e=1,
-                  chooser=ScriptChooser([]))
+                  chooser=PathChooser([]))
     assert (a.found, a.marked, a.visited) == (b.found, b.marked, b.visited)
 
 
 def test_complete_marks_error_with_descendants():
     s = chain([CF, CT, CT])
     out = run_check("complete", s, 2, [1], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -216,7 +249,7 @@ def test_complete_finds_several_side_by_side():
     s.add_node([0, 1], CT, birth=1)    # 2
     s.add_node([2], CT, birth=2)       # 3 = v
     out = run_check("complete", s, 3, [2], k=2, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3}
 
@@ -224,7 +257,7 @@ def test_complete_finds_several_side_by_side():
 def test_complete_does_not_expand_past_a_recognized_node():
     s = chain([CF, CF, CT, CT])        # 0 hides strictly behind 1
     out = run_check("complete", s, 3, [2], k=3, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [1]
     assert 0 not in out.visited
 
@@ -233,7 +266,7 @@ def test_complete_self_catch_does_not_cancel_the_sweep():
     s = chain([CF, CT])
     s.add_node([1], CF, birth=2)       # v is itself CF, error 2 hops up
     out = run_check("complete", s, 2, [1], k=3, p=1, p_e=1,
-                    chooser=ScriptChooser([]))
+                    chooser=PathChooser([]))
     assert out.found == [2, 0]
     assert out.marked == {0, 1, 2}
 
@@ -270,7 +303,7 @@ def test_per_edge_stop_policies(mechanism, script, performed, found, marked,
     s.add_node([0], CT, birth=1)       # 2
     s.add_node([1], CT, birth=2)       # 3
     s.add_node([2, 3], CF, birth=3)    # 4 = v
-    chooser = ScriptChooser(script)
+    chooser = PathChooser(script)
     out = run_check(mechanism, s, 4, [2, 3], k=2, p=1, p_e=0.5,
                     chooser=chooser)
     assert out.performed == performed
@@ -283,15 +316,15 @@ def test_per_edge_stop_policies(mechanism, script, performed, found, marked,
 def test_run_check_whole_check_coin():
     s = chain([CF, CT])
     out = run_check("bfs", s, 1, [0], k=2, p=0.5, p_e=1,
-                    chooser=ScriptChooser([False]))
+                    chooser=PathChooser([False]))
     assert out.performed == [False]
     assert out.found == [] and out.visited == []
     out = run_check("stringy", s, 1, [0], k=2, p=0.5, p_e=1,
-                    chooser=ScriptChooser([True]))
+                    chooser=PathChooser([True]))
     assert out.found == [0]
     with pytest.raises(ValueError):
         run_check("sideways", s, 1, [0], k=2, p=1, p_e=1,
-                  chooser=ScriptChooser([]))
+                  chooser=PathChooser([]))
 
 
 # -- shared invariants on random states ------------------------------------
@@ -347,7 +380,7 @@ def test_soundness_radius_and_connectivity(svp, mechanism, k, seed):
 def test_dominance_chain_under_forced_coins(svp, k):
     s, v, parents = svp
     # p = 1 and p_e = 1 consume no randomness: outcomes are deterministic
-    ex, pw, co = (run_check(mech, s, v, parents, k, 1, 1, ScriptChooser([]))
+    ex, pw, co = (run_check(mech, s, v, parents, k, 1, 1, PathChooser([]))
                   for mech in ("exhaustive-bfs", "parentwise-bfs", "complete"))
     st_out = run_check("stringy", s, v, parents, k, 1, 1, SimChooser(9))
     assert ex.marked <= pw.marked

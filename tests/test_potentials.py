@@ -18,7 +18,7 @@ from ckplab.attachment import Affine, ParentCountLaw, TableAttachment, \
 from ckplab.evolution import AuditViolation, DeepAttach, Features, PyEngine, \
     RandomPt, Scripted, init_chain
 from ckplab.potentials import (
-    AdversaryNotEnumerable, BranchBudgetExceeded, DriftResult, MinDistance,
+    BranchBudgetExceeded, DriftResult, MinDistance,
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
     NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
@@ -288,6 +288,32 @@ def test_drift_pinned_on_a_five_node_chain():
     assert abs(approx.value - 18443 / 1620) <= 1e-9
 
 
+def test_drift_pinned_on_the_twelve_node_cap_chain():
+    # the benchmark's drift input: a CF chain at the default PT-node cap
+    chain = init_chain(12, 1, CF)
+    r = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3))
+    assert r.exact
+    assert r.value == Fraction(125703471, 48668)
+    assert r.leaf_count == 4833
+    approx = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3),
+                         exact=False)
+    assert not approx.exact
+    assert approx.leaf_count == 4833
+    assert abs(approx.value - 125703471 / 48668) <= 1e-9
+
+
+def test_exact_drift_needs_a_law_that_sums_to_one_exactly():
+    # 0.1 and 0.9 sum to one in floats, not as binary fractions
+    law = ParentCountLaw({1: 0.1, 2: 0.9})
+    assert Fraction(0.1) + Fraction(0.9) != 1
+    f = Features(PREF, law, check_rate=Fraction(1, 2), check_depth=2,
+                 mechanism="bfs")
+    with pytest.raises(ValueError, match="do not sum to one exactly"):
+        exact_drift(single_cf(), f, MinDistance(PREF, 3), exact=True)
+    r = exact_drift(single_cf(), f, MinDistance(PREF, 3))
+    assert not r.exact
+
+
 def test_drift_float_and_rational_modes_agree_on_sampled_states():
     for st in sampled_states("exhaustive-bfs", 17, steps=25)[:6]:
         f = feats("exhaustive-bfs", Fraction(9, 10), k=4)
@@ -345,12 +371,61 @@ def test_drift_with_a_scripted_adversary():
     assert adv.cursor == 0, "enumeration must not consume the caller's script"
 
 
-def test_drift_refuses_randomized_adversaries():
-    with pytest.raises(AdversaryNotEnumerable):
-        exact_drift(init_chain(3, 1, CF), adversarial_feats(),
-                    MinDistance(PREF, 3), adversary=RandomPt())
-    with pytest.raises(AdversaryNotEnumerable):
-        exact_drift(single_cf(), adversarial_feats(), MinDistance(PREF, 3))
+def test_drift_leaves_the_callers_state_and_adversary_alone(monkeypatch):
+    # a grown state with PF nodes, a check that marks, and a scripted
+    # adversary whose every replay must start from the first move
+    law = ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    f = Features(PREF, law, check_rate=Fraction(3, 5), check_depth=3,
+                 mechanism="complete", error_rate=Fraction(1, 10),
+                 adversary_rate=Fraction(1, 5), adversary_budget=2)
+    eng = PyEngine(f, init_chain(3, 1, CF), SimChooser(6), RandomPt())
+    while eng.state.pf_total == 0 or len(eng.state.pt_ids()) < 4:
+        eng.step()
+    grown = eng.state
+    assert (len(grown.labels), grown.pf_total) == (6, 2)
+    target = grown.pt_ids()[0]
+    adv = Scripted([([target, target], CF)])
+    before = snapshot(grown)
+    r = exact_drift(grown, f, MinDistance(PREF, 3), adversary=adv)
+    assert r.leaf_count > 100
+    assert snapshot(grown) == before
+    assert (adv.cursor, adv.moves) == (0, [([target, target], CF)])
+    # a check that raises partway through the enumeration, with the
+    # enumeration's node on its working copy
+    real_run_check = checking.run_check
+    calls = []
+
+    def failing_run_check(mechanism, state, v, *args):
+        calls.append(v)
+        assert state is not grown
+        if len(calls) == 40:
+            raise RuntimeError("check failed mid-enumeration")
+        return real_run_check(mechanism, state, v, *args)
+
+    monkeypatch.setattr(checking, "run_check", failing_run_check)
+    with pytest.raises(RuntimeError, match="mid-enumeration"):
+        exact_drift(grown, f, MinDistance(PREF, 3), adversary=adv)
+    assert len(calls) == 40
+    assert snapshot(grown) == before
+    assert adv.cursor == 0
+
+
+def test_drift_enumerates_a_randomized_adversary():
+    # RandomPt's two uniform picks and its label coin are enumerated like
+    # the step's own decisions: 16 parent pairs times 2 labels, plus 4
+    # parents times 2 check outcomes on the growth branch
+    f = Features(PREF, ParentCountLaw.const(1), check_rate=Fraction(1, 2),
+                 check_depth=2, mechanism="bfs",
+                 adversary_rate=Fraction(1, 4), adversary_budget=2)
+    chain = init_chain(4, 1, CF)
+    r = exact_drift(chain, f, MinDistance(PREF, 3), adversary=RandomPt())
+    assert r.value == Fraction(605, 32)
+    assert r.leaf_count == 40
+    est = mc_drift(chain, f, MinDistance(PREF, 3), 20_000, 5,
+                   adversary=RandomPt())
+    assert abs(est.mean - float(r.value)) <= 5 * est.se
+    # RandomPt is the default adversary, as in the engine and mc_drift
+    assert exact_drift(chain, f, MinDistance(PREF, 3)) == r
 
 
 def test_drift_enumeration_caps():
