@@ -21,7 +21,9 @@ class optional_build_ext(build_ext):
 
 
 # the kernel is hand-written C++ against the CPython and numpy headers,
-# so it builds with the C++ compiler alone
+# so it builds with the C++ compiler alone; its large columns grow with
+# Linux's mremap, so elsewhere the build fails and, as for any failed
+# build, the pure-Python engine is used
 kernel = Extension(
     "ckplab._kernel",
     ["src/ckplab/_kernel.cpp"],

@@ -63,9 +63,24 @@
 //     membership bits.
 //   * Parents are immutable once a node exists, so they are CSR: one
 //     edge array, indexed from each node's offset, in insertion order.
-//   * Children are append-only intrusive lists over edge ids (head and
-//     tail per node, next per edge, plus the edge's child), which keeps
-//     the insertion order export_state reports.
+//   * Children are intrusive lists over edge ids (a head per node, a next
+//     per edge, plus the edge's child), each new edge inserted at the
+//     head.  Nothing in a step depends on their order: a mark counts PF
+//     parents and refreshes membership over them, and a leaf test asks
+//     only whether the list is empty.  export_state reverses each list
+//     into insertion order.
+//   * The columns that grow with the graph (the node records, the three
+//     edge columns, the child heads, birth, adversarial and PF child
+//     counts, the Fenwick tree and weights) are Columns: a realloc'd
+//     heap block below 1 MB, an anonymous mapping grown by Linux's
+//     mremap from there on.  A doubling then moves pages rather than
+//     copying them beside the old ones, so the peak is the final size
+//     and the untouched tail of a mapping costs nothing; short sweep
+//     trials stay on the heap.  The scratch buffers are std::vector.
+//   * No per-node array serves the check alone.  The marks of a step are
+//     collected with repeats and deduplicated by the sort that orders
+//     them; a found node's closure is named by a fresh seen stamp, since
+//     the walk that set the old ones is over.
 //   * A step draws its parents into one buffer sized to the largest
 //     parent count, sorts it in place after the edges are stored, and
 //     allocates nothing else.
@@ -79,12 +94,18 @@
 
 #include <numpy/random/bitgen.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <initializer_list>
 #include <new>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -171,6 +192,86 @@ struct Seq {
         items(PySequence_Fast_ITEMS(seq.get())) {}
 };
 
+// A growable array of trivially copyable values, for the columns that grow
+// with the graph.  Capacity doubles.  Below COLUMN_MAP_BYTES it is a heap
+// block grown by realloc, which keeps the many short-lived engines of a
+// sweep off the system calls; from there on it is an anonymous mapping
+// grown by mremap(MREMAP_MAYMOVE), so a doubling moves pages instead of
+// holding the old copy resident beside the new one, and a freed column
+// gives its pages back.
+const size_t COLUMN_MAP_BYTES = size_t(1) << 20;
+
+template <typename T>
+class Column {
+  static_assert(std::is_trivially_copyable<T>::value,
+                "a column moves its values as raw bytes");
+
+ public:
+  Column() : data_(nullptr), size_(0), cap_(0), mapped_(false) {}
+  ~Column() {
+    if (mapped_)
+      munmap(data_, cap_ * sizeof(T));
+    else
+      std::free(data_);
+  }
+  Column(const Column &) = delete;
+  Column &operator=(const Column &) = delete;
+
+  size_t size() const { return size_; }
+  T *data() { return data_; }
+  T *begin() { return data_; }
+  T *end() { return data_ + size_; }
+  T &operator[](size_t i) { return data_[i]; }
+  const T &operator[](size_t i) const { return data_[i]; }
+
+  void push_back(T x) {
+    if (size_ == cap_) reserve(size_ + 1);
+    data_[size_++] = x;
+  }
+  // grow to ``n`` values, the new ones ``x``
+  void resize(size_t n, T x = T()) {
+    reserve(n);
+    std::fill(data_ + std::min(size_, n), data_ + n, x);
+    size_ = n;
+  }
+  void assign(size_t n, T x) {
+    size_ = 0;
+    resize(n, x);
+  }
+
+ private:
+  void reserve(size_t need) {
+    if (need <= cap_) return;
+    size_t bytes = std::max(need, 2 * cap_) * sizeof(T);
+    void *p;
+    if (bytes < COLUMN_MAP_BYTES) {
+      p = std::realloc(data_, bytes);
+      if (p == nullptr) throw std::bad_alloc();
+    } else {
+      const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+      bytes = (bytes + page - 1) / page * page;
+      if (mapped_) {
+        p = mremap(data_, cap_ * sizeof(T), bytes, MREMAP_MAYMOVE);
+      } else {
+        p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p != MAP_FAILED) {
+          if (size_ > 0) std::memcpy(p, data_, size_ * sizeof(T));
+          std::free(data_);
+          mapped_ = true;
+        }
+      }
+      if (p == MAP_FAILED) throw std::bad_alloc();
+    }
+    data_ = static_cast<T *>(p);
+    cap_ = bytes / sizeof(T);
+  }
+
+  T *data_;
+  size_t size_, cap_;
+  bool mapped_;
+};
+
 // Per-node fields read together by the ball walk and the bookkeeping.
 struct Node {
   int32_t first;      // CSR offset of the first parent edge
@@ -244,17 +345,12 @@ class Engine {
 
   // checking
   uint32_t next_seen();
-  static uint32_t next_stamp(uint32_t &stamp, std::vector<uint32_t> &at);
   bool flagged(const Node &n) {
     bool hit = n.label == CF && maybe(detection_rate_);
     return hit || n.pf_parent > 0;
   }
-  void mark(int32_t w) {
-    if (marked_at_[w] != marked_stamp_) {
-      marked_at_[w] = marked_stamp_;
-      step_marked_.push_back(w);
-    }
-  }
+  // repeats are dropped when the marks are applied
+  void mark(int32_t w) { step_marked_.push_back(w); }
   void mark_closure(int32_t found, size_t visited);
   int ball(int32_t start, int cap, bool sweep);
   void check_stringy(int32_t v);
@@ -275,20 +371,20 @@ class Engine {
   std::vector<double> law_cum_;
   std::vector<double> atab_;   // attachment weight by degree
   // graph
-  std::vector<Node> nodes_;
-  std::vector<int32_t> edge_parent_;   // CSR, in insertion order
-  std::vector<int32_t> edge_child_;
-  std::vector<int32_t> edge_next_;     // next child edge of the same parent
-  std::vector<int32_t> child_head_, child_tail_;
-  std::vector<int32_t> birth_;
-  std::vector<uint8_t> advers_;
-  std::vector<int32_t> pf_child_len_;  // -1 while the node is PT
+  Column<Node> nodes_;
+  Column<int32_t> edge_parent_;   // CSR, in insertion order
+  Column<int32_t> edge_child_;
+  Column<int32_t> edge_next_;     // next child edge of the same parent
+  Column<int32_t> child_head_;    // newest child edge first
+  Column<int32_t> birth_;
+  Column<uint8_t> advers_;
+  Column<int32_t> pf_child_len_;  // -1 while the node is PT
   long long pf_total_;
   // weight index
   int32_t wsize_, wcap_, wmask_;
   long long wpositive_;
   double wtotal_;
-  std::vector<double> tree_, weights_;
+  Column<double> tree_, weights_;
   // engine counters
   bool stopped_;
   long long step_index_, zero_since_;   // zero_since_ -1: nonzero now
@@ -297,8 +393,7 @@ class Engine {
   std::vector<int32_t> pbuf_;           // this step's parents
   std::vector<int32_t> queue_;          // ball walk: popped prefix = order
   std::vector<int32_t> finds_, walk_, step_marked_, touched_;
-  std::vector<uint32_t> closed_at_, marked_at_;
-  uint32_t seen_stamp_, closed_stamp_, marked_stamp_;
+  uint32_t seen_stamp_;
   // cheap audit
   bool audit_on_, track_delta_;
   long long last_potential_, fixed_floor_;
@@ -380,7 +475,6 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     }
   nodes_.resize(n);
   child_head_.assign(n, -1);
-  child_tail_.assign(n, -1);
   for (Py_ssize_t v = 0; v < n; ++v) {
     Node &node = nodes_[v];
     node.label = static_cast<int8_t>(as_long(labels.items[v]));
@@ -442,9 +536,7 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   }
   zero_since_ = pt_false_ == 0 ? 0 : -1;
 
-  closed_at_.assign(n, 0);
-  marked_at_.assign(n, 0);
-  seen_stamp_ = closed_stamp_ = marked_stamp_ = 0;
+  seen_stamp_ = 0;
 
   audit_on_ = audit_cheap;
   track_delta_ = detection_rate_ == 1;
@@ -583,11 +675,8 @@ void Engine::refresh(int32_t v) {
 }
 
 void Engine::link_child(int32_t u, int32_t e) {
-  if (child_tail_[u] < 0)
-    child_head_[u] = e;
-  else
-    edge_next_[child_tail_[u]] = e;
-  child_tail_[u] = e;
+  edge_next_[e] = child_head_[u];
+  child_head_[u] = e;
 }
 
 int32_t Engine::child_count(int32_t w) const {
@@ -616,10 +705,7 @@ int32_t Engine::add_node(int m, int8_t label) {
   birth_.push_back(static_cast<int32_t>(step_index_));
   advers_.push_back(0);
   child_head_.push_back(-1);
-  child_tail_.push_back(-1);
   pf_child_len_.push_back(-1);
-  closed_at_.push_back(0);
-  marked_at_.push_back(0);
   for (int i = 0; i < m; ++i) {
     int32_t u = pbuf_[i];
     int32_t e = static_cast<int32_t>(edge_parent_.size());
@@ -648,8 +734,11 @@ int32_t Engine::add_node(int m, int8_t label) {
 }
 
 // Flag step_marked_ PF: PyEngine._apply_marks around CkpState.mark_pf.
+// Sorting also leaves the repeats side by side, and they go here.
 void Engine::apply_marks() {
   std::sort(step_marked_.begin(), step_marked_.end());
+  step_marked_.erase(std::unique(step_marked_.begin(), step_marked_.end()),
+                     step_marked_.end());
   for (int32_t w : step_marked_)
     if (!nodes_[w].is_false) {
       PyErr_Format(AuditViolation, "check tried to mark True node %d", w);
@@ -718,29 +807,21 @@ uint32_t Engine::next_seen() {
   return seen_stamp_;
 }
 
-uint32_t Engine::next_stamp(uint32_t &stamp, std::vector<uint32_t> &at) {
-  if (++stamp == 0) {
-    std::fill(at.begin(), at.end(), 0u);
-    stamp = 1;
-  }
-  return stamp;
-}
-
 // Mark ``found`` and every node among the first ``visited`` of the walk's
 // queue that lies below it through edges whose upper end is already in
-// the closure: checking._descendants_within.
+// the closure: checking._descendants_within.  The walk is over, so a fresh
+// ``seen`` stamp names the closure.
 void Engine::mark_closure(int32_t found, size_t visited) {
-  const uint32_t cs = next_stamp(closed_stamp_, closed_at_);
-  closed_at_[found] = cs;
+  const uint32_t cs = next_seen();
+  nodes_[found].seen = cs;
   for (bool grew = true; grew;) {
     grew = false;
     for (size_t i = 0; i < visited; ++i) {
-      int32_t x = queue_[i];
-      if (closed_at_[x] == cs) continue;
-      const Node &nx = nodes_[x];
+      Node &nx = nodes_[queue_[i]];
+      if (nx.seen == cs) continue;
       for (int32_t e = nx.first; e < nx.first + nx.npar; ++e)
-        if (closed_at_[edge_parent_[e]] == cs) {
-          closed_at_[x] = cs;
+        if (nodes_[edge_parent_[e]].seen == cs) {
+          nx.seen = cs;
           grew = true;
           break;
         }
@@ -748,7 +829,7 @@ void Engine::mark_closure(int32_t found, size_t visited) {
   }
   mark(found);
   for (size_t i = 0; i < visited; ++i)
-    if (closed_at_[queue_[i]] == cs) mark(queue_[i]);
+    if (nodes_[queue_[i]].seen == cs) mark(queue_[i]);
 }
 
 // The ball walk, checking._ball: BFS upward from ``start`` to depth
@@ -818,7 +899,6 @@ void Engine::check_stringy(int32_t v) {
 
 // Fill step_marked_ for the new node ``v``: checking.run_check.
 void Engine::run_check(int32_t v) {
-  next_stamp(marked_stamp_, marked_at_);
   step_marked_.clear();
   if (mech_ == STRINGY || mech_ == BFS) {
     if (!maybe(check_rate_)) return;
@@ -983,12 +1063,14 @@ PyObject *Engine::export_state() const {
           return PyLong_FromLong(edge_parent_[nv.first + j]);
         });
       }));
+  // the lists are newest first; the state's are in insertion order
   set("children", list_of(n, [&](size_t v) {
         Ref list(check(PyList_New(0)));
         for (int32_t e = child_head_[v]; e >= 0; e = edge_next_[e]) {
           Ref c(check(PyLong_FromLong(edge_child_[e])));
           if (PyList_Append(list.get(), c.get()) < 0) fail();
         }
+        if (PyList_Reverse(list.get()) < 0) fail();
         return list.release();
       }));
   set("deg_pt",

@@ -265,6 +265,12 @@ class ParentCountLaw:
 
 # -- weighted index --------------------------------------------------------
 
+def _top_bit(capacity: int) -> int:
+    """The largest power of two not above ``capacity``: the first step
+    of a Fenwick descent."""
+    return 1 << (capacity.bit_length() - 1)
+
+
 class WeightIndex:
     """Fenwick tree over per-node weights for O(log n) weighted selection.
 
@@ -282,11 +288,13 @@ class WeightIndex:
     unchanged; see :meth:`_build` for why no ``sum`` may enter it.
     """
 
-    __slots__ = ("size", "capacity", "tree", "weights", "total", "positive")
+    __slots__ = ("size", "capacity", "top", "tree", "weights", "total",
+                 "positive")
 
     def __init__(self, capacity: int = 1024):
         self.size = 0
         self.capacity = max(1, capacity)
+        self.top = _top_bit(self.capacity)
         self.tree = [0.0] * (self.capacity + 1)
         self.weights = [0.0] * self.capacity
         self.total = 0.0
@@ -320,9 +328,7 @@ class WeightIndex:
         """
         w = np.asarray(weights, dtype=float) + 0.0   # -0.0 is skipped as 0.0
         n = len(w)
-        top = 1
-        while top * 2 <= capacity:
-            top *= 2
+        top = _top_bit(capacity)
         padded = np.zeros(2 * top)
         padded[:n] = w
         tree = np.zeros(capacity + 1)
@@ -337,6 +343,7 @@ class WeightIndex:
             span *= 2
         self.size = n
         self.capacity = capacity
+        self.top = top
         self.tree = tree.tolist()
         self.weights = w.tolist() + [0.0] * (capacity - n)
         self.total = float(np.add.accumulate(w)[-1]) if n else 0.0
@@ -384,9 +391,7 @@ class WeightIndex:
         """Largest prefix not exceeding ``x``: the node whose weight span
         contains ``x``.  Callers pass x = u * total for u in [0, 1)."""
         pos = 0
-        mask = 1
-        while mask * 2 <= self.capacity:
-            mask *= 2
+        mask = self.top
         rem = x
         while mask:
             nxt = pos + mask

@@ -13,9 +13,7 @@ from ckplab.audits import full_audit
 from ckplab.engine import (
     compiled_supports, deep_audit_compiled, kernel_available, run_trial,
 )
-from ckplab.evolution import (
-    AuditViolation, Features, PyEngine, init_chain, run_python_trial,
-)
+from ckplab.evolution import AuditViolation, Features, PyEngine, init_chain
 from ckplab.rand import SimChooser
 from ckplab.state import CF, CT, dump_state
 
@@ -106,6 +104,62 @@ def test_trajectories_bit_identical_across_regrowths():
     assert book == eng.export_bookkeeping()
     # the draws alone miss a one-ulp slip in a Fenwick fold
     assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
+
+
+@needs_kernel
+def test_trajectories_bit_identical_across_the_column_mapping():
+    """The kernel's growable columns leave the heap for their own page
+    mappings at 1 MB, and double by mremap from there.  From five nodes
+    the 32-byte node records double through 5 * 2**k slots: 40,960 of
+    them (1.3 MB) are the first mapping, and node 40,961 remaps it.
+    Everything laid down before either move has to come through it."""
+    from ckplab._kernel import KernelEngine
+
+    feats = Features(attach=preferential(),
+                     parent_count=ParentCountLaw.const(1), check_rate=0.1,
+                     check_depth=2, mechanism="bfs", error_rate=0.05,
+                     detection_rate=0.8)
+    init = init_chain(5, 1, CT)
+    seed = 9090
+    steps = 50_000
+
+    eng = PyEngine(feats, init, SimChooser(seed))
+    for _ in range(steps):
+        assert not eng.step().stopped
+    assert len(eng.state.labels) > 40_960
+    assert eng.state.pf_total > 0
+
+    ker = KernelEngine(feats, init, seed)
+    ker.run(steps)
+    exported = ker.export_state()
+    assert_same_items(dump_state(exported).splitlines(),
+                      dump_state(eng.state).splitlines(), "dump_state")
+    for column in ("children", "deg_pt", "deg_ct", "pf_parent_edges"):
+        assert_same_items(getattr(exported, column),
+                          getattr(eng.state, column), column)
+    book, want = ker.export_bookkeeping(), eng.export_bookkeeping()
+    assert book.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, dict):
+            assert_same_items(sorted(book[key].items()),
+                              sorted(value.items()), key)
+        elif isinstance(value, list):
+            assert_same_items(book[key], value, key)
+        else:
+            assert book[key] == value, key
+    assert_same_items(hex_floats(book["tree"]), hex_floats(eng.windex.tree),
+                      "tree")
+
+
+def assert_same_items(ours, theirs, what):
+    """``ours == theirs``, naming the first difference: pytest's own
+    report would diff 50k items in quadratic time."""
+    if ours == theirs:
+        return
+    for i, (a, b) in enumerate(zip(ours, theirs)):
+        if a != b:
+            raise AssertionError(f"{what}[{i}]: {a!r} != {b!r}")
+    raise AssertionError(f"{what}: {len(ours)} items, not {len(theirs)}")
 
 
 @needs_kernel

@@ -5,7 +5,6 @@ Threshold values asserted exactly here are plug-ins of the closed-form
 expressions, worked out by hand in comments next to each assertion.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -17,9 +16,8 @@ from ckplab.attachment import (
 from ckplab.evolution import Features, TrialResult
 from ckplab.thresholds import (
     ELIMINATION_MECHANISMS, PROVEN_ELIMINATION, PROVEN_SURVIVAL, UNKNOWN,
-    FalseFractionReport, NotRegular, PreconditionNotProven, TheoremVerdict,
-    elimination_claims, false_fraction_check, survival_claims,
-    theorem_verdict,
+    NotRegular, PreconditionNotProven, elimination_claims,
+    false_fraction_check, survival_claims, theorem_verdict,
 )
 
 PREF = preferential()
