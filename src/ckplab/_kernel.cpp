@@ -6,7 +6,7 @@
 //
 //   KernelEngine(features, init_state, seed, audit_cheap=False)
 //       .counts()                        -> dict, as PyEngine.counts()
-//       .run(horizon, checkpoint_steps=()) -> summary dict for run_trial
+//       .run(horizon, checkpoint_steps=()) -> dict, as PyEngine.run()
 //       .export_state()                  -> CkpState
 //       .export_bookkeeping()            -> dict, see below
 //   KERNEL_READY = True
@@ -924,7 +924,7 @@ void Engine::run_check(int32_t v) {
 }
 
 // CheapAudit.after_step: the fixed cap is survival_potential_floor's, and
-// complete's per-step rule is _step_delta_floor's.
+// complete's cap grows with the step's marks, as CheapAudit's does.
 void Engine::cheap_audit() {
   if (track_delta_) {
     long long now = f_count_ + l_count_;
@@ -987,7 +987,7 @@ PyObject *optional(long long x) {
   return check(PyLong_FromLongLong(x));
 }
 
-// run_python_trial's loop and early exit; ``horizon`` steps at most.
+// PyEngine.run's loop and early exit; ``horizon`` steps at most.
 PyObject *Engine::run(int horizon, PyObject *checkpoint_steps) {
   Ref unique(check(PySet_New(checkpoint_steps)));
   Ref pending(check(PySequence_List(unique.get())));
@@ -1210,8 +1210,7 @@ PyMethodDef kernel_methods[] = {
                 kernel_run)),
      METH_VARARGS | METH_KEYWORDS,
      "run(horizon, checkpoint_steps=()): up to horizon steps with the pure "
-     "engine's early exit; returns the summary run_python_trial would "
-     "produce."},
+     "engine's early exit; returns the summary PyEngine.run returns."},
     {"export_state", kernel_export_state, METH_NOARGS,
      "The current state as a CkpState."},
     {"export_bookkeeping", kernel_export_bookkeeping, METH_NOARGS,

@@ -3,27 +3,25 @@
 `run_trial` is the front door for single trajectories.  It picks the
 compiled kernel when one is importable and the requested variant fits
 its scope (no adversary, no step tracing), and falls back to the pure
-Python engine otherwise.  Both backends replay the same decision
-stream, so for any fixed seed they produce the same trajectory; the
-result only differs in its ``backend`` tag.  ``backend="python"`` forces
-the pure engine, which is useful for timing comparisons and for ruling
-the kernel out when debugging.
+Python engine otherwise.  The engines share one surface, so a trial is
+one path: build the engine, ``run`` it, audit it.  Both replay the same
+decision stream, so for any fixed seed they produce the same trajectory;
+the result only differs in its ``backend`` tag.  ``backend="python"``
+forces the pure engine, for timing comparisons and for ruling the
+kernel out when debugging.
 
 Audit levels mean the same thing on both backends: "cheap" runs the
-O(1) per-step invariant checks inside the run, "full" adds deep
-recomputation audits.  The kernel has the cheap checks built in; for
-"full" it is audited once at the end of the run.  Either engine exports
-its state and one bookkeeping record of the same shape, and
-``audits.full_audit`` reads the two, so both backends pass through the
-same audit (the python backend additionally supports mid-run deep audits
-via ``audit_every``, which the kernel ignores).
+O(1) per-step invariant checks inside every step, "full" adds the deep
+recomputation audits over the engine's exported state and bookkeeping
+at the end (the python backend also every ``audit_every`` steps, which
+the kernel ignores).
 """
 
 from __future__ import annotations
 
 from . import audits
-from .evolution import Features, TrialResult, check_trial_args, \
-    run_python_trial
+from .evolution import Features, PyEngine, RandomPt, TrialResult
+from .rand import SimChooser
 from .state import CkpState
 
 try:
@@ -67,30 +65,39 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
               seed: int, adversary=None, checkpoint_steps=(),
               audit: str = "none", audit_every: int = 0, trace=None,
               backend: str = "auto") -> TrialResult:
-    """Run one trajectory on the best available backend.
-
-    Accepts everything `run_python_trial` does plus ``backend``, one of
-    "auto", "python", "compiled".  "compiled" raises when the kernel
-    cannot serve the request; "auto" silently falls back.
+    """Run one trajectory on the best available backend and report its
+    summary.  ``audit`` is "none", "cheap" or "full"; the rest is the
+    engines' own.  ``backend`` is "auto", "python" or "compiled":
+    "compiled" raises when the kernel cannot serve the request, "auto"
+    silently falls back.
     """
-    check_trial_args(horizon, audit)
-    if not _want_compiled(backend, features, adversary, trace):
-        return run_python_trial(
-            features, init_state, horizon, seed, adversary=adversary,
-            checkpoint_steps=checkpoint_steps, audit=audit,
-            audit_every=audit_every, trace=trace)
-
-    ke = _kernel.KernelEngine(features, init_state, seed,
-                              audit_cheap=audit in ("cheap", "full"))
-    summary = ke.run(horizon, checkpoint_steps)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if audit not in ("none", "cheap", "full"):
+        raise ValueError(f"unknown audit level {audit!r}")
+    audit_cheap = audit != "none"
+    if _want_compiled(backend, features, adversary, trace):
+        backend = "compiled"
+        engine = _kernel.KernelEngine(features, init_state, seed,
+                                      audit_cheap=audit_cheap)
+        summary = engine.run(horizon, checkpoint_steps)
+    else:
+        backend = "python"
+        if adversary is None and features.adversary_rate > 0:
+            adversary = RandomPt()
+        engine = PyEngine(features, init_state, SimChooser(seed), adversary,
+                          audit_cheap=audit_cheap)
+        summary = engine.run(horizon, checkpoint_steps, trace=trace,
+                             audit_every=audit_every if audit == "full"
+                             else 0)
     if audit == "full":
-        deep_audit_compiled(ke, features)
-    return TrialResult(seed=seed, horizon=horizon, backend="compiled",
+        deep_audit_compiled(engine, features)
+    return TrialResult(seed=seed, horizon=horizon, backend=backend,
                        **summary)
 
 
-def deep_audit_compiled(ke, features: Features) -> None:
-    """Audit the kernel's own numbers: its exported state and bookkeeping
-    record, recomputed from scratch by the audit the python engine
-    passes through."""
-    audits.full_audit(ke.export_state(), features, ke.export_bookkeeping())
+def deep_audit_compiled(engine, features: Features) -> None:
+    """Audit either engine's own numbers: its exported state and
+    bookkeeping record, recomputed from scratch by ``audits.full_audit``."""
+    audits.full_audit(engine.export_state(), features,
+                      engine.export_bookkeeping())

@@ -1,4 +1,4 @@
-"""Per-step process dynamics and full-trajectory runs, pure Python.
+"""Per-step process dynamics and the reference engine, pure Python.
 
 A step is, with probability q, an adversarial insertion (no check), and
 otherwise one round of grow-label-check:
@@ -17,8 +17,8 @@ before the check (steps 1 to 3 and the adversarial branch).
 and ``potentials.exact_drift`` enumerates it by replay, so the three
 follow one law by construction.  The decision stream (one uniform per
 coin or pick, degenerate decisions free) is part of the engine contract:
-the accelerated backend replays it draw for draw, and trajectory
-equality across backends is tested.
+the compiled kernel replays it draw for draw behind :class:`PyEngine`'s
+surface, and trajectory equality across backends is tested.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 
 from . import checking
 from .attachment import sample_combination, weight_index_for
-from .rand import SimChooser
 from .state import CT, CF, PF, LABEL_NAMES, CkpState, StateError
 
 
@@ -246,10 +245,12 @@ class PyEngine:
     in the mode-appropriate sense, so per-step checkpoint counts and the
     survival potential delta are O(1).  :meth:`export_bookkeeping` hands
     all of it to the deep audits in the record the kernel exports.
+    The kernel's surface is this one: :meth:`run`, the exports, and
+    ``audit_cheap``, which runs :class:`CheapAudit` in every :meth:`step`.
     """
 
     def __init__(self, features: Features, init_state: CkpState, chooser,
-                 adversary=None):
+                 adversary=None, audit_cheap: bool = False):
         self.features = features
         self.state = init_state.copy()
         self.chooser = chooser
@@ -270,6 +271,7 @@ class PyEngine:
         self.pf_child_len: dict[int, int] = {
             v: len(st.children[v]) for v in range(len(st.labels))
             if st.labels[v] == PF}
+        self.audit = CheapAudit(self) if audit_cheap else None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -284,6 +286,10 @@ class PyEngine:
             "minimal_false": self.f_count,
             "leaves": self.l_count,
         }
+
+    def export_state(self) -> CkpState:
+        """The engine's state itself, not a copy."""
+        return self.state
 
     def export_bookkeeping(self) -> dict:
         """Everything the engine maintains incrementally, as one record:
@@ -375,18 +381,23 @@ class PyEngine:
             self.stopped = True
             return StepRecord("stopped", stopped=True)
         if branch == "adversary-noop":
-            self._track_zero()
-            return StepRecord(branch)
-        v = self._add_node(parents, label, adversarial=branch == "adversary")
-        outcome = None
-        if branch == "grow":
-            outcome = checking.run_check(
-                feats.mechanism, self.state, v, parents, feats.check_depth,
-                feats.check_rate, feats.detection_rate, self.chooser)
-            if outcome.marked:
-                self._apply_marks(outcome.marked)
+            record = StepRecord(branch)
+        else:
+            v = self._add_node(parents, label,
+                               adversarial=branch == "adversary")
+            outcome = None
+            if branch == "grow":
+                outcome = checking.run_check(
+                    feats.mechanism, self.state, v, parents,
+                    feats.check_depth, feats.check_rate,
+                    feats.detection_rate, self.chooser)
+                if outcome.marked:
+                    self._apply_marks(outcome.marked)
+            record = StepRecord(branch, v, label, parents, outcome)
         self._track_zero()
-        return StepRecord(branch, v, label, parents, outcome)
+        if self.audit is not None:
+            self.audit.after_step(record)
+        return record
 
     def _track_zero(self) -> None:
         if self.pt_false == 0:
@@ -394,6 +405,43 @@ class PyEngine:
                 self.zero_since = self.step_index
         else:
             self.zero_since = None
+
+    def run(self, horizon: int, checkpoint_steps=(), *, trace=None,
+            audit_every: int = 0) -> dict:
+        """Up to ``horizon`` more steps, with the early exit once the
+        outcome can no longer change; returns the trial summary, as the
+        kernel's ``run`` does.  ``checkpoint_steps`` count from the start
+        of this call, one past an early exit reports the frozen counts.
+        Python only: ``trace`` takes one JSON line per step, and
+        ``audit_every`` runs the deep audits every that many steps.
+        """
+        pending = sorted(set(checkpoint_steps))
+        checkpoints = []
+        while pending and pending[0] <= 0:
+            checkpoints.append((pending.pop(0), self.counts()))
+        for t in range(1, horizon + 1):
+            record = self.step()
+            if audit_every and t % audit_every == 0:
+                from .audits import full_audit
+                full_audit(self.state, self.features,
+                           self.export_bookkeeping())
+            if trace is not None:
+                trace.write(_trace_line(t, record, self) + "\n")
+            while pending and pending[0] <= t:
+                checkpoints.append((pending.pop(0), self.counts()))
+            if record.stopped:
+                break
+            if self.pt_false == 0 and self.features.simple:
+                break
+        checkpoints += [(step, self.counts()) for step in pending]
+        return {
+            "survived_at_horizon": self.pt_false > 0,
+            "eliminated_at": self.zero_since if self.pt_false == 0 else None,
+            "stopped_at": self.step_index if self.stopped else None,
+            "pf_exists": self.state.pf_total > 0,
+            "final_counts": self.counts(),
+            "checkpoints": checkpoints,
+        }
 
 
 # -- per-step cheap audit ----------------------------------------------------
@@ -421,16 +469,6 @@ def survival_potential_floor(features: Features) -> int:
     return max(base, features.adversary_budget)
 
 
-def _step_delta_floor(features: Features, record: StepRecord) -> float:
-    fixed = survival_potential_floor(features)
-    if features.mechanism == "complete" and record.outcome is not None:
-        # every marked node can leave the minimal false set at once here,
-        # so the cap scales with the actual marking
-        return max(fixed,
-                   len(record.outcome.marked) + features.parent_count.max + 1)
-    return fixed
-
-
 class CheapAudit:
     """Per-step invariants that are O(1) against the engine's counters:
     the bounded decrease of the survival potential, and zero-run sanity.
@@ -439,9 +477,15 @@ class CheapAudit:
 
     def __init__(self, engine: PyEngine):
         self.engine = engine
+        features = engine.features
         # the decrease caps rely on every examined minimal false node being
         # recognized, which needs exact detection; injected errors are fine
-        self.track_delta = engine.features.detection_rate == 1
+        self.track_delta = features.detection_rate == 1
+        self.floor = survival_potential_floor(features)
+        # complete can take every marked node out of the minimal false set
+        # at once, so on a checked step its cap scales with the marking
+        self.mark_slack = (features.parent_count.max + 1
+                           if features.mechanism == "complete" else None)
         self.last_potential = engine.f_count + engine.l_count
 
     def after_step(self, record: StepRecord) -> None:
@@ -450,7 +494,10 @@ class CheapAudit:
             return
         if self.track_delta:
             now = eng.f_count + eng.l_count
-            floor = _step_delta_floor(eng.features, record)
+            floor = self.floor
+            if self.mark_slack is not None and record.outcome is not None:
+                floor = max(floor,
+                            len(record.outcome.marked) + self.mark_slack)
             if now - self.last_potential < -floor:
                 raise AuditViolation(
                     f"survival potential fell by {self.last_potential - now} "
@@ -461,73 +508,6 @@ class CheapAudit:
             for w in record.outcome.marked:
                 if eng.state.labels[w] != PF:
                     raise AuditViolation(f"marked node {w} is not PF")
-
-
-# -- full trajectory --------------------------------------------------------
-
-def check_trial_args(horizon: int, audit: str) -> None:
-    """Reject a horizon or audit level that no backend can run."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if audit not in ("none", "cheap", "full"):
-        raise ValueError(f"unknown audit level {audit!r}")
-
-
-def run_python_trial(features: Features, init_state: CkpState, horizon: int,
-                     seed: int, adversary=None, checkpoint_steps=(),
-                     audit: str = "none", audit_every: int = 0,
-                     trace=None) -> TrialResult:
-    """Run one trajectory to ``horizon`` steps (early exit once the
-    outcome can no longer change) and report the summary.
-
-    ``checkpoint_steps`` lists step indices whose counts are recorded; a
-    step past an early exit reports the frozen counts.  ``audit`` is
-    "none", "cheap" (O(1) per-step checks) or "full" (cheap, plus deep
-    recomputation audits every ``audit_every`` steps).  ``trace`` is an
-    optional writable for one JSON line per step.
-    """
-    check_trial_args(horizon, audit)
-    if adversary is None and features.adversary_rate > 0:
-        adversary = RandomPt()
-    engine = PyEngine(features, init_state, SimChooser(seed), adversary)
-    cheap = CheapAudit(engine) if audit in ("cheap", "full") else None
-    deep = audit == "full"
-    pending = sorted(set(checkpoint_steps))
-    checkpoints = []
-    while pending and pending[0] <= 0:
-        checkpoints.append((pending.pop(0), engine.counts()))
-    for t in range(1, horizon + 1):
-        record = engine.step()
-        if cheap is not None:
-            cheap.after_step(record)
-        if deep and audit_every and t % audit_every == 0:
-            from .audits import full_audit
-            full_audit(engine.state, features, engine.export_bookkeeping())
-        if trace is not None:
-            trace.write(_trace_line(t, record, engine) + "\n")
-        while pending and pending[0] <= t:
-            checkpoints.append((pending.pop(0), engine.counts()))
-        if record.stopped:
-            break
-        if engine.pt_false == 0 and features.simple:
-            break
-    for step in pending:
-        checkpoints.append((step, engine.counts()))
-    if deep:
-        from .audits import full_audit
-        full_audit(engine.state, features, engine.export_bookkeeping())
-    eliminated = engine.zero_since if engine.pt_false == 0 else None
-    return TrialResult(
-        seed=seed,
-        horizon=horizon,
-        survived_at_horizon=engine.pt_false > 0,
-        eliminated_at=eliminated,
-        stopped_at=engine.step_index if engine.stopped else None,
-        pf_exists=engine.state.pf_total > 0,
-        final_counts=engine.counts(),
-        checkpoints=checkpoints,
-        backend="python",
-    )
 
 
 def _trace_line(t: int, record: StepRecord, engine: PyEngine) -> str:

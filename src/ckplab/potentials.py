@@ -460,7 +460,8 @@ def exact_drift(state, features, kind, adversary=None, *,
     :func:`checking.run_check` makes on that child.  The leaf
     probabilities must sum to one and each leaf's potential is
     recomputed two ways; either failing raises instead of returning a
-    number.  Neither ``state`` nor ``adversary`` is changed.
+    number.  Neither ``state`` nor ``adversary`` is changed.  An input
+    with more moves than ``leaf_cap`` is refused before any is made.
 
     ``exact=None`` switches to rational arithmetic automatically when
     every feature parameter is an int or Fraction.
@@ -476,6 +477,22 @@ def exact_drift(state, features, kind, adversary=None, *,
             "parent-count masses do not sum to one exactly; "
             "use Fraction probabilities for exact drift")
     adversary = _Fresh(adversary)
+    try:
+        pool = parent_distribution(state, features.attach, exact=exact_mode)
+    except (AllPF, AllWeightsZero):
+        pool = {}
+    # every move ends in a leaf, so count them first: each ordered parent
+    # tuple, both label coins, and each RandomPt move (r picks, a label)
+    moves = sum(len(pool) ** m for m in features.parent_count.support)
+    if features.error_rate > 0:
+        moves *= 2
+    r = features.adversary_budget
+    if (features.adversary_rate > 0 and r > 0
+            and type(adversary.adversary) is RandomPt):
+        moves += len(pt_nodes) ** r * 2
+    if moves > leaf_cap:
+        raise BranchBudgetExceeded(
+            f"at least {moves} moves exceed the leaf cap {leaf_cap}")
 
     terms = (TermTable(kind, exact_mode) if isinstance(kind, MinDistance)
              else None)
@@ -495,10 +512,6 @@ def exact_drift(state, features, kind, adversary=None, *,
             acc.add(prob * (_checked_total(after, kind, exact_mode, terms)
                             - phi_before))
 
-    try:
-        pool = parent_distribution(state, features.attach, exact=exact_mode)
-    except (AllPF, AllWeightsZero):
-        pool = {}
     work = state.copy()
     birth = _next_birth(state)
 

@@ -48,25 +48,23 @@ def case_features(mech, eps, attach_name, p, k):
                     detection_rate=0.8 if eps else 1.0)
 
 
-@needs_kernel
-@pytest.mark.parametrize("mech,eps,attach_name,p,k", CASES)
-def test_trajectories_bit_identical(mech, eps, attach_name, p, k):
+def run_both(feats, init, seed, steps):
+    """Both engines from the same start and seed, driven by the same
+    ``run`` call, which must return the same summary.  Returns the
+    Python engine, the kernel and that summary."""
     from ckplab._kernel import KernelEngine
 
-    feats = case_features(mech, eps, attach_name, p, k)
-    init = init_chain(12, 2, CF)
-    seed = 777
-
     eng = PyEngine(feats, init, SimChooser(seed))
-    for _ in range(400):
-        rec = eng.step()
-        if rec.stopped or (eng.pt_false == 0 and feats.simple):
-            break
-
     ker = KernelEngine(feats, init, seed)
-    ker.run(400)
+    summary = eng.run(steps)
+    assert ker.run(steps) == summary
+    return eng, ker, summary
 
-    assert dump_state(ker.export_state()) == dump_state(eng.state)
+
+def assert_same_engines(eng, ker):
+    """Equal states, equal bookkeeping, and a Fenwick tree equal bit for
+    bit: the draws alone miss a one-ulp slip in a fold."""
+    assert dump_state(ker.export_state()) == dump_state(eng.export_state())
     book = ker.export_bookkeeping()
     assert book == eng.export_bookkeeping()
     assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
@@ -77,33 +75,48 @@ def hex_floats(values) -> list:
 
 
 @needs_kernel
+@pytest.mark.parametrize("mech,eps,attach_name,p,k", CASES)
+def test_trajectories_bit_identical(mech, eps, attach_name, p, k):
+    feats = case_features(mech, eps, attach_name, p, k)
+    eng, ker, _ = run_both(feats, init_chain(12, 2, CF), 777, 400)
+    assert_same_engines(eng, ker)
+
+
+@needs_kernel
+@pytest.mark.parametrize("mech", ["stringy", "bfs", "complete"])
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+def test_runs_in_pieces_agree(mech, eps):
+    """Each ``run`` call counts its steps and checkpoints from its own
+    start, and calls go on after an early exit: after elimination in the
+    simple regime a call takes one more step, after a stop it takes
+    none.  One checkpoint falls inside a piece and one past them all."""
+    from ckplab._kernel import KernelEngine
+
+    feats = case_features(mech, eps, "preferential", 0.4, 3)
+    init = init_chain(5, 1, CF)
+    eng = PyEngine(feats, init, SimChooser(21))
+    ker = KernelEngine(feats, init, 21)
+    checkpoint_steps = (0, 50, 7, 10**30)
+    for steps in (60, 1, 139, 200):
+        summary = eng.run(steps, checkpoint_steps)
+        assert ker.run(steps, checkpoint_steps) == summary
+        assert [at for at, _ in summary["checkpoints"]] == [0, 7, 50, 10**30]
+    assert_same_engines(eng, ker)
+
+
+@needs_kernel
 def test_trajectories_bit_identical_across_regrowths():
     """Non-dyadic weights make every Fenwick sum inexact: both engines
     rebuild their index on regrowth, the Python one with numpy folds per
     tree level and the kernel with sequential folds per slot, and the
     two must still agree bit for bit."""
-    from ckplab._kernel import KernelEngine
-
     feats = Features(attach=Affine(0.1, 0.7), parent_count=LAW_MIX,
                      check_rate=0.3, check_depth=3, mechanism="bfs",
                      error_rate=0.05, detection_rate=0.8)
-    init = init_chain(5, 1, CT)
-    seed = 4242
-    steps = 2200
-
-    eng = PyEngine(feats, init, SimChooser(seed))
-    for _ in range(steps):
-        assert not eng.step().stopped
+    eng, ker, summary = run_both(feats, init_chain(5, 1, CT), 4242, 2200)
+    assert summary["stopped_at"] is None
     assert eng.windex.capacity >= 4096     # two regrowths, from 1024
-
-    ker = KernelEngine(feats, init, seed)
-    ker.run(steps)
-
-    assert dump_state(ker.export_state()) == dump_state(eng.state)
-    book = ker.export_bookkeeping()
-    assert book == eng.export_bookkeeping()
-    # the draws alone miss a one-ulp slip in a Fenwick fold
-    assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
+    assert_same_engines(eng, ker)
 
 
 @needs_kernel
@@ -113,24 +126,15 @@ def test_trajectories_bit_identical_across_the_column_mapping():
     the 32-byte node records double through 5 * 2**k slots: 40,960 of
     them (1.3 MB) are the first mapping, and node 40,961 remaps it.
     Everything laid down before either move has to come through it."""
-    from ckplab._kernel import KernelEngine
-
     feats = Features(attach=preferential(),
                      parent_count=ParentCountLaw.const(1), check_rate=0.1,
                      check_depth=2, mechanism="bfs", error_rate=0.05,
                      detection_rate=0.8)
-    init = init_chain(5, 1, CT)
-    seed = 9090
-    steps = 50_000
-
-    eng = PyEngine(feats, init, SimChooser(seed))
-    for _ in range(steps):
-        assert not eng.step().stopped
+    eng, ker, summary = run_both(feats, init_chain(5, 1, CT), 9090, 50_000)
+    assert summary["stopped_at"] is None
     assert len(eng.state.labels) > 40_960
     assert eng.state.pf_total > 0
 
-    ker = KernelEngine(feats, init, seed)
-    ker.run(steps)
     exported = ker.export_state()
     assert_same_items(dump_state(exported).splitlines(),
                       dump_state(eng.state).splitlines(), "dump_state")
@@ -169,31 +173,20 @@ def test_repeated_parents_keep_edge_and_child_order(mech):
     """Three parent edges per node on a two-node start: the same parent
     is drawn twice or three times in most early steps, and marking
     removes repeated edges from the degrees."""
-    from ckplab._kernel import KernelEngine
-
     feats = Features(attach=preferential(),
                      parent_count=ParentCountLaw.const(3), check_rate=0.4,
                      check_depth=3, mechanism=mech, error_rate=0.1,
                      detection_rate=0.8)
-    init = init_chain(2, 1, CT)
-    seed = 31
-    eng = PyEngine(feats, init, SimChooser(seed))
-    for _ in range(300):
-        eng.step()
+    eng, ker, _ = run_both(feats, init_chain(2, 1, CT), 31, 300)
     assert eng.state.pf_total > 0
     assert any(len(set(ps)) < len(ps) for ps in eng.state.parents)
 
-    ker = KernelEngine(feats, init, seed)
-    ker.run(300)
     exported = ker.export_state()
-    assert dump_state(exported) == dump_state(eng.state)
     assert exported.children == eng.state.children
     assert exported.deg_pt == eng.state.deg_pt
     assert exported.deg_ct == eng.state.deg_ct
     assert exported.pf_parent_edges == eng.state.pf_parent_edges
-    book = ker.export_bookkeeping()
-    assert book == eng.export_bookkeeping()
-    assert hex_floats(book["tree"]) == hex_floats(eng.windex.tree)
+    assert_same_engines(eng, ker)
 
 
 class DegreeCapReached(Exception):
@@ -225,14 +218,12 @@ def test_attachment_errors_propagate_at_the_same_step(mech):
     seed = 12
     eng = PyEngine(feats, init, SimChooser(seed))
     with pytest.raises(DegreeCapReached):
-        for _ in range(10_000):
-            eng.step()
+        eng.run(10_000)
     assert eng.step_index > 1
 
     ker = KernelEngine(feats, init, seed)
     with pytest.raises(DegreeCapReached):
-        for _ in range(10_000):
-            ker.run(1)
+        ker.run(10_000)
     assert ker.export_bookkeeping()["step_index"] == eng.step_index
 
 

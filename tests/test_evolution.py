@@ -8,10 +8,10 @@ import pytest
 
 from ckplab.attachment import ParentCountLaw, TableAttachment, preferential
 from ckplab.audits import full_audit, verify_pf_frozen
+from ckplab.engine import run_trial
 from ckplab.evolution import (
     AuditViolation, DeepAttach, Features, LeafAttach, PyEngine, RandomPt,
-    Scripted, init_chain, make_adversary, run_python_trial,
-    survival_potential_floor,
+    Scripted, init_chain, make_adversary, survival_potential_floor,
 )
 from ckplab.rand import SimChooser
 from ckplab.state import CT, CF, PF, StateError
@@ -230,7 +230,8 @@ def test_zero_run_marker_tracks_final_run():
 
 def test_trial_reports_elimination_and_stop():
     feats = simple_features(check_rate=1.0, check_depth=1)
-    result = run_python_trial(feats, init_chain(1, 1, CF), horizon=10, seed=7)
+    result = run_trial(feats, init_chain(1, 1, CF), horizon=10, seed=7,
+                       backend="python")
     assert result.eliminated_at == 1
     assert not result.survived_at_horizon
     assert result.pf_exists
@@ -241,8 +242,8 @@ def test_trial_reports_elimination_and_stop():
 
 def test_trial_survives_without_checks():
     feats = simple_features(check_rate=0.0)
-    result = run_python_trial(feats, init_chain(1, 1, CF), horizon=200,
-                              seed=3)
+    result = run_trial(feats, init_chain(1, 1, CF), horizon=200, seed=3,
+                       backend="python")
     assert result.survived_at_horizon
     assert result.eliminated_at is None
     assert not result.pf_exists
@@ -252,15 +253,16 @@ def test_trial_survives_without_checks():
 def test_trial_records_stop_attempt_index():
     dead = TableAttachment((0.0,), 0.0)
     feats = simple_features(attach=dead, check_rate=0.0)
-    result = run_python_trial(feats, init_chain(1, 1, CF), horizon=10, seed=1)
+    result = run_trial(feats, init_chain(1, 1, CF), horizon=10, seed=1,
+                       backend="python")
     assert result.stopped_at == 1
     assert result.final_counts["nodes"] == 1
 
 
 def test_checkpoints_freeze_after_early_exit():
     feats = simple_features(check_rate=1.0, check_depth=1)
-    result = run_python_trial(feats, init_chain(1, 1, CF), horizon=10, seed=7,
-                              checkpoint_steps=(0, 1, 5, 10))
+    result = run_trial(feats, init_chain(1, 1, CF), horizon=10, seed=7,
+                       checkpoint_steps=(0, 1, 5, 10), backend="python")
     recorded = dict(result.checkpoints)
     assert recorded[0]["nodes"] == 1 and recorded[0]["pt_false"] == 1
     assert recorded[1]["nodes"] == 2 and recorded[1]["pf"] == 2
@@ -276,13 +278,13 @@ def test_holes_attachment_run_survives():
     feats = Features(attach=holes, parent_count=ParentCountLaw.const(1),
                      check_rate=0.9, check_depth=5,
                      mechanism="exhaustive-bfs")
-    result = run_python_trial(feats, init_chain(25, 1, CF), horizon=2000,
-                              seed=5)
+    result = run_trial(feats, init_chain(25, 1, CF), horizon=2000, seed=5,
+                       backend="python")
     assert result.survived_at_horizon
     assert result.eliminated_at is None
     assert not result.pf_exists
-    again = run_python_trial(feats, init_chain(25, 1, CF), horizon=2000,
-                             seed=5)
+    again = run_trial(feats, init_chain(25, 1, CF), horizon=2000, seed=5,
+                      backend="python")
     assert again.as_json() == result.as_json()
 
 
@@ -293,20 +295,21 @@ def test_horizon_determinism_byte_for_byte():
                      parent_count=ParentCountLaw({1: 0.5, 2: 0.5}),
                      check_rate=0.4, check_depth=3,
                      mechanism="exhaustive-bfs", error_rate=0.25)
-    runs = [run_python_trial(feats, init_chain(5, 1, CF), horizon=400,
-                             seed=1234, checkpoint_steps=(100, 200, 400),
-                             audit="cheap")
+    runs = [run_trial(feats, init_chain(5, 1, CF), horizon=400,
+                      seed=1234, checkpoint_steps=(100, 200, 400),
+                      audit="cheap", backend="python")
             for _ in range(2)]
     assert runs[0].as_json() == runs[1].as_json()
-    different = run_python_trial(feats, init_chain(5, 1, CF), horizon=400,
-                                 seed=1235, checkpoint_steps=(100, 200, 400))
+    different = run_trial(feats, init_chain(5, 1, CF), horizon=400,
+                          seed=1235, checkpoint_steps=(100, 200, 400),
+                          backend="python")
     assert different.as_json() != runs[0].as_json()
 
 
 def test_trial_result_roundtrips_through_json():
     feats = simple_features()
-    result = run_python_trial(feats, init_chain(2, 1, CF), horizon=50,
-                              seed=9, checkpoint_steps=(25,))
+    result = run_trial(feats, init_chain(2, 1, CF), horizon=50, seed=9,
+                       checkpoint_steps=(25,), backend="python")
     decoded = json.loads(result.as_json())
     assert decoded["seed"] == 9
     assert decoded["backend"] == "python"
@@ -316,14 +319,14 @@ def test_trial_result_roundtrips_through_json():
 
 def test_run_rejects_bad_horizon():
     with pytest.raises(ValueError):
-        run_python_trial(simple_features(), init_chain(1, 1, CF), horizon=0,
-                         seed=0)
+        run_trial(simple_features(), init_chain(1, 1, CF), horizon=0,
+                  seed=0, backend="python")
 
 
 def test_run_rejects_unknown_audit_level():
     with pytest.raises(ValueError, match="paranoid"):
-        run_python_trial(simple_features(), init_chain(1, 1, CF), horizon=10,
-                         seed=0, audit="paranoid")
+        run_trial(simple_features(), init_chain(1, 1, CF), horizon=10,
+                  seed=0, audit="paranoid", backend="python")
 
 
 # -- audits ----------------------------------------------------------------
@@ -338,8 +341,8 @@ MLAWS = [ParentCountLaw.const(1), ParentCountLaw({1: 0.5, 2: 0.5}),
 def test_audited_runs_stay_clean(mechanism, law):
     feats = Features(attach=preferential(), parent_count=law,
                      check_rate=0.6, check_depth=2, mechanism=mechanism)
-    result = run_python_trial(feats, init_chain(5, 1, CF), horizon=300,
-                              seed=17, audit="full", audit_every=50)
+    result = run_trial(feats, init_chain(5, 1, CF), horizon=300, seed=17,
+                       audit="full", audit_every=50, backend="python")
     assert result.final_counts["nodes"] >= 5
 
 
@@ -348,8 +351,8 @@ def test_audited_general_mode_run_stays_clean():
                      parent_count=ParentCountLaw({1: 0.5, 3: 0.5}),
                      check_rate=0.7, check_depth=3, mechanism="complete",
                      error_rate=0.25)
-    result = run_python_trial(feats, init_chain(5, 1, CF), horizon=250,
-                              seed=23, audit="full", audit_every=25)
+    result = run_trial(feats, init_chain(5, 1, CF), horizon=250, seed=23,
+                       audit="full", audit_every=25, backend="python")
     assert result.final_counts["pf"] > 0
 
 
@@ -366,6 +369,19 @@ def test_full_audit_catches_corrupted_counters():
     engine.windex.set_weight(0, 99.0)
     with pytest.raises(AuditViolation):
         full_audit(engine.state, feats, engine.export_bookkeeping())
+
+
+@pytest.mark.parametrize("audit_cheap", [True, False])
+def test_cheap_audit_runs_inside_every_step(audit_cheap):
+    feats = simple_features(check_rate=0.5)
+    engine = PyEngine(feats, init_chain(5, 1, CF), SimChooser(3),
+                      audit_cheap=audit_cheap)
+    engine.l_count -= 50      # the potential appears to fall by 50 at once
+    if audit_cheap:
+        with pytest.raises(AuditViolation, match="fell by"):
+            engine.run(5)
+    else:
+        assert engine.run(5)["final_counts"]["nodes"] > 5
 
 
 def test_pf_freeze_audit_catches_growth():
@@ -405,8 +421,8 @@ def test_trace_lines_are_valid_json():
                      check_rate=0.2, check_depth=2,
                      mechanism="parentwise-bfs", error_rate=0.25)
     sink = io.StringIO()
-    result = run_python_trial(feats, init_chain(3, 1, CF), horizon=60,
-                              seed=41, trace=sink)
+    result = run_trial(feats, init_chain(3, 1, CF), horizon=60, seed=41,
+                       trace=sink, backend="python")
     lines = sink.getvalue().splitlines()
     # general mode has no early elimination exit: one line per step unless
     # the process went stuck

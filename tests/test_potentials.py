@@ -428,6 +428,28 @@ def test_drift_enumerates_a_randomized_adversary():
     assert exact_drift(chain, f, MinDistance(PREF, 3)) == r
 
 
+def test_drift_refuses_too_many_moves_before_enumerating(monkeypatch):
+    def no_checks(*args):
+        raise AssertionError("the enumeration started")
+    monkeypatch.setattr(checking, "run_check", no_checks)
+    chain = init_chain(12, 1, CF)
+    # 12**7 ordered parent tuples, about 23 minutes of leaves
+    wide = Features(PREF, ParentCountLaw.const(7), Fraction(1, 2), 3, "bfs")
+    with pytest.raises(BranchBudgetExceeded, match=f"least {12**7} moves"):
+        exact_drift(chain, wide, MinDistance(PREF, 3))
+    # 12 growth moves, and RandomPt's 12**7 parent tuples times 2 labels
+    adversarial = Features(PREF, ParentCountLaw.const(1), Fraction(1, 2), 3,
+                           "bfs", adversary_rate=Fraction(1, 4),
+                           adversary_budget=7)
+    with pytest.raises(BranchBudgetExceeded,
+                       match=f"least {12 + 2 * 12**7} moves"):
+        exact_drift(chain, adversarial, MinDistance(PREF, 3))
+    # the pinned five-node chain makes 5 + 5**2 + 5**3 moves, 451 leaves
+    with pytest.raises(BranchBudgetExceeded, match="least 155 moves"):
+        exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
+                    MinDistance(PREF, 3), leaf_cap=154)
+
+
 def test_drift_enumeration_caps():
     with pytest.raises(BranchBudgetExceeded):
         exact_drift(init_chain(15, 1, CF), feats("bfs", Fraction(1, 2)),
