@@ -23,27 +23,22 @@ the step's decisions through :func:`evolution.draw_move`, as the
 engine's step does: ``exact_drift`` under a replaying
 :class:`PathChooser`, ``mc_drift`` under a live :class:`SimChooser`, so
 the two oracles and the engine share one description of the step.
-Every enumeration leaf recomputes the potential through two independent
-code paths and any disagreement aborts the computation, so a reported
-drift is its own cross-check.
 
-The :class:`MinDistance` routes compute their own distances and their
-own sums, but the terms ``a(deg) * c**dist`` they add up depend on the
-pair ``(deg, dist)`` alone.  ``exact_drift`` therefore builds one
-:class:`TermTable` per call, filled on first use, and hands it to every
-evaluation; in rational mode integral terms are plain ints and each
-route converts its sum to a Fraction once.
+Both oracles score a step with one function, :func:`_step_delta`,
+summing ``new term - old term`` over the few nodes whose term the step
+can change, never copying the state or applying the marking.  What it
+reads of the state before the step (the :class:`MinDistance` distances
+and :class:`TermTable`, the general potential's scope) is built once
+per call by :func:`_step_base`.  The whole potential is evaluated once
+per call, on the input, so a bad anchor, a broken distance structure or
+a float overflow still fails loudly; the scorer itself is held to the
+whole potential, before and after each step, by the tests.
 
-``mc_drift`` scores a sampled :class:`MinDistance` step locally.  One
-step changes the term of few nodes: the new node joins the sum, its
-parents and the parents of the marked set change degree, the marked
-set leaves the sum, and marking moves the distance of some PT False
-descendants of the marked set.  The sampler computes the distances and
-a float :class:`TermTable` once per call and sums ``new term - old
-term`` over those nodes alone, never copying the state or applying the
-marking.  With integer-valued terms (integral attachment weights and
-base, sums below 2**53) every sum is exact, so the estimate is the one a
-full recompute per sample gives, bit for bit.
+A :class:`TermTable` maps ``(deg, dist)`` to ``a(deg) * c**dist`` and
+is filled on first use; in rational mode integral terms are plain ints.
+With integer-valued float terms (integral attachment weights and base,
+sums below 2**53) every float sum is exact, so ``mc_drift`` returns the
+estimate a full recompute per sample would, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,8 +56,7 @@ from .attachment import AllPF, AllWeightsZero, parent_distribution, \
     weight_index_for
 from .evolution import AuditViolation, RandomPt, draw_move
 from .rand import NeedBranch, PathChooser, SimChooser, make_generator
-from .state import CT, CF, PF, StateError, pt_false_distances, \
-    pt_false_distances_by_spread, anchor_bfs
+from .state import CT, CF, PF, StateError, pt_false_distances, anchor_bfs
 
 SIGN_BAND = 1e-12
 
@@ -166,6 +160,13 @@ def _pt_false_ids(state) -> list[int]:
 
 
 def _descendant_closure(state, anchor: int) -> set[int]:
+    """``anchor`` and every node below it; the anchor must be a node
+    that carries an originating error."""
+    if not 0 <= anchor < len(state.labels):
+        raise ValueError(f"anchor id {anchor} out of range")
+    if state.labels[anchor] == CT or not state.is_false[anchor]:
+        raise ValueError(
+            f"anchor {anchor} does not carry an originating error")
     closure = {anchor}
     frontier = [anchor]
     while frontier:
@@ -182,6 +183,17 @@ def _false_leaves(state, simple_mode: bool) -> list[int]:
     # no loss when discovered, so it never counts toward the potential
     return [v for v in state.ct_nonroot_leaves(simple_mode)
             if state.is_false[v]]
+
+
+def _leaf_weight(attach, v: int, deg: int, exact: bool):
+    """``a(0)/a(deg)``, the scoped potential's weight for leaf ``v``."""
+    a0 = attach.evaluate_exact(0) if exact else attach.evaluate(0)
+    denom = attach.evaluate_exact(deg) if exact else attach.evaluate(deg)
+    if denom <= 0:
+        raise NonpositiveWeight(
+            f"leaf {v} has attachment weight {denom}; the scoped "
+            f"leaf potential needs positive weights")
+    return a0 / denom
 
 
 def potential(state, kind, exact: bool = False, *,
@@ -235,29 +247,14 @@ def potential(state, kind, exact: bool = False, *,
         return PotentialReport(total, None, len(false_ids))
 
     if isinstance(kind, MinimalFalseLeavesGeneral):
-        anchor = kind.anchor
-        if not 0 <= anchor < len(state.labels):
-            raise ValueError(f"anchor id {anchor} out of range")
-        if state.labels[anchor] == CT or not state.is_false[anchor]:
-            raise ValueError(
-                f"anchor {anchor} does not carry an originating error")
-        closure = _descendant_closure(state, anchor)
-        attach = kind.attach
-        a0 = attach.evaluate_exact(0) if exact else attach.evaluate(0)
+        closure = _descendant_closure(state, kind.anchor)
         total = Fraction(0) if exact else 0.0
         for v in sorted(closure):
             if state.is_minimal_false(v):
                 total += 1
         for v in _false_leaves(state, simple_mode=False):
-            if v not in closure:
-                continue
-            denom = (attach.evaluate_exact(state.deg_pt[v]) if exact
-                     else attach.evaluate(state.deg_pt[v]))
-            if denom <= 0:
-                raise NonpositiveWeight(
-                    f"leaf {v} has attachment weight {denom}; the scoped "
-                    f"leaf potential needs positive weights")
-            total += a0 / denom
+            if v in closure:
+                total += _leaf_weight(kind.attach, v, state.deg_pt[v], exact)
         return PotentialReport(total, None, len(false_ids))
 
     raise TypeError(f"unknown potential kind {kind!r}")
@@ -268,81 +265,167 @@ def _close(x, y, rel: float = 1e-9) -> bool:
                                                  abs(float(y)))
 
 
-def _independent_total(state, kind, exact: bool, terms: TermTable | None):
-    """Second opinion on the potential value, sharing as little code as
-    possible with :func:`potential`: only the :class:`TermTable`, whose
-    terms depend on nothing but the degree and distance looked up."""
-    if isinstance(kind, MinDistance):
-        dist = pt_false_distances_by_spread(state)
-        deg = state.deg_pt
-        total = 0 if exact else 0.0
-        for v, d in sorted(dist.items()):
-            total += terms[deg[v], d]
-        return Fraction(total) if exact else total
-    n = len(state.labels)
-    minimal = 0
-    for v in range(n):
-        lab = state.labels[v]
-        if lab == CF:
-            minimal += 1
-        elif lab == CT and any(state.labels[u] == PF
-                               for u in state.parents[v]):
-            minimal += 1
-    if isinstance(kind, MinimalFalse):
-        return minimal
-
-    def plain_leaf(v: int, simple_mode: bool) -> bool:
-        if state.labels[v] != CT or not state.is_false[v]:
-            return False
-        if any(state.labels[u] == PF for u in state.parents[v]):
-            return False
-        if simple_mode:
-            return not state.children[v]
-        return all(state.labels[c] != CT for c in state.children[v])
-
-    if isinstance(kind, MinimalFalseLeavesSimple):
-        return minimal + sum(1 for v in range(n) if plain_leaf(v, True))
-
-    if isinstance(kind, MinimalFalseLeavesGeneral):
-        inside = set()
-        queue = [kind.anchor]
-        while queue:
-            u = queue.pop(0)
-            if u in inside:
-                continue
-            inside.add(u)
-            queue.extend(state.children[u])
-        attach = kind.attach
-        a0 = attach.evaluate_exact(0) if exact else attach.evaluate(0)
-        total = Fraction(0) if exact else 0.0
-        for v in range(n):
-            if v not in inside:
-                continue
-            if state.is_minimal_false(v):
-                total += 1
-            elif plain_leaf(v, False):
-                denom = (attach.evaluate_exact(state.deg_pt[v]) if exact
-                         else attach.evaluate(state.deg_pt[v]))
-                if denom <= 0:
-                    raise NonpositiveWeight(
-                        f"leaf {v} has attachment weight {denom}")
-                total += a0 / denom
-        return total
-
-    raise TypeError(f"unknown potential kind {kind!r}")
-
-
 def _checked_total(state, kind, exact: bool, terms: TermTable | None):
-    report = potential(state, kind, exact=exact, terms=terms)
-    alt = _independent_total(state, kind, exact, terms)
-    if exact:
-        if report.total != alt:
-            raise AuditViolation(
-                f"potential routes disagree: {report.total} vs {alt}")
-    elif not _close(report.total, alt):
-        raise AuditViolation(
-            f"potential routes disagree: {report.total!r} vs {alt!r}")
-    return report.total
+    """The whole potential of ``state``, through :func:`potential` and
+    its checks (the anchor, every distance, the decomposition)."""
+    return potential(state, kind, exact=exact, terms=terms).total
+
+
+# -- one step's change -----------------------------------------------------
+
+@dataclass(frozen=True)
+class _StepBase:
+    """What :func:`_step_delta` reads of the state before the step,
+    built once per oracle call by :func:`_step_base`."""
+
+    exact: bool
+    dist: dict | None = None          # MinDistance: pt_false_distances
+    terms: TermTable | None = None    # MinDistance: the call's table
+    closure: set | None = None        # MinimalFalseLeavesGeneral's scope
+
+    @property
+    def zero(self):
+        return 0 if self.exact else 0.0
+
+
+def _step_base(state, kind, exact: bool) -> _StepBase:
+    if isinstance(kind, MinDistance):
+        return _StepBase(exact, dist=pt_false_distances(state),
+                         terms=TermTable(kind, exact))
+    if isinstance(kind, MinimalFalseLeavesGeneral):
+        return _StepBase(exact,
+                         closure=_descendant_closure(state, kind.anchor))
+    return _StepBase(exact)
+
+
+def _share(state, kind, exact: bool, w: int, pf_edges: int, kids: int,
+           deg_pt: int, deg_ct: int):
+    """Node ``w``'s term in a count potential, given its PF parent edges
+    and its child, PT child and CT child edges; its label and truth are
+    read from ``state``.  The caller scopes the general potential."""
+    label = state.labels[w]
+    if label == PF:
+        return 0
+    if label == CF or pf_edges > 0:         # minimal false
+        return 1
+    if isinstance(kind, MinimalFalse) or not state.is_false[w]:
+        return 0
+    if isinstance(kind, MinimalFalseLeavesSimple):
+        return 1 if kids == 0 else 0
+    return _leaf_weight(kind.attach, w, deg_pt, exact) if deg_ct == 0 else 0
+
+
+def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
+    """The change of ``kind``'s potential over one step, summed over the
+    nodes whose term the step can change.
+
+    ``state`` holds the step's new node ``v``, attached by the edge list
+    ``parents``, but not the marking ``marked``; ``base`` is
+    :func:`_step_base` of the state without ``v``.  The state is read,
+    never changed.
+
+    A :class:`MinDistance` term moves for ``v``, which joins the sum;
+    its parents and the parents of ``marked``, whose degree moves;
+    ``marked``, which leaves the sum; and the PT False nodes whose
+    distance moves.  Those are found by re-applying the
+    :func:`pt_false_distances` recurrence from ``v`` and from the
+    children of ``marked``, in increasing id order (ids are a
+    topological order), with ``marked`` treated as PF; a node whose
+    distance stays put does not pass the change on.
+
+    A count potential's term for a node depends on its label, its PF
+    parent edges and its child edges alone (and, for the general
+    potential, on whether it lies below the anchor, which ``v`` does
+    when a parent does).  So only ``v``, its parents, ``marked`` and
+    the parents and children of ``marked`` can change theirs; each is
+    scored before the step, without ``v``'s edges, and after it, with
+    the marking applied.
+    """
+    labels = state.labels
+    up = state.parents
+    down = state.children
+    deg_pt = state.deg_pt
+    born: dict = {}           # edges v adds to each of its parents
+    for u in parents:
+        born[u] = born.get(u, 0) + 1
+    lost: dict = {}           # edges the marking takes from each parent
+    for w in marked:
+        for u in up[w]:
+            lost[u] = lost.get(u, 0) + 1
+    zero = base.zero
+    delta = zero
+
+    if not isinstance(kind, MinDistance):
+        gained: dict = {}     # PF parent edges the marking gives each child
+        lost_ct: dict = {}    # CT child edges the marking takes
+        for w in marked:
+            for c in down[w]:
+                gained[c] = gained.get(c, 0) + 1
+            if labels[w] == CT:
+                for u in up[w]:
+                    lost_ct[u] = lost_ct.get(u, 0) + 1
+        pf = state.pf_parent_edges
+        deg_ct = state.deg_ct
+        new_ct = labels[v] == CT
+        closure = base.closure
+        for w in {v, *born, *lost, *gained, *marked}:
+            inside = closure is None or w in closure
+            if w != v and inside:
+                b = born.get(w, 0)
+                delta -= _share(state, kind, base.exact, w, pf[w],
+                                len(down[w]) - b, deg_pt[w] - b,
+                                deg_ct[w] - (b if new_ct else 0))
+            if w == v:
+                inside = closure is None or any(u in closure for u in born)
+            if w not in marked and inside:
+                delta += _share(state, kind, base.exact, w,
+                                pf[w] + gained.get(w, 0), len(down[w]),
+                                deg_pt[w] - lost.get(w, 0),
+                                deg_ct[w] - lost_ct.get(w, 0))
+        return delta
+
+    is_false = state.is_false
+    dist = base.dist
+    queued = {v}
+    for w in marked:
+        queued.update(down[w])
+    heap = [w for w in queued
+            if w not in marked and labels[w] != PF and is_false[w]]
+    heapq.heapify(heap)
+    moved: dict = {}          # the distances the step changes
+    while heap:
+        w = heapq.heappop(heap)
+        if (labels[w] == CF or state.pf_parent_edges[w] > 0
+                or any(u in marked for u in up[w])):
+            d = 0
+        else:
+            best = None
+            for u in up[w]:
+                du = moved[u] if u in moved else dist.get(u)
+                if du is not None and (best is None or du < best):
+                    best = du
+            if best is None:
+                raise StateError(f"node {w} is PT False, not minimal, with "
+                                 f"no PT False parent after the step")
+            d = best + 1
+        if d == dist.get(w):
+            continue
+        moved[w] = d
+        for c in down[w]:
+            if c not in queued and c not in marked and labels[c] != PF:
+                queued.add(c)
+                heapq.heappush(heap, c)
+    touched = set(moved)
+    touched.update(born, lost, marked)
+    terms = base.terms
+    for w in touched:
+        if labels[w] == PF or not is_false[w]:
+            continue
+        old = zero if w == v else terms[deg_pt[w] - born.get(w, 0), dist[w]]
+        new = zero if w in marked else terms[
+            deg_pt[w] - lost.get(w, 0), moved[w] if w in moved else dist[w]]
+        delta += new - old
+    return delta
 
 
 # -- exact one-step drift --------------------------------------------------
@@ -455,13 +538,14 @@ def exact_drift(state, features, kind, adversary=None, *,
     adversary's move (``RandomPt`` when q > 0 and none is given, as in
     the engine; a randomized move is enumerated like any other
     decision), the parent count, every ordered parent tuple and the
-    label coin.  Each move's node is added once, to a copy of
-    ``state``, and the second pass enumerates every decision
-    :func:`checking.run_check` makes on that child.  The leaf
-    probabilities must sum to one and each leaf's potential is
-    recomputed two ways; either failing raises instead of returning a
-    number.  Neither ``state`` nor ``adversary`` is changed.  An input
-    with more moves than ``leaf_cap`` is refused before any is made.
+    label coin.  Each move's node is added once, to the call's one copy
+    of ``state``, and the second pass enumerates every decision
+    :func:`checking.run_check` makes on that child.  Each leaf is scored
+    by :func:`_step_delta` on that copy, with the marking left
+    unapplied.  The leaf probabilities must sum to one, or the call
+    raises instead of returning a number.  Neither ``state`` nor
+    ``adversary`` is changed.  An input with more moves than
+    ``leaf_cap`` is refused before any is made.
 
     ``exact=None`` switches to rational arithmetic automatically when
     every feature parameter is an int or Fraction.
@@ -494,23 +578,23 @@ def exact_drift(state, features, kind, adversary=None, *,
         raise BranchBudgetExceeded(
             f"at least {moves} moves exceed the leaf cap {leaf_cap}")
 
-    terms = (TermTable(kind, exact_mode) if isinstance(kind, MinDistance)
-             else None)
-    phi_before = _checked_total(state, kind, exact_mode, terms)
+    base = _step_base(state, kind, exact_mode)
+    # the call's one evaluation of the whole potential: it refuses a bad
+    # input before any leaf is scored
+    _checked_total(state, kind, exact_mode, base.terms)
     acc = _Sum(exact_mode)
     mass = _Sum(exact_mode)
     leaf_count = 0
 
-    def leaf(prob, after=None) -> None:
+    def leaf(prob, delta=None) -> None:
         nonlocal leaf_count
         leaf_count += 1
         if leaf_count > leaf_cap:
             raise BranchBudgetExceeded(
                 f"outcome tree exceeded {leaf_cap} leaves")
         mass.add(prob)
-        if after is not None:
-            acc.add(prob * (_checked_total(after, kind, exact_mode, terms)
-                            - phi_before))
+        if delta is not None:
+            acc.add(prob * delta)
 
     work = state.copy()
     birth = _next_birth(state)
@@ -525,7 +609,7 @@ def exact_drift(state, features, kind, adversary=None, *,
         v = work.add_node(parents, label, birth=birth,
                           adversarial=branch == "adversary")
         if branch == "adversary":
-            leaf(p_move, work)
+            leaf(p_move, _step_delta(work, kind, base, v, parents, ()))
         else:
             def check(chooser):
                 return checking.run_check(
@@ -534,12 +618,8 @@ def exact_drift(state, features, kind, adversary=None, *,
                     features.detection_rate, chooser)
 
             for outcome, p_check in _outcomes(check, exact_mode):
-                if outcome.marked:
-                    after = work.copy()
-                    after.mark_pf(outcome.marked)
-                else:
-                    after = work
-                leaf(p_move * p_check, after)
+                leaf(p_move * p_check, _step_delta(work, kind, base, v,
+                                                   parents, outcome.marked))
         work.pop_last_node()
 
     total_mass = mass.total
@@ -582,20 +662,16 @@ class DriftEstimate:
     samples: int
 
 
-def _phi_value(state, kind, dist=None, terms=None) -> float:
-    """The float potential.  A :class:`MinDistance` sum reuses ``dist``,
-    the state's :func:`pt_false_distances`, and ``terms``, a float
-    :class:`TermTable` for ``kind``, when the caller has them; it adds
+def _phi_value(state, kind, base: _StepBase) -> float:
+    """The float potential.  A :class:`MinDistance` sum reads the
+    distances and the float :class:`TermTable` of ``base``; it adds
     ``a(deg) * c**dist`` in id order, and an overflow anywhere names the
     deepest node."""
     if isinstance(kind, MinDistance):
-        if dist is None:
-            dist = pt_false_distances(state)
-        if terms is None:
-            terms = TermTable(kind, exact=False)
+        dist = base.dist
         deg = state.deg_pt
         try:
-            total = sum(terms[deg[v], d] for v, d in dist.items())
+            total = sum(base.terms[deg[v], d] for v, d in dist.items())
         except PotentialOverflow:
             total = math.inf
         if total == math.inf:
@@ -616,36 +692,22 @@ def mc_drift(state, features, kind, samples: int, rng,
     fresh copy of it.
 
     Each sample adds its node to ``state`` itself, runs the check there
-    without applying the marking, scores the step and pops the node
-    again; the state is restored on the way out, whatever is raised.  A
-    :class:`MinDistance` step is scored by
-    :func:`_min_distance_delta` from the nodes it touches: the new node,
-    its parents, the marked set and the parents of the marked set, and
-    the PT False nodes whose distance the marking moves; a sample costs
-    the size of that neighbourhood, not of the state.  Other potentials
-    are recomputed over a copy with the marking applied.
+    without applying the marking, scores the step with
+    :func:`_step_delta` and pops the node again; the state is restored
+    on the way out, whatever is raised.  A sample costs the size of the
+    step's neighbourhood, not of the state: no sample copies the state,
+    applies the marking or evaluates the whole potential.  That is done
+    once per call, on the input, and only to refuse a bad one.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     gen = rng if isinstance(rng, np.random.Generator) else make_generator(rng)
     chooser = SimChooser(gen)
     windex = weight_index_for(state, features.attach)
-    local = isinstance(kind, MinDistance)
-    dist = pt_false_distances(state) if local else None
-    terms = TermTable(kind, exact=False) if local else None
-    # one distance pass and one term table: for MinDistance, phi_before
-    # only raises PotentialOverflow on a state too deep for float terms,
-    # and the samples are scored from dist and the table
-    phi_before = _phi_value(state, kind, dist, terms)
-
-    def step_delta(v, parents, marked) -> float:
-        if local:
-            return _min_distance_delta(state, dist, terms, v, parents, marked)
-        if marked:
-            after = state.copy()
-            after.mark_pf(marked)
-            return _phi_value(after, kind) - phi_before
-        return _phi_value(state, kind) - phi_before
+    base = _step_base(state, kind, exact=False)
+    # the call's one evaluation of the whole potential: it refuses a bad
+    # input (an anchor, a float overflow) before any sample is scored
+    _phi_value(state, kind, base)
 
     adversary = _Fresh(adversary)
     feats = features
@@ -669,7 +731,7 @@ def mc_drift(state, features, kind, samples: int, rng,
                         feats.mechanism, state, v, parents,
                         feats.check_depth, feats.check_rate,
                         feats.detection_rate, chooser).marked
-                delta = step_delta(v, parents, marked)
+                delta = _step_delta(state, kind, base, v, parents, marked)
                 state.pop_last_node()
             d1 = delta - mean
             mean += d1 / i
@@ -681,73 +743,3 @@ def mc_drift(state, features, kind, samples: int, rng,
     var = m2 / (samples - 1) if samples > 1 else 0.0
     se = math.sqrt(max(var, 0.0) / samples)
     return DriftEstimate(mean, se, samples)
-
-
-def _min_distance_delta(state, dist, terms, v, parents, marked) -> float:
-    """The change of a :class:`MinDistance` potential over one step,
-    summed over the nodes whose term the step can change.
-
-    ``state`` holds the step's new node ``v``, attached by the edge list
-    ``parents``, but not the marking ``marked``; ``dist`` is
-    :func:`pt_false_distances` of the state without ``v`` and ``terms``
-    a float :class:`TermTable`.  The touched nodes are ``v``, which
-    joins the sum; its parents and the parents of ``marked``, whose
-    degree moves; ``marked``, which leaves the sum; and the PT False
-    nodes whose distance moves.  Those are found by re-applying the
-    :func:`pt_false_distances` recurrence from ``v`` and from the
-    children of ``marked``, in increasing id order (ids are a
-    topological order), with ``marked`` treated as PF; a node whose
-    distance stays put does not pass the change on.  The state is read,
-    never changed.
-    """
-    labels = state.labels
-    is_false = state.is_false
-    up = state.parents
-    down = state.children
-    born: dict = {}           # edges v adds to each of its parents
-    for u in parents:
-        born[u] = born.get(u, 0) + 1
-    lost: dict = {}           # edges the marking takes from each parent
-    queued = {v}
-    for w in marked:
-        for u in up[w]:
-            lost[u] = lost.get(u, 0) + 1
-        queued.update(down[w])
-    heap = [w for w in queued
-            if w not in marked and labels[w] != PF and is_false[w]]
-    heapq.heapify(heap)
-    moved: dict = {}          # the distances the step changes
-    while heap:
-        w = heapq.heappop(heap)
-        if (labels[w] == CF or state.pf_parent_edges[w] > 0
-                or any(u in marked for u in up[w])):
-            d = 0
-        else:
-            best = None
-            for u in up[w]:
-                du = moved[u] if u in moved else dist.get(u)
-                if du is not None and (best is None or du < best):
-                    best = du
-            if best is None:
-                raise StateError(f"node {w} is PT False, not minimal, with "
-                                 f"no PT False parent after the step")
-            d = best + 1
-        if d == dist.get(w):
-            continue
-        moved[w] = d
-        for c in down[w]:
-            if c not in queued and c not in marked and labels[c] != PF:
-                queued.add(c)
-                heapq.heappush(heap, c)
-    touched = set(moved)
-    touched.update(born, lost, marked)
-    deg = state.deg_pt
-    delta = 0.0
-    for w in touched:
-        if labels[w] == PF or not is_false[w]:
-            continue
-        old = 0.0 if w == v else terms[deg[w] - born.get(w, 0), dist[w]]
-        new = 0.0 if w in marked else terms[
-            deg[w] - lost.get(w, 0), moved[w] if w in moved else dist[w]]
-        delta += new - old
-    return delta

@@ -258,29 +258,6 @@ def pt_false_distances(state: CkpState) -> dict[int, int]:
     return dist
 
 
-def pt_false_distances_by_spread(state: CkpState) -> dict[int, int]:
-    """Independent oracle for :func:`pt_false_distances`.
-
-    Multi-source BFS from the minimal false set, walking child edges and
-    never leaving the PT hidden-False node set.
-    """
-    dist: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for v in state.minimal_false_set():
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for c in set(state.children[u]):
-            if c in dist:
-                continue
-            if state.labels[c] == PF or not state.is_false[c]:
-                continue
-            dist[c] = dist[u] + 1
-            queue.append(c)
-    return dist
-
-
 def anchor_bfs(state: CkpState, v: int):
     """Canonical upward BFS from ``v`` until the first minimal false node.
 

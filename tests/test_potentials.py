@@ -3,20 +3,24 @@ estimator.
 
 The closed-form expectations asserted here are derived by hand in the
 comments next to each test; the enumerator must reproduce them exactly
-in rational mode, and its internal dual-route potential checks turn any
-bookkeeping slip into a loud failure rather than a wrong number.
+in rational mode.  Both oracles score a step locally through
+``potentials._step_delta``, so the cross-check of that scorer lives
+here: a spy wraps it and holds every call, in exact arithmetic, to the
+whole potential recomputed before and after the step, on every leaf of
+``exact_drift`` and every sample of ``mc_drift``.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckplab import checking, potentials
 from ckplab.attachment import Affine, ParentCountLaw, TableAttachment, \
-    preferential, sample_combination, uniform, weight_index_for
-from ckplab.evolution import AuditViolation, DeepAttach, Features, PyEngine, \
-    RandomPt, Scripted, init_chain
+    preferential, uniform
+from ckplab.evolution import AuditViolation, DeepAttach, Features, \
+    LeafAttach, PyEngine, RandomPt, Scripted, init_chain
 from ckplab.potentials import (
     BranchBudgetExceeded, DriftResult, MinDistance,
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
@@ -24,7 +28,7 @@ from ckplab.potentials import (
 )
 from ckplab.rand import SimChooser, make_generator
 from ckplab.state import CT, CF, CkpState, anchor_bfs, dump_state, \
-    pt_false_distances, pt_false_distances_by_spread
+    pt_false_distances
 
 PREF = preferential()
 LAW = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
@@ -64,10 +68,10 @@ def test_min_distance_chain_term_by_term():
     # integral terms are summed as ints; the report still holds Fractions
     assert type(rep.total) is Fraction
     assert type(rep.per_component[0]) is Fraction
-    # term-by-term against the independent spread distances
-    spread = pt_false_distances_by_spread(chain)
-    recomputed = sum(PREF.evaluate_exact(chain.deg_pt[v]) * Fraction(3) ** d
-                     for v, d in spread.items())
+    # term-by-term against the upward-BFS depths
+    recomputed = sum(PREF.evaluate_exact(chain.deg_pt[v])
+                     * Fraction(3) ** anchor_bfs(chain, v)[1]
+                     for v in range(3))
     assert recomputed == rep.total
 
 
@@ -302,6 +306,75 @@ def test_drift_pinned_on_the_twelve_node_cap_chain():
     assert abs(approx.value - 125703471 / 48668) <= 1e-9
 
 
+def test_drift_pinned_for_the_count_potentials():
+    # the values and leaf counts the enumerator returned when it
+    # recomputed these potentials on every leaf
+    chain = init_chain(5, 1, CF)
+    for kind, value in ((MinimalFalse(), Fraction(-17, 1215)),
+                        (MinimalFalseLeavesSimple(), Fraction(1654, 3645)),
+                        (MinimalFalseLeavesGeneral(0, PREF),
+                         Fraction(1756, 3645))):
+        r = exact_drift(chain, pinned_drift_features(), kind)
+        assert (r.value, r.leaf_count) == (value, 451), kind
+        approx = exact_drift(chain, pinned_drift_features(), kind,
+                             exact=False)
+        assert approx.leaf_count == 451
+        assert abs(approx.value - float(value)) <= 1e-12, kind
+
+
+def test_both_oracles_refuse_bad_input_by_name():
+    f = Features(PREF, ParentCountLaw.const(1), Fraction(1, 2), 2, "bfs")
+    chain = init_chain(3, 1, CF)
+    for anchor, message in ((1, "does not carry"), (99, "out of range"),
+                            (-1, "out of range")):
+        kind = MinimalFalseLeavesGeneral(anchor, PREF)
+        with pytest.raises(ValueError, match=message):
+            exact_drift(chain, f, kind)
+        with pytest.raises(ValueError, match=message):
+            mc_drift(chain, f, kind, 10, 1)
+    # a CF origin with one CT leaf of degree 0, weight a(0) = 1: every
+    # new node lands on the leaf, and a CF one keeps it a leaf in the
+    # wider sense at degree 1, where the weight is 0
+    holes = TableAttachment((1, 0), 0)
+    s = single_cf()
+    s.add_node([0], CT, birth=1)
+    kind = MinimalFalseLeavesGeneral(0, holes)
+    assert potential(s, kind, exact=True).total == 2
+    f = Features(holes, ParentCountLaw.const(1), Fraction(1, 2), 2, "bfs",
+                 error_rate=Fraction(1, 2))
+    with pytest.raises(NonpositiveWeight, match="leaf 1"):
+        exact_drift(s, f, kind)
+    with pytest.raises(NonpositiveWeight, match="leaf 1"):
+        mc_drift(s, f, kind, 50, 1)
+
+
+def test_no_leaf_or_sample_copies_the_state_or_recomputes_the_potential(
+        monkeypatch):
+    counts = {"copy": 0, "mark_pf": 0, "potential": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(CkpState, "copy", counted("copy", CkpState.copy))
+    monkeypatch.setattr(CkpState, "mark_pf",
+                        counted("mark_pf", CkpState.mark_pf))
+    monkeypatch.setattr(potentials, "potential",
+                        counted("potential", potentials.potential))
+    r = exact_drift(init_chain(12, 1, CF), pinned_drift_features(),
+                    MinDistance(PREF, 3))
+    assert r.leaf_count == 4833
+    assert counts == {"copy": 1, "mark_pf": 0, "potential": 1}
+    # the sampler works on the caller's state itself
+    counts.update(copy=0, potential=0)
+    f = feats("exhaustive-bfs", 0.7, k=3)
+    est = mc_drift(init_chain(12, 1, CF), f, MinimalFalseLeavesSimple(),
+                   400, 3)
+    assert est.se > 0
+    assert counts == {"copy": 0, "mark_pf": 0, "potential": 1}
+
+
 def test_exact_drift_needs_a_law_that_sums_to_one_exactly():
     # 0.1 and 0.9 sum to one in floats, not as binary fractions
     law = ParentCountLaw({1: 0.1, 2: 0.9})
@@ -324,21 +397,148 @@ def test_drift_float_and_rational_modes_agree_on_sampled_states():
             1.0, abs(approx.value))
 
 
-# -- exact drift: the routes stay independent -----------------------------
+# -- the step scorer against the whole potential --------------------------
+
+# kinds whose float terms are integers, so a float step delta is exact
+INTEGER_TERMS = (KINDS[0], MinimalFalse(), MinimalFalseLeavesSimple())
+
+
+class StepSpy:
+    """Stands in for ``potentials._step_delta`` and checks every call, in
+    exact arithmetic, against ``potential(after) - potential(before)``:
+    ``before`` is the state without the step's node, ``after`` a copy
+    with the marking applied.  The scorer's answer under an exact base
+    must equal that difference; the answer the oracle gets must equal it
+    too, or come within 1e-9 of it when float terms are fractional.
+
+    Counts the calls, the calls that mark, and the calls that move a
+    PT False distance."""
+
+    def __init__(self, mp):
+        self.real = potentials._step_delta
+        self.calls = self.marking = self.moved = 0
+        self.before = None      # the current oracle call's base and view
+        mp.setattr(potentials, "_step_delta", self)
+
+    def __call__(self, state, kind, base, v, parents, marked):
+        got = self.real(state, kind, base, v, parents, marked)
+        if self.before is None or self.before[0] is not base:
+            prior = state.copy()
+            prior.pop_last_node()
+            self.before = (base,
+                           potentials._step_base(prior, kind, exact=True),
+                           potential(prior, kind, exact=True).total,
+                           pt_false_distances(prior))
+        _, exact_base, phi_before, dist = self.before
+        after = state.copy()
+        after.mark_pf(marked)
+        phi_after = potential(after, kind, exact=True).total
+        want = phi_after - phi_before
+        assert self.real(state, kind, exact_base, v, parents, marked) == want
+        if base.exact or kind in INTEGER_TERMS:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-9 * max(1, abs(phi_before),
+                                                 abs(phi_after))
+        self.calls += 1
+        self.marking += bool(marked)
+        new = pt_false_distances(after)
+        self.moved += any(new[w] != d for w, d in dist.items() if w in new)
+        return got
+
+
+@st.composite
+def grown_steps(draw):
+    """A small state grown by the engine, with the features and the
+    adversary to step it: any mechanism, with and without new errors,
+    with no adversary, RandomPt, DeepAttach or LeafAttach."""
+    eps = draw(st.sampled_from((0, Fraction(1, 10))))
+    adversary = draw(st.sampled_from((None, RandomPt(), DeepAttach(),
+                                      LeafAttach())))
+    f = Features(PREF, ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 2)}),
+                 check_rate=Fraction(1, 2),
+                 check_depth=draw(st.integers(2, 3)),
+                 mechanism=draw(st.sampled_from(MECHANISMS)),
+                 error_rate=eps, detection_rate=Fraction(4, 5),
+                 adversary_rate=Fraction(1, 4) if adversary else 0,
+                 adversary_budget=2)
+    root = draw(st.sampled_from((CF, CT))) if eps else CF
+    eng = PyEngine(f, init_chain(2, 1, root),
+                   SimChooser(draw(st.integers(0, 2**32 - 1))), adversary)
+    for _ in range(draw(st.integers(0, 10))):
+        if eng.stopped or len(eng.state.pt_ids()) >= 7:
+            break
+        eng.step()
+    return eng.state, f, adversary
+
+
+def spied_kind(name, state):
+    if name != "leaves-general":
+        return {"min-distance": KINDS[0], "min-distance-affine": KINDS[1],
+                "minimal-false": MinimalFalse(),
+                "leaves-simple": MinimalFalseLeavesSimple()}[name]
+    origins = [w for w in range(len(state.labels))
+               if state.labels[w] != CT and state.is_false[w]]
+    return MinimalFalseLeavesGeneral(origins[0], PREF) if origins else None
+
+
+@pytest.mark.parametrize("name", ["min-distance", "min-distance-affine",
+                                  "minimal-false", "leaves-simple",
+                                  "leaves-general"])
+@given(grown_steps(), st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_step_delta_matches_the_whole_potential(name, case, seed):
+    """Every leaf of exact_drift and every sample of mc_drift."""
+    state, f, adversary = case
+    kind = spied_kind(name, state)
+    if kind is None:            # no error for the scoped potential to hang on
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        spy = StepSpy(mp)
+        r = exact_drift(state, f, kind, adversary)
+        assert spy.calls <= r.leaf_count
+        mc_drift(state, f, kind, 20, seed, adversary)
+
+
+def test_mc_drift_samples_meet_the_coverage_floors():
+    """States grown under light checking, so they stay alive, then
+    sampled under heavier checking and an unchecked adversary, so steps
+    mark and move distances: every sample passes the spy, and enough of
+    them reach both halves of the distance delta."""
+    with pytest.MonkeyPatch.context() as mp:
+        spy = StepSpy(mp)
+        for mech, kind, eps, seed in itertools.product(MECHANISMS, KINDS,
+                                                       (0, 0.1), range(3)):
+            grow = Features(kind.attach, LAW, check_rate=0.1, check_depth=3,
+                            mechanism=mech, error_rate=eps,
+                            detection_rate=0.8)
+            root = CF if eps == 0 or seed == 2 else CT
+            eng = PyEngine(grow, init_chain(3, 1, root), SimChooser(seed))
+            for _ in range(40):
+                eng.step()
+            step = Features(kind.attach, LAW, check_rate=0.6, check_depth=3,
+                            mechanism=mech, error_rate=eps,
+                            detection_rate=0.8, adversary_rate=1 / 3,
+                            adversary_budget=2)
+            mc_drift(eng.state, step, kind, 30, 100 + seed, RandomPt())
+    assert spy.calls == 1800
+    assert spy.marking >= 400 and spy.moved >= 300, (spy.marking, spy.moved)
+
 
 # On the 5-node chain node 5 exists only in the enumerated outcomes, so
-# a route that misplaces it can only be caught by the per-leaf checks.
+# a routine that misplaces it can only be caught on a leaf.
 GROWN = 5
 
 
-def test_drift_catches_a_spread_route_that_disagrees(monkeypatch):
+def test_drift_catches_a_distance_routine_that_disagrees(monkeypatch):
     def shifted(state):
-        dist = pt_false_distances_by_spread(state)
+        dist = pt_false_distances(state)
         if GROWN in dist:
             dist[GROWN] += 1
         return dist
-    monkeypatch.setattr(potentials, "pt_false_distances_by_spread", shifted)
-    with pytest.raises(AuditViolation, match="potential routes disagree"):
+    monkeypatch.setattr(potentials, "pt_false_distances", shifted)
+    StepSpy(monkeypatch)
+    with pytest.raises(AuditViolation, match="component decomposition"):
         exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
                     MinDistance(PREF, 3))
 
@@ -348,6 +548,7 @@ def test_drift_catches_a_decomposition_that_disagrees(monkeypatch):
         anchor, depth, chain = anchor_bfs(state, v)
         return anchor, depth + (v == GROWN), chain
     monkeypatch.setattr(potentials, "anchor_bfs", deeper)
+    StepSpy(monkeypatch)
     with pytest.raises(AuditViolation, match="component decomposition"):
         exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
                     MinDistance(PREF, 3))
@@ -517,7 +718,7 @@ def test_mc_drift_leaves_the_input_state_alone(monkeypatch):
     mc_drift(st, feats("exhaustive-bfs", 0.7), MinimalFalseLeavesSimple(),
              400, 3)
     assert snapshot(st) == before
-    # the local MinDistance route, on a state with PF nodes, with checks
+    # MinDistance, on a state with PF nodes, with checks
     # that mark and with adversarial steps
     f = Features(PREF, LAW, check_rate=0.6, check_depth=3, mechanism="bfs",
                  error_rate=0.1, adversary_rate=0.2, adversary_budget=2)
@@ -550,61 +751,6 @@ def test_mc_drift_leaves_the_input_state_alone(monkeypatch):
         assert snapshot(grown) == before
 
 
-# -- the local MinDistance delta ------------------------------------------
-
-def test_min_distance_delta_matches_the_full_recompute():
-    """Every sampled step, scored from the nodes it touches, against the
-    potential recomputed over a copy with the marking applied."""
-    steps = marking = moved = 0
-    for mech, kind, eps, seed in itertools.product(MECHANISMS, KINDS,
-                                                   (0, 0.1), range(3)):
-        # grown under light checking, so it stays alive, then stepped
-        # under heavier checking, so it marks
-        f = Features(kind.attach, LAW, check_rate=0.1, check_depth=3,
-                     mechanism=mech, error_rate=eps, detection_rate=0.8)
-        root = CF if eps == 0 or seed == 2 else CT
-        eng = PyEngine(f, init_chain(3, 1, root), SimChooser(seed))
-        for _ in range(40):
-            eng.step()
-        st = eng.state
-        dist = pt_false_distances(st)
-        terms = potentials.TermTable(kind, exact=False)
-        phi_before = potentials._phi_value(st, kind)
-        windex = weight_index_for(st, kind.attach)
-        assert windex.positive > 0
-        chooser = SimChooser(100 + seed)
-        for i in range(30):
-            m = sample_combination(LAW, chooser)
-            parents = [chooser.weighted_index(windex) for _ in range(m)]
-            label = CF if chooser.maybe(eps) else CT
-            v = st.add_node(parents, label, birth=0)
-            if i % 3:
-                marked = checking.run_check(mech, st, v, parents, 3, 0.6,
-                                            0.8, chooser).marked
-            else:                   # an unchecked, adversarial-like step
-                marked = set()
-            got = potentials._min_distance_delta(st, dist, terms, v,
-                                                 parents, marked)
-            after = st.copy()
-            after.mark_pf(marked)
-            phi_after = potentials._phi_value(after, kind)
-            want = phi_after - phi_before
-            if kind.c == 3:         # integer-valued terms: exact sums
-                assert got == want
-            else:
-                assert abs(got - want) <= 1e-9 * max(1.0, phi_before,
-                                                     phi_after)
-            st.pop_last_node()
-            steps += 1
-            marking += bool(marked)
-            new = pt_false_distances(after)
-            moved += any(new[w] != d for w, d in dist.items() if w in new)
-    assert steps == 1800
-    # the steps reach both halves of the delta: leaving marked nodes and
-    # moved distances
-    assert marking >= 400 and moved >= 300, (marking, moved)
-
-
 # (mean, se) of mc_drift on 2000-node states grown with each mechanism,
 # as this sampler has always returned them.  The terms are integer-valued
 # floats, so every sum is exact and any scoring route must reproduce
@@ -618,6 +764,23 @@ MC_PINNED = {
 }
 
 
+# The same runs scored by the two count potentials, as the sampler gave
+# them when it recomputed the potential per sample: integer deltas, so
+# they hold bit for bit.
+MC_PINNED_COUNTS = {
+    "stringy": ((0.09250000000000007, 0.015344314744799418),
+                (0.20249999999999996, 0.021907400816306717)),
+    "bfs": ((0.09749999999999996, 0.01893093568248902),
+            (0.10750000000000001, 0.020999089967153845)),
+    "exhaustive-bfs": ((0.045000000000000054, 0.014420727911021319),
+                       (0.0675, 0.018593646339826037)),
+    "parentwise-bfs": ((0.065, 0.01943919251187622),
+                       (0.08749999999999994, 0.020933343909133238)),
+    "complete": ((0.04750000000000001, 0.019404915662782442),
+                 (0.05250000000000002, 0.02292757202359734)),
+}
+
+
 @pytest.mark.parametrize("mech", MECHANISMS)
 def test_mc_drift_pinned_on_grown_states(mech):
     f = Features(PREF, LAW, check_rate=0.5, check_depth=3, mechanism=mech,
@@ -628,6 +791,10 @@ def test_mc_drift_pinned_on_grown_states(mech):
         eng.step()
     est = mc_drift(eng.state, f, MinDistance(PREF, 3), 400, 7)
     assert (est.mean, est.se) == MC_PINNED[mech]
+    for kind, pin in zip((MinimalFalse(), MinimalFalseLeavesSimple()),
+                         MC_PINNED_COUNTS[mech]):
+        est = mc_drift(eng.state, f, kind, 400, 7)
+        assert (est.mean, est.se) == pin, kind
 
 
 # The same runs under Affine(0.5, 1.3), as the append-by-append index

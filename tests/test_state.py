@@ -6,10 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from ckplab.state import (
     CT, CF, PF, CkpState, StateError,
-    pt_false_distances, pt_false_distances_by_spread,
+    pt_false_distances,
     anchor_bfs, bfs_component_partition,
     dump_state, load_state, verify_truth_closure,
 )
+
+
+def bfs_depths(s: CkpState) -> dict[int, int]:
+    """The distance oracle: each PT False node's depth under the upward
+    BFS of :func:`anchor_bfs`, which shares no code with the id-order
+    relaxation of :func:`pt_false_distances`."""
+    return {v: anchor_bfs(s, v)[1] for v in range(len(s.labels))
+            if s.labels[v] != PF and s.is_false[v]}
 
 
 def chain(labels, simple=True):
@@ -128,7 +136,7 @@ def test_distances_match_on_handmade_state():
     s.add_node([1, 2], CT, birth=3)
     d = pt_false_distances(s)
     assert d == {0: 0, 1: 1, 2: 1, 3: 2}
-    assert d == pt_false_distances_by_spread(s)
+    assert d == bfs_depths(s)
 
 
 def test_distances_skip_pt_true_nodes():
@@ -224,7 +232,7 @@ def random_states(draw):
 @given(random_states())
 @settings(max_examples=120, deadline=None)
 def test_distance_routes_agree_on_random_states(s):
-    assert pt_false_distances(s) == pt_false_distances_by_spread(s)
+    assert pt_false_distances(s) == bfs_depths(s)
     verify_truth_closure(s)
 
 
