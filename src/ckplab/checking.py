@@ -32,7 +32,6 @@ decisions in the same order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .state import CF, PF
@@ -112,40 +111,42 @@ def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
     """BFS upward from ``start`` to depth ``cap``, recognizing minimal
     false nodes.
 
-    Canonical order: FIFO queue seeded with ``start``, parents pushed in
-    edge insertion order, each node enqueued once, recognition happens
-    when a node is popped.  Without ``sweep`` the walk stops at the first
-    find; with it, it exhausts the ball, and recognized nodes are not
-    expanded through, so anything hiding strictly behind one stays hidden
-    from this sweep.  Every find is marked together with every visited
-    node below it.  Returns (founds, marked, order).
+    Canonical order, the kernel's: one list is the FIFO queue, seeded
+    with ``start``, parents pushed in edge insertion order, each node
+    enqueued once (the depth dict doubles as the seen set), recognition
+    happens when a node is popped, and the popped prefix is the visit
+    order.  Without ``sweep`` the walk stops at the first find; with it,
+    it exhausts the ball, and recognized nodes are not expanded through,
+    so anything hiding strictly behind one stays hidden from this sweep.
+    Every find is marked together with every visited node below it.
+    Returns (founds, marked, order).
     """
-    if cap < 0 or state.labels[start] == PF:
+    labels = state.labels
+    if cap < 0 or labels[start] == PF:
         return [], set(), []
-    seen = {start}
     depth = {start: 0}
-    order: list = []
+    queue = [start]
     founds: list = []
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
         if _flagged(state, u, p_e, chooser):
             founds.append(u)
             if not sweep:
                 break
             continue
-        if depth[u] < cap:
+        d = depth[u]
+        if d < cap:
             for w in state.parents[u]:
-                if w in seen or state.labels[w] == PF:
-                    continue
-                seen.add(w)
-                depth[w] = depth[u] + 1
-                queue.append(w)
+                if w not in depth and labels[w] != PF:
+                    depth[w] = d + 1
+                    queue.append(w)
+    del queue[head:]
     marked: set = set()
     for f in founds:
-        marked |= _descendants_within(state, order, f)
-    return founds, marked, order
+        marked |= _descendants_within(state, queue, f)
+    return founds, marked, queue
 
 
 MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs", "complete")

@@ -406,14 +406,14 @@ class PyEngine:
         else:
             self.zero_since = None
 
-    def run(self, horizon: int, checkpoint_steps=(), *, trace=None,
-            audit_every: int = 0) -> dict:
+    def run(self, horizon: int, checkpoint_steps=(), *,
+            trace=None) -> dict:
         """Up to ``horizon`` more steps, with the early exit once the
         outcome can no longer change; returns the trial summary, as the
         kernel's ``run`` does.  ``checkpoint_steps`` count from the start
         of this call, one past an early exit reports the frozen counts.
-        Python only: ``trace`` takes one JSON line per step, and
-        ``audit_every`` runs the deep audits every that many steps.
+        Python only: ``trace`` takes one JSON line per step, numbered by
+        the engine's step index.
         """
         pending = sorted(set(checkpoint_steps))
         checkpoints = []
@@ -421,12 +421,9 @@ class PyEngine:
             checkpoints.append((pending.pop(0), self.counts()))
         for t in range(1, horizon + 1):
             record = self.step()
-            if audit_every and t % audit_every == 0:
-                from .audits import full_audit
-                full_audit(self.state, self.features,
-                           self.export_bookkeeping())
             if trace is not None:
-                trace.write(_trace_line(t, record, self) + "\n")
+                trace.write(_trace_line(self.step_index, record, self)
+                            + "\n")
             while pending and pending[0] <= t:
                 checkpoints.append((pending.pop(0), self.counts()))
             if record.stopped:

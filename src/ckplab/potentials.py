@@ -438,26 +438,6 @@ class DriftResult:
     leaf_count: int
 
 
-class _Sum:
-    """Fraction accumulator, or Kahan-compensated float accumulator."""
-
-    __slots__ = ("exact", "total", "carry")
-
-    def __init__(self, exact: bool):
-        self.exact = exact
-        self.total = Fraction(0) if exact else 0.0
-        self.carry = 0.0
-
-    def add(self, x) -> None:
-        if self.exact:
-            self.total += x
-            return
-        y = float(x) - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-
 def _rational(x) -> bool:
     if isinstance(x, bool):
         return False
@@ -506,25 +486,36 @@ class _Fresh:
         return copy.deepcopy(self.adversary).move(state, features, chooser)
 
 
-def _outcomes(decide, exact: bool):
-    """Every outcome of ``decide(chooser)``, with the product of the
-    probabilities of the branches that lead to it.
+def _outcomes(decide, chooser: PathChooser):
+    """Every outcome of ``decide(chooser)``, as ``(outcome, num, den)``:
+    the product of the probabilities of the branches that lead to it is
+    ``num / den``, two ints when ``chooser`` is exact; otherwise ``num``
+    is that float product and ``den`` is 1.  The factors are not
+    reduced, so ``den`` is the product of the branches' denominators.
 
-    ``decide`` is replayed under a :class:`PathChooser` from the empty
-    path; at each open decision the path forks once per option.  The
-    outcomes come lazily, so the caller may change what ``decide`` reads
-    between two of them as long as it restores it before the next.
+    ``decide`` is replayed under ``chooser``, from the empty path; at
+    each open decision the path forks once per option.  Each replay
+    starts the chooser over, so enumerations may share it, and with it
+    the option list it built for each decision object.  The outcomes
+    come lazily, so the caller may change what ``decide`` reads between
+    two of them as long as it restores it before the next.
     """
-    stack = [((), Fraction(1) if exact else 1.0)]
+    exact = chooser.exact
+    stack = [((), 1, 1)]
     while stack:
-        path, prob = stack.pop()
+        path, num, den = stack.pop()
+        chooser.replay(path)
         try:
-            result = decide(PathChooser(path, exact))
+            result = decide(chooser)
         except NeedBranch as nb:
             for option, p in nb.options:
-                stack.append((path + (option,), prob * p))
+                if exact:
+                    stack.append((path + (option,), num * p.numerator,
+                                  den * p.denominator))
+                else:
+                    stack.append((path + (option,), num * p, 1))
             continue
-        yield result, prob
+        yield result, num, den
 
 
 def exact_drift(state, features, kind, adversary=None, *,
@@ -540,12 +531,20 @@ def exact_drift(state, features, kind, adversary=None, *,
     decision), the parent count, every ordered parent tuple and the
     label coin.  Each move's node is added once, to the call's one copy
     of ``state``, and the second pass enumerates every decision
-    :func:`checking.run_check` makes on that child.  Each leaf is scored
-    by :func:`_step_delta` on that copy, with the marking left
-    unapplied.  The leaf probabilities must sum to one, or the call
-    raises instead of returning a number.  Neither ``state`` nor
-    ``adversary`` is changed.  An input with more moves than
-    ``leaf_cap`` is refused before any is made.
+    :func:`checking.run_check` makes on that child.  The move's leaves
+    are grouped by marking, and :func:`_step_delta` scores each distinct
+    marking once on that copy, with the marking left unapplied.
+
+    Probabilities stay integer weights ``num / den`` (see
+    :func:`_outcomes`).  The check leaves of one marking are summed per
+    check denominator, and the move's weight multiplies each such sum
+    once.  The value and the mass are kept as lists of numerators per
+    denominator and turned into one Fraction per denominator at the end;
+    in float mode every denominator is 1 and the terms are added with
+    ``math.fsum``.  The mass must come to one, or the call raises
+    instead of returning a number.  Neither ``state`` nor ``adversary``
+    is changed.  An input with more moves than ``leaf_cap`` is refused
+    before any is made.
 
     ``exact=None`` switches to rational arithmetic automatically when
     every feature parameter is an int or Fraction.
@@ -582,34 +581,35 @@ def exact_drift(state, features, kind, adversary=None, *,
     # the call's one evaluation of the whole potential: it refuses a bad
     # input before any leaf is scored
     _checked_total(state, kind, exact_mode, base.terms)
-    acc = _Sum(exact_mode)
-    mass = _Sum(exact_mode)
+    value: dict = {}    # denominator -> numerators of the value's terms
+    mass: dict = {}     # denominator -> numerators of the mass's terms
     leaf_count = 0
+    work = state.copy()
+    birth = _next_birth(state)
+    # both passes, every move's check included, share one option cache
+    chooser = PathChooser((), exact_mode)
 
-    def leaf(prob, delta=None) -> None:
+    def tally() -> None:
         nonlocal leaf_count
         leaf_count += 1
         if leaf_count > leaf_cap:
             raise BranchBudgetExceeded(
                 f"outcome tree exceeded {leaf_cap} leaves")
-        mass.add(prob)
-        if delta is not None:
-            acc.add(prob * delta)
-
-    work = state.copy()
-    birth = _next_birth(state)
 
     def move(chooser):
         return draw_move(work, features, chooser, pool, adversary)
 
-    for (branch, parents, label), p_move in _outcomes(move, exact_mode):
-        if parents is None:
-            leaf(p_move)
+    for (branch, parents, label), num, den in _outcomes(move, chooser):
+        if parents is None:         # stopped, or the adversary passed
+            tally()
+            mass.setdefault(den, []).append(num)
             continue
         v = work.add_node(parents, label, birth=birth,
                           adversarial=branch == "adversary")
+        leaves: dict = {}           # marking -> {check denominator: numerator}
         if branch == "adversary":
-            leaf(p_move, _step_delta(work, kind, base, v, parents, ()))
+            tally()
+            leaves[frozenset()] = {1: 1}
         else:
             def check(chooser):
                 return checking.run_check(
@@ -617,12 +617,19 @@ def exact_drift(state, features, kind, adversary=None, *,
                     features.check_depth, features.check_rate,
                     features.detection_rate, chooser)
 
-            for outcome, p_check in _outcomes(check, exact_mode):
-                leaf(p_move * p_check, _step_delta(work, kind, base, v,
-                                                   parents, outcome.marked))
+            for outcome, cnum, cden in _outcomes(check, chooser):
+                tally()
+                weights = leaves.setdefault(frozenset(outcome.marked), {})
+                weights[cden] = weights.get(cden, 0) + cnum
+        for marked, weights in leaves.items():
+            delta = _step_delta(work, kind, base, v, parents, marked)
+            for cden, cnum in weights.items():
+                weight = num * cnum
+                value.setdefault(den * cden, []).append(weight * delta)
+                mass.setdefault(den * cden, []).append(weight)
         work.pop_last_node()
 
-    total_mass = mass.total
+    total_mass = _total(mass, exact_mode)
     if exact_mode:
         if total_mass != 1:
             raise AuditViolation(
@@ -631,7 +638,7 @@ def exact_drift(state, features, kind, adversary=None, *,
         raise AuditViolation(
             f"outcome probabilities sum to {total_mass!r}, not 1")
 
-    value = acc.total
+    value = _total(value, exact_mode)
     if exact_mode:
         if value < 0:
             sign = "negative"
@@ -647,6 +654,15 @@ def exact_drift(state, features, kind, adversary=None, *,
         else:
             sign = "indeterminate"
     return DriftResult(value, sign, exact_mode, leaf_count)
+
+
+def _total(terms: dict, exact: bool):
+    """The sum of ``{denominator: [numerator, ...]}``: one Fraction per
+    denominator, or ``math.fsum`` of the float terms."""
+    if exact:
+        return sum((Fraction(sum(nums), den) for den, nums in terms.items()),
+                   Fraction(0))
+    return math.fsum(x for nums in terms.values() for x in nums)
 
 
 def _next_birth(state) -> int:

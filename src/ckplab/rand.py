@@ -111,19 +111,36 @@ class PathChooser:
     Fractions when ``exact`` is set and floats otherwise.  Tests feed it
     hand-picked outcomes and assert :meth:`exhausted`; the drift oracle
     forks the path at each :class:`NeedBranch` and replays.
+
+    A chooser builds the option list of each decision object (a coin's
+    probability, a parent-count law, a pick's pmf, a uniform count) on
+    first use and keeps it, so :meth:`replay` on a new path repeats no
+    arithmetic: the drift oracle replays one chooser for a whole call.
+    The objects must not change while it does.  A
+    one-option decision (a coin of probability 0 or 1, a single
+    alternative) is resolved without taking a place on the path.
     """
 
-    __slots__ = ("path", "cursor", "exact")
+    __slots__ = ("path", "cursor", "exact", "_offers", "_shares")
 
     def __init__(self, path=(), exact: bool = False):
-        self.path = list(path)
+        self.path = tuple(path)
         self.cursor = 0
         self.exact = exact
+        self._offers: dict = {}   # id(coin, law or pmf) -> (it, options)
+        self._shares: dict = {}   # uniform count -> options
+
+    def replay(self, path) -> None:
+        """Start over on ``path``, keeping the option lists built so far."""
+        self.path = path
+        self.cursor = 0
 
     def exhausted(self) -> bool:
         return self.cursor == len(self.path)
 
     def _take(self, options):
+        if len(options) == 1:
+            return options[0][0]
         if self.cursor >= len(self.path):
             raise NeedBranch(options)
         value = self.path[self.cursor]
@@ -133,34 +150,48 @@ class PathChooser:
                 return outcome
         raise ValueError(f"prescribed outcome {value!r} not among options")
 
-    def maybe(self, p) -> bool:
+    def _offer(self, decision, build):
+        # keyed by identity, since hashing a Fraction costs about as much
+        # as building its options; the entry holds the object, so its id
+        # is not reused
+        entry = self._offers.get(id(decision))
+        if entry is None:
+            entry = self._offers[id(decision)] = (decision, build(decision))
+        return entry[1]
+
+    def _coin(self, p) -> list:
         if p <= 0:
-            return False
+            return [(False, 1)]
         if p >= 1:
-            return True
+            return [(True, 1)]
         q = Fraction(p) if self.exact else float(p)
-        return self._take([(True, q), (False, 1 - q)])
+        return [(True, q), (False, 1 - q)]
+
+    def _law(self, law) -> list:
+        if self.exact:
+            return list(enumerate(p for _, p in law.items_exact()))
+        return list(enumerate(float(p) for p in law.probs))
+
+    def maybe(self, p) -> bool:
+        return self._take(self._offer(p, self._coin))
 
     def uniform_index(self, n: int) -> int:
-        if n == 1:
-            return 0
-        share = Fraction(1, n) if self.exact else 1.0 / n
-        return self._take([(i, share) for i in range(n)])
+        options = self._shares.get(n)
+        if options is None:
+            share = Fraction(1, n) if self.exact else 1.0 / n
+            options = self._shares[n] = [(i, share) for i in range(n)]
+        return self._take(options)
 
     def pmf_index(self, law) -> int:
         """Index into the support of a :class:`ParentCountLaw`."""
-        if len(law.support) == 1:
-            return 0
-        if self.exact:
-            masses = [p for _, p in law.items_exact()]
-        else:
-            masses = [float(p) for p in law.probs]
-        return self._take(list(enumerate(masses)))
+        return self._take(self._offer(law, self._law))
 
     def weighted_index(self, pmf) -> int:
         """One pick from ``pmf``, a {node id: probability} dict of the
         positive-weight nodes, as :func:`attachment.parent_distribution`
         returns it in the chooser's arithmetic."""
-        if len(pmf) == 1:
-            return next(iter(pmf))
-        return self._take(list(pmf.items()))
+        return self._take(self._offer(pmf, _items))
+
+
+def _items(pmf) -> list:
+    return list(pmf.items())

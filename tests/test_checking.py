@@ -67,6 +67,45 @@ def test_path_chooser_offers_exact_masses():
     assert chooser.exhausted()
 
 
+COIN = Fraction(1, 3)
+LAW3 = ParentCountLaw({1: Fraction(1, 6), 2: Fraction(1, 2),
+                       3: Fraction(1, 3)})
+
+
+def four_kinds(chooser, pick):
+    """One decision of each kind, the later ones only on some paths."""
+    if not chooser.maybe(COIN):
+        return ("tails", chooser.uniform_index(3))
+    return ("heads", chooser.pmf_index(LAW3), chooser.weighted_index(pick))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_one_chooser_replays_like_fresh_ones(exact):
+    paths = [(), (True,), (False,), (False, 2), (True, 1), (True, 0, 7),
+             (False, 0), (True, 2, 4), (True, 1, 9), (False, 5)]
+    # a pick's pmf comes in the chooser's arithmetic
+    pick = ({4: Fraction(1, 4), 7: Fraction(3, 4)} if exact
+            else {4: 0.25, 7: 0.75})
+    shared = PathChooser((), exact)
+    for path in paths + paths[::-1]:
+        fresh = PathChooser(path, exact)
+        shared.replay(path)
+        outcomes = []
+        for chooser in (fresh, shared):
+            try:
+                outcomes.append(("done", four_kinds(chooser, pick),
+                                 chooser.exhausted()))
+            except NeedBranch as nb:
+                assert type(nb.options) is list
+                outcomes.append(("open", nb.options))
+            except ValueError as err:
+                outcomes.append(("refused", str(err)))
+        assert outcomes[0] == outcomes[1], path
+        if outcomes[0][0] == "open":
+            assert all(type(p) is (Fraction if exact else float)
+                       for _, p in outcomes[0][1])
+
+
 # -- stringy ---------------------------------------------------------------
 # whole checks run with p = 1, which draws no coin
 

@@ -3,6 +3,7 @@ decision stream draw for draw, and the dispatcher routes requests to
 the right backend."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -242,6 +243,38 @@ def test_trial_results_identical_modulo_backend(mech):
 
 
 @needs_kernel
+@pytest.mark.parametrize("mech,seed,exit_at", [("bfs", 1, 37),
+                                               ("complete", 4, 21)])
+def test_audited_pieces_agree_with_one_run(mech, seed, exit_at,
+                                           monkeypatch):
+    """``audit="full"`` with ``audit_every`` runs either engine in pieces
+    with a deep audit after each.  The elimination exit falls inside a
+    piece (37) or on a piece's last step (21); one checkpoint lies in a
+    later piece, two past the horizon."""
+    from ckplab import engine
+
+    feats = case_features(mech, 0.0, "preferential", 0.6, 3)
+    init = init_chain(8, 1, CF)
+    kwargs = dict(checkpoint_steps=(0, 5, 30, 40, 400, 10**6))
+    audits_run = []
+    deep_audit = engine.deep_audit_compiled
+
+    def counted(eng, f):
+        audits_run.append(eng)
+        deep_audit(eng, f)
+    monkeypatch.setattr(engine, "deep_audit_compiled", counted)
+    results = {
+        backend: run_trial(feats, init, 400, seed, audit="full",
+                           audit_every=7, backend=backend, **kwargs)
+        for backend in ("python", "compiled")}
+    assert len(audits_run) == 2 * math.ceil(exit_at / 7)
+    one_run = run_trial(feats, init, 400, seed, backend="compiled", **kwargs)
+    assert one_run.eliminated_at == exit_at
+    for result in results.values():
+        assert replace(result, backend="compiled") == one_run
+
+
+@needs_kernel
 def test_auto_prefers_compiled_when_eligible():
     feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
     init = init_chain(5, 1, CF)
@@ -291,6 +324,8 @@ def test_run_trial_validates_arguments():
         run_trial(feats, init, 0, seed=1)
     with pytest.raises(ValueError):
         run_trial(feats, init, 10, seed=1, audit="paranoid")
+    with pytest.raises(ValueError, match="audit_every"):
+        run_trial(feats, init, 10, seed=1, audit="full", audit_every=-7)
     with pytest.raises(ValueError):
         run_trial(feats, init, 10, seed=1, backend="gpu")
 

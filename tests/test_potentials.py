@@ -26,7 +26,7 @@ from ckplab.potentials import (
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
     NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
-from ckplab.rand import SimChooser, make_generator
+from ckplab.rand import PathChooser, SimChooser, make_generator
 from ckplab.state import CT, CF, CkpState, anchor_bfs, dump_state, \
     pt_false_distances
 
@@ -320,6 +320,77 @@ def test_drift_pinned_for_the_count_potentials():
                              exact=False)
         assert approx.leaf_count == 451
         assert abs(approx.value - float(value)) <= 1e-12, kind
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_float_drift_is_within_a_rounding_of_the_exact_drift(n):
+    # float mode adds the (move, marking) terms with math.fsum; a plain
+    # running sum of the same terms is 2.3e-14 off on the cap chain
+    chain = init_chain(n, 1, CF)
+    for kind in (MinDistance(PREF, 3), MinimalFalse(),
+                 MinimalFalseLeavesSimple()):
+        exact = exact_drift(chain, pinned_drift_features(), kind)
+        approx = exact_drift(chain, pinned_drift_features(), kind,
+                             exact=False)
+        error = abs(Fraction(approx.value) - exact.value)
+        assert error <= Fraction(1e-15) * abs(exact.value), kind
+
+
+def test_each_move_scores_each_distinct_marking_once(monkeypatch):
+    calls = []
+    real = potentials._step_delta
+
+    def spy(state, kind, base, v, parents, marked):
+        calls.append((tuple(parents), frozenset(marked)))
+        return real(state, kind, base, v, parents, marked)
+    monkeypatch.setattr(potentials, "_step_delta", spy)
+    r = exact_drift(init_chain(12, 1, CF), pinned_drift_features(),
+                    MinDistance(PREF, 3))
+    assert r.leaf_count == 4833
+    assert len(calls) == len(set(calls)) == 2949
+    # one empty marking per move: the check coin can always fail
+    assert sum(1 for _, marked in calls if not marked) == len(
+        {parents for parents, _ in calls})
+
+
+COIN_A, COIN_B = Fraction(1, 3), Fraction(2, 5)
+LAW3 = ParentCountLaw({1: Fraction(1, 6), 2: Fraction(1, 2),
+                       3: Fraction(1, 3)})
+
+
+def two_coins_and_a_law(chooser):
+    if chooser.maybe(COIN_A):
+        return (True, chooser.pmf_index(LAW3))
+    if chooser.maybe(COIN_B):
+        return (False, True, chooser.pmf_index(LAW3))
+    return (False, False)
+
+
+def two_coins_and_a_law_mass(outcome):
+    law = [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]
+    if outcome[0]:
+        return COIN_A * law[outcome[1]]
+    if outcome[1]:
+        return (1 - COIN_A) * COIN_B * law[outcome[2]]
+    return (1 - COIN_A) * (1 - COIN_B)
+
+
+def test_outcomes_carry_integer_path_weights():
+    exact = list(potentials._outcomes(two_coins_and_a_law,
+                                      PathChooser((), exact=True)))
+    assert len({outcome for outcome, _, _ in exact}) == len(exact) == 7
+    total = Fraction(0)
+    for outcome, num, den in exact:
+        assert type(num) is int and type(den) is int
+        assert Fraction(num, den) == two_coins_and_a_law_mass(outcome)
+        total += Fraction(num, den)
+    assert total == 1
+    approx = list(potentials._outcomes(two_coins_and_a_law,
+                                       PathChooser((), exact=False)))
+    assert [o for o, _, _ in approx] == [o for o, _, _ in exact]
+    for outcome, num, den in approx:
+        assert den == 1
+        assert abs(num - two_coins_and_a_law_mass(outcome)) <= 1e-16
 
 
 def test_both_oracles_refuse_bad_input_by_name():
