@@ -41,8 +41,15 @@ class ExactUnavailable(TypeError):
 
 
 def _to_fraction(x) -> Fraction:
-    # Fraction(float) is exact for the stored binary value, which is what
-    # the rational oracle needs: no doubt left about what was computed.
+    """The one rule by which a number enters rational arithmetic: an int
+    or a Fraction as it is, a float at its exact binary value.
+
+    A float is not read as the decimal it was typed as (``0.1`` enters
+    as ``3602879701896397/36028797018963968``), so an exact computation
+    decides what a float computation would be handed, with no doubt
+    left about what was computed.  ``evaluate_exact`` applies the same
+    rule to attachment weights.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, numbers.Rational):
@@ -106,12 +113,14 @@ class PowerShifted:
         return float(self.base) * float(d + 1) ** float(self.exponent)
 
     def evaluate_exact(self, d: int) -> Fraction:
+        """``a(d)`` under the rule of :func:`_to_fraction`: with an
+        integral exponent, the rational power of the exact base; with
+        any other, the binary value of the float weight :meth:`evaluate`
+        gives, the weight the engine draws with."""
         e = self.exponent
-        if isinstance(e, float) and e.is_integer():
-            e = int(e)
-        if not isinstance(e, int):
-            raise ExactUnavailable("exact power weights need an integer exponent")
-        return _to_fraction(self.base) * Fraction(d + 1) ** e
+        if e != int(e):
+            return Fraction(self.evaluate(d))
+        return _to_fraction(self.base) * Fraction(d + 1) ** int(e)
 
     def increment_bounds(self):
         """Increments of base*(d+1)^e are monotone in d: increasing for
@@ -441,8 +450,9 @@ def weight_index_for(state, attach) -> WeightIndex:
 
 # -- exact distributions ---------------------------------------------------
 
-def parent_distribution(state, attach, exact: bool = False) -> dict:
-    """Exact selection pmf {pt node id: probability}.
+def parent_distribution(state, attach) -> dict:
+    """Exact selection pmf {pt node id: Fraction}, from the weights
+    ``attach.evaluate_exact`` gives.
 
     Raises :class:`AllPF` when no PT node exists and :class:`AllWeightsZero`
     when all PT weights vanish, matching what the sampler would hit.
@@ -452,9 +462,7 @@ def parent_distribution(state, attach, exact: bool = False) -> dict:
     for v in range(len(state.labels)):
         if state.labels[v] == PF:
             continue
-        w = (attach.evaluate_exact(state.deg_pt[v]) if exact
-             else attach.evaluate(state.deg_pt[v]))
-        weights[v] = w
+        weights[v] = attach.evaluate_exact(state.deg_pt[v])
     if not weights:
         raise AllPF("state has no PT nodes")
     total = sum(weights.values())

@@ -24,6 +24,7 @@ surface, and trajectory equality across backends is tested.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 from . import checking
@@ -56,6 +57,11 @@ class Features:
             raise ValueError("check_rate must lie in [0, 1]")
         if not 0 < self.detection_rate <= 1:
             raise ValueError("detection_rate must lie in (0, 1]")
+        for name in ("check_depth", "adversary_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.check_depth < 1:
             raise ValueError("check_depth must be at least 1")
         if self.adversary_budget < 0:

@@ -17,8 +17,9 @@ carries:
   ``a(0)/a(deg(v))``.
 
 ``exact_drift`` enumerates every outcome of a single step and returns
-the expected potential change, exactly rational when the inputs allow
-it.  ``mc_drift`` estimates the same quantity by sampling.  Both make
+the expected potential change as a Fraction: every input enters under
+the rule of :func:`attachment._to_fraction`, a float at its binary
+value.  ``mc_drift`` estimates the same quantity by sampling.  Both make
 the step's decisions through :func:`evolution.draw_move`, as the
 engine's step does: ``exact_drift`` under a replaying
 :class:`PathChooser`, ``mc_drift`` under a live :class:`SimChooser`, so
@@ -52,13 +53,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import checking
-from .attachment import AllPF, AllWeightsZero, parent_distribution, \
-    weight_index_for
+from .attachment import AllPF, AllWeightsZero, _require_finite, \
+    _to_fraction, parent_distribution, weight_index_for
 from .evolution import AuditViolation, RandomPt, draw_move
 from .rand import NeedBranch, PathChooser, SimChooser, make_generator
 from .state import CT, CF, PF, StateError, pt_false_distances, anchor_bfs
-
-SIGN_BAND = 1e-12
 
 DEFAULT_PT_CAP = 12
 DEFAULT_LEAF_CAP = 10_000_000
@@ -93,6 +92,7 @@ class MinDistance:
     c: object = 3
 
     def __post_init__(self):
+        _require_finite("distance base c", self.c)
         if not self.c > 1:
             raise ValueError("the distance base must exceed 1")
 
@@ -140,7 +140,8 @@ class TermTable(dict):
     def __missing__(self, key):
         deg, dist = key
         if self.exact:
-            term = self.attach.evaluate_exact(deg) * Fraction(self.c) ** dist
+            term = (self.attach.evaluate_exact(deg)
+                    * _to_fraction(self.c) ** dist)
             if term.denominator == 1:
                 term = term.numerator
         else:
@@ -433,41 +434,9 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
 @dataclass(frozen=True)
 class DriftResult:
     value: object
-    sign: str           # negative | zero | positive | indeterminate
-    exact: bool
+    sign: str           # negative | zero | positive
+    exact: bool         # always True: the value is a Fraction
     leaf_count: int
-
-
-def _rational(x) -> bool:
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, (int, Fraction)):
-        return True
-    # integral floats (the 0.0 / 1.0 defaults) convert without surprise;
-    # any other float keeps the computation in float mode unless forced
-    return isinstance(x, float) and x == int(x)
-
-
-def _attachment_rational(attach) -> bool:
-    name = type(attach).__name__
-    if name == "Affine":
-        return _rational(attach.base) and _rational(attach.slope)
-    if name == "PowerShifted":
-        return _rational(attach.base) and isinstance(attach.exponent, int)
-    if name == "TableAttachment":
-        return (all(_rational(v) for v in attach.values)
-                and _rational(attach.tail_slope))
-    return False
-
-
-def _auto_exact(features) -> bool:
-    scalars = (features.check_rate, features.error_rate,
-               features.detection_rate, features.adversary_rate)
-    if not all(_rational(s) for s in scalars):
-        return False
-    if not all(_rational(p) for p in features.parent_count.probs):
-        return False
-    return _attachment_rational(features.attach)
 
 
 class _Fresh:
@@ -489,9 +458,8 @@ class _Fresh:
 def _outcomes(decide, chooser: PathChooser):
     """Every outcome of ``decide(chooser)``, as ``(outcome, num, den)``:
     the product of the probabilities of the branches that lead to it is
-    ``num / den``, two ints when ``chooser`` is exact; otherwise ``num``
-    is that float product and ``den`` is 1.  The factors are not
-    reduced, so ``den`` is the product of the branches' denominators.
+    ``num / den``, two ints.  The factors are not reduced, so ``den`` is
+    the product of the branches' denominators.
 
     ``decide`` is replayed under ``chooser``, from the empty path; at
     each open decision the path forks once per option.  Each replay
@@ -500,7 +468,6 @@ def _outcomes(decide, chooser: PathChooser):
     come lazily, so the caller may change what ``decide`` reads between
     two of them as long as it restores it before the next.
     """
-    exact = chooser.exact
     stack = [((), 1, 1)]
     while stack:
         path, num, den = stack.pop()
@@ -509,20 +476,17 @@ def _outcomes(decide, chooser: PathChooser):
             result = decide(chooser)
         except NeedBranch as nb:
             for option, p in nb.options:
-                if exact:
-                    stack.append((path + (option,), num * p.numerator,
-                                  den * p.denominator))
-                else:
-                    stack.append((path + (option,), num * p, 1))
+                stack.append((path + (option,), num * p.numerator,
+                              den * p.denominator))
             continue
         yield result, num, den
 
 
 def exact_drift(state, features, kind, adversary=None, *,
                 pt_cap: int = DEFAULT_PT_CAP,
-                leaf_cap: int = DEFAULT_LEAF_CAP,
-                exact: bool | None = None) -> DriftResult:
-    """Expected one-step potential change, by complete enumeration.
+                leaf_cap: int = DEFAULT_LEAF_CAP) -> DriftResult:
+    """Expected one-step potential change, by complete enumeration, as a
+    Fraction.
 
     Two passes of one replay enumerator, :func:`_outcomes`.  The first
     enumerates :func:`evolution.draw_move`: the adversary coin, the
@@ -539,29 +503,27 @@ def exact_drift(state, features, kind, adversary=None, *,
     :func:`_outcomes`).  The check leaves of one marking are summed per
     check denominator, and the move's weight multiplies each such sum
     once.  The value and the mass are kept as lists of numerators per
-    denominator and turned into one Fraction per denominator at the end;
-    in float mode every denominator is 1 and the terms are added with
-    ``math.fsum``.  The mass must come to one, or the call raises
-    instead of returning a number.  Neither ``state`` nor ``adversary``
-    is changed.  An input with more moves than ``leaf_cap`` is refused
-    before any is made.
+    denominator and turned into one Fraction per denominator at the end.
+    The mass must come to one, or the call raises instead of returning
+    a number.  Neither ``state`` nor ``adversary`` is changed.  An input
+    with more moves than ``leaf_cap`` is refused before any is made.
 
-    ``exact=None`` switches to rational arithmetic automatically when
-    every feature parameter is an int or Fraction.
+    Every rate, weight and base enters under the rule of
+    :func:`attachment._to_fraction`: a float at its binary value, so
+    the sign of a float input's drift is decided, not rounded.  A law
+    whose binary masses miss one is refused.
     """
     pt_nodes = state.pt_ids()
     if len(pt_nodes) > pt_cap:
         raise BranchBudgetExceeded(
             f"{len(pt_nodes)} PT nodes exceed the enumeration cap {pt_cap}")
-    exact_mode = _auto_exact(features) if exact is None else bool(exact)
-    if exact_mode and sum(p for _, p in
-                          features.parent_count.items_exact()) != 1:
+    if sum(p for _, p in features.parent_count.items_exact()) != 1:
         raise ValueError(
             "parent-count masses do not sum to one exactly; "
             "use Fraction probabilities for exact drift")
     adversary = _Fresh(adversary)
     try:
-        pool = parent_distribution(state, features.attach, exact=exact_mode)
+        pool = parent_distribution(state, features.attach)
     except (AllPF, AllWeightsZero):
         pool = {}
     # every move ends in a leaf, so count them first: each ordered parent
@@ -577,17 +539,17 @@ def exact_drift(state, features, kind, adversary=None, *,
         raise BranchBudgetExceeded(
             f"at least {moves} moves exceed the leaf cap {leaf_cap}")
 
-    base = _step_base(state, kind, exact_mode)
+    base = _step_base(state, kind, exact=True)
     # the call's one evaluation of the whole potential: it refuses a bad
     # input before any leaf is scored
-    _checked_total(state, kind, exact_mode, base.terms)
+    _checked_total(state, kind, True, base.terms)
     value: dict = {}    # denominator -> numerators of the value's terms
     mass: dict = {}     # denominator -> numerators of the mass's terms
     leaf_count = 0
     work = state.copy()
     birth = _next_birth(state)
     # both passes, every move's check included, share one option cache
-    chooser = PathChooser((), exact_mode)
+    chooser = PathChooser()
 
     def tally() -> None:
         nonlocal leaf_count
@@ -629,40 +591,20 @@ def exact_drift(state, features, kind, adversary=None, *,
                 mass.setdefault(den * cden, []).append(weight)
         work.pop_last_node()
 
-    total_mass = _total(mass, exact_mode)
-    if exact_mode:
-        if total_mass != 1:
-            raise AuditViolation(
-                f"outcome probabilities sum to {total_mass}, not 1")
-    elif not _close(total_mass, 1.0):
+    total_mass = _total(mass)
+    if total_mass != 1:
         raise AuditViolation(
-            f"outcome probabilities sum to {total_mass!r}, not 1")
-
-    value = _total(value, exact_mode)
-    if exact_mode:
-        if value < 0:
-            sign = "negative"
-        elif value > 0:
-            sign = "positive"
-        else:
-            sign = "zero"
-    else:
-        if value > SIGN_BAND:
-            sign = "positive"
-        elif value < -SIGN_BAND:
-            sign = "negative"
-        else:
-            sign = "indeterminate"
-    return DriftResult(value, sign, exact_mode, leaf_count)
+            f"outcome probabilities sum to {total_mass}, not 1")
+    value = _total(value)
+    sign = "negative" if value < 0 else "positive" if value > 0 else "zero"
+    return DriftResult(value, sign, True, leaf_count)
 
 
-def _total(terms: dict, exact: bool):
-    """The sum of ``{denominator: [numerator, ...]}``: one Fraction per
-    denominator, or ``math.fsum`` of the float terms."""
-    if exact:
-        return sum((Fraction(sum(nums), den) for den, nums in terms.items()),
-                   Fraction(0))
-    return math.fsum(x for nums in terms.values() for x in nums)
+def _total(terms: dict) -> Fraction:
+    """The sum of ``{denominator: [numerator, ...]}``, one Fraction per
+    denominator."""
+    return sum((Fraction(sum(nums), den) for den, nums in terms.items()),
+               Fraction(0))
 
 
 def _next_birth(state) -> int:

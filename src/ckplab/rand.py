@@ -29,6 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .attachment import _to_fraction
+
 
 def derive_seed(base_seed: int, *parts) -> int:
     """Stable 63-bit seed for a named substream (cell index, trial, ...).
@@ -107,10 +109,11 @@ class PathChooser:
     Each decision takes the path's next outcome and checks it against
     the decision's options; an outcome that is not among them raises
     ``ValueError``, and a decision past the end of the path raises
-    :class:`NeedBranch` with the options and their probabilities,
-    Fractions when ``exact`` is set and floats otherwise.  Tests feed it
-    hand-picked outcomes and assert :meth:`exhausted`; the drift oracle
-    forks the path at each :class:`NeedBranch` and replays.
+    :class:`NeedBranch` with the options and their probabilities, as
+    Fractions under the rule of :func:`attachment._to_fraction` (a float
+    probability at its binary value).  Tests feed it hand-picked
+    outcomes and assert :meth:`exhausted`; the drift oracle forks the
+    path at each :class:`NeedBranch` and replays.
 
     A chooser builds the option list of each decision object (a coin's
     probability, a parent-count law, a pick's pmf, a uniform count) on
@@ -121,12 +124,11 @@ class PathChooser:
     alternative) is resolved without taking a place on the path.
     """
 
-    __slots__ = ("path", "cursor", "exact", "_offers", "_shares")
+    __slots__ = ("path", "cursor", "_offers", "_shares")
 
-    def __init__(self, path=(), exact: bool = False):
+    def __init__(self, path=()):
         self.path = tuple(path)
         self.cursor = 0
-        self.exact = exact
         self._offers: dict = {}   # id(coin, law or pmf) -> (it, options)
         self._shares: dict = {}   # uniform count -> options
 
@@ -164,13 +166,11 @@ class PathChooser:
             return [(False, 1)]
         if p >= 1:
             return [(True, 1)]
-        q = Fraction(p) if self.exact else float(p)
+        q = _to_fraction(p)
         return [(True, q), (False, 1 - q)]
 
     def _law(self, law) -> list:
-        if self.exact:
-            return list(enumerate(p for _, p in law.items_exact()))
-        return list(enumerate(float(p) for p in law.probs))
+        return list(enumerate(p for _, p in law.items_exact()))
 
     def maybe(self, p) -> bool:
         return self._take(self._offer(p, self._coin))
@@ -178,7 +178,7 @@ class PathChooser:
     def uniform_index(self, n: int) -> int:
         options = self._shares.get(n)
         if options is None:
-            share = Fraction(1, n) if self.exact else 1.0 / n
+            share = Fraction(1, n)
             options = self._shares[n] = [(i, share) for i in range(n)]
         return self._take(options)
 
@@ -189,7 +189,7 @@ class PathChooser:
     def weighted_index(self, pmf) -> int:
         """One pick from ``pmf``, a {node id: probability} dict of the
         positive-weight nodes, as :func:`attachment.parent_distribution`
-        returns it in the chooser's arithmetic."""
+        returns it."""
         return self._take(self._offer(pmf, _items))
 
 

@@ -6,8 +6,9 @@ survive, or sits in territory the analysis does not cover.  Each
 predicate transcribes a drift condition: it states when a potential
 function moves in one direction on every state that still carries
 error, which pins the long-run behaviour without simulation.  All
-comparisons run in exact rational arithmetic (floats are taken at their
-exact binary value), so boundary cases are decided, not rounded.
+comparisons run in exact rational arithmetic, every input entering under
+the rule of :func:`attachment._to_fraction` (a float at its binary
+value), so boundary cases are decided, not rounded.
 
 The survival predicates are checked before the elimination ones, in a
 fixed order, and the first one that fires names itself in the verdict.
@@ -27,7 +28,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .attachment import ExactUnavailable, PowerShifted
+from .attachment import PowerShifted, _to_fraction
 from .checking import PER_EDGE
 
 PROVEN_ELIMINATION = "proven-elimination"
@@ -54,7 +55,7 @@ class TheoremVerdict:
     ``kind`` is ``proven-elimination``, ``proven-survival`` or
     ``unknown``.  ``source`` names the predicate that fired (``None``
     when unknown) and ``detail`` carries the quantities behind the
-    decision, exact where the inputs allow.
+    decision, every number among them a Fraction.
     """
 
     kind: str
@@ -67,24 +68,10 @@ class TheoremVerdict:
         return f"{self.kind}:{self.source}"
 
 
-def _frac(x) -> Fraction:
-    """Exact value of a scalar; a float contributes its binary value."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def _weight(attach, d: int) -> Fraction:
-    try:
-        return _frac(attach.evaluate_exact(d))
-    except ExactUnavailable:
-        return _frac(attach.evaluate(d))
-
-
 def _growth_range(attach):
     """Increment bounds as Fractions, upper ``None`` when unbounded."""
     lo, hi = attach.increment_bounds()
-    return _frac(lo), (None if math.isinf(hi) else _frac(hi))
+    return _to_fraction(lo), (None if math.isinf(hi) else _to_fraction(hi))
 
 
 def _survival_check_rate(features) -> Fraction:
@@ -97,7 +84,7 @@ def _survival_check_rate(features) -> Fraction:
     ask the rate to stay small, so the noiseless rate is the
     conservative one.
     """
-    p = _frac(features.check_rate)
+    p = _to_fraction(features.check_rate)
     if features.mechanism in PER_EDGE:
         return p * features.parent_count.mean_exact()
     return p
@@ -106,7 +93,8 @@ def _survival_check_rate(features) -> Fraction:
 def _elimination_check_rate(features) -> Fraction:
     # noisy detection weakens every check the same way, so the
     # elimination predicates only ever see the product
-    return _frac(features.check_rate) * _frac(features.detection_rate)
+    return (_to_fraction(features.check_rate)
+            * _to_fraction(features.detection_rate))
 
 
 # -- survival claims -------------------------------------------------------
@@ -115,7 +103,7 @@ def _hole_claim(features):
     """A zero-weight degree lets a shielding structure freeze forever."""
     if not features.attach.has_hole():
         return None
-    p = _frac(features.check_rate)
+    p = _to_fraction(features.check_rate)
     if p >= 1:
         return None
     return TheoremVerdict(PROVEN_SURVIVAL, "attachment-hole",
@@ -129,18 +117,19 @@ def _runaway_growth_claim(features):
     a = features.attach
     if not isinstance(a, PowerShifted):
         return None
-    if _frac(a.exponent) < 3:
+    if _to_fraction(a.exponent) < 3:
         return None
-    p = _frac(features.check_rate)
+    p = _to_fraction(features.check_rate)
     if p >= 1:
         return None
     return TheoremVerdict(PROVEN_SURVIVAL, "runaway-attachment-growth",
-                          {"exponent": _frac(a.exponent), "check_rate": p})
+                          {"exponent": _to_fraction(a.exponent),
+                           "check_rate": p})
 
 
 def _undetected_error_claim(features):
-    p = _frac(features.check_rate)
-    eps = _frac(features.error_rate)
+    p = _to_fraction(features.check_rate)
+    eps = _to_fraction(features.error_rate)
     if p < eps:
         return TheoremVerdict(PROVEN_SURVIVAL, "undetected-error-rate",
                               {"check_rate": p, "error_rate": eps})
@@ -158,7 +147,7 @@ def _survival_threshold_claim(features):
     """
     law = features.parent_count
     lo, hi = _growth_range(features.attach)
-    a0 = _weight(features.attach, 0)
+    a0 = features.attach.evaluate_exact(0)
     if a0 < 1 or lo < a0:
         return None
     p_eff = _survival_check_rate(features)
@@ -178,8 +167,8 @@ def _survival_threshold_claim(features):
     growth_ratio = (2 * law.mean_exact() + law.min - 1) / (2 * (law.min + 1))
     if growth_ratio > 1:
         return None
-    eps = _frac(features.error_rate)
-    q = _frac(features.adversary_rate)
+    eps = _to_fraction(features.error_rate)
+    q = _to_fraction(features.adversary_rate)
     r = features.adversary_budget
     margin = (1 - q) * (p_eff * (-2 + eps * (1 + hi / (hi + a0) * growth_ratio))
                         + 1 - growth_ratio * (1 - eps * a0 / (hi + a0))) - q * r
@@ -198,14 +187,14 @@ def _require_bounded_regular(features):
     bounded increments and at least a unit of base weight."""
     a = features.attach
     lo, hi = _growth_range(a)
-    a0 = _weight(a, 0)
+    a0 = a.evaluate_exact(0)
     if lo < 0 or hi is None or a0 < 1:
         top = "unbounded" if hi is None else str(hi)
         raise NotRegular(
             "elimination thresholds need nondecreasing weights with bounded "
             f"increments and base weight >= 1, got {a.describe()} "
             f"(increments in [{lo}, {top}], base weight {a0})")
-    return a0, _weight(a, 1), hi
+    return a0, a.evaluate_exact(1), hi
 
 
 def _elimination_threshold_claim(features):
@@ -235,10 +224,10 @@ def _elimination_threshold_claim(features):
                 PROVEN_ELIMINATION, "simple-elimination-threshold",
                 {"threshold": threshold, "effective_check_rate": p_eff})
         return None
-    eps = _frac(features.error_rate)
+    eps = _to_fraction(features.error_rate)
     if eps >= 1:
         return None
-    q = _frac(features.adversary_rate)
+    q = _to_fraction(features.adversary_rate)
     r = features.adversary_budget
     slack = b + 2 * a0
     term_deep = -p_eff * ((k - 1) * a1 + a0) / 2 + slack
@@ -338,7 +327,7 @@ def false_fraction_check(trials, features) -> FalseFractionReport:
         raise ValueError(
             "false-fraction comparison needs at least 30 trials for a "
             f"standard-error estimate, got {len(trials)}")
-    if _frac(features.adversary_rate) != 0:
+    if _to_fraction(features.adversary_rate) != 0:
         raise PreconditionNotProven(
             "the undetected-fraction bound is proven only without "
             "adversarial steps")
@@ -347,9 +336,9 @@ def false_fraction_check(trials, features) -> FalseFractionReport:
         raise PreconditionNotProven(
             "features are outside the proven-elimination region "
             f"({verdict.describe()})")
-    eps = _frac(features.error_rate)
-    p = _frac(features.check_rate)
-    bound = eps * (1 - p) * _weight(features.attach, 0) / (1 - eps)
+    eps = _to_fraction(features.error_rate)
+    p = _to_fraction(features.check_rate)
+    bound = eps * (1 - p) * features.attach.evaluate_exact(0) / (1 - eps)
     bound_f = float(bound)
 
     tables = [dict(tr.checkpoints) for tr in trials]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ckplab.attachment import (
     Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
-    AllPF, AllWeightsZero, ExactUnavailable,
+    AllPF, AllWeightsZero,
     preferential, uniform, is_nondecreasing,
     parent_distribution, sample_combination,
     weight_index_for, parse_attachment, parse_parent_count_law, parse_number,
@@ -54,8 +54,10 @@ def test_exact_evaluation_matches_float():
     a = Affine(Fraction(1, 2), Fraction(1, 3))
     assert a.evaluate_exact(4) == Fraction(1, 2) + Fraction(4, 3)
     assert a.evaluate(4) == pytest.approx(float(a.evaluate_exact(4)))
-    with pytest.raises(ExactUnavailable):
-        PowerShifted(1, 2.5).evaluate_exact(3)
+    # a non-integral power enters at the float weight the engine uses
+    power = PowerShifted(1, 2.5)
+    assert power.evaluate_exact(3) == Fraction(power.evaluate(3))
+    assert type(power.evaluate_exact(3)) is Fraction
 
 
 def test_negative_weights_rejected():
@@ -160,10 +162,8 @@ def test_parent_count_law_validation():
 def test_parent_distribution_chain_preferential():
     s = chain_state([CF, CT])          # degrees: node0 has 1 child, node1 none
     dist = parent_distribution(s, preferential())
-    assert dist[0] == pytest.approx(2 / 3)
-    assert dist[1] == pytest.approx(1 / 3)
-    exact = parent_distribution(s, preferential(), exact=True)
-    assert exact == {0: Fraction(2, 3), 1: Fraction(1, 3)}
+    assert dist == {0: Fraction(2, 3), 1: Fraction(1, 3)}
+    assert all(type(p) is Fraction for p in dist.values())
 
 
 def test_parent_distribution_holes_picks_leaf_only():

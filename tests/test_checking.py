@@ -54,11 +54,11 @@ def test_path_chooser_fails_loudly_off_its_path():
 def test_path_chooser_offers_exact_masses():
     law = ParentCountLaw({1: 0.5, 3: 0.5})
     with pytest.raises(NeedBranch) as nb:
-        PathChooser([], exact=True).pmf_index(law)
+        PathChooser([]).pmf_index(law)
     assert nb.value.options == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
     assert type(nb.value.options[0][1]) is Fraction
     with pytest.raises(NeedBranch) as nb:
-        PathChooser([], exact=True).uniform_index(3)
+        PathChooser([]).uniform_index(3)
     assert nb.value.options == [(i, Fraction(1, 3)) for i in range(3)]
     # single alternatives take no place on the path
     chooser = PathChooser([])
@@ -70,30 +70,31 @@ def test_path_chooser_offers_exact_masses():
 COIN = Fraction(1, 3)
 LAW3 = ParentCountLaw({1: Fraction(1, 6), 2: Fraction(1, 2),
                        3: Fraction(1, 3)})
+FLOAT_LAW3 = ParentCountLaw({1: 1 / 6, 2: 1 / 2, 3: 1 / 3})
+PICK = {4: Fraction(1, 4), 7: Fraction(3, 4)}
 
 
-def four_kinds(chooser, pick):
+def four_kinds(chooser, coin, law):
     """One decision of each kind, the later ones only on some paths."""
-    if not chooser.maybe(COIN):
+    if not chooser.maybe(coin):
         return ("tails", chooser.uniform_index(3))
-    return ("heads", chooser.pmf_index(LAW3), chooser.weighted_index(pick))
+    return ("heads", chooser.pmf_index(law), chooser.weighted_index(PICK))
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_one_chooser_replays_like_fresh_ones(exact):
+@pytest.mark.parametrize("floats", [False, True])
+def test_one_chooser_replays_like_fresh_ones(floats):
     paths = [(), (True,), (False,), (False, 2), (True, 1), (True, 0, 7),
              (False, 0), (True, 2, 4), (True, 1, 9), (False, 5)]
-    # a pick's pmf comes in the chooser's arithmetic
-    pick = ({4: Fraction(1, 4), 7: Fraction(3, 4)} if exact
-            else {4: 0.25, 7: 0.75})
-    shared = PathChooser((), exact)
+    # a coin or law given in floats is offered at its binary values
+    coin, law = (1 / 3, FLOAT_LAW3) if floats else (COIN, LAW3)
+    shared = PathChooser()
     for path in paths + paths[::-1]:
-        fresh = PathChooser(path, exact)
+        fresh = PathChooser(path)
         shared.replay(path)
         outcomes = []
         for chooser in (fresh, shared):
             try:
-                outcomes.append(("done", four_kinds(chooser, pick),
+                outcomes.append(("done", four_kinds(chooser, coin, law),
                                  chooser.exhausted()))
             except NeedBranch as nb:
                 assert type(nb.options) is list
@@ -102,8 +103,13 @@ def test_one_chooser_replays_like_fresh_ones(exact):
                 outcomes.append(("refused", str(err)))
         assert outcomes[0] == outcomes[1], path
         if outcomes[0][0] == "open":
-            assert all(type(p) is (Fraction if exact else float)
-                       for _, p in outcomes[0][1])
+            assert all(type(p) is Fraction for _, p in outcomes[0][1])
+        if path == ():
+            assert outcomes[0][1] == [(True, Fraction(coin)),
+                                      (False, 1 - Fraction(coin))]
+        if path == (True,):
+            assert outcomes[0][1] == list(enumerate(
+                Fraction(p) for p in law.probs))
 
 
 # -- stringy ---------------------------------------------------------------

@@ -55,6 +55,13 @@ def test_features_validation():
         simple_features(check_depth=0)
     with pytest.raises(ValueError):
         simple_features(detection_rate=0.0)
+    # a fractional or boolean depth or budget would run as some other
+    # integer, or die inside the step
+    for field, value in (("check_depth", 2.5), ("check_depth", True),
+                         ("check_depth", 2.0), ("adversary_budget", 1.5),
+                         ("adversary_budget", False)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            simple_features(**{field: value})
     assert simple_features().simple
     assert not simple_features(error_rate=0.1).simple
     assert not simple_features(adversary_rate=0.1, adversary_budget=1).simple

@@ -2,8 +2,8 @@
 estimator.
 
 The closed-form expectations asserted here are derived by hand in the
-comments next to each test; the enumerator must reproduce them exactly
-in rational mode.  Both oracles score a step locally through
+comments next to each test; the enumerator must reproduce them
+exactly.  Both oracles score a step locally through
 ``potentials._step_delta``, so the cross-check of that scorer lives
 here: a spy wraps it and holds every call, in exact arithmetic, to the
 whole potential recomputed before and after the step, on every leaf of
@@ -11,14 +11,15 @@ whole potential recomputed before and after the step, on every leaf of
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckplab import checking, potentials
-from ckplab.attachment import Affine, ParentCountLaw, TableAttachment, \
-    preferential, uniform
+from ckplab.attachment import Affine, ParentCountLaw, PowerShifted, \
+    TableAttachment, preferential, uniform
 from ckplab.evolution import AuditViolation, DeepAttach, Features, \
     LeafAttach, PyEngine, RandomPt, Scripted, init_chain
 from ckplab.potentials import (
@@ -84,6 +85,9 @@ def test_min_distance_respects_the_base_parameter():
 def test_distance_base_must_exceed_one():
     with pytest.raises(ValueError):
         MinDistance(PREF, 1)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="distance base c must be finite"):
+            MinDistance(PREF, c)
 
 
 def test_count_potentials_on_the_chain():
@@ -259,14 +263,15 @@ def test_drift_zero_without_hidden_errors():
         assert r.sign == "zero"
 
 
-def test_drift_float_mode_reports_a_sign_band():
+def test_drift_float_check_rate_is_decided_at_its_binary_value():
+    # the drift 4 - 5p is zero at p = 4/5, and the float 0.8 lies 4.4e-17
+    # above 4/5: taken at that value, the drift is decided negative
     r = exact_drift(single_cf(), feats("bfs", 0.8), MinDistance(PREF, 3))
-    assert not r.exact
-    assert r.sign == "indeterminate"
-    assert abs(r.value) < 1e-12
-    r = exact_drift(single_cf(), feats("bfs", 0.9), MinDistance(PREF, 3))
+    assert r.exact
+    assert r.value == 4 - 5 * Fraction(0.8)
     assert r.sign == "negative"
-    assert abs(r.value + 0.5) < 1e-9
+    r = exact_drift(single_cf(), feats("bfs", 0.9), MinDistance(PREF, 3))
+    assert (r.value, r.sign) == (4 - 5 * Fraction(0.9), "negative")
 
 
 def pinned_drift_features() -> Features:
@@ -277,19 +282,13 @@ def pinned_drift_features() -> Features:
 
 
 def test_drift_pinned_on_a_five_node_chain():
-    # the value this enumerator has always returned on this input; the
-    # float run goes through the float side of the term table
+    # the value this enumerator has always returned on this input
     chain = init_chain(5, 1, CF)
     r = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3))
     assert r.exact
     assert type(r.value) is Fraction
     assert r.value == Fraction(18443, 1620)
     assert r.leaf_count == 451
-    approx = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3),
-                         exact=False)
-    assert not approx.exact
-    assert approx.leaf_count == 451
-    assert abs(approx.value - 18443 / 1620) <= 1e-9
 
 
 def test_drift_pinned_on_the_twelve_node_cap_chain():
@@ -299,11 +298,6 @@ def test_drift_pinned_on_the_twelve_node_cap_chain():
     assert r.exact
     assert r.value == Fraction(125703471, 48668)
     assert r.leaf_count == 4833
-    approx = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3),
-                         exact=False)
-    assert not approx.exact
-    assert approx.leaf_count == 4833
-    assert abs(approx.value - 125703471 / 48668) <= 1e-9
 
 
 def test_drift_pinned_for_the_count_potentials():
@@ -316,24 +310,27 @@ def test_drift_pinned_for_the_count_potentials():
                          Fraction(1756, 3645))):
         r = exact_drift(chain, pinned_drift_features(), kind)
         assert (r.value, r.leaf_count) == (value, 451), kind
-        approx = exact_drift(chain, pinned_drift_features(), kind,
-                             exact=False)
-        assert approx.leaf_count == 451
-        assert abs(approx.value - float(value)) <= 1e-12, kind
 
 
 @pytest.mark.parametrize("n", [5, 12])
 def test_float_drift_is_within_a_rounding_of_the_exact_drift(n):
-    # float mode adds the (move, marking) terms with math.fsum; a plain
-    # running sum of the same terms is 2.3e-14 off on the cap chain
+    # the pinned features typed as floats: all are dyadic but 0.8, which
+    # enters at its binary value, 4.4e-17 above 4/5.  The drift is still
+    # a Fraction over the same leaves, and it moves by at most 1.1e-15
+    # of itself (MinDistance on the cap chain)
+    law = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
+    typed = Features(PREF, law, 0.5, 3, "bfs", detection_rate=0.8)
     chain = init_chain(n, 1, CF)
     for kind in (MinDistance(PREF, 3), MinimalFalse(),
                  MinimalFalseLeavesSimple()):
         exact = exact_drift(chain, pinned_drift_features(), kind)
-        approx = exact_drift(chain, pinned_drift_features(), kind,
-                             exact=False)
-        error = abs(Fraction(approx.value) - exact.value)
-        assert error <= Fraction(1e-15) * abs(exact.value), kind
+        binary = exact_drift(chain, typed, kind)
+        assert type(binary.value) is Fraction, kind
+        assert binary.leaf_count == exact.leaf_count, kind
+        if exact.value:     # each nonzero drift here depends on 0.8
+            assert binary.value != exact.value, kind
+        error = abs(binary.value - exact.value)
+        assert error <= Fraction(1e-14) * abs(exact.value), kind
 
 
 def test_each_move_scores_each_distinct_marking_once(monkeypatch):
@@ -376,21 +373,14 @@ def two_coins_and_a_law_mass(outcome):
 
 
 def test_outcomes_carry_integer_path_weights():
-    exact = list(potentials._outcomes(two_coins_and_a_law,
-                                      PathChooser((), exact=True)))
-    assert len({outcome for outcome, _, _ in exact}) == len(exact) == 7
+    leaves = list(potentials._outcomes(two_coins_and_a_law, PathChooser()))
+    assert len({outcome for outcome, _, _ in leaves}) == len(leaves) == 7
     total = Fraction(0)
-    for outcome, num, den in exact:
+    for outcome, num, den in leaves:
         assert type(num) is int and type(den) is int
         assert Fraction(num, den) == two_coins_and_a_law_mass(outcome)
         total += Fraction(num, den)
     assert total == 1
-    approx = list(potentials._outcomes(two_coins_and_a_law,
-                                       PathChooser((), exact=False)))
-    assert [o for o, _, _ in approx] == [o for o, _, _ in exact]
-    for outcome, num, den in approx:
-        assert den == 1
-        assert abs(num - two_coins_and_a_law_mass(outcome)) <= 1e-16
 
 
 def test_both_oracles_refuse_bad_input_by_name():
@@ -453,19 +443,54 @@ def test_exact_drift_needs_a_law_that_sums_to_one_exactly():
     f = Features(PREF, law, check_rate=Fraction(1, 2), check_depth=2,
                  mechanism="bfs")
     with pytest.raises(ValueError, match="do not sum to one exactly"):
-        exact_drift(single_cf(), f, MinDistance(PREF, 3), exact=True)
-    r = exact_drift(single_cf(), f, MinDistance(PREF, 3))
-    assert not r.exact
+        exact_drift(single_cf(), f, MinDistance(PREF, 3))
 
 
-def test_drift_float_and_rational_modes_agree_on_sampled_states():
-    for st in sampled_states("exhaustive-bfs", 17, steps=25)[:6]:
-        f = feats("exhaustive-bfs", Fraction(9, 10), k=4)
-        exact = exact_drift(st, f, MinDistance(PREF, 3))
-        approx = exact_drift(st, f, MinDistance(PREF, 3), exact=False)
-        assert exact.exact and not approx.exact
-        assert abs(float(exact.value) - approx.value) <= 1e-9 * max(
-            1.0, abs(approx.value))
+def binary_fractions(f: Features, kind):
+    """``f`` and ``kind`` with every float replaced by ``Fraction(float)``."""
+    def frac(x):
+        return Fraction(x) if isinstance(x, float) else x
+
+    attach = Affine(frac(f.attach.base), frac(f.attach.slope))
+    law = ParentCountLaw({m: frac(p) for m, p in
+                          zip(f.parent_count.support, f.parent_count.probs)})
+    g = Features(attach, law, frac(f.check_rate), f.check_depth, f.mechanism,
+                 error_rate=frac(f.error_rate),
+                 detection_rate=frac(f.detection_rate))
+    if isinstance(kind, MinDistance):
+        kind = MinDistance(attach, frac(kind.c))
+    elif isinstance(kind, MinimalFalseLeavesGeneral):
+        kind = MinimalFalseLeavesGeneral(kind.anchor, attach)
+    return g, kind
+
+
+def test_float_features_drift_as_their_binary_fractions_on_sampled_states():
+    attach = Affine(0.5, 1.3)
+    f = Features(attach, ParentCountLaw({1: 0.75, 2: 0.25}), 0.9, 3,
+                 "exhaustive-bfs", error_rate=0.1, detection_rate=0.7)
+    kinds = (MinDistance(attach, 2.5), MinimalFalse(),
+             MinimalFalseLeavesSimple(), MinimalFalseLeavesGeneral(0, attach))
+    states = sampled_states("exhaustive-bfs", 17, steps=25)[:3]
+    assert len(states) == 3
+    for st in states:
+        for kind in kinds:
+            r = exact_drift(st, f, kind)
+            want = exact_drift(st, *binary_fractions(f, kind))
+            assert type(r.value) is Fraction
+            assert (r.value, r.leaf_count) == (want.value, want.leaf_count)
+
+
+def test_drift_enumerates_a_fractional_power_at_the_engines_weights():
+    # (d+1)**1.5 has no rational value; the enumeration takes the float
+    # weight the engine draws with, at its binary value
+    attach = PowerShifted(1, 1.5)
+    f = Features(attach, ParentCountLaw.const(1), Fraction(1, 2), 2, "bfs")
+    chain = init_chain(4, 1, CF)
+    kind = MinDistance(attach, 3)
+    r = exact_drift(chain, f, kind)
+    assert type(r.value) is Fraction
+    est = mc_drift(chain, f, kind, 20_000, 9)
+    assert abs(est.mean - float(r.value)) <= 5 * est.se
 
 
 # -- the step scorer against the whole potential --------------------------
