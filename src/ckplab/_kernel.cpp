@@ -49,7 +49,11 @@
 //     find, parentwise-bfs moves to the next edge after a self-catch,
 //     complete never stops and sweeps whole balls).  There is one ball
 //     walk: FIFO, parents in edge insertion order, each node enqueued
-//     once, recognition on pop, PF nodes never entered.
+//     once, recognition on pop, PF nodes never entered.  A walk from a
+//     hidden-True node is skipped, as in checking._ball: it could
+//     recognize nothing, so it draws nothing and visits nothing.
+//     Both constructors run state.verify_truth_closure, which refuses
+//     a state where that would not hold.
 //   * Marks are applied in sorted order, as PyEngine._apply_marks and
 //     CkpState.mark_pf do; AllWeightsZero, AuditViolation and StateError
 //     are raised by name with the Python engine's messages.
@@ -124,6 +128,7 @@ PyObject *AllWeightsZero = nullptr;   // ckplab.attachment
 PyObject *AuditViolation = nullptr;   // ckplab.evolution
 PyObject *SurvivalFloor = nullptr;    // ckplab.evolution, the audit's cap
 PyObject *StateError = nullptr;       // ckplab.state
+PyObject *TruthClosure = nullptr;     // ckplab.state.verify_truth_closure
 PyObject *CkpStateType = nullptr;     // ckplab.state.CkpState
 PyObject *PCG64Type = nullptr;        // numpy.random.PCG64
 
@@ -505,6 +510,10 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     }
   }
   pf_total_ = as_long(Ref(attr(init_state, "pf_total")).get());
+  // the ball walk's skip needs every PF and CF node False and falseness
+  // closed downward; checked after the column checks above, which see
+  // a malformed state first
+  Ref(check(PyObject_CallOneArg(TruthClosure, init_state)));
 
   // the weight index, laid out as weight_index_for does: capacity
   // max(1024, n), PF nodes at 0.0, the table filled to the largest PT
@@ -837,8 +846,16 @@ void Engine::mark_closure(int32_t found, size_t visited) {
 // it, it sweeps the whole ball without expanding through recognized
 // nodes.  Every find is marked with the visited nodes below it.  Returns
 // the number of finds.
+//
+// A walk from a hidden-True ``start`` is skipped, and that is exact.
+// Falseness flows down every edge, so a True node's whole ancestor cone
+// is True.  A True node is not CF, and it has no PF parent, because a
+// check marks only False nodes.  So the walk would meet nothing it can
+// recognize: it would draw no detection coin, find nothing and mark
+// nothing.
 int Engine::ball(int32_t start, int cap, bool sweep) {
-  if (cap < 0 || nodes_[start].label == PF) return 0;
+  if (cap < 0 || nodes_[start].label == PF || !nodes_[start].is_false)
+    return 0;
   const uint32_t ss = next_seen();
   queue_.clear();
   finds_.clear();
@@ -1260,6 +1277,8 @@ PyMODINIT_FUNC PyInit__kernel(void) {
       !(SurvivalFloor =
             import_attr("ckplab.evolution", "survival_potential_floor")) ||
       !(StateError = import_attr("ckplab.state", "StateError")) ||
+      !(TruthClosure =
+            import_attr("ckplab.state", "verify_truth_closure")) ||
       !(CkpStateType = import_attr("ckplab.state", "CkpState")) ||
       !(PCG64Type = import_attr("numpy.random", "PCG64")))
     return nullptr;

@@ -9,6 +9,10 @@ applies the marking.  Shared rules:
   probability ``p_e`` per encounter; a node with a PF parent edge is
   recognized as bad with certainty (the flag is public).
 * Traversal never enters a PF node.
+* A ball walk from a hidden-True node is skipped: it could find nothing
+  (see :func:`_ball`), so it draws no coin and visits nothing.
+  ``stringy``'s walk is not skipped, since it draws a uniform at every
+  step.
 * Marking is sound by construction: everything marked sits on or below a
   recognized bad node, hence is hidden-False whenever the state is.
 
@@ -44,6 +48,7 @@ class CheckOutcome:
     performed: list = field(default_factory=list)
     found: list = field(default_factory=list)
     marked: set = field(default_factory=set)
+    # examined nodes in order; a skipped ball walk adds none
     visited: list = field(default_factory=list)
 
 
@@ -120,9 +125,16 @@ def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
     so anything hiding strictly behind one stays hidden from this sweep.
     Every find is marked together with every visited node below it.
     Returns (founds, marked, order).
+
+    A walk from a hidden-True ``start`` is skipped, and that is exact.
+    Falseness flows down every edge, so a True node's whole ancestor
+    cone is True.  A True node is not CF, and it has no PF parent,
+    because a check marks only False nodes.  So the walk would meet
+    nothing it can recognize: it would draw no detection coin, find
+    nothing and mark nothing.
     """
     labels = state.labels
-    if cap < 0 or labels[start] == PF:
+    if cap < 0 or labels[start] == PF or not state.is_false[start]:
         return [], set(), []
     depth = {start: 0}
     queue = [start]

@@ -29,7 +29,9 @@ from dataclasses import asdict, dataclass, field
 
 from . import checking
 from .attachment import sample_combination, weight_index_for
-from .state import CT, CF, PF, LABEL_NAMES, CkpState, StateError
+from .state import (
+    CT, CF, PF, LABEL_NAMES, CkpState, StateError, verify_truth_closure,
+)
 
 
 @dataclass(frozen=True)
@@ -253,10 +255,13 @@ class PyEngine:
     all of it to the deep audits in the record the kernel exports.
     The kernel's surface is this one: :meth:`run`, the exports, and
     ``audit_cheap``, which runs :class:`CheapAudit` in every :meth:`step`.
+    Both refuse an initial state that fails
+    :func:`state.verify_truth_closure` with its ``StateError``.
     """
 
     def __init__(self, features: Features, init_state: CkpState, chooser,
                  adversary=None, audit_cheap: bool = False):
+        verify_truth_closure(init_state)
         self.features = features
         self.state = init_state.copy()
         self.chooser = chooser

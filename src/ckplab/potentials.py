@@ -397,7 +397,7 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     while heap:
         w = heapq.heappop(heap)
         if (labels[w] == CF or state.pf_parent_edges[w] > 0
-                or any(u in marked for u in up[w])):
+                or (marked and any(u in marked for u in up[w]))):
             d = 0
         else:
             best = None

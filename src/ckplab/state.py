@@ -382,26 +382,29 @@ def load_state(text: str) -> CkpState:
                 state.deg_pt[u] += 1
             if lab == CT:
                 state.deg_ct[u] += 1
-        # preserved flags are trusted but re-derivable; keep the truth column
-        # as written so censored dumps stay censored
     for v in range(count):
         state.pf_parent_edges[v] = sum(
             1 for u in state.parents[v] if state.labels[u] == PF)
     state.pf_total = sum(1 for lab in state.labels if lab == PF)
+    verify_truth_closure(state)
     return state
 
 
 def verify_truth_closure(state: CkpState) -> None:
-    """Check the two halves of the hidden truth rule that a finished state
-    still exposes: False-ness flows down every edge, and a False node with
-    no False parent must itself carry the error (so if it is still PT, it
-    is labeled CF)."""
+    """Check the halves of the hidden truth rule that a finished state
+    still exposes: False-ness flows down every edge, a False node with no
+    False parent must itself carry the error (so if it is still PT, it is
+    labeled CF), and a PF node is False, since checks mark only False
+    nodes.  The ball walks' skip from hidden-True nodes rests on these,
+    so both engines run this on their initial state."""
     for v in range(len(state.labels)):
         inherited = any(state.is_false[u] for u in state.parents[v])
         if inherited and not state.is_false[v]:
             raise StateError(f"node {v} descends from a False node but is True")
         if state.labels[v] == CF and not state.is_false[v]:
             raise StateError(f"CF node {v} has is_false unset")
+        if state.labels[v] == PF and not state.is_false[v]:
+            raise StateError(f"PF node {v} has is_false unset")
         if (state.is_false[v] and not inherited
                 and state.labels[v] == CT):
             raise StateError(

@@ -4,12 +4,17 @@ scripted cases run under."""
 
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckplab.attachment import ParentCountLaw
-from ckplab.checking import MECHANISMS, run_check
+from ckplab import checking, potentials
+from ckplab.attachment import ParentCountLaw, preferential
+from ckplab.checking import (
+    MECHANISMS, _descendants_within, _flagged, run_check,
+)
+from ckplab.evolution import Features, PyEngine, init_chain
 from ckplab.rand import NeedBranch, PathChooser, SimChooser
 from ckplab.state import CT, CF, PF, CkpState
 
@@ -188,11 +193,32 @@ def test_bfs_recognizes_roots_without_visiting_pf():
 
 
 def test_bfs_clean_neighborhood_finds_nothing():
+    # every node is hidden-True, so the walk is skipped: it visits
+    # nothing and draws nothing, even with a detection coin to flip
     s = chain([CT, CT, CT])
-    out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
-    assert out.found == [] and out.marked == set()
-    assert out.visited == [2, 1, 0]
+    path = PathChooser([])
+    sim = SimChooser(5)
+    before = sim.gen.bit_generator.state
+    for chooser in (path, sim):
+        out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=0.5,
+                        chooser=chooser)
+        assert out.found == [] and out.marked == set()
+        assert out.visited == []
+    assert path.exhausted()
+    assert sim.gen.bit_generator.state == before
+
+
+def test_per_edge_skips_the_walk_above_a_true_parent():
+    # v is CF below a clean parent: the self-check runs, the ball walk
+    # above the parent does not
+    s = chain([CT, CT])
+    s.add_node([1], CF, birth=2)
+    chooser = PathChooser([False])
+    out = run_check("complete", s, 2, [1], k=3, p=1, p_e=0.5,
+                    chooser=chooser)
+    assert out.performed == [True]
+    assert out.found == [] and out.visited == [2]
+    assert chooser.exhausted()
 
 
 def test_bfs_marks_all_visited_descendants_not_just_the_path():
@@ -431,3 +457,86 @@ def test_dominance_chain_under_forced_coins(svp, k):
     assert ex.marked <= pw.marked
     assert pw.marked <= co.marked
     assert st_out.marked <= pt_ball(s, v, k)
+
+
+# -- the skip from hidden-True starts is exact -----------------------------
+
+def never_skipping_ball(state, start, cap, p_e, chooser, sweep):
+    """``checking._ball`` without its skip: it walks the ball above every
+    PT start, hidden-True ones included."""
+    if cap < 0 or state.labels[start] == PF:
+        return [], set(), []
+    depth = {start: 0}
+    queue = [start]
+    founds = []
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        if _flagged(state, u, p_e, chooser):
+            founds.append(u)
+            if not sweep:
+                break
+            continue
+        if depth[u] < cap:
+            for w in state.parents[u]:
+                if w not in depth and state.labels[w] != PF:
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+    del queue[head:]
+    marked = set()
+    for f in founds:
+        marked |= _descendants_within(state, queue, f)
+    return founds, marked, queue
+
+
+@st.composite
+def grown_state(draw):
+    """A state grown by the engine with errors on, from a CT or CF root,
+    so it holds hidden-True and hidden-False nodes, CF and PF ones."""
+    feats = Features(attach=preferential(),
+                     parent_count=ParentCountLaw({1: 0.5, 3: 0.5}),
+                     check_rate=0.5,
+                     check_depth=draw(st.integers(min_value=1, max_value=3)),
+                     mechanism=draw(st.sampled_from(MECHANISMS)),
+                     error_rate=draw(st.sampled_from([0.1, 0.3])),
+                     detection_rate=0.7)
+    init = init_chain(draw(st.integers(min_value=1, max_value=4)), 1,
+                      draw(st.sampled_from([CT, CF])))
+    eng = PyEngine(feats, init,
+                   SimChooser(draw(st.integers(min_value=0,
+                                               max_value=2**32 - 1))))
+    eng.run(draw(st.integers(min_value=1, max_value=25)))
+    return eng.state
+
+
+def outcome_law(decide) -> dict:
+    law: dict = {}
+    for outcome, num, den in potentials._outcomes(decide, PathChooser()):
+        law[outcome] = law.get(outcome, 0) + Fraction(num, den)
+    return law
+
+
+@given(grown_state(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_skipping_true_starts_is_exact(s, k, seed):
+    """Checking each PT node with every mechanism, the skipping walk and
+    the never-skipping one give the same law of (coins, finds, marks)
+    and, under a live chooser, the same outcome and the same generator
+    state after, hence the same number of uniforms."""
+    for mechanism in MECHANISMS:
+        for v in s.pt_ids():
+            def decide(chooser):
+                out = run_check(mechanism, s, v, s.parents[v], k, 0.5, 0.7,
+                                chooser)
+                return (tuple(out.performed), tuple(out.found),
+                        frozenset(out.marked))
+
+            live = []
+            for ball in (checking._ball, never_skipping_ball):
+                with mock.patch.object(checking, "_ball", ball):
+                    sim = SimChooser(seed)
+                    live.append((outcome_law(decide), decide(sim),
+                                 sim.gen.bit_generator.state))
+            assert live[0] == live[1], (mechanism, v)

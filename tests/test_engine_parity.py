@@ -11,12 +11,13 @@ from ckplab.attachment import (
     Affine, ParentCountLaw, TableAttachment, preferential, uniform,
 )
 from ckplab.audits import full_audit
+from ckplab.checking import MECHANISMS
 from ckplab.engine import (
     compiled_supports, deep_audit_compiled, kernel_available, run_trial,
 )
 from ckplab.evolution import AuditViolation, Features, PyEngine, init_chain
 from ckplab.rand import SimChooser
-from ckplab.state import CF, CT, dump_state
+from ckplab.state import CF, CT, PF, StateError, dump_state
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
                                   reason="compiled kernel not built")
@@ -24,8 +25,7 @@ needs_kernel = pytest.mark.skipif(not kernel_available(),
 LAW_MIX = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
 
 CASES = []
-for _mech in ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs",
-              "complete"):
+for _mech in MECHANISMS:
     CASES.append((_mech, 0.0, "preferential", 0.3, 3))
     CASES.append((_mech, 0.25, "preferential", 0.3, 3))
 CASES += [
@@ -80,6 +80,18 @@ def hex_floats(values) -> list:
 def test_trajectories_bit_identical(mech, eps, attach_name, p, k):
     feats = case_features(mech, eps, attach_name, p, k)
     eng, ker, _ = run_both(feats, init_chain(12, 2, CF), 777, 400)
+    assert_same_engines(eng, ker)
+
+
+@needs_kernel
+@pytest.mark.parametrize("mech", MECHANISMS)
+def test_trajectories_bit_identical_ct_rooted(mech):
+    """From a CT root most nodes are hidden-True, so both engines skip
+    most ball walks; errors still arise, are checked for and marked."""
+    feats = case_features(mech, 0.1, "preferential", 0.3, 3)
+    eng, ker, summary = run_both(feats, init_chain(12, 2, CT), 777, 400)
+    assert summary["pf_exists"]
+    assert not all(eng.state.is_false)
     assert_same_engines(eng, ker)
 
 
@@ -416,7 +428,6 @@ def test_checkpoints_past_early_exit_report_frozen_counts():
 @needs_kernel
 def test_kernel_rejects_malformed_states():
     from ckplab._kernel import KernelEngine
-    from ckplab.state import StateError
 
     feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
     short = init_chain(5, 1, CF)
@@ -427,3 +438,47 @@ def test_kernel_rejects_malformed_states():
     dangling.parents[3] = [7]
     with pytest.raises(StateError, match="parent id 7"):
         KernelEngine(feats, dangling, 1)
+
+
+def true_cf():
+    s = init_chain(3, 1, CT)
+    s.labels[1] = CF
+    s.deg_ct[0] -= 1
+    return s
+
+
+def true_pf():
+    s = init_chain(3, 1, CT)
+    s.labels[2] = PF
+    s.deg_pt[1] -= 1
+    s.deg_ct[1] -= 1
+    s.pf_total = 1
+    return s
+
+
+def true_below_false():
+    s = init_chain(3, 1, CF)
+    s.is_false[2] = False
+    return s
+
+
+BROKEN_TRUTH = [(true_cf, "CF node 1"), (true_pf, "PF node 2"),
+                (true_below_false, "node 2 descends from a False node")]
+
+
+def kernel_engine(feats, init, seed):
+    from ckplab._kernel import KernelEngine
+    return KernelEngine(feats, init, seed)
+
+
+@pytest.mark.parametrize("build,message", BROKEN_TRUTH)
+@pytest.mark.parametrize("make_engine", [
+    lambda feats, init, seed: PyEngine(feats, init, SimChooser(seed)),
+    pytest.param(kernel_engine, marks=needs_kernel),
+], ids=["python", "compiled"])
+def test_engines_refuse_broken_truth(build, message, make_engine):
+    """The ball walks skip hidden-True starts, which is exact only when
+    every CF and PF node is False and falseness flows down every edge."""
+    feats = case_features("bfs", 0.1, "preferential", 0.5, 2)
+    with pytest.raises(StateError, match=message):
+        make_engine(feats, build(), 1)

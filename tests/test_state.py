@@ -208,6 +208,18 @@ def test_load_rejects_malformed_documents():
         load_state("ckp-state v1 2\n0 CT 0 0 0 -\n1 CT 0 1 0 3\n")
 
 
+@pytest.mark.parametrize("body,message", [
+    ("0 CT 0 0 0 -\n1 CF 0 1 0 0\n2 CT 0 2 0 1\n", "CF node 1"),
+    ("0 CT 0 0 0 -\n1 CT 0 1 0 0\n2 PF 0 2 0 1\n", "PF node 2"),
+    ("0 CF 1 0 0 -\n1 CT 1 1 0 0\n2 CT 0 2 0 1\n",
+     "node 2 descends from a False node"),
+])
+def test_load_rejects_broken_truth(body, message):
+    # a True CF node, a True PF node, a True child of a False parent
+    with pytest.raises(StateError, match=message):
+        load_state("ckp-state v1 3\n" + body)
+
+
 @st.composite
 def random_states(draw):
     """Grow a small random state by legal moves only."""
