@@ -13,8 +13,9 @@ proportional to ``a(d)``.  Three families cover the regimes of interest:
   degree holes that freeze nodes out of the parent pool.
 
 Every family reports increment bounds (inf and sup of ``a(d+1) - a(d)``)
-and whether any weight is zero; the theorem predicates decide regularity
-from those.
+as Fractions under the rule of :func:`_to_fraction`, ``math.inf`` for an
+unbounded sup, and whether any weight is zero; the theorem predicates
+decide regularity from those, exactly.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class Affine:
         return _to_fraction(self.base) + _to_fraction(self.slope) * d
 
     def increment_bounds(self):
-        s = float(self.slope)
+        s = _to_fraction(self.slope)
         return s, s
 
     def has_hole(self) -> bool:
@@ -125,13 +126,13 @@ class PowerShifted:
     def increment_bounds(self):
         """Increments of base*(d+1)^e are monotone in d: increasing for
         e > 1 (sup is unbounded), decreasing toward 0 for e < 1."""
-        e = float(self.exponent)
-        first = self.evaluate(1) - self.evaluate(0)
+        e = self.exponent
+        first = self.evaluate_exact(1) - self.evaluate_exact(0)
         if e > 1:
             return first, math.inf
         if e == 1:
             return first, first
-        return 0.0, first
+        return Fraction(0), first
 
     def has_hole(self) -> bool:
         return self.base == 0
@@ -169,8 +170,9 @@ class TableAttachment:
         return _to_fraction(vs[-1]) + _to_fraction(self.tail_slope) * (d - len(vs) + 1)
 
     def increment_bounds(self):
-        incs = [float(b) - float(a) for a, b in zip(self.values, self.values[1:])]
-        incs.append(float(self.tail_slope))
+        vs = [_to_fraction(v) for v in self.values]
+        incs = [b - a for a, b in zip(vs, vs[1:])]
+        incs.append(_to_fraction(self.tail_slope))
         return min(incs), max(incs)
 
     def has_hole(self) -> bool:
@@ -212,10 +214,11 @@ class ParentCountLaw:
         support = sorted(pmf)
         probs = [pmf[m] for m in support]
         for m in support:
-            if not isinstance(m, int) or m < 1:
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                 raise ValueError(f"parent counts must be integers >= 1, got {m!r}")
         for m, p in zip(support, probs):
-            if not isinstance(p, (numbers.Rational, float)):
+            if isinstance(p, bool) or not isinstance(
+                    p, (numbers.Rational, float)):
                 raise ValueError(f"parent-count probability of {m} must be "
                                  f"an int, float or Fraction, got {p!r}")
             _require_finite(f"parent-count probability of {m}", p)
@@ -244,12 +247,6 @@ class ParentCountLaw:
     @property
     def max(self) -> int:
         return self.support[-1]
-
-    def mean(self) -> float:
-        return sum(m * float(p) for m, p in zip(self.support, self.probs))
-
-    def mean_reciprocal(self) -> float:
-        return sum(float(p) / m for m, p in zip(self.support, self.probs))
 
     def mean_exact(self) -> Fraction:
         return sum((Fraction(m) * _to_fraction(p)

@@ -2,7 +2,7 @@
 
 `run_trial` is the front door for single trajectories.  It picks the
 compiled kernel when one is importable and the requested variant fits
-its scope (no adversary, no step tracing), and falls back to the pure
+its scope (no adversarial steps, no step tracing), and falls back to the pure
 Python engine otherwise.  The engines share one surface, so a trial is
 one path: build the engine, ``run`` it, audit it.  Both replay the same
 decision stream, so for any fixed seed they produce the same trajectory;
@@ -19,7 +19,7 @@ at the end, and with ``audit_every`` also after every that many steps.
 from __future__ import annotations
 
 from . import audits
-from .evolution import Features, PyEngine, RandomPt, TrialResult
+from .evolution import Features, PyEngine, TrialResult
 from .rand import SimChooser
 from .state import CkpState
 
@@ -33,17 +33,16 @@ def kernel_available() -> bool:
     return _kernel is not None and getattr(_kernel, "KERNEL_READY", False)
 
 
-def compiled_supports(features: Features, adversary=None, trace=None) -> bool:
+def compiled_supports(features: Features, trace=None) -> bool:
     """Whether the compiled kernel can run this variant at all.
 
     The kernel covers the non-adversarial regime only, and it does not
     emit per-step trace lines.
     """
-    return (features.adversary_rate == 0 and adversary is None
-            and trace is None)
+    return features.adversary_rate == 0 and trace is None
 
 
-def _want_compiled(backend: str, features: Features, adversary, trace) -> bool:
+def _want_compiled(backend: str, features: Features, trace) -> bool:
     if backend not in ("auto", "python", "compiled"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "python":
@@ -52,16 +51,15 @@ def _want_compiled(backend: str, features: Features, adversary, trace) -> bool:
         if not kernel_available():
             raise RuntimeError("compiled backend requested but the kernel "
                                "extension is not importable")
-        if not compiled_supports(features, adversary, trace):
+        if not compiled_supports(features, trace):
             raise RuntimeError("compiled backend requested for a variant "
                                "it does not cover (adversary or tracing)")
         return True
-    return kernel_available() and compiled_supports(features, adversary,
-                                                    trace)
+    return kernel_available() and compiled_supports(features, trace)
 
 
 def run_trial(features: Features, init_state: CkpState, horizon: int,
-              seed: int, adversary=None, checkpoint_steps=(),
+              seed: int, *, checkpoint_steps=(),
               audit: str = "none", audit_every: int = 0, trace=None,
               backend: str = "auto") -> TrialResult:
     """Run one trajectory on the best available backend and report its
@@ -78,16 +76,14 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
     if audit_every < 0:
         raise ValueError("audit_every must be nonnegative")
     audit_cheap = audit != "none"
-    if _want_compiled(backend, features, adversary, trace):
+    if _want_compiled(backend, features, trace):
         backend = "compiled"
         engine = _kernel.KernelEngine(features, init_state, seed,
                                       audit_cheap=audit_cheap)
         run = engine.run
     else:
         backend = "python"
-        if adversary is None and features.adversary_rate > 0:
-            adversary = RandomPt()
-        engine = PyEngine(features, init_state, SimChooser(seed), adversary,
+        engine = PyEngine(features, init_state, SimChooser(seed),
                           audit_cheap=audit_cheap)
 
         def run(steps, checkpoints):

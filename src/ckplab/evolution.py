@@ -1,7 +1,8 @@
 """Per-step process dynamics and the reference engine, pure Python.
 
-A step is, with probability q, an adversarial insertion (no check), and
-otherwise one round of grow-label-check:
+A step is, with probability q, an adversarial insertion placed by the
+strategy ``Features.adversary`` (no check), and otherwise one round of
+grow-label-check:
 
 1. if no PT node has positive attachment weight the process is stopped,
    permanently, with the state frozen;
@@ -34,9 +35,116 @@ from .state import (
 )
 
 
+def init_chain(n: int, edge_multiplicity: int, first_label: int) -> CkpState:
+    """A path of n nodes; each node after the first hangs from its
+    predecessor by ``edge_multiplicity`` parallel edges."""
+    if n < 1 or edge_multiplicity < 1:
+        raise ValueError("chain needs n >= 1 and edge multiplicity >= 1")
+    state = CkpState()
+    state.add_root(first_label)
+    for i in range(1, n):
+        state.add_node([i - 1] * edge_multiplicity, CT, birth=0)
+    return state
+
+
+# -- adversaries -----------------------------------------------------------
+#
+# A strategy is stateless: ``move(state, features, chooser)`` returns
+# ``(parents, label)`` or None to pass, reads the budget r from
+# ``features`` and draws from ``chooser``, so one object serves any
+# number of steps, samples and replays.
+
+@dataclass(frozen=True)
+class DeepAttach:
+    """Attach all r edges to the PT False node farthest from any minimal
+    false node (ties to the lowest id), labeled CT: the move that pushes
+    errors out of checking range."""
+
+    def move(self, state, features, chooser):
+        r = features.adversary_budget
+        if r == 0:
+            return None
+        from .state import pt_false_distances
+        dist = pt_false_distances(state)
+        if dist:
+            best = max(dist.values())
+            target = min(v for v, d in dist.items() if d == best)
+        else:
+            target = min(state.pt_ids())
+        return [target] * r, CT
+
+
+@dataclass(frozen=True)
+class LeafAttach:
+    """Attach to up to r distinct CT non-root leaves (lowest ids first),
+    labeled CT: each edge costs the process one frontier node."""
+
+    def move(self, state, features, chooser):
+        r = features.adversary_budget
+        if r == 0:
+            return None
+        leaves = state.ct_nonroot_leaves(simple_mode=False)
+        if leaves:
+            return leaves[:r], CT
+        return [min(state.pt_ids())], CT
+
+
+@dataclass(frozen=True)
+class RandomPt:
+    """r uniform PT picks with replacement, uniformly random label."""
+
+    def move(self, state, features, chooser):
+        r = features.adversary_budget
+        if r == 0:
+            return None
+        # with no PF nodes the PT ids are just 0..n-1; skip the O(n) scan
+        pt = state.pt_ids() if state.pf_total else range(len(state.labels))
+        parents = [pt[chooser.uniform_index(len(pt))] for _ in range(r)]
+        label = CF if chooser.uniform_index(2) == 1 else CT
+        return parents, label
+
+
+@dataclass(frozen=True)
+class Scripted:
+    """Plays the one move ``(parents, label)`` on every adversarial step;
+    refuses it loudly where it is illegal."""
+
+    parents: tuple
+    label: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "parents", tuple(self.parents))
+
+    def move(self, state, features, chooser):
+        if len(self.parents) > features.adversary_budget:
+            raise StateError("scripted move exceeds the edge budget")
+        if any(state.labels[u] == PF for u in self.parents):
+            raise StateError("scripted move attaches below a PF node")
+        return list(self.parents), self.label
+
+
+ADVERSARIES = {
+    "deep": DeepAttach,
+    "leaf": LeafAttach,
+    "random-pt": RandomPt,
+}
+
+
+def make_adversary(kind: str):
+    try:
+        return ADVERSARIES[kind]()
+    except KeyError:
+        raise ValueError(f"unknown adversary {kind!r}") from None
+
+
+# -- the process variant ---------------------------------------------------
+
 @dataclass(frozen=True)
 class Features:
-    """The full parameter vector of one process variant."""
+    """The full parameter vector of one process variant, the adversary's
+    strategy included: a fraction ``adversary_rate`` of steps are
+    adversarial insertions of at most ``adversary_budget`` edges, placed
+    by ``adversary``."""
 
     attach: object
     parent_count: object
@@ -47,6 +155,7 @@ class Features:
     adversary_rate: float = 0.0  # chance a step is adversarial
     adversary_budget: int = 0    # max parent edges an adversarial node gets
     detection_rate: float = 1.0  # chance an examined CF node reveals itself
+    adversary: object = RandomPt()  # strategy of the adversarial steps
 
     def __post_init__(self):
         if self.mechanism not in checking.MECHANISMS:
@@ -68,6 +177,9 @@ class Features:
             raise ValueError("check_depth must be at least 1")
         if self.adversary_budget < 0:
             raise ValueError("adversary_budget must be nonnegative")
+        if not callable(getattr(self.adversary, "move", None)):
+            raise ValueError("adversary must have a callable move, got "
+                             f"{self.adversary!r}")
 
     @property
     def simple(self) -> bool:
@@ -76,103 +188,9 @@ class Features:
         return self.error_rate == 0 and self.adversary_rate == 0
 
 
-def init_chain(n: int, edge_multiplicity: int, first_label: int) -> CkpState:
-    """A path of n nodes; each node after the first hangs from its
-    predecessor by ``edge_multiplicity`` parallel edges."""
-    if n < 1 or edge_multiplicity < 1:
-        raise ValueError("chain needs n >= 1 and edge multiplicity >= 1")
-    state = CkpState()
-    state.add_root(first_label)
-    for i in range(1, n):
-        state.add_node([i - 1] * edge_multiplicity, CT, birth=0)
-    return state
-
-
-# -- adversaries -----------------------------------------------------------
-
-class DeepAttach:
-    """Attach all r edges to the PT False node farthest from any minimal
-    false node (ties to the lowest id), labeled CT: the move that pushes
-    errors out of checking range."""
-
-    def move(self, state, features, chooser):
-        r = features.adversary_budget
-        if r == 0:
-            return None
-        from .state import pt_false_distances
-        dist = pt_false_distances(state)
-        if dist:
-            best = max(dist.values())
-            target = min(v for v, d in dist.items() if d == best)
-        else:
-            target = min(state.pt_ids())
-        return [target] * r, CT
-
-
-class LeafAttach:
-    """Attach to up to r distinct CT non-root leaves (lowest ids first),
-    labeled CT: each edge costs the process one frontier node."""
-
-    def move(self, state, features, chooser):
-        r = features.adversary_budget
-        if r == 0:
-            return None
-        leaves = state.ct_nonroot_leaves(simple_mode=False)
-        if leaves:
-            return leaves[:r], CT
-        return [min(state.pt_ids())], CT
-
-
-class RandomPt:
-    """r uniform PT picks with replacement, uniformly random label."""
-
-    def move(self, state, features, chooser):
-        r = features.adversary_budget
-        if r == 0:
-            return None
-        # with no PF nodes the PT ids are just 0..n-1; skip the O(n) scan
-        pt = state.pt_ids() if state.pf_total else range(len(state.labels))
-        parents = [pt[chooser.uniform_index(len(pt))] for _ in range(r)]
-        label = CF if chooser.uniform_index(2) == 1 else CT
-        return parents, label
-
-
-class Scripted:
-    """Plays an explicit move list; refuses illegal moves loudly."""
-
-    def __init__(self, moves):
-        self.moves = list(moves)
-        self.cursor = 0
-
-    def move(self, state, features, chooser):
-        if self.cursor >= len(self.moves):
-            raise StateError("scripted adversary ran out of moves")
-        parents, label = self.moves[self.cursor]
-        self.cursor += 1
-        if len(parents) > features.adversary_budget:
-            raise StateError("scripted move exceeds the edge budget")
-        if any(state.labels[u] == PF for u in parents):
-            raise StateError("scripted move attaches below a PF node")
-        return list(parents), label
-
-
-ADVERSARIES = {
-    "deep": DeepAttach,
-    "leaf": LeafAttach,
-    "random-pt": RandomPt,
-}
-
-
-def make_adversary(kind: str):
-    try:
-        return ADVERSARIES[kind]()
-    except KeyError:
-        raise ValueError(f"unknown adversary {kind!r}") from None
-
-
 # -- one step's decisions --------------------------------------------------
 
-def draw_move(state, features, chooser, pool, adversary):
+def draw_move(state, features, chooser, pool):
     """Make one step's decisions up to the check, in stream order.
 
     Returns ``(branch, parents, label)``; ``branch`` is the
@@ -180,9 +198,9 @@ def draw_move(state, features, chooser, pool, adversary):
 
     * the adversary coin (probability q) decides first.  On an
       adversarial step the process is ``"stopped"`` if every node is PF;
-      otherwise ``adversary.move`` picks the parents and the label
-      (``"adversary"``, no check follows) or passes (``None``,
-      ``"adversary-noop"``);
+      otherwise the strategy ``features.adversary`` picks the parents
+      and the label (``"adversary"``, no check follows) or passes
+      (``None``, ``"adversary-noop"``);
     * on a growth step the process is ``"stopped"`` if ``pool`` holds no
       positive weight; otherwise the parent count, then that many
       weighted picks from ``pool`` with replacement, then the label coin
@@ -196,11 +214,9 @@ def draw_move(state, features, chooser, pool, adversary):
     node.  The state is read, never changed.
     """
     if chooser.maybe(features.adversary_rate):
-        if adversary is None:
-            raise ValueError("adversarial step drawn but no adversary is set")
         if state.pf_total == len(state.labels):
             return "stopped", None, None
-        move = adversary.move(state, features, chooser)
+        move = features.adversary.move(state, features, chooser)
         if move is None:
             return "adversary-noop", None, None
         parents, label = move
@@ -253,19 +269,19 @@ class PyEngine:
     in the mode-appropriate sense, so per-step checkpoint counts and the
     survival potential delta are O(1).  :meth:`export_bookkeeping` hands
     all of it to the deep audits in the record the kernel exports.
-    The kernel's surface is this one: :meth:`run`, the exports, and
+    Adversarial steps play ``features.adversary``.  The kernel's surface
+    is this one: :meth:`run`, the exports, and the keyword-only
     ``audit_cheap``, which runs :class:`CheapAudit` in every :meth:`step`.
     Both refuse an initial state that fails
     :func:`state.verify_truth_closure` with its ``StateError``.
     """
 
     def __init__(self, features: Features, init_state: CkpState, chooser,
-                 adversary=None, audit_cheap: bool = False):
+                 *, audit_cheap: bool = False):
         verify_truth_closure(init_state)
         self.features = features
         self.state = init_state.copy()
         self.chooser = chooser
-        self.adversary = adversary
         self.windex = weight_index_for(self.state, features.attach)
         self.stopped = False
         self.step_index = 0
@@ -387,7 +403,7 @@ class PyEngine:
         feats = self.features
         self.step_index += 1
         branch, parents, label = draw_move(self.state, feats, self.chooser,
-                                           self.windex, self.adversary)
+                                           self.windex)
         if branch == "stopped":
             self.stopped = True
             return StepRecord("stopped", stopped=True)

@@ -44,7 +44,6 @@ estimate a full recompute per sample would, bit for bit.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 from dataclasses import dataclass
@@ -439,22 +438,6 @@ class DriftResult:
     leaf_count: int
 
 
-class _Fresh:
-    """Hands every move to a fresh copy of ``adversary``, ``RandomPt``
-    when it is None, as in the engine.  Each sample, and each replay,
-    plays the same single step, so a stateful mover (a
-    :class:`Scripted` cursor) must start over every time, and the
-    caller's adversary is never advanced."""
-
-    __slots__ = ("adversary",)
-
-    def __init__(self, adversary):
-        self.adversary = RandomPt() if adversary is None else adversary
-
-    def move(self, state, features, chooser):
-        return copy.deepcopy(self.adversary).move(state, features, chooser)
-
-
 def _outcomes(decide, chooser: PathChooser):
     """Every outcome of ``decide(chooser)``, as ``(outcome, num, den)``:
     the product of the probabilities of the branches that lead to it is
@@ -482,7 +465,7 @@ def _outcomes(decide, chooser: PathChooser):
         yield result, num, den
 
 
-def exact_drift(state, features, kind, adversary=None, *,
+def exact_drift(state, features, kind, *,
                 pt_cap: int = DEFAULT_PT_CAP,
                 leaf_cap: int = DEFAULT_LEAF_CAP) -> DriftResult:
     """Expected one-step potential change, by complete enumeration, as a
@@ -490,11 +473,10 @@ def exact_drift(state, features, kind, adversary=None, *,
 
     Two passes of one replay enumerator, :func:`_outcomes`.  The first
     enumerates :func:`evolution.draw_move`: the adversary coin, the
-    adversary's move (``RandomPt`` when q > 0 and none is given, as in
-    the engine; a randomized move is enumerated like any other
-    decision), the parent count, every ordered parent tuple and the
-    label coin.  Each move's node is added once, to the call's one copy
-    of ``state``, and the second pass enumerates every decision
+    move of ``features.adversary`` (a randomized move is enumerated like
+    any other decision), the parent count, every ordered parent tuple
+    and the label coin.  Each move's node is added once, to the call's
+    one copy of ``state``, and the second pass enumerates every decision
     :func:`checking.run_check` makes on that child.  The move's leaves
     are grouped by marking, and :func:`_step_delta` scores each distinct
     marking once on that copy, with the marking left unapplied.
@@ -505,8 +487,8 @@ def exact_drift(state, features, kind, adversary=None, *,
     once.  The value and the mass are kept as lists of numerators per
     denominator and turned into one Fraction per denominator at the end.
     The mass must come to one, or the call raises instead of returning
-    a number.  Neither ``state`` nor ``adversary`` is changed.  An input
-    with more moves than ``leaf_cap`` is refused before any is made.
+    a number.  ``state`` is not changed.  An input with more moves than
+    ``leaf_cap`` is refused before any is made.
 
     Every rate, weight and base enters under the rule of
     :func:`attachment._to_fraction`: a float at its binary value, so
@@ -521,7 +503,6 @@ def exact_drift(state, features, kind, adversary=None, *,
         raise ValueError(
             "parent-count masses do not sum to one exactly; "
             "use Fraction probabilities for exact drift")
-    adversary = _Fresh(adversary)
     try:
         pool = parent_distribution(state, features.attach)
     except (AllPF, AllWeightsZero):
@@ -533,7 +514,7 @@ def exact_drift(state, features, kind, adversary=None, *,
         moves *= 2
     r = features.adversary_budget
     if (features.adversary_rate > 0 and r > 0
-            and type(adversary.adversary) is RandomPt):
+            and type(features.adversary) is RandomPt):
         moves += len(pt_nodes) ** r * 2
     if moves > leaf_cap:
         raise BranchBudgetExceeded(
@@ -559,7 +540,7 @@ def exact_drift(state, features, kind, adversary=None, *,
                 f"outcome tree exceeded {leaf_cap} leaves")
 
     def move(chooser):
-        return draw_move(work, features, chooser, pool, adversary)
+        return draw_move(work, features, chooser, pool)
 
     for (branch, parents, label), num, den in _outcomes(move, chooser):
         if parents is None:         # stopped, or the adversary passed
@@ -638,16 +619,13 @@ def _phi_value(state, kind, base: _StepBase) -> float:
     return float(potential(state, kind, exact=False).total)
 
 
-def mc_drift(state, features, kind, samples: int, rng,
-             adversary=None) -> DriftEstimate:
+def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     """Estimate the one-step drift by simulating single steps.
 
     ``rng`` is a seed or a numpy Generator.  Each sample is one
     :func:`evolution.draw_move` under a :class:`SimChooser`, then
     :func:`checking.run_check` on a growth step, so its law is the
-    engine's own.  Without an ``adversary`` the adversarial steps play
-    ``RandomPt``, as in the engine; every adversarial sample plays a
-    fresh copy of it.
+    engine's own, adversarial steps playing ``features.adversary``.
 
     Each sample adds its node to ``state`` itself, runs the check there
     without applying the marking, scores the step with
@@ -667,7 +645,6 @@ def mc_drift(state, features, kind, samples: int, rng,
     # input (an anchor, a float overflow) before any sample is scored
     _phi_value(state, kind, base)
 
-    adversary = _Fresh(adversary)
     feats = features
     birth = _next_birth(state)
     n = len(state.labels)
@@ -675,8 +652,7 @@ def mc_drift(state, features, kind, samples: int, rng,
     m2 = 0.0
     try:
         for i in range(1, samples + 1):
-            branch, parents, label = draw_move(state, feats, chooser, windex,
-                                               adversary)
+            branch, parents, label = draw_move(state, feats, chooser, windex)
             if parents is None:
                 delta = 0.0
             else:

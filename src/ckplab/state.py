@@ -336,17 +336,36 @@ def dump_state(state: CkpState) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_int(text: str, name: str, line: str) -> int:
+    # only the digits dump_state writes, so a load dumps to the same text
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise StateError(f"{name} {text!r} is not an integer in line "
+                         f"{line!r}")
+    return value
+
+
+def _read_flag(text: str, name: str, line: str) -> bool:
+    if text not in ("0", "1"):
+        raise StateError(f"{name} flag {text!r} is not 0 or 1 in line "
+                         f"{line!r}")
+    return text == "1"
+
+
 def load_state(text: str) -> CkpState:
+    """Read the ``ckp-state v1`` text of :func:`dump_state`.  A malformed
+    field, a broken truth rule or a parent that is not an earlier node
+    raises :class:`StateError`, quoting what it read."""
     lines = text.splitlines()
     if not lines:
         raise StateError("empty state document")
     head = lines[0].rsplit(" ", 1)
     if len(head) != 2 or head[0] != _FORMAT_HEADER:
         raise StateError(f"bad header {lines[0]!r}")
-    try:
-        count = int(head[1])
-    except ValueError:
-        raise StateError(f"bad node count in header {lines[0]!r}") from None
+    count = _read_int(head[1], "node count", lines[0])
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count:
         raise StateError(f"header promises {count} nodes, found {len(body)}")
@@ -355,20 +374,21 @@ def load_state(text: str) -> CkpState:
         fields = line.split(" ")
         if len(fields) != 6:
             raise StateError(f"malformed node line {line!r}")
-        vid = int(fields[0])
+        vid = _read_int(fields[0], "id", line)
         if vid != expect:
             raise StateError(f"node ids must be dense, got {vid} want {expect}")
         label = LABEL_CODES.get(fields[1])
         if label is None:
             raise StateError(f"unknown label {fields[1]!r}")
-        parents = [] if fields[5] == "-" else [int(x) for x in fields[5].split(",")]
+        parents = [] if fields[5] == "-" else [
+            _read_int(x, "parent", line) for x in fields[5].split(",")]
         for u in parents:
             if not 0 <= u < vid:
                 raise StateError(f"node {vid} references parent {u}")
         state.labels.append(label)
-        state.is_false.append(bool(int(fields[2])))
-        state.birth.append(int(fields[3]))
-        state.adversarial.append(bool(int(fields[4])))
+        state.is_false.append(_read_flag(fields[2], "is_false", line))
+        state.birth.append(_read_int(fields[3], "birth", line))
+        state.adversarial.append(_read_flag(fields[4], "adversarial", line))
         state.parents.append(parents)
         state.children.append([])
         state.deg_pt.append(0)

@@ -68,12 +68,6 @@ class TheoremVerdict:
         return f"{self.kind}:{self.source}"
 
 
-def _growth_range(attach):
-    """Increment bounds as Fractions, upper ``None`` when unbounded."""
-    lo, hi = attach.increment_bounds()
-    return _to_fraction(lo), (None if math.isinf(hi) else _to_fraction(hi))
-
-
 def _survival_check_rate(features) -> Fraction:
     """Per-step rate at which checking can remove tracked-component nodes.
 
@@ -146,7 +140,7 @@ def _survival_threshold_claim(features):
     drift bound including error and adversary terms.
     """
     law = features.parent_count
-    lo, hi = _growth_range(features.attach)
+    lo, hi = features.attach.increment_bounds()
     a0 = features.attach.evaluate_exact(0)
     if a0 < 1 or lo < a0:
         return None
@@ -162,7 +156,7 @@ def _survival_threshold_claim(features):
                 {"effective_check_rate": p_eff, "check_budget": budget,
                  "growth_ratio": growth_ratio})
         return None
-    if hi is None:
+    if hi == math.inf:
         return None
     growth_ratio = (2 * law.mean_exact() + law.min - 1) / (2 * (law.min + 1))
     if growth_ratio > 1:
@@ -186,10 +180,10 @@ def _require_bounded_regular(features):
     """Gate for the elimination predicates: nondecreasing weights with
     bounded increments and at least a unit of base weight."""
     a = features.attach
-    lo, hi = _growth_range(a)
+    lo, hi = a.increment_bounds()
     a0 = a.evaluate_exact(0)
-    if lo < 0 or hi is None or a0 < 1:
-        top = "unbounded" if hi is None else str(hi)
+    if lo < 0 or hi == math.inf or a0 < 1:
+        top = "unbounded" if hi == math.inf else str(hi)
         raise NotRegular(
             "elimination thresholds need nondecreasing weights with bounded "
             f"increments and base weight >= 1, got {a.describe()} "

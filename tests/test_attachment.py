@@ -139,14 +139,12 @@ def test_nondecreasing_flag():
 def test_parent_count_law_moments():
     law = ParentCountLaw({1: 0.5, 3: 0.5})
     assert law.min == 1 and law.max == 3
-    assert law.mean() == pytest.approx(2.0)
-    assert law.mean_reciprocal() == pytest.approx(0.5 + 0.5 / 3)
     exact = ParentCountLaw({1: Fraction(1, 2), 3: Fraction(1, 2)})
     assert exact.mean_exact() == Fraction(2)
     assert exact.mean_reciprocal_exact() == Fraction(2, 3)
     point = ParentCountLaw.const(2)
     assert point.min == point.max == 2
-    assert point.mean_reciprocal() == 0.5
+    assert point.mean_reciprocal_exact() == Fraction(1, 2)
     assert point.is_constant()
 
 
@@ -157,6 +155,13 @@ def test_parent_count_law_validation():
         ParentCountLaw({1: 0.6, 2: 0.6})
     with pytest.raises(ValueError):
         ParentCountLaw({})
+    # a bool is an int to Python, but not a count or a probability
+    with pytest.raises(ValueError, match="parent counts .* got True"):
+        ParentCountLaw({True: 1})
+    with pytest.raises(ValueError, match="probability of 1 .* got True"):
+        ParentCountLaw({1: True})
+    with pytest.raises(ValueError, match="probability of 2 .* got False"):
+        ParentCountLaw({1: 1, 2: False})
 
 
 def test_parent_distribution_chain_preferential():

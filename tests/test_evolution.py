@@ -3,6 +3,7 @@ adversary legality, audits, and trajectory reproducibility."""
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from ckplab.evolution import (
     Scripted, init_chain, make_adversary, survival_potential_floor,
 )
 from ckplab.rand import SimChooser
-from ckplab.state import CT, CF, PF, StateError
+from ckplab.state import CT, CF, PF, StateError, dump_state
 
 
 def simple_features(**kw):
@@ -126,8 +127,7 @@ def test_simple_mode_all_nodes_false():
 def test_branch_frequency_matches_adversary_rate():
     feats = simple_features(check_rate=0.0, mechanism="stringy",
                             adversary_rate=0.3, adversary_budget=1)
-    engine = PyEngine(feats, init_chain(1, 1, CF), SimChooser(2024),
-                      RandomPt())
+    engine = PyEngine(feats, init_chain(1, 1, CF), SimChooser(2024))
     hits = 0
     n = 100_000
     for _ in range(n):
@@ -137,12 +137,27 @@ def test_branch_frequency_matches_adversary_rate():
     assert 0.29 <= hits / n <= 0.31
 
 
-def test_adversarial_step_without_adversary_raises():
-    feats = simple_features(adversary_rate=0.99, adversary_budget=1)
-    engine = PyEngine(feats, init_chain(1, 1, CF), SimChooser(0))
-    with pytest.raises(ValueError):
-        for _ in range(50):
-            engine.step()
+def test_default_adversary_is_random_pt():
+    feats = simple_features(error_rate=0.1, adversary_rate=0.3,
+                            adversary_budget=2)
+    assert feats.adversary == RandomPt()
+    explicit = replace(feats, adversary=make_adversary("random-pt"))
+    runs = []
+    for f in (feats, explicit):
+        engine = PyEngine(f, init_chain(3, 1, CT), SimChooser(11))
+        records = [engine.step() for _ in range(300)]
+        runs.append((records, dump_state(engine.state),
+                     engine.export_bookkeeping()))
+    assert sum(rec.branch == "adversary" for rec in runs[0][0]) > 50
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("adversary", [None, object(), "deep",
+                                       type("NoMove", (), {"move": 3})()])
+def test_features_refuse_an_adversary_without_move(adversary):
+    with pytest.raises(ValueError, match="adversary must have a callable "
+                                         "move"):
+        simple_features(adversary=adversary)
 
 
 def test_deep_attach_picks_farthest_node():
@@ -164,8 +179,8 @@ def test_zero_budget_adversary_noops():
     for kind in ("deep", "leaf", "random-pt"):
         adv = make_adversary(kind)
         assert adv.move(init_chain(3, 1, CF), feats, SimChooser(1)) is None
-    engine = PyEngine(feats, init_chain(3, 1, CF), SimChooser(5),
-                      make_adversary("deep"))
+    engine = PyEngine(replace(feats, adversary=make_adversary("deep")),
+                      init_chain(3, 1, CF), SimChooser(5))
     branches = {engine.step().branch for _ in range(40)}
     assert "adversary-noop" in branches
 
@@ -173,16 +188,17 @@ def test_zero_budget_adversary_noops():
 def test_scripted_adversary_validates_moves():
     feats = simple_features(adversary_rate=0.5, adversary_budget=1)
     state = init_chain(2, 1, CF)
-    with pytest.raises(StateError):
-        Scripted([([0, 1], CT)]).move(state, feats, SimChooser(0))
+    with pytest.raises(StateError, match="edge budget"):
+        Scripted((0, 1), CT).move(state, feats, SimChooser(0))
     marked = init_chain(2, 1, CF)
     marked.mark_pf({0})
-    with pytest.raises(StateError):
-        Scripted([([0], CT)]).move(marked, feats, SimChooser(0))
-    script = Scripted([([1], CF)])
-    assert script.move(state, feats, SimChooser(0)) == ([1], CF)
-    with pytest.raises(StateError):
-        script.move(state, feats, SimChooser(0))
+    with pytest.raises(StateError, match="below a PF node"):
+        Scripted((0,), CT).move(marked, feats, SimChooser(0))
+    # one fixed move, played on every adversarial step
+    script = Scripted([1], CF)
+    assert script.parents == (1,)
+    for _ in range(3):
+        assert script.move(state, feats, SimChooser(0)) == ([1], CF)
 
 
 @pytest.mark.parametrize("kind", ["deep", "leaf", "random-pt"])
@@ -192,8 +208,8 @@ def test_adversarial_insertions_are_legal(kind):
                             adversary_rate=0.4, adversary_budget=3)
     adversarial_steps = 0
     for seed in range(6):
-        engine = PyEngine(feats, init_chain(1, 1, CF), SimChooser(seed),
-                          make_adversary(kind))
+        engine = PyEngine(replace(feats, adversary=make_adversary(kind)),
+                          init_chain(1, 1, CF), SimChooser(seed))
         for _ in range(500):
             rec = engine.step()
             if rec.stopped:

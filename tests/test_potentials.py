@@ -12,6 +12,7 @@ whole potential recomputed before and after the step, on every leaf of
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -545,9 +546,9 @@ class StepSpy:
 
 @st.composite
 def grown_steps(draw):
-    """A small state grown by the engine, with the features and the
-    adversary to step it: any mechanism, with and without new errors,
-    with no adversary, RandomPt, DeepAttach or LeafAttach."""
+    """A small state grown by the engine, with the features to step it:
+    any mechanism, with and without new errors, with no adversary,
+    RandomPt, DeepAttach or LeafAttach."""
     eps = draw(st.sampled_from((0, Fraction(1, 10))))
     adversary = draw(st.sampled_from((None, RandomPt(), DeepAttach(),
                                       LeafAttach())))
@@ -556,16 +557,17 @@ def grown_steps(draw):
                  check_depth=draw(st.integers(2, 3)),
                  mechanism=draw(st.sampled_from(MECHANISMS)),
                  error_rate=eps, detection_rate=Fraction(4, 5),
-                 adversary_rate=Fraction(1, 4) if adversary else 0,
                  adversary_budget=2)
+    if adversary is not None:
+        f = replace(f, adversary_rate=Fraction(1, 4), adversary=adversary)
     root = draw(st.sampled_from((CF, CT))) if eps else CF
     eng = PyEngine(f, init_chain(2, 1, root),
-                   SimChooser(draw(st.integers(0, 2**32 - 1))), adversary)
+                   SimChooser(draw(st.integers(0, 2**32 - 1))))
     for _ in range(draw(st.integers(0, 10))):
         if eng.stopped or len(eng.state.pt_ids()) >= 7:
             break
         eng.step()
-    return eng.state, f, adversary
+    return eng.state, f
 
 
 def spied_kind(name, state):
@@ -585,15 +587,15 @@ def spied_kind(name, state):
 @settings(max_examples=20, deadline=None)
 def test_step_delta_matches_the_whole_potential(name, case, seed):
     """Every leaf of exact_drift and every sample of mc_drift."""
-    state, f, adversary = case
+    state, f = case
     kind = spied_kind(name, state)
     if kind is None:            # no error for the scoped potential to hang on
         return
     with pytest.MonkeyPatch.context() as mp:
         spy = StepSpy(mp)
-        r = exact_drift(state, f, kind, adversary)
+        r = exact_drift(state, f, kind)
         assert spy.calls <= r.leaf_count
-        mc_drift(state, f, kind, 20, seed, adversary)
+        mc_drift(state, f, kind, 20, seed)
 
 
 def test_mc_drift_samples_meet_the_coverage_floors():
@@ -616,7 +618,7 @@ def test_mc_drift_samples_meet_the_coverage_floors():
                             mechanism=mech, error_rate=eps,
                             detection_rate=0.8, adversary_rate=1 / 3,
                             adversary_budget=2)
-            mc_drift(eng.state, step, kind, 30, 100 + seed, RandomPt())
+            mc_drift(eng.state, step, kind, 30, 100 + seed)
     assert spy.calls == 1800
     assert spy.marking >= 400 and spy.moved >= 300, (spy.marking, spy.moved)
 
@@ -661,32 +663,29 @@ def adversarial_feats(q=Fraction(1, 2)) -> Features:
 def test_drift_with_a_scripted_adversary():
     # the scripted move hangs a CT child on the origin without a check:
     # the same +4 rise as an unchecked growth step
-    adv = Scripted([([0], CT)])
-    r = exact_drift(single_cf(), adversarial_feats(), MinDistance(PREF, 3),
-                    adversary=adv)
+    f = replace(adversarial_feats(), adversary=Scripted((0,), CT))
+    r = exact_drift(single_cf(), f, MinDistance(PREF, 3))
     assert r.value == Fraction(1, 2) * 4 + Fraction(1, 2) * (4 - 5 * Fraction(1, 2))
-    assert adv.cursor == 0, "enumeration must not consume the caller's script"
 
 
 def test_drift_leaves_the_callers_state_and_adversary_alone(monkeypatch):
     # a grown state with PF nodes, a check that marks, and a scripted
-    # adversary whose every replay must start from the first move
+    # adversary that every replay plays
     law = ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 2)})
     f = Features(PREF, law, check_rate=Fraction(3, 5), check_depth=3,
                  mechanism="complete", error_rate=Fraction(1, 10),
                  adversary_rate=Fraction(1, 5), adversary_budget=2)
-    eng = PyEngine(f, init_chain(3, 1, CF), SimChooser(6), RandomPt())
+    eng = PyEngine(f, init_chain(3, 1, CF), SimChooser(6))
     while eng.state.pf_total == 0 or len(eng.state.pt_ids()) < 4:
         eng.step()
     grown = eng.state
     assert (len(grown.labels), grown.pf_total) == (6, 2)
     target = grown.pt_ids()[0]
-    adv = Scripted([([target, target], CF)])
+    f = replace(f, adversary=Scripted((target, target), CF))
     before = snapshot(grown)
-    r = exact_drift(grown, f, MinDistance(PREF, 3), adversary=adv)
+    r = exact_drift(grown, f, MinDistance(PREF, 3))
     assert r.leaf_count > 100
     assert snapshot(grown) == before
-    assert (adv.cursor, adv.moves) == (0, [([target, target], CF)])
     # a check that raises partway through the enumeration, with the
     # enumeration's node on its working copy
     real_run_check = checking.run_check
@@ -701,10 +700,9 @@ def test_drift_leaves_the_callers_state_and_adversary_alone(monkeypatch):
 
     monkeypatch.setattr(checking, "run_check", failing_run_check)
     with pytest.raises(RuntimeError, match="mid-enumeration"):
-        exact_drift(grown, f, MinDistance(PREF, 3), adversary=adv)
+        exact_drift(grown, f, MinDistance(PREF, 3))
     assert len(calls) == 40
     assert snapshot(grown) == before
-    assert adv.cursor == 0
 
 
 def test_drift_enumerates_a_randomized_adversary():
@@ -715,14 +713,12 @@ def test_drift_enumerates_a_randomized_adversary():
                  check_depth=2, mechanism="bfs",
                  adversary_rate=Fraction(1, 4), adversary_budget=2)
     chain = init_chain(4, 1, CF)
-    r = exact_drift(chain, f, MinDistance(PREF, 3), adversary=RandomPt())
+    assert f.adversary == RandomPt()
+    r = exact_drift(chain, f, MinDistance(PREF, 3))
     assert r.value == Fraction(605, 32)
     assert r.leaf_count == 40
-    est = mc_drift(chain, f, MinDistance(PREF, 3), 20_000, 5,
-                   adversary=RandomPt())
+    est = mc_drift(chain, f, MinDistance(PREF, 3), 20_000, 5)
     assert abs(est.mean - float(r.value)) <= 5 * est.se
-    # RandomPt is the default adversary, as in the engine and mc_drift
-    assert exact_drift(chain, f, MinDistance(PREF, 3)) == r
 
 
 def test_drift_refuses_too_many_moves_before_enumerating(monkeypatch):
@@ -818,7 +814,7 @@ def test_mc_drift_leaves_the_input_state_alone(monkeypatch):
     # that mark and with adversarial steps
     f = Features(PREF, LAW, check_rate=0.6, check_depth=3, mechanism="bfs",
                  error_rate=0.1, adversary_rate=0.2, adversary_budget=2)
-    eng = PyEngine(f, init_chain(3, 1, CT), SimChooser(4), RandomPt())
+    eng = PyEngine(f, init_chain(3, 1, CT), SimChooser(4))
     for _ in range(150):
         eng.step()
     grown = eng.state
@@ -882,7 +878,7 @@ def test_mc_drift_pinned_on_grown_states(mech):
     f = Features(PREF, LAW, check_rate=0.5, check_depth=3, mechanism=mech,
                  error_rate=0.1, adversary_rate=0.1, adversary_budget=2,
                  detection_rate=0.8)
-    eng = PyEngine(f, init_chain(5, 1, CT), SimChooser(2000), RandomPt())
+    eng = PyEngine(f, init_chain(5, 1, CT), SimChooser(2000))
     while len(eng.state.labels) < 2000:
         eng.step()
     est = mc_drift(eng.state, f, MinDistance(PREF, 3), 400, 7)
@@ -914,7 +910,7 @@ def test_mc_drift_pinned_under_fractional_weights(mech):
     f = Features(AFFINE, LAW, check_rate=0.5, check_depth=3, mechanism=mech,
                  error_rate=0.1, adversary_rate=0.1, adversary_budget=2,
                  detection_rate=0.8)
-    eng = PyEngine(f, init_chain(5, 1, CT), SimChooser(2000), RandomPt())
+    eng = PyEngine(f, init_chain(5, 1, CT), SimChooser(2000))
     while len(eng.state.labels) < 2000:
         eng.step()
     assert eng.windex.capacity == 2048
@@ -928,12 +924,12 @@ def test_mc_drift_adversarial_samples_match_the_oracle():
     # enumeration gives 183/4
     f = Features(PREF, ParentCountLaw.const(1), check_rate=Fraction(1, 2),
                  check_depth=2, mechanism="bfs",
-                 adversary_rate=Fraction(1, 4), adversary_budget=2)
+                 adversary_rate=Fraction(1, 4), adversary_budget=2,
+                 adversary=DeepAttach())
     chain = init_chain(4, 1, CF)
-    exact = exact_drift(chain, f, MinDistance(PREF, 3), adversary=DeepAttach())
+    exact = exact_drift(chain, f, MinDistance(PREF, 3))
     assert exact.value == Fraction(183, 4)
-    est = mc_drift(chain, f, MinDistance(PREF, 3), 20_000, 5,
-                   adversary=DeepAttach())
+    est = mc_drift(chain, f, MinDistance(PREF, 3), 20_000, 5)
     assert abs(est.mean - float(exact.value)) <= 5 * est.se
 
 

@@ -200,12 +200,29 @@ def test_load_rejects_malformed_documents():
         load_state("")
     with pytest.raises(StateError):
         load_state("ckp-state v2 0\n")
+    with pytest.raises(StateError, match="node count '\\+1' is not an"):
+        load_state("ckp-state v1 +1\n0 CT 0 0 0 -\n")
     with pytest.raises(StateError):
         load_state("ckp-state v1 2\n0 CT 0 0 0 -\n")
     with pytest.raises(StateError):
         load_state("ckp-state v1 1\n0 XX 0 0 0 -\n")
     with pytest.raises(StateError):
         load_state("ckp-state v1 2\n0 CT 0 0 0 -\n1 CT 0 1 0 3\n")
+
+
+@pytest.mark.parametrize("body,message", [
+    ("x CT 1 0 0 0\n", "id 'x' is not an integer in line 'x CT 1 0 0 0'"),
+    ("0 CT 0 b 0 -\n", "birth 'b' is not an integer"),
+    ("0 CT 0 0 0 -\n1 CT 0 1 0 0,y\n", "parent 'y' is not an integer"),
+    ("0 CT 0 +1 0 -\n", "birth '\\+1' is not an integer"),
+    ("0 CT 0 0 0 -\n1 CT 2 0 0 0\n",
+     "is_false flag '2' is not 0 or 1 in line '1 CT 2 0 0 0'"),
+    ("0 CT 0 0 7 -\n", "adversarial flag '7' is not 0 or 1"),
+])
+def test_load_rejects_malformed_fields_by_name(body, message):
+    count = body.count("\n")
+    with pytest.raises(StateError, match=message):
+        load_state(f"ckp-state v1 {count}\n" + body)
 
 
 @pytest.mark.parametrize("body,message", [

@@ -50,6 +50,26 @@ def test_simple_elimination_boundary_inclusive():
     assert just_below.kind == UNKNOWN
 
 
+def test_simple_elimination_reads_a_rational_slope_exactly():
+    # b = 1/10, a(0) = 1, a(1) = 11/10, k = 6: N = 1/10 + 3 = 31/10, so
+    # the two terms are (31/10)/(113/30) = 93/113 and
+    # (31/10)/((5*11/10 + 1)*2/3) = 93/130; a float slope would put b at
+    # the binary value of 0.1, just above 1/10, and the threshold with it
+    slope = Affine(1, Fraction(1, 10))
+    v = theorem_verdict(feats("complete", Fraction(93, 113), 6, attach=slope))
+    assert v.kind == PROVEN_ELIMINATION
+    assert v.detail["threshold"] == Fraction(93, 113)
+    just_below = Fraction(93, 113) - Fraction(1, 10**12)
+    assert theorem_verdict(feats("complete", just_below, 6,
+                                 attach=slope)).kind == UNKNOWN
+    # b = 1/3, k = 4: N = 10/3 and (3*4/3 + 1)*2/3 = 10/3, a threshold
+    # of exactly 1
+    third = Affine(1, Fraction(1, 3))
+    v = theorem_verdict(feats("complete", 1, 4, attach=third))
+    assert v.kind == PROVEN_ELIMINATION
+    assert v.detail["threshold"] == 1
+
+
 def test_simple_elimination_needs_depth_two():
     # At k = 1 a small threshold would come out of the formula for large
     # M, but the predicate refuses shallow checks outright.
