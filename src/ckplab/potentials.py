@@ -22,18 +22,19 @@ the rule of :func:`attachment._to_fraction`, a float at its binary
 value.  ``mc_drift`` estimates the same quantity by sampling.  Both make
 the step's decisions through :func:`evolution.draw_move`, as the
 engine's step does: ``exact_drift`` under a replaying
-:class:`PathChooser`, ``mc_drift`` under a live :class:`SimChooser`, so
-the two oracles and the engine share one description of the step.
+:class:`PathChooser`, once per leaf, ``mc_drift`` under a live
+:class:`SimChooser`, so the oracles and the engine describe the step once.
 
 Both oracles score a step with one function, :func:`_step_delta`,
 summing ``new term - old term`` over the few nodes whose term the step
 can change, never copying the state or applying the marking.  What it
 reads of the state before the step (the :class:`MinDistance` distances
 and :class:`TermTable`, the general potential's scope) is built once
-per call by :func:`_step_base`.  The whole potential is evaluated once
-per call, on the input, so a bad anchor, a broken distance structure or
-a float overflow still fails loudly; the scorer itself is held to the
-whole potential, before and after each step, by the tests.
+per call by :func:`_step_base`; ``exact_drift`` scores each parent
+multiset, label and marking once.  The whole potential is evaluated
+once per call, on the input, so a bad anchor, a broken distance
+structure or a float overflow still fails loudly; the tests hold the
+scorer to the whole potential, before and after each step.
 
 A :class:`TermTable` maps ``(deg, dist)`` to ``a(deg) * c**dist`` and
 is filled on first use; in rational mode integral terms are plain ints.
@@ -55,15 +56,14 @@ from . import checking
 from .attachment import AllPF, AllWeightsZero, _require_finite, \
     _to_fraction, parent_distribution, weight_index_for
 from .evolution import AuditViolation, RandomPt, draw_move
-from .rand import NeedBranch, PathChooser, SimChooser, make_generator
+from .rand import PathChooser, SimChooser, make_generator
 from .state import CT, CF, PF, StateError, pt_false_distances, anchor_bfs
 
-DEFAULT_PT_CAP = 12
 DEFAULT_LEAF_CAP = 10_000_000
 
 
 class BranchBudgetExceeded(RuntimeError):
-    """The outcome tree outgrew the configured enumeration caps."""
+    """The outcome tree outgrew the leaf cap."""
 
 
 class NonpositiveWeight(ValueError):
@@ -444,29 +444,24 @@ def _outcomes(decide, chooser: PathChooser):
     ``num / den``, two ints.  The factors are not reduced, so ``den`` is
     the product of the branches' denominators.
 
-    ``decide`` is replayed under ``chooser``, from the empty path; at
-    each open decision the path forks once per option.  Each replay
-    starts the chooser over, so enumerations may share it, and with it
-    the option list it built for each decision object.  The outcomes
-    come lazily, so the caller may change what ``decide`` reads between
-    two of them as long as it restores it before the next.
+    ``decide`` runs once per leaf: first on the empty path, then on each
+    fork a run recorded (see :class:`PathChooser`).  Each run starts the
+    chooser over, so enumerations may share it and its option lists.  A
+    run's weight and forks are read before its outcome is yielded, as
+    the caller may replay the same chooser first.  The outcomes come
+    lazily, so the caller may change what ``decide`` reads between two
+    of them as long as it restores it before the next.
     """
     stack = [((), 1, 1)]
     while stack:
-        path, num, den = stack.pop()
-        chooser.replay(path)
-        try:
-            result = decide(chooser)
-        except NeedBranch as nb:
-            for option, p in nb.options:
-                stack.append((path + (option,), num * p.numerator,
-                              den * p.denominator))
-            continue
+        chooser.replay(*stack.pop())
+        result = decide(chooser)
+        num, den = chooser.num, chooser.den
+        stack.extend(chooser.forks)
         yield result, num, den
 
 
 def exact_drift(state, features, kind, *,
-                pt_cap: int = DEFAULT_PT_CAP,
                 leaf_cap: int = DEFAULT_LEAF_CAP) -> DriftResult:
     """Expected one-step potential change, by complete enumeration, as a
     Fraction.
@@ -478,8 +473,12 @@ def exact_drift(state, features, kind, *,
     and the label coin.  Each move's node is added once, to the call's
     one copy of ``state``, and the second pass enumerates every decision
     :func:`checking.run_check` makes on that child.  The move's leaves
-    are grouped by marking, and :func:`_step_delta` scores each distinct
-    marking once on that copy, with the marking left unapplied.
+    are grouped by marking, and :func:`_step_delta` scores each group on
+    that copy, with the marking left unapplied.  Scores are kept for the
+    call, keyed by the sorted parents, the label and the marking, so
+    moves that only order their parents differently share one.  That is
+    exact: the copy with the move's node and the score read the parent
+    edges only as a multiset (counts, minima, membership).
 
     Probabilities stay integer weights ``num / den`` (see
     :func:`_outcomes`).  The check leaves of one marking are summed per
@@ -495,10 +494,6 @@ def exact_drift(state, features, kind, *,
     the sign of a float input's drift is decided, not rounded.  A law
     whose binary masses miss one is refused.
     """
-    pt_nodes = state.pt_ids()
-    if len(pt_nodes) > pt_cap:
-        raise BranchBudgetExceeded(
-            f"{len(pt_nodes)} PT nodes exceed the enumeration cap {pt_cap}")
     if sum(p for _, p in features.parent_count.items_exact()) != 1:
         raise ValueError(
             "parent-count masses do not sum to one exactly; "
@@ -515,7 +510,7 @@ def exact_drift(state, features, kind, *,
     r = features.adversary_budget
     if (features.adversary_rate > 0 and r > 0
             and type(features.adversary) is RandomPt):
-        moves += len(pt_nodes) ** r * 2
+        moves += len(state.pt_ids()) ** r * 2
     if moves > leaf_cap:
         raise BranchBudgetExceeded(
             f"at least {moves} moves exceed the leaf cap {leaf_cap}")
@@ -526,6 +521,7 @@ def exact_drift(state, features, kind, *,
     _checked_total(state, kind, True, base.terms)
     value: dict = {}    # denominator -> numerators of the value's terms
     mass: dict = {}     # denominator -> numerators of the mass's terms
+    scores: dict = {}   # (sorted parents, label, marking) -> step delta
     leaf_count = 0
     work = state.copy()
     birth = _next_birth(state)
@@ -564,8 +560,12 @@ def exact_drift(state, features, kind, *,
                 tally()
                 weights = leaves.setdefault(frozenset(outcome.marked), {})
                 weights[cden] = weights.get(cden, 0) + cnum
+        edges = tuple(sorted(parents))
         for marked, weights in leaves.items():
-            delta = _step_delta(work, kind, base, v, parents, marked)
+            key = (edges, label, marked)
+            if key not in scores:
+                scores[key] = _step_delta(work, kind, base, v, parents, marked)
+            delta = scores[key]
             for cden, cnum in weights.items():
                 weight = num * cnum
                 value.setdefault(den * cden, []).append(weight * delta)

@@ -5,10 +5,11 @@ ask a chooser for decisions.  Two implementations share the interface:
 
 * :class:`SimChooser` draws from a PCG64 stream (the live simulation and
   the Monte Carlo drift).
-* :class:`PathChooser` replays a prescribed decision path and raises
-  :class:`NeedBranch` at the first open decision.  Tests script code
-  paths with it, and the drift oracle enumerates every probabilistic
-  branch of a step exactly by forking the path and replaying.
+* :class:`PathChooser` replays a prescribed decision path; past its end
+  it takes each decision's first option and records the others as
+  forks.  Tests script code paths with it, and the drift oracle
+  enumerates every probabilistic branch of a step exactly by replaying
+  each fork once.
 
 The two draw from different pools for a weighted parent pick: the live
 chooser from the engine's :class:`attachment.WeightIndex`, the replaying
@@ -91,66 +92,65 @@ class SimChooser:
         return windex.select(u * windex.total)
 
 
-class NeedBranch(Exception):
-    """Raised by PathChooser at the first decision its path does not fix.
-
-    ``options`` lists (outcome, probability) pairs; the enumerator forks
-    the path once per option and replays.
-    """
-
-    def __init__(self, options):
-        super().__init__(f"open decision with {len(options)} options")
-        self.options = options
-
-
 class PathChooser:
-    """Replays a prescribed decision list.
+    """Replays a prescribed decision list, then opens what lies past it.
 
     Each decision takes the path's next outcome and checks it against
     the decision's options; an outcome that is not among them raises
-    ``ValueError``, and a decision past the end of the path raises
-    :class:`NeedBranch` with the options and their probabilities, as
+    ``ValueError``.  A decision past the end of the path is open: it
+    takes its first option into :attr:`path` and the weight ``num /
+    den``, and records in :attr:`forks` the ``(path, num, den)`` each
+    other option would have given.  Probabilities are
     Fractions under the rule of :func:`attachment._to_fraction` (a float
     probability at its binary value).  Tests feed it hand-picked
-    outcomes and assert :meth:`exhausted`; the drift oracle forks the
-    path at each :class:`NeedBranch` and replays.
+    outcomes and assert :meth:`exhausted`; the drift oracle replays each
+    fork once, so every leaf of the decision tree costs one run.
 
     A chooser builds the option list of each decision object (a coin's
     probability, a parent-count law, a pick's pmf, a uniform count) on
     first use and keeps it, so :meth:`replay` on a new path repeats no
     arithmetic: the drift oracle replays one chooser for a whole call.
-    The objects must not change while it does.  A
-    one-option decision (a coin of probability 0 or 1, a single
-    alternative) is resolved without taking a place on the path.
+    The objects must not change while it does.  A one-option decision
+    (a coin of probability 0 or 1, a single alternative) is resolved
+    without taking a place on the path.
     """
 
-    __slots__ = ("path", "cursor", "_offers", "_shares")
+    __slots__ = ("path", "cursor", "num", "den", "forks", "_offers", "_shares")
 
     def __init__(self, path=()):
-        self.path = tuple(path)
-        self.cursor = 0
+        self.replay(tuple(path))
         self._offers: dict = {}   # id(coin, law or pmf) -> (it, options)
         self._shares: dict = {}   # uniform count -> options
 
-    def replay(self, path) -> None:
-        """Start over on ``path``, keeping the option lists built so far."""
+    def replay(self, path, num: int = 1, den: int = 1) -> None:
+        """Start over on ``path``, of weight ``num / den``."""
         self.path = path
         self.cursor = 0
+        self.num = num
+        self.den = den
+        self.forks: list = []
 
     def exhausted(self) -> bool:
-        return self.cursor == len(self.path)
+        """The whole path was taken and no decision was opened."""
+        return self.cursor == len(self.path) and not self.forks
 
     def _take(self, options):
         if len(options) == 1:
             return options[0][0]
-        if self.cursor >= len(self.path):
-            raise NeedBranch(options)
-        value = self.path[self.cursor]
+        path = self.path
         self.cursor += 1
-        for outcome, _prob in options:
-            if outcome == value:
-                return outcome
-        raise ValueError(f"prescribed outcome {value!r} not among options")
+        if self.cursor <= len(path):
+            value = path[self.cursor - 1]
+            for outcome, _prob in options:
+                if outcome == value:
+                    return outcome
+            raise ValueError(f"prescribed outcome {value!r} not among options")
+        num, den = self.num, self.den
+        forks = [(path + (outcome,), num * p.numerator, den * p.denominator)
+                 for outcome, p in options]
+        self.path, self.num, self.den = forks[0]
+        self.forks += forks[1:]
+        return options[0][0]
 
     def _offer(self, decision, build):
         # keyed by identity, since hashing a Fraction costs about as much

@@ -15,7 +15,7 @@ from ckplab.checking import (
     MECHANISMS, _descendants_within, _flagged, run_check,
 )
 from ckplab.evolution import Features, PyEngine, init_chain
-from ckplab.rand import NeedBranch, PathChooser, SimChooser
+from ckplab.rand import PathChooser, SimChooser
 from ckplab.state import CT, CF, PF, CkpState
 
 
@@ -44,12 +44,21 @@ def pt_ball(state, v, k):
 
 # -- the replay chooser ----------------------------------------------------
 
+def fork_masses(chooser):
+    """``[(path, mass)]`` for the forks ``chooser`` recorded."""
+    return [(path, Fraction(num, den)) for path, num, den in chooser.forks]
+
+
 def test_path_chooser_fails_loudly_off_its_path():
+    # the script ends before the check coin: the run takes heads and
+    # forks tails, and the chooser is not exhausted
     s = chain([CF, CT])
     chooser = PathChooser([])
-    with pytest.raises(NeedBranch) as nb:
-        run_check("bfs", s, 1, [0], k=2, p=0.25, p_e=1, chooser=chooser)
-    assert nb.value.options == [(True, 0.25), (False, 0.75)]
+    out = run_check("bfs", s, 1, [0], k=2, p=0.25, p_e=1, chooser=chooser)
+    assert out.performed == [True] and out.found == [0]
+    assert (chooser.path, chooser.num, chooser.den) == ((True,), 1, 4)
+    assert chooser.forks == [((False,), 3, 4)]
+    assert not chooser.exhausted()
     with pytest.raises(ValueError, match="not among options"):
         PathChooser([3]).uniform_index(3)
     with pytest.raises(ValueError, match="not among options"):
@@ -58,14 +67,17 @@ def test_path_chooser_fails_loudly_off_its_path():
 
 def test_path_chooser_offers_exact_masses():
     law = ParentCountLaw({1: 0.5, 3: 0.5})
-    with pytest.raises(NeedBranch) as nb:
-        PathChooser([]).pmf_index(law)
-    assert nb.value.options == [(0, Fraction(1, 2)), (1, Fraction(1, 2))]
-    assert type(nb.value.options[0][1]) is Fraction
-    with pytest.raises(NeedBranch) as nb:
-        PathChooser([]).uniform_index(3)
-    assert nb.value.options == [(i, Fraction(1, 3)) for i in range(3)]
-    # single alternatives take no place on the path
+    chooser = PathChooser([])
+    assert chooser.pmf_index(law) == 0
+    assert (chooser.path, chooser.num, chooser.den) == ((0,), 1, 2)
+    assert chooser.forks == [((1,), 1, 2)]
+    # a later open decision forks below the options taken so far
+    assert chooser.uniform_index(3) == 0
+    assert (chooser.path, chooser.num, chooser.den) == ((0, 0), 1, 6)
+    assert chooser.forks == [((1,), 1, 2), ((0, 1), 1, 6), ((0, 2), 1, 6)]
+    assert all(type(x) is int for _, num, den in chooser.forks
+               for x in (num, den))
+    # single alternatives take no place on the path and open nothing
     chooser = PathChooser([])
     assert chooser.pmf_index(ParentCountLaw.const(2)) == 0
     assert chooser.weighted_index({4: 1.0}) == 4
@@ -92,6 +104,8 @@ def test_one_chooser_replays_like_fresh_ones(floats):
              (False, 0), (True, 2, 4), (True, 1, 9), (False, 5)]
     # a coin or law given in floats is offered at its binary values
     coin, law = (1 / 3, FLOAT_LAW3) if floats else (COIN, LAW3)
+    q = Fraction(coin)
+    pl = [Fraction(p) for p in law.probs]
     shared = PathChooser()
     for path in paths + paths[::-1]:
         fresh = PathChooser(path)
@@ -99,22 +113,32 @@ def test_one_chooser_replays_like_fresh_ones(floats):
         outcomes = []
         for chooser in (fresh, shared):
             try:
-                outcomes.append(("done", four_kinds(chooser, coin, law),
-                                 chooser.exhausted()))
-            except NeedBranch as nb:
-                assert type(nb.options) is list
-                outcomes.append(("open", nb.options))
+                result = four_kinds(chooser, coin, law)
+                outcomes.append(("done", result, chooser.exhausted(),
+                                 chooser.path, chooser.num, chooser.den,
+                                 chooser.forks))
             except ValueError as err:
                 outcomes.append(("refused", str(err)))
         assert outcomes[0] == outcomes[1], path
-        if outcomes[0][0] == "open":
-            assert all(type(p) is Fraction for _, p in outcomes[0][1])
         if path == ():
-            assert outcomes[0][1] == [(True, Fraction(coin)),
-                                      (False, 1 - Fraction(coin))]
+            # heads, the first law entry and the first pick are taken;
+            # every other option is one fork, and the masses sum to the
+            # tree's, one but for the float law's binary masses
+            assert outcomes[0][1:4] == (("heads", 0, 4), False, (True, 0, 4))
+            assert fork_masses(shared) == [
+                ((False,), 1 - q), ((True, 1), q * pl[1]),
+                ((True, 2), q * pl[2]), ((True, 0, 7), q * pl[0] * 3 / 4)]
+            taken = Fraction(shared.num, shared.den)
+            assert taken == q * pl[0] / 4
+            assert taken + sum(m for _, m in fork_masses(shared)) == (
+                1 - q + q * sum(pl))
         if path == (True,):
-            assert outcomes[0][1] == list(enumerate(
-                Fraction(p) for p in law.probs))
+            # a prescribed outcome adds no factor to the weight
+            assert fork_masses(shared) == [((True, 1), pl[1]),
+                                           ((True, 2), pl[2]),
+                                           ((True, 0, 7), pl[0] * 3 / 4)]
+        if path in ((False, 2), (True, 0, 7)):
+            assert outcomes[0][2] and not shared.forks
 
 
 # -- stringy ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ckplab import checking, potentials
 from ckplab.attachment import Affine, ParentCountLaw, PowerShifted, \
@@ -293,7 +293,7 @@ def test_drift_pinned_on_a_five_node_chain():
 
 
 def test_drift_pinned_on_the_twelve_node_cap_chain():
-    # the benchmark's drift input: a CF chain at the default PT-node cap
+    # the benchmark's drift input: a 12-node CF chain
     chain = init_chain(12, 1, CF)
     r = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3))
     assert r.exact
@@ -311,6 +311,18 @@ def test_drift_pinned_for_the_count_potentials():
                          Fraction(1756, 3645))):
         r = exact_drift(chain, pinned_drift_features(), kind)
         assert (r.value, r.leaf_count) == (value, 451), kind
+
+
+def test_drift_pinned_with_new_errors():
+    # at epsilon > 0 a move's label is a coin, so moves with the same
+    # parents and marking but another label score apart; the values the
+    # enumerator returned when it scored every move on its own
+    f = replace(pinned_drift_features(), error_rate=Fraction(1, 10))
+    chain = init_chain(5, 1, CF)
+    for kind, value in ((MinDistance(PREF, 3), Fraction(37649, 3375)),
+                        (MinimalFalseLeavesSimple(), Fraction(40357, 91125))):
+        r = exact_drift(chain, f, kind)
+        assert (r.value, r.leaf_count) == (value, 1057), kind
 
 
 @pytest.mark.parametrize("n", [5, 12])
@@ -335,20 +347,53 @@ def test_float_drift_is_within_a_rounding_of_the_exact_drift(n):
 
 
 def test_each_move_scores_each_distinct_marking_once(monkeypatch):
+    # one score per parent multiset, label and marking: the moves that
+    # only order their parents differently share theirs
     calls = []
     real = potentials._step_delta
 
     def spy(state, kind, base, v, parents, marked):
-        calls.append((tuple(parents), frozenset(marked)))
+        calls.append((tuple(sorted(parents)), state.labels[v],
+                      frozenset(marked)))
         return real(state, kind, base, v, parents, marked)
     monkeypatch.setattr(potentials, "_step_delta", spy)
     r = exact_drift(init_chain(12, 1, CF), pinned_drift_features(),
                     MinDistance(PREF, 3))
     assert r.leaf_count == 4833
-    assert len(calls) == len(set(calls)) == 2949
+    assert len(calls) == len(set(calls)) == 728
     # one empty marking per move: the check coin can always fail
-    assert sum(1 for _, marked in calls if not marked) == len(
-        {parents for parents, _ in calls})
+    assert sum(1 for _, _, marked in calls if not marked) == len(
+        {(parents, label) for parents, label, _ in calls})
+
+
+def counter(counts):
+    """``counted(name, fn)``: ``fn``, counting its calls in
+    ``counts[name]``."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    return counted
+
+
+@pytest.mark.parametrize("n, checks, moves, scores",
+                         [(12, 4833, 1884, 728), (5, 451, 155, 113)])
+def test_drift_runs_each_leaf_once(monkeypatch, n, checks, moves, scores):
+    # every move and every check leaf is one run, and no run is spent
+    # on an inner node of the decision tree
+    counts = {"run_check": 0, "draw_move": 0, "_step_delta": 0}
+    counted = counter(counts)
+    monkeypatch.setattr(checking, "run_check",
+                        counted("run_check", checking.run_check))
+    for name in ("draw_move", "_step_delta"):
+        monkeypatch.setattr(potentials, name,
+                            counted(name, getattr(potentials, name)))
+    r = exact_drift(init_chain(n, 1, CF), pinned_drift_features(),
+                    MinDistance(PREF, 3))
+    assert r.leaf_count == checks
+    assert counts == {"run_check": checks, "draw_move": moves,
+                      "_step_delta": scores}
 
 
 COIN_A, COIN_B = Fraction(1, 3), Fraction(2, 5)
@@ -413,12 +458,7 @@ def test_both_oracles_refuse_bad_input_by_name():
 def test_no_leaf_or_sample_copies_the_state_or_recomputes_the_potential(
         monkeypatch):
     counts = {"copy": 0, "mark_pf": 0, "potential": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    counted = counter(counts)
     monkeypatch.setattr(CkpState, "copy", counted("copy", CkpState.copy))
     monkeypatch.setattr(CkpState, "mark_pf",
                         counted("mark_pf", CkpState.mark_pf))
@@ -598,6 +638,63 @@ def test_step_delta_matches_the_whole_potential(name, case, seed):
         mc_drift(state, f, kind, 20, seed)
 
 
+@st.composite
+def reordered_steps(draw):
+    """An engine-grown CT- or CF-rooted state, grown with new errors and
+    a RandomPt adversary; its features; and a step on it with at least
+    two parent edges: an adversarial RandomPt move, or a growth move on
+    drawn parents and label, as ``(parents, label, adversarial)``."""
+    f = Features(PREF, ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 2)}),
+                 check_rate=Fraction(1, 2), check_depth=3,
+                 mechanism=draw(st.sampled_from(MECHANISMS)),
+                 error_rate=Fraction(1, 10), detection_rate=Fraction(4, 5),
+                 adversary_rate=Fraction(1, 4), adversary_budget=3)
+    seed = draw(st.integers(0, 2**32 - 1))
+    eng = PyEngine(f, init_chain(2, 1, draw(st.sampled_from((CF, CT)))),
+                   SimChooser(seed))
+    for _ in range(draw(st.integers(0, 10))):
+        if eng.stopped or len(eng.state.pt_ids()) >= 7:
+            break
+        eng.step()
+    prior = eng.state
+    pt = prior.pt_ids()
+    assume(pt)                  # a step needs a PT node to attach below
+    if draw(st.booleans()):
+        parents, label = RandomPt().move(prior, f, SimChooser(seed))
+        return prior, f, parents, label, True
+    parents = draw(st.lists(st.sampled_from(pt), min_size=2, max_size=3))
+    return prior, f, parents, draw(st.sampled_from((CT, CF))), False
+
+
+@pytest.mark.parametrize("name", ["min-distance", "min-distance-affine",
+                                  "minimal-false", "leaves-simple",
+                                  "leaves-general"])
+@given(reordered_steps(), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_step_delta_reads_the_parents_as_a_multiset(name, case, seed):
+    """What lets exact_drift score each parent multiset once: the state
+    with the step's node and the score are the same for every order of
+    its parent edges."""
+    prior, f, parents, label, adversarial = case
+    kind = spied_kind(name, prior)
+    if kind is None:            # no error for the scoped potential to hang on
+        return
+    base = potentials._step_base(prior, kind, exact=True)
+    state = prior.copy()
+    v = state.add_node(parents, label, birth=99, adversarial=adversarial)
+    # a certain check and detection, so that most growth steps mark
+    marked = set() if adversarial else checking.run_check(
+        f.mechanism, state, v, parents, f.check_depth, 1, 1,
+        SimChooser(seed)).marked
+    want = potentials._step_delta(state, kind, base, v, parents, marked)
+    for order in set(itertools.permutations(parents)):
+        state.pop_last_node()
+        state.add_node(order, label, birth=99, adversarial=adversarial)
+        got = potentials._step_delta(state, kind, base, v, list(order),
+                                     marked)
+        assert got == want, order
+
+
 def test_mc_drift_samples_meet_the_coverage_floors():
     """States grown under light checking, so they stay alive, then
     sampled under heavier checking and an unchecked adversary, so steps
@@ -745,14 +842,11 @@ def test_drift_refuses_too_many_moves_before_enumerating(monkeypatch):
 
 def test_drift_enumeration_caps():
     with pytest.raises(BranchBudgetExceeded):
-        exact_drift(init_chain(15, 1, CF), feats("bfs", Fraction(1, 2)),
-                    MinDistance(PREF, 3))
-    with pytest.raises(BranchBudgetExceeded):
         exact_drift(single_cf(), feats("bfs", Fraction(1, 2)),
                     MinDistance(PREF, 3), leaf_cap=1)
-    # a raised cap admits the same computation
+    # no cap on the PT nodes: only the moves and leaves are bounded
     r = exact_drift(init_chain(15, 1, CF), feats("bfs", Fraction(1, 2)),
-                    MinDistance(PREF, 3), pt_cap=20)
+                    MinDistance(PREF, 3))
     assert isinstance(r, DriftResult)
 
 

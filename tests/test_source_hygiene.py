@@ -1,4 +1,5 @@
-"""Every name a package module or a test module imports is used.
+"""Every name a package module or a test module imports is used, and
+every top-level name the package defines is named somewhere.
 
 No linter ships with the toolchain, so this scans the syntax trees
 itself: a name bound by ``import`` or ``from ... import`` counts as used
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "ckplab").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "ckplab").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+READERS = sorted([*SOURCES, *(ROOT / "bench").rglob("*.py")])
 
 
 def imported_names(tree) -> dict:
@@ -54,3 +56,51 @@ def test_every_import_is_used(path):
               for name, line in imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def defined_names(tree) -> dict:
+    """``{name: line}`` for every function, class and constant defined
+    at the top level of ``tree``."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    return defined
+
+
+def named(tree) -> set:
+    """Every name ``tree`` reads, reaches as an attribute, imports or
+    spells out whole in a string (``monkeypatch.setattr``, ``getattr``,
+    ``__all__``); a mention inside longer text does not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_package_definition_is_named():
+    """A top-level function, class or constant of the package that no
+    file in ``src/``, ``tests/`` or ``bench/`` names is dead code."""
+    used = set()
+    for path in READERS:
+        used |= named(ast.parse(path.read_text(), filename=str(path)))
+    unnamed = [f"{path.name}: {name} (line {line})"
+               for path in PACKAGE
+               for name, line in defined_names(
+                   ast.parse(path.read_text(), filename=str(path))).items()
+               if name not in used and name != "__version__"]
+    assert not unnamed, f"defined but never named: {unnamed}"
