@@ -42,6 +42,17 @@ def pt_ball(state, v, k):
     return seen
 
 
+def scripted(mechanism, s, v, parents, k, p, p_e, script=()):
+    """``run_check`` on ``script``, which must be the check's whole list
+    of decisions: one it left untaken or one it opened past its end
+    fails the test."""
+    chooser = PathChooser(script)
+    out = run_check(mechanism, s, v, parents, k=k, p=p, p_e=p_e,
+                    chooser=chooser)
+    assert chooser.exhausted(), (chooser.cursor, chooser.path, chooser.forks)
+    return out
+
+
 # -- the replay chooser ----------------------------------------------------
 
 def fork_masses(chooser):
@@ -59,6 +70,12 @@ def test_path_chooser_fails_loudly_off_its_path():
     assert (chooser.path, chooser.num, chooser.den) == ((True,), 1, 4)
     assert chooser.forks == [((False,), 3, 4)]
     assert not chooser.exhausted()
+    # so a scripted case fails on a decision its script left out, and on
+    # a scripted decision the check never took
+    with pytest.raises(AssertionError):
+        scripted("bfs", s, 1, [0], k=2, p=0.25, p_e=1)
+    with pytest.raises(AssertionError):
+        scripted("bfs", s, 1, [0], k=2, p=1, p_e=1, script=[True])
     with pytest.raises(ValueError, match="not among options"):
         PathChooser([3]).uniform_index(3)
     with pytest.raises(ValueError, match="not among options"):
@@ -147,8 +164,7 @@ def test_one_chooser_replays_like_fresh_ones(floats):
 
 def test_stringy_finds_cf_on_unique_path():
     s = chain([CF, CT, CT])
-    out = run_check("stringy", s, 2, s.parents[2], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("stringy", s, 2, s.parents[2], k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
     assert out.visited == [2, 1, 0]
@@ -156,8 +172,7 @@ def test_stringy_finds_cf_on_unique_path():
 
 def test_stringy_depth_limit():
     s = chain([CF, CT, CT, CT])
-    out = run_check("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1)
     assert out.found == [] and out.marked == set()
 
 
@@ -168,8 +183,8 @@ def test_stringy_diamond_both_branches_reach_the_error():
     s.add_node([0], CT, birth=2)
     s.add_node([1, 2], CT, birth=3)
     for branch in (0, 1):
-        out = run_check("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                        chooser=PathChooser([branch]))
+        out = scripted("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
+                       script=[branch])
         assert out.found == [0]
         assert out.marked == {3, branch + 1, 0}
 
@@ -177,8 +192,7 @@ def test_stringy_diamond_both_branches_reach_the_error():
 def test_stringy_pf_edge_marks_walked_path_only():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
-    out = run_check("stringy", s, 2, s.parents[2], k=5, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("stringy", s, 2, s.parents[2], k=5, p=1, p_e=1)
     assert out.found == [1]            # the walked top node, a root
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -186,12 +200,12 @@ def test_stringy_pf_edge_marks_walked_path_only():
 
 def test_stringy_self_check_and_walkthrough():
     s = chain([CF, CF])
-    out = run_check("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
-                    chooser=PathChooser([True]))
+    out = scripted("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
+                   script=[True])
     assert out.found == [1] and out.marked == {1}
     # detection fails on v, then fails on the parent: walk passes through
-    out = run_check("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
-                    chooser=PathChooser([False, False]))
+    out = scripted("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
+                   script=[False, False])
     assert out.found == [] and out.marked == set()
     assert out.visited == [1, 0]
 
@@ -200,8 +214,7 @@ def test_stringy_self_check_and_walkthrough():
 
 def test_bfs_finds_nearest_and_marks_descendants():
     s = chain([CF, CT, CT])
-    out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -209,8 +222,7 @@ def test_bfs_finds_nearest_and_marks_descendants():
 def test_bfs_recognizes_roots_without_visiting_pf():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
-    out = run_check("bfs", s, 2, s.parents[2], k=1, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("bfs", s, 2, s.parents[2], k=1, p=1, p_e=1)
     assert out.found == [1]
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -237,12 +249,9 @@ def test_per_edge_skips_the_walk_above_a_true_parent():
     # above the parent does not
     s = chain([CT, CT])
     s.add_node([1], CF, birth=2)
-    chooser = PathChooser([False])
-    out = run_check("complete", s, 2, [1], k=3, p=1, p_e=0.5,
-                    chooser=chooser)
+    out = scripted("complete", s, 2, [1], k=3, p=1, p_e=0.5, script=[False])
     assert out.performed == [True]
     assert out.found == [] and out.visited == [2]
-    assert chooser.exhausted()
 
 
 def test_bfs_marks_all_visited_descendants_not_just_the_path():
@@ -253,16 +262,14 @@ def test_bfs_marks_all_visited_descendants_not_just_the_path():
     s.add_node([0], CT, birth=1)
     s.add_node([0], CT, birth=2)
     s.add_node([1, 2], CT, birth=3)
-    out = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2, 3}
 
 
 def test_bfs_depth_cap_blocks_distant_error():
     s = chain([CF, CT, CT, CT])
-    out = run_check("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1)
     assert out.found == []
     assert set(out.visited) == {3, 2, 1}
 
@@ -274,8 +281,8 @@ def test_exhaustive_self_catch_stops_everything():
     s.add_root(CT)
     s.add_node([0], CT, birth=1)
     s.add_node([0, 1], CF, birth=2)
-    out = run_check("exhaustive-bfs", s, 2, [0, 1], k=3, p=0.5, p_e=0.5,
-                    chooser=PathChooser([True, True]))
+    out = scripted("exhaustive-bfs", s, 2, [0, 1], k=3, p=0.5, p_e=0.5,
+                   script=[True, True])
     assert out.found == [2]
     assert out.marked == {2}
     assert out.performed == [True]     # second edge never reached
@@ -284,8 +291,7 @@ def test_exhaustive_self_catch_stops_everything():
 def test_exhaustive_finds_cf_parent():
     s = chain([CF, CT])
     s.add_node([0], CT, birth=2)
-    out = run_check("exhaustive-bfs", s, 2, [0], k=1, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("exhaustive-bfs", s, 2, [0], k=1, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 2}
 
@@ -299,8 +305,8 @@ def test_exhaustive_coin_per_edge_in_order():
     s.add_node([0], CT, birth=1)        # 2 = u1
     s.add_node([1], CT, birth=2)        # 3 = u2
     s.add_node([2, 3], CT, birth=3)     # 4 = v
-    out = run_check("exhaustive-bfs", s, 4, [2, 3], k=2, p=0.5, p_e=1,
-                    chooser=PathChooser([False, True]))
+    out = scripted("exhaustive-bfs", s, 4, [2, 3], k=2, p=0.5, p_e=1,
+                   script=[False, True])
     assert out.performed == [False, True]
     assert out.found == [1]
     assert out.marked == {1, 3, 4}
@@ -314,25 +320,21 @@ def test_parentwise_collects_one_find_per_edge():
     s.add_node([0], CT, birth=1)       # 2
     s.add_node([1], CT, birth=2)       # 3
     s.add_node([2, 3], CT, birth=3)    # 4 = v
-    out = run_check("parentwise-bfs", s, 4, [2, 3], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("parentwise-bfs", s, 4, [2, 3], k=2, p=1, p_e=1)
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3, 4}
 
 
 def test_parentwise_single_parent_equals_exhaustive():
     s = chain([CF, CT, CT])
-    a = run_check("exhaustive-bfs", s, 2, [1], k=3, p=1, p_e=1,
-                  chooser=PathChooser([]))
-    b = run_check("parentwise-bfs", s, 2, [1], k=3, p=1, p_e=1,
-                  chooser=PathChooser([]))
+    a = scripted("exhaustive-bfs", s, 2, [1], k=3, p=1, p_e=1)
+    b = scripted("parentwise-bfs", s, 2, [1], k=3, p=1, p_e=1)
     assert (a.found, a.marked, a.visited) == (b.found, b.marked, b.visited)
 
 
 def test_complete_marks_error_with_descendants():
     s = chain([CF, CT, CT])
-    out = run_check("complete", s, 2, [1], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("complete", s, 2, [1], k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -343,16 +345,14 @@ def test_complete_finds_several_side_by_side():
     s.add_root(CF)
     s.add_node([0, 1], CT, birth=1)    # 2
     s.add_node([2], CT, birth=2)       # 3 = v
-    out = run_check("complete", s, 3, [2], k=2, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("complete", s, 3, [2], k=2, p=1, p_e=1)
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3}
 
 
 def test_complete_does_not_expand_past_a_recognized_node():
     s = chain([CF, CF, CT, CT])        # 0 hides strictly behind 1
-    out = run_check("complete", s, 3, [2], k=3, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("complete", s, 3, [2], k=3, p=1, p_e=1)
     assert out.found == [1]
     assert 0 not in out.visited
 
@@ -360,8 +360,7 @@ def test_complete_does_not_expand_past_a_recognized_node():
 def test_complete_self_catch_does_not_cancel_the_sweep():
     s = chain([CF, CT])
     s.add_node([1], CF, birth=2)       # v is itself CF, error 2 hops up
-    out = run_check("complete", s, 2, [1], k=3, p=1, p_e=1,
-                    chooser=PathChooser([]))
+    out = scripted("complete", s, 2, [1], k=3, p=1, p_e=1)
     assert out.found == [2, 0]
     assert out.marked == {0, 1, 2}
 
@@ -398,28 +397,22 @@ def test_per_edge_stop_policies(mechanism, script, performed, found, marked,
     s.add_node([0], CT, birth=1)       # 2
     s.add_node([1], CT, birth=2)       # 3
     s.add_node([2, 3], CF, birth=3)    # 4 = v
-    chooser = PathChooser(script)
-    out = run_check(mechanism, s, 4, [2, 3], k=2, p=1, p_e=0.5,
-                    chooser=chooser)
+    out = scripted(mechanism, s, 4, [2, 3], k=2, p=1, p_e=0.5, script=script)
     assert out.performed == performed
     assert out.found == found
     assert out.marked == marked
     assert out.visited == visited
-    assert chooser.exhausted()
 
 
 def test_run_check_whole_check_coin():
     s = chain([CF, CT])
-    out = run_check("bfs", s, 1, [0], k=2, p=0.5, p_e=1,
-                    chooser=PathChooser([False]))
+    out = scripted("bfs", s, 1, [0], k=2, p=0.5, p_e=1, script=[False])
     assert out.performed == [False]
     assert out.found == [] and out.visited == []
-    out = run_check("stringy", s, 1, [0], k=2, p=0.5, p_e=1,
-                    chooser=PathChooser([True]))
+    out = scripted("stringy", s, 1, [0], k=2, p=0.5, p_e=1, script=[True])
     assert out.found == [0]
     with pytest.raises(ValueError):
-        run_check("sideways", s, 1, [0], k=2, p=1, p_e=1,
-                  chooser=PathChooser([]))
+        scripted("sideways", s, 1, [0], k=2, p=1, p_e=1)
 
 
 # -- shared invariants on random states ------------------------------------
@@ -475,7 +468,7 @@ def test_soundness_radius_and_connectivity(svp, mechanism, k, seed):
 def test_dominance_chain_under_forced_coins(svp, k):
     s, v, parents = svp
     # p = 1 and p_e = 1 consume no randomness: outcomes are deterministic
-    ex, pw, co = (run_check(mech, s, v, parents, k, 1, 1, PathChooser([]))
+    ex, pw, co = (scripted(mech, s, v, parents, k, 1, 1)
                   for mech in ("exhaustive-bfs", "parentwise-bfs", "complete"))
     st_out = run_check("stringy", s, v, parents, k, 1, 1, SimChooser(9))
     assert ex.marked <= pw.marked

@@ -346,26 +346,6 @@ def test_float_drift_is_within_a_rounding_of_the_exact_drift(n):
         assert error <= Fraction(1e-14) * abs(exact.value), kind
 
 
-def test_each_move_scores_each_distinct_marking_once(monkeypatch):
-    # one score per parent multiset, label and marking: the moves that
-    # only order their parents differently share theirs
-    calls = []
-    real = potentials._step_delta
-
-    def spy(state, kind, base, v, parents, marked):
-        calls.append((tuple(sorted(parents)), state.labels[v],
-                      frozenset(marked)))
-        return real(state, kind, base, v, parents, marked)
-    monkeypatch.setattr(potentials, "_step_delta", spy)
-    r = exact_drift(init_chain(12, 1, CF), pinned_drift_features(),
-                    MinDistance(PREF, 3))
-    assert r.leaf_count == 4833
-    assert len(calls) == len(set(calls)) == 728
-    # one empty marking per move: the check coin can always fail
-    assert sum(1 for _, _, marked in calls if not marked) == len(
-        {(parents, label) for parents, label, _ in calls})
-
-
 def counter(counts):
     """``counted(name, fn)``: ``fn``, counting its calls in
     ``counts[name]``."""
@@ -377,23 +357,37 @@ def counter(counts):
     return counted
 
 
-@pytest.mark.parametrize("n, checks, moves, scores",
-                         [(12, 4833, 1884, 728), (5, 451, 155, 113)])
-def test_drift_runs_each_leaf_once(monkeypatch, n, checks, moves, scores):
-    # every move and every check leaf is one run, and no run is spent
-    # on an inner node of the decision tree
-    counts = {"run_check": 0, "draw_move": 0, "_step_delta": 0}
+def test_each_move_scores_each_distinct_marking_once(monkeypatch):
+    # every move and every check leaf is one run, so no run is spent on
+    # an inner node of the decision tree; and there is one score per
+    # parent multiset, label and marking, so moves that only order their
+    # parents differently share theirs
+    counts = {"run_check": 0, "draw_move": 0}
     counted = counter(counts)
     monkeypatch.setattr(checking, "run_check",
                         counted("run_check", checking.run_check))
-    for name in ("draw_move", "_step_delta"):
-        monkeypatch.setattr(potentials, name,
-                            counted(name, getattr(potentials, name)))
-    r = exact_drift(init_chain(n, 1, CF), pinned_drift_features(),
-                    MinDistance(PREF, 3))
-    assert r.leaf_count == checks
-    assert counts == {"run_check": checks, "draw_move": moves,
-                      "_step_delta": scores}
+    monkeypatch.setattr(potentials, "draw_move",
+                        counted("draw_move", potentials.draw_move))
+    scores = []
+    real = potentials._step_delta
+
+    def spy(state, kind, base, v, parents, marked):
+        scores.append((tuple(sorted(parents)), state.labels[v],
+                       frozenset(marked)))
+        return real(state, kind, base, v, parents, marked)
+    monkeypatch.setattr(potentials, "_step_delta", spy)
+    for n, checks, moves, n_scores in ((12, 4833, 1884, 728),
+                                       (5, 451, 155, 113)):
+        counts.update(run_check=0, draw_move=0)
+        scores.clear()
+        r = exact_drift(init_chain(n, 1, CF), pinned_drift_features(),
+                        MinDistance(PREF, 3))
+        assert r.leaf_count == checks
+        assert counts == {"run_check": checks, "draw_move": moves}, n
+        assert len(scores) == len(set(scores)) == n_scores, n
+        # one empty marking per move: the check coin can always fail
+        assert sum(1 for _, _, marked in scores if not marked) == len(
+            {(parents, label) for parents, label, _ in scores}), n
 
 
 COIN_A, COIN_B = Fraction(1, 3), Fraction(2, 5)
@@ -585,13 +579,13 @@ class StepSpy:
 
 
 @st.composite
-def grown_steps(draw):
+def grown_steps(draw, errors=(0, Fraction(1, 10)),
+                adversaries=(None, RandomPt(), DeepAttach(), LeafAttach())):
     """A small state grown by the engine, with the features to step it:
-    any mechanism, with and without new errors, with no adversary,
-    RandomPt, DeepAttach or LeafAttach."""
-    eps = draw(st.sampled_from((0, Fraction(1, 10))))
-    adversary = draw(st.sampled_from((None, RandomPt(), DeepAttach(),
-                                      LeafAttach())))
+    any mechanism, an error rate from ``errors`` and an adversary from
+    ``adversaries`` (None for none)."""
+    eps = draw(st.sampled_from(errors))
+    adversary = draw(st.sampled_from(adversaries))
     f = Features(PREF, ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 2)}),
                  check_rate=Fraction(1, 2),
                  check_depth=draw(st.integers(2, 3)),
@@ -640,26 +634,16 @@ def test_step_delta_matches_the_whole_potential(name, case, seed):
 
 @st.composite
 def reordered_steps(draw):
-    """An engine-grown CT- or CF-rooted state, grown with new errors and
-    a RandomPt adversary; its features; and a step on it with at least
-    two parent edges: an adversarial RandomPt move, or a growth move on
-    drawn parents and label, as ``(parents, label, adversarial)``."""
-    f = Features(PREF, ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 2)}),
-                 check_rate=Fraction(1, 2), check_depth=3,
-                 mechanism=draw(st.sampled_from(MECHANISMS)),
-                 error_rate=Fraction(1, 10), detection_rate=Fraction(4, 5),
-                 adversary_rate=Fraction(1, 4), adversary_budget=3)
-    seed = draw(st.integers(0, 2**32 - 1))
-    eng = PyEngine(f, init_chain(2, 1, draw(st.sampled_from((CF, CT)))),
-                   SimChooser(seed))
-    for _ in range(draw(st.integers(0, 10))):
-        if eng.stopped or len(eng.state.pt_ids()) >= 7:
-            break
-        eng.step()
-    prior = eng.state
+    """A state grown with new errors and a RandomPt adversary, so from a
+    CT or CF root; its features; and a step on it with at least two
+    parent edges: an adversarial RandomPt move, or a growth move on drawn
+    parents and label, as ``(parents, label, adversarial)``."""
+    prior, f = draw(grown_steps(errors=(Fraction(1, 10),),
+                                adversaries=(RandomPt(),)))
     pt = prior.pt_ids()
     assume(pt)                  # a step needs a PT node to attach below
     if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
         parents, label = RandomPt().move(prior, f, SimChooser(seed))
         return prior, f, parents, label, True
     parents = draw(st.lists(st.sampled_from(pt), min_size=2, max_size=3))
