@@ -163,17 +163,25 @@ def audit_partition(st) -> None:
 def audit_distance_sum(st, features, book) -> None:
     """With a nondecreasing attachment of weight at least one at degree
     zero, the distance-weighted sum over PT False nodes dominates their
-    plain count (every term is at least one)."""
+    plain count (every term is at least one).
+
+    Each term is capped at the count, which keeps the verdict: a term
+    at the cap meets the bound alone.  So no power goes past
+    ``DISTANCE_BASE ** count.bit_length()``, which exceeds the count,
+    and a deep state stays inside the float range."""
     attach = features.attach
     if attach.evaluate(0) < 1 or not is_nondecreasing(attach):
         return
+    count = book["pt_false"]
+    depth = count.bit_length()
     total = 0.0
     for v, d in pt_false_distances(st).items():
-        total += attach.evaluate(st.deg_pt[v]) * DISTANCE_BASE ** d
-    if total < book["pt_false"] - 1e-9:
+        term = attach.evaluate(st.deg_pt[v]) * DISTANCE_BASE ** min(d, depth)
+        total += min(term, count)
+    if total < count - 1e-9:
         raise AuditViolation(
             f"distance-weighted sum {total} fell below the PT False "
-            f"count {book['pt_false']}")
+            f"count {count}")
 
 
 def verify_pf_frozen(st, features, book) -> None:

@@ -65,9 +65,10 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
     """Run one trajectory on the best available backend and report its
     summary.  ``audit`` is "none", "cheap" or "full"; a "full" run with
     ``audit_every`` runs the engine in pieces of that many steps and
-    audits after each.  The rest is the engines' own.  ``backend`` is
-    "auto", "python" or "compiled": "compiled" raises when the kernel
-    cannot serve the request, "auto" silently falls back.
+    audits after each, and no other level takes ``audit_every``.  The
+    rest is the engines' own.  ``backend`` is "auto", "python" or
+    "compiled": "compiled" raises when the kernel cannot serve the
+    request, "auto" silently falls back.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -75,6 +76,8 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
         raise ValueError(f"unknown audit level {audit!r}")
     if audit_every < 0:
         raise ValueError("audit_every must be nonnegative")
+    if audit_every and audit != "full":
+        raise ValueError(f"audit_every needs audit='full', not {audit!r}")
     audit_cheap = audit != "none"
     if _want_compiled(backend, features, trace):
         backend = "compiled"
@@ -88,7 +91,7 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
 
         def run(steps, checkpoints):
             return engine.run(steps, checkpoints, trace=trace)
-    if audit == "full" and audit_every > 0:
+    if audit_every:
         summary = _run_in_pieces(run, engine, features, horizon,
                                  checkpoint_steps, audit_every)
     else:

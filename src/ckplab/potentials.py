@@ -32,15 +32,16 @@ reads of the state before the step (the :class:`MinDistance` distances
 and :class:`TermTable`, the general potential's scope) is built once
 per call by :func:`_step_base`; ``exact_drift`` scores each parent
 multiset, label and marking once.  The whole potential is evaluated
-once per call, on the input, so a bad anchor, a broken distance
-structure or a float overflow still fails loudly; the tests hold the
-scorer to the whole potential, before and after each step.
+once per call, on the input, so a bad anchor or a broken distance
+structure still fails loudly; the tests hold the scorer to the whole
+potential, before and after each step.
 
-A :class:`TermTable` maps ``(deg, dist)`` to ``a(deg) * c**dist`` and
-is filled on first use; in rational mode integral terms are plain ints.
-With integer-valued float terms (integral attachment weights and base,
-sums below 2**53) every float sum is exact, so ``mc_drift`` returns the
-estimate a full recompute per sample would, bit for bit.
+Potentials have one arithmetic, the rational one: a :class:`TermTable`
+maps ``(deg, dist)`` to the exact ``a(deg) * c**dist``, filled on first
+use, an int where the term is integral.  ``mc_drift`` scores each sample
+exactly too and rounds only the sample's delta, to the nearest float,
+for its running mean; with integral terms below 2**53 that is the
+estimate a float recompute per sample would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,13 +51,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import checking
 from .attachment import AllPF, AllWeightsZero, _require_finite, \
     _to_fraction, parent_distribution, weight_index_for
 from .evolution import AuditViolation, RandomPt, draw_move
-from .rand import PathChooser, SimChooser, make_generator
+from .rand import PathChooser, SimChooser
 from .state import CT, CF, PF, StateError, pt_false_distances, anchor_bfs
 
 DEFAULT_LEAF_CAP = 10_000_000
@@ -71,13 +70,7 @@ class NonpositiveWeight(ValueError):
 
 
 class PotentialOverflow(ArithmeticError):
-    """A float :class:`MinDistance` term ``c**dist`` left the float range."""
-
-
-def _overflow(c, depth: int) -> PotentialOverflow:
-    return PotentialOverflow(
-        f"a PT False node at distance {depth} from its minimal false node "
-        f"overflows the float MinDistance term with base c={c}")
+    """A sampled step's potential change does not fit a float."""
 
 
 # -- potential kinds -------------------------------------------------------
@@ -121,37 +114,33 @@ class PotentialReport:
 
 class TermTable(dict):
     """``(deg_pt, dist) -> a(deg_pt) * c**dist`` for one
-    :class:`MinDistance`, computed on first lookup.
-
-    Exact tables hold ints where the term is integral and Fractions
-    otherwise; float tables hold the float the same expression gives.
-    A table lives as long as the call that built it.
+    :class:`MinDistance`, computed exactly on first lookup: an int where
+    the term is integral, a Fraction otherwise.  A table lives as long as
+    the call that built it.
     """
 
-    __slots__ = ("attach", "c", "exact")
+    __slots__ = ("attach", "c", "weights")
 
-    def __init__(self, kind: MinDistance, exact: bool):
+    def __init__(self, kind: MinDistance):
         super().__init__()
         self.attach = kind.attach
-        self.c = kind.c
-        self.exact = exact
+        self.c = _integral(_to_fraction(kind.c))
+        # deg -> a(deg): a rational weight costs several times the power
+        self.weights: dict = {}
 
     def __missing__(self, key):
         deg, dist = key
-        if self.exact:
-            term = (self.attach.evaluate_exact(deg)
-                    * _to_fraction(self.c) ** dist)
-            if term.denominator == 1:
-                term = term.numerator
-        else:
-            try:
-                term = self.attach.evaluate(deg) * float(self.c) ** dist
-            except OverflowError:
-                term = math.inf
-            if term == math.inf:
-                raise _overflow(self.c, dist)
-        self[key] = term
+        weight = self.weights.get(deg)
+        if weight is None:
+            weight = _integral(self.attach.evaluate_exact(deg))
+            self.weights[deg] = weight
+        term = self[key] = _integral(weight * self.c ** dist)
         return term
+
+
+def _integral(x):
+    """A rational ``x`` as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _pt_false_ids(state) -> list[int]:
@@ -185,36 +174,34 @@ def _false_leaves(state, simple_mode: bool) -> list[int]:
             if state.is_false[v]]
 
 
-def _leaf_weight(attach, v: int, deg: int, exact: bool):
+def _leaf_weight(attach, v: int, deg: int):
     """``a(0)/a(deg)``, the scoped potential's weight for leaf ``v``."""
-    a0 = attach.evaluate_exact(0) if exact else attach.evaluate(0)
-    denom = attach.evaluate_exact(deg) if exact else attach.evaluate(deg)
+    denom = attach.evaluate_exact(deg)
     if denom <= 0:
         raise NonpositiveWeight(
             f"leaf {v} has attachment weight {denom}; the scoped "
             f"leaf potential needs positive weights")
-    return a0 / denom
+    return attach.evaluate_exact(0) / denom
 
 
-def potential(state, kind, exact: bool = False, *,
+def potential(state, kind, *,
               terms: TermTable | None = None) -> PotentialReport:
-    """Evaluate ``kind`` on ``state``.
+    """Evaluate ``kind`` on ``state``, exactly.
 
     For :class:`MinDistance` the report carries the per-anchor
     decomposition, computed through an independent distance routine
     (canonical upward BFS per node, against the downward relaxation pass
     used for the total); the two are required to agree.  ``terms`` is a
-    :class:`TermTable` for ``kind`` and ``exact`` to share across
-    evaluations; without one the call builds its own.
+    :class:`TermTable` for ``kind`` to share across evaluations; without
+    one the call builds its own.
     """
     false_ids = _pt_false_ids(state)
     if isinstance(kind, MinDistance):
         if terms is None:
-            terms = TermTable(kind, exact)
+            terms = TermTable(kind)
         deg = state.deg_pt
-        zero = 0 if exact else 0.0
         dist = pt_false_distances(state)
-        total = zero
+        total = 0
         for v in false_ids:
             total += terms[deg[v], dist[v]]
         per_component: dict = {}
@@ -223,19 +210,16 @@ def potential(state, kind, exact: bool = False, *,
             if anchor is None:
                 raise AuditViolation(
                     f"PT False node {v} reaches no minimal false node")
-            per_component[anchor] = (per_component.get(anchor, zero)
+            per_component[anchor] = (per_component.get(anchor, 0)
                                      + terms[deg[v], depth])
-        again = sum(per_component.values(), zero)
-        if exact:
-            if again != total:
-                raise AuditViolation(
-                    f"component decomposition sums to {again}, total {total}")
-            total = Fraction(total)
-            per_component = {a: Fraction(x) for a, x in per_component.items()}
-        elif not _close(again, total):
+        again = sum(per_component.values())
+        if again != total:
             raise AuditViolation(
-                f"component decomposition sums to {again!r}, total {total!r}")
-        return PotentialReport(total, per_component, len(false_ids))
+                f"component decomposition sums to {again}, total {total}")
+        return PotentialReport(
+            Fraction(total),
+            {a: Fraction(x) for a, x in per_component.items()},
+            len(false_ids))
 
     if isinstance(kind, MinimalFalse):
         return PotentialReport(len(state.minimal_false_set()), None,
@@ -248,27 +232,22 @@ def potential(state, kind, exact: bool = False, *,
 
     if isinstance(kind, MinimalFalseLeavesGeneral):
         closure = _descendant_closure(state, kind.anchor)
-        total = Fraction(0) if exact else 0.0
+        total = Fraction(0)
         for v in sorted(closure):
             if state.is_minimal_false(v):
                 total += 1
         for v in _false_leaves(state, simple_mode=False):
             if v in closure:
-                total += _leaf_weight(kind.attach, v, state.deg_pt[v], exact)
+                total += _leaf_weight(kind.attach, v, state.deg_pt[v])
         return PotentialReport(total, None, len(false_ids))
 
     raise TypeError(f"unknown potential kind {kind!r}")
 
 
-def _close(x, y, rel: float = 1e-9) -> bool:
-    return abs(float(x) - float(y)) <= rel * max(1.0, abs(float(x)),
-                                                 abs(float(y)))
-
-
-def _checked_total(state, kind, exact: bool, terms: TermTable | None):
+def _checked_total(state, kind, terms: TermTable | None):
     """The whole potential of ``state``, through :func:`potential` and
     its checks (the anchor, every distance, the decomposition)."""
-    return potential(state, kind, exact=exact, terms=terms).total
+    return potential(state, kind, terms=terms).total
 
 
 # -- one step's change -----------------------------------------------------
@@ -278,27 +257,21 @@ class _StepBase:
     """What :func:`_step_delta` reads of the state before the step,
     built once per oracle call by :func:`_step_base`."""
 
-    exact: bool
     dist: dict | None = None          # MinDistance: pt_false_distances
     terms: TermTable | None = None    # MinDistance: the call's table
     closure: set | None = None        # MinimalFalseLeavesGeneral's scope
 
-    @property
-    def zero(self):
-        return 0 if self.exact else 0.0
 
-
-def _step_base(state, kind, exact: bool) -> _StepBase:
+def _step_base(state, kind) -> _StepBase:
     if isinstance(kind, MinDistance):
-        return _StepBase(exact, dist=pt_false_distances(state),
-                         terms=TermTable(kind, exact))
+        return _StepBase(dist=pt_false_distances(state),
+                         terms=TermTable(kind))
     if isinstance(kind, MinimalFalseLeavesGeneral):
-        return _StepBase(exact,
-                         closure=_descendant_closure(state, kind.anchor))
-    return _StepBase(exact)
+        return _StepBase(closure=_descendant_closure(state, kind.anchor))
+    return _StepBase()
 
 
-def _share(state, kind, exact: bool, w: int, pf_edges: int, kids: int,
+def _share(state, kind, w: int, pf_edges: int, kids: int,
            deg_pt: int, deg_ct: int):
     """Node ``w``'s term in a count potential, given its PF parent edges
     and its child, PT child and CT child edges; its label and truth are
@@ -312,7 +285,7 @@ def _share(state, kind, exact: bool, w: int, pf_edges: int, kids: int,
         return 0
     if isinstance(kind, MinimalFalseLeavesSimple):
         return 1 if kids == 0 else 0
-    return _leaf_weight(kind.attach, w, deg_pt, exact) if deg_ct == 0 else 0
+    return _leaf_weight(kind.attach, w, deg_pt) if deg_ct == 0 else 0
 
 
 def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
@@ -352,8 +325,7 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     for w in marked:
         for u in up[w]:
             lost[u] = lost.get(u, 0) + 1
-    zero = base.zero
-    delta = zero
+    delta = 0
 
     if not isinstance(kind, MinDistance):
         gained: dict = {}     # PF parent edges the marking gives each child
@@ -372,13 +344,13 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
             inside = closure is None or w in closure
             if w != v and inside:
                 b = born.get(w, 0)
-                delta -= _share(state, kind, base.exact, w, pf[w],
+                delta -= _share(state, kind, w, pf[w],
                                 len(down[w]) - b, deg_pt[w] - b,
                                 deg_ct[w] - (b if new_ct else 0))
             if w == v:
                 inside = closure is None or any(u in closure for u in born)
             if w not in marked and inside:
-                delta += _share(state, kind, base.exact, w,
+                delta += _share(state, kind, w,
                                 pf[w] + gained.get(w, 0), len(down[w]),
                                 deg_pt[w] - lost.get(w, 0),
                                 deg_ct[w] - lost_ct.get(w, 0))
@@ -421,8 +393,8 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     for w in touched:
         if labels[w] == PF or not is_false[w]:
             continue
-        old = zero if w == v else terms[deg_pt[w] - born.get(w, 0), dist[w]]
-        new = zero if w in marked else terms[
+        old = 0 if w == v else terms[deg_pt[w] - born.get(w, 0), dist[w]]
+        new = 0 if w in marked else terms[
             deg_pt[w] - lost.get(w, 0), moved[w] if w in moved else dist[w]]
         delta += new - old
     return delta
@@ -434,7 +406,7 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
 class DriftResult:
     value: object
     sign: str           # negative | zero | positive
-    exact: bool         # always True: the value is a Fraction
+    exact: bool         # always True; only the benchmark's drift gate reads it
     leaf_count: int
 
 
@@ -515,10 +487,10 @@ def exact_drift(state, features, kind, *,
         raise BranchBudgetExceeded(
             f"at least {moves} moves exceed the leaf cap {leaf_cap}")
 
-    base = _step_base(state, kind, exact=True)
+    base = _step_base(state, kind)
     # the call's one evaluation of the whole potential: it refuses a bad
     # input before any leaf is scored
-    _checked_total(state, kind, True, base.terms)
+    _checked_total(state, kind, base.terms)
     value: dict = {}    # denominator -> numerators of the value's terms
     mass: dict = {}     # denominator -> numerators of the mass's terms
     scores: dict = {}   # (sorted parents, label, marking) -> step delta
@@ -601,22 +573,14 @@ class DriftEstimate:
     samples: int
 
 
-def _phi_value(state, kind, base: _StepBase) -> float:
-    """The float potential.  A :class:`MinDistance` sum reads the
-    distances and the float :class:`TermTable` of ``base``; it adds
-    ``a(deg) * c**dist`` in id order, and an overflow anywhere names the
-    deepest node."""
+def _phi_value(state, kind, base: _StepBase):
+    """The potential of ``state``, exactly.  A :class:`MinDistance` sum
+    reads the distances and the :class:`TermTable` of ``base``, without
+    the per-anchor decomposition :func:`potential` adds."""
     if isinstance(kind, MinDistance):
-        dist = base.dist
         deg = state.deg_pt
-        try:
-            total = sum(base.terms[deg[v], d] for v, d in dist.items())
-        except PotentialOverflow:
-            total = math.inf
-        if total == math.inf:
-            raise _overflow(kind.c, max(dist.values()))
-        return total
-    return float(potential(state, kind, exact=False).total)
+        return sum(base.terms[deg[v], d] for v, d in base.dist.items())
+    return potential(state, kind).total
 
 
 def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
@@ -628,21 +592,24 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     engine's own, adversarial steps playing ``features.adversary``.
 
     Each sample adds its node to ``state`` itself, runs the check there
-    without applying the marking, scores the step with
+    without applying the marking, scores the step exactly with
     :func:`_step_delta` and pops the node again; the state is restored
     on the way out, whatever is raised.  A sample costs the size of the
     step's neighbourhood, not of the state: no sample copies the state,
     applies the marking or evaluates the whole potential.  That is done
     once per call, on the input, and only to refuse a bad one.
+
+    Only the running mean is kept in floats: each delta enters it
+    correctly rounded, and a delta past the float range raises
+    :class:`PotentialOverflow`.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    gen = rng if isinstance(rng, np.random.Generator) else make_generator(rng)
-    chooser = SimChooser(gen)
+    chooser = SimChooser(rng)
     windex = weight_index_for(state, features.attach)
-    base = _step_base(state, kind, exact=False)
+    base = _step_base(state, kind)
     # the call's one evaluation of the whole potential: it refuses a bad
-    # input (an anchor, a float overflow) before any sample is scored
+    # input (an anchor, a distance structure) before any sample is scored
     _phi_value(state, kind, base)
 
     feats = features
@@ -665,8 +632,14 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
                         feats.mechanism, state, v, parents,
                         feats.check_depth, feats.check_rate,
                         feats.detection_rate, chooser).marked
-                delta = _step_delta(state, kind, base, v, parents, marked)
+                change = _step_delta(state, kind, base, v, parents, marked)
                 state.pop_last_node()
+                try:
+                    delta = float(change)
+                except OverflowError:
+                    raise PotentialOverflow(
+                        f"a sampled step changes the potential by more than "
+                        f"the float range holds (sample {i})") from None
             d1 = delta - mean
             mean += d1 / i
             m2 += d1 * (delta - mean)

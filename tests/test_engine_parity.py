@@ -338,8 +338,21 @@ def test_run_trial_validates_arguments():
         run_trial(feats, init, 10, seed=1, audit="paranoid")
     with pytest.raises(ValueError, match="audit_every"):
         run_trial(feats, init, 10, seed=1, audit="full", audit_every=-7)
+    with pytest.raises(ValueError, match="audit_every"):
+        run_trial(feats, init, 10, seed=1, audit="cheap", audit_every=5)
     with pytest.raises(ValueError):
         run_trial(feats, init, 10, seed=1, backend="gpu")
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("compiled", marks=needs_kernel)])
+def test_full_audit_passes_a_deep_chain(backend):
+    # 3.0**699, the distance term of the chain's last node, is past the
+    # float range; the audit's verdict must not need it
+    feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
+    result = run_trial(feats, init_chain(700, 1, CF), 10, 1, audit="full",
+                       backend=backend)
+    assert result.backend == backend
 
 
 @needs_kernel

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from ckplab.attachment import ParentCountLaw, TableAttachment, preferential
-from ckplab.audits import full_audit, verify_pf_frozen
+from ckplab.audits import audit_distance_sum, full_audit, verify_pf_frozen
 from ckplab.engine import run_trial
 from ckplab.evolution import (
     AuditViolation, DeepAttach, Features, LeafAttach, PyEngine, RandomPt,
@@ -392,6 +392,17 @@ def test_full_audit_catches_corrupted_counters():
     engine.windex.set_weight(0, 99.0)
     with pytest.raises(AuditViolation):
         full_audit(engine.state, feats, engine.export_bookkeeping())
+
+
+def test_distance_sum_audit_holds_the_sum_to_the_pt_false_count():
+    # the CF root, its child and grandchild at distances 0, 1, 2, with
+    # preferential weights 2, 2, 1: the sum is 2 + 2*3 + 1*9 = 17
+    chain = init_chain(3, 1, CF)
+    feats = simple_features()
+    for count in (3, 17):
+        audit_distance_sum(chain, feats, {"pt_false": count})
+    with pytest.raises(AuditViolation, match="sum 17.0 fell below .* 18"):
+        audit_distance_sum(chain, feats, {"pt_false": 18})
 
 
 @pytest.mark.parametrize("audit_cheap", [True, False])

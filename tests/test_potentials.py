@@ -36,7 +36,7 @@ PREF = preferential()
 LAW = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
 MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs",
               "complete")
-# integer-valued terms (exact float sums), then fractional ones
+# integer-valued terms, then fractional ones
 KINDS = (MinDistance(PREF, 3), MinDistance(Affine(0.5, 1.3), 2.5))
 
 
@@ -54,7 +54,7 @@ def feats(mechanism, p, k=2, m=1, **kw) -> Features:
 # -- potential values ------------------------------------------------------
 
 def test_min_distance_single_error_node():
-    rep = potential(single_cf(), MinDistance(PREF, 3), exact=True)
+    rep = potential(single_cf(), MinDistance(PREF, 3))
     assert rep.total == 1
     assert rep.per_component == {0: 1}
     assert rep.pt_false_count == 1
@@ -64,7 +64,7 @@ def test_min_distance_chain_term_by_term():
     # CF -> CT -> CT with child degrees 1, 1, 0 and distances 0, 1, 2:
     # 2*1 + 2*3 + 1*9 = 17
     chain = init_chain(3, 1, CF)
-    rep = potential(chain, MinDistance(PREF, 3), exact=True)
+    rep = potential(chain, MinDistance(PREF, 3))
     assert rep.total == 17
     assert rep.per_component == {0: 17}
     # integral terms are summed as ints; the report still holds Fractions
@@ -79,7 +79,7 @@ def test_min_distance_chain_term_by_term():
 
 def test_min_distance_respects_the_base_parameter():
     chain = init_chain(3, 1, CF)
-    rep = potential(chain, MinDistance(PREF, 2), exact=True)
+    rep = potential(chain, MinDistance(PREF, 2))
     assert rep.total == 2 * 1 + 2 * 2 + 1 * 4
 
 
@@ -118,7 +118,7 @@ def test_general_leaves_scoped_to_the_origin_closure():
     s.add_node([0], CT, birth=1)
     s.add_node([1], CT, birth=2)
     s.add_node([2], CT, birth=2)
-    rep = potential(s, MinimalFalseLeavesGeneral(1, PREF), exact=True)
+    rep = potential(s, MinimalFalseLeavesGeneral(1, PREF))
     # closure {1, 3}: node 1 is minimal false, node 3 a leaf of degree 0
     assert rep.total == 1 + Fraction(1, 1)
     assert rep.pt_false_count == 2
@@ -132,7 +132,7 @@ def test_general_leaf_weights_divide_by_the_leaf_degree():
     s.add_node([0], CT, birth=1)
     s.add_node([1], CF, birth=2)
     s.add_node([1], CF, birth=2)
-    rep = potential(s, MinimalFalseLeavesGeneral(0, PREF), exact=True)
+    rep = potential(s, MinimalFalseLeavesGeneral(0, PREF))
     # minimal false: nodes 0, 2, 3; leaf 1 contributes a(0)/a(2) = 1/3
     assert rep.total == 3 + Fraction(1, 3)
 
@@ -175,7 +175,7 @@ def test_component_decomposition_and_lower_bound_on_sampled_states():
     for mech, seed in (("exhaustive-bfs", 3), ("stringy", 5), ("bfs", 8),
                        ("parentwise-bfs", 13), ("complete", 21)):
         for st in sampled_states(mech, seed):
-            rep = potential(st, MinDistance(PREF, 3), exact=True)
+            rep = potential(st, MinDistance(PREF, 3))
             # the decomposition identity is asserted inside potential();
             # the floor below is the extra property worth stating here
             assert rep.total >= rep.pt_false_count
@@ -440,7 +440,7 @@ def test_both_oracles_refuse_bad_input_by_name():
     s = single_cf()
     s.add_node([0], CT, birth=1)
     kind = MinimalFalseLeavesGeneral(0, holes)
-    assert potential(s, kind, exact=True).total == 2
+    assert potential(s, kind).total == 2
     f = Features(holes, ParentCountLaw.const(1), Fraction(1, 2), 2, "bfs",
                  error_rate=Fraction(1, 2))
     with pytest.raises(NonpositiveWeight, match="leaf 1"):
@@ -530,17 +530,11 @@ def test_drift_enumerates_a_fractional_power_at_the_engines_weights():
 
 # -- the step scorer against the whole potential --------------------------
 
-# kinds whose float terms are integers, so a float step delta is exact
-INTEGER_TERMS = (KINDS[0], MinimalFalse(), MinimalFalseLeavesSimple())
-
-
 class StepSpy:
-    """Stands in for ``potentials._step_delta`` and checks every call, in
-    exact arithmetic, against ``potential(after) - potential(before)``:
-    ``before`` is the state without the step's node, ``after`` a copy
-    with the marking applied.  The scorer's answer under an exact base
-    must equal that difference; the answer the oracle gets must equal it
-    too, or come within 1e-9 of it when float terms are fractional.
+    """Stands in for ``potentials._step_delta`` and checks every call
+    against ``potential(after) - potential(before)``: ``before`` is the
+    state without the step's node, ``after`` a copy with the marking
+    applied.  The scorer's answer must equal that difference exactly.
 
     Counts the calls, the calls that mark, and the calls that move a
     PT False distance."""
@@ -556,21 +550,12 @@ class StepSpy:
         if self.before is None or self.before[0] is not base:
             prior = state.copy()
             prior.pop_last_node()
-            self.before = (base,
-                           potentials._step_base(prior, kind, exact=True),
-                           potential(prior, kind, exact=True).total,
+            self.before = (base, potential(prior, kind).total,
                            pt_false_distances(prior))
-        _, exact_base, phi_before, dist = self.before
+        _, phi_before, dist = self.before
         after = state.copy()
         after.mark_pf(marked)
-        phi_after = potential(after, kind, exact=True).total
-        want = phi_after - phi_before
-        assert self.real(state, kind, exact_base, v, parents, marked) == want
-        if base.exact or kind in INTEGER_TERMS:
-            assert got == want
-        else:
-            assert abs(got - want) <= 1e-9 * max(1, abs(phi_before),
-                                                 abs(phi_after))
+        assert got == potential(after, kind).total - phi_before
         self.calls += 1
         self.marking += bool(marked)
         new = pt_false_distances(after)
@@ -663,7 +648,7 @@ def test_step_delta_reads_the_parents_as_a_multiset(name, case, seed):
     kind = spied_kind(name, prior)
     if kind is None:            # no error for the scoped potential to hang on
         return
-    base = potentials._step_base(prior, kind, exact=True)
+    base = potentials._step_base(prior, kind)
     state = prior.copy()
     v = state.add_node(parents, label, birth=99, adversarial=adversarial)
     # a certain check and detection, so that most growth steps mark
@@ -861,15 +846,21 @@ def test_mc_drift_seed_repeatability():
     assert (c.mean, c.se) == (a.mean, a.se)
 
 
-def test_float_min_distance_overflow_is_named():
-    # 3.0**699 leaves the float range: the deepest node of the chain
-    # is named with the base instead of a bare OverflowError
-    deep = init_chain(700, 1, CF)
-    with pytest.raises(PotentialOverflow, match=r"distance 699 .* c=3"):
-        mc_drift(deep, feats("bfs", 0.5), MinDistance(PREF, 3), 10, 1)
-    with pytest.raises(PotentialOverflow, match=r"c=3"):
-        potential(deep, MinDistance(PREF, 3))
-    assert potential(deep, MinDistance(PREF, 3), exact=True).total > 0
+def test_a_sampled_delta_past_the_float_range_is_named():
+    # with c = 10**400 every step on this chain moves a term of at least
+    # c, which exact scoring holds and no float does: the first sample
+    # raises by name, not a bare OverflowError, and leaves the chain be;
+    # the exact drift of the same step is a plain Fraction
+    chain = init_chain(2, 1, CF)
+    before = snapshot(chain)
+    for attach in (PREF, Affine(0.5, 1.3)):
+        kind = MinDistance(attach, 10**400)
+        with pytest.raises(PotentialOverflow,
+                           match=r"float range holds \(sample 1\)"):
+            mc_drift(chain, feats("bfs", 0.5), kind, 10, 1)
+        assert snapshot(chain) == before
+        r = exact_drift(chain, feats("bfs", Fraction(1, 2)), kind)
+        assert r.value > 10**400
 
 
 def test_mc_drift_validates_the_sample_count():
