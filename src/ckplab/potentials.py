@@ -31,10 +31,11 @@ can change, never copying the state or applying the marking.  What it
 reads of the state before the step (the :class:`MinDistance` distances
 and :class:`TermTable`, the general potential's scope) is built once
 per call by :func:`_step_base`; ``exact_drift`` scores each parent
-multiset, label and marking once.  The whole potential is evaluated
-once per call, on the input, so a bad anchor or a broken distance
-structure still fails loudly; the tests hold the scorer to the whole
-potential, before and after each step.
+multiset, label and marking once.  A bad input fails loudly before the
+first leaf or sample: ``_step_base`` refuses a broken distance structure
+and a bad anchor, and ``exact_drift`` evaluates the whole potential once
+on the input, as ``mc_drift`` does for a count potential; the tests hold
+the scorer to the whole potential, before and after each step.
 
 Potentials have one arithmetic, the rational one: a :class:`TermTable`
 maps ``(deg, dist)`` to the exact ``a(deg) * c**dist``, filled on first
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -573,44 +575,50 @@ class DriftEstimate:
     samples: int
 
 
-def _phi_value(state, kind, base: _StepBase):
-    """The potential of ``state``, exactly.  A :class:`MinDistance` sum
-    reads the distances and the :class:`TermTable` of ``base``, without
-    the per-anchor decomposition :func:`potential` adds."""
-    if isinstance(kind, MinDistance):
-        deg = state.deg_pt
-        return sum(base.terms[deg[v], d] for v, d in base.dist.items())
+def _phi_value(state, kind):
+    """The whole potential of ``state``, through :func:`potential` and
+    its checks: :func:`mc_drift`'s one evaluation of a count potential."""
     return potential(state, kind).total
 
 
 def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     """Estimate the one-step drift by simulating single steps.
 
-    ``rng`` is a seed or a numpy Generator.  Each sample is one
-    :func:`evolution.draw_move` under a :class:`SimChooser`, then
-    :func:`checking.run_check` on a growth step, so its law is the
-    engine's own, adversarial steps playing ``features.adversary``.
+    ``rng`` is a seed or a numpy Generator; ``samples`` is a positive
+    int.  Each sample is one :func:`evolution.draw_move` under a
+    :class:`SimChooser`, then :func:`checking.run_check` on a growth
+    step, so its law is the engine's own, adversarial steps playing
+    ``features.adversary``.
 
     Each sample adds its node to ``state`` itself, runs the check there
     without applying the marking, scores the step exactly with
     :func:`_step_delta` and pops the node again; the state is restored
     on the way out, whatever is raised.  A sample costs the size of the
     step's neighbourhood, not of the state: no sample copies the state,
-    applies the marking or evaluates the whole potential.  That is done
-    once per call, on the input, and only to refuse a bad one.
+    applies the marking or evaluates the whole potential.
+
+    The call's set-up passes over the whole state once each: the weight
+    index, :func:`_step_base` and, for a count potential, one
+    :func:`potential`.  Those passes refuse a bad input before the first
+    sample: :func:`pt_false_distances` a broken :class:`MinDistance`
+    distance structure, :func:`_descendant_closure` a bad anchor and
+    :func:`potential` a count potential it cannot evaluate.  A
+    :class:`MinDistance` sum would refuse nothing more, so it is not
+    taken.
 
     Only the running mean is kept in floats: each delta enters it
     correctly rounded, and a delta past the float range raises
     :class:`PotentialOverflow`.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if (isinstance(samples, bool) or not isinstance(samples, numbers.Integral)
+            or samples < 1):
+        raise ValueError(
+            f"samples must be a positive integer, got {samples!r}")
     chooser = SimChooser(rng)
     windex = weight_index_for(state, features.attach)
     base = _step_base(state, kind)
-    # the call's one evaluation of the whole potential: it refuses a bad
-    # input (an anchor, a distance structure) before any sample is scored
-    _phi_value(state, kind, base)
+    if not isinstance(kind, MinDistance):
+        _phi_value(state, kind)
 
     feats = features
     birth = _next_birth(state)

@@ -18,9 +18,11 @@ one from the exact selection pmf.
 Degenerate coins, uniform indices and parent-count laws (probability 0
 or 1, a single alternative) are resolved without a decision by both, so
 a decision path means the same thing everywhere and the accelerated
-engine can reproduce the stream draw-for-draw.  A live weighted pick
-always consumes a uniform, as the kernel's does; a replayed pick from a
-one-entry pmf is no decision.
+engine can reproduce the stream draw-for-draw.  The live chooser reads
+a coin's probability as a float, as the kernel does, so a rate that
+rounds to 0.0 or 1.0 is degenerate there; the replaying one reads it
+exactly.  A live weighted pick always consumes a uniform, as the
+kernel's does; a replayed pick from a one-entry pmf is no decision.
 """
 
 from __future__ import annotations
@@ -60,11 +62,15 @@ class SimChooser:
             self.gen = make_generator(seed_or_gen)
 
     def maybe(self, p) -> bool:
+        """A coin of probability ``p``, decided as the kernel decides it:
+        on ``float(p)``, so a rate that rounds to 0.0 or 1.0 is
+        degenerate and draws nothing."""
+        p = float(p)
         if p <= 0:
             return False
         if p >= 1:
             return True
-        return self.gen.random() < float(p)
+        return self.gen.random() < p
 
     def uniform_index(self, n: int) -> int:
         if n == 1:

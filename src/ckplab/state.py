@@ -19,6 +19,7 @@ multiplicity.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 
 CT = 0
 CF = 1
@@ -137,10 +138,15 @@ class CkpState:
                 self.deg_pt[u] -= 1
             if label == CT:
                 self.deg_ct[u] -= 1
-        for col in (self.labels, self.is_false, self.birth, self.adversarial,
-                    self.parents, self.children, self.deg_pt, self.deg_ct,
-                    self.pf_parent_edges):
-            col.pop()
+        self.labels.pop()
+        self.is_false.pop()
+        self.birth.pop()
+        self.adversarial.pop()
+        self.parents.pop()
+        self.children.pop()
+        self.deg_pt.pop()
+        self.deg_ct.pop()
+        self.pf_parent_edges.pop()
 
     def mark_pf(self, marked) -> dict[int, int]:
         """Flag ``marked`` nodes PF and update all degree indices.
@@ -238,16 +244,22 @@ def pt_false_distances(state: CkpState) -> dict[int, int]:
         dist(v) = 1 + min(dist(u) for PT False parents u)
 
     which resolves in one id-order pass because parents precede children.
+    The pass visits the False ids alone.
     """
+    labels = state.labels
+    pf_parent_edges = state.pf_parent_edges
+    parents = state.parents
     dist: dict[int, int] = {}
-    for v in range(len(state.labels)):
-        if state.labels[v] == PF or not state.is_false[v]:
+    for v in compress(range(len(labels)), state.is_false):
+        lab = labels[v]
+        if lab == PF:
             continue
-        if state.is_minimal_false(v):
+        # CkpState.is_minimal_false, inlined: lab is CT or CF here
+        if lab == CF or pf_parent_edges[v] > 0:
             dist[v] = 0
             continue
         best = None
-        for u in state.parents[v]:
+        for u in parents[v]:
             d = dist.get(u)
             if d is not None and (best is None or d < best):
                 best = d

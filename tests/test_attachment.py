@@ -400,6 +400,38 @@ def test_weight_index_for_matches_one_append_per_node():
     assert fields(idx) == fields(appended(weights, 1500))
 
 
+class CountingEvaluations:
+    """An attachment that records each degree ``evaluate`` is asked."""
+
+    def __init__(self, attach):
+        self.attach = attach
+        self.asked = []
+
+    def evaluate(self, d):
+        self.asked.append(d)
+        return self.attach.evaluate(d)
+
+
+def test_weight_index_for_skips_the_degrees_of_pf_nodes():
+    # the CF origin keeps its six PT child edges once marked PF, while
+    # the largest live degree is node 1's three
+    s = CkpState()
+    s.add_root(CF)
+    for i in range(1, 7):
+        s.add_node([0], CT, birth=i)
+    s.add_node([1], CT, birth=7)
+    s.add_node([1, 1], CT, birth=8)
+    s.mark_pf([0])
+    assert s.deg_pt[0] == 6 and max(s.deg_pt[1:]) == 3
+    attach = Affine(0.5, 1.3)
+    counting = CountingEvaluations(attach)
+    idx = weight_index_for(s, counting)
+    assert counting.asked == [0, 1, 2, 3]   # once each, none past 3
+    weights = [0.0 if lab == PF else attach.evaluate(d)
+               for lab, d in zip(s.labels, s.deg_pt)]
+    assert fields(idx) == fields(appended(weights, 1024))
+
+
 def test_parse_round_trips():
     for text in ["affine(1, 1)", "power(1, 3)", "table(1, 0; 0)",
                  "table(1, 3, 7; 2)", "affine(1/2, 1/3)"]:

@@ -4,6 +4,7 @@ the right backend."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -129,6 +130,25 @@ def test_trajectories_bit_identical_across_regrowths():
     eng, ker, summary = run_both(feats, init_chain(5, 1, CT), 4242, 2200)
     assert summary["stopped_at"] is None
     assert eng.windex.capacity >= 4096     # two regrowths, from 1024
+    assert_same_engines(eng, ker)
+
+
+TINY = Fraction(1, 10**400)
+
+
+@needs_kernel
+@pytest.mark.parametrize("rates", [
+    dict(error_rate=TINY),
+    dict(error_rate=0.25, detection_rate=1 - TINY),
+], ids=["error-rate-rounds-to-0", "detection-rate-rounds-to-1"])
+def test_a_rate_that_rounds_to_a_sure_coin_draws_nothing(rates):
+    """The kernel reads each rate as a double, so a Fraction that rounds
+    to 0.0 or 1.0 is a sure coin there and draws no uniform; the Python
+    engine must read it the same way, or the streams part."""
+    feats = Features(preferential(), ParentCountLaw.const(1),
+                     check_rate=0.5, check_depth=2, mechanism="bfs",
+                     **rates)
+    eng, ker, _ = run_both(feats, init_chain(5, 1, CT), 777, 300)
     assert_same_engines(eng, ker)
 
 

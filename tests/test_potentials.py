@@ -29,8 +29,8 @@ from ckplab.potentials import (
     NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
 from ckplab.rand import PathChooser, SimChooser, make_generator
-from ckplab.state import CT, CF, CkpState, anchor_bfs, dump_state, \
-    pt_false_distances
+from ckplab.state import CT, CF, CkpState, StateError, anchor_bfs, \
+    dump_state, pt_false_distances
 
 PREF = preferential()
 LAW = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
@@ -864,8 +864,10 @@ def test_a_sampled_delta_past_the_float_range_is_named():
 
 
 def test_mc_drift_validates_the_sample_count():
-    with pytest.raises(ValueError):
-        mc_drift(single_cf(), feats("bfs", 0.5), MinDistance(PREF, 3), 0, 1)
+    for bad in (0, -3, True, 2.5, 2.0, "10"):
+        with pytest.raises(ValueError, match="samples must be a positive"):
+            mc_drift(single_cf(), feats("bfs", 0.5), MinDistance(PREF, 3),
+                     bad, 1)
 
 
 def snapshot(st: CkpState) -> tuple:
@@ -910,6 +912,23 @@ def test_mc_drift_leaves_the_input_state_alone(monkeypatch):
             mc_drift(grown, f, kind, 50, 5)
         assert len(calls) == 7
         assert snapshot(grown) == before
+
+
+def test_mc_drift_refuses_a_broken_distance_structure_up_front(
+        monkeypatch):
+    # node 2 claims a hidden error that neither it (CT) nor a parent
+    # (both True, neither PF) carries: the distance pass of the call's
+    # set-up refuses it before any sample is drawn
+    st = init_chain(3, 1, CT)
+    st.is_false[2] = True
+    before = snapshot(st)
+    moves = []
+    monkeypatch.setattr(potentials, "draw_move",
+                        lambda *args: moves.append(args))
+    with pytest.raises(StateError, match="no PT False parent"):
+        mc_drift(st, feats("bfs", 0.5), MinDistance(PREF, 3), 10, 1)
+    assert moves == []
+    assert snapshot(st) == before
 
 
 # (mean, se) of mc_drift on 2000-node states grown with each mechanism,
