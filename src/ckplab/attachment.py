@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -426,15 +428,13 @@ class WeightIndex:
         return pos
 
 
-def weight_index_for(state, attach) -> WeightIndex:
-    """Fresh index over all current nodes; PF nodes get weight 0.
+def _node_weights(state, attach) -> np.ndarray:
+    """Every node's attachment weight in id order; PF nodes get 0.0.
 
     ``attach.evaluate`` runs once per degree up to the largest live one,
-    the table the kernel's ``aval`` keeps, and :meth:`WeightIndex._build`
-    lays the weights out with a few numpy passes per tree level instead
-    of one ``append`` per node.  The index is bit for bit the one those
-    appends would build.  The two columns are read by ``bytes`` and
-    ``np.fromiter``, which cost about half of ``np.asarray`` on a list.
+    the table the kernel's ``aval`` keeps.  The two columns are read by
+    ``bytes`` and ``np.fromiter``, which cost about half of
+    ``np.asarray`` on a list.
     """
     from .state import PF
     n = len(state.labels)
@@ -444,9 +444,72 @@ def weight_index_for(state, attach) -> WeightIndex:
                       for d in range(int(deg.max(initial=-1)) + 1)])
     weights = np.zeros(n)
     weights[live] = table[deg]
-    idx = WeightIndex(capacity=max(1024, n))
+    return weights
+
+
+def weight_index_for(state, attach) -> WeightIndex:
+    """Fresh index over all current nodes; PF nodes get weight 0.
+
+    :meth:`WeightIndex._build` lays the weights out with a few numpy
+    passes per tree level instead of one ``append`` per node.  The index
+    is bit for bit the one those appends would build.
+    """
+    weights = _node_weights(state, attach)
+    idx = WeightIndex(capacity=max(1024, len(weights)))
     idx._build(weights, idx.capacity)
     return idx
+
+
+class PrefixPool:
+    """Weighted picks from weights that never change: their prefix sums
+    in id order, searched by bisection.
+
+    It offers what a weighted pick reads of a :class:`WeightIndex`
+    (``total``, :meth:`select` and truth) with no tree to build, for a
+    caller that changes no weight between picks, such as the Monte
+    Carlo drift.  The prefix sums are one left fold, as
+    :meth:`WeightIndex._build` takes the total, so ``total`` is the
+    index's bit for bit.  Where every prefix sum is exact (integer
+    weights with a total below 2**53, such as :func:`preferential`'s)
+    :meth:`select` returns what :meth:`WeightIndex.select` does.  Where
+    they round, the picks keep the law: a pick can differ only when
+    ``x`` lies within rounding of a weight boundary.
+    """
+
+    __slots__ = ("cum", "total", "last")
+
+    def __init__(self, weights: np.ndarray):
+        cum = np.add.accumulate(weights)
+        # a byte copy: tolist would make a Python float per node, which
+        # costs more than a short call's picks win back by bisecting a list
+        self.cum = array("d", cum.tobytes())
+        self.total = float(cum[-1]) if len(cum) else 0.0
+        live = np.flatnonzero(weights > 0)
+        # the last positive-weight node, -1 when there is none
+        self.last = int(live[-1]) if len(live) else -1
+
+    def __bool__(self) -> bool:
+        """True while some weight is positive."""
+        return self.last >= 0
+
+    def select(self, x: float) -> int:
+        """The first node whose prefix sum exceeds ``x``, which has a
+        positive weight since its sum rose past its predecessor's.
+        Callers pass x = u * total for u in [0, 1); an ``x`` at or past
+        ``total`` gives the last positive-weight node, as
+        :meth:`WeightIndex.select`'s downward walk does."""
+        i = bisect_right(self.cum, x)
+        if i <= self.last:
+            return i
+        if self.last < 0:
+            raise AllWeightsZero("no positive attachment weight to select")
+        return self.last
+
+
+def prefix_pool_for(state, attach) -> PrefixPool:
+    """A :class:`PrefixPool` over all current nodes; PF nodes get weight
+    0, as in :func:`weight_index_for`."""
+    return PrefixPool(_node_weights(state, attach))
 
 
 # -- exact distributions ---------------------------------------------------

@@ -207,9 +207,11 @@ def draw_move(state, features, chooser, pool):
       (probability epsilon of CF) give a ``"grow"`` move, which the
       caller adds and checks with :func:`checking.run_check`.
 
-    ``pool`` is what ``chooser.weighted_index`` draws from: the engine's
-    :class:`WeightIndex` for a :class:`SimChooser`, the selection pmf
-    for a :class:`PathChooser`; it is falsy when no weight is positive.
+    ``pool`` is what ``chooser.weighted_index`` draws from: for a
+    :class:`SimChooser` the engine's :class:`WeightIndex`, or the Monte
+    Carlo drift's :class:`PrefixPool`, which holds weights no sample
+    changes; for a :class:`PathChooser` the selection pmf.  It is falsy
+    when no weight is positive.
     ``parents`` and ``label`` are ``None`` on the branches that add no
     node.  The state is read, never changed.
     """
@@ -504,7 +506,8 @@ class CheapAudit:
         features = engine.features
         # the decrease caps rely on every examined minimal false node being
         # recognized, which needs exact detection; injected errors are fine
-        self.track_delta = features.detection_rate == 1
+        # decided on the float, as the kernel and SimChooser.maybe decide
+        self.track_delta = float(features.detection_rate) == 1
         self.floor = survival_potential_floor(features)
         # complete can take every marked node out of the minimal false set
         # at once, so on a checked step its cap scales with the marking

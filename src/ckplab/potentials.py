@@ -33,9 +33,11 @@ and :class:`TermTable`, the general potential's scope) is built once
 per call by :func:`_step_base`; ``exact_drift`` scores each parent
 multiset, label and marking once.  A bad input fails loudly before the
 first leaf or sample: ``_step_base`` refuses a broken distance structure
-and a bad anchor, and ``exact_drift`` evaluates the whole potential once
-on the input, as ``mc_drift`` does for a count potential; the tests hold
-the scorer to the whole potential, before and after each step.
+and a bad anchor, and ``exact_drift`` runs
+:func:`state.verify_truth_closure`, as the engines do, and evaluates the
+whole potential once on the input, as ``mc_drift`` does for a count
+potential; the tests hold the scorer to the whole potential, before and
+after each step.
 
 Potentials have one arithmetic, the rational one: a :class:`TermTable`
 maps ``(deg, dist)`` to the exact ``a(deg) * c**dist``, filled on first
@@ -55,10 +57,11 @@ from fractions import Fraction
 
 from . import checking
 from .attachment import AllPF, AllWeightsZero, _require_finite, \
-    _to_fraction, parent_distribution, weight_index_for
+    _to_fraction, parent_distribution, prefix_pool_for
 from .evolution import AuditViolation, RandomPt, draw_move
 from .rand import PathChooser, SimChooser
-from .state import CT, CF, PF, StateError, pt_false_distances, anchor_bfs
+from .state import CT, CF, PF, StateError, pt_false_distances, \
+    anchor_bfs, verify_truth_closure
 
 DEFAULT_LEAF_CAP = 10_000_000
 
@@ -461,7 +464,10 @@ def exact_drift(state, features, kind, *,
     denominator and turned into one Fraction per denominator at the end.
     The mass must come to one, or the call raises instead of returning
     a number.  ``state`` is not changed.  An input with more moves than
-    ``leaf_cap`` is refused before any is made.
+    ``leaf_cap`` is refused before any is made, and so is a state that
+    fails :func:`state.verify_truth_closure`, with its ``StateError``:
+    the check enumeration skips the ball walks from hidden-True nodes,
+    which is exact only under that rule.
 
     Every rate, weight and base enters under the rule of
     :func:`attachment._to_fraction`: a float at its binary value, so
@@ -472,6 +478,7 @@ def exact_drift(state, features, kind, *,
         raise ValueError(
             "parent-count masses do not sum to one exactly; "
             "use Fraction probabilities for exact drift")
+    verify_truth_closure(state)
     try:
         pool = parent_distribution(state, features.attach)
     except (AllPF, AllWeightsZero):
@@ -563,7 +570,11 @@ def _total(terms: dict) -> Fraction:
 
 
 def _next_birth(state) -> int:
-    return max(state.birth, default=-1) + 1
+    """The birth given to the node a move or a sample adds: one past the
+    last node's, in O(1).  Nothing reads that node's birth before it is
+    popped (only :func:`state.dump_state` reads births), so it need not
+    be one past the largest, which would take a pass over the state."""
+    return state.birth[-1] + 1 if state.birth else 0
 
 
 # -- Monte Carlo drift -----------------------------------------------------
@@ -597,14 +608,21 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     step's neighbourhood, not of the state: no sample copies the state,
     applies the marking or evaluates the whole potential.
 
-    The call's set-up passes over the whole state once each: the weight
-    index, :func:`_step_base` and, for a count potential, one
-    :func:`potential`.  Those passes refuse a bad input before the first
-    sample: :func:`pt_false_distances` a broken :class:`MinDistance`
-    distance structure, :func:`_descendant_closure` a bad anchor and
-    :func:`potential` a count potential it cannot evaluate.  A
-    :class:`MinDistance` sum would refuse nothing more, so it is not
-    taken.
+    The call's set-up passes over the whole state once each: the parent
+    pool, :func:`_step_base` and, for a count potential, one
+    :func:`potential`.  No sample changes a weight, since each pops its
+    node and applies no marking, so the pool is a
+    :class:`attachment.PrefixPool` of the node weights, not an updatable
+    :class:`attachment.WeightIndex`; with integer-valued weights its
+    picks are the index's, bit for bit.  The other two passes refuse a
+    bad input before the first sample: :func:`pt_false_distances` a
+    broken :class:`MinDistance` distance structure,
+    :func:`_descendant_closure` a bad anchor and :func:`potential` a
+    count potential it cannot evaluate.  A :class:`MinDistance` sum
+    would refuse nothing more, so it is not taken.  Unlike
+    :func:`exact_drift`, the call does not run
+    :func:`state.verify_truth_closure`: on a large state that pass costs
+    several whole calls.
 
     Only the running mean is kept in floats: each delta enters it
     correctly rounded, and a delta past the float range raises
@@ -615,7 +633,7 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
         raise ValueError(
             f"samples must be a positive integer, got {samples!r}")
     chooser = SimChooser(rng)
-    windex = weight_index_for(state, features.attach)
+    pool = prefix_pool_for(state, features.attach)
     base = _step_base(state, kind)
     if not isinstance(kind, MinDistance):
         _phi_value(state, kind)
@@ -627,7 +645,7 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     m2 = 0.0
     try:
         for i in range(1, samples + 1):
-            branch, parents, label = draw_move(state, feats, chooser, windex)
+            branch, parents, label = draw_move(state, feats, chooser, pool)
             if parents is None:
                 delta = 0.0
             else:

@@ -12,8 +12,9 @@ ask a chooser for decisions.  Two implementations share the interface:
   each fork once.
 
 The two draw from different pools for a weighted parent pick: the live
-chooser from the engine's :class:`attachment.WeightIndex`, the replaying
-one from the exact selection pmf.
+chooser from the engine's :class:`attachment.WeightIndex` or the Monte
+Carlo drift's :class:`attachment.PrefixPool`, the replaying one from
+the exact selection pmf.
 
 Degenerate coins, uniform indices and parent-count laws (probability 0
 or 1, a single alternative) are resolved without a decision by both, so
@@ -90,12 +91,13 @@ class SimChooser:
                 return i
         return len(cum) - 1
 
-    def weighted_index(self, windex) -> int:
-        """One positional draw from a WeightIndex.  Always consumes a
-        uniform, even when only one candidate exists, so the stream stays
-        aligned with the accelerated engine."""
+    def weighted_index(self, pool) -> int:
+        """One positional draw from a :class:`attachment.WeightIndex` or
+        a :class:`attachment.PrefixPool`, at ``u * total``.  Always
+        consumes a uniform, even when only one candidate exists, so the
+        stream stays aligned with the accelerated engine."""
         u = self.gen.random()
-        return windex.select(u * windex.total)
+        return pool.select(u * pool.total)
 
 
 class PathChooser:

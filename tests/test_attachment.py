@@ -1,5 +1,5 @@
-"""Weight families, parent-count law, the Fenwick index and the config
-grammar."""
+"""Weight families, parent-count law, the Fenwick index, the prefix-sum
+pool and the config grammar."""
 
 import math
 from fractions import Fraction
@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ckplab.attachment import (
     Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
-    AllPF, AllWeightsZero,
+    PrefixPool, AllPF, AllWeightsZero,
     preferential, uniform, is_nondecreasing,
-    parent_distribution, sample_combination,
+    parent_distribution, sample_combination, prefix_pool_for,
     weight_index_for, parse_attachment, parse_parent_count_law, parse_number,
 )
 from ckplab.evolution import Features, PyEngine, init_chain
@@ -287,12 +287,18 @@ def test_select_lands_on_positive_weight_despite_tiny_values(weights, u):
     idx = WeightIndex(capacity=2)
     for w in weights:
         idx.append(w)
+    pool = PrefixPool(np.array(weights))
+    assert pool.total == idx.total
     if idx.positive == 0:
-        with pytest.raises(AllWeightsZero):
-            idx.select(0.0)
+        assert not pool
+        for empty in (idx, pool):
+            with pytest.raises(AllWeightsZero):
+                empty.select(0.0)
         return
+    assert pool
     got = idx.select(u * idx.total)
     assert idx.weights[got] > 0
+    assert weights[pool.select(u * pool.total)] > 0
     s = chain_state([CF, CT, CT])
     s.mark_pf([0])
     idx = weight_index_for(s, preferential())
@@ -430,6 +436,81 @@ def test_weight_index_for_skips_the_degrees_of_pf_nodes():
     weights = [0.0 if lab == PF else attach.evaluate(d)
                for lab, d in zip(s.labels, s.deg_pt)]
     assert fields(idx) == fields(appended(weights, 1024))
+
+
+# -- the prefix-sum pool --------------------------------------------------
+
+# integer-valued weights, so every prefix sum is exact; the table's hole
+# gives PT nodes of weight zero
+INTEGER_FAMILIES = (preferential(), uniform(), Affine(2, 3),
+                    PowerShifted(1, 2), TableAttachment((1, 0, 4), 2))
+
+
+def grown_state(attach, seed: int, steps: int):
+    """A state grown by the engine, with PF nodes from its checks."""
+    f = Features(attach, ParentCountLaw({1: 0.5, 2: 0.5}), check_rate=0.6,
+                 check_depth=2, mechanism="bfs", error_rate=0.3)
+    eng = PyEngine(f, init_chain(3, 1, CF), SimChooser(seed))
+    for _ in range(steps):
+        eng.step()
+    return eng.state
+
+
+GROWN = (st.sampled_from(INTEGER_FAMILIES), st.integers(0, 2**32 - 1),
+         st.integers(0, 120))
+
+
+@given(*GROWN, st.lists(st.floats(0, 1, exclude_max=True), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_prefix_pool_picks_what_the_index_picks(attach, seed, steps, us):
+    s = grown_state(attach, seed, steps)
+    idx = weight_index_for(s, attach)
+    pool = prefix_pool_for(s, attach)
+    assert bool(pool) == bool(idx)
+    assert float(pool.total).hex() == float(idx.total).hex()
+    if not idx:
+        return
+    # every prefix boundary, one ulp either side of it, and random draws
+    xs = [u * pool.total for u in us]
+    acc = 0.0
+    for w in [0.0] + idx.weights[:idx.size]:
+        acc += w
+        xs += [acc, math.nextafter(acc, math.inf)]
+        if acc > 0:
+            xs.append(math.nextafter(acc, -math.inf))
+    for x in xs:
+        assert pool.select(x) == idx.select(x), x
+
+
+@given(*GROWN)
+@settings(max_examples=40, deadline=None)
+def test_prefix_pool_lands_on_positive_weights_only(attach, seed, steps):
+    s = grown_state(attach, seed, steps)
+    pool = prefix_pool_for(s, attach)
+    weights = [0.0 if lab == PF else attach.evaluate(d)
+               for lab, d in zip(s.labels, s.deg_pt)]
+    live = [v for v, w in enumerate(weights) if w > 0]
+    if not live:
+        assert not pool
+        return
+    total = pool.total
+    for x in (total, math.nextafter(total, math.inf), 2 * total):
+        assert pool.select(x) == live[-1]
+    for k in range(200):
+        v = pool.select(k / 200 * total)
+        assert s.labels[v] != PF and weights[v] > 0
+
+
+def test_prefix_pool_is_falsy_without_a_positive_weight():
+    all_pf = chain_state([CF, CT, CT])
+    all_pf.mark_pf([0, 1, 2])
+    stuck = chain_state([CF, CT])         # PT nodes, every weight zero
+    for s, attach in ((all_pf, preferential()),
+                      (stuck, TableAttachment((0,), 0))):
+        pool = prefix_pool_for(s, attach)
+        assert not pool and pool.total == 0.0
+        with pytest.raises(AllWeightsZero):
+            pool.select(0.0)
 
 
 def test_parse_round_trips():

@@ -4,6 +4,7 @@ adversary legality, audits, and trajectory reproducibility."""
 import io
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -405,9 +406,12 @@ def test_distance_sum_audit_holds_the_sum_to_the_pt_false_count():
         audit_distance_sum(chain, feats, {"pt_false": 18})
 
 
+# a detection rate that rounds to 1.0 is exact detection, as the
+# kernel and the detection coin decide it
+@pytest.mark.parametrize("detection_rate", [1, 1 - Fraction(1, 10**400)])
 @pytest.mark.parametrize("audit_cheap", [True, False])
-def test_cheap_audit_runs_inside_every_step(audit_cheap):
-    feats = simple_features(check_rate=0.5)
+def test_cheap_audit_runs_inside_every_step(audit_cheap, detection_rate):
+    feats = simple_features(check_rate=0.5, detection_rate=detection_rate)
     engine = PyEngine(feats, init_chain(5, 1, CF), SimChooser(3),
                       audit_cheap=audit_cheap)
     engine.l_count -= 50      # the potential appears to fall by 50 at once

@@ -24,7 +24,7 @@ from ckplab.attachment import Affine, ParentCountLaw, PowerShifted, \
 from ckplab.evolution import AuditViolation, DeepAttach, Features, \
     LeafAttach, PyEngine, RandomPt, Scripted, init_chain
 from ckplab.potentials import (
-    BranchBudgetExceeded, DriftResult, MinDistance,
+    BranchBudgetExceeded, DriftEstimate, DriftResult, MinDistance,
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
     NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
@@ -471,6 +471,21 @@ def test_no_leaf_or_sample_copies_the_state_or_recomputes_the_potential(
     assert counts == {"copy": 0, "mark_pf": 0, "potential": 1}
 
 
+def test_exact_drift_refuses_a_state_that_breaks_the_truth_rule():
+    # a CF root over a CT child whose hidden error was cleared by hand:
+    # the check enumeration would skip the walk from the child, so the
+    # enumeration is refused, as the engine refuses the state
+    s = single_cf()
+    s.add_node([0], CT, birth=1)
+    s.is_false[1] = False
+    f = feats("bfs", Fraction(1, 2))
+    message = "node 1 descends from a False node but is True"
+    with pytest.raises(StateError, match=message):
+        exact_drift(s, f, MinDistance(PREF, 3))
+    with pytest.raises(StateError, match=message):
+        PyEngine(f, s, SimChooser(1))
+
+
 def test_exact_drift_needs_a_law_that_sums_to_one_exactly():
     # 0.1 and 0.9 sum to one in floats, not as binary fractions
     law = ParentCountLaw({1: 0.1, 2: 0.9})
@@ -829,6 +844,17 @@ def test_mc_drift_degenerate_without_checks():
     assert est.se == 0.0
 
 
+def test_mc_drift_stops_every_sample_on_an_all_pf_state():
+    # no weight is positive, so the pool is empty and every sample is
+    # "stopped": a zero change, and no uniform drawn
+    s = init_chain(3, 1, CF)
+    s.mark_pf([0, 1, 2])
+    gen = make_generator(5)
+    est = mc_drift(s, feats("bfs", 0.5), MinDistance(PREF, 3), 50, gen)
+    assert est == DriftEstimate(0.0, 0.0, 50)
+    assert gen.random() == make_generator(5).random()
+
+
 def test_mc_drift_matches_the_oracle():
     est = mc_drift(single_cf(), feats("bfs", 0.5), MinDistance(PREF, 3),
                    20_000, 11)
@@ -978,11 +1004,11 @@ def test_mc_drift_pinned_on_grown_states(mech):
 
 
 # The same runs under Affine(0.5, 1.3), as the append-by-append index
-# build gave them: fractional weights, so the Fenwick index holds inexact
-# float sums (the 2000-node states have crossed a regrowth).  These guard
-# the draws end to end; a one-ulp change in the index rarely moves a
-# draw, so the build's own bit-for-bit tests in test_attachment.py are
-# what guard its float folds.
+# build gave them: fractional weights, so the engine's Fenwick index holds
+# inexact float sums (the 2000-node states have crossed a regrowth), and
+# mc_drift's prefix sums round apart from them.  These guard the draws
+# end to end; a one-ulp change in a sum rarely moves a draw, so the
+# bit-for-bit tests in test_attachment.py are what guard the float folds.
 AFFINE = Affine(0.5, 1.3)
 MC_PINNED_AFFINE = {
     "stringy": (0.46173437500000003, 0.11644382031035486),
