@@ -406,12 +406,8 @@ def test_distance_sum_audit_holds_the_sum_to_the_pt_false_count():
         audit_distance_sum(chain, feats, {"pt_false": 18})
 
 
-# a detection rate that rounds to 1.0 is exact detection, as the
-# kernel and the detection coin decide it
-@pytest.mark.parametrize("detection_rate", [1, 1 - Fraction(1, 10**400)])
-@pytest.mark.parametrize("audit_cheap", [True, False])
-def test_cheap_audit_runs_inside_every_step(audit_cheap, detection_rate):
-    feats = simple_features(check_rate=0.5, detection_rate=detection_rate)
+def _check_cheap_audit(audit_cheap, **kw):
+    feats = simple_features(check_rate=0.5, **kw)
     engine = PyEngine(feats, init_chain(5, 1, CF), SimChooser(3),
                       audit_cheap=audit_cheap)
     engine.l_count -= 50      # the potential appears to fall by 50 at once
@@ -420,6 +416,19 @@ def test_cheap_audit_runs_inside_every_step(audit_cheap, detection_rate):
             engine.run(5)
     else:
         assert engine.run(5)["final_counts"]["nodes"] > 5
+
+
+@pytest.mark.parametrize("audit_cheap", [True, False])
+def test_cheap_audit_runs_inside_every_step(audit_cheap):
+    _check_cheap_audit(audit_cheap)
+
+
+# a detection rate that rounds to 1.0 is exact detection, as the
+# kernel and the detection coin decide it
+@pytest.mark.parametrize("audit_cheap", [True, False])
+def test_cheap_audit_treats_near_one_detection_as_exact(audit_cheap):
+    _check_cheap_audit(audit_cheap,
+                       detection_rate=1 - Fraction(1, 10**400))
 
 
 def test_pf_freeze_audit_catches_growth():
