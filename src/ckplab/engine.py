@@ -70,6 +70,8 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
     "compiled": "compiled" raises when the kernel cannot serve the
     request, "auto" silently falls back.
     """
+    if isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, not the bool {seed!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if audit not in ("none", "cheap", "full"):

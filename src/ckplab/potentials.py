@@ -599,7 +599,9 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     int.  Each sample is one :func:`evolution.draw_move` under a
     :class:`SimChooser`, then :func:`checking.run_check` on a growth
     step, so its law is the engine's own, adversarial steps playing
-    ``features.adversary``.
+    ``features.adversary``.  The chooser reads its uniforms in blocks,
+    so a Generator handed in ends up to ``rand.BLOCK - 1`` values past
+    the last uniform used, and untouched if none was.
 
     Each sample adds its node to ``state`` itself, runs the check there
     without applying the marking, scores the step exactly with

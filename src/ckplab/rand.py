@@ -24,6 +24,12 @@ a coin's probability as a float, as the kernel does, so a rate that
 rounds to 0.0 or 1.0 is degenerate there; the replaying one reads it
 exactly.  A live weighted pick always consumes a uniform, as the
 kernel's does; a replayed pick from a one-entry pmf is no decision.
+
+The live chooser reads its uniforms in blocks of :data:`BLOCK`, one
+``Generator.random(BLOCK)`` call each.  The values are the ones a
+``random()`` call per uniform gives, and the kernel's draws, so the
+blocks change no decision.  The generator's state moves a block at a
+time; :attr:`SimChooser.draws` counts the uniforms consumed.
 """
 
 from __future__ import annotations
@@ -47,20 +53,60 @@ def derive_seed(base_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
+# uniforms per ``Generator.random`` call of a :class:`SimChooser`
+BLOCK = 256
+
+
 def make_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
 class SimChooser:
-    """Chooser backed by a numpy Generator."""
+    """Chooser backed by a numpy Generator.
 
-    __slots__ = ("gen",)
+    The uniforms are read in blocks: one ``Generator.random(BLOCK)``
+    call fills a list, at the first decision that draws and whenever
+    the list runs out, and each decision that draws takes the next
+    value from it.  ``Generator.random(n)`` returns the values of ``n``
+    successive ``random()`` calls, which are the kernel's draws, so the
+    decisions are the ones a call per uniform would give.  A Generator
+    handed in is advanced a whole block at a time: it is untouched
+    until the first uniform, and ends up to ``BLOCK - 1`` values past
+    the last uniform used.  :attr:`draws` counts the uniforms consumed.
+    """
+
+    __slots__ = ("gen", "_fill", "_buf", "_pos", "_base")
 
     def __init__(self, seed_or_gen):
+        if isinstance(seed_or_gen, bool):
+            raise ValueError(f"seed must be an integer or a numpy "
+                             f"Generator, not the bool {seed_or_gen!r}")
         if isinstance(seed_or_gen, np.random.Generator):
             self.gen = seed_or_gen
         else:
             self.gen = make_generator(seed_or_gen)
+        # bound once, so a stand-in later put at ``gen`` is not asked
+        # for blocks
+        self._fill = self.gen.random
+        self._buf: list = []
+        self._pos = 0
+        self._base = 0      # uniforms in the blocks before ``_buf``
+
+    @property
+    def draws(self) -> int:
+        """The number of uniforms the decisions have consumed."""
+        return self._base + self._pos
+
+    def _refill(self) -> float:
+        """The first uniform of a fresh block, taken."""
+        self._base += len(self._buf)
+        self._buf = buf = self._fill(BLOCK).tolist()
+        self._pos = 1
+        return buf[0]
+
+    # Each decision below reads the block inline; only the refill is a
+    # call, since a helper frame per uniform costs a good part of what
+    # the blocks save.
 
     def maybe(self, p) -> bool:
         """A coin of probability ``p``, decided as the kernel decides it:
@@ -71,12 +117,24 @@ class SimChooser:
             return False
         if p >= 1:
             return True
-        return self.gen.random() < p
+        try:
+            u = self._buf[self._pos]
+        except IndexError:
+            u = self._refill()
+        else:
+            self._pos += 1
+        return u < p
 
     def uniform_index(self, n: int) -> int:
         if n == 1:
             return 0
-        i = int(self.gen.random() * n)
+        try:
+            u = self._buf[self._pos]
+        except IndexError:
+            u = self._refill()
+        else:
+            self._pos += 1
+        i = int(u * n)
         return n - 1 if i >= n else i
 
     def pmf_index(self, law) -> int:
@@ -85,7 +143,12 @@ class SimChooser:
         cum = law.cum
         if len(cum) == 1:
             return 0
-        u = self.gen.random()
+        try:
+            u = self._buf[self._pos]
+        except IndexError:
+            u = self._refill()
+        else:
+            self._pos += 1
         for i, c in enumerate(cum):
             if u < c:
                 return i
@@ -96,7 +159,12 @@ class SimChooser:
         a :class:`attachment.PrefixPool`, at ``u * total``.  Always
         consumes a uniform, even when only one candidate exists, so the
         stream stays aligned with the accelerated engine."""
-        u = self.gen.random()
+        try:
+            u = self._buf[self._pos]
+        except IndexError:
+            u = self._refill()
+        else:
+            self._pos += 1
         return pool.select(u * pool.total)
 
 

@@ -241,6 +241,7 @@ def test_bfs_clean_neighborhood_finds_nothing():
         assert out.found == [] and out.marked == set()
         assert out.visited == []
     assert path.exhausted()
+    assert sim.draws == 0
     assert sim.gen.bit_generator.state == before
 
 
@@ -540,8 +541,8 @@ def outcome_law(decide) -> dict:
 def test_skipping_true_starts_is_exact(s, k, seed):
     """Checking each PT node with every mechanism, the skipping walk and
     the never-skipping one give the same law of (coins, finds, marks)
-    and, under a live chooser, the same outcome and the same generator
-    state after, hence the same number of uniforms."""
+    and, under a live chooser, the same outcome, the same number of
+    uniforms drawn and the same generator state after."""
     for mechanism in MECHANISMS:
         for v in s.pt_ids():
             def decide(chooser):
@@ -555,5 +556,5 @@ def test_skipping_true_starts_is_exact(s, k, seed):
                 with mock.patch.object(checking, "_ball", ball):
                     sim = SimChooser(seed)
                     live.append((outcome_law(decide), decide(sim),
-                                 sim.gen.bit_generator.state))
+                                 sim.draws, sim.gen.bit_generator.state))
             assert live[0] == live[1], (mechanism, v)

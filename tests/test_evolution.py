@@ -347,6 +347,13 @@ def test_run_rejects_bad_horizon():
                   seed=0, backend="python")
 
 
+@pytest.mark.parametrize("backend", ["python", "compiled", "auto"])
+def test_run_rejects_a_bool_seed_on_every_backend(backend):
+    with pytest.raises(ValueError, match="bool"):
+        run_trial(simple_features(), init_chain(1, 1, CF), horizon=10,
+                  seed=True, backend=backend)
+
+
 def test_run_rejects_unknown_audit_level():
     with pytest.raises(ValueError, match="paranoid"):
         run_trial(simple_features(), init_chain(1, 1, CF), horizon=10,

@@ -896,6 +896,12 @@ def test_mc_drift_validates_the_sample_count():
                      bad, 1)
 
 
+def test_mc_drift_rejects_a_bool_rng():
+    with pytest.raises(ValueError, match="bool"):
+        mc_drift(single_cf(), feats("bfs", 0.5), MinDistance(PREF, 3), 10,
+                 True)
+
+
 def snapshot(st: CkpState) -> tuple:
     return (dump_state(st), [list(c) for c in st.children], list(st.deg_pt),
             list(st.deg_ct), list(st.pf_parent_edges), st.pf_total)
