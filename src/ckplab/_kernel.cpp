@@ -33,9 +33,13 @@
 //     support point consume nothing; a weighted parent pick always
 //     consumes one uniform.
 //   * Attachment weights are ``float(attach.evaluate(d))``, called back
-//     into Python once per degree d and kept in the per-degree table
-//     ``aval``, so both backends add the same floats.  Anything
-//     ``evaluate`` raises propagates.
+//     into Python once per degree d, in increasing order, and kept in
+//     the per-degree table ``aval``.  Both backends keep that table, and
+//     PyEngine.aval (filled by attachment.extend_table) is the
+//     reference: each fills it to the largest live degree at
+//     construction and extends it when a step reaches a new degree, so
+//     both ask ``evaluate`` for the same degrees in the same order and
+//     add the same floats.  Anything ``evaluate`` raises propagates.
 //   * The Fenwick weight index is attachment.WeightIndex field for
 //     field: same capacity schedule, same update order (weights refreshed
 //     for sorted unique parents), same select and fallback scan.  A

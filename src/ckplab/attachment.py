@@ -358,12 +358,17 @@ class WeightIndex:
         self.positive = int(np.count_nonzero(w > 0))
 
     def append(self, weight: float) -> int:
-        if self.size >= self.capacity:
-            self._grow(self.size + 1)
         i = self.size
-        self.size += 1
+        if i >= self.capacity:
+            self._grow(i + 1)
+        self.size = i + 1
         if weight:
-            self._add(i, weight)
+            tree = self.tree
+            capacity = self.capacity
+            j = i + 1
+            while j <= capacity:
+                tree[j] += weight
+                j += j & -j
             self.weights[i] = weight
             self.total += weight
             if weight > 0:
@@ -371,21 +376,21 @@ class WeightIndex:
         return i
 
     def set_weight(self, i: int, weight: float) -> None:
-        old = self.weights[i]
+        weights = self.weights
+        old = weights[i]
         if weight == old:
             return
         delta = weight - old
-        self._add(i, delta)
-        self.weights[i] = weight
+        tree = self.tree
+        capacity = self.capacity
+        j = i + 1
+        while j <= capacity:
+            tree[j] += delta
+            j += j & -j
+        weights[i] = weight
         self.total += delta
         if (old > 0) != (weight > 0):
             self.positive += 1 if weight > 0 else -1
-
-    def _add(self, i: int, delta: float) -> None:
-        j = i + 1
-        while j <= self.capacity:
-            self.tree[j] += delta
-            j += j & (-j)
 
     def prefix(self, i: int) -> float:
         """Sum of weights[0..i-1]."""
@@ -428,33 +433,48 @@ class WeightIndex:
         return pos
 
 
-def _node_weights(state, attach) -> np.ndarray:
+def extend_table(table: list, attach, d: int) -> float:
+    """The per-degree weight table the engines keep, ``table[j] ==
+    float(attach.evaluate(j))``, extended through degree ``d``: one
+    ``evaluate`` per missing degree, in increasing order, as the
+    kernel's ``aval`` fills.  Returns ``table[d]``."""
+    for j in range(len(table), d + 1):
+        table.append(float(attach.evaluate(j)))
+    return table[d]
+
+
+def _node_weights(state, attach, table=None) -> np.ndarray:
     """Every node's attachment weight in id order; PF nodes get 0.0.
 
-    ``attach.evaluate`` runs once per degree up to the largest live one,
-    the table the kernel's ``aval`` keeps.  The two columns are read by
-    ``bytes`` and ``np.fromiter``, which cost about half of
-    ``np.asarray`` on a list.
+    The weights come from the per-degree table ``table`` (a fresh list
+    when none is given), filled by :func:`extend_table` up to the
+    largest live degree, as the kernel's ``aval`` is at construction.
+    The two columns are read by ``bytes`` and ``np.fromiter``, which
+    cost about half of ``np.asarray`` on a list.
     """
     from .state import PF
     n = len(state.labels)
     live = np.frombuffer(bytes(state.labels), dtype=np.uint8) != PF
     deg = np.fromiter(state.deg_pt, dtype=np.int64, count=n)[live]
-    table = np.array([attach.evaluate(d)
-                      for d in range(int(deg.max(initial=-1)) + 1)])
+    table = [] if table is None else table
+    top = int(deg.max(initial=-1))
+    if top >= 0:
+        extend_table(table, attach, top)
     weights = np.zeros(n)
-    weights[live] = table[deg]
+    weights[live] = np.array(table, dtype=float)[deg]
     return weights
 
 
-def weight_index_for(state, attach) -> WeightIndex:
+def weight_index_for(state, attach, table=None) -> WeightIndex:
     """Fresh index over all current nodes; PF nodes get weight 0.
 
     :meth:`WeightIndex._build` lays the weights out with a few numpy
     passes per tree level instead of one ``append`` per node.  The index
-    is bit for bit the one those appends would build.
+    is bit for bit the one those appends would build.  A ``table`` given
+    is the caller's per-degree table, which the call fills (see
+    :func:`_node_weights`) for the caller's later updates.
     """
-    weights = _node_weights(state, attach)
+    weights = _node_weights(state, attach, table)
     idx = WeightIndex(capacity=max(1024, len(weights)))
     idx._build(weights, idx.capacity)
     return idx

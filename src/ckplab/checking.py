@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from .state import CF, PF
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckOutcome:
     """What one check did: coin results, finds, the would-be PF set, and
     the visit order for audits."""

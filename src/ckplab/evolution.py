@@ -29,7 +29,7 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 from . import checking
-from .attachment import sample_combination, weight_index_for
+from .attachment import extend_table, sample_combination, weight_index_for
 from .state import (
     CT, CF, PF, LABEL_NAMES, CkpState, StateError, verify_truth_closure,
 )
@@ -233,7 +233,7 @@ def draw_move(state, features, chooser, pool):
 
 # -- step and trajectory records -------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     branch: str                  # grow | adversary | adversary-noop | stopped
     node: int | None = None
@@ -271,6 +271,17 @@ class PyEngine:
     in the mode-appropriate sense, so per-step checkpoint counts and the
     survival potential delta are O(1).  :meth:`export_bookkeeping` hands
     all of it to the deep audits in the record the kernel exports.
+    ``aval`` is the per-degree weight table the kernel keeps under the
+    same name, ``float(attach.evaluate(d))`` for d = 0, 1, ...: the
+    index's layout fills it to the largest live degree and a step that
+    reaches a new degree extends it (:func:`attachment.extend_table`),
+    so both backends ask ``evaluate`` for the same degrees in the same
+    order, and every weight update reads it.  A step calls
+    ``CkpState.add_node`` and ``mark_pf``, ``WeightIndex.append``,
+    ``set_weight`` and ``select``, and ``checking.run_check`` through
+    their class or module attributes, never through a bound method
+    cached earlier, so the benchmark tracer that wraps them sees every
+    call.
     Adversarial steps play ``features.adversary``.  The kernel's surface
     is this one: :meth:`run`, the exports, and the keyword-only
     ``audit_cheap``, which runs :class:`CheapAudit` in every :meth:`step`.
@@ -284,7 +295,11 @@ class PyEngine:
         self.features = features
         self.state = init_state.copy()
         self.chooser = chooser
-        self.windex = weight_index_for(self.state, features.attach)
+        # the per-degree weight table, the kernel's aval, filled by the
+        # index's layout first so both ask evaluate in the same order
+        self.aval: list[float] = []
+        self.windex = weight_index_for(self.state, features.attach,
+                                       self.aval)
         self.stopped = False
         self.step_index = 0
         st = self.state
@@ -343,59 +358,101 @@ class PyEngine:
 
     def _refresh_membership(self, nodes) -> None:
         st = self.state
-        simple = self.features.simple
+        labels = st.labels
+        pf_parent_edges = st.pf_parent_edges
+        # CkpState.is_minimal_false and is_ct_nonroot_leaf, inlined: a
+        # CT node without a PF parent edge is a leaf when it has no
+        # children (simple mode) or no CT child edges
+        leaf_blocker = st.children if self.features.simple else st.deg_ct
+        f_mem = self.f_mem
+        l_mem = self.l_mem
         for v in nodes:
-            f_now = st.is_minimal_false(v)
-            l_now = st.is_ct_nonroot_leaf(v, simple)
-            if f_now != self.f_mem[v]:
-                self.f_mem[v] = f_now
+            lab = labels[v]
+            if lab == CT:
+                rooted = pf_parent_edges[v] > 0
+                f_now = rooted
+                l_now = not rooted and not leaf_blocker[v]
+            else:
+                f_now = lab == CF
+                l_now = False
+            if f_now != f_mem[v]:
+                f_mem[v] = f_now
                 self.f_count += 1 if f_now else -1
-            if l_now != self.l_mem[v]:
-                self.l_mem[v] = l_now
+            if l_now != l_mem[v]:
+                l_mem[v] = l_now
                 self.l_count += 1 if l_now else -1
 
     def _add_node(self, parents, label, adversarial: bool) -> int:
         st = self.state
         v = st.add_node(parents, label, birth=self.step_index,
                         adversarial=adversarial)
+        windex = self.windex
+        aval = self.aval
         attach = self.features.attach
-        self.windex.append(attach.evaluate(0))
-        for u in sorted(set(parents)):
-            self.windex.set_weight(u, attach.evaluate(st.deg_pt[u]))
-        self.f_mem.append(st.is_minimal_false(v))
-        self.l_mem.append(st.is_ct_nonroot_leaf(v, self.features.simple))
-        self.f_count += self.f_mem[v]
-        self.l_count += self.l_mem[v]
+        deg_pt = st.deg_pt
+        windex.append(aval[0] if aval else extend_table(aval, attach, 0))
+        # weights refreshed for the distinct parents in id order; a
+        # degree past the table extends it, as the kernel's aval does
+        ups = parents if len(parents) == 1 else sorted(set(parents))
+        for u in ups:
+            d = deg_pt[u]
+            windex.set_weight(u, aval[d] if d < len(aval)
+                              else extend_table(aval, attach, d))
+        # the new node has no children and no PF parent edge: it is
+        # minimal false iff CF and a leaf iff CT
+        f_new = label == CF
+        self.f_mem.append(f_new)
+        self.l_mem.append(not f_new)
+        if f_new:
+            self.f_count += 1
+        else:
+            self.l_count += 1
         if st.is_false[v]:
             self.pt_false += 1
-        self._refresh_membership(set(parents))
+        # a new child changes no parent's label or PF parent edges, so no
+        # minimal-false flag; it can only end a parent's leaf status
+        leaf_blocker = st.children if self.features.simple else st.deg_ct
+        l_mem = self.l_mem
+        for u in ups:
+            if l_mem[u] and leaf_blocker[u]:
+                l_mem[u] = False
+                self.l_count -= 1
         return v
 
     def _apply_marks(self, marked) -> None:
         st = self.state
+        is_false = st.is_false
         marked = sorted(marked)
         for w in marked:
-            if not st.is_false[w]:
+            if not is_false[w]:
                 raise AuditViolation(f"check tried to mark True node {w}")
         touched = st.mark_pf(marked)
-        attach = self.features.attach
+        windex = self.windex
+        aval = self.aval
+        children = st.children
+        parents = st.parents
+        pf_child_len = self.pf_child_len
         affected = set()
         for w in marked:
-            self.windex.set_weight(w, 0.0)
-            self.pf_child_len[w] = len(st.children[w])
-            affected.update(st.children[w])
-            affected.update(st.parents[w])
+            windex.set_weight(w, 0.0)
+            kids = children[w]
+            pf_child_len[w] = len(kids)
+            affected.update(kids)
+            affected.update(parents[w])
+        # a degree only falls here, so the table already holds it
         for u, d in touched.items():
-            self.windex.set_weight(u, attach.evaluate(d))
+            windex.set_weight(u, aval[d])
         self.pt_false -= len(marked)
+        f_mem = self.f_mem
+        l_mem = self.l_mem
         for w in marked:
-            if self.f_mem[w]:
-                self.f_mem[w] = False
+            if f_mem[w]:
+                f_mem[w] = False
                 self.f_count -= 1
-            if self.l_mem[w]:
-                self.l_mem[w] = False
+            if l_mem[w]:
+                l_mem[w] = False
                 self.l_count -= 1
-        self._refresh_membership(affected - set(marked))
+        self._refresh_membership(affected.difference(marked))
 
     # -- dynamics ---------------------------------------------------------
 
@@ -423,17 +480,13 @@ class PyEngine:
                 if outcome.marked:
                     self._apply_marks(outcome.marked)
             record = StepRecord(branch, v, label, parents, outcome)
-        self._track_zero()
+        if self.pt_false:
+            self.zero_since = None
+        elif self.zero_since is None:
+            self.zero_since = self.step_index
         if self.audit is not None:
             self.audit.after_step(record)
         return record
-
-    def _track_zero(self) -> None:
-        if self.pt_false == 0:
-            if self.zero_since is None:
-                self.zero_since = self.step_index
-        else:
-            self.zero_since = None
 
     def run(self, horizon: int, checkpoint_steps=(), *,
             trace=None) -> dict:

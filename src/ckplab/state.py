@@ -19,7 +19,7 @@ multiplicity.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
+from itertools import compress, count
 
 CT = 0
 CF = 1
@@ -98,52 +98,69 @@ class CkpState:
             raise StateError("a new node needs at least one parent edge")
         if label not in (CT, CF):
             raise StateError(f"new node label must be CT or CF, got {label!r}")
-        n = len(self.labels)
+        labels = self.labels
+        is_false = self.is_false
+        v = len(labels)
+        # one pass checks every parent, in edge order, and decides the
+        # new node's truth; nothing is changed before it ends
+        false = label == CF
         for u in parent_ids:
-            if not 0 <= u < n:
+            if not 0 <= u < v:
                 raise StateError(f"parent id {u} out of range")
-            if self.labels[u] == PF:
+            if labels[u] == PF:
                 raise StateError(f"parent {u} is PF; PF nodes never gain children")
-        v = n
-        false = label == CF or any(self.is_false[u] for u in parent_ids)
-        self.labels.append(label)
-        self.is_false.append(false)
+            if is_false[u]:
+                false = True
+        labels.append(label)
+        is_false.append(false)
         self.birth.append(birth)
         self.adversarial.append(bool(adversarial))
         self.parents.append(parent_ids)
-        self.children.append([])
-        self.deg_pt.append(0)
-        self.deg_ct.append(0)
+        children = self.children
+        children.append([])
+        deg_pt = self.deg_pt
+        deg_pt.append(0)
+        deg_ct = self.deg_ct
+        deg_ct.append(0)
         self.pf_parent_edges.append(0)
-        for u in parent_ids:
-            self.children[u].append(v)
-            self.deg_pt[u] += 1
-            if label == CT:
-                self.deg_ct[u] += 1
+        if label == CT:
+            for u in parent_ids:
+                children[u].append(v)
+                deg_pt[u] += 1
+                deg_ct[u] += 1
+        else:
+            for u in parent_ids:
+                children[u].append(v)
+                deg_pt[u] += 1
         return v
 
     def pop_last_node(self) -> None:
         """Remove the most recently added node (used to undo a trial move)."""
-        v = len(self.labels) - 1
+        labels = self.labels
+        children = self.children
+        v = len(labels) - 1
         if v < 0:
             raise StateError("state is empty")
-        if self.children[v]:
+        if children[v]:
             raise StateError("can only pop a childless node")
-        label = self.labels[v]
+        label = labels.pop()
         if label == PF:
             self.pf_total -= 1
-        for u in self.parents[v]:
-            self.children[u].pop()
-            if label != PF:
-                self.deg_pt[u] -= 1
-            if label == CT:
-                self.deg_ct[u] -= 1
-        self.labels.pop()
+            for u in self.parents.pop():
+                children[u].pop()
+        else:
+            deg_pt = self.deg_pt
+            deg_ct = self.deg_ct
+            was_ct = label == CT
+            for u in self.parents.pop():
+                children[u].pop()
+                deg_pt[u] -= 1
+                if was_ct:
+                    deg_ct[u] -= 1
         self.is_false.pop()
         self.birth.pop()
         self.adversarial.pop()
-        self.parents.pop()
-        self.children.pop()
+        children.pop()
         self.deg_pt.pop()
         self.deg_ct.pop()
         self.pf_parent_edges.pop()
@@ -156,27 +173,37 @@ class CkpState:
         degree changed, so a caller can refresh attachment weights.
         """
         marked = sorted(set(marked))
+        labels = self.labels
+        is_false = self.is_false
         for w in marked:
-            if self.labels[w] == PF:
+            if labels[w] == PF:
                 raise StateError(f"node {w} is already PF")
-            if not self.is_false[w]:
+            if not is_false[w]:
                 raise StateError(f"refusing to mark hidden-True node {w} PF")
+        parents = self.parents
+        children = self.children
+        deg_pt = self.deg_pt
+        deg_ct = self.deg_ct
+        pf_parent_edges = self.pf_parent_edges
         degree_touched: set[int] = set()
         for w in marked:
-            was_ct = self.labels[w] == CT
-            self.labels[w] = PF
-            for u in self.parents[w]:
-                self.deg_pt[u] -= 1
-                if was_ct:
-                    self.deg_ct[u] -= 1
-                degree_touched.add(u)
-            for c in self.children[w]:
-                self.pf_parent_edges[c] += 1
+            ups = parents[w]
+            if labels[w] == CT:
+                for u in ups:
+                    deg_pt[u] -= 1
+                    deg_ct[u] -= 1
+            else:
+                for u in ups:
+                    deg_pt[u] -= 1
+            labels[w] = PF
+            degree_touched.update(ups)
+            for c in children[w]:
+                pf_parent_edges[c] += 1
         self.pf_total += len(marked)
         # sorted so weight refreshes happen in one canonical order on
         # every backend (float totals are order-sensitive)
-        return {u: self.deg_pt[u] for u in sorted(degree_touched)
-                if self.labels[u] != PF}
+        return {u: deg_pt[u] for u in sorted(degree_touched)
+                if labels[u] != PF}
 
     # -- predicates -------------------------------------------------------
 
@@ -422,22 +449,59 @@ def load_state(text: str) -> CkpState:
     return state
 
 
+def _truth_fault(state: CkpState, v: int) -> str | None:
+    """What breaks the hidden truth rule at node ``v``, or None: the
+    message :func:`verify_truth_closure` raises, the first of its four
+    checks, in a fixed order, that ``v`` fails."""
+    is_false = state.is_false
+    label = state.labels[v]
+    inherited = any(is_false[u] for u in state.parents[v])
+    if inherited and not is_false[v]:
+        return f"node {v} descends from a False node but is True"
+    if label == CF and not is_false[v]:
+        return f"CF node {v} has is_false unset"
+    if label == PF and not is_false[v]:
+        return f"PF node {v} has is_false unset"
+    if is_false[v] and not inherited and label == CT:
+        return f"CT node {v} is False yet no parent is False"
+    return None
+
+
 def verify_truth_closure(state: CkpState) -> None:
     """Check the halves of the hidden truth rule that a finished state
     still exposes: False-ness flows down every edge, a False node with no
     False parent must itself carry the error (so if it is still PT, it is
     labeled CF), and a PF node is False, since checks mark only False
     nodes.  The ball walks' skip from hidden-True nodes rests on these,
-    so both engines run this on their initial state."""
-    for v in range(len(state.labels)):
-        inherited = any(state.is_false[u] for u in state.parents[v])
-        if inherited and not state.is_false[v]:
-            raise StateError(f"node {v} descends from a False node but is True")
-        if state.labels[v] == CF and not state.is_false[v]:
-            raise StateError(f"CF node {v} has is_false unset")
-        if state.labels[v] == PF and not state.is_false[v]:
-            raise StateError(f"PF node {v} has is_false unset")
-        if (state.is_false[v] and not inherited
-                and state.labels[v] == CT):
-            raise StateError(
-                f"CT node {v} is False yet no parent is False")
+    so both engines run this on their initial state.
+
+    Raises :class:`StateError` with :func:`_truth_fault`'s message at the
+    lowest-id node that breaks the rule.  A break is a True node labeled
+    CF or PF, a True child of a False node, or a False CT node with no
+    False parent, so one scan of the labels and a walk over the False
+    nodes alone (their child lists, and the parents of the CT ones)
+    find it.  The child lists are trusted to mirror the parent lists,
+    as every mutation here and :func:`load_state` keep them.
+    """
+    labels = state.labels
+    is_false = state.is_false
+    parents = state.parents
+    children = state.children
+    falseness = is_false.__getitem__
+    n = len(labels)
+    # the lowest True node labeled CF or PF
+    first = next((v for v, lab, false in zip(count(), labels, is_false)
+                  if not false and lab != CT), n)
+    # a child's id is above its parents', so a False node past the
+    # lowest break found so far, and its children, cannot be lower
+    for v in compress(range(first), is_false):
+        if v >= first:
+            break
+        if labels[v] == CT and not any(map(falseness, parents[v])):
+            first = v
+            break
+        kids = children[v]
+        if not all(map(falseness, kids)):
+            first = min(first, min(c for c in kids if not is_false[c]))
+    if first < n:
+        raise StateError(_truth_fault(state, first))

@@ -15,6 +15,7 @@ from ckplab.attachment import (
     parent_distribution, sample_combination, prefix_pool_for,
     weight_index_for, parse_attachment, parse_parent_count_law, parse_number,
 )
+from ckplab.engine import kernel_available
 from ckplab.evolution import Features, PyEngine, init_chain
 from ckplab.rand import SimChooser, derive_seed
 from ckplab.state import CT, CF, PF, CkpState
@@ -436,6 +437,30 @@ def test_weight_index_for_skips_the_degrees_of_pf_nodes():
     weights = [0.0 if lab == PF else attach.evaluate(d)
                for lab, d in zip(s.labels, s.deg_pt)]
     assert fields(idx) == fields(appended(weights, 1024))
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel not built")
+def test_both_backends_ask_evaluate_for_the_same_degrees():
+    """Both engines keep a per-degree weight table and fill it the same
+    way: each degree is asked once, in increasing order, over a run that
+    grows degrees past the initial ones and marks."""
+    from ckplab._kernel import KernelEngine
+
+    asked = {}
+    for backend in ("python", "compiled"):
+        counting = CountingEvaluations(preferential())
+        feats = Features(counting, ParentCountLaw({1: 0.5, 2: 0.25,
+                                                   3: 0.25}),
+                         check_rate=0.5, check_depth=3, mechanism="complete")
+        init = init_chain(12, 2, CF)
+        eng = (PyEngine(feats, init, SimChooser(31))
+               if backend == "python" else KernelEngine(feats, init, 31))
+        assert counting.asked == [0, 1, 2]       # the initial degrees
+        assert eng.run(400)["pf_exists"]
+        asked[backend] = counting.asked
+    assert asked["python"] == asked["compiled"]
+    assert asked["python"] == list(range(len(asked["python"])))
+    assert len(asked["python"]) > 10
 
 
 # -- the prefix-sum pool --------------------------------------------------

@@ -18,7 +18,8 @@ from ckplab.engine import (
 )
 from ckplab.evolution import AuditViolation, Features, PyEngine, init_chain
 from ckplab.rand import SimChooser
-from ckplab.state import CF, CT, PF, StateError, dump_state
+from ckplab.potentials import MinDistance, exact_drift
+from ckplab.state import CF, CT, PF, StateError, dump_state, load_state
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
                                   reason="compiled kernel not built")
@@ -34,12 +35,17 @@ CASES += [
     ("complete", 0.0, "table", 0.3, 2),
     ("stringy", 0.25, "table", 0.9, 5),
     ("parentwise-bfs", 0.0, "uniform", 0.9, 4),
+    ("bfs", 0.25, "rounding", 0.3, 3),
+    ("complete", 0.0, "rounding", 0.3, 2),
 ]
 
 ATTACHMENTS = {
     "preferential": lambda: (preferential(), LAW_MIX),
     "uniform": lambda: (uniform(), ParentCountLaw.const(1)),
     "table": lambda: (TableAttachment((1.0, 0.5, 2.0), 0.25), LAW_MIX),
+    # weights that are not dyadic, so Fenwick sums round: an update made
+    # in another order would show in the tree's bits
+    "rounding": lambda: (Affine(0.1, 0.7), LAW_MIX),
 }
 
 
@@ -495,8 +501,39 @@ def true_below_false():
     return s
 
 
+def cf_root_unset():
+    s = init_chain(12, 2, CF)
+    s.is_false[0] = False       # its children stay False, above it in id
+    return s
+
+
+def last_node_true():
+    s = init_chain(12, 2, CF)
+    s.is_false[11] = False
+    return s
+
+
+def true_deep_in_a_cone():
+    # a False cone under a CT chain, with True nodes born beside it
+    s = init_chain(6, 1, CT)
+    cone = [s.add_node([5], CF, birth=0)]
+    for i in range(20):
+        if i % 3 == 2:
+            s.add_node([i % 6], CT, birth=0)
+        else:
+            cone.append(s.add_node([cone[-1], i % 6], CT, birth=0))
+    assert cone[-4] == 22       # cone nodes above it and below it
+    s.is_false[22] = False      # the False nodes below it lack a cause
+    return s
+
+
 BROKEN_TRUTH = [(true_cf, "CF node 1"), (true_pf, "PF node 2"),
-                (true_below_false, "node 2 descends from a False node")]
+                (true_below_false, "node 2 descends from a False node"),
+                (cf_root_unset, "CF node 0 has is_false unset"),
+                (last_node_true,
+                 "node 11 descends from a False node but is True"),
+                (true_deep_in_a_cone,
+                 "node 22 descends from a False node but is True")]
 
 
 def kernel_engine(feats, init, seed):
@@ -508,10 +545,17 @@ def kernel_engine(feats, init, seed):
 @pytest.mark.parametrize("make_engine", [
     lambda feats, init, seed: PyEngine(feats, init, SimChooser(seed)),
     pytest.param(kernel_engine, marks=needs_kernel),
-], ids=["python", "compiled"])
+    lambda feats, init, seed: exact_drift(init, feats,
+                                          MinDistance(preferential(), 3)),
+    lambda feats, init, seed: load_state(dump_state(init)),
+], ids=["python", "compiled", "exact_drift", "load_state"])
 def test_engines_refuse_broken_truth(build, message, make_engine):
     """The ball walks skip hidden-True starts, which is exact only when
-    every CF and PF node is False and falseness flows down every edge."""
+    every CF and PF node is False and falseness flows down every edge.
+    Both engines, the exact drift and the text format refuse a state
+    that breaks this, naming its lowest broken node: at the first node,
+    at the last one, or deep in a False cone."""
     feats = case_features("bfs", 0.1, "preferential", 0.5, 2)
     with pytest.raises(StateError, match=message):
         make_engine(feats, build(), 1)
+

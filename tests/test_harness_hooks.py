@@ -1,9 +1,14 @@
-"""The benchmark harness's tracer finds every hook it patches by name.
+"""The benchmark harness's tracer finds every hook it patches by name,
+and the engine calls every hook it counts.
 
 ``bench/harness/tracing.py`` wraps methods and module functions of
 ``ckplab`` by attribute name.  A rename in the package would break a
-traced benchmark run (``--trace 1``) and nothing else, so this test
-installs and uninstalls the tracer and checks both directions.
+traced benchmark run (``--trace 1``) and nothing else, so one test
+installs and uninstalls the tracer and checks both directions.  An
+engine that reached the work behind a hook some other way (a bound
+method cached before the tracer was installed, a walk inlined around
+the call) would zero a per-layer metric silently, so another test
+checks the traced counts against what the step records determine.
 """
 
 from pathlib import Path
@@ -12,7 +17,11 @@ import pytest
 
 from ckplab import attachment, audits, checking, engine, evolution, \
     potentials, rand, state, thresholds
+from ckplab.attachment import ParentCountLaw, preferential
 from ckplab.engine import kernel_available
+from ckplab.evolution import Features, PyEngine, init_chain
+from ckplab.rand import SimChooser
+from ckplab.state import CF
 
 HARNESS = Path(__file__).resolve().parent.parent / "bench" / "harness"
 
@@ -50,3 +59,36 @@ def test_tracer_patches_every_hook_and_restores_it(monkeypatch):
         assert now.keys() == attrs.keys()
         for name, value in attrs.items():
             assert now[name] is value, name
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel not built")
+def test_traced_counts_match_the_step_records(monkeypatch):
+    """A ``trial-cf``-like run: CF-rooted, every node False, checks that
+    mark.  One ``add_node`` per grown node, one ``select`` per parent
+    edge drawn, one ``mark_pf`` per step that marks."""
+    monkeypatch.syspath_prepend(str(HARNESS))
+    import tracing
+
+    feats = Features(preferential(), ParentCountLaw({1: 0.5, 2: 0.25,
+                                                     3: 0.25}),
+                     check_rate=0.3, check_depth=3, mechanism="bfs")
+    init = init_chain(25, 1, CF)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        eng = PyEngine(feats, init, SimChooser(5))
+        records = [eng.step() for _ in range(400)]
+    finally:
+        tracer.uninstall()
+    grown = [r for r in records if r.branch == "grow"]
+    marking = [r for r in grown if r.outcome.marked]
+    metrics = tracer.layer_metrics()
+    assert len(grown) > 300 and len(marking) > 50
+    assert tracer.spans["state.add_node"].calls == len(grown)
+    assert metrics["attachment.select_calls"] == sum(len(r.parents)
+                                                     for r in grown)
+    assert metrics["state.mark_pf_calls"] == len(marking)
+    assert metrics["state.marked_nodes"] == sum(len(r.outcome.marked)
+                                                for r in marking)
+    assert metrics["checking.checks"] == len(grown)
+    assert metrics["attachment.update_calls"] > 0

@@ -56,12 +56,45 @@ def test_truth_inherits_through_any_parent():
 def test_add_node_rejects_pf_parent_and_bad_ids():
     s = chain([CF, CT])
     s.mark_pf([0])
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="parent 0 is PF"):
         s.add_node([0], CT, birth=2)
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="parent id 5 out of range"):
         s.add_node([5], CT, birth=2)
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="at least one parent edge"):
         s.add_node([], CT, birth=2)
+
+
+def snapshot(s: CkpState) -> tuple:
+    return (dump_state(s), [list(c) for c in s.children], list(s.deg_pt),
+            list(s.deg_ct), list(s.pf_parent_edges), s.pf_total)
+
+
+def refusal_state() -> CkpState:
+    """0 PF, 1 a root under it, 2 False CT, 3 PF; 4 and 5 True."""
+    s = chain([CF, CT, CT, CT])
+    s.add_root(CT)
+    s.add_node([4], CT, birth=5)
+    s.mark_pf([0])
+    s.mark_pf([3])
+    return s
+
+
+@pytest.mark.parametrize("refused,message", [
+    (lambda s: s.add_node([1, 0], CT, birth=6), "parent 0 is PF"),
+    (lambda s: s.add_node([1, 7], CT, birth=6), "parent id 7 out of range"),
+    (lambda s: s.add_node([1], PF, birth=6),
+     "new node label must be CT or CF, got 2"),
+    (lambda s: s.mark_pf([1, 3]), "node 3 is already PF"),
+    (lambda s: s.mark_pf([2, 5]), "refusing to mark hidden-True node 5 PF"),
+], ids=["pf-parent", "parent-range", "label", "already-pf", "true"])
+def test_refusals_leave_the_state_untouched(refused, message):
+    """Each bad input comes after a good one, so a check that ran after
+    the first mutation would leave a trace."""
+    s = refusal_state()
+    before = snapshot(s)
+    with pytest.raises(StateError, match=message):
+        refused(s)
+    assert snapshot(s) == before
 
 
 def test_pop_last_node_restores_degrees():
@@ -286,3 +319,49 @@ def test_partition_members_connect_to_their_anchor(s):
             for x, y in zip(trail, trail[1:]):
                 assert y in s.parents[x]
                 assert s.labels[y] != PF
+
+
+def reference_truth_closure(state: CkpState) -> None:
+    """The per-node rule check :func:`verify_truth_closure` replaced:
+    every node and every parent edge, four checks in a fixed order."""
+    for v in range(len(state.labels)):
+        inherited = any(state.is_false[u] for u in state.parents[v])
+        if inherited and not state.is_false[v]:
+            raise StateError(f"node {v} descends from a False node but is True")
+        if state.labels[v] == CF and not state.is_false[v]:
+            raise StateError(f"CF node {v} has is_false unset")
+        if state.labels[v] == PF and not state.is_false[v]:
+            raise StateError(f"PF node {v} has is_false unset")
+        if (state.is_false[v] and not inherited
+                and state.labels[v] == CT):
+            raise StateError(
+                f"CT node {v} is False yet no parent is False")
+
+
+@st.composite
+def corrupted_states(draw):
+    """A legal random state with a few truth bits and labels rewritten."""
+    s = draw(random_states())
+    n = len(s.labels)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if draw(st.booleans()):
+            s.is_false[v] = not s.is_false[v]
+        else:
+            s.labels[v] = draw(st.sampled_from([CT, CF, PF]))
+    return s
+
+
+def refusal(check, s):
+    try:
+        check(s)
+    except StateError as err:
+        return str(err)
+    return None
+
+
+@given(corrupted_states())
+@settings(max_examples=300, deadline=None)
+def test_truth_closure_matches_the_per_node_reference(s):
+    assert refusal(verify_truth_closure, s) == refusal(
+        reference_truth_closure, s)
