@@ -1043,10 +1043,9 @@ PyObject *Engine::run(int horizon, PyObject *checkpoint_steps) {
   Ref stopped_at(optional(stopped_ ? step_index_ : -1));
   Ref final_counts(counts());
   return check(Py_BuildValue(
-      "{s:O,s:O,s:O,s:O,s:O,s:O}", "survived_at_horizon",
+      "{s:O,s:O,s:O,s:O,s:O}", "survived_at_horizon",
       pt_false_ > 0 ? Py_True : Py_False, "eliminated_at", eliminated.get(),
-      "stopped_at", stopped_at.get(), "pf_exists",
-      pf_total_ > 0 ? Py_True : Py_False, "final_counts", final_counts.get(),
+      "stopped_at", stopped_at.get(), "final_counts", final_counts.get(),
       "checkpoints", checkpoints.get()));
 }
 

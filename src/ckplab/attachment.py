@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -203,7 +202,9 @@ def is_nondecreasing(attach) -> bool:
 class ParentCountLaw:
     """Distribution of the number of parent edges a new node draws.
 
-    Finite support on positive integers.  Keeps the pmf as given (ints,
+    Finite support on positive integers: the counts of positive mass, so
+    a count given with probability zero is validated and then dropped,
+    and ``{1: 0, 2: 1}`` is ``const(2)``.  Keeps the pmf as given (ints,
     floats or Fractions), a float cumulative table for sampling, and the
     handful of moments the threshold formulas use.
     """
@@ -229,10 +230,10 @@ class ParentCountLaw:
         total = sum(float(p) for p in probs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"parent-count pmf sums to {total}, not 1")
-        self.support = support
-        self.probs = probs
+        self.support = [m for m, p in zip(support, probs) if p != 0]
+        self.probs = [p for p in probs if p != 0]
         cum, acc = [], 0.0
-        for p in probs:
+        for p in self.probs:
             acc += float(p)
             cum.append(acc)
         cum[-1] = 1.0
@@ -260,15 +261,6 @@ class ParentCountLaw:
 
     def items_exact(self):
         return [(m, _to_fraction(p)) for m, p in zip(self.support, self.probs)]
-
-    def is_constant(self) -> bool:
-        return len(self.support) == 1
-
-    def describe(self) -> str:
-        if self.is_constant():
-            return f"const({self.support[0]})"
-        body = ", ".join(f"{m}: {p}" for m, p in zip(self.support, self.probs))
-        return f"pmf({body})"
 
 
 # -- weighted index --------------------------------------------------------
@@ -557,54 +549,3 @@ def parent_distribution(state, attach) -> dict:
 
 def sample_combination(law: ParentCountLaw, chooser) -> int:
     return law.support[chooser.pmf_index(law)]
-
-
-# -- config grammar --------------------------------------------------------
-
-def parse_number(token: str):
-    token = token.strip()
-    if "/" in token:
-        num, den = token.split("/")
-        return Fraction(int(num), int(den))
-    if re.fullmatch(r"-?\d+", token):
-        return int(token)
-    return float(token)
-
-
-def parse_attachment(text: str):
-    """``affine(a0, slope)`` | ``power(a0, e)`` | ``table(v0, ...; tail)``."""
-    text = text.strip()
-    m = re.fullmatch(r"(affine|power|table)\((.*)\)", text)
-    if not m:
-        raise ValueError(f"unrecognized attachment spec {text!r}")
-    kind, body = m.group(1), m.group(2)
-    if kind == "table":
-        if ";" not in body:
-            raise ValueError("table(...) needs '; tail_slope' after the values")
-        head, tail = body.rsplit(";", 1)
-        values = tuple(parse_number(t) for t in head.split(",") if t.strip())
-        return TableAttachment(values, parse_number(tail))
-    parts = [parse_number(t) for t in body.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"{kind}(...) takes exactly two parameters")
-    return Affine(*parts) if kind == "affine" else PowerShifted(*parts)
-
-
-def parse_parent_count_law(text: str) -> ParentCountLaw:
-    """``const(m)`` | ``pmf(m1: p1, m2: p2, ...)``."""
-    text = text.strip()
-    m = re.fullmatch(r"const\((\d+)\)", text)
-    if m:
-        return ParentCountLaw.const(int(m.group(1)))
-    m = re.fullmatch(r"pmf\((.*)\)", text)
-    if not m:
-        raise ValueError(f"unrecognized parent-count spec {text!r}")
-    pmf = {}
-    for item in m.group(1).split(","):
-        if not item.strip():
-            continue
-        key, _, val = item.partition(":")
-        if not val:
-            raise ValueError(f"pmf entry {item!r} needs 'count: probability'")
-        pmf[int(key)] = parse_number(val)
-    return ParentCountLaw(pmf)

@@ -12,11 +12,15 @@ kernel out when debugging.
 
 Audit levels mean the same thing on both backends: "cheap" runs the
 O(1) per-step invariant checks inside every step, "full" adds the deep
-recomputation audits over the engine's exported state and bookkeeping
-at the end, and with ``audit_every`` also after every that many steps.
+recomputation audit over the engine's exported state and bookkeeping
+at the end.  A caller that wants deep audits along the way runs an
+engine in several ``run`` calls, which resume where the last one
+stopped, with :func:`deep_audit_compiled` after each.
 """
 
 from __future__ import annotations
+
+import numbers
 
 from . import audits
 from .evolution import Features, PyEngine, TrialResult
@@ -60,74 +64,38 @@ def _want_compiled(backend: str, features: Features, trace) -> bool:
 
 def run_trial(features: Features, init_state: CkpState, horizon: int,
               seed: int, *, checkpoint_steps=(),
-              audit: str = "none", audit_every: int = 0, trace=None,
+              audit: str = "none", trace=None,
               backend: str = "auto") -> TrialResult:
     """Run one trajectory on the best available backend and report its
-    summary.  ``audit`` is "none", "cheap" or "full"; a "full" run with
-    ``audit_every`` runs the engine in pieces of that many steps and
-    audits after each, and no other level takes ``audit_every``.  The
-    rest is the engines' own.  ``backend`` is "auto", "python" or
-    "compiled": "compiled" raises when the kernel cannot serve the
-    request, "auto" silently falls back.
+    summary: one engine, one ``run`` call of ``horizon`` steps.
+    ``audit`` is "none", "cheap" or "full"; the rest is the engines'
+    own.  ``backend`` is "auto", "python" or "compiled": "compiled"
+    raises when the kernel cannot serve the request, "auto" silently
+    falls back.
     """
     if isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, not the bool {seed!r}")
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise ValueError(f"horizon must be an integer, not {horizon!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if audit not in ("none", "cheap", "full"):
         raise ValueError(f"unknown audit level {audit!r}")
-    if audit_every < 0:
-        raise ValueError("audit_every must be nonnegative")
-    if audit_every and audit != "full":
-        raise ValueError(f"audit_every needs audit='full', not {audit!r}")
     audit_cheap = audit != "none"
     if _want_compiled(backend, features, trace):
         backend = "compiled"
         engine = _kernel.KernelEngine(features, init_state, seed,
                                       audit_cheap=audit_cheap)
-        run = engine.run
+        summary = engine.run(horizon, checkpoint_steps)
     else:
         backend = "python"
         engine = PyEngine(features, init_state, SimChooser(seed),
                           audit_cheap=audit_cheap)
-
-        def run(steps, checkpoints):
-            return engine.run(steps, checkpoints, trace=trace)
-    if audit_every:
-        summary = _run_in_pieces(run, engine, features, horizon,
-                                 checkpoint_steps, audit_every)
-    else:
-        summary = run(horizon, checkpoint_steps)
-        if audit == "full":
-            deep_audit_compiled(engine, features)
+        summary = engine.run(horizon, checkpoint_steps, trace=trace)
+    if audit == "full":
+        deep_audit_compiled(engine, features)
     return TrialResult(seed=seed, horizon=horizon, backend=backend,
                        **summary)
-
-
-def _run_in_pieces(run, engine, features: Features, horizon: int,
-                   checkpoint_steps, every: int) -> dict:
-    """``horizon`` steps of ``run`` in pieces of ``every``, with
-    :func:`deep_audit_compiled` after each; the summary is the one a
-    single call gives.  Each piece gets the checkpoints that fall in it,
-    counted from its own start; the pieces end at the engines' early
-    exit, and the checkpoints past it report the frozen counts."""
-    pending = sorted(set(checkpoint_steps))
-    checkpoints = []
-    done = 0
-    while True:
-        piece = min(every, horizon - done)
-        due = [c - done for c in pending if c <= done + piece]
-        pending = pending[len(due):]
-        summary = run(piece, due)
-        deep_audit_compiled(engine, features)
-        checkpoints += [(at + done, counts)
-                        for at, counts in summary["checkpoints"]]
-        done += piece
-        if (done == horizon or summary["stopped_at"] is not None
-                or (features.simple and not summary["survived_at_horizon"])):
-            break
-    checkpoints += [(c, engine.counts()) for c in pending]
-    return {**summary, "checkpoints": checkpoints}
 
 
 def deep_audit_compiled(engine, features: Features) -> None:

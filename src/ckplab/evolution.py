@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import checking
 from .attachment import extend_table, sample_combination, weight_index_for
@@ -121,20 +121,6 @@ class Scripted:
         if any(state.labels[u] == PF for u in self.parents):
             raise StateError("scripted move attaches below a PF node")
         return list(self.parents), self.label
-
-
-ADVERSARIES = {
-    "deep": DeepAttach,
-    "leaf": LeafAttach,
-    "random-pt": RandomPt,
-}
-
-
-def make_adversary(kind: str):
-    try:
-        return ADVERSARIES[kind]()
-    except KeyError:
-        raise ValueError(f"unknown adversary {kind!r}") from None
 
 
 # -- the process variant ---------------------------------------------------
@@ -250,13 +236,9 @@ class TrialResult:
     survived_at_horizon: bool
     eliminated_at: int | None
     stopped_at: int | None
-    pf_exists: bool
     final_counts: dict
     checkpoints: list
     backend: str
-
-    def as_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 class AuditViolation(AssertionError):
@@ -517,7 +499,6 @@ class PyEngine:
             "survived_at_horizon": self.pt_false > 0,
             "eliminated_at": self.zero_since if self.pt_false == 0 else None,
             "stopped_at": self.step_index if self.stopped else None,
-            "pf_exists": self.state.pf_total > 0,
             "final_counts": self.counts(),
             "checkpoints": checkpoints,
         }

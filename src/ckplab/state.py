@@ -47,6 +47,14 @@ class CkpState:
     * ``deg_pt[v]``: child edges whose child is currently labeled CT or CF
     * ``deg_ct[v]``: child edges whose child is currently labeled CT
     * ``pf_parent_edges[v]``: parent edges leading to a PF node
+    * ``pf_total``: the number of PF nodes
+
+    ``children``, ``deg_pt``, ``deg_ct``, ``pf_parent_edges`` and
+    ``pf_total`` are derived from ``labels`` and ``parents``.  Every
+    mutation here and :func:`load_state` keep them consistent, and the
+    engines and :func:`verify_truth_closure` trust them without a
+    recount; a state whose columns were edited by hand is outside that
+    contract.
     """
 
     __slots__ = ("labels", "is_false", "birth", "adversarial",
@@ -64,9 +72,6 @@ class CkpState:
         self.deg_ct: list[int] = []
         self.pf_parent_edges: list[int] = []
         self.pf_total: int = 0
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     # -- construction -----------------------------------------------------
 
@@ -480,8 +485,8 @@ def verify_truth_closure(state: CkpState) -> None:
     CF or PF, a True child of a False node, or a False CT node with no
     False parent, so one scan of the labels and a walk over the False
     nodes alone (their child lists, and the parents of the CT ones)
-    find it.  The child lists are trusted to mirror the parent lists,
-    as every mutation here and :func:`load_state` keep them.
+    find it.  The child lists are trusted to mirror the parent lists:
+    they are one of :class:`CkpState`'s derived columns.
     """
     labels = state.labels
     is_false = state.is_false

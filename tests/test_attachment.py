@@ -1,5 +1,5 @@
-"""Weight families, parent-count law, the Fenwick index, the prefix-sum
-pool and the config grammar."""
+"""Weight families, parent-count law, the Fenwick index and the
+prefix-sum pool."""
 
 import math
 from fractions import Fraction
@@ -13,12 +13,15 @@ from ckplab.attachment import (
     PrefixPool, AllPF, AllWeightsZero,
     preferential, uniform, is_nondecreasing,
     parent_distribution, sample_combination, prefix_pool_for,
-    weight_index_for, parse_attachment, parse_parent_count_law, parse_number,
+    weight_index_for,
 )
 from ckplab.engine import kernel_available
-from ckplab.evolution import Features, PyEngine, init_chain
+from ckplab.evolution import (
+    Features, PyEngine, init_chain, survival_potential_floor,
+)
 from ckplab.rand import SimChooser, derive_seed
-from ckplab.state import CT, CF, PF, CkpState
+from ckplab.state import CT, CF, PF, CkpState, dump_state
+from ckplab.thresholds import theorem_verdict
 
 
 def chain_state(labels):
@@ -146,7 +149,7 @@ def test_parent_count_law_moments():
     point = ParentCountLaw.const(2)
     assert point.min == point.max == 2
     assert point.mean_reciprocal_exact() == Fraction(1, 2)
-    assert point.is_constant()
+    assert point.support == [2]
 
 
 def test_parent_count_law_validation():
@@ -163,6 +166,28 @@ def test_parent_count_law_validation():
         ParentCountLaw({1: True})
     with pytest.raises(ValueError, match="probability of 2 .* got False"):
         ParentCountLaw({1: 1, 2: False})
+    with pytest.raises(ValueError, match="sums to 0"):
+        ParentCountLaw({1: 0, 2: 0.0})
+    # a count of probability zero is never drawn, so it is not in the
+    # support: {1: 0, 2: 1} is const(2) to the moments, the verdicts and
+    # the decision stream
+    padded = ParentCountLaw({1: 0, 2: 1, 5: Fraction(0)})
+    assert padded.support == [2] and padded.min == padded.max == 2
+    assert padded.cum == [1.0]
+
+    def features(law):
+        return Features(preferential(), law, check_rate=Fraction(1, 20),
+                        check_depth=2, mechanism="bfs")
+    const = ParentCountLaw.const(2)
+    assert theorem_verdict(features(padded)) == \
+        theorem_verdict(features(const))
+    assert survival_potential_floor(features(padded)) == 3
+    finals = []
+    for law in (padded, const):
+        eng = PyEngine(features(law), init_chain(4, 1, CF), SimChooser(5))
+        eng.run(200)
+        finals.append(dump_state(eng.state))
+    assert finals[0] == finals[1]
 
 
 def test_parent_distribution_chain_preferential():
@@ -456,7 +481,7 @@ def test_both_backends_ask_evaluate_for_the_same_degrees():
         eng = (PyEngine(feats, init, SimChooser(31))
                if backend == "python" else KernelEngine(feats, init, 31))
         assert counting.asked == [0, 1, 2]       # the initial degrees
-        assert eng.run(400)["pf_exists"]
+        assert eng.run(400)["final_counts"]["pf"] > 0
         asked[backend] = counting.asked
     assert asked["python"] == asked["compiled"]
     assert asked["python"] == list(range(len(asked["python"])))
@@ -536,31 +561,6 @@ def test_prefix_pool_is_falsy_without_a_positive_weight():
         assert not pool and pool.total == 0.0
         with pytest.raises(AllWeightsZero):
             pool.select(0.0)
-
-
-def test_parse_round_trips():
-    for text in ["affine(1, 1)", "power(1, 3)", "table(1, 0; 0)",
-                 "table(1, 3, 7; 2)", "affine(1/2, 1/3)"]:
-        fam = parse_attachment(text)
-        again = parse_attachment(fam.describe())
-        assert again == fam
-    law = parse_parent_count_law("pmf(1: 1/2, 3: 1/2)")
-    assert law.support == [1, 3]
-    assert law.mean_exact() == 2
-    assert parse_parent_count_law("const(4)").support == [4]
-
-
-def test_parse_rejects_garbage():
-    for bad in ["affine(1)", "ring(1, 2)", "table(1, 2)", "pmf(1; 0.5)"]:
-        with pytest.raises(ValueError):
-            parse_attachment(bad) if not bad.startswith("pmf") \
-                else parse_parent_count_law(bad)
-
-
-def test_parse_number_forms():
-    assert parse_number("3") == 3 and isinstance(parse_number("3"), int)
-    assert parse_number("0.25") == 0.25
-    assert parse_number("6/7") == Fraction(6, 7)
 
 
 def test_derive_seed_stable_and_spread():

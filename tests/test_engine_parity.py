@@ -97,7 +97,7 @@ def test_trajectories_bit_identical_ct_rooted(mech):
     most ball walks; errors still arise, are checked for and marked."""
     feats = case_features(mech, 0.1, "preferential", 0.3, 3)
     eng, ker, summary = run_both(feats, init_chain(12, 2, CT), 777, 400)
-    assert summary["pf_exists"]
+    assert summary["final_counts"]["pf"] > 0
     assert not all(eng.state.is_false)
     assert_same_engines(eng, ker)
 
@@ -271,45 +271,43 @@ def test_attachment_errors_propagate_at_the_same_step(mech):
 def test_trial_results_identical_modulo_backend(mech):
     feats = case_features(mech, 0.25, "preferential", 0.4, 3)
     init = init_chain(25, 1, CF)
-    kwargs = dict(checkpoint_steps=(0, 7, 50, 1000), audit="full",
-                  audit_every=100)
+    kwargs = dict(checkpoint_steps=(0, 7, 50, 1000), audit="full")
     py = run_trial(feats, init, 300, seed=5, backend="python", **kwargs)
     ck = run_trial(feats, init, 300, seed=5, backend="compiled", **kwargs)
     assert py.backend == "python" and ck.backend == "compiled"
-    assert py.as_json().replace('"python"', "*") == \
-        ck.as_json().replace('"compiled"', "*")
+    assert replace(py, backend="compiled") == ck
 
 
 @needs_kernel
 @pytest.mark.parametrize("mech,seed,exit_at", [("bfs", 1, 37),
                                                ("complete", 4, 21)])
-def test_audited_pieces_agree_with_one_run(mech, seed, exit_at,
-                                           monkeypatch):
-    """``audit="full"`` with ``audit_every`` runs either engine in pieces
-    with a deep audit after each.  The elimination exit falls inside a
-    piece (37) or on a piece's last step (21); one checkpoint lies in a
-    later piece, two past the horizon."""
-    from ckplab import engine
+def test_audited_pieces_agree_with_one_run(mech, seed, exit_at):
+    """Either engine, run in calls of 7 steps with a deep audit after
+    each, ends where one call does.  Each call counts its checkpoints
+    from its own start and reports the frozen counts past the
+    elimination exit, which falls inside a call (37) or on a call's last
+    step (21)."""
+    from ckplab._kernel import KernelEngine
 
     feats = case_features(mech, 0.0, "preferential", 0.6, 3)
     init = init_chain(8, 1, CF)
-    kwargs = dict(checkpoint_steps=(0, 5, 30, 40, 400, 10**6))
-    audits_run = []
-    deep_audit = engine.deep_audit_compiled
-
-    def counted(eng, f):
-        audits_run.append(eng)
-        deep_audit(eng, f)
-    monkeypatch.setattr(engine, "deep_audit_compiled", counted)
-    results = {
-        backend: run_trial(feats, init, 400, seed, audit="full",
-                           audit_every=7, backend=backend, **kwargs)
-        for backend in ("python", "compiled")}
-    assert len(audits_run) == 2 * math.ceil(exit_at / 7)
-    one_run = run_trial(feats, init, 400, seed, backend="compiled", **kwargs)
-    assert one_run.eliminated_at == exit_at
-    for result in results.values():
-        assert replace(result, backend="compiled") == one_run
+    one = KernelEngine(feats, init, seed).run(400, range(401))
+    assert one["eliminated_at"] == exit_at
+    counts_at = dict(one.pop("checkpoints"))
+    for eng in (PyEngine(feats, init, SimChooser(seed)),
+                KernelEngine(feats, init, seed)):
+        done = 0
+        while True:
+            summary = eng.run(7, (0, 3, 7, 10**6))
+            deep_audit_compiled(eng, feats)
+            assert summary.pop("checkpoints") == [
+                (0, counts_at[done]), (3, counts_at[done + 3]),
+                (7, counts_at[done + 7]), (10**6, summary["final_counts"])]
+            done += 7
+            if not summary["survived_at_horizon"]:
+                break
+        assert done == 7 * math.ceil(exit_at / 7)
+        assert summary == one
 
 
 @needs_kernel
@@ -362,10 +360,6 @@ def test_run_trial_validates_arguments():
         run_trial(feats, init, 0, seed=1)
     with pytest.raises(ValueError):
         run_trial(feats, init, 10, seed=1, audit="paranoid")
-    with pytest.raises(ValueError, match="audit_every"):
-        run_trial(feats, init, 10, seed=1, audit="full", audit_every=-7)
-    with pytest.raises(ValueError, match="audit_every"):
-        run_trial(feats, init, 10, seed=1, audit="cheap", audit_every=5)
     with pytest.raises(ValueError):
         run_trial(feats, init, 10, seed=1, backend="gpu")
 

@@ -10,10 +10,10 @@ import pytest
 
 from ckplab.attachment import ParentCountLaw, TableAttachment, preferential
 from ckplab.audits import audit_distance_sum, full_audit, verify_pf_frozen
-from ckplab.engine import run_trial
+from ckplab.engine import deep_audit_compiled, run_trial
 from ckplab.evolution import (
     AuditViolation, DeepAttach, Features, LeafAttach, PyEngine, RandomPt,
-    Scripted, init_chain, make_adversary, survival_potential_floor,
+    Scripted, init_chain, survival_potential_floor,
 )
 from ckplab.rand import SimChooser
 from ckplab.state import CT, CF, PF, StateError, dump_state
@@ -24,6 +24,9 @@ def simple_features(**kw):
                 check_rate=0.5, check_depth=2, mechanism="bfs")
     base.update(kw)
     return Features(**base)
+
+
+STRATEGIES = (DeepAttach(), LeafAttach(), RandomPt())
 
 
 # -- initial states --------------------------------------------------------
@@ -142,7 +145,7 @@ def test_default_adversary_is_random_pt():
     feats = simple_features(error_rate=0.1, adversary_rate=0.3,
                             adversary_budget=2)
     assert feats.adversary == RandomPt()
-    explicit = replace(feats, adversary=make_adversary("random-pt"))
+    explicit = replace(feats, adversary=RandomPt())
     runs = []
     for f in (feats, explicit):
         engine = PyEngine(f, init_chain(3, 1, CT), SimChooser(11))
@@ -177,10 +180,9 @@ def test_leaf_attach_picks_leaves():
 
 def test_zero_budget_adversary_noops():
     feats = simple_features(adversary_rate=0.5, adversary_budget=0)
-    for kind in ("deep", "leaf", "random-pt"):
-        adv = make_adversary(kind)
+    for adv in STRATEGIES:
         assert adv.move(init_chain(3, 1, CF), feats, SimChooser(1)) is None
-    engine = PyEngine(replace(feats, adversary=make_adversary("deep")),
+    engine = PyEngine(replace(feats, adversary=DeepAttach()),
                       init_chain(3, 1, CF), SimChooser(5))
     branches = {engine.step().branch for _ in range(40)}
     assert "adversary-noop" in branches
@@ -202,14 +204,15 @@ def test_scripted_adversary_validates_moves():
         assert script.move(state, feats, SimChooser(0)) == ([1], CF)
 
 
-@pytest.mark.parametrize("kind", ["deep", "leaf", "random-pt"])
-def test_adversarial_insertions_are_legal(kind):
+@pytest.mark.parametrize("adversary", STRATEGIES,
+                         ids=["deep", "leaf", "random-pt"])
+def test_adversarial_insertions_are_legal(adversary):
     feats = simple_features(check_rate=0.5, check_depth=2,
                             mechanism="exhaustive-bfs", error_rate=0.2,
                             adversary_rate=0.4, adversary_budget=3)
     adversarial_steps = 0
     for seed in range(6):
-        engine = PyEngine(replace(feats, adversary=make_adversary(kind)),
+        engine = PyEngine(replace(feats, adversary=adversary),
                           init_chain(1, 1, CF), SimChooser(seed))
         for _ in range(500):
             rec = engine.step()
@@ -258,7 +261,6 @@ def test_trial_reports_elimination_and_stop():
                        backend="python")
     assert result.eliminated_at == 1
     assert not result.survived_at_horizon
-    assert result.pf_exists
     assert result.stopped_at is None  # elimination exits before the attempt
     assert result.final_counts["nodes"] == 2
     assert result.final_counts["pf"] == 2
@@ -270,7 +272,7 @@ def test_trial_survives_without_checks():
                        backend="python")
     assert result.survived_at_horizon
     assert result.eliminated_at is None
-    assert not result.pf_exists
+    assert result.final_counts["pf"] == 0
     assert result.final_counts["nodes"] == 201
 
 
@@ -306,10 +308,10 @@ def test_holes_attachment_run_survives():
                        backend="python")
     assert result.survived_at_horizon
     assert result.eliminated_at is None
-    assert not result.pf_exists
+    assert result.final_counts["pf"] == 0
     again = run_trial(feats, init_chain(25, 1, CF), horizon=2000, seed=5,
                       backend="python")
-    assert again.as_json() == result.as_json()
+    assert again == result
 
 
 # -- reproducibility -------------------------------------------------------
@@ -323,28 +325,19 @@ def test_horizon_determinism_byte_for_byte():
                       seed=1234, checkpoint_steps=(100, 200, 400),
                       audit="cheap", backend="python")
             for _ in range(2)]
-    assert runs[0].as_json() == runs[1].as_json()
+    assert runs[0] == runs[1]
     different = run_trial(feats, init_chain(5, 1, CF), horizon=400,
                           seed=1235, checkpoint_steps=(100, 200, 400),
                           backend="python")
-    assert different.as_json() != runs[0].as_json()
+    assert different != runs[0]
 
 
-def test_trial_result_roundtrips_through_json():
-    feats = simple_features()
-    result = run_trial(feats, init_chain(2, 1, CF), horizon=50, seed=9,
-                       checkpoint_steps=(25,), backend="python")
-    decoded = json.loads(result.as_json())
-    assert decoded["seed"] == 9
-    assert decoded["backend"] == "python"
-    assert decoded["horizon"] == 50
-    assert decoded["checkpoints"][0][0] == 25
-
-
-def test_run_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        run_trial(simple_features(), init_chain(1, 1, CF), horizon=0,
-                  seed=0, backend="python")
+@pytest.mark.parametrize("backend", ["python", "compiled", "auto"])
+def test_run_rejects_bad_horizon(backend):
+    for horizon in (0, True, 2.5):
+        with pytest.raises(ValueError, match="horizon"):
+            run_trial(simple_features(), init_chain(1, 1, CF),
+                      horizon=horizon, seed=0, backend=backend)
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled", "auto"])
@@ -372,9 +365,10 @@ MLAWS = [ParentCountLaw.const(1), ParentCountLaw({1: 0.5, 2: 0.5}),
 def test_audited_runs_stay_clean(mechanism, law):
     feats = Features(attach=preferential(), parent_count=law,
                      check_rate=0.6, check_depth=2, mechanism=mechanism)
-    result = run_trial(feats, init_chain(5, 1, CF), horizon=300, seed=17,
-                       audit="full", audit_every=50, backend="python")
-    assert result.final_counts["nodes"] >= 5
+    engine = PyEngine(feats, init_chain(5, 1, CF), SimChooser(17))
+    for _ in range(6):
+        engine.run(50)
+        deep_audit_compiled(engine, feats)
 
 
 def test_audited_general_mode_run_stays_clean():
@@ -382,9 +376,11 @@ def test_audited_general_mode_run_stays_clean():
                      parent_count=ParentCountLaw({1: 0.5, 3: 0.5}),
                      check_rate=0.7, check_depth=3, mechanism="complete",
                      error_rate=0.25)
-    result = run_trial(feats, init_chain(5, 1, CF), horizon=250, seed=23,
-                       audit="full", audit_every=25, backend="python")
-    assert result.final_counts["pf"] > 0
+    engine = PyEngine(feats, init_chain(5, 1, CF), SimChooser(23))
+    for _ in range(10):
+        engine.run(25)
+        deep_audit_compiled(engine, feats)
+    assert engine.state.pf_total > 0
 
 
 def test_full_audit_catches_corrupted_counters():

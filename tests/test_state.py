@@ -106,7 +106,7 @@ def test_pop_last_node_restores_degrees():
     s.pop_last_node()
     assert (list(s.deg_pt), list(s.deg_ct),
             [list(p) for p in s.children]) == before
-    assert len(s) == 2
+    assert len(s.labels) == 2
 
 
 def test_mark_pf_updates_counters_and_reports_degrees():

@@ -318,7 +318,7 @@ def _fake_trial(seed, rows):
                         "minimal_false": ptf, "leaves": 0})
                    for t, pt, ptf in rows]
     return TrialResult(seed=seed, horizon=rows[-1][0], survived_at_horizon=True,
-                       eliminated_at=None, stopped_at=None, pf_exists=False,
+                       eliminated_at=None, stopped_at=None,
                        final_counts=checkpoints[-1][1], checkpoints=checkpoints,
                        backend="python")
 
