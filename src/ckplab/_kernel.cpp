@@ -45,7 +45,13 @@
 //     for sorted unique parents), same select and fallback scan.  A
 //     fresh layout, at construction and on regrowth, folds each tree
 //     slot's block left to right from 0.0, bit for bit as
-//     WeightIndex._build and as one append per weight would.
+//     WeightIndex._build and as one append per weight would.  A step
+//     with one parent draws its pick and finds it as select does.  A
+//     step with m > 1 parents draws its m picks first, then finds them
+//     together in one descent that advances every pick at each tree
+//     level; no draw comes between two picks and no pick writes the
+//     tree, so each is WeightIndex.select's slot for its x = u * total,
+//     and the draws are draw_move's, in its order.
 //   * run_check has the shape of checking.run_check: the whole-check
 //     mechanisms flip one coin, then walk (stringy) or search one ball
 //     (bfs); the per-edge mechanisms run one loop over the parent edges
@@ -56,8 +62,13 @@
 //     once, recognition on pop, PF nodes never entered.  A walk from a
 //     hidden-True node is skipped, as in checking._ball: it could
 //     recognize nothing, so it draws nothing and visits nothing.
-//     Both constructors run state.verify_truth_closure, which refuses
-//     a state where that would not hold.
+//     Both constructors refuse what state.verify_state refuses: a
+//     state where that would not hold, or whose derived columns
+//     (children, degrees, PF counts) disagree with a recount from its
+//     labels and parents.  PyEngine calls it; this engine rebuilds the
+//     derived columns while it imports the state, compares them with
+//     the state's own, with state.verify_columns's messages, and then
+//     calls state.verify_truth_closure.
 //   * Marks are applied in sorted order, as PyEngine._apply_marks and
 //     CkpState.mark_pf do; AllWeightsZero, AuditViolation and StateError
 //     are raised by name with the Python engine's messages.
@@ -89,8 +100,9 @@
 //     collected with repeats and deduplicated by the sort that orders
 //     them; a found node's closure is named by a fresh seen stamp, since
 //     the walk that set the old ones is over.
-//   * A step draws its parents into one buffer sized to the largest
-//     parent count, sorts it in place after the edges are stored, and
+//   * A step draws its parents into two buffers sized to the largest
+//     parent count, one for the picks' draws and one for the slots they
+//     find, sorts the slots in place after the edges are stored, and
 //     allocates nothing else.
 //
 // Errors raised inside the engine set the Python exception and unwind
@@ -200,6 +212,15 @@ struct Seq {
         size(PySequence_Fast_GET_SIZE(seq.get())),
         items(PySequence_Fast_ITEMS(seq.get())) {}
 };
+
+// ``x`` where ``keep`` is all ones, +0.0 where it is zero.
+double masked(double x, uint64_t keep) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  bits &= keep;
+  std::memcpy(&x, &bits, sizeof x);
+  return x;
+}
 
 // A growable array of trivially copyable values, for the columns that grow
 // with the graph.  Capacity doubles.  Below COLUMN_MAP_BYTES it is a heap
@@ -334,6 +355,8 @@ class Engine {
       tree_[j] += delta;
   }
   int32_t w_select(double x);
+  void w_select_picks(int m);
+  int32_t w_settle(int64_t pos);
 
   // membership
   static bool is_minimal_false(const Node &n) {
@@ -351,6 +374,9 @@ class Engine {
   int32_t add_node(int m, int8_t label);
   void apply_marks();
   int32_t child_count(int32_t w) const;
+  void verify_columns(const Seq &children, const Seq &deg_pt,
+                      const Seq &deg_ct, const Seq &pf_parent,
+                      PyObject *pf_total);
 
   // checking
   uint32_t next_seen();
@@ -400,6 +426,7 @@ class Engine {
   long long pt_false_, f_count_, l_count_;
   // scratch, reused every step
   std::vector<int32_t> pbuf_;           // this step's parents
+  std::vector<double> xbuf_;            // their picks' unspent draws
   std::vector<int32_t> queue_;          // ball walk: popped prefix = order
   std::vector<int32_t> finds_, walk_, step_marked_, touched_;
   uint32_t seen_stamp_;
@@ -459,9 +486,11 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
       law_cum_.push_back(as_double(cum.items[i]));
     m_max_ = static_cast<int>(as_long(Ref(attr(law.get(), "max")).get()));
     pbuf_.assign(m_max_, 0);
+    xbuf_.assign(m_max_, 0.0);
   }
 
-  // the state: per-node columns, CSR parents, children rebuilt from them
+  // the state: per-node columns, CSR parents, children and the derived
+  // columns rebuilt from them, then checked as state.verify_state does
   Seq labels(Ref(attr(init_state, "labels")).get(), "labels");
   Seq is_false(Ref(attr(init_state, "is_false")).get(), "is_false");
   Seq birth(Ref(attr(init_state, "birth")).get(), "birth");
@@ -471,13 +500,14 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   Seq deg_ct(Ref(attr(init_state, "deg_ct")).get(), "deg_ct");
   Seq pf_parent(Ref(attr(init_state, "pf_parent_edges")).get(),
                 "pf_parent_edges");
+  Seq children(Ref(attr(init_state, "children")).get(), "children");
   const Py_ssize_t n = labels.size;
   if (n >= INT32_MAX) {
     PyErr_SetString(PyExc_OverflowError, "too many nodes for the kernel");
     fail();
   }
-  for (const Seq *column : {&is_false, &birth, &advers, &parents, &deg_pt,
-                            &deg_ct, &pf_parent})
+  for (const Seq *column : {&is_false, &birth, &advers, &parents,
+                            &children, &deg_pt, &deg_ct, &pf_parent})
     if (column->size != n) {
       PyErr_SetString(StateError, "state columns differ in length");
       fail();
@@ -488,9 +518,6 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     Node &node = nodes_[v];
     node.label = static_cast<int8_t>(as_long(labels.items[v]));
     node.is_false = truth(is_false.items[v]);
-    node.deg_pt = static_cast<int32_t>(as_long(deg_pt.items[v]));
-    node.deg_ct = static_cast<int32_t>(as_long(deg_ct.items[v]));
-    node.pf_parent = static_cast<int32_t>(as_long(pf_parent.items[v]));
     birth_.push_back(static_cast<int32_t>(as_long(birth.items[v])));
     advers_.push_back(truth(advers.items[v]));
     Seq ps(parents.items[v], "parents[v]");
@@ -502,7 +529,7 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     node.npar = static_cast<int32_t>(ps.size);
     for (Py_ssize_t j = 0; j < ps.size; ++j) {
       long long u = as_long(ps.items[j]);
-      if (u < 0 || u >= n) {
+      if (u < 0 || u >= v) {
         PyErr_Format(StateError, "parent id %lld out of range", u);
         fail();
       }
@@ -511,12 +538,18 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
       edge_child_.push_back(static_cast<int32_t>(v));
       edge_next_.push_back(-1);
       link_child(static_cast<int32_t>(u), e);
+      Node &nu = nodes_[u];
+      nu.deg_pt += node.label != PF;
+      nu.deg_ct += node.label == CT;
+      node.pf_parent += nu.label == PF;
     }
   }
-  pf_total_ = as_long(Ref(attr(init_state, "pf_total")).get());
+  pf_total_ = 0;
+  for (const Node &node : nodes_) pf_total_ += node.label == PF;
+  verify_columns(children, deg_pt, deg_ct, pf_parent,
+                 Ref(attr(init_state, "pf_total")).get());
   // the ball walk's skip needs every PF and CF node False and falseness
-  // closed downward; checked after the column checks above, which see
-  // a malformed state first
+  // closed downward
   Ref(check(PyObject_CallOneArg(TruthClosure, init_state)));
 
   // the weight index, laid out as weight_index_for does: capacity
@@ -651,9 +684,44 @@ int32_t Engine::w_select(double x) {
       rem -= tree_[nxt];
     }
   }
+  return w_settle(pos);
+}
+
+// w_select for the m picks xbuf_[0, m), into pbuf_[0, m).  The picks are
+// independent reads of one tree, so one loop over the levels advances
+// them all and their cache misses overlap.  The update is branchless, so
+// no pick's misprediction stalls the others, and each level prefetches
+// both slots a pick may read at the next one, the lookahead a predicted
+// branch would give.  A slot past the capacity reads the last one and is
+// never taken, and an untaken level subtracts +0.0, which leaves every
+// double as it was.
+void Engine::w_select_picks(int m) {
+  const double *tree = tree_.data();
+  const int64_t cap = wcap_;
+  double *rem = xbuf_.data();
+  int32_t *pos = pbuf_.data();
+  for (int i = 0; i < m; ++i) pos[i] = 0;
+  for (int64_t mask = wmask_; mask; mask >>= 1)
+    for (int i = 0; i < m; ++i) {
+      const int64_t nxt = pos[i] + mask;
+      __builtin_prefetch(tree + std::min(pos[i] + mask / 2, cap));
+      __builtin_prefetch(tree + std::min(nxt + mask / 2, cap));
+      const double t = tree[std::min(nxt, cap)];
+      // all ones where the pick moves right
+      const uint64_t take =
+          0 - static_cast<uint64_t>((nxt <= cap) & (t <= rem[i]));
+      pos[i] += static_cast<int32_t>(mask & take);
+      rem[i] -= masked(t, take);
+    }
+  for (int i = 0; i < m; ++i) pos[i] = w_settle(pos[i]);
+}
+
+// The descent's end ``pos`` made a valid pick: clamped to the last node,
+// and, since float drift or trailing zero weights can strand the draw,
+// walked to the nearest positive slot, up first, as WeightIndex.select
+// does.
+int32_t Engine::w_settle(int64_t pos) {
   if (pos >= wsize_) pos = wsize_ - 1;
-  // float drift or trailing zero weights can strand the draw: walk to the
-  // nearest positive slot, up first, as WeightIndex.select does
   if (weights_[pos] <= 0) {
     int64_t j = pos + 1;
     while (j < wsize_ && weights_[j] <= 0) ++j;
@@ -696,6 +764,52 @@ int32_t Engine::child_count(int32_t w) const {
   int32_t count = 0;
   for (int32_t e = child_head_[w]; e >= 0; e = edge_next_[e]) ++count;
   return count;
+}
+
+// state.verify_columns on an imported state: the derived columns the
+// import rebuilt from labels and parents against the state's own, with
+// its messages.  Going up the ids, a node's children (as a multiset),
+// PT degree, CT degree and PF parent edges are compared in that order,
+// so the first fault is the lowest node's; then the PF count.
+void Engine::verify_columns(const Seq &children, const Seq &deg_pt,
+                            const Seq &deg_ct, const Seq &pf_parent,
+                            PyObject *pf_total) {
+  std::vector<long long> have, want;
+  for (int32_t v = 0; v < static_cast<int32_t>(nodes_.size()); ++v) {
+    Seq kids(children.items[v], "children[v]");
+    have.clear();
+    for (Py_ssize_t j = 0; j < kids.size; ++j)
+      have.push_back(as_long(kids.items[j]));
+    want.clear();
+    for (int32_t e = child_head_[v]; e >= 0; e = edge_next_[e])
+      want.push_back(edge_child_[e]);
+    std::sort(have.begin(), have.end());
+    std::reverse(want.begin(), want.end());   // newest first: descending
+    if (have != want) {
+      PyErr_Format(StateError,
+                   "node %d: children do not mirror the parent lists", v);
+      fail();
+    }
+    const Node &nv = nodes_[v];
+    const struct {
+      const char *name;
+      PyObject *item;
+      int32_t recount;
+    } counts[] = {{"deg_pt", deg_pt.items[v], nv.deg_pt},
+                  {"deg_ct", deg_ct.items[v], nv.deg_ct},
+                  {"pf_parent_edges", pf_parent.items[v], nv.pf_parent}};
+    for (const auto &c : counts)
+      if (as_long(c.item) != c.recount) {
+        PyErr_Format(StateError, "node %d: %s is %S, recount %d", v, c.name,
+                     c.item, c.recount);
+        fail();
+      }
+  }
+  if (as_long(pf_total) != pf_total_) {
+    PyErr_Format(StateError, "pf_total is %S, recount %lld", pf_total,
+                 pf_total_);
+    fail();
+  }
 }
 
 // Append the node whose parents are pbuf_[0, m), then update every index
@@ -979,7 +1093,14 @@ bool Engine::step() {
     return true;
   }
   const int m = law_support_[pmf_index()];
-  for (int i = 0; i < m; ++i) pbuf_[i] = w_select(draw() * wtotal_);
+  if (m == 1) {
+    pbuf_[0] = w_select(draw() * wtotal_);
+  } else {
+    // no pick writes the tree, so drawing every pick before finding any
+    // keeps the stream and the slots
+    for (int i = 0; i < m; ++i) xbuf_[i] = draw() * wtotal_;
+    w_select_picks(m);
+  }
   const int8_t label = maybe(error_rate_) ? CF : CT;
   const int32_t v = add_node(m, label);
   run_check(v);
@@ -1060,10 +1181,28 @@ PyObject *list_of(size_t n, Make make) {
 
 PyObject *new_bool(bool b) { return Py_NewRef(b ? Py_True : Py_False); }
 
-// Rebuild a CkpState, for deep audits and parity checks.
+// Pauses the cyclic garbage collector while it lives, and restores the
+// state it found on every exit, an error's included.
+class GcPause {
+ public:
+  GcPause() : was_enabled_(PyGC_Disable()) {}
+  ~GcPause() {
+    if (was_enabled_) PyGC_Enable();
+  }
+  GcPause(const GcPause &) = delete;
+  GcPause &operator=(const GcPause &) = delete;
+
+ private:
+  int was_enabled_;
+};
+
+// Rebuild a CkpState, for deep audits and parity checks.  The columns
+// hold two lists per node, and with the collector running its passes
+// over them took most of the time, so it is paused while they are built.
 PyObject *Engine::export_state() const {
   const size_t n = nodes_.size();
   Ref st(check(PyObject_CallNoArgs(CkpStateType)));
+  GcPause pause;
   auto set = [&](const char *name, PyObject *value) {
     Ref owned(value);
     if (PyObject_SetAttrString(st.get(), name, owned.get()) < 0) fail();

@@ -14,9 +14,9 @@ by being applied consistently on both sides.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
-from .state import CT, PF, bfs_component_partition, pt_false_distances
+from .state import PF, StateError, bfs_component_partition, \
+    pt_false_distances
 from .attachment import is_nondecreasing
 from .evolution import AuditViolation
 from . import state as state_mod
@@ -26,34 +26,12 @@ DISTANCE_BASE = 3.0  # growth factor of the audit's distance-weighted sum
 
 def audit_edges(st) -> None:
     """Parent and child lists must mirror each other with multiplicity,
-    and every cached degree must equal a recount."""
-    n = len(st.labels)
-    down = [Counter() for _ in range(n)]
-    for v in range(n):
-        for u in st.parents[v]:
-            down[u][v] += 1
-    for u in range(n):
-        if Counter(st.children[u]) != down[u]:
-            raise AuditViolation(f"child list of node {u} does not mirror "
-                                 "the parent lists")
-    for v in range(n):
-        pt = ct = 0
-        for w in st.children[v]:
-            if st.labels[w] != PF:
-                pt += 1
-            if st.labels[w] == CT:
-                ct += 1
-        if st.deg_pt[v] != pt:
-            raise AuditViolation(
-                f"node {v}: cached PT degree {st.deg_pt[v]}, recount {pt}")
-        if st.deg_ct[v] != ct:
-            raise AuditViolation(
-                f"node {v}: cached CT degree {st.deg_ct[v]}, recount {ct}")
-        pf_edges = sum(1 for u in st.parents[v] if st.labels[u] == PF)
-        if st.pf_parent_edges[v] != pf_edges:
-            raise AuditViolation(
-                f"node {v}: cached PF parent edges {st.pf_parent_edges[v]}, "
-                f"recount {pf_edges}")
+    and every cached degree and the PF count must equal a recount:
+    :func:`state.verify_columns`, raised as an audit failure."""
+    try:
+        state_mod.verify_columns(st)
+    except StateError as err:
+        raise AuditViolation(str(err)) from err
 
 
 def audit_weights(st, features, book) -> None:
@@ -109,12 +87,9 @@ def audit_counts(st, features, book) -> None:
     n = len(st.labels)
     pt_false = sum(1 for v in range(n)
                    if st.labels[v] != PF and st.is_false[v])
-    pf = sum(1 for lab in st.labels if lab == PF)
     if book["pt_false"] != pt_false:
         raise AuditViolation(
             f"PT False count {book['pt_false']}, recount {pt_false}")
-    if st.pf_total != pf:
-        raise AuditViolation(f"state PF counter {st.pf_total}, recount {pf}")
     f_mem, l_mem = book["f_mem"], book["l_mem"]
     for v in range(n):
         if f_mem[v] != st.is_minimal_false(v):

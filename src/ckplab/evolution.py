@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from . import checking
 from .attachment import extend_table, sample_combination, weight_index_for
 from .state import (
-    CT, CF, PF, LABEL_NAMES, CkpState, StateError, verify_truth_closure,
+    CT, CF, PF, LABEL_NAMES, CkpState, StateError, verify_state,
 )
 
 
@@ -267,13 +267,14 @@ class PyEngine:
     Adversarial steps play ``features.adversary``.  The kernel's surface
     is this one: :meth:`run`, the exports, and the keyword-only
     ``audit_cheap``, which runs :class:`CheapAudit` in every :meth:`step`.
-    Both refuse an initial state that fails
-    :func:`state.verify_truth_closure` with its ``StateError``.
+    Both refuse an initial state that fails :func:`state.verify_state`
+    (derived columns out of step, or a broken truth rule) with its
+    ``StateError``.
     """
 
     def __init__(self, features: Features, init_state: CkpState, chooser,
                  *, audit_cheap: bool = False):
-        verify_truth_closure(init_state)
+        verify_state(init_state)
         self.features = features
         self.state = init_state.copy()
         self.chooser = chooser

@@ -18,7 +18,7 @@ multiplicity.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import compress, count
 
 CT = 0
@@ -51,10 +51,11 @@ class CkpState:
 
     ``children``, ``deg_pt``, ``deg_ct``, ``pf_parent_edges`` and
     ``pf_total`` are derived from ``labels`` and ``parents``.  Every
-    mutation here and :func:`load_state` keep them consistent, and the
-    engines and :func:`verify_truth_closure` trust them without a
-    recount; a state whose columns were edited by hand is outside that
-    contract.
+    mutation here and :func:`load_state` keep them consistent.  Both
+    engines and ``potentials.exact_drift`` recount them
+    (:func:`verify_state`) and refuse a state whose columns were edited
+    out of step; :func:`verify_truth_closure` and ``potentials.mc_drift``
+    trust them.
     """
 
     __slots__ = ("labels", "is_false", "birth", "adversarial",
@@ -510,3 +511,71 @@ def verify_truth_closure(state: CkpState) -> None:
             first = min(first, min(c for c in kids if not is_false[c]))
     if first < n:
         raise StateError(_truth_fault(state, first))
+
+
+def verify_columns(state: CkpState) -> None:
+    """Recount the derived columns from ``labels`` and ``parents``: every
+    column as long as ``labels``, every parent an earlier node,
+    ``children`` the parent lists mirrored as a multiset per node, and
+    ``deg_pt``, ``deg_ct``, ``pf_parent_edges`` and ``pf_total`` equal to
+    their counts.
+
+    Raises :class:`StateError` at the first fault in that order; among
+    the per-node columns, at the lowest-id node that disagrees, naming
+    the column.  One pass over the nodes and edges.
+    """
+    labels = state.labels
+    parents = state.parents
+    n = len(labels)
+    if any(len(column) != n for column in (
+            state.is_false, state.birth, state.adversarial, parents,
+            state.children, state.deg_pt, state.deg_ct,
+            state.pf_parent_edges)):
+        raise StateError("state columns differ in length")
+    kids: list[list[int]] = [[] for _ in range(n)]
+    deg_pt = [0] * n
+    deg_ct = [0] * n
+    pf_parent = [0] * n
+    for v, ups, lab in zip(count(), parents, labels):
+        for u in ups:
+            if not 0 <= u < v:
+                raise StateError(f"parent id {u} out of range")
+            kids[u].append(v)
+            if labels[u] == PF:
+                pf_parent[v] += 1
+        if lab != PF:
+            for u in ups:
+                deg_pt[u] += 1
+            if lab == CT:
+                for u in ups:
+                    deg_ct[u] += 1
+    # each column's lowest disagreeing node, with the column's rank; a
+    # child list in another order than the ids' still mirrors the parents
+    faults = []
+    if state.children != kids:
+        for u, have, want in zip(count(), state.children, kids):
+            if have != want and Counter(have) != Counter(want):
+                faults.append((u, 0, f"node {u}: children do not mirror "
+                                     "the parent lists"))
+                break
+    for rank, (name, have, want) in enumerate((
+            ("deg_pt", state.deg_pt, deg_pt),
+            ("deg_ct", state.deg_ct, deg_ct),
+            ("pf_parent_edges", state.pf_parent_edges, pf_parent)), 1):
+        if have != want:
+            v = next(v for v, a, b in zip(count(), have, want) if a != b)
+            faults.append((v, rank,
+                           f"node {v}: {name} is {have[v]}, recount {want[v]}"))
+    if faults:
+        raise StateError(min(faults)[2])
+    pf_total = labels.count(PF)
+    if state.pf_total != pf_total:
+        raise StateError(f"pf_total is {state.pf_total}, recount {pf_total}")
+
+
+def verify_state(state: CkpState) -> None:
+    """What both engines and ``potentials.exact_drift`` check of a state
+    handed to them: its derived columns (:func:`verify_columns`), then
+    the truth rule (:func:`verify_truth_closure`), which reads them."""
+    verify_columns(state)
+    verify_truth_closure(state)

@@ -2,7 +2,10 @@
 decision stream draw for draw, and the dispatcher routes requests to
 the right backend."""
 
+import gc
 import math
+import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,7 +22,9 @@ from ckplab.engine import (
 from ckplab.evolution import AuditViolation, Features, PyEngine, init_chain
 from ckplab.rand import SimChooser
 from ckplab.potentials import MinDistance, exact_drift
-from ckplab.state import CF, CT, PF, StateError, dump_state, load_state
+from ckplab.state import (
+    CF, CT, PF, StateError, dump_state, load_state, verify_state,
+)
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
                                   reason="compiled kernel not built")
@@ -136,6 +141,49 @@ def test_trajectories_bit_identical_across_regrowths():
     eng, ker, summary = run_both(feats, init_chain(5, 1, CT), 4242, 2200)
     assert summary["stopped_at"] is None
     assert eng.windex.capacity >= 4096     # two regrowths, from 1024
+    assert_same_engines(eng, ker)
+
+
+BATCHED_LAWS = {
+    "const2": ParentCountLaw.const(2),
+    "const3": ParentCountLaw.const(3),
+    # more picks than any small fixed buffer would hold
+    "wide": ParentCountLaw({1: 0.5, 12: 0.5}),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("law", BATCHED_LAWS)
+@pytest.mark.parametrize("attach_name", ["rounding", "preferential"])
+@pytest.mark.parametrize("root", [CF, CT], ids=["cf", "ct"])
+def test_batched_parent_picks_bit_identical(law, attach_name, root):
+    """A kernel step with several parents draws all its picks, then finds
+    them in one descent that advances every pick at each tree level.
+    Each must still be ``WeightIndex.select``'s slot for its draw, and
+    the draws those of ``draw_move``, over a thousand steps of such
+    picks, with weights that round and weights that do not."""
+    attach = {"rounding": Affine(0.1, 0.7),
+              "preferential": preferential()}[attach_name]
+    feats = Features(attach=attach, parent_count=BATCHED_LAWS[law],
+                     check_rate=0.3, check_depth=3, mechanism="bfs",
+                     error_rate=0.1, detection_rate=0.8)
+    eng, ker, summary = run_both(feats, init_chain(12, 2, root), 4242, 1000)
+    assert summary["stopped_at"] is None
+    assert eng.step_index == 1000
+    assert_same_engines(eng, ker)
+
+
+@needs_kernel
+def test_batched_picks_at_a_capacity_off_the_powers_of_two():
+    """Imported at 1,500 nodes, the index's capacity is 1,500, so the
+    descent starts at 1,024 and a pick's next slot often lies past the
+    capacity; across the regrowth to 3,000 it still must not be taken."""
+    feats = Features(attach=Affine(0.1, 0.7),
+                     parent_count=ParentCountLaw.const(3), check_rate=0.3,
+                     check_depth=3, mechanism="bfs", error_rate=0.1,
+                     detection_rate=0.8)
+    eng, ker, _ = run_both(feats, init_chain(1500, 1, CF), 99, 1000)
+    assert eng.windex.capacity == 3000
     assert_same_engines(eng, ker)
 
 
@@ -435,6 +483,35 @@ def test_full_audit_checks_the_kernels_weight_index(key, slot, delta):
 
 
 @needs_kernel
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_export_state_pauses_the_collector(enabled):
+    """``export_state`` builds two lists per node with the cyclic
+    collector paused, so none of its passes runs inside the export, and
+    it leaves the collector as it found it."""
+    from ckplab._kernel import KernelEngine
+
+    feats = case_features("bfs", 0.1, "preferential", 0.3, 3)
+    ker = KernelEngine(feats, init_chain(5, 1, CT), 3)
+    ker.run(2000)                 # 4,000 lists: past gen 0's threshold
+    passes = []
+
+    def callback(phase, info):
+        passes.append(phase)
+
+    was = gc.isenabled()
+    gc.callbacks.append(callback)
+    try:
+        (gc.enable if enabled else gc.disable)()
+        state = ker.export_state()
+        assert gc.isenabled() == enabled
+        assert passes == []
+    finally:
+        gc.callbacks.remove(callback)
+        (gc.enable if was else gc.disable)()
+    assert len(state.labels) == 2005
+
+
+@needs_kernel
 def test_kernel_rejects_adversarial_features():
     from ckplab._kernel import KernelEngine
 
@@ -535,14 +612,20 @@ def kernel_engine(feats, init, seed):
     return KernelEngine(feats, init, seed)
 
 
-@pytest.mark.parametrize("build,message", BROKEN_TRUTH)
-@pytest.mark.parametrize("make_engine", [
+# what takes a state in: both engines and the exact drift
+STATE_TAKERS = [
     lambda feats, init, seed: PyEngine(feats, init, SimChooser(seed)),
     pytest.param(kernel_engine, marks=needs_kernel),
     lambda feats, init, seed: exact_drift(init, feats,
                                           MinDistance(preferential(), 3)),
+]
+STATE_TAKER_IDS = ["python", "compiled", "exact_drift"]
+
+
+@pytest.mark.parametrize("build,message", BROKEN_TRUTH)
+@pytest.mark.parametrize("make_engine", STATE_TAKERS + [
     lambda feats, init, seed: load_state(dump_state(init)),
-], ids=["python", "compiled", "exact_drift", "load_state"])
+], ids=STATE_TAKER_IDS + ["load_state"])
 def test_engines_refuse_broken_truth(build, message, make_engine):
     """The ball walks skip hidden-True starts, which is exact only when
     every CF and PF node is False and falseness flows down every edge.
@@ -553,3 +636,118 @@ def test_engines_refuse_broken_truth(build, message, make_engine):
     with pytest.raises(StateError, match=message):
         make_engine(feats, build(), 1)
 
+
+
+def degree_edited():
+    s = init_chain(5, 1, CF)
+    s.deg_pt[0] = 7            # node 0 would weigh a(7)
+    return s
+
+
+def children_emptied():
+    s = init_chain(3, 1, CF)
+    s.is_false[2] = False      # breaks the truth rule only a child list shows
+    s.children[1] = []
+    return s
+
+
+def pf_total_edited():
+    s = init_chain(4, 1, CF)
+    s.pf_total = 1
+    return s
+
+
+def pf_edges_and_ct_degree_edited():
+    s = init_chain(6, 1, CT)
+    s.pf_parent_edges[4] = 1
+    s.deg_ct[2] = 0            # the lower node is named
+    return s
+
+
+STALE_COLUMNS = [
+    (degree_edited, "node 0: deg_pt is 7, recount 1"),
+    (children_emptied, "node 1: children do not mirror the parent lists"),
+    (pf_total_edited, "pf_total is 1, recount 0"),
+    (pf_edges_and_ct_degree_edited, "node 2: deg_ct is 0, recount 1"),
+]
+
+
+@pytest.mark.parametrize("build,message", STALE_COLUMNS)
+@pytest.mark.parametrize("make_engine", STATE_TAKERS, ids=STATE_TAKER_IDS)
+def test_engines_refuse_stale_derived_columns(build, message, make_engine):
+    """A state whose derived columns were edited out of step with its
+    labels and parents is refused before the truth check reads them,
+    with one message on both engines and in the exact drift."""
+    feats = case_features("bfs", 0.1, "preferential", 0.5, 2)
+    with pytest.raises(StateError) as err:
+        make_engine(feats, build(), 1)
+    assert str(err.value) == message
+
+
+@needs_kernel
+def test_exported_and_loaded_states_pass_the_recount():
+    """What an engine exports, and what ``load_state`` reads, starts
+    either engine again."""
+    from ckplab._kernel import KernelEngine
+
+    feats = case_features("complete", 0.25, "rounding", 0.3, 2)
+    eng, ker, summary = run_both(feats, init_chain(12, 2, CF), 5, 300)
+    assert summary["final_counts"]["pf"] > 0
+    for state in (eng.export_state(), ker.export_state(),
+                  load_state(dump_state(eng.export_state()))):
+        eng2, ker2 = PyEngine(feats, state, SimChooser(6)), \
+            KernelEngine(feats, state, 6)
+        assert ker2.run(100) == eng2.run(100)
+
+
+def edit_columns(state, rng):
+    """One to three hand edits of ``state``'s derived columns, some of
+    which leave them consistent (a reordered child list)."""
+    n = len(state.labels)
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(n)
+        kind = rng.randrange(6)
+        if kind < 3:
+            column = ("deg_pt", "deg_ct", "pf_parent_edges")[kind]
+            getattr(state, column)[v] += rng.choice((-1, 1))
+        elif kind == 3:
+            state.pf_total += rng.choice((-1, 1))
+        elif kind == 4 and state.children[v]:
+            kids = state.children[v]
+            rng.shuffle(kids)
+            if rng.random() < 0.5:
+                kids.pop()
+        else:
+            state.children[v].append(rng.randrange(n))
+
+
+def refusal(build, state):
+    try:
+        build(state)
+    except StateError as err:
+        return str(err)
+    return None
+
+
+@needs_kernel
+def test_kernel_recounts_the_columns_as_verify_state_does():
+    """The kernel rebuilds the derived columns natively while it imports
+    a state, and must refuse exactly what ``state.verify_state``
+    refuses, with the same message, naming the same lowest node."""
+    from ckplab._kernel import KernelEngine
+
+    feats = case_features("complete", 0.25, "preferential", 0.5, 2)
+    eng, _, summary = run_both(feats, init_chain(8, 2, CF), 17, 80)
+    assert summary["final_counts"]["pf"] > 0
+    base = eng.export_state()
+    rng = random.Random(5)
+    named = set()
+    for _ in range(300):
+        state = base.copy()
+        edit_columns(state, rng)
+        want = refusal(verify_state, state)
+        assert refusal(lambda s: KernelEngine(feats, s, 1), state) == want
+        named.add(want and re.match(r"(?:node \d+: )?(\w+)", want).group(1))
+    # every column was named, and some edits left a consistent state
+    assert {"children", "deg_pt", "deg_ct", "pf_parent_edges", "pf_total",
+            None} <= named

@@ -8,7 +8,7 @@ from ckplab.state import (
     CT, CF, PF, CkpState, StateError,
     pt_false_distances,
     anchor_bfs, bfs_component_partition,
-    dump_state, load_state, verify_truth_closure,
+    dump_state, load_state, verify_columns, verify_truth_closure,
 )
 
 
@@ -365,3 +365,50 @@ def refusal(check, s):
 def test_truth_closure_matches_the_per_node_reference(s):
     assert refusal(verify_truth_closure, s) == refusal(
         reference_truth_closure, s)
+
+
+@given(random_states())
+@settings(max_examples=80, deadline=None)
+def test_built_and_loaded_states_pass_the_recount(s):
+    verify_columns(s)
+    verify_columns(load_state(dump_state(s)))
+
+
+def test_recount_reads_children_as_a_multiset():
+    s = CkpState()
+    s.add_root(CT)
+    s.add_node([0], CT, birth=1)
+    s.add_node([0, 1, 0], CF, birth=2)
+    s.children[0].reverse()            # [2, 2, 1]: the same multiset
+    verify_columns(s)
+    s.children[0].pop()
+    s.children[0].append(2)            # [2, 2, 2]
+    with pytest.raises(StateError) as err:
+        verify_columns(s)
+    assert str(err.value) == "node 0: children do not mirror the parent lists"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda s: s.birth.pop(), "state columns differ in length"),
+    (lambda s: s.parents[2].append(3), "parent id 3 out of range"),
+    (lambda s: s.parents[1].append(-1), "parent id -1 out of range"),
+    (lambda s: s.deg_pt.__setitem__(1, 1), "node 1: deg_pt is 1, recount 0"),
+    (lambda s: s.deg_ct.__setitem__(0, 2), "node 0: deg_ct is 2, recount 1"),
+    (lambda s: s.pf_parent_edges.__setitem__(3, 0),
+     "node 3: pf_parent_edges is 0, recount 1"),
+    (lambda s: setattr(s, "pf_total", 2), "pf_total is 2, recount 1"),
+    # a lower node's fault is named first, whatever its column
+    (lambda s: (s.deg_pt.__setitem__(3, 5), s.children[2].clear()),
+     "node 2: children do not mirror the parent lists"),
+    # at one node, children before the degrees
+    (lambda s: (s.deg_pt.__setitem__(1, 5), s.children[1].clear()),
+     "node 1: children do not mirror the parent lists"),
+])
+def test_recount_names_the_lowest_node_and_its_column(edit, message):
+    s = chain([CF, CT, CT, CT])
+    s.mark_pf([2])
+    verify_columns(s)
+    edit(s)
+    with pytest.raises(StateError) as err:
+        verify_columns(s)
+    assert str(err.value) == message
