@@ -62,13 +62,10 @@
 //     once, recognition on pop, PF nodes never entered.  A walk from a
 //     hidden-True node is skipped, as in checking._ball: it could
 //     recognize nothing, so it draws nothing and visits nothing.
-//     Both constructors refuse what state.verify_state refuses: a
-//     state where that would not hold, or whose derived columns
-//     (children, degrees, PF counts) disagree with a recount from its
-//     labels and parents.  PyEngine calls it; this engine rebuilds the
-//     derived columns while it imports the state, compares them with
-//     the state's own, with state.verify_columns's messages, and then
-//     calls state.verify_truth_closure.
+//     Both constructors run state.verify_state, which refuses a state
+//     where that would not hold, or whose derived columns (children,
+//     degrees, PF counts) disagree with a recount from its labels and
+//     parents.
 //   * Marks are applied in sorted order, as PyEngine._apply_marks and
 //     CkpState.mark_pf do; AllWeightsZero, AuditViolation and StateError
 //     are raised by name with the Python engine's messages.
@@ -144,7 +141,7 @@ PyObject *AllWeightsZero = nullptr;   // ckplab.attachment
 PyObject *AuditViolation = nullptr;   // ckplab.evolution
 PyObject *SurvivalFloor = nullptr;    // ckplab.evolution, the audit's cap
 PyObject *StateError = nullptr;       // ckplab.state
-PyObject *TruthClosure = nullptr;     // ckplab.state.verify_truth_closure
+PyObject *VerifyState = nullptr;      // ckplab.state.verify_state
 PyObject *CkpStateType = nullptr;     // ckplab.state.CkpState
 PyObject *PCG64Type = nullptr;        // numpy.random.PCG64
 
@@ -374,9 +371,6 @@ class Engine {
   int32_t add_node(int m, int8_t label);
   void apply_marks();
   int32_t child_count(int32_t w) const;
-  void verify_columns(const Seq &children, const Seq &deg_pt,
-                      const Seq &deg_ct, const Seq &pf_parent,
-                      PyObject *pf_total);
 
   // checking
   uint32_t next_seen();
@@ -489,8 +483,11 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     xbuf_.assign(m_max_, 0.0);
   }
 
-  // the state: per-node columns, CSR parents, children and the derived
-  // columns rebuilt from them, then checked as state.verify_state does
+  // the state, refused as PyEngine refuses it: the derived columns must
+  // match a recount, and the ball walk's skip needs every PF and CF node
+  // False and falseness closed downward
+  Ref(check(PyObject_CallOneArg(VerifyState, init_state)));
+  // per-node columns, CSR parents, children rebuilt from them
   Seq labels(Ref(attr(init_state, "labels")).get(), "labels");
   Seq is_false(Ref(attr(init_state, "is_false")).get(), "is_false");
   Seq birth(Ref(attr(init_state, "birth")).get(), "birth");
@@ -500,14 +497,13 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   Seq deg_ct(Ref(attr(init_state, "deg_ct")).get(), "deg_ct");
   Seq pf_parent(Ref(attr(init_state, "pf_parent_edges")).get(),
                 "pf_parent_edges");
-  Seq children(Ref(attr(init_state, "children")).get(), "children");
   const Py_ssize_t n = labels.size;
   if (n >= INT32_MAX) {
     PyErr_SetString(PyExc_OverflowError, "too many nodes for the kernel");
     fail();
   }
-  for (const Seq *column : {&is_false, &birth, &advers, &parents,
-                            &children, &deg_pt, &deg_ct, &pf_parent})
+  for (const Seq *column : {&is_false, &birth, &advers, &parents, &deg_pt,
+                            &deg_ct, &pf_parent})
     if (column->size != n) {
       PyErr_SetString(StateError, "state columns differ in length");
       fail();
@@ -518,6 +514,9 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     Node &node = nodes_[v];
     node.label = static_cast<int8_t>(as_long(labels.items[v]));
     node.is_false = truth(is_false.items[v]);
+    node.deg_pt = static_cast<int32_t>(as_long(deg_pt.items[v]));
+    node.deg_ct = static_cast<int32_t>(as_long(deg_ct.items[v]));
+    node.pf_parent = static_cast<int32_t>(as_long(pf_parent.items[v]));
     birth_.push_back(static_cast<int32_t>(as_long(birth.items[v])));
     advers_.push_back(truth(advers.items[v]));
     Seq ps(parents.items[v], "parents[v]");
@@ -529,7 +528,7 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     node.npar = static_cast<int32_t>(ps.size);
     for (Py_ssize_t j = 0; j < ps.size; ++j) {
       long long u = as_long(ps.items[j]);
-      if (u < 0 || u >= v) {
+      if (u < 0 || u >= n) {
         PyErr_Format(StateError, "parent id %lld out of range", u);
         fail();
       }
@@ -538,19 +537,9 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
       edge_child_.push_back(static_cast<int32_t>(v));
       edge_next_.push_back(-1);
       link_child(static_cast<int32_t>(u), e);
-      Node &nu = nodes_[u];
-      nu.deg_pt += node.label != PF;
-      nu.deg_ct += node.label == CT;
-      node.pf_parent += nu.label == PF;
     }
   }
-  pf_total_ = 0;
-  for (const Node &node : nodes_) pf_total_ += node.label == PF;
-  verify_columns(children, deg_pt, deg_ct, pf_parent,
-                 Ref(attr(init_state, "pf_total")).get());
-  // the ball walk's skip needs every PF and CF node False and falseness
-  // closed downward
-  Ref(check(PyObject_CallOneArg(TruthClosure, init_state)));
+  pf_total_ = as_long(Ref(attr(init_state, "pf_total")).get());
 
   // the weight index, laid out as weight_index_for does: capacity
   // max(1024, n), PF nodes at 0.0, the table filled to the largest PT
@@ -764,52 +753,6 @@ int32_t Engine::child_count(int32_t w) const {
   int32_t count = 0;
   for (int32_t e = child_head_[w]; e >= 0; e = edge_next_[e]) ++count;
   return count;
-}
-
-// state.verify_columns on an imported state: the derived columns the
-// import rebuilt from labels and parents against the state's own, with
-// its messages.  Going up the ids, a node's children (as a multiset),
-// PT degree, CT degree and PF parent edges are compared in that order,
-// so the first fault is the lowest node's; then the PF count.
-void Engine::verify_columns(const Seq &children, const Seq &deg_pt,
-                            const Seq &deg_ct, const Seq &pf_parent,
-                            PyObject *pf_total) {
-  std::vector<long long> have, want;
-  for (int32_t v = 0; v < static_cast<int32_t>(nodes_.size()); ++v) {
-    Seq kids(children.items[v], "children[v]");
-    have.clear();
-    for (Py_ssize_t j = 0; j < kids.size; ++j)
-      have.push_back(as_long(kids.items[j]));
-    want.clear();
-    for (int32_t e = child_head_[v]; e >= 0; e = edge_next_[e])
-      want.push_back(edge_child_[e]);
-    std::sort(have.begin(), have.end());
-    std::reverse(want.begin(), want.end());   // newest first: descending
-    if (have != want) {
-      PyErr_Format(StateError,
-                   "node %d: children do not mirror the parent lists", v);
-      fail();
-    }
-    const Node &nv = nodes_[v];
-    const struct {
-      const char *name;
-      PyObject *item;
-      int32_t recount;
-    } counts[] = {{"deg_pt", deg_pt.items[v], nv.deg_pt},
-                  {"deg_ct", deg_ct.items[v], nv.deg_ct},
-                  {"pf_parent_edges", pf_parent.items[v], nv.pf_parent}};
-    for (const auto &c : counts)
-      if (as_long(c.item) != c.recount) {
-        PyErr_Format(StateError, "node %d: %s is %S, recount %d", v, c.name,
-                     c.item, c.recount);
-        fail();
-      }
-  }
-  if (as_long(pf_total) != pf_total_) {
-    PyErr_Format(StateError, "pf_total is %S, recount %lld", pf_total,
-                 pf_total_);
-    fail();
-  }
 }
 
 // Append the node whose parents are pbuf_[0, m), then update every index
@@ -1419,8 +1362,7 @@ PyMODINIT_FUNC PyInit__kernel(void) {
       !(SurvivalFloor =
             import_attr("ckplab.evolution", "survival_potential_floor")) ||
       !(StateError = import_attr("ckplab.state", "StateError")) ||
-      !(TruthClosure =
-            import_attr("ckplab.state", "verify_truth_closure")) ||
+      !(VerifyState = import_attr("ckplab.state", "verify_state")) ||
       !(CkpStateType = import_attr("ckplab.state", "CkpState")) ||
       !(PCG64Type = import_attr("numpy.random", "PCG64")))
     return nullptr;

@@ -4,8 +4,6 @@ the right backend."""
 
 import gc
 import math
-import random
-import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +21,7 @@ from ckplab.evolution import AuditViolation, Features, PyEngine, init_chain
 from ckplab.rand import SimChooser
 from ckplab.potentials import MinDistance, exact_drift
 from ckplab.state import (
-    CF, CT, PF, StateError, dump_state, load_state, verify_state,
+    CF, CT, PF, StateError, dump_state, load_state,
 )
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
@@ -698,56 +696,3 @@ def test_exported_and_loaded_states_pass_the_recount():
         eng2, ker2 = PyEngine(feats, state, SimChooser(6)), \
             KernelEngine(feats, state, 6)
         assert ker2.run(100) == eng2.run(100)
-
-
-def edit_columns(state, rng):
-    """One to three hand edits of ``state``'s derived columns, some of
-    which leave them consistent (a reordered child list)."""
-    n = len(state.labels)
-    for _ in range(rng.randint(1, 3)):
-        v = rng.randrange(n)
-        kind = rng.randrange(6)
-        if kind < 3:
-            column = ("deg_pt", "deg_ct", "pf_parent_edges")[kind]
-            getattr(state, column)[v] += rng.choice((-1, 1))
-        elif kind == 3:
-            state.pf_total += rng.choice((-1, 1))
-        elif kind == 4 and state.children[v]:
-            kids = state.children[v]
-            rng.shuffle(kids)
-            if rng.random() < 0.5:
-                kids.pop()
-        else:
-            state.children[v].append(rng.randrange(n))
-
-
-def refusal(build, state):
-    try:
-        build(state)
-    except StateError as err:
-        return str(err)
-    return None
-
-
-@needs_kernel
-def test_kernel_recounts_the_columns_as_verify_state_does():
-    """The kernel rebuilds the derived columns natively while it imports
-    a state, and must refuse exactly what ``state.verify_state``
-    refuses, with the same message, naming the same lowest node."""
-    from ckplab._kernel import KernelEngine
-
-    feats = case_features("complete", 0.25, "preferential", 0.5, 2)
-    eng, _, summary = run_both(feats, init_chain(8, 2, CF), 17, 80)
-    assert summary["final_counts"]["pf"] > 0
-    base = eng.export_state()
-    rng = random.Random(5)
-    named = set()
-    for _ in range(300):
-        state = base.copy()
-        edit_columns(state, rng)
-        want = refusal(verify_state, state)
-        assert refusal(lambda s: KernelEngine(feats, s, 1), state) == want
-        named.add(want and re.match(r"(?:node \d+: )?(\w+)", want).group(1))
-    # every column was named, and some edits left a consistent state
-    assert {"children", "deg_pt", "deg_ct", "pf_parent_edges", "pf_total",
-            None} <= named
