@@ -62,10 +62,12 @@
 //     once, recognition on pop, PF nodes never entered.  A walk from a
 //     hidden-True node is skipped, as in checking._ball: it could
 //     recognize nothing, so it draws nothing and visits nothing.
-//     Both constructors run state.verify_state, which refuses a state
-//     where that would not hold, or whose derived columns (children,
-//     degrees, PF counts) disagree with a recount from its labels and
-//     parents.
+//     Both constructors run state.verify_state, one pass over the labels,
+//     truth bits and parents.  It refuses a state with a label other
+//     than CT (0), CF (1) or PF (2), a parent that is not an earlier
+//     node, derived columns (children in insertion order, degrees, PF
+//     counts) that disagree with its recount, or a broken truth rule,
+//     under which that skip would not hold.
 //   * Marks are applied in sorted order, as PyEngine._apply_marks and
 //     CkpState.mark_pf do; AllWeightsZero, AuditViolation and StateError
 //     are raised by name with the Python engine's messages.
@@ -84,7 +86,7 @@
 //     head.  Nothing in a step depends on their order: a mark counts PF
 //     parents and refreshes membership over them, and a leaf test asks
 //     only whether the list is empty.  export_state reverses each list
-//     into insertion order.
+//     into insertion order, the only order state.verify_state accepts.
 //   * The columns that grow with the graph (the node records, the three
 //     edge columns, the child heads, birth, adversarial and PF child
 //     counts, the Fenwick tree and weights) are Columns: a realloc'd
@@ -322,7 +324,7 @@ class Engine {
 
   bool step();
   PyObject *counts() const;
-  PyObject *run(int horizon, PyObject *checkpoint_steps);
+  PyObject *run(long long horizon, PyObject *checkpoint_steps);
   PyObject *export_state() const;
   PyObject *export_bookkeeping() const;
 
@@ -1073,7 +1075,7 @@ PyObject *optional(long long x) {
 }
 
 // PyEngine.run's loop and early exit; ``horizon`` steps at most.
-PyObject *Engine::run(int horizon, PyObject *checkpoint_steps) {
+PyObject *Engine::run(long long horizon, PyObject *checkpoint_steps) {
   Ref unique(check(PySet_New(checkpoint_steps)));
   Ref pending(check(PySequence_List(unique.get())));
   if (PyList_Sort(pending.get()) < 0) fail();
@@ -1284,9 +1286,9 @@ PyObject *kernel_counts(PyObject *self, PyObject *) {
 
 PyObject *kernel_run(PyObject *self, PyObject *args, PyObject *kwds) {
   static const char *kwlist[] = {"horizon", "checkpoint_steps", nullptr};
-  int horizon;
+  long long horizon;
   PyObject *checkpoint_steps = nullptr;
-  if (!PyArg_ParseTupleAndKeywords(args, kwds, "i|O:run",
+  if (!PyArg_ParseTupleAndKeywords(args, kwds, "L|O:run",
                                    const_cast<char **>(kwlist), &horizon,
                                    &checkpoint_steps))
     return nullptr;

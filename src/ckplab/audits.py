@@ -25,11 +25,12 @@ DISTANCE_BASE = 3.0  # growth factor of the audit's distance-weighted sum
 
 
 def audit_edges(st) -> None:
-    """Parent and child lists must mirror each other with multiplicity,
-    and every cached degree and the PF count must equal a recount:
-    :func:`state.verify_columns`, raised as an audit failure."""
+    """The intake check, :func:`state.verify_state`, raised as an audit
+    failure: child lists in insertion order that mirror the parent
+    lists, every cached degree and the PF count equal to a recount, and
+    the truth rule."""
     try:
-        state_mod.verify_columns(st)
+        state_mod.verify_state(st)
     except StateError as err:
         raise AuditViolation(str(err)) from err
 
@@ -170,7 +171,6 @@ def full_audit(st, features, book) -> None:
     """Run every deep audit against an exported state and its engine's
     bookkeeping record."""
     audit_edges(st)
-    state_mod.verify_truth_closure(st)
     audit_weights(st, features, book)
     audit_counts(st, features, book)
     audit_partition(st)

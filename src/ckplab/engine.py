@@ -77,8 +77,8 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
         raise ValueError(f"seed must be an integer, not the bool {seed!r}")
     if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
         raise ValueError(f"horizon must be an integer, not {horizon!r}")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if not 1 <= horizon < 2**63:
+        raise ValueError(f"horizon must be from 1 to 2**63 - 1, not {horizon}")
     if audit not in ("none", "cheap", "full"):
         raise ValueError(f"unknown audit level {audit!r}")
     audit_cheap = audit != "none"

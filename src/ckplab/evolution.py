@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 from . import checking
@@ -268,8 +269,8 @@ class PyEngine:
     is this one: :meth:`run`, the exports, and the keyword-only
     ``audit_cheap``, which runs :class:`CheapAudit` in every :meth:`step`.
     Both refuse an initial state that fails :func:`state.verify_state`
-    (derived columns out of step, or a broken truth rule) with its
-    ``StateError``.
+    (an unknown label, derived columns out of step, or a broken truth
+    rule) with its ``StateError``.
     """
 
     def __init__(self, features: Features, init_state: CkpState, chooser,
@@ -475,12 +476,15 @@ class PyEngine:
             trace=None) -> dict:
         """Up to ``horizon`` more steps, with the early exit once the
         outcome can no longer change; returns the trial summary, as the
-        kernel's ``run`` does.  ``checkpoint_steps`` count from the start
-        of this call, one past an early exit reports the frozen counts.
+        kernel's ``run`` does.  ``checkpoint_steps`` are integers, each
+        reported under the caller's own object; they count from the start
+        of this call, and one past an early exit reports the frozen counts.
         Python only: ``trace`` takes one JSON line per step, numbered by
         the engine's step index.
         """
         pending = sorted(set(checkpoint_steps))
+        for step in pending:
+            operator.index(step)       # 1.5 or "3" raises the kernel's error
         checkpoints = []
         while pending and pending[0] <= 0:
             checkpoints.append((pending.pop(0), self.counts()))

@@ -411,7 +411,7 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
 class DriftResult:
     value: object
     sign: str           # negative | zero | positive
-    exact: bool         # always True; only the benchmark's drift gate reads it
+    exact: bool         # always True; read by tests and the drift gate
     leaf_count: int
 
 

@@ -18,7 +18,7 @@ multiplicity.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from itertools import compress, count
 
 CT = 0
@@ -51,11 +51,11 @@ class CkpState:
 
     ``children``, ``deg_pt``, ``deg_ct``, ``pf_parent_edges`` and
     ``pf_total`` are derived from ``labels`` and ``parents``.  Every
-    mutation here and :func:`load_state` keep them consistent.  Both
-    engines and ``potentials.exact_drift`` recount them
-    (:func:`verify_state`) and refuse a state whose columns were edited
-    out of step; :func:`verify_truth_closure` and ``potentials.mc_drift``
-    trust them.
+    mutation here keeps them consistent, and :func:`load_state` derives
+    them.  Both engines, ``potentials.exact_drift`` and the deep audit
+    recount them (:func:`verify_state`), child lists in insertion
+    order, and refuse a state whose columns were edited out of step;
+    ``potentials.mc_drift`` trusts them.
     """
 
     __slots__ = ("labels", "is_false", "birth", "adversarial",
@@ -401,9 +401,10 @@ def _read_flag(text: str, name: str, line: str) -> bool:
 
 
 def load_state(text: str) -> CkpState:
-    """Read the ``ckp-state v1`` text of :func:`dump_state`.  A malformed
-    field, a broken truth rule or a parent that is not an earlier node
-    raises :class:`StateError`, quoting what it read."""
+    """Read the ``ckp-state v1`` text of :func:`dump_state`, deriving
+    the other columns by the intake pass of :func:`verify_state`.  A
+    malformed field, quoted as read, a parent that is not an earlier
+    node or a broken truth rule raises :class:`StateError`."""
     lines = text.splitlines()
     if not lines:
         raise StateError("empty state document")
@@ -425,157 +426,103 @@ def load_state(text: str) -> CkpState:
         label = LABEL_CODES.get(fields[1])
         if label is None:
             raise StateError(f"unknown label {fields[1]!r}")
-        parents = [] if fields[5] == "-" else [
-            _read_int(x, "parent", line) for x in fields[5].split(",")]
-        for u in parents:
-            if not 0 <= u < vid:
-                raise StateError(f"node {vid} references parent {u}")
         state.labels.append(label)
         state.is_false.append(_read_flag(fields[2], "is_false", line))
         state.birth.append(_read_int(fields[3], "birth", line))
         state.adversarial.append(_read_flag(fields[4], "adversarial", line))
-        state.parents.append(parents)
-        state.children.append([])
-        state.deg_pt.append(0)
-        state.deg_ct.append(0)
-        state.pf_parent_edges.append(0)
-    for v in range(count):
-        lab = state.labels[v]
-        for u in state.parents[v]:
-            state.children[u].append(v)
-            if lab != PF:
-                state.deg_pt[u] += 1
-            if lab == CT:
-                state.deg_ct[u] += 1
-    for v in range(count):
-        state.pf_parent_edges[v] = sum(
-            1 for u in state.parents[v] if state.labels[u] == PF)
-    state.pf_total = sum(1 for lab in state.labels if lab == PF)
-    verify_truth_closure(state)
+        state.parents.append([] if fields[5] == "-" else [
+            _read_int(x, "parent", line) for x in fields[5].split(",")])
+    (state.children, state.deg_pt, state.deg_ct, state.pf_parent_edges,
+     state.pf_total, fault) = _recount(state)
+    if fault is not None:
+        raise StateError(fault)
     return state
 
 
-def _truth_fault(state: CkpState, v: int) -> str | None:
-    """What breaks the hidden truth rule at node ``v``, or None: the
-    message :func:`verify_truth_closure` raises, the first of its four
-    checks, in a fixed order, that ``v`` fails."""
-    is_false = state.is_false
-    label = state.labels[v]
-    inherited = any(is_false[u] for u in state.parents[v])
-    if inherited and not is_false[v]:
-        return f"node {v} descends from a False node but is True"
-    if label == CF and not is_false[v]:
-        return f"CF node {v} has is_false unset"
-    if label == PF and not is_false[v]:
-        return f"PF node {v} has is_false unset"
-    if is_false[v] and not inherited and label == CT:
-        return f"CT node {v} is False yet no parent is False"
-    return None
+def _recount(state: CkpState):
+    """The intake pass: one walk in id order over ``labels``,
+    ``is_false`` and ``parents``, reading no derived column.
 
+    Returns ``(children, deg_pt, deg_ct, pf_parent_edges, pf_total,
+    fault)``: the derived columns as :class:`CkpState`'s mutators keep
+    them, child lists in insertion order, and the message for the
+    lowest node that breaks the hidden truth rule, or None.  The rule:
+    False-ness flows down every edge, a False node with no False parent
+    carries the error itself (so if it is still PT, it is labeled CF),
+    and a PF node is False, since checks mark only False nodes.  The
+    ball walks' skip from hidden-True nodes rests on it.  Its four
+    checks at one node run in a fixed order.
 
-def verify_truth_closure(state: CkpState) -> None:
-    """Check the halves of the hidden truth rule that a finished state
-    still exposes: False-ness flows down every edge, a False node with no
-    False parent must itself carry the error (so if it is still PT, it is
-    labeled CF), and a PF node is False, since checks mark only False
-    nodes.  The ball walks' skip from hidden-True nodes rests on these,
-    so both engines run this on their initial state.
-
-    Raises :class:`StateError` with :func:`_truth_fault`'s message at the
-    lowest-id node that breaks the rule.  A break is a True node labeled
-    CF or PF, a True child of a False node, or a False CT node with no
-    False parent, so one scan of the labels and a walk over the False
-    nodes alone (their child lists, and the parents of the CT ones)
-    find it.  The child lists are trusted to mirror the parent lists:
-    they are one of :class:`CkpState`'s derived columns.
+    Raises :class:`StateError` at the lowest node whose label is not
+    CT, CF or PF, or that names a parent other than an earlier node.
     """
     labels = state.labels
     is_false = state.is_false
-    parents = state.parents
-    children = state.children
-    falseness = is_false.__getitem__
     n = len(labels)
-    # the lowest True node labeled CF or PF
-    first = next((v for v, lab, false in zip(count(), labels, is_false)
-                  if not false and lab != CT), n)
-    # a child's id is above its parents', so a False node past the
-    # lowest break found so far, and its children, cannot be lower
-    for v in compress(range(first), is_false):
-        if v >= first:
-            break
-        if labels[v] == CT and not any(map(falseness, parents[v])):
-            first = v
-            break
-        kids = children[v]
-        if not all(map(falseness, kids)):
-            first = min(first, min(c for c in kids if not is_false[c]))
-    if first < n:
-        raise StateError(_truth_fault(state, first))
-
-
-def verify_columns(state: CkpState) -> None:
-    """Recount the derived columns from ``labels`` and ``parents``: every
-    column as long as ``labels``, every parent an earlier node,
-    ``children`` the parent lists mirrored as a multiset per node, and
-    ``deg_pt``, ``deg_ct``, ``pf_parent_edges`` and ``pf_total`` equal to
-    their counts.
-
-    Raises :class:`StateError` at the first fault in that order; among
-    the per-node columns, at the lowest-id node that disagrees, naming
-    the column.  One pass over the nodes and edges.
-    """
-    labels = state.labels
-    parents = state.parents
-    n = len(labels)
-    if any(len(column) != n for column in (
-            state.is_false, state.birth, state.adversarial, parents,
-            state.children, state.deg_pt, state.deg_ct,
-            state.pf_parent_edges)):
-        raise StateError("state columns differ in length")
-    kids: list[list[int]] = [[] for _ in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
     deg_pt = [0] * n
     deg_ct = [0] * n
     pf_parent = [0] * n
-    for v, ups, lab in zip(count(), parents, labels):
+    fault = None
+    for v, ups, lab, false in zip(count(), state.parents, labels, is_false):
+        if lab not in LABEL_NAMES:
+            raise StateError(f"node {v}: label {lab!r} is not CT, CF or PF")
+        inherited = False
         for u in ups:
             if not 0 <= u < v:
                 raise StateError(f"parent id {u} out of range")
-            kids[u].append(v)
+            children[u].append(v)
             if labels[u] == PF:
                 pf_parent[v] += 1
+            if is_false[u]:
+                inherited = True
         if lab != PF:
             for u in ups:
                 deg_pt[u] += 1
             if lab == CT:
                 for u in ups:
                     deg_ct[u] += 1
-    # each column's lowest disagreeing node, with the column's rank; a
-    # child list in another order than the ids' still mirrors the parents
-    faults = []
-    if state.children != kids:
-        for u, have, want in zip(count(), state.children, kids):
-            if have != want and Counter(have) != Counter(want):
-                faults.append((u, 0, f"node {u}: children do not mirror "
-                                     "the parent lists"))
-                break
-    for rank, (name, have, want) in enumerate((
-            ("deg_pt", state.deg_pt, deg_pt),
-            ("deg_ct", state.deg_ct, deg_ct),
-            ("pf_parent_edges", state.pf_parent_edges, pf_parent)), 1):
-        if have != want:
-            v = next(v for v, a, b in zip(count(), have, want) if a != b)
-            faults.append((v, rank,
-                           f"node {v}: {name} is {have[v]}, recount {want[v]}"))
-    if faults:
-        raise StateError(min(faults)[2])
-    pf_total = labels.count(PF)
-    if state.pf_total != pf_total:
-        raise StateError(f"pf_total is {state.pf_total}, recount {pf_total}")
+        if fault is None:
+            if inherited and not false:
+                fault = f"node {v} descends from a False node but is True"
+            elif not false and lab != CT:
+                fault = f"{LABEL_NAMES[lab]} node {v} has is_false unset"
+            elif false and not inherited and lab == CT:
+                fault = f"CT node {v} is False yet no parent is False"
+    return children, deg_pt, deg_ct, pf_parent, labels.count(PF), fault
 
 
 def verify_state(state: CkpState) -> None:
-    """What both engines and ``potentials.exact_drift`` check of a state
-    handed to them: its derived columns (:func:`verify_columns`), then
-    the truth rule (:func:`verify_truth_closure`), which reads them."""
-    verify_columns(state)
-    verify_truth_closure(state)
+    """What both engines, ``potentials.exact_drift`` and the deep audit
+    check of a state handed to them.
+
+    Every column must be as long as ``labels``.  Then :func:`_recount`
+    runs, and each derived column must equal its recount, in the order
+    ``children``, ``deg_pt``, ``deg_ct``, ``pf_parent_edges`` (the
+    first that differs is named at its lowest node), then
+    ``pf_total``.  Last, the truth rule must hold.  Raises
+    :class:`StateError` at the first fault in that order.
+    """
+    n = len(state.labels)
+    if any(len(column) != n for column in (
+            state.is_false, state.birth, state.adversarial, state.parents,
+            state.children, state.deg_pt, state.deg_ct,
+            state.pf_parent_edges)):
+        raise StateError("state columns differ in length")
+    children, deg_pt, deg_ct, pf_parent, pf_total, fault = _recount(state)
+    for name, have, want in (("children", state.children, children),
+                             ("deg_pt", state.deg_pt, deg_pt),
+                             ("deg_ct", state.deg_ct, deg_ct),
+                             ("pf_parent_edges", state.pf_parent_edges,
+                              pf_parent)):
+        if have != want:
+            v = next(v for v, a, b in zip(count(), have, want) if a != b)
+            if name == "children":
+                raise StateError(
+                    f"node {v}: children do not mirror the parent lists")
+            raise StateError(f"node {v}: {name} is {have[v]}, recount "
+                             f"{want[v]}")
+    if state.pf_total != pf_total:
+        raise StateError(f"pf_total is {state.pf_total}, recount {pf_total}")
+    if fault is not None:
+        raise StateError(fault)

@@ -534,6 +534,42 @@ def test_checkpoints_past_early_exit_report_frozen_counts():
 
 
 @needs_kernel
+@pytest.mark.parametrize("step", [1.5, 2.0, "3", True, -1, 10**30])
+def test_engines_agree_on_odd_checkpoint_steps(step):
+    """A checkpoint that is not an integer raises one ``TypeError`` on
+    both engines; an integer one is reported under the caller's own
+    object, so ``True`` stays ``True``."""
+    from ckplab._kernel import KernelEngine
+
+    feats = case_features("bfs", 0.25, "preferential", 0.4, 3)
+    init = init_chain(5, 1, CF)
+    outcomes = []
+    for eng in (PyEngine(feats, init, SimChooser(3)),
+                KernelEngine(feats, init, 3)):
+        try:
+            outcomes.append(eng.run(20, (step,)))
+        except TypeError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(step, int):
+        [(at, _)] = outcomes[0]["checkpoints"]
+        assert at is step
+    else:
+        assert "cannot be interpreted as an integer" in outcomes[0]
+
+
+@needs_kernel
+def test_backends_agree_past_a_32_bit_horizon():
+    feats = Features(preferential(), ParentCountLaw.const(1), 1, 4,
+                     "complete")
+    init = init_chain(3, 1, CF)
+    py = run_trial(feats, init, 2**40, 1, backend="python")
+    ck = run_trial(feats, init, 2**40, 1, backend="compiled")
+    assert py.eliminated_at == 2
+    assert replace(py, backend="compiled") == ck
+
+
+@needs_kernel
 def test_kernel_rejects_malformed_states():
     from ckplab._kernel import KernelEngine
 
@@ -610,28 +646,37 @@ def kernel_engine(feats, init, seed):
     return KernelEngine(feats, init, seed)
 
 
-# what takes a state in: both engines and the exact drift
+# what takes a state in, with the error it refuses one with: both
+# engines, the exact drift and the deep audit, which reads no
+# bookkeeping before it has checked the state
 STATE_TAKERS = [
-    lambda feats, init, seed: PyEngine(feats, init, SimChooser(seed)),
-    pytest.param(kernel_engine, marks=needs_kernel),
-    lambda feats, init, seed: exact_drift(init, feats,
-                                          MinDistance(preferential(), 3)),
+    pytest.param(
+        lambda feats, init, seed: PyEngine(feats, init, SimChooser(seed)),
+        StateError, id="python"),
+    pytest.param(kernel_engine, StateError, id="compiled",
+                 marks=needs_kernel),
+    pytest.param(
+        lambda feats, init, seed: exact_drift(
+            init, feats, MinDistance(preferential(), 3)),
+        StateError, id="exact_drift"),
+    pytest.param(lambda feats, init, seed: full_audit(init, feats, {}),
+                 AuditViolation, id="full_audit"),
 ]
-STATE_TAKER_IDS = ["python", "compiled", "exact_drift"]
 
 
 @pytest.mark.parametrize("build,message", BROKEN_TRUTH)
-@pytest.mark.parametrize("make_engine", STATE_TAKERS + [
-    lambda feats, init, seed: load_state(dump_state(init)),
-], ids=STATE_TAKER_IDS + ["load_state"])
-def test_engines_refuse_broken_truth(build, message, make_engine):
+@pytest.mark.parametrize("make_engine,error", STATE_TAKERS + [
+    pytest.param(lambda feats, init, seed: load_state(dump_state(init)),
+                 StateError, id="load_state"),
+])
+def test_engines_refuse_broken_truth(build, message, make_engine, error):
     """The ball walks skip hidden-True starts, which is exact only when
     every CF and PF node is False and falseness flows down every edge.
-    Both engines, the exact drift and the text format refuse a state
-    that breaks this, naming its lowest broken node: at the first node,
-    at the last one, or deep in a False cone."""
+    Both engines, the exact drift, the deep audit and the text format
+    refuse a state that breaks this, naming its lowest broken node: at
+    the first node, at the last one, or deep in a False cone."""
     feats = case_features("bfs", 0.1, "preferential", 0.5, 2)
-    with pytest.raises(StateError, match=message):
+    with pytest.raises(error, match=message):
         make_engine(feats, build(), 1)
 
 
@@ -662,22 +707,39 @@ def pf_edges_and_ct_degree_edited():
     return s
 
 
+def children_reversed():
+    s = init_chain(2, 1, CF)
+    s.add_node([0], CT, birth=2)
+    s.children[0].reverse()    # [2, 1]: the right children, out of order
+    return s
+
+
+def label_unknown():
+    s = init_chain(3, 1, CF)
+    s.labels[0] = 7            # an error no check could ever find
+    return s
+
+
 STALE_COLUMNS = [
     (degree_edited, "node 0: deg_pt is 7, recount 1"),
     (children_emptied, "node 1: children do not mirror the parent lists"),
     (pf_total_edited, "pf_total is 1, recount 0"),
     (pf_edges_and_ct_degree_edited, "node 2: deg_ct is 0, recount 1"),
+    (children_reversed, "node 0: children do not mirror the parent lists"),
+    (label_unknown, "node 0: label 7 is not CT, CF or PF"),
 ]
 
 
 @pytest.mark.parametrize("build,message", STALE_COLUMNS)
-@pytest.mark.parametrize("make_engine", STATE_TAKERS, ids=STATE_TAKER_IDS)
-def test_engines_refuse_stale_derived_columns(build, message, make_engine):
-    """A state whose derived columns were edited out of step with its
-    labels and parents is refused before the truth check reads them,
-    with one message on both engines and in the exact drift."""
+@pytest.mark.parametrize("make_engine,error", STATE_TAKERS)
+def test_engines_refuse_stale_derived_columns(build, message, make_engine,
+                                              error):
+    """A state with a label other than CT, CF or PF, or whose derived
+    columns were edited out of step with its labels and parents, is
+    refused before the truth rule is judged, with one message on both
+    engines, in the exact drift and in the deep audit."""
     feats = case_features("bfs", 0.1, "preferential", 0.5, 2)
-    with pytest.raises(StateError) as err:
+    with pytest.raises(error) as err:
         make_engine(feats, build(), 1)
     assert str(err.value) == message
 

@@ -334,7 +334,7 @@ def test_horizon_determinism_byte_for_byte():
 
 @pytest.mark.parametrize("backend", ["python", "compiled", "auto"])
 def test_run_rejects_bad_horizon(backend):
-    for horizon in (0, True, 2.5):
+    for horizon in (0, True, 2.5, 2**63):
         with pytest.raises(ValueError, match="horizon"):
             run_trial(simple_features(), init_chain(1, 1, CF),
                       horizon=horizon, seed=0, backend=backend)

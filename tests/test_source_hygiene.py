@@ -1,5 +1,7 @@
-"""Every name a package module or a test module imports is used, and
-every top-level name the package defines is named somewhere.
+"""Every name a package module or a test module imports is used,
+every top-level name the package defines is named somewhere, and every
+cross-reference in the package's docstrings and the kernel's comments
+names something the package defines.
 
 No linter ships with the toolchain, so this scans the syntax trees
 itself: a name bound by ``import`` or ``from ... import`` counts as used
@@ -8,6 +10,7 @@ chain, an annotation) or lists it in ``__all__``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,66 @@ def test_every_package_definition_is_named():
                    ast.parse(path.read_text(), filename=str(path))).items()
                if name not in used and name != "__version__"]
     assert not unnamed, f"defined but never named: {unnamed}"
+
+
+KERNEL_CPP = ROOT / "src" / "ckplab" / "_kernel.cpp"
+ROLE = re.compile(r":(?:func|class|meth|attr|data):`~?\.?([\w.]+)(?:\(\))?`")
+DOTTED = re.compile(r"\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def package_definitions() -> tuple:
+    """``(names, classes)``: every name the package defines anywhere (a
+    module, a def, a class, an assigned name or an attribute stored on
+    an object, such as ``self.aval``) and the class names alone."""
+    names = {path.stem for path in PACKAGE} | {"ckplab"}
+    classes = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    classes.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                for target in targets:
+                    for part in ast.walk(target):
+                        if isinstance(part, ast.Name):
+                            names.add(part.id)
+                        elif isinstance(part, ast.Attribute):
+                            names.add(part.attr)
+    return names, classes
+
+
+def cross_references(classes) -> list:
+    """``(where, reference)`` for every Sphinx role target in the
+    package's docstrings, and every ``module.name`` or ``Class.name``
+    of the package (``classes``) that a comment in ``_kernel.cpp``
+    cites."""
+    refs = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Module, ast.FunctionDef,
+                                 ast.AsyncFunctionDef, ast.ClassDef)):
+                doc = ast.get_docstring(node, clean=False) or ""
+                refs += [(path.name, ref) for ref in ROLE.findall(doc)]
+    heads = {path.stem for path in PACKAGE} | classes | {"ckplab"}
+    for number, line in enumerate(KERNEL_CPP.read_text().splitlines(), 1):
+        comment = line.partition("//")[2]
+        refs += [(f"{KERNEL_CPP.name}:{number}", ref)
+                 for ref in DOTTED.findall(comment)
+                 if ref.split(".")[0] in heads]
+    return refs
+
+
+def test_cross_references_name_what_exists():
+    """A docstring role or a kernel comment that cites a renamed or
+    deleted function leads the reader nowhere; each must end in a name
+    the package still defines."""
+    names, classes = package_definitions()
+    refs = cross_references(classes)
+    assert len(refs) > 100            # the scan sees the references
+    stale = [f"{where}: {ref}" for where, ref in refs
+             if ref.split(".")[-1] not in names]
+    assert not stale, f"cross-references to nothing: {stale}"

@@ -8,7 +8,7 @@ from ckplab.state import (
     CT, CF, PF, CkpState, StateError,
     pt_false_distances,
     anchor_bfs, bfs_component_partition,
-    dump_state, load_state, verify_columns, verify_truth_closure,
+    dump_state, load_state, verify_state,
 )
 
 
@@ -50,7 +50,7 @@ def test_truth_inherits_through_any_parent():
     s.add_node([0, 1], CT, birth=1)
     s.add_node([1], CT, birth=2)
     assert s.is_false == [True, False, True, False]
-    verify_truth_closure(s)
+    verify_state(s)
 
 
 def test_add_node_rejects_pf_parent_and_bad_ids():
@@ -295,7 +295,7 @@ def random_states(draw):
 @settings(max_examples=120, deadline=None)
 def test_distance_routes_agree_on_random_states(s):
     assert pt_false_distances(s) == bfs_depths(s)
-    verify_truth_closure(s)
+    verify_state(s)
 
 
 @given(random_states())
@@ -322,7 +322,7 @@ def test_partition_members_connect_to_their_anchor(s):
 
 
 def reference_truth_closure(state: CkpState) -> None:
-    """The per-node rule check :func:`verify_truth_closure` replaced:
+    """The truth rule checked node by node, shaped as the rule reads:
     every node and every parent edge, four checks in a fixed order."""
     for v in range(len(state.labels)):
         inherited = any(state.is_false[u] for u in state.parents[v])
@@ -363,29 +363,17 @@ def refusal(check, s):
 @given(corrupted_states())
 @settings(max_examples=300, deadline=None)
 def test_truth_closure_matches_the_per_node_reference(s):
-    assert refusal(verify_truth_closure, s) == refusal(
+    # load_state derives the columns, so the edited labels leave none
+    # stale and the truth rule alone decides
+    assert refusal(lambda s: load_state(dump_state(s)), s) == refusal(
         reference_truth_closure, s)
 
 
 @given(random_states())
 @settings(max_examples=80, deadline=None)
 def test_built_and_loaded_states_pass_the_recount(s):
-    verify_columns(s)
-    verify_columns(load_state(dump_state(s)))
-
-
-def test_recount_reads_children_as_a_multiset():
-    s = CkpState()
-    s.add_root(CT)
-    s.add_node([0], CT, birth=1)
-    s.add_node([0, 1, 0], CF, birth=2)
-    s.children[0].reverse()            # [2, 2, 1]: the same multiset
-    verify_columns(s)
-    s.children[0].pop()
-    s.children[0].append(2)            # [2, 2, 2]
-    with pytest.raises(StateError) as err:
-        verify_columns(s)
-    assert str(err.value) == "node 0: children do not mirror the parent lists"
+    verify_state(s)
+    verify_state(load_state(dump_state(s)))
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -397,9 +385,11 @@ def test_recount_reads_children_as_a_multiset():
     (lambda s: s.pf_parent_edges.__setitem__(3, 0),
      "node 3: pf_parent_edges is 0, recount 1"),
     (lambda s: setattr(s, "pf_total", 2), "pf_total is 2, recount 1"),
-    # a lower node's fault is named first, whatever its column
+    # the first column that differs is named, at its lowest node
     (lambda s: (s.deg_pt.__setitem__(3, 5), s.children[2].clear()),
      "node 2: children do not mirror the parent lists"),
+    (lambda s: (s.deg_ct.__setitem__(0, 2), s.deg_pt.__setitem__(3, 5)),
+     "node 3: deg_pt is 5, recount 0"),
     # at one node, children before the degrees
     (lambda s: (s.deg_pt.__setitem__(1, 5), s.children[1].clear()),
      "node 1: children do not mirror the parent lists"),
@@ -407,8 +397,8 @@ def test_recount_reads_children_as_a_multiset():
 def test_recount_names_the_lowest_node_and_its_column(edit, message):
     s = chain([CF, CT, CT, CT])
     s.mark_pf([2])
-    verify_columns(s)
+    verify_state(s)
     edit(s)
     with pytest.raises(StateError) as err:
-        verify_columns(s)
+        verify_state(s)
     assert str(err.value) == message
