@@ -20,6 +20,9 @@
 //
 // Scope: the non-adversarial regime.  A feature set with a nonzero
 // adversary rate is refused with ValueError; adversaries stay Python.
+// Ids are int32: more nodes or edges, or a parent count past INT_MAX,
+// raise OverflowError; a check depth past INT_MAX, deeper than any
+// walk can go, is read as INT_MAX.
 //
 // Decision-stream contract.  For a given seed this engine consumes the
 // same uniforms, in the same order, as evolution.PyEngine driven by
@@ -88,13 +91,13 @@
 //     only whether the list is empty.  export_state reverses each list
 //     into insertion order, the only order state.verify_state accepts.
 //   * The columns that grow with the graph (the node records, the three
-//     edge columns, the child heads, birth, adversarial and PF child
-//     counts, the Fenwick tree and weights) are Columns: a realloc'd
-//     heap block below 1 MB, an anonymous mapping grown by Linux's
-//     mremap from there on.  A doubling then moves pages rather than
-//     copying them beside the old ones, so the peak is the final size
-//     and the untouched tail of a mapping costs nothing; short sweep
-//     trials stay on the heap.  The scratch buffers are std::vector.
+//     edge columns, the child heads and PF child counts, the Fenwick
+//     tree and weights) are Columns: a realloc'd heap block below 1 MB,
+//     an anonymous mapping grown by Linux's mremap from there on.  A
+//     doubling then moves pages rather than copying them beside the old
+//     ones, so the peak is the final size and the untouched tail of a
+//     mapping costs nothing; short sweep trials stay on the heap.  The
+//     scratch buffers are std::vector.
 //   * No per-node array serves the check alone.  The marks of a step are
 //     collected with repeats and deduplicated by the sort that orders
 //     them; a found node's closure is named by a fresh seen stamp, since
@@ -183,10 +186,12 @@ PyObject *attr(PyObject *obj, const char *name) {
   return check(PyObject_GetAttrString(obj, name));
 }
 
+// An int, saturated to the long long range.
 long long as_long(PyObject *obj) {
-  long long x = PyLong_AsLongLong(obj);
+  int overflow;
+  long long x = PyLong_AsLongLongAndOverflow(obj, &overflow);
   if (x == -1 && PyErr_Occurred()) fail();
-  return x;
+  return overflow > 0 ? LLONG_MAX : overflow < 0 ? LLONG_MIN : x;
 }
 
 double as_double(PyObject *obj) {
@@ -407,8 +412,6 @@ class Engine {
   Column<int32_t> edge_child_;
   Column<int32_t> edge_next_;     // next child edge of the same parent
   Column<int32_t> child_head_;    // newest child edge first
-  Column<int32_t> birth_;
-  Column<uint8_t> advers_;
   Column<int32_t> pf_child_len_;  // -1 while the node is PT
   long long pf_total_;
   // weight index
@@ -456,8 +459,8 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   check_rate_ = as_double(Ref(attr(features, "check_rate")).get());
   error_rate_ = as_double(Ref(attr(features, "error_rate")).get());
   detection_rate_ = as_double(Ref(attr(features, "detection_rate")).get());
-  check_depth_ = static_cast<int>(
-      as_long(Ref(attr(features, "check_depth")).get()));
+  check_depth_ = static_cast<int>(std::min<long long>(
+      as_long(Ref(attr(features, "check_depth")).get()), INT_MAX));
   simple_ = truth(Ref(attr(features, "simple")).get());
   {
     Ref name(attr(features, "mechanism"));
@@ -476,11 +479,17 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     Ref law(attr(features, "parent_count"));
     Seq support(Ref(attr(law.get(), "support")).get(), "law.support");
     Seq cum(Ref(attr(law.get(), "cum")).get(), "law.cum");
+    Ref max(attr(law.get(), "max"));
+    if (as_long(max.get()) > INT_MAX) {
+      PyErr_Format(PyExc_OverflowError,
+                   "parent count %R is too large for the kernel", max.get());
+      fail();
+    }
     for (Py_ssize_t i = 0; i < support.size; ++i)
       law_support_.push_back(static_cast<int>(as_long(support.items[i])));
     for (Py_ssize_t i = 0; i < cum.size; ++i)
       law_cum_.push_back(as_double(cum.items[i]));
-    m_max_ = static_cast<int>(as_long(Ref(attr(law.get(), "max")).get()));
+    m_max_ = static_cast<int>(as_long(max.get()));
     pbuf_.assign(m_max_, 0);
     xbuf_.assign(m_max_, 0.0);
   }
@@ -492,8 +501,6 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   // per-node columns, CSR parents, children rebuilt from them
   Seq labels(Ref(attr(init_state, "labels")).get(), "labels");
   Seq is_false(Ref(attr(init_state, "is_false")).get(), "is_false");
-  Seq birth(Ref(attr(init_state, "birth")).get(), "birth");
-  Seq advers(Ref(attr(init_state, "adversarial")).get(), "adversarial");
   Seq parents(Ref(attr(init_state, "parents")).get(), "parents");
   Seq deg_pt(Ref(attr(init_state, "deg_pt")).get(), "deg_pt");
   Seq deg_ct(Ref(attr(init_state, "deg_ct")).get(), "deg_ct");
@@ -504,8 +511,8 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     PyErr_SetString(PyExc_OverflowError, "too many nodes for the kernel");
     fail();
   }
-  for (const Seq *column : {&is_false, &birth, &advers, &parents, &deg_pt,
-                            &deg_ct, &pf_parent})
+  for (const Seq *column : {&is_false, &parents, &deg_pt, &deg_ct,
+                            &pf_parent})
     if (column->size != n) {
       PyErr_SetString(StateError, "state columns differ in length");
       fail();
@@ -519,8 +526,6 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     node.deg_pt = static_cast<int32_t>(as_long(deg_pt.items[v]));
     node.deg_ct = static_cast<int32_t>(as_long(deg_ct.items[v]));
     node.pf_parent = static_cast<int32_t>(as_long(pf_parent.items[v]));
-    birth_.push_back(static_cast<int32_t>(as_long(birth.items[v])));
-    advers_.push_back(truth(advers.items[v]));
     Seq ps(parents.items[v], "parents[v]");
     if (edge_parent_.size() + static_cast<size_t>(ps.size) >= INT32_MAX) {
       PyErr_SetString(PyExc_OverflowError, "too many edges for the kernel");
@@ -774,8 +779,6 @@ int32_t Engine::add_node(int m, int8_t label) {
   for (int i = 0; i < m && !node.is_false; ++i)
     node.is_false = nodes_[pbuf_[i]].is_false;
   nodes_.push_back(node);
-  birth_.push_back(static_cast<int32_t>(step_index_));
-  advers_.push_back(0);
   child_head_.push_back(-1);
   pf_child_len_.push_back(-1);
   for (int i = 0; i < m; ++i) {
@@ -1157,10 +1160,6 @@ PyObject *Engine::export_state() const {
       }));
   set("is_false",
       list_of(n, [&](size_t v) { return new_bool(nodes_[v].is_false); }));
-  set("birth",
-      list_of(n, [&](size_t v) { return PyLong_FromLong(birth_[v]); }));
-  set("adversarial",
-      list_of(n, [&](size_t v) { return new_bool(advers_[v]); }));
   set("parents", list_of(n, [&](size_t v) {
         const Node &nv = nodes_[v];
         return list_of(nv.npar, [&](size_t j) {

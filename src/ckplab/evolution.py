@@ -44,7 +44,7 @@ def init_chain(n: int, edge_multiplicity: int, first_label: int) -> CkpState:
     state = CkpState()
     state.add_root(first_label)
     for i in range(1, n):
-        state.add_node([i - 1] * edge_multiplicity, CT, birth=0)
+        state.add_node([i - 1] * edge_multiplicity, CT)
     return state
 
 
@@ -147,6 +147,12 @@ class Features:
     def __post_init__(self):
         if self.mechanism not in checking.MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
+        for name in ("check_rate", "error_rate", "adversary_rate",
+                     "detection_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got "
+                                 f"{value!r}")
         if not 0 <= self.error_rate < 1:
             raise ValueError("error_rate must lie in [0, 1)")
         if not 0 <= self.adversary_rate < 1:
@@ -366,10 +372,9 @@ class PyEngine:
                 l_mem[v] = l_now
                 self.l_count += 1 if l_now else -1
 
-    def _add_node(self, parents, label, adversarial: bool) -> int:
+    def _add_node(self, parents, label) -> int:
         st = self.state
-        v = st.add_node(parents, label, birth=self.step_index,
-                        adversarial=adversarial)
+        v = st.add_node(parents, label)
         windex = self.windex
         aval = self.aval
         attach = self.features.attach
@@ -453,8 +458,7 @@ class PyEngine:
         if branch == "adversary-noop":
             record = StepRecord(branch)
         else:
-            v = self._add_node(parents, label,
-                               adversarial=branch == "adversary")
+            v = self._add_node(parents, label)
             outcome = None
             if branch == "grow":
                 outcome = checking.run_check(
@@ -518,8 +522,10 @@ def survival_potential_floor(features: Features) -> int:
     With exact detection a search stops at the first recognized node, so
     at most one minimal false node per search leaves the set; the walk
     mechanism cannot recognize roots en route and may mark several, which
-    its depth caps.  Only meaningful when detection is exact and errors
-    are not injected mid-run; callers gate on that.
+    its depth caps.  Only meaningful when detection is exact, the one
+    gate callers apply: a missed recognition lets a search run on.
+    Injected errors need no gate, since the caps bound what a step's
+    attachment and check remove, whatever the new node's label.
     """
     m_max = features.parent_count.max
     mech = features.mechanism
@@ -536,9 +542,10 @@ def survival_potential_floor(features: Features) -> int:
 
 class CheapAudit:
     """Per-step invariants that are O(1) against the engine's counters:
-    the bounded decrease of the survival potential, and zero-run sanity.
-    Active only in the regime where the bound is a theorem (exact
-    detection, no spontaneous errors)."""
+    the bounded decrease of the survival potential, and that every node
+    a step marked is PF.  The decrease is checked under exact detection
+    alone, where :func:`survival_potential_floor` is a bound; spontaneous
+    errors are allowed."""
 
     def __init__(self, engine: PyEngine):
         self.engine = engine

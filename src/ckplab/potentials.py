@@ -506,7 +506,6 @@ def exact_drift(state, features, kind, *,
     scores: dict = {}   # (sorted parents, label, marking) -> step delta
     leaf_count = 0
     work = state.copy()
-    birth = _next_birth(state)
     # both passes, every move's check included, share one option cache
     chooser = PathChooser()
 
@@ -525,8 +524,7 @@ def exact_drift(state, features, kind, *,
             tally()
             mass.setdefault(den, []).append(num)
             continue
-        v = work.add_node(parents, label, birth=birth,
-                          adversarial=branch == "adversary")
+        v = work.add_node(parents, label)
         leaves: dict = {}           # marking -> {check denominator: numerator}
         if branch == "adversary":
             tally()
@@ -568,14 +566,6 @@ def _total(terms: dict) -> Fraction:
     denominator."""
     return sum((Fraction(sum(nums), den) for den, nums in terms.items()),
                Fraction(0))
-
-
-def _next_birth(state) -> int:
-    """The birth given to the node a move or a sample adds: one past the
-    last node's, in O(1).  Nothing reads that node's birth before it is
-    popped (only :func:`state.dump_state` reads births), so it need not
-    be one past the largest, which would take a pass over the state."""
-    return state.birth[-1] + 1 if state.birth else 0
 
 
 # -- Monte Carlo drift -----------------------------------------------------
@@ -643,7 +633,6 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
         _phi_value(state, kind)
 
     feats = features
-    birth = _next_birth(state)
     n = len(state.labels)
     mean = 0.0
     m2 = 0.0
@@ -653,8 +642,7 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
             if parents is None:
                 delta = 0.0
             else:
-                v = state.add_node(parents, label, birth=birth,
-                                   adversarial=branch == "adversary")
+                v = state.add_node(parents, label)
                 if branch == "adversary":
                     marked = ()
                 else:

@@ -28,7 +28,7 @@ PF = 2
 LABEL_NAMES = {CT: "CT", CF: "CF", PF: "PF"}
 LABEL_CODES = {v: k for k, v in LABEL_NAMES.items()}
 
-_FORMAT_HEADER = "ckp-state v1"
+_FORMAT_HEADER = "ckp-state v2"
 
 
 class StateError(ValueError):
@@ -38,10 +38,13 @@ class StateError(ValueError):
 class CkpState:
     """Growing DAG with per-node labels, truth values and degree indices.
 
+    A state is its graph: the labels, the hidden truth bit and the parent
+    edges, plus columns derived from them.  It does not record when or by
+    which step branch a node was added; the step trace reports that.
     Stored column-wise so snapshots can be handed to the accelerated engine
     without translation.  Maintained per node:
 
-    * ``labels[v]``, ``is_false[v]``, ``birth[v]``, ``adversarial[v]``
+    * ``labels[v]``, ``is_false[v]``
     * ``parents[v]`` / ``children[v]``: edge lists in insertion order,
       repeats kept
     * ``deg_pt[v]``: child edges whose child is currently labeled CT or CF
@@ -58,15 +61,12 @@ class CkpState:
     ``potentials.mc_drift`` trusts them.
     """
 
-    __slots__ = ("labels", "is_false", "birth", "adversarial",
-                 "parents", "children", "deg_pt", "deg_ct", "pf_parent_edges",
-                 "pf_total")
+    __slots__ = ("labels", "is_false", "parents", "children", "deg_pt",
+                 "deg_ct", "pf_parent_edges", "pf_total")
 
     def __init__(self):
         self.labels: list[int] = []
         self.is_false: list[bool] = []
-        self.birth: list[int] = []
-        self.adversarial: list[bool] = []
         self.parents: list[list[int]] = []
         self.children: list[list[int]] = []
         self.deg_pt: list[int] = []
@@ -76,15 +76,13 @@ class CkpState:
 
     # -- construction -----------------------------------------------------
 
-    def add_root(self, label: int, birth: int = 0) -> int:
+    def add_root(self, label: int) -> int:
         """Add a parentless origin node (only sensible while seeding)."""
         if label not in (CT, CF):
             raise StateError(f"origin label must be CT or CF, got {label!r}")
         v = len(self.labels)
         self.labels.append(label)
         self.is_false.append(label == CF)
-        self.birth.append(birth)
-        self.adversarial.append(False)
         self.parents.append([])
         self.children.append([])
         self.deg_pt.append(0)
@@ -92,8 +90,7 @@ class CkpState:
         self.pf_parent_edges.append(0)
         return v
 
-    def add_node(self, parent_ids, label: int, birth: int,
-                 adversarial: bool = False) -> int:
+    def add_node(self, parent_ids, label: int) -> int:
         """Attach a new node below ``parent_ids`` (repeats allowed).
 
         Every parent must already exist and be PT: attaching below a PF node
@@ -119,8 +116,6 @@ class CkpState:
                 false = True
         labels.append(label)
         is_false.append(false)
-        self.birth.append(birth)
-        self.adversarial.append(bool(adversarial))
         self.parents.append(parent_ids)
         children = self.children
         children.append([])
@@ -164,8 +159,6 @@ class CkpState:
                 if was_ct:
                     deg_ct[u] -= 1
         self.is_false.pop()
-        self.birth.pop()
-        self.adversarial.pop()
         children.pop()
         self.deg_pt.pop()
         self.deg_ct.pop()
@@ -254,8 +247,6 @@ class CkpState:
         dup = CkpState.__new__(CkpState)
         dup.labels = self.labels.copy()
         dup.is_false = self.is_false.copy()
-        dup.birth = self.birth.copy()
-        dup.adversarial = self.adversarial.copy()
         dup.parents = [p.copy() for p in self.parents]
         dup.children = [c.copy() for c in self.children]
         dup.deg_pt = self.deg_pt.copy()
@@ -363,21 +354,22 @@ def bfs_component_partition(state: CkpState):
 # -- serialization --------------------------------------------------------
 
 def dump_state(state: CkpState) -> str:
-    """Render a state to the ``ckp-state v1`` text format.
+    """Render a state to the ``ckp-state v2`` text format.
 
     One node per line after the header:
 
-        <id> <label> <is_false 0/1> <birth> <adversarial 0/1> <parents>
+        <id> <label> <is_false 0/1> <parents>
 
     where <parents> is a comma-separated id list in edge-insertion order
     (repeats kept) or ``-`` for the origin.  Round-trips bit-exactly.
+    The text names the graph alone, so two runs that reach the same
+    graph by different paths dump the same text.
     """
     lines = [f"{_FORMAT_HEADER} {len(state.labels)}"]
     for v in range(len(state.labels)):
         plist = ",".join(str(u) for u in state.parents[v]) or "-"
         lines.append(f"{v} {LABEL_NAMES[state.labels[v]]} "
-                     f"{int(state.is_false[v])} {state.birth[v]} "
-                     f"{int(state.adversarial[v])} {plist}")
+                     f"{int(state.is_false[v])} {plist}")
     return "\n".join(lines) + "\n"
 
 
@@ -401,10 +393,11 @@ def _read_flag(text: str, name: str, line: str) -> bool:
 
 
 def load_state(text: str) -> CkpState:
-    """Read the ``ckp-state v1`` text of :func:`dump_state`, deriving
+    """Read the ``ckp-state v2`` text of :func:`dump_state`, deriving
     the other columns by the intake pass of :func:`verify_state`.  A
-    malformed field, quoted as read, a parent that is not an earlier
-    node or a broken truth rule raises :class:`StateError`."""
+    header other than v2's (a v1 document carried two more fields per
+    node), a malformed field, quoted as read, a parent that is not an
+    earlier node or a broken truth rule raises :class:`StateError`."""
     lines = text.splitlines()
     if not lines:
         raise StateError("empty state document")
@@ -418,7 +411,7 @@ def load_state(text: str) -> CkpState:
     state = CkpState()
     for expect, line in enumerate(body):
         fields = line.split(" ")
-        if len(fields) != 6:
+        if len(fields) != 4:
             raise StateError(f"malformed node line {line!r}")
         vid = _read_int(fields[0], "id", line)
         if vid != expect:
@@ -428,10 +421,8 @@ def load_state(text: str) -> CkpState:
             raise StateError(f"unknown label {fields[1]!r}")
         state.labels.append(label)
         state.is_false.append(_read_flag(fields[2], "is_false", line))
-        state.birth.append(_read_int(fields[3], "birth", line))
-        state.adversarial.append(_read_flag(fields[4], "adversarial", line))
-        state.parents.append([] if fields[5] == "-" else [
-            _read_int(x, "parent", line) for x in fields[5].split(",")])
+        state.parents.append([] if fields[3] == "-" else [
+            _read_int(x, "parent", line) for x in fields[3].split(",")])
     (state.children, state.deg_pt, state.deg_ct, state.pf_parent_edges,
      state.pf_total, fault) = _recount(state)
     if fault is not None:
@@ -505,9 +496,8 @@ def verify_state(state: CkpState) -> None:
     """
     n = len(state.labels)
     if any(len(column) != n for column in (
-            state.is_false, state.birth, state.adversarial, state.parents,
-            state.children, state.deg_pt, state.deg_ct,
-            state.pf_parent_edges)):
+            state.is_false, state.parents, state.children, state.deg_pt,
+            state.deg_ct, state.pf_parent_edges)):
         raise StateError("state columns differ in length")
     children, deg_pt, deg_ct, pf_parent, pf_total, fault = _recount(state)
     for name, have, want in (("children", state.children, children),

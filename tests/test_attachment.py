@@ -28,7 +28,7 @@ def chain_state(labels):
     s = CkpState()
     s.add_root(labels[0])
     for i, lab in enumerate(labels[1:], start=1):
-        s.add_node([i - 1], lab, birth=i)
+        s.add_node([i - 1], lab)
     return s
 
 
@@ -449,10 +449,10 @@ def test_weight_index_for_skips_the_degrees_of_pf_nodes():
     # the largest live degree is node 1's three
     s = CkpState()
     s.add_root(CF)
-    for i in range(1, 7):
-        s.add_node([0], CT, birth=i)
-    s.add_node([1], CT, birth=7)
-    s.add_node([1, 1], CT, birth=8)
+    for _ in range(6):
+        s.add_node([0], CT)
+    s.add_node([1], CT)
+    s.add_node([1, 1], CT)
     s.mark_pf([0])
     assert s.deg_pt[0] == 6 and max(s.deg_pt[1:]) == 3
     attach = Affine(0.5, 1.3)

@@ -23,7 +23,7 @@ def chain(labels):
     s = CkpState()
     s.add_root(labels[0])
     for i, lab in enumerate(labels[1:], start=1):
-        s.add_node([i - 1], lab, birth=i)
+        s.add_node([i - 1], lab)
     return s
 
 
@@ -179,9 +179,9 @@ def test_stringy_depth_limit():
 def test_stringy_diamond_both_branches_reach_the_error():
     s = CkpState()
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)
-    s.add_node([0], CT, birth=2)
-    s.add_node([1, 2], CT, birth=3)
+    s.add_node([0], CT)
+    s.add_node([0], CT)
+    s.add_node([1, 2], CT)
     for branch in (0, 1):
         out = scripted("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
                        script=[branch])
@@ -249,7 +249,7 @@ def test_per_edge_skips_the_walk_above_a_true_parent():
     # v is CF below a clean parent: the self-check runs, the ball walk
     # above the parent does not
     s = chain([CT, CT])
-    s.add_node([1], CF, birth=2)
+    s.add_node([1], CF)
     out = scripted("complete", s, 2, [1], k=3, p=1, p_e=0.5, script=[False])
     assert out.performed == [True]
     assert out.found == [] and out.visited == [2]
@@ -260,9 +260,9 @@ def test_bfs_marks_all_visited_descendants_not_just_the_path():
     # both descend from it, both get marked
     s = CkpState()
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)
-    s.add_node([0], CT, birth=2)
-    s.add_node([1, 2], CT, birth=3)
+    s.add_node([0], CT)
+    s.add_node([0], CT)
+    s.add_node([1, 2], CT)
     out = scripted("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2, 3}
@@ -280,8 +280,8 @@ def test_bfs_depth_cap_blocks_distant_error():
 def test_exhaustive_self_catch_stops_everything():
     s = CkpState()
     s.add_root(CT)
-    s.add_node([0], CT, birth=1)
-    s.add_node([0, 1], CF, birth=2)
+    s.add_node([0], CT)
+    s.add_node([0, 1], CF)
     out = scripted("exhaustive-bfs", s, 2, [0, 1], k=3, p=0.5, p_e=0.5,
                    script=[True, True])
     assert out.found == [2]
@@ -291,7 +291,7 @@ def test_exhaustive_self_catch_stops_everything():
 
 def test_exhaustive_finds_cf_parent():
     s = chain([CF, CT])
-    s.add_node([0], CT, birth=2)
+    s.add_node([0], CT)
     out = scripted("exhaustive-bfs", s, 2, [0], k=1, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 2}
@@ -303,9 +303,9 @@ def test_exhaustive_coin_per_edge_in_order():
     s = CkpState()
     s.add_root(CT)                      # 0: clean
     s.add_root(CF)                      # 1: the error
-    s.add_node([0], CT, birth=1)        # 2 = u1
-    s.add_node([1], CT, birth=2)        # 3 = u2
-    s.add_node([2, 3], CT, birth=3)     # 4 = v
+    s.add_node([0], CT)        # 2 = u1
+    s.add_node([1], CT)        # 3 = u2
+    s.add_node([2, 3], CT)     # 4 = v
     out = scripted("exhaustive-bfs", s, 4, [2, 3], k=2, p=0.5, p_e=1,
                    script=[False, True])
     assert out.performed == [False, True]
@@ -318,9 +318,9 @@ def test_parentwise_collects_one_find_per_edge():
     s = CkpState()
     s.add_root(CF)
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)       # 2
-    s.add_node([1], CT, birth=2)       # 3
-    s.add_node([2, 3], CT, birth=3)    # 4 = v
+    s.add_node([0], CT)       # 2
+    s.add_node([1], CT)       # 3
+    s.add_node([2, 3], CT)    # 4 = v
     out = scripted("parentwise-bfs", s, 4, [2, 3], k=2, p=1, p_e=1)
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3, 4}
@@ -344,8 +344,8 @@ def test_complete_finds_several_side_by_side():
     s = CkpState()
     s.add_root(CF)
     s.add_root(CF)
-    s.add_node([0, 1], CT, birth=1)    # 2
-    s.add_node([2], CT, birth=2)       # 3 = v
+    s.add_node([0, 1], CT)    # 2
+    s.add_node([2], CT)       # 3 = v
     out = scripted("complete", s, 3, [2], k=2, p=1, p_e=1)
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3}
@@ -360,7 +360,7 @@ def test_complete_does_not_expand_past_a_recognized_node():
 
 def test_complete_self_catch_does_not_cancel_the_sweep():
     s = chain([CF, CT])
-    s.add_node([1], CF, birth=2)       # v is itself CF, error 2 hops up
+    s.add_node([1], CF)       # v is itself CF, error 2 hops up
     out = scripted("complete", s, 2, [1], k=3, p=1, p_e=1)
     assert out.found == [2, 0]
     assert out.marked == {0, 1, 2}
@@ -395,9 +395,9 @@ def test_per_edge_stop_policies(mechanism, script, performed, found, marked,
     s = CkpState()
     s.add_root(CF)                     # 0
     s.add_root(CF)                     # 1
-    s.add_node([0], CT, birth=1)       # 2
-    s.add_node([1], CT, birth=2)       # 3
-    s.add_node([2, 3], CF, birth=3)    # 4 = v
+    s.add_node([0], CT)       # 2
+    s.add_node([1], CT)       # 3
+    s.add_node([2, 3], CF)    # 4 = v
     out = scripted(mechanism, s, 4, [2, 3], k=2, p=1, p_e=0.5, script=script)
     assert out.performed == performed
     assert out.found == found
@@ -423,7 +423,7 @@ def state_with_new_node(draw):
     s = CkpState()
     s.add_root(draw(st.sampled_from([CT, CF])))
     n_steps = draw(st.integers(min_value=1, max_value=20))
-    for t in range(1, n_steps + 1):
+    for _ in range(n_steps):
         pt = s.pt_ids()
         if not pt:
             break
@@ -432,15 +432,14 @@ def state_with_new_node(draw):
             continue
         deg = draw(st.integers(min_value=1, max_value=3))
         s.add_node([draw(st.sampled_from(pt)) for _ in range(deg)],
-                   draw(st.sampled_from([CT, CT, CF])), birth=t)
+                   draw(st.sampled_from([CT, CT, CF])))
     pt = s.pt_ids()
     if not pt:
         s.add_root(CF)
         pt = s.pt_ids()
     deg = draw(st.integers(min_value=1, max_value=3))
     parents = [draw(st.sampled_from(pt)) for _ in range(deg)]
-    v = s.add_node(parents, draw(st.sampled_from([CT, CT, CF])),
-                   birth=n_steps + 1)
+    v = s.add_node(parents, draw(st.sampled_from([CT, CT, CF])))
     return s, v, parents
 
 

@@ -21,7 +21,7 @@ from ckplab.evolution import AuditViolation, Features, PyEngine, init_chain
 from ckplab.rand import SimChooser
 from ckplab.potentials import MinDistance, exact_drift
 from ckplab.state import (
-    CF, CT, PF, StateError, dump_state, load_state,
+    CF, CT, PF, CkpState, StateError, dump_state, load_state,
 )
 
 needs_kernel = pytest.mark.skipif(not kernel_available(),
@@ -570,14 +570,44 @@ def test_backends_agree_past_a_32_bit_horizon():
 
 
 @needs_kernel
+@pytest.mark.parametrize("mechanism", ["bfs", "stringy"])
+@pytest.mark.parametrize("depth", [2**31, 2**32 + 1, 2**70])
+def test_backends_agree_past_a_32_bit_check_depth(mechanism, depth):
+    # no ball or walk is deeper than the node count, so any depth past
+    # it checks as far as the graph reaches; the cheap audit's cap grows
+    # with the stringy depth
+    feats = Features(preferential(), ParentCountLaw({1: 0.5, 2: 0.5}), 0.9,
+                     depth, mechanism)
+    init = init_chain(40, 1, CF)
+    py = run_trial(feats, init, 300, 1, audit="cheap", backend="python")
+    ck = run_trial(feats, init, 300, 1, audit="cheap", backend="compiled")
+    assert replace(py, backend="compiled") == ck
+
+
+@needs_kernel
+@pytest.mark.parametrize("count", [2**31, 2**32 + 1, 2**70])
+def test_kernel_refuses_a_parent_count_it_cannot_hold(count):
+    from ckplab._kernel import KernelEngine
+
+    feats = Features(preferential(), ParentCountLaw({1: 0.5, count: 0.5}),
+                     0.5, 2, "bfs")
+    with pytest.raises(OverflowError, match=f"parent count {count} is too "
+                                            "large for the kernel"):
+        KernelEngine(feats, init_chain(3, 1, CF), 1)
+
+
+@needs_kernel
 def test_kernel_rejects_malformed_states():
     from ckplab._kernel import KernelEngine
 
     feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
-    short = init_chain(5, 1, CF)
-    short.deg_ct.pop()
-    with pytest.raises(StateError, match="differ in length"):
-        KernelEngine(feats, short, 1)
+    for name in CkpState.__slots__:
+        short = init_chain(5, 1, CF)
+        column = getattr(short, name)
+        if isinstance(column, list):    # every per-node column
+            column.pop()
+            with pytest.raises(StateError, match="differ in length"):
+                KernelEngine(feats, short, 1)
     dangling = init_chain(5, 1, CF)
     dangling.parents[3] = [7]
     with pytest.raises(StateError, match="parent id 7"):
@@ -621,12 +651,12 @@ def last_node_true():
 def true_deep_in_a_cone():
     # a False cone under a CT chain, with True nodes born beside it
     s = init_chain(6, 1, CT)
-    cone = [s.add_node([5], CF, birth=0)]
+    cone = [s.add_node([5], CF)]
     for i in range(20):
         if i % 3 == 2:
-            s.add_node([i % 6], CT, birth=0)
+            s.add_node([i % 6], CT)
         else:
-            cone.append(s.add_node([cone[-1], i % 6], CT, birth=0))
+            cone.append(s.add_node([cone[-1], i % 6], CT))
     assert cone[-4] == 22       # cone nodes above it and below it
     s.is_false[22] = False      # the False nodes below it lack a cause
     return s
@@ -709,7 +739,7 @@ def pf_edges_and_ct_degree_edited():
 
 def children_reversed():
     s = init_chain(2, 1, CF)
-    s.add_node([0], CT, birth=2)
+    s.add_node([0], CT)
     s.children[0].reverse()    # [2, 1]: the right children, out of order
     return s
 

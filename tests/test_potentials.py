@@ -104,7 +104,7 @@ def test_true_frontier_nodes_never_count():
     # the survival potential must read zero despite the CT leaf
     s = CkpState()
     s.add_root(CT)
-    s.add_node([0], CT, birth=1)
+    s.add_node([0], CT)
     assert potential(s, MinimalFalseLeavesSimple()).total == 0
     assert potential(s, MinDistance(PREF, 3)).total == 0
 
@@ -114,10 +114,10 @@ def test_general_leaves_scoped_to_the_origin_closure():
     # branch 2 -> 4.  Only the error branch may contribute.
     s = CkpState()
     s.add_root(CT)
-    s.add_node([0], CF, birth=1)
-    s.add_node([0], CT, birth=1)
-    s.add_node([1], CT, birth=2)
-    s.add_node([2], CT, birth=2)
+    s.add_node([0], CF)
+    s.add_node([0], CT)
+    s.add_node([1], CT)
+    s.add_node([2], CT)
     rep = potential(s, MinimalFalseLeavesGeneral(1, PREF))
     # closure {1, 3}: node 1 is minimal false, node 3 a leaf of degree 0
     assert rep.total == 1 + Fraction(1, 1)
@@ -129,9 +129,9 @@ def test_general_leaf_weights_divide_by_the_leaf_degree():
     # frontier leaf in the wider sense (no CT children) with degree 2
     s = CkpState()
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)
-    s.add_node([1], CF, birth=2)
-    s.add_node([1], CF, birth=2)
+    s.add_node([0], CT)
+    s.add_node([1], CF)
+    s.add_node([1], CF)
     rep = potential(s, MinimalFalseLeavesGeneral(0, PREF))
     # minimal false: nodes 0, 2, 3; leaf 1 contributes a(0)/a(2) = 1/3
     assert rep.total == 3 + Fraction(1, 3)
@@ -141,8 +141,8 @@ def test_general_leaf_hits_a_zero_weight_and_refuses():
     holes = TableAttachment((1, 0), 0)
     s = CkpState()
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)
-    s.add_node([1], CF, birth=2)   # node 1: leaf in the wider sense, degree 1
+    s.add_node([0], CT)
+    s.add_node([1], CF)   # node 1: leaf in the wider sense, degree 1
     with pytest.raises(NonpositiveWeight):
         potential(s, MinimalFalseLeavesGeneral(0, holes))
 
@@ -438,7 +438,7 @@ def test_both_oracles_refuse_bad_input_by_name():
     # wider sense at degree 1, where the weight is 0
     holes = TableAttachment((1, 0), 0)
     s = single_cf()
-    s.add_node([0], CT, birth=1)
+    s.add_node([0], CT)
     kind = MinimalFalseLeavesGeneral(0, holes)
     assert potential(s, kind).total == 2
     f = Features(holes, ParentCountLaw.const(1), Fraction(1, 2), 2, "bfs",
@@ -476,7 +476,7 @@ def test_exact_drift_refuses_a_state_that_breaks_the_truth_rule():
     # the check enumeration would skip the walk from the child, so the
     # enumeration is refused, as the engine refuses the state
     s = single_cf()
-    s.add_node([0], CT, birth=1)
+    s.add_node([0], CT)
     s.is_false[1] = False
     f = feats("bfs", Fraction(1, 2))
     message = "node 1 descends from a False node but is True"
@@ -665,7 +665,7 @@ def test_step_delta_reads_the_parents_as_a_multiset(name, case, seed):
         return
     base = potentials._step_base(prior, kind)
     state = prior.copy()
-    v = state.add_node(parents, label, birth=99, adversarial=adversarial)
+    v = state.add_node(parents, label)
     # a certain check and detection, so that most growth steps mark
     marked = set() if adversarial else checking.run_check(
         f.mechanism, state, v, parents, f.check_depth, 1, 1,
@@ -673,7 +673,7 @@ def test_step_delta_reads_the_parents_as_a_multiset(name, case, seed):
     want = potentials._step_delta(state, kind, base, v, parents, marked)
     for order in set(itertools.permutations(parents)):
         state.pop_last_node()
-        state.add_node(order, label, birth=99, adversarial=adversarial)
+        state.add_node(order, label)
         got = potentials._step_delta(state, kind, base, v, list(order),
                                      marked)
         assert got == want, order

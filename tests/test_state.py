@@ -21,21 +21,21 @@ def bfs_depths(s: CkpState) -> dict[int, int]:
 
 
 def chain(labels, simple=True):
-    """Path graph v0 <- v1 <- ... with the given birth labels."""
+    """Path graph v0 <- v1 <- ... with the given labels."""
     s = CkpState()
     s.add_root(labels[0])
     for i, lab in enumerate(labels[1:], start=1):
-        s.add_node([i - 1], lab, birth=i)
+        s.add_node([i - 1], lab)
     return s
 
 
 def test_add_node_updates_degrees_with_multiplicity():
     s = CkpState()
     s.add_root(CT)
-    s.add_node([0, 0], CT, birth=1)
+    s.add_node([0, 0], CT)
     assert s.deg_pt[0] == 2
     assert s.deg_ct[0] == 2
-    s.add_node([0, 1], CF, birth=2)
+    s.add_node([0, 1], CF)
     assert s.deg_pt[0] == 3
     assert s.deg_ct[0] == 2      # CF child edge counts toward PT only
     assert s.deg_pt[1] == 1
@@ -47,8 +47,8 @@ def test_truth_inherits_through_any_parent():
     s = CkpState()
     s.add_root(CF)
     s.add_root(CT)
-    s.add_node([0, 1], CT, birth=1)
-    s.add_node([1], CT, birth=2)
+    s.add_node([0, 1], CT)
+    s.add_node([1], CT)
     assert s.is_false == [True, False, True, False]
     verify_state(s)
 
@@ -57,11 +57,11 @@ def test_add_node_rejects_pf_parent_and_bad_ids():
     s = chain([CF, CT])
     s.mark_pf([0])
     with pytest.raises(StateError, match="parent 0 is PF"):
-        s.add_node([0], CT, birth=2)
+        s.add_node([0], CT)
     with pytest.raises(StateError, match="parent id 5 out of range"):
-        s.add_node([5], CT, birth=2)
+        s.add_node([5], CT)
     with pytest.raises(StateError, match="at least one parent edge"):
-        s.add_node([], CT, birth=2)
+        s.add_node([], CT)
 
 
 def snapshot(s: CkpState) -> tuple:
@@ -73,16 +73,16 @@ def refusal_state() -> CkpState:
     """0 PF, 1 a root under it, 2 False CT, 3 PF; 4 and 5 True."""
     s = chain([CF, CT, CT, CT])
     s.add_root(CT)
-    s.add_node([4], CT, birth=5)
+    s.add_node([4], CT)
     s.mark_pf([0])
     s.mark_pf([3])
     return s
 
 
 @pytest.mark.parametrize("refused,message", [
-    (lambda s: s.add_node([1, 0], CT, birth=6), "parent 0 is PF"),
-    (lambda s: s.add_node([1, 7], CT, birth=6), "parent id 7 out of range"),
-    (lambda s: s.add_node([1], PF, birth=6),
+    (lambda s: s.add_node([1, 0], CT), "parent 0 is PF"),
+    (lambda s: s.add_node([1, 7], CT), "parent id 7 out of range"),
+    (lambda s: s.add_node([1], PF),
      "new node label must be CT or CF, got 2"),
     (lambda s: s.mark_pf([1, 3]), "node 3 is already PF"),
     (lambda s: s.mark_pf([2, 5]), "refusing to mark hidden-True node 5 PF"),
@@ -100,9 +100,9 @@ def test_refusals_leave_the_state_untouched(refused, message):
 def test_pop_last_node_restores_degrees():
     s = CkpState()
     s.add_root(CT)
-    s.add_node([0], CT, birth=1)
+    s.add_node([0], CT)
     before = (list(s.deg_pt), list(s.deg_ct), [list(p) for p in s.children])
-    s.add_node([0, 1, 1], CF, birth=2)
+    s.add_node([0, 1, 1], CF)
     s.pop_last_node()
     assert (list(s.deg_pt), list(s.deg_ct),
             [list(p) for p in s.children]) == before
@@ -113,9 +113,9 @@ def test_mark_pf_updates_counters_and_reports_degrees():
     # 0(CF) <- 1(CT) <- 2(CT), plus 3(CT) also under 1
     s = CkpState()
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)
-    s.add_node([1], CT, birth=2)
-    s.add_node([1], CT, birth=3)
+    s.add_node([0], CT)
+    s.add_node([1], CT)
+    s.add_node([1], CT)
     touched = s.mark_pf([0])
     assert touched == {}                      # 0 had no parents
     assert s.pf_parent_edges[1] == 1
@@ -147,9 +147,9 @@ def test_leaves_simple_vs_general_mode():
     # 1 has a CF child and a PF child but no CT child
     s = CkpState()
     s.add_root(CT)
-    s.add_node([0], CT, birth=1)       # 1
-    s.add_node([1], CF, birth=2)       # 2, makes 1 non-leaf in simple mode
-    s.add_node([1], CF, birth=3)       # 3, about to become PF
+    s.add_node([0], CT)       # 1
+    s.add_node([1], CF)       # 2, makes 1 non-leaf in simple mode
+    s.add_node([1], CF)       # 3, about to become PF
     s.mark_pf([3])
     assert not s.is_ct_nonroot_leaf(1, simple_mode=True)
     assert s.is_ct_nonroot_leaf(1, simple_mode=False)
@@ -164,9 +164,9 @@ def test_distances_match_on_handmade_state():
     # diamond: 0(CF) <- 1,2(CT); 3(CT) under 1 and 2
     s = CkpState()
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)
-    s.add_node([0], CT, birth=2)
-    s.add_node([1, 2], CT, birth=3)
+    s.add_node([0], CT)
+    s.add_node([0], CT)
+    s.add_node([1, 2], CT)
     d = pt_false_distances(s)
     assert d == {0: 0, 1: 1, 2: 1, 3: 2}
     assert d == bfs_depths(s)
@@ -177,7 +177,7 @@ def test_distances_skip_pt_true_nodes():
     s = CkpState()
     s.add_root(CF)
     s.add_root(CT)
-    s.add_node([0, 1], CT, birth=1)
+    s.add_node([0, 1], CT)
     d = pt_false_distances(s)
     assert set(d) == {0, 2}
     assert d[2] == 1
@@ -187,17 +187,17 @@ def test_anchor_bfs_prefers_breadth_then_edge_order():
     # 3's parents are (1, 2); 1 leads to CF at depth 2, 2 IS minimal false
     s = CkpState()
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)   # 1
-    s.add_node([0], CF, birth=2)   # 2
-    s.add_node([1, 2], CT, birth=3)
+    s.add_node([0], CT)   # 1
+    s.add_node([0], CF)   # 2
+    s.add_node([1, 2], CT)
     a, depth, trail = anchor_bfs(s, 3)
     assert (a, depth) == (2, 1)
     assert trail == [3, 2]
     # swap edge order: both parents at depth 1, first edge wins
     s2 = CkpState()
     s2.add_root(CF)
-    s2.add_node([0], CF, birth=1)
-    s2.add_node([1, 0], CT, birth=2)
+    s2.add_node([0], CF)
+    s2.add_node([1, 0], CT)
     a2, _, _ = anchor_bfs(s2, 2)
     assert a2 == 1
 
@@ -206,9 +206,9 @@ def test_partition_covers_all_pt_false_nodes():
     s = CkpState()
     s.add_root(CF)
     s.add_root(CF)
-    s.add_node([0], CT, birth=1)
-    s.add_node([1], CT, birth=2)
-    s.add_node([2, 3], CT, birth=3)
+    s.add_node([0], CT)
+    s.add_node([1], CT)
+    s.add_node([2, 3], CT)
     anchor_of, comps = bfs_component_partition(s)
     assert set(anchor_of) == {0, 1, 2, 3, 4}
     assert sorted(x for mem in comps.values() for x in mem) == [0, 1, 2, 3, 4]
@@ -218,7 +218,7 @@ def test_partition_covers_all_pt_false_nodes():
 
 def test_dump_load_round_trip_exact():
     s = chain([CF, CT, CT, CT])
-    s.add_node([1, 1, 3], CT, birth=9, adversarial=True)
+    s.add_node([1, 1, 3], CT)
     s.mark_pf([0])
     text = dump_state(s)
     back = load_state(text)
@@ -231,43 +231,41 @@ def test_dump_load_round_trip_exact():
 def test_load_rejects_malformed_documents():
     with pytest.raises(StateError):
         load_state("")
-    with pytest.raises(StateError):
-        load_state("ckp-state v2 0\n")
+    # a v1 document, with its birth and adversarial fields
+    with pytest.raises(StateError, match="bad header 'ckp-state v1 1'"):
+        load_state("ckp-state v1 1\n0 CT 0 0 0 -\n")
     with pytest.raises(StateError, match="node count '\\+1' is not an"):
-        load_state("ckp-state v1 +1\n0 CT 0 0 0 -\n")
+        load_state("ckp-state v2 +1\n0 CT 0 -\n")
     with pytest.raises(StateError):
-        load_state("ckp-state v1 2\n0 CT 0 0 0 -\n")
+        load_state("ckp-state v2 2\n0 CT 0 -\n")
     with pytest.raises(StateError):
-        load_state("ckp-state v1 1\n0 XX 0 0 0 -\n")
+        load_state("ckp-state v2 1\n0 XX 0 -\n")
     with pytest.raises(StateError):
-        load_state("ckp-state v1 2\n0 CT 0 0 0 -\n1 CT 0 1 0 3\n")
+        load_state("ckp-state v2 2\n0 CT 0 -\n1 CT 0 3\n")
 
 
 @pytest.mark.parametrize("body,message", [
-    ("x CT 1 0 0 0\n", "id 'x' is not an integer in line 'x CT 1 0 0 0'"),
-    ("0 CT 0 b 0 -\n", "birth 'b' is not an integer"),
-    ("0 CT 0 0 0 -\n1 CT 0 1 0 0,y\n", "parent 'y' is not an integer"),
-    ("0 CT 0 +1 0 -\n", "birth '\\+1' is not an integer"),
-    ("0 CT 0 0 0 -\n1 CT 2 0 0 0\n",
-     "is_false flag '2' is not 0 or 1 in line '1 CT 2 0 0 0'"),
-    ("0 CT 0 0 7 -\n", "adversarial flag '7' is not 0 or 1"),
+    ("x CT 1 0\n", "id 'x' is not an integer in line 'x CT 1 0'"),
+    ("0 CT 0 -\n1 CT 0 0,y\n", "parent 'y' is not an integer"),
+    ("0 CT 0 -\n1 CT 2 0\n",
+     "is_false flag '2' is not 0 or 1 in line '1 CT 2 0'"),
 ])
 def test_load_rejects_malformed_fields_by_name(body, message):
     count = body.count("\n")
     with pytest.raises(StateError, match=message):
-        load_state(f"ckp-state v1 {count}\n" + body)
+        load_state(f"ckp-state v2 {count}\n" + body)
 
 
 @pytest.mark.parametrize("body,message", [
-    ("0 CT 0 0 0 -\n1 CF 0 1 0 0\n2 CT 0 2 0 1\n", "CF node 1"),
-    ("0 CT 0 0 0 -\n1 CT 0 1 0 0\n2 PF 0 2 0 1\n", "PF node 2"),
-    ("0 CF 1 0 0 -\n1 CT 1 1 0 0\n2 CT 0 2 0 1\n",
+    ("0 CT 0 -\n1 CF 0 0\n2 CT 0 1\n", "CF node 1"),
+    ("0 CT 0 -\n1 CT 0 0\n2 PF 0 1\n", "PF node 2"),
+    ("0 CF 1 -\n1 CT 1 0\n2 CT 0 1\n",
      "node 2 descends from a False node"),
 ])
 def test_load_rejects_broken_truth(body, message):
     # a True CF node, a True PF node, a True child of a False parent
     with pytest.raises(StateError, match=message):
-        load_state("ckp-state v1 3\n" + body)
+        load_state("ckp-state v2 3\n" + body)
 
 
 @st.composite
@@ -276,7 +274,7 @@ def random_states(draw):
     s = CkpState()
     s.add_root(draw(st.sampled_from([CT, CF])))
     steps = draw(st.integers(min_value=0, max_value=25))
-    for t in range(1, steps + 1):
+    for _ in range(steps):
         pt = s.pt_ids()
         if not pt:
             break
@@ -287,7 +285,7 @@ def random_states(draw):
             continue
         k = draw(st.integers(min_value=1, max_value=3))
         ps = [draw(st.sampled_from(pt)) for _ in range(k)]
-        s.add_node(ps, draw(st.sampled_from([CT, CT, CT, CF])), birth=t)
+        s.add_node(ps, draw(st.sampled_from([CT, CT, CT, CF])))
     return s
 
 
@@ -377,7 +375,8 @@ def test_built_and_loaded_states_pass_the_recount(s):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda s: s.birth.pop(), "state columns differ in length"),
+    # a short column is refused before any column is compared
+    (lambda s: s.pf_parent_edges.pop(), "state columns differ in length"),
     (lambda s: s.parents[2].append(3), "parent id 3 out of range"),
     (lambda s: s.parents[1].append(-1), "parent id -1 out of range"),
     (lambda s: s.deg_pt.__setitem__(1, 1), "node 1: deg_pt is 1, recount 0"),
@@ -402,3 +401,17 @@ def test_recount_names_the_lowest_node_and_its_column(edit, message):
     with pytest.raises(StateError) as err:
         verify_state(s)
     assert str(err.value) == message
+
+
+# every per-node column of the state, so that the state, verify_state's
+# length list and the kernel's import cannot drift apart
+PER_NODE_COLUMNS = [name for name in CkpState.__slots__
+                    if isinstance(getattr(CkpState(), name), list)]
+
+
+@pytest.mark.parametrize("name", PER_NODE_COLUMNS)
+def test_verify_state_checks_every_column_length(name):
+    s = chain([CF, CT, CT, CT])
+    getattr(s, name).pop()
+    with pytest.raises(StateError, match="state columns differ in length"):
+        verify_state(s)
