@@ -29,6 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .state import PF
+
 
 class AllPF(RuntimeError):
     """No PT node exists; the process is over."""
@@ -190,11 +192,6 @@ def preferential() -> Affine:
 
 def uniform() -> Affine:
     return Affine(1, 0)
-
-
-def is_nondecreasing(attach) -> bool:
-    lo, _ = attach.increment_bounds()
-    return lo >= 0
 
 
 # -- parent-count law ------------------------------------------------------
@@ -444,7 +441,6 @@ def _node_weights(state, attach, table=None) -> np.ndarray:
     The two columns are read by ``bytes`` and ``np.fromiter``, which
     cost about half of ``np.asarray`` on a list.
     """
-    from .state import PF
     n = len(state.labels)
     live = np.frombuffer(bytes(state.labels), dtype=np.uint8) != PF
     deg = np.fromiter(state.deg_pt, dtype=np.int64, count=n)[live]
@@ -533,7 +529,6 @@ def parent_distribution(state, attach) -> dict:
     Raises :class:`AllPF` when no PT node exists and :class:`AllWeightsZero`
     when all PT weights vanish, matching what the sampler would hit.
     """
-    from .state import PF
     weights = {}
     for v in range(len(state.labels)):
         if state.labels[v] == PF:

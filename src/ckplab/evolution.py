@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from . import checking
 from .attachment import extend_table, sample_combination, weight_index_for
 from .state import (
-    CT, CF, PF, LABEL_NAMES, CkpState, StateError, verify_state,
+    CT, CF, PF, LABEL_NAMES, CkpState, pt_false_distances, verify_state,
 )
 
 
@@ -65,7 +65,6 @@ class DeepAttach:
         r = features.adversary_budget
         if r == 0:
             return None
-        from .state import pt_false_distances
         dist = pt_false_distances(state)
         if dist:
             best = max(dist.values())
@@ -103,25 +102,6 @@ class RandomPt:
         parents = [pt[chooser.uniform_index(len(pt))] for _ in range(r)]
         label = CF if chooser.uniform_index(2) == 1 else CT
         return parents, label
-
-
-@dataclass(frozen=True)
-class Scripted:
-    """Plays the one move ``(parents, label)`` on every adversarial step;
-    refuses it loudly where it is illegal."""
-
-    parents: tuple
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-
-    def move(self, state, features, chooser):
-        if len(self.parents) > features.adversary_budget:
-            raise StateError("scripted move exceeds the edge budget")
-        if any(state.labels[u] == PF for u in self.parents):
-            raise StateError("scripted move attaches below a PF node")
-        return list(self.parents), self.label
 
 
 # -- the process variant ---------------------------------------------------

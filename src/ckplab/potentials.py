@@ -5,9 +5,7 @@ carries:
 
 * :class:`MinDistance`: sum of ``a(deg(v)) * c**dist(v)`` over PT
   hidden-False nodes, where ``dist`` is the shortest hop count to a
-  minimal false node.  The workhorse for elimination arguments; it also
-  decomposes over BFS components, one bucket per anchoring minimal false
-  node.
+  minimal false node.  The workhorse for elimination arguments.
 * :class:`MinimalFalse`: the bare count of minimal false nodes.
 * :class:`MinimalFalseLeavesSimple`: minimal false nodes plus
   error-carrying frontier leaves, the quantity survival arguments push
@@ -61,7 +59,7 @@ from .attachment import AllPF, AllWeightsZero, _require_finite, \
 from .evolution import AuditViolation, RandomPt, draw_move
 from .rand import PathChooser, SimChooser
 from .state import CT, CF, PF, StateError, pt_false_distances, \
-    anchor_bfs, verify_state
+    verify_state
 
 DEFAULT_LEAF_CAP = 10_000_000
 
@@ -110,13 +108,6 @@ class MinimalFalseLeavesGeneral:
     attach: object
 
 
-@dataclass(frozen=True)
-class PotentialReport:
-    total: object
-    per_component: dict | None
-    pt_false_count: int
-
-
 class TermTable(dict):
     """``(deg_pt, dist) -> a(deg_pt) * c**dist`` for one
     :class:`MinDistance`, computed exactly on first lookup: an int where
@@ -146,11 +137,6 @@ class TermTable(dict):
 def _integral(x):
     """A rational ``x`` as an int when it is integral."""
     return x.numerator if x.denominator == 1 else x
-
-
-def _pt_false_ids(state) -> list[int]:
-    return [v for v in range(len(state.labels))
-            if state.labels[v] != PF and state.is_false[v]]
 
 
 def _descendant_closure(state, anchor: int) -> set[int]:
@@ -189,51 +175,31 @@ def _leaf_weight(attach, v: int, deg: int):
     return attach.evaluate_exact(0) / denom
 
 
-def potential(state, kind, *,
-              terms: TermTable | None = None) -> PotentialReport:
-    """Evaluate ``kind`` on ``state``, exactly.
+def potential(state, kind, *, terms: TermTable | None = None):
+    """Evaluate ``kind`` on ``state``, exactly: a Fraction for
+    :class:`MinDistance` and the scoped leaf potential, an int for the
+    two counts.
 
-    For :class:`MinDistance` the report carries the per-anchor
-    decomposition, computed through an independent distance routine
-    (canonical upward BFS per node, against the downward relaxation pass
-    used for the total); the two are required to agree.  ``terms`` is a
-    :class:`TermTable` for ``kind`` to share across evaluations; without
-    one the call builds its own.
+    ``terms`` is a :class:`TermTable` for ``kind`` to share across
+    evaluations; without one the call builds its own.  A broken distance
+    structure raises :class:`StateError`, from
+    :func:`state.pt_false_distances`.
     """
-    false_ids = _pt_false_ids(state)
     if isinstance(kind, MinDistance):
         if terms is None:
             terms = TermTable(kind)
         deg = state.deg_pt
-        dist = pt_false_distances(state)
         total = 0
-        for v in false_ids:
-            total += terms[deg[v], dist[v]]
-        per_component: dict = {}
-        for v in false_ids:
-            anchor, depth, _ = anchor_bfs(state, v)
-            if anchor is None:
-                raise AuditViolation(
-                    f"PT False node {v} reaches no minimal false node")
-            per_component[anchor] = (per_component.get(anchor, 0)
-                                     + terms[deg[v], depth])
-        again = sum(per_component.values())
-        if again != total:
-            raise AuditViolation(
-                f"component decomposition sums to {again}, total {total}")
-        return PotentialReport(
-            Fraction(total),
-            {a: Fraction(x) for a, x in per_component.items()},
-            len(false_ids))
+        for v, d in pt_false_distances(state).items():
+            total += terms[deg[v], d]
+        return Fraction(total)
 
     if isinstance(kind, MinimalFalse):
-        return PotentialReport(len(state.minimal_false_set()), None,
-                               len(false_ids))
+        return len(state.minimal_false_set())
 
     if isinstance(kind, MinimalFalseLeavesSimple):
-        total = (len(state.minimal_false_set())
-                 + len(_false_leaves(state, simple_mode=True)))
-        return PotentialReport(total, None, len(false_ids))
+        return (len(state.minimal_false_set())
+                + len(_false_leaves(state, simple_mode=True)))
 
     if isinstance(kind, MinimalFalseLeavesGeneral):
         closure = _descendant_closure(state, kind.anchor)
@@ -244,15 +210,15 @@ def potential(state, kind, *,
         for v in _false_leaves(state, simple_mode=False):
             if v in closure:
                 total += _leaf_weight(kind.attach, v, state.deg_pt[v])
-        return PotentialReport(total, None, len(false_ids))
+        return total
 
     raise TypeError(f"unknown potential kind {kind!r}")
 
 
 def _checked_total(state, kind, terms: TermTable | None):
     """The whole potential of ``state``, through :func:`potential` and
-    its checks (the anchor, every distance, the decomposition)."""
-    return potential(state, kind, terms=terms).total
+    its checks (every distance, the anchor of the scoped potential)."""
+    return potential(state, kind, terms=terms)
 
 
 # -- one step's change -----------------------------------------------------
@@ -580,7 +546,7 @@ class DriftEstimate:
 def _phi_value(state, kind):
     """The whole potential of ``state``, through :func:`potential` and
     its checks: :func:`mc_drift`'s one evaluation of a count potential."""
-    return potential(state, kind).total
+    return potential(state, kind)
 
 
 def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:

@@ -18,7 +18,6 @@ multiplicity.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import compress, count
 
 CT = 0
@@ -292,63 +291,6 @@ def pt_false_distances(state: CkpState) -> dict[int, int]:
                 f"node {v} is PT False, not minimal, with no PT False parent")
         dist[v] = best + 1
     return dist
-
-
-def anchor_bfs(state: CkpState, v: int):
-    """Canonical upward BFS from ``v`` until the first minimal false node.
-
-    FIFO queue, parents expanded in edge-insertion order, each node enqueued
-    at most once, traversal restricted to PT nodes (PF parents are skipped,
-    they are recognized through ``pf_parent_edges`` without being visited).
-
-    Returns ``(anchor, depth, chain)`` where ``chain`` is the discovery path
-    v -> ... -> anchor, or ``(None, None, None)`` when nothing is reachable.
-    """
-    labels = state.labels
-    pf_parent_edges = state.pf_parent_edges
-    parents = state.parents
-    prev = {v: None}             # doubles as the enqueued set
-    queue = deque([(v, 0)])
-    while queue:
-        u, d = queue.popleft()
-        lab = labels[u]
-        # CkpState.is_minimal_false, inlined
-        if lab == CF or (lab == CT and pf_parent_edges[u] > 0):
-            chain = [u]
-            w = prev[u]
-            while w is not None:
-                chain.append(w)
-                w = prev[w]
-            chain.reverse()
-            return u, d, chain
-        for w in parents[u]:
-            if w in prev or labels[w] == PF:
-                continue
-            prev[w] = u
-            queue.append((w, d + 1))
-    return None, None, None
-
-
-def bfs_component_partition(state: CkpState):
-    """Partition the PT hidden-False nodes by the anchor their canonical
-    upward BFS reaches first.
-
-    Returns ``(anchor_of, components)``: a node -> anchor map and an
-    anchor -> sorted member list map.  Anchors map to themselves.
-    """
-    anchor_of: dict[int, int] = {}
-    components: dict[int, list[int]] = {}
-    for v in range(len(state.labels)):
-        if state.labels[v] == PF or not state.is_false[v]:
-            continue
-        anchor, _, _ = anchor_bfs(state, v)
-        if anchor is None:
-            raise StateError(f"PT False node {v} reaches no minimal false node")
-        anchor_of[v] = anchor
-        components.setdefault(anchor, []).append(v)
-    for members in components.values():
-        members.sort()
-    return anchor_of, components
 
 
 # -- serialization --------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from ckplab.attachment import (
     Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
     PrefixPool, AllPF, AllWeightsZero,
-    preferential, uniform, is_nondecreasing,
+    preferential, uniform,
     parent_distribution, sample_combination, prefix_pool_for,
     weight_index_for,
 )
@@ -132,12 +132,6 @@ def test_increment_bounds_cover_a_long_sweep(fam):
     for d in range(10_000):
         inc = fam.evaluate(d + 1) - fam.evaluate(d)
         assert lo - 1e-9 <= inc <= hi + 1e-9
-
-
-def test_nondecreasing_flag():
-    assert is_nondecreasing(preferential())
-    assert is_nondecreasing(uniform())
-    assert not is_nondecreasing(TableAttachment((1, 0), 0))
 
 
 def test_parent_count_law_moments():

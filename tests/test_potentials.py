@@ -21,16 +21,18 @@ from hypothesis import assume, given, settings, strategies as st
 from ckplab import checking, potentials
 from ckplab.attachment import Affine, ParentCountLaw, PowerShifted, \
     TableAttachment, preferential, uniform
-from ckplab.evolution import AuditViolation, DeepAttach, Features, \
-    LeafAttach, PyEngine, RandomPt, Scripted, init_chain
+from ckplab.evolution import DeepAttach, Features, LeafAttach, PyEngine, \
+    RandomPt, init_chain
 from ckplab.potentials import (
     BranchBudgetExceeded, DriftEstimate, DriftResult, MinDistance,
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
     NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
 from ckplab.rand import PathChooser, SimChooser, make_generator
-from ckplab.state import CT, CF, CkpState, StateError, anchor_bfs, \
-    dump_state, pt_false_distances
+from ckplab.state import CT, CF, CkpState, StateError, dump_state, \
+    pt_false_distances
+
+from reference import Scripted, anchor_bfs
 
 PREF = preferential()
 LAW = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
@@ -54,33 +56,29 @@ def feats(mechanism, p, k=2, m=1, **kw) -> Features:
 # -- potential values ------------------------------------------------------
 
 def test_min_distance_single_error_node():
-    rep = potential(single_cf(), MinDistance(PREF, 3))
-    assert rep.total == 1
-    assert rep.per_component == {0: 1}
-    assert rep.pt_false_count == 1
+    value = potential(single_cf(), MinDistance(PREF, 3))
+    assert value == 1
+    assert type(value) is Fraction
 
 
 def test_min_distance_chain_term_by_term():
     # CF -> CT -> CT with child degrees 1, 1, 0 and distances 0, 1, 2:
     # 2*1 + 2*3 + 1*9 = 17
     chain = init_chain(3, 1, CF)
-    rep = potential(chain, MinDistance(PREF, 3))
-    assert rep.total == 17
-    assert rep.per_component == {0: 17}
-    # integral terms are summed as ints; the report still holds Fractions
-    assert type(rep.total) is Fraction
-    assert type(rep.per_component[0]) is Fraction
+    value = potential(chain, MinDistance(PREF, 3))
+    assert value == 17
+    # integral terms are summed as ints; the value is still a Fraction
+    assert type(value) is Fraction
     # term-by-term against the upward-BFS depths
     recomputed = sum(PREF.evaluate_exact(chain.deg_pt[v])
                      * Fraction(3) ** anchor_bfs(chain, v)[1]
                      for v in range(3))
-    assert recomputed == rep.total
+    assert recomputed == value
 
 
 def test_min_distance_respects_the_base_parameter():
     chain = init_chain(3, 1, CF)
-    rep = potential(chain, MinDistance(PREF, 2))
-    assert rep.total == 2 * 1 + 2 * 2 + 1 * 4
+    assert potential(chain, MinDistance(PREF, 2)) == 2 * 1 + 2 * 2 + 1 * 4
 
 
 def test_distance_base_must_exceed_one():
@@ -91,12 +89,21 @@ def test_distance_base_must_exceed_one():
             MinDistance(PREF, c)
 
 
+def test_min_distance_refuses_a_broken_distance_structure():
+    # node 2 claims a hidden error that neither it (CT) nor a parent
+    # carries: the distance pass refuses it
+    st = init_chain(3, 1, CT)
+    st.is_false[2] = True
+    with pytest.raises(StateError, match="node 2 is PT False, not minimal"):
+        potential(st, MinDistance(PREF, 3))
+
+
 def test_count_potentials_on_the_chain():
     chain = init_chain(3, 1, CF)
-    assert potential(chain, MinimalFalse()).total == 1
-    rep = potential(chain, MinimalFalseLeavesSimple())
-    assert rep.total == 2           # the CF origin plus the frontier tip
-    assert rep.pt_false_count == 3
+    assert potential(chain, MinimalFalse()) == 1
+    value = potential(chain, MinimalFalseLeavesSimple())
+    assert value == 2               # the CF origin plus the frontier tip
+    assert type(value) is int
 
 
 def test_true_frontier_nodes_never_count():
@@ -105,8 +112,8 @@ def test_true_frontier_nodes_never_count():
     s = CkpState()
     s.add_root(CT)
     s.add_node([0], CT)
-    assert potential(s, MinimalFalseLeavesSimple()).total == 0
-    assert potential(s, MinDistance(PREF, 3)).total == 0
+    assert potential(s, MinimalFalseLeavesSimple()) == 0
+    assert potential(s, MinDistance(PREF, 3)) == 0
 
 
 def test_general_leaves_scoped_to_the_origin_closure():
@@ -118,10 +125,10 @@ def test_general_leaves_scoped_to_the_origin_closure():
     s.add_node([0], CT)
     s.add_node([1], CT)
     s.add_node([2], CT)
-    rep = potential(s, MinimalFalseLeavesGeneral(1, PREF))
+    value = potential(s, MinimalFalseLeavesGeneral(1, PREF))
     # closure {1, 3}: node 1 is minimal false, node 3 a leaf of degree 0
-    assert rep.total == 1 + Fraction(1, 1)
-    assert rep.pt_false_count == 2
+    assert value == 1 + Fraction(1, 1)
+    assert type(value) is Fraction
 
 
 def test_general_leaf_weights_divide_by_the_leaf_degree():
@@ -132,9 +139,9 @@ def test_general_leaf_weights_divide_by_the_leaf_degree():
     s.add_node([0], CT)
     s.add_node([1], CF)
     s.add_node([1], CF)
-    rep = potential(s, MinimalFalseLeavesGeneral(0, PREF))
+    value = potential(s, MinimalFalseLeavesGeneral(0, PREF))
     # minimal false: nodes 0, 2, 3; leaf 1 contributes a(0)/a(2) = 1/3
-    assert rep.total == 3 + Fraction(1, 3)
+    assert value == 3 + Fraction(1, 3)
 
 
 def test_general_leaf_hits_a_zero_weight_and_refuses():
@@ -170,16 +177,16 @@ def sampled_states(mechanism, seed, runs=6, steps=11, p=0.2, k=3):
     return seen
 
 
-def test_component_decomposition_and_lower_bound_on_sampled_states():
+def test_min_distance_is_at_least_the_pt_false_count_on_sampled_states():
+    # with a(0) >= 1 and nondecreasing weights every term a(deg) * c**dist
+    # is at least one, so the sum is at least the number of terms
     checked = 0
     for mech, seed in (("exhaustive-bfs", 3), ("stringy", 5), ("bfs", 8),
                        ("parentwise-bfs", 13), ("complete", 21)):
         for st in sampled_states(mech, seed):
-            rep = potential(st, MinDistance(PREF, 3))
-            # the decomposition identity is asserted inside potential();
-            # the floor below is the extra property worth stating here
-            assert rep.total >= rep.pt_false_count
-            assert sum(rep.per_component.values()) == rep.total
+            count = len(pt_false_distances(st))
+            for attach in (PREF, uniform()):
+                assert potential(st, MinDistance(attach, 3)) >= count
             checked += 1
     assert checked >= 40
 
@@ -440,7 +447,7 @@ def test_both_oracles_refuse_bad_input_by_name():
     s = single_cf()
     s.add_node([0], CT)
     kind = MinimalFalseLeavesGeneral(0, holes)
-    assert potential(s, kind).total == 2
+    assert potential(s, kind) == 2
     f = Features(holes, ParentCountLaw.const(1), Fraction(1, 2), 2, "bfs",
                  error_rate=Fraction(1, 2))
     with pytest.raises(NonpositiveWeight, match="leaf 1"):
@@ -565,12 +572,12 @@ class StepSpy:
         if self.before is None or self.before[0] is not base:
             prior = state.copy()
             prior.pop_last_node()
-            self.before = (base, potential(prior, kind).total,
+            self.before = (base, potential(prior, kind),
                            pt_false_distances(prior))
         _, phi_before, dist = self.before
         after = state.copy()
         after.mark_pf(marked)
-        assert got == potential(after, kind).total - phi_before
+        assert got == potential(after, kind) - phi_before
         self.calls += 1
         self.marking += bool(marked)
         new = pt_false_distances(after)
@@ -702,35 +709,6 @@ def test_mc_drift_samples_meet_the_coverage_floors():
             mc_drift(eng.state, step, kind, 30, 100 + seed)
     assert spy.calls == 1800
     assert spy.marking >= 400 and spy.moved >= 300, (spy.marking, spy.moved)
-
-
-# On the 5-node chain node 5 exists only in the enumerated outcomes, so
-# a routine that misplaces it can only be caught on a leaf.
-GROWN = 5
-
-
-def test_drift_catches_a_distance_routine_that_disagrees(monkeypatch):
-    def shifted(state):
-        dist = pt_false_distances(state)
-        if GROWN in dist:
-            dist[GROWN] += 1
-        return dist
-    monkeypatch.setattr(potentials, "pt_false_distances", shifted)
-    StepSpy(monkeypatch)
-    with pytest.raises(AuditViolation, match="component decomposition"):
-        exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
-                    MinDistance(PREF, 3))
-
-
-def test_drift_catches_a_decomposition_that_disagrees(monkeypatch):
-    def deeper(state, v):
-        anchor, depth, chain = anchor_bfs(state, v)
-        return anchor, depth + (v == GROWN), chain
-    monkeypatch.setattr(potentials, "anchor_bfs", deeper)
-    StepSpy(monkeypatch)
-    with pytest.raises(AuditViolation, match="component decomposition"):
-        exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
-                    MinDistance(PREF, 3))
 
 
 # -- exact drift: adversaries and caps -------------------------------------
@@ -1063,8 +1041,8 @@ def test_survival_count_tracks_engine_counters_along_a_run():
     eng = PyEngine(f, single_cf(), SimChooser(23))
     for _ in range(120):
         eng.step()
-        rep = potential(eng.state, MinimalFalseLeavesSimple())
-        assert rep.total == eng.f_count + eng.l_count
+        value = potential(eng.state, MinimalFalseLeavesSimple())
+        assert value == eng.f_count + eng.l_count
         if eng.stopped:
             break
 

@@ -1,5 +1,6 @@
 """Every name a package module or a test module imports is used,
-every top-level name the package defines is named somewhere, and every
+every top-level name the package defines is named somewhere, a name
+that only the tests reach is listed as public surface, and every
 cross-reference in the package's docstrings and the kernel's comments
 names something the package defines.
 
@@ -170,3 +171,34 @@ def test_cross_references_name_what_exists():
     stale = [f"{where}: {ref}" for where, ref in refs
              if ref.split(".")[-1] not in names]
     assert not stale, f"cross-references to nothing: {stale}"
+
+
+# Package names that only the tests reach, kept on purpose: each is part
+# of the package's surface for a caller that sets up its own process.
+PUBLIC_SURFACE = (
+    "TableAttachment",   # an explicit weight table with zero-weight holes
+    "uniform",           # the uniform attachment a(d) = 1
+    "DeepAttach",        # adversary strategies a caller picks
+    "LeafAttach",
+    "load_state",        # reads the text dump_state writes
+)
+
+
+def test_test_only_names_are_the_public_surface():
+    """A top-level package name that only ``tests/`` names is either a
+    helper the package no longer needs, which belongs in the tests, or
+    surface kept for callers, listed in :data:`PUBLIC_SURFACE`."""
+    outside = set()
+    for path in [*PACKAGE, *(ROOT / "bench").rglob("*.py")]:
+        outside |= named(ast.parse(path.read_text(), filename=str(path)))
+    in_tests = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        in_tests |= named(ast.parse(path.read_text(), filename=str(path)))
+    test_only = sorted(
+        name for path in PACKAGE
+        for name in defined_names(ast.parse(path.read_text(),
+                                            filename=str(path)))
+        if name in in_tests and name not in outside
+        and name != "__version__")
+    assert test_only == sorted(PUBLIC_SURFACE), \
+        f"names only the tests reach: {test_only}"

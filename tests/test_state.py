@@ -1,15 +1,16 @@
-"""DAG state bookkeeping: degrees, minimal false set, leaves, distances,
-partition and the text format."""
+"""DAG state bookkeeping: degrees, minimal false set, leaves, distances
+and the text format."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ckplab.state import (
     CT, CF, PF, CkpState, StateError,
     pt_false_distances,
-    anchor_bfs, bfs_component_partition,
     dump_state, load_state, verify_state,
 )
+
+from reference import anchor_bfs
 
 
 def bfs_depths(s: CkpState) -> dict[int, int]:
@@ -202,20 +203,6 @@ def test_anchor_bfs_prefers_breadth_then_edge_order():
     assert a2 == 1
 
 
-def test_partition_covers_all_pt_false_nodes():
-    s = CkpState()
-    s.add_root(CF)
-    s.add_root(CF)
-    s.add_node([0], CT)
-    s.add_node([1], CT)
-    s.add_node([2, 3], CT)
-    anchor_of, comps = bfs_component_partition(s)
-    assert set(anchor_of) == {0, 1, 2, 3, 4}
-    assert sorted(x for mem in comps.values() for x in mem) == [0, 1, 2, 3, 4]
-    assert anchor_of[0] == 0 and anchor_of[1] == 1
-    assert anchor_of[2] == 0 and anchor_of[3] == 1
-
-
 def test_dump_load_round_trip_exact():
     s = chain([CF, CT, CT, CT])
     s.add_node([1, 1, 3], CT)
@@ -289,7 +276,19 @@ def random_states(draw):
     return s
 
 
+def two_route_state() -> CkpState:
+    """Node 5 hangs from a root (distance 0) and from a node at distance
+    1 behind a longer chain, so the two routes must agree on 1."""
+    s = chain([CF, CT, CT])
+    s.add_node([0], CF)          # 3
+    s.add_node([2, 3], CT)       # 4
+    s.add_node([4, 1], CT)       # 5
+    s.mark_pf([3])               # 4 becomes a root
+    return s
+
+
 @given(random_states())
+@example(two_route_state())
 @settings(max_examples=120, deadline=None)
 def test_distance_routes_agree_on_random_states(s):
     assert pt_false_distances(s) == bfs_depths(s)
@@ -301,22 +300,6 @@ def test_distance_routes_agree_on_random_states(s):
 def test_round_trip_on_random_states(s):
     text = dump_state(s)
     assert dump_state(load_state(text)) == text
-
-
-@given(random_states())
-@settings(max_examples=80, deadline=None)
-def test_partition_members_connect_to_their_anchor(s):
-    anchor_of, comps = bfs_component_partition(s)
-    for anchor, members in comps.items():
-        assert s.is_minimal_false(anchor)
-        assert anchor_of[anchor] == anchor
-        for v in members:
-            a, _, trail = anchor_bfs(s, v)
-            assert a == anchor
-            # the discovery trail is a real upward PT path ending at the anchor
-            for x, y in zip(trail, trail[1:]):
-                assert y in s.parents[x]
-                assert s.labels[y] != PF
 
 
 def reference_truth_closure(state: CkpState) -> None:
