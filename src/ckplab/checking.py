@@ -5,9 +5,12 @@ looks at the state through a chooser (so the same code serves simulation
 and exact branch enumeration) and reports what it would mark; the engine
 applies the marking.  Shared rules:
 
-* A checker sees public labels only.  A CF node reveals its error with
-  probability ``p_e`` per encounter; a node with a PF parent edge is
-  recognized as bad with certainty (the flag is public).
+* A checker sees public labels only.  Examining a node recognizes it as
+  bad by one rule: a CF node reveals its error with probability ``p_e``
+  per encounter, a coin drawn first, whenever the node is CF; then a
+  node with a PF parent edge is recognized with certainty (the flag is
+  public).  So the decisions drawn are the same whether or not a CF
+  node also has a PF parent.
 * Traversal never enters a PF node.
 * A ball walk from a hidden-True node is skipped: it could find nothing
   (see :func:`_ball`), so it draws no coin and visits nothing.
@@ -52,35 +55,21 @@ class CheckOutcome:
     visited: list = field(default_factory=list)
 
 
-def _flagged(state, u: int, p_e, chooser) -> bool:
-    """Does examining ``u`` expose it as minimal false?
-
-    The CF detection coin is always consumed first when the node is CF,
-    so decision streams are identical whether or not the node also has a
-    PF parent (which is detected for free afterwards).
-    """
-    hit = False
-    if state.labels[u] == CF:
-        hit = chooser.maybe(p_e)
-    return hit or state.pf_parent_edges[u] > 0
-
-
 def _descendants_within(state, visited, found: int) -> set:
     """``found`` plus every visited node lying below it via edges whose
     upper endpoint is also in the closure.  Fixpoint over the visited
-    list; these sets are tiny (a radius-k ball)."""
+    list, scanned from its end: an upward walk visits a node after a
+    child of it, so most of the closure joins in the first pass.  These
+    sets are tiny (a radius-k ball)."""
+    parents = state.parents
     closure = {found}
     grew = True
     while grew:
         grew = False
-        for x in visited:
-            if x in closure:
-                continue
-            for parent in state.parents[x]:
-                if parent in closure:
-                    closure.add(x)
-                    grew = True
-                    break
+        for x in reversed(visited):
+            if x not in closure and not closure.isdisjoint(parents[x]):
+                closure.add(x)
+                grew = True
     return closure
 
 
@@ -114,7 +103,7 @@ def check_stringy(state, v: int, k: int, p_e, chooser) -> CheckOutcome:
 
 def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
     """BFS upward from ``start`` to depth ``cap``, recognizing minimal
-    false nodes.
+    false nodes by the rule of the module docstring.
 
     Canonical order, the kernel's: one list is the FIFO queue, seeded
     with ``start``, parents pushed in edge insertion order, each node
@@ -136,25 +125,26 @@ def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
     labels = state.labels
     if cap < 0 or labels[start] == PF or not state.is_false[start]:
         return [], set(), []
+    pf_parent_edges = state.pf_parent_edges
+    parents = state.parents
     depth = {start: 0}
     queue = [start]
     founds: list = []
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        if _flagged(state, u, p_e, chooser):
+    for taken, u in enumerate(queue, 1):
+        # the recognition rule: the CF coin, then the public flag
+        if (labels[u] == CF and chooser.maybe(p_e)) or pf_parent_edges[u] > 0:
             founds.append(u)
             if not sweep:
+                del queue[taken:]       # queued after u, never visited
                 break
             continue
         d = depth[u]
         if d < cap:
-            for w in state.parents[u]:
+            d += 1
+            for w in parents[u]:
                 if w not in depth and labels[w] != PF:
-                    depth[w] = d + 1
+                    depth[w] = d
                     queue.append(w)
-    del queue[head:]
     marked: set = set()
     for f in founds:
         marked |= _descendants_within(state, queue, f)

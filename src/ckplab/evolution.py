@@ -39,6 +39,9 @@ from .state import (
 def init_chain(n: int, edge_multiplicity: int, first_label: int) -> CkpState:
     """A path of n nodes; each node after the first hangs from its
     predecessor by ``edge_multiplicity`` parallel edges."""
+    for name, value in (("n", n), ("edge_multiplicity", edge_multiplicity)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1 or edge_multiplicity < 1:
         raise ValueError("chain needs n >= 1 and edge multiplicity >= 1")
     state = CkpState()

@@ -22,6 +22,9 @@ the step's decisions through :func:`evolution.draw_move`, as the
 engine's step does: ``exact_drift`` under a replaying
 :class:`PathChooser`, once per leaf, ``mc_drift`` under a live
 :class:`SimChooser`, so the oracles and the engine describe the step once.
+A leaf of ``exact_drift`` costs one replay: the chooser's option tables
+are ints, built once per call, so a leaf's weight is two ints, and the
+value and the mass are summed as one numerator per denominator.
 
 Both oracles score a step with one function, :func:`_step_delta`,
 summing ``new term - old term`` over the few nodes whose term the step
@@ -52,6 +55,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import checking
 from .attachment import AllPF, AllWeightsZero, _require_finite, \
@@ -328,6 +332,7 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
         return delta
 
     is_false = state.is_false
+    pf_parent_edges = state.pf_parent_edges
     dist = base.dist
     queued = {v}
     for w in marked:
@@ -338,8 +343,8 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     moved: dict = {}          # the distances the step changes
     while heap:
         w = heapq.heappop(heap)
-        if (labels[w] == CF or state.pf_parent_edges[w] > 0
-                or (marked and any(u in marked for u in up[w]))):
+        if (labels[w] == CF or pf_parent_edges[w] > 0
+                or (marked and not marked.isdisjoint(up[w]))):
             d = 0
         else:
             best = None
@@ -426,12 +431,13 @@ def exact_drift(state, features, kind, *,
     Probabilities stay integer weights ``num / den`` (see
     :func:`_outcomes`).  The check leaves of one marking are summed per
     check denominator, and the move's weight multiplies each such sum
-    once.  The value and the mass are kept as lists of numerators per
+    once.  The value and the mass are kept as one numerator per
     denominator and turned into one Fraction per denominator at the end.
     The mass must come to one, or the call raises instead of returning
-    a number.  ``state`` is not changed.  An input with more moves than
-    ``leaf_cap`` is refused before any is made, and so is a state that
-    fails :func:`state.verify_state`, with its ``StateError``: the score
+    a number.  ``state`` is not changed.  ``leaf_cap`` is a positive
+    int.  An input with more moves than ``leaf_cap`` is refused before
+    any is made, and so is a state that fails
+    :func:`state.verify_state`, with its ``StateError``: the score
     reads the derived degree columns, and the check enumeration skips
     the ball walks from hidden-True nodes, which is exact only under the
     truth rule.
@@ -441,6 +447,10 @@ def exact_drift(state, features, kind, *,
     the sign of a float input's drift is decided, not rounded.  A law
     whose binary masses miss one is refused.
     """
+    if (isinstance(leaf_cap, bool)
+            or not isinstance(leaf_cap, numbers.Integral) or leaf_cap < 1):
+        raise ValueError(
+            f"leaf_cap must be a positive integer, got {leaf_cap!r}")
     if sum(p for _, p in features.parent_count.items_exact()) != 1:
         raise ValueError(
             "parent-count masses do not sum to one exactly; "
@@ -467,44 +477,38 @@ def exact_drift(state, features, kind, *,
     # the call's one evaluation of the whole potential: it refuses a bad
     # input before any leaf is scored
     _checked_total(state, kind, base.terms)
-    value: dict = {}    # denominator -> numerators of the value's terms
-    mass: dict = {}     # denominator -> numerators of the mass's terms
+    value: dict = {}    # denominator -> numerator of the value's terms
+    mass: dict = {}     # denominator -> numerator of the mass's terms
     scores: dict = {}   # (sorted parents, label, marking) -> step delta
+    unmarked = frozenset()      # the one key of every empty marking
     leaf_count = 0
     work = state.copy()
     # both passes, every move's check included, share one option cache
     chooser = PathChooser()
 
-    def tally() -> None:
-        nonlocal leaf_count
-        leaf_count += 1
-        if leaf_count > leaf_cap:
-            raise BranchBudgetExceeded(
-                f"outcome tree exceeded {leaf_cap} leaves")
-
-    def move(chooser):
-        return draw_move(work, features, chooser, pool)
-
+    move = partial(draw_move, work, features, pool=pool)
     for (branch, parents, label), num, den in _outcomes(move, chooser):
         if parents is None:         # stopped, or the adversary passed
-            tally()
-            mass.setdefault(den, []).append(num)
+            leaf_count += 1
+            mass[den] = mass.get(den, 0) + num
             continue
         v = work.add_node(parents, label)
-        leaves: dict = {}           # marking -> {check denominator: numerator}
         if branch == "adversary":
-            tally()
-            leaves[frozenset()] = {1: 1}
+            leaf_count += 1
+            leaves = {unmarked: {1: 1}}
         else:
-            def check(chooser):
-                return checking.run_check(
-                    features.mechanism, work, v, parents,
-                    features.check_depth, features.check_rate,
-                    features.detection_rate, chooser)
-
+            leaves = {}             # marking -> {check denominator: numerator}
+            check = partial(checking.run_check, features.mechanism, work, v,
+                            parents, features.check_depth,
+                            features.check_rate, features.detection_rate)
             for outcome, cnum, cden in _outcomes(check, chooser):
-                tally()
-                weights = leaves.setdefault(frozenset(outcome.marked), {})
+                leaf_count += 1
+                if leaf_count > leaf_cap:
+                    raise BranchBudgetExceeded(
+                        f"outcome tree exceeded {leaf_cap} leaves")
+                marked = outcome.marked
+                weights = leaves.setdefault(
+                    frozenset(marked) if marked else unmarked, {})
                 weights[cden] = weights.get(cden, 0) + cnum
         edges = tuple(sorted(parents))
         for marked, weights in leaves.items():
@@ -514,9 +518,14 @@ def exact_drift(state, features, kind, *,
             delta = scores[key]
             for cden, cnum in weights.items():
                 weight = num * cnum
-                value.setdefault(den * cden, []).append(weight * delta)
-                mass.setdefault(den * cden, []).append(weight)
+                denom = den * cden
+                value[denom] = value.get(denom, 0) + weight * delta
+                mass[denom] = mass.get(denom, 0) + weight
         work.pop_last_node()
+    # the check passes stop at the cap; a move without a check adds one
+    # leaf, and so may pass it after the last check
+    if leaf_count > leaf_cap:
+        raise BranchBudgetExceeded(f"outcome tree exceeded {leaf_cap} leaves")
 
     total_mass = _total(mass)
     if total_mass != 1:
@@ -528,9 +537,9 @@ def exact_drift(state, features, kind, *,
 
 
 def _total(terms: dict) -> Fraction:
-    """The sum of ``{denominator: [numerator, ...]}``, one Fraction per
+    """The sum of ``{denominator: numerator}``, one Fraction per
     denominator."""
-    return sum((Fraction(sum(nums), den) for den, nums in terms.items()),
+    return sum((Fraction(num, den) for den, num in terms.items()),
                Fraction(0))
 
 

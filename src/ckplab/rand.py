@@ -9,7 +9,9 @@ ask a chooser for decisions.  Two implementations share the interface:
   it takes each decision's first option and records the others as
   forks.  Tests script code paths with it, and the drift oracle
   enumerates every probabilistic branch of a step exactly by replaying
-  each fork once.
+  each fork once.  It builds the option table of each decision object
+  once, in ints, so a fork multiplies ints and a replay does no
+  rational arithmetic.
 
 The two draw from different pools for a weighted parent pick: the live
 chooser from the engine's :class:`attachment.WeightIndex` or the Monte
@@ -176,27 +178,33 @@ class PathChooser:
     ``ValueError``.  A decision past the end of the path is open: it
     takes its first option into :attr:`path` and the weight ``num /
     den``, and records in :attr:`forks` the ``(path, num, den)`` each
-    other option would have given.  Probabilities are
-    Fractions under the rule of :func:`attachment._to_fraction` (a float
-    probability at its binary value).  Tests feed it hand-picked
-    outcomes and assert :meth:`exhausted`; the drift oracle replays each
-    fork once, so every leaf of the decision tree costs one run.
+    other option would have given.  Probabilities enter under the rule
+    of :func:`attachment._to_fraction` (a float at its binary value).
+    Tests feed it hand-picked outcomes and assert :meth:`exhausted`; the
+    drift oracle replays each fork once, so every leaf of the decision
+    tree costs one run.
 
-    A chooser builds the option list of each decision object (a coin's
-    probability, a parent-count law, a pick's pmf, a uniform count) on
-    first use and keeps it, so :meth:`replay` on a new path repeats no
-    arithmetic: the drift oracle replays one chooser for a whole call.
-    The objects must not change while it does.  A one-option decision
-    (a coin of probability 0 or 1, a single alternative) is resolved
-    without taking a place on the path.
+    A chooser builds the option table of each decision object (a coin's
+    probability, a parent-count law, a pick's pmf, a uniform count) once,
+    on first use, and keeps it, so :meth:`replay` on a new path repeats
+    no arithmetic: the drift oracle replays one chooser for a whole call.
+    A table is all ints (see :func:`_table`), so a fork multiplies ints
+    and reads no Fraction.  The objects must not change while a chooser
+    is in use.  A one-option decision (a coin of probability 0 or 1, a
+    single alternative) is resolved without taking a place on the path.
     """
 
-    __slots__ = ("path", "cursor", "num", "den", "forks", "_offers", "_shares")
+    __slots__ = ("path", "cursor", "num", "den", "forks", "_tables",
+                 "_held", "_shares")
 
     def __init__(self, path=()):
         self.replay(tuple(path))
-        self._offers: dict = {}   # id(coin, law or pmf) -> (it, options)
-        self._shares: dict = {}   # uniform count -> options
+        # keyed by identity, since hashing a Fraction costs about as much
+        # as building its table; ``_held`` keeps each object alive, so
+        # its id is not reused
+        self._tables: dict = {}   # id(coin, law or pmf) -> table
+        self._held: list = []
+        self._shares: dict = {}   # uniform count -> table
 
     def replay(self, path, num: int = 1, den: int = 1) -> None:
         """Start over on ``path``, of weight ``num / den``."""
@@ -210,64 +218,96 @@ class PathChooser:
         """The whole path was taken and no decision was opened."""
         return self.cursor == len(self.path) and not self.forks
 
-    def _take(self, options):
-        if len(options) == 1:
-            return options[0][0]
+    def _take(self, table):
+        first, index, weights = table
+        if index is None:
+            return first
         path = self.path
-        self.cursor += 1
-        if self.cursor <= len(path):
-            value = path[self.cursor - 1]
-            for outcome, _prob in options:
-                if outcome == value:
-                    return outcome
-            raise ValueError(f"prescribed outcome {value!r} not among options")
+        cursor = self.cursor
+        self.cursor = cursor + 1
+        if cursor < len(path):
+            try:
+                return index[path[cursor]]
+            except KeyError:
+                raise ValueError(f"prescribed outcome {path[cursor]!r} "
+                                 f"not among options") from None
         num, den = self.num, self.den
-        forks = [(path + (outcome,), num * p.numerator, den * p.denominator)
-                 for outcome, p in options]
+        forks = [(path + (outcome,), num * n, den * d)
+                 for outcome, n, d in weights]
         self.path, self.num, self.den = forks[0]
         self.forks += forks[1:]
-        return options[0][0]
+        return first
 
-    def _offer(self, decision, build):
-        # keyed by identity, since hashing a Fraction costs about as much
-        # as building its options; the entry holds the object, so its id
-        # is not reused
-        entry = self._offers.get(id(decision))
-        if entry is None:
-            entry = self._offers[id(decision)] = (decision, build(decision))
-        return entry[1]
+    def _build(self, decision, build) -> tuple:
+        table = self._tables[id(decision)] = build(decision)
+        self._held.append(decision)
+        return table
 
-    def _coin(self, p) -> list:
-        if p <= 0:
-            return [(False, 1)]
-        if p >= 1:
-            return [(True, 1)]
-        q = _to_fraction(p)
-        return [(True, q), (False, 1 - q)]
-
-    def _law(self, law) -> list:
-        return list(enumerate(p for _, p in law.items_exact()))
+    # Each decision looks its table up inline, so it runs two frames,
+    # its own and ``_take``; a table is a nonempty tuple, so ``or``
+    # builds only a missing one.
 
     def maybe(self, p) -> bool:
-        return self._take(self._offer(p, self._coin))
+        return self._take(self._tables.get(id(p))
+                          or self._build(p, _coin_table))
 
     def uniform_index(self, n: int) -> int:
-        options = self._shares.get(n)
-        if options is None:
-            share = Fraction(1, n)
-            options = self._shares[n] = [(i, share) for i in range(n)]
-        return self._take(options)
+        table = self._shares.get(n)
+        if table is None:
+            table = self._shares[n] = _share_table(n)
+        return self._take(table)
 
     def pmf_index(self, law) -> int:
         """Index into the support of a :class:`ParentCountLaw`."""
-        return self._take(self._offer(law, self._law))
+        return self._take(self._tables.get(id(law))
+                          or self._build(law, _law_table))
 
     def weighted_index(self, pmf) -> int:
         """One pick from ``pmf``, a {node id: probability} dict of the
         positive-weight nodes, as :func:`attachment.parent_distribution`
         returns it."""
-        return self._take(self._offer(pmf, _items))
+        return self._take(self._tables.get(id(pmf))
+                          or self._build(pmf, _pick_table))
 
 
-def _items(pmf) -> list:
-    return list(pmf.items())
+# -- option tables ---------------------------------------------------------
+#
+# One builder per kind of decision object, each run once per object and
+# chooser (the tests count the runs).
+
+def _table(options) -> tuple:
+    """The option table of ``[(outcome, probability), ...]``:
+    ``(first outcome, index, weights)``.  ``index`` maps each outcome to
+    itself, to check a replayed one, and is None for a single option,
+    which is no decision; ``weights`` holds ``(outcome, num, den)``, the
+    probability as two ints."""
+    if len(options) == 1:
+        return options[0][0], None, ()
+    weights = []
+    for outcome, p in options:
+        q = _to_fraction(p)
+        weights.append((outcome, q.numerator, q.denominator))
+    return (options[0][0], {outcome: outcome for outcome, _ in options},
+            tuple(weights))
+
+
+def _coin_table(p) -> tuple:
+    if p <= 0:
+        return _table([(False, 1)])
+    if p >= 1:
+        return _table([(True, 1)])
+    q = _to_fraction(p)
+    return _table([(True, q), (False, 1 - q)])
+
+
+def _law_table(law) -> tuple:
+    return _table(list(enumerate(p for _, p in law.items_exact())))
+
+
+def _pick_table(pmf) -> tuple:
+    return _table(list(pmf.items()))
+
+
+def _share_table(n: int) -> tuple:
+    share = Fraction(1, n)
+    return _table([(i, share) for i in range(n)])

@@ -1,5 +1,6 @@
 """Test-only references: an upward BFS to hold
-``state.pt_false_distances`` to, and a scripted adversary."""
+``state.pt_false_distances`` to, the check's recognition rule as a
+function of its own, and a scripted adversary."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -42,6 +43,17 @@ def anchor_bfs(state: CkpState, v: int):
             prev[w] = u
             queue.append((w, d + 1))
     return None, None, None
+
+
+def flagged(state: CkpState, u: int, p_e, chooser) -> bool:
+    """Does examining ``u`` expose it as minimal false?  The rule
+    ``checking._ball`` applies inline: the CF detection coin first,
+    whenever ``u`` is CF, then the public PF-parent flag, so the decision
+    stream is the same whether or not a CF node also has a PF parent."""
+    hit = False
+    if state.labels[u] == CF:
+        hit = chooser.maybe(p_e)
+    return hit or state.pf_parent_edges[u] > 0
 
 
 @dataclass(frozen=True)

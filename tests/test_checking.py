@@ -9,14 +9,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckplab import checking, potentials
+from ckplab import checking, potentials, rand
 from ckplab.attachment import ParentCountLaw, preferential
 from ckplab.checking import (
-    MECHANISMS, _descendants_within, _flagged, run_check,
+    MECHANISMS, _descendants_within, run_check,
 )
 from ckplab.evolution import Features, PyEngine, init_chain
 from ckplab.rand import PathChooser, SimChooser
 from ckplab.state import CT, CF, PF, CkpState
+
+from reference import flagged
 
 
 def chain(labels):
@@ -80,6 +82,10 @@ def test_path_chooser_fails_loudly_off_its_path():
         PathChooser([3]).uniform_index(3)
     with pytest.raises(ValueError, match="not among options"):
         PathChooser([2]).weighted_index({0: 0.5, 1: 0.5})
+    with pytest.raises(ValueError, match="prescribed outcome 2 not among"):
+        PathChooser([2]).maybe(Fraction(1, 3))
+    with pytest.raises(ValueError, match="prescribed outcome 2 not among"):
+        PathChooser([2]).pmf_index(ParentCountLaw({1: 0.5, 3: 0.5}))
 
 
 def test_path_chooser_offers_exact_masses():
@@ -156,6 +162,39 @@ def test_one_chooser_replays_like_fresh_ones(floats):
                                            ((True, 0, 7), pl[0] * 3 / 4)]
         if path in ((False, 2), (True, 0, 7)):
             assert outcomes[0][2] and not shared.forks
+
+
+def test_each_option_table_is_built_once_per_call(monkeypatch):
+    """One exact_drift call replays one chooser over every move and every
+    check, so each decision object (the rates, the law, the pick pmf,
+    each uniform count) has its option table built exactly once."""
+    built = {}
+
+    def spy(name):
+        real = getattr(rand, name)
+
+        def build(decision):
+            key = (name, decision if name == "_share_table" else id(decision))
+            built[key] = built.get(key, 0) + 1
+            return real(decision)
+        monkeypatch.setattr(rand, name, build)
+
+    builders = ("_coin_table", "_law_table", "_pick_table", "_share_table")
+    for name in builders:
+        spy(name)
+    law = ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 4),
+                          3: Fraction(1, 4)})
+    f = Features(preferential(), law, Fraction(1, 2), 3, "bfs",
+                 error_rate=Fraction(1, 10), detection_rate=Fraction(4, 5),
+                 adversary_rate=Fraction(1, 4), adversary_budget=2)
+    r = potentials.exact_drift(init_chain(5, 1, CF), f,
+                               potentials.MinDistance(preferential(), 3))
+    assert r.leaf_count == 1107
+    assert set(built.values()) == {1}
+    # the four coins (adversary, label, check, detection), the law, the
+    # pick pmf, and RandomPt's uniform counts: five PT nodes and a label
+    kinds = [name for name, _ in built]
+    assert [kinds.count(name) for name in builders] == [4, 1, 1, 2]
 
 
 # -- stringy ---------------------------------------------------------------
@@ -490,7 +529,7 @@ def never_skipping_ball(state, start, cap, p_e, chooser, sweep):
     while head < len(queue):
         u = queue[head]
         head += 1
-        if _flagged(state, u, p_e, chooser):
+        if flagged(state, u, p_e, chooser):
             founds.append(u)
             if not sweep:
                 break

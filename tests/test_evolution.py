@@ -49,6 +49,16 @@ def test_init_chain_rejects_bad_args():
         init_chain(0, 1, CF)
     with pytest.raises(ValueError):
         init_chain(3, 0, CF)
+    # a bool would build a chain of one or zero nodes, and a float die
+    # inside range() with a message that names neither argument
+    for args, field, value in (((True, 1), "n", "True"),
+                               ((2.0, 1), "n", "2.0"),
+                               (("3", 1), "n", "'3'"),
+                               ((3, False), "edge_multiplicity", "False"),
+                               ((3, 1.5), "edge_multiplicity", "1.5")):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer, got {value}"):
+            init_chain(*args, CF)
 
 
 def test_features_validation():

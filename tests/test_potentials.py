@@ -12,6 +12,7 @@ whole potential recomputed before and after the step, on every leaf of
 
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -330,6 +331,38 @@ def test_drift_pinned_with_new_errors():
                         (MinimalFalseLeavesSimple(), Fraction(40357, 91125))):
         r = exact_drift(chain, f, kind)
         assert (r.value, r.leaf_count) == (value, 1057), kind
+
+
+# (mechanism, drift, leaves, the same two with RandomPt at rate 1/4 and
+# budget 2) at epsilon = 1/10 on the five-node chain: the values the
+# enumerator returned before its replay chooser kept its option tables
+# in ints
+MECHANISM_PINS = (
+    ("stringy", Fraction(7883, 375), 1841,
+     Fraction(15773, 500), 1891),
+    ("bfs", Fraction(37649, 3375), 1057,
+     Fraction(108659, 4500), 1107),
+    ("exhaustive-bfs", Fraction(-3663559, 1687500), 4321,
+     Fraction(31841441, 2250000), 4371),
+    ("parentwise-bfs", Fraction(-230694971, 75937500), 8553,
+     Fraction(1367030029, 101250000), 8603),
+    ("complete", Fraction(-555535867, 75937500), 12102,
+     Fraction(1042189133, 101250000), 12152),
+)
+
+
+@pytest.mark.parametrize("adversary", [False, True])
+@pytest.mark.parametrize("pin", MECHANISM_PINS, ids=lambda pin: pin[0])
+def test_drift_pinned_for_every_mechanism(pin, adversary):
+    mechanism, value, leaves, adv_value, adv_leaves = pin
+    f = replace(pinned_drift_features(), mechanism=mechanism,
+                error_rate=Fraction(1, 10))
+    if adversary:
+        f = replace(f, adversary_rate=Fraction(1, 4), adversary_budget=2)
+        assert f.adversary == RandomPt()
+        value, leaves = adv_value, adv_leaves
+    r = exact_drift(init_chain(5, 1, CF), f, MinDistance(PREF, 3))
+    assert (r.value, r.leaf_count) == (value, leaves)
 
 
 @pytest.mark.parametrize("n", [5, 12])
@@ -800,6 +833,17 @@ def test_drift_refuses_too_many_moves_before_enumerating(monkeypatch):
     with pytest.raises(BranchBudgetExceeded, match="least 155 moves"):
         exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
                     MinDistance(PREF, 3), leaf_cap=154)
+
+
+@pytest.mark.parametrize("cap", [True, False, 2.5, 10.0, "10", None, 0, -3])
+def test_drift_refuses_a_leaf_cap_that_is_not_a_positive_integer(cap):
+    # a bool or a float would run as a cap, and a string or None fail in
+    # a comparison with a message that does not name the argument
+    with pytest.raises(ValueError,
+                       match=f"leaf_cap must be a positive integer, "
+                             f"got {re.escape(repr(cap))}"):
+        exact_drift(single_cf(), feats("bfs", Fraction(1, 2)),
+                    MinDistance(PREF, 3), leaf_cap=cap)
 
 
 def test_drift_enumeration_caps():
