@@ -29,8 +29,11 @@
 // rand.SimChooser, so both produce the same trajectory bit for bit:
 //
 //   * Uniforms come from the PCG64 ``bitgen_t`` behind
-//     ``numpy.random.PCG64(seed).capsule``, one ``next_double`` per draw,
-//     which is what ``Generator.random()`` returns.
+//     ``rand.pcg64(seed).capsule``, one ``next_double`` per draw, which
+//     is what ``Generator.random()`` returns.  ``rand.pcg64`` holds the
+//     seed rule SimChooser follows too: a non-negative integer (a numpy
+//     integer or one of 2**64 or more included) is a seed; a bool,
+//     anything else and a negative integer raise ValueError.
 //   * SimChooser's skip rules hold: a coin with p <= 0 or p >= 1, a
 //     uniform index over one alternative and a parent-count law with one
 //     support point consume nothing; a weighted parent pick always
@@ -148,7 +151,7 @@ PyObject *SurvivalFloor = nullptr;    // ckplab.evolution, the audit's cap
 PyObject *StateError = nullptr;       // ckplab.state
 PyObject *VerifyState = nullptr;      // ckplab.state.verify_state
 PyObject *CkpStateType = nullptr;     // ckplab.state.CkpState
-PyObject *PCG64Type = nullptr;        // numpy.random.PCG64
+PyObject *Pcg64 = nullptr;            // ckplab.rand.pcg64, the seed rule
 
 // Thrown once a Python exception is set.
 struct PyError {};
@@ -448,7 +451,7 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
       fail();
     }
   }
-  bitgen_owner_.reset(check(PyObject_CallOneArg(PCG64Type, seed)));
+  bitgen_owner_.reset(check(PyObject_CallOneArg(Pcg64, seed)));
   {
     Ref capsule(attr(bitgen_owner_.get(), "capsule"));
     rng_ = static_cast<bitgen_t *>(
@@ -1365,7 +1368,7 @@ PyMODINIT_FUNC PyInit__kernel(void) {
       !(StateError = import_attr("ckplab.state", "StateError")) ||
       !(VerifyState = import_attr("ckplab.state", "verify_state")) ||
       !(CkpStateType = import_attr("ckplab.state", "CkpState")) ||
-      !(PCG64Type = import_attr("numpy.random", "PCG64")))
+      !(Pcg64 = import_attr("ckplab.rand", "pcg64")))
     return nullptr;
   PyObject *module = PyModule_Create(&kernel_module);
   if (module == nullptr) return nullptr;

@@ -68,13 +68,12 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
               backend: str = "auto") -> TrialResult:
     """Run one trajectory on the best available backend and report its
     summary: one engine, one ``run`` call of ``horizon`` steps.
-    ``audit`` is "none", "cheap" or "full"; the rest is the engines'
-    own.  ``backend`` is "auto", "python" or "compiled": "compiled"
-    raises when the kernel cannot serve the request, "auto" silently
-    falls back.
+    ``audit`` is "none", "cheap" or "full"; ``seed`` follows
+    :func:`rand.pcg64`'s rule on either backend; the rest is the
+    engines' own.  ``backend`` is "auto", "python" or "compiled":
+    "compiled" raises when the kernel cannot serve the request, "auto"
+    silently falls back.
     """
-    if isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, not the bool {seed!r}")
     if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
         raise ValueError(f"horizon must be an integer, not {horizon!r}")
     if not 1 <= horizon < 2**63:

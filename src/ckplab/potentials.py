@@ -22,9 +22,12 @@ the step's decisions through :func:`evolution.draw_move`, as the
 engine's step does: ``exact_drift`` under a replaying
 :class:`PathChooser`, once per leaf, ``mc_drift`` under a live
 :class:`SimChooser`, so the oracles and the engine describe the step once.
-A leaf of ``exact_drift`` costs one replay: the chooser's option tables
-are ints, built once per call, so a leaf's weight is two ints, and the
-value and the mass are summed as one numerator per denominator.
+A leaf of ``exact_drift`` costs one replay, popped from an explicit
+stack of pending forks: one stack for the moves, one for each move's
+check, so the enumeration stays lazy and the leaf cap bites at the
+first leaf past it.  The chooser's option tables are ints, built once
+per call, so a leaf's weight is two ints, and the value and the mass
+are summed as one numerator per denominator.
 
 Both oracles score a step with one function, :func:`_step_delta`,
 summing ``new term - old term`` over the few nodes whose term the step
@@ -55,7 +58,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import checking
 from .attachment import AllPF, AllWeightsZero, _require_finite, \
@@ -91,6 +93,9 @@ class MinDistance:
     c: object = 3
 
     def __post_init__(self):
+        if isinstance(self.c, bool) or not isinstance(self.c, numbers.Real):
+            raise ValueError(f"distance base c must be a real number, got "
+                             f"{self.c!r}")
         _require_finite("distance base c", self.c)
         if not self.c > 1:
             raise ValueError("the distance base must exceed 1")
@@ -108,8 +113,18 @@ class MinimalFalseLeavesSimple:
 
 @dataclass(frozen=True)
 class MinimalFalseLeavesGeneral:
+    """Minimal false nodes and weighted false leaves below ``anchor``,
+    a node id; whether it names a node carrying an originating error is
+    checked against the state, by :func:`_descendant_closure`."""
+
     anchor: int
     attach: object
+
+    def __post_init__(self):
+        if (isinstance(self.anchor, bool)
+                or not isinstance(self.anchor, numbers.Integral)):
+            raise ValueError(
+                f"anchor must be an integer, got {self.anchor!r}")
 
 
 class TermTable(dict):
@@ -335,11 +350,14 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     pf_parent_edges = state.pf_parent_edges
     dist = base.dist
     queued = {v}
-    for w in marked:
-        queued.update(down[w])
-    heap = [w for w in queued
-            if w not in marked and labels[w] != PF and is_false[w]]
-    heapq.heapify(heap)
+    if marked:
+        for w in marked:
+            queued.update(down[w])
+        heap = [w for w in queued
+                if w not in marked and labels[w] != PF and is_false[w]]
+        heapq.heapify(heap)
+    else:       # no marking: only the new node's distance can move
+        heap = [v] if is_false[v] else []
     moved: dict = {}          # the distances the step changes
     while heap:
         w = heapq.heappop(heap)
@@ -386,61 +404,48 @@ class DriftResult:
     leaf_count: int
 
 
-def _outcomes(decide, chooser: PathChooser):
-    """Every outcome of ``decide(chooser)``, as ``(outcome, num, den)``:
-    the product of the probabilities of the branches that lead to it is
-    ``num / den``, two ints.  The factors are not reduced, so ``den`` is
-    the product of the branches' denominators.
-
-    ``decide`` runs once per leaf: first on the empty path, then on each
-    fork a run recorded (see :class:`PathChooser`).  Each run starts the
-    chooser over, so enumerations may share it and its option lists.  A
-    run's weight and forks are read before its outcome is yielded, as
-    the caller may replay the same chooser first.  The outcomes come
-    lazily, so the caller may change what ``decide`` reads between two
-    of them as long as it restores it before the next.
-    """
-    stack = [((), 1, 1)]
-    while stack:
-        chooser.replay(*stack.pop())
-        result = decide(chooser)
-        num, den = chooser.num, chooser.den
-        stack.extend(chooser.forks)
-        yield result, num, den
-
-
 def exact_drift(state, features, kind, *,
                 leaf_cap: int = DEFAULT_LEAF_CAP) -> DriftResult:
     """Expected one-step potential change, by complete enumeration, as a
     Fraction.
 
-    Two passes of one replay enumerator, :func:`_outcomes`.  The first
-    enumerates :func:`evolution.draw_move`: the adversary coin, the
-    move of ``features.adversary`` (a randomized move is enumerated like
-    any other decision), the parent count, every ordered parent tuple
-    and the label coin.  Each move's node is added once, to the call's
-    one copy of ``state``, and the second pass enumerates every decision
-    :func:`checking.run_check` makes on that child.  The move's leaves
-    are grouped by marking, and :func:`_step_delta` scores each group on
-    that copy, with the marking left unapplied.  Scores are kept for the
-    call, keyed by the sorted parents, the label and the marking, so
-    moves that only order their parents differently share one.  That is
-    exact: the copy with the move's node and the score read the parent
-    edges only as a multiset (counts, minima, membership).
+    Two passes of one replaying :class:`PathChooser`, each on its own
+    explicit stack of pending forks.  The move pass enumerates
+    :func:`evolution.draw_move`: the adversary coin, the move of
+    ``features.adversary`` (a randomized move is enumerated like any
+    other decision), the parent count, every ordered parent tuple and
+    the label coin.  A run pops one fork, replays it and pushes the
+    forks its open decisions record, so the stack holds pending forks
+    only, never a list of moves: the pass is lazy, and one run costs
+    one leaf of the decision tree.  Each move's node is added once, to
+    the call's one copy of ``state``, and the check pass enumerates, the
+    same way, every decision :func:`checking.run_check` makes on that
+    child.  The move's leaves are grouped by marking, and
+    :func:`_step_delta` scores each group on that copy, with the marking
+    left unapplied.  Scores are kept for the call, keyed by the sorted
+    parents, the label and the marking, so moves that only order their
+    parents differently share one.  That is exact: the copy with the
+    move's node and the score read the parent edges only as a multiset
+    (counts, minima, membership).
 
-    Probabilities stay integer weights ``num / den`` (see
-    :func:`_outcomes`).  The check leaves of one marking are summed per
-    check denominator, and the move's weight multiplies each such sum
-    once.  The value and the mass are kept as one numerator per
-    denominator and turned into one Fraction per denominator at the end.
-    The mass must come to one, or the call raises instead of returning
-    a number.  ``state`` is not changed.  ``leaf_cap`` is a positive
-    int.  An input with more moves than ``leaf_cap`` is refused before
-    any is made, and so is a state that fails
-    :func:`state.verify_state`, with its ``StateError``: the score
-    reads the derived degree columns, and the check enumeration skips
-    the ball walks from hidden-True nodes, which is exact only under the
-    truth rule.
+    Probabilities stay integer weights ``num / den``: the product of the
+    probabilities of the branches that lead to a leaf, unreduced.  The
+    check leaves of one marking are summed per check denominator, and
+    the move's weight multiplies each such sum once.  The value and the
+    mass are kept as one numerator each per denominator and turned into
+    one Fraction per denominator at the end.  The mass must come to one,
+    or the call raises instead of returning a number.  ``state`` is not
+    changed.
+
+    ``leaf_cap`` is a positive int.  An input with more moves than
+    ``leaf_cap`` is refused before any is made.  Otherwise the cap bites
+    at the first leaf past it: the check run that makes that leaf (or
+    the move, for a leaf without a check) completes, then
+    :class:`BranchBudgetExceeded` is raised.  A state that fails
+    :func:`state.verify_state` is refused with its ``StateError``: the
+    score reads the derived degree columns, and the check enumeration
+    skips the ball walks from hidden-True nodes, which is exact only
+    under the truth rule.
 
     Every rate, weight and base enters under the rule of
     :func:`attachment._to_fraction`: a float at its binary value, so
@@ -477,69 +482,92 @@ def exact_drift(state, features, kind, *,
     # the call's one evaluation of the whole potential: it refuses a bad
     # input before any leaf is scored
     _checked_total(state, kind, base.terms)
-    value: dict = {}    # denominator -> numerator of the value's terms
-    mass: dict = {}     # denominator -> numerator of the mass's terms
+    # denominator -> [numerator of the value's terms, of the mass's]
+    sums: dict = {}
     scores: dict = {}   # (sorted parents, label, marking) -> step delta
     unmarked = frozenset()      # the one key of every empty marking
+    past_cap = f"outcome tree exceeded {leaf_cap} leaves"
     leaf_count = 0
     work = state.copy()
     # both passes, every move's check included, share one option cache
     chooser = PathChooser()
+    replay = chooser.replay
+    mechanism = features.mechanism
+    depth = features.check_depth
+    rate = features.check_rate
+    detection = features.detection_rate
 
-    move = partial(draw_move, work, features, pool=pool)
-    for (branch, parents, label), num, den in _outcomes(move, chooser):
-        if parents is None:         # stopped, or the adversary passed
-            leaf_count += 1
-            mass[den] = mass.get(den, 0) + num
-            continue
-        v = work.add_node(parents, label)
-        if branch == "adversary":
-            leaf_count += 1
-            leaves = {unmarked: {1: 1}}
-        else:
-            leaves = {}             # marking -> {check denominator: numerator}
-            check = partial(checking.run_check, features.mechanism, work, v,
-                            parents, features.check_depth,
-                            features.check_rate, features.detection_rate)
-            for outcome, cnum, cden in _outcomes(check, chooser):
+    moves = [((), 1, 1)]        # the move pass's pending forks
+    while moves:
+        replay(*moves.pop())
+        branch, parents, label = draw_move(work, features, chooser, pool)
+        num = chooser.num
+        den = chooser.den
+        moves += chooser.forks
+        if branch == "grow":
+            v = work.add_node(parents, label)
+            leaves = {}         # marking -> {check denominator: numerator}
+            checks = [((), 1, 1)]   # the check pass's pending forks
+            while checks:
+                replay(*checks.pop())
+                marked = checking.run_check(mechanism, work, v, parents,
+                                            depth, rate, detection,
+                                            chooser).marked
+                checks += chooser.forks
                 leaf_count += 1
                 if leaf_count > leaf_cap:
-                    raise BranchBudgetExceeded(
-                        f"outcome tree exceeded {leaf_cap} leaves")
-                marked = outcome.marked
-                weights = leaves.setdefault(
-                    frozenset(marked) if marked else unmarked, {})
-                weights[cden] = weights.get(cden, 0) + cnum
+                    raise BranchBudgetExceeded(past_cap)
+                key = frozenset(marked) if marked else unmarked
+                weights = leaves.get(key)
+                if weights is None:
+                    leaves[key] = {chooser.den: chooser.num}
+                else:
+                    cden = chooser.den
+                    weights[cden] = weights.get(cden, 0) + chooser.num
+        else:       # one unchecked leaf: stopped, or the adversary's move
+            leaf_count += 1
+            if leaf_count > leaf_cap:
+                raise BranchBudgetExceeded(past_cap)
+            if parents is None:         # stopped, or the adversary passed
+                cell = sums.get(den)
+                if cell is None:
+                    sums[den] = [0, num]
+                else:
+                    cell[1] += num
+                continue
+            v = work.add_node(parents, label)
+            leaves = {unmarked: {1: 1}}
         edges = tuple(sorted(parents))
         for marked, weights in leaves.items():
             key = (edges, label, marked)
-            if key not in scores:
-                scores[key] = _step_delta(work, kind, base, v, parents, marked)
-            delta = scores[key]
+            delta = scores.get(key)
+            if delta is None:
+                delta = scores[key] = _step_delta(work, kind, base, v,
+                                                  parents, marked)
             for cden, cnum in weights.items():
                 weight = num * cnum
                 denom = den * cden
-                value[denom] = value.get(denom, 0) + weight * delta
-                mass[denom] = mass.get(denom, 0) + weight
+                cell = sums.get(denom)
+                if cell is None:
+                    sums[denom] = [weight * delta, weight]
+                else:
+                    cell[0] += weight * delta
+                    cell[1] += weight
         work.pop_last_node()
-    # the check passes stop at the cap; a move without a check adds one
-    # leaf, and so may pass it after the last check
-    if leaf_count > leaf_cap:
-        raise BranchBudgetExceeded(f"outcome tree exceeded {leaf_cap} leaves")
 
-    total_mass = _total(mass)
+    total_mass = _total(sums, 1)
     if total_mass != 1:
         raise AuditViolation(
             f"outcome probabilities sum to {total_mass}, not 1")
-    value = _total(value)
+    value = _total(sums, 0)
     sign = "negative" if value < 0 else "positive" if value > 0 else "zero"
     return DriftResult(value, sign, True, leaf_count)
 
 
-def _total(terms: dict) -> Fraction:
-    """The sum of ``{denominator: numerator}``, one Fraction per
-    denominator."""
-    return sum((Fraction(num, den) for den, num in terms.items()),
+def _total(sums: dict, which: int) -> Fraction:
+    """The sum of ``{denominator: numerators}`` at index ``which`` of
+    the numerators, one Fraction per denominator."""
+    return sum((Fraction(nums[which], den) for den, nums in sums.items()),
                Fraction(0))
 
 

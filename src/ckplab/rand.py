@@ -13,6 +13,12 @@ ask a chooser for decisions.  Two implementations share the interface:
   once, in ints, so a fork multiplies ints and a replay does no
   rational arithmetic.
 
+A seed is a non-negative integer, a numpy integer or one of 2**64 or
+more included; :func:`pcg64` builds its bit generator and refuses a
+bool, a non-integer or a negative seed by name.  The live chooser and
+the compiled kernel both seed through it, so the engines accept the
+same seeds.
+
 The two draw from different pools for a weighted parent pick: the live
 chooser from the engine's :class:`attachment.WeightIndex` or the Monte
 Carlo drift's :class:`attachment.PrefixPool`, the replaying one from
@@ -37,6 +43,7 @@ time; :attr:`SimChooser.draws` counts the uniforms consumed.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -59,12 +66,30 @@ def derive_seed(base_seed: int, *parts) -> int:
 BLOCK = 256
 
 
+def pcg64(seed) -> np.random.PCG64:
+    """The PCG64 bit generator of ``seed``, under the one seed rule of
+    both engines: a seed is a non-negative integer, a numpy integer or
+    one of 2**64 or more included.  A bool, anything that is not
+    ``numbers.Integral`` and a negative integer are refused with
+    ``ValueError``, naming the seed.  :class:`SimChooser` builds its
+    Generator on it and the compiled kernel calls it for its bit
+    generator, so both refuse and accept the same seeds."""
+    if isinstance(seed, bool):
+        raise ValueError(f"seed must be a non-negative integer, not the "
+                         f"bool {seed!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.PCG64(seed)
+
+
 def make_generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(pcg64(seed))
 
 
 class SimChooser:
-    """Chooser backed by a numpy Generator.
+    """Chooser backed by a numpy Generator: the one handed in, or one
+    built on a seed by :func:`pcg64`, whose seed rule it follows.
 
     The uniforms are read in blocks: one ``Generator.random(BLOCK)``
     call fills a list, at the first decision that draws and whenever
@@ -80,9 +105,6 @@ class SimChooser:
     __slots__ = ("gen", "_fill", "_buf", "_pos", "_base")
 
     def __init__(self, seed_or_gen):
-        if isinstance(seed_or_gen, bool):
-            raise ValueError(f"seed must be an integer or a numpy "
-                             f"Generator, not the bool {seed_or_gen!r}")
         if isinstance(seed_or_gen, np.random.Generator):
             self.gen = seed_or_gen
         else:
@@ -219,7 +241,7 @@ class PathChooser:
         return self.cursor == len(self.path) and not self.forks
 
     def _take(self, table):
-        first, index, weights = table
+        first, index, num, den, others = table
         if index is None:
             return first
         path = self.path
@@ -231,11 +253,15 @@ class PathChooser:
             except KeyError:
                 raise ValueError(f"prescribed outcome {path[cursor]!r} "
                                  f"not among options") from None
-        num, den = self.num, self.den
-        forks = [(path + (outcome,), num * n, den * d)
-                 for outcome, n, d in weights]
-        self.path, self.num, self.den = forks[0]
-        self.forks += forks[1:]
+        # open: take the first option and fork the others, in order
+        run_num = self.num
+        run_den = self.den
+        forks = self.forks
+        for outcome, n, d in others:
+            forks.append((path + (outcome,), run_num * n, run_den * d))
+        self.path = path + (first,)
+        self.num = run_num * num
+        self.den = run_den * den
         return first
 
     def _build(self, decision, build) -> tuple:
@@ -277,18 +303,20 @@ class PathChooser:
 
 def _table(options) -> tuple:
     """The option table of ``[(outcome, probability), ...]``:
-    ``(first outcome, index, weights)``.  ``index`` maps each outcome to
-    itself, to check a replayed one, and is None for a single option,
-    which is no decision; ``weights`` holds ``(outcome, num, den)``, the
-    probability as two ints."""
+    ``(first outcome, index, num, den, others)``.  ``index`` maps each
+    outcome to itself, to check a replayed one, and is None for a single
+    option, which is no decision; ``num / den`` is the first outcome's
+    probability as two ints, and ``others`` holds ``(outcome, num,
+    den)`` for each other option, in order."""
     if len(options) == 1:
-        return options[0][0], None, ()
+        return options[0][0], None, 1, 1, ()
     weights = []
     for outcome, p in options:
         q = _to_fraction(p)
         weights.append((outcome, q.numerator, q.denominator))
-    return (options[0][0], {outcome: outcome for outcome, _ in options},
-            tuple(weights))
+    first, num, den = weights[0]
+    return (first, {outcome: outcome for outcome, _ in options}, num, den,
+            tuple(weights[1:]))
 
 
 def _coin_table(p) -> tuple:

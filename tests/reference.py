@@ -1,6 +1,7 @@
 """Test-only references: an upward BFS to hold
 ``state.pt_false_distances`` to, the check's recognition rule as a
-function of its own, and a scripted adversary."""
+function of its own, an enumerator of any decision function's outcomes,
+and a scripted adversary."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -54,6 +55,23 @@ def flagged(state: CkpState, u: int, p_e, chooser) -> bool:
     if state.labels[u] == CF:
         hit = chooser.maybe(p_e)
     return hit or state.pf_parent_edges[u] > 0
+
+
+def outcomes(decide, chooser):
+    """Every outcome of ``decide(chooser)`` under a
+    :class:`rand.PathChooser`, as ``(outcome, num, den)``: the product of
+    the probabilities of the branches that lead to it is ``num / den``,
+    two ints, not reduced.  ``decide`` runs once per leaf, first on the
+    empty path, then on each fork a run recorded, the walk
+    ``potentials.exact_drift`` makes of a step's moves and of each
+    move's check."""
+    found = []
+    stack = [((), 1, 1)]
+    while stack:
+        chooser.replay(*stack.pop())
+        found.append((decide(chooser), chooser.num, chooser.den))
+        stack += chooser.forks
+    return found
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from ckplab.evolution import Features, PyEngine, init_chain
 from ckplab.rand import PathChooser, SimChooser
 from ckplab.state import CT, CF, PF, CkpState
 
-from reference import flagged
+from reference import flagged, outcomes
 
 
 def chain(labels):
@@ -568,7 +568,7 @@ def grown_state(draw):
 
 def outcome_law(decide) -> dict:
     law: dict = {}
-    for outcome, num, den in potentials._outcomes(decide, PathChooser()):
+    for outcome, num, den in outcomes(decide, PathChooser()):
         law[outcome] = law.get(outcome, 0) + Fraction(num, den)
     return law
 

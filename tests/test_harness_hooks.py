@@ -7,10 +7,12 @@ traced benchmark run (``--trace 1``) and nothing else, so one test
 installs and uninstalls the tracer and checks both directions.  An
 engine that reached the work behind a hook some other way (a bound
 method cached before the tracer was installed, a walk inlined around
-the call) would zero a per-layer metric silently, so another test
-checks the traced counts against what the step records determine.
+the call) would zero a per-layer metric silently, so the other tests
+check the traced counts against what the step records determine, and
+against the moves and leaves of the drift oracles.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,45 @@ def test_traced_counts_match_the_step_records(monkeypatch):
                                                 for r in marking)
     assert metrics["checking.checks"] == len(grown)
     assert metrics["attachment.update_calls"] > 0
+
+
+def pinned_chain_inputs():
+    law = ParentCountLaw({1: Fraction(1, 2), 2: Fraction(1, 4),
+                          3: Fraction(1, 4)})
+    feats = Features(preferential(), law, Fraction(1, 2), 3, "bfs",
+                     detection_rate=Fraction(4, 5))
+    return init_chain(5, 1, CF), feats, potentials.MinDistance(
+        preferential(), 3)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel not built")
+def test_traced_drift_oracles_count_every_leaf_and_move(monkeypatch):
+    """The pinned 5-node chain: ``exact_drift`` makes 155 moves and 451
+    check leaves, and ``mc_drift`` one move and one check per sample.
+    An oracle that reached ``run_check`` or ``add_node`` through an alias
+    cached before the tracer was installed would count none."""
+    monkeypatch.syspath_prepend(str(HARNESS))
+    import tracing
+
+    chain, feats, kind = pinned_chain_inputs()     # built untraced
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = potentials.exact_drift(chain, feats, kind)
+    finally:
+        tracer.uninstall()
+    assert res.leaf_count == 451
+    assert tracer.counts["potentials.leaves"] == 451
+    assert {name: span.calls for name, span in tracer.spans.items()} == {
+        "potentials.exact_drift": 1, "potentials.potential": 1,
+        "state.copy": 1, "state.add_node": 155, "potentials.check": 451}
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        potentials.mc_drift(chain, feats, kind, 40, 3)
+    finally:
+        tracer.uninstall()
+    assert {name: span.calls for name, span in tracer.spans.items()} == {
+        "potentials.mc_drift": 1, "state.add_node": 40,
+        "potentials.check": 40}

@@ -33,7 +33,7 @@ from ckplab.rand import PathChooser, SimChooser, make_generator
 from ckplab.state import CT, CF, CkpState, StateError, dump_state, \
     pt_false_distances
 
-from reference import Scripted, anchor_bfs
+from reference import Scripted, anchor_bfs, outcomes
 
 PREF = preferential()
 LAW = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
@@ -88,6 +88,26 @@ def test_distance_base_must_exceed_one():
     for c in (math.inf, math.nan):
         with pytest.raises(ValueError, match="distance base c must be finite"):
             MinDistance(PREF, c)
+
+
+@pytest.mark.parametrize("c", ["3", None, [3], True, False, 3j])
+def test_distance_base_must_be_a_real_number(c):
+    # a string, None or a list would fail in a comparison that does not
+    # name the argument, and True would be refused as a base of 1
+    with pytest.raises(ValueError,
+                       match=f"distance base c must be a real number, "
+                             f"got {re.escape(repr(c))}"):
+        MinDistance(PREF, c)
+
+
+@pytest.mark.parametrize("anchor", [2.0, True, False, "0", None])
+def test_general_anchor_must_be_an_integer(anchor):
+    # a float would fail later as a list index, and a bool run as node 0
+    # or 1
+    with pytest.raises(ValueError,
+                       match=f"anchor must be an integer, "
+                             f"got {re.escape(repr(anchor))}"):
+        MinimalFalseLeavesGeneral(anchor, PREF)
 
 
 def test_min_distance_refuses_a_broken_distance_structure():
@@ -453,7 +473,7 @@ def two_coins_and_a_law_mass(outcome):
 
 
 def test_outcomes_carry_integer_path_weights():
-    leaves = list(potentials._outcomes(two_coins_and_a_law, PathChooser()))
+    leaves = outcomes(two_coins_and_a_law, PathChooser())
     assert len({outcome for outcome, _, _ in leaves}) == len(leaves) == 7
     total = Fraction(0)
     for outcome, num, den in leaves:
@@ -833,6 +853,32 @@ def test_drift_refuses_too_many_moves_before_enumerating(monkeypatch):
     with pytest.raises(BranchBudgetExceeded, match="least 155 moves"):
         exact_drift(init_chain(5, 1, CF), pinned_drift_features(),
                     MinDistance(PREF, 3), leaf_cap=154)
+
+
+@pytest.mark.parametrize("cap, runs", [(450, 451), (300, 301), (451, None)])
+def test_drift_leaf_cap_bites_at_the_first_leaf_past_it(monkeypatch, cap,
+                                                        runs):
+    # the pinned five-node chain: 155 moves, every leaf a check leaf, so
+    # the check run that makes leaf cap + 1 is the last one
+    calls = []
+    run_check = checking.run_check
+
+    def spy(*args):
+        calls.append(None)
+        return run_check(*args)
+    monkeypatch.setattr(checking, "run_check", spy)
+    chain = init_chain(5, 1, CF)
+    if runs is None:
+        r = exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3),
+                        leaf_cap=cap)
+        assert (r.value, r.leaf_count, len(calls)) == (
+            Fraction(18443, 1620), 451, 451)
+        return
+    with pytest.raises(BranchBudgetExceeded,
+                       match=f"outcome tree exceeded {cap} leaves"):
+        exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3),
+                    leaf_cap=cap)
+    assert len(calls) == runs
 
 
 @pytest.mark.parametrize("cap", [True, False, 2.5, 10.0, "10", None, 0, -3])

@@ -2,14 +2,21 @@
 stream of one ``random()`` call per uniform."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckplab.attachment import ParentCountLaw, PrefixPool, WeightIndex
+from ckplab import engine
+from ckplab.attachment import ParentCountLaw, PrefixPool, WeightIndex, \
+    preferential
+from ckplab.engine import kernel_available
+from ckplab.evolution import Features, init_chain
+from ckplab.potentials import MinDistance, mc_drift
 from ckplab.rand import BLOCK, SimChooser, make_generator
+from ckplab.state import CF
 
 LAWS = [ParentCountLaw.const(2), ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})]
 WEIGHTS = [3.0, 0.0, 1.0, 2.0, 0.0, 5.0]
@@ -102,3 +109,47 @@ def test_a_bool_seed_is_refused():
     for seed in (True, False):
         with pytest.raises(ValueError, match="bool"):
             SimChooser(seed)
+
+
+SEED_FEATURES = Features(preferential(), ParentCountLaw.const(1), 0.5, 2,
+                         "bfs")
+
+
+def seed_sim_chooser(seed):
+    SimChooser(seed).maybe(0.5)
+
+
+def seed_kernel_engine(seed):
+    engine._kernel.KernelEngine(SEED_FEATURES, init_chain(3, 1, CF),
+                                seed).run(20)
+
+
+def seed_mc_drift(seed):
+    mc_drift(init_chain(3, 1, CF), SEED_FEATURES,
+             MinDistance(preferential(), 3), 5, seed)
+
+
+SEEDED = [seed_sim_chooser,
+          pytest.param(seed_kernel_engine, marks=pytest.mark.skipif(
+              not kernel_available(), reason="compiled kernel not built")),
+          seed_mc_drift]
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "1", None, -1,
+                                  -2**70])
+@pytest.mark.parametrize("build", SEEDED)
+def test_every_engine_refuses_the_same_seeds_by_name(build, seed):
+    # numpy would read True as seed 1, and its own errors for the others
+    # do not name the argument
+    with pytest.raises(ValueError,
+                       match=r"seed must be a non-negative integer, "
+                             r"(not the bool|got) " + re.escape(repr(seed))):
+        build(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint64(2**64 - 1),
+                                  2**64, 2**70])
+@pytest.mark.parametrize("build", SEEDED)
+def test_every_engine_accepts_the_same_seeds(build, seed):
+    build(seed)
+
