@@ -20,9 +20,11 @@
 //
 // Scope: the non-adversarial regime.  A feature set with a nonzero
 // adversary rate is refused with ValueError; adversaries stay Python.
+// The law is read as its support and cum, and the state as its labels,
+// truth bits and parents, every cache derived as state._recount does.
 // Ids are int32: more nodes or edges, or a parent count past INT_MAX,
-// raise OverflowError; a check depth past INT_MAX, deeper than any
-// walk can go, is read as INT_MAX.
+// raise OverflowError (below 1, ValueError); a check depth past
+// INT_MAX, deeper than any walk can go, is read as INT_MAX.
 //
 // Decision-stream contract.  For a given seed this engine consumes the
 // same uniforms, in the same order, as evolution.PyEngine driven by
@@ -482,17 +484,24 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     Ref law(attr(features, "parent_count"));
     Seq support(Ref(attr(law.get(), "support")).get(), "law.support");
     Seq cum(Ref(attr(law.get(), "cum")).get(), "law.cum");
-    Ref max(attr(law.get(), "max"));
-    if (as_long(max.get()) > INT_MAX) {
-      PyErr_Format(PyExc_OverflowError,
-                   "parent count %R is too large for the kernel", max.get());
+    if (support.size == 0 || cum.size != support.size) {
+      PyErr_SetString(PyExc_ValueError, "the parent-count law needs a "
+                      "nonempty support and a cum of its length");
       fail();
     }
-    for (Py_ssize_t i = 0; i < support.size; ++i)
-      law_support_.push_back(static_cast<int>(as_long(support.items[i])));
-    for (Py_ssize_t i = 0; i < cum.size; ++i)
+    for (Py_ssize_t i = 0; i < support.size; ++i) {
+      long long m = as_long(support.items[i]);
+      if (m < 1 || m > INT_MAX) {
+        PyErr_Format(m < 1 ? PyExc_ValueError : PyExc_OverflowError,
+                     m < 1 ? "parent count %R is below 1"
+                           : "parent count %R is too large for the kernel",
+                     support.items[i]);
+        fail();
+      }
+      law_support_.push_back(static_cast<int>(m));
       law_cum_.push_back(as_double(cum.items[i]));
-    m_max_ = static_cast<int>(as_long(max.get()));
+    }
+    m_max_ = *std::max_element(law_support_.begin(), law_support_.end());
     pbuf_.assign(m_max_, 0);
     xbuf_.assign(m_max_, 0.0);
   }
@@ -501,34 +510,25 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   // match a recount, and the ball walk's skip needs every PF and CF node
   // False and falseness closed downward
   Ref(check(PyObject_CallOneArg(VerifyState, init_state)));
-  // per-node columns, CSR parents, children rebuilt from them
+  // the graph, CSR parents; children and counts derived as it is linked
   Seq labels(Ref(attr(init_state, "labels")).get(), "labels");
   Seq is_false(Ref(attr(init_state, "is_false")).get(), "is_false");
   Seq parents(Ref(attr(init_state, "parents")).get(), "parents");
-  Seq deg_pt(Ref(attr(init_state, "deg_pt")).get(), "deg_pt");
-  Seq deg_ct(Ref(attr(init_state, "deg_ct")).get(), "deg_ct");
-  Seq pf_parent(Ref(attr(init_state, "pf_parent_edges")).get(),
-                "pf_parent_edges");
   const Py_ssize_t n = labels.size;
   if (n >= INT32_MAX) {
     PyErr_SetString(PyExc_OverflowError, "too many nodes for the kernel");
     fail();
   }
-  for (const Seq *column : {&is_false, &parents, &deg_pt, &deg_ct,
-                            &pf_parent})
-    if (column->size != n) {
-      PyErr_SetString(StateError, "state columns differ in length");
-      fail();
-    }
+  if (is_false.size != n || parents.size != n) {
+    PyErr_SetString(StateError, "state columns differ in length");
+    fail();
+  }
   nodes_.resize(n);
   child_head_.assign(n, -1);
   for (Py_ssize_t v = 0; v < n; ++v) {
     Node &node = nodes_[v];
     node.label = static_cast<int8_t>(as_long(labels.items[v]));
     node.is_false = truth(is_false.items[v]);
-    node.deg_pt = static_cast<int32_t>(as_long(deg_pt.items[v]));
-    node.deg_ct = static_cast<int32_t>(as_long(deg_ct.items[v]));
-    node.pf_parent = static_cast<int32_t>(as_long(pf_parent.items[v]));
     Seq ps(parents.items[v], "parents[v]");
     if (edge_parent_.size() + static_cast<size_t>(ps.size) >= INT32_MAX) {
       PyErr_SetString(PyExc_OverflowError, "too many edges for the kernel");
@@ -547,9 +547,12 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
       edge_child_.push_back(static_cast<int32_t>(v));
       edge_next_.push_back(-1);
       link_child(static_cast<int32_t>(u), e);
+      Node &parent = nodes_[u];
+      if (parent.label == PF) ++node.pf_parent;
+      if (node.label != PF) ++parent.deg_pt;
+      if (node.label == CT) ++parent.deg_ct;
     }
   }
-  pf_total_ = as_long(Ref(attr(init_state, "pf_total")).get());
 
   // the weight index, laid out as weight_index_for does: capacity
   // max(1024, n), PF nodes at 0.0, the table filled to the largest PT
@@ -567,9 +570,10 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
 
   stopped_ = false;
   step_index_ = 0;
-  pt_false_ = f_count_ = l_count_ = 0;
+  pf_total_ = pt_false_ = f_count_ = l_count_ = 0;
   for (Py_ssize_t v = 0; v < n; ++v) {
     Node &node = nodes_[v];
+    pf_total_ += node.label == PF;
     if (node.label != PF && node.is_false) ++pt_false_;
     node.f_mem = is_minimal_false(node);
     node.l_mem = is_leaf(static_cast<int32_t>(v));
@@ -600,10 +604,6 @@ int Engine::pmf_index() {
 }
 
 double Engine::aval(int32_t d) {
-  if (d < 0) {
-    PyErr_Format(StateError, "negative PT degree %d", d);
-    fail();
-  }
   while (static_cast<size_t>(d) >= atab_.size()) {
     Ref w(check(PyObject_CallMethod(attach_.get(), "evaluate", "n",
                                     static_cast<Py_ssize_t>(atab_.size()))));

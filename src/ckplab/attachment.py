@@ -16,6 +16,14 @@ Every family reports increment bounds (inf and sup of ``a(d+1) - a(d)``)
 as Fractions under the rule of :func:`_to_fraction`, ``math.inf`` for an
 unbounded sup, and whether any weight is zero; the theorem predicates
 decide regularity from those, exactly.
+
+The package's number rule lives here too, beside :func:`_to_fraction`:
+every integer argument (a depth, budget, count, horizon, seed or cap)
+passes :func:`_require_int`, and every real one (a rate, weight
+parameter, probability or distance base) :func:`_require_real`, by
+name, where its object is built or its call starts.  So a bad number
+fails loudly before any work, and an exact computation meets none it
+cannot take.
 """
 
 from __future__ import annotations
@@ -32,16 +40,8 @@ import numpy as np
 from .state import PF
 
 
-class AllPF(RuntimeError):
-    """No PT node exists; the process is over."""
-
-
 class AllWeightsZero(RuntimeError):
     """PT nodes exist but every attachment weight is zero; growth is stuck."""
-
-
-class ExactUnavailable(TypeError):
-    """Exact rational evaluation was requested where it cannot be provided."""
 
 
 def _to_fraction(x) -> Fraction:
@@ -52,23 +52,48 @@ def _to_fraction(x) -> Fraction:
     as ``3602879701896397/36028797018963968``), so an exact computation
     decides what a float computation would be handed, with no doubt
     left about what was computed.  ``evaluate_exact`` applies the same
-    rule to attachment weights.
+    rule to attachment weights.  Every number argument was checked by
+    :func:`_require_real` when its object was built, so nothing else
+    arrives here.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, numbers.Rational):
+    if isinstance(x, (numbers.Rational, float)):
         return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ExactUnavailable(f"non-finite parameter {x!r}")
-        return Fraction(x)
-    raise ExactUnavailable(f"cannot take {type(x).__name__} exactly")
+    raise TypeError(f"cannot take {type(x).__name__} exactly")
 
 
-def _require_finite(name: str, x) -> None:
-    # NaN fails every comparison, so a range check alone lets it through;
-    # an infinite parameter would feed inf or NaN weights to the index
-    if x != x or x == math.inf or x == -math.inf:
+# what _require_int's low asks for, by name
+_INTEGER = {None: "an integer", 0: "a non-negative integer",
+            1: "a positive integer"}
+
+
+def _require_int(name: str, x, low=None) -> int:
+    """``x`` as an ``int``: any ``numbers.Integral`` but a bool, numpy
+    integers included, and at least ``low`` (None, 0 or 1) when given.
+    Anything else raises ``ValueError`` naming ``name``.  The plain int
+    keeps arithmetic such as a move count's power from wrapping."""
+    what = _INTEGER[low]
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be {what}, got {x!r} of type "
+                         f"{type(x).__name__}")
+    if low is not None and x < low:
+        raise ValueError(f"{name} must be {what}, got {x!r}")
+    return int(x)
+
+
+def _require_real(name: str, x) -> None:
+    """Refuse, with ``ValueError`` naming ``name``, anything
+    :func:`_to_fraction` would not take: a real is an int, a
+    ``numbers.Rational`` (numpy integers and Fractions included) or a
+    finite float, not a bool.  A NaN fails every comparison, so a range
+    check alone would let it through, and an infinite parameter would
+    feed inf or NaN weights to the index."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Rational, float)):
+        raise ValueError(f"{name} must be a real number, got {x!r} of type "
+                         f"{type(x).__name__}, not an int, Fraction or "
+                         f"float")
+    if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
@@ -78,8 +103,8 @@ class Affine:
     slope: object
 
     def __post_init__(self):
-        _require_finite("affine base", self.base)
-        _require_finite("affine slope", self.slope)
+        _require_real("affine base", self.base)
+        _require_real("affine slope", self.slope)
         if self.base < 0 or self.slope < 0:
             raise ValueError("affine attachment weights must stay nonnegative")
 
@@ -106,8 +131,8 @@ class PowerShifted:
     exponent: object
 
     def __post_init__(self):
-        _require_finite("power base", self.base)
-        _require_finite("power exponent", self.exponent)
+        _require_real("power base", self.base)
+        _require_real("power exponent", self.exponent)
         if self.base < 0:
             raise ValueError("power attachment needs a nonnegative base")
         if self.exponent < 0:
@@ -155,8 +180,8 @@ class TableAttachment:
         if not values:
             raise ValueError("table attachment needs at least one entry")
         for i, v in enumerate(values):
-            _require_finite(f"table value {i}", v)
-        _require_finite("table tail slope", self.tail_slope)
+            _require_real(f"table value {i}", v)
+        _require_real("table tail slope", self.tail_slope)
         if any(v < 0 for v in values) or self.tail_slope < 0:
             raise ValueError("table attachment weights must stay nonnegative")
 
@@ -199,9 +224,9 @@ def uniform() -> Affine:
 class ParentCountLaw:
     """Distribution of the number of parent edges a new node draws.
 
-    Finite support on positive integers: the counts of positive mass, so
-    a count given with probability zero is validated and then dropped,
-    and ``{1: 0, 2: 1}`` is ``const(2)``.  Keeps the pmf as given (ints,
+    Finite support on positive integers, held as plain ints: the counts
+    of positive mass, so a count given with probability zero is
+    validated and then dropped, and ``{1: 0, 2: 1}`` is ``const(2)``.  Keeps the pmf as given (ints,
     floats or Fractions), a float cumulative table for sampling, and the
     handful of moments the threshold formulas use.
     """
@@ -211,17 +236,12 @@ class ParentCountLaw:
     def __init__(self, pmf: dict):
         if not pmf:
             raise ValueError("empty parent-count pmf")
-        support = sorted(pmf)
-        probs = [pmf[m] for m in support]
-        for m in support:
-            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                raise ValueError(f"parent counts must be integers >= 1, got {m!r}")
+        counts = {_require_int("each of the parent counts", m, 1): p
+                  for m, p in pmf.items()}
+        support = sorted(counts)
+        probs = [counts[m] for m in support]
         for m, p in zip(support, probs):
-            if isinstance(p, bool) or not isinstance(
-                    p, (numbers.Rational, float)):
-                raise ValueError(f"parent-count probability of {m} must be "
-                                 f"an int, float or Fraction, got {p!r}")
-            _require_finite(f"parent-count probability of {m}", p)
+            _require_real(f"parent-count probability of {m}", p)
         if any(p < 0 for p in probs):
             raise ValueError("negative probability in parent-count pmf")
         total = sum(float(p) for p in probs)
@@ -524,22 +544,19 @@ def prefix_pool_for(state, attach) -> PrefixPool:
 
 def parent_distribution(state, attach) -> dict:
     """Exact selection pmf {pt node id: Fraction}, from the weights
-    ``attach.evaluate_exact`` gives.
+    ``attach.evaluate_exact`` gives, over the nodes of positive weight.
 
-    Raises :class:`AllPF` when no PT node exists and :class:`AllWeightsZero`
-    when all PT weights vanish, matching what the sampler would hit.
+    It is empty, and falsy, when no PT node exists or every PT weight is
+    zero, as a :class:`WeightIndex` or :class:`PrefixPool` is falsy when
+    no weight is positive: a step drawn on it stops.
     """
     weights = {}
     for v in range(len(state.labels)):
         if state.labels[v] == PF:
             continue
         weights[v] = attach.evaluate_exact(state.deg_pt[v])
-    if not weights:
-        raise AllPF("state has no PT nodes")
     total = sum(weights.values())
-    if total == 0:
-        raise AllWeightsZero("all PT attachment weights are zero")
-    return {v: w / total for v, w in weights.items() if w != 0}
+    return {v: w / total for v, w in weights.items() if w > 0}
 
 
 def sample_combination(law: ParentCountLaw, chooser) -> int:

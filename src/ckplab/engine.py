@@ -20,9 +20,8 @@ stopped, with :func:`deep_audit_compiled` after each.
 
 from __future__ import annotations
 
-import numbers
-
 from . import audits
+from .attachment import _require_int
 from .evolution import Features, PyEngine, TrialResult
 from .rand import SimChooser
 from .state import CkpState
@@ -74,8 +73,7 @@ def run_trial(features: Features, init_state: CkpState, horizon: int,
     "compiled" raises when the kernel cannot serve the request, "auto"
     silently falls back.
     """
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ValueError(f"horizon must be an integer, not {horizon!r}")
+    horizon = _require_int("horizon", horizon)
     if not 1 <= horizon < 2**63:
         raise ValueError(f"horizon must be from 1 to 2**63 - 1, not {horizon}")
     if audit not in ("none", "cheap", "full"):

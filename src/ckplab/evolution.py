@@ -25,12 +25,12 @@ surface, and trajectory equality across backends is tested.
 from __future__ import annotations
 
 import json
-import numbers
 import operator
 from dataclasses import dataclass, field
 
 from . import checking
-from .attachment import extend_table, sample_combination, weight_index_for
+from .attachment import ParentCountLaw, _require_int, _require_real, \
+    extend_table, sample_combination, weight_index_for
 from .state import (
     CT, CF, PF, LABEL_NAMES, CkpState, pt_false_distances, verify_state,
 )
@@ -39,9 +39,8 @@ from .state import (
 def init_chain(n: int, edge_multiplicity: int, first_label: int) -> CkpState:
     """A path of n nodes; each node after the first hangs from its
     predecessor by ``edge_multiplicity`` parallel edges."""
-    for name, value in (("n", n), ("edge_multiplicity", edge_multiplicity)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n = _require_int("n", n)
+    edge_multiplicity = _require_int("edge_multiplicity", edge_multiplicity)
     if n < 1 or edge_multiplicity < 1:
         raise ValueError("chain needs n >= 1 and edge multiplicity >= 1")
     state = CkpState()
@@ -128,14 +127,17 @@ class Features:
     adversary: object = RandomPt()  # strategy of the adversarial steps
 
     def __post_init__(self):
+        if not callable(getattr(self.attach, "evaluate", None)):
+            raise ValueError("attach must have a callable evaluate, got "
+                             f"{self.attach!r}")
+        if not isinstance(self.parent_count, ParentCountLaw):
+            raise ValueError("parent_count must be a ParentCountLaw, got "
+                             f"{self.parent_count!r}")
         if self.mechanism not in checking.MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         for name in ("check_rate", "error_rate", "adversary_rate",
                      "detection_rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got "
-                                 f"{value!r}")
+            _require_real(name, getattr(self, name))
         if not 0 <= self.error_rate < 1:
             raise ValueError("error_rate must lie in [0, 1)")
         if not 0 <= self.adversary_rate < 1:
@@ -145,10 +147,8 @@ class Features:
         if not 0 < self.detection_rate <= 1:
             raise ValueError("detection_rate must lie in (0, 1]")
         for name in ("check_depth", "adversary_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name,
+                               _require_int(name, getattr(self, name)))
         if self.check_depth < 1:
             raise ValueError("check_depth must be at least 1")
         if self.adversary_budget < 0:
@@ -276,18 +276,17 @@ class PyEngine:
         self.stopped = False
         self.step_index = 0
         st = self.state
-        self.pt_false = sum(1 for v in range(len(st.labels))
+        n = len(st.labels)
+        self.pt_false = sum(1 for v in range(n)
                             if st.labels[v] != PF and st.is_false[v])
-        simple = features.simple
-        self.f_mem = [st.is_minimal_false(v) for v in range(len(st.labels))]
-        self.l_mem = [st.is_ct_nonroot_leaf(v, simple)
-                      for v in range(len(st.labels))]
-        self.f_count = sum(self.f_mem)
-        self.l_count = sum(self.l_mem)
+        # the flags are set by the rule the steps keep them by
+        self.f_mem = [False] * n
+        self.l_mem = [False] * n
+        self.f_count = self.l_count = 0
+        self._refresh_membership(range(n))
         self.zero_since = 0 if self.pt_false == 0 else None
         self.pf_child_len: dict[int, int] = {
-            v: len(st.children[v]) for v in range(len(st.labels))
-            if st.labels[v] == PF}
+            v: len(st.children[v]) for v in range(n) if st.labels[v] == PF}
         self.audit = CheapAudit(self) if audit_cheap else None
 
     # -- bookkeeping ------------------------------------------------------

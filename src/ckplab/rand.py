@@ -13,8 +13,9 @@ ask a chooser for decisions.  Two implementations share the interface:
   once, in ints, so a fork multiplies ints and a replay does no
   rational arithmetic.
 
-A seed is a non-negative integer, a numpy integer or one of 2**64 or
-more included; :func:`pcg64` builds its bit generator and refuses a
+A seed follows the package's integer rule, ``attachment._require_int``,
+with low 0: any non-negative integer, a numpy integer or one of 2**64
+or more included.  :func:`pcg64` builds its bit generator and refuses a
 bool, a non-integer or a negative seed by name.  The live chooser and
 the compiled kernel both seed through it, so the engines accept the
 same seeds.
@@ -43,12 +44,11 @@ time; :attr:`SimChooser.draws` counts the uniforms consumed.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from fractions import Fraction
 
 import numpy as np
 
-from .attachment import _to_fraction
+from .attachment import _require_int, _to_fraction
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -68,19 +68,13 @@ BLOCK = 256
 
 def pcg64(seed) -> np.random.PCG64:
     """The PCG64 bit generator of ``seed``, under the one seed rule of
-    both engines: a seed is a non-negative integer, a numpy integer or
-    one of 2**64 or more included.  A bool, anything that is not
-    ``numbers.Integral`` and a negative integer are refused with
-    ``ValueError``, naming the seed.  :class:`SimChooser` builds its
-    Generator on it and the compiled kernel calls it for its bit
+    both engines: :func:`attachment._require_int` with low 0, so a seed
+    is a non-negative integer, a numpy integer or one of 2**64 or more
+    included, and a bool, a non-integer or a negative integer is refused
+    with ``ValueError``, naming the seed.  :class:`SimChooser` builds
+    its Generator on it and the compiled kernel calls it for its bit
     generator, so both refuse and accept the same seeds."""
-    if isinstance(seed, bool):
-        raise ValueError(f"seed must be a non-negative integer, not the "
-                         f"bool {seed!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(
-            f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.PCG64(seed)
+    return np.random.PCG64(_require_int("seed", seed, 0))
 
 
 def make_generator(seed: int) -> np.random.Generator:

@@ -35,10 +35,6 @@ PROVEN_ELIMINATION = "proven-elimination"
 PROVEN_SURVIVAL = "proven-survival"
 UNKNOWN = "unknown"
 
-# Mechanisms whose checks fan out over whole ancestor balls; only these
-# support an elimination proof.
-ELIMINATION_MECHANISMS = ("exhaustive-bfs", "parentwise-bfs", "complete")
-
 
 class NotRegular(ValueError):
     """Attachment growth lies outside the regularity a predicate needs."""
@@ -200,7 +196,9 @@ def _elimination_threshold_claim(features):
     checked, unchecked, wrong-label and adversarial contributions must
     come out nonpositive.
     """
-    if features.mechanism not in ELIMINATION_MECHANISMS:
+    # only the per-edge mechanisms, whose checks fan out over whole
+    # ancestor balls, support an elimination proof
+    if features.mechanism not in PER_EDGE:
         return None
     a0, a1, b = _require_bounded_regular(features)
     law = features.parent_count

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ckplab.attachment import (
     Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
-    PrefixPool, AllPF, AllWeightsZero,
+    PrefixPool, AllWeightsZero,
     preferential, uniform,
     parent_distribution, sample_combination, prefix_pool_for,
     weight_index_for,
@@ -107,6 +107,23 @@ def test_table_rejects_non_finite_parameters(build, name):
         build()
 
 
+@pytest.mark.parametrize("build,message", [
+    # True would run as base 1, and the others die in a comparison that
+    # names no argument
+    (lambda: Affine(True, 1), "affine base must be a real number, got True"),
+    (lambda: Affine("1", 1), "affine base must be a real number, got '1'"),
+    (lambda: Affine(1, np.float32(1)), "affine slope must be a real number"),
+    (lambda: PowerShifted(1, None), "power exponent must be a real number"),
+    (lambda: TableAttachment(("1",), 0), "table value 0 must be a real"),
+    (lambda: TableAttachment((1,), False), "table tail slope must be a real"),
+], ids=["affine-bool", "affine-str", "affine-float32", "power-none",
+        "table-str", "table-bool"])
+def test_families_refuse_a_parameter_that_is_not_a_real_number(build,
+                                                              message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_parent_count_law_rejects_non_finite_probabilities():
     # {1: .5, 2: nan} used to pass the sum test (NaN compares False) and
     # sample as {1: .5, 2: .5}
@@ -144,6 +161,9 @@ def test_parent_count_law_moments():
     assert point.min == point.max == 2
     assert point.mean_reciprocal_exact() == Fraction(1, 2)
     assert point.support == [2]
+    # a numpy count is held as a plain int: 12 ** np.int64(20) wraps
+    wide = ParentCountLaw({np.int64(2): 1})
+    assert wide.support == [2] and type(wide.support[0]) is int
 
 
 def test_parent_count_law_validation():
@@ -197,14 +217,14 @@ def test_parent_distribution_holes_picks_leaf_only():
     assert dist == {2: 1.0}
 
 
-def test_parent_distribution_error_cases():
+def test_parent_distribution_is_empty_without_a_positive_weight():
+    # empty, and falsy, as a WeightIndex or PrefixPool with no positive
+    # weight: a step drawn on it stops
     s = chain_state([CF])
     s.mark_pf([0])
-    with pytest.raises(AllPF):
-        parent_distribution(s, preferential())
+    assert parent_distribution(s, preferential()) == {}
     s2 = chain_state([CF, CT])
-    with pytest.raises(AllWeightsZero):
-        parent_distribution(s2, TableAttachment((0,), 0))
+    assert parent_distribution(s2, TableAttachment((0,), 0)) == {}
 
 
 def draw_parents(windex, m, chooser):

@@ -4,8 +4,11 @@ the right backend."""
 
 import gc
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -594,6 +597,65 @@ def test_kernel_refuses_a_parent_count_it_cannot_hold(count):
     with pytest.raises(OverflowError, match=f"parent count {count} is too "
                                             "large for the kernel"):
         KernelEngine(feats, init_chain(3, 1, CF), 1)
+
+
+@needs_kernel
+def test_kernel_reads_the_law_as_its_support_and_cum():
+    from ckplab._kernel import KernelEngine
+
+    below = ParentCountLaw({1: 0.5, 2: 0.5})
+    below.support = [0, 2]
+    uneven = ParentCountLaw.const(1)
+    uneven.cum = [0.5, 1.0]
+    for law, message in ((below, "parent count 0 is below 1"),
+                         (uneven, "cum of its length")):
+        feats = Features(preferential(), law, 0.5, 2, "bfs")
+        with pytest.raises(ValueError, match=message):
+            KernelEngine(feats, init_chain(3, 1, CF), 1)
+
+
+# A law whose max understates its support: the kernel used to size its
+# parent buffers by max and overrun them, corrupting the heap, so the run
+# is made in a child interpreter, where an abort fails the test alone.
+UNDERSTATED_MAX = """
+import sys
+from dataclasses import replace
+sys.path.insert(0, {src!r})
+import ckplab
+ckplab.__path__.insert(0, {kernel_dir!r})
+from ckplab import _kernel
+assert _kernel.__file__ == {kernel_file!r}
+from ckplab.attachment import ParentCountLaw, preferential
+from ckplab.engine import run_trial
+from ckplab.evolution import Features, init_chain
+from ckplab.state import CT
+
+class Understated(ParentCountLaw):
+    @property
+    def max(self):
+        return 1
+
+feats = Features(preferential(), Understated({{1: 0.5, 40: 0.5}}), 0.3, 3,
+                 "bfs", error_rate=0.1)
+runs = [run_trial(feats, init_chain(5, 1, CT), 200, 7, backend=backend)
+        for backend in ("python", "compiled")]
+assert runs[0].final_counts["nodes"] > 100, runs[0]
+assert replace(runs[0], backend="compiled") == runs[1]
+print("equal")
+"""
+
+
+@needs_kernel
+def test_backends_agree_on_a_law_whose_max_understates_its_support():
+    from ckplab import _kernel
+
+    kernel = Path(_kernel.__file__)
+    script = UNDERSTATED_MAX.format(
+        src=str(Path(__file__).resolve().parent.parent / "src"),
+        kernel_dir=str(kernel.parent), kernel_file=str(kernel))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "equal\n"), proc.stderr
 
 
 @needs_kernel

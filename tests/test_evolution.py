@@ -6,6 +6,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ckplab.attachment import ParentCountLaw, TableAttachment, preferential
@@ -89,7 +90,8 @@ def test_features_validation():
 def test_features_refuse_a_rate_that_is_not_a_real_number(field):
     # a bool would run as rate 0 or 1, and a string would fail in a
     # comparison without naming the field
-    for value in (True, "0.5"):
+    # a float32 passes as a real number but cannot be taken exactly
+    for value in (True, "0.5", np.float32(0.5)):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             simple_features(**{field: value})
 
@@ -184,6 +186,20 @@ def test_features_refuse_an_adversary_without_move(adversary):
     with pytest.raises(ValueError, match="adversary must have a callable "
                                          "move"):
         simple_features(adversary=adversary)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("parent_count", {1: 1.0}, "parent_count must be a ParentCountLaw"),
+    ("parent_count", 1, "parent_count must be a ParentCountLaw"),
+    ("attach", None, "attach must have a callable evaluate"),
+    ("attach", type("NoEvaluate", (), {"evaluate": 3})(),
+     "attach must have a callable evaluate"),
+])
+def test_features_refuse_a_law_or_attachment_of_the_wrong_kind(field, value,
+                                                                message):
+    # a dict law used to be accepted, and the trial die on law.support
+    with pytest.raises(ValueError, match=message):
+        simple_features(**{field: value})
 
 
 def test_deep_attach_picks_farthest_node():

@@ -124,8 +124,8 @@ def test_traced_drift_oracles_count_every_leaf_and_move(monkeypatch):
     assert res.leaf_count == 451
     assert tracer.counts["potentials.leaves"] == 451
     assert {name: span.calls for name, span in tracer.spans.items()} == {
-        "potentials.exact_drift": 1, "potentials.potential": 1,
-        "state.copy": 1, "state.add_node": 155, "potentials.check": 451}
+        "potentials.exact_drift": 1, "state.add_node": 155,
+        "potentials.check": 451}
 
     tracer = tracing.Tracer()
     tracer.install()

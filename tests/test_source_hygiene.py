@@ -202,3 +202,28 @@ def test_test_only_names_are_the_public_surface():
         and name != "__version__")
     assert test_only == sorted(PUBLIC_SURFACE), \
         f"names only the tests reach: {test_only}"
+
+
+NUMBER_TYPES = {"Integral", "Real", "Rational"}
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE
+                                  if p.name != "attachment.py"],
+                         ids=lambda p: p.name)
+def test_the_number_rule_lives_in_attachment(path):
+    """What counts as an integer or a real is decided once, by
+    ``attachment._require_int`` and ``_require_real`` beside
+    ``_to_fraction``; another module that names a ``numbers`` type
+    states the rule again, and its copy drifts from the original."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named_here = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMBER_TYPES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "numbers"):
+            named_here.add(f"numbers.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            named_here.update(f"numbers.{alias.name} (line {node.lineno})"
+                              for alias in node.names
+                              if alias.name in NUMBER_TYPES)
+    assert not named_here, f"{path.name} names {sorted(named_here)}"

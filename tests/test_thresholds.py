@@ -13,9 +13,10 @@ from ckplab.attachment import (
     Affine, ParentCountLaw, PowerShifted, TableAttachment, preferential,
     uniform,
 )
+from ckplab.checking import PER_EDGE
 from ckplab.evolution import Features, TrialResult
 from ckplab.thresholds import (
-    ELIMINATION_MECHANISMS, PROVEN_ELIMINATION, PROVEN_SURVIVAL, UNKNOWN,
+    PROVEN_ELIMINATION, PROVEN_SURVIVAL, UNKNOWN,
     NotRegular, PreconditionNotProven, elimination_claims,
     false_fraction_check, survival_claims, theorem_verdict,
 )
@@ -81,7 +82,7 @@ def test_elimination_only_for_ball_mechanisms():
     for mech in ("stringy", "bfs"):
         assert elimination_claims(feats(mechanism=mech, p=1.0, k=6)) == ()
         assert theorem_verdict(feats(mechanism=mech, p=1.0, k=6)).kind == UNKNOWN
-    for mech in ELIMINATION_MECHANISMS:
+    for mech in PER_EDGE:
         v = theorem_verdict(feats(mechanism=mech, p=1.0, k=6))
         assert v.kind == PROVEN_ELIMINATION
 
