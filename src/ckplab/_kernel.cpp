@@ -40,14 +40,17 @@
 //     uniform index over one alternative and a parent-count law with one
 //     support point consume nothing; a weighted parent pick always
 //     consumes one uniform.
-//   * Attachment weights are ``float(attach.evaluate(d))``, called back
-//     into Python once per degree d, in increasing order, and kept in
-//     the per-degree table ``aval``.  Both backends keep that table, and
-//     PyEngine.aval (filled by attachment.extend_table) is the
-//     reference: each fills it to the largest live degree at
+//   * Attachment weights are attachment.attachment_weight(attach, d),
+//     called back into Python, as the seed rule rand.pcg64 is, once per
+//     degree d, in increasing order, and kept in the per-degree table
+//     ``aval``.  Both backends keep that table, and PyEngine.aval
+//     (filled by attachment.extend_table through the same function) is
+//     the reference: each fills it to the largest live degree at
 //     construction and extends it when a step reaches a new degree, so
-//     both ask ``evaluate`` for the same degrees in the same order and
-//     add the same floats.  Anything ``evaluate`` raises propagates.
+//     both ask for the same degrees in the same order and add the same
+//     floats.  A weight that is not finite is refused there, by name,
+//     with one text on both backends; anything the attachment raises
+//     propagates.
 //   * The Fenwick weight index is attachment.WeightIndex field for
 //     field: same capacity schedule, same update order (weights refreshed
 //     for sorted unique parents), same select and fallback scan.  A
@@ -154,6 +157,7 @@ PyObject *StateError = nullptr;       // ckplab.state
 PyObject *VerifyState = nullptr;      // ckplab.state.verify_state
 PyObject *CkpStateType = nullptr;     // ckplab.state.CkpState
 PyObject *Pcg64 = nullptr;            // ckplab.rand.pcg64, the seed rule
+PyObject *AttachmentWeight = nullptr; // ckplab.attachment, the weight rule
 
 // Thrown once a Python exception is set.
 struct PyError {};
@@ -605,10 +609,11 @@ int Engine::pmf_index() {
 
 double Engine::aval(int32_t d) {
   while (static_cast<size_t>(d) >= atab_.size()) {
-    Ref w(check(PyObject_CallMethod(attach_.get(), "evaluate", "n",
-                                    static_cast<Py_ssize_t>(atab_.size()))));
-    Ref f(check(PyNumber_Float(w.get())));
-    atab_.push_back(PyFloat_AS_DOUBLE(f.get()));
+    Ref w(check(PyObject_CallFunction(AttachmentWeight, "On", attach_.get(),
+                                      static_cast<Py_ssize_t>(atab_.size()))));
+    double x = PyFloat_AsDouble(w.get());
+    if (x == -1.0 && PyErr_Occurred()) fail();
+    atab_.push_back(x);
   }
   return atab_[d];
 }
@@ -1368,7 +1373,9 @@ PyMODINIT_FUNC PyInit__kernel(void) {
       !(StateError = import_attr("ckplab.state", "StateError")) ||
       !(VerifyState = import_attr("ckplab.state", "verify_state")) ||
       !(CkpStateType = import_attr("ckplab.state", "CkpState")) ||
-      !(Pcg64 = import_attr("ckplab.rand", "pcg64")))
+      !(Pcg64 = import_attr("ckplab.rand", "pcg64")) ||
+      !(AttachmentWeight =
+            import_attr("ckplab.attachment", "attachment_weight")))
     return nullptr;
   PyObject *module = PyModule_Create(&kernel_module);
   if (module == nullptr) return nullptr;

@@ -144,11 +144,11 @@ class PowerShifted:
     def evaluate_exact(self, d: int) -> Fraction:
         """``a(d)`` under the rule of :func:`_to_fraction`: with an
         integral exponent, the rational power of the exact base; with
-        any other, the binary value of the float weight :meth:`evaluate`
-        gives, the weight the engine draws with."""
+        any other, the binary value of the float weight the engines draw
+        with, :func:`attachment_weight`'s."""
         e = self.exponent
         if e != int(e):
-            return Fraction(self.evaluate(d))
+            return Fraction(attachment_weight(self, d))
         return _to_fraction(self.base) * Fraction(d + 1) ** int(e)
 
     def increment_bounds(self):
@@ -442,13 +442,33 @@ class WeightIndex:
         return pos
 
 
+def attachment_weight(attach, d: int) -> float:
+    """``a(d)`` as both engines draw with it: ``float(attach.evaluate(d))``.
+
+    The one place a float weight is read: :func:`extend_table` fills
+    the Python engine's table through it, and the kernel's ``aval``
+    calls it back.  A weight that is not finite, or an ``evaluate``
+    that overflows, raises ``ValueError`` naming the degree and the
+    value, so both backends refuse it with the same text instead of
+    drawing on an inf or NaN total."""
+    try:
+        weight = float(attach.evaluate(d))
+    except OverflowError as exc:
+        raise ValueError(f"attachment weight at degree {d} overflows the "
+                         f"float range ({exc})") from None
+    if not math.isfinite(weight):
+        raise ValueError(f"attachment weight at degree {d} is {weight}, "
+                         f"not finite")
+    return weight
+
+
 def extend_table(table: list, attach, d: int) -> float:
     """The per-degree weight table the engines keep, ``table[j] ==
-    float(attach.evaluate(j))``, extended through degree ``d``: one
-    ``evaluate`` per missing degree, in increasing order, as the
-    kernel's ``aval`` fills.  Returns ``table[d]``."""
+    attachment_weight(attach, j)``, extended through degree ``d``: one
+    weight per missing degree, in increasing order, as the kernel's
+    ``aval`` fills.  Returns ``table[d]``."""
     for j in range(len(table), d + 1):
-        table.append(float(attach.evaluate(j)))
+        table.append(attachment_weight(attach, j))
     return table[d]
 
 

@@ -244,11 +244,11 @@ class PyEngine:
     survival potential delta are O(1).  :meth:`export_bookkeeping` hands
     all of it to the deep audits in the record the kernel exports.
     ``aval`` is the per-degree weight table the kernel keeps under the
-    same name, ``float(attach.evaluate(d))`` for d = 0, 1, ...: the
-    index's layout fills it to the largest live degree and a step that
-    reaches a new degree extends it (:func:`attachment.extend_table`),
-    so both backends ask ``evaluate`` for the same degrees in the same
-    order, and every weight update reads it.  A step calls
+    same name, :func:`attachment.attachment_weight` for d = 0, 1, ...:
+    the index's layout fills it to the largest live degree and a step
+    that reaches a new degree extends it (:func:`attachment.extend_table`),
+    so both backends ask for the same degrees in the same order, and
+    every weight update reads it.  A step calls
     ``CkpState.add_node`` and ``mark_pf``, ``WeightIndex.append``,
     ``set_weight`` and ``select``, and ``checking.run_check`` through
     their class or module attributes, never through a bound method
@@ -269,7 +269,7 @@ class PyEngine:
         self.state = init_state.copy()
         self.chooser = chooser
         # the per-degree weight table, the kernel's aval, filled by the
-        # index's layout first so both ask evaluate in the same order
+        # index's layout first so both ask for weights in the same order
         self.aval: list[float] = []
         self.windex = weight_index_for(self.state, features.attach,
                                        self.aval)

@@ -37,7 +37,15 @@ copying the state or applying the marking.  What it reads of the state
 before the step (the :class:`MinDistance` distances and
 :class:`TermTable`, the general potential's scope) is built once per
 call by :func:`_step_base`; ``exact_drift`` scores each parent
-multiset, label and marking once.  A bad input fails loudly before the
+multiset, label and marking once.  A :class:`MinDistance` score splits
+in two: the marking's part (the degrees it takes, the distances it
+moves and their term changes) depends on the state before the step and
+the marked old nodes alone, so :func:`_marking` computes it once per
+call for each distinct set of them, kept on the call's
+:class:`_StepBase`, and the move's part is a few lookups against it.
+Checks are local and the new node always takes the next id, so a few
+markings recur across all the moves and samples of a call.  A bad
+input fails loudly before the
 first leaf or sample: ``_step_base`` refuses a broken distance
 structure, a bad anchor and a count potential it cannot evaluate, and
 ``exact_drift`` runs :func:`state.verify_state` (a recount of the
@@ -240,10 +248,14 @@ _phi_value = _checked_total
 @dataclass(frozen=True)
 class _StepBase:
     """What :func:`_step_delta` reads of the state before the step,
-    built once per oracle call by :func:`_step_base`."""
+    built once per oracle call by :func:`_step_base` and dropped with
+    the call.  ``marks`` alone fills as the call goes: for each
+    nonempty set of marked old nodes scored so far, the marking's part
+    of a :class:`MinDistance` score, :func:`_marking`."""
 
     dist: dict | None = None          # MinDistance: pt_false_distances
     terms: TermTable | None = None    # MinDistance: the call's table
+    marks: dict | None = None         # MinDistance: shed -> _marking
     closure: set | None = None        # MinimalFalseLeavesGeneral's scope
 
 
@@ -257,7 +269,7 @@ def _step_base(state, kind) -> _StepBase:
     everything it reads, so it is not taken."""
     if isinstance(kind, MinDistance):
         return _StepBase(dist=pt_false_distances(state),
-                         terms=TermTable(kind))
+                         terms=TermTable(kind), marks={})
     closure = None
     if isinstance(kind, MinimalFalseLeavesGeneral):
         closure = _descendant_closure(state, kind.anchor)
@@ -282,6 +294,77 @@ def _share(state, kind, w: int, pf_edges: int, kids: int,
     return _leaf_weight(kind.attach, w, deg_pt) if deg_ct == 0 else 0
 
 
+def _marking(state, base: _StepBase, v: int, born: dict, shed: frozenset):
+    """The part of a :class:`MinDistance` step's score that the marked
+    nodes other than the new node ``v``, ``shed``, decide alone:
+    ``(lost, moved, delta)``.
+
+    ``lost`` holds the PT child edges the marking takes from each
+    parent of ``shed``; ``moved`` the distances it changes, found by
+    re-applying the :func:`pt_false_distances` recurrence from the
+    children of ``shed``, in increasing id order (ids are a topological
+    order), with ``shed`` treated as PF, never entering ``v``; a node
+    whose distance stays put does not pass the change on.  ``delta``
+    sums ``new term - old term`` over those nodes and ``shed``, which
+    leaves the sum, all at their degrees before the step: ``deg_pt``
+    less the edges ``born`` of ``v``.  None of it depends on ``v``,
+    which has no child, so :func:`_step_delta` keeps it in
+    ``base.marks`` for every later move with the same ``shed``.
+    """
+    labels = state.labels
+    up = state.parents
+    down = state.children
+    is_false = state.is_false
+    pf_parent_edges = state.pf_parent_edges
+    dist = base.dist
+    lost: dict = {}
+    queued = {v}                # v's own distance is the move's part
+    for w in shed:
+        for u in up[w]:
+            lost[u] = lost.get(u, 0) + 1
+        queued.update(down[w])
+    heap = [w for w in queued
+            if w != v and w not in shed and labels[w] != PF and is_false[w]]
+    heapq.heapify(heap)
+    moved: dict = {}
+    while heap:
+        w = heapq.heappop(heap)
+        if (labels[w] == CF or pf_parent_edges[w] > 0
+                or not shed.isdisjoint(up[w])):
+            d = 0
+        else:
+            best = None
+            for u in up[w]:
+                du = moved[u] if u in moved else dist.get(u)
+                if du is not None and (best is None or du < best):
+                    best = du
+            if best is None:
+                raise StateError(f"node {w} is PT False, not minimal, with "
+                                 f"no PT False parent after the step")
+            d = best + 1
+        if d == dist.get(w):
+            continue
+        moved[w] = d
+        for c in down[w]:
+            if c not in queued and c not in shed and labels[c] != PF:
+                queued.add(c)
+                heapq.heappush(heap, c)
+    touched = set(moved)
+    touched.update(lost, shed)
+    terms = base.terms
+    deg_pt = state.deg_pt
+    delta = 0
+    for w in touched:
+        if labels[w] == PF or not is_false[w]:
+            continue
+        deg = deg_pt[w] - born.get(w, 0)
+        delta -= terms[deg, dist[w]]
+        if w not in shed:
+            delta += terms[deg - lost.get(w, 0),
+                           moved[w] if w in moved else dist[w]]
+    return lost, moved, delta
+
+
 def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     """The change of ``kind``'s potential over one step, summed over the
     nodes whose term the step can change.
@@ -291,14 +374,15 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     :func:`_step_base` of the state without ``v``.  The state is read,
     never changed.
 
-    A :class:`MinDistance` term moves for ``v``, which joins the sum;
-    its parents and the parents of ``marked``, whose degree moves;
-    ``marked``, which leaves the sum; and the PT False nodes whose
-    distance moves.  Those are found by re-applying the
-    :func:`pt_false_distances` recurrence from ``v`` and from the
-    children of ``marked``, in increasing id order (ids are a
-    topological order), with ``marked`` treated as PF; a node whose
-    distance stays put does not pass the change on.
+    A :class:`MinDistance` score has two parts.  The marking's, for
+    ``shed``, the marked nodes other than ``v``, is :func:`_marking`,
+    computed once per call for each nonempty ``shed`` and kept in
+    ``base.marks``.  The move's is a few lookups.  A marked ``v`` takes
+    back the edges it gave its parents, so the marking's part is the
+    whole score.  Otherwise each parent that stays PT False gains
+    ``v``'s edges, at its distance after the marking, and a False ``v``
+    joins the sum at degree 0: distance 0 when it is CF or a parent is
+    in ``shed``, else one past its nearest False parent.
 
     A count potential's term for a node depends on its label, its PF
     parent edges and its child edges alone (and, for the general
@@ -315,25 +399,24 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     born: dict = {}           # edges v adds to each of its parents
     for u in parents:
         born[u] = born.get(u, 0) + 1
-    lost: dict = {}           # edges the marking takes from each parent
-    for w in marked:
-        for u in up[w]:
-            lost[u] = lost.get(u, 0) + 1
-    delta = 0
 
     if not isinstance(kind, MinDistance):
+        lost: dict = {}       # edges the marking takes from each parent
+        lost_ct: dict = {}    # the CT child edges among them
         gained: dict = {}     # PF parent edges the marking gives each child
-        lost_ct: dict = {}    # CT child edges the marking takes
         for w in marked:
+            ct = labels[w] == CT
+            for u in up[w]:
+                lost[u] = lost.get(u, 0) + 1
+                if ct:
+                    lost_ct[u] = lost_ct.get(u, 0) + 1
             for c in down[w]:
                 gained[c] = gained.get(c, 0) + 1
-            if labels[w] == CT:
-                for u in up[w]:
-                    lost_ct[u] = lost_ct.get(u, 0) + 1
         pf = state.pf_parent_edges
         deg_ct = state.deg_ct
         new_ct = labels[v] == CT
         closure = base.closure
+        delta = 0
         for w in {v, *born, *lost, *gained, *marked}:
             inside = closure is None or w in closure
             if w != v and inside:
@@ -350,51 +433,36 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
                                 deg_ct[w] - lost_ct.get(w, 0))
         return delta
 
+    shed = frozenset(marked)
+    own = v in shed         # the new node is marked
+    if own:
+        shed = shed - {v}
+    if shed:
+        part = base.marks.get(shed)
+        if part is None:
+            part = base.marks[shed] = _marking(state, base, v, born, shed)
+        lost, moved, delta = part
+    else:
+        lost = moved = {}
+        delta = 0
+    if own:
+        return delta
     is_false = state.is_false
-    pf_parent_edges = state.pf_parent_edges
     dist = base.dist
-    queued = {v}
-    if marked:
-        for w in marked:
-            queued.update(down[w])
-        heap = [w for w in queued
-                if w not in marked and labels[w] != PF and is_false[w]]
-        heapq.heapify(heap)
-    else:       # no marking: only the new node's distance can move
-        heap = [v] if is_false[v] else []
-    moved: dict = {}          # the distances the step changes
-    while heap:
-        w = heapq.heappop(heap)
-        if (labels[w] == CF or pf_parent_edges[w] > 0
-                or (marked and not marked.isdisjoint(up[w]))):
-            d = 0
-        else:
-            best = None
-            for u in up[w]:
-                du = moved[u] if u in moved else dist.get(u)
-                if du is not None and (best is None or du < best):
-                    best = du
-            if best is None:
-                raise StateError(f"node {w} is PT False, not minimal, with "
-                                 f"no PT False parent after the step")
-            d = best + 1
-        if d == dist.get(w):
-            continue
-        moved[w] = d
-        for c in down[w]:
-            if c not in queued and c not in marked and labels[c] != PF:
-                queued.add(c)
-                heapq.heappush(heap, c)
-    touched = set(moved)
-    touched.update(born, lost, marked)
     terms = base.terms
-    for w in touched:
-        if labels[w] == PF or not is_false[w]:
+    for u, b in born.items():
+        if u in shed or not is_false[u]:
             continue
-        old = 0 if w == v else terms[deg_pt[w] - born.get(w, 0), dist[w]]
-        new = 0 if w in marked else terms[
-            deg_pt[w] - lost.get(w, 0), moved[w] if w in moved else dist[w]]
-        delta += new - old
+        du = moved[u] if u in moved else dist[u]
+        deg = deg_pt[u] - lost.get(u, 0)
+        delta += terms[deg, du] - terms[deg - b, du]
+    if is_false[v]:
+        if labels[v] == CF or not shed.isdisjoint(born):
+            dv = 0
+        else:
+            dv = 1 + min(moved[u] if u in moved else dist[u]
+                         for u in born if is_false[u])
+        delta += terms[0, dv]
     return delta
 
 
@@ -430,7 +498,9 @@ def exact_drift(state, features, kind, *,
     the label and the marking, so moves that only order their parents
     differently share one.  That is exact: the state with the move's
     node and the score read the parent edges only as a multiset (counts,
-    minima, membership).
+    minima, membership).  Under those, a :class:`MinDistance` marking's
+    distance propagation runs once per call for each set of marked old
+    nodes (:func:`_marking`), shared by every move that marks them.
 
     Probabilities stay integer weights ``num / den``: the product of the
     probabilities of the branches that lead to a leaf, unreduced.  The
@@ -599,7 +669,9 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     :func:`_step_delta` and pops the node again; the state is restored
     on the way out, whatever is raised.  A sample costs the size of the
     step's neighbourhood, not of the state: no sample copies the state,
-    applies the marking or evaluates the whole potential.
+    applies the marking or evaluates the whole potential, and a
+    :class:`MinDistance` marking seen in an earlier sample of the call
+    is not propagated again (:func:`_marking`).
 
     The call's set-up passes over the whole state a few times: the
     parent pool and :func:`_step_base`, whose passes refuse a bad input

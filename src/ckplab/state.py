@@ -433,7 +433,8 @@ def verify_state(state: CkpState) -> None:
     runs, and each derived column must equal its recount, in the order
     ``children``, ``deg_pt``, ``deg_ct``, ``pf_parent_edges`` (the
     first that differs is named at its lowest node), then
-    ``pf_total``.  Last, the truth rule must hold.  Raises
+    ``pf_total``; a derived column that is not a list is named with
+    its type.  Last, the truth rule must hold.  Raises
     :class:`StateError` at the first fault in that order.
     """
     n = len(state.labels)
@@ -447,6 +448,9 @@ def verify_state(state: CkpState) -> None:
                              ("deg_ct", state.deg_ct, deg_ct),
                              ("pf_parent_edges", state.pf_parent_edges,
                               pf_parent)):
+        if not isinstance(have, list):
+            raise StateError(f"{name} is a {type(have).__name__}, not a "
+                             f"list")
         if have != want:
             v = next(v for v, a, b in zip(count(), have, want) if a != b)
             if name == "children":

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from ckplab.attachment import (
-    Affine, ParentCountLaw, TableAttachment, preferential, uniform,
+    Affine, ParentCountLaw, PowerShifted, TableAttachment, preferential,
+    uniform,
 )
 from ckplab.audits import full_audit
 from ckplab.checking import MECHANISMS
@@ -22,7 +23,7 @@ from ckplab.engine import (
 )
 from ckplab.evolution import AuditViolation, Features, PyEngine, init_chain
 from ckplab.rand import SimChooser
-from ckplab.potentials import MinDistance, exact_drift
+from ckplab.potentials import MinDistance, exact_drift, mc_drift
 from ckplab.state import (
     CF, CT, PF, CkpState, StateError, dump_state, load_state,
 )
@@ -313,6 +314,51 @@ def test_attachment_errors_propagate_at_the_same_step(mech):
     with pytest.raises(DegreeCapReached):
         ker.run(10_000)
     assert ker.export_bookkeeping()["step_index"] == eng.step_index
+
+
+def root_with_children(kids):
+    s = init_chain(1, 1, CF)
+    for _ in range(kids):
+        s.add_node([0], CT)
+    return s
+
+
+# (attachment, the first degree whose weight is refused, the refusal)
+NONFINITE_WEIGHTS = [
+    pytest.param(Affine(1e308, 1e308), 1,
+                 "attachment weight at degree 1 is inf, not finite",
+                 id="affine"),
+    pytest.param(TableAttachment((1.0, 1e308, 1e308), 1e308), 3,
+                 "attachment weight at degree 3 is inf, not finite",
+                 id="table"),
+    pytest.param(PowerShifted(1, 2000), 1,
+                 "attachment weight at degree 1 overflows the float range "
+                 "((34, 'Numerical result out of range'))", id="power"),
+]
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("compiled", marks=needs_kernel)])
+@pytest.mark.parametrize("attach,degree,message", NONFINITE_WEIGHTS)
+def test_nonfinite_weights_are_refused_by_name(attach, degree, message,
+                                               backend):
+    """A weight past the float range is refused when a degree first
+    enters the weight table, with one text on both backends: at a
+    step, from a root one edge short of that degree, and at set-up,
+    from a state that has it already.  ``mc_drift`` fills its pool
+    through the same function."""
+    feats = Features(attach, ParentCountLaw.const(1), 0.5, 2, "bfs",
+                     error_rate=0.1)
+    for init in (root_with_children(degree - 1),
+                 root_with_children(degree)):
+        with pytest.raises(ValueError) as err:
+            run_trial(feats, init, 50, seed=1, backend=backend)
+        assert str(err.value) == message
+    if backend == "python":
+        with pytest.raises(ValueError) as err:
+            mc_drift(root_with_children(degree), feats,
+                     MinDistance(preferential(), 3), 20, 1)
+        assert str(err.value) == message
 
 
 @needs_kernel
@@ -834,6 +880,21 @@ def test_engines_refuse_stale_derived_columns(build, message, make_engine,
     with pytest.raises(error) as err:
         make_engine(feats, build(), 1)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("column", ["deg_pt", "deg_ct", "pf_parent_edges"])
+@pytest.mark.parametrize("make_engine,error", STATE_TAKERS)
+def test_engines_refuse_a_derived_column_of_another_type(column,
+                                                         make_engine, error):
+    """A derived column that holds its recount's values in a tuple
+    equals the recount nowhere element by element, so it is refused by
+    its name and type rather than at a node."""
+    init = init_chain(4, 1, CF)
+    setattr(init, column, tuple(getattr(init, column)))
+    feats = case_features("bfs", 0.1, "preferential", 0.5, 2)
+    with pytest.raises(error) as err:
+        make_engine(feats, init, 1)
+    assert str(err.value) == f"{column} is a tuple, not a list"
 
 
 @needs_kernel

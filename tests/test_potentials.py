@@ -424,13 +424,17 @@ def test_each_move_scores_each_distinct_marking_once(monkeypatch):
     # every move and every check leaf is one run, so no run is spent on
     # an inner node of the decision tree; and there is one score per
     # parent multiset, label and marking, so moves that only order their
-    # parents differently share theirs
-    counts = {"run_check": 0, "draw_move": 0}
+    # parents differently share theirs.  The marked nodes other than the
+    # move's own node recur across moves, and each distinct nonempty set
+    # of them has its distances propagated once per call
+    counts = {"run_check": 0, "draw_move": 0, "_marking": 0}
     counted = counter(counts)
     monkeypatch.setattr(checking, "run_check",
                         counted("run_check", checking.run_check))
     monkeypatch.setattr(potentials, "draw_move",
                         counted("draw_move", potentials.draw_move))
+    monkeypatch.setattr(potentials, "_marking",
+                        counted("_marking", potentials._marking))
     scores = []
     real = potentials._step_delta
 
@@ -439,15 +443,18 @@ def test_each_move_scores_each_distinct_marking_once(monkeypatch):
                        frozenset(marked)))
         return real(state, kind, base, v, parents, marked)
     monkeypatch.setattr(potentials, "_step_delta", spy)
-    for n, checks, moves, n_scores in ((12, 4833, 1884, 728),
-                                       (5, 451, 155, 113)):
-        counts.update(run_check=0, draw_move=0)
+    for n, checks, moves, n_scores, parts in ((12, 4833, 1884, 728, 9),
+                                              (5, 451, 155, 113, 5)):
+        counts.update(run_check=0, draw_move=0, _marking=0)
         scores.clear()
         r = exact_drift(init_chain(n, 1, CF), pinned_drift_features(),
                         MinDistance(PREF, 3))
         assert r.leaf_count == checks
-        assert counts == {"run_check": checks, "draw_move": moves}, n
+        assert counts == {"run_check": checks, "draw_move": moves,
+                          "_marking": parts}, n
         assert len(scores) == len(set(scores)) == n_scores, n
+        shed = {marked - {n} for _, _, marked in scores}
+        assert len(shed - {frozenset()}) == parts, n
         # one empty marking per move: the check coin can always fail
         assert sum(1 for _, _, marked in scores if not marked) == len(
             {(parents, label) for parents, label, _ in scores}), n
@@ -639,6 +646,35 @@ class StepSpy:
         new = pt_false_distances(after)
         self.moved += any(new[w] != d for w, d in dist.items() if w in new)
         return got
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["integral", "fractional"])
+def test_step_delta_splits_the_marking_from_the_move(kind):
+    """The three cases the move's part of a MinDistance score treats
+    apart, on the chain 0 (CF) - 1 - 2 - 3, each held to the whole
+    potential: the new node ``v`` marked with node 3; ``v`` unmarked
+    below the marked node 3, so minimal itself; and a CF ``v`` while
+    node 1 is marked, which moves 2 and 3 up.  A marking scored again
+    on the call's warm base, whose memo the first two cases share, gives
+    what a fresh base gives."""
+    prior = init_chain(4, 1, CF)
+    phi = potential(prior, kind)
+    warm = potentials._step_base(prior, kind)
+    for parents, label, marked in (([2, 3], CT, {3, 4}),
+                                   ([1, 3, 3], CT, {3}),
+                                   ([2], CF, {1})):
+        state = prior.copy()
+        v = state.add_node(parents, label)
+        after = state.copy()
+        after.mark_pf(marked)
+        want = potential(after, kind) - phi
+        for _ in range(2):
+            assert potentials._step_delta(state, kind, warm, v, parents,
+                                          marked) == want, marked
+        fresh = potentials._step_base(prior, kind)
+        assert potentials._step_delta(state, kind, fresh, v, parents,
+                                      marked) == want, marked
+    assert set(warm.marks) == {frozenset({3}), frozenset({1})}
 
 
 @st.composite

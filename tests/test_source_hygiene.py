@@ -227,3 +227,36 @@ def test_the_number_rule_lives_in_attachment(path):
                               for alias in node.names
                               if alias.name in NUMBER_TYPES)
     assert not named_here, f"{path.name} names {sorted(named_here)}"
+
+
+def evaluate_calls(path) -> list:
+    """``module.function`` for every ``x.evaluate(...)`` call in the
+    package module ``path``, by the function it sits in."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "evaluate"):
+                calls.append(f"{path.stem}.{where}")
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return calls
+
+
+def test_the_weight_rule_lives_in_attachment_weight():
+    """A float attachment weight is read in one place,
+    ``attachment.attachment_weight``, which refuses one that is not
+    finite; the deep audit's ``audit_weights`` recomputes the weights on
+    its own, on purpose.  The kernel calls ``attachment_weight`` back
+    and never names ``evaluate`` in its code, so both backends refuse
+    with one text."""
+    calls = sorted(call for path in PACKAGE for call in evaluate_calls(path))
+    assert calls == ["attachment.attachment_weight", "audits.audit_weights"]
+    code = [line.partition("//")[0]
+            for line in KERNEL_CPP.read_text().splitlines()]
+    assert not [line for line in code if "evaluate" in line]
+    assert any('"attachment_weight"' in line for line in code)
