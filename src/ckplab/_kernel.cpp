@@ -52,11 +52,18 @@
 //     with one text on both backends; anything the attachment raises
 //     propagates.
 //   * The Fenwick weight index is attachment.WeightIndex field for
-//     field: same capacity schedule, same update order (weights refreshed
-//     for sorted unique parents), same select and fallback scan.  A
-//     fresh layout, at construction and on regrowth, folds each tree
-//     slot's block left to right from 0.0, bit for bit as
-//     WeightIndex._build and as one append per weight would.  A step
+//     field, but for the weights, which it does not store: a slot's
+//     weight is read from its node record, aval(deg_pt) for a PT node
+//     and 0.0 for a PF one, -0.0 read as 0.0.  Same capacity schedule,
+//     same update order (weights refreshed for sorted unique parents),
+//     same select and fallback scan.  A fresh layout, at construction
+//     and on regrowth, folds each tree slot's block left to right from
+//     0.0, bit for bit as WeightIndex._build and as one append per
+//     weight would; a regrowth inside a step lays out the weights the
+//     step began with, so a step appends its node's slot before any
+//     degree moves, and every update is handed the weight it replaces.
+//     A weight total that is not finite is refused by name, with
+//     WeightIndex's text, wherever a total is formed.  A step
 //     with one parent draws its pick and finds it as select does.  A
 //     step with m > 1 parents draws its m picks first, then finds them
 //     together in one descent that advances every pick at each tree
@@ -85,11 +92,11 @@
 //
 // Layout.  Node ids and edge ids are dense int32.
 //
-//   * Node: one 32-byte record per node with everything the ball walk
+//   * Node: one 24-byte record per node with everything the ball walk
 //     and the per-step bookkeeping read together: the CSR offset and
-//     count of its parent edges, the PF-parent count, the walk's seen
-//     stamp and depth, PT/CT degrees, label, hidden truth and the two
-//     membership bits.
+//     count of its parent edges, the PF-parent count, PT/CT degrees,
+//     label, hidden truth and the two membership bits.  Nothing in it
+//     belongs to one walk.
 //   * Parents are immutable once a node exists, so they are CSR: one
 //     edge array, indexed from each node's offset, in insertion order.
 //   * Children are intrusive lists over edge ids (a head per node, a next
@@ -99,17 +106,21 @@
 //     only whether the list is empty.  export_state reverses each list
 //     into insertion order, the only order state.verify_state accepts.
 //   * The columns that grow with the graph (the node records, the three
-//     edge columns, the child heads and PF child counts, the Fenwick
-//     tree and weights) are Columns: a realloc'd heap block below 1 MB,
-//     an anonymous mapping grown by Linux's mremap from there on.  A
-//     doubling then moves pages rather than copying them beside the old
-//     ones, so the peak is the final size and the untouched tail of a
-//     mapping costs nothing; short sweep trials stay on the heap.  The
-//     scratch buffers are std::vector.
-//   * No per-node array serves the check alone.  The marks of a step are
+//     edge columns, the child heads and PF child counts and the Fenwick
+//     tree) are Columns: a realloc'd heap block below 1 MB, an anonymous
+//     mapping grown by Linux's mremap from there on.  A doubling then
+//     moves pages rather than copying them beside the old ones, so the
+//     peak is the final size and the untouched tail of a mapping costs
+//     nothing; short sweep trials stay on the heap.  The scratch buffers
+//     are std::vector.
+//   * No per-node array or field serves the check alone.  A ball walk
+//     keeps its visited set in a BallQueue, scratch sized by the walk:
+//     the FIFO queue and a hash table from each queued node to its
+//     position, with O(1) expected membership.  The walk reads a node's
+//     depth from the queue's level boundaries, and a found node's
+//     closure is a flag per queue position.  The marks of a step are
 //     collected with repeats and deduplicated by the sort that orders
-//     them; a found node's closure is named by a fresh seen stamp, since
-//     the walk that set the old ones is over.
+//     them.
 //   * A step draws its parents into two buffers sized to the largest
 //     parent count, one for the picks' draws and one for the slots they
 //     find, sorts the slots in place after the edges are stored, and
@@ -129,6 +140,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -320,8 +332,6 @@ struct Node {
   int32_t first;      // CSR offset of the first parent edge
   int32_t npar;       // parent edges, repeats included
   int32_t pf_parent;  // parent edges leading to a PF node
-  uint32_t seen;      // ball-walk stamp
-  int32_t depth;      // ball-walk depth, valid while seen is current
   int32_t deg_pt;     // child edges whose child is CT or CF
   int32_t deg_ct;     // child edges whose child is CT
   int8_t label;
@@ -329,7 +339,73 @@ struct Node {
   int8_t f_mem;       // minimal false
   int8_t l_mem;       // CT non-root leaf, in the mode's sense
 };
-static_assert(sizeof(Node) == 32, "Node should fill half a cache line");
+static_assert(sizeof(Node) == 24, "Node should hold no walk scratch");
+
+// One ball walk's FIFO queue and the set of nodes in it: an open-addressed
+// table of (node, queue position) pairs, linear probing, kept at most half
+// full, so membership costs O(1) expected.  Each slot carries the stamp of
+// the walk that filled it, and a slot with an older stamp is empty, so a
+// walk starts in O(1); the table is wiped only when the stamp wraps.  The
+// table doubles with the walk, reinserting the queue in order.
+class BallQueue {
+ public:
+  BallQueue()
+      : slots_(size_t(1) << FIRST_BITS, Slot{0, 0, 0}),
+        shift_(32 - FIRST_BITS),
+        stamp_(1) {}
+
+  size_t size() const { return queue_.size(); }
+  int32_t operator[](size_t i) const { return queue_[i]; }
+
+  // the queue position of ``v``, -1 if the walk has not enqueued it
+  int32_t position(int32_t v) const {
+    const Slot &at = slots_[slot(v)];
+    return at.stamp == stamp_ ? at.pos : -1;
+  }
+  // enqueue ``v`` unless the walk already has
+  void push(int32_t v) {
+    const size_t h = slot(v);
+    if (slots_[h].stamp == stamp_) return;
+    slots_[h] = Slot{v, static_cast<int32_t>(queue_.size()), stamp_};
+    queue_.push_back(v);
+    if (2 * queue_.size() > slots_.size()) grow();
+  }
+  // empty the walk, then enqueue ``start``
+  void restart(int32_t start) {
+    if (++stamp_ == 0) {
+      for (Slot &each : slots_) each.stamp = 0;
+      stamp_ = 1;
+    }
+    queue_.clear();
+    push(start);
+  }
+
+ private:
+  enum { FIRST_BITS = 8 };   // 256 slots, for walks of up to 128 nodes
+  struct Slot {
+    int32_t node, pos;
+    uint32_t stamp;
+  };
+  // the slot holding ``v``, or the empty one where it would go
+  size_t slot(int32_t v) const {
+    size_t h = (static_cast<uint32_t>(v) * 2654435769u) >> shift_;
+    while (slots_[h].stamp == stamp_ && slots_[h].node != v)
+      h = (h + 1) & (slots_.size() - 1);
+    return h;
+  }
+  void grow() {
+    slots_.assign(2 * slots_.size(), Slot{0, 0, 0});
+    --shift_;
+    for (size_t i = 0; i < queue_.size(); ++i)
+      slots_[slot(queue_[i])] =
+          Slot{queue_[i], static_cast<int32_t>(i), stamp_};
+  }
+
+  std::vector<int32_t> queue_;   // popped prefix = visiting order
+  std::vector<Slot> slots_;
+  int shift_;                    // 32 - log2(slots_.size())
+  uint32_t stamp_;               // the current walk's, never 0
+};
 
 class Engine {
  public:
@@ -359,10 +435,17 @@ class Engine {
 
   double aval(int32_t d);
 
-  // weight index, mirroring WeightIndex
+  // weight index, mirroring WeightIndex; slot i's weight is read from
+  // node i, as the index holds it (-0.0 as 0.0)
+  double pt_weight(int32_t d) const { return atab_[d] + 0.0; }
+  double weight(int32_t i) const {
+    const Node &n = nodes_[i];
+    return n.label != PF ? pt_weight(n.deg_pt) : 0.0;
+  }
   void w_build(int32_t cap);
   void w_append(double weight);
-  void w_set(int32_t i, double weight);
+  void w_set(int32_t i, double old, double weight);
+  void w_check_total();
   void w_add(int32_t i, double delta) {
     for (int64_t j = static_cast<int64_t>(i) + 1; j <= wcap_; j += j & -j)
       tree_[j] += delta;
@@ -389,14 +472,13 @@ class Engine {
   int32_t child_count(int32_t w) const;
 
   // checking
-  uint32_t next_seen();
   bool flagged(const Node &n) {
     bool hit = n.label == CF && maybe(detection_rate_);
     return hit || n.pf_parent > 0;
   }
   // repeats are dropped when the marks are applied
   void mark(int32_t w) { step_marked_.push_back(w); }
-  void mark_closure(int32_t found, size_t visited);
+  void mark_closure(size_t visited);
   int ball(int32_t start, int cap, bool sweep);
   void check_stringy(int32_t v);
   void run_check(int32_t v);
@@ -427,7 +509,7 @@ class Engine {
   int32_t wsize_, wcap_, wmask_;
   long long wpositive_;
   double wtotal_;
-  Column<double> tree_, weights_;
+  Column<double> tree_;
   // engine counters
   bool stopped_;
   long long step_index_, zero_since_;   // zero_since_ -1: nonzero now
@@ -435,9 +517,10 @@ class Engine {
   // scratch, reused every step
   std::vector<int32_t> pbuf_;           // this step's parents
   std::vector<double> xbuf_;            // their picks' unspent draws
-  std::vector<int32_t> queue_;          // ball walk: popped prefix = order
-  std::vector<int32_t> finds_, walk_, step_marked_, touched_;
-  uint32_t seen_stamp_;
+  BallQueue queue_;                     // the ball walk's
+  std::vector<int32_t> finds_;          // its finds' queue positions
+  std::vector<uint8_t> closed_;         // a closure, by queue position
+  std::vector<int32_t> walk_, step_marked_, touched_;
   // cheap audit
   bool audit_on_, track_delta_;
   long long last_potential_, fixed_floor_;
@@ -563,13 +646,10 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   // degree
   wcap_ = static_cast<int32_t>(std::max<Py_ssize_t>(1024, n));
   wsize_ = static_cast<int32_t>(n);
-  weights_.assign(wcap_, 0.0);
   int32_t top = -1;
   for (const Node &node : nodes_)
     if (node.label != PF) top = std::max(top, node.deg_pt);
   if (top >= 0) aval(top);
-  for (Py_ssize_t v = 0; v < n; ++v)
-    if (nodes_[v].label != PF) weights_[v] = atab_[nodes_[v].deg_pt];
   w_build(wcap_);
 
   stopped_ = false;
@@ -588,8 +668,6 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
                                 : -1);
   }
   zero_since_ = pt_false_ == 0 ? 0 : -1;
-
-  seen_stamp_ = 0;
 
   audit_on_ = audit_cheap;
   track_delta_ = detection_rate_ == 1;
@@ -620,14 +698,13 @@ double Engine::aval(int32_t d) {
 
 // -- weight index -----------------------------------------------------------
 
-// Lay out weights_[0, wsize_) at capacity ``cap``.  Slot j with lowest set
-// bit L holds the left fold ((0.0 + w[j-L]) + ...) + w[j-1], which is what
-// appending the weights one at a time leaves there (the zeros appends
-// skip add nothing); slot j - L/2 holds the first half of that fold, so
-// each slot continues it.  The total is the left fold of all weights.
+// Lay out the weights of slots [0, wsize_) at capacity ``cap``.  Slot j
+// with lowest set bit L holds the left fold ((0.0 + w[j-L]) + ...) +
+// w[j-1], which is what appending the weights one at a time leaves there
+// (the zeros appends skip add nothing); slot j - L/2 holds the first half
+// of that fold, so each slot continues it.  The total is the left fold of
+// all weights.
 void Engine::w_build(int32_t cap) {
-  weights_.resize(cap, 0.0);
-  for (int32_t i = 0; i < wsize_; ++i) weights_[i] += 0.0;   // -0.0 -> 0.0
   tree_.assign(static_cast<size_t>(cap) + 1, 0.0);
   for (int64_t j = 1; j <= cap; ++j) {
     int64_t low = j & -j;
@@ -635,7 +712,7 @@ void Engine::w_build(int32_t cap) {
     double acc = low == 1 ? 0.0 : tree_[j - low / 2];
     int64_t end = std::min<int64_t>(j, wsize_);
     for (int64_t i = low == 1 ? j - 1 : j - low / 2; i < end; ++i)
-      acc += weights_[i];
+      acc += weight(static_cast<int32_t>(i));
     tree_[j] = acc;
   }
   wcap_ = cap;
@@ -644,9 +721,11 @@ void Engine::w_build(int32_t cap) {
   wtotal_ = 0.0;
   wpositive_ = 0;
   for (int32_t i = 0; i < wsize_; ++i) {
-    wtotal_ += weights_[i];
-    if (weights_[i] > 0) ++wpositive_;
+    const double w = weight(i);
+    wtotal_ += w;
+    if (w > 0) ++wpositive_;
   }
+  w_check_total();
 }
 
 void Engine::w_append(double weight) {
@@ -662,20 +741,30 @@ void Engine::w_append(double weight) {
   int32_t i = wsize_++;
   if (weight != 0.0) {
     w_add(i, weight);
-    weights_[i] = weight;
     wtotal_ += weight;
     if (weight > 0) ++wpositive_;
+    w_check_total();
   }
 }
 
-void Engine::w_set(int32_t i, double weight) {
-  double old = weights_[i];
+// Slot i's weight goes from ``old`` to ``weight``.
+void Engine::w_set(int32_t i, double old, double weight) {
   if (weight == old) return;
   double delta = weight - old;
   w_add(i, delta);
-  weights_[i] = weight;
   wtotal_ += delta;
   if ((old > 0) != (weight > 0)) wpositive_ += weight > 0 ? 1 : -1;
+  w_check_total();
+}
+
+// WeightIndex's refusal of a total past the float range, which would turn
+// every draw into u * inf.
+void Engine::w_check_total() {
+  if (std::isfinite(wtotal_)) return;
+  Ref total(check(PyFloat_FromDouble(wtotal_)));
+  PyErr_Format(PyExc_ValueError, "attachment weight total is %R, not finite",
+               total.get());
+  fail();
 }
 
 int32_t Engine::w_select(double x) {
@@ -726,12 +815,12 @@ void Engine::w_select_picks(int m) {
 // does.
 int32_t Engine::w_settle(int64_t pos) {
   if (pos >= wsize_) pos = wsize_ - 1;
-  if (weights_[pos] <= 0) {
-    int64_t j = pos + 1;
-    while (j < wsize_ && weights_[j] <= 0) ++j;
+  if (weight(static_cast<int32_t>(pos)) <= 0) {
+    int32_t j = static_cast<int32_t>(pos) + 1;
+    while (j < wsize_ && weight(j) <= 0) ++j;
     if (j >= wsize_) {
-      j = pos - 1;
-      while (j >= 0 && weights_[j] <= 0) --j;
+      j = static_cast<int32_t>(pos) - 1;
+      while (j >= 0 && weight(j) <= 0) --j;
     }
     if (j < 0) {
       PyErr_SetString(AllWeightsZero,
@@ -770,8 +859,20 @@ int32_t Engine::child_count(int32_t w) const {
   return count;
 }
 
+// The end of the run of ids equal to p[i] in the sorted p[0, n).
+size_t run_end(const int32_t *p, size_t i, size_t n) {
+  size_t j = i + 1;
+  while (j < n && p[j] == p[i]) ++j;
+  return j;
+}
+
 // Append the node whose parents are pbuf_[0, m), then update every index
-// PyEngine._add_node updates, in the same order.
+// PyEngine._add_node updates, in the same order.  The parents' new
+// weights are read first, so a weight past the float range is refused by
+// its degree before any total is formed with it, and every degree keeps
+// its weight in the table.  The new slot goes in next, while every weight
+// is still the one the step began with, since a regrowth lays those out;
+// then the degrees move.
 int32_t Engine::add_node(int m, int8_t label) {
   if (nodes_.size() >= INT32_MAX - 1 ||
       edge_parent_.size() + m >= INT32_MAX) {
@@ -796,16 +897,27 @@ int32_t Engine::add_node(int m, int8_t label) {
     edge_child_.push_back(v);
     edge_next_.push_back(-1);
     link_child(u, e);
-    ++nodes_[u].deg_pt;
-    if (label == CT) ++nodes_[u].deg_ct;
+  }
+  // the edges are stored: sort the buffer into one run per distinct
+  // parent, in id order, as long as its count of new edges
+  int32_t *p = pbuf_.data();
+  const size_t n = static_cast<size_t>(m);
+  std::sort(p, p + n);
+  for (size_t i = 0, j; i < n; i = j) {
+    j = run_end(p, i, n);
+    aval(nodes_[p[i]].deg_pt + static_cast<int32_t>(j - i));
   }
   w_append(aval(0));
-  // the edges are stored: sort the buffer for the refreshes, which go
-  // over the distinct parents in id order
-  int32_t *p = pbuf_.data();
-  std::sort(p, p + m);
-  int distinct = static_cast<int>(std::unique(p, p + m) - p);
-  for (int i = 0; i < distinct; ++i) w_set(p[i], aval(nodes_[p[i]].deg_pt));
+  int distinct = 0;
+  for (size_t i = 0, j; i < n; i = j) {
+    j = run_end(p, i, n);
+    Node &nu = nodes_[p[i]];
+    const double old = pt_weight(nu.deg_pt);
+    nu.deg_pt += static_cast<int32_t>(j - i);
+    if (label == CT) nu.deg_ct += static_cast<int32_t>(j - i);
+    w_set(p[i], old, pt_weight(nu.deg_pt));
+    p[distinct++] = p[i];
+  }
   Node &nv = nodes_[v];
   nv.f_mem = is_minimal_false(nv);
   nv.l_mem = is_leaf(v);
@@ -832,6 +944,10 @@ void Engine::apply_marks() {
       PyErr_Format(StateError, "node %d is already PF", w);
       fail();
     }
+  // the marked nodes' weights go to 0.0 before any degree falls, so each
+  // is read as it was; no update reads a degree, so the order of the
+  // updates is still PyEngine's
+  for (int32_t w : step_marked_) w_set(w, weight(w), 0.0);
   touched_.clear();
   for (int32_t w : step_marked_) {
     Node &nw = nodes_[w];
@@ -848,15 +964,17 @@ void Engine::apply_marks() {
   }
   const long long k = static_cast<long long>(step_marked_.size());
   pf_total_ += k;
-  for (int32_t w : step_marked_) {
-    w_set(w, 0.0);
-    pf_child_len_[w] = child_count(w);
-  }
+  for (int32_t w : step_marked_) pf_child_len_[w] = child_count(w);
+  // a touched parent lost one degree per entry in touched_; a degree only
+  // falls here, so the table already holds it
   std::sort(touched_.begin(), touched_.end());
-  touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                 touched_.end());
-  for (int32_t u : touched_)
-    if (nodes_[u].label != PF) w_set(u, aval(nodes_[u].deg_pt));
+  for (size_t i = 0, j; i < touched_.size(); i = j) {
+    j = run_end(touched_.data(), i, touched_.size());
+    const Node &nu = nodes_[touched_[i]];
+    if (nu.label != PF)
+      w_set(touched_[i], pt_weight(nu.deg_pt + static_cast<int32_t>(j - i)),
+            pt_weight(nu.deg_pt));
+  }
   pt_false_ -= k;
   for (int32_t w : step_marked_) {
     Node &nw = nodes_[w];
@@ -882,37 +1000,36 @@ void Engine::apply_marks() {
 
 // -- checking ---------------------------------------------------------------
 
-uint32_t Engine::next_seen() {
-  if (++seen_stamp_ == 0) {
-    for (Node &n : nodes_) n.seen = 0;
-    seen_stamp_ = 1;
-  }
-  return seen_stamp_;
-}
-
-// Mark ``found`` and every node among the first ``visited`` of the walk's
-// queue that lies below it through edges whose upper end is already in
-// the closure: checking._descendants_within.  The walk is over, so a fresh
-// ``seen`` stamp names the closure.
-void Engine::mark_closure(int32_t found, size_t visited) {
-  const uint32_t cs = next_seen();
-  nodes_[found].seen = cs;
+// Mark the finds, at the queue positions finds_, and every node among the
+// first ``visited`` of the walk's queue, the finds among them, that lies
+// below one through edges whose upper end is already in the closure:
+// checking._descendants_within for each find.  Their closures together
+// are the one closure of every find, since each is what its find reaches
+// downward through the visited nodes, and the marks are a set, so one
+// closure serves them all.  It is a flag per queue position.  A walk
+// queues a node's parents after it, so the scan goes newest first, as
+// _descendants_within's does, and the closure spreads down in one pass
+// wherever the queue keeps that order.
+void Engine::mark_closure(size_t visited) {
+  closed_.assign(visited, 0);
+  for (int32_t f : finds_) closed_[f] = 1;
   for (bool grew = true; grew;) {
     grew = false;
-    for (size_t i = 0; i < visited; ++i) {
-      Node &nx = nodes_[queue_[i]];
-      if (nx.seen == cs) continue;
-      for (int32_t e = nx.first; e < nx.first + nx.npar; ++e)
-        if (nodes_[edge_parent_[e]].seen == cs) {
-          nx.seen = cs;
+    for (size_t i = visited; i-- > 0;) {
+      if (closed_[i]) continue;
+      const Node &nx = nodes_[queue_[i]];
+      for (int32_t e = nx.first; e < nx.first + nx.npar; ++e) {
+        const int32_t at = queue_.position(edge_parent_[e]);
+        if (at >= 0 && static_cast<size_t>(at) < visited && closed_[at]) {
+          closed_[i] = 1;
           grew = true;
           break;
         }
+      }
     }
   }
-  mark(found);
   for (size_t i = 0; i < visited; ++i)
-    if (nodes_[queue_[i]].seen == cs) mark(queue_[i]);
+    if (closed_[i]) mark(queue_[i]);
 }
 
 // The ball walk, checking._ball: BFS upward from ``start`` to depth
@@ -930,35 +1047,33 @@ void Engine::mark_closure(int32_t found, size_t visited) {
 int Engine::ball(int32_t start, int cap, bool sweep) {
   if (cap < 0 || nodes_[start].label == PF || !nodes_[start].is_false)
     return 0;
-  const uint32_t ss = next_seen();
-  queue_.clear();
+  queue_.restart(start);
   finds_.clear();
-  nodes_[start].seen = ss;
-  nodes_[start].depth = 0;
-  queue_.push_back(start);
+  // the node at ``head`` is at depth ``depth``; the queue holds the next
+  // depth from ``level_end`` on
+  int depth = 0;
+  size_t level_end = 1;
   for (size_t head = 0; head < queue_.size(); ++head) {
-    const int32_t u = queue_[head];
-    const Node &nu = nodes_[u];
+    if (head == level_end) {
+      ++depth;
+      level_end = queue_.size();
+    }
+    const Node &nu = nodes_[queue_[head]];
     if (flagged(nu)) {
+      finds_.push_back(static_cast<int32_t>(head));
       if (!sweep) {
-        mark_closure(u, head + 1);
+        mark_closure(head + 1);
         return 1;
       }
-      finds_.push_back(u);
       continue;
     }
-    if (nu.depth >= cap) continue;
+    if (depth >= cap) continue;
     const int32_t *e = edge_parent_.data() + nu.first;
     const int32_t *end = e + nu.npar;
-    for (; e != end; ++e) {
-      Node &nw = nodes_[*e];
-      if (nw.seen == ss || nw.label == PF) continue;
-      nw.seen = ss;
-      nw.depth = nu.depth + 1;
-      queue_.push_back(*e);
-    }
+    for (; e != end; ++e)
+      if (nodes_[*e].label != PF) queue_.push(*e);
   }
-  for (int32_t f : finds_) mark_closure(f, queue_.size());
+  if (!finds_.empty()) mark_closure(queue_.size());
   return static_cast<int>(finds_.size());
 }
 
@@ -1208,7 +1323,7 @@ PyObject *Engine::export_bookkeeping() const {
       fail();
   }
   Ref weights(list_of(static_cast<size_t>(wsize_), [&](size_t i) {
-    return PyFloat_FromDouble(weights_[i]);
+    return PyFloat_FromDouble(weight(static_cast<int32_t>(i)));
   }));
   Ref tree(list_of(tree_.size(), [&](size_t i) {
     return PyFloat_FromDouble(tree_[i]);

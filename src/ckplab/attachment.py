@@ -294,8 +294,14 @@ class WeightIndex:
     Kept deliberately plain: 1-based internal tree, capacity doubling, a
     maintained running total, and a deterministic fallback scan when float
     drift lands a draw on a zero-weight slot.  The accelerated engine
-    carries a field-for-field copy of this structure, and trajectories are
-    compared across the two, so every operation here is the reference.
+    carries a field-for-field copy of this structure but for ``weights``,
+    which it reads from its node records as ``a(deg_pt)`` (``0.0`` for a
+    PF node, ``-0.0`` as ``0.0``) instead of storing them.  Trajectories
+    are compared across the two, so every operation here is the
+    reference.  A total past the float range would make every draw
+    ``u * inf``, so wherever a total is formed one that is not finite
+    raises ``ValueError`` by name (:func:`_finite_total`), with the text
+    the kernel uses.
 
     A whole index is laid out at once by :meth:`_build`, for a fresh
     index (:func:`weight_index_for`) and on regrowth: no per-node Python
@@ -345,6 +351,10 @@ class WeightIndex:
         """
         w = np.asarray(weights, dtype=float) + 0.0   # -0.0 is skipped as 0.0
         n = len(w)
+        # an overflowing fold is refused below, by name, not warned of
+        with np.errstate(over="ignore"):
+            total = _finite_total(float(np.add.accumulate(w)[-1])
+                                  if n else 0.0)
         top = _top_bit(capacity)
         padded = np.zeros(2 * top)
         padded[:n] = w
@@ -363,7 +373,7 @@ class WeightIndex:
         self.top = top
         self.tree = tree.tolist()
         self.weights = w.tolist() + [0.0] * (capacity - n)
-        self.total = float(np.add.accumulate(w)[-1]) if n else 0.0
+        self.total = total
         self.positive = int(np.count_nonzero(w > 0))
 
     def append(self, weight: float) -> int:
@@ -379,7 +389,7 @@ class WeightIndex:
                 tree[j] += weight
                 j += j & -j
             self.weights[i] = weight
-            self.total += weight
+            self.total = _finite_total(self.total + weight)
             if weight > 0:
                 self.positive += 1
         return i
@@ -397,7 +407,7 @@ class WeightIndex:
             tree[j] += delta
             j += j & -j
         weights[i] = weight
-        self.total += delta
+        self.total = _finite_total(self.total + delta)
         if (old > 0) != (weight > 0):
             self.positive += 1 if weight > 0 else -1
 
@@ -440,6 +450,15 @@ class WeightIndex:
                 raise AllWeightsZero("no positive attachment weight to select")
             pos = j
         return pos
+
+
+def _finite_total(total: float) -> float:
+    """``total``, a weight index's or pool's, refused with ``ValueError``
+    when it is not finite: every weight may be finite while their sum
+    overflows."""
+    if not math.isfinite(total):
+        raise ValueError(f"attachment weight total is {total}, not finite")
+    return total
 
 
 def attachment_weight(attach, d: int) -> float:
@@ -517,21 +536,23 @@ class PrefixPool:
     caller that changes no weight between picks, such as the Monte
     Carlo drift.  The prefix sums are one left fold, as
     :meth:`WeightIndex._build` takes the total, so ``total`` is the
-    index's bit for bit.  Where every prefix sum is exact (integer
-    weights with a total below 2**53, such as :func:`preferential`'s)
-    :meth:`select` returns what :meth:`WeightIndex.select` does.  Where
-    they round, the picks keep the law: a pick can differ only when
-    ``x`` lies within rounding of a weight boundary.
+    index's bit for bit, and refused as the index's is when it is not
+    finite.  Where every prefix sum is exact (integer weights with a
+    total below 2**53, such as :func:`preferential`'s) :meth:`select`
+    returns what :meth:`WeightIndex.select` does.  Where they round, the
+    picks keep the law: a pick can differ only when ``x`` lies within
+    rounding of a weight boundary.
     """
 
     __slots__ = ("cum", "total", "last")
 
     def __init__(self, weights: np.ndarray):
-        cum = np.add.accumulate(weights)
+        with np.errstate(over="ignore"):
+            cum = np.add.accumulate(weights)
+        self.total = _finite_total(float(cum[-1]) if len(cum) else 0.0)
         # a byte copy: tolist would make a Python float per node, which
         # costs more than a short call's picks win back by bisecting a list
         self.cum = array("d", cum.tobytes())
-        self.total = float(cum[-1]) if len(cum) else 0.0
         live = np.flatnonzero(weights > 0)
         # the last positive-weight node, -1 when there is none
         self.last = int(live[-1]) if len(live) else -1

@@ -310,10 +310,12 @@ class PyEngine:
     def export_bookkeeping(self) -> dict:
         """Everything the engine maintains incrementally, as one record:
         the same keys and values as the kernel's ``export_bookkeeping``.
-        ``tree`` is the Fenwick array, all capacity + 1 slots."""
+        ``tree`` is the Fenwick array, all capacity + 1 slots.  A weight
+        is given as the kernel reads it from its node records, ``-0.0``
+        as ``0.0``."""
         windex = self.windex
         return {
-            "weights": [float(w) for w in windex.weights[:windex.size]],
+            "weights": [float(w) + 0.0 for w in windex.weights[:windex.size]],
             "weight_total": float(windex.total),
             "weight_positive": windex.positive,
             "tree": [float(x) for x in windex.tree],
@@ -361,14 +363,17 @@ class PyEngine:
         aval = self.aval
         attach = self.features.attach
         deg_pt = st.deg_pt
-        windex.append(aval[0] if aval else extend_table(aval, attach, 0))
         # weights refreshed for the distinct parents in id order; a
-        # degree past the table extends it, as the kernel's aval does
+        # degree past the table extends it, as the kernel's aval does,
+        # before the index forms a total, so a weight past the float
+        # range is refused by its degree
         ups = parents if len(parents) == 1 else sorted(set(parents))
         for u in ups:
-            d = deg_pt[u]
-            windex.set_weight(u, aval[d] if d < len(aval)
-                              else extend_table(aval, attach, d))
+            if deg_pt[u] >= len(aval):
+                extend_table(aval, attach, deg_pt[u])
+        windex.append(aval[0] if aval else extend_table(aval, attach, 0))
+        for u in ups:
+            windex.set_weight(u, aval[deg_pt[u]])
         # the new node has no children and no PF parent edge: it is
         # minimal false iff CF and a leaf iff CT
         f_new = label == CF

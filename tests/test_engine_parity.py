@@ -211,17 +211,17 @@ def test_a_rate_that_rounds_to_a_sure_coin_draws_nothing(rates):
 @needs_kernel
 def test_trajectories_bit_identical_across_the_column_mapping():
     """The kernel's growable columns leave the heap for their own page
-    mappings at 1 MB, and double by mremap from there.  From five nodes
-    the 32-byte node records double through 5 * 2**k slots: 40,960 of
-    them (1.3 MB) are the first mapping, and node 40,961 remaps it.
+    mappings at 1 MB, and double by mremap from there.  From three nodes
+    the 24-byte node records double through 3 * 2**k slots: 49,152 of
+    them (1.2 MB) are the first mapping, and node 49,153 remaps it.
     Everything laid down before either move has to come through it."""
     feats = Features(attach=preferential(),
                      parent_count=ParentCountLaw.const(1), check_rate=0.1,
                      check_depth=2, mechanism="bfs", error_rate=0.05,
                      detection_rate=0.8)
-    eng, ker, summary = run_both(feats, init_chain(5, 1, CT), 9090, 50_000)
+    eng, ker, summary = run_both(feats, init_chain(3, 1, CT), 9090, 50_000)
     assert summary["stopped_at"] is None
-    assert len(eng.state.labels) > 40_960
+    assert len(eng.state.labels) > 49_152
     assert eng.state.pf_total > 0
 
     exported = ker.export_state()
@@ -359,6 +359,145 @@ def test_nonfinite_weights_are_refused_by_name(attach, degree, message,
             mc_drift(root_with_children(degree), feats,
                      MinDistance(preferential(), 3), 20, 1)
         assert str(err.value) == message
+
+
+TOTAL_PAST_RANGE = "attachment weight total is inf, not finite"
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("compiled", marks=needs_kernel)])
+def test_nonfinite_weight_totals_are_refused_by_name(backend):
+    """Finite weights whose total overflows would make every draw
+    ``u * inf``.  The total is refused with one text on both backends:
+    at set-up, from a chain whose two degree-1 nodes weigh 1e308 each,
+    and at the step whose edge takes it past the float range, the same
+    step on both; ``mc_drift``'s pool refuses it too."""
+    feats = Features(TableAttachment((1.0, 1e308, 1e308), 1e308),
+                     ParentCountLaw.const(1), 0.5, 2, "bfs", error_rate=0.1)
+    with pytest.raises(ValueError) as err:
+        run_trial(feats, init_chain(3, 1, CT), 50, seed=1, backend=backend)
+    assert str(err.value) == TOTAL_PAST_RANGE
+    if backend == "python":
+        with pytest.raises(ValueError) as err:
+            mc_drift(init_chain(3, 1, CT), feats,
+                     MinDistance(preferential(), 3), 20, 1)
+        assert str(err.value) == TOTAL_PAST_RANGE
+
+    # a(d) = 1e307 * d: 9 edges weigh 9e307, each new edge adds 1e307
+    # and each mark takes its node's edges away, so marks put the 18th
+    # edge past step 9, while no node comes near the degree whose own
+    # weight overflows
+    feats = Features(Affine(0, 1e307), ParentCountLaw.const(1), 0.5, 2,
+                     "bfs", error_rate=0.3)
+    init = init_chain(10, 1, CT)
+    eng = PyEngine(feats, init, SimChooser(2))
+    with pytest.raises(ValueError) as err:
+        eng.run(50)
+    assert str(err.value) == TOTAL_PAST_RANGE
+    assert eng.step_index > 9 and eng.state.pf_total > 0
+    if backend == "compiled":
+        from ckplab._kernel import KernelEngine
+
+        ker = KernelEngine(feats, init, 2)
+        with pytest.raises(ValueError) as err:
+            ker.run(50)
+        assert str(err.value) == TOTAL_PAST_RANGE
+        assert ker.export_bookkeeping()["step_index"] == eng.step_index
+
+
+def hex_record(book) -> dict:
+    """An exported bookkeeping record with every float as ``float.hex``,
+    so a zero's sign or an ulp shows."""
+    def norm(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, list):
+            return [norm(y) for y in x]
+        if isinstance(x, dict):
+            return {k: norm(y) for k, y in x.items()}
+        return x
+    return norm(book)
+
+
+@needs_kernel
+def test_derived_weights_agree_across_regrowths():
+    """The kernel stores no weight column: it reads each slot's weight
+    from the node's degree and label.  A table with a zero hole and a
+    -0.0 entry, three parent picks a step (so parents repeat) and a
+    marking mechanism drive the index through regrowths at 1024 and
+    2048 nodes, each inside a step whose parents' degrees are about to
+    move, and past degree falls from marks.  Both records, floats by
+    their bits, must agree at every checkpoint."""
+    from ckplab._kernel import KernelEngine
+
+    feats = Features(attach=TableAttachment((1.0, 0.0, 40.0, -0.0, 6.0),
+                                            0.5),
+                     parent_count=ParentCountLaw({1: 0.5, 3: 0.5}),
+                     check_rate=0.5, check_depth=3, mechanism="complete",
+                     error_rate=0.2, detection_rate=0.8)
+    init = init_chain(5, 2, CT)
+    eng = PyEngine(feats, init, SimChooser(2718))
+    ker = KernelEngine(feats, init, 2718)
+    negative_zero = False
+    for steps in (700, 330, 1, 1100, 1300):
+        assert ker.run(steps) == eng.run(steps)
+        assert dump_state(ker.export_state()) == dump_state(eng.state)
+        assert (hex_record(ker.export_bookkeeping())
+                == hex_record(eng.export_bookkeeping()))
+        negative_zero |= any(math.copysign(1.0, w) < 0
+                             for w in eng.windex.weights)
+    assert eng.windex.capacity == 4096
+    assert len(eng.state.labels) == 5 + 3431
+    assert eng.state.pf_total > 0
+    assert any(len(set(ps)) < len(ps) for ps in eng.state.parents)
+    assert negative_zero
+
+
+def hub_with_many_parents(parents=600, grandparents=400):
+    """A hidden-False CT hub below ``parents`` distinct parents, each
+    below two of ``grandparents`` roots; every fifth parent and every
+    fourth root is CF.  The hub has five CT children, so under
+    ``HUB_ONLY`` it is the one node a step can attach to, and a check
+    from its child walks a ball of about a thousand nodes."""
+    s = CkpState()
+    for g in range(grandparents):
+        s.add_root(CF if g % 4 == 0 else CT)
+    for i in range(parents):
+        a = i % grandparents
+        s.add_node([a, (a + 1 + i // grandparents) % grandparents],
+                   CF if i % 5 == 0 else CT)
+    hub = s.add_node(range(grandparents, grandparents + parents), CT)
+    for _ in range(5):
+        s.add_node([hub], CT)
+    assert s.is_false[hub] and s.labels[hub] == CT
+    return s
+
+
+# a(d) = 0 below degree 5 and d from there on
+HUB_ONLY = TableAttachment((0.0, 0.0, 0.0, 0.0, 0.0, 5.0), 1.0)
+
+
+@needs_kernel
+@pytest.mark.parametrize("mech,detection", [
+    ("bfs", 0.002), ("complete", 0.002), ("complete", 0.1)])
+def test_large_balls_agree(mech, detection):
+    """Each step attaches below the hub and checks a ball of about a
+    thousand nodes, far past a walk's first scratch size; a rare
+    detection lets several such walks pass before a find, and a common
+    one gives a sweep dozens of finds, each with its closure.  Both
+    records must agree whole."""
+    init = hub_with_many_parents()
+    feats = Features(HUB_ONLY, ParentCountLaw.const(1), check_rate=0.9,
+                     check_depth=3, mechanism=mech, error_rate=0.1,
+                     detection_rate=detection)
+    marked = 0
+    for seed in range(6):
+        eng, ker, summary = run_both(feats, init, seed, 60)
+        assert_same_engines(eng, ker)
+        assert (hex_record(ker.export_bookkeeping())
+                == hex_record(eng.export_bookkeeping()))
+        marked = max(marked, eng.state.pf_total)
+    assert marked >= (20 if detection > 0.01 else 2)
 
 
 @needs_kernel
