@@ -59,7 +59,12 @@
 //     same select and fallback scan.  A fresh layout, at construction
 //     and on regrowth, folds each tree slot's block left to right from
 //     0.0, bit for bit as WeightIndex._build and as one append per
-//     weight would; a regrowth inside a step lays out the weights the
+//     weight would.  While every table entry is a non-negative integer
+//     and wsize_ times the largest is below 2**53 (integer weights, as
+//     preferential and uniform attachment give), no sum has rounded,
+//     and exact sums do not depend on the order of addition: a regrowth
+//     then keeps the tree and fills only the new slots, the bits that
+//     layout would write.  A regrowth inside a step sees the weights the
 //     step began with, so a step appends its node's slot before any
 //     degree moves, and every update is handed the weight it replaces.
 //     A weight total that is not finite is refused by name, with
@@ -443,6 +448,9 @@ class Engine {
     return n.label != PF ? pt_weight(n.deg_pt) : 0.0;
   }
   void w_build(int32_t cap);
+  bool w_exact() const;
+  void w_extend(int32_t cap);
+  void w_capacity(int32_t cap);
   void w_append(double weight);
   void w_set(int32_t i, double old, double weight);
   void w_check_total();
@@ -703,7 +711,9 @@ double Engine::aval(int32_t d) {
 // w[j-1], which is what appending the weights one at a time leaves there
 // (the zeros appends skip add nothing); slot j - L/2 holds the first half
 // of that fold, so each slot continues it.  The total is the left fold of
-// all weights.
+// all weights.  A regrowth of a tree whose sums are exact (w_exact) skips
+// this for w_extend: with no rounding the folds equal the slots and total
+// already held.
 void Engine::w_build(int32_t cap) {
   tree_.assign(static_cast<size_t>(cap) + 1, 0.0);
   for (int64_t j = 1; j <= cap; ++j) {
@@ -715,9 +725,7 @@ void Engine::w_build(int32_t cap) {
       acc += weight(static_cast<int32_t>(i));
     tree_[j] = acc;
   }
-  wcap_ = cap;
-  wmask_ = 1;
-  while (static_cast<int64_t>(wmask_) * 2 <= cap) wmask_ *= 2;
+  w_capacity(cap);
   wtotal_ = 0.0;
   wpositive_ = 0;
   for (int32_t i = 0; i < wsize_; ++i) {
@@ -728,6 +736,49 @@ void Engine::w_build(int32_t cap) {
   w_check_total();
 }
 
+// Whether every sum the tree and the total hold is exact: each table
+// entry a non-negative integer, and wsize_ of the largest below 2**53.
+// The table and the size only grow and no weight is negative, so at a
+// regrowth this bounds every slot and total formed since construction,
+// and a table that once fails fails for good.
+bool Engine::w_exact() const {
+  double top = 0.0;
+  for (double a : atab_) {
+    if (!(a >= 0) || a != std::floor(a)) return false;
+    top = std::max(top, a);
+  }
+  return wsize_ * top < 9007199254740992.0;   // 2**53
+}
+
+// Regrow an exact tree to capacity ``cap`` (wsize_ == wcap_) by filling
+// only the new slots.  A slot's block does not depend on the capacity,
+// and exact sums do not depend on the order of addition, so the old
+// slots, the total and the positive count are already what w_build would
+// write.  A new slot whose block lies past the live weights stays 0.0;
+// the ones whose block reaches back below wsize_ are the update path
+// above slot wsize_, and each gets its block's exact sum as a difference
+// of two prefix sums (at a power-of-two capacity, only tree[2c] = tree[c]).
+void Engine::w_extend(int32_t cap) {
+  // the sum of slots [0, i), as WeightIndex.prefix adds it
+  auto prefix = [this](int64_t i) {
+    double acc = 0.0;
+    for (; i > 0; i -= i & -i) acc += tree_[i];
+    return acc;
+  };
+  const int64_t c = wcap_;
+  const double total = prefix(c);
+  tree_.resize(static_cast<size_t>(cap) + 1, 0.0);
+  for (int64_t j = c + (c & -c); j <= cap; j += j & -j)
+    tree_[j] = total - prefix(j - (j & -j));
+  w_capacity(cap);
+}
+
+void Engine::w_capacity(int32_t cap) {
+  wcap_ = cap;
+  wmask_ = 1;
+  while (static_cast<int64_t>(wmask_) * 2 <= cap) wmask_ *= 2;
+}
+
 void Engine::w_append(double weight) {
   if (wsize_ >= wcap_) {
     int64_t cap = wcap_;
@@ -736,7 +787,10 @@ void Engine::w_append(double weight) {
       PyErr_SetString(PyExc_OverflowError, "weight index too large");
       fail();
     }
-    w_build(static_cast<int32_t>(cap));
+    if (w_exact())
+      w_extend(static_cast<int32_t>(cap));
+    else
+      w_build(static_cast<int32_t>(cap));
   }
   int32_t i = wsize_++;
   if (weight != 0.0) {

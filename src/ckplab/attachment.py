@@ -308,7 +308,12 @@ class WeightIndex:
     work, and the same floats, bit for bit, as one :meth:`append` per
     weight.  The kernel lays its index out by the same left folds, so
     that equality is what keeps the two backends, and every draw,
-    unchanged; see :meth:`_build` for why no ``sum`` may enter it.
+    unchanged; see :meth:`_build` for why no ``sum`` may enter it.  On a
+    regrowth whose sums cannot have rounded (integer weights, no sum
+    reaching 2**53) the kernel keeps its tree and fills only the new
+    slots: exact sums do not depend on the order of addition, so these
+    folds' bits come out, and this layout stays the reference it is
+    tested against.
     """
 
     __slots__ = ("size", "capacity", "top", "tree", "weights", "total",

@@ -196,9 +196,8 @@ class PathChooser:
     den``, and records in :attr:`forks` the ``(path, num, den)`` each
     other option would have given.  Probabilities enter under the rule
     of :func:`attachment._to_fraction` (a float at its binary value).
-    Tests feed it hand-picked outcomes and assert :meth:`exhausted`; the
-    drift oracle replays each fork once, so every leaf of the decision
-    tree costs one run.
+    The drift oracle replays each fork once, so every leaf of the
+    decision tree costs one run.
 
     A chooser builds the option table of each decision object (a coin's
     probability, a parent-count law, a pick's pmf, a uniform count) once,
@@ -229,10 +228,6 @@ class PathChooser:
         self.num = num
         self.den = den
         self.forks: list = []
-
-    def exhausted(self) -> bool:
-        """The whole path was taken and no decision was opened."""
-        return self.cursor == len(self.path) and not self.forks
 
     def _take(self, table):
         first, index, num, den, others = table

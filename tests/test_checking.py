@@ -51,7 +51,8 @@ def scripted(mechanism, s, v, parents, k, p, p_e, script=()):
     chooser = PathChooser(script)
     out = run_check(mechanism, s, v, parents, k=k, p=p, p_e=p_e,
                     chooser=chooser)
-    assert chooser.exhausted(), (chooser.cursor, chooser.path, chooser.forks)
+    assert chooser.cursor == len(chooser.path) and not chooser.forks, (
+        chooser.cursor, chooser.path, chooser.forks)
     return out
 
 
@@ -64,14 +65,14 @@ def fork_masses(chooser):
 
 def test_path_chooser_fails_loudly_off_its_path():
     # the script ends before the check coin: the run takes heads and
-    # forks tails, and the chooser is not exhausted
+    # forks tails, a decision opened past the path
     s = chain([CF, CT])
     chooser = PathChooser([])
     out = run_check("bfs", s, 1, [0], k=2, p=0.25, p_e=1, chooser=chooser)
     assert out.performed == [True] and out.found == [0]
     assert (chooser.path, chooser.num, chooser.den) == ((True,), 1, 4)
     assert chooser.forks == [((False,), 3, 4)]
-    assert not chooser.exhausted()
+    assert chooser.cursor == len(chooser.path) and chooser.forks
     # so a scripted case fails on a decision its script left out, and on
     # a scripted decision the check never took
     with pytest.raises(AssertionError):
@@ -104,7 +105,7 @@ def test_path_chooser_offers_exact_masses():
     chooser = PathChooser([])
     assert chooser.pmf_index(ParentCountLaw.const(2)) == 0
     assert chooser.weighted_index({4: 1.0}) == 4
-    assert chooser.exhausted()
+    assert chooser.cursor == len(chooser.path) and not chooser.forks
 
 
 COIN = Fraction(1, 3)
@@ -137,7 +138,9 @@ def test_one_chooser_replays_like_fresh_ones(floats):
         for chooser in (fresh, shared):
             try:
                 result = four_kinds(chooser, coin, law)
-                outcomes.append(("done", result, chooser.exhausted(),
+                outcomes.append(("done", result,
+                                 chooser.cursor == len(chooser.path)
+                                 and not chooser.forks,
                                  chooser.path, chooser.num, chooser.den,
                                  chooser.forks))
             except ValueError as err:
@@ -279,7 +282,7 @@ def test_bfs_clean_neighborhood_finds_nothing():
                         chooser=chooser)
         assert out.found == [] and out.marked == set()
         assert out.visited == []
-    assert path.exhausted()
+    assert path.cursor == len(path.path) and not path.forks
     assert sim.draws == 0
     assert sim.gen.bit_generator.state == before
 

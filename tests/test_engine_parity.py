@@ -453,6 +453,53 @@ def test_derived_weights_agree_across_regrowths():
     assert negative_zero
 
 
+def regrowth_case(name):
+    """Features, start, and the index's capacity before each regrowth
+    :func:`test_exact_and_inexact_regrowths_agree` crosses."""
+    from ckplab._kernel import KernelEngine
+
+    if name == "straddling":
+        # the trial-ct process, grown on the kernel to 1,525 nodes
+        feats = case_features("complete", 0.05, "preferential", 0.5, 5)
+        grower = KernelEngine(feats, init_chain(25, 1, CT), 11)
+        grower.run(1500)
+        return feats, grower.export_state(), (1525, 3050)
+    attach = {"past-2**53": TableAttachment((2.0**43 + 1,), 2.0**43 + 3),
+              "half-integer": TableAttachment((1.5, 0.5, 2.5), 0.5)}[name]
+    feats = Features(attach=attach, parent_count=ParentCountLaw({1: 0.5,
+                                                                 2: 0.5}),
+                     check_rate=0.3, check_depth=3, mechanism="bfs",
+                     error_rate=0.2, detection_rate=0.8)
+    return feats, init_chain(5, 1, CT), (1024, 2048)
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", ["straddling", "past-2**53",
+                                  "half-integer"])
+def test_exact_and_inexact_regrowths_agree(case):
+    """With integer weights whose sums stay below 2**53 the kernel keeps
+    its tree on regrowth and fills only the new slots; with any others
+    it lays the tree out afresh.  Either way both records, floats by
+    their bits, and both states must agree just before and just after
+    each regrowth.  From 1,525 nodes the capacity goes 1525 -> 3050 ->
+    6100, so new slots straddle the old capacity; the large integer
+    table's totals pass 2**53 before its regrowths, and half-integer
+    weights are not integers, so both must fall back to the layout."""
+    from ckplab._kernel import KernelEngine
+
+    feats, init, capacities = regrowth_case(case)
+    eng = PyEngine(feats, init, SimChooser(5))
+    ker = KernelEngine(feats, init, 5)
+    for cap in capacities:
+        # the step that appends node ``cap`` regrows the index
+        for steps in (cap - len(eng.state.labels), 1):
+            assert ker.run(steps) == eng.run(steps)
+            assert dump_state(ker.export_state()) == dump_state(eng.state)
+            assert (hex_record(ker.export_bookkeeping())
+                    == hex_record(eng.export_bookkeeping()))
+        assert eng.windex.capacity == 2 * cap
+
+
 def hub_with_many_parents(parents=600, grandparents=400):
     """A hidden-False CT hub below ``parents`` distinct parents, each
     below two of ``grandparents`` roots; every fifth parent and every
