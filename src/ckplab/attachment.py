@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .state import PF
+from .state import PF, _label_bytes
 
 
 class AllWeightsZero(RuntimeError):
@@ -496,17 +496,19 @@ def extend_table(table: list, attach, d: int) -> float:
     return table[d]
 
 
-def _node_weights(state, attach, table=None) -> np.ndarray:
+def _node_weights(state, attach, labels, table=None) -> np.ndarray:
     """Every node's attachment weight in id order; PF nodes get 0.0.
 
+    ``labels`` is the label column as :func:`state._label_bytes` reads
+    it, which a drift oracle's set-up shares with its distance pass.
     The weights come from the per-degree table ``table`` (a fresh list
     when none is given), filled by :func:`extend_table` up to the
     largest live degree, as the kernel's ``aval`` is at construction.
-    The two columns are read by ``bytes`` and ``np.fromiter``, which
-    cost about half of ``np.asarray`` on a list.
+    ``deg_pt`` is read whole by ``np.fromiter``, which costs about half
+    of ``np.asarray`` on a list.
     """
-    n = len(state.labels)
-    live = np.frombuffer(bytes(state.labels), dtype=np.uint8) != PF
+    n = len(labels)
+    live = labels != PF
     deg = np.fromiter(state.deg_pt, dtype=np.int64, count=n)[live]
     table = [] if table is None else table
     top = int(deg.max(initial=-1))
@@ -526,7 +528,7 @@ def weight_index_for(state, attach, table=None) -> WeightIndex:
     is the caller's per-degree table, which the call fills (see
     :func:`_node_weights`) for the caller's later updates.
     """
-    weights = _node_weights(state, attach, table)
+    weights = _node_weights(state, attach, _label_bytes(state), table)
     idx = WeightIndex(capacity=max(1024, len(weights)))
     idx._build(weights, idx.capacity)
     return idx
@@ -578,12 +580,6 @@ class PrefixPool:
         if self.last < 0:
             raise AllWeightsZero("no positive attachment weight to select")
         return self.last
-
-
-def prefix_pool_for(state, attach) -> PrefixPool:
-    """A :class:`PrefixPool` over all current nodes; PF nodes get weight
-    0, as in :func:`weight_index_for`."""
-    return PrefixPool(_node_weights(state, attach))
 
 
 # -- exact distributions ---------------------------------------------------

@@ -68,12 +68,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import checking
-from .attachment import _require_int, _require_real, _to_fraction, \
-    parent_distribution, prefix_pool_for
+from .attachment import PrefixPool, _node_weights, _require_int, \
+    _require_real, _to_fraction, parent_distribution
 from .evolution import AuditViolation, RandomPt, draw_move
 from .rand import PathChooser, SimChooser
-from .state import CT, CF, PF, StateError, pt_false_distances, \
-    verify_state
+from .state import CT, CF, PF, StateError, _label_bytes, \
+    _pt_false_distances, pt_false_distances, verify_state
 
 DEFAULT_LEAF_CAP = 10_000_000
 
@@ -259,16 +259,17 @@ class _StepBase:
     closure: set | None = None        # MinimalFalseLeavesGeneral's scope
 
 
-def _step_base(state, kind) -> _StepBase:
-    """Each pass over the whole state refuses a bad input before the
-    first leaf or sample: :func:`pt_false_distances` a broken
+def _step_base(state, kind, labels) -> _StepBase:
+    """``labels`` is the label column as :func:`state._label_bytes`
+    reads it.  Each pass over the whole state refuses a bad input before
+    the first leaf or sample: :func:`pt_false_distances` a broken
     :class:`MinDistance` distance structure, :func:`_descendant_closure`
     a bad anchor, and one whole evaluation of a count potential what it
     cannot evaluate.  A :class:`MinDistance` sum would refuse nothing
     more, since the distance pass and the parent pool's weights read
     everything it reads, so it is not taken."""
     if isinstance(kind, MinDistance):
-        return _StepBase(dist=pt_false_distances(state),
+        return _StepBase(dist=_pt_false_distances(state, labels),
                          terms=TermTable(kind), marks={})
     closure = None
     if isinstance(kind, MinimalFalseLeavesGeneral):
@@ -548,7 +549,7 @@ def exact_drift(state, features, kind, *,
         raise BranchBudgetExceeded(
             f"at least {moves} moves exceed the leaf cap {leaf_cap}")
 
-    base = _step_base(state, kind)
+    base = _step_base(state, kind, _label_bytes(state))
     # denominator -> [numerator of the value's terms, of the mass's]
     sums: dict = {}
     scores: dict = {}   # (sorted parents, label, marking) -> step delta
@@ -673,13 +674,17 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     :class:`MinDistance` marking seen in an earlier sample of the call
     is not propagated again (:func:`_marking`).
 
-    The call's set-up passes over the whole state a few times: the
-    parent pool and :func:`_step_base`, whose passes refuse a bad input
-    before the first sample, as :func:`exact_drift`'s do.  No sample
-    changes a weight, since each pops its node and applies no marking,
-    so the pool is a :class:`attachment.PrefixPool` of the node weights,
-    not an updatable :class:`attachment.WeightIndex`; with
-    integer-valued weights its picks are the index's, bit for bit.
+    The call's set-up reads each column it needs once, and refuses a
+    bad input before the first sample, as :func:`exact_drift`'s does.
+    One ``bytes`` read of the labels (:func:`state._label_bytes`) serves
+    both the parent pool's live mask and :func:`_step_base`'s distance
+    pass; the pool adds one read of ``deg_pt`` and the per-degree
+    table, and the distance pass one ``bytes`` read of the truth column
+    and a loop over the PT False ids alone.  No sample changes a
+    weight, since each pops its node and applies no marking, so the
+    pool is a :class:`attachment.PrefixPool` of the node weights, not
+    an updatable :class:`attachment.WeightIndex`; with integer-valued
+    weights its picks are the index's, bit for bit.
     Unlike :func:`exact_drift`, the call does not run
     :func:`state.verify_state` and trusts the state's derived columns
     and truth rule: that pass is O(n + edges), and on a 20,025-node
@@ -691,8 +696,9 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     """
     samples = _require_int("samples", samples, 1)
     chooser = SimChooser(rng)
-    pool = prefix_pool_for(state, features.attach)
-    base = _step_base(state, kind)
+    labels = _label_bytes(state)
+    pool = PrefixPool(_node_weights(state, features.attach, labels))
+    base = _step_base(state, kind, labels)
 
     feats = features
     n = len(state.labels)

@@ -18,7 +18,9 @@ multiplicity.
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import count
+
+import numpy as np
 
 CT = 0
 CF = 1
@@ -255,6 +257,31 @@ class CkpState:
         return dup
 
 
+def _byte_column(column: list, name: str, want: str) -> np.ndarray:
+    """A column of small ints, ``labels`` or ``is_false``, as a uint8
+    array, read by one ``bytes`` call: the cheapest read of a Python
+    list of small ints.  An entry ``bytes`` cannot read raises
+    :class:`StateError` naming its lowest node, as ``node v: <name>
+    <entry> is not <want>``."""
+    try:
+        return np.frombuffer(bytes(column), dtype=np.uint8)
+    except (TypeError, ValueError):
+        for v, x in enumerate(column):
+            try:
+                bytes((x,))
+            except (TypeError, ValueError):
+                raise StateError(
+                    f"node {v}: {name} {x!r} is not {want}") from None
+        raise
+
+
+def _label_bytes(state: CkpState) -> np.ndarray:
+    """``state.labels`` as a uint8 array (:func:`_byte_column`), the one
+    read of the column a drift oracle's set-up shares between its parent
+    pool and :func:`_pt_false_distances`."""
+    return _byte_column(state.labels, "label", "CT, CF or PF")
+
+
 def pt_false_distances(state: CkpState) -> dict[int, int]:
     """Shortest upward distance from each PT hidden-False node to a minimal
     false node, along paths that traverse PT nodes only.
@@ -267,18 +294,26 @@ def pt_false_distances(state: CkpState) -> dict[int, int]:
         dist(v) = 1 + min(dist(u) for PT False parents u)
 
     which resolves in one id-order pass because parents precede children.
-    The pass visits the False ids alone.
+    The pass visits the PT False ids alone, picked by one numpy mask
+    from the label and truth columns, each read once by ``bytes``.  A
+    truth entry ``bytes`` cannot read, such as a numpy bool, raises
+    :class:`StateError` naming its node; a PT False node that is not
+    minimal and has no PT False parent raises one naming the lowest.
     """
-    labels = state.labels
+    return _pt_false_distances(state, _label_bytes(state))
+
+
+def _pt_false_distances(state: CkpState, labels: np.ndarray) -> dict:
+    """:func:`pt_false_distances`, given ``labels`` as
+    :func:`_label_bytes` reads them."""
+    truth = _byte_column(state.is_false, "is_false", "a Python bool")
+    label_of = state.labels
     pf_parent_edges = state.pf_parent_edges
     parents = state.parents
     dist: dict[int, int] = {}
-    for v in compress(range(len(labels)), state.is_false):
-        lab = labels[v]
-        if lab == PF:
-            continue
-        # CkpState.is_minimal_false, inlined: lab is CT or CF here
-        if lab == CF or pf_parent_edges[v] > 0:
+    for v in np.flatnonzero((labels != PF) & (truth != 0)).tolist():
+        # CkpState.is_minimal_false, inlined: v is CT or CF here
+        if label_of[v] == CF or pf_parent_edges[v] > 0:
             dist[v] = 0
             continue
         best = None

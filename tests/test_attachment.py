@@ -12,15 +12,15 @@ from ckplab.attachment import (
     Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
     PrefixPool, AllWeightsZero,
     preferential, uniform,
-    parent_distribution, sample_combination, prefix_pool_for,
-    weight_index_for,
+    _node_weights, attachment_weight, parent_distribution,
+    sample_combination, weight_index_for,
 )
 from ckplab.engine import kernel_available
 from ckplab.evolution import (
     Features, PyEngine, init_chain, survival_potential_floor,
 )
 from ckplab.rand import SimChooser, derive_seed
-from ckplab.state import CT, CF, PF, CkpState, dump_state
+from ckplab.state import CT, CF, PF, CkpState, _label_bytes, dump_state
 from ckplab.thresholds import theorem_verdict
 
 
@@ -522,6 +522,66 @@ def grown_state(attach, seed: int, steps: int):
 
 GROWN = (st.sampled_from(INTEGER_FAMILIES), st.integers(0, 2**32 - 1),
          st.integers(0, 120))
+
+
+def prefix_pool_for(state, attach) -> PrefixPool:
+    """The parent pool ``potentials.mc_drift`` builds for its set-up."""
+    return PrefixPool(_node_weights(state, attach, _label_bytes(state)))
+
+
+def reference_pool(state, attach) -> tuple:
+    """``(cum, total, last)`` of a pool over ``state``, one node at a
+    time: a PF node weighs 0.0, a PT node its ``attachment_weight``; the
+    prefix sums are the left fold that starts at node 0's weight."""
+    cum = []
+    last = -1
+    for v, (label, d) in enumerate(zip(state.labels, state.deg_pt)):
+        w = 0.0 if label == PF else attachment_weight(attach, d)
+        cum.append(w if v == 0 else cum[-1] + w)
+        if w > 0:
+            last = v
+    return cum, cum[-1] if cum else 0.0, last
+
+
+def assert_pool_is_the_reference(state, attach):
+    pool = prefix_pool_for(state, attach)
+    cum, total, last = reference_pool(state, attach)
+    assert [x.hex() for x in pool.cum] == [x.hex() for x in cum]
+    assert pool.total.hex() == total.hex()
+    assert pool.last == last
+
+
+def pf_heavy_state(seed: int, steps: int):
+    """A state grown as the harness's ``trial-cf`` is, with a higher
+    check rate: every node False, and often most of them PF."""
+    f = Features(preferential(), ParentCountLaw({1: 0.5, 2: 0.5}),
+                 check_rate=0.5, check_depth=3, mechanism="bfs")
+    eng = PyEngine(f, init_chain(25, 1, CF), SimChooser(seed))
+    for _ in range(steps):
+        eng.step()
+    return eng.state
+
+
+@given(st.sampled_from(INTEGER_FAMILIES + (
+           TableAttachment((-0.0, 1.0, 0.5), 0.25),
+           TableAttachment((2.0, -0.0), 0))),
+       st.integers(0, 2**32 - 1), st.integers(0, 150), st.booleans())
+@example(TableAttachment((2.0, -0.0), 0), 0, 0, False)   # cum[0] is -0.0
+@settings(max_examples=60, deadline=None)
+def test_prefix_pool_is_the_per_node_fold(attach, seed, steps, pf_heavy):
+    s = pf_heavy_state(seed, steps) if pf_heavy else \
+        grown_state(attach, seed, steps)
+    assert_pool_is_the_reference(s, attach)
+
+
+@pytest.mark.parametrize("attach", [preferential(),
+                                    TableAttachment((-0.0, 1.0), 0)],
+                         ids=["preferential", "table -0.0"])
+def test_prefix_pool_of_an_all_pf_state_is_the_per_node_fold(attach):
+    s = chain_state([CF, CT, CT])
+    s.mark_pf([0, 1, 2])
+    assert_pool_is_the_reference(s, attach)
+    assert prefix_pool_for(s, attach).last == -1
 
 
 @given(*GROWN, st.lists(st.floats(0, 1, exclude_max=True), max_size=30))

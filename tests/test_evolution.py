@@ -9,14 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ckplab.attachment import ParentCountLaw, TableAttachment, preferential
+from ckplab.attachment import ParentCountLaw, PowerShifted, TableAttachment, \
+    preferential
 from ckplab.audits import full_audit, verify_pf_frozen
-from ckplab.engine import deep_audit_compiled, run_trial
+from ckplab.engine import deep_audit_compiled, kernel_available, run_trial
 from ckplab.evolution import (
     AuditViolation, DeepAttach, Features, LeafAttach, PyEngine, RandomPt,
     init_chain, survival_potential_floor,
 )
-from ckplab.rand import SimChooser
+from ckplab.rand import SimChooser, derive_seed
 from ckplab.state import CT, CF, PF, StateError, dump_state
 
 from reference import Scripted
@@ -513,3 +514,43 @@ def test_trace_lines_are_valid_json():
             assert entry["label"] in ("CT", "CF")
             assert 1 <= len(entry["parents"]) <= 2
             assert sorted(entry["marked"]) == entry["marked"]
+
+
+# -- regimes no proof covers, run on the kernel ----------------------------
+
+def kernel_trials(label, features, n):
+    """``n`` kernel trials of ``features`` from a 25-node chain under a
+    CF root, to a 2e4-step horizon, with seeds fixed by ``label``."""
+    start = init_chain(25, 1, CF)
+    return [run_trial(features, start, 20_000, derive_seed(2309, label, i),
+                      backend="compiled") for i in range(n)]
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel not built")
+def test_superlinear_hub_keeps_errors_even_at_p_one():
+    # weights (d + 1)**gamma, every check performed (p = 1) at depth 4:
+    # at gamma = 2.5 a hidden-False hub forms below check depth and some
+    # trial keeps its errors (29 of 40 at these seeds); at gamma = 1.25
+    # every trial eliminates
+    def features(gamma):
+        return Features(PowerShifted(1, gamma), ParentCountLaw.const(1),
+                        1, 4, "complete")
+    hub = kernel_trials("superlinear-2.5", features(2.5), 40)
+    assert any(r.survived_at_horizon for r in hub)
+    mild = kernel_trials("superlinear-1.25", features(1.25), 40)
+    assert all(r.eliminated_at is not None for r in mild)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel not built")
+def test_four_parents_a_per_edge_check_eliminates_where_bfs_does_not():
+    # m = 4 parents at p = 3/10, far below the proven 0.724 for complete:
+    # complete checks each parent edge with its own coin and eliminates
+    # every trial; bfs flips one coin per step and some trial survives
+    def features(mechanism):
+        return Features(preferential(), ParentCountLaw.const(4),
+                        Fraction(3, 10), 4, mechanism)
+    per_edge = kernel_trials("four-parents-complete", features("complete"),
+                             20)
+    assert all(r.eliminated_at is not None for r in per_edge)
+    whole_walk = kernel_trials("four-parents-bfs", features("bfs"), 20)
+    assert any(r.survived_at_horizon for r in whole_walk)

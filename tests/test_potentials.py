@@ -31,8 +31,8 @@ from ckplab.potentials import (
     NonpositiveWeight, PotentialOverflow, exact_drift, mc_drift, potential,
 )
 from ckplab.rand import PathChooser, SimChooser, make_generator
-from ckplab.state import CT, CF, CkpState, StateError, dump_state, \
-    pt_false_distances
+from ckplab.state import CT, CF, CkpState, StateError, _label_bytes, \
+    dump_state, pt_false_distances
 
 from reference import Scripted, anchor_bfs, outcomes
 
@@ -659,7 +659,7 @@ def test_step_delta_splits_the_marking_from_the_move(kind):
     what a fresh base gives."""
     prior = init_chain(4, 1, CF)
     phi = potential(prior, kind)
-    warm = potentials._step_base(prior, kind)
+    warm = potentials._step_base(prior, kind, _label_bytes(prior))
     for parents, label, marked in (([2, 3], CT, {3, 4}),
                                    ([1, 3, 3], CT, {3}),
                                    ([2], CF, {1})):
@@ -671,7 +671,7 @@ def test_step_delta_splits_the_marking_from_the_move(kind):
         for _ in range(2):
             assert potentials._step_delta(state, kind, warm, v, parents,
                                           marked) == want, marked
-        fresh = potentials._step_base(prior, kind)
+        fresh = potentials._step_base(prior, kind, _label_bytes(prior))
         assert potentials._step_delta(state, kind, fresh, v, parents,
                                       marked) == want, marked
     assert set(warm.marks) == {frozenset({3}), frozenset({1})}
@@ -762,7 +762,7 @@ def test_step_delta_reads_the_parents_as_a_multiset(name, case, seed):
     kind = spied_kind(name, prior)
     if kind is None:            # no error for the scoped potential to hang on
         return
-    base = potentials._step_base(prior, kind)
+    base = potentials._step_base(prior, kind, _label_bytes(prior))
     state = prior.copy()
     v = state.add_node(parents, label)
     # a certain check and detection, so that most growth steps mark
@@ -1068,6 +1068,22 @@ def test_mc_drift_refuses_a_broken_distance_structure_up_front(
         mc_drift(st, feats("bfs", 0.5), MinDistance(PREF, 3), 10, 1)
     assert moves == []
     assert snapshot(st) == before
+
+
+@pytest.mark.parametrize("column, entry, message", [
+    ("is_false", np.True_, "node 1: is_false np.True_ is not a Python bool"),
+    ("labels", "CT", "node 1: label 'CT' is not CT, CF or PF"),
+])
+def test_mc_drift_names_the_node_whose_column_entry_it_cannot_read(
+        column, entry, message):
+    # the set-up reads each column with one bytes() call; an entry that
+    # call cannot read is named by its node, before any sample is drawn
+    st = init_chain(3, 1, CF)
+    getattr(st, column)[1] = entry
+    with pytest.raises(StateError) as err:
+        mc_drift(st, feats("bfs", 0.5), MinDistance(PREF, 3), 10, 1)
+    assert str(err.value) == message
+    assert len(st.labels) == 3
 
 
 # (mean, se) of mc_drift on 2000-node states grown with each mechanism,

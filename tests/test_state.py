@@ -1,6 +1,7 @@
 """DAG state bookkeeping: degrees, minimal false set, leaves, distances
 and the text format."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -182,6 +183,36 @@ def test_distances_skip_pt_true_nodes():
     d = pt_false_distances(s)
     assert set(d) == {0, 2}
     assert d[2] == 1
+
+
+def test_distances_refuse_the_lowest_offender():
+    # 0 and 3 are hidden True, 1 and 2 PF; 4 and 5 claim an error that
+    # neither they (CT) nor a parent carries: 4 is named, not 5
+    s = CkpState()
+    s.add_root(CT)
+    s.add_node([0], CF)           # 1
+    s.add_node([1], CT)           # 2, False by descent
+    s.mark_pf([1, 2])
+    s.add_node([0], CT)           # 3
+    s.add_node([0, 3], CT)        # 4
+    s.add_node([3], CT)           # 5
+    s.is_false[4] = s.is_false[5] = True
+    with pytest.raises(StateError) as err:
+        pt_false_distances(s)
+    assert str(err.value) == \
+        "node 4 is PT False, not minimal, with no PT False parent"
+
+
+@pytest.mark.parametrize("entry", [np.True_, np.False_, 1.0, None, 256])
+def test_distances_refuse_a_truth_entry_bytes_cannot_read(entry):
+    # every producer writes Python bools; anything else is named by node
+    s = chain([CF, CT, CT, CT])
+    s.is_false[2] = entry
+    s.is_false[3] = entry
+    with pytest.raises(StateError) as err:
+        pt_false_distances(s)
+    assert str(err.value) == \
+        f"node 2: is_false {entry!r} is not a Python bool"
 
 
 def test_anchor_bfs_prefers_breadth_then_edge_order():
