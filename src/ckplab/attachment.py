@@ -2,15 +2,16 @@
 selection.
 
 A prospective parent with ``d`` PT child edges is drawn with probability
-proportional to ``a(d)``.  Three families cover the regimes of interest:
+proportional to ``a(d)``.  Two families cover the regimes of interest:
 
-* ``Affine(base, slope)``: ``a(d) = base + slope*d``.  base=1, slope=0 is
-  uniform growth; base=1, slope=1 is preferential attachment.
+* ``TableAttachment(values, tail_slope)``: an explicit head, then the
+  affine tail ``values[-1] + tail_slope*(d - len + 1)``.  A one-entry
+  table is the affine rule ``a(d) = base + slope*d``: :func:`uniform` is
+  ``TableAttachment((1,), 0)`` and :func:`preferential` is
+  ``TableAttachment((1,), 1)``.  Zeros in the head create degree holes
+  that freeze nodes out of the parent pool.
 * ``PowerShifted(base, exponent)``: ``a(d) = base * (d+1)**exponent``,
   superlinear for exponent > 1.
-* ``TableAttachment(values, tail_slope)``: explicit head, affine tail
-  ``values[-1] + tail_slope*(d - len + 1)``.  Zeros in the head create
-  degree holes that freeze nodes out of the parent pool.
 
 Every family reports increment bounds (inf and sup of ``a(d+1) - a(d)``)
 as Fractions under the rule of :func:`_to_fraction`, ``math.inf`` for an
@@ -95,34 +96,6 @@ def _require_real(name: str, x) -> None:
                          f"float")
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
-
-
-@dataclass(frozen=True)
-class Affine:
-    base: object
-    slope: object
-
-    def __post_init__(self):
-        _require_real("affine base", self.base)
-        _require_real("affine slope", self.slope)
-        if self.base < 0 or self.slope < 0:
-            raise ValueError("affine attachment weights must stay nonnegative")
-
-    def evaluate(self, d: int) -> float:
-        return float(self.base) + float(self.slope) * d
-
-    def evaluate_exact(self, d: int) -> Fraction:
-        return _to_fraction(self.base) + _to_fraction(self.slope) * d
-
-    def increment_bounds(self):
-        s = _to_fraction(self.slope)
-        return s, s
-
-    def has_hole(self) -> bool:
-        return self.base == 0
-
-    def describe(self) -> str:
-        return f"affine({self.base}, {self.slope})"
 
 
 @dataclass(frozen=True)
@@ -211,12 +184,12 @@ class TableAttachment:
         return f"table({head}; {self.tail_slope})"
 
 
-def preferential() -> Affine:
-    return Affine(1, 1)
+def preferential() -> TableAttachment:
+    return TableAttachment((1,), 1)
 
 
-def uniform() -> Affine:
-    return Affine(1, 0)
+def uniform() -> TableAttachment:
+    return TableAttachment((1,), 0)
 
 
 # -- parent-count law ------------------------------------------------------
@@ -600,6 +573,3 @@ def parent_distribution(state, attach) -> dict:
     total = sum(weights.values())
     return {v: w / total for v, w in weights.items() if w > 0}
 
-
-def sample_combination(law: ParentCountLaw, chooser) -> int:
-    return law.support[chooser.pmf_index(law)]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from . import checking
 from .attachment import ParentCountLaw, _require_int, _require_real, \
-    extend_table, sample_combination, weight_index_for
+    extend_table, weight_index_for
 from .state import (
     CT, CF, PF, LABEL_NAMES, CkpState, pt_false_distances, verify_state,
 )
@@ -201,7 +201,8 @@ def draw_move(state, features, chooser, pool):
         return "adversary", list(parents), label
     if not pool:
         return "stopped", None, None
-    m = sample_combination(features.parent_count, chooser)
+    law = features.parent_count
+    m = law.support[chooser.pmf_index(law)]
     parents = [chooser.weighted_index(pool) for _ in range(m)]
     label = CF if chooser.maybe(features.error_rate) else CT
     return "grow", parents, label

@@ -12,8 +12,13 @@ value), so boundary cases are decided, not rounded.
 
 The survival predicates are checked before the elimination ones, in a
 fixed order, and the first one that fires names itself in the verdict.
-:func:`survival_claims` and :func:`elimination_claims` expose the raw
-claim sets so a sweep can assert the two sides never overlap.
+Every valid feature bundle gets a verdict.  Where a hypothesis of the
+elimination predicates fails (the per-edge mechanisms need
+nondecreasing weights with bounded increments and a unit of base
+weight), the verdict is ``unknown`` and its ``detail`` names the
+hypothesis under ``"reason"``.  :func:`survival_claims` and
+:func:`elimination_claims` expose the raw claim sets so a sweep can
+assert the two sides never overlap.
 
 :func:`false_fraction_check` is the statistical companion: inside the
 proven-elimination region it compares measured undetected-error counts
@@ -36,10 +41,6 @@ PROVEN_SURVIVAL = "proven-survival"
 UNKNOWN = "unknown"
 
 
-class NotRegular(ValueError):
-    """Attachment growth lies outside the regularity a predicate needs."""
-
-
 class PreconditionNotProven(RuntimeError):
     """A statistical comparison was requested outside its proven regime."""
 
@@ -51,7 +52,9 @@ class TheoremVerdict:
     ``kind`` is ``proven-elimination``, ``proven-survival`` or
     ``unknown``.  ``source`` names the predicate that fired (``None``
     when unknown) and ``detail`` carries the quantities behind the
-    decision, every number among them a Fraction.
+    decision, every number among them a Fraction.  An ``unknown``
+    verdict's ``detail`` is empty, or holds under ``"reason"`` the text
+    of the hypothesis that kept the elimination predicates silent.
     """
 
     kind: str
@@ -172,41 +175,39 @@ def _survival_threshold_claim(features):
 
 # -- elimination claims ----------------------------------------------------
 
-def _require_bounded_regular(features):
-    """Gate for the elimination predicates: nondecreasing weights with
-    bounded increments and at least a unit of base weight."""
-    a = features.attach
-    lo, hi = a.increment_bounds()
-    a0 = a.evaluate_exact(0)
-    if lo < 0 or hi == math.inf or a0 < 1:
-        top = "unbounded" if hi == math.inf else str(hi)
-        raise NotRegular(
-            "elimination thresholds need nondecreasing weights with bounded "
-            f"increments and base weight >= 1, got {a.describe()} "
-            f"(increments in [{lo}, {top}], base weight {a0})")
-    return a0, a.evaluate_exact(1), hi
+def _elimination_verdict(features) -> TheoremVerdict:
+    """Drift of the minimum-distance potential stays negative: a
+    ``proven-elimination`` verdict, or ``unknown`` when it does not.
 
-
-def _elimination_threshold_claim(features):
-    """Drift of the minimum-distance potential stays negative.
-
+    Only the per-edge mechanisms, whose checks fan out over whole
+    ancestor balls, support an elimination proof, and only for
+    nondecreasing weights with bounded increments and at least a unit of
+    base weight; elsewhere the ``unknown`` names that hypothesis.
     Error-free route: the effective check rate must clear a closed-form
     threshold that grows with the increment bound and shrinks with the
     check depth.  Noisy route: a signed drift bound combining the
     checked, unchecked, wrong-label and adversarial contributions must
     come out nonpositive.
     """
-    # only the per-edge mechanisms, whose checks fan out over whole
-    # ancestor balls, support an elimination proof
+    silent = TheoremVerdict(UNKNOWN)
     if features.mechanism not in PER_EDGE:
-        return None
-    a0, a1, b = _require_bounded_regular(features)
+        return silent
+    a = features.attach
+    lo, b = a.increment_bounds()
+    a0 = a.evaluate_exact(0)
+    if lo < 0 or b == math.inf or a0 < 1:
+        top = "unbounded" if b == math.inf else str(b)
+        return TheoremVerdict(UNKNOWN, detail={"reason": (
+            "elimination thresholds need nondecreasing weights with bounded "
+            f"increments and base weight >= 1, got {a.describe()} "
+            f"(increments in [{lo}, {top}], base weight {a0})")})
+    a1 = a.evaluate_exact(1)
     law = features.parent_count
     p_eff = _elimination_check_rate(features)
     k = features.check_depth
     if features.simple:
         if k < 2:
-            return None
+            return silent
         base_mass = b + 3 * a0 * law.mean_reciprocal_exact()
         depth_weight = ((k - 1) * a1 + a0) * Fraction(2, 3)
         threshold = max(base_mass / (base_mass + Fraction(2, 3)),
@@ -215,10 +216,10 @@ def _elimination_threshold_claim(features):
             return TheoremVerdict(
                 PROVEN_ELIMINATION, "simple-elimination-threshold",
                 {"threshold": threshold, "effective_check_rate": p_eff})
-        return None
+        return silent
     eps = _to_fraction(features.error_rate)
     if eps >= 1:
-        return None
+        return silent
     q = _to_fraction(features.adversary_rate)
     r = features.adversary_budget
     slack = b + 2 * a0
@@ -231,7 +232,7 @@ def _elimination_threshold_claim(features):
         return TheoremVerdict(
             PROVEN_ELIMINATION, "general-elimination-threshold",
             {"margin": margin, "effective_check_rate": p_eff})
-    return None
+    return silent
 
 
 # -- public API ------------------------------------------------------------
@@ -246,14 +247,11 @@ def survival_claims(features) -> tuple:
 
 
 def elimination_claims(features) -> tuple:
-    """Elimination predicates that fire, in evaluation order.
-
-    Raises :class:`NotRegular` when the mechanism could eliminate but
-    the attachment lacks the required regularity, mirroring
-    :func:`theorem_verdict` at its elimination step.
-    """
-    claim = _elimination_threshold_claim(features)
-    return () if claim is None else (claim,)
+    """Elimination predicates that fire, in evaluation order: none where
+    a hypothesis they need fails, the cells :func:`theorem_verdict`
+    calls ``unknown`` with a reason."""
+    verdict = _elimination_verdict(features)
+    return (verdict,) if verdict.kind == PROVEN_ELIMINATION else ()
 
 
 def theorem_verdict(features) -> TheoremVerdict:
@@ -263,13 +261,13 @@ def theorem_verdict(features) -> TheoremVerdict:
     check rate below error rate, then the drift threshold), elimination
     predicates after, and the first claim to fire becomes the verdict.
     When nothing fires the verdict is ``unknown``, which says only that
-    the proofs are silent, not that either behaviour is ruled out.
+    the proofs are silent, not that either behaviour is ruled out; its
+    ``detail["reason"]`` names a hypothesis of the elimination
+    predicates that fails, if one does.
     """
     for claim in survival_claims(features):
         return claim
-    for claim in elimination_claims(features):
-        return claim
-    return TheoremVerdict(UNKNOWN)
+    return _elimination_verdict(features)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ckplab.attachment import (
-    Affine, PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
+    PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
     PrefixPool, AllWeightsZero,
     preferential, uniform,
     _node_weights, attachment_weight, parent_distribution,
-    sample_combination, weight_index_for,
+    weight_index_for,
 )
 from ckplab.engine import kernel_available
 from ckplab.evolution import (
-    Features, PyEngine, init_chain, survival_potential_floor,
+    Features, PyEngine, draw_move, init_chain, survival_potential_floor,
 )
 from ckplab.rand import SimChooser, derive_seed
 from ckplab.state import CT, CF, PF, CkpState, _label_bytes, dump_state
@@ -54,8 +54,30 @@ def test_table_tail_continues_affinely():
     assert t.evaluate_exact(4) == Fraction(14)
 
 
+AFFINE_GRID = (0, 1, 3, 0.0, -0.0, 0.5, 1.3, 1e-300, 1e300, Fraction(1, 3),
+               Fraction(7, 2))
+
+
+@pytest.mark.parametrize("base", AFFINE_GRID)
+def test_one_entry_table_is_the_affine_rule(base):
+    """``TableAttachment((b,), s)`` is a(d) = b + s*d: the float weights
+    both engines draw with, bit for bit, and the exact ones the
+    predicates read."""
+    for slope in AFFINE_GRID:
+        a = TableAttachment((base,), slope)
+        assert a.evaluate(0) == float(base)
+        for d in (*range(1, 60), 10**6, 2**40):
+            assert a.evaluate(d).hex() == \
+                (float(base) + float(slope) * d).hex()
+        for d in (0, 1, 2, 59, 10**6, 2**40):
+            assert a.evaluate_exact(d) == \
+                Fraction(base) + Fraction(slope) * d
+        assert a.increment_bounds() == (Fraction(slope), Fraction(slope))
+        assert a.has_hole() == (base == 0)
+
+
 def test_exact_evaluation_matches_float():
-    a = Affine(Fraction(1, 2), Fraction(1, 3))
+    a = TableAttachment((Fraction(1, 2),), Fraction(1, 3))
     assert a.evaluate_exact(4) == Fraction(1, 2) + Fraction(4, 3)
     assert a.evaluate(4) == pytest.approx(float(a.evaluate_exact(4)))
     # a non-integral power enters at the float weight the engine uses
@@ -66,7 +88,7 @@ def test_exact_evaluation_matches_float():
 
 def test_negative_weights_rejected():
     with pytest.raises(ValueError):
-        Affine(1, -1)
+        TableAttachment((1,), -1)
     with pytest.raises(ValueError):
         TableAttachment((1, -2), 0)
     with pytest.raises(ValueError):
@@ -76,14 +98,20 @@ def test_negative_weights_rejected():
 NAN, INF = math.nan, math.inf
 
 
+# a one-entry table is the affine rule a(d) = base + slope*d: its entry
+# is the base and its tail slope the slope
+AFFINE_PARAMETERS = {"affine base": "table value 0",
+                     "affine slope": "table tail slope"}
+
+
 @pytest.mark.parametrize("build,name", [
-    (lambda: Affine(NAN, 1), "affine base"),
-    (lambda: Affine(1, INF), "affine slope"),
-    (lambda: Affine(-INF, 1), "affine base"),
+    (lambda: TableAttachment((NAN,), 1), "affine base"),
+    (lambda: TableAttachment((1,), INF), "affine slope"),
+    (lambda: TableAttachment((-INF,), 1), "affine base"),
 ])
 def test_affine_rejects_non_finite_parameters(build, name):
     # NaN passes the nonnegativity test, and would reach the weight index
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=AFFINE_PARAMETERS[name]):
         build()
 
 
@@ -109,10 +137,13 @@ def test_table_rejects_non_finite_parameters(build, name):
 
 @pytest.mark.parametrize("build,message", [
     # True would run as base 1, and the others die in a comparison that
-    # names no argument
-    (lambda: Affine(True, 1), "affine base must be a real number, got True"),
-    (lambda: Affine("1", 1), "affine base must be a real number, got '1'"),
-    (lambda: Affine(1, np.float32(1)), "affine slope must be a real number"),
+    # names no argument; the affine-* cases are one-entry tables
+    (lambda: TableAttachment((True,), 1),
+     "table value 0 must be a real number, got True"),
+    (lambda: TableAttachment(("1",), 1),
+     "table value 0 must be a real number, got '1'"),
+    (lambda: TableAttachment((1,), np.float32(1)),
+     "table tail slope must be a real number"),
     (lambda: PowerShifted(1, None), "power exponent must be a real number"),
     (lambda: TableAttachment(("1",), 0), "table value 0 must be a real"),
     (lambda: TableAttachment((1,), False), "table tail slope must be a real"),
@@ -140,7 +171,8 @@ def test_parent_count_law_rejects_non_finite_probabilities():
 
 
 @pytest.mark.parametrize("fam", [
-    Affine(1, 1), Affine(1, 0), Affine(2, 3),
+    TableAttachment((1,), 1), TableAttachment((1,), 0),
+    TableAttachment((2,), 3),
     PowerShifted(1, 3), PowerShifted(2, 1), PowerShifted(1, 0.5),
     TableAttachment((1, 0), 0), TableAttachment((1, 3, 3, 7), 2),
 ])
@@ -249,11 +281,15 @@ def test_sample_parents_frequency_matches_distribution():
     assert abs(hits / n - 2 / 3) < 0.01
 
 
-def test_sample_combination_moment():
+def test_draw_move_parent_count_moment():
     law = ParentCountLaw({1: 0.5, 3: 0.5})
+    f = Features(preferential(), law, check_rate=0.5, check_depth=2,
+                 mechanism="bfs")
+    state = chain_state([CF, CT])
+    pool = weight_index_for(state, f.attach)
     chooser = SimChooser(5)
     n = 100_000
-    total = sum(sample_combination(law, chooser) for _ in range(n))
+    total = sum(len(draw_move(state, f, chooser, pool)[1]) for _ in range(n))
     assert abs(total / n - 2.0) < 0.02
 
 
@@ -430,7 +466,7 @@ def test_regrowth_matches_the_reappend_loop(weights, history, extra):
 
 
 def test_weight_index_for_matches_one_append_per_node():
-    attach = Affine(0.5, 1.3)
+    attach = TableAttachment((0.5,), 1.3)
     f = Features(attach, ParentCountLaw({1: 0.5, 2: 0.5}), check_rate=0.5,
                  check_depth=3, mechanism="bfs", error_rate=0.2,
                  detection_rate=0.8)
@@ -469,7 +505,7 @@ def test_weight_index_for_skips_the_degrees_of_pf_nodes():
     s.add_node([1, 1], CT)
     s.mark_pf([0])
     assert s.deg_pt[0] == 6 and max(s.deg_pt[1:]) == 3
-    attach = Affine(0.5, 1.3)
+    attach = TableAttachment((0.5,), 1.3)
     counting = CountingEvaluations(attach)
     idx = weight_index_for(s, counting)
     assert counting.asked == [0, 1, 2, 3]   # once each, none past 3
@@ -506,7 +542,7 @@ def test_both_backends_ask_evaluate_for_the_same_degrees():
 
 # integer-valued weights, so every prefix sum is exact; the table's hole
 # gives PT nodes of weight zero
-INTEGER_FAMILIES = (preferential(), uniform(), Affine(2, 3),
+INTEGER_FAMILIES = (preferential(), uniform(), TableAttachment((2,), 3),
                     PowerShifted(1, 2), TableAttachment((1, 0, 4), 2))
 
 

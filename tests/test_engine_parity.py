@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 from ckplab.attachment import (
-    Affine, ParentCountLaw, PowerShifted, TableAttachment, preferential,
-    uniform,
+    ParentCountLaw, PowerShifted, TableAttachment, preferential, uniform,
 )
 from ckplab.audits import full_audit
 from ckplab.checking import MECHANISMS
@@ -52,7 +51,7 @@ ATTACHMENTS = {
     "table": lambda: (TableAttachment((1.0, 0.5, 2.0), 0.25), LAW_MIX),
     # weights that are not dyadic, so Fenwick sums round: an update made
     # in another order would show in the tree's bits
-    "rounding": lambda: (Affine(0.1, 0.7), LAW_MIX),
+    "rounding": lambda: (TableAttachment((0.1,), 0.7), LAW_MIX),
 }
 
 
@@ -137,9 +136,9 @@ def test_trajectories_bit_identical_across_regrowths():
     rebuild their index on regrowth, the Python one with numpy folds per
     tree level and the kernel with sequential folds per slot, and the
     two must still agree bit for bit."""
-    feats = Features(attach=Affine(0.1, 0.7), parent_count=LAW_MIX,
-                     check_rate=0.3, check_depth=3, mechanism="bfs",
-                     error_rate=0.05, detection_rate=0.8)
+    feats = Features(attach=TableAttachment((0.1,), 0.7),
+                     parent_count=LAW_MIX, check_rate=0.3, check_depth=3,
+                     mechanism="bfs", error_rate=0.05, detection_rate=0.8)
     eng, ker, summary = run_both(feats, init_chain(5, 1, CT), 4242, 2200)
     assert summary["stopped_at"] is None
     assert eng.windex.capacity >= 4096     # two regrowths, from 1024
@@ -164,7 +163,7 @@ def test_batched_parent_picks_bit_identical(law, attach_name, root):
     Each must still be ``WeightIndex.select``'s slot for its draw, and
     the draws those of ``draw_move``, over a thousand steps of such
     picks, with weights that round and weights that do not."""
-    attach = {"rounding": Affine(0.1, 0.7),
+    attach = {"rounding": TableAttachment((0.1,), 0.7),
               "preferential": preferential()}[attach_name]
     feats = Features(attach=attach, parent_count=BATCHED_LAWS[law],
                      check_rate=0.3, check_depth=3, mechanism="bfs",
@@ -180,7 +179,7 @@ def test_batched_picks_at_a_capacity_off_the_powers_of_two():
     """Imported at 1,500 nodes, the index's capacity is 1,500, so the
     descent starts at 1,024 and a pick's next slot often lies past the
     capacity; across the regrowth to 3,000 it still must not be taken."""
-    feats = Features(attach=Affine(0.1, 0.7),
+    feats = Features(attach=TableAttachment((0.1,), 0.7),
                      parent_count=ParentCountLaw.const(3), check_rate=0.3,
                      check_depth=3, mechanism="bfs", error_rate=0.1,
                      detection_rate=0.8)
@@ -325,7 +324,7 @@ def root_with_children(kids):
 
 # (attachment, the first degree whose weight is refused, the refusal)
 NONFINITE_WEIGHTS = [
-    pytest.param(Affine(1e308, 1e308), 1,
+    pytest.param(TableAttachment((1e308,), 1e308), 1,
                  "attachment weight at degree 1 is inf, not finite",
                  id="affine"),
     pytest.param(TableAttachment((1.0, 1e308, 1e308), 1e308), 3,
@@ -387,8 +386,8 @@ def test_nonfinite_weight_totals_are_refused_by_name(backend):
     # and each mark takes its node's edges away, so marks put the 18th
     # edge past step 9, while no node comes near the degree whose own
     # weight overflows
-    feats = Features(Affine(0, 1e307), ParentCountLaw.const(1), 0.5, 2,
-                     "bfs", error_rate=0.3)
+    feats = Features(TableAttachment((0,), 1e307), ParentCountLaw.const(1),
+                     0.5, 2, "bfs", error_rate=0.3)
     init = init_chain(10, 1, CT)
     eng = PyEngine(feats, init, SimChooser(2))
     with pytest.raises(ValueError) as err:

@@ -19,6 +19,7 @@ from ckplab.evolution import (
 )
 from ckplab.rand import SimChooser, derive_seed
 from ckplab.state import CT, CF, PF, StateError, dump_state
+from ckplab.thresholds import UNKNOWN, theorem_verdict
 
 from reference import Scripted
 
@@ -554,3 +555,14 @@ def test_four_parents_a_per_edge_check_eliminates_where_bfs_does_not():
     assert all(r.eliminated_at is not None for r in per_edge)
     whole_walk = kernel_trials("four-parents-bfs", features("bfs"), 20)
     assert any(r.survived_at_horizon for r in whole_walk)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel not built")
+def test_depth_two_eliminates_above_its_simulated_threshold():
+    # k = 2, p = 7/10: no predicate proves elimination at depth 2, but
+    # the simulated threshold lies near 0.5, and every trial eliminates
+    f = Features(preferential(), ParentCountLaw.const(1), Fraction(7, 10), 2,
+                 "complete")
+    assert theorem_verdict(f).kind == UNKNOWN
+    runs = kernel_trials("depth-two", f, 20)
+    assert all(r.eliminated_at is not None for r in runs)

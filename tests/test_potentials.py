@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ckplab import checking, potentials
-from ckplab.attachment import Affine, ParentCountLaw, PowerShifted, \
+from ckplab.attachment import ParentCountLaw, PowerShifted, \
     TableAttachment, preferential, uniform
 from ckplab.evolution import DeepAttach, Features, LeafAttach, PyEngine, \
     RandomPt, init_chain
@@ -41,7 +41,8 @@ LAW = ParentCountLaw({1: 0.5, 2: 0.25, 3: 0.25})
 MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs",
               "complete")
 # integer-valued terms, then fractional ones
-KINDS = (MinDistance(PREF, 3), MinDistance(Affine(0.5, 1.3), 2.5))
+KINDS = (MinDistance(PREF, 3),
+         MinDistance(TableAttachment((0.5,), 1.3), 2.5))
 
 
 def single_cf() -> CkpState:
@@ -571,7 +572,8 @@ def binary_fractions(f: Features, kind):
     def frac(x):
         return Fraction(x) if isinstance(x, float) else x
 
-    attach = Affine(frac(f.attach.base), frac(f.attach.slope))
+    attach = TableAttachment(tuple(map(frac, f.attach.values)),
+                             frac(f.attach.tail_slope))
     law = ParentCountLaw({m: frac(p) for m, p in
                           zip(f.parent_count.support, f.parent_count.probs)})
     g = Features(attach, law, frac(f.check_rate), f.check_depth, f.mechanism,
@@ -585,7 +587,7 @@ def binary_fractions(f: Features, kind):
 
 
 def test_float_features_drift_as_their_binary_fractions_on_sampled_states():
-    attach = Affine(0.5, 1.3)
+    attach = TableAttachment((0.5,), 1.3)
     f = Features(attach, ParentCountLaw({1: 0.75, 2: 0.25}), 0.9, 3,
                  "exhaustive-bfs", error_rate=0.1, detection_rate=0.7)
     kinds = (MinDistance(attach, 2.5), MinimalFalse(),
@@ -986,7 +988,7 @@ def test_a_sampled_delta_past_the_float_range_is_named():
     # the exact drift of the same step is a plain Fraction
     chain = init_chain(2, 1, CF)
     before = snapshot(chain)
-    for attach in (PREF, Affine(0.5, 1.3)):
+    for attach in (PREF, TableAttachment((0.5,), 1.3)):
         kind = MinDistance(attach, 10**400)
         with pytest.raises(PotentialOverflow,
                            match=r"float range holds \(sample 1\)"):
@@ -1132,13 +1134,13 @@ def test_mc_drift_pinned_on_grown_states(mech):
         assert (est.mean, est.se) == pin, kind
 
 
-# The same runs under Affine(0.5, 1.3), as the append-by-append index
+# The same runs under a(d) = 0.5 + 1.3*d, as the append-by-append index
 # build gave them: fractional weights, so the engine's Fenwick index holds
 # inexact float sums (the 2000-node states have crossed a regrowth), and
 # mc_drift's prefix sums round apart from them.  These guard the draws
 # end to end; a one-ulp change in a sum rarely moves a draw, so the
 # bit-for-bit tests in test_attachment.py are what guard the float folds.
-AFFINE = Affine(0.5, 1.3)
+AFFINE = TableAttachment((0.5,), 1.3)
 MC_PINNED_AFFINE = {
     "stringy": (0.46173437500000003, 0.11644382031035486),
     "bfs": (0.13812499999999997, 0.05536248988849882),

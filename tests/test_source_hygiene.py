@@ -176,8 +176,8 @@ def test_cross_references_name_what_exists():
 # Package names that only the tests reach, kept on purpose: each is part
 # of the package's surface for a caller that sets up its own process.
 PUBLIC_SURFACE = (
-    "TableAttachment",   # an explicit weight table with zero-weight holes
     "uniform",           # the uniform attachment a(d) = 1
+    "elimination_claims",  # the claim set a sweep sets against survival's
     "DeepAttach",        # adversary strategies a caller picks
     "LeafAttach",
     "load_state",        # reads the text dump_state writes

@@ -10,18 +10,23 @@ from fractions import Fraction
 import pytest
 
 from ckplab.attachment import (
-    Affine, ParentCountLaw, PowerShifted, TableAttachment, preferential,
-    uniform,
+    ParentCountLaw, PowerShifted, TableAttachment, preferential, uniform,
 )
 from ckplab.checking import PER_EDGE
-from ckplab.evolution import Features, TrialResult
+from ckplab.engine import kernel_available, run_trial
+from ckplab.evolution import Features, TrialResult, init_chain
+from ckplab.rand import derive_seed
+from ckplab.state import CF, CT
 from ckplab.thresholds import (
     PROVEN_ELIMINATION, PROVEN_SURVIVAL, UNKNOWN,
-    NotRegular, PreconditionNotProven, elimination_claims,
+    PreconditionNotProven, elimination_claims,
     false_fraction_check, survival_claims, theorem_verdict,
 )
 
 PREF = preferential()
+# the reason an unknown verdict gives when the elimination hypotheses fail
+IRREGULAR = ("elimination thresholds need nondecreasing weights with "
+             "bounded increments and base weight >= 1, got {}")
 
 
 def feats(mechanism="exhaustive-bfs", p=Fraction(1, 2), k=3, m=1, **kw):
@@ -56,7 +61,7 @@ def test_simple_elimination_reads_a_rational_slope_exactly():
     # the two terms are (31/10)/(113/30) = 93/113 and
     # (31/10)/((5*11/10 + 1)*2/3) = 93/130; a float slope would put b at
     # the binary value of 0.1, just above 1/10, and the threshold with it
-    slope = Affine(1, Fraction(1, 10))
+    slope = TableAttachment((1,), Fraction(1, 10))
     v = theorem_verdict(feats("complete", Fraction(93, 113), 6, attach=slope))
     assert v.kind == PROVEN_ELIMINATION
     assert v.detail["threshold"] == Fraction(93, 113)
@@ -65,7 +70,7 @@ def test_simple_elimination_reads_a_rational_slope_exactly():
                                  attach=slope)).kind == UNKNOWN
     # b = 1/3, k = 4: N = 10/3 and (3*4/3 + 1)*2/3 = 10/3, a threshold
     # of exactly 1
-    third = Affine(1, Fraction(1, 3))
+    third = TableAttachment((1,), Fraction(1, 3))
     v = theorem_verdict(feats("complete", 1, 4, attach=third))
     assert v.kind == PROVEN_ELIMINATION
     assert v.detail["threshold"] == 1
@@ -170,8 +175,9 @@ def test_survival_needs_increments_at_least_base():
     # so the survival thresholds stay silent however small p is.
     assert theorem_verdict(feats(attach=uniform(), mechanism="stringy",
                                  p=Fraction(1, 100))).kind == UNKNOWN
-    # Affine(2, 1) grows, but by less than its base weight of 2.
-    assert theorem_verdict(feats(attach=Affine(2, 1), mechanism="stringy",
+    # a(d) = 2 + d grows, but by less than its base weight of 2.
+    assert theorem_verdict(feats(attach=TableAttachment((2,), 1),
+                                 mechanism="stringy",
                                  p=Fraction(1, 100))).kind == UNKNOWN
 
 
@@ -243,13 +249,17 @@ def test_hole_claims_survival_below_full_checking():
     assert v.kind == PROVEN_SURVIVAL
     assert v.source == "attachment-hole"
     # at p = 1 the shielding structure cannot be built unnoticed, and
-    # the irregular table then trips the elimination gate
-    with pytest.raises(NotRegular):
-        theorem_verdict(feats(attach=holey, p=1.0))
+    # the decreasing table then fails the elimination hypotheses
+    v = theorem_verdict(feats(attach=holey, p=1.0))
+    assert (v.kind, v.source) == (UNKNOWN, None)
+    assert v.detail == {"reason": IRREGULAR.format(
+        "table(1, 0, 2; 1) (increments in [-1, 2], base weight 1)")}
+    assert elimination_claims(feats(attach=holey, p=1.0)) == ()
 
 
 def test_zero_base_weight_counts_as_hole():
-    v = theorem_verdict(feats(attach=Affine(0, 1), mechanism="bfs", p=0.5))
+    v = theorem_verdict(feats(attach=TableAttachment((0,), 1),
+                              mechanism="bfs", p=0.5))
     assert v.source == "attachment-hole"
 
 
@@ -257,10 +267,12 @@ def test_runaway_growth_claims_survival():
     v = theorem_verdict(feats(attach=PowerShifted(1, 3), p=0.99, k=10))
     assert v.kind == PROVEN_SURVIVAL
     assert v.source == "runaway-attachment-growth"
-    # exponent 2 is not runaway; unbounded increments then refuse the
-    # elimination predicate instead
-    with pytest.raises(NotRegular):
-        theorem_verdict(feats(attach=PowerShifted(1, 2), p=0.9, k=5))
+    # exponent 2 is not runaway, and its unbounded increments keep the
+    # elimination predicates silent
+    v = theorem_verdict(feats(attach=PowerShifted(1, 2), p=0.9, k=5))
+    assert v.kind == UNKNOWN
+    assert v.detail == {"reason": IRREGULAR.format(
+        "power(1, 2) (increments in [3, unbounded], base weight 1)")}
     # ...but only when an elimination-capable mechanism asks
     v = theorem_verdict(feats(attach=PowerShifted(1, 2), mechanism="stringy",
                               p=Fraction(1, 5)))
@@ -269,8 +281,38 @@ def test_runaway_growth_claims_survival():
 
 
 def test_power_growth_at_full_checking_is_not_claimed():
-    with pytest.raises(NotRegular):
-        theorem_verdict(feats(attach=PowerShifted(1, 3), p=1.0))
+    v = theorem_verdict(feats(attach=PowerShifted(1, 3), p=1.0))
+    assert v.kind == UNKNOWN
+    assert v.detail == {"reason": IRREGULAR.format(
+        "power(1, 3) (increments in [7, unbounded], base weight 1)")}
+
+
+@pytest.mark.parametrize("gamma", [Fraction(5, 4), Fraction(3, 2), 2,
+                                   Fraction(5, 2)])
+def test_superlinear_growth_below_three_gets_an_unknown_verdict(gamma):
+    """Between linear and runaway growth no predicate applies: every
+    mechanism gets ``unknown``, a per-edge one with the failed hypothesis
+    as its reason, and the false-fraction bound is refused there."""
+    attach = PowerShifted(1, gamma)
+    bfs, complete = (feats(mech, Fraction(1, 2), 4, attach=attach)
+                     for mech in ("bfs", "complete"))
+    for f in (bfs, complete):
+        v = theorem_verdict(f)
+        assert (v.kind, v.source) == (UNKNOWN, None)
+        assert elimination_claims(f) == ()
+    assert theorem_verdict(bfs).detail == {}
+    reason = theorem_verdict(complete).detail["reason"]
+    assert reason.startswith(IRREGULAR.format(
+        f"{attach.describe()} (increments in ["))
+    assert reason.endswith(", unbounded], base weight 1)")
+    trials = [_fake_trial(i, [(100, 50, 0)]) for i in range(30)]
+    with pytest.raises(PreconditionNotProven, match=r"\(unknown\)"):
+        false_fraction_check(trials, complete)
+    # at exponent 3 the runaway claim fires for both
+    for mech in ("bfs", "complete"):
+        v = theorem_verdict(feats(mech, Fraction(1, 2), 4,
+                                  attach=PowerShifted(1, 3)))
+        assert v.describe() == "proven-survival:runaway-attachment-growth"
 
 
 # -- claim-set consistency -------------------------------------------------
@@ -293,10 +335,7 @@ def test_claims_never_overlap_on_a_small_sweep():
                                     error_rate=eps, adversary_rate=q,
                                     adversary_budget=1 if q else 0)
                                 surv = survival_claims(f)
-                                try:
-                                    elim = elimination_claims(f)
-                                except NotRegular:
-                                    elim = ()
+                                elim = elimination_claims(f)
                                 checked += 1
                                 if surv and elim:
                                     both += 1
@@ -383,3 +422,32 @@ def test_false_fraction_zero_error_rate_is_trivial():
     assert false_fraction_check(stray, f).passed
     dirty = [_fake_trial(i, [(500, 80, 1)]) for i in range(30)]
     assert not false_fraction_check(dirty, f).passed
+
+
+# -- the claim, end to end on the kernel -----------------------------------
+
+@pytest.mark.skipif(not kernel_available(), reason="compiled kernel not built")
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("mechanism", ["complete", "exhaustive-bfs"])
+def test_proven_elimination_holds_in_simulation(mechanism, m):
+    """Where the thresholds prove elimination, errors die out: no kernel
+    trial from a CF-rooted chain survives, and with errors arriving the
+    undetected fraction stays under the proven bound."""
+    f = feats(mechanism, Fraction(19, 20), 4, m)
+    assert theorem_verdict(f).kind == PROVEN_ELIMINATION
+    cf_start = init_chain(5, 1, CF)
+    runs = [run_trial(f, cf_start, 2000,
+                      derive_seed(2309, "claim", mechanism, m, i),
+                      audit="cheap", backend="compiled") for i in range(30)]
+    assert not any(r.survived_at_horizon for r in runs)
+    noisy = feats(mechanism, Fraction(19, 20), 4, m,
+                  error_rate=Fraction(1, 20))
+    assert theorem_verdict(noisy).kind == PROVEN_ELIMINATION
+    ct_start = init_chain(5, 1, CT)
+    runs = [run_trial(noisy, ct_start, 2000,
+                      derive_seed(2309, "claim-noisy", mechanism, m, i),
+                      checkpoint_steps=(500, 1000, 2000), audit="cheap",
+                      backend="compiled") for i in range(30)]
+    report = false_fraction_check(runs, noisy)
+    assert [r.time for r in report.rows] == [500, 1000, 2000]
+    assert report.passed, report.describe()
