@@ -22,9 +22,10 @@
 // adversary rate is refused with ValueError; adversaries stay Python.
 // The law is read as its support and cum, and the state as its labels,
 // truth bits and parents, every cache derived as state._recount does.
-// Ids are int32: more nodes or edges, or a parent count past INT_MAX,
-// raise OverflowError (below 1, ValueError); a check depth past
-// INT_MAX, deeper than any walk can go, is read as INT_MAX.
+// Ids are int32 and the weight index holds at most 2**30 slots: more
+// nodes or edges, or a parent count past INT_MAX, raise OverflowError
+// (below 1, ValueError); a check depth past INT_MAX, deeper than any
+// walk can go, is read as INT_MAX.
 //
 // Decision-stream contract.  For a given seed this engine consumes the
 // same uniforms, in the same order, as evolution.PyEngine driven by
@@ -56,17 +57,12 @@
 //     weight is read from its node record, aval(deg_pt) for a PT node
 //     and 0.0 for a PF one, -0.0 read as 0.0.  Same capacity schedule,
 //     same update order (weights refreshed for sorted unique parents),
-//     same select and fallback scan.  A fresh layout, at construction
-//     and on regrowth, folds each tree slot's block left to right from
-//     0.0, bit for bit as WeightIndex._build and as one append per
-//     weight would.  While every table entry is a non-negative integer
-//     and wsize_ times the largest is below 2**53 (integer weights, as
-//     preferential and uniform attachment give), no sum has rounded,
-//     and exact sums do not depend on the order of addition: a regrowth
-//     then keeps the tree and fills only the new slots, the bits that
-//     layout would write.  A regrowth inside a step sees the weights the
-//     step began with, so a step appends its node's slot before any
-//     degree moves, and every update is handed the weight it replaces.
+//     same select and fallback scan.  The capacity is a power of two.
+//     The layout at construction folds each tree slot's block left to
+//     right from 0.0, bit for bit as WeightIndex._build and as one
+//     append per weight would; a regrowth doubles the capacity, keeps
+//     every slot and copies the root.  Every update is handed the
+//     weight it replaces.
 //     A weight total that is not finite is refused by name, with
 //     WeightIndex's text, wherever a total is formed.  A step
 //     with one parent draws its pick and finds it as select does.  A
@@ -447,10 +443,8 @@ class Engine {
     const Node &n = nodes_[i];
     return n.label != PF ? pt_weight(n.deg_pt) : 0.0;
   }
-  void w_build(int32_t cap);
-  bool w_exact() const;
-  void w_extend(int32_t cap);
-  void w_capacity(int32_t cap);
+  void w_build();
+  void w_extend();
   void w_append(double weight);
   void w_set(int32_t i, double old, double weight);
   void w_check_total();
@@ -514,7 +508,7 @@ class Engine {
   Column<int32_t> pf_child_len_;  // -1 while the node is PT
   long long pf_total_;
   // weight index
-  int32_t wsize_, wcap_, wmask_;
+  int32_t wsize_, wcap_;
   long long wpositive_;
   double wtotal_;
   Column<double> tree_;
@@ -610,7 +604,8 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   Seq is_false(Ref(attr(init_state, "is_false")).get(), "is_false");
   Seq parents(Ref(attr(init_state, "parents")).get(), "parents");
   const Py_ssize_t n = labels.size;
-  if (n >= INT32_MAX) {
+  // the weight index's capacity, a power of two, stays an int32
+  if (n > 1 << 30) {
     PyErr_SetString(PyExc_OverflowError, "too many nodes for the kernel");
     fail();
   }
@@ -650,15 +645,15 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   }
 
   // the weight index, laid out as weight_index_for does: capacity
-  // max(1024, n), PF nodes at 0.0, the table filled to the largest PT
-  // degree
-  wcap_ = static_cast<int32_t>(std::max<Py_ssize_t>(1024, n));
+  // max(1024, n) rounded up to a power of two, PF nodes at 0.0, the
+  // table filled to the largest PT degree
+  for (wcap_ = 1024; wcap_ < n; wcap_ *= 2) {}
   wsize_ = static_cast<int32_t>(n);
   int32_t top = -1;
   for (const Node &node : nodes_)
     if (node.label != PF) top = std::max(top, node.deg_pt);
   if (top >= 0) aval(top);
-  w_build(wcap_);
+  w_build();
 
   stopped_ = false;
   step_index_ = 0;
@@ -706,17 +701,15 @@ double Engine::aval(int32_t d) {
 
 // -- weight index -----------------------------------------------------------
 
-// Lay out the weights of slots [0, wsize_) at capacity ``cap``.  Slot j
-// with lowest set bit L holds the left fold ((0.0 + w[j-L]) + ...) +
-// w[j-1], which is what appending the weights one at a time leaves there
-// (the zeros appends skip add nothing); slot j - L/2 holds the first half
-// of that fold, so each slot continues it.  The total is the left fold of
-// all weights.  A regrowth of a tree whose sums are exact (w_exact) skips
-// this for w_extend: with no rounding the folds equal the slots and total
-// already held.
-void Engine::w_build(int32_t cap) {
-  tree_.assign(static_cast<size_t>(cap) + 1, 0.0);
-  for (int64_t j = 1; j <= cap; ++j) {
+// Lay out the weights of slots [0, wsize_) in a fresh tree.  Slot j with
+// lowest set bit L holds the left fold ((0.0 + w[j-L]) + ...) + w[j-1],
+// which is what appending the weights one at a time leaves there (the
+// zeros appends skip add nothing); slot j - L/2 holds the first half of
+// that fold, so each slot continues it.  The total is the left fold of
+// all weights.
+void Engine::w_build() {
+  tree_.assign(static_cast<size_t>(wcap_) + 1, 0.0);
+  for (int64_t j = 1; j <= wcap_; ++j) {
     int64_t low = j & -j;
     if (j - low >= wsize_) continue;
     double acc = low == 1 ? 0.0 : tree_[j - low / 2];
@@ -725,7 +718,6 @@ void Engine::w_build(int32_t cap) {
       acc += weight(static_cast<int32_t>(i));
     tree_[j] = acc;
   }
-  w_capacity(cap);
   wtotal_ = 0.0;
   wpositive_ = 0;
   for (int32_t i = 0; i < wsize_; ++i) {
@@ -736,62 +728,22 @@ void Engine::w_build(int32_t cap) {
   w_check_total();
 }
 
-// Whether every sum the tree and the total hold is exact: each table
-// entry a non-negative integer, and wsize_ of the largest below 2**53.
-// The table and the size only grow and no weight is negative, so at a
-// regrowth this bounds every slot and total formed since construction,
-// and a table that once fails fails for good.
-bool Engine::w_exact() const {
-  double top = 0.0;
-  for (double a : atab_) {
-    if (!(a >= 0) || a != std::floor(a)) return false;
-    top = std::max(top, a);
+// Double the capacity of a full tree, as WeightIndex._grow does.  A new
+// slot's block lies past every weight but the new root's, which holds
+// them all, as the old root does, so every old slot, the total and the
+// positive count stay as they are.
+void Engine::w_extend() {
+  if (wcap_ > INT32_MAX / 2) {
+    PyErr_SetString(PyExc_OverflowError, "weight index too large");
+    fail();
   }
-  return wsize_ * top < 9007199254740992.0;   // 2**53
-}
-
-// Regrow an exact tree to capacity ``cap`` (wsize_ == wcap_) by filling
-// only the new slots.  A slot's block does not depend on the capacity,
-// and exact sums do not depend on the order of addition, so the old
-// slots, the total and the positive count are already what w_build would
-// write.  A new slot whose block lies past the live weights stays 0.0;
-// the ones whose block reaches back below wsize_ are the update path
-// above slot wsize_, and each gets its block's exact sum as a difference
-// of two prefix sums (at a power-of-two capacity, only tree[2c] = tree[c]).
-void Engine::w_extend(int32_t cap) {
-  // the sum of slots [0, i), as WeightIndex.prefix adds it
-  auto prefix = [this](int64_t i) {
-    double acc = 0.0;
-    for (; i > 0; i -= i & -i) acc += tree_[i];
-    return acc;
-  };
-  const int64_t c = wcap_;
-  const double total = prefix(c);
-  tree_.resize(static_cast<size_t>(cap) + 1, 0.0);
-  for (int64_t j = c + (c & -c); j <= cap; j += j & -j)
-    tree_[j] = total - prefix(j - (j & -j));
-  w_capacity(cap);
-}
-
-void Engine::w_capacity(int32_t cap) {
-  wcap_ = cap;
-  wmask_ = 1;
-  while (static_cast<int64_t>(wmask_) * 2 <= cap) wmask_ *= 2;
+  tree_.resize(2 * static_cast<size_t>(wcap_) + 1, 0.0);
+  tree_[2 * wcap_] = tree_[wcap_];
+  wcap_ *= 2;
 }
 
 void Engine::w_append(double weight) {
-  if (wsize_ >= wcap_) {
-    int64_t cap = wcap_;
-    while (cap < static_cast<int64_t>(wsize_) + 1) cap *= 2;
-    if (cap >= INT32_MAX) {
-      PyErr_SetString(PyExc_OverflowError, "weight index too large");
-      fail();
-    }
-    if (w_exact())
-      w_extend(static_cast<int32_t>(cap));
-    else
-      w_build(static_cast<int32_t>(cap));
-  }
+  if (wsize_ >= wcap_) w_extend();
   int32_t i = wsize_++;
   if (weight != 0.0) {
     w_add(i, weight);
@@ -824,7 +776,7 @@ void Engine::w_check_total() {
 int32_t Engine::w_select(double x) {
   int64_t pos = 0;
   double rem = x;
-  for (int64_t mask = wmask_; mask; mask >>= 1) {
+  for (int64_t mask = wcap_; mask; mask >>= 1) {
     int64_t nxt = pos + mask;
     if (nxt <= wcap_ && tree_[nxt] <= rem) {
       pos = nxt;
@@ -848,7 +800,7 @@ void Engine::w_select_picks(int m) {
   double *rem = xbuf_.data();
   int32_t *pos = pbuf_.data();
   for (int i = 0; i < m; ++i) pos[i] = 0;
-  for (int64_t mask = wmask_; mask; mask >>= 1)
+  for (int64_t mask = cap; mask; mask >>= 1)
     for (int i = 0; i < m; ++i) {
       const int64_t nxt = pos[i] + mask;
       __builtin_prefetch(tree + std::min(pos[i] + mask / 2, cap));
@@ -924,9 +876,8 @@ size_t run_end(const int32_t *p, size_t i, size_t n) {
 // PyEngine._add_node updates, in the same order.  The parents' new
 // weights are read first, so a weight past the float range is refused by
 // its degree before any total is formed with it, and every degree keeps
-// its weight in the table.  The new slot goes in next, while every weight
-// is still the one the step began with, since a regrowth lays those out;
-// then the degrees move.
+// its weight in the table.  The new slot goes in next, then the degrees
+// move.
 int32_t Engine::add_node(int m, int8_t label) {
   if (nodes_.size() >= INT32_MAX - 1 ||
       edge_parent_.size() + m >= INT32_MAX) {
@@ -1057,13 +1008,10 @@ void Engine::apply_marks() {
 // Mark the finds, at the queue positions finds_, and every node among the
 // first ``visited`` of the walk's queue, the finds among them, that lies
 // below one through edges whose upper end is already in the closure:
-// checking._descendants_within for each find.  Their closures together
-// are the one closure of every find, since each is what its find reaches
-// downward through the visited nodes, and the marks are a set, so one
-// closure serves them all.  It is a flag per queue position.  A walk
-// queues a node's parents after it, so the scan goes newest first, as
-// _descendants_within's does, and the closure spreads down in one pass
-// wherever the queue keeps that order.
+// checking._descendants_within, seeded with every find.  The closure is a
+// flag per queue position.  A walk queues a node's parents after it, so
+// the scan goes newest first, as _descendants_within's does, and the
+// closure spreads down in one pass wherever the queue keeps that order.
 void Engine::mark_closure(size_t visited) {
   closed_.assign(visited, 0);
   for (int32_t f : finds_) closed_[f] = 1;

@@ -255,47 +255,33 @@ class ParentCountLaw:
 
 # -- weighted index --------------------------------------------------------
 
-def _top_bit(capacity: int) -> int:
-    """The largest power of two not above ``capacity``: the first step
-    of a Fenwick descent."""
-    return 1 << (capacity.bit_length() - 1)
-
-
 class WeightIndex:
     """Fenwick tree over per-node weights for O(log n) weighted selection.
 
-    Kept deliberately plain: 1-based internal tree, capacity doubling, a
-    maintained running total, and a deterministic fallback scan when float
-    drift lands a draw on a zero-weight slot.  The accelerated engine
-    carries a field-for-field copy of this structure but for ``weights``,
-    which it reads from its node records as ``a(deg_pt)`` (``0.0`` for a
-    PF node, ``-0.0`` as ``0.0``) instead of storing them.  Trajectories
-    are compared across the two, so every operation here is the
-    reference.  A total past the float range would make every draw
-    ``u * inf``, so wherever a total is formed one that is not finite
-    raises ``ValueError`` by name (:func:`_finite_total`), with the text
-    the kernel uses.
+    Kept deliberately plain: 1-based internal tree, a power-of-two
+    capacity that doubles, a maintained running total, and a
+    deterministic fallback scan when float drift lands a draw on a
+    zero-weight slot.  The accelerated engine carries a field-for-field
+    copy of this structure but for ``weights``, which it reads from its
+    node records as ``a(deg_pt)`` (``0.0`` for a PF node, ``-0.0`` as
+    ``0.0``) instead of storing them.  Trajectories are compared across
+    the two, so every operation here is the reference.  A total past the
+    float range would make every draw ``u * inf``, so wherever a total
+    is formed one that is not finite raises ``ValueError`` by name
+    (:func:`_finite_total`), with the text the kernel uses.
 
-    A whole index is laid out at once by :meth:`_build`, for a fresh
-    index (:func:`weight_index_for`) and on regrowth: no per-node Python
-    work, and the same floats, bit for bit, as one :meth:`append` per
-    weight.  The kernel lays its index out by the same left folds, so
-    that equality is what keeps the two backends, and every draw,
-    unchanged; see :meth:`_build` for why no ``sum`` may enter it.  On a
-    regrowth whose sums cannot have rounded (integer weights, no sum
-    reaching 2**53) the kernel keeps its tree and fills only the new
-    slots: exact sums do not depend on the order of addition, so these
-    folds' bits come out, and this layout stays the reference it is
-    tested against.
+    A fresh index is laid out at once by :meth:`_build`
+    (:func:`weight_index_for`), bit for bit as one :meth:`append` per
+    weight and as the kernel's layout.  A regrowth (:meth:`_grow`) keeps
+    every slot and appends empty ones.
     """
 
-    __slots__ = ("size", "capacity", "top", "tree", "weights", "total",
-                 "positive")
+    __slots__ = ("size", "capacity", "tree", "weights", "total", "positive")
 
     def __init__(self, capacity: int = 1024):
         self.size = 0
-        self.capacity = max(1, capacity)
-        self.top = _top_bit(self.capacity)
+        # the least power of two not below the capacity asked for
+        self.capacity = 1 << (max(1, capacity) - 1).bit_length()
         self.tree = [0.0] * (self.capacity + 1)
         self.weights = [0.0] * self.capacity
         self.total = 0.0
@@ -306,15 +292,22 @@ class WeightIndex:
         a node to land on."""
         return self.positive > 0
 
-    def _grow(self, need: int) -> None:
+    def _grow(self) -> None:
+        """Double the capacity of a full index.  A new slot's block lies
+        past every weight but the new root's, which holds them all, as
+        the old root does: each update that reached the old root would
+        have gone on to it.  So the old slots, the total and the positive
+        count stay as they are, and the regrowth adds nothing."""
         cap = self.capacity
-        while cap < need:
-            cap *= 2
-        self._build(self.weights[:self.size], cap)
+        self.tree += [0.0] * cap
+        self.tree[2 * cap] = self.tree[cap]
+        self.weights += [0.0] * cap
+        self.capacity = 2 * cap
 
-    def _build(self, weights, capacity: int) -> None:
-        """Lay out ``weights`` at ``capacity``, bit for bit as appending
-        them one at a time in id order would.
+    def _build(self, weights) -> None:
+        """Lay out ``weights``, at most the capacity of them, in a fresh
+        index, bit for bit as appending them one at a time in id order
+        would.
 
         Appends add each nonzero weight into the slots above it in id
         order, so slot ``tree[j]``, whose lowest set bit is ``L``, holds
@@ -333,22 +326,20 @@ class WeightIndex:
         with np.errstate(over="ignore"):
             total = _finite_total(float(np.add.accumulate(w)[-1])
                                   if n else 0.0)
-        top = _top_bit(capacity)
-        padded = np.zeros(2 * top)
+        capacity = self.capacity
+        padded = np.zeros(2 * capacity)
         padded[:n] = w
         tree = np.zeros(capacity + 1)
         span = 1
         while span <= capacity:
-            # slots span, 3*span, 5*span, ... up to capacity; the ones
-            # whose block starts at or past n stay 0.0
-            rows = min(-(-n // (2 * span)), (capacity // span + 1) // 2)
+            # slots span, 3*span, 5*span, ... whose blocks start below n;
+            # the rest stay 0.0
+            rows = -(-n // (2 * span))
             blocks = padded[:2 * span * rows].reshape(rows, 2 * span)
             tree[span::2 * span][:rows] = np.add.accumulate(
                 blocks[:, :span], axis=1)[:, -1]
             span *= 2
         self.size = n
-        self.capacity = capacity
-        self.top = top
         self.tree = tree.tolist()
         self.weights = w.tolist() + [0.0] * (capacity - n)
         self.total = total
@@ -357,7 +348,7 @@ class WeightIndex:
     def append(self, weight: float) -> int:
         i = self.size
         if i >= self.capacity:
-            self._grow(i + 1)
+            self._grow()
         self.size = i + 1
         if weight:
             tree = self.tree
@@ -403,7 +394,7 @@ class WeightIndex:
         tree = self.tree
         capacity = self.capacity
         pos = 0
-        mask = self.top
+        mask = capacity
         rem = x
         while mask:
             nxt = pos + mask
@@ -503,7 +494,7 @@ def weight_index_for(state, attach, table=None) -> WeightIndex:
     """
     weights = _node_weights(state, attach, _label_bytes(state), table)
     idx = WeightIndex(capacity=max(1024, len(weights)))
-    idx._build(weights, idx.capacity)
+    idx._build(weights)
     return idx
 
 

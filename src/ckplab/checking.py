@@ -55,14 +55,14 @@ class CheckOutcome:
     visited: list = field(default_factory=list)
 
 
-def _descendants_within(state, visited, found: int) -> set:
-    """``found`` plus every visited node lying below it via edges whose
+def _descendants_within(state, visited, founds) -> set:
+    """``founds`` plus every visited node lying below one via edges whose
     upper endpoint is also in the closure.  Fixpoint over the visited
     list, scanned from its end: an upward walk visits a node after a
     child of it, so most of the closure joins in the first pass.  These
     sets are tiny (a radius-k ball)."""
     parents = state.parents
-    closure = {found}
+    closure = set(founds)
     grew = True
     while grew:
         grew = False
@@ -145,10 +145,7 @@ def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
                 if w not in depth and labels[w] != PF:
                     depth[w] = d
                     queue.append(w)
-    marked: set = set()
-    for f in founds:
-        marked |= _descendants_within(state, queue, f)
-    return founds, marked, queue
+    return founds, _descendants_within(state, queue, founds), queue
 
 
 MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs", "complete")

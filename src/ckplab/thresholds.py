@@ -218,8 +218,6 @@ def _elimination_verdict(features) -> TheoremVerdict:
                 {"threshold": threshold, "effective_check_rate": p_eff})
         return silent
     eps = _to_fraction(features.error_rate)
-    if eps >= 1:
-        return silent
     q = _to_fraction(features.adversary_rate)
     r = features.adversary_budget
     slack = b + 2 * a0
@@ -323,9 +321,10 @@ def false_fraction_check(trials, features) -> FalseFractionReport:
             "adversarial steps")
     verdict = theorem_verdict(features)
     if verdict.kind != PROVEN_ELIMINATION:
+        reason = verdict.detail.get("reason")
         raise PreconditionNotProven(
             "features are outside the proven-elimination region "
-            f"({verdict.describe()})")
+            f"({verdict.describe()})" + (f": {reason}" if reason else ""))
     eps = _to_fraction(features.error_rate)
     p = _to_fraction(features.check_rate)
     bound = eps * (1 - p) * features.attach.evaluate_exact(0) / (1 - eps)

@@ -393,27 +393,33 @@ def appended(weights, capacity: int) -> WeightIndex:
     return idx
 
 
-def regrown_by_reappending(idx: WeightIndex, need: int) -> WeightIndex:
-    """Regrowth as one re-append per live weight into a fresh index of
-    the doubled capacity: the loop :meth:`WeightIndex._build` replaced."""
+def regrown_by_the_rule(idx: WeightIndex) -> WeightIndex:
+    """A full index at twice its capacity, by the regrowth rule spelled
+    out: its slots and weights with empty ones appended, the old root's
+    sum in the new root, its total and positive count."""
     cap = idx.capacity
-    while cap < need:
-        cap *= 2
-    return appended(idx.weights[:idx.size], cap)
+    grown = WeightIndex(2 * cap)
+    grown.size, grown.total, grown.positive = idx.size, idx.total, idx.positive
+    grown.tree = idx.tree + [0.0] * cap
+    grown.tree[2 * cap] = idx.tree[cap]
+    grown.weights = idx.weights + [0.0] * cap
+    return grown
+
+
+def bits(xs) -> list:
+    return [float(x).hex() for x in xs]
 
 
 def fields(idx: WeightIndex) -> tuple:
     """Every field, with each float spelled out in its bits (so 0.0 and
     -0.0 differ)."""
-    def bits(xs):
-        return [float(x).hex() for x in xs]
     return (idx.size, idx.capacity, bits(idx.tree), bits(idx.weights),
             float(idx.total).hex(), idx.positive)
 
 
 def built(weights, capacity: int) -> WeightIndex:
     idx = WeightIndex(capacity)
-    idx._build(weights, capacity)
+    idx._build(weights)
     return idx
 
 
@@ -431,9 +437,10 @@ WEIGHTS = st.one_of(st.just(0.0), st.just(-0.0),
 @example([0.1] * 64, 0)
 @settings(max_examples=300, deadline=None)
 def test_build_matches_one_append_per_weight(weights, spare):
-    capacity = max(1, len(weights) + spare)
-    assert fields(built(weights, capacity)) == fields(appended(weights,
-                                                               capacity))
+    idx = built(weights, len(weights) + spare)
+    # the capacity asked for, rounded up to a power of two
+    assert idx.capacity == 1 << max(0, len(weights) + spare - 1).bit_length()
+    assert fields(idx) == fields(appended(weights, idx.capacity))
 
 
 @pytest.mark.parametrize("capacity", [101, 128, 1024])
@@ -446,23 +453,39 @@ def test_build_keeps_the_left_fold_where_other_sums_differ(capacity):
     idx = built(weights, capacity)
     assert idx.total == 1.0
     assert idx.tree[64] == 1.0
-    assert fields(idx) == fields(appended(weights, capacity))
+    assert fields(idx) == fields(appended(weights, idx.capacity))
 
 
 @given(st.lists(WEIGHTS, min_size=1, max_size=40),
        st.lists(st.tuples(st.integers(0, 39), WEIGHTS), max_size=40),
        st.floats(0, 100))
+@example([3.0, 0.0, 7.0], [(0, 1.0), (2, 0.0), (1, 2.0**40)], 5.0)
+@example([2.0**50, 1.0] * 9, [(3, 6.0)], 0.0)
 @settings(max_examples=200, deadline=None)
 def test_regrowth_matches_the_reappend_loop(weights, history, extra):
     # a full index, reweighted by set_weight, grown by one more append
-    idx = appended(weights, len(weights))
+    cap = WeightIndex(len(weights)).capacity
+    idx = appended((weights * 2)[:cap], cap)
     for i, w in history:
-        idx.set_weight(i % len(weights), w)
-    want = regrown_by_reappending(idx, idx.size + 1)
+        idx.set_weight(i % cap, w)
+    old_tree, old_weights = bits(idx.tree), bits(idx.weights)
+    want = regrown_by_the_rule(idx)
     want.append(extra)
     idx.append(extra)
-    assert idx.capacity == 2 * len(weights)
+    assert idx.capacity == 2 * cap
+    # the append's own update touches only slots past the old capacity
+    assert bits(idx.tree[:cap + 1]) == old_tree
+    assert bits(idx.weights[:cap]) == old_weights
     assert fields(idx) == fields(want)
+    # where no sum can have rounded, that is also a fresh re-append of
+    # every live weight at the doubled capacity
+    ever = weights + [w for _, w in history] + [extra]
+    if all(w.is_integer() for w in ever) and (
+            (cap + 1) * max(ever) < 2.0**53):
+        # a weight set to -0.0 is kept; an append stores it as 0.0
+        idx.weights = [w + 0.0 for w in idx.weights]
+        assert fields(idx) == fields(appended(idx.weights[:idx.size],
+                                              2 * cap))
 
 
 def test_weight_index_for_matches_one_append_per_node():
@@ -478,8 +501,8 @@ def test_weight_index_for_matches_one_append_per_node():
     weights = [0.0 if lab == PF else attach.evaluate(d)
                for lab, d in zip(grown.labels, grown.deg_pt)]
     idx = weight_index_for(grown, attach)
-    assert idx.capacity == 1500
-    assert fields(idx) == fields(appended(weights, 1500))
+    assert idx.capacity == 2048
+    assert fields(idx) == fields(appended(weights, 2048))
 
 
 class CountingEvaluations:

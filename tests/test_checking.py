@@ -543,10 +543,7 @@ def never_skipping_ball(state, start, cap, p_e, chooser, sweep):
                     depth[w] = depth[u] + 1
                     queue.append(w)
     del queue[head:]
-    marked = set()
-    for f in founds:
-        marked |= _descendants_within(state, queue, f)
-    return founds, marked, queue
+    return founds, _descendants_within(state, queue, founds), queue
 
 
 @st.composite

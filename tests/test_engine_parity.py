@@ -3,6 +3,8 @@ decision stream draw for draw, and the dispatcher routes requests to
 the right backend."""
 
 import gc
+import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -133,9 +135,9 @@ def test_runs_in_pieces_agree(mech, eps):
 @needs_kernel
 def test_trajectories_bit_identical_across_regrowths():
     """Non-dyadic weights make every Fenwick sum inexact: both engines
-    rebuild their index on regrowth, the Python one with numpy folds per
-    tree level and the kernel with sequential folds per slot, and the
-    two must still agree bit for bit."""
+    lay their index out at construction, the Python one with numpy folds
+    per tree level and the kernel with sequential folds per slot, keep
+    it across regrowths, and must still agree bit for bit."""
     feats = Features(attach=TableAttachment((0.1,), 0.7),
                      parent_count=LAW_MIX, check_rate=0.3, check_depth=3,
                      mechanism="bfs", error_rate=0.05, detection_rate=0.8)
@@ -175,16 +177,16 @@ def test_batched_parent_picks_bit_identical(law, attach_name, root):
 
 
 @needs_kernel
-def test_batched_picks_at_a_capacity_off_the_powers_of_two():
-    """Imported at 1,500 nodes, the index's capacity is 1,500, so the
-    descent starts at 1,024 and a pick's next slot often lies past the
-    capacity; across the regrowth to 3,000 it still must not be taken."""
+def test_batched_picks_across_a_regrowth_from_an_imported_chain():
+    """Imported at 1,500 nodes, the index's capacity is 2,048, so slots
+    past the last node are empty; batched picks must agree before and
+    across the regrowth to 4,096."""
     feats = Features(attach=TableAttachment((0.1,), 0.7),
                      parent_count=ParentCountLaw.const(3), check_rate=0.3,
                      check_depth=3, mechanism="bfs", error_rate=0.1,
                      detection_rate=0.8)
     eng, ker, _ = run_both(feats, init_chain(1500, 1, CF), 99, 1000)
-    assert eng.windex.capacity == 3000
+    assert eng.windex.capacity == 4096
     assert_same_engines(eng, ker)
 
 
@@ -458,11 +460,12 @@ def regrowth_case(name):
     from ckplab._kernel import KernelEngine
 
     if name == "straddling":
-        # the trial-ct process, grown on the kernel to 1,525 nodes
+        # the trial-ct process, grown on the kernel to 1,525 nodes, so
+        # imported off the powers of two
         feats = case_features("complete", 0.05, "preferential", 0.5, 5)
         grower = KernelEngine(feats, init_chain(25, 1, CT), 11)
         grower.run(1500)
-        return feats, grower.export_state(), (1525, 3050)
+        return feats, grower.export_state(), (2048, 4096)
     attach = {"past-2**53": TableAttachment((2.0**43 + 1,), 2.0**43 + 3),
               "half-integer": TableAttachment((1.5, 0.5, 2.5), 0.5)}[name]
     feats = Features(attach=attach, parent_count=ParentCountLaw({1: 0.5,
@@ -476,14 +479,12 @@ def regrowth_case(name):
 @pytest.mark.parametrize("case", ["straddling", "past-2**53",
                                   "half-integer"])
 def test_exact_and_inexact_regrowths_agree(case):
-    """With integer weights whose sums stay below 2**53 the kernel keeps
-    its tree on regrowth and fills only the new slots; with any others
-    it lays the tree out afresh.  Either way both records, floats by
-    their bits, and both states must agree just before and just after
-    each regrowth.  From 1,525 nodes the capacity goes 1525 -> 3050 ->
-    6100, so new slots straddle the old capacity; the large integer
-    table's totals pass 2**53 before its regrowths, and half-integer
-    weights are not integers, so both must fall back to the layout."""
+    """A regrowth keeps the tree and copies its root, whatever the
+    weights: integer ones whose sums are exact, a large integer table
+    whose totals pass 2**53 before its regrowths, and half-integer ones.
+    Both records, floats by their bits, and both states must agree just
+    before and just after each regrowth.  Imported at 1,525 nodes, the
+    index starts at 2,048, so slots past the last node start empty."""
     from ckplab._kernel import KernelEngine
 
     feats, init, capacities = regrowth_case(case)
@@ -497,6 +498,93 @@ def test_exact_and_inexact_regrowths_agree(case):
             assert (hex_record(ker.export_bookkeeping())
                     == hex_record(eng.export_bookkeeping()))
         assert eng.windex.capacity == 2 * cap
+
+
+def fingerprint_run(name):
+    """Features, start, seed and step count of a fingerprinted run.
+    The chain starts cross the index's regrowths at 1,024, 2,048 and
+    4,096 nodes; the 1,525-node start, imported off the powers of two,
+    crosses the one at 2,048."""
+    if name.startswith("grown"):
+        feats, init, _ = regrowth_case("straddling")
+        if name == "grown-table":
+            feats = replace(feats, attach=TableAttachment((0.1,), 0.7))
+        return feats, init, 3, 600
+    attach = {"table": TableAttachment((0.1,), 0.7),
+              "power": PowerShifted(1, Fraction(3, 2))}[name]
+    feats = Features(attach=attach, parent_count=LAW_MIX, check_rate=0.3,
+                     check_depth=3, mechanism="bfs", error_rate=0.1,
+                     detection_rate=0.8)
+    return feats, init_chain(25, 1, CT), 7, 4100
+
+
+# sha256 of dump_state and of the run summary (JSON, sorted keys) at the
+# end of each run.  The parity tests compare the backends with each
+# other, so a change that moved both the same way would pass them, but
+# not these
+TRAJECTORY_FINGERPRINTS = {
+    "table": (
+        "c9c9a2d585f2ff57c0bf1bdc9057dec0ead78e891af54bdbefd8e90dfac46659",
+        "064e71d9575a0b70a21a82bbcb265bdd6b2e8f990c90b31f6ff98c35700e014a"),
+    "power": (
+        "58e5704a15e18213d7c8598b582574b8dd8c00a487db5722a1cca778849045e2",
+        "311006507412aa63850256af91b13167b272b059a42e60b23bc39e4ed785dfb1"),
+    "grown": (
+        "1f9e69a0efe3c7ffc6116cc35f839de0f79371c31ba4bf6b6215673c88d851fa",
+        "bdbd612525f30d41a18116b681246332ac2133067ba04c5c5448eb8141ad2692"),
+    "grown-table": (
+        "cb9359dd211a22f736d570373e6d26ef3d5e8573490212f32b991e49fbee3533",
+        "42d6b974fd4fe5e39515d0688a7194183e44035bad6274c071192bb59de0d89c"),
+}
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("compiled", marks=needs_kernel)])
+@pytest.mark.parametrize("name", [
+    "table", "power", pytest.param("grown", marks=needs_kernel),
+    pytest.param("grown-table", marks=needs_kernel)])
+def test_trajectory_fingerprints(name, backend):
+    feats, init, seed, steps = fingerprint_run(name)
+    if backend == "python":
+        eng = PyEngine(feats, init, SimChooser(seed))
+        summary = eng.run(steps)
+        state = eng.state
+    else:
+        from ckplab._kernel import KernelEngine
+
+        eng = KernelEngine(feats, init, seed)
+        summary = eng.run(steps)
+        state = eng.export_state()
+    assert summary["stopped_at"] is None
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (dump_state(state),
+                             json.dumps(summary, sort_keys=True)))
+    assert got == TRAJECTORY_FINGERPRINTS[name]
+
+
+@needs_kernel
+def test_superlinear_weights_stay_within_the_audit_bound_across_regrowths():
+    """Regrowths add nothing to the tree, so its float drift is only
+    what the updates leave: with growing non-integer weights across
+    three regrowths both records still pass the full audit."""
+    feats, init, seed, steps = fingerprint_run("power")
+    eng, ker, _ = run_both(feats, init, seed, steps)
+    assert eng.windex.capacity == 8192     # three regrowths, from 1,024
+    for engine in (eng, ker):
+        deep_audit_compiled(engine, feats)
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1525])
+def test_imported_index_capacity_is_one_power_of_two(n):
+    from ckplab._kernel import KernelEngine
+
+    feats = case_features("bfs", 0.1, "rounding", 0.3, 3)
+    init = init_chain(n, 1, CT)
+    want = max(1024, 1 << (n - 1).bit_length())
+    for engine in (PyEngine(feats, init, SimChooser(0)),
+                   KernelEngine(feats, init, 0)):
+        assert len(engine.export_bookkeeping()["tree"]) == want + 1
 
 
 def hub_with_many_parents(parents=600, grandparents=400):

@@ -306,8 +306,10 @@ def test_superlinear_growth_below_three_gets_an_unknown_verdict(gamma):
         f"{attach.describe()} (increments in ["))
     assert reason.endswith(", unbounded], base weight 1)")
     trials = [_fake_trial(i, [(100, 50, 0)]) for i in range(30)]
-    with pytest.raises(PreconditionNotProven, match=r"\(unknown\)"):
+    with pytest.raises(PreconditionNotProven) as refused:
         false_fraction_check(trials, complete)
+    assert str(refused.value) == ("features are outside the proven-"
+                                  f"elimination region (unknown): {reason}")
     # at exponent 3 the runaway claim fires for both
     for mech in ("bfs", "complete"):
         v = theorem_verdict(feats(mech, Fraction(1, 2), 4,
