@@ -33,12 +33,13 @@ import math
 import numbers
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .state import PF, _label_bytes
+from .state import PF, _count_column, _label_bytes
 
 
 class AllWeightsZero(RuntimeError):
@@ -468,12 +469,13 @@ def _node_weights(state, attach, labels, table=None) -> np.ndarray:
     The weights come from the per-degree table ``table`` (a fresh list
     when none is given), filled by :func:`extend_table` up to the
     largest live degree, as the kernel's ``aval`` is at construction.
-    ``deg_pt`` is read whole by ``np.fromiter``, which costs about half
-    of ``np.asarray`` on a list.
+    ``deg_pt`` is read whole by one ``struct.pack`` into an int64 view
+    (:func:`state._count_column`), which refuses an entry that is not a
+    non-negative 64-bit integer with a ``StateError`` naming its node.
     """
     n = len(labels)
     live = labels != PF
-    deg = np.fromiter(state.deg_pt, dtype=np.int64, count=n)[live]
+    deg = _count_column(state.deg_pt, "deg_pt")[live]
     table = [] if table is None else table
     top = int(deg.max(initial=-1))
     if top >= 0:
@@ -555,12 +557,25 @@ def parent_distribution(state, attach) -> dict:
     It is empty, and falsy, when no PT node exists or every PT weight is
     zero, as a :class:`WeightIndex` or :class:`PrefixPool` is falsy when
     no weight is positive: a step drawn on it stops.
+
+    ``evaluate_exact`` runs once per distinct PT degree, in the order
+    the degrees first appear by id, so one that raises is the one a
+    pass node by node would meet first; the total is a count-weighted
+    sum, and each distinct positive weight is divided by it once.
     """
-    weights = {}
-    for v in range(len(state.labels)):
-        if state.labels[v] == PF:
-            continue
-        weights[v] = attach.evaluate_exact(state.deg_pt[v])
-    total = sum(weights.values())
-    return {v: w / total for v, w in weights.items() if w > 0}
+    deg_pt = state.deg_pt
+    live = [v for v, label in enumerate(state.labels) if label != PF]
+    degrees = [deg_pt[v] for v in live]
+    counts = Counter(degrees)
+    weight = {d: attach.evaluate_exact(d) for d in counts}
+    total = sum(w * counts[d] for d, w in weight.items())
+    shares: dict = {}           # positive weight -> its share
+    share: dict = {}            # degree -> its nodes' share
+    for d, w in weight.items():
+        if w > 0:
+            part = shares.get(w)
+            if part is None:
+                part = shares[w] = w / total
+            share[d] = part
+    return {v: share[d] for v, d in zip(live, degrees) if d in share}
 

@@ -60,7 +60,9 @@ def _descendants_within(state, visited, founds) -> set:
     upper endpoint is also in the closure.  Fixpoint over the visited
     list, scanned from its end: an upward walk visits a node after a
     child of it, so most of the closure joins in the first pass.  These
-    sets are tiny (a radius-k ball)."""
+    sets are tiny (a radius-k ball).  :func:`_ball` calls it only when
+    the walk found something, as the kernel calls ``mark_closure``: with
+    no find the closure is empty."""
     parents = state.parents
     closure = set(founds)
     grew = True
@@ -105,14 +107,19 @@ def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
     """BFS upward from ``start`` to depth ``cap``, recognizing minimal
     false nodes by the rule of the module docstring.
 
-    Canonical order, the kernel's: one list is the FIFO queue, seeded
-    with ``start``, parents pushed in edge insertion order, each node
-    enqueued once (the depth dict doubles as the seen set), recognition
+    Canonical order, and the shape of the kernel's ``Engine::ball``: one
+    list is the FIFO queue, seeded with ``start``, parents pushed in edge
+    insertion order, each node enqueued once (a seen set), recognition
     happens when a node is popped, and the popped prefix is the visit
-    order.  Without ``sweep`` the walk stops at the first find; with it,
-    it exhausts the ball, and recognized nodes are not expanded through,
-    so anything hiding strictly behind one stays hidden from this sweep.
-    Every find is marked together with every visited node below it.
+    order.  No node carries a depth: a BFS queue holds its levels one
+    after another, so the depth of the popped node is read from where
+    the current level ends, a queue length noted when the level's first
+    node is popped.  Without ``sweep`` the walk stops at the first find;
+    with it, it exhausts the ball, and recognized nodes are not expanded
+    through, so anything hiding strictly behind one stays hidden from
+    this sweep.  Every find is marked together with every visited node
+    below it, by :func:`_descendants_within`, which runs only when the
+    walk found something (the kernel's ``mark_closure`` likewise).
     Returns (founds, marked, order).
 
     A walk from a hidden-True ``start`` is skipped, and that is exact.
@@ -127,10 +134,17 @@ def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
         return [], set(), []
     pf_parent_edges = state.pf_parent_edges
     parents = state.parents
-    depth = {start: 0}
+    seen = {start}
     queue = [start]
     founds: list = []
+    # the popped node is at depth ``depth``; the next level starts at
+    # queue position ``level_end``
+    depth = 0
+    level_end = 1
     for taken, u in enumerate(queue, 1):
+        if taken > level_end:
+            depth += 1
+            level_end = len(queue)
         # the recognition rule: the CF coin, then the public flag
         if (labels[u] == CF and chooser.maybe(p_e)) or pf_parent_edges[u] > 0:
             founds.append(u)
@@ -138,14 +152,14 @@ def _ball(state, start: int, cap: int, p_e, chooser, sweep: bool):
                 del queue[taken:]       # queued after u, never visited
                 break
             continue
-        d = depth[u]
-        if d < cap:
-            d += 1
+        if depth < cap:
             for w in parents[u]:
-                if w not in depth and labels[w] != PF:
-                    depth[w] = d
+                if w not in seen and labels[w] != PF:
+                    seen.add(w)
                     queue.append(w)
-    return founds, _descendants_within(state, queue, founds), queue
+    if founds:
+        return founds, _descendants_within(state, queue, founds), queue
+    return founds, set(), queue
 
 
 MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs", "complete")

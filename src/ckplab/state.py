@@ -18,6 +18,7 @@ multiplicity.
 
 from __future__ import annotations
 
+import struct
 from itertools import count
 
 import numpy as np
@@ -273,6 +274,32 @@ def _byte_column(column: list, name: str, want: str) -> np.ndarray:
                 raise StateError(
                     f"node {v}: {name} {x!r} is not {want}") from None
         raise
+
+
+def _count_column(column: list, name: str) -> np.ndarray:
+    """A column of counts, such as ``deg_pt``, as an int64 array, read
+    by one ``struct.pack`` of the whole list: cheaper than
+    ``np.fromiter``, and it takes only what a 64-bit int holds.  An
+    entry it cannot pack (a float, a string, None, an int of 2**63 or
+    more) or a negative one raises :class:`StateError` naming the
+    lowest such node, as ``node v: <name> <entry> is not a
+    non-negative 64-bit integer``."""
+    try:
+        counts = np.frombuffer(struct.pack(f"{len(column)}q", *column),
+                               dtype=np.int64)
+    except struct.error:
+        counts = None
+    if counts is not None and counts.min(initial=0) >= 0:
+        return counts
+    for v, x in enumerate(column):
+        try:
+            struct.pack("q", x)
+        except struct.error:
+            break
+        if x < 0:
+            break
+    raise StateError(
+        f"node {v}: {name} {x!r} is not a non-negative 64-bit integer")
 
 
 def _label_bytes(state: CkpState) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Test-only references: an upward BFS to hold
 ``state.pt_false_distances`` to, the check's recognition rule as a
-function of its own, an enumerator of any decision function's outcomes,
-and a scripted adversary."""
+function of its own, a ball walk to hold ``checking._ball`` to, an
+enumerator of any decision function's outcomes, and a scripted
+adversary."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -55,6 +56,50 @@ def flagged(state: CkpState, u: int, p_e, chooser) -> bool:
     if state.labels[u] == CF:
         hit = chooser.maybe(p_e)
     return hit or state.pf_parent_edges[u] > 0
+
+
+def reference_ball(state: CkpState, start: int, cap: int, p_e, chooser,
+                   sweep: bool):
+    """The ball walk of ``checking._ball``, written on its own: a deque
+    of ``(node, depth)`` pairs and a depth dict as the enqueued set, and
+    a closure grown level by level.  Returns ``(founds, marked,
+    order)``.
+
+    A walk from a PF or hidden-True ``start``, or with ``cap < 0``, is
+    skipped: no coin, no visit.  Otherwise each popped node is examined
+    by :func:`flagged`; a find stops the walk unless ``sweep``, and is
+    never expanded through; any other node at depth below ``cap``
+    enqueues its PT parents not yet enqueued, in edge order.  ``order``
+    is every popped node.  ``marked`` is the finds plus every popped
+    node with a parent already in ``marked``, repeated until nothing
+    joins, and empty without a find.
+    """
+    if cap < 0 or state.labels[start] == PF or not state.is_false[start]:
+        return [], set(), []
+    depth = {start: 0}
+    queue = deque([(start, 0)])
+    founds, order = [], []
+    while queue:
+        u, d = queue.popleft()
+        order.append(u)
+        if flagged(state, u, p_e, chooser):
+            founds.append(u)
+            if not sweep:
+                break
+            continue
+        if d == cap:
+            continue
+        for w in state.parents[u]:
+            if w not in depth and state.labels[w] != PF:
+                depth[w] = d + 1
+                queue.append((w, d + 1))
+    marked = set(founds)
+    while True:
+        joining = {x for x in order if x not in marked
+                   and any(u in marked for u in state.parents[x])}
+        if not joining:
+            return founds, marked, order
+        marked |= joining
 
 
 def outcomes(decide, chooser):

@@ -259,6 +259,71 @@ def test_parent_distribution_is_empty_without_a_positive_weight():
     assert parent_distribution(s2, TableAttachment((0,), 0)) == {}
 
 
+def per_node_distribution(state, attach) -> dict:
+    """The selection pmf one node at a time: ``evaluate_exact`` at every
+    PT node's degree, in id order, the sum of those weights, and one
+    division per positive-weight node."""
+    weights = {v: attach.evaluate_exact(d)
+               for v, (label, d) in enumerate(zip(state.labels, state.deg_pt))
+               if label != PF}
+    total = sum(weights.values())
+    return {v: w / total for v, w in weights.items() if w > 0}
+
+
+DISTRIBUTION_FAMILIES = (preferential(), TableAttachment((1, 0, 4), 2),
+                         TableAttachment((0, 3), Fraction(1, 3)),
+                         PowerShifted(1, Fraction(3, 2)))
+
+
+@given(st.sampled_from(DISTRIBUTION_FAMILIES), st.integers(0, 2**32 - 1),
+       st.integers(0, 120))
+@settings(max_examples=60, deadline=None)
+def test_parent_distribution_is_the_per_node_pmf(attach, seed, steps):
+    s = grown_state(attach, seed, steps)
+    dist = parent_distribution(s, attach)
+    want = per_node_distribution(s, attach)
+    assert list(dist) == list(want)       # the same ids, in id order
+    assert all(type(dist[v]) is type(want[v]) and dist[v] == want[v]
+               for v in want)
+
+
+class FailsAtDegree:
+    """``preferential``'s weights, except that ``evaluate_exact``
+    raises at the degrees in ``bad``, naming the degree."""
+
+    def __init__(self, *bad):
+        self.bad = bad
+        self.asked = []
+
+    def evaluate_exact(self, d):
+        self.asked.append(d)
+        if d in self.bad:
+            raise ArithmeticError(f"no weight at degree {d}")
+        return Fraction(d + 1)
+
+
+def test_parent_distribution_raises_what_a_per_node_pass_meets_first():
+    s = chain_state([CF, CT])
+    s.add_node([0], CT)                     # 2
+    s.add_node([2, 2, 1], CT)               # 3
+    s.add_node([2], CF)                     # 4
+    s.add_node([4, 4], CT)                  # 5, marked: 4 is a leaf again
+    s.mark_pf([5])
+    degrees = [s.deg_pt[v] for v in range(5)]
+    assert degrees == [2, 1, 3, 0, 0]
+    for bad in ((3, 1), (0, 3), (2,), (0,)):
+        errors = []
+        for run in (parent_distribution, per_node_distribution):
+            with pytest.raises(ArithmeticError) as err:
+                run(s, FailsAtDegree(*bad))
+            errors.append(str(err.value))
+        assert errors[0] == errors[1], bad
+    # one evaluation per distinct PT degree, in first-appearance order
+    attach = FailsAtDegree()
+    parent_distribution(s, attach)
+    assert attach.asked == list(dict.fromkeys(degrees))
+
+
 def draw_parents(windex, m, chooser):
     """m parents with replacement, drawn the way the engine draws them."""
     return [chooser.weighted_index(windex) for _ in range(m)]

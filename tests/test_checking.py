@@ -18,7 +18,7 @@ from ckplab.evolution import Features, PyEngine, init_chain
 from ckplab.rand import PathChooser, SimChooser
 from ckplab.state import CT, CF, PF, CkpState
 
-from reference import flagged, outcomes
+from reference import flagged, outcomes, reference_ball
 
 
 def chain(labels):
@@ -596,3 +596,31 @@ def test_skipping_true_starts_is_exact(s, k, seed):
                     live.append((outcome_law(decide), decide(sim),
                                  sim.draws, sim.gen.bit_generator.state))
             assert live[0] == live[1], (mechanism, v)
+
+
+# -- the ball walk against a reference written on its own ------------------
+
+def frozen_ball(result) -> tuple:
+    founds, marked, order = result
+    return tuple(founds), frozenset(marked), tuple(order)
+
+
+@given(grown_state(), st.integers(min_value=0, max_value=4), st.booleans(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_ball_is_the_reference_walk(s, cap, sweep, seed):
+    """From every node, ``_ball`` and the depth-dict walk of
+    ``reference.reference_ball``, which shares no code with ``checking``,
+    give the same ``(founds, marked, order)``, draw the same number of
+    uniforms and leave the generator in the same state under a live
+    chooser, and have the same law of outcomes under a replaying one."""
+    for start in range(len(s.labels)):
+        seen = []
+        for ball in (checking._ball, reference_ball):
+            def walk(chooser):
+                return frozen_ball(ball(s, start, cap, 0.7, chooser, sweep))
+
+            sim = SimChooser(seed)
+            seen.append((walk(sim), sim.draws, sim.gen.bit_generator.state,
+                         outcome_law(walk)))
+        assert seen[0] == seen[1], (start, cap, sweep)

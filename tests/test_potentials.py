@@ -1075,11 +1075,14 @@ def test_mc_drift_refuses_a_broken_distance_structure_up_front(
 @pytest.mark.parametrize("column, entry, message", [
     ("is_false", np.True_, "node 1: is_false np.True_ is not a Python bool"),
     ("labels", "CT", "node 1: label 'CT' is not CT, CF or PF"),
+    *(("deg_pt", entry, f"node 1: deg_pt {entry!r} is not a non-negative "
+       f"64-bit integer") for entry in (1.5, "x", None, 2**70, -1)),
 ])
 def test_mc_drift_names_the_node_whose_column_entry_it_cannot_read(
         column, entry, message):
-    # the set-up reads each column with one bytes() call; an entry that
-    # call cannot read is named by its node, before any sample is drawn
+    # the set-up reads each column with one bytes() or struct.pack call;
+    # an entry that call cannot read, or a negative degree, is named by
+    # its node before any sample is drawn
     st = init_chain(3, 1, CF)
     getattr(st, column)[1] = entry
     with pytest.raises(StateError) as err:

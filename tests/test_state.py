@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ckplab.state import (
     CT, CF, PF, CkpState, StateError,
-    pt_false_distances,
+    _count_column, pt_false_distances,
     dump_state, load_state, verify_state,
 )
 
@@ -213,6 +213,25 @@ def test_distances_refuse_a_truth_entry_bytes_cannot_read(entry):
         pt_false_distances(s)
     assert str(err.value) == \
         f"node 2: is_false {entry!r} is not a Python bool"
+
+
+def test_count_column_reads_counts_as_int64():
+    column = [0, 3, 2**63 - 1, True, np.int64(7)]
+    counts = _count_column(column, "deg_pt")
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [0, 3, 2**63 - 1, 1, 7]
+    assert _count_column([], "deg_pt").tolist() == []
+
+
+@pytest.mark.parametrize("entry", [1.5, "x", None, 2**70, 2**63, -1])
+def test_count_column_refuses_by_lowest_node(entry):
+    # node 4's entry is always bad; node 2's is the one under test, so
+    # the message names node 2 whether the whole read failed or packed
+    column = [0, 1, entry, 5, -3, "y"]
+    with pytest.raises(StateError) as err:
+        _count_column(column, "deg_pt")
+    assert str(err.value) == \
+        f"node 2: deg_pt {entry!r} is not a non-negative 64-bit integer"
 
 
 def test_anchor_bfs_prefers_breadth_then_edge_order():
