@@ -62,8 +62,8 @@ def reference_ball(state: CkpState, start: int, cap: int, p_e, chooser,
                    sweep: bool):
     """The ball walk of ``checking._ball``, written on its own: a deque
     of ``(node, depth)`` pairs and a depth dict as the enqueued set, and
-    a closure grown level by level.  Returns ``(founds, marked,
-    order)``.
+    a closure grown in rounds over the whole visit order.  Returns
+    ``(founds, marked, order)``.
 
     A walk from a PF or hidden-True ``start``, or with ``cap < 0``, is
     skipped: no coin, no visit.  Otherwise each popped node is examined

@@ -223,11 +223,14 @@ def test_count_column_reads_counts_as_int64():
     assert _count_column([], "deg_pt").tolist() == []
 
 
+@pytest.mark.parametrize("tail", [[5, -3], [5, -3, "y"]],
+                         ids=["packs", "unpackable"])
 @pytest.mark.parametrize("entry", [1.5, "x", None, 2**70, 2**63, -1])
-def test_count_column_refuses_by_lowest_node(entry):
-    # node 4's entry is always bad; node 2's is the one under test, so
-    # the message names node 2 whether the whole read failed or packed
-    column = [0, 1, entry, 5, -3, "y"]
+def test_count_column_refuses_by_lowest_node(entry, tail):
+    # node 2 holds the entry under test and node 4 a negative count;
+    # with "unpackable", node 5 holds what struct.pack refuses, so the
+    # whole column never packs.  Either way node 2 is named
+    column = [0, 1, entry, *tail]
     with pytest.raises(StateError) as err:
         _count_column(column, "deg_pt")
     assert str(err.value) == \
