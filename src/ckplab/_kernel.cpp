@@ -57,12 +57,12 @@
 //     weight is read from its node record, aval(deg_pt) for a PT node
 //     and 0.0 for a PF one, -0.0 read as 0.0.  Same capacity schedule,
 //     same update order (weights refreshed for sorted unique parents),
-//     same select and fallback scan.  The capacity is a power of two.
-//     The layout at construction folds each tree slot's block left to
-//     right from 0.0, bit for bit as WeightIndex._build and as one
-//     append per weight would; a regrowth doubles the capacity, keeps
-//     every slot and copies the root.  Every update is handed the
-//     weight it replaces.
+//     same select and fallback scan.  The capacity is a power of two,
+//     1024 at construction.  Append, set and grow are its only writers:
+//     the constructor appends each node's weight in id order, as
+//     attachment.weight_index_for does, and a regrowth doubles the
+//     capacity, keeps every slot and copies the root.  Every update is
+//     handed the weight it replaces.
 //     A weight total that is not finite is refused by name, with
 //     WeightIndex's text, wherever a total is formed.  A step
 //     with one parent draws its pick and finds it as select does.  A
@@ -443,7 +443,6 @@ class Engine {
     const Node &n = nodes_[i];
     return n.label != PF ? pt_weight(n.deg_pt) : 0.0;
   }
-  void w_build();
   void w_extend();
   void w_append(double weight);
   void w_set(int32_t i, double old, double weight);
@@ -644,31 +643,31 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
     }
   }
 
-  // the weight index, laid out as weight_index_for does: capacity
-  // max(1024, n) rounded up to a power of two, PF nodes at 0.0, the
-  // table filled to the largest PT degree
-  for (wcap_ = 1024; wcap_ < n; wcap_ *= 2) {}
-  wsize_ = static_cast<int32_t>(n);
+  // the weight index, filled as weight_index_for fills it: the table to
+  // the largest PT degree, then one append per node in id order into
+  // 1024 empty slots, PF nodes at 0.0
   int32_t top = -1;
   for (const Node &node : nodes_)
     if (node.label != PF) top = std::max(top, node.deg_pt);
   if (top >= 0) aval(top);
-  w_build();
+  wcap_ = 1024;
+  wsize_ = 0;
+  wtotal_ = 0.0;
+  wpositive_ = 0;
+  tree_.assign(static_cast<size_t>(wcap_) + 1, 0.0);
+  for (int32_t v = 0; v < n; ++v) w_append(weight(v));
 
+  // the counts, and the membership flags set by refresh, the rule the
+  // steps keep them by
   stopped_ = false;
   step_index_ = 0;
   pf_total_ = pt_false_ = f_count_ = l_count_ = 0;
-  for (Py_ssize_t v = 0; v < n; ++v) {
-    Node &node = nodes_[v];
+  for (int32_t v = 0; v < n; ++v) {
+    const Node &node = nodes_[v];
     pf_total_ += node.label == PF;
     if (node.label != PF && node.is_false) ++pt_false_;
-    node.f_mem = is_minimal_false(node);
-    node.l_mem = is_leaf(static_cast<int32_t>(v));
-    f_count_ += node.f_mem;
-    l_count_ += node.l_mem;
-    pf_child_len_.push_back(node.label == PF
-                                ? child_count(static_cast<int32_t>(v))
-                                : -1);
+    refresh(v);
+    pf_child_len_.push_back(node.label == PF ? child_count(v) : -1);
   }
   zero_since_ = pt_false_ == 0 ? 0 : -1;
 
@@ -700,33 +699,6 @@ double Engine::aval(int32_t d) {
 }
 
 // -- weight index -----------------------------------------------------------
-
-// Lay out the weights of slots [0, wsize_) in a fresh tree.  Slot j with
-// lowest set bit L holds the left fold ((0.0 + w[j-L]) + ...) + w[j-1],
-// which is what appending the weights one at a time leaves there (the
-// zeros appends skip add nothing); slot j - L/2 holds the first half of
-// that fold, so each slot continues it.  The total is the left fold of
-// all weights.
-void Engine::w_build() {
-  tree_.assign(static_cast<size_t>(wcap_) + 1, 0.0);
-  for (int64_t j = 1; j <= wcap_; ++j) {
-    int64_t low = j & -j;
-    if (j - low >= wsize_) continue;
-    double acc = low == 1 ? 0.0 : tree_[j - low / 2];
-    int64_t end = std::min<int64_t>(j, wsize_);
-    for (int64_t i = low == 1 ? j - 1 : j - low / 2; i < end; ++i)
-      acc += weight(static_cast<int32_t>(i));
-    tree_[j] = acc;
-  }
-  wtotal_ = 0.0;
-  wpositive_ = 0;
-  for (int32_t i = 0; i < wsize_; ++i) {
-    const double w = weight(i);
-    wtotal_ += w;
-    if (w > 0) ++wpositive_;
-  }
-  w_check_total();
-}
 
 // Double the capacity of a full tree, as WeightIndex._grow does.  A new
 // slot's block lies past every weight but the new root's, which holds

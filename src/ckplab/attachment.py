@@ -271,9 +271,9 @@ class WeightIndex:
     is formed one that is not finite raises ``ValueError`` by name
     (:func:`_finite_total`), with the text the kernel uses.
 
-    A fresh index is laid out at once by :meth:`_build`
-    (:func:`weight_index_for`), bit for bit as one :meth:`append` per
-    weight and as the kernel's layout.  A regrowth (:meth:`_grow`) keeps
+    :meth:`append`, :meth:`set_weight` and :meth:`_grow` are its only
+    writers: :func:`weight_index_for` fills a fresh index with one
+    append per node, as the kernel fills its own, and a regrowth keeps
     every slot and appends empty ones.
     """
 
@@ -304,47 +304,6 @@ class WeightIndex:
         self.tree[2 * cap] = self.tree[cap]
         self.weights += [0.0] * cap
         self.capacity = 2 * cap
-
-    def _build(self, weights) -> None:
-        """Lay out ``weights``, at most the capacity of them, in a fresh
-        index, bit for bit as appending them one at a time in id order
-        would.
-
-        Appends add each nonzero weight into the slots above it in id
-        order, so slot ``tree[j]``, whose lowest set bit is ``L``, holds
-        the left fold ``((0.0 + w[j-L]) + ...) + w[j-1]``; the zeros they
-        skip would add nothing.  Each tree level folds its blocks with
-        ``np.add.accumulate``, which adds in sequence, and the total is
-        the sequential fold of all weights.  No reduction may stand in
-        for these folds: ``np.sum`` and ``np.add.reduce`` add pairwise,
-        ``math.fsum`` rounds once from the exact sum, and the built-in
-        ``sum`` compensates float sums from Python 3.12 on, and each
-        would change the bits the kernel and every draw depend on.
-        """
-        w = np.asarray(weights, dtype=float) + 0.0   # -0.0 is skipped as 0.0
-        n = len(w)
-        # an overflowing fold is refused below, by name, not warned of
-        with np.errstate(over="ignore"):
-            total = _finite_total(float(np.add.accumulate(w)[-1])
-                                  if n else 0.0)
-        capacity = self.capacity
-        padded = np.zeros(2 * capacity)
-        padded[:n] = w
-        tree = np.zeros(capacity + 1)
-        span = 1
-        while span <= capacity:
-            # slots span, 3*span, 5*span, ... whose blocks start below n;
-            # the rest stay 0.0
-            rows = -(-n // (2 * span))
-            blocks = padded[:2 * span * rows].reshape(rows, 2 * span)
-            tree[span::2 * span][:rows] = np.add.accumulate(
-                blocks[:, :span], axis=1)[:, -1]
-            span *= 2
-        self.size = n
-        self.tree = tree.tolist()
-        self.weights = w.tolist() + [0.0] * (capacity - n)
-        self.total = total
-        self.positive = int(np.count_nonzero(w > 0))
 
     def append(self, weight: float) -> int:
         i = self.size
@@ -488,15 +447,15 @@ def _node_weights(state, attach, labels, table=None) -> np.ndarray:
 def weight_index_for(state, attach, table=None) -> WeightIndex:
     """Fresh index over all current nodes; PF nodes get weight 0.
 
-    :meth:`WeightIndex._build` lays the weights out with a few numpy
-    passes per tree level instead of one ``append`` per node.  The index
-    is bit for bit the one those appends would build.  A ``table`` given
+    A default :class:`WeightIndex` takes one :meth:`WeightIndex.append`
+    per node in id order, regrowing as a step would.  A ``table`` given
     is the caller's per-degree table, which the call fills (see
     :func:`_node_weights`) for the caller's later updates.
     """
-    weights = _node_weights(state, attach, _label_bytes(state), table)
-    idx = WeightIndex(capacity=max(1024, len(weights)))
-    idx._build(weights)
+    idx = WeightIndex()
+    for weight in _node_weights(state, attach, _label_bytes(state),
+                                table).tolist():
+        idx.append(weight)
     return idx
 
 
@@ -507,14 +466,14 @@ class PrefixPool:
     It offers what a weighted pick reads of a :class:`WeightIndex`
     (``total``, :meth:`select` and truth) with no tree to build, for a
     caller that changes no weight between picks, such as the Monte
-    Carlo drift.  The prefix sums are one left fold, as
-    :meth:`WeightIndex._build` takes the total, so ``total`` is the
-    index's bit for bit, and refused as the index's is when it is not
-    finite.  Where every prefix sum is exact (integer weights with a
-    total below 2**53, such as :func:`preferential`'s) :meth:`select`
-    returns what :meth:`WeightIndex.select` does.  Where they round, the
-    picks keep the law: a pick can differ only when ``x`` lies within
-    rounding of a weight boundary.
+    Carlo drift.  The prefix sums are one left fold, as the index's
+    appends take the total, so ``total`` is the index's bit for bit, and
+    refused as the index's is when it is not finite.  Where every prefix
+    sum is exact (integer weights with a total below 2**53, such as
+    :func:`preferential`'s) :meth:`select` returns what
+    :meth:`WeightIndex.select` does.  Where they round, the picks keep
+    the law: a pick can differ only when ``x`` lies within rounding of a
+    weight boundary.
     """
 
     __slots__ = ("cum", "total", "last")

@@ -43,8 +43,9 @@ class CkpState:
     A state is its graph: the labels, the hidden truth bit and the parent
     edges, plus columns derived from them.  It does not record when or by
     which step branch a node was added; the step trace reports that.
-    Stored column-wise so snapshots can be handed to the accelerated engine
-    without translation.  Maintained per node:
+    Stored column-wise.  The accelerated engine reads a snapshot's
+    ``labels``, ``is_false`` and ``parents`` and builds its own CSR parent
+    arrays, child lists and counts from them.  Maintained per node:
 
     * ``labels[v]``, ``is_false[v]``
     * ``parents[v]`` / ``children[v]``: edge lists in insertion order,

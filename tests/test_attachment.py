@@ -448,10 +448,11 @@ def test_select_lands_on_positive_weight_despite_tiny_values(weights, u):
     assert idx.positive == 2
 
 
-# -- the level-by-level build ----------------------------------------------
+# -- appends and regrowths -------------------------------------------------
 
 def appended(weights, capacity: int) -> WeightIndex:
-    """The build by definition: one append per weight, in id order."""
+    """One append per weight, in id order, into ``capacity`` empty
+    slots: how :func:`weight_index_for` fills an index, from 1,024."""
     idx = WeightIndex(capacity)
     for w in weights:
         idx.append(w)
@@ -482,43 +483,11 @@ def fields(idx: WeightIndex) -> tuple:
             float(idx.total).hex(), idx.positive)
 
 
-def built(weights, capacity: int) -> WeightIndex:
-    idx = WeightIndex(capacity)
-    idx._build(weights)
-    return idx
-
-
 # zeros, subnormals, and magnitudes far enough apart that a float sum
 # depends on the order of its additions
 WEIGHTS = st.one_of(st.just(0.0), st.just(-0.0),
                     st.sampled_from([5e-324, 2.5e-310, 1e-16, 0.1, 1.3]),
                     st.floats(0, 1e300, allow_subnormal=True))
-
-
-@given(st.lists(WEIGHTS, max_size=80), st.integers(0, 70))
-@example([], 0)
-@example([], 5)
-@example([0.7], 0)
-@example([0.1] * 64, 0)
-@settings(max_examples=300, deadline=None)
-def test_build_matches_one_append_per_weight(weights, spare):
-    idx = built(weights, len(weights) + spare)
-    # the capacity asked for, rounded up to a power of two
-    assert idx.capacity == 1 << max(0, len(weights) + spare - 1).bit_length()
-    assert fields(idx) == fields(appended(weights, idx.capacity))
-
-
-@pytest.mark.parametrize("capacity", [101, 128, 1024])
-def test_build_keeps_the_left_fold_where_other_sums_differ(capacity):
-    # 1e-16 is under half an ulp of 1.0, so the left fold never moves
-    # from 1.0, while pairwise and exactly rounded sums do
-    weights = [1.0] + [1e-16] * 100
-    assert float(np.sum(weights)) != 1.0
-    assert math.fsum(weights) != 1.0
-    idx = built(weights, capacity)
-    assert idx.total == 1.0
-    assert idx.tree[64] == 1.0
-    assert fields(idx) == fields(appended(weights, idx.capacity))
 
 
 @given(st.lists(WEIGHTS, min_size=1, max_size=40),
@@ -530,6 +499,8 @@ def test_build_keeps_the_left_fold_where_other_sums_differ(capacity):
 def test_regrowth_matches_the_reappend_loop(weights, history, extra):
     # a full index, reweighted by set_weight, grown by one more append
     cap = WeightIndex(len(weights)).capacity
+    # the capacity asked for, rounded up to a power of two
+    assert cap == 1 << (len(weights) - 1).bit_length()
     idx = appended((weights * 2)[:cap], cap)
     for i, w in history:
         idx.set_weight(i % cap, w)

@@ -575,16 +575,34 @@ def test_superlinear_weights_stay_within_the_audit_bound_across_regrowths():
 
 
 @needs_kernel
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1525])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1525, "straddling"])
 def test_imported_index_capacity_is_one_power_of_two(n):
+    """Each engine fills its index at construction with one append per
+    node into 1,024 empty slots, so the capacity is the least power of
+    two from 1,024 up that holds every node, and the two records agree
+    whole, floats by their bits.  The straddling state, grown on the
+    kernel to 1,525 nodes, has PF nodes; its table has a -0.0 head
+    entry, which its PT leaves read, and weights that are not dyadic."""
     from ckplab._kernel import KernelEngine
 
-    feats = case_features("bfs", 0.1, "rounding", 0.3, 3)
-    init = init_chain(n, 1, CT)
-    want = max(1024, 1 << (n - 1).bit_length())
-    for engine in (PyEngine(feats, init, SimChooser(0)),
-                   KernelEngine(feats, init, 0)):
-        assert len(engine.export_bookkeeping()["tree"]) == want + 1
+    if n == "straddling":
+        feats, init, _ = regrowth_case("straddling")
+        feats = replace(feats, attach=TableAttachment((-0.0, 0.1), 1.3))
+        assert init.pf_total > 0
+    else:
+        feats = case_features("bfs", 0.1, "rounding", 0.3, 3)
+        init = init_chain(n, 1, CT)
+    size = len(init.labels)
+    eng = PyEngine(feats, init, SimChooser(0))
+    ker = KernelEngine(feats, init, 0)
+    want = max(1024, 1 << (size - 1).bit_length())
+    assert len(eng.export_bookkeeping()["tree"]) == want + 1
+    assert (hex_record(ker.export_bookkeeping())
+            == hex_record(eng.export_bookkeeping()))
+    if n == "straddling":
+        assert math.copysign(1.0, eng.aval[0]) < 0
+        assert 0 in {d for lab, d in zip(init.labels, init.deg_pt)
+                     if lab != PF}
 
 
 def hub_with_many_parents(parents=600, grandparents=400):
