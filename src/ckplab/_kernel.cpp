@@ -96,8 +96,12 @@
 //   * Node: one 24-byte record per node with everything the ball walk
 //     and the per-step bookkeeping read together: the CSR offset and
 //     count of its parent edges, the PF-parent count, PT/CT degrees,
-//     label, hidden truth and the two membership bits.  Nothing in it
-//     belongs to one walk.
+//     label, hidden truth and one membership code (0 neither, 1 minimal
+//     false, 2 CT non-root leaf in the mode's sense; the two sets are
+//     disjoint).  A new node's code is set once, at birth in add_node;
+//     after that refresh is the only writer of a code and of the count
+//     of nodes per code, as PyEngine._refresh_membership is.  Nothing in
+//     the record belongs to one walk.
 //   * Parents are immutable once a node exists, so they are CSR: one
 //     edge array, indexed from each node's offset, in insertion order.
 //   * Children are intrusive lists over edge ids (a head per node, a next
@@ -140,6 +144,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -337,8 +342,7 @@ struct Node {
   int32_t deg_ct;     // child edges whose child is CT
   int8_t label;
   int8_t is_false;
-  int8_t f_mem;       // minimal false
-  int8_t l_mem;       // CT non-root leaf, in the mode's sense
+  int8_t member;      // membership code, Engine::membership's
 };
 static_assert(sizeof(Node) == 24, "Node should hold no walk scratch");
 
@@ -455,14 +459,13 @@ class Engine {
   void w_select_picks(int m);
   int32_t w_settle(int64_t pos);
 
-  // membership
-  static bool is_minimal_false(const Node &n) {
-    return n.label == CF || (n.label == CT && n.pf_parent > 0);
-  }
-  bool is_leaf(int32_t v) const {
+  // membership: 0 neither, 1 minimal false, 2 CT non-root leaf in the
+  // mode's sense
+  int8_t membership(int32_t v) const {
     const Node &n = nodes_[v];
-    if (n.label != CT || n.pf_parent > 0) return false;
-    return simple_ ? child_head_[v] < 0 : n.deg_ct == 0;
+    if (n.label != CT) return n.label == CF;
+    if (n.pf_parent > 0) return 1;
+    return (simple_ ? child_head_[v] < 0 : n.deg_ct == 0) ? 2 : 0;
   }
   void refresh(int32_t v);
 
@@ -514,7 +517,8 @@ class Engine {
   // engine counters
   bool stopped_;
   long long step_index_, zero_since_;   // zero_since_ -1: nonzero now
-  long long pt_false_, f_count_, l_count_;
+  long long pt_false_;
+  std::array<long long, 3> member_count_;   // nodes per membership code
   // scratch, reused every step
   std::vector<int32_t> pbuf_;           // this step's parents
   std::vector<double> xbuf_;            // their picks' unspent draws
@@ -657,11 +661,12 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
   tree_.assign(static_cast<size_t>(wcap_) + 1, 0.0);
   for (int32_t v = 0; v < n; ++v) w_append(weight(v));
 
-  // the counts, and the membership flags set by refresh, the rule the
-  // steps keep them by
+  // the counts; every node starts at membership code 0, and refresh sets
+  // its code by the rule the steps keep it by
   stopped_ = false;
   step_index_ = 0;
-  pf_total_ = pt_false_ = f_count_ = l_count_ = 0;
+  pf_total_ = pt_false_ = 0;
+  member_count_ = {{n, 0, 0}};
   for (int32_t v = 0; v < n; ++v) {
     const Node &node = nodes_[v];
     pf_total_ += node.label == PF;
@@ -673,7 +678,7 @@ Engine::Engine(PyObject *features, PyObject *init_state, PyObject *seed,
 
   audit_on_ = audit_cheap;
   track_delta_ = detection_rate_ == 1;
-  last_potential_ = f_count_ + l_count_;
+  last_potential_ = member_count_[1] + member_count_[2];
   fixed_floor_ =
       as_long(Ref(check(PyObject_CallOneArg(SurvivalFloor, features))).get());
 }
@@ -812,18 +817,14 @@ int32_t Engine::w_settle(int64_t pos) {
 
 // -- growth and marking -----------------------------------------------------
 
+// The one writer of an existing node's membership code and of the counts:
+// PyEngine._refresh_membership.
 void Engine::refresh(int32_t v) {
   Node &n = nodes_[v];
-  int8_t f_now = is_minimal_false(n);
-  int8_t l_now = is_leaf(v);
-  if (f_now != n.f_mem) {
-    n.f_mem = f_now;
-    f_count_ += f_now ? 1 : -1;
-  }
-  if (l_now != n.l_mem) {
-    n.l_mem = l_now;
-    l_count_ += l_now ? 1 : -1;
-  }
+  const int8_t now = membership(v);
+  --member_count_[n.member];
+  ++member_count_[now];
+  n.member = now;
 }
 
 void Engine::link_child(int32_t u, int32_t e) {
@@ -896,10 +897,8 @@ int32_t Engine::add_node(int m, int8_t label) {
     p[distinct++] = p[i];
   }
   Node &nv = nodes_[v];
-  nv.f_mem = is_minimal_false(nv);
-  nv.l_mem = is_leaf(v);
-  f_count_ += nv.f_mem;
-  l_count_ += nv.l_mem;
+  nv.member = membership(v);
+  ++member_count_[nv.member];
   if (nv.is_false) ++pt_false_;
   for (int i = 0; i < distinct; ++i) refresh(p[i]);
   return v;
@@ -953,20 +952,9 @@ void Engine::apply_marks() {
             pt_weight(nu.deg_pt));
   }
   pt_false_ -= k;
+  // the marked nodes and their neighbours; a refresh changes nothing twice
   for (int32_t w : step_marked_) {
-    Node &nw = nodes_[w];
-    if (nw.f_mem) {
-      nw.f_mem = 0;
-      --f_count_;
-    }
-    if (nw.l_mem) {
-      nw.l_mem = 0;
-      --l_count_;
-    }
-  }
-  // the neighbours of the marked set; a refresh changes nothing twice, and
-  // nothing on a marked node
-  for (int32_t w : step_marked_) {
+    refresh(w);
     for (int32_t e = child_head_[w]; e >= 0; e = edge_next_[e])
       refresh(edge_child_[e]);
     const Node &nw = nodes_[w];
@@ -1107,7 +1095,7 @@ void Engine::run_check(int32_t v) {
 // complete's cap grows with the step's marks, as CheapAudit's does.
 void Engine::cheap_audit() {
   if (track_delta_) {
-    long long now = f_count_ + l_count_;
+    long long now = member_count_[1] + member_count_[2];
     long long floor = fixed_floor_;
     long long marked = static_cast<long long>(step_marked_.size());
     if (mech_ == COMPLETE && marked + m_max_ + 1 > floor)
@@ -1165,8 +1153,8 @@ PyObject *Engine::counts() const {
   long long n = static_cast<long long>(nodes_.size());
   return check(Py_BuildValue("{s:L,s:L,s:L,s:L,s:L,s:L}", "nodes", n, "pt",
                              n - pf_total_, "pt_false", pt_false_, "pf",
-                             pf_total_, "minimal_false", f_count_, "leaves",
-                             l_count_));
+                             pf_total_, "minimal_false", member_count_[1],
+                             "leaves", member_count_[2]));
 }
 
 PyObject *optional(long long x) {
@@ -1303,15 +1291,15 @@ PyObject *Engine::export_bookkeeping() const {
     return PyFloat_FromDouble(tree_[i]);
   }));
   Ref f_mem(list_of(
-      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].f_mem); }));
+      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].member == 1); }));
   Ref l_mem(list_of(
-      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].l_mem); }));
+      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].member == 2); }));
   Ref zero_since(optional(zero_since_));
   return check(Py_BuildValue(
       "{s:O,s:d,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O,s:L,s:O,s:O}", "weights",
       weights.get(), "weight_total", wtotal_, "weight_positive", wpositive_,
-      "pt_false", pt_false_, "f_count", f_count_, "l_count", l_count_,
-      "f_mem", f_mem.get(), "l_mem", l_mem.get(),
+      "pt_false", pt_false_, "f_count", member_count_[1], "l_count",
+      member_count_[2], "f_mem", f_mem.get(), "l_mem", l_mem.get(),
       "zero_since", zero_since.get(), "stopped",
       stopped_ ? Py_True : Py_False, "step_index", step_index_,
       "pf_child_len", pf_child_len.get(), "tree", tree.get()));

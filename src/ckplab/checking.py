@@ -167,10 +167,12 @@ MECHANISMS = ("stringy", "bfs", "exhaustive-bfs", "parentwise-bfs", "complete")
 PER_EDGE = {"exhaustive-bfs", "parentwise-bfs", "complete"}
 
 
-def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
+def run_check(mechanism: str, state, v: int, k: int, p, p_e,
               chooser) -> CheckOutcome:
     """Check the new node ``v`` with ``mechanism``; decisions are drawn in
-    the same order as the compiled kernel's ``run_check``."""
+    the same order as the compiled kernel's ``run_check``, and the
+    per-edge mechanisms read ``v``'s parent edges from ``state``, as it
+    does."""
     if mechanism in ("stringy", "bfs"):
         if not chooser.maybe(p):
             return CheckOutcome([False])
@@ -181,7 +183,7 @@ def run_check(mechanism: str, state, v: int, parent_edges, k: int, p, p_e,
     if mechanism not in PER_EDGE:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     out = CheckOutcome()
-    for u in parent_edges:
+    for u in state.parents[v]:
         go = chooser.maybe(p)
         out.performed.append(go)
         if not go:

@@ -240,10 +240,16 @@ class PyEngine:
     """Reference engine: owns a state, its attachment weight index, and
     incrementally maintained membership counts.
 
-    ``f_mem`` marks minimal false nodes, ``l_mem`` the CT non-root leaves
-    in the mode-appropriate sense, so per-step checkpoint counts and the
-    survival potential delta are O(1).  :meth:`export_bookkeeping` hands
-    all of it to the deep audits in the record the kernel exports.
+    ``member`` holds one code per node, 0 for neither, 1 for a minimal
+    false node and 2 for a CT non-root leaf in the mode's sense (the two
+    sets are disjoint: a minimal false CT node has a PF parent edge, a
+    leaf has none), and ``member_count`` the number of nodes with each
+    code, so per-step checkpoint counts and the survival potential delta
+    are O(1).  A new node's code is set once, at birth; after that
+    :meth:`_refresh_membership` is the code's and the counts' only
+    writer, at construction, for a new node's parents and for a
+    marking's nodes and their neighbours.  :meth:`export_bookkeeping`
+    hands all of it to the deep audits in the record the kernel exports.
     ``aval`` is the per-degree weight table the kernel keeps under the
     same name, :func:`attachment.attachment_weight` for d = 0, 1, ...:
     :func:`attachment.weight_index_for` fills it to the largest live
@@ -281,10 +287,9 @@ class PyEngine:
         n = len(st.labels)
         self.pt_false = sum(1 for v in range(n)
                             if st.labels[v] != PF and st.is_false[v])
-        # the flags are set by the rule the steps keep them by
-        self.f_mem = [False] * n
-        self.l_mem = [False] * n
-        self.f_count = self.l_count = 0
+        # the codes are set by the rule the steps keep them by
+        self.member = [0] * n
+        self.member_count = [n, 0, 0]
         self._refresh_membership(range(n))
         self.zero_since = 0 if self.pt_false == 0 else None
         self.pf_child_len: dict[int, int] = {
@@ -301,8 +306,8 @@ class PyEngine:
             "pt": n - pf,
             "pt_false": self.pt_false,
             "pf": pf,
-            "minimal_false": self.f_count,
-            "leaves": self.l_count,
+            "minimal_false": self.member_count[1],
+            "leaves": self.member_count[2],
         }
 
     def export_state(self) -> CkpState:
@@ -322,10 +327,10 @@ class PyEngine:
             "weight_positive": windex.positive,
             "tree": [float(x) for x in windex.tree],
             "pt_false": self.pt_false,
-            "f_count": self.f_count,
-            "l_count": self.l_count,
-            "f_mem": [int(x) for x in self.f_mem],
-            "l_mem": [int(x) for x in self.l_mem],
+            "f_count": self.member_count[1],
+            "l_count": self.member_count[2],
+            "f_mem": [int(code == 1) for code in self.member],
+            "l_mem": [int(code == 2) for code in self.member],
             "zero_since": self.zero_since,
             "stopped": self.stopped,
             "step_index": self.step_index,
@@ -340,23 +345,21 @@ class PyEngine:
         # CT node without a PF parent edge is a leaf when it has no
         # children (simple mode) or no CT child edges
         leaf_blocker = st.children if self.features.simple else st.deg_ct
-        f_mem = self.f_mem
-        l_mem = self.l_mem
+        member = self.member
+        count = self.member_count
         for v in nodes:
             lab = labels[v]
-            if lab == CT:
-                rooted = pf_parent_edges[v] > 0
-                f_now = rooted
-                l_now = not rooted and not leaf_blocker[v]
+            if lab != CT:
+                code = 1 if lab == CF else 0
+            elif pf_parent_edges[v]:
+                code = 1
             else:
-                f_now = lab == CF
-                l_now = False
-            if f_now != f_mem[v]:
-                f_mem[v] = f_now
-                self.f_count += 1 if f_now else -1
-            if l_now != l_mem[v]:
-                l_mem[v] = l_now
-                self.l_count += 1 if l_now else -1
+                code = 0 if leaf_blocker[v] else 2
+            old = member[v]
+            if code != old:
+                member[v] = code
+                count[old] -= 1
+                count[code] += 1
 
     def _add_node(self, parents, label) -> int:
         st = self.state
@@ -377,24 +380,13 @@ class PyEngine:
         for u in ups:
             windex.set_weight(u, aval[deg_pt[u]])
         # the new node has no children and no PF parent edge: it is
-        # minimal false iff CF and a leaf iff CT
-        f_new = label == CF
-        self.f_mem.append(f_new)
-        self.l_mem.append(not f_new)
-        if f_new:
-            self.f_count += 1
-        else:
-            self.l_count += 1
+        # minimal false if CF, else a leaf
+        code = 1 if label == CF else 2
+        self.member.append(code)
+        self.member_count[code] += 1
         if st.is_false[v]:
             self.pt_false += 1
-        # a new child changes no parent's label or PF parent edges, so no
-        # minimal-false flag; it can only end a parent's leaf status
-        leaf_blocker = st.children if self.features.simple else st.deg_ct
-        l_mem = self.l_mem
-        for u in ups:
-            if l_mem[u] and leaf_blocker[u]:
-                l_mem[u] = False
-                self.l_count -= 1
+        self._refresh_membership(ups)
         return v
 
     def _apply_marks(self, marked) -> None:
@@ -421,16 +413,8 @@ class PyEngine:
         for u, d in touched.items():
             windex.set_weight(u, aval[d])
         self.pt_false -= len(marked)
-        f_mem = self.f_mem
-        l_mem = self.l_mem
-        for w in marked:
-            if f_mem[w]:
-                f_mem[w] = False
-                self.f_count -= 1
-            if l_mem[w]:
-                l_mem[w] = False
-                self.l_count -= 1
-        self._refresh_membership(affected.difference(marked))
+        affected.update(marked)
+        self._refresh_membership(affected)
 
     # -- dynamics ---------------------------------------------------------
 
@@ -451,9 +435,8 @@ class PyEngine:
             outcome = None
             if branch == "grow":
                 outcome = checking.run_check(
-                    feats.mechanism, self.state, v, parents,
-                    feats.check_depth, feats.check_rate,
-                    feats.detection_rate, self.chooser)
+                    feats.mechanism, self.state, v, feats.check_depth,
+                    feats.check_rate, feats.detection_rate, self.chooser)
                 if outcome.marked:
                     self._apply_marks(outcome.marked)
             record = StepRecord(branch, v, label, parents, outcome)
@@ -548,14 +531,16 @@ class CheapAudit:
         # at once, so on a checked step its cap scales with the marking
         self.mark_slack = (features.parent_count.max + 1
                            if features.mechanism == "complete" else None)
-        self.last_potential = engine.f_count + engine.l_count
+        count = engine.member_count
+        self.last_potential = count[1] + count[2]
 
     def after_step(self, record: StepRecord) -> None:
         eng = self.engine
         if record.stopped:
             return
         if self.track_delta:
-            now = eng.f_count + eng.l_count
+            count = eng.member_count
+            now = count[1] + count[2]
             floor = self.floor
             if self.mark_slack is not None and record.outcome is not None:
                 floor = max(floor,

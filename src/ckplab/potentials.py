@@ -366,12 +366,12 @@ def _marking(state, base: _StepBase, v: int, born: dict, shed: frozenset):
     return lost, moved, delta
 
 
-def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
+def _step_delta(state, kind, base: _StepBase, v: int, marked):
     """The change of ``kind``'s potential over one step, summed over the
     nodes whose term the step can change.
 
-    ``state`` holds the step's new node ``v``, attached by the edge list
-    ``parents``, but not the marking ``marked``; ``base`` is
+    ``state`` holds the step's new node ``v``, attached by its parent
+    edges ``state.parents[v]``, but not the marking ``marked``; ``base`` is
     :func:`_step_base` of the state without ``v``.  The state is read,
     never changed.
 
@@ -398,7 +398,7 @@ def _step_delta(state, kind, base: _StepBase, v: int, parents, marked):
     down = state.children
     deg_pt = state.deg_pt
     born: dict = {}           # edges v adds to each of its parents
-    for u in parents:
+    for u in up[v]:
         born[u] = born.get(u, 0) + 1
 
     if not isinstance(kind, MinDistance):
@@ -580,8 +580,8 @@ def exact_drift(state, features, kind, *,
                 checks = [((), 1, 1)]   # the check pass's pending forks
                 while checks:
                     replay(*checks.pop())
-                    marked = checking.run_check(mechanism, state, v, parents,
-                                                depth, rate, detection,
+                    marked = checking.run_check(mechanism, state, v, depth,
+                                                rate, detection,
                                                 chooser).marked
                     checks += chooser.forks
                     leaf_count += 1
@@ -613,7 +613,7 @@ def exact_drift(state, features, kind, *,
                 delta = scores.get(key)
                 if delta is None:
                     delta = scores[key] = _step_delta(state, kind, base, v,
-                                                      parents, marked)
+                                                      marked)
                 for cden, cnum in weights.items():
                     weight = num * cnum
                     denom = den * cden
@@ -715,10 +715,10 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
                     marked = ()
                 else:
                     marked = checking.run_check(
-                        feats.mechanism, state, v, parents,
-                        feats.check_depth, feats.check_rate,
-                        feats.detection_rate, chooser).marked
-                change = _step_delta(state, kind, base, v, parents, marked)
+                        feats.mechanism, state, v, feats.check_depth,
+                        feats.check_rate, feats.detection_rate,
+                        chooser).marked
+                change = _step_delta(state, kind, base, v, marked)
                 state.pop_last_node()
                 try:
                     delta = float(change)

@@ -44,13 +44,12 @@ def pt_ball(state, v, k):
     return seen
 
 
-def scripted(mechanism, s, v, parents, k, p, p_e, script=()):
+def scripted(mechanism, s, v, k, p, p_e, script=()):
     """``run_check`` on ``script``, which must be the check's whole list
     of decisions: one it left untaken or one it opened past its end
     fails the test."""
     chooser = PathChooser(script)
-    out = run_check(mechanism, s, v, parents, k=k, p=p, p_e=p_e,
-                    chooser=chooser)
+    out = run_check(mechanism, s, v, k=k, p=p, p_e=p_e, chooser=chooser)
     assert chooser.cursor == len(chooser.path) and not chooser.forks, (
         chooser.cursor, chooser.path, chooser.forks)
     return out
@@ -68,7 +67,7 @@ def test_path_chooser_fails_loudly_off_its_path():
     # forks tails, a decision opened past the path
     s = chain([CF, CT])
     chooser = PathChooser([])
-    out = run_check("bfs", s, 1, [0], k=2, p=0.25, p_e=1, chooser=chooser)
+    out = run_check("bfs", s, 1, k=2, p=0.25, p_e=1, chooser=chooser)
     assert out.performed == [True] and out.found == [0]
     assert (chooser.path, chooser.num, chooser.den) == ((True,), 1, 4)
     assert chooser.forks == [((False,), 3, 4)]
@@ -76,9 +75,9 @@ def test_path_chooser_fails_loudly_off_its_path():
     # so a scripted case fails on a decision its script left out, and on
     # a scripted decision the check never took
     with pytest.raises(AssertionError):
-        scripted("bfs", s, 1, [0], k=2, p=0.25, p_e=1)
+        scripted("bfs", s, 1, k=2, p=0.25, p_e=1)
     with pytest.raises(AssertionError):
-        scripted("bfs", s, 1, [0], k=2, p=1, p_e=1, script=[True])
+        scripted("bfs", s, 1, k=2, p=1, p_e=1, script=[True])
     with pytest.raises(ValueError, match="not among options"):
         PathChooser([3]).uniform_index(3)
     with pytest.raises(ValueError, match="not among options"):
@@ -206,7 +205,7 @@ def test_each_option_table_is_built_once_per_call(monkeypatch):
 
 def test_stringy_finds_cf_on_unique_path():
     s = chain([CF, CT, CT])
-    out = scripted("stringy", s, 2, s.parents[2], k=2, p=1, p_e=1)
+    out = scripted("stringy", s, 2, k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
     assert out.visited == [2, 1, 0]
@@ -214,7 +213,7 @@ def test_stringy_finds_cf_on_unique_path():
 
 def test_stringy_depth_limit():
     s = chain([CF, CT, CT, CT])
-    out = scripted("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1)
+    out = scripted("stringy", s, 3, k=2, p=1, p_e=1)
     assert out.found == [] and out.marked == set()
 
 
@@ -225,7 +224,7 @@ def test_stringy_diamond_both_branches_reach_the_error():
     s.add_node([0], CT)
     s.add_node([1, 2], CT)
     for branch in (0, 1):
-        out = scripted("stringy", s, 3, s.parents[3], k=2, p=1, p_e=1,
+        out = scripted("stringy", s, 3, k=2, p=1, p_e=1,
                        script=[branch])
         assert out.found == [0]
         assert out.marked == {3, branch + 1, 0}
@@ -234,7 +233,7 @@ def test_stringy_diamond_both_branches_reach_the_error():
 def test_stringy_pf_edge_marks_walked_path_only():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
-    out = scripted("stringy", s, 2, s.parents[2], k=5, p=1, p_e=1)
+    out = scripted("stringy", s, 2, k=5, p=1, p_e=1)
     assert out.found == [1]            # the walked top node, a root
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -242,11 +241,11 @@ def test_stringy_pf_edge_marks_walked_path_only():
 
 def test_stringy_self_check_and_walkthrough():
     s = chain([CF, CF])
-    out = scripted("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
+    out = scripted("stringy", s, 1, k=1, p=1, p_e=0.5,
                    script=[True])
     assert out.found == [1] and out.marked == {1}
     # detection fails on v, then fails on the parent: walk passes through
-    out = scripted("stringy", s, 1, s.parents[1], k=1, p=1, p_e=0.5,
+    out = scripted("stringy", s, 1, k=1, p=1, p_e=0.5,
                    script=[False, False])
     assert out.found == [] and out.marked == set()
     assert out.visited == [1, 0]
@@ -256,7 +255,7 @@ def test_stringy_self_check_and_walkthrough():
 
 def test_bfs_finds_nearest_and_marks_descendants():
     s = chain([CF, CT, CT])
-    out = scripted("bfs", s, 2, s.parents[2], k=2, p=1, p_e=1)
+    out = scripted("bfs", s, 2, k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -264,7 +263,7 @@ def test_bfs_finds_nearest_and_marks_descendants():
 def test_bfs_recognizes_roots_without_visiting_pf():
     s = chain([CF, CT, CT])
     s.mark_pf([0])
-    out = scripted("bfs", s, 2, s.parents[2], k=1, p=1, p_e=1)
+    out = scripted("bfs", s, 2, k=1, p=1, p_e=1)
     assert out.found == [1]
     assert out.marked == {1, 2}
     assert 0 not in out.visited
@@ -278,8 +277,7 @@ def test_bfs_clean_neighborhood_finds_nothing():
     sim = SimChooser(5)
     before = sim.gen.bit_generator.state
     for chooser in (path, sim):
-        out = run_check("bfs", s, 2, s.parents[2], k=2, p=1, p_e=0.5,
-                        chooser=chooser)
+        out = run_check("bfs", s, 2, k=2, p=1, p_e=0.5, chooser=chooser)
         assert out.found == [] and out.marked == set()
         assert out.visited == []
     assert path.cursor == len(path.path) and not path.forks
@@ -292,7 +290,7 @@ def test_per_edge_skips_the_walk_above_a_true_parent():
     # above the parent does not
     s = chain([CT, CT])
     s.add_node([1], CF)
-    out = scripted("complete", s, 2, [1], k=3, p=1, p_e=0.5, script=[False])
+    out = scripted("complete", s, 2, k=3, p=1, p_e=0.5, script=[False])
     assert out.performed == [True]
     assert out.found == [] and out.visited == [2]
 
@@ -305,14 +303,14 @@ def test_bfs_marks_all_visited_descendants_not_just_the_path():
     s.add_node([0], CT)
     s.add_node([0], CT)
     s.add_node([1, 2], CT)
-    out = scripted("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1)
+    out = scripted("bfs", s, 3, k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2, 3}
 
 
 def test_bfs_depth_cap_blocks_distant_error():
     s = chain([CF, CT, CT, CT])
-    out = scripted("bfs", s, 3, s.parents[3], k=2, p=1, p_e=1)
+    out = scripted("bfs", s, 3, k=2, p=1, p_e=1)
     assert out.found == []
     assert set(out.visited) == {3, 2, 1}
 
@@ -324,7 +322,7 @@ def test_exhaustive_self_catch_stops_everything():
     s.add_root(CT)
     s.add_node([0], CT)
     s.add_node([0, 1], CF)
-    out = scripted("exhaustive-bfs", s, 2, [0, 1], k=3, p=0.5, p_e=0.5,
+    out = scripted("exhaustive-bfs", s, 2, k=3, p=0.5, p_e=0.5,
                    script=[True, True])
     assert out.found == [2]
     assert out.marked == {2}
@@ -334,7 +332,7 @@ def test_exhaustive_self_catch_stops_everything():
 def test_exhaustive_finds_cf_parent():
     s = chain([CF, CT])
     s.add_node([0], CT)
-    out = scripted("exhaustive-bfs", s, 2, [0], k=1, p=1, p_e=1)
+    out = scripted("exhaustive-bfs", s, 2, k=1, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 2}
 
@@ -348,7 +346,7 @@ def test_exhaustive_coin_per_edge_in_order():
     s.add_node([0], CT)        # 2 = u1
     s.add_node([1], CT)        # 3 = u2
     s.add_node([2, 3], CT)     # 4 = v
-    out = scripted("exhaustive-bfs", s, 4, [2, 3], k=2, p=0.5, p_e=1,
+    out = scripted("exhaustive-bfs", s, 4, k=2, p=0.5, p_e=1,
                    script=[False, True])
     assert out.performed == [False, True]
     assert out.found == [1]
@@ -363,21 +361,21 @@ def test_parentwise_collects_one_find_per_edge():
     s.add_node([0], CT)       # 2
     s.add_node([1], CT)       # 3
     s.add_node([2, 3], CT)    # 4 = v
-    out = scripted("parentwise-bfs", s, 4, [2, 3], k=2, p=1, p_e=1)
+    out = scripted("parentwise-bfs", s, 4, k=2, p=1, p_e=1)
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3, 4}
 
 
 def test_parentwise_single_parent_equals_exhaustive():
     s = chain([CF, CT, CT])
-    a = scripted("exhaustive-bfs", s, 2, [1], k=3, p=1, p_e=1)
-    b = scripted("parentwise-bfs", s, 2, [1], k=3, p=1, p_e=1)
+    a = scripted("exhaustive-bfs", s, 2, k=3, p=1, p_e=1)
+    b = scripted("parentwise-bfs", s, 2, k=3, p=1, p_e=1)
     assert (a.found, a.marked, a.visited) == (b.found, b.marked, b.visited)
 
 
 def test_complete_marks_error_with_descendants():
     s = chain([CF, CT, CT])
-    out = scripted("complete", s, 2, [1], k=2, p=1, p_e=1)
+    out = scripted("complete", s, 2, k=2, p=1, p_e=1)
     assert out.found == [0]
     assert out.marked == {0, 1, 2}
 
@@ -388,14 +386,14 @@ def test_complete_finds_several_side_by_side():
     s.add_root(CF)
     s.add_node([0, 1], CT)    # 2
     s.add_node([2], CT)       # 3 = v
-    out = scripted("complete", s, 3, [2], k=2, p=1, p_e=1)
+    out = scripted("complete", s, 3, k=2, p=1, p_e=1)
     assert out.found == [0, 1]
     assert out.marked == {0, 1, 2, 3}
 
 
 def test_complete_does_not_expand_past_a_recognized_node():
     s = chain([CF, CF, CT, CT])        # 0 hides strictly behind 1
-    out = scripted("complete", s, 3, [2], k=3, p=1, p_e=1)
+    out = scripted("complete", s, 3, k=3, p=1, p_e=1)
     assert out.found == [1]
     assert 0 not in out.visited
 
@@ -403,7 +401,7 @@ def test_complete_does_not_expand_past_a_recognized_node():
 def test_complete_self_catch_does_not_cancel_the_sweep():
     s = chain([CF, CT])
     s.add_node([1], CF)       # v is itself CF, error 2 hops up
-    out = scripted("complete", s, 2, [1], k=3, p=1, p_e=1)
+    out = scripted("complete", s, 2, k=3, p=1, p_e=1)
     assert out.found == [2, 0]
     assert out.marked == {0, 1, 2}
 
@@ -440,7 +438,7 @@ def test_per_edge_stop_policies(mechanism, script, performed, found, marked,
     s.add_node([0], CT)       # 2
     s.add_node([1], CT)       # 3
     s.add_node([2, 3], CF)    # 4 = v
-    out = scripted(mechanism, s, 4, [2, 3], k=2, p=1, p_e=0.5, script=script)
+    out = scripted(mechanism, s, 4, k=2, p=1, p_e=0.5, script=script)
     assert out.performed == performed
     assert out.found == found
     assert out.marked == marked
@@ -449,13 +447,13 @@ def test_per_edge_stop_policies(mechanism, script, performed, found, marked,
 
 def test_run_check_whole_check_coin():
     s = chain([CF, CT])
-    out = scripted("bfs", s, 1, [0], k=2, p=0.5, p_e=1, script=[False])
+    out = scripted("bfs", s, 1, k=2, p=0.5, p_e=1, script=[False])
     assert out.performed == [False]
     assert out.found == [] and out.visited == []
-    out = scripted("stringy", s, 1, [0], k=2, p=0.5, p_e=1, script=[True])
+    out = scripted("stringy", s, 1, k=2, p=0.5, p_e=1, script=[True])
     assert out.found == [0]
     with pytest.raises(ValueError):
-        scripted("sideways", s, 1, [0], k=2, p=1, p_e=1)
+        scripted("sideways", s, 1, k=2, p=1, p_e=1)
 
 
 # -- shared invariants on random states ------------------------------------
@@ -480,19 +478,18 @@ def state_with_new_node(draw):
         s.add_root(CF)
         pt = s.pt_ids()
     deg = draw(st.integers(min_value=1, max_value=3))
-    parents = [draw(st.sampled_from(pt)) for _ in range(deg)]
-    v = s.add_node(parents, draw(st.sampled_from([CT, CT, CF])))
-    return s, v, parents
+    v = s.add_node([draw(st.sampled_from(pt)) for _ in range(deg)],
+                   draw(st.sampled_from([CT, CT, CF])))
+    return s, v
 
 
 @given(state_with_new_node(), st.sampled_from(MECHANISMS),
        st.integers(min_value=1, max_value=4), st.integers())
 @settings(max_examples=200, deadline=None)
 def test_soundness_radius_and_connectivity(svp, mechanism, k, seed):
-    s, v, parents = svp
+    s, v = svp
     chooser = SimChooser(seed % (2 ** 32))
-    out = run_check(mechanism, s, v, parents, k=k, p=0.7, p_e=0.6,
-                    chooser=chooser)
+    out = run_check(mechanism, s, v, k=k, p=0.7, p_e=0.6, chooser=chooser)
     ball = pt_ball(s, v, k)
     for u in out.marked:
         assert s.is_false[u], "marked a hidden-True node"
@@ -508,11 +505,11 @@ def test_soundness_radius_and_connectivity(svp, mechanism, k, seed):
 @given(state_with_new_node(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=200, deadline=None)
 def test_dominance_chain_under_forced_coins(svp, k):
-    s, v, parents = svp
+    s, v = svp
     # p = 1 and p_e = 1 consume no randomness: outcomes are deterministic
-    ex, pw, co = (scripted(mech, s, v, parents, k, 1, 1)
+    ex, pw, co = (scripted(mech, s, v, k, 1, 1)
                   for mech in ("exhaustive-bfs", "parentwise-bfs", "complete"))
-    st_out = run_check("stringy", s, v, parents, k, 1, 1, SimChooser(9))
+    st_out = run_check("stringy", s, v, k, 1, 1, SimChooser(9))
     assert ex.marked <= pw.marked
     assert pw.marked <= co.marked
     assert st_out.marked <= pt_ball(s, v, k)
@@ -584,8 +581,7 @@ def test_skipping_true_starts_is_exact(s, k, seed):
     for mechanism in MECHANISMS:
         for v in s.pt_ids():
             def decide(chooser):
-                out = run_check(mechanism, s, v, s.parents[v], k, 0.5, 0.7,
-                                chooser)
+                out = run_check(mechanism, s, v, k, 0.5, 0.7, chooser)
                 return (tuple(out.performed), tuple(out.found),
                         frozenset(out.marked))
 

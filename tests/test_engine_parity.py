@@ -820,6 +820,71 @@ def test_full_audit_checks_the_kernels_weight_index(key, slot, delta):
         full_audit(state, feats, book)
 
 
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("compiled", marks=needs_kernel)])
+@pytest.mark.parametrize("key,message", [
+    ("f_mem", "minimal-false flag stale on node {v}"),
+    ("l_mem", "leaf flag stale on node {v}"),
+    ("f_count", "minimal-false count out of step with flags"),
+    ("l_count", "leaf count out of step with flags"),
+    ("zero_since", "zero-run marker disagrees with PT False count"),
+])
+def test_full_audit_refuses_a_stale_membership_record(backend, key, message):
+    """Each refusal of ``audits.audit_counts`` past the PT False count,
+    on one corrupted entry of either engine's record: the first flag
+    set of a column cleared, a count one past its flags, and a zero-run
+    marker set while PT False nodes are left."""
+    feats = case_features("bfs", 0.25, "preferential", 0.4, 3)
+    init = init_chain(12, 2, CF)
+    if backend == "python":
+        eng = PyEngine(feats, init, SimChooser(99))
+    else:
+        from ckplab._kernel import KernelEngine
+
+        eng = KernelEngine(feats, init, 99)
+    eng.run(200)
+    state, book = eng.export_state(), eng.export_bookkeeping()
+    full_audit(state, feats, book)
+    v = None
+    if key.endswith("_mem"):
+        v = book[key].index(1)
+        book[key][v] = 0
+    elif key == "zero_since":
+        assert book["pt_false"] > 0 and book["zero_since"] is None
+        book[key] = book["step_index"]
+    else:
+        book[key] += 1
+    with pytest.raises(AuditViolation, match=f"^{message.format(v=v)}$"):
+        full_audit(state, feats, book)
+
+
+@needs_kernel
+def test_cheap_audit_scales_the_complete_cap_with_the_marking():
+    """complete has no fixed cap on the survival potential's fall, so on
+    a checked step the cheap audit allows the marking's size plus the
+    largest parent count plus one.  A complete run at exact detection
+    passes the cheap audit on both backends, which agree; without that
+    allowance the Python engine's audit refuses the run at its step 20,
+    a step that marks."""
+    feats = case_features("complete", 0.0, "preferential", 0.5, 3)
+    assert feats.detection_rate == 1
+    init = init_chain(25, 1, CF)
+    py = run_trial(feats, init, 300, seed=0, audit="cheap",
+                   backend="python")
+    ck = run_trial(feats, init, 300, seed=0, audit="cheap",
+                   backend="compiled")
+    assert replace(py, backend="compiled") == ck
+    eng = PyEngine(feats, init, SimChooser(0), audit_cheap=True)
+    assert [eng.step() for _ in range(20)][-1].outcome.marked
+    eng = PyEngine(feats, init, SimChooser(0), audit_cheap=True)
+    eng.audit.mark_slack = None
+    with pytest.raises(AuditViolation,
+                       match="^survival potential fell by 2 in one step, "
+                             r"cap 0 \(mechanism complete\)$"):
+        eng.run(300)
+    assert eng.step_index == 20
+
+
 @needs_kernel
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_export_state_pauses_the_collector(enabled):

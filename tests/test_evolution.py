@@ -426,10 +426,10 @@ def test_full_audit_catches_corrupted_counters():
     for _ in range(40):
         engine.step()
     full_audit(engine.state, feats, engine.export_bookkeeping())
-    engine.f_count += 1
+    engine.member_count[1] += 1
     with pytest.raises(AuditViolation):
         full_audit(engine.state, feats, engine.export_bookkeeping())
-    engine.f_count -= 1
+    engine.member_count[1] -= 1
     engine.windex.set_weight(0, 99.0)
     with pytest.raises(AuditViolation):
         full_audit(engine.state, feats, engine.export_bookkeeping())
@@ -439,7 +439,8 @@ def _check_cheap_audit(audit_cheap, **kw):
     feats = simple_features(check_rate=0.5, **kw)
     engine = PyEngine(feats, init_chain(5, 1, CF), SimChooser(3),
                       audit_cheap=audit_cheap)
-    engine.l_count -= 50      # the potential appears to fall by 50 at once
+    # the potential appears to fall by 50 at once
+    engine.member_count[2] -= 50
     if audit_cheap:
         with pytest.raises(AuditViolation, match="fell by"):
             engine.run(5)

@@ -17,14 +17,21 @@ shared object it leaves must exist and import as a ready kernel.
 Both tests are skipped without g++.  A third reads the source alone:
 every member function ``Engine`` declares is defined and called, the
 kernel's analogue of the package's check that every definition is named.
+Two more hold the membership bookkeeping to one writer on each engine:
+a node's membership code and the counts of each code are written only
+by ``Engine::refresh`` and, once, at birth in ``Engine::add_node``, and
+in the package, read by its syntax trees, only by
+``PyEngine._refresh_membership`` and ``PyEngine._add_node``.
 """
 
+import ast
 import os
 import re
 import shutil
 import subprocess
 import sys
 import sysconfig
+from collections import Counter
 from pathlib import Path
 
 import numpy
@@ -120,25 +127,38 @@ def member_functions(body: str) -> dict:
     return members
 
 
-def defined_outside(code: str, name: str) -> bool:
-    """Whether ``Engine::name(...)`` is followed by a body, not a ``;``."""
-    for m in re.finditer(rf"\bEngine::{name}\s*\(", code):
+def engine_definitions(code: str) -> list:
+    """``(name, start, end)`` for each ``Engine::name(...)`` followed by
+    a body, not a ``;``: the braces of the body are at ``start`` and
+    ``end``."""
+    spans = []
+    for m in re.finditer(r"\bEngine::(\w+)\s*\(", code):
         depth, i = 1, m.end()
         while depth:
             depth += {"(": 1, ")": -1}.get(code[i], 0)
             i += 1
-        if re.match(r"[^;{]*\{", code[i:]):
-            return True
-    return False
+        head = re.match(r"[^;{]*\{", code[i:])
+        if head is None:
+            continue
+        start = end = i + head.end() - 1
+        depth = 0
+        while True:
+            depth += {"{": 1, "}": -1}.get(code[end], 0)
+            if depth == 0:
+                break
+            end += 1
+        spans.append((m.group(1), start, end))
+    return spans
 
 
 def test_every_engine_member_is_defined_and_called():
     code = code_only(KERNEL_CPP.read_text())
     members = member_functions(class_body(code, "Engine"))
     assert len(members) > 20             # the scan sees the members
+    defined = {name for name, _, _ in engine_definitions(code)}
     undefined, uncalled = [], []
     for name, inline in sorted(members.items()):
-        outside = defined_outside(code, name)
+        outside = name in defined
         if not (inline or outside):
             undefined.append(name)
         # the uses of the name but its declaration and its definition
@@ -147,3 +167,98 @@ def test_every_engine_member_is_defined_and_called():
             uncalled.append(name)
     assert not undefined, f"declared but never defined: {undefined}"
     assert not uncalled, f"defined but never called: {uncalled}"
+
+
+# a write to a node's membership code or to the counts of each code
+MEMBERSHIP_WRITE = re.compile(
+    r"\.member\s*=(?!=)"
+    r"|\bmember_count_\s*(?:\[[^\]]*\])?\s*(?:[-+*/|&^]?=(?!=)|\+\+|--)"
+    r"|(?:\+\+|--)\s*member_count_\b")
+
+
+def test_kernel_membership_has_one_writer():
+    """The constructor creates the counts, ``refresh`` moves a node from
+    one code's count to another's and sets its code, and ``add_node``
+    sets the new node's code and counts it; nothing else writes
+    either."""
+    code = code_only(KERNEL_CPP.read_text())
+    spans = engine_definitions(code)
+    writes = {}
+    for m in MEMBERSHIP_WRITE.finditer(code):
+        where = [name for name, start, end in spans
+                 if start < m.start() < end]
+        writes.setdefault(where[0] if where else None, []).append(
+            " ".join(m.group().split()))
+    assert writes == {
+        "Engine": ["member_count_ ="],
+        "refresh": ["--member_count_", "++member_count_", ".member ="],
+        "add_node": [".member =", "++member_count_"]}, writes
+
+
+PACKAGE = sorted((ROOT / "src" / "ckplab").glob("*.py"))
+MEMBERSHIP = {"member", "member_count"}
+# the list methods that change a list in place
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear",
+            "sort", "reverse", "__setitem__", "__delitem__"}
+
+
+def flat_targets(targets) -> list:
+    """Assignment targets with every tuple and list unpacked."""
+    out = []
+    for t in targets:
+        out += (flat_targets(t.elts) if isinstance(t, (ast.Tuple, ast.List))
+                else [t])
+    return out
+
+
+def membership_writes(tree) -> Counter:
+    """How often each function in ``tree`` binds the attribute
+    ``member`` or ``member_count`` (kind ``"bind"``) or changes an item
+    of either, by assignment, deletion or a list method, through the
+    attribute or a local name bound to it (kind ``"write"``), keyed by
+    ``(function, kind)``."""
+    found = Counter()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {t.id for node in ast.walk(func)
+                   if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Attribute)
+                   and node.value.attr in MEMBERSHIP
+                   for t in node.targets if isinstance(t, ast.Name)}
+
+        def held(expr):
+            return ((isinstance(expr, ast.Attribute)
+                     and expr.attr in MEMBERSHIP)
+                    or (isinstance(expr, ast.Name) and expr.id in aliases))
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            for t in flat_targets(targets):
+                if isinstance(t, ast.Attribute) and t.attr in MEMBERSHIP:
+                    found[func.name, "bind"] += 1
+                elif isinstance(t, ast.Subscript) and held(t.value):
+                    found[func.name, "write"] += 1
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS
+                    and held(node.func.value)):
+                found[func.name, "write"] += 1
+    return found
+
+
+def test_pyengine_membership_has_one_writer():
+    """``PyEngine.__init__`` creates the codes and the counts,
+    ``_refresh_membership`` sets a code and moves the node between two
+    counts, and ``_add_node`` appends the new node's code and counts
+    it; no other function in the package writes either."""
+    writes = {path.name: membership_writes(ast.parse(path.read_text()))
+              for path in PACKAGE}
+    assert writes.pop("evolution.py") == {
+        ("__init__", "bind"): 2, ("_refresh_membership", "write"): 3,
+        ("_add_node", "write"): 2}
+    assert not any(writes.values()), writes

@@ -439,10 +439,10 @@ def test_each_move_scores_each_distinct_marking_once(monkeypatch):
     scores = []
     real = potentials._step_delta
 
-    def spy(state, kind, base, v, parents, marked):
-        scores.append((tuple(sorted(parents)), state.labels[v],
+    def spy(state, kind, base, v, marked):
+        scores.append((tuple(sorted(state.parents[v])), state.labels[v],
                        frozenset(marked)))
-        return real(state, kind, base, v, parents, marked)
+        return real(state, kind, base, v, marked)
     monkeypatch.setattr(potentials, "_step_delta", spy)
     for n, checks, moves, n_scores, parts in ((12, 4833, 1884, 728, 9),
                                               (5, 451, 155, 113, 5)):
@@ -632,8 +632,8 @@ class StepSpy:
         self.before = None      # the current oracle call's base and view
         mp.setattr(potentials, "_step_delta", self)
 
-    def __call__(self, state, kind, base, v, parents, marked):
-        got = self.real(state, kind, base, v, parents, marked)
+    def __call__(self, state, kind, base, v, marked):
+        got = self.real(state, kind, base, v, marked)
         if self.before is None or self.before[0] is not base:
             prior = state.copy()
             prior.pop_last_node()
@@ -671,10 +671,10 @@ def test_step_delta_splits_the_marking_from_the_move(kind):
         after.mark_pf(marked)
         want = potential(after, kind) - phi
         for _ in range(2):
-            assert potentials._step_delta(state, kind, warm, v, parents,
+            assert potentials._step_delta(state, kind, warm, v,
                                           marked) == want, marked
         fresh = potentials._step_base(prior, kind, _label_bytes(prior))
-        assert potentials._step_delta(state, kind, fresh, v, parents,
+        assert potentials._step_delta(state, kind, fresh, v,
                                       marked) == want, marked
     assert set(warm.marks) == {frozenset({3}), frozenset({1})}
 
@@ -769,14 +769,12 @@ def test_step_delta_reads_the_parents_as_a_multiset(name, case, seed):
     v = state.add_node(parents, label)
     # a certain check and detection, so that most growth steps mark
     marked = set() if adversarial else checking.run_check(
-        f.mechanism, state, v, parents, f.check_depth, 1, 1,
-        SimChooser(seed)).marked
-    want = potentials._step_delta(state, kind, base, v, parents, marked)
+        f.mechanism, state, v, f.check_depth, 1, 1, SimChooser(seed)).marked
+    want = potentials._step_delta(state, kind, base, v, marked)
     for order in set(itertools.permutations(parents)):
         state.pop_last_node()
         state.add_node(order, label)
-        got = potentials._step_delta(state, kind, base, v, list(order),
-                                     marked)
+        got = potentials._step_delta(state, kind, base, v, marked)
         assert got == want, order
 
 
@@ -1192,7 +1190,7 @@ def test_survival_count_tracks_engine_counters_along_a_run():
     for _ in range(120):
         eng.step()
         value = potential(eng.state, MinimalFalseLeavesSimple())
-        assert value == eng.f_count + eng.l_count
+        assert value == eng.member_count[1] + eng.member_count[2]
         if eng.stopped:
             break
 

@@ -19,7 +19,7 @@ from ckplab.rand import derive_seed
 from ckplab.state import CF, CT
 from ckplab.thresholds import (
     PROVEN_ELIMINATION, PROVEN_SURVIVAL, UNKNOWN,
-    PreconditionNotProven, elimination_claims,
+    PreconditionNotProven, _survival_threshold_claim, elimination_claims,
     false_fraction_check, survival_claims, theorem_verdict,
 )
 
@@ -199,6 +199,19 @@ def test_survival_ignores_detection_noise():
     assert v.kind == PROVEN_SURVIVAL
 
 
+def test_simple_survival_is_silent_when_growth_outruns_removal():
+    # pmf {1: 1/2, 5: 1/2}: E{M} = 3, min 1, growth ratio 3/2 >= 1, so
+    # no check rate is small enough; M = 1 (ratio 1/2) proves survival
+    # at the same p
+    law = ParentCountLaw({1: Fraction(1, 2), 5: Fraction(1, 2)})
+    p = Fraction(1, 100)
+    heavy = feats(mechanism="stringy", p=p, parent_count=law)
+    assert _survival_threshold_claim(heavy) is None
+    assert theorem_verdict(heavy).kind == UNKNOWN
+    assert (_survival_threshold_claim(feats(mechanism="stringy", p=p)).source
+            == "simple-survival-threshold")
+
+
 # -- general survival ------------------------------------------------------
 
 def test_undetected_error_rate_claim():
@@ -239,6 +252,20 @@ def test_general_survival_rejects_heavy_parent_laws():
     v = theorem_verdict(feats(mechanism="stringy", p=Fraction(1, 100), m=5,
                               error_rate=Fraction(1, 200)))
     assert v.kind == UNKNOWN
+
+
+def test_general_survival_needs_bounded_increments():
+    # a(d) = (1 + d)**2: a(0) = 1 and every increment 2d + 3 >= 3 is at
+    # least the base weight, but the increments are unbounded, so the
+    # noisy route has no hi to bound the error term by; preferential
+    # weights at the same p and eps give the margin 1/8 (above)
+    noisy = dict(mechanism="stringy", p=Fraction(1, 5),
+                 error_rate=Fraction(1, 20))
+    squares = feats(attach=PowerShifted(1, 2), **noisy)
+    assert _survival_threshold_claim(squares) is None
+    assert theorem_verdict(squares).kind == UNKNOWN
+    assert (_survival_threshold_claim(feats(**noisy)).source
+            == "general-survival-threshold")
 
 
 # -- structural survival claims --------------------------------------------
