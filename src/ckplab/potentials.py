@@ -251,9 +251,13 @@ class _StepBase:
     built once per oracle call by :func:`_step_base` and dropped with
     the call.  ``marks`` alone fills as the call goes: for each
     nonempty set of marked old nodes scored so far, the marking's part
-    of a :class:`MinDistance` score, :func:`_marking`."""
+    of a :class:`MinDistance` score, :func:`_marking`.  ``dist`` is the
+    list of :func:`state._pt_false_distances`, indexed by node id: the
+    distance at each PT False id and the sentinel ``len(dist)``, more
+    than any distance, at every other, so a minimum over a node's
+    parents reads each parent by index and no other wins it."""
 
-    dist: dict | None = None          # MinDistance: pt_false_distances
+    dist: list | None = None          # MinDistance: _pt_false_distances
     terms: TermTable | None = None    # MinDistance: the call's table
     marks: dict | None = None         # MinDistance: shed -> _marking
     closure: set | None = None        # MinimalFalseLeavesGeneral's scope
@@ -269,8 +273,8 @@ def _step_base(state, kind, labels) -> _StepBase:
     more, since the distance pass and the parent pool's weights read
     everything it reads, so it is not taken."""
     if isinstance(kind, MinDistance):
-        return _StepBase(dist=_pt_false_distances(state, labels),
-                         terms=TermTable(kind), marks={})
+        dist, _ = _pt_false_distances(state, labels)
+        return _StepBase(dist=dist, terms=TermTable(kind), marks={})
     closure = None
     if isinstance(kind, MinimalFalseLeavesGeneral):
         closure = _descendant_closure(state, kind.anchor)
@@ -305,7 +309,9 @@ def _marking(state, base: _StepBase, v: int, born: dict, shed: frozenset):
     re-applying the :func:`pt_false_distances` recurrence from the
     children of ``shed``, in increasing id order (ids are a topological
     order), with ``shed`` treated as PF, never entering ``v``; a node
-    whose distance stays put does not pass the change on.  ``delta``
+    whose distance stays put does not pass the change on.  A parent
+    outside the PT False nodes reads the sentinel of ``base.dist``, as
+    in the pass.  ``delta``
     sums ``new term - old term`` over those nodes and ``shed``, which
     leaves the sum, all at their degrees before the step: ``deg_pt``
     less the edges ``born`` of ``v``.  None of it depends on ``v``,
@@ -318,6 +324,7 @@ def _marking(state, base: _StepBase, v: int, born: dict, shed: frozenset):
     is_false = state.is_false
     pf_parent_edges = state.pf_parent_edges
     dist = base.dist
+    none = len(dist)            # the list's sentinel: no PT False distance
     lost: dict = {}
     queued = {v}                # v's own distance is the move's part
     for w in shed:
@@ -334,16 +341,16 @@ def _marking(state, base: _StepBase, v: int, born: dict, shed: frozenset):
                 or not shed.isdisjoint(up[w])):
             d = 0
         else:
-            best = None
+            best = none
             for u in up[w]:
-                du = moved[u] if u in moved else dist.get(u)
-                if du is not None and (best is None or du < best):
+                du = moved[u] if u in moved else dist[u]
+                if du < best:
                     best = du
-            if best is None:
+            if best == none:
                 raise StateError(f"node {w} is PT False, not minimal, with "
                                  f"no PT False parent after the step")
             d = best + 1
-        if d == dist.get(w):
+        if d == dist[w]:
             continue
         moved[w] = d
         for c in down[w]:
@@ -680,7 +687,9 @@ def mc_drift(state, features, kind, samples: int, rng) -> DriftEstimate:
     both the parent pool's live mask and :func:`_step_base`'s distance
     pass; the pool adds one read of ``deg_pt`` and the per-degree
     table, and the distance pass one ``bytes`` read of the truth column
-    and a loop over the PT False ids alone.  No sample changes a
+    and a loop over the PT False ids alone, which fills one list indexed
+    by node id (:class:`_StepBase`), so each parent edge it follows is
+    one index and one comparison.  No sample changes a
     weight, since each pops its node and applies no marking, so the
     pool is a :class:`attachment.PrefixPool` of the node weights, not
     an updatable :class:`attachment.WeightIndex`; with integer-valued

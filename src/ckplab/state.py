@@ -327,33 +327,46 @@ def pt_false_distances(state: CkpState) -> dict[int, int]:
     truth entry ``bytes`` cannot read, such as a numpy bool, raises
     :class:`StateError` naming its node; a PT False node that is not
     minimal and has no PT False parent raises one naming the lowest.
+    Returns ``{v: dist(v)}`` in id order, read off the pass's list
+    (:func:`_pt_false_distances`) at the PT False ids.
     """
-    return _pt_false_distances(state, _label_bytes(state))
+    dist, ids = _pt_false_distances(state, _label_bytes(state))
+    return {v: dist[v] for v in ids}
 
 
-def _pt_false_distances(state: CkpState, labels: np.ndarray) -> dict:
+def _pt_false_distances(state: CkpState,
+                        labels: np.ndarray) -> tuple[list[int], list[int]]:
     """:func:`pt_false_distances`, given ``labels`` as
-    :func:`_label_bytes` reads them."""
+    :func:`_label_bytes` reads them, as ``(dist, ids)``: ``ids`` the PT
+    False ids in increasing order, and ``dist`` one list indexed by
+    node id, ``dist[v]`` the distance of each PT False ``v`` and
+    ``len(state.labels)`` at every other id.  No distance reaches that
+    sentinel (a shortest path visits each PT False node at most once),
+    so a minimum over parents that meets a PT True or PF parent takes
+    its distance from the others, and one that meets only such parents
+    is the sentinel itself."""
     truth = _byte_column(state.is_false, "is_false", "a Python bool")
     label_of = state.labels
     pf_parent_edges = state.pf_parent_edges
     parents = state.parents
-    dist: dict[int, int] = {}
-    for v in np.flatnonzero((labels != PF) & (truth != 0)).tolist():
+    none = len(label_of)
+    dist = [none] * none
+    ids = np.flatnonzero((labels != PF) & (truth != 0)).tolist()
+    for v in ids:
         # CkpState.is_minimal_false, inlined: v is CT or CF here
         if label_of[v] == CF or pf_parent_edges[v] > 0:
             dist[v] = 0
             continue
-        best = None
+        best = none
         for u in parents[v]:
-            d = dist.get(u)
-            if d is not None and (best is None or d < best):
+            d = dist[u]
+            if d < best:
                 best = d
-        if best is None:
+        if best == none:
             raise StateError(
                 f"node {v} is PT False, not minimal, with no PT False parent")
         dist[v] = best + 1
-    return dist
+    return dist, ids
 
 
 # -- serialization --------------------------------------------------------

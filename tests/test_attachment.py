@@ -12,7 +12,7 @@ from ckplab.attachment import (
     PowerShifted, TableAttachment, ParentCountLaw, WeightIndex,
     PrefixPool, AllWeightsZero,
     preferential, uniform,
-    _node_weights, attachment_weight, parent_distribution,
+    _node_weights, _to_fraction, attachment_weight, parent_distribution,
     weight_index_for,
 )
 from ckplab.engine import kernel_available
@@ -153,6 +153,25 @@ def test_families_refuse_a_parameter_that_is_not_a_real_number(build,
                                                               message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build,kind,message", [
+    (lambda: _to_fraction("1/2"), TypeError, "cannot take str exactly"),
+    (lambda: PowerShifted(-1, 1), ValueError,
+     "power attachment needs a nonnegative base"),
+    (lambda: PowerShifted(1, Fraction(-1, 2)), ValueError,
+     "power attachment needs a nonnegative exponent"),
+    (lambda: TableAttachment((), 1), ValueError,
+     "table attachment needs at least one entry"),
+    (lambda: ParentCountLaw({1: 1.5, 2: -0.5}), ValueError,
+     "negative probability in parent-count pmf"),
+], ids=["to-fraction-str", "power-base", "power-exponent", "empty-table",
+        "negative-probability"])
+def test_bad_weights_and_laws_are_refused_by_name(build, kind, message):
+    with pytest.raises(kind) as err:
+        build()
+    assert err.type is kind
+    assert str(err.value) == message
 
 
 def test_parent_count_law_rejects_non_finite_probabilities():

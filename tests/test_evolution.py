@@ -87,6 +87,19 @@ def test_features_validation():
     assert not simple_features(adversary_rate=0.1, adversary_budget=1).simple
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("adversary_rate", 1, "adversary_rate must lie in [0, 1)"),
+    ("adversary_rate", Fraction(3, 2), "adversary_rate must lie in [0, 1)"),
+    ("adversary_budget", -1, "adversary_budget must be nonnegative"),
+])
+def test_features_refuse_an_adversary_out_of_range_by_name(field, value,
+                                                           message):
+    with pytest.raises(ValueError) as err:
+        simple_features(**{field: value})
+    assert err.type is ValueError
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("field", ["check_rate", "error_rate",
                                    "adversary_rate", "detection_rate"])
 def test_features_refuse_a_rate_that_is_not_a_real_number(field):

@@ -23,8 +23,8 @@ from hypothesis import assume, given, settings, strategies as st
 from ckplab import checking, potentials
 from ckplab.attachment import ParentCountLaw, PowerShifted, \
     TableAttachment, preferential, uniform
-from ckplab.evolution import DeepAttach, Features, LeafAttach, PyEngine, \
-    RandomPt, init_chain
+from ckplab.evolution import AuditViolation, DeepAttach, Features, \
+    LeafAttach, PyEngine, RandomPt, init_chain
 from ckplab.potentials import (
     BranchBudgetExceeded, DriftEstimate, DriftResult, MinDistance,
     MinimalFalse, MinimalFalseLeavesGeneral, MinimalFalseLeavesSimple,
@@ -918,6 +918,44 @@ def test_drift_leaf_cap_bites_at_the_first_leaf_past_it(monkeypatch, cap,
         exact_drift(chain, pinned_drift_features(), MinDistance(PREF, 3),
                     leaf_cap=cap)
     assert len(calls) == runs
+
+
+def test_drift_leaf_cap_bites_on_an_unchecked_leaf():
+    # a(0) = 0, so the lone CF node has no weight and a growth step
+    # stops: 2 RandomPt moves (one pick, two labels), the only moves
+    # counted, then the stopped leaf, the third and unchecked
+    f = Features(TableAttachment((0,), 1), ParentCountLaw.const(1),
+                 check_rate=Fraction(1, 2), check_depth=2, mechanism="bfs",
+                 adversary_rate=Fraction(1, 4), adversary_budget=1)
+    state = single_cf()
+    text = dump_state(state)
+    assert exact_drift(state, f, MinDistance(PREF, 3)).leaf_count == 3
+    with pytest.raises(BranchBudgetExceeded) as err:
+        exact_drift(state, f, MinDistance(PREF, 3), leaf_cap=2)
+    assert err.type is BranchBudgetExceeded
+    assert str(err.value) == "outcome tree exceeded 2 leaves"
+    assert dump_state(state) == text
+
+
+def test_drift_refuses_outcomes_whose_mass_misses_one(monkeypatch):
+    # each move's open fork to a CT label is dropped, so only the CF
+    # moves' mass, 1/4, is enumerated; the caller's state is restored
+    draw_move = potentials.draw_move
+
+    def dropping(state, features, chooser, pool):
+        move = draw_move(state, features, chooser, pool)
+        del chooser.forks[-1:]
+        return move
+    monkeypatch.setattr(potentials, "draw_move", dropping)
+    state = init_chain(3, 1, CF)
+    text = dump_state(state)
+    with pytest.raises(AuditViolation) as err:
+        exact_drift(state, feats("bfs", Fraction(1, 2), m=1,
+                                 error_rate=Fraction(1, 4)),
+                    MinDistance(PREF, 3))
+    assert err.type is AuditViolation
+    assert str(err.value) == "outcome probabilities sum to 1/4, not 1"
+    assert dump_state(state) == text
 
 
 @pytest.mark.parametrize("cap", [True, False, 2.5, 10.0, "10", None, 0, -3])

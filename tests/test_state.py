@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ckplab.state import (
     CT, CF, PF, CkpState, StateError,
-    _count_column, pt_false_distances,
+    _count_column, _label_bytes, _pt_false_distances, pt_false_distances,
     dump_state, load_state, verify_state,
 )
 
@@ -109,6 +109,36 @@ def test_pop_last_node_restores_degrees():
     assert (list(s.deg_pt), list(s.deg_ct),
             [list(p) for p in s.children]) == before
     assert len(s.labels) == 2
+
+
+def test_pop_last_node_undoes_a_node_marked_pf():
+    """The oracles pop a step's node whatever the step did to it: a
+    marked new node takes back its parents' child entries and the PF
+    count, and the state is the one before the ``add_node``."""
+    s = refusal_state()
+    before = snapshot(s)
+    v = s.add_node([2, 1, 2], CT)
+    s.mark_pf([v])
+    assert s.pf_total == before[-1] + 1
+    s.pop_last_node()
+    assert snapshot(s) == before
+
+
+@pytest.mark.parametrize("build,message", [
+    (CkpState, "state is empty"),
+    (lambda: chain([CF, CT]), "can only pop a childless node"),
+], ids=["empty", "with-child"])
+def test_pop_last_node_refuses_by_name(build, message):
+    # a last node with a child exists only in a state whose child lists
+    # were edited; the refusal comes before any column changes
+    s = build()
+    if s.labels:
+        s.children[-1].append(0)
+    before = snapshot(s)
+    with pytest.raises(StateError) as err:
+        s.pop_last_node()
+    assert str(err.value) == message
+    assert snapshot(s) == before
 
 
 def test_mark_pf_updates_counters_and_reports_degrees():
@@ -289,6 +319,10 @@ def test_load_rejects_malformed_documents():
     ("0 CT 0 -\n1 CT 0 0,y\n", "parent 'y' is not an integer"),
     ("0 CT 0 -\n1 CT 2 0\n",
      "is_false flag '2' is not 0 or 1 in line '1 CT 2 0'"),
+    ("0 CT 0\n", "malformed node line '0 CT 0'"),
+    ("0 CT 0 - 1\n", "malformed node line '0 CT 0 - 1'"),
+    ("0 CT 0 -\n2 CT 0 0\n", "node ids must be dense, got 2 want 1"),
+    ("1 CT 0 -\n", "node ids must be dense, got 1 want 0"),
 ])
 def test_load_rejects_malformed_fields_by_name(body, message):
     count = body.count("\n")
@@ -344,7 +378,13 @@ def two_route_state() -> CkpState:
 @example(two_route_state())
 @settings(max_examples=120, deadline=None)
 def test_distance_routes_agree_on_random_states(s):
-    assert pt_false_distances(s) == bfs_depths(s)
+    want = bfs_depths(s)
+    assert pt_false_distances(s) == want
+    # the oracles' list: the distance at each PT False id, and the
+    # sentinel len(s.labels) at every other
+    dist, ids = _pt_false_distances(s, _label_bytes(s))
+    assert ids == list(want)
+    assert dist == [want.get(v, len(s.labels)) for v in range(len(s.labels))]
     verify_state(s)
 
 
