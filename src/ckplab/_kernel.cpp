@@ -13,10 +13,11 @@
 //
 // export_bookkeeping() returns the record PyEngine.export_bookkeeping()
 // returns, same keys and equal values: the weights, their total, positive
-// count and Fenwick tree, the PT False, minimal-false and leaf counts and
-// flags, the zero-run marker, the stop flag and step index, and the
-// frozen PF child counts.  audits.full_audit reads that record with
-// export_state(), so one audit checks both engines.
+// count and Fenwick tree, the PT False count, the membership codes
+// (member) and the count of nodes per code (member_count), the zero-run
+// marker, the stop flag and step index, and the frozen PF child counts.
+// audits.full_audit reads that record with export_state(), so one audit
+// checks both engines.
 //
 // Scope: the non-adversarial regime.  A feature set with a nonzero
 // adversary rate is refused with ValueError; adversaries stay Python.
@@ -460,7 +461,7 @@ class Engine {
   int32_t w_settle(int64_t pos);
 
   // membership: 0 neither, 1 minimal false, 2 CT non-root leaf in the
-  // mode's sense
+  // mode's sense, CkpState.membership's rule
   int8_t membership(int32_t v) const {
     const Node &n = nodes_[v];
     if (n.label != CT) return n.label == CF;
@@ -1290,19 +1291,17 @@ PyObject *Engine::export_bookkeeping() const {
   Ref tree(list_of(tree_.size(), [&](size_t i) {
     return PyFloat_FromDouble(tree_[i]);
   }));
-  Ref f_mem(list_of(
-      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].member == 1); }));
-  Ref l_mem(list_of(
-      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].member == 2); }));
+  Ref member(list_of(
+      n, [&](size_t v) { return PyLong_FromLong(nodes_[v].member); }));
   Ref zero_since(optional(zero_since_));
   return check(Py_BuildValue(
-      "{s:O,s:d,s:L,s:L,s:L,s:L,s:O,s:O,s:O,s:O,s:L,s:O,s:O}", "weights",
+      "{s:O,s:d,s:L,s:L,s:O,s:[L,L,L],s:O,s:O,s:L,s:O,s:O}", "weights",
       weights.get(), "weight_total", wtotal_, "weight_positive", wpositive_,
-      "pt_false", pt_false_, "f_count", member_count_[1], "l_count",
-      member_count_[2], "f_mem", f_mem.get(), "l_mem", l_mem.get(),
-      "zero_since", zero_since.get(), "stopped",
-      stopped_ ? Py_True : Py_False, "step_index", step_index_,
-      "pf_child_len", pf_child_len.get(), "tree", tree.get()));
+      "pt_false", pt_false_, "member", member.get(), "member_count",
+      member_count_[0], member_count_[1], member_count_[2], "zero_since",
+      zero_since.get(), "stopped", stopped_ ? Py_True : Py_False,
+      "step_index", step_index_, "pf_child_len", pf_child_len.get(),
+      "tree", tree.get()));
 }
 
 // -- the KernelEngine type ----------------------------------------------------

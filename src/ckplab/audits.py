@@ -3,9 +3,10 @@
 Both engines export the same two things: the state (a ``CkpState``) and
 one bookkeeping record, ``export_bookkeeping()``, holding everything
 they maintain incrementally (attachment weights and their Fenwick tree,
-membership counts and flags, the zero-run marker, the frozen PF child
-counts).  Each audit reads ``(state, features, book)``, recomputes from
-the raw node lists and compares, so one audit serves both backends.
+the membership codes ``member`` and their counts ``member_count``, the
+zero-run marker, the frozen PF child counts).  Each audit reads
+``(state, features, book)``, recomputes from the raw node lists and
+compares, so one audit serves both backends.
 These checks are deliberately written against first principles rather
 than through the engine's own helpers, so a bookkeeping bug cannot hide
 by being applied consistently on both sides.  Every audit reads engine
@@ -80,25 +81,28 @@ def audit_weights(st, features, book) -> None:
 
 
 def audit_counts(st, features, book) -> None:
-    """Every incrementally maintained counter and membership flag must
-    match a from-scratch pass over the state."""
-    simple = features.simple
+    """Every incrementally maintained counter and membership code must
+    match a from-scratch pass over the state, in this order: the PT
+    False count, each node's code against
+    :meth:`state.CkpState.membership` (the first that differs is named
+    at its lowest node), the count of nodes per code, and the zero-run
+    marker."""
     n = len(st.labels)
     pt_false = sum(1 for v in range(n)
                    if st.labels[v] != PF and st.is_false[v])
     if book["pt_false"] != pt_false:
         raise AuditViolation(
             f"PT False count {book['pt_false']}, recount {pt_false}")
-    f_mem, l_mem = book["f_mem"], book["l_mem"]
-    for v in range(n):
-        if f_mem[v] != st.is_minimal_false(v):
-            raise AuditViolation(f"minimal-false flag stale on node {v}")
-        if l_mem[v] != st.is_ct_nonroot_leaf(v, simple):
-            raise AuditViolation(f"leaf flag stale on node {v}")
-    if book["f_count"] != sum(f_mem):
-        raise AuditViolation("minimal-false count out of step with flags")
-    if book["l_count"] != sum(l_mem):
-        raise AuditViolation("leaf count out of step with flags")
+    recount = st.membership(features.simple)
+    for v, (have, want) in enumerate(zip(book["member"], recount,
+                                         strict=True)):
+        if have != want:
+            raise AuditViolation(
+                f"node {v}: membership code {have}, recount {want}")
+    counts = [recount.count(code) for code in range(3)]
+    if book["member_count"] != counts:
+        raise AuditViolation(
+            f"membership counts {book['member_count']}, recount {counts}")
     zero = book["pt_false"] == 0
     if zero != (book["zero_since"] is not None):
         raise AuditViolation("zero-run marker disagrees with PT False count")
@@ -114,7 +118,8 @@ def verify_pf_frozen(st, features, book) -> None:
 def full_audit(st, features, book) -> None:
     """Run the four deep audits against an exported state and its
     engine's bookkeeping record: the edges and derived columns, the
-    weight index, the counters and flags, and the frozen PF nodes."""
+    weight index, the counters and membership codes, and the frozen PF
+    nodes."""
     audit_edges(st)
     audit_weights(st, features, book)
     audit_counts(st, features, book)

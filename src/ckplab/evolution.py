@@ -85,7 +85,8 @@ class LeafAttach:
         r = features.adversary_budget
         if r == 0:
             return None
-        leaves = state.ct_nonroot_leaves(simple_mode=False)
+        leaves = [v for v, code in enumerate(state.membership(False))
+                  if code == 2]
         if leaves:
             return leaves[:r], CT
         return [min(state.pt_ids())], CT
@@ -240,16 +241,17 @@ class PyEngine:
     """Reference engine: owns a state, its attachment weight index, and
     incrementally maintained membership counts.
 
-    ``member`` holds one code per node, 0 for neither, 1 for a minimal
-    false node and 2 for a CT non-root leaf in the mode's sense (the two
-    sets are disjoint: a minimal false CT node has a PF parent edge, a
-    leaf has none), and ``member_count`` the number of nodes with each
-    code, so per-step checkpoint counts and the survival potential delta
-    are O(1).  A new node's code is set once, at birth; after that
+    ``member`` holds one code per node, :meth:`CkpState.membership`'s
+    code in the mode's sense (0 neither, 1 minimal false, 2 CT non-root
+    leaf), and ``member_count`` the number of nodes with each code, so
+    per-step checkpoint counts and the survival potential delta are
+    O(1).  A new node's code is set once, at birth; after that
     :meth:`_refresh_membership` is the code's and the counts' only
     writer, at construction, for a new node's parents and for a
     marking's nodes and their neighbours.  :meth:`export_bookkeeping`
-    hands all of it to the deep audits in the record the kernel exports.
+    hands both, as ``member`` and ``member_count``, to the deep audits
+    in the record the kernel exports, which hold them to
+    :meth:`CkpState.membership`'s recount.
     ``aval`` is the per-degree weight table the kernel keeps under the
     same name, :func:`attachment.attachment_weight` for d = 0, 1, ...:
     :func:`attachment.weight_index_for` fills it to the largest live
@@ -327,10 +329,8 @@ class PyEngine:
             "weight_positive": windex.positive,
             "tree": [float(x) for x in windex.tree],
             "pt_false": self.pt_false,
-            "f_count": self.member_count[1],
-            "l_count": self.member_count[2],
-            "f_mem": [int(code == 1) for code in self.member],
-            "l_mem": [int(code == 2) for code in self.member],
+            "member": list(self.member),
+            "member_count": list(self.member_count),
             "zero_since": self.zero_since,
             "stopped": self.stopped,
             "step_index": self.step_index,
@@ -341,9 +341,9 @@ class PyEngine:
         st = self.state
         labels = st.labels
         pf_parent_edges = st.pf_parent_edges
-        # CkpState.is_minimal_false and is_ct_nonroot_leaf, inlined: a
-        # CT node without a PF parent edge is a leaf when it has no
-        # children (simple mode) or no CT child edges
+        # CkpState.membership's rule, inlined: a CT node without a PF
+        # parent edge is a leaf when it has no children (simple mode) or
+        # no CT child edges
         leaf_blocker = st.children if self.features.simple else st.deg_ct
         member = self.member
         count = self.member_count
@@ -536,8 +536,6 @@ class CheapAudit:
 
     def after_step(self, record: StepRecord) -> None:
         eng = self.engine
-        if record.stopped:
-            return
         if self.track_delta:
             count = eng.member_count
             now = count[1] + count[2]

@@ -179,11 +179,12 @@ def _descendant_closure(state, anchor: int) -> set[int]:
     return closure
 
 
-def _false_leaves(state, simple_mode: bool) -> list[int]:
-    # leaves that still carry the hidden error; a True frontier node is
-    # no loss when discovered, so it never counts toward the potential
-    return [v for v in state.ct_nonroot_leaves(simple_mode)
-            if state.is_false[v]]
+def _false_leaves(state, member: list[int]) -> list[int]:
+    # leaves (code 2 of CkpState.membership) that still carry the hidden
+    # error; a True frontier node is no loss when discovered, so it
+    # never counts toward the potential
+    is_false = state.is_false
+    return [v for v, code in enumerate(member) if code == 2 and is_false[v]]
 
 
 def _leaf_weight(attach, v: int, deg: int):
@@ -213,19 +214,17 @@ def potential(state, kind):
         return Fraction(total)
 
     if isinstance(kind, MinimalFalse):
-        return len(state.minimal_false_set())
+        return state.membership(True).count(1)
 
     if isinstance(kind, MinimalFalseLeavesSimple):
-        return (len(state.minimal_false_set())
-                + len(_false_leaves(state, simple_mode=True)))
+        member = state.membership(True)
+        return member.count(1) + len(_false_leaves(state, member))
 
     if isinstance(kind, MinimalFalseLeavesGeneral):
         closure = _descendant_closure(state, kind.anchor)
-        total = Fraction(0)
-        for v in sorted(closure):
-            if state.is_minimal_false(v):
-                total += 1
-        for v in _false_leaves(state, simple_mode=False):
+        member = state.membership(False)
+        total = Fraction(sum(1 for v in closure if member[v] == 1))
+        for v in _false_leaves(state, member):
             if v in closure:
                 total += _leaf_weight(kind.attach, v, state.deg_pt[v])
         return total
@@ -286,7 +285,9 @@ def _share(state, kind, w: int, pf_edges: int, kids: int,
            deg_pt: int, deg_ct: int):
     """Node ``w``'s term in a count potential, given its PF parent edges
     and its child, PT child and CT child edges; its label and truth are
-    read from ``state``.  The caller scopes the general potential."""
+    read from ``state``.  Which set ``w`` is in follows
+    :meth:`state.CkpState.membership`'s rule on the counts given.  The
+    caller scopes the general potential."""
     label = state.labels[w]
     if label == PF:
         return 0
@@ -337,6 +338,8 @@ def _marking(state, base: _StepBase, v: int, born: dict, shed: frozenset):
     moved: dict = {}
     while heap:
         w = heapq.heappop(heap)
+        # CkpState.membership's minimal-false rule, inlined, with shed
+        # as PF
         if (labels[w] == CF or pf_parent_edges[w] > 0
                 or not shed.isdisjoint(up[w])):
             d = 0
@@ -521,10 +524,15 @@ def exact_drift(state, features, kind, *,
     evaluates the whole potential, and ``state`` is restored on the way
     out, whatever is raised.  The set-up checks are :func:`_step_base`'s.
 
-    ``leaf_cap`` is a positive int.  An input with more moves than
-    ``leaf_cap`` is refused before any is made.  Otherwise the cap bites
-    at the first leaf past it: the check run that makes that leaf (or
-    the move, for a leaf without a check) completes, then
+    ``leaf_cap`` is a positive int.  Two kinds of move are counted up
+    front: the growth moves (each ordered parent tuple, times both
+    label coins when errors are injected) and the moves of an adversary
+    whose type is exactly :class:`evolution.RandomPt` (r picks and a
+    label).  When those exceed ``leaf_cap`` the input is refused before
+    any move is made.  Any other strategy, a ``RandomPt`` subclass
+    included, is bounded by the per-leaf cap alone.  That cap bites at
+    the first leaf past it: the check run that makes that leaf (or the
+    move, for a leaf without a check) completes, then
     :class:`BranchBudgetExceeded` is raised.  A state that fails
     :func:`state.verify_state` is refused with its ``StateError``: the
     score reads the derived degree columns, and the check enumeration

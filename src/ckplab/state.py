@@ -62,6 +62,12 @@ class CkpState:
     recount them (:func:`verify_state`), child lists in insertion
     order, and refuse a state whose columns were edited out of step;
     ``potentials.mc_drift`` trusts them.
+
+    The two node sets of the survival argument, the minimal false nodes
+    and the CT non-root leaves, are not stored: :meth:`membership`
+    recounts them as one code per node, the encoding both engines keep
+    and export, and the one the count potentials and ``LeafAttach``
+    read.
     """
 
     __slots__ = ("labels", "is_false", "parents", "children", "deg_pt",
@@ -207,44 +213,42 @@ class CkpState:
         return {u: deg_pt[u] for u in sorted(degree_touched)
                 if labels[u] != PF}
 
-    # -- predicates -------------------------------------------------------
-
-    def is_minimal_false(self, v: int) -> bool:
-        """CF nodes, plus CT nodes with at least one PF parent edge (roots).
-
-        These are the locally discoverable errors: a check recognizes a CF
-        node when it examines it, and recognizes a root from the public PF
-        label on its parent.
-        """
-        lab = self.labels[v]
-        if lab == CF:
-            return True
-        return lab == CT and self.pf_parent_edges[v] > 0
-
-    def is_ct_nonroot_leaf(self, v: int, simple_mode: bool) -> bool:
-        """Frontier nodes a fresh edge can hit, removing them from the frontier.
-
-        Simple mode: CT, no PF parent edge, no child edges at all.
-        General mode: CT, no PF parent edge, no CT child edges (PF or CF
-        children do not disqualify).
-        """
-        if self.labels[v] != CT or self.pf_parent_edges[v] > 0:
-            return False
-        if simple_mode:
-            return not self.children[v]
-        return self.deg_ct[v] == 0
-
     # -- global views -----------------------------------------------------
+
+    def membership(self, simple_mode: bool) -> list[int]:
+        """One code per node for the two sets the survival argument
+        tracks, recounted from the labels, the PF parent edges and the
+        child edges: 1 for a minimal false node, 2 for a CT non-root
+        leaf, 0 for neither.
+
+        * Minimal false: CF nodes, plus CT nodes with at least one PF
+          parent edge (roots).  These are the locally discoverable
+          errors: a check recognizes a CF node when it examines it, and
+          a root from the public PF label on its parent.
+        * CT non-root leaf, the frontier a fresh edge can hit: CT, no PF
+          parent edge, and no child edges at all (simple mode) or no CT
+          child edges (general mode: PF or CF children do not
+          disqualify).
+
+        The two sets are disjoint, since a root has a PF parent edge
+        and a leaf has none.  Both engines keep these codes as they go
+        and the deep audit holds them to this recount.
+        """
+        labels = self.labels
+        pf_parent_edges = self.pf_parent_edges
+        blocker = self.children if simple_mode else self.deg_ct
+        codes = []
+        for v, lab in enumerate(labels):
+            if lab != CT:
+                codes.append(1 if lab == CF else 0)
+            elif pf_parent_edges[v]:
+                codes.append(1)
+            else:
+                codes.append(0 if blocker[v] else 2)
+        return codes
 
     def pt_ids(self) -> list[int]:
         return [v for v in range(len(self.labels)) if self.labels[v] != PF]
-
-    def minimal_false_set(self) -> list[int]:
-        return [v for v in range(len(self.labels)) if self.is_minimal_false(v)]
-
-    def ct_nonroot_leaves(self, simple_mode: bool) -> list[int]:
-        return [v for v in range(len(self.labels))
-                if self.is_ct_nonroot_leaf(v, simple_mode)]
 
     def copy(self) -> "CkpState":
         dup = CkpState.__new__(CkpState)
@@ -353,7 +357,8 @@ def _pt_false_distances(state: CkpState,
     dist = [none] * none
     ids = np.flatnonzero((labels != PF) & (truth != 0)).tolist()
     for v in ids:
-        # CkpState.is_minimal_false, inlined: v is CT or CF here
+        # CkpState.membership's minimal-false rule, inlined: v is CT or
+        # CF here
         if label_of[v] == CF or pf_parent_edges[v] > 0:
             dist[v] = 0
             continue

@@ -30,7 +30,7 @@ def anchor_bfs(state: CkpState, v: int):
     while queue:
         u, d = queue.popleft()
         lab = labels[u]
-        # CkpState.is_minimal_false, inlined
+        # CkpState.membership's minimal-false rule, inlined
         if lab == CF or (lab == CT and pf_parent_edges[u] > 0):
             chain = [u]
             w = prev[u]

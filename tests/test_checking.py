@@ -467,8 +467,10 @@ def state_with_new_node(draw):
         pt = s.pt_ids()
         if not pt:
             break
-        if draw(st.booleans()) and s.minimal_false_set():
-            s.mark_pf([draw(st.sampled_from(s.minimal_false_set()))])
+        minimal = [v for v, code in enumerate(s.membership(True))
+                   if code == 1]
+        if draw(st.booleans()) and minimal:
+            s.mark_pf([draw(st.sampled_from(minimal))])
             continue
         deg = draw(st.integers(min_value=1, max_value=3))
         s.add_node([draw(st.sampled_from(pt)) for _ in range(deg)],
@@ -498,8 +500,9 @@ def test_soundness_radius_and_connectivity(svp, mechanism, k, seed):
     assert out.marked <= set(out.visited)
     if out.marked and out.marked != {v}:
         assert v in out.marked
+    member = s.membership(True)
     for f in out.found:
-        assert s.is_minimal_false(f) or (s.labels[f] == CF)
+        assert member[f] == 1
 
 
 @given(state_with_new_node(), st.integers(min_value=1, max_value=4))

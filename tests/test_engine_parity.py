@@ -739,6 +739,17 @@ def test_compiled_backend_refuses_uncovered_variants():
         run_trial(adversarial, init, 50, seed=1, backend="compiled")
 
 
+def test_compiled_backend_refuses_without_the_kernel(monkeypatch):
+    monkeypatch.setattr("ckplab.engine._kernel", None)
+    feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
+    with pytest.raises(RuntimeError) as err:
+        run_trial(feats, init_chain(5, 1, CF), 50, seed=1,
+                  backend="compiled")
+    assert err.type is RuntimeError
+    assert str(err.value) == ("compiled backend requested but the kernel "
+                              "extension is not importable")
+
+
 def test_run_trial_validates_arguments():
     feats = case_features("bfs", 0.0, "preferential", 0.5, 2)
     init = init_chain(5, 1, CF)
@@ -820,20 +831,9 @@ def test_full_audit_checks_the_kernels_weight_index(key, slot, delta):
         full_audit(state, feats, book)
 
 
-@pytest.mark.parametrize("backend", [
-    "python", pytest.param("compiled", marks=needs_kernel)])
-@pytest.mark.parametrize("key,message", [
-    ("f_mem", "minimal-false flag stale on node {v}"),
-    ("l_mem", "leaf flag stale on node {v}"),
-    ("f_count", "minimal-false count out of step with flags"),
-    ("l_count", "leaf count out of step with flags"),
-    ("zero_since", "zero-run marker disagrees with PT False count"),
-])
-def test_full_audit_refuses_a_stale_membership_record(backend, key, message):
-    """Each refusal of ``audits.audit_counts`` past the PT False count,
-    on one corrupted entry of either engine's record: the first flag
-    set of a column cleared, a count one past its flags, and a zero-run
-    marker set while PT False nodes are left."""
+def audited_record(backend):
+    """``(features, state, record)`` of a 200-step bfs run on
+    ``backend``, the record passing ``full_audit``."""
     feats = case_features("bfs", 0.25, "preferential", 0.4, 3)
     init = init_chain(12, 2, CF)
     if backend == "python":
@@ -845,17 +845,62 @@ def test_full_audit_refuses_a_stale_membership_record(backend, key, message):
     eng.run(200)
     state, book = eng.export_state(), eng.export_bookkeeping()
     full_audit(state, feats, book)
-    v = None
-    if key.endswith("_mem"):
-        v = book[key].index(1)
-        book[key][v] = 0
+    return feats, state, book
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("compiled", marks=needs_kernel)])
+@pytest.mark.parametrize("key", ["weights", "tree"])
+def test_full_audit_refuses_a_weight_record_of_the_wrong_length(backend,
+                                                                key):
+    """``audits.audit_weights`` refuses a weight list one short of the
+    state and a Fenwick tree with fewer slots than nodes, by name."""
+    feats, state, book = audited_record(backend)
+    n = len(state.labels)
+    if key == "weights":
+        book[key].pop()
+        message = f"weight index tracks {n - 1} nodes, state has {n}"
+    else:
+        book[key] = book[key][:n]
+        message = f"Fenwick tree has {n - 1} slots for {n} nodes"
+    with pytest.raises(AuditViolation) as err:
+        full_audit(state, feats, book)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("compiled", marks=needs_kernel)])
+@pytest.mark.parametrize("key,slot,message", [
+    ("member", None, "node {v}: membership code {have}, recount {want}"),
+    ("member_count", 0, "membership counts {have}, recount {want}"),
+    ("member_count", 1, "membership counts {have}, recount {want}"),
+    ("member_count", 2, "membership counts {have}, recount {want}"),
+    ("zero_since", None, "zero-run marker disagrees with PT False count"),
+], ids=["code", "count0", "count1", "count2",
+        "zero_since-zero-run marker disagrees with PT False count"])
+def test_full_audit_refuses_a_stale_membership_record(backend, key, slot,
+                                                      message):
+    """Each refusal of ``audits.audit_counts`` past the PT False count,
+    on one corrupted entry of either engine's record: the first leaf's
+    code changed to minimal false, each count one past its recount, and
+    a zero-run marker set while PT False nodes are left."""
+    feats, state, book = audited_record(backend)
+    assert book["member"] == state.membership(feats.simple)
+    want = have = v = None
+    if key == "member":
+        v = book[key].index(2)
+        want, have = 2, 1
+        book[key][v] = have
     elif key == "zero_since":
         assert book["pt_false"] > 0 and book["zero_since"] is None
         book[key] = book["step_index"]
     else:
-        book[key] += 1
-    with pytest.raises(AuditViolation, match=f"^{message.format(v=v)}$"):
+        want = list(book[key])
+        book[key][slot] += 1
+        have = book[key]
+    with pytest.raises(AuditViolation) as err:
         full_audit(state, feats, book)
+    assert str(err.value) == message.format(v=v, have=have, want=want)
 
 
 @needs_kernel

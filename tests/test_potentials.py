@@ -937,6 +937,48 @@ def test_drift_leaf_cap_bites_on_an_unchecked_leaf():
     assert dump_state(state) == text
 
 
+def test_drift_bounds_other_adversaries_by_the_leaf_cap_alone(monkeypatch):
+    """Only a RandomPt by its exact type has its moves counted up
+    front.  A subclass plays the same law, 3 growth moves and 3**2
+    parent tuples times 2 labels, so 24 leaves, but only the growth
+    moves are counted: at a cap of 20 it is refused at the 21st leaf,
+    and the caller's state is restored."""
+    made = []
+
+    class Playback(RandomPt):
+        def move(self, state, features, chooser):
+            made.append("adversary")
+            return super().move(state, features, chooser)
+
+    def adversarial(adversary):
+        return Features(PREF, ParentCountLaw.const(1), Fraction(1, 2), 3,
+                        "bfs", adversary_rate=Fraction(1, 4),
+                        adversary_budget=2, adversary=adversary)
+
+    chain = init_chain(3, 1, CF)
+    kind = MinDistance(PREF, 3)
+    with pytest.raises(BranchBudgetExceeded, match="least 21 moves"):
+        exact_drift(chain, adversarial(RandomPt()), kind, leaf_cap=20)
+    whole = exact_drift(chain, adversarial(Playback()), kind)
+    assert whole == exact_drift(chain, adversarial(RandomPt()), kind)
+    assert whole.leaf_count == 24
+    real = checking.run_check
+
+    def counted(*args):
+        made.append("check")
+        return real(*args)
+
+    monkeypatch.setattr(checking, "run_check", counted)
+    made.clear()
+    text = dump_state(chain)
+    with pytest.raises(BranchBudgetExceeded) as err:
+        exact_drift(chain, adversarial(Playback()), kind, leaf_cap=20)
+    assert err.type is BranchBudgetExceeded
+    assert str(err.value) == "outcome tree exceeded 20 leaves"
+    assert len(made) == 21              # each move and check run a leaf
+    assert dump_state(chain) == text
+
+
 def test_drift_refuses_outcomes_whose_mass_misses_one(monkeypatch):
     # each move's open fork to a CT label is dropped, so only the CF
     # moves' mass, 1/4, is enumerated; the caller's state is restored
@@ -1215,6 +1257,14 @@ def test_mc_drift_adversarial_samples_match_the_oracle():
     assert exact.value == Fraction(183, 4)
     est = mc_drift(chain, f, MinDistance(PREF, 3), 20_000, 5)
     assert abs(est.mean - float(exact.value)) <= 5 * est.se
+
+
+def test_potential_refuses_an_unknown_kind():
+    kind = object()
+    with pytest.raises(TypeError) as err:
+        potential(single_cf(), kind)
+    assert err.type is TypeError
+    assert str(err.value) == f"unknown potential kind {kind!r}"
 
 
 # -- agreement with engine bookkeeping -------------------------------------

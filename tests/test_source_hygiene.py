@@ -1,8 +1,8 @@
 """Every name a package module or a test module imports is used,
 every top-level name the package defines is named somewhere, a name
 that only the tests reach is listed as public surface, and every
-cross-reference in the package's docstrings and the kernel's comments
-names something the package defines.
+cross-reference in the package's docstrings and comments, the kernel's
+included, names something the package defines.
 
 No linter ships with the toolchain, so this scans the syntax trees
 itself: a name bound by ``import`` or ``from ... import`` counts as used
@@ -12,6 +12,7 @@ chain, an annotation) or lists it in ``__all__``.
 
 import ast
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -140,11 +141,25 @@ def package_definitions() -> tuple:
     return names, classes
 
 
+def comments(path) -> list:
+    """``(line, text)`` for every comment in ``path``: the ``#``
+    comments of a Python file, read by ``tokenize`` so a ``#`` inside a
+    string is not one, and the text after ``//`` on each line of the
+    kernel."""
+    if path.suffix == ".cpp":
+        return [(number, line.partition("//")[2]) for number, line
+                in enumerate(path.read_text().splitlines(), 1)]
+    with path.open() as source:
+        return [(token.start[0], token.string)
+                for token in tokenize.generate_tokens(source.readline)
+                if token.type == tokenize.COMMENT]
+
+
 def cross_references(classes) -> list:
     """``(where, reference)`` for every Sphinx role target in the
     package's docstrings, and every ``module.name`` or ``Class.name``
-    of the package (``classes``) that a comment in ``_kernel.cpp``
-    cites."""
+    of the package (``classes``) that a comment in the package's
+    ``.py`` files or in ``_kernel.cpp`` cites."""
     refs = []
     for path in PACKAGE:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -153,21 +168,23 @@ def cross_references(classes) -> list:
                 doc = ast.get_docstring(node, clean=False) or ""
                 refs += [(path.name, ref) for ref in ROLE.findall(doc)]
     heads = {path.stem for path in PACKAGE} | classes | {"ckplab"}
-    for number, line in enumerate(KERNEL_CPP.read_text().splitlines(), 1):
-        comment = line.partition("//")[2]
-        refs += [(f"{KERNEL_CPP.name}:{number}", ref)
+    for path in [*PACKAGE, KERNEL_CPP]:
+        refs += [(f"{path.name}:{number}", ref)
+                 for number, comment in comments(path)
                  for ref in DOTTED.findall(comment)
                  if ref.split(".")[0] in heads]
     return refs
 
 
 def test_cross_references_name_what_exists():
-    """A docstring role or a kernel comment that cites a renamed or
-    deleted function leads the reader nowhere; each must end in a name
-    the package still defines."""
+    """A docstring role or a comment that cites a renamed or deleted
+    function leads the reader nowhere; each must end in a name the
+    package still defines."""
     names, classes = package_definitions()
     refs = cross_references(classes)
     assert len(refs) > 100            # the scan sees the references
+    # and the Python comments' among them
+    assert [ref for where, ref in refs if ".py:" in where]
     stale = [f"{where}: {ref}" for where, ref in refs
              if ref.split(".")[-1] not in names]
     assert not stale, f"cross-references to nothing: {stale}"

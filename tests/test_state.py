@@ -1,4 +1,4 @@
-"""DAG state bookkeeping: degrees, minimal false set, leaves, distances
+"""DAG state bookkeeping: degrees, membership codes, distances
 and the text format."""
 
 import numpy as np
@@ -151,12 +151,21 @@ def test_mark_pf_updates_counters_and_reports_degrees():
     touched = s.mark_pf([0])
     assert touched == {}                      # 0 had no parents
     assert s.pf_parent_edges[1] == 1
-    assert s.is_minimal_false(1)              # root now
+    assert s.membership(True)[1] == 1         # root now
     touched = s.mark_pf([1])
     assert s.labels[1] == PF
     assert s.pf_parent_edges[2] == 1 and s.pf_parent_edges[3] == 1
     assert touched == {}                      # 1's only parent is PF already
-    assert s.is_minimal_false(2) and s.is_minimal_false(3)
+    assert s.membership(True) == [0, 0, 1, 1]
+
+
+def test_add_root_refuses_a_pf_origin():
+    s = CkpState()
+    with pytest.raises(StateError) as err:
+        s.add_root(PF)
+    assert err.type is StateError
+    assert str(err.value) == f"origin label must be CT or CF, got {PF}"
+    assert s.labels == []
 
 
 def test_mark_pf_refuses_true_nodes():
@@ -165,31 +174,35 @@ def test_mark_pf_refuses_true_nodes():
         s.mark_pf([1])
 
 
-def test_minimal_false_set_cf_and_roots():
-    # 0(CF) <- 1(CT) <- 2(CT); mark 0: root moves to 1
+def test_membership_moves_the_root_down_a_chain():
+    # 0(CF) <- 1(CT) <- 2(CT); mark 0: root moves to 1.  A CT node with
+    # a PF parent edge is minimal false in both modes, childless or not
     s = chain([CF, CT, CT])
-    assert s.minimal_false_set() == [0]
+    for simple in (True, False):
+        assert s.membership(simple) == [1, 0, 2]
     s.mark_pf([0])
-    assert s.minimal_false_set() == [1]
+    for simple in (True, False):
+        assert s.membership(simple) == [0, 1, 2]
     s.mark_pf([1])
-    assert s.minimal_false_set() == [2]
+    for simple in (True, False):
+        assert s.membership(simple) == [0, 0, 1]
 
 
 def test_leaves_simple_vs_general_mode():
-    # 1 has a CF child and a PF child but no CT child
+    # 1 has a CF child and a PF child but no CT child: a leaf in the
+    # general mode alone; the CF node is minimal false, the PF one neither
     s = CkpState()
     s.add_root(CT)
     s.add_node([0], CT)       # 1
     s.add_node([1], CF)       # 2, makes 1 non-leaf in simple mode
     s.add_node([1], CF)       # 3, about to become PF
     s.mark_pf([3])
-    assert not s.is_ct_nonroot_leaf(1, simple_mode=True)
-    assert s.is_ct_nonroot_leaf(1, simple_mode=False)
+    assert s.membership(True) == [0, 0, 1, 0]
+    assert s.membership(False) == [0, 2, 1, 0]
     # a node below a PF parent is never a leaf
     s2 = chain([CF, CT])
     s2.mark_pf([0])
-    assert s2.ct_nonroot_leaves(True) == []
-    assert s2.ct_nonroot_leaves(False) == []
+    assert s2.membership(True) == s2.membership(False) == [0, 1]
 
 
 def test_distances_match_on_handmade_state():
@@ -353,9 +366,10 @@ def random_states(draw):
         if not pt:
             break
         move = draw(st.integers(min_value=0, max_value=3))
-        if move == 0 and len(s.minimal_false_set()) > 0:
-            victim = draw(st.sampled_from(s.minimal_false_set()))
-            s.mark_pf([victim])
+        minimal = [v for v, code in enumerate(s.membership(True))
+                   if code == 1]
+        if move == 0 and minimal:
+            s.mark_pf([draw(st.sampled_from(minimal))])
             continue
         k = draw(st.integers(min_value=1, max_value=3))
         ps = [draw(st.sampled_from(pt)) for _ in range(k)]
@@ -393,6 +407,33 @@ def test_distance_routes_agree_on_random_states(s):
 def test_round_trip_on_random_states(s):
     text = dump_state(s)
     assert dump_state(load_state(text)) == text
+
+
+def defined_membership(s: CkpState, simple: bool) -> list[int]:
+    """Each node's code read off the definitions, from the labels and
+    the parent lists alone: 1 for CF or for CT below a PF node, 2 for
+    CT with no PF parent and no child (simple) or no CT child edge
+    (general), else 0."""
+    n = len(s.labels)
+    codes = []
+    for v in range(n):
+        kids = [c for c in range(n) for u in s.parents[c] if u == v]
+        if s.labels[v] == CF or (s.labels[v] == CT and any(
+                s.labels[u] == PF for u in s.parents[v])):
+            codes.append(1)
+        elif s.labels[v] == CT and not any(
+                s.labels[c] == CT or simple for c in kids):
+            codes.append(2)
+        else:
+            codes.append(0)
+    return codes
+
+
+@given(random_states())
+@settings(max_examples=80, deadline=None)
+def test_membership_matches_the_definitions_on_random_states(s):
+    for simple in (True, False):
+        assert s.membership(simple) == defined_membership(s, simple)
 
 
 def reference_truth_closure(state: CkpState) -> None:

@@ -5,6 +5,7 @@ Threshold values asserted exactly here are plug-ins of the closed-form
 expressions, worked out by hand in comments next to each assertion.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -409,6 +410,26 @@ def test_false_fraction_requires_proven_elimination():
     with pytest.raises(PreconditionNotProven):
         false_fraction_check(trials, feats(adversary_rate=Fraction(1, 100),
                                            adversary_budget=1, **ELIM_FEATURES))
+
+
+def test_false_fraction_refuses_trials_with_no_shared_time():
+    trials = [_fake_trial(i, [(100 + i % 2, 50, 1)]) for i in range(30)]
+    with pytest.raises(ValueError) as err:
+        false_fraction_check(trials, feats(**ELIM_FEATURES))
+    assert err.type is ValueError
+    assert str(err.value) == "trials share no checkpoint times to compare at"
+
+
+@pytest.mark.parametrize("undetected, ratio", [(1, math.inf), (0, 0.0)])
+def test_false_fraction_ratio_without_true_nodes(undetected, ratio):
+    # every PT node is hidden-False, so the mean true count is 0: the
+    # ratio is infinite while undetected nodes remain, else 0
+    trials = [_fake_trial(i, [(100, undetected, undetected)])
+              for i in range(30)]
+    report = false_fraction_check(trials, feats(**ELIM_FEATURES))
+    (row,) = report.rows
+    assert (row.mean_true, row.measured_ratio) == (0, ratio)
+    assert report.passed is (undetected == 0)
 
 
 def test_false_fraction_bound_value_and_pass():
